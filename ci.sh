@@ -54,4 +54,12 @@ echo "==> VM-backed Mantle policy + scripted-class tests"
 cargo test -q -p mala-mantle
 cargo test -q -p mala-rados class::
 
+echo "==> frozen benchmark (offline build against the current crates; quick run, correctness + determinism gates)"
+# benchmark/ is its own workspace and only ever changes in PRs of its own,
+# so this is where a break of the public API it drives shows up. --traced
+# adds a second rep per workload (the determinism gate needs two to
+# compare) and the direct-call probes; run.sh exits non-zero on any gate.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --quick --traced | grep -E '^(==|gates:|GATE FAILED)'
+
 echo "CI gate passed."

@@ -1,10 +1,11 @@
 //! Tree-walking interpreter with deterministic sandboxing.
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::ast::{BinOp, Block, Expr, Stmt, TableItem, UnOp};
-use crate::value::{fmt_num, Function, HostCtx, Key, Native, NativeFn, Scope, Table, Value};
+use crate::value::{write_num, Function, HostCtx, Key, Native, NativeFn, Scope, Table, Value};
 use crate::Script;
 
 /// A runtime error raised during script execution.
@@ -533,11 +534,7 @@ impl Interp {
                 Ok(Value::Num(x - (x / y).floor() * y))
             }
             BinOp::Pow => Ok(Value::Num(self.num(lhs)?.powf(self.num(rhs)?))),
-            BinOp::Concat => {
-                let sa = coerce_str(&lhs)?;
-                let sb = coerce_str(&rhs)?;
-                Ok(Value::str(format!("{sa}{sb}")))
-            }
+            BinOp::Concat => concat(&lhs, &rhs),
             BinOp::Eq => Ok(Value::Bool(lhs == rhs)),
             BinOp::Ne => Ok(Value::Bool(lhs != rhs)),
             BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
@@ -580,17 +577,33 @@ pub(crate) fn to_key(v: &Value) -> Result<Key, RtError> {
     }
 }
 
-pub(crate) fn coerce_str(v: &Value) -> Result<String, RtError> {
-    match v {
-        Value::Str(s) => Ok(s.to_string()),
-        Value::Num(n) => Ok(fmt_num(*n)),
-        Value::Bool(b) => Ok(b.to_string()),
-        Value::Nil => Ok("nil".to_string()),
-        other => Err(RtError::new(format!(
-            "cannot concatenate a {} value",
-            other.type_name()
-        ))),
-    }
+thread_local! {
+    /// Staging buffer for [`concat`], kept between calls so that building a
+    /// string costs one allocation: the result's, at its exact size.
+    static CONCAT_BUF: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// `lhs .. rhs`, shared by both engines so coercion and its error message
+/// are identical.
+pub(crate) fn concat(lhs: &Value, rhs: &Value) -> Result<Value, RtError> {
+    CONCAT_BUF.with_borrow_mut(|buf| {
+        buf.clear();
+        for v in [lhs, rhs] {
+            match v {
+                Value::Str(s) => buf.push_str(s),
+                Value::Num(n) => write_num(buf, *n),
+                Value::Bool(b) => buf.push_str(if *b { "true" } else { "false" }),
+                Value::Nil => buf.push_str("nil"),
+                other => {
+                    return Err(RtError::new(format!(
+                        "cannot concatenate a {} value",
+                        other.type_name()
+                    )))
+                }
+            }
+        }
+        Ok(Value::str(buf.as_str()))
+    })
 }
 
 pub(crate) fn compare(a: &Value, b: &Value) -> Result<std::cmp::Ordering, RtError> {

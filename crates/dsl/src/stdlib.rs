@@ -182,11 +182,10 @@ pub(crate) fn natives() -> Vec<(&'static str, NativeFn)> {
     interp.register(
         "sub",
         Rc::new(|_, args| {
-            let s = arg(args, 0);
-            let s = s
-                .as_str()
-                .ok_or_else(|| RtError::new("sub: argument 1 must be a string"))?
-                .to_string();
+            let s = args
+                .first()
+                .and_then(Value::as_str)
+                .ok_or_else(|| RtError::new("sub: argument 1 must be a string"))?;
             let len = s.len() as i64;
             let norm = |i: f64| -> i64 {
                 let i = i as i64;

@@ -347,11 +347,20 @@ impl Value {
 /// Formats a number the way Lua's `tostring` does for common cases:
 /// integral values print without a fractional part.
 pub fn fmt_num(n: f64) -> String {
-    if n.fract() == 0.0 && n.abs() < 1e15 {
-        format!("{}", n as i64)
+    let mut s = String::new();
+    write_num(&mut s, n);
+    s
+}
+
+/// Appends what [`fmt_num`] returns for `n` to `out`.
+pub(crate) fn write_num(out: &mut String, n: f64) {
+    use fmt::Write;
+    // Writing to a `String` cannot fail.
+    let _ = if n.fract() == 0.0 && n.abs() < 1e15 {
+        write!(out, "{}", n as i64)
     } else {
-        format!("{n}")
-    }
+        write!(out, "{n}")
+    };
 }
 
 impl PartialEq for Value {

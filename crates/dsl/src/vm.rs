@@ -28,7 +28,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::compile::{self, Chunk, Op, Proto, UpvalDesc};
-use crate::interp::{coerce_str, compare, num_of, to_key, RtError, Sandbox};
+use crate::interp::{compare, concat, num_of, to_key, RtError, Sandbox};
 use crate::value::{HostCtx, Key, Native, NativeFn, Value};
 use crate::Script;
 
@@ -514,9 +514,7 @@ impl Vm {
                 Op::Concat => {
                     let rhs = stack.pop().expect("rhs");
                     let lhs = stack.pop().expect("lhs");
-                    let sa = coerce_str(&lhs)?;
-                    let sb = coerce_str(&rhs)?;
-                    stack.push(Value::str(format!("{sa}{sb}")));
+                    stack.push(concat(&lhs, &rhs)?);
                 }
                 Op::Eq | Op::Ne => {
                     let rhs = stack.pop().expect("rhs");

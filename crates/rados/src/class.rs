@@ -16,9 +16,11 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use mala_dsl::value::HostCtx;
 use mala_dsl::{DslEngine, EngineKind, RtError, Script, Value};
 
 use crate::object::Object;
+use crate::ops::{ObjTxn, OsdError};
 
 /// Error raised by a class method.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,48 +66,57 @@ pub enum MethodKind {
     ReadWrite,
 }
 
-/// Execution context handed to native class methods: the object slot plus
-/// convenience accessors. Mutations participate in the enclosing
-/// transaction's atomicity (rolled back wholesale on error).
-pub struct ObjCtx<'a> {
-    /// The object slot (`None` = object absent).
-    pub slot: &'a mut Option<Object>,
-}
-
-impl ObjCtx<'_> {
-    /// The object, created on first mutation.
-    pub fn obj_mut(&mut self) -> &mut Object {
-        self.slot.get_or_insert_with(Object::new)
-    }
-
-    /// The object, if it exists.
-    pub fn obj(&self) -> Option<&Object> {
-        self.slot.as_ref()
-    }
-
-    /// Reads an omap value.
-    pub fn omap_get(&self, key: &str) -> Option<Vec<u8>> {
-        self.obj().and_then(|o| o.omap.get(key).cloned())
-    }
-
-    /// Reads an xattr.
-    pub fn xattr_get(&self, key: &str) -> Option<Vec<u8>> {
-        self.obj().and_then(|o| o.xattrs.get(key).cloned())
-    }
-}
-
-type NativeMethod = Rc<dyn Fn(&mut ObjCtx<'_>, &[u8]) -> Result<Vec<u8>, ClassError>>;
+/// A native class method: reads and mutates the object through the
+/// transaction's tracker, so its writes roll back with the transaction.
+type NativeMethod = Rc<dyn Fn(&mut ObjTxn, &[u8]) -> Result<Vec<u8>, ClassError>>;
 
 struct ScriptedClass {
     version: u64,
     script: Script,
     /// Cached engine with the script loaded; rebuilt on reinstall.
     engine: RefCell<DslEngine>,
+    /// Methods the script's `__readonly = {"m1", ...}` global named when it
+    /// was loaded; every other method is read-write.
+    readonly: Vec<String>,
+}
+
+impl ScriptedClass {
+    /// Runs `script`'s top level on a fresh engine (which declares the
+    /// method functions) and resolves the read-only set, once per load.
+    fn load(kind: EngineKind, version: u64, script: Script) -> Result<ScriptedClass, ClassError> {
+        let mut engine = DslEngine::new(kind);
+        install_object_natives(&mut engine);
+        engine
+            .load_with(&script, &mut ObjHost::default())
+            .map_err(|e| ClassError::invalid(format!("load error: {e}")))?;
+        let readonly = match engine.global("__readonly") {
+            Value::Table(t) => t
+                .borrow()
+                .array()
+                .iter()
+                .filter_map(|v| v.as_str().map(str::to_string))
+                .collect(),
+            _ => Vec::new(),
+        };
+        Ok(ScriptedClass {
+            version,
+            script,
+            engine: RefCell::new(engine),
+            readonly,
+        })
+    }
+}
+
+/// A resolved `class.method`.
+enum Method<'a> {
+    Native(&'a NativeMethod),
+    Scripted(&'a ScriptedClass),
 }
 
 /// The per-OSD registry of object classes.
 pub struct ClassRegistry {
-    native: HashMap<(String, String), (MethodKind, NativeMethod)>,
+    /// class → method → implementation; nested so both lookups borrow.
+    native: HashMap<String, HashMap<String, (MethodKind, NativeMethod)>>,
     scripted: HashMap<String, ScriptedClass>,
     /// Engine used for scripted classes (bytecode VM by default; the
     /// tree-walker remains selectable as the reference implementation).
@@ -148,7 +159,9 @@ impl ClassRegistry {
         f: NativeMethod,
     ) {
         self.native
-            .insert((class.to_string(), method.to_string()), (kind, f));
+            .entry(class.to_string())
+            .or_default()
+            .insert(method.to_string(), (kind, f));
     }
 
     /// Installs (or upgrades) a scripted class from Cephalo source.
@@ -172,21 +185,8 @@ impl ClassRegistry {
         }
         let script = Script::compile(source)
             .map_err(|e| ClassError::invalid(format!("compile error: {e}")))?;
-        let mut engine = DslEngine::new(self.engine_kind);
-        install_object_natives(&mut engine);
-        // Run the top level once (declares the method functions).
-        let mut probe = ObjHost { obj: None };
-        engine
-            .load_with(&script, &mut probe)
-            .map_err(|e| ClassError::invalid(format!("load error: {e}")))?;
-        self.scripted.insert(
-            class.to_string(),
-            ScriptedClass {
-                version,
-                script,
-                engine: RefCell::new(engine),
-            },
-        );
+        let cls = ScriptedClass::load(self.engine_kind, version, script)?;
+        self.scripted.insert(class.to_string(), cls);
         Ok(())
     }
 
@@ -200,69 +200,79 @@ impl ClassRegistry {
         self.scripted.len()
     }
 
-    /// Whether `class.method` resolves, and if so its kind.
-    pub fn method_kind(&self, class: &str, method: &str) -> Option<MethodKind> {
-        if let Some((kind, _)) = self.native.get(&(class.to_string(), method.to_string())) {
-            return Some(*kind);
+    fn resolve(&self, class: &str, method: &str) -> Option<(MethodKind, Method<'_>)> {
+        if let Some((kind, f)) = self.native.get(class).and_then(|c| c.get(method)) {
+            return Some((*kind, Method::Native(f)));
         }
         let cls = self.scripted.get(class)?;
-        let engine = cls.engine.borrow();
-        if !engine.has_function(method) {
+        if !cls.engine.borrow().has_function(method) {
             return None;
         }
-        // Scripted classes may declare read-only methods in a
-        // `__readonly = {\"m1\", ...}` global; default is read-write.
-        if let Value::Table(t) = engine.global("__readonly") {
-            let ro = t
-                .borrow()
-                .array()
-                .iter()
-                .any(|v| v.as_str() == Some(method));
-            if ro {
-                return Some(MethodKind::ReadOnly);
-            }
-        }
-        Some(MethodKind::ReadWrite)
+        let kind = if cls.readonly.iter().any(|m| m == method) {
+            MethodKind::ReadOnly
+        } else {
+            MethodKind::ReadWrite
+        };
+        Some((kind, Method::Scripted(cls)))
     }
 
-    /// Invokes `class.method` against `slot` with `input`.
+    /// Whether `class.method` resolves, and if so its kind.
+    pub fn method_kind(&self, class: &str, method: &str) -> Option<MethodKind> {
+        self.resolve(class, method).map(|(kind, _)| kind)
+    }
+
+    /// Invokes `class.method` against `slot` with `input`, outside any
+    /// transaction: whatever the method wrote before failing stays.
     ///
     /// # Errors
     ///
-    /// [`crate::ops::OsdError::NoClass`] if unresolved, or the class error.
+    /// [`OsdError::NoClass`] if unresolved, or the class error.
     pub fn call(
         &self,
         class: &str,
         method: &str,
         slot: &mut Option<Object>,
         input: &[u8],
-    ) -> Result<Vec<u8>, crate::ops::OsdError> {
-        if let Some((_, f)) = self.native.get(&(class.to_string(), method.to_string())) {
-            let mut ctx = ObjCtx { slot };
-            return f(&mut ctx, input).map_err(crate::ops::OsdError::Class);
-        }
-        let Some(cls) = self.scripted.get(class) else {
-            return Err(crate::ops::OsdError::NoClass(format!("{class}.{method}")));
+    ) -> Result<Vec<u8>, OsdError> {
+        let mut txn = ObjTxn::begin(slot.take());
+        let out = self.call_in(class, method, &mut txn, input);
+        *slot = txn.finish();
+        out
+    }
+
+    /// Invokes `class.method` inside the transaction `txn`.
+    ///
+    /// # Errors
+    ///
+    /// [`OsdError::NoClass`] if unresolved, or the class error.
+    pub fn call_in(
+        &self,
+        class: &str,
+        method: &str,
+        txn: &mut ObjTxn,
+        input: &[u8],
+    ) -> Result<Vec<u8>, OsdError> {
+        let Some((kind, resolved)) = self.resolve(class, method) else {
+            return Err(OsdError::NoClass(format!("{class}.{method}")));
         };
-        let mut engine = cls.engine.borrow_mut();
-        if !engine.has_function(method) {
-            return Err(crate::ops::OsdError::NoClass(format!("{class}.{method}")));
-        }
+        let cls = match resolved {
+            Method::Native(f) => return f(txn, input).map_err(OsdError::Class),
+            Method::Scripted(cls) => cls,
+        };
         // The host must be `'static` to travel as `&mut dyn Any`, so it
-        // temporarily owns the object; the slot is restored afterwards
-        // regardless of the outcome (outer transaction handling rolls back
-        // on error).
-        let mut host = ObjHost { obj: slot.take() };
+        // owns the tracker for the duration of the call.
+        let mut host = ObjHost {
+            txn: std::mem::take(txn),
+            readonly: kind == MethodKind::ReadOnly,
+        };
         let arg = Value::str(String::from_utf8_lossy(input));
-        let out = engine.call(method, &[arg], &mut host);
-        *slot = host.obj;
-        let out = out.map_err(|e| crate::ops::OsdError::Class(rt_to_class(e)))?;
-        let bytes = match out {
+        let out = cls.engine.borrow_mut().call(method, &[arg], &mut host);
+        *txn = host.txn;
+        Ok(match out.map_err(|e| OsdError::Class(rt_to_class(e)))? {
             Value::Nil => Vec::new(),
             Value::Str(s) => s.as_bytes().to_vec(),
             other => other.display().into_bytes(),
-        };
-        Ok(bytes)
+        })
     }
 
     /// Names of all scripted classes, sorted.
@@ -278,13 +288,7 @@ impl ClassRegistry {
         let Some(cls) = self.scripted.get_mut(class) else {
             return Err(ClassError::invalid(format!("no such class {class}")));
         };
-        let mut engine = DslEngine::new(self.engine_kind);
-        install_object_natives(&mut engine);
-        let mut probe = ObjHost { obj: None };
-        engine
-            .load_with(&cls.script, &mut probe)
-            .map_err(|e| ClassError::invalid(format!("load error: {e}")))?;
-        cls.engine = RefCell::new(engine);
+        *cls = ScriptedClass::load(self.engine_kind, cls.version, cls.script.clone())?;
         Ok(())
     }
 }
@@ -315,32 +319,54 @@ fn rt_to_class(e: RtError) -> ClassError {
     ClassError { code, message: msg }
 }
 
-/// Host state given to scripted class methods. Owns the object for the
-/// duration of the call so it can be `'static` (a `dyn Any` requirement).
+/// Host state given to scripted class methods. Owns the transaction's
+/// tracker for the duration of the call so it can be `'static` (a
+/// `dyn Any` requirement).
+#[derive(Default)]
 struct ObjHost {
-    obj: Option<Object>,
+    txn: ObjTxn,
+    /// The running method was declared in `__readonly`: such a call is
+    /// neither replicated nor journalled, so it must not write.
+    readonly: bool,
+}
+
+fn host<'a>(ctx: &'a mut HostCtx<'_>) -> Result<&'a mut ObjHost, RtError> {
+    ctx.host
+        .downcast_mut::<ObjHost>()
+        .ok_or_else(|| RtError::new("object natives require an object host"))
+}
+
+/// The tracker, for a native that writes: refused inside a read-only method.
+fn writable<'a>(ctx: &'a mut HostCtx<'_>, name: &str) -> Result<&'a mut ObjTxn, RtError> {
+    let h = host(ctx)?;
+    if h.readonly {
+        return Err(RtError::new(format!(
+            "EROFS: {name} called from a read-only method"
+        )));
+    }
+    Ok(&mut h.txn)
+}
+
+fn str_arg<'a>(name: &str, args: &'a [Value], i: usize) -> Result<&'a str, RtError> {
+    args.get(i)
+        .and_then(Value::as_str)
+        .ok_or_else(|| RtError::new(format!("{name}: argument {} must be a string", i + 1)))
+}
+
+fn lossy(bytes: Option<&Vec<u8>>) -> Value {
+    match bytes {
+        Some(v) => Value::str(String::from_utf8_lossy(v)),
+        None => Value::Nil,
+    }
 }
 
 /// Registers the object-access natives scripted classes use.
 fn install_object_natives(interp: &mut DslEngine) {
-    macro_rules! with_host {
-        ($ctx:expr, $h:ident, $body:expr) => {{
-            let $h = $ctx
-                .host
-                .downcast_mut::<ObjHost>()
-                .ok_or_else(|| RtError::new("object natives require an object host"))?;
-            $body
-        }};
-    }
-
     interp.register(
         "data_size",
         Rc::new(|ctx, _args| {
-            with_host!(ctx, h, {
-                Ok(Value::Num(
-                    h.obj.as_ref().map(|o| o.size()).unwrap_or(0) as f64
-                ))
-            })
+            let size = host(ctx)?.txn.obj().map_or(0, Object::size);
+            Ok(Value::Num(size as f64))
         }),
     );
     interp.register(
@@ -348,199 +374,103 @@ fn install_object_natives(interp: &mut DslEngine) {
         Rc::new(|ctx, args| {
             let off = args.first().and_then(Value::as_num).unwrap_or(0.0) as usize;
             let len = args.get(1).and_then(Value::as_num).unwrap_or(f64::MAX);
-            with_host!(ctx, h, {
-                let Some(o) = h.obj.as_ref() else {
-                    return Err(RtError::new("ENOENT: no object"));
-                };
-                let len = if len.is_finite() {
-                    len as usize
-                } else {
-                    o.size()
-                };
-                Ok(Value::str(String::from_utf8_lossy(o.read(off, len))))
-            })
+            let Some(o) = host(ctx)?.txn.obj() else {
+                return Err(RtError::new("ENOENT: no object"));
+            };
+            let len = if len.is_finite() {
+                len as usize
+            } else {
+                o.size()
+            };
+            Ok(Value::str(String::from_utf8_lossy(o.read(off, len))))
         }),
     );
     interp.register(
         "data_write",
         Rc::new(|ctx, args| {
             let off = args.first().and_then(Value::as_num).unwrap_or(0.0) as usize;
-            let data = args
-                .get(1)
-                .and_then(Value::as_str)
-                .ok_or_else(|| RtError::new("data_write: argument 2 must be a string"))?
-                .to_string();
-            with_host!(ctx, h, {
-                h.obj
-                    .get_or_insert_with(Object::new)
-                    .write(off, data.as_bytes());
-                Ok(Value::Nil)
-            })
+            let data = str_arg("data_write", args, 1)?;
+            writable(ctx, "data_write")?.write(off, data.as_bytes());
+            Ok(Value::Nil)
         }),
     );
     interp.register(
         "data_append",
         Rc::new(|ctx, args| {
-            let data = args
-                .first()
-                .and_then(Value::as_str)
-                .ok_or_else(|| RtError::new("data_append: argument 1 must be a string"))?
-                .to_string();
-            with_host!(ctx, h, {
-                h.obj
-                    .get_or_insert_with(Object::new)
-                    .append(data.as_bytes());
-                Ok(Value::Nil)
-            })
+            let data = str_arg("data_append", args, 0)?;
+            writable(ctx, "data_append")?.append(data.as_bytes());
+            Ok(Value::Nil)
         }),
     );
     interp.register(
         "omap_get",
         Rc::new(|ctx, args| {
-            let key = args
-                .first()
-                .and_then(Value::as_str)
-                .ok_or_else(|| RtError::new("omap_get: argument 1 must be a string"))?
-                .to_string();
-            with_host!(ctx, h, {
-                Ok(match h.obj.as_ref().and_then(|o| o.omap.get(&key)) {
-                    Some(v) => Value::str(String::from_utf8_lossy(v)),
-                    None => Value::Nil,
-                })
-            })
+            let key = str_arg("omap_get", args, 0)?;
+            Ok(lossy(host(ctx)?.txn.omap_get(key)))
         }),
     );
     interp.register(
         "omap_set",
         Rc::new(|ctx, args| {
-            let key = args
-                .first()
-                .and_then(Value::as_str)
-                .ok_or_else(|| RtError::new("omap_set: argument 1 must be a string"))?
-                .to_string();
-            let val = args
-                .get(1)
-                .and_then(Value::as_str)
-                .ok_or_else(|| RtError::new("omap_set: argument 2 must be a string"))?
-                .to_string();
-            with_host!(ctx, h, {
-                h.obj
-                    .get_or_insert_with(Object::new)
-                    .omap
-                    .insert(key, val.into_bytes());
-                Ok(Value::Nil)
-            })
+            let key = str_arg("omap_set", args, 0)?;
+            let val = str_arg("omap_set", args, 1)?;
+            writable(ctx, "omap_set")?.omap_set(key, val.as_bytes().to_vec());
+            Ok(Value::Nil)
         }),
     );
     interp.register(
         "omap_del",
         Rc::new(|ctx, args| {
-            let key = args
-                .first()
-                .and_then(Value::as_str)
-                .ok_or_else(|| RtError::new("omap_del: argument 1 must be a string"))?
-                .to_string();
-            with_host!(ctx, h, {
-                if let Some(o) = h.obj.as_mut() {
-                    o.omap.remove(&key);
-                }
-                Ok(Value::Nil)
-            })
+            let key = str_arg("omap_del", args, 0)?;
+            writable(ctx, "omap_del")?.omap_del(key);
+            Ok(Value::Nil)
         }),
     );
     interp.register(
         "omap_del_range",
         Rc::new(|ctx, args| {
-            let lo = args
-                .first()
-                .and_then(Value::as_str)
-                .ok_or_else(|| RtError::new("omap_del_range: argument 1 must be a string"))?
-                .to_string();
-            let hi = args
-                .get(1)
-                .and_then(Value::as_str)
-                .ok_or_else(|| RtError::new("omap_del_range: argument 2 must be a string"))?
-                .to_string();
-            with_host!(ctx, h, {
-                let mut purged = 0usize;
-                if let Some(o) = h.obj.as_mut() {
-                    if lo <= hi {
-                        let doomed: Vec<String> =
-                            o.omap.range(lo..=hi).map(|(k, _)| k.clone()).collect();
-                        purged = doomed.len();
-                        for k in doomed {
-                            o.omap.remove(&k);
-                        }
-                    }
-                }
-                Ok(Value::Num(purged as f64))
-            })
+            let lo = str_arg("omap_del_range", args, 0)?;
+            let hi = str_arg("omap_del_range", args, 1)?;
+            let purged = writable(ctx, "omap_del_range")?.omap_del_range(lo, hi);
+            Ok(Value::Num(purged as f64))
         }),
     );
     interp.register(
         "omap_max_key",
         Rc::new(|ctx, _args| {
-            with_host!(ctx, h, {
-                Ok(
-                    match h.obj.as_ref().and_then(|o| o.omap.keys().next_back()) {
-                        Some(k) => Value::str(k.clone()),
-                        None => Value::Nil,
-                    },
-                )
+            let obj = host(ctx)?.txn.obj();
+            Ok(match obj.and_then(|o| o.omap.keys().next_back()) {
+                Some(k) => Value::str(k),
+                None => Value::Nil,
             })
         }),
     );
     interp.register(
         "omap_len",
         Rc::new(|ctx, _args| {
-            with_host!(ctx, h, {
-                Ok(Value::Num(
-                    h.obj.as_ref().map(|o| o.omap.len()).unwrap_or(0) as f64,
-                ))
-            })
+            let len = host(ctx)?.txn.obj().map_or(0, |o| o.omap.len());
+            Ok(Value::Num(len as f64))
         }),
     );
     interp.register(
         "xattr_get",
         Rc::new(|ctx, args| {
-            let key = args
-                .first()
-                .and_then(Value::as_str)
-                .ok_or_else(|| RtError::new("xattr_get: argument 1 must be a string"))?
-                .to_string();
-            with_host!(ctx, h, {
-                Ok(match h.obj.as_ref().and_then(|o| o.xattrs.get(&key)) {
-                    Some(v) => Value::str(String::from_utf8_lossy(v)),
-                    None => Value::Nil,
-                })
-            })
+            let key = str_arg("xattr_get", args, 0)?;
+            Ok(lossy(host(ctx)?.txn.xattr_get(key)))
         }),
     );
     interp.register(
         "xattr_set",
         Rc::new(|ctx, args| {
-            let key = args
-                .first()
-                .and_then(Value::as_str)
-                .ok_or_else(|| RtError::new("xattr_set: argument 1 must be a string"))?
-                .to_string();
-            let val = args
-                .get(1)
-                .and_then(Value::as_str)
-                .ok_or_else(|| RtError::new("xattr_set: argument 2 must be a string"))?
-                .to_string();
-            with_host!(ctx, h, {
-                h.obj
-                    .get_or_insert_with(Object::new)
-                    .xattrs
-                    .insert(key, val.into_bytes());
-                Ok(Value::Nil)
-            })
+            let key = str_arg("xattr_set", args, 0)?;
+            let val = str_arg("xattr_set", args, 1)?;
+            writable(ctx, "xattr_set")?.xattr_set(key, val.as_bytes().to_vec());
+            Ok(Value::Nil)
         }),
     );
     interp.register(
         "obj_exists",
-        Rc::new(|ctx, _args| with_host!(ctx, h, Ok(Value::Bool(h.obj.is_some())))),
+        Rc::new(|ctx, _args| Ok(Value::Bool(host(ctx)?.txn.obj().is_some()))),
     );
 }
 
@@ -601,6 +531,65 @@ mod tests {
         assert_eq!(reg.method_kind("nope", "get"), None);
     }
 
+    /// A method declared read-only is neither replicated nor journalled,
+    /// so a write from inside it would exist on the primary alone. Every
+    /// mutating native refuses instead, on both engines.
+    #[test]
+    fn readonly_method_cannot_write() {
+        const SNEAKY: &str = r#"
+            __readonly = {"set", "xset", "del", "purge", "write", "append"}
+            function set(i) omap_set("k", "v") end
+            function xset(i) xattr_set("k", "v") end
+            function del(i) omap_del("k") end
+            function purge(i) omap_del_range("a", "z") end
+            function write(i) data_write(0, "v") end
+            function append(i) data_append("v") end
+        "#;
+        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
+            let mut reg = ClassRegistry::with_engine(kind);
+            reg.install_scripted("sneaky", SNEAKY, 1).unwrap();
+            let mut before = Object::new();
+            before.omap.insert("k".into(), b"old".to_vec());
+            for method in ["set", "xset", "del", "purge", "write", "append"] {
+                assert_eq!(
+                    reg.method_kind("sneaky", method),
+                    Some(MethodKind::ReadOnly)
+                );
+                let mut slot = Some(before.clone());
+                let err = reg.call("sneaky", method, &mut slot, b"").unwrap_err();
+                let OsdError::Class(ce) = err else { panic!() };
+                assert_eq!(ce.code, -30, "{kind:?} {method}: {}", ce.message);
+                assert_eq!(slot.as_ref(), Some(&before), "{kind:?} {method}");
+                // Nor does it conjure an object out of nothing.
+                let mut slot = None;
+                assert!(reg.call("sneaky", method, &mut slot, b"").is_err());
+                assert_eq!(slot, None, "{kind:?} {method}");
+            }
+        }
+    }
+
+    /// The read-only set is resolved when the class is loaded; a method
+    /// cannot rewrite `__readonly` to change how later calls are classed.
+    #[test]
+    fn readonly_set_is_fixed_at_load() {
+        let mut reg = ClassRegistry::new();
+        reg.install_scripted(
+            "c",
+            r#"
+            __readonly = {"get"}
+            function get(i) return "x" end
+            function flip(i) __readonly = {"flip"} end
+            "#,
+            1,
+        )
+        .unwrap();
+        reg.call("c", "flip", &mut None, b"").unwrap();
+        assert_eq!(reg.method_kind("c", "get"), Some(MethodKind::ReadOnly));
+        assert_eq!(reg.method_kind("c", "flip"), Some(MethodKind::ReadWrite));
+        reg.reload_scripted("c").unwrap();
+        assert_eq!(reg.method_kind("c", "get"), Some(MethodKind::ReadOnly));
+    }
+
     #[test]
     fn version_upgrade_and_downgrade_protection() {
         let mut reg = ClassRegistry::new();
@@ -637,9 +626,7 @@ mod tests {
         .unwrap();
         let mut slot = None;
         let err = reg.call("guard", "check", &mut slot, b"").unwrap_err();
-        let crate::ops::OsdError::Class(ce) = err else {
-            panic!()
-        };
+        let OsdError::Class(ce) = err else { panic!() };
         assert_eq!(ce.code, -116);
     }
 
@@ -649,7 +636,7 @@ mod tests {
         let mut slot = None;
         assert!(matches!(
             reg.call("nope", "m", &mut slot, b""),
-            Err(crate::ops::OsdError::NoClass(_))
+            Err(OsdError::NoClass(_))
         ));
     }
 

@@ -243,12 +243,10 @@ pub fn install_builtin_classes(reg: &mut ClassRegistry) {
             match ctx.xattr_get("lock.owner") {
                 Some(cur) if cur != input => Err(ClassError::busy(format!(
                     "locked by {}",
-                    String::from_utf8_lossy(&cur)
+                    String::from_utf8_lossy(cur)
                 ))),
                 _ => {
-                    ctx.obj_mut()
-                        .xattrs
-                        .insert("lock.owner".into(), input.to_vec());
+                    ctx.xattr_set("lock.owner", input.to_vec());
                     Ok(Vec::new())
                 }
             }
@@ -260,12 +258,12 @@ pub fn install_builtin_classes(reg: &mut ClassRegistry) {
         MethodKind::ReadWrite,
         Rc::new(|ctx, input| match ctx.xattr_get("lock.owner") {
             Some(cur) if cur == input => {
-                ctx.obj_mut().xattrs.remove("lock.owner");
+                ctx.xattr_del("lock.owner");
                 Ok(Vec::new())
             }
             Some(cur) => Err(ClassError::busy(format!(
                 "locked by {}",
-                String::from_utf8_lossy(&cur)
+                String::from_utf8_lossy(cur)
             ))),
             None => Err(ClassError::invalid("not locked")),
         }),
@@ -274,7 +272,7 @@ pub fn install_builtin_classes(reg: &mut ClassRegistry) {
         "lock",
         "info",
         MethodKind::ReadOnly,
-        Rc::new(|ctx, _| Ok(ctx.xattr_get("lock.owner").unwrap_or_default())),
+        Rc::new(|ctx, _| Ok(ctx.xattr_get("lock.owner").cloned().unwrap_or_default())),
     );
 
     // refcount.get / refcount.put / refcount.read
@@ -284,9 +282,7 @@ pub fn install_builtin_classes(reg: &mut ClassRegistry) {
         MethodKind::ReadWrite,
         Rc::new(|ctx, _| {
             let n = read_u64_xattr(ctx.xattr_get("refcount")) + 1;
-            ctx.obj_mut()
-                .xattrs
-                .insert("refcount".into(), n.to_string().into_bytes());
+            ctx.xattr_set("refcount", n.to_string().into_bytes());
             Ok(n.to_string().into_bytes())
         }),
     );
@@ -302,11 +298,9 @@ pub fn install_builtin_classes(reg: &mut ClassRegistry) {
             let n = n - 1;
             if n == 0 {
                 // Dropping the last reference garbage-collects the object.
-                *ctx.slot = None;
+                ctx.remove();
             } else {
-                ctx.obj_mut()
-                    .xattrs
-                    .insert("refcount".into(), n.to_string().into_bytes());
+                ctx.xattr_set("refcount", n.to_string().into_bytes());
             }
             Ok(n.to_string().into_bytes())
         }),
@@ -328,9 +322,7 @@ pub fn install_builtin_classes(reg: &mut ClassRegistry) {
         "set",
         MethodKind::ReadWrite,
         Rc::new(|ctx, input| {
-            ctx.obj_mut()
-                .xattrs
-                .insert("version".into(), input.to_vec());
+            ctx.xattr_set("version", input.to_vec());
             Ok(Vec::new())
         }),
     );
@@ -338,20 +330,20 @@ pub fn install_builtin_classes(reg: &mut ClassRegistry) {
         "version",
         "get",
         MethodKind::ReadOnly,
-        Rc::new(|ctx, _| Ok(ctx.xattr_get("version").unwrap_or_else(|| b"0".to_vec()))),
+        Rc::new(|ctx, _| Ok(ctx.xattr_get("version").map_or(b"0".to_vec(), Vec::clone))),
     );
     reg.register_native(
         "version",
         "check",
         MethodKind::ReadOnly,
         Rc::new(|ctx, input| {
-            let cur = ctx.xattr_get("version").unwrap_or_else(|| b"0".to_vec());
+            let cur = ctx.xattr_get("version").map_or(&b"0"[..], Vec::as_slice);
             if cur == input {
                 Ok(Vec::new())
             } else {
                 Err(ClassError::stale(format!(
                     "version is {}, expected {}",
-                    String::from_utf8_lossy(&cur),
+                    String::from_utf8_lossy(cur),
                     String::from_utf8_lossy(input)
                 )))
             }
@@ -364,9 +356,8 @@ pub fn install_builtin_classes(reg: &mut ClassRegistry) {
         "add",
         MethodKind::ReadWrite,
         Rc::new(|ctx, input| {
-            let obj = ctx.obj_mut();
-            let seq = obj.omap.len() as u64;
-            obj.omap.insert(format!("log.{seq:016}"), input.to_vec());
+            let seq = ctx.obj().map_or(0, |o| o.omap.len()) as u64;
+            ctx.omap_set(&format!("log.{seq:016}"), input.to_vec());
             Ok(seq.to_string().into_bytes())
         }),
     );
@@ -399,16 +390,14 @@ pub fn install_builtin_classes(reg: &mut ClassRegistry) {
                 .map(|o| o.fingerprint())
                 .ok_or(ClassError::invalid("ENOENT: no object"))?;
             let text = format!("{fp:016x}");
-            ctx.obj_mut()
-                .xattrs
-                .insert("checksum".into(), text.clone().into_bytes());
+            ctx.xattr_set("checksum", text.clone().into_bytes());
             Ok(text.into_bytes())
         }),
     );
 }
 
-fn read_u64_xattr(v: Option<Vec<u8>>) -> u64 {
-    v.and_then(|b| String::from_utf8_lossy(&b).parse().ok())
+fn read_u64_xattr(v: Option<&Vec<u8>>) -> u64 {
+    v.and_then(|b| String::from_utf8_lossy(b).parse().ok())
         .unwrap_or(0)
 }
 

@@ -19,7 +19,7 @@ use std::rc::Rc;
 
 use mala_sim::NodeId;
 
-use crate::object::{Object, ObjectId};
+use crate::object::{Object, ObjectDelta, ObjectId};
 use crate::ops::{OpResult, OsdError};
 
 /// Per-client window of remembered request outcomes (both in the OSD's
@@ -30,8 +30,12 @@ pub const REPLY_CACHE_PER_CLIENT: usize = 128;
 /// One durable record.
 #[derive(Debug, Clone)]
 pub enum JournalRecord {
-    /// Full state of an object after a mutation (physical logging).
+    /// Full state of an object: what backfill and repair install, and
+    /// what compaction folds an object's history into.
     PutObject(ObjectId, Object),
+    /// What one transaction changed in an object: the post-image of the
+    /// parts it touched, applied on top of the records before it.
+    Delta(ObjectId, ObjectDelta),
     /// Object removal.
     DelObject(ObjectId),
     /// The interfaces map became live at this epoch.
@@ -106,8 +110,8 @@ impl Journal {
         let mut inner = self.inner.borrow_mut();
         inner.appends += 1;
         if inner.records.len() >= COMPACT_THRESHOLD {
-            let snapshot = fold(&inner.records);
-            inner.records = unfold(snapshot);
+            let records = std::mem::take(&mut inner.records);
+            inner.records = unfold(fold(records));
             inner.compactions += 1;
         }
         inner.records.push(record);
@@ -115,7 +119,7 @@ impl Journal {
 
     /// Folds the log into the durable state (what a restart loads).
     pub fn replay(&self) -> JournalSnapshot {
-        fold(&self.inner.borrow().records)
+        fold(self.inner.borrow().records.iter().cloned())
     }
 
     /// Current record count (post-compaction).
@@ -139,28 +143,27 @@ impl Journal {
     }
 }
 
-fn fold(records: &[JournalRecord]) -> JournalSnapshot {
+fn fold(records: impl IntoIterator<Item = JournalRecord>) -> JournalSnapshot {
     let mut snapshot = JournalSnapshot::default();
     for record in records {
         match record {
             JournalRecord::PutObject(oid, obj) => {
-                snapshot.store.insert(oid.clone(), obj.clone());
+                snapshot.store.insert(oid, obj);
+            }
+            JournalRecord::Delta(oid, delta) => {
+                snapshot.store.entry(oid).or_default().apply_delta(delta);
             }
             JournalRecord::DelObject(oid) => {
-                snapshot.store.remove(oid);
+                snapshot.store.remove(&oid);
             }
             JournalRecord::Interfaces { epoch, entries } => {
-                if snapshot
-                    .interfaces
-                    .as_ref()
-                    .is_none_or(|(e, _)| *e < *epoch)
-                {
-                    snapshot.interfaces = Some((*epoch, entries.clone()));
+                if snapshot.interfaces.as_ref().is_none_or(|(e, _)| *e < epoch) {
+                    snapshot.interfaces = Some((epoch, entries));
                 }
             }
             JournalRecord::OsdMap { epoch, entries } => {
-                if snapshot.osdmap.as_ref().is_none_or(|(e, _)| *e < *epoch) {
-                    snapshot.osdmap = Some((*epoch, entries.clone()));
+                if snapshot.osdmap.as_ref().is_none_or(|(e, _)| *e < epoch) {
+                    snapshot.osdmap = Some((epoch, entries));
                 }
             }
             JournalRecord::Reply {
@@ -168,8 +171,8 @@ fn fold(records: &[JournalRecord]) -> JournalSnapshot {
                 reqid,
                 result,
             } => {
-                let window = snapshot.replies.entry(*client).or_default();
-                window.insert(*reqid, result.clone());
+                let window = snapshot.replies.entry(client).or_default();
+                window.insert(reqid, result);
                 while window.len() > REPLY_CACHE_PER_CLIENT {
                     window.pop_first();
                 }

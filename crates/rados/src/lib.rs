@@ -40,11 +40,11 @@ pub mod osd;
 pub mod osdmap;
 pub mod placement;
 
-pub use class::{ClassError, ClassRegistry, MethodKind, ObjCtx};
+pub use class::{ClassError, ClassRegistry, MethodKind};
 pub use client::{ClientEvent, RadosClient, RetryPolicy};
 pub use journal::{Journal, JournalRecord, JournalSet, JournalSnapshot};
-pub use object::{Object, ObjectId};
-pub use ops::{Op, OpResult, OsdError, Transaction};
+pub use object::{DataDelta, Object, ObjectDelta, ObjectId};
+pub use ops::{ObjTxn, Op, OpResult, OsdError, Transaction};
 pub use osd::{Osd, OsdConfig, OsdMsg};
 pub use osdmap::{OsdMapView, PoolInfo};
 pub use placement::{pg_of, primary_and_replicas, PgId, WEIGHT_UNIT};

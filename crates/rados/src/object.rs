@@ -110,6 +110,63 @@ impl Object {
         }
         h
     }
+
+    /// Applies a journalled post-image: after this the touched parts equal
+    /// what the transaction left behind, the rest is as it was.
+    pub fn apply_delta(&mut self, delta: ObjectDelta) {
+        if delta.reset {
+            *self = Object::new();
+        }
+        if let Some(d) = delta.data {
+            self.data.resize(d.len, 0);
+            self.data[d.offset..d.offset + d.bytes.len()].copy_from_slice(&d.bytes);
+        }
+        for (key, value) in delta.omap {
+            put_key(&mut self.omap, key, value);
+        }
+        for (key, value) in delta.xattrs {
+            put_key(&mut self.xattrs, key, value);
+        }
+    }
+}
+
+/// Makes `key` hold `value` in an omap or xattr map (`None` = absent): how
+/// both a journalled post-image and a rollback pre-image are put back.
+pub(crate) fn put_key(map: &mut BTreeMap<String, Vec<u8>>, key: String, value: Option<Vec<u8>>) {
+    match value {
+        Some(v) => map.insert(key, v),
+        None => map.remove(&key),
+    };
+}
+
+/// What one committed transaction changed in an object, as *post-images*:
+/// the values the touched parts hold afterwards, not the operations that
+/// produced them. This is what the journal stores per mutation, so a record
+/// is as large as what the transaction touched, and replaying it runs no
+/// class code.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ObjectDelta {
+    /// The transaction created the object, or removed and re-created it:
+    /// the delta applies to an empty object.
+    pub reset: bool,
+    /// The byte stream's new length and the range that was written.
+    pub data: Option<DataDelta>,
+    /// Touched omap keys with their final value (`None` = deleted).
+    pub omap: Vec<(String, Option<Vec<u8>>)>,
+    /// Touched xattrs with their final value (`None` = deleted).
+    pub xattrs: Vec<(String, Option<Vec<u8>>)>,
+}
+
+/// The byte-stream part of an [`ObjectDelta`]: resize to `len` (zero-filling
+/// growth), then `bytes` lands at `offset`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DataDelta {
+    /// Length of the byte stream after the transaction.
+    pub len: usize,
+    /// Where the written range starts.
+    pub offset: usize,
+    /// The written range's final content.
+    pub bytes: Vec<u8>,
 }
 
 #[cfg(test)]

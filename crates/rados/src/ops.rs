@@ -6,8 +6,12 @@
 //! §4.2: "native interfaces may be transactionally composed along with
 //! application specific logic").
 
+use std::collections::BTreeMap;
+use std::ops::Bound;
+
 use crate::class::{ClassError, ClassRegistry};
-use crate::object::Object;
+use crate::journal::JournalRecord;
+use crate::object::{put_key, DataDelta, Object, ObjectDelta, ObjectId};
 
 /// One native operation against an object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,145 +165,398 @@ impl std::error::Error for OsdError {}
 /// An atomic multi-op transaction against one object.
 pub type Transaction = Vec<Op>;
 
-/// The store-side state a transaction runs against: the object slot
-/// (`None` = absent) and whether it existed beforehand.
+/// One undo-log entry: the pre-image of exactly what one mutation touched.
 #[derive(Debug)]
-pub struct TxnTarget<'a> {
-    /// The object slot; transactions may create or remove the object.
-    pub slot: &'a mut Option<Object>,
+enum Undo {
+    /// The object did not exist and was created (explicitly or by a write).
+    Created,
+    /// The object was removed; this is it, moved out of the slot.
+    Removed(Object),
+    /// An omap key and the value it held (`None` = absent).
+    Omap(String, Option<Vec<u8>>),
+    /// An xattr and the value it held (`None` = absent).
+    Xattr(String, Option<Vec<u8>>),
+    /// The byte stream was `len` long and held `old` at `offset`; the op
+    /// wrote `[offset, end)`.
+    Data {
+        offset: usize,
+        old: Vec<u8>,
+        len: usize,
+        end: usize,
+    },
 }
 
-/// Applies `txn` atomically against `target`.
+/// One transaction's view of its object: the only way to mutate an
+/// [`Object`] on the op path.
 ///
-/// On error the object is rolled back to its pre-transaction state and the
-/// error is returned; otherwise per-op results are returned in order.
-pub fn apply_transaction(
-    target: TxnTarget<'_>,
-    txn: &Transaction,
-    registry: &ClassRegistry,
-) -> Result<Vec<OpResult>, OsdError> {
-    let before = target.slot.clone();
-    match apply_inner(target.slot, txn, registry) {
-        Ok(results) => Ok(results),
-        Err(e) => {
-            *target.slot = before;
-            Err(e)
+/// Every mutator logs the pre-image of what it is about to overwrite —
+/// moved out of the object where the container hands it back, else the
+/// overwritten range alone — so [`ObjTxn::rollback`] undoes a failed
+/// transaction by replaying the log backwards, and
+/// [`ObjTxn::journal_record`] reads the post-image of the same touched
+/// parts for the journal. Both cost O(touched); a transaction that only
+/// reads logs nothing.
+#[derive(Debug, Default)]
+pub struct ObjTxn {
+    obj: Option<Object>,
+    undo: Vec<Undo>,
+}
+
+/// Final values of the logged keys, each key once.
+fn post_image(
+    mut keys: Vec<&str>,
+    map: &BTreeMap<String, Vec<u8>>,
+) -> Vec<(String, Option<Vec<u8>>)> {
+    keys.sort_unstable();
+    keys.dedup();
+    keys.into_iter()
+        .map(|k| (k.to_string(), map.get(k).cloned()))
+        .collect()
+}
+
+impl ObjTxn {
+    /// Starts a transaction on `obj` (`None` = the object is absent).
+    pub fn begin(obj: Option<Object>) -> ObjTxn {
+        ObjTxn {
+            obj,
+            undo: Vec::new(),
         }
     }
-}
 
-fn apply_inner(
-    slot: &mut Option<Object>,
-    txn: &Transaction,
-    registry: &ClassRegistry,
-) -> Result<Vec<OpResult>, OsdError> {
-    let mut results = Vec::with_capacity(txn.len());
-    for op in txn {
-        let res = match op {
-            Op::Create { exclusive } => {
-                if slot.is_some() {
-                    if *exclusive {
+    /// Ends the transaction, handing the object back.
+    pub fn finish(self) -> Option<Object> {
+        self.obj
+    }
+
+    /// The object, if it exists.
+    pub fn obj(&self) -> Option<&Object> {
+        self.obj.as_ref()
+    }
+
+    /// Reads an omap value.
+    pub fn omap_get(&self, key: &str) -> Option<&Vec<u8>> {
+        self.obj.as_ref().and_then(|o| o.omap.get(key))
+    }
+
+    /// Reads an xattr.
+    pub fn xattr_get(&self, key: &str) -> Option<&Vec<u8>> {
+        self.obj.as_ref().and_then(|o| o.xattrs.get(key))
+    }
+
+    /// The object (created if absent, as RADOS writes do) and the log.
+    fn parts(&mut self) -> (&mut Object, &mut Vec<Undo>) {
+        if self.obj.is_none() {
+            self.undo.push(Undo::Created);
+        }
+        (self.obj.get_or_insert_with(Object::new), &mut self.undo)
+    }
+
+    /// Creates the object if it is absent.
+    pub fn create(&mut self) {
+        self.parts();
+    }
+
+    /// Removes the object; `false` if there was none.
+    pub fn remove(&mut self) -> bool {
+        match self.obj.take() {
+            Some(o) => {
+                self.undo.push(Undo::Removed(o));
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Sets one omap pair.
+    pub fn omap_set(&mut self, key: &str, value: Vec<u8>) {
+        let (o, undo) = self.parts();
+        let prev = o.omap.insert(key.to_string(), value);
+        undo.push(Undo::Omap(key.to_string(), prev));
+    }
+
+    /// Deletes one omap key; an absent object stays absent.
+    pub fn omap_del(&mut self, key: &str) {
+        if let Some(prev) = self.obj.as_mut().and_then(|o| o.omap.remove(key)) {
+            self.undo.push(Undo::Omap(key.to_string(), Some(prev)));
+        }
+    }
+
+    /// Deletes every omap key in `[lo, hi]`, returning how many there were.
+    pub fn omap_del_range(&mut self, lo: &str, hi: &str) -> usize {
+        let Some(o) = self.obj.as_mut() else {
+            return 0;
+        };
+        if lo > hi {
+            return 0;
+        }
+        let doomed: Vec<String> = o
+            .omap
+            .range::<str, _>((Bound::Included(lo), Bound::Included(hi)))
+            .map(|(k, _)| k.clone())
+            .collect();
+        let purged = doomed.len();
+        for key in doomed {
+            let prev = o.omap.remove(&key);
+            self.undo.push(Undo::Omap(key, prev));
+        }
+        purged
+    }
+
+    /// Sets one xattr.
+    pub fn xattr_set(&mut self, key: &str, value: Vec<u8>) {
+        let (o, undo) = self.parts();
+        let prev = o.xattrs.insert(key.to_string(), value);
+        undo.push(Undo::Xattr(key.to_string(), prev));
+    }
+
+    /// Deletes one xattr; an absent object stays absent.
+    pub fn xattr_del(&mut self, key: &str) {
+        if let Some(prev) = self.obj.as_mut().and_then(|o| o.xattrs.remove(key)) {
+            self.undo.push(Undo::Xattr(key.to_string(), Some(prev)));
+        }
+    }
+
+    /// Writes `buf` at `offset`, zero-filling any gap.
+    pub fn write(&mut self, offset: usize, buf: &[u8]) {
+        let (o, undo) = self.parts();
+        let len = o.data.len();
+        let start = offset.min(len);
+        let end = offset + buf.len();
+        undo.push(Undo::Data {
+            offset: start,
+            old: o.data[start..end.min(len)].to_vec(),
+            len,
+            end,
+        });
+        o.write(offset, buf);
+    }
+
+    /// Replaces the whole byte stream.
+    pub fn write_full(&mut self, data: Vec<u8>) {
+        let (o, undo) = self.parts();
+        let end = data.len();
+        let old = std::mem::replace(&mut o.data, data);
+        undo.push(Undo::Data {
+            offset: 0,
+            len: old.len(),
+            old,
+            end,
+        });
+    }
+
+    /// Appends `buf` to the byte stream.
+    pub fn append(&mut self, buf: &[u8]) {
+        let (o, undo) = self.parts();
+        let len = o.data.len();
+        undo.push(Undo::Data {
+            offset: len,
+            old: Vec::new(),
+            len,
+            end: len + buf.len(),
+        });
+        o.append(buf);
+    }
+
+    /// Truncates (or zero-extends) the byte stream to `size`.
+    pub fn truncate(&mut self, size: usize) {
+        let (o, undo) = self.parts();
+        let len = o.data.len();
+        let old = if size < len {
+            o.data.split_off(size)
+        } else {
+            Vec::new()
+        };
+        undo.push(Undo::Data {
+            offset: size.min(len),
+            old,
+            len,
+            end: size,
+        });
+        o.data.resize(size, 0);
+    }
+
+    /// Undoes every mutation since [`ObjTxn::begin`], newest first.
+    pub fn rollback(&mut self) {
+        while let Some(entry) = self.undo.pop() {
+            // A key or byte-stream entry is only ever logged against an
+            // existing object, which the entries above it restore first.
+            match entry {
+                Undo::Created => self.obj = None,
+                Undo::Removed(o) => self.obj = Some(o),
+                Undo::Omap(key, prev) => {
+                    if let Some(o) = &mut self.obj {
+                        put_key(&mut o.omap, key, prev);
+                    }
+                }
+                Undo::Xattr(key, prev) => {
+                    if let Some(o) = &mut self.obj {
+                        put_key(&mut o.xattrs, key, prev);
+                    }
+                }
+                Undo::Data {
+                    offset, old, len, ..
+                } => {
+                    if let Some(o) = &mut self.obj {
+                        o.data.resize(len, 0);
+                        o.data[offset..offset + old.len()].copy_from_slice(&old);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The journal record for what this transaction did to `oid`: the
+    /// post-image of the logged parts. `None` if it changed nothing.
+    pub fn journal_record(&self, oid: &ObjectId) -> Option<JournalRecord> {
+        if self.undo.is_empty() {
+            return None;
+        }
+        let Some(obj) = &self.obj else {
+            return Some(JournalRecord::DelObject(oid.clone()));
+        };
+        let mut reset = false;
+        let mut written: Option<(usize, usize)> = None;
+        let mut omap = Vec::new();
+        let mut xattrs = Vec::new();
+        for entry in &self.undo {
+            match entry {
+                Undo::Created => reset = true,
+                // The object exists now, so a `Created` follows.
+                Undo::Removed(_) => {}
+                Undo::Omap(key, _) => omap.push(key.as_str()),
+                Undo::Xattr(key, _) => xattrs.push(key.as_str()),
+                Undo::Data { offset, end, .. } => {
+                    let (lo, hi) = written.unwrap_or((*offset, *end));
+                    written = Some((lo.min(*offset), hi.max(*end)));
+                }
+            }
+        }
+        let len = obj.data.len();
+        let data = written.map(|(lo, hi)| DataDelta {
+            len,
+            offset: lo.min(len),
+            bytes: obj.data[lo.min(len)..hi.min(len)].to_vec(),
+        });
+        Some(JournalRecord::Delta(
+            oid.clone(),
+            ObjectDelta {
+                reset,
+                data,
+                omap: post_image(omap, &obj.omap),
+                xattrs: post_image(xattrs, &obj.xattrs),
+            },
+        ))
+    }
+
+    /// Applies `txn` atomically: per-op results in order, or the first
+    /// error with the object rolled back to its pre-transaction state.
+    pub fn run(
+        &mut self,
+        txn: &Transaction,
+        registry: &ClassRegistry,
+    ) -> Result<Vec<OpResult>, OsdError> {
+        let results = self.apply(txn, registry);
+        if results.is_err() {
+            self.rollback();
+        }
+        results
+    }
+
+    fn apply(
+        &mut self,
+        txn: &Transaction,
+        registry: &ClassRegistry,
+    ) -> Result<Vec<OpResult>, OsdError> {
+        let mut results = Vec::with_capacity(txn.len());
+        for op in txn {
+            let res = match op {
+                Op::Create { exclusive } => {
+                    if *exclusive && self.obj.is_some() {
                         return Err(OsdError::Exists);
                     }
-                } else {
-                    *slot = Some(Object::new());
+                    self.create();
+                    OpResult::Done
                 }
-                OpResult::Done
-            }
-            Op::Remove => {
-                if slot.take().is_none() {
-                    return Err(OsdError::NoEnt);
+                Op::Remove => {
+                    if !self.remove() {
+                        return Err(OsdError::NoEnt);
+                    }
+                    OpResult::Done
                 }
-                OpResult::Done
-            }
-            Op::Stat => match slot {
-                Some(o) => OpResult::Stat {
-                    size: o.size() as u64,
-                    exists: true,
+                Op::Stat => OpResult::Stat {
+                    size: self.obj().map_or(0, |o| o.size() as u64),
+                    exists: self.obj.is_some(),
                 },
-                None => OpResult::Stat {
-                    size: 0,
-                    exists: false,
-                },
-            },
-            // Writes implicitly create, as in RADOS.
-            Op::Write { offset, data } => {
-                slot.get_or_insert_with(Object::new).write(*offset, data);
-                OpResult::Done
-            }
-            Op::WriteFull { data } => {
-                let o = slot.get_or_insert_with(Object::new);
-                o.data = data.clone();
-                OpResult::Done
-            }
-            Op::Append { data } => {
-                slot.get_or_insert_with(Object::new).append(data);
-                OpResult::Done
-            }
-            Op::Truncate { size } => {
-                slot.get_or_insert_with(Object::new).truncate(*size);
-                OpResult::Done
-            }
-            Op::Read { offset, len } => {
-                let o = slot.as_ref().ok_or(OsdError::NoEnt)?;
-                OpResult::Data(o.read(*offset, *len).to_vec())
-            }
-            Op::OmapGet { key } => {
-                let o = slot.as_ref().ok_or(OsdError::NoEnt)?;
-                OpResult::Maybe(o.omap.get(key).cloned())
-            }
-            Op::OmapList { after, max } => {
-                let o = slot.as_ref().ok_or(OsdError::NoEnt)?;
-                let pairs: Vec<(String, Vec<u8>)> = o
-                    .omap
-                    .range::<String, _>((
-                        std::ops::Bound::Excluded(after.clone()),
-                        std::ops::Bound::Unbounded,
-                    ))
-                    .take(*max)
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect();
-                OpResult::Pairs(pairs)
-            }
-            Op::OmapSet { key, value } => {
-                let o = slot.get_or_insert_with(Object::new);
-                o.omap.insert(key.clone(), value.clone());
-                OpResult::Done
-            }
-            Op::OmapDel { key } => {
-                let o = slot.get_or_insert_with(Object::new);
-                o.omap.remove(key);
-                OpResult::Done
-            }
-            Op::OmapCmpXchg { key, expect, value } => {
-                let o = slot.get_or_insert_with(Object::new);
-                if o.omap.get(key).cloned() != *expect {
-                    return Err(OsdError::CmpFailed);
+                // Writes implicitly create, as in RADOS.
+                Op::Write { offset, data } => {
+                    self.write(*offset, data);
+                    OpResult::Done
                 }
-                o.omap.insert(key.clone(), value.clone());
-                OpResult::Done
-            }
-            Op::XattrGet { key } => {
-                let o = slot.as_ref().ok_or(OsdError::NoEnt)?;
-                OpResult::Maybe(o.xattrs.get(key).cloned())
-            }
-            Op::XattrSet { key, value } => {
-                let o = slot.get_or_insert_with(Object::new);
-                o.xattrs.insert(key.clone(), value.clone());
-                OpResult::Done
-            }
-            Op::Call {
-                class,
-                method,
-                input,
-            } => {
-                let out = registry.call(class, method, slot, input)?;
-                OpResult::CallOut(out)
-            }
-        };
-        results.push(res);
+                Op::WriteFull { data } => {
+                    self.write_full(data.clone());
+                    OpResult::Done
+                }
+                Op::Append { data } => {
+                    self.append(data);
+                    OpResult::Done
+                }
+                Op::Truncate { size } => {
+                    self.truncate(*size);
+                    OpResult::Done
+                }
+                Op::Read { offset, len } => {
+                    let o = self.obj().ok_or(OsdError::NoEnt)?;
+                    OpResult::Data(o.read(*offset, *len).to_vec())
+                }
+                Op::OmapGet { key } => {
+                    let o = self.obj().ok_or(OsdError::NoEnt)?;
+                    OpResult::Maybe(o.omap.get(key).cloned())
+                }
+                Op::OmapList { after, max } => {
+                    let o = self.obj().ok_or(OsdError::NoEnt)?;
+                    let pairs: Vec<(String, Vec<u8>)> = o
+                        .omap
+                        .range::<str, _>((Bound::Excluded(after.as_str()), Bound::Unbounded))
+                        .take(*max)
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect();
+                    OpResult::Pairs(pairs)
+                }
+                Op::OmapSet { key, value } => {
+                    self.omap_set(key, value.clone());
+                    OpResult::Done
+                }
+                Op::OmapDel { key } => {
+                    self.create();
+                    self.omap_del(key);
+                    OpResult::Done
+                }
+                Op::OmapCmpXchg { key, expect, value } => {
+                    self.create();
+                    if self.omap_get(key) != expect.as_ref() {
+                        return Err(OsdError::CmpFailed);
+                    }
+                    self.omap_set(key, value.clone());
+                    OpResult::Done
+                }
+                Op::XattrGet { key } => {
+                    let o = self.obj().ok_or(OsdError::NoEnt)?;
+                    OpResult::Maybe(o.xattrs.get(key).cloned())
+                }
+                Op::XattrSet { key, value } => {
+                    self.xattr_set(key, value.clone());
+                    OpResult::Done
+                }
+                Op::Call {
+                    class,
+                    method,
+                    input,
+                } => OpResult::CallOut(registry.call_in(class, method, self, input)?),
+            };
+            results.push(res);
+        }
+        Ok(results)
     }
-    Ok(results)
 }
 
 #[cfg(test)]
@@ -311,7 +568,10 @@ mod tests {
     }
 
     fn apply(slot: &mut Option<Object>, txn: Transaction) -> Result<Vec<OpResult>, OsdError> {
-        apply_transaction(TxnTarget { slot }, &txn, &reg())
+        let mut tracked = ObjTxn::begin(slot.take());
+        let result = tracked.run(&txn, &reg());
+        *slot = tracked.finish();
+        result
     }
 
     #[test]

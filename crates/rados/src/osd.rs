@@ -27,7 +27,7 @@ use rand::seq::SliceRandom;
 use crate::class::ClassRegistry;
 use crate::journal::{Journal, JournalRecord, REPLY_CACHE_PER_CLIENT};
 use crate::object::{Object, ObjectId};
-use crate::ops::{apply_transaction, OpResult, OsdError, Transaction, TxnTarget};
+use crate::ops::{ObjTxn, OpResult, OsdError, Transaction};
 use crate::osdmap::OsdMapView;
 use crate::placement::pg_of;
 
@@ -331,16 +331,30 @@ impl Osd {
         &self.registry
     }
 
-    /// Write-ahead: logs the current durable state of `oid` (present or
-    /// deleted). Called after a mutation is applied, before it is acked.
-    fn journal_object(&mut self, oid: &ObjectId) {
-        let Some(journal) = &self.journal else {
-            return;
-        };
-        match self.store.get(oid) {
-            Some(obj) => journal.append(JournalRecord::PutObject(oid.clone(), obj.clone())),
-            None => journal.append(JournalRecord::DelObject(oid.clone())),
+    /// Applies `txn` to `oid` atomically and, write-ahead, journals what it
+    /// changed: the post-image of the parts it touched, so the record is as
+    /// large as the mutation, not the object. Called before the ack.
+    fn apply(&mut self, oid: &ObjectId, txn: &Transaction) -> Result<Vec<OpResult>, OsdError> {
+        let mut tracked = ObjTxn::begin(self.store.remove(oid));
+        let result = tracked.run(txn, &self.registry);
+        if let Some(journal) = &self.journal {
+            if let Some(record) = tracked.journal_record(oid) {
+                journal.append(record);
+            }
         }
+        if let Some(obj) = tracked.finish() {
+            self.store.insert(oid.clone(), obj);
+        }
+        result
+    }
+
+    /// Installs a whole object shipped by backfill or repair, journalling
+    /// its full state first.
+    fn install_object(&mut self, oid: ObjectId, obj: Object) {
+        if let Some(journal) = &self.journal {
+            journal.append(JournalRecord::PutObject(oid.clone(), obj.clone()));
+        }
+        self.store.insert(oid, obj);
     }
 
     /// Rebuilds durable state from the journal after a restart.
@@ -842,17 +856,12 @@ impl Osd {
         let parent = ctx.incoming_span();
         let op_span = ctx.span_start("osd.op", parent);
         let is_mutation = txn.iter().any(|op| op.is_mutation(&self.registry));
-        let mut slot = self.store.remove(&oid);
-        let result = apply_transaction(TxnTarget { slot: &mut slot }, &txn, &self.registry);
-        if let Some(obj) = slot {
-            self.store.insert(oid.clone(), obj);
-        }
+        // Write-ahead: durable before replication and before the ack.
+        let result = self.apply(&oid, &txn);
         if is_mutation && result.is_ok() {
-            // Write-ahead: durable before replication and before the ack.
             // One group-commit covers every op the transaction batched
             // (e.g. a zlog `write_batch`); txn_ops / journal_commits is
             // the journal coalescing factor.
-            self.journal_object(&oid);
             let jspan = ctx.span_start("osd.journal_commit", Some(op_span));
             let done_at = ctx.now() + self.config.service_time;
             ctx.span_end_at(jspan, done_at);
@@ -988,19 +997,14 @@ impl Osd {
         } else {
             let parent = ctx.incoming_span();
             let jspan = ctx.span_start("osd.repl_journal", parent);
-            let mut slot = self.store.remove(&oid);
             // Replicas apply unconditionally; the primary already
             // validated the transaction. The locally-computed
             // result is identical to the primary's (deterministic
             // state machine), so recording it lets this replica
             // answer client retransmits correctly after a failover.
-            let result = apply_transaction(TxnTarget { slot: &mut slot }, &txn, &self.registry);
-            if let Some(obj) = slot {
-                self.store.insert(oid.clone(), obj);
-            }
-            // Journal before acking: the primary counts this ack as
+            // Journalled before acking: the primary counts this ack as
             // a durable replica.
-            self.journal_object(&oid);
+            let result = self.apply(&oid, &txn);
             self.journal_reply(origin_client, origin_reqid, &result);
             self.cache_reply(origin_client, origin_reqid, &result);
             let done_at = ctx.now() + self.config.service_time;
@@ -1266,22 +1270,15 @@ impl Actor for Osd {
                 // before the remap, so its copy supersedes anything this
                 // newcomer might hold from an earlier tenure.
                 for (oid, obj) in objects {
-                    self.store.insert(oid.clone(), obj);
-                    self.journal_object(&oid);
+                    self.install_object(oid, obj);
                 }
                 self.finish_backfill(ctx, key, &applied);
                 ctx.metrics().incr("osd.backfills_completed", 1);
             }
             OsdMsg::PgPush { objects, overwrite } => {
                 for (oid, obj) in objects {
-                    if overwrite {
-                        self.store.insert(oid.clone(), obj);
-                        self.journal_object(&oid);
-                    } else if let std::collections::hash_map::Entry::Vacant(e) =
-                        self.store.entry(oid.clone())
-                    {
-                        e.insert(obj);
-                        self.journal_object(&oid);
+                    if overwrite || !self.store.contains_key(&oid) {
+                        self.install_object(oid, obj);
                     }
                 }
                 ctx.metrics().incr("osd.recovery_pushes_applied", 1);

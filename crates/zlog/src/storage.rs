@@ -487,6 +487,52 @@ mod tests {
         }
     }
 
+    /// The journal record of an append carries what the append touched —
+    /// the entry's key and the `maxpos` xattr — however large the stripe
+    /// object already is.
+    #[test]
+    fn journal_record_of_one_append_is_a_few_keys() {
+        use mala_rados::{JournalRecord, ObjTxn, ObjectId, Op};
+        let reg = reg();
+        let mut slot = None;
+        for first in (0..1000u64).step_by(8) {
+            let payloads: Vec<(u64, &[u8])> =
+                (first..first + 8).map(|p| (p, &b"payload"[..])).collect();
+            reg.call(
+                ZLOG_CLASS,
+                "write_batch",
+                &mut slot,
+                &encode_write_batch(0, &payloads),
+            )
+            .unwrap();
+        }
+        assert_eq!(slot.as_ref().unwrap().omap.len(), 1000);
+        let mut txn = ObjTxn::begin(slot);
+        txn.run(
+            &vec![Op::Call {
+                class: ZLOG_CLASS.into(),
+                method: "write_batch".into(),
+                input: encode_write_batch(0, &[(1000, b"one more")]),
+            }],
+            &reg,
+        )
+        .unwrap();
+        let record = txn.journal_record(&ObjectId::new("zlogpool", "log.0"));
+        let Some(JournalRecord::Delta(_, delta)) = record else {
+            panic!("expected a delta record, got {record:?}");
+        };
+        assert!(!delta.reset && delta.data.is_none());
+        assert!(delta.omap.len() + delta.xattrs.len() <= 3, "{delta:?}");
+        assert_eq!(
+            delta.omap,
+            vec![(
+                "e00000000000000001000".to_string(),
+                Some(b"D|one more".to_vec())
+            )]
+        );
+        assert_eq!(txn.finish().unwrap().omap.len(), 1001);
+    }
+
     #[test]
     fn write_once_semantics() {
         let reg = reg();
