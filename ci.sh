@@ -60,6 +60,30 @@ echo "==> frozen benchmark (offline build against the current crates; quick run,
 # adds a second rep per workload (the determinism gate needs two to
 # compare) and the direct-call probes; run.sh exits non-zero on any gate.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
-benchmark/run.sh --quick --traced | grep -E '^(==|gates:|GATE FAILED)'
+bench_out="$(benchmark/run.sh --quick --traced)" || {
+    grep -E '^(==|gates:|GATE FAILED)' <<<"$bench_out"
+    exit 1
+}
+grep -E '^(==|gates:|GATE FAILED)' <<<"$bench_out"
+
+echo "==> frozen benchmark: host_allocs_per_op ceilings (exact for a seed, so a noise-free regression gate)"
+# Allocations per operation repeat exactly on every rep of a seed. Each
+# ceiling is the value this quick run measured when it was written, plus
+# 10 %: read_tail 574.97 (the scripted read path and the cursor),
+# mds_balance 4.139 (scheduler and Metrics). Lower it when a change
+# lowers the number.
+allocs_at_most() {
+    awk -v workload="$1" -v ceiling="$2" '
+        $1 == "==" { current = $2 }
+        current == workload && $1 == "host_allocs_per_op" { seen = 1; value = $2 }
+        END {
+            if (!seen) { print "no host_allocs_per_op row for " workload; exit 1 }
+            verdict = (value + 0 <= ceiling + 0) ? "ok" : "ABOVE CEILING"
+            printf "%s host_allocs_per_op %s, ceiling %s: %s\n", workload, value, ceiling, verdict
+            exit (verdict != "ok")
+        }' <<<"$bench_out"
+}
+allocs_at_most read_tail 632
+allocs_at_most mds_balance 4.55
 
 echo "CI gate passed."

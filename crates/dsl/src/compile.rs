@@ -100,7 +100,7 @@ pub enum Op {
     SetIndex,
     /// Stack `[value, base]`: pop both, `base[keys[i]] = value`.
     SetConst(u16),
-    /// Arithmetic / comparison / concat: pop rhs then lhs, push result.
+    /// Arithmetic / comparison: pop rhs then lhs, push result.
     Add,
     /// See [`Op::Add`].
     Sub,
@@ -112,8 +112,9 @@ pub enum Op {
     Mod,
     /// See [`Op::Add`].
     Pow,
-    /// String concatenation with number/bool/nil coercion.
-    Concat,
+    /// A whole `..` chain: pop its `n` operands (pushed in source order),
+    /// push their concatenation with number/bool/nil coercion, built once.
+    Concat(u16),
     /// Structural/identity equality (the `Value` ABI's `==`).
     Eq,
     /// Negation of [`Op::Eq`].
@@ -894,6 +895,22 @@ impl Compiler {
                 self.expr(b)?;
                 self.patch(j);
             }
+            Expr::Bin(BinOp::Concat, first, rest) => {
+                // `..` is right-associative, so a chain is the right spine
+                // of the tree: every operand is pushed, then joined once.
+                self.expr(first)?;
+                let mut n: u16 = 2;
+                let mut rest = rest;
+                while let Expr::Bin(BinOp::Concat, next, tail) = &**rest {
+                    self.expr(next)?;
+                    n = n.checked_add(1).ok_or_else(|| CompileError {
+                        message: "too many operands in one `..` chain".to_string(),
+                    })?;
+                    rest = tail;
+                }
+                self.expr(rest)?;
+                self.emit(Op::Concat(n));
+            }
             Expr::Bin(op, a, b) => {
                 self.expr(a)?;
                 self.expr(b)?;
@@ -904,14 +921,13 @@ impl Compiler {
                     BinOp::Div => Op::Div,
                     BinOp::Mod => Op::Mod,
                     BinOp::Pow => Op::Pow,
-                    BinOp::Concat => Op::Concat,
                     BinOp::Eq => Op::Eq,
                     BinOp::Ne => Op::Ne,
                     BinOp::Lt => Op::Lt,
                     BinOp::Le => Op::Le,
                     BinOp::Gt => Op::Gt,
                     BinOp::Ge => Op::Ge,
-                    BinOp::And | BinOp::Or => unreachable!("handled above"),
+                    BinOp::And | BinOp::Or | BinOp::Concat => unreachable!("handled above"),
                 });
             }
             Expr::Un(op, e) => {
@@ -1234,6 +1250,19 @@ mod tests {
         assert!(d.contains("== main ()"), "{d}");
         assert!(d.contains("== main/f (a)"), "{d}");
         assert!(d.contains("; f"), "{d}");
+    }
+
+    #[test]
+    fn concat_chain_is_one_op() {
+        let concats = |src: &str| -> Vec<Op> {
+            let code = &chunk(src).main.code;
+            let ops = code.iter().filter(|op| matches!(op, Op::Concat(_)));
+            ops.copied().collect()
+        };
+        assert_eq!(concats("x = a .. 1 .. b .. \"s\" .. c"), [Op::Concat(5)]);
+        assert_eq!(concats("x = a .. (b .. c)"), [Op::Concat(3)]);
+        // A chain on the left is an operand, joined before the outer one.
+        assert_eq!(concats("x = (a .. b) .. c"), [Op::Concat(2), Op::Concat(2)]);
     }
 
     #[test]

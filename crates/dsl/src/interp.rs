@@ -534,7 +534,7 @@ impl Interp {
                 Ok(Value::Num(x - (x / y).floor() * y))
             }
             BinOp::Pow => Ok(Value::Num(self.num(lhs)?.powf(self.num(rhs)?))),
-            BinOp::Concat => concat(&lhs, &rhs),
+            BinOp::Concat => concat(&[lhs, rhs]),
             BinOp::Eq => Ok(Value::Bool(lhs == rhs)),
             BinOp::Ne => Ok(Value::Bool(lhs != rhs)),
             BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
@@ -578,31 +578,55 @@ pub(crate) fn to_key(v: &Value) -> Result<Key, RtError> {
 }
 
 thread_local! {
-    /// Staging buffer for [`concat`], kept between calls so that building a
+    /// Staging buffer for [`join`], kept between calls so that building a
     /// string costs one allocation: the result's, at its exact size.
     static CONCAT_BUF: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
-/// `lhs .. rhs`, shared by both engines so coercion and its error message
-/// are identical.
-pub(crate) fn concat(lhs: &Value, rhs: &Value) -> Result<Value, RtError> {
+/// Appends `v` the way `..` renders it: strings as they are, numbers,
+/// booleans and `nil` by their display form. Anything else is the error.
+fn push_coerced(buf: &mut String, v: &Value) -> Result<(), RtError> {
+    match v {
+        Value::Str(s) => buf.push_str(s),
+        Value::Num(n) => write_num(buf, *n),
+        Value::Bool(b) => buf.push_str(if *b { "true" } else { "false" }),
+        Value::Nil => buf.push_str("nil"),
+        other => {
+            return Err(RtError::new(format!(
+                "cannot concatenate a {} value",
+                other.type_name()
+            )))
+        }
+    }
+    Ok(())
+}
+
+/// The coerced forms of `vals` joined left to right into one string,
+/// every byte copied into the staging buffer once and out of it once.
+/// Reports the leftmost value that cannot be joined.
+pub(crate) fn join(vals: &[Value]) -> Result<Value, RtError> {
     CONCAT_BUF.with_borrow_mut(|buf| {
         buf.clear();
-        for v in [lhs, rhs] {
-            match v {
-                Value::Str(s) => buf.push_str(s),
-                Value::Num(n) => write_num(buf, *n),
-                Value::Bool(b) => buf.push_str(if *b { "true" } else { "false" }),
-                Value::Nil => buf.push_str("nil"),
-                other => {
-                    return Err(RtError::new(format!(
-                        "cannot concatenate a {} value",
-                        other.type_name()
-                    )))
-                }
-            }
+        for v in vals {
+            push_coerced(buf, v)?;
         }
         Ok(Value::str(buf.as_str()))
+    })
+}
+
+/// A whole `a .. b .. … .. z` chain, operands in source order, shared by
+/// both engines so coercion and its error message are identical. `..` is
+/// right-associative and the tree-walker evaluates it pair by pair, so the
+/// operand it rejects first is one of the innermost (last) pair, then the
+/// ones to its left from right to left; a chain reports that same operand.
+pub(crate) fn concat(operands: &[Value]) -> Result<Value, RtError> {
+    join(operands).map_err(|leftmost| {
+        let (outer, innermost) = operands.split_at(operands.len().saturating_sub(2));
+        innermost
+            .iter()
+            .chain(outer.iter().rev())
+            .find_map(|v| push_coerced(&mut String::new(), v).err())
+            .unwrap_or(leftmost)
     })
 }
 

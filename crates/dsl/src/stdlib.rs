@@ -6,7 +6,7 @@
 
 use std::rc::Rc;
 
-use crate::interp::{Interp, RtError};
+use crate::interp::{join, Interp, RtError};
 use crate::value::{fmt_num, HostCtx, Key, NativeFn, Value};
 
 fn arg(args: &[Value], i: usize) -> Value {
@@ -213,7 +213,24 @@ pub(crate) fn natives() -> Vec<(&'static str, NativeFn)> {
             if from > to {
                 return Ok(Value::str(""));
             }
-            Ok(Value::str(&s[(from - 1) as usize..to as usize]))
+            // Indices count bytes; one inside a multi-byte character has
+            // no string to return.
+            s.get((from - 1) as usize..to as usize)
+                .map(Value::str)
+                .ok_or_else(|| RtError::new("sub: index inside a multi-byte character"))
+        }),
+    );
+    // concat(list) — the array part joined with `..`'s coercions, in one
+    // allocation (Lua's table.concat without a separator).
+    interp.register(
+        "concat",
+        Rc::new(|_, args| {
+            let t = arg(args, 0);
+            let t = t
+                .as_table()
+                .ok_or_else(|| RtError::new("concat: argument 1 must be a table"))?;
+            let t = t.borrow();
+            join(t.array())
         }),
     );
     interp.register(

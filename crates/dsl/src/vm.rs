@@ -511,10 +511,11 @@ impl Vm {
                     };
                     stack.push(Value::Num(r));
                 }
-                Op::Concat => {
-                    let rhs = stack.pop().expect("rhs");
-                    let lhs = stack.pop().expect("lhs");
-                    stack.push(concat(&lhs, &rhs)?);
+                Op::Concat(n) => {
+                    let at = stack.len() - n as usize;
+                    let v = concat(&stack[at..])?;
+                    stack.truncate(at);
+                    stack.push(v);
                 }
                 Op::Eq | Op::Ne => {
                     let rhs = stack.pop().expect("rhs");

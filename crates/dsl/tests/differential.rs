@@ -60,3 +60,143 @@ proptest! {
         }
     }
 }
+
+// ---- `..` chains, `concat` and `sub`: fixed cases on both engines ----
+
+use mala_dsl::testgen::Rng;
+use mala_dsl::{DslEngine, EngineKind, Script, Value};
+
+/// `src` on one engine: the display form of global `x`, or the error
+/// message.
+fn eval_x(kind: EngineKind, src: &str) -> Result<String, String> {
+    let script = Script::compile(src).unwrap_or_else(|e| panic!("`{src}`: {e}"));
+    let mut engine = DslEngine::new(kind);
+    engine.load(&script).map_err(|e| e.message)?;
+    Ok(engine.global("x").display())
+}
+
+/// `src` on both engines, which must agree on value and error message.
+fn eval_both(src: &str) -> Result<String, String> {
+    let tree = eval_x(EngineKind::TreeWalk, src);
+    let vm = eval_x(EngineKind::Bytecode, src);
+    assert_eq!(tree, vm, "engines disagree on `{src}`");
+    vm
+}
+
+/// One chain operand: its source, and what it contributes — its rendering,
+/// or the type name the error reports.
+type Operand = (&'static str, Result<&'static str, &'static str>);
+
+const JOINABLE: [Operand; 10] = [
+    ("\"ab\"", Ok("ab")),
+    ("\"\"", Ok("")),
+    ("7", Ok("7")),
+    ("2.5", Ok("2.5")),
+    ("(0 - 3)", Ok("-3")),
+    ("1e15", Ok("1000000000000000")),
+    ("true", Ok("true")),
+    ("false", Ok("false")),
+    ("nil", Ok("nil")),
+    // A chain of its own on the left: compiled apart from the outer one.
+    ("(\"p\" .. 1)", Ok("p1")),
+];
+
+const UNJOINABLE: [Operand; 2] = [("{}", Err("table")), ("print", Err("function"))];
+
+/// Chains of 2–8 operands mixing strings, numbers, booleans and `nil`
+/// with none, one or two values `..` rejects. Both engines must agree,
+/// and with the model: the tree-walker joins pair by pair from the right,
+/// so the operand it rejects is the first bad one among the last two,
+/// else the rightmost bad one before them.
+#[test]
+fn concat_chains_agree_on_value_and_error() {
+    let mut rng = Rng::new(0x636f_6e63_6174);
+    for n in 2..=8usize {
+        for case in 0..300 {
+            let mut ops: Vec<Operand> = (0..n)
+                .map(|_| JOINABLE[rng.below(JOINABLE.len() as u64) as usize])
+                .collect();
+            for _ in 0..case % 3 {
+                let at = rng.below(n as u64) as usize;
+                ops[at] = UNJOINABLE[rng.below(2) as usize];
+            }
+            let src = format!(
+                "x = {}",
+                ops.iter().map(|o| o.0).collect::<Vec<_>>().join(" .. ")
+            );
+            let (outer, innermost) = ops.split_at(n - 2);
+            let rejected = innermost
+                .iter()
+                .chain(outer.iter().rev())
+                .find_map(|o| o.1.err());
+            let want = match rejected {
+                Some(ty) => Err(format!("cannot concatenate a {ty} value")),
+                None => Ok(ops.iter().map(|o| o.1.unwrap_or("")).collect::<String>()),
+            };
+            assert_eq!(eval_both(&src), want, "`{src}`");
+        }
+    }
+}
+
+#[test]
+fn concat_chain_operands_evaluate_left_to_right_before_joining() {
+    let src = "
+        log = \"\"
+        function t(s) log = log .. s return s end
+        y = t(\"a\") .. t(\"b\") .. t(\"c\") .. t(\"d\")
+        x = y .. \"/\" .. log
+    ";
+    assert_eq!(eval_both(src), Ok("abcd/abcd".to_string()));
+}
+
+#[test]
+fn concat_builtin_joins_the_array_part() {
+    for (src, want) in [
+        ("x = concat({})", Ok("")),
+        ("x = concat({\"a\", 1, true, 2.5})", Ok("a1true2.5")),
+        ("x = concat({\"a\", \"b\", k = \"v\"})", Ok("ab")),
+        ("x = concat({k = \"v\"})", Ok("")),
+        (
+            "t = {} insert(t, nil) insert(t, \"x\") x = concat(t)",
+            Ok("nilx"),
+        ),
+        (
+            "x = concat({\"a\", {}, print})",
+            Err("cannot concatenate a table value"),
+        ),
+        (
+            "x = concat(\"ab\")",
+            Err("concat: argument 1 must be a table"),
+        ),
+        ("x = concat()", Err("concat: argument 1 must be a table")),
+    ] {
+        let want = want.map(str::to_string).map_err(str::to_string);
+        assert_eq!(eval_both(src), want, "`{src}`");
+    }
+}
+
+/// `sub` indexes bytes. An index inside a multi-byte character used to
+/// abort the host ("byte index 1 is not a char boundary"); it is a
+/// runtime error now, on both engines. The string arrives as a global, the
+/// way a class method's input does (the lexer reads literals bytewise).
+#[test]
+fn sub_inside_a_multibyte_character_is_an_error_not_a_panic() {
+    let sub = |s: &str, args: &str| {
+        let script = Script::compile(&format!("x = sub(s, {args})")).unwrap();
+        let [tree, vm] = [EngineKind::TreeWalk, EngineKind::Bytecode].map(|kind| {
+            let mut engine = DslEngine::new(kind);
+            engine.set_global("s", Value::str(s));
+            engine.load(&script).map_err(|e| e.message)?;
+            Ok::<_, String>(engine.global("x").display())
+        });
+        assert_eq!(tree, vm, "engines disagree on sub({s:?}, {args})");
+        vm
+    };
+    let inside = Err("sub: index inside a multi-byte character".to_string());
+    assert_eq!(sub("é", "2"), inside);
+    assert_eq!(sub("éé", "1, 3"), inside);
+    assert_eq!(sub("aé", "-1"), inside);
+    assert_eq!(sub("éé", "1, 2"), Ok("é".to_string()));
+    assert_eq!(sub("éé", "3"), Ok("é".to_string()));
+    assert_eq!(sub("éé", "5"), Ok(String::new()));
+}

@@ -35,7 +35,7 @@ impl Metrics {
 
     /// Adds `delta` to the named counter.
     pub fn incr(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        upsert(&mut self.counters, name, |c| *c += delta);
     }
 
     /// Reads a counter, zero if never written.
@@ -45,7 +45,7 @@ impl Metrics {
 
     /// Sets the named gauge to `value`.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+        upsert(&mut self.gauges, name, |g| *g = value);
     }
 
     /// Reads a gauge, `None` if never set.
@@ -55,10 +55,7 @@ impl Metrics {
 
     /// Appends a timestamped sample to the named series.
     pub fn observe(&mut self, name: &str, at: SimTime, value: f64) {
-        self.series
-            .entry(name.to_string())
-            .or_default()
-            .push(Sample { at, value });
+        upsert(&mut self.series, name, |s| s.push(Sample { at, value }));
     }
 
     /// Returns the samples recorded under `name` (empty slice if none).
@@ -78,16 +75,13 @@ impl Metrics {
 
     /// Folds `value` into the named log-scale histogram.
     pub fn observe_hist(&mut self, name: &str, value: f64) {
-        self.hists
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
+        upsert(&mut self.hists, name, |h| h.observe(value));
     }
 
     /// Merges another histogram into the named one (e.g. when aggregating
     /// per-phase histograms into a run total).
     pub fn merge_hist(&mut self, name: &str, other: &Hist) {
-        self.hists.entry(name.to_string()).or_default().merge(other);
+        upsert(&mut self.hists, name, |h| h.merge(other));
     }
 
     /// Reads the named histogram, `None` if never observed.
@@ -106,6 +100,16 @@ impl Metrics {
         self.gauges.clear();
         self.series.clear();
         self.hists.clear();
+    }
+}
+
+/// Applies `f` to the value under `name`, default-created on first use.
+/// Names repeat on every event, so a hit looks up by `&str`; only the
+/// first use of a name builds the owned key.
+fn upsert<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_string()).or_default()),
     }
 }
 

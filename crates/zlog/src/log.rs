@@ -171,11 +171,11 @@ enum Stage {
     WriteSeal { pos: u64 },
     /// Waiting for a storage read.
     ReadEntry,
-    /// Waiting for stripe-grouped `read_batch` calls; accumulates the
-    /// decoded per-position outcomes until every group replied.
+    /// Waiting for stripe-grouped `read_batch` calls; keeps each group's
+    /// decoded reply until every group replied.
     ReadVector {
         outstanding: usize,
-        results: Vec<(u64, ReadOutcome)>,
+        parts: Vec<Vec<(u64, ReadOutcome)>>,
     },
     /// Waiting for per-stripe `trim_upto` watermark calls.
     TrimFan { outstanding: usize },
@@ -328,6 +328,12 @@ struct Cursor {
     inflight_ops: usize,
     /// Positions with a hole-resolving fill in flight.
     healing: BTreeSet<u64>,
+    /// Prefetch high-water mark: every position in `next_pos..requested`
+    /// is in exactly one of `ready`, `inflight` and `healing`, so the
+    /// window is examined from here on only. Whatever takes a position
+    /// out of all three without delivering it (a failed fetch, a finished
+    /// heal) rewinds the mark to `next_pos`.
+    requested: u64,
     /// Waiting `next_batch` op and its delivery cap.
     waiter: Option<(u64, usize)>,
 }
@@ -633,7 +639,7 @@ impl ZlogClient {
             OpKind::ReadBatch { positions },
             Stage::ReadVector {
                 outstanding: 0,
-                results: Vec::new(),
+                parts: Vec::new(),
             },
         );
         let span = ctx.span_start("zlog.read_batch", None);
@@ -699,6 +705,7 @@ impl ZlogClient {
                 inflight: BTreeSet::new(),
                 inflight_ops: 0,
                 healing: BTreeSet::new(),
+                requested: 0,
                 waiter: None,
             },
         );
@@ -1020,15 +1027,28 @@ impl ZlogClient {
                 }
             }
         }
-        if let Some(cid) = pending.cursor {
-            self.on_cursor_op_done(ctx, cid, op, &pending.kind, &result);
-        }
-        if pending.internal {
+        match pending.cursor {
+            // A cursor's internal op (consult, tail, fetch, heal) has no
+            // other consumer: the cursor takes the result itself.
+            Some(cid) if pending.internal => self.on_cursor_op_done(ctx, cid, pending.kind, result),
+            // A `next_batch` waiter: the cursor only learns that it is
+            // gone; the result is the caller's.
+            Some(cid) => {
+                if let Some(cursor) = self.cursors.get_mut(&cid) {
+                    if cursor.waiter.is_some_and(|(w, _)| w == op) {
+                        cursor.waiter = None;
+                    }
+                }
+                self.drive_cursor(ctx, cid);
+                self.results.insert(op, result);
+            }
             // Hole fills complete silently; EEXIST ("already written") is
             // success here — the cell is occupied either way.
-            return;
+            None if pending.internal => {}
+            None => {
+                self.results.insert(op, result);
+            }
         }
-        self.results.insert(op, result);
     }
 
     /// Position of an in-flight batched write carrying `op`, if any: an
@@ -1196,7 +1216,7 @@ impl ZlogClient {
         }
         pending.stage = Stage::ReadVector {
             outstanding: groups.len(),
-            results: Vec::new(),
+            parts: Vec::with_capacity(groups.len()),
         };
         let epoch = self.epoch;
         for group in groups.into_values() {
@@ -1339,18 +1359,26 @@ impl ZlogClient {
             self.finish(ctx, op, AppendResult::Ok(ZlogOut::CursorBatch(entries)));
         }
         // Prefetch: fill the read-ahead window, one fetch op per stripe
-        // group, without exceeding the in-flight cap.
-        let mut groups: Vec<Vec<u64>> = Vec::new();
-        {
-            let Some(cursor) = self.cursors.get(&id) else {
+        // group, without exceeding the in-flight cap. Only the part of the
+        // window above the high-water mark can hold anything to request.
+        let groups = {
+            let Some(cursor) = self.cursors.get_mut(&id) else {
                 return;
             };
+            let room = cursor
+                .cfg
+                .max_inflight
+                .max(1)
+                .saturating_sub(cursor.inflight_ops);
+            if room == 0 {
+                return;
+            }
             let width = u64::from(self.config.stripe_width).max(1);
             let hi = cursor
                 .tail
                 .min(cursor.next_pos + cursor.cfg.readahead.max(1) as u64);
             let mut by_stripe: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-            for p in cursor.next_pos..hi {
+            for p in cursor.next_pos.max(cursor.requested)..hi {
                 if !cursor.ready.contains_key(&p)
                     && !cursor.inflight.contains(&p)
                     && !cursor.healing.contains(&p)
@@ -1358,16 +1386,14 @@ impl ZlogClient {
                     by_stripe.entry(p % width).or_default().push(p);
                 }
             }
-            groups.extend(by_stripe.into_values());
-        }
+            let mut groups: Vec<Vec<u64>> = by_stripe.into_values().collect();
+            // Groups the cap leaves out stay above the mark for the next
+            // pass.
+            let left_out = groups.split_off(room.min(groups.len()));
+            cursor.requested = left_out.iter().map(|g| g[0]).fold(hi, u64::min);
+            groups
+        };
         for group in groups {
-            let below_cap = self
-                .cursors
-                .get(&id)
-                .is_some_and(|c| c.inflight_ops < c.cfg.max_inflight.max(1));
-            if !below_cap {
-                break;
-            }
             self.spawn_cursor_fetch(ctx, id, group);
         }
     }
@@ -1407,7 +1433,7 @@ impl ZlogClient {
             },
             Stage::ReadVector {
                 outstanding: 0,
-                results: Vec::new(),
+                parts: Vec::new(),
             },
         );
         let span = ctx.span_start("zlog.read_batch", None);
@@ -1441,15 +1467,15 @@ impl ZlogClient {
         self.step_storage_simple(ctx, op);
     }
 
-    /// A cursor-owned op concluded: fold its result into the cursor and
-    /// re-drive.
+    /// A cursor's internal op concluded: fold its result into the cursor
+    /// and re-drive. The cursor is the result's only consumer, so it
+    /// arrives by value and the outcomes move into `ready`.
     fn on_cursor_op_done(
         &mut self,
         ctx: &mut Context<'_>,
         id: u64,
-        op: u64,
-        kind: &OpKind,
-        result: &AppendResult,
+        kind: OpKind,
+        result: AppendResult,
     ) {
         let mut heal: Vec<u64> = Vec::new();
         {
@@ -1461,7 +1487,7 @@ impl ZlogClient {
                     cursor.ckpt_inflight = false;
                     if let AppendResult::Ok(ZlogOut::Checkpoint(ckpt)) = result {
                         cursor.started = true;
-                        let start = ckpt.as_ref().map(|(p, _)| *p).unwrap_or(0);
+                        let start = ckpt.map_or(0, |(p, _)| p);
                         cursor.next_pos = start;
                         cursor.tail = cursor.tail.max(start);
                     }
@@ -1471,34 +1497,35 @@ impl ZlogClient {
                 OpKind::CheckTail => {
                     cursor.tail_inflight = false;
                     if let AppendResult::Ok(ZlogOut::Tail(t)) = result {
-                        cursor.tail = cursor.tail.max(*t);
+                        cursor.tail = cursor.tail.max(t);
                         cursor.tail_fresh = true;
                     }
                 }
                 OpKind::ReadBatch { positions } => {
                     cursor.inflight_ops = cursor.inflight_ops.saturating_sub(1);
-                    for p in positions {
+                    for p in &positions {
                         cursor.inflight.remove(p);
                     }
                     if let AppendResult::Ok(ZlogOut::ReadBatch(entries)) = result {
                         let tail = cursor.tail;
                         for (p, o) in entries {
-                            if matches!(o, ReadOutcome::NotWritten) && *p < tail {
-                                if !cursor.healing.contains(p) {
-                                    heal.push(*p);
+                            if matches!(o, ReadOutcome::NotWritten) && p < tail {
+                                if !cursor.healing.contains(&p) {
+                                    heal.push(p);
                                 }
                             } else {
-                                cursor.ready.insert(*p, o.clone());
+                                cursor.ready.insert(p, o);
                             }
                         }
+                    } else {
+                        // A failed fetch simply re-enters the needed set.
+                        cursor.requested = cursor.next_pos;
                     }
-                    // A failed fetch simply re-enters the needed set.
                 }
                 OpKind::Fill { pos } => {
-                    cursor.healing.remove(pos);
-                }
-                OpKind::CursorBatch if cursor.waiter.is_some_and(|(w, _)| w == op) => {
-                    cursor.waiter = None;
+                    // Healed or not, the position is read again.
+                    cursor.healing.remove(&pos);
+                    cursor.requested = cursor.next_pos;
                 }
                 _ => {}
             }
@@ -1897,45 +1924,36 @@ impl ZlogClient {
                 }
                 Err(e) => self.fail(ctx, op, format!("mutation failed: {e}")),
             },
-            Stage::ReadVector {
-                outstanding,
-                results,
-            } => match result {
-                Ok(outs) => {
-                    let Some(OpResult::CallOut(bytes)) = outs.first() else {
-                        self.restart_op(ctx, op);
-                        return;
-                    };
-                    match decode_read_batch(bytes) {
-                        Ok(part) => {
-                            results.extend(part);
-                            *outstanding = outstanding.saturating_sub(1);
-                            if *outstanding == 0 {
-                                let OpKind::ReadBatch { positions } = pending.kind.clone() else {
-                                    return;
-                                };
-                                let got: HashMap<u64, ReadOutcome> = results.drain(..).collect();
-                                let mut ordered = Vec::with_capacity(positions.len());
-                                for p in &positions {
-                                    match got.get(p) {
-                                        Some(o) => ordered.push((*p, o.clone())),
-                                        None => {
-                                            // A group replied without one of
-                                            // its positions: malformed;
-                                            // re-issue the vector.
-                                            self.restart_op(ctx, op);
-                                            return;
-                                        }
-                                    }
-                                }
-                                self.finish(ctx, op, AppendResult::Ok(ZlogOut::ReadBatch(ordered)));
-                            }
-                        }
-                        Err(_) => self.restart_op(ctx, op),
-                    }
+            Stage::ReadVector { outstanding, parts } => {
+                let part = match &result {
+                    Ok(outs) => match outs.first() {
+                        Some(OpResult::CallOut(bytes)) => decode_read_batch(bytes).ok(),
+                        _ => None,
+                    },
+                    Err(_) => None,
+                };
+                let Some(part) = part else {
+                    self.restart_op(ctx, op);
+                    return;
+                };
+                parts.push(part);
+                *outstanding = outstanding.saturating_sub(1);
+                if *outstanding > 0 {
+                    return;
                 }
-                Err(_) => self.restart_op(ctx, op),
-            },
+                let OpKind::ReadBatch { positions } = &pending.kind else {
+                    return;
+                };
+                let width = u64::from(self.config.stripe_width).max(1);
+                match in_request_order(positions, std::mem::take(parts), width) {
+                    Some(ordered) => {
+                        self.finish(ctx, op, AppendResult::Ok(ZlogOut::ReadBatch(ordered)))
+                    }
+                    // A group replied without one of its positions:
+                    // malformed; re-issue the vector.
+                    None => self.restart_op(ctx, op),
+                }
+            }
             Stage::TrimFan { outstanding } => match result {
                 Ok(_) => {
                     *outstanding = outstanding.saturating_sub(1);
@@ -2788,6 +2806,28 @@ fn log_op_of(kind: &OpKind) -> Option<LogOp> {
         | OpKind::Setup
         | OpKind::Recover => None,
     }
+}
+
+/// Puts the per-stripe replies of a vectored read into request order. A
+/// reply lists its stripe's positions in the order the request named them,
+/// so every requested position takes the next entry of its stripe's reply;
+/// `None` when that entry is missing or for another position.
+fn in_request_order(
+    positions: &[u64],
+    parts: Vec<Vec<(u64, ReadOutcome)>>,
+    width: u64,
+) -> Option<Vec<(u64, ReadOutcome)>> {
+    let mut by_stripe: BTreeMap<u64, std::vec::IntoIter<(u64, ReadOutcome)>> = parts
+        .into_iter()
+        .filter_map(|part| Some((part.first()?.0 % width, part.into_iter())))
+        .collect();
+    positions
+        .iter()
+        .map(|p| {
+            let entry = by_stripe.get_mut(&(p % width))?.next()?;
+            (entry.0 == *p).then_some(entry)
+        })
+        .collect()
 }
 
 fn log_ret_of(out: &ZlogOut) -> Option<LogRet> {

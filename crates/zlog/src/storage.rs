@@ -68,8 +68,8 @@ __readonly = {"maxpos", "read", "read_batch", "checkpoint_read"}
 
 function pad(pos)
     local s = fmt(pos)
-    while #s < 20 do
-        s = "0" .. s
+    if #s < 20 then
+        s = sub("00000000000000000000" .. s, -20)
     end
     return "e" .. s
 end
@@ -211,28 +211,30 @@ function read_batch(input)
     check_epoch(e)
     local ps = split(sub(input, i + 1), ",")
     local lo = trim_floor()
-    local out = ""
+    local out = {"", "|"}
     local n = 0
     local k = 1
     while ps[k] ~= nil do
         local pos = tonumber(ps[k])
         if pos == nil then error("EINVAL: bad read_batch position") end
         if pos <= lo then
-            out = out .. fmt(pos) .. "|T|0|"
+            insert(out, fmt(pos) .. "|T|0|")
         else
             local v = omap_get(pad(pos))
             if v == nil then
-                out = out .. fmt(pos) .. "|U|0|"
+                insert(out, fmt(pos) .. "|U|0|")
             else
                 local payload = sub(v, 3)
-                out = out .. fmt(pos) .. "|" .. sub(v, 1, 1) .. "|" .. fmt(#payload) .. "|" .. payload
+                insert(out, fmt(pos) .. "|" .. sub(v, 1, 1) .. "|" .. fmt(#payload) .. "|")
+                insert(out, payload)
             end
         end
         n = n + 1
         k = k + 1
     end
     if n == 0 then error("EINVAL: empty read_batch") end
-    return fmt(n) .. "|" .. out
+    out[1] = fmt(n)
+    return concat(out)
 end
 
 function fill(input)
@@ -359,12 +361,13 @@ pub fn encode_write_batch(epoch: u64, entries: &[(u64, &[u8])]) -> Vec<u8> {
 
 /// Encodes a `read_batch` input: `epoch|pos,pos,...`.
 pub fn encode_read_batch(epoch: u64, positions: &[u64]) -> Vec<u8> {
-    let list = positions
-        .iter()
-        .map(|p| p.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    format!("{epoch}|{list}").into_bytes()
+    use std::fmt::Write;
+    let mut out = format!("{epoch}|");
+    for (i, pos) in positions.iter().enumerate() {
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{}{pos}", if i == 0 { "" } else { "," });
+    }
+    out.into_bytes()
 }
 
 /// Decodes a `read_batch` reply: `n|` then `n` entries of
@@ -372,44 +375,50 @@ pub fn encode_read_batch(epoch: u64, positions: &[u64]) -> Vec<u8> {
 /// lossy-decoded text the class operated on, matching [`encode_write_batch`].
 pub fn decode_read_batch(bytes: &[u8]) -> Result<Vec<(u64, crate::log::ReadOutcome)>, String> {
     use crate::log::ReadOutcome;
-    let text = String::from_utf8_lossy(bytes);
-    let s = text.as_ref();
-    let take = |s: &str, what: &str| -> Result<(String, usize), String> {
-        let i = s
-            .find('|')
+    /// Splits the `|`-terminated field off the front of `rest`, borrowed.
+    fn take<'a>(rest: &mut &'a str, what: &str) -> Result<&'a str, String> {
+        let (field, tail) = rest
+            .split_once('|')
             .ok_or_else(|| format!("read_batch reply: missing {what}"))?;
-        Ok((s[..i].to_string(), i + 1))
-    };
-    let (n_str, mut off) = take(s, "count")?;
+        *rest = tail;
+        Ok(field)
+    }
+    let text = String::from_utf8_lossy(bytes);
+    let mut rest = text.as_ref();
+    let n_str = take(&mut rest, "count")?;
     let n: usize = n_str
         .parse()
         .map_err(|_| format!("read_batch reply: bad count {n_str:?}"))?;
+    // An entry is at least its three separators, so a count beyond the
+    // reply's length is malformed: refuse it before allocating for it.
+    if n > rest.len() {
+        return Err(format!("read_batch reply: count {n} exceeds its length"));
+    }
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let (pos_str, adv) = take(&s[off..], "position")?;
-        off += adv;
+        let pos_str = take(&mut rest, "position")?;
         let pos: u64 = pos_str
             .parse()
             .map_err(|_| format!("read_batch reply: bad position {pos_str:?}"))?;
-        let (tag, adv) = take(&s[off..], "tag")?;
-        off += adv;
-        let (len_str, adv) = take(&s[off..], "length")?;
-        off += adv;
+        let tag = take(&mut rest, "tag")?;
+        let len_str = take(&mut rest, "length")?;
         let len: usize = len_str
             .parse()
             .map_err(|_| format!("read_batch reply: bad length {len_str:?}"))?;
-        if s.len() < off + len {
+        // `len` counts bytes of the text and ends on a character, as the
+        // class measured it; anything else is a reply cut short.
+        if !rest.is_char_boundary(len) {
             return Err("read_batch reply: truncated payload".into());
         }
-        let payload = s.as_bytes()[off..off + len].to_vec();
-        off += len;
-        let outcome = match tag.as_str() {
-            "D" => ReadOutcome::Data(payload),
+        let (payload, tail) = rest.split_at(len);
+        let outcome = match tag {
+            "D" => ReadOutcome::Data(payload.as_bytes().to_vec()),
             "F" => ReadOutcome::Filled,
             "T" => ReadOutcome::Trimmed,
             "U" => ReadOutcome::NotWritten,
             other => return Err(format!("read_batch reply: unknown tag {other:?}")),
         };
+        rest = tail;
         out.push((pos, outcome));
     }
     Ok(out)
@@ -695,6 +704,26 @@ mod tests {
         assert_eq!(call(&reg, &mut slot, "maxpos", ""), Ok("-1".into()));
     }
 
+    /// A `len` that ends inside a multi-byte character passes the
+    /// `#s < len` check; `sub(s, 1, len)` used to abort the OSD on the
+    /// byte index. It is a class error like any other short entry.
+    #[test]
+    fn write_batch_length_inside_a_character_is_einval() {
+        for kind in [
+            mala_dsl::EngineKind::TreeWalk,
+            mala_dsl::EngineKind::Bytecode,
+        ] {
+            let mut reg = ClassRegistry::with_engine(kind);
+            reg.install_scripted(ZLOG_CLASS, ZLOG_CLASS_SOURCE, 1)
+                .unwrap();
+            let mut slot = Some(Object::new());
+            call(&reg, &mut slot, "write", "0|1|kept").unwrap();
+            let before = slot.clone();
+            assert_eq!(call(&reg, &mut slot, "write_batch", "0|1|5|3|éé"), Err(-22));
+            assert_eq!(slot, before);
+        }
+    }
+
     #[test]
     fn bad_inputs_are_einval() {
         let reg = reg();
@@ -925,5 +954,9 @@ mod tests {
         assert!(decode_read_batch(b"1|5|D|9|short").is_err());
         assert!(decode_read_batch(b"1|5|X|0|").is_err());
         assert!(decode_read_batch(b"junk").is_err());
+        // A count the reply cannot hold is refused before allocating for it.
+        assert!(decode_read_batch(b"18446744073709551615|1|U|0|").is_err());
+        // A length that ends inside a character is a truncated reply.
+        assert!(decode_read_batch("1|5|D|1|é".as_bytes()).is_err());
     }
 }

@@ -11,14 +11,15 @@ use mala_rados::{Osd, OsdConfig, OsdMapView, PoolInfo};
 use mala_sim::{NodeId, Sim, SimDuration};
 use mala_zlog::log::{run_op, ZlogOut};
 use mala_zlog::{
-    encode_cmd, zlog_interface_update, AppendResult, KvCmd, KvStore, ReadOutcome, ZlogClient,
-    ZlogConfig,
+    encode_cmd, zlog_interface_update, AppendResult, KvCmd, KvStore, ReadConfig, ReadOutcome,
+    ZlogClient, ZlogConfig,
 };
 
 const MON: NodeId = NodeId(0);
 const MDS0: NodeId = NodeId(20);
 const CLIENT_A: NodeId = NodeId(100);
 const CLIENT_B: NodeId = NodeId(101);
+const CLIENT_C: NodeId = NodeId(102);
 
 fn zcfg(name: &str) -> ZlogConfig {
     ZlogConfig {
@@ -195,10 +196,11 @@ fn read_batch_result_order_matches_request_order() {
     for i in 0..8u64 {
         append(&mut sim, CLIENT_A, &format!("e{i}"));
     }
-    // Unsorted, cross-stripe request: results come back in request order.
-    let entries = read_batch(&mut sim, CLIENT_A, vec![7, 2, 5, 0, 3]);
+    // Unsorted, cross-stripe request, one position named twice: results
+    // come back in request order.
+    let entries = read_batch(&mut sim, CLIENT_A, vec![7, 2, 5, 0, 3, 7]);
     let positions: Vec<u64> = entries.iter().map(|(p, _)| *p).collect();
-    assert_eq!(positions, vec![7, 2, 5, 0, 3]);
+    assert_eq!(positions, vec![7, 2, 5, 0, 3, 7]);
     for (p, o) in &entries {
         assert_eq!(*o, data(&format!("e{p}")), "position {p}");
     }
@@ -369,6 +371,84 @@ fn cursor_heals_abandoned_grant() {
         sim.metrics().counter("zlog.cursor_hole_fills") >= 1,
         "the hole at 3 must have been healed by the cursor"
     );
+}
+
+/// `(rados.read_batch_ops, rados.read_batch_positions, zlog.cursor_entries)`.
+fn fetch_counters(sim: &Sim) -> (u64, u64, u64) {
+    let m = sim.metrics();
+    (
+        m.counter("rados.read_batch_ops"),
+        m.counter("rados.read_batch_positions"),
+        m.counter("zlog.cursor_entries"),
+    )
+}
+
+/// What the cursor fetches is part of its contract: which positions, in
+/// how many stripe groups. The numbers below were read off the commit
+/// before the incremental prefetch window and must not move with it.
+#[test]
+fn cursor_fetch_counters_are_pinned() {
+    let mut sim = build("cu3");
+    for i in 0..150u64 {
+        append(&mut sim, CLIENT_A, &format!("e{i}"));
+    }
+    // A wide window drained in small batches: many completions per fetch.
+    let id = sim.with_actor::<ZlogClient, _>(CLIENT_B, |c, ctx| c.tail_cursor(ctx));
+    assert_eq!(cursor_drain(&mut sim, CLIENT_B, id).len(), 150);
+    assert_eq!(fetch_counters(&sim), (22, 150, 150));
+    // A narrow window against a wide stripe set: the in-flight cap leaves
+    // groups out on every pass.
+    let narrow = ReadConfig {
+        readahead: 6,
+        max_inflight: 2,
+    };
+    sim.add_node(CLIENT_C, ZlogClient::with_read_config(zcfg("cu3"), narrow));
+    sim.run_for(SimDuration::from_secs(1));
+    let id = sim.with_actor::<ZlogClient, _>(CLIENT_C, |c, ctx| c.tail_cursor(ctx));
+    assert_eq!(cursor_drain(&mut sim, CLIENT_C, id).len(), 150);
+    assert_eq!(fetch_counters(&sim), (118, 300, 300));
+}
+
+/// A fetch that fails mid-window — its replies dropped until the op runs
+/// out its deadline — puts its positions back into the needed set: they
+/// are requested again and delivery stays contiguous.
+#[test]
+fn cursor_refetches_a_failed_fetch_mid_window() {
+    let mut sim = build("cu4");
+    for i in 0..24u64 {
+        append(&mut sim, CLIENT_A, &format!("e{i}"));
+    }
+    let read = ReadConfig {
+        readahead: 8,
+        max_inflight: 4,
+    };
+    sim.add_node(CLIENT_C, ZlogClient::with_read_config(zcfg("cu4"), read));
+    sim.run_for(SimDuration::from_secs(1));
+    let id = sim.with_actor::<ZlogClient, _>(CLIENT_C, |c, ctx| c.tail_cursor(ctx));
+    // The first batch returns as soon as position 0 is there: the other
+    // stripes' fetches, and the one the slid window added, are in flight.
+    let first = cursor_next(&mut sim, CLIENT_C, id, 4);
+    let got = first.len() as u64;
+    assert!((1..4).contains(&got), "{first:?}");
+    // Cut the reader off from every OSD past the op deadline (60 s): the
+    // fetches fail terminally. No batch call is waiting meanwhile.
+    for osd in 0..4u32 {
+        sim.network_mut().sever(CLIENT_C, NodeId(10 + osd));
+    }
+    sim.run_for(SimDuration::from_secs(65));
+    sim.network_mut().heal_all();
+    let rest = cursor_drain(&mut sim, CLIENT_C, id);
+    let positions: Vec<u64> = rest.iter().map(|(p, _)| *p).collect();
+    assert_eq!(positions, (got..24).collect::<Vec<u64>>());
+    for (p, o) in &rest {
+        assert_eq!(*o, data(&format!("e{p}")), "position {p}");
+    }
+    let (_, requested, delivered) = fetch_counters(&sim);
+    assert!(
+        requested > 24,
+        "the failed fetches' positions must be requested again, saw {requested} requests"
+    );
+    assert_eq!(delivered, 24);
 }
 
 #[test]
