@@ -19,7 +19,7 @@
 //!   Mode (Full) approaches 2× client mode in Figure 10(b).
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use mala_consensus::{MonMsg, SERVICE_MAP_MANTLE, SERVICE_MAP_MDS, SERVICE_MAP_OSD};
 use mala_rados::{ObjectId, Op, OpResult, OsdError, OsdMsg};
@@ -274,7 +274,10 @@ pub struct Mds {
     recover_reqid: Option<u64>,
     /// Sequencer inodes mid-seal after a takeover; type ops answer
     /// `Recovering` until the protocol completes.
-    recovering_seqs: HashMap<Ino, SealRecovery>,
+    /// Ordered: `on_zlog_map` and `TIMER_SEAL` send per entry in iteration
+    /// order, and a send order that differs between processes is a
+    /// different run.
+    recovering_seqs: BTreeMap<Ino, SealRecovery>,
     /// Sequencer inodes inherited from a journal replay with *no* layout
     /// on record: the in-memory tail may understate the store, and
     /// without a layout the seal/maxpos protocol cannot run. Their type
@@ -338,7 +341,7 @@ impl Mds {
             journal_spans: HashMap::new(),
             standby: false,
             recover_reqid: None,
-            recovering_seqs: HashMap::new(),
+            recovering_seqs: BTreeMap::new(),
             unsealed_seqs: HashSet::new(),
             seq_layouts: HashMap::new(),
             replayed_mantle_version: 0,

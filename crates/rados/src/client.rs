@@ -267,7 +267,7 @@ impl RadosClient {
     }
 
     fn on_new_map(&mut self, ctx: &mut Context<'_>) {
-        let retry: Vec<u64> = self
+        let mut retry: Vec<u64> = self
             .inflight
             .iter()
             .filter(|(_, f)| match f.blocked_on_epoch {
@@ -276,6 +276,9 @@ impl RadosClient {
             })
             .map(|(reqid, _)| *reqid)
             .collect();
+        // `dispatch` sends and draws from the RNG: hash order must not
+        // decide which request goes first.
+        retry.sort_unstable();
         for reqid in retry {
             if let Some(f) = self.inflight.get_mut(&reqid) {
                 f.blocked_on_epoch = None;

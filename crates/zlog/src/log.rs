@@ -1611,7 +1611,10 @@ impl ZlogClient {
     /// Collects completions from the embedded RADOS client and routes them
     /// into the owning ops.
     fn drain_rados(&mut self, ctx: &mut Context<'_>) {
-        let waiting: Vec<u64> = self.rados_waiting.keys().copied().collect();
+        // Completions drive sends and timers: take them in request order,
+        // not hash order.
+        let mut waiting: Vec<u64> = self.rados_waiting.keys().copied().collect();
+        waiting.sort_unstable();
         for reqid in waiting {
             if let Some(event) = self.rados.take_completed(reqid) {
                 if let Some(op) = self.rados_waiting.remove(&reqid) {
@@ -1619,7 +1622,8 @@ impl ZlogClient {
                 }
             }
         }
-        let waiting: Vec<u64> = self.rados_batch_waiting.keys().copied().collect();
+        let mut waiting: Vec<u64> = self.rados_batch_waiting.keys().copied().collect();
+        waiting.sort_unstable();
         for reqid in waiting {
             if let Some(event) = self.rados.take_completed(reqid) {
                 if let Some((id, group)) = self.rados_batch_waiting.remove(&reqid) {
