@@ -265,7 +265,7 @@ impl ClassRegistry {
             txn: std::mem::take(txn),
             readonly: kind == MethodKind::ReadOnly,
         };
-        let arg = Value::str(String::from_utf8_lossy(input));
+        let arg = text(input);
         let out = cls.engine.borrow_mut().call(method, &[arg], &mut host);
         *txn = host.txn;
         Ok(match out.map_err(|e| OsdError::Class(rt_to_class(e)))? {
@@ -353,11 +353,18 @@ fn str_arg<'a>(name: &str, args: &'a [Value], i: usize) -> Result<&'a str, RtErr
         .ok_or_else(|| RtError::new(format!("{name}: argument {} must be a string", i + 1)))
 }
 
-fn lossy(bytes: Option<&Vec<u8>>) -> Value {
-    match bytes {
-        Some(v) => Value::str(String::from_utf8_lossy(v)),
-        None => Value::Nil,
+/// `bytes` as a string value, invalid sequences replaced by U+FFFD. Stored
+/// text is almost always valid already, and `from_utf8` checks that a word
+/// at a time where the lossy walk goes byte by byte.
+fn text(bytes: &[u8]) -> Value {
+    match std::str::from_utf8(bytes) {
+        Ok(valid) => Value::str(valid),
+        Err(_) => Value::str(String::from_utf8_lossy(bytes)),
     }
+}
+
+fn lossy(bytes: Option<&Vec<u8>>) -> Value {
+    bytes.map_or(Value::Nil, |v| text(v))
 }
 
 /// Registers the object-access natives scripted classes use.
@@ -382,7 +389,7 @@ fn install_object_natives(interp: &mut DslEngine) {
             } else {
                 o.size()
             };
-            Ok(Value::str(String::from_utf8_lossy(o.read(off, len))))
+            Ok(text(o.read(off, len)))
         }),
     );
     interp.register(
@@ -497,6 +504,23 @@ mod tests {
             return fmt(v)
         end
     "#;
+
+    #[test]
+    fn text_matches_the_lossy_conversion_on_every_input() {
+        let inputs: [&[u8]; 7] = [
+            b"",
+            b"0|1|5|3|plain ascii payload",
+            "h\u{e9}llo \u{2603}".as_bytes(),
+            b"\xff",
+            b"ok\xc3",         // truncated two-byte sequence
+            b"a\xe2\x98b",     // truncated three-byte sequence mid-string
+            b"\xed\xa0\x80ok", // surrogate half
+        ];
+        for bytes in inputs {
+            assert_eq!(text(bytes), Value::str(String::from_utf8_lossy(bytes)));
+        }
+        assert_eq!(text(b"a\xffb"), Value::str("a\u{fffd}b"));
+    }
 
     #[test]
     fn scripted_class_round_trip() {

@@ -31,7 +31,13 @@ pub trait Actor: 'static {
 
 /// Handle for cancelling an armed timer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerHandle(pub(crate) u64);
+pub struct TimerHandle {
+    /// Where the scheduler keeps the timer's event.
+    pub(crate) slot: u32,
+    /// The event's queue sequence number: unique per event, so it tells
+    /// this timer from a later event that reuses the slot.
+    pub(crate) seq: u64,
+}
 
 /// Capabilities available to an actor during a callback.
 ///
@@ -40,6 +46,8 @@ pub struct TimerHandle(pub(crate) u64);
 /// record metrics.
 pub struct Context<'a> {
     pub(crate) me: NodeId,
+    /// Incarnation of `me` this callback runs in; stamped on its timers.
+    pub(crate) incarnation: u64,
     pub(crate) inner: &'a mut SimInner,
 }
 
@@ -71,8 +79,8 @@ impl Context<'_> {
     /// Arms a one-shot timer firing after `delay`; `token` is handed back to
     /// [`Actor::on_timer`].
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerHandle {
-        let me = self.me;
-        self.inner.set_timer(me, delay, token)
+        self.inner
+            .set_timer(self.me, self.incarnation, delay, token)
     }
 
     /// Cancels an armed timer. Cancelling an already-fired timer is a no-op.

@@ -1,7 +1,10 @@
 //! The simulator core: event queue, dispatch loop, and failure injection.
 
 use std::any::Any;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,40 +27,59 @@ enum EventKind {
     Timer {
         node: NodeId,
         token: u64,
-        id: u64,
         /// Incarnation of the node when the timer was armed; a timer from
         /// a previous incarnation (pre-crash) must not fire into the
         /// restarted process.
         incarnation: u64,
+        /// The timer's own queue sequence number; only the
+        /// [`TimerHandle`] carrying it can cancel this timer.
+        seq: u64,
     },
+    /// What a cancelled timer turns into. Its key is still queued and
+    /// keeps its place: popping it advances the clock like any other
+    /// event, and runs nothing.
+    Cancelled,
 }
 
-struct Event {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind,
+/// One cell of the event store.
+enum Slot {
+    /// Unused; `next` chains the free list.
+    Free {
+        next: Option<u32>,
+    },
+    Queued(EventKind),
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+/// What the queue orders: `(at, seq, slot)`, earliest first, ties in
+/// insertion order. `seq` is unique, so `slot` never decides.
+type Key = Reverse<(SimTime, u64, u32)>;
+
+/// Hasher for the scheduler's own integer keys ([`NodeId`]s and pairs of
+/// them): one multiply per word, the same on every run. The ids come from
+/// the harness, not from outside the program, so there are no crafted
+/// collisions to defend against.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u32(u32::from(byte));
+        }
     }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    fn write_u32(&mut self, word: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        // Ties break on insertion sequence for determinism.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
-/// The mutable guts of a simulation, split from the actor table so a
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// The mutable guts of a simulation, split from the node table so a
 /// dispatched actor can borrow both itself and this state.
 pub(crate) struct SimInner {
     pub(crate) now: SimTime,
@@ -67,25 +89,60 @@ pub(crate) struct SimInner {
     /// Span context of the message currently being dispatched, if any.
     pub(crate) incoming_span: Option<SpanContext>,
     pub(crate) net: Network,
-    queue: BinaryHeap<Event>,
+    /// One key per queued event, cancelled timers included.
+    queue: BinaryHeap<Key>,
+    /// Event payloads, found by the `slot` of their key. A slot is freed
+    /// when its key pops and at no other time, so a queued key always
+    /// owns its slot.
+    slots: Vec<Slot>,
+    /// Head of the free list through `slots`.
+    free: Option<u32>,
     seq: u64,
-    next_timer_id: u64,
-    cancelled_timers: HashSet<u64>,
-    crashed: HashSet<NodeId>,
-    /// Bumped on every [`Sim::add_node`] for the node; lets the dispatcher
-    /// discard timers armed by a previous incarnation.
-    incarnations: HashMap<NodeId, u64>,
     /// Per ordered `(src, dst)` pair: the latest delivery time scheduled so
     /// far. Messages between the same pair deliver FIFO, as over a TCP
     /// session — jitter never reorders a connection.
-    last_delivery: HashMap<(NodeId, NodeId), SimTime>,
+    last_delivery: IdMap<(NodeId, NodeId), SimTime>,
 }
 
 impl SimInner {
-    fn push(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.seq;
+    /// Queues `kind` at `at` under the next sequence number and returns
+    /// the slot that holds it.
+    fn push(&mut self, at: SimTime, kind: EventKind) -> u32 {
+        let slot = match self.free {
+            Some(slot) => {
+                let cell = std::mem::replace(&mut self.slots[slot as usize], Slot::Queued(kind));
+                let Slot::Free { next } = cell else {
+                    unreachable!("free list points at a slot in use");
+                };
+                self.free = next;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len())
+                    .expect("more than u32::MAX events queued at once");
+                self.slots.push(Slot::Queued(kind));
+                slot
+            }
+        };
+        self.queue.push(Reverse((at, self.seq, slot)));
         self.seq += 1;
-        self.queue.push(Event { at, seq, kind });
+        slot
+    }
+
+    /// Pops the earliest key, advances the clock to it and frees its slot.
+    fn pop(&mut self) -> Option<EventKind> {
+        let Reverse((at, _, slot)) = self.queue.pop()?;
+        self.now = at;
+        let next = self.free.replace(slot);
+        match std::mem::replace(&mut self.slots[slot as usize], Slot::Free { next }) {
+            Slot::Queued(kind) => Some(kind),
+            Slot::Free { .. } => unreachable!("queued key points at a free slot"),
+        }
+    }
+
+    /// Time of the earliest queued event.
+    fn next_at(&self) -> Option<SimTime> {
+        self.queue.peek().map(|Reverse((at, ..))| *at)
     }
 
     pub(crate) fn send_from(&mut self, from: NodeId, to: NodeId, msg: Box<dyn Any>) {
@@ -115,13 +172,18 @@ impl SimInner {
                 let mut at = self.now + lat + extra;
                 // FIFO per connection: never deliver before an earlier
                 // message on the same (src, dst) pair.
-                let key = (from, to);
-                if let Some(prev) = self.last_delivery.get(&key) {
-                    if at <= *prev {
-                        at = *prev + SimDuration::from_micros(1);
+                match self.last_delivery.entry((from, to)) {
+                    Entry::Occupied(mut last) => {
+                        let last = last.get_mut();
+                        if at <= *last {
+                            at = *last + SimDuration::from_micros(1);
+                        }
+                        *last = at;
+                    }
+                    Entry::Vacant(first) => {
+                        first.insert(at);
                     }
                 }
-                self.last_delivery.insert(key, at);
                 self.push(
                     at,
                     EventKind::Deliver {
@@ -142,28 +204,44 @@ impl SimInner {
     pub(crate) fn set_timer(
         &mut self,
         node: NodeId,
+        incarnation: u64,
         delay: SimDuration,
         token: u64,
     ) -> TimerHandle {
-        let id = self.next_timer_id;
-        self.next_timer_id += 1;
-        let at = self.now + delay;
-        let incarnation = self.incarnations.get(&node).copied().unwrap_or(0);
-        self.push(
-            at,
+        let seq = self.seq;
+        let slot = self.push(
+            self.now + delay,
             EventKind::Timer {
                 node,
                 token,
-                id,
                 incarnation,
+                seq,
             },
         );
-        TimerHandle(id)
+        TimerHandle { slot, seq }
     }
 
+    /// Cancels the timer `handle` was issued for, if it is still queued.
+    /// Once it has fired or been cancelled, its slot is free or holds a
+    /// later event under another `seq`, and this does nothing: a spent
+    /// handle leaves no trace in the scheduler.
     pub(crate) fn cancel_timer(&mut self, handle: TimerHandle) {
-        self.cancelled_timers.insert(handle.0);
+        if let Some(cell) = self.slots.get_mut(handle.slot as usize) {
+            if matches!(cell, Slot::Queued(EventKind::Timer { seq, .. }) if *seq == handle.seq) {
+                *cell = Slot::Queued(EventKind::Cancelled);
+            }
+        }
     }
+}
+
+/// Everything the scheduler knows about one node id.
+#[derive(Default)]
+struct Node {
+    /// The running process; `None` while the node is crashed.
+    actor: Option<Box<dyn AnyActor>>,
+    /// Bumped on every [`Sim::add_node`] for the id; lets the dispatcher
+    /// discard timers armed by a previous incarnation.
+    incarnation: u64,
 }
 
 /// A deterministic discrete-event simulation of a storage cluster.
@@ -171,7 +249,8 @@ impl SimInner {
 /// See the crate-level docs for an end-to-end example.
 pub struct Sim {
     inner: SimInner,
-    actors: HashMap<NodeId, Box<dyn AnyActor>>,
+    /// One record per id that was ever added or crashed.
+    nodes: IdMap<NodeId, Node>,
 }
 
 impl Sim {
@@ -192,14 +271,12 @@ impl Sim {
                 incoming_span: None,
                 net,
                 queue: BinaryHeap::new(),
+                slots: Vec::new(),
+                free: None,
                 seq: 0,
-                next_timer_id: 0,
-                cancelled_timers: HashSet::new(),
-                crashed: HashSet::new(),
-                incarnations: HashMap::new(),
-                last_delivery: HashMap::new(),
+                last_delivery: IdMap::default(),
             },
-            actors: HashMap::new(),
+            nodes: IdMap::default(),
         }
     }
 
@@ -241,13 +318,13 @@ impl Sim {
     ///
     /// Panics if `id` is already present.
     pub fn add_node<A: Actor>(&mut self, id: NodeId, actor: A) {
+        let node = self.nodes.entry(id).or_default();
         assert!(
-            !self.actors.contains_key(&id),
+            node.actor.is_none(),
             "node {id} already exists in the simulation"
         );
-        self.actors.insert(id, Box::new(actor));
-        self.inner.crashed.remove(&id);
-        *self.inner.incarnations.entry(id).or_insert(0) += 1;
+        node.actor = Some(Box::new(actor));
+        node.incarnation += 1;
         let now = self.inner.now;
         self.inner.push(now, EventKind::Start(id));
     }
@@ -255,22 +332,24 @@ impl Sim {
     /// Crashes `node`: its state is dropped, in-flight messages to it are
     /// discarded on delivery, and its timers never fire.
     pub fn crash(&mut self, node: NodeId) {
-        self.actors.remove(&node);
-        self.inner.crashed.insert(node);
+        self.nodes.entry(node).or_default().actor = None;
         self.inner.metrics.incr("sim.crashes", 1);
     }
 
     /// Restarts `node` with fresh actor state (cold restart, as when a
     /// daemon process is respawned).
     pub fn restart<A: Actor>(&mut self, node: NodeId, actor: A) {
-        self.inner.crashed.remove(&node);
-        self.actors.remove(&node);
+        if let Some(old) = self.nodes.get_mut(&node) {
+            old.actor = None;
+        }
         self.add_node(node, actor);
     }
 
     /// Returns whether `node` is currently crashed.
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.inner.crashed.contains(&node)
+        self.nodes
+            .get(&node)
+            .is_some_and(|record| record.actor.is_none())
     }
 
     /// Injects a message from a fictitious external source into `to`'s
@@ -294,8 +373,9 @@ impl Sim {
     ///
     /// Panics if the node does not exist or its actor is not a `T`.
     pub fn actor<T: Actor>(&self, id: NodeId) -> &T {
-        self.actors
+        self.nodes
             .get(&id)
+            .and_then(|node| node.actor.as_deref())
             .unwrap_or_else(|| panic!("no such node: {id}"))
             .as_any()
             .downcast_ref::<T>()
@@ -308,8 +388,9 @@ impl Sim {
     ///
     /// Panics if the node does not exist or its actor is not a `T`.
     pub fn actor_mut<T: Actor>(&mut self, id: NodeId) -> &mut T {
-        self.actors
+        self.nodes
             .get_mut(&id)
+            .and_then(|node| node.actor.as_deref_mut())
             .unwrap_or_else(|| panic!("no such node: {id}"))
             .as_any_mut()
             .downcast_mut::<T>()
@@ -324,31 +405,32 @@ impl Sim {
         id: NodeId,
         f: impl FnOnce(&mut T, &mut Context<'_>) -> R,
     ) -> R {
-        let mut actor = self
-            .actors
-            .remove(&id)
-            .unwrap_or_else(|| panic!("no such node: {id}"));
-        let mut ctx = Context {
-            me: id,
-            inner: &mut self.inner,
+        let Some(Node {
+            actor: Some(actor),
+            incarnation,
+        }) = self.nodes.get_mut(&id)
+        else {
+            panic!("no such node: {id}");
         };
         let typed = actor
             .as_any_mut()
             .downcast_mut::<T>()
             .unwrap_or_else(|| panic!("node {id} is not a {}", std::any::type_name::<T>()));
-        let out = f(typed, &mut ctx);
-        self.actors.insert(id, actor);
-        out
+        let mut ctx = Context {
+            me: id,
+            incarnation: *incarnation,
+            inner: &mut self.inner,
+        };
+        f(typed, &mut ctx)
     }
 
     /// Processes the next event, returning its timestamp, or `None` if the
     /// queue is empty.
     pub fn step(&mut self) -> Option<SimTime> {
-        let ev = self.inner.queue.pop()?;
-        self.inner.now = ev.at;
-        match ev.kind {
+        match self.inner.pop()? {
+            EventKind::Cancelled => {}
             EventKind::Start(node) => {
-                self.dispatch(node, |actor, ctx| actor.on_start(ctx));
+                self.dispatch(node, None, |actor, ctx| actor.on_start(ctx));
             }
             EventKind::Deliver {
                 from,
@@ -357,58 +439,58 @@ impl Sim {
                 span,
             } => {
                 self.inner.incoming_span = span;
-                self.dispatch(to, |actor, ctx| actor.on_message(ctx, from, msg));
+                self.dispatch(to, None, |actor, ctx| actor.on_message(ctx, from, msg));
                 self.inner.incoming_span = None;
             }
             EventKind::Timer {
                 node,
                 token,
-                id,
                 incarnation,
+                ..
             } => {
-                if self.inner.cancelled_timers.remove(&id) {
-                    // Explicitly cancelled; nothing to do.
-                } else if self.inner.incarnations.get(&node).copied().unwrap_or(0) != incarnation {
-                    // Armed by a previous incarnation of the node: the
-                    // process that set it died, so the timer dies with it.
-                    self.inner.metrics.incr("sim.stale_timers_dropped", 1);
-                } else {
-                    self.dispatch(node, |actor, ctx| actor.on_timer(ctx, token));
-                }
+                self.dispatch(node, Some(incarnation), |actor, ctx| {
+                    actor.on_timer(ctx, token)
+                });
             }
         }
         Some(self.inner.now)
     }
 
-    fn dispatch<F>(&mut self, node: NodeId, f: F)
+    /// Runs `f` on `node`'s actor, borrowed in place beside the [`Context`]
+    /// over `inner`: nothing a callback can reach crashes a node, so the
+    /// record cannot change under it. A timer passes the incarnation it
+    /// was `armed_in`.
+    fn dispatch<F>(&mut self, node: NodeId, armed_in: Option<u64>, f: F)
     where
         F: FnOnce(&mut dyn AnyActor, &mut Context<'_>),
     {
-        // Messages to crashed or never-created nodes vanish, as on a real
-        // network.
-        let Some(mut actor) = self.actors.remove(&node) else {
-            self.inner.metrics.incr("sim.messages_to_dead_nodes", 1);
-            return;
-        };
-        let mut ctx = Context {
-            me: node,
-            inner: &mut self.inner,
-        };
-        f(actor.as_mut(), &mut ctx);
-        // The actor may have been crashed from within its own callback via a
-        // harness hook; only put it back if it wasn't.
-        if !self.inner.crashed.contains(&node) {
-            self.actors.insert(node, actor);
+        match self.nodes.get_mut(&node) {
+            // Armed by a previous incarnation of the node: the process
+            // that set it died, so the timer dies with it.
+            Some(record) if armed_in.is_some_and(|armed| armed != record.incarnation) => {
+                self.inner.metrics.incr("sim.stale_timers_dropped", 1);
+            }
+            Some(Node {
+                actor: Some(actor),
+                incarnation,
+            }) => {
+                let mut ctx = Context {
+                    me: node,
+                    incarnation: *incarnation,
+                    inner: &mut self.inner,
+                };
+                f(actor.as_mut(), &mut ctx);
+            }
+            // Messages to crashed or never-created nodes vanish, as on a
+            // real network.
+            _ => self.inner.metrics.incr("sim.messages_to_dead_nodes", 1),
         }
     }
 
     /// Runs until the queue is empty or virtual time would exceed
     /// `deadline`; the clock ends at `deadline` exactly.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(ev) = self.inner.queue.peek() {
-            if ev.at > deadline {
-                break;
-            }
+        while self.inner.next_at().is_some_and(|at| at <= deadline) {
             self.step();
         }
         if self.inner.now < deadline {
@@ -441,16 +523,13 @@ impl Sim {
             if pred(self) {
                 return true;
             }
-            match self.inner.queue.peek() {
-                Some(ev) if ev.at <= deadline => {
-                    self.step();
+            if self.inner.next_at().is_some_and(|at| at <= deadline) {
+                self.step();
+            } else {
+                if self.inner.now < deadline {
+                    self.inner.now = deadline;
                 }
-                _ => {
-                    if self.inner.now < deadline {
-                        self.inner.now = deadline;
-                    }
-                    return pred(self);
-                }
+                return pred(self);
             }
         }
     }
@@ -524,6 +603,99 @@ mod tests {
         });
         sim.run_until_idle();
         assert_eq!(sim.actor::<Recorder>(NodeId(0)).log.len(), 1);
+    }
+
+    #[test]
+    fn spent_handle_does_not_cancel_the_timer_reusing_its_slot() {
+        let mut sim = Sim::new(0);
+        sim.add_node(NodeId(0), recorder());
+        sim.run_until_idle();
+        let first = sim.with_actor::<Recorder, _>(NodeId(0), |_, ctx| {
+            ctx.set_timer(SimDuration::from_millis(1), 1)
+        });
+        sim.run_until_idle();
+        let second = sim.with_actor::<Recorder, _>(NodeId(0), |_, ctx| {
+            ctx.set_timer(SimDuration::from_millis(1), 2)
+        });
+        assert_eq!(first.slot, second.slot, "the freed slot is reused");
+        assert_ne!(first, second);
+        sim.with_actor::<Recorder, _>(NodeId(0), |_, ctx| {
+            ctx.cancel_timer(first);
+            ctx.cancel_timer(first);
+        });
+        sim.run_until_idle();
+        let log = &sim.actor::<Recorder>(NodeId(0)).log;
+        assert_eq!(log.last().map(|e| e.1.as_str()), Some("timer 2"));
+    }
+
+    #[test]
+    fn cancelling_twice_is_a_no_op_and_the_tombstone_keeps_its_place() {
+        let mut sim = Sim::new(0);
+        sim.add_node(NodeId(0), recorder());
+        sim.run_until_idle();
+        sim.with_actor::<Recorder, _>(NodeId(0), |_, ctx| {
+            let h = ctx.set_timer(SimDuration::from_millis(10), 1);
+            ctx.cancel_timer(h);
+            ctx.cancel_timer(h);
+        });
+        assert_eq!(sim.pending_events(), 1);
+        assert_eq!(sim.step(), Some(SimTime(10_000)));
+        assert_eq!(sim.step(), None);
+        assert_eq!(sim.actor::<Recorder>(NodeId(0)).log.len(), 1);
+    }
+
+    /// Re-arms itself from its own firing and cancels the handle that
+    /// just fired, as the zlog and rados client watchdogs do.
+    struct Watchdog {
+        armed: Option<TimerHandle>,
+        fired: u32,
+    }
+
+    impl Actor for Watchdog {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.on_timer(ctx, 0);
+        }
+        fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _msg: Box<dyn Any>) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
+            self.fired += 1;
+            let next = ctx.set_timer(SimDuration::from_millis(20), 0);
+            if let Some(spent) = self.armed.replace(next) {
+                ctx.cancel_timer(spent);
+            }
+        }
+    }
+
+    #[test]
+    fn cancelling_spent_handles_leaves_no_bookkeeping_behind() {
+        let mut sim = Sim::new(0);
+        sim.add_node(
+            NodeId(0),
+            Watchdog {
+                armed: None,
+                fired: 0,
+            },
+        );
+        for _ in 0..100_000 {
+            sim.step();
+        }
+        assert_eq!(sim.actor::<Watchdog>(NodeId(0)).fired, 100_000);
+        // One event is ever queued at a time; everything the scheduler
+        // keeps per event stays that size.
+        assert_eq!(sim.pending_events(), 1);
+        assert!(
+            sim.inner.slots.len() <= 2,
+            "{} slots",
+            sim.inner.slots.len()
+        );
+        assert!(sim.inner.queue.capacity() <= 8);
+    }
+
+    #[test]
+    fn slot_stays_small() {
+        // The slab keeps its high-water mark, so its cell is what a burst
+        // of queued events costs for the rest of the run.
+        assert!(std::mem::size_of::<Slot>() <= 48);
+        assert_eq!(std::mem::size_of::<Key>(), 24);
     }
 
     #[test]

@@ -879,6 +879,104 @@ mod mds_failover_props {
             }
         }
     }
+
+    /// Everything one run can be told apart by: the op history with its
+    /// timestamps, every counter, and the clock at the end.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        history: Vec<String>,
+        counters: Vec<(String, u64)>,
+        end_us: u64,
+    }
+
+    /// Four logs, so four sequencers for the standby to re-seal at once
+    /// when the only active MDS crashes unannounced.
+    fn four_sequencer_failover(seed: u64) -> Observed {
+        let mut cluster = failover_cluster(seed);
+        let history = lin::recorder();
+        let clients: Vec<mala_sim::NodeId> = (0..4)
+            .map(|i| add_zlog_client(&mut cluster, &format!("replay-{i}"), history.clone()))
+            .collect();
+        for (i, &node) in clients.iter().enumerate() {
+            for k in 0..3 {
+                let res = run_op(
+                    &mut cluster.sim,
+                    node,
+                    SimDuration::from_secs(30),
+                    move |c, ctx| c.append(ctx, format!("pre-{i}-{k}").into_bytes()),
+                );
+                assert!(
+                    matches!(res, AppendResult::Ok(ZlogOut::Pos(_))),
+                    "pre-crash append {i}/{k}: {res:?}"
+                );
+            }
+        }
+
+        cluster.sim.crash(cluster.mds_node(0));
+        let ops: Vec<(mala_sim::NodeId, u64)> = clients
+            .iter()
+            .enumerate()
+            .map(|(i, &node)| {
+                let op = cluster
+                    .sim
+                    .with_actor::<ZlogClient, _>(node, move |c, ctx| {
+                        c.append(ctx, format!("post-{i}").into_bytes())
+                    });
+                (node, op)
+            })
+            .collect();
+        let deadline = cluster.sim.now() + SimDuration::from_secs(90);
+        let done = cluster.sim.run_until_pred(deadline, |sim| {
+            ops.iter()
+                .all(|&(node, op)| sim.actor::<ZlogClient>(node).is_done(op))
+        });
+        assert!(done, "a post-crash append hung (seed {seed})");
+        for &(node, op) in &ops {
+            let res = cluster.sim.actor_mut::<ZlogClient>(node).take_result(op);
+            assert!(
+                matches!(res, Some(AppendResult::Ok(ZlogOut::Pos(_)))),
+                "post-crash append on {node}: {res:?}"
+            );
+        }
+
+        let metrics = cluster.sim.metrics();
+        assert!(
+            metrics.counter("mds.seq_seals") >= 4,
+            "the takeover did not re-seal every sequencer"
+        );
+        Observed {
+            history: history
+                .operations()
+                .iter()
+                .map(|op| op.to_string())
+                .collect(),
+            counters: metrics
+                .counters()
+                .map(|(name, value)| (name.to_string(), value))
+                .collect(),
+            end_us: cluster.sim.now().as_micros(),
+        }
+    }
+
+    /// Two runs of one seed *in one process* must be the same run. Every
+    /// `HashMap` gets a fresh `RandomState`, so a map whose iteration
+    /// order reaches `ctx.send` / `set_timer` / the RNG shows up here as
+    /// two different histories — which is how `Mds::recovering_seqs` used
+    /// to re-seal the sequencers of a takeover in a different order on
+    /// every run.
+    #[test]
+    fn failover_with_four_sequencers_replays_in_one_process() {
+        for seed in [2017, 7, 39] {
+            let first = four_sequencer_failover(seed);
+            for _ in 0..3 {
+                assert_eq!(
+                    first,
+                    four_sequencer_failover(seed),
+                    "seed {seed} is not replayable"
+                );
+            }
+        }
+    }
 }
 
 mod cap_partition {
