@@ -37,14 +37,11 @@ cargo test -q --test nemesis_invariants elastic_membership::smoke
 echo "==> read-path smoke (fixed seed: tailing reader through drain + trim, WGL check)"
 cargo test -q --test nemesis_invariants smoke_tailing_reader
 
-echo "==> read-path smoke (cursor catch-up + checkpointed KV recovery)"
-cargo test -q -p mala-zlog --test read_scale
+echo "==> zlog crate (unit tests, zlog_stack, class_equivalence, read_scale, migration_routing)"
+cargo test -q -p mala-zlog
 
 echo "==> scaleout smoke (16 logs x 3 ranks x 256 open-loop clients, fixed seed)"
 cargo test -q -p mala-bench --lib exp::scaleout
-
-echo "==> migration-routing smoke (sequencer exported mid-append-stream, WGL check)"
-cargo test -q -p mala-zlog --test migration_routing
 
 echo "==> dsl-diff smoke (fixed-seed interpreter/VM differential + disassembler snapshots)"
 cargo test -q -p mala-dsl --test differential fixed_seed_differential_smoke

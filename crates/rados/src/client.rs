@@ -7,7 +7,6 @@ use std::collections::HashMap;
 
 use mala_consensus::{MonMsg, SERVICE_MAP_OSD};
 use mala_sim::{Actor, Context, NodeId, Sim, SimDuration, SimTime, SpanContext, TimerHandle};
-use rand::Rng;
 
 use crate::object::ObjectId;
 use crate::ops::{OpResult, OsdError, Transaction};
@@ -19,6 +18,12 @@ use crate::osdmap::OsdMapView;
 /// Public so actors embedding a [`RadosClient`] can route timer callbacks
 /// at or above this base to [`Actor::on_timer`] on the embedded client.
 pub const RETRY_TOKEN_BASE: u64 = 1 << 48;
+/// First retransmit delay; doubles each attempt.
+const RETRY_BASE: SimDuration = SimDuration::from_millis(10);
+/// Cap on the retransmit backoff.
+const RETRY_CAP: SimDuration = SimDuration::from_secs(2);
+/// Per-request deadline (submission → [`OsdError::Timeout`]).
+const REQUEST_DEADLINE: SimDuration = SimDuration::from_secs(25);
 
 /// A completed request surfaced to the harness.
 #[derive(Debug, Clone)]
@@ -48,27 +53,6 @@ struct InFlight {
     span: Option<SpanContext>,
 }
 
-/// Retry/timeout knobs for [`RadosClient`].
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// First retransmit delay; doubles each attempt.
-    pub base: SimDuration,
-    /// Cap on the backoff delay.
-    pub cap: SimDuration,
-    /// Per-request deadline (submission → [`OsdError::Timeout`]).
-    pub deadline: SimDuration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            base: SimDuration::from_millis(10),
-            cap: SimDuration::from_secs(2),
-            deadline: SimDuration::from_secs(25),
-        }
-    }
-}
-
 /// The RADOS client actor.
 pub struct RadosClient {
     monitor: NodeId,
@@ -76,7 +60,6 @@ pub struct RadosClient {
     next_reqid: u64,
     inflight: HashMap<u64, InFlight>,
     completed: HashMap<u64, ClientEvent>,
-    retry: RetryPolicy,
 }
 
 impl RadosClient {
@@ -88,15 +71,6 @@ impl RadosClient {
             next_reqid: 1,
             inflight: HashMap::new(),
             completed: HashMap::new(),
-            retry: RetryPolicy::default(),
-        }
-    }
-
-    /// Creates a client with a custom retry policy.
-    pub fn with_retry(monitor: NodeId, retry: RetryPolicy) -> RadosClient {
-        RadosClient {
-            retry,
-            ..RadosClient::new(monitor)
         }
     }
 
@@ -133,7 +107,7 @@ impl RadosClient {
                 txn,
                 attempts: 0,
                 submitted_at: ctx.now(),
-                deadline: ctx.now() + self.retry.deadline,
+                deadline: ctx.now() + REQUEST_DEADLINE,
                 blocked_on_epoch: None,
                 retry_timer: None,
                 span: Some(span),
@@ -167,15 +141,12 @@ impl RadosClient {
             ctx.cancel_timer(timer);
         }
         let latency = ctx.now().since(inflight.submitted_at);
-        let now = ctx.now();
         if let Some(span) = inflight.span {
             if result.is_err() {
                 ctx.span_tag(span, "error", "true");
             }
             ctx.span_end(span);
         }
-        ctx.metrics()
-            .observe("client.latency_us", now, latency.as_micros() as f64);
         ctx.metrics()
             .observe_hist("client.latency_us", latency.as_micros() as f64);
         ctx.metrics().incr("client.completed", 1);
@@ -190,17 +161,6 @@ impl RadosClient {
                 latency,
             },
         );
-    }
-
-    /// Capped exponential backoff with jitter from the sim's seeded RNG,
-    /// so retry storms de-synchronize yet replay deterministically.
-    fn backoff(&self, ctx: &mut Context<'_>, attempts: u32) -> SimDuration {
-        let base = self.retry.base.as_micros().max(1);
-        let cap = self.retry.cap.as_micros().max(base);
-        let exp = base.saturating_mul(1u64 << attempts.saturating_sub(1).min(20));
-        let delay = exp.min(cap);
-        let jitter = ctx.rng().gen_range(0..=delay / 2);
-        SimDuration::from_micros(delay + jitter)
     }
 
     fn dispatch(&mut self, ctx: &mut Context<'_>, reqid: u64) {
@@ -257,7 +217,7 @@ impl RadosClient {
         }
         // Always arm a retransmit timer: the op, its reply, or the map
         // fetch may be lost. The timer fires, backs off, and re-sends.
-        let delay = self.backoff(ctx, attempts);
+        let delay = ctx.backoff(RETRY_BASE, RETRY_CAP, attempts - 1);
         let timer = ctx.set_timer(delay, RETRY_TOKEN_BASE + reqid);
         if let Some(inflight) = self.inflight.get_mut(&reqid) {
             if let Some(old) = inflight.retry_timer.replace(timer) {

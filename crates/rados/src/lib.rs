@@ -41,7 +41,7 @@ pub mod osdmap;
 pub mod placement;
 
 pub use class::{ClassError, ClassRegistry, MethodKind};
-pub use client::{ClientEvent, RadosClient, RetryPolicy};
+pub use client::{ClientEvent, RadosClient};
 pub use journal::{Journal, JournalRecord, JournalSet, JournalSnapshot};
 pub use object::{DataDelta, Object, ObjectDelta, ObjectId};
 pub use ops::{ObjTxn, Op, OpResult, OsdError, Transaction};

@@ -3,6 +3,7 @@
 use std::any::Any;
 
 use rand::rngs::StdRng;
+use rand::Rng;
 
 use crate::sched::SimInner;
 use crate::trace::{SpanContext, Tracer};
@@ -91,6 +92,19 @@ impl Context<'_> {
     /// The simulation-wide deterministic RNG.
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.inner.rng
+    }
+
+    /// Capped exponential backoff with jitter: `base` doubled `doublings`
+    /// times, at most `cap`, plus up to half of that again drawn from the
+    /// seeded RNG — retry storms de-synchronize yet replay exactly. One
+    /// RNG draw per call.
+    pub fn backoff(&mut self, base: SimDuration, cap: SimDuration, doublings: u32) -> SimDuration {
+        let delay = base
+            .as_micros()
+            .saturating_mul(1u64 << doublings.min(20))
+            .min(cap.as_micros());
+        let jitter = self.rng().gen_range(0..=delay / 2);
+        SimDuration::from_micros(delay + jitter)
     }
 
     /// The simulation-wide metric sink.

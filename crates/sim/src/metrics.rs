@@ -1,9 +1,11 @@
-//! Experiment metrics: counters, gauges, and raw sample series.
+//! Experiment metrics: counters, gauges, log-scale histograms, and raw
+//! sample series.
 //!
-//! The benchmark harness reconstructs every figure in the paper from these
-//! series (throughput-over-time, latency CDFs, per-client grant timelines),
-//! so the simulator records raw samples rather than pre-aggregated
-//! histograms.
+//! Per-event distributions (latencies, queue waits) go into a [`Hist`]:
+//! bounded memory however long the run. A raw series keeps one [`Sample`]
+//! per observation for as long as the `Sim` lives, so it is for what a
+//! figure plots over time (throughput timelines, per-client grant
+//! timelines) — record one only where something reads it back.
 
 use std::collections::BTreeMap;
 

@@ -19,7 +19,6 @@ use mala_rados::{ObjectId, Op, OpResult, OsdError, RadosClient};
 use mala_sim::history::Recorder;
 use mala_sim::linearize::{LogOp, LogRead, LogRet};
 use mala_sim::{Actor, Context, NodeId, Sim, SimDuration, SimTime, SpanContext, TimerHandle};
-use rand::Rng;
 
 use crate::route::SeqRouter;
 use crate::storage::{
@@ -151,8 +150,15 @@ enum Stage {
     /// Enqueued for the pipelined append path; a flush drains it into a
     /// batch. Progress is owned by the flush timer, not the watchdog.
     Queued,
-    /// Member of an in-flight batch; the batch machinery owns progress.
-    InBatch,
+    /// Member of the in-flight batch `batch` (an [`OpKind::Batch`] entry),
+    /// which owns its progress.
+    InBatch { batch: u64 },
+    /// A batch waiting for the sequencer resolve or the `GetPosBatch`
+    /// reply, under the open `zlog.grant` span of that round trip.
+    BatchGrant { span: Option<SpanContext> },
+    /// A batch waiting for its stripe-grouped `write_batch` calls, one
+    /// entry per call still in flight.
+    BatchWrite { groups: Vec<StripeWrite> },
     /// Waiting for `/zlog` mkdir.
     SetupDir,
     /// Waiting for sequencer create.
@@ -244,27 +250,14 @@ enum SealClose {
     Unknown,
 }
 
-/// One in-flight append batch: a grant round trip for the whole range,
-/// then stripe-grouped vectored writes.
-struct Batch {
-    /// Member op ids, in grant order (member `i` owns `base + i`).
-    members: Vec<u64>,
-    stage: BatchStage,
-    attempts: u32,
-    /// Pending batch watchdog timer, replaced on each re-arm.
-    watch: Option<TimerHandle>,
-    /// Open `zlog.grant` span for the in-flight grant round trip.
-    grant_span: Option<SpanContext>,
-}
-
-enum BatchStage {
-    /// Waiting for the sequencer resolve or the `GetPosBatch` reply.
-    Grant,
-    /// Waiting for the stripe-grouped `write_batch` calls.
-    Write {
-        /// Outstanding stripe groups.
-        outstanding: usize,
-    },
+/// One in-flight `write_batch` call of a batch.
+struct StripeWrite {
+    /// The RADOS request carrying it.
+    reqid: u64,
+    /// Its open `zlog.stripe_write` span.
+    span: SpanContext,
+    /// The cells it writes, as `(member index, position)`.
+    cells: Vec<(usize, u64)>,
 }
 
 #[derive(Debug, Clone)]
@@ -299,6 +292,12 @@ enum OpKind {
     CursorBatch,
     CheckTail,
     Recover,
+    /// One in-flight append batch: a grant round trip for the whole range,
+    /// then stripe-grouped vectored writes. Holds the member op ids in
+    /// grant order (member `i` owns `base + i`).
+    Batch {
+        members: Vec<u64>,
+    },
 }
 
 /// One pipelined tailing reader: discovers the tail via the sequencer,
@@ -338,12 +337,22 @@ struct Cursor {
     waiter: Option<(u64, usize)>,
 }
 
+/// Watchdog tokens (`+ op id`): below the embedded RADOS client's band
+/// (`1 << 48`).
 const TOKEN_RETRY_BASE: u64 = 1 << 32;
-/// Batch watchdog tokens: above the per-op watchdog band, below the
-/// embedded RADOS client's (`1 << 48`).
-const TOKEN_BATCH_BASE: u64 = 1 << 40;
 /// The append-queue flush-window timer.
 const TOKEN_FLUSH: u64 = 1;
+
+/// First watchdog delay; doubles per attempt up to [`RETRY_CAP`].
+const RETRY_BASE: SimDuration = SimDuration::from_millis(20);
+/// Cap on the watchdog backoff.
+const RETRY_CAP: SimDuration = SimDuration::from_secs(2);
+/// Per-op deadline (start → typed timeout failure).
+const OP_DEADLINE: SimDuration = SimDuration::from_secs(60);
+/// A batch has no deadline of its own: its members carry theirs.
+const NO_DEADLINE: SimTime = SimTime::from_micros(u64::MAX);
+/// Retry backstop: ops failing this many attempts give up.
+const MAX_ATTEMPTS: u32 = 16;
 
 /// The ZLog client actor.
 pub struct ZlogClient {
@@ -360,7 +369,7 @@ pub struct ZlogClient {
     results: HashMap<u64, AppendResult>,
     next_op: u64,
     next_seq: u64,
-    /// rados reqid → (op id) routing.
+    /// rados reqid → op id routing.
     rados_waiting: HashMap<u64, u64>,
     /// MDS reqid → op id routing.
     mds_waiting: HashMap<u64, u64>,
@@ -373,31 +382,12 @@ pub struct ZlogClient {
     /// adopted, mirroring the osdmap `retry_blocked` path — without
     /// this they'd sit out the full watchdog backoff.
     mds_blocked: Vec<u64>,
-    /// Batches in the same situation (grant round trips).
-    mds_blocked_batches: Vec<u64>,
     /// Pipelined append tuning.
     batch_cfg: BatchConfig,
     /// Ops in [`Stage::Queued`], awaiting a flush.
     append_queue: Vec<u64>,
     /// Pending flush-window timer, if the queue is non-empty.
     flush_timer: Option<TimerHandle>,
-    /// In-flight batches by id.
-    batches: HashMap<u64, Batch>,
-    next_batch: u64,
-    /// MDS reqid → batch id routing (grant round trips).
-    mds_batch_waiting: HashMap<u64, u64>,
-    /// rados reqid → (batch id, stripe group as `(member index, pos)`).
-    rados_batch_waiting: HashMap<u64, (u64, Vec<(usize, u64)>)>,
-    /// Open `zlog.stripe_write` spans by rados reqid.
-    stripe_spans: HashMap<u64, SpanContext>,
-    /// First watchdog delay; doubles per attempt, capped.
-    retry_base: SimDuration,
-    /// Cap on the watchdog backoff.
-    retry_cap: SimDuration,
-    /// Per-op deadline (start → typed timeout failure).
-    op_deadline: SimDuration,
-    /// Retry backstop: ops failing this many attempts give up.
-    max_attempts: u32,
     /// Optional op-history recorder (linearizability checking).
     history: Option<Recorder<LogOp, LogRet>>,
     /// Live tailing readers by id.
@@ -425,19 +415,9 @@ impl ZlogClient {
             mon_waiting: HashMap::new(),
             blocked_on_epoch: Vec::new(),
             mds_blocked: Vec::new(),
-            mds_blocked_batches: Vec::new(),
             batch_cfg: BatchConfig::default(),
             append_queue: Vec::new(),
             flush_timer: None,
-            batches: HashMap::new(),
-            next_batch: 1,
-            mds_batch_waiting: HashMap::new(),
-            rados_batch_waiting: HashMap::new(),
-            stripe_spans: HashMap::new(),
-            retry_base: SimDuration::from_millis(20),
-            retry_cap: SimDuration::from_secs(2),
-            op_deadline: SimDuration::from_secs(60),
-            max_attempts: 16,
             history: None,
             cursors: HashMap::new(),
             next_cursor: 1,
@@ -493,9 +473,31 @@ impl ZlogClient {
         self.results.contains_key(&op)
     }
 
+    /// Whether the client holds no work and no trace of any: no pending
+    /// op, reply route, parked entry or queued append.
+    pub fn is_idle(&self) -> bool {
+        self.ops.is_empty()
+            && self.rados_waiting.is_empty()
+            && self.mds_waiting.is_empty()
+            && self.mon_waiting.is_empty()
+            && self.blocked_on_epoch.is_empty()
+            && self.mds_blocked.is_empty()
+            && self.append_queue.is_empty()
+    }
+
     // ---- op starters ----
 
     fn begin(&mut self, ctx: &mut Context<'_>, kind: OpKind, stage: Stage) -> u64 {
+        let op = self.insert_op(ctx, kind, stage);
+        // Every op runs under a watchdog: lost replies anywhere in the
+        // chain (MDS, monitor, OSD) re-drive it with backoff instead of
+        // hanging forever.
+        self.arm_watchdog(ctx, op);
+        op
+    }
+
+    /// Enters a new op into the table, watchdog not yet armed.
+    fn insert_op(&mut self, ctx: &mut Context<'_>, kind: OpKind, stage: Stage) -> u64 {
         let op = self.next_op;
         self.next_op += 1;
         let hist = match (&self.history, log_op_of(&kind)) {
@@ -508,7 +510,7 @@ impl ZlogClient {
                 kind,
                 stage,
                 attempts: 0,
-                deadline: ctx.now() + self.op_deadline,
+                deadline: ctx.now() + OP_DEADLINE,
                 watch: None,
                 internal: false,
                 hist,
@@ -519,48 +521,26 @@ impl ZlogClient {
                 queue_span: None,
             },
         );
-        // Every op runs under a watchdog: lost replies anywhere in the
-        // chain (MDS, monitor, OSD) re-drive it with backoff instead of
-        // hanging forever.
-        self.arm_watchdog(ctx, op);
         op
     }
 
-    /// (Re-)arms the watchdog for `op` with capped exponential backoff and
-    /// jitter from the sim's seeded RNG.
+    /// (Re-)arms the watchdog for `op` — single op or batch — with capped
+    /// exponential backoff and jitter from the sim's seeded RNG.
     fn arm_watchdog(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let Some(pending) = self.ops.get(&op) else {
+        let Some(pending) = self.ops.get_mut(&op) else {
             return;
         };
-        let base = self.retry_base.as_micros().max(1);
-        let cap = self.retry_cap.as_micros().max(base);
-        let exp = base.saturating_mul(1u64 << pending.attempts.min(20));
-        let delay = exp.min(cap);
-        let jitter = ctx.rng().gen_range(0..=delay / 2);
-        let timer = ctx.set_timer(
-            SimDuration::from_micros(delay + jitter),
-            TOKEN_RETRY_BASE + op,
-        );
-        if let Some(pending) = self.ops.get_mut(&op) {
-            if let Some(old) = pending.watch.replace(timer) {
-                ctx.cancel_timer(old);
-            }
+        let delay = ctx.backoff(RETRY_BASE, RETRY_CAP, pending.attempts);
+        let timer = ctx.set_timer(delay, TOKEN_RETRY_BASE + op);
+        if let Some(old) = pending.watch.replace(timer) {
+            ctx.cancel_timer(old);
         }
     }
 
     /// Creates `/zlog/<name>` (directory + sequencer inode) if needed.
     pub fn setup(&mut self, ctx: &mut Context<'_>) -> u64 {
         let op = self.begin(ctx, OpKind::Setup, Stage::SetupDir);
-        let reqid = self.mds_reqid(op);
-        self.send_home(
-            ctx,
-            MdsMsg::Create {
-                reqid,
-                parent_path: "/".into(),
-                name: "zlog".into(),
-                ftype: FileType::Dir,
-            },
-        );
+        self.step_setup(ctx, op);
         op
     }
 
@@ -771,20 +751,7 @@ impl ZlogClient {
     pub fn recover(&mut self, ctx: &mut Context<'_>) -> u64 {
         let new_epoch = self.epoch + 1;
         let op = self.begin(ctx, OpKind::Recover, Stage::RecoverEpoch { new_epoch });
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.mon_waiting.insert(seq, op);
-        ctx.send(
-            self.config.monitor,
-            MonMsg::Submit {
-                seq,
-                updates: vec![MapUpdate::set(
-                    ZLOG_MAP,
-                    &format!("epoch.{}", self.config.name),
-                    new_epoch.to_string().into_bytes(),
-                )],
-            },
-        );
+        self.step_recover(ctx, op);
         op
     }
 
@@ -793,7 +760,7 @@ impl ZlogClient {
     /// Sends `msg` to `rank`'s node if one is known (the live map wins
     /// over the static config — after a failover the rank lives on the
     /// promoted standby's node). With the rank unroutable the message
-    /// is withheld and the owning op/batch is parked on the mdsmap:
+    /// is withheld and the owning op is parked on the mdsmap:
     /// adoption of a fresh map re-drives it immediately, and the
     /// watchdog backoff remains the backstop for lost maps.
     fn send_mds(
@@ -812,8 +779,8 @@ impl ZlogClient {
         }
     }
 
-    /// Parks the op or batch owning a withheld message on the mdsmap
-    /// (see [`ZlogClient::retry_blocked_mds`]). Messages with no reply
+    /// Parks the op owning a withheld message on the mdsmap (see
+    /// [`ZlogClient::retry_blocked_mds`]). Messages with no reply
     /// routing (fire-and-forget `SetSeqLayout`) have nothing to park.
     fn park_on_mdsmap(&mut self, msg: &MdsMsg) {
         let reqid = match msg {
@@ -825,10 +792,6 @@ impl ZlogClient {
         if let Some(&op) = self.mds_waiting.get(&reqid) {
             if !self.mds_blocked.contains(&op) {
                 self.mds_blocked.push(op);
-            }
-        } else if let Some(&id) = self.mds_batch_waiting.get(&reqid) {
-            if !self.mds_blocked_batches.contains(&id) {
-                self.mds_blocked_batches.push(id);
             }
         }
     }
@@ -842,34 +805,18 @@ impl ZlogClient {
     /// Sends sequencer traffic for `ino` to its cached authoritative
     /// rank (home until a placement is learned).
     fn send_seq(&mut self, ctx: &mut Context<'_>, ino: Ino, msg: MdsMsg) {
-        self.send_seq_spanned(ctx, ino, msg, None);
+        self.send_mds(ctx, self.router.rank_of(ino), msg, None);
     }
 
-    fn send_seq_spanned(
-        &mut self,
-        ctx: &mut Context<'_>,
-        ino: Ino,
-        msg: MdsMsg,
-        span: Option<SpanContext>,
-    ) {
-        self.send_mds(ctx, self.router.rank_of(ino), msg, span);
-    }
-
-    /// Re-drives `op` after a transient typed MDS error (frozen inode,
-    /// mid-takeover recovery, vacant rank). Those replies arrive at full
-    /// message speed, so pacing must come from us: reuse the watchdog's
-    /// capped exponential backoff (which also supersedes the old watchdog
-    /// timer) instead of a flat short delay that would burn the whole
-    /// attempt budget inside one takeover window.
-    fn retry_shortly(&mut self, ctx: &mut Context<'_>, op: u64) {
-        self.arm_watchdog(ctx, op);
-    }
-
-    /// Typed transient MDS error. `MdsUnavailable` additionally drops
-    /// every cached placement at the vacant rank (affected logs
-    /// re-resolve through home instead of hammering a dead address) and
-    /// parks the op on the mdsmap so adoption re-drives it at once; the
-    /// watchdog backoff stays armed as the backstop.
+    /// Typed transient MDS error (frozen inode, mid-takeover recovery,
+    /// vacant rank). Those replies arrive at full message speed, so
+    /// pacing must come from us: the watchdog's capped exponential
+    /// backoff is re-armed (superseding the old timer) and re-drives the
+    /// op; a flat short delay would burn the whole attempt budget inside
+    /// one takeover window. `MdsUnavailable` additionally drops every
+    /// cached placement at the vacant rank (affected logs re-resolve
+    /// through home instead of hammering a dead address) and parks the op
+    /// on the mdsmap so adoption re-drives it at once.
     fn on_mds_transient(&mut self, ctx: &mut Context<'_>, op: u64, e: &MdsError) {
         if let MdsError::MdsUnavailable { rank } = e {
             self.router.invalidate_rank(*rank);
@@ -877,7 +824,15 @@ impl ZlogClient {
                 self.mds_blocked.push(op);
             }
         }
-        self.retry_shortly(ctx, op);
+        // Kept as found: a batch pays an attempt and counts a retry for a
+        // transient reply, a single op does neither.
+        if self.is_batch(op) {
+            if !self.burn_attempt(ctx, op) {
+                return;
+            }
+            ctx.metrics().incr("zlog.retries", 1);
+        }
+        self.arm_watchdog(ctx, op);
     }
 
     /// `NotAuth { rank }` redirect (direct-mode migration): cache the
@@ -957,6 +912,26 @@ impl ZlogClient {
         let Some(pending) = self.ops.remove(&op) else {
             return;
         };
+        if let OpKind::Batch { .. } = pending.kind {
+            // Kept as found: a batch cancels its watchdog when it goes, a
+            // single op leaves its timer to fire at nothing. The digests
+            // tell the two apart.
+            if let Some(timer) = pending.watch {
+                ctx.cancel_timer(timer);
+            }
+        }
+        if let AppendResult::Err(msg) = &result {
+            // The op may die with requests out or parked: late replies
+            // must find no route.
+            self.forget_requests(op);
+            // A batch only fails before any write went out, so it takes
+            // its members with it, definitely failed.
+            if let OpKind::Batch { members } = &pending.kind {
+                for &member in members {
+                    self.fail(ctx, member, msg.clone());
+                }
+            }
+        }
         if let Some(queue) = pending.queue_span {
             ctx.span_end(queue);
         }
@@ -1013,8 +988,8 @@ impl ZlogClient {
                                 // A trim fan with any stripe outstanding may
                                 // have trimmed a prefix of the range already.
                                 Stage::TrimFan { .. } => Some(None),
-                                Stage::InBatch => self
-                                    .inflight_batch_pos(op)
+                                Stage::InBatch { batch } => self
+                                    .inflight_batch_pos(*batch, op)
                                     .map(|pos| Some(LogRet::Pos(pos))),
                                 _ => None,
                             }
@@ -1051,19 +1026,25 @@ impl ZlogClient {
         }
     }
 
-    /// Position of an in-flight batched write carrying `op`, if any: an
-    /// `InBatch` member dying mid-write is ambiguous at that position.
-    fn inflight_batch_pos(&self, op: u64) -> Option<u64> {
-        for (id, group) in self.rados_batch_waiting.values() {
-            if let Some(batch) = self.batches.get(id) {
-                for (i, pos) in group {
-                    if batch.members.get(*i) == Some(&op) {
-                        return Some(*pos);
-                    }
-                }
-            }
-        }
-        None
+    /// Position of a write of `batch` still in flight that carries `op`,
+    /// if any: an `InBatch` member dying mid-write is ambiguous at that
+    /// position.
+    fn inflight_batch_pos(&self, batch: u64, op: u64) -> Option<u64> {
+        let pending = self.ops.get(&batch)?;
+        let (OpKind::Batch { members }, Stage::BatchWrite { groups }) =
+            (&pending.kind, &pending.stage)
+        else {
+            return None;
+        };
+        groups
+            .iter()
+            .flat_map(|group| &group.cells)
+            .find(|(i, _)| members.get(*i) == Some(&op))
+            .map(|(_, pos)| *pos)
+    }
+
+    fn is_batch(&self, op: u64) -> bool {
+        matches!(self.ops.get(&op), Some(p) if matches!(p.kind, OpKind::Batch { .. }))
     }
 
     /// Closes the open probe-seal fill record on `op`, if any.
@@ -1090,7 +1071,7 @@ impl ZlogClient {
         op: u64,
         oid: ObjectId,
         method: &str,
-        input: String,
+        input: Vec<u8>,
     ) {
         let reqid = self.rados.submit(
             ctx,
@@ -1098,10 +1079,19 @@ impl ZlogClient {
             vec![Op::Call {
                 class: ZLOG_CLASS.into(),
                 method: method.into(),
-                input: input.into_bytes(),
+                input,
             }],
         );
         self.rados_waiting.insert(reqid, op);
+    }
+
+    /// Calls a per-cell class method (`read`, `fill`, `trim`,
+    /// `trim_upto`) on the stripe object holding `pos`; each takes
+    /// `epoch|pos`.
+    fn call_cell(&mut self, ctx: &mut Context<'_>, op: u64, method: &str, pos: u64) {
+        let input = format!("{}|{pos}", self.epoch).into_bytes();
+        let oid = self.stripe_oid(pos);
+        self.call_class(ctx, op, oid, method, input);
     }
 
     fn step_get_pos(&mut self, ctx: &mut Context<'_>, op: u64) {
@@ -1130,6 +1120,48 @@ impl ZlogClient {
                 reqid,
                 ino,
                 op: "next".into(),
+            },
+        );
+    }
+
+    /// (Re-)starts namespace setup from the top: mkdir/create tolerate
+    /// `Exists`, so replaying is safe.
+    fn step_setup(&mut self, ctx: &mut Context<'_>, op: u64) {
+        if let Some(p) = self.ops.get_mut(&op) {
+            p.stage = Stage::SetupDir;
+        }
+        let reqid = self.mds_reqid(op);
+        self.send_home(
+            ctx,
+            MdsMsg::Create {
+                reqid,
+                parent_path: "/".into(),
+                name: "zlog".into(),
+                ftype: FileType::Dir,
+            },
+        );
+    }
+
+    /// (Re-)starts recovery from scratch under a fresh epoch: sealing is
+    /// idempotent and the epoch only moves forward, so a half-finished
+    /// earlier attempt cannot corrupt anything.
+    fn step_recover(&mut self, ctx: &mut Context<'_>, op: u64) {
+        let new_epoch = self.epoch + 1;
+        if let Some(p) = self.ops.get_mut(&op) {
+            p.stage = Stage::RecoverEpoch { new_epoch };
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.mon_waiting.insert(seq, op);
+        ctx.send(
+            self.config.monitor,
+            MonMsg::Submit {
+                seq,
+                updates: vec![MapUpdate::set(
+                    ZLOG_MAP,
+                    &format!("epoch.{}", self.config.name),
+                    new_epoch.to_string().into_bytes(),
+                )],
             },
         );
     }
@@ -1169,22 +1201,13 @@ impl ZlogClient {
         let Some(pending) = self.ops.get(&op) else {
             return;
         };
-        let epoch = self.epoch;
-        match pending.kind.clone() {
-            OpKind::Read { pos } => {
-                let oid = self.stripe_oid(pos);
-                self.call_class(ctx, op, oid, "read", format!("{epoch}|{pos}"));
-            }
-            OpKind::Fill { pos } => {
-                let oid = self.stripe_oid(pos);
-                self.call_class(ctx, op, oid, "fill", format!("{epoch}|{pos}"));
-            }
-            OpKind::Trim { pos } => {
-                let oid = self.stripe_oid(pos);
-                self.call_class(ctx, op, oid, "trim", format!("{epoch}|{pos}"));
-            }
-            _ => {}
-        }
+        let (method, pos) = match pending.kind {
+            OpKind::Read { pos } => ("read", pos),
+            OpKind::Fill { pos } => ("fill", pos),
+            OpKind::Trim { pos } => ("trim", pos),
+            _ => return,
+        };
+        self.call_cell(ctx, op, method, pos);
     }
 
     /// The per-log checkpoint object (not a stripe: seals never touch it,
@@ -1224,8 +1247,7 @@ impl ZlogClient {
             ctx.metrics().incr("rados.read_batch_ops", 1);
             ctx.metrics()
                 .incr("rados.read_batch_positions", group.len() as u64);
-            let input = String::from_utf8_lossy(&encode_read_batch(epoch, &group)).into_owned();
-            self.call_class(ctx, op, oid, "read_batch", input);
+            self.call_class(ctx, op, oid, "read_batch", encode_read_batch(epoch, &group));
         }
     }
 
@@ -1254,10 +1276,8 @@ impl ZlogClient {
         pending.stage = Stage::TrimFan {
             outstanding: targets.len(),
         };
-        let epoch = self.epoch;
         for p in targets {
-            let oid = self.stripe_oid(p);
-            self.call_class(ctx, op, oid, "trim_upto", format!("{epoch}|{p}"));
+            self.call_cell(ctx, op, "trim_upto", p);
         }
     }
 
@@ -1268,15 +1288,14 @@ impl ZlogClient {
         let OpKind::Checkpoint { pos, blob } = pending.kind.clone() else {
             return;
         };
-        let epoch = self.epoch;
-        let input = String::from_utf8_lossy(&encode_checkpoint(epoch, pos, &blob)).into_owned();
+        let input = encode_checkpoint(self.epoch, pos, &blob);
         let oid = self.ckpt_oid();
         self.call_class(ctx, op, oid, "checkpoint", input);
     }
 
     fn step_ckpt_read(&mut self, ctx: &mut Context<'_>, op: u64) {
         let oid = self.ckpt_oid();
-        self.call_class(ctx, op, oid, "checkpoint_read", String::new());
+        self.call_class(ctx, op, oid, "checkpoint_read", Vec::new());
     }
 
     /// Records one history read per position of a vectored read op, so
@@ -1561,9 +1580,7 @@ impl ZlogClient {
         };
         pending.stage = Stage::WriteProbe { pos };
         ctx.metrics().incr("zlog.write_probes", 1);
-        let epoch = self.epoch;
-        let oid = self.stripe_oid(pos);
-        self.call_class(ctx, op, oid, "read", format!("{epoch}|{pos}"));
+        self.call_cell(ctx, op, "read", pos);
         self.arm_watchdog(ctx, op);
     }
 
@@ -1583,9 +1600,7 @@ impl ZlogClient {
             }
         }
         ctx.metrics().incr("zlog.probe_seals", 1);
-        let epoch = self.epoch;
-        let oid = self.stripe_oid(pos);
-        self.call_class(ctx, op, oid, "fill", format!("{epoch}|{pos}"));
+        self.call_cell(ctx, op, "fill", pos);
         self.arm_watchdog(ctx, op);
     }
 
@@ -1595,12 +1610,11 @@ impl ZlogClient {
         let Some(pending) = self.ops.get_mut(&op) else {
             return;
         };
-        pending.attempts += 1;
-        if pending.attempts > self.max_attempts {
-            // The old position is resolved as not-applied and no new
-            // write was issued: a definite failure.
-            pending.stage = Stage::GetPos;
-            self.fail(ctx, op, "too many retries");
+        // The old position is resolved as not-applied and no new write
+        // was issued: past the budget this is a definite failure, which
+        // is what an op dying in `GetPos` records.
+        pending.stage = Stage::GetPos;
+        if !self.burn_attempt(ctx, op) {
             return;
         }
         ctx.metrics().incr("zlog.retries", 1);
@@ -1618,19 +1632,11 @@ impl ZlogClient {
         for reqid in waiting {
             if let Some(event) = self.rados.take_completed(reqid) {
                 if let Some(op) = self.rados_waiting.remove(&reqid) {
-                    self.on_rados_done(ctx, op, event.result);
-                }
-            }
-        }
-        let mut waiting: Vec<u64> = self.rados_batch_waiting.keys().copied().collect();
-        waiting.sort_unstable();
-        for reqid in waiting {
-            if let Some(event) = self.rados.take_completed(reqid) {
-                if let Some((id, group)) = self.rados_batch_waiting.remove(&reqid) {
-                    if let Some(span) = self.stripe_spans.remove(&reqid) {
-                        ctx.span_end(span);
+                    if self.is_batch(op) {
+                        self.on_batch_write_done(ctx, op, reqid, event.result);
+                    } else {
+                        self.on_rados_done(ctx, op, event.result);
                     }
-                    self.on_batch_write_done(ctx, id, group, event.result);
                 }
             }
         }
@@ -1647,60 +1653,78 @@ impl ZlogClient {
         }
     }
 
-    /// Re-drives every op/batch parked on an unroutable MDS rank. Runs
-    /// on mdsmap adoption (mirroring the osdmap `retry_blocked` path):
-    /// the map change is progress, so no attempt is burned — without
-    /// this, an op withheld because its rank was unroutable would sit
-    /// out the full watchdog backoff after the fresh map arrived.
+    /// Re-drives every op parked on an unroutable MDS rank. Runs on
+    /// mdsmap adoption (mirroring the osdmap `retry_blocked` path): the
+    /// map change is progress, so no attempt is burned — without this,
+    /// an op withheld because its rank was unroutable would sit out the
+    /// full watchdog backoff after the fresh map arrived.
     fn retry_blocked_mds(&mut self, ctx: &mut Context<'_>) {
-        let blocked = std::mem::take(&mut self.mds_blocked);
+        let mut blocked = std::mem::take(&mut self.mds_blocked);
+        // Single ops go before batches, each in park order: the event
+        // order of every seed so far depends on it.
+        blocked.sort_by_key(|op| self.is_batch(*op));
         for op in blocked {
             if self.ops.contains_key(&op) {
                 ctx.metrics().incr("zlog.mdsmap_redrives", 1);
                 self.redrive_op(ctx, op);
             }
         }
-        let batches = std::mem::take(&mut self.mds_blocked_batches);
-        for id in batches {
-            if self.batches.contains_key(&id) {
-                ctx.metrics().incr("zlog.mdsmap_redrives", 1);
-                self.drive_batch_grant(ctx, id);
-            }
+    }
+
+    /// Charges `op` one attempt of its retry budget. Past the budget the
+    /// op fails — a batch with all its members — and `false` comes back.
+    fn burn_attempt(&mut self, ctx: &mut Context<'_>, op: u64) -> bool {
+        let Some(pending) = self.ops.get_mut(&op) else {
+            return false;
+        };
+        pending.attempts += 1;
+        if pending.attempts <= MAX_ATTEMPTS {
+            return true;
         }
+        let msg = match pending.kind {
+            OpKind::Batch { .. } => "bulk grant: too many retries",
+            _ => "too many retries",
+        };
+        self.fail_auto(ctx, op, msg);
+        false
     }
 
     fn restart_op(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let Some(pending) = self.ops.get_mut(&op) else {
-            return;
-        };
-        pending.attempts += 1;
-        if pending.attempts > self.max_attempts {
-            self.fail_auto(ctx, op, "too many retries");
+        if !self.burn_attempt(ctx, op) {
             return;
         }
-        ctx.metrics().incr("zlog.retries", 1);
+        // Kept as found: a watchdog or redirect re-drive counts as a
+        // retry for a single op, not for a batch.
+        if !self.is_batch(op) {
+            ctx.metrics().incr("zlog.retries", 1);
+        }
         self.redrive_op(ctx, op);
+    }
+
+    /// Drops every reply route and park entry of `op`.
+    fn forget_requests(&mut self, op: u64) {
+        self.blocked_on_epoch.retain(|(o, _)| *o != op);
+        self.mds_blocked.retain(|o| *o != op);
+        self.rados_waiting.retain(|_, o| *o != op);
+        self.mds_waiting.retain(|_, o| *o != op);
+        self.mon_waiting.retain(|_, o| *o != op);
     }
 
     /// Re-dispatches `op` from its current stage without touching the
     /// attempt budget (the caller decides whether the re-drive is a
     /// retry or externally-driven progress, e.g. a fresh mdsmap).
     fn redrive_op(&mut self, ctx: &mut Context<'_>, op: u64) {
-        // Drop any stale epoch-block entry and abandon outstanding
-        // requests from earlier attempts: their late replies must not be
-        // routed into the fresh attempt's state machine.
-        self.blocked_on_epoch.retain(|(o, _)| *o != op);
-        self.mds_blocked.retain(|o| *o != op);
-        self.rados_waiting.retain(|_, o| *o != op);
-        self.mds_waiting.retain(|_, o| *o != op);
-        self.mon_waiting.retain(|_, o| *o != op);
-        let Some(pending) = self.ops.get_mut(&op) else {
+        let Some(pending) = self.ops.get(&op) else {
             return;
         };
-        if matches!(pending.stage, Stage::Queued | Stage::InBatch) {
-            // Batched appends are re-driven by the flush/batch machinery,
-            // never through the single-op path (a stray restart here
-            // would double-assign the op).
+        if matches!(
+            pending.stage,
+            Stage::Queued | Stage::InBatch { .. } | Stage::BatchWrite { .. }
+        ) {
+            // Batched appends are re-driven by the flush timer and their
+            // batch, never through the single-op path (a stray restart
+            // here would double-assign the op), and a batch with writes
+            // out keeps their reply routes.
             self.arm_watchdog(ctx, op);
             return;
         }
@@ -1710,7 +1734,15 @@ impl ZlogClient {
             }
             _ => None,
         };
-        match pending.kind.clone() {
+        // Drop any stale epoch-block entry and abandon outstanding
+        // requests from earlier attempts: their late replies must not be
+        // routed into the fresh attempt's state machine (for a batch, a
+        // late duplicate grant must not double-grant).
+        self.forget_requests(op);
+        let Some(pending) = self.ops.get(&op) else {
+            return;
+        };
+        match pending.kind {
             OpKind::Append { .. } => match write_pos {
                 // A write was issued at `pos` and its fate is unknown:
                 // never abandon the position blindly (the payload may
@@ -1733,42 +1765,9 @@ impl ZlogClient {
                 }
             }
             OpKind::CheckTail => self.step_tail(ctx, op),
-            OpKind::Setup => {
-                // Idempotent: mkdir/create tolerate Exists, so replaying
-                // from the top is safe.
-                pending.stage = Stage::SetupDir;
-                let reqid = self.mds_reqid(op);
-                self.send_home(
-                    ctx,
-                    MdsMsg::Create {
-                        reqid,
-                        parent_path: "/".into(),
-                        name: "zlog".into(),
-                        ftype: FileType::Dir,
-                    },
-                );
-            }
-            OpKind::Recover => {
-                // Replay recovery from scratch under a fresh epoch: sealing
-                // is idempotent and the epoch only moves forward, so a
-                // half-finished earlier attempt cannot corrupt anything.
-                let new_epoch = self.epoch + 1;
-                pending.stage = Stage::RecoverEpoch { new_epoch };
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.mon_waiting.insert(seq, op);
-                ctx.send(
-                    self.config.monitor,
-                    MonMsg::Submit {
-                        seq,
-                        updates: vec![MapUpdate::set(
-                            ZLOG_MAP,
-                            &format!("epoch.{}", self.config.name),
-                            new_epoch.to_string().into_bytes(),
-                        )],
-                    },
-                );
-            }
+            OpKind::Batch { .. } => self.drive_batch_grant(ctx, op),
+            OpKind::Setup => self.step_setup(ctx, op),
+            OpKind::Recover => self.step_recover(ctx, op),
         }
         self.arm_watchdog(ctx, op);
     }
@@ -1796,7 +1795,7 @@ impl ZlogClient {
         // in a hot loop; a membership change clears the condition.
         if matches!(result, Err(OsdError::NoOsdsUp)) {
             ctx.metrics().incr("zlog.no_osds_up_retries", 1);
-            self.retry_shortly(ctx, op);
+            self.arm_watchdog(ctx, op);
             return;
         }
         let Some(pending) = self.ops.get_mut(&op) else {
@@ -2050,6 +2049,12 @@ impl ZlogClient {
         let Some(pending) = self.ops.get_mut(&op) else {
             return;
         };
+        // Whatever a batch's grant round trip answered, its span ends.
+        if let Stage::BatchGrant { span } = &mut pending.stage {
+            if let Some(span) = span.take() {
+                ctx.span_end(span);
+            }
+        }
         match (&mut pending.stage, msg) {
             (Stage::SetupDir, MdsMsg::Created { result, .. }) => match result {
                 Ok(_) | Err(MdsError::Exists) => {
@@ -2084,36 +2089,39 @@ impl ZlogClient {
                 Err(e) if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
                 Err(e) => self.fail(ctx, op, format!("create sequencer failed: {e}")),
             },
-            (Stage::ResolveSeq, MdsMsg::Resolved { result, .. }) => match result {
-                Ok((ino, rank)) => {
-                    self.seq_ino = Some(ino);
-                    // The resolve carries the authoritative rank: route
-                    // sequencer traffic straight there.
-                    self.router.learn(ino, rank);
-                    let kind = pending.kind.clone();
-                    self.register_layout(ctx, ino);
-                    match kind {
-                        OpKind::Setup => {
-                            self.finish(ctx, op, AppendResult::Ok(ZlogOut::SetUp(ino)))
+            (Stage::ResolveSeq | Stage::BatchGrant { .. }, MdsMsg::Resolved { result, .. }) => {
+                match result {
+                    Ok((ino, rank)) => {
+                        self.seq_ino = Some(ino);
+                        // The resolve carries the authoritative rank: route
+                        // sequencer traffic straight there.
+                        self.router.learn(ino, rank);
+                        let kind = pending.kind.clone();
+                        self.register_layout(ctx, ino);
+                        match kind {
+                            OpKind::Setup => {
+                                self.finish(ctx, op, AppendResult::Ok(ZlogOut::SetUp(ino)))
+                            }
+                            OpKind::Append { .. } => self.step_get_pos(ctx, op),
+                            OpKind::CheckTail => self.step_tail(ctx, op),
+                            OpKind::Batch { .. } => self.redrive_op(ctx, op),
+                            _ => {}
                         }
-                        OpKind::Append { .. } => self.step_get_pos(ctx, op),
-                        OpKind::CheckTail => self.step_tail(ctx, op),
-                        _ => {}
                     }
+                    Err(e) if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
+                    Err(e) => self.fail(ctx, op, format!("sequencer resolve failed: {e}")),
                 }
-                Err(e) if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
-                Err(e) => self.fail(ctx, op, format!("sequencer resolve failed: {e}")),
-            },
+            }
             (Stage::GetPos, MdsMsg::TypeOpReply { result, .. }) => match result {
                 Ok(pos) => {
                     let OpKind::Append { data } = pending.kind.clone() else {
                         return;
                     };
                     pending.stage = Stage::Write { pos };
-                    let epoch = self.epoch;
+                    let mut input = format!("{}|{pos}|", self.epoch).into_bytes();
+                    input.extend_from_slice(&data);
                     let oid = self.stripe_oid(pos);
-                    let payload = String::from_utf8_lossy(&data).into_owned();
-                    self.call_class(ctx, op, oid, "write", format!("{epoch}|{pos}|{payload}"));
+                    self.call_class(ctx, op, oid, "write", input);
                 }
                 Err(MdsError::NotAuth { rank }) => self.on_redirect(ctx, op, rank),
                 Err(e) if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
@@ -2181,6 +2189,12 @@ impl ZlogClient {
                     Err(e) => self.fail(ctx, op, format!("resolve during recovery failed: {e}")),
                 }
             }
+            (Stage::BatchGrant { .. }, MdsMsg::TypeOpReply { result, .. }) => match result {
+                Ok(base) => self.launch_batch_writes(ctx, op, base),
+                Err(MdsError::NotAuth { rank }) => self.on_redirect(ctx, op, rank),
+                Err(e) if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
+                Err(e) => self.fail(ctx, op, format!("bulk grant failed: {e}")),
+            },
             _ => {}
         }
     }
@@ -2204,219 +2218,84 @@ impl ZlogClient {
         self.epoch = self.epoch.max(new_epoch);
         for i in 0..u64::from(width) {
             let oid = self.stripe_oid(i);
-            self.call_class(ctx, op, oid, "seal", format!("{new_epoch}"));
+            self.call_class(ctx, op, oid, "seal", new_epoch.to_string().into_bytes());
         }
     }
 
     // ---- pipelined append batches ----
+    //
+    // A batch is an entry of `ops` like any other: the watchdog, redirect,
+    // transient, park and conclude paths above drive it. Only what a batch
+    // does that a single op does not lives here.
 
     fn start_batch(&mut self, ctx: &mut Context<'_>, members: Vec<u64>) {
-        let id = self.next_batch;
-        self.next_batch += 1;
-        for &op in &members {
-            if let Some(p) = self.ops.get_mut(&op) {
-                p.stage = Stage::InBatch;
+        // Inserted unarmed (the grant drive below arms the watchdog; a
+        // second arm would draw from the RNG once more) and empty: the
+        // members move in once they carry the batch's id.
+        let kind = OpKind::Batch {
+            members: Vec::new(),
+        };
+        let id = self.insert_op(ctx, kind, Stage::BatchGrant { span: None });
+        for op in &members {
+            if let Some(p) = self.ops.get_mut(op) {
+                p.stage = Stage::InBatch { batch: id };
                 if let Some(queue) = p.queue_span.take() {
                     ctx.span_end(queue);
                 }
             }
         }
-        self.batches.insert(
-            id,
-            Batch {
-                members,
-                stage: BatchStage::Grant,
-                attempts: 0,
-                watch: None,
-                grant_span: None,
-            },
-        );
-        self.drive_batch_grant(ctx, id);
+        if let Some(batch) = self.ops.get_mut(&id) {
+            batch.kind = OpKind::Batch { members };
+            batch.internal = true;
+            batch.deadline = NO_DEADLINE;
+        }
+        self.redrive_op(ctx, id);
     }
 
     /// (Re-)sends the batch's grant round trip: a sequencer resolve if
     /// the inode is unknown, else `GetPosBatch` for the live member
-    /// count. Supersedes any earlier grant reqid so a late duplicate
-    /// reply cannot double-grant.
+    /// count. Runs under [`ZlogClient::redrive_op`], which has dropped
+    /// the earlier grant's reply route and arms the watchdog after.
     fn drive_batch_grant(&mut self, ctx: &mut Context<'_>, id: u64) {
-        self.mds_batch_waiting.retain(|_, b| *b != id);
-        let Some(batch) = self.batches.get(&id) else {
+        let Some(OpKind::Batch { members }) = self.ops.get(&id).map(|p| &p.kind) else {
             return;
         };
         // Members may have died (op deadline) while the batch waited.
-        let live: Vec<u64> = batch
-            .members
+        let live: Vec<u64> = members
             .iter()
             .copied()
             .filter(|o| self.ops.contains_key(o))
             .collect();
         if live.is_empty() {
-            self.remove_batch(ctx, id);
+            self.finish(ctx, id, AppendResult::Ok(ZlogOut::Done));
             return;
         }
         let n = live.len() as u64;
         // The grant round trip is traced under the first member's append
         // span; the MDS parents its own work beneath it via the wire.
-        let parent = live
-            .first()
-            .and_then(|op| self.ops.get(op))
-            .and_then(|p| p.span);
+        let parent = self.ops.get(&live[0]).and_then(|p| p.span);
         let span = ctx.span_start("zlog.grant", parent);
         ctx.span_tag(span, "members", &n.to_string());
-        if let Some(batch) = self.batches.get_mut(&id) {
-            batch.members = live;
-            batch.stage = BatchStage::Grant;
-            batch.grant_span = Some(span);
+        if let Some(batch) = self.ops.get_mut(&id) {
+            batch.kind = OpKind::Batch { members: live };
+            batch.stage = Stage::BatchGrant { span: Some(span) };
         }
-        // Bulk grants re-assert the layout too (see `step_get_pos`).
-        if let Some(ino) = self.seq_ino {
-            self.register_layout(ctx, ino);
-        }
-        let reqid = self.next_seq;
-        self.next_seq += 1;
-        self.mds_batch_waiting.insert(reqid, id);
         match self.seq_ino {
-            // Grants go to the sequencer's cached authoritative rank;
-            // the resolve that discovers it goes to home.
+            // Grants go to the sequencer's cached authoritative rank and
+            // re-assert the layout too (see `step_get_pos`); the resolve
+            // that discovers the rank goes to home.
             Some(ino) => {
-                self.send_seq_spanned(ctx, ino, MdsMsg::get_pos_batch(reqid, ino, n), Some(span))
+                self.register_layout(ctx, ino);
+                let reqid = self.mds_reqid(id);
+                let rank = self.router.rank_of(ino);
+                self.send_mds(ctx, rank, MdsMsg::get_pos_batch(reqid, ino, n), Some(span));
             }
             None => {
-                let msg = MdsMsg::Resolve {
-                    reqid,
-                    path: format!("/zlog/{}", self.config.name),
-                };
+                let reqid = self.mds_reqid(id);
+                let path = format!("/zlog/{}", self.config.name);
                 let home = self.router.home_rank();
-                self.send_mds(ctx, home, msg, Some(span));
+                self.send_mds(ctx, home, MdsMsg::Resolve { reqid, path }, Some(span));
             }
-        }
-        self.arm_batch_watchdog(ctx, id);
-    }
-
-    /// (Re-)arms the batch watchdog with the same capped exponential
-    /// backoff the per-op watchdog uses.
-    fn arm_batch_watchdog(&mut self, ctx: &mut Context<'_>, id: u64) {
-        let Some(batch) = self.batches.get(&id) else {
-            return;
-        };
-        let base = self.retry_base.as_micros().max(1);
-        let cap = self.retry_cap.as_micros().max(base);
-        let exp = base.saturating_mul(1u64 << batch.attempts.min(20));
-        let delay = exp.min(cap);
-        let jitter = ctx.rng().gen_range(0..=delay / 2);
-        let timer = ctx.set_timer(
-            SimDuration::from_micros(delay + jitter),
-            TOKEN_BATCH_BASE + id,
-        );
-        if let Some(batch) = self.batches.get_mut(&id) {
-            if let Some(old) = batch.watch.replace(timer) {
-                ctx.cancel_timer(old);
-            }
-        }
-    }
-
-    /// Transient grant failure (frozen / recovering / vacant rank / lost
-    /// reply): back off and re-drive, like `retry_shortly` for ops.
-    fn batch_retry(&mut self, ctx: &mut Context<'_>, id: u64) {
-        let Some(batch) = self.batches.get_mut(&id) else {
-            return;
-        };
-        batch.attempts += 1;
-        if batch.attempts > self.max_attempts {
-            self.fail_batch(ctx, id, "bulk grant: too many retries");
-            return;
-        }
-        ctx.metrics().incr("zlog.retries", 1);
-        self.arm_batch_watchdog(ctx, id);
-    }
-
-    /// Batch-side twin of [`ZlogClient::on_mds_transient`].
-    fn on_batch_transient(&mut self, ctx: &mut Context<'_>, id: u64, e: &MdsError) {
-        if let MdsError::MdsUnavailable { rank } = e {
-            self.router.invalidate_rank(*rank);
-            if !self.mds_blocked_batches.contains(&id) {
-                self.mds_blocked_batches.push(id);
-            }
-        }
-        self.batch_retry(ctx, id);
-    }
-
-    /// Batch-side twin of [`ZlogClient::on_redirect`]: cache the new
-    /// placement and re-send the grant immediately (one attempt burned
-    /// bounds migration ping-pong).
-    fn on_batch_redirect(&mut self, ctx: &mut Context<'_>, id: u64, rank: u32) {
-        ctx.metrics().incr("zlog.redirects", 1);
-        if let Some(ino) = self.seq_ino {
-            self.router.learn(ino, rank);
-        }
-        let Some(batch) = self.batches.get_mut(&id) else {
-            return;
-        };
-        batch.attempts += 1;
-        if batch.attempts > self.max_attempts {
-            self.fail_batch(ctx, id, "bulk grant: too many retries");
-            return;
-        }
-        self.drive_batch_grant(ctx, id);
-    }
-
-    fn fail_batch(&mut self, ctx: &mut Context<'_>, id: u64, msg: impl Into<String>) {
-        let msg = msg.into();
-        if let Some(batch) = self.batches.get(&id) {
-            for op in batch.members.clone() {
-                if self.ops.contains_key(&op) {
-                    self.fail(ctx, op, msg.clone());
-                }
-            }
-        }
-        self.remove_batch(ctx, id);
-    }
-
-    fn remove_batch(&mut self, ctx: &mut Context<'_>, id: u64) {
-        if let Some(batch) = self.batches.remove(&id) {
-            if let Some(timer) = batch.watch {
-                ctx.cancel_timer(timer);
-            }
-        }
-        self.mds_blocked_batches.retain(|b| *b != id);
-        self.mds_batch_waiting.retain(|_, b| *b != id);
-        let stale: Vec<u64> = self
-            .rados_batch_waiting
-            .iter()
-            .filter(|(_, (b, _))| *b == id)
-            .map(|(reqid, _)| *reqid)
-            .collect();
-        for reqid in stale {
-            self.rados_batch_waiting.remove(&reqid);
-            self.stripe_spans.remove(&reqid);
-        }
-    }
-
-    fn on_batch_mds_reply(&mut self, ctx: &mut Context<'_>, id: u64, msg: MdsMsg) {
-        let Some(batch) = self.batches.get_mut(&id) else {
-            return;
-        };
-        if let Some(span) = batch.grant_span.take() {
-            ctx.span_end(span);
-        }
-        match msg {
-            MdsMsg::Resolved { result, .. } => match result {
-                Ok((ino, rank)) => {
-                    self.seq_ino = Some(ino);
-                    self.router.learn(ino, rank);
-                    self.register_layout(ctx, ino);
-                    self.drive_batch_grant(ctx, id);
-                }
-                Err(e) if e.is_retryable() => self.on_batch_transient(ctx, id, &e),
-                Err(e) => self.fail_batch(ctx, id, format!("sequencer resolve failed: {e}")),
-            },
-            MdsMsg::TypeOpReply { result, .. } => match result {
-                Ok(base) => self.launch_batch_writes(ctx, id, base),
-                Err(MdsError::NotAuth { rank }) => self.on_batch_redirect(ctx, id, rank),
-                Err(e) if e.is_retryable() => self.on_batch_transient(ctx, id, &e),
-                Err(e) => self.fail_batch(ctx, id, format!("bulk grant failed: {e}")),
-            },
-            _ => {}
         }
     }
 
@@ -2425,26 +2304,20 @@ impl ZlogClient {
     /// every same-stripe member rides one RADOS transaction (and one OSD
     /// journal group-commit).
     fn launch_batch_writes(&mut self, ctx: &mut Context<'_>, id: u64, base: u64) {
-        let Some(batch) = self.batches.get(&id) else {
+        let Some(OpKind::Batch { members }) = self.ops.get(&id).map(|p| p.kind.clone()) else {
             return;
         };
-        let members = batch.members.clone();
         let width = u64::from(self.config.stripe_width).max(1);
-        let now = ctx.now();
         ctx.metrics().incr("zlog.pos_grants", 1);
-        ctx.metrics()
-            .observe("zlog.batch.occupancy", now, members.len() as f64);
         // Round trips the bulk grant saved over position-at-a-time.
-        ctx.metrics()
-            .observe("zlog.batch.grants_saved", now, (members.len() - 1) as f64);
         ctx.metrics()
             .incr("zlog.grants_saved", members.len() as u64 - 1);
         // Deterministic stripe order keeps the event trace seed-stable.
-        let mut groups: BTreeMap<u64, Vec<(usize, u64)>> = BTreeMap::new();
+        let mut by_stripe: BTreeMap<u64, Vec<(usize, u64)>> = BTreeMap::new();
         for (i, &op) in members.iter().enumerate() {
             let pos = base + i as u64;
             if self.ops.contains_key(&op) {
-                groups.entry(pos % width).or_default().push((i, pos));
+                by_stripe.entry(pos % width).or_default().push((i, pos));
             } else {
                 // The member died while the grant was in flight: its cell
                 // would stay a hole nobody owns. Junk-fill it now.
@@ -2452,30 +2325,22 @@ impl ZlogClient {
             }
         }
         let epoch = self.epoch;
-        let mut outstanding = 0;
-        for group in groups.into_values() {
-            let entries: Vec<(u64, Vec<u8>)> = group
+        let mut groups = Vec::with_capacity(by_stripe.len());
+        for cells in by_stripe.into_values() {
+            let entries: Vec<(u64, &[u8])> = cells
                 .iter()
-                .filter_map(|(i, pos)| {
-                    let pending = self.ops.get(&members[*i])?;
-                    let OpKind::Append { data } = &pending.kind else {
-                        return None;
-                    };
-                    Some((*pos, data.clone()))
+                .filter_map(|(i, pos)| match &self.ops.get(&members[*i])?.kind {
+                    OpKind::Append { data } => Some((*pos, data.as_slice())),
+                    _ => None,
                 })
                 .collect();
-            let borrowed: Vec<(u64, &[u8])> =
-                entries.iter().map(|(p, d)| (*p, d.as_slice())).collect();
-            let input = encode_write_batch(epoch, &borrowed);
-            let oid = self.stripe_oid(entries[0].0);
+            let input = encode_write_batch(epoch, &entries);
+            let oid = self.stripe_oid(cells[0].1);
             // One stripe-write span per vectored call, parented under the
             // first member's append; the rados.op rides beneath it.
-            let parent = group
-                .first()
-                .and_then(|(i, _)| self.ops.get(&members[*i]))
-                .and_then(|p| p.span);
-            let wspan = ctx.span_start("zlog.stripe_write", parent);
-            ctx.span_tag(wspan, "entries", &group.len().to_string());
+            let parent = self.ops.get(&members[cells[0].0]).and_then(|p| p.span);
+            let span = ctx.span_start("zlog.stripe_write", parent);
+            ctx.span_tag(span, "entries", &cells.len().to_string());
             let reqid = self.rados.submit_spanned(
                 ctx,
                 oid,
@@ -2484,20 +2349,19 @@ impl ZlogClient {
                     method: "write_batch".into(),
                     input,
                 }],
-                Some(wspan),
+                Some(span),
             );
-            self.rados_batch_waiting.insert(reqid, (id, group));
-            self.stripe_spans.insert(reqid, wspan);
-            outstanding += 1;
+            self.rados_waiting.insert(reqid, id);
+            groups.push(StripeWrite { reqid, span, cells });
         }
-        if outstanding == 0 {
-            self.remove_batch(ctx, id);
+        if groups.is_empty() {
+            self.finish(ctx, id, AppendResult::Ok(ZlogOut::Done));
             return;
         }
-        if let Some(batch) = self.batches.get_mut(&id) {
-            batch.stage = BatchStage::Write { outstanding };
+        if let Some(batch) = self.ops.get_mut(&id) {
+            batch.stage = Stage::BatchWrite { groups };
         }
-        self.arm_batch_watchdog(ctx, id);
+        self.arm_watchdog(ctx, id);
     }
 
     /// One stripe group of a batch completed. Success finishes every
@@ -2512,26 +2376,31 @@ impl ZlogClient {
         &mut self,
         ctx: &mut Context<'_>,
         id: u64,
-        group: Vec<(usize, u64)>,
+        reqid: u64,
         result: Result<Vec<OpResult>, OsdError>,
     ) {
-        let Some(batch) = self.batches.get_mut(&id) else {
+        let Some(batch) = self.ops.get_mut(&id) else {
             return;
         };
-        if let BatchStage::Write { outstanding } = &mut batch.stage {
-            *outstanding = outstanding.saturating_sub(1);
-        }
-        let members = batch.members.clone();
+        let (OpKind::Batch { members }, Stage::BatchWrite { groups }) =
+            (&batch.kind, &mut batch.stage)
+        else {
+            return;
+        };
+        let Some(at) = groups.iter().position(|group| group.reqid == reqid) else {
+            return;
+        };
+        let StripeWrite { span, cells, .. } = groups.swap_remove(at);
+        let last = groups.is_empty();
+        let members = members.clone();
+        ctx.span_end(span);
         match result {
             Ok(_) => {
                 ctx.metrics().incr("zlog.batch_writes", 1);
                 ctx.metrics()
-                    .incr("zlog.coalesced_entries", group.len() as u64);
-                for (i, pos) in group {
-                    let op = members[i];
-                    if self.ops.contains_key(&op) {
-                        self.finish(ctx, op, AppendResult::Ok(ZlogOut::Pos(pos)));
-                    }
+                    .incr("zlog.coalesced_entries", cells.len() as u64);
+                for (i, pos) in cells {
+                    self.finish(ctx, members[i], AppendResult::Ok(ZlogOut::Pos(pos)));
                 }
             }
             Err(OsdError::Timeout) => {
@@ -2542,7 +2411,7 @@ impl ZlogClient {
                 // op wrote. Each member resolves its own granted
                 // position through the probe/seal protocol and only then
                 // retries at a fresh one.
-                for (i, pos) in group {
+                for (i, pos) in cells {
                     let op = members[i];
                     if self.ops.contains_key(&op) {
                         self.enter_write_probe(ctx, op, pos);
@@ -2558,28 +2427,24 @@ impl ZlogClient {
                 // validates the whole vector before applying anything):
                 // nothing landed, so re-enqueueing for a fresh grant and
                 // junk-filling the abandoned cells is safe.
-                if let OsdError::Class(ce) = &err {
-                    if ce.code == -116 {
-                        ctx.metrics().incr("zlog.estale_retries", 1);
-                        ctx.send(
-                            self.config.monitor,
-                            MonMsg::Get {
-                                map: ZLOG_MAP.to_string(),
-                            },
-                        );
-                    }
+                if matches!(&err, OsdError::Class(ce) if ce.code == -116) {
+                    ctx.metrics().incr("zlog.estale_retries", 1);
+                    ctx.send(
+                        self.config.monitor,
+                        MonMsg::Get {
+                            map: ZLOG_MAP.to_string(),
+                        },
+                    );
                 }
-                let retry: Vec<u64> = group.iter().map(|(i, _)| members[*i]).collect();
+                let retry: Vec<u64> = cells.iter().map(|(i, _)| members[*i]).collect();
                 self.requeue_members(ctx, &retry);
-                for (_, pos) in &group {
-                    self.spawn_hole_fill(ctx, *pos);
+                for (_, pos) in cells {
+                    self.spawn_hole_fill(ctx, pos);
                 }
             }
         }
-        if let Some(batch) = self.batches.get(&id) {
-            if matches!(batch.stage, BatchStage::Write { outstanding: 0 }) {
-                self.remove_batch(ctx, id);
-            }
+        if last {
+            self.finish(ctx, id, AppendResult::Ok(ZlogOut::Done));
         }
     }
 
@@ -2588,14 +2453,12 @@ impl ZlogClient {
     /// (and gives an in-flight epoch refresh time to land).
     fn requeue_members(&mut self, ctx: &mut Context<'_>, members: &[u64]) {
         for &op in members {
+            if !self.burn_attempt(ctx, op) {
+                continue;
+            }
             let Some(pending) = self.ops.get_mut(&op) else {
                 continue;
             };
-            pending.attempts += 1;
-            if pending.attempts > self.max_attempts {
-                self.fail_auto(ctx, op, "too many retries");
-                continue;
-            }
             pending.stage = Stage::Queued;
             let root = pending.span;
             pending.queue_span = Some(ctx.span_start("zlog.queue", root));
@@ -2614,25 +2477,6 @@ impl ZlogClient {
             pending.internal = true;
         }
         self.step_storage_simple(ctx, op);
-    }
-
-    fn on_batch_watchdog(&mut self, ctx: &mut Context<'_>, id: u64) {
-        let Some(batch) = self.batches.get_mut(&id) else {
-            return;
-        };
-        match batch.stage {
-            BatchStage::Grant => {
-                batch.attempts += 1;
-                if batch.attempts > self.max_attempts {
-                    self.fail_batch(ctx, id, "bulk grant: too many retries");
-                    return;
-                }
-                self.drive_batch_grant(ctx, id);
-            }
-            // Writes complete through the embedded RADOS client's own
-            // retransmit/timeout machinery; just keep the backstop armed.
-            BatchStage::Write { .. } => self.arm_batch_watchdog(ctx, id),
-        }
     }
 }
 
@@ -2662,8 +2506,6 @@ impl Actor for ZlogClient {
                 if let Some(reqid) = reqid {
                     if let Some(op) = self.mds_waiting.remove(&reqid) {
                         self.on_mds_reply(ctx, op, *mds);
-                    } else if let Some(id) = self.mds_batch_waiting.remove(&reqid) {
-                        self.on_batch_mds_reply(ctx, id, *mds);
                     }
                 }
                 return;
@@ -2761,10 +2603,6 @@ impl Actor for ZlogClient {
             self.drain_rados(ctx);
             return;
         }
-        if token >= TOKEN_BATCH_BASE {
-            self.on_batch_watchdog(ctx, token - TOKEN_BATCH_BASE);
-            return;
-        }
         if token >= TOKEN_RETRY_BASE {
             let op = token - TOKEN_RETRY_BASE;
             let Some(pending) = self.ops.get(&op) else {
@@ -2777,9 +2615,13 @@ impl Actor for ZlogClient {
             }
             match pending.stage {
                 // Queued / batched appends progress through the flush
-                // timer and the batch machinery; their per-op watchdog
-                // only enforces the deadline.
-                Stage::Queued | Stage::InBatch => self.arm_watchdog(ctx, op),
+                // timer and their batch, and a batch's writes through the
+                // embedded RADOS client's own retransmit/timeout
+                // machinery: the watchdog only enforces the deadline and
+                // stays armed as the backstop.
+                Stage::Queued | Stage::InBatch { .. } | Stage::BatchWrite { .. } => {
+                    self.arm_watchdog(ctx, op)
+                }
                 _ => self.restart_op(ctx, op),
             }
             return;
@@ -2808,7 +2650,8 @@ fn log_op_of(kind: &OpKind) -> Option<LogOp> {
         | OpKind::CheckpointRead
         | OpKind::CursorBatch
         | OpKind::Setup
-        | OpKind::Recover => None,
+        | OpKind::Recover
+        | OpKind::Batch { .. } => None,
     }
 }
 

@@ -12,7 +12,7 @@ use mala_mds::{MdsConfig, MdsMapView, MdsMsg, NoBalancer, ServeStyle};
 use mala_rados::{Osd, OsdConfig, OsdMapView, PoolInfo};
 use mala_sim::history::Recorder;
 use mala_sim::linearize::{check_shared_log, LogOp, LogRet};
-use mala_sim::{NodeId, Sim, SimDuration};
+use mala_sim::{Context, NodeId, Sim, SimDuration};
 use mala_zlog::log::{run_op, ZlogOut};
 use mala_zlog::{zlog_interface_update, AppendResult, ZlogClient, ZlogConfig};
 use proptest::prelude::*;
@@ -92,14 +92,30 @@ fn build(log: &str, ranks: u32, seed: u64) -> Sim {
     sim
 }
 
-fn append(sim: &mut Sim, node: NodeId, data: &str) -> u64 {
+/// How a test issues an append: the routing regressions run once per
+/// path, since a batch's grant goes through the same redirect, park and
+/// re-drive code as a single op's.
+type Submit = fn(&mut ZlogClient, &mut Context<'_>, Vec<u8>) -> u64;
+
+/// The single-op path, and the pipelined one (a batch of one once the
+/// flush window elapses).
+const PATHS: [(&str, Submit); 2] = [
+    ("append", ZlogClient::append),
+    ("append_async", ZlogClient::append_async),
+];
+
+fn append_via(sim: &mut Sim, node: NodeId, submit: Submit, data: &str) -> u64 {
     let data = data.as_bytes().to_vec();
     match run_op(sim, node, SimDuration::from_secs(10), move |c, ctx| {
-        c.append(ctx, data)
+        submit(c, ctx, data)
     }) {
         AppendResult::Ok(ZlogOut::Pos(p)) => p,
         other => panic!("append failed: {other:?}"),
     }
+}
+
+fn append(sim: &mut Sim, node: NodeId, data: &str) -> u64 {
+    append_via(sim, node, ZlogClient::append, data)
 }
 
 fn export(sim: &mut Sim, node: NodeId, target: u32) {
@@ -122,29 +138,36 @@ fn export(sim: &mut Sim, node: NodeId, target: u32) {
 /// goes straight to the new rank — no per-op redirect tax.
 #[test]
 fn appends_follow_sequencer_exports_via_redirects() {
-    let mut sim = build("mig0", 2, 23);
-    assert_eq!(append(&mut sim, CLIENT_A, "pre"), 0);
-    export(&mut sim, CLIENT_A, 1);
-    sim.run_for(SimDuration::from_secs(1));
-    assert_eq!(append(&mut sim, CLIENT_A, "post"), 1);
-    let redirects = sim.metrics().counter("zlog.redirects");
-    assert!(redirects >= 1, "export must redirect the stale client");
-    assert_eq!(
-        sim.actor::<ZlogClient>(CLIENT_A)
-            .router()
-            .rank_of(sim.actor::<ZlogClient>(CLIENT_A).seq_ino().unwrap()),
-        1,
-        "placement learned from the redirect"
-    );
-    // Steady state: later appends hit the new rank directly.
-    for i in 2..6u64 {
-        assert_eq!(append(&mut sim, CLIENT_A, &format!("e{i}")), i);
+    for (path, submit) in PATHS {
+        let mut sim = build("mig0", 2, 23);
+        assert_eq!(append_via(&mut sim, CLIENT_A, submit, "pre"), 0, "{path}");
+        export(&mut sim, CLIENT_A, 1);
+        sim.run_for(SimDuration::from_secs(1));
+        assert_eq!(append_via(&mut sim, CLIENT_A, submit, "post"), 1, "{path}");
+        let redirects = sim.metrics().counter("zlog.redirects");
+        assert!(
+            redirects >= 1,
+            "{path}: export must redirect the stale client"
+        );
+        assert_eq!(
+            sim.actor::<ZlogClient>(CLIENT_A)
+                .router()
+                .rank_of(sim.actor::<ZlogClient>(CLIENT_A).seq_ino().unwrap()),
+            1,
+            "{path}: placement learned from the redirect"
+        );
+        // Steady state: later appends hit the new rank directly.
+        for i in 2..6u64 {
+            let pos = append_via(&mut sim, CLIENT_A, submit, &format!("e{i}"));
+            assert_eq!(pos, i, "{path}");
+        }
+        assert_eq!(
+            sim.metrics().counter("zlog.redirects"),
+            redirects,
+            "{path}: no redirect tax once the placement is cached"
+        );
+        assert!(sim.actor::<ZlogClient>(CLIENT_A).is_idle(), "{path}");
     }
-    assert_eq!(
-        sim.metrics().counter("zlog.redirects"),
-        redirects,
-        "no redirect tax once the placement is cached"
-    );
 }
 
 /// Satellite 1 regression: a `Changed` notification at (or below) the
@@ -199,51 +222,58 @@ fn stale_mdsmap_changed_skips_full_map_fetch() {
 /// mdsmap is adopted — mirroring the osdmap `retry_blocked` path.
 #[test]
 fn blocked_ops_redrive_when_mdsmap_recovers() {
-    let mut sim = build("mig2", 2, 23);
-    append(&mut sim, CLIENT_A, "pre");
-    export(&mut sim, CLIENT_A, 1);
-    sim.run_for(SimDuration::from_secs(1));
-    // Placement is now rank 1. Take rank 1 down in the map; the client
-    // only knows rank 0 statically, so rank 1 becomes unroutable.
-    append(&mut sim, CLIENT_A, "learn");
-    sim.inject(
-        MON,
-        MonMsg::Submit {
-            seq: 2,
-            updates: vec![MdsMapView::update_rank(1, MDS1, false)],
-        },
-    );
-    sim.run_for(SimDuration::from_secs(1));
-    let op = sim.with_actor::<ZlogClient, _>(CLIENT_A, |c, ctx| c.append(ctx, b"stalled".to_vec()));
-    sim.run_for(SimDuration::from_millis(300));
-    assert!(
-        !sim.actor::<ZlogClient>(CLIENT_A).is_done(op),
-        "append cannot finish while its rank is unroutable"
-    );
-    assert!(
-        sim.metrics().counter("zlog.mds_unroutable") >= 1,
-        "the op must park, not spin"
-    );
-    // The rank returns: adoption of the new map re-drives parked ops.
-    sim.inject(
-        MON,
-        MonMsg::Submit {
-            seq: 3,
-            updates: vec![MdsMapView::update_rank(1, MDS1, true)],
-        },
-    );
-    let deadline = sim.now() + SimDuration::from_secs(10);
-    let done = sim.run_until_pred(deadline, |s| s.actor::<ZlogClient>(CLIENT_A).is_done(op));
-    assert!(done, "parked append must resume after mdsmap adoption");
-    let res = sim.actor_mut::<ZlogClient>(CLIENT_A).take_result(op);
-    assert!(
-        matches!(res, Some(AppendResult::Ok(ZlogOut::Pos(2)))),
-        "{res:?}"
-    );
-    assert!(
-        sim.metrics().counter("zlog.mdsmap_redrives") >= 1,
-        "re-drive must come from map adoption, not watchdog luck"
-    );
+    for (path, submit) in PATHS {
+        let mut sim = build("mig2", 2, 23);
+        append_via(&mut sim, CLIENT_A, submit, "pre");
+        export(&mut sim, CLIENT_A, 1);
+        sim.run_for(SimDuration::from_secs(1));
+        // Placement is now rank 1. Take rank 1 down in the map; the client
+        // only knows rank 0 statically, so rank 1 becomes unroutable.
+        append_via(&mut sim, CLIENT_A, submit, "learn");
+        sim.inject(
+            MON,
+            MonMsg::Submit {
+                seq: 2,
+                updates: vec![MdsMapView::update_rank(1, MDS1, false)],
+            },
+        );
+        sim.run_for(SimDuration::from_secs(1));
+        let op =
+            sim.with_actor::<ZlogClient, _>(CLIENT_A, |c, ctx| submit(c, ctx, b"stalled".to_vec()));
+        sim.run_for(SimDuration::from_millis(300));
+        assert!(
+            !sim.actor::<ZlogClient>(CLIENT_A).is_done(op),
+            "{path}: append cannot finish while its rank is unroutable"
+        );
+        assert!(
+            sim.metrics().counter("zlog.mds_unroutable") >= 1,
+            "{path}: the op must park, not spin"
+        );
+        // The rank returns: adoption of the new map re-drives parked ops.
+        sim.inject(
+            MON,
+            MonMsg::Submit {
+                seq: 3,
+                updates: vec![MdsMapView::update_rank(1, MDS1, true)],
+            },
+        );
+        let deadline = sim.now() + SimDuration::from_secs(10);
+        let done = sim.run_until_pred(deadline, |s| s.actor::<ZlogClient>(CLIENT_A).is_done(op));
+        assert!(
+            done,
+            "{path}: parked append must resume after mdsmap adoption"
+        );
+        let res = sim.actor_mut::<ZlogClient>(CLIENT_A).take_result(op);
+        assert!(
+            matches!(res, Some(AppendResult::Ok(ZlogOut::Pos(2)))),
+            "{path}: {res:?}"
+        );
+        assert!(
+            sim.metrics().counter("zlog.mdsmap_redrives") >= 1,
+            "{path}: re-drive must come from map adoption, not watchdog luck"
+        );
+        assert!(sim.actor::<ZlogClient>(CLIENT_A).is_idle(), "{path}");
+    }
 }
 
 /// Drives `rounds` rounds of two concurrent appends (one per client)

@@ -308,6 +308,8 @@ fn pipelined_appends_amortize_grants_and_read_back() {
     let writes = sim.metrics().counter("zlog.batch_writes");
     assert!(writes < N as u64, "writes not coalesced: {writes}");
     assert_eq!(sim.metrics().counter("zlog.coalesced_entries"), N as u64);
+    // Every batch is gone with its routes: nothing left in the tables.
+    assert!(sim.actor::<ZlogClient>(CLIENT_A).is_idle());
 }
 
 #[test]

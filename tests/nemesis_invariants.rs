@@ -2244,6 +2244,12 @@ mod batched_smoke {
                 "read-back of pos {pos}"
             );
         }
+        // Crash, re-drives and probes included, no batch, route or parked
+        // entry outlives the work.
+        assert!(
+            cluster.sim.actor::<ZlogClient>(node).is_idle(),
+            "client tables not empty after the drain"
+        );
         let m = cluster.sim.metrics();
         assert!(
             m.counter("zlog.pos_grants") < 16,
