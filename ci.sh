@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints (warnings are errors), and the tier-1
-# build + test pass. Run from the repository root before pushing.
+# Local CI gate: formatting, lints (warnings are errors), the tier-1 build +
+# test pass (the whole workspace minus the vendored stand-ins), every
+# experiment's shape check at quick scale, and the frozen benchmark with its
+# ceilings. Run from the repository root before pushing.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -13,46 +15,11 @@ cargo clippy --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test"
+echo "==> cargo test (root package and every crate: default-members)"
 cargo test -q
 
-echo "==> scheduler tests (the root package's tests do not reach mala-sim: reference-model proptest, handle generations)"
-cargo test -q -p mala-sim
-
-echo "==> nemesis smoke (fixed seed: MDS failover + OSD crash/replay)"
-cargo test -q --test nemesis_invariants smoke_fixed_seed_failover
-
-echo "==> nemesis smoke (fixed seed: batched appends + OSD crash)"
-cargo test -q --test nemesis_invariants smoke_fixed_seed_batched_append
-
-echo "==> linearizability smoke (fixed seed: WGL check + seeded-bug counterexample)"
-cargo test -q --test nemesis_invariants linearize_smoke
-
-echo "==> trace smoke (fixed seed: contiguous spans + per-stage histograms)"
-cargo test -q -p mala-bench --lib exp::trace
-
-echo "==> elastic smoke (fixed seed: live OSD join+drain, backfill + WGL check)"
-cargo test -q --test nemesis_invariants elastic_membership::smoke
-
-echo "==> read-path smoke (fixed seed: tailing reader through drain + trim, WGL check)"
-cargo test -q --test nemesis_invariants smoke_tailing_reader
-
-echo "==> zlog crate (unit tests, zlog_stack, class_equivalence, read_scale, migration_routing)"
-cargo test -q -p mala-zlog
-
-echo "==> scaleout smoke (16 logs x 3 ranks x 256 open-loop clients, fixed seed)"
-cargo test -q -p mala-bench --lib exp::scaleout
-
-echo "==> dsl-diff smoke (fixed-seed interpreter/VM differential + disassembler snapshots)"
-cargo test -q -p mala-dsl --test differential fixed_seed_differential_smoke
-cargo test -q -p mala-dsl --test disasm_snapshots
-
-echo "==> dsl sandbox equivalence (budget/depth trips identical across engines)"
-cargo test -q -p mala-dsl --test vm_sandbox
-
-echo "==> VM-backed Mantle policy + scripted-class tests"
-cargo test -q -p mala-mantle
-cargo test -q -p mala-rados class::
+echo "==> mala-bench all --quick (release: every experiment's shape check, nothing written)"
+cargo run --release -q -p mala-bench -- all --quick >/dev/null
 
 echo "==> frozen benchmark (offline build against the current crates; quick run, correctness + determinism gates)"
 # benchmark/ is its own workspace and only ever changes in PRs of its own,

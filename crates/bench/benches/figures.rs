@@ -1,132 +1,20 @@
-//! Criterion wrappers around every paper experiment, at reduced scale so
-//! `cargo bench` finishes in minutes. The full-scale regenerations are
-//! the `fig*`/`table*`/`backoff` binaries (`cargo run --release -p
-//! mala-bench --bin fig9`).
+//! Criterion wrappers around every experiment in the table, at quick
+//! scale so `cargo bench` finishes in minutes. The paper-scale
+//! regenerations are `cargo run --release -p mala-bench -- <name>`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mala_bench::exp;
-use mala_sim::SimDuration;
+use mala_bench::{Scale, EXPERIMENTS};
 
-fn bench_fig2_and_tables(c: &mut Criterion) {
-    c.bench_function("fig2_census", |b| {
-        b.iter(|| {
-            let data = exp::fig2::run();
-            std::hint::black_box(exp::fig2::render(&data));
-            std::hint::black_box(exp::tables::render_table1());
-            std::hint::black_box(exp::tables::render_table2());
-        })
-    });
-}
-
-fn bench_fig5(c: &mut Criterion) {
-    let config = exp::fig5::Config {
-        duration: SimDuration::from_secs(1),
-        ..Default::default()
-    };
-    c.bench_function("fig5_cap_policies_1s", |b| {
-        b.iter(|| std::hint::black_box(exp::fig5::run(&config)))
-    });
-}
-
-fn bench_fig6(c: &mut Criterion) {
-    let config = exp::fig6::Config {
-        duration: SimDuration::from_secs(2),
-        quotas: vec![100, 10_000],
-        ..Default::default()
-    };
-    c.bench_function("fig6_quota_sweep_2s", |b| {
-        b.iter(|| std::hint::black_box(exp::fig6::run(&config)))
-    });
-}
-
-fn bench_fig8(c: &mut Criterion) {
-    let config = exp::fig8::Config {
-        osds: 24,
-        updates: 4,
-        update_gap: SimDuration::from_millis(1200),
-        ..Default::default()
-    };
-    let mut group = c.benchmark_group("fig8");
+fn bench_experiments(c: &mut Criterion) {
+    let mut group = c.benchmark_group("quick");
     group.sample_size(10);
-    group.bench_function("propagation_24osd_4updates", |b| {
-        b.iter(|| std::hint::black_box(exp::fig8::run(&config)))
-    });
+    for entry in &EXPERIMENTS {
+        group.bench_function(entry.name, |b| {
+            b.iter(|| std::hint::black_box((entry.run)(Scale::Quick).text))
+        });
+    }
     group.finish();
 }
 
-fn bench_fig9(c: &mut Criterion) {
-    let config = exp::fig9::Config {
-        duration: SimDuration::from_secs(20),
-        balance_interval: SimDuration::from_secs(5),
-        ..Default::default()
-    };
-    let mut group = c.benchmark_group("fig9");
-    group.sample_size(10);
-    group.bench_function("one_regime_20s", |b| {
-        b.iter(|| {
-            std::hint::black_box(exp::fig9::run_regime(
-                &config,
-                "bench",
-                mala_bench::workload::BalancerChoice::Mantle(
-                    mala_mantle::SEQUENCER_AWARE_POLICY.to_string(),
-                ),
-            ))
-        })
-    });
-    group.finish();
-}
-
-fn bench_fig10(c: &mut Criterion) {
-    let config = exp::fig10::Config {
-        duration: SimDuration::from_secs(15),
-        balance_interval: SimDuration::from_secs(3),
-        seeds: vec![9],
-    };
-    let mut group = c.benchmark_group("fig10");
-    group.sample_size(10);
-    group.bench_function("modes_and_units_15s", |b| {
-        b.iter(|| std::hint::black_box(exp::fig10::run(&config)))
-    });
-    group.finish();
-}
-
-fn bench_fig12(c: &mut Criterion) {
-    let config = exp::fig12::Config {
-        duration: SimDuration::from_secs(20),
-        migrate_at: SimDuration::from_secs(10),
-        ..Default::default()
-    };
-    let mut group = c.benchmark_group("fig12");
-    group.sample_size(10);
-    group.bench_function("serving_modes_20s", |b| {
-        b.iter(|| std::hint::black_box(exp::fig12::run(&config)))
-    });
-    group.finish();
-}
-
-fn bench_backoff(c: &mut Criterion) {
-    let config = exp::backoff::Config {
-        duration: SimDuration::from_secs(20),
-        balance_interval: SimDuration::from_secs(2),
-        ..Default::default()
-    };
-    let mut group = c.benchmark_group("backoff");
-    group.sample_size(10);
-    group.bench_function("aggressiveness_sweep_20s", |b| {
-        b.iter(|| std::hint::black_box(exp::backoff::run(&config)))
-    });
-    group.finish();
-}
-
-criterion_group!(
-    figures,
-    bench_fig2_and_tables,
-    bench_fig5,
-    bench_fig6,
-    bench_fig8,
-    bench_fig9,
-    bench_fig10,
-    bench_fig12,
-    bench_backoff
-);
+criterion_group!(figures, bench_experiments);
 criterion_main!(figures);

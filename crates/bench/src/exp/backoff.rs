@@ -8,10 +8,9 @@
 //! their first migration.
 
 use mala_sim::SimDuration;
-use mala_zlog::SeqMode;
 
-use crate::report;
 use crate::workload::{BalancerChoice, SeqBench, SeqBenchCfg};
+use crate::{ensure, report, Experiment, Scale};
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
@@ -20,26 +19,17 @@ pub struct Config {
     pub duration: SimDuration,
     /// Balancing tick.
     pub balance_interval: SimDuration,
-    /// `(label, overload-ticks-required, cooldown-ticks)` sweep.
-    pub variants: Vec<(String, u32, u32)>,
-    /// RNG seed.
-    pub seed: u64,
+    /// Import settle window (see [`SeqBenchCfg::settle`]).
+    pub settle: SimDuration,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            duration: SimDuration::from_secs(120),
-            balance_interval: SimDuration::from_secs(5),
-            variants: vec![
-                ("aggressive".to_string(), 1, 0),
-                ("moderate".to_string(), 2, 2),
-                ("conservative".to_string(), 4, 4),
-            ],
-            seed: 21,
-        }
-    }
-}
+/// The sweep, most to least aggressive: `(label, overload ticks required
+/// before migrating, cooldown ticks after)`.
+const VARIANTS: [(&str, u32, u32); 3] = [
+    ("aggressive", 1, 0),
+    ("moderate", 2, 2),
+    ("conservative", 4, 4),
+];
 
 /// One variant's result.
 #[derive(Debug, Clone)]
@@ -61,102 +51,104 @@ pub struct Data {
     pub runs: Vec<VariantRun>,
 }
 
-/// Runs the sweep.
-pub fn run(config: &Config) -> Data {
-    let mut runs = Vec::new();
-    for (label, threshold, cooldown) in &config.variants {
-        let policy = mala_mantle::backoff_policy(*threshold, *cooldown);
-        let mut bench = SeqBench::build(SeqBenchCfg {
-            seed: config.seed,
-            mds: 3,
-            osds: 0,
-            sequencers: 3,
-            clients_per_seq: 4,
-            mode: SeqMode::RoundTrip,
-            balancer: BalancerChoice::Mantle(policy),
-            balance_interval: config.balance_interval,
-            prefix: format!("backoff.{label}"),
-        });
-        let t0 = bench.cluster.sim.now();
-        bench.start_all();
-        // Watch for the first export while running.
-        let mut first_migration_s = None;
-        let step = SimDuration::from_secs(1);
-        let steps = config.duration.as_micros() / step.as_micros();
-        for _ in 0..steps {
-            bench.cluster.sim.run_for(step);
-            if first_migration_s.is_none() && bench.cluster.sim.metrics().counter("mds.exports") > 0
-            {
-                first_migration_s = Some(bench.cluster.sim.now().since(t0).as_secs_f64());
-            }
+impl Experiment for Config {
+    type Data = Data;
+
+    fn at(scale: Scale) -> Self {
+        // Quick compresses time, not load (see `fig9`).
+        let [duration, balance_interval, settle] = match scale {
+            Scale::Paper => [120, 5, 30],
+            Scale::Quick => [12, 1, 4],
         }
-        bench.stop_all();
-        runs.push(VariantRun {
-            label: label.clone(),
-            total_ops: bench.total_ops(),
-            migrations: bench.cluster.sim.metrics().counter("mds.exports"),
-            first_migration_s,
-        });
+        .map(SimDuration::from_secs);
+        Config {
+            duration,
+            balance_interval,
+            settle,
+        }
     }
-    Data { runs }
-}
 
-/// Renders the sweep.
-pub fn render(data: &Data) -> String {
-    let mut out = String::from("Backoff (§6.2.3): balancer aggressiveness sweep\n\n");
-    let rows: Vec<Vec<String>> = data
-        .runs
-        .iter()
-        .map(|r| {
-            vec![
-                r.label.clone(),
-                r.total_ops.to_string(),
-                r.migrations.to_string(),
-                r.first_migration_s
-                    .map(|t| format!("{t:.0} s"))
-                    .unwrap_or_else(|| "never".to_string()),
-            ]
-        })
-        .collect();
-    out.push_str(&report::table(
-        &["policy", "total ops", "migrations", "first migration"],
-        &rows,
-    ));
-    out
-}
+    /// Runs the sweep.
+    fn run(&self) -> Data {
+        let mut runs = Vec::new();
+        for (label, threshold, cooldown) in VARIANTS {
+            let policy = mala_mantle::backoff_policy(threshold, cooldown);
+            let mut bench = SeqBench::build(SeqBenchCfg {
+                seed: 21,
+                mds: 3,
+                sequencers: 3,
+                clients_per_seq: 4,
+                balancer: BalancerChoice::Mantle(policy),
+                balance_interval: self.balance_interval,
+                settle: self.settle,
+                prefix: format!("backoff.{label}"),
+                ..Default::default()
+            });
+            let t0 = bench.cluster.sim.now();
+            bench.start_all();
+            // Watch for the first export while running.
+            let mut first_migration_s = None;
+            let step = SimDuration::from_secs(1);
+            let steps = self.duration.as_micros() / step.as_micros();
+            for _ in 0..steps {
+                bench.cluster.sim.run_for(step);
+                if first_migration_s.is_none()
+                    && bench.cluster.sim.metrics().counter("mds.exports") > 0
+                {
+                    first_migration_s = Some(bench.cluster.sim.now().since(t0).as_secs_f64());
+                }
+            }
+            bench.stop_all();
+            runs.push(VariantRun {
+                label: label.to_string(),
+                total_ops: bench.total_ops(),
+                migrations: bench.cluster.sim.metrics().counter("mds.exports"),
+                first_migration_s,
+            });
+        }
+        Data { runs }
+    }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    fn render(&self, data: &Data) -> String {
+        let mut out = String::from("Backoff (§6.2.3): balancer aggressiveness sweep\n\n");
+        let rows: Vec<Vec<String>> = data
+            .runs
+            .iter()
+            .map(|r| {
+                vec![
+                    r.label.clone(),
+                    r.total_ops.to_string(),
+                    r.migrations.to_string(),
+                    r.first_migration_s
+                        .map(|t| format!("{t:.0} s"))
+                        .unwrap_or_else(|| "never".to_string()),
+                ]
+            })
+            .collect();
+        out.push_str(&report::table(
+            &["policy", "total ops", "migrations", "first migration"],
+            &rows,
+        ));
+        out
+    }
 
-    #[test]
-    fn conservative_policies_wait_longer_and_deliver_less() {
-        let config = Config {
-            duration: SimDuration::from_secs(80),
-            ..Default::default()
+    fn assert_shape(&self, data: &Data) -> Result<(), String> {
+        let (aggressive, conservative) = (&data.runs[0], &data.runs[data.runs.len() - 1]);
+        let (Some(a_first), Some(c_first)) =
+            (aggressive.first_migration_s, conservative.first_migration_s)
+        else {
+            return Err("a policy never migrated".to_string());
         };
-        let data = run(&config);
-        let aggressive = &data.runs[0];
-        let conservative = &data.runs[2];
-        assert!(aggressive.migrations > 0);
-        assert!(conservative.migrations > 0, "conservative never acted");
-        let (a_first, c_first) = (
-            aggressive.first_migration_s.expect("aggressive migrated"),
-            conservative
-                .first_migration_s
-                .expect("conservative migrated"),
-        );
-        assert!(
+        ensure!(
             c_first > a_first,
             "conservative first migration {c_first} !> aggressive {a_first}"
         );
-        assert!(
+        ensure!(
             aggressive.total_ops > conservative.total_ops,
             "aggressive {} !> conservative {}",
             aggressive.total_ops,
             conservative.total_ops
         );
-        let rendered = render(&data);
-        assert!(rendered.contains("first migration"));
+        Ok(())
     }
 }

@@ -14,13 +14,15 @@
 //!   state, and updates it (the ESTALE pattern the ZLog sequencer uses).
 //!
 //! Per-eval latency is timed individually so the table can report p50/p99
-//! alongside throughput. The binary writes `results/BENCH_dsl_vm.json`.
+//! alongside throughput. The JSON body is `results/BENCH_dsl_vm.json`; both
+//! clocks here are the host's, so the numbers differ from run to run.
 
 use std::time::Instant;
 
 use mala_dsl::{DslEngine, EngineKind, Script, Table, Value};
 
-use crate::report;
+use crate::report::{self, Json};
+use crate::{ensure, Experiment, Scale};
 
 /// The Mantle balancer policy used for the `mantle_balance` workload.
 pub const BALANCER_POLICY: &str = r#"
@@ -70,16 +72,6 @@ pub struct Config {
     pub ranks: u32,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            iters: 20_000,
-            warmup: 500,
-            ranks: 8,
-        }
-    }
-}
-
 /// One engine × workload measurement.
 #[derive(Debug, Clone)]
 pub struct EngineRun {
@@ -98,8 +90,6 @@ pub struct EngineRun {
 /// Full comparison results.
 #[derive(Debug, Clone)]
 pub struct Data {
-    /// Configuration used.
-    pub config: Config,
     /// Four rows: {tree, vm} × {mantle_balance, class_guard}.
     pub runs: Vec<EngineRun>,
     /// VM evals/sec over tree-walker evals/sec, balancer workload.
@@ -151,7 +141,7 @@ fn sample<F: FnMut()>(iters: u32, warmup: u32, mut eval: F) -> Vec<f64> {
 }
 
 fn summarize(engine: EngineKind, workload: &str, mut samples: Vec<f64>) -> EngineRun {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    samples.sort_by(f64::total_cmp);
     let total_us: f64 = samples.iter().sum();
     let p50 = samples[samples.len() / 2];
     let p99 = samples[((samples.len() as f64 * 0.99) as usize).min(samples.len() - 1)];
@@ -164,127 +154,136 @@ fn summarize(engine: EngineKind, workload: &str, mut samples: Vec<f64>) -> Engin
     }
 }
 
-/// Runs the comparison.
-pub fn run(config: &Config) -> Data {
-    let balancer = Script::compile(BALANCER_POLICY).expect("balancer policy compiles");
-    let guard = Script::compile(GUARD_CLASS).expect("guard class compiles");
-    let mut runs = Vec::new();
-
-    for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
-        let mut engine = DslEngine::new(kind);
-        engine.load(&balancer).expect("balancer loads");
-        set_balancer_globals(&mut engine, config.ranks);
-        let samples = sample(config.iters, config.warmup, || {
-            let go = engine.call("when", &[], &mut ()).expect("when() runs");
-            assert!(go.truthy(), "benchmark policy must decide to act");
-            engine
-                .call("balance", &[], &mut ())
-                .expect("balance() runs");
-        });
-        runs.push(summarize(kind, "mantle_balance", samples));
-    }
-
-    for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
-        let mut engine = DslEngine::new(kind);
-        engine.load(&guard).expect("guard loads");
-        let arg = [Value::str("7")];
-        let samples = sample(config.iters, config.warmup, || {
-            let out = engine.call("guard", &arg, &mut ()).expect("guard() runs");
-            debug_assert_eq!(out.as_str(), Some("ok"));
-        });
-        runs.push(summarize(kind, "class_guard", samples));
-    }
-
-    let rate = |workload: &str, engine: &str| {
-        runs.iter()
-            .find(|r| r.workload == workload && r.engine == engine)
-            .map(|r| r.evals_per_sec)
-            .unwrap_or(f64::NAN)
-    };
-    Data {
-        config: config.clone(),
-        speedup_mantle: rate("mantle_balance", "vm") / rate("mantle_balance", "tree"),
-        speedup_guard: rate("class_guard", "vm") / rate("class_guard", "tree"),
-        runs,
-    }
+/// Unwraps a script result; a failure is a bug in the fixed bench scripts.
+fn ok<T, E: std::fmt::Debug>(what: &str, result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| panic!("{what}: {e:?}"))
 }
 
-/// Renders the comparison as an aligned table.
-pub fn render(data: &Data) -> String {
-    let rows: Vec<Vec<String>> = data
-        .runs
-        .iter()
-        .map(|r| {
-            vec![
-                r.workload.clone(),
-                r.engine.clone(),
-                format!("{:.0}", r.evals_per_sec),
-                format!("{:.2}", r.p50_us),
-                format!("{:.2}", r.p99_us),
-            ]
-        })
-        .collect();
-    let mut out = format!(
-        "Cephalo engines: {} evals each ({} ranks), per-eval timing\n\n",
-        data.config.iters, data.config.ranks
-    );
-    out.push_str(&report::table(
-        &["workload", "engine", "evals/s", "p50_us", "p99_us"],
-        &rows,
-    ));
-    out.push_str(&format!(
-        "\nVM speedup: {:.2}x (mantle_balance), {:.2}x (class_guard)\n",
-        data.speedup_mantle, data.speedup_guard
-    ));
-    out
-}
+impl Experiment for Config {
+    type Data = Data;
 
-/// Machine-readable results for `results/BENCH_dsl_vm.json`.
-pub fn to_json(data: &Data) -> String {
-    let mut out = String::from("{\n  \"bench\": \"dsl_vm\",\n  \"runs\": [\n");
-    for (i, r) in data.runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"engine\": \"{}\", \"evals_per_sec\": {:.0}, \
-             \"p50_us\": {:.3}, \"p99_us\": {:.3}}}{}\n",
-            r.workload,
-            r.engine,
-            r.evals_per_sec,
-            r.p50_us,
-            r.p99_us,
-            if i + 1 == data.runs.len() { "" } else { "," }
+    fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Paper => Config {
+                iters: 20_000,
+                warmup: 500,
+                ranks: 8,
+            },
+            Scale::Quick => Config {
+                iters: 200,
+                warmup: 20,
+                ranks: 4,
+            },
+        }
+    }
+
+    /// Runs the comparison.
+    fn run(&self) -> Data {
+        let balancer = ok("balancer policy compiles", Script::compile(BALANCER_POLICY));
+        let guard = ok("guard class compiles", Script::compile(GUARD_CLASS));
+        let mut runs = Vec::new();
+
+        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
+            let mut engine = DslEngine::new(kind);
+            ok("balancer loads", engine.load(&balancer));
+            set_balancer_globals(&mut engine, self.ranks);
+            let samples = sample(self.iters, self.warmup, || {
+                let go = ok("when() runs", engine.call("when", &[], &mut ()));
+                assert!(go.truthy(), "benchmark policy must decide to act");
+                ok("balance() runs", engine.call("balance", &[], &mut ()));
+            });
+            runs.push(summarize(kind, "mantle_balance", samples));
+        }
+
+        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
+            let mut engine = DslEngine::new(kind);
+            ok("guard loads", engine.load(&guard));
+            let arg = [Value::str("7")];
+            let samples = sample(self.iters, self.warmup, || {
+                let out = ok("guard() runs", engine.call("guard", &arg, &mut ()));
+                debug_assert_eq!(out.as_str(), Some("ok"));
+            });
+            runs.push(summarize(kind, "class_guard", samples));
+        }
+
+        // Rows alternate tree-walker, VM.
+        Data {
+            speedup_mantle: runs[1].evals_per_sec / runs[0].evals_per_sec,
+            speedup_guard: runs[3].evals_per_sec / runs[2].evals_per_sec,
+            runs,
+        }
+    }
+
+    /// The comparison as an aligned table.
+    fn render(&self, data: &Data) -> String {
+        let rows: Vec<Vec<String>> = data
+            .runs
+            .iter()
+            .map(|r| {
+                vec![
+                    r.workload.clone(),
+                    r.engine.clone(),
+                    format!("{:.0}", r.evals_per_sec),
+                    format!("{:.2}", r.p50_us),
+                    format!("{:.2}", r.p99_us),
+                ]
+            })
+            .collect();
+        let mut out = format!(
+            "Cephalo engines: {} evals each ({} ranks), per-eval timing\n\n",
+            self.iters, self.ranks
+        );
+        out.push_str(&report::table(
+            &["workload", "engine", "evals/s", "p50_us", "p99_us"],
+            &rows,
         ));
+        out.push_str(&format!(
+            "\nVM speedup: {:.2}x (mantle_balance), {:.2}x (class_guard)\n",
+            data.speedup_mantle, data.speedup_guard
+        ));
+        out
     }
-    out.push_str(&format!(
-        "  ],\n  \"speedup_mantle\": {:.2},\n  \"speedup_guard\": {:.2}\n}}\n",
-        data.speedup_mantle, data.speedup_guard
-    ));
-    out
+
+    fn json(&self, data: &Data) -> Option<Json> {
+        Some(Json::obj([
+            ("bench", Json::from("dsl_vm")),
+            (
+                "runs",
+                Json::arr(&data.runs, |r| {
+                    Json::obj([
+                        ("workload", Json::from(r.workload.as_str())),
+                        ("engine", Json::from(r.engine.as_str())),
+                        ("evals_per_sec", Json::Fixed(r.evals_per_sec, 0)),
+                        ("p50_us", Json::Fixed(r.p50_us, 3)),
+                        ("p99_us", Json::Fixed(r.p99_us, 3)),
+                    ])
+                }),
+            ),
+            ("speedup_mantle", Json::Fixed(data.speedup_mantle, 2)),
+            ("speedup_guard", Json::Fixed(data.speedup_guard, 2)),
+        ]))
+    }
+
+    /// Host-timed, so only sanity is checked: all four rows measured
+    /// something.
+    fn assert_shape(&self, data: &Data) -> Result<(), String> {
+        ensure!(data.runs.len() == 4, "{} rows", data.runs.len());
+        for r in &data.runs {
+            ensure!(r.evals_per_sec > 0.0 && r.p99_us >= r.p50_us, "{r:?}");
+        }
+        ensure!(
+            data.speedup_mantle.is_finite() && data.speedup_guard.is_finite(),
+            "speedups {} / {}",
+            data.speedup_mantle,
+            data.speedup_guard
+        );
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn comparison_produces_all_four_rows() {
-        let config = Config {
-            iters: 200,
-            warmup: 20,
-            ranks: 4,
-        };
-        let data = run(&config);
-        assert_eq!(data.runs.len(), 4);
-        for r in &data.runs {
-            assert!(r.evals_per_sec > 0.0, "{r:?}");
-            assert!(r.p99_us >= r.p50_us, "{r:?}");
-        }
-        assert!(data.speedup_mantle.is_finite());
-        let rendered = render(&data);
-        assert!(rendered.contains("mantle_balance"));
-        let json = to_json(&data);
-        assert!(json.contains("\"bench\": \"dsl_vm\""));
-        assert!(json.contains("speedup_mantle"));
-    }
 
     #[test]
     fn both_engines_produce_the_same_targets_table() {

@@ -16,64 +16,26 @@ use mala_rados::{ObjectId, Op};
 use mala_sim::SimDuration;
 use malacology::cluster::{Cluster, ClusterBuilder};
 
-use crate::report;
+use crate::report::{self, phase_stats, Json, PhaseStats};
+use crate::{ensure, Experiment, Scale};
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// OSD count at the start of the run.
     pub osds: u32,
-    /// PGs in the data pool.
-    pub pg_num: u32,
-    /// Replication factor.
-    pub replicas: u32,
     /// Objects in the working set (round-robin appends).
     pub objects: u32,
-    /// Payload bytes per append.
-    pub payload: usize,
     /// Total run length.
     pub duration: SimDuration,
     /// When the new OSD joins (osdmap commit at full weight).
     pub join_at: SimDuration,
     /// When an original OSD is drained (weight → 0).
     pub drain_at: SimDuration,
-    /// Throughput window for the rendered series.
-    pub window: SimDuration,
-    /// RNG seed.
-    pub seed: u64,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            osds: 4,
-            pg_num: 32,
-            replicas: 2,
-            objects: 48,
-            payload: 256,
-            duration: SimDuration::from_secs(30),
-            join_at: SimDuration::from_secs(10),
-            drain_at: SimDuration::from_secs(20),
-            window: SimDuration::from_secs(1),
-            seed: 2017,
-        }
-    }
-}
-
-/// Aggregates for one phase of the run.
-#[derive(Debug, Clone)]
-pub struct PhaseStats {
-    /// Phase label.
-    pub label: String,
-    /// Appends completed in the phase.
-    pub appends: u64,
-    /// Mean append latency (ms).
-    pub mean_latency_ms: f64,
-    /// 99th-percentile append latency (ms).
-    pub p99_latency_ms: f64,
-    /// Appends per second over the phase.
-    pub rate: f64,
-}
+/// Payload bytes per append.
+const PAYLOAD: usize = 256;
 
 /// What one membership event cost while the cluster stayed live.
 #[derive(Debug, Clone)]
@@ -108,26 +70,6 @@ pub struct Data {
     pub retries: u64,
     /// Appends that failed terminally (must be zero).
     pub failures: u64,
-}
-
-fn phase_stats(label: &str, samples: &[(f64, f64)], from_s: f64, until_s: f64) -> PhaseStats {
-    let lat: Vec<f64> = samples
-        .iter()
-        .filter(|(t, _)| *t >= from_s && *t < until_s)
-        .map(|(_, l)| *l)
-        .collect();
-    let lat_us: Vec<f64> = lat.iter().map(|ms| ms * 1e3).collect();
-    let p99 = mala_sim::Hist::from_values(&lat_us)
-        .quantile(0.99)
-        .unwrap_or(0.0)
-        / 1e3;
-    PhaseStats {
-        label: label.to_string(),
-        appends: lat.len() as u64,
-        mean_latency_ms: report::mean(&lat),
-        p99_latency_ms: p99,
-        rate: lat.len() as f64 / (until_s - from_s).max(f64::EPSILON),
-    }
 }
 
 /// Global backfills still in flight, from the monotonic counters.
@@ -193,278 +135,231 @@ fn event_stats(
     }
 }
 
-/// Runs the experiment.
-pub fn run(config: &Config) -> Data {
-    let mut cluster = ClusterBuilder::new()
-        .monitors(1)
-        .osds(config.osds)
-        .pool("data", config.pg_num, config.replicas)
-        .build(config.seed);
-    let t0 = cluster.sim.now();
-    let join_time = t0 + config.join_at;
-    let drain_time = t0 + config.drain_at;
-    let end = t0 + config.duration;
+impl Experiment for Config {
+    type Data = Data;
 
-    let mut samples: Vec<(f64, f64)> = Vec::new();
-    let mut failures = 0u64;
-    let mut seq = 0u64;
-    let mut expand: Option<EventProbe> = None;
-    let mut drain: Option<EventProbe> = None;
-
-    while cluster.sim.now() < end {
-        let now = cluster.sim.now();
-        // Events are submitted without waiting for the commit, so the
-        // workload runs live through the remap. The window covers
-        // operator action → cluster settled: commit, propagation, and
-        // every backfill the remap starts.
-        if expand.is_none() && now >= join_time {
-            let p = probe(&cluster, now.since(t0).as_secs_f64());
-            cluster.add_osd_nowait();
-            expand = Some(p);
-        }
-        if drain.is_none() && cluster.sim.now() >= drain_time {
-            // Settle the expand window before measuring the drain so the
-            // two events' backfill counters do not overlap.
-            if let Some(p) = expand.as_mut() {
-                if p.settle_s.is_none() {
-                    p.settle_s = Some(cluster.sim.now().since(t0).as_secs_f64());
-                }
-            }
-            let p = probe(&cluster, cluster.sim.now().since(t0).as_secs_f64());
-            cluster.drain_osd_nowait(0);
-            drain = Some(p);
-        }
-        let started = cluster.sim.now();
-        let name = format!("obj{}", seq % u64::from(config.objects));
-        seq += 1;
-        let result = cluster.rados(
-            ObjectId::new("data", &name),
-            vec![Op::Append {
-                data: vec![(seq % 251) as u8; config.payload],
-            }],
-        );
-        match result {
-            Ok(_) => {
-                let done = cluster.sim.now();
-                samples.push((
-                    done.since(t0).as_secs_f64(),
-                    done.since(started).as_micros() as f64 / 1000.0,
-                ));
-            }
-            Err(_) => failures += 1,
-        }
-        // Close an event's migration window the first time its backfills
-        // all finish. The submit is asynchronous, so an event only
-        // settles once at least one of its backfills has started —
-        // otherwise in-flight == 0 merely means the commit is still
-        // propagating.
-        if backfills_in_flight(&cluster) == 0 {
-            let now_s = cluster.sim.now().since(t0).as_secs_f64();
-            let started = cluster.sim.metrics().counter("osd.backfills_started");
-            for p in [&mut expand, &mut drain].into_iter().flatten() {
-                if p.settle_s.is_none() && started > p.started {
-                    p.settle_s = Some(now_s);
-                }
-            }
-        }
-    }
-
-    let events_raw: Vec<(f64, f64)> = samples.iter().map(|(t, _)| (*t, 1.0)).collect();
-    let series = report::windowed_rate(
-        &events_raw,
-        config.window.as_secs_f64(),
-        config.duration.as_secs_f64(),
-    );
-    let (join_s, drain_s, end_s) = (
-        config.join_at.as_secs_f64(),
-        config.drain_at.as_secs_f64(),
-        config.duration.as_secs_f64(),
-    );
-    let phases = vec![
-        phase_stats("healthy", &samples, 0.0, join_s),
-        phase_stats("expand", &samples, join_s, drain_s),
-        phase_stats("drain", &samples, drain_s, end_s),
-    ];
-    let healthy_rate = phases[0].rate;
-    let mut events = Vec::new();
-    if let Some(p) = &expand {
-        events.push(event_stats(
-            "expand",
-            &cluster,
-            p,
-            &samples,
-            healthy_rate,
-            end_s,
-        ));
-    }
-    if let Some(p) = &drain {
-        events.push(event_stats(
-            "drain",
-            &cluster,
-            p,
-            &samples,
-            healthy_rate,
-            end_s,
-        ));
-    }
-    let metrics = cluster.sim.metrics();
-    Data {
-        series,
-        phases,
-        events,
-        retries: metrics.counter("client.retries"),
-        failures,
-    }
-}
-
-/// Renders the elastic-membership timeline, phase table, and event costs.
-pub fn render(data: &Data) -> String {
-    let mut out = String::from(
-        "Elastic membership: RADOS appends through a live OSD join and a \
-         live drain (epoch-guarded backfill)\n\n",
-    );
-    let rows: Vec<Vec<String>> = data
-        .series
-        .iter()
-        .map(|(t, r)| vec![format!("{t:.0}"), format!("{r:.0}")])
-        .collect();
-    out.push_str(&report::table(&["t (s)", "appends/s"], &rows));
-    out.push('\n');
-    let rows: Vec<Vec<String>> = data
-        .phases
-        .iter()
-        .map(|p| {
-            vec![
-                p.label.clone(),
-                p.appends.to_string(),
-                format!("{:.1}", p.rate),
-                format!("{:.2}", p.mean_latency_ms),
-                format!("{:.2}", p.p99_latency_ms),
-            ]
-        })
-        .collect();
-    out.push_str(&report::table(
-        &["phase", "appends", "ops/s", "mean ms", "p99 ms"],
-        &rows,
-    ));
-    out.push('\n');
-    let rows: Vec<Vec<String>> = data
-        .events
-        .iter()
-        .map(|e| {
-            vec![
-                e.label.clone(),
-                e.backfills.to_string(),
-                e.moved_objects.to_string(),
-                e.moved_bytes.to_string(),
-                format!("{:.0}", e.window_ms),
-                e.rejects.to_string(),
-                format!("{:.2}", e.dip_ratio),
-            ]
-        })
-        .collect();
-    out.push_str(&report::table(
-        &[
-            "event",
-            "backfills",
-            "objects moved",
-            "bytes moved",
-            "window ms",
-            "rejects",
-            "dip ratio",
-        ],
-        &rows,
-    ));
-    out.push_str(&format!(
-        "\nretries absorbed: {}   terminal failures: {}\n",
-        data.retries, data.failures
-    ));
-    out
-}
-
-/// Serializes the run for `results/BENCH_elastic.json`.
-pub fn to_json(data: &Data) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"elastic_membership\",\n");
-    out.push_str("  \"time_base\": \"simulated\",\n");
-    out.push_str(&format!("  \"terminal_failures\": {},\n", data.failures));
-    out.push_str(&format!("  \"client_retries\": {},\n", data.retries));
-    out.push_str("  \"phases\": [\n");
-    for (i, p) in data.phases.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"phase\": \"{}\", \"appends\": {}, \"ops_per_s\": {:.1}, \
-             \"mean_ms\": {:.3}, \"p99_ms\": {:.3}}}{}\n",
-            p.label,
-            p.appends,
-            p.rate,
-            p.mean_latency_ms,
-            p.p99_latency_ms,
-            if i + 1 == data.phases.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"events\": [\n");
-    for (i, e) in data.events.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"event\": \"{}\", \"backfills\": {}, \"objects_moved\": {}, \
-             \"bytes_moved\": {}, \"availability_window_ms\": {:.0}, \
-             \"not_ready_rejects\": {}, \"throughput_dip_ratio\": {:.3}}}{}\n",
-            e.label,
-            e.backfills,
-            e.moved_objects,
-            e.moved_bytes,
-            e.window_ms,
-            e.rejects,
-            e.dip_ratio,
-            if i + 1 == data.events.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"throughput_series\": [\n");
-    for (i, (t, r)) in data.series.iter().enumerate() {
-        out.push_str(&format!(
-            "    [{t:.1}, {r:.1}]{}\n",
-            if i + 1 == data.series.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn expand_and_drain_move_data_while_serving() {
-        let config = Config {
-            osds: 3,
-            objects: 24,
-            duration: SimDuration::from_secs(15),
-            join_at: SimDuration::from_secs(5),
-            drain_at: SimDuration::from_secs(10),
-            ..Default::default()
+    fn at(scale: Scale) -> Self {
+        let (osds, objects, secs, join_s, drain_s) = match scale {
+            Scale::Paper => (4, 48, 30, 10, 20),
+            Scale::Quick => (3, 24, 15, 5, 10),
         };
-        let data = run(&config);
-        assert_eq!(data.failures, 0, "appends must not fail terminally");
-        assert_eq!(data.events.len(), 2, "expected expand and drain events");
-        let [expand, drain] = [&data.events[0], &data.events[1]];
-        assert_eq!(expand.label, "expand");
-        assert_eq!(drain.label, "drain");
+        Config {
+            osds,
+            objects,
+            duration: SimDuration::from_secs(secs),
+            join_at: SimDuration::from_secs(join_s),
+            drain_at: SimDuration::from_secs(drain_s),
+        }
+    }
+
+    fn run(&self) -> Data {
+        let mut cluster = ClusterBuilder::new()
+            .monitors(1)
+            .osds(self.osds)
+            .pool("data", 32, 2)
+            .build(2017);
+        let t0 = cluster.sim.now();
+        let join_time = t0 + self.join_at;
+        let drain_time = t0 + self.drain_at;
+        let end = t0 + self.duration;
+
+        let mut samples: Vec<(f64, f64)> = Vec::new();
+        let mut failures = 0u64;
+        let mut seq = 0u64;
+        let mut expand: Option<EventProbe> = None;
+        let mut drain: Option<EventProbe> = None;
+
+        while cluster.sim.now() < end {
+            let now = cluster.sim.now();
+            // Events are submitted without waiting for the commit, so the
+            // workload runs live through the remap. The window covers
+            // operator action → cluster settled: commit, propagation, and
+            // every backfill the remap starts.
+            if expand.is_none() && now >= join_time {
+                let p = probe(&cluster, now.since(t0).as_secs_f64());
+                cluster.add_osd_nowait();
+                expand = Some(p);
+            }
+            if drain.is_none() && cluster.sim.now() >= drain_time {
+                // Settle the expand window before measuring the drain so the
+                // two events' backfill counters do not overlap.
+                if let Some(p) = expand.as_mut() {
+                    if p.settle_s.is_none() {
+                        p.settle_s = Some(cluster.sim.now().since(t0).as_secs_f64());
+                    }
+                }
+                let p = probe(&cluster, cluster.sim.now().since(t0).as_secs_f64());
+                cluster.drain_osd_nowait(0);
+                drain = Some(p);
+            }
+            let started = cluster.sim.now();
+            let name = format!("obj{}", seq % u64::from(self.objects));
+            seq += 1;
+            let result = cluster.rados(
+                ObjectId::new("data", &name),
+                vec![Op::Append {
+                    data: vec![(seq % 251) as u8; PAYLOAD],
+                }],
+            );
+            match result {
+                Ok(_) => {
+                    let done = cluster.sim.now();
+                    samples.push((
+                        done.since(t0).as_secs_f64(),
+                        done.since(started).as_micros() as f64 / 1000.0,
+                    ));
+                }
+                Err(_) => failures += 1,
+            }
+            // Close an event's migration window the first time its backfills
+            // all finish. The submit is asynchronous, so an event only
+            // settles once at least one of its backfills has started —
+            // otherwise in-flight == 0 merely means the commit is still
+            // propagating.
+            if backfills_in_flight(&cluster) == 0 {
+                let now_s = cluster.sim.now().since(t0).as_secs_f64();
+                let started = cluster.sim.metrics().counter("osd.backfills_started");
+                for p in [&mut expand, &mut drain].into_iter().flatten() {
+                    if p.settle_s.is_none() && started > p.started {
+                        p.settle_s = Some(now_s);
+                    }
+                }
+            }
+        }
+
+        let series = report::append_rate(&samples, self.duration.as_secs_f64());
+        let (join_s, drain_s, end_s) = (
+            self.join_at.as_secs_f64(),
+            self.drain_at.as_secs_f64(),
+            self.duration.as_secs_f64(),
+        );
+        let phases = vec![
+            phase_stats("healthy", &samples, 0.0, join_s),
+            phase_stats("expand", &samples, join_s, drain_s),
+            phase_stats("drain", &samples, drain_s, end_s),
+        ];
+        let healthy_rate = phases[0].rate;
+        let events = [("expand", &expand), ("drain", &drain)]
+            .into_iter()
+            .filter_map(|(label, p)| {
+                let p = p.as_ref()?;
+                Some(event_stats(
+                    label,
+                    &cluster,
+                    p,
+                    &samples,
+                    healthy_rate,
+                    end_s,
+                ))
+            })
+            .collect();
+        let metrics = cluster.sim.metrics();
+        Data {
+            series,
+            phases,
+            events,
+            retries: metrics.counter("client.retries"),
+            failures,
+        }
+    }
+
+    /// The timeline, phase table, and event costs.
+    fn render(&self, data: &Data) -> String {
+        let mut out = String::from(
+            "Elastic membership: RADOS appends through a live OSD join and a \
+         live drain (epoch-guarded backfill)\n\n",
+        );
+        out.push_str(&report::timeline(&data.series, &data.phases));
+        out.push('\n');
+        let rows: Vec<Vec<String>> = data
+            .events
+            .iter()
+            .map(|e| {
+                vec![
+                    e.label.clone(),
+                    e.backfills.to_string(),
+                    e.moved_objects.to_string(),
+                    e.moved_bytes.to_string(),
+                    format!("{:.0}", e.window_ms),
+                    e.rejects.to_string(),
+                    format!("{:.2}", e.dip_ratio),
+                ]
+            })
+            .collect();
+        out.push_str(&report::table(
+            &[
+                "event",
+                "backfills",
+                "objects moved",
+                "bytes moved",
+                "window ms",
+                "rejects",
+                "dip ratio",
+            ],
+            &rows,
+        ));
+        out.push_str(&format!(
+            "\nretries absorbed: {}   terminal failures: {}\n",
+            data.retries, data.failures
+        ));
+        out
+    }
+
+    fn json(&self, data: &Data) -> Option<Json> {
+        Some(Json::obj([
+            ("bench", Json::from("elastic_membership")),
+            ("time_base", Json::from("simulated")),
+            ("terminal_failures", Json::from(data.failures)),
+            ("client_retries", Json::from(data.retries)),
+            (
+                "phases",
+                Json::arr(&data.phases, |p| {
+                    Json::obj([
+                        ("phase", Json::from(p.label.as_str())),
+                        ("appends", Json::from(p.appends)),
+                        ("ops_per_s", Json::Fixed(p.rate, 1)),
+                        ("mean_ms", Json::Fixed(p.mean_latency_ms, 3)),
+                        ("p99_ms", Json::Fixed(p.p99_latency_ms, 3)),
+                    ])
+                }),
+            ),
+            (
+                "events",
+                Json::arr(&data.events, |e| {
+                    Json::obj([
+                        ("event", Json::from(e.label.as_str())),
+                        ("backfills", Json::from(e.backfills)),
+                        ("objects_moved", Json::from(e.moved_objects)),
+                        ("bytes_moved", Json::from(e.moved_bytes)),
+                        ("availability_window_ms", Json::Fixed(e.window_ms, 0)),
+                        ("not_ready_rejects", Json::from(e.rejects)),
+                        ("throughput_dip_ratio", Json::Fixed(e.dip_ratio, 3)),
+                    ])
+                }),
+            ),
+            (
+                "throughput_series",
+                Json::arr(&data.series, |(t, r)| {
+                    Json::Arr(vec![Json::Fixed(*t, 1), Json::Fixed(*r, 1)])
+                }),
+            ),
+        ]))
+    }
+
+    /// Both membership events move data while every phase keeps serving.
+    fn assert_shape(&self, data: &Data) -> Result<(), String> {
+        ensure!(data.failures == 0, "{} terminal failures", data.failures);
+        let labels: Vec<&str> = data.events.iter().map(|e| e.label.as_str()).collect();
+        ensure!(labels == ["expand", "drain"], "events {labels:?}");
         for e in &data.events {
-            assert!(e.backfills > 0, "{} started no backfills", e.label);
-            assert!(e.moved_objects > 0, "{} moved no objects", e.label);
-            assert!(e.moved_bytes > 0, "{} moved no bytes", e.label);
-            assert!(e.window_ms > 0.0, "{} has an empty window", e.label);
+            ensure!(
+                e.backfills > 0 && e.moved_objects > 0 && e.moved_bytes > 0 && e.window_ms > 0.0,
+                "a membership event moved nothing: {e:?}"
+            );
         }
-        // The cluster stayed available: every phase served appends.
         for p in &data.phases {
-            assert!(p.rate > 0.0, "phase {} served nothing", p.label);
+            ensure!(p.rate > 0.0, "a phase served nothing: {p:?}");
         }
-        let json = to_json(&data);
-        assert!(json.contains("\"bench\": \"elastic_membership\""));
-        assert!(json.contains("availability_window_ms"));
-        let rendered = render(&data);
-        assert!(rendered.contains("bytes moved"));
+        Ok(())
     }
 }

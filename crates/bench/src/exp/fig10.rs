@@ -15,10 +15,9 @@
 
 use mala_mds::CephFsMode;
 use mala_sim::SimDuration;
-use mala_zlog::SeqMode;
 
-use crate::report;
 use crate::workload::{BalancerChoice, SeqBench, SeqBenchCfg};
+use crate::{ensure, report, Experiment, Scale};
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
@@ -27,18 +26,10 @@ pub struct Config {
     pub duration: SimDuration,
     /// Balancing tick.
     pub balance_interval: SimDuration,
+    /// Import settle window (see [`SeqBenchCfg::settle`]).
+    pub settle: SimDuration,
     /// Seeds for the (a) variance comparison.
     pub seeds: Vec<u64>,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            duration: SimDuration::from_secs(120),
-            balance_interval: SimDuration::from_secs(5),
-            seeds: vec![9, 10, 11],
-        }
-    }
 }
 
 /// One bar: mean ± std of steady-state throughput.
@@ -61,24 +52,24 @@ pub struct Data {
     pub units: Vec<Bar>,
 }
 
+/// One run on `ranks` MDS ranks with as many sequencers.
 fn steady_state(
     seed: u64,
     label: &str,
-    mds: u32,
-    sequencers: u32,
+    ranks: u32,
     balancer: BalancerChoice,
     config: &Config,
 ) -> f64 {
     let mut bench = SeqBench::build(SeqBenchCfg {
         seed,
-        mds,
-        osds: 0,
-        sequencers,
+        mds: ranks,
+        sequencers: ranks,
         clients_per_seq: 4,
-        mode: SeqMode::RoundTrip,
         balancer,
         balance_interval: config.balance_interval,
+        settle: config.settle,
         prefix: format!("fig10.{label}.{seed}"),
+        ..Default::default()
     });
     bench.start_all();
     // Warm-up two thirds, measure the final third.
@@ -92,17 +83,11 @@ fn steady_state(
     ops as f64 / elapsed
 }
 
-fn bar(
-    label: &str,
-    mds: u32,
-    sequencers: u32,
-    balancer: impl Fn() -> BalancerChoice,
-    config: &Config,
-) -> Bar {
+fn bar(label: &str, ranks: u32, balancer: BalancerChoice, config: &Config) -> Bar {
     let rates: Vec<f64> = config
         .seeds
         .iter()
-        .map(|seed| steady_state(*seed, label, mds, sequencers, balancer(), config))
+        .map(|seed| steady_state(*seed, label, ranks, balancer.clone(), config))
         .collect();
     Bar {
         label: label.to_string(),
@@ -111,176 +96,118 @@ fn bar(
     }
 }
 
-/// Runs both panels.
-pub fn run(config: &Config) -> Data {
-    let modes = vec![
-        bar(
-            "cephfs-cpu",
-            3,
-            3,
-            || BalancerChoice::CephFs(CephFsMode::Cpu),
-            config,
-        ),
-        bar(
-            "cephfs-workload",
-            3,
-            3,
-            || BalancerChoice::CephFs(CephFsMode::Workload),
-            config,
-        ),
-        bar(
-            "cephfs-hybrid",
-            3,
-            3,
-            || BalancerChoice::CephFs(CephFsMode::Hybrid),
-            config,
-        ),
-        bar(
-            "mantle",
-            3,
-            3,
-            || BalancerChoice::Mantle(mala_mantle::SEQUENCER_AWARE_POLICY.to_string()),
-            config,
-        ),
-    ];
-    let units = vec![
-        bar(
-            "client-half",
-            2,
-            2,
-            || BalancerChoice::Mantle(mala_mantle::CLIENT_HALF_POLICY.to_string()),
-            config,
-        ),
-        bar(
-            "client-full",
-            2,
-            2,
-            || BalancerChoice::Mantle(mala_mantle::CLIENT_FULL_POLICY.to_string()),
-            config,
-        ),
-        bar(
-            "proxy-half",
-            2,
-            2,
-            || BalancerChoice::Mantle(mala_mantle::PROXY_HALF_POLICY.to_string()),
-            config,
-        ),
-        bar(
-            "proxy-full",
-            2,
-            2,
-            || BalancerChoice::Mantle(mala_mantle::PROXY_FULL_POLICY.to_string()),
-            config,
-        ),
-    ];
-    Data { modes, units }
-}
+impl Experiment for Config {
+    type Data = Data;
 
-/// Renders both panels as bar tables.
-pub fn render(data: &Data) -> String {
-    let mut out = String::from("Figure 10(a): balancing modes (3 sequencers, 3 MDS)\n\n");
-    let bars = |bars: &[Bar]| {
-        let max = bars.iter().map(|b| b.mean).fold(1.0, f64::max);
-        report::table(
-            &["configuration", "ops/sec", "stddev", ""],
-            &bars
-                .iter()
-                .map(|b| {
-                    vec![
-                        b.label.clone(),
-                        format!("{:.0}", b.mean),
-                        format!("{:.0}", b.std),
-                        "#".repeat((b.mean / max * 40.0) as usize),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        )
-    };
-    out.push_str(&bars(&data.modes));
-    out.push_str("\nFigure 10(b): migration units (2 sequencers, 2 MDS)\n\n");
-    out.push_str(&bars(&data.units));
-    let best = data.units.iter().map(|b| b.mean).fold(0.0, f64::max);
-    let worst = data
-        .units
-        .iter()
-        .map(|b| b.mean)
-        .fold(f64::INFINITY, f64::min);
-    out.push_str(&format!(
-        "\nbest/worst migration configuration: {:.2}x\n",
-        best / worst
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn quick() -> Config {
+    fn at(scale: Scale) -> Self {
+        // Quick compresses time, not load (see `fig9`); one seed, since
+        // the steady state barely depends on it.
+        let (secs, seeds) = match scale {
+            Scale::Paper => ([120, 5, 30], vec![9, 10, 11]),
+            Scale::Quick => ([12, 1, 4], vec![9]),
+        };
+        let [duration, balance_interval, settle] = secs.map(SimDuration::from_secs);
         Config {
-            duration: SimDuration::from_secs(60),
-            balance_interval: SimDuration::from_secs(5),
-            seeds: vec![9, 10],
+            duration,
+            balance_interval,
+            settle,
+            seeds,
         }
     }
 
-    #[test]
-    fn modes_panel_shapes() {
-        let config = quick();
-        let data = run(&config);
-        let by = |label: &str| {
-            data.modes
-                .iter()
-                .chain(data.units.iter())
+    /// Runs both panels.
+    fn run(&self) -> Data {
+        let cephfs = |mode| BalancerChoice::CephFs(mode);
+        let mantle = |policy: &str| BalancerChoice::Mantle(policy.to_string());
+        let modes = [
+            ("cephfs-cpu", cephfs(CephFsMode::Cpu)),
+            ("cephfs-workload", cephfs(CephFsMode::Workload)),
+            ("cephfs-hybrid", cephfs(CephFsMode::Hybrid)),
+            ("mantle", mantle(mala_mantle::SEQUENCER_AWARE_POLICY)),
+        ];
+        let units = [
+            ("client-half", mantle(mala_mantle::CLIENT_HALF_POLICY)),
+            ("client-full", mantle(mala_mantle::CLIENT_FULL_POLICY)),
+            ("proxy-half", mantle(mala_mantle::PROXY_HALF_POLICY)),
+            ("proxy-full", mantle(mala_mantle::PROXY_FULL_POLICY)),
+        ];
+        Data {
+            modes: modes.map(|(label, b)| bar(label, 3, b, self)).into(),
+            units: units.map(|(label, b)| bar(label, 2, b, self)).into(),
+        }
+    }
+
+    /// Both panels as bar tables.
+    fn render(&self, data: &Data) -> String {
+        let mut out = String::from("Figure 10(a): balancing modes (3 sequencers, 3 MDS)\n\n");
+        let bars = |bars: &[Bar]| {
+            let max = bars.iter().map(|b| b.mean).fold(1.0, f64::max);
+            report::table(
+                &["configuration", "ops/sec", "stddev", ""],
+                &bars
+                    .iter()
+                    .map(|b| {
+                        vec![
+                            b.label.clone(),
+                            format!("{:.0}", b.mean),
+                            format!("{:.0}", b.std),
+                            "#".repeat((b.mean / max * 40.0) as usize),
+                        ]
+                    })
+                    .collect::<Vec<_>>(),
+            )
+        };
+        out.push_str(&bars(&data.modes));
+        out.push_str("\nFigure 10(b): migration units (2 sequencers, 2 MDS)\n\n");
+        out.push_str(&bars(&data.units));
+        let best = data.units.iter().map(|b| b.mean).fold(0.0, f64::max);
+        let worst = data
+            .units
+            .iter()
+            .map(|b| b.mean)
+            .fold(f64::INFINITY, f64::min);
+        out.push_str(&format!(
+            "\nbest/worst migration configuration: {:.2}x\n",
+            best / worst
+        ));
+        out
+    }
+
+    fn assert_shape(&self, data: &Data) -> Result<(), String> {
+        let mean = |label: &str| {
+            (data.modes.iter().chain(&data.units))
                 .find(|b| b.label == label)
-                .unwrap_or_else(|| panic!("missing {label}"))
+                .map(|b| b.mean)
+                .ok_or(format!("missing {label}"))
         };
         // (a) three CephFS modes within a band; mantle best.
-        let cpu = by("cephfs-cpu");
-        let wl = by("cephfs-workload");
-        let hy = by("cephfs-hybrid");
-        let mantle = by("mantle");
-        for b in [cpu, wl, hy] {
-            assert!(
-                mantle.mean > b.mean,
-                "mantle {} !> {} {}",
-                mantle.mean,
-                b.label,
-                b.mean
+        let (wl, hy, mantle) = (
+            mean("cephfs-workload")?,
+            mean("cephfs-hybrid")?,
+            mean("mantle")?,
+        );
+        for cephfs in [mean("cephfs-cpu")?, wl, hy] {
+            ensure!(
+                mantle > cephfs,
+                "mantle {mantle} !> a cephfs mode at {cephfs}"
             );
         }
-        let band = |a: &Bar, b: &Bar| (a.mean - b.mean).abs() / a.mean.max(b.mean) < 0.25;
-        assert!(band(wl, hy), "workload {} vs hybrid {}", wl.mean, hy.mean);
+        ensure!(
+            (wl - hy).abs() / wl.max(hy) < 0.25,
+            "workload {wl} vs hybrid {hy}"
+        );
         // (b) proxy beats client at same unit; full beats half in proxy.
-        let ch = by("client-half");
-        let cf = by("client-full");
-        let ph = by("proxy-half");
-        let pf = by("proxy-full");
-        assert!(
-            ph.mean > ch.mean,
-            "proxy-half {} !> client-half {}",
-            ph.mean,
-            ch.mean
-        );
-        assert!(
-            pf.mean > cf.mean,
-            "proxy-full {} !> client-full {}",
-            pf.mean,
-            cf.mean
-        );
-        assert!(
-            pf.mean > ph.mean,
-            "proxy-full {} !> proxy-half {}",
-            pf.mean,
-            ph.mean
-        );
+        let (ch, cf) = (mean("client-half")?, mean("client-full")?);
+        let (ph, pf) = (mean("proxy-half")?, mean("proxy-full")?);
+        ensure!(ph > ch, "proxy-half {ph} !> client-half {ch}");
+        ensure!(pf > cf, "proxy-full {pf} !> client-full {cf}");
+        ensure!(pf > ph, "proxy-full {pf} !> proxy-half {ph}");
         // The paper's headline: up to ~2x between best and worst.
-        let spread = pf.mean / ch.mean.min(cf.mean);
-        assert!(
+        let spread = pf / ch.min(cf);
+        ensure!(
             spread > 1.5,
             "best/worst spread {spread:.2} too small for the 2x claim"
         );
-        let rendered = render(&data);
-        assert!(rendered.contains("Figure 10(b)"));
+        Ok(())
     }
 }

@@ -14,10 +14,9 @@
 
 use mala_mds::ServeStyle;
 use mala_sim::SimDuration;
-use mala_zlog::SeqMode;
 
-use crate::report;
-use crate::workload::{BalancerChoice, SeqBench, SeqBenchCfg};
+use crate::workload::{SeqBench, SeqBenchCfg};
+use crate::{ensure, report, Experiment, Scale};
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
@@ -28,19 +27,8 @@ pub struct Config {
     pub migrate_at: SimDuration,
     /// Throughput window.
     pub window: SimDuration,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            duration: SimDuration::from_secs(120),
-            migrate_at: SimDuration::from_secs(60),
-            window: SimDuration::from_secs(5),
-            seed: 12,
-        }
-    }
+    /// Import settle window (see [`SeqBenchCfg::settle`]).
+    pub settle: SimDuration,
 }
 
 /// One mode's run.
@@ -65,15 +53,13 @@ pub struct Data {
 
 fn run_mode(config: &Config, label: &str, style: ServeStyle) -> ModeRun {
     let mut bench = SeqBench::build(SeqBenchCfg {
-        seed: config.seed,
+        seed: 12,
         mds: 2,
-        osds: 0,
         sequencers: 2,
         clients_per_seq: 4,
-        mode: SeqMode::RoundTrip,
-        balancer: BalancerChoice::None,
-        balance_interval: SimDuration::from_secs(10),
+        settle: config.settle,
         prefix: format!("fig12.{label}"),
+        ..Default::default()
     });
     let t0 = bench.cluster.sim.now().as_secs_f64();
     bench.start_all();
@@ -89,13 +75,8 @@ fn run_mode(config: &Config, label: &str, style: ServeStyle) -> ModeRun {
     let mut series: [Vec<(f64, f64)>; 2] = [Vec::new(), Vec::new()];
     let mut after = [0.0; 2];
     for k in 0..2 {
-        let events: Vec<(f64, f64)> = bench
-            .events_of_seq(k)
-            .into_iter()
-            .map(|(t, n)| (t - t0, n))
-            .collect();
         series[k] = report::windowed_rate(
-            &events,
+            &bench.events_of_seq(k, t0),
             config.window.as_secs_f64(),
             config.duration.as_secs_f64(),
         );
@@ -115,92 +96,99 @@ fn run_mode(config: &Config, label: &str, style: ServeStyle) -> ModeRun {
     }
 }
 
-/// Runs both modes.
-pub fn run(config: &Config) -> Data {
-    Data {
-        runs: vec![
-            run_mode(config, "proxy", ServeStyle::Proxy),
-            run_mode(config, "client", ServeStyle::Direct),
-        ],
-    }
-}
+impl Experiment for Config {
+    type Data = Data;
 
-/// Renders both panels.
-pub fn render(data: &Data, config: &Config) -> String {
-    let mut out = format!(
+    fn at(scale: Scale) -> Self {
+        // Quick compresses time, not load (see `fig9`).
+        let [duration, migrate_at, window, settle] = match scale {
+            Scale::Paper => [120, 60, 5, 30],
+            Scale::Quick => [16, 8, 1, 4],
+        }
+        .map(SimDuration::from_secs);
+        Config {
+            duration,
+            migrate_at,
+            window,
+            settle,
+        }
+    }
+
+    /// Runs both modes.
+    fn run(&self) -> Data {
+        Data {
+            runs: vec![
+                run_mode(self, "proxy", ServeStyle::Proxy),
+                run_mode(self, "client", ServeStyle::Direct),
+            ],
+        }
+    }
+
+    /// Both panels.
+    fn render(&self, data: &Data) -> String {
+        let mut out = format!(
         "Figure 12: serving modes over time (2 sequencers, 2 MDS; sequencer 0 migrates at {} s)\n",
-        config.migrate_at.as_secs_f64()
+        self.migrate_at.as_secs_f64()
     );
-    for run in &data.runs {
-        out.push_str(&format!("\n== {} mode ==\n", run.label));
-        let rows: Vec<Vec<String>> = run.series[0]
-            .iter()
-            .zip(run.series[1].iter())
-            .map(|((t, s0), (_, s1))| {
-                vec![
-                    format!("{t:.0}"),
-                    format!("{s0:.0}"),
-                    format!("{s1:.0}"),
-                    format!("{:.0}", s0 + s1),
-                ]
-            })
-            .collect();
-        out.push_str(&report::table(
-            &["t (s)", "sequencer 0", "sequencer 1", "cluster"],
-            &rows,
-        ));
-        out.push_str(&format!(
-            "after migration: s0 {:.0} ops/s, s1 {:.0} ops/s, cluster {:.0} ops/s\n",
-            run.after[0], run.after[1], run.cluster_after
-        ));
+        for run in &data.runs {
+            out.push_str(&format!("\n== {} mode ==\n", run.label));
+            let rows: Vec<Vec<String>> = run.series[0]
+                .iter()
+                .zip(run.series[1].iter())
+                .map(|((t, s0), (_, s1))| {
+                    vec![
+                        format!("{t:.0}"),
+                        format!("{s0:.0}"),
+                        format!("{s1:.0}"),
+                        format!("{:.0}", s0 + s1),
+                    ]
+                })
+                .collect();
+            out.push_str(&report::table(
+                &["t (s)", "sequencer 0", "sequencer 1", "cluster"],
+                &rows,
+            ));
+            out.push_str(&format!(
+                "after migration: s0 {:.0} ops/s, s1 {:.0} ops/s, cluster {:.0} ops/s\n",
+                run.after[0], run.after[1], run.cluster_after
+            ));
+        }
+        out
     }
-    out
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn proxy_beats_client_and_dynamics_match() {
-        let config = Config {
-            duration: SimDuration::from_secs(60),
-            migrate_at: SimDuration::from_secs(30),
-            ..Default::default()
-        };
-        let data = run(&config);
-        let proxy = &data.runs[0];
-        let client = &data.runs[1];
+    fn assert_shape(&self, data: &Data) -> Result<(), String> {
+        let [proxy, client] = [&data.runs[0], &data.runs[1]];
         // Before migration both sequencers share rank 0 evenly.
+        let window_s = self.window.as_secs_f64();
         let before = |r: &ModeRun, k: usize| {
             let xs: Vec<f64> = r.series[k]
                 .iter()
-                .filter(|(t, _)| *t > 5.0 && *t < config.migrate_at.as_secs_f64() - 5.0)
+                .filter(|(t, _)| *t > window_s && *t < self.migrate_at.as_secs_f64() - window_s)
                 .map(|(_, v)| *v)
                 .collect();
             report::mean(&xs)
         };
-        let p0_before = before(proxy, 0);
-        let p1_before = before(proxy, 1);
-        assert!((p0_before - p1_before).abs() / p0_before < 0.2);
+        let (p0_before, p1_before) = (before(proxy, 0), before(proxy, 1));
+        ensure!(
+            (p0_before - p1_before).abs() / p0_before < 0.2,
+            "uneven before migration: s0 {p0_before} vs s1 {p1_before}"
+        );
         // Proxy: migrated sequencer jumps, the one left on the proxy dips.
-        assert!(
-            proxy.after[0] > p0_before * 1.3,
-            "s0 {} !>> before {}",
-            proxy.after[0],
-            p0_before
+        let [p0, p1] = proxy.after;
+        ensure!(p0 > p0_before * 1.3, "s0 {p0} !>> before {p0_before}");
+        ensure!(
+            p1 < p1_before,
+            "s1 must dip on the proxy: {p1} vs {p1_before}"
         );
-        assert!(proxy.after[1] < p1_before, "s1 must dip on the proxy");
         // Cluster: proxy beats client mode.
-        assert!(
-            proxy.cluster_after > client.cluster_after * 1.1,
-            "proxy {} !> client {}",
-            proxy.cluster_after,
-            client.cluster_after
-        );
+        let (p, c) = (proxy.cluster_after, client.cluster_after);
+        ensure!(p > c * 1.1, "proxy {p} !> client {c}");
         // Client mode is more fair but the rank-0 resident is slower.
-        assert!(client.after[1] < client.after[0] * 1.05);
-        let rendered = render(&data, &config);
-        assert!(rendered.contains("proxy mode"));
+        let [c0, c1] = client.after;
+        ensure!(
+            c1 < c0 * 1.05,
+            "client mode: resident s1 {c1} vs migrated s0 {c0}"
+        );
+        Ok(())
     }
 }

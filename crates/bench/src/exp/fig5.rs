@@ -15,35 +15,22 @@ use mala_mds::types::CapPolicyConfig;
 use mala_sim::SimDuration;
 use mala_zlog::SeqMode;
 
-use crate::report;
-use crate::workload::{BalancerChoice, SeqBench, SeqBenchCfg};
+use crate::workload::{SeqBench, SeqBenchCfg};
+use crate::{ensure, report, Experiment, Scale};
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Run length per policy.
     pub duration: SimDuration,
-    /// Local increment cost.
-    pub op_time: SimDuration,
-    /// The "delay" policy's hold time (paper: 0.25 s).
-    pub hold: SimDuration,
-    /// The "quota" policy's budget.
-    pub quota: u64,
-    /// RNG seed.
-    pub seed: u64,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            duration: SimDuration::from_secs(4),
-            op_time: SimDuration::from_micros(5),
-            hold: SimDuration::from_millis(250),
-            quota: 20_000,
-            seed: 7,
-        }
-    }
-}
+/// Local increment cost.
+const OP_TIME: SimDuration = SimDuration::from_micros(5);
+/// The "delay" policy's hold time (paper: 0.25 s).
+const HOLD: SimDuration = SimDuration::from_millis(250);
+/// The "quota" policy's budget.
+const QUOTA: u64 = 20_000;
 
 /// One client's hold segments: `(start_s, end_s, positions)`.
 pub type Segments = Vec<(f64, f64, u64)>;
@@ -70,14 +57,8 @@ pub struct Data {
 
 fn run_policy(config: &Config, label: &str, policy: CapPolicyConfig) -> PolicyRun {
     let mut bench = SeqBench::build(SeqBenchCfg {
-        seed: config.seed,
-        mds: 1,
-        sequencers: 1,
-        clients_per_seq: 2,
-        mode: SeqMode::Cached {
-            op_time: config.op_time,
-        },
-        balancer: BalancerChoice::None,
+        seed: 7,
+        mode: SeqMode::Cached { op_time: OP_TIME },
         prefix: format!("fig5.{label}"),
         ..Default::default()
     });
@@ -86,7 +67,7 @@ fn run_policy(config: &Config, label: &str, policy: CapPolicyConfig) -> PolicyRu
     bench.start_all();
     bench.cluster.sim.run_for(config.duration);
     bench.stop_all();
-    let op_s = config.op_time.as_secs_f64();
+    let op_s = OP_TIME.as_secs_f64();
     let mut segments: [Segments; 2] = [Vec::new(), Vec::new()];
     for (i, seg) in segments.iter_mut().enumerate() {
         let name = format!("fig5.{label}.s0.c{i}.batch");
@@ -96,7 +77,7 @@ fn run_policy(config: &Config, label: &str, policy: CapPolicyConfig) -> PolicyRu
             seg.push((end - op_s * s.value, end, n));
         }
         // Merge back-to-back batches of one hold into single segments.
-        seg.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+        seg.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut merged: Segments = Vec::new();
         for (start, end, n) in seg.drain(..) {
             match merged.last_mut() {
@@ -130,114 +111,103 @@ fn run_policy(config: &Config, label: &str, policy: CapPolicyConfig) -> PolicyRu
     }
 }
 
-/// Runs all three policies.
-pub fn run(config: &Config) -> Data {
-    Data {
-        runs: vec![
-            run_policy(config, "best-effort", CapPolicyConfig::best_effort()),
-            run_policy(config, "delay", CapPolicyConfig::delay(config.hold)),
-            run_policy(
-                config,
-                "quota",
-                CapPolicyConfig::quota(config.quota, config.hold.mul(4)),
-            ),
-        ],
-    }
-}
+impl Experiment for Config {
+    type Data = Data;
 
-/// Renders per-policy hold timelines.
-pub fn render(data: &Data) -> String {
-    let mut out =
-        String::from("Figure 5: sequencer capability holds over time (2 contending clients)\n");
-    for run in &data.runs {
-        out.push_str(&format!(
-            "\n== policy: {} — {} positions, {} exchanges ==\n",
-            run.label, run.total_ops, run.exchanges
-        ));
-        let mut rows = Vec::new();
-        for (i, segs) in run.segments.iter().enumerate() {
-            let shown = segs.iter().take(8);
-            for (start, end, ops) in shown {
-                rows.push(vec![
-                    format!("client {i}"),
-                    format!("{start:.4}s"),
-                    format!("{end:.4}s"),
-                    format!("{:.1} ms", (end - start) * 1e3),
-                    ops.to_string(),
-                ]);
-            }
-            if segs.len() > 8 {
-                rows.push(vec![
-                    format!("client {i}"),
-                    format!("... {} more holds", segs.len() - 8),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                ]);
-            }
+    fn at(scale: Scale) -> Self {
+        Config {
+            duration: SimDuration::from_secs(match scale {
+                Scale::Paper => 4,
+                Scale::Quick => 2,
+            }),
         }
-        out.push_str(&report::table(
-            &["client", "hold start", "hold end", "length", "positions"],
-            &rows,
-        ));
     }
-    out
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// Runs all three policies.
+    fn run(&self) -> Data {
+        Data {
+            runs: vec![
+                run_policy(self, "best-effort", CapPolicyConfig::best_effort()),
+                run_policy(self, "delay", CapPolicyConfig::delay(HOLD)),
+                run_policy(self, "quota", CapPolicyConfig::quota(QUOTA, HOLD.mul(4))),
+            ],
+        }
+    }
 
-    #[test]
-    fn policies_shape_matches_paper() {
-        let config = Config {
-            duration: SimDuration::from_secs(2),
-            ..Default::default()
-        };
-        let data = run(&config);
+    fn render(&self, data: &Data) -> String {
+        let mut out =
+            String::from("Figure 5: sequencer capability holds over time (2 contending clients)\n");
+        for run in &data.runs {
+            out.push_str(&format!(
+                "\n== policy: {} — {} positions, {} exchanges ==\n",
+                run.label, run.total_ops, run.exchanges
+            ));
+            let mut rows = Vec::new();
+            for (i, segs) in run.segments.iter().enumerate() {
+                let shown = segs.iter().take(8);
+                for (start, end, ops) in shown {
+                    rows.push(vec![
+                        format!("client {i}"),
+                        format!("{start:.4}s"),
+                        format!("{end:.4}s"),
+                        format!("{:.1} ms", (end - start) * 1e3),
+                        ops.to_string(),
+                    ]);
+                }
+                if segs.len() > 8 {
+                    rows.push(vec![
+                        format!("client {i}"),
+                        format!("... {} more holds", segs.len() - 8),
+                        String::new(),
+                        String::new(),
+                        String::new(),
+                    ]);
+                }
+            }
+            out.push_str(&report::table(
+                &["client", "hold start", "hold end", "length", "positions"],
+                &rows,
+            ));
+        }
+        out
+    }
+
+    fn assert_shape(&self, data: &Data) -> Result<(), String> {
         let [best, delay, quota] = [&data.runs[0], &data.runs[1], &data.runs[2]];
-
-        // Both clients get turns in all policies.
+        // One (hold length, positions) pair per hold of either client.
+        let holds = |r: &PolicyRun| -> Vec<(f64, f64)> {
+            (r.segments.iter().flatten())
+                .map(|(start, end, n)| (end - start, *n as f64))
+                .collect()
+        };
+        let summary = |r: &PolicyRun| format!("{}: {} ops", r.label, r.total_ops);
         for r in &data.runs {
-            assert!(
-                !r.segments[0].is_empty() && !r.segments[1].is_empty(),
-                "{}: a client was starved",
-                r.label
-            );
+            let starved = r.segments.iter().any(Vec::is_empty);
+            ensure!(!starved, "{}: a client was starved", r.label);
         }
         // Best-effort: many short exchanges, lowest throughput.
-        assert!(
-            best.exchanges > delay.exchanges,
-            "best-effort must exchange more ({} vs {})",
-            best.exchanges,
-            delay.exchanges
+        ensure!(
+            best.exchanges > delay.exchanges
+                && best.total_ops < delay.total_ops.min(quota.total_ops),
+            "best-effort must exchange most and deliver least: {}, {}, {}",
+            summary(best),
+            summary(delay),
+            summary(quota)
         );
-        assert!(best.total_ops < delay.total_ops);
-        assert!(best.total_ops < quota.total_ops);
-        // Delay: hold lengths cluster near the configured 250 ms.
-        let delay_holds: Vec<f64> = delay.segments[0]
-            .iter()
-            .chain(delay.segments[1].iter())
-            .map(|(s, e, _)| e - s)
-            .collect();
-        let mean_hold = crate::report::mean(&delay_holds);
-        assert!(
-            (0.15..=0.35).contains(&mean_hold),
-            "delay hold mean {mean_hold:.3}s not near 0.25s"
+        // Delay: hold lengths cluster near the configured hold.
+        let lengths: Vec<f64> = holds(delay).iter().map(|h| h.0).collect();
+        let (mean_hold, hold) = (report::mean(&lengths), HOLD.as_secs_f64());
+        ensure!(
+            (hold * 0.6..=hold * 1.4).contains(&mean_hold),
+            "delay hold mean {mean_hold:.3}s not near {hold}s"
         );
         // Quota: segments carry ~quota positions each.
-        let quota_sizes: Vec<f64> = quota.segments[0]
-            .iter()
-            .chain(quota.segments[1].iter())
-            .map(|(_, _, n)| *n as f64)
-            .collect();
-        let mean_ops = crate::report::mean(&quota_sizes);
-        assert!(
-            (config.quota as f64 * 0.8..=config.quota as f64 * 1.2).contains(&mean_ops),
-            "quota segments average {mean_ops} ops, expected ~{}",
-            config.quota
+        let sizes: Vec<f64> = holds(quota).iter().map(|h| h.1).collect();
+        let (mean_ops, quota) = (report::mean(&sizes), QUOTA as f64);
+        ensure!(
+            (quota * 0.8..=quota * 1.2).contains(&mean_ops),
+            "quota segments average {mean_ops} ops, expected ~{quota}"
         );
-        let rendered = render(&data);
-        assert!(rendered.contains("policy: quota"));
+        Ok(())
     }
 }

@@ -18,35 +18,22 @@ use mala_mds::types::CapPolicyConfig;
 use mala_sim::SimDuration;
 use mala_zlog::SeqMode;
 
-use crate::report;
-use crate::workload::{BalancerChoice, SeqBench, SeqBenchCfg};
+use crate::workload::{SeqBench, SeqBenchCfg};
+use crate::{ensure, report, Experiment, Scale};
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Run length per configuration (paper: 2 minutes).
     pub duration: SimDuration,
-    /// Local increment cost.
-    pub op_time: SimDuration,
-    /// The fixed maximum reservation (paper: 0.25 s).
-    pub reservation: SimDuration,
     /// Quota sweep.
     pub quotas: Vec<u64>,
-    /// RNG seed.
-    pub seed: u64,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            duration: SimDuration::from_secs(20),
-            op_time: SimDuration::from_micros(5),
-            reservation: SimDuration::from_millis(250),
-            quotas: vec![10, 100, 1_000, 10_000, 100_000],
-            seed: 11,
-        }
-    }
-}
+/// Local increment cost.
+const OP_TIME: SimDuration = SimDuration::from_micros(5);
+/// The fixed maximum reservation (paper: 0.25 s).
+const RESERVATION: SimDuration = SimDuration::from_millis(250);
 
 /// One configuration's measurements.
 #[derive(Debug, Clone)]
@@ -73,14 +60,9 @@ pub struct Data {
 fn measure(config: &Config, label: &str, clients: u32, policy: CapPolicyConfig) -> ConfigRun {
     let prefix = format!("fig6.{label}");
     let mut bench = SeqBench::build(SeqBenchCfg {
-        seed: config.seed,
-        mds: 1,
-        sequencers: 1,
+        seed: 11,
         clients_per_seq: clients,
-        mode: SeqMode::Cached {
-            op_time: config.op_time,
-        },
-        balancer: BalancerChoice::None,
+        mode: SeqMode::Cached { op_time: OP_TIME },
         prefix: prefix.clone(),
         ..Default::default()
     });
@@ -91,7 +73,7 @@ fn measure(config: &Config, label: &str, clients: u32, policy: CapPolicyConfig) 
     bench.stop_all();
     let elapsed = bench.cluster.sim.now().since(t0).as_secs_f64();
     let total_ops = bench.total_ops();
-    let op_us = config.op_time.as_micros() as f64;
+    let op_us = OP_TIME.as_micros() as f64;
 
     // Latency distribution: each exchange wait is one sample; every other
     // position costs op_time. See the recording scheme in `mala-zlog`.
@@ -153,130 +135,152 @@ fn mixed_quantiles(sorted_waits: &[f64], ops: u64, op_us: f64, qs: &[f64]) -> Ve
         .collect()
 }
 
-/// Runs the full sweep.
-pub fn run(config: &Config) -> Data {
-    let mut runs = Vec::new();
-    runs.push(measure(
-        config,
-        "exclusive-1-client",
-        1,
-        CapPolicyConfig::best_effort(),
-    ));
-    runs.push(measure(
-        config,
-        "best-effort",
-        2,
-        CapPolicyConfig::best_effort(),
-    ));
-    for quota in &config.quotas {
-        runs.push(measure(
-            config,
-            &format!("quota={quota}"),
-            2,
-            CapPolicyConfig::quota(*quota, config.reservation),
-        ));
-    }
-    Data { runs }
-}
+impl Experiment for Config {
+    type Data = Data;
 
-/// Renders Figure 6 (throughput + mean latency per configuration).
-pub fn render(data: &Data) -> String {
-    let mut out =
-        String::from("Figure 6: sequencer throughput vs. capability quota (2 clients)\n\n");
-    let rows: Vec<Vec<String>> = data
-        .runs
-        .iter()
-        .map(|r| {
-            vec![
-                r.label.clone(),
-                format!("{:.0}", r.throughput),
-                format!("{:.1}", r.mean_latency_us),
-                r.total_ops.to_string(),
-            ]
-        })
-        .collect();
-    out.push_str(&report::table(
-        &["configuration", "ops/sec", "mean latency (us)", "total ops"],
-        &rows,
-    ));
-    out
-}
-
-/// Renders Figure 7 (per-client latency quantiles per configuration).
-pub fn render_fig7(data: &Data) -> String {
-    let mut out = String::from("Figure 7: latency CDF of obtaining a log position\n");
-    for r in &data.runs {
-        out.push_str(&format!("\n== {} ==\n", r.label));
-        let mut rows = Vec::new();
-        for (client, qs) in &r.latency_quantiles {
-            for (q, v) in qs {
-                rows.push(vec![client.clone(), format!("p{q}"), format!("{v:.1} us")]);
-            }
-        }
-        out.push_str(&report::table(&["client", "percentile", "latency"], &rows));
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn quick_config() -> Config {
+    fn at(scale: Scale) -> Self {
+        let (secs, quotas) = match scale {
+            Scale::Paper => (120, vec![10, 100, 1_000, 10_000, 100_000]),
+            Scale::Quick => (4, vec![10, 1_000, 100_000]),
+        };
         Config {
-            duration: SimDuration::from_secs(4),
-            quotas: vec![10, 1_000, 100_000],
-            ..Default::default()
+            duration: SimDuration::from_secs(secs),
+            quotas,
         }
     }
 
-    #[test]
-    fn throughput_rises_and_latency_falls_with_quota() {
-        let data = run(&quick_config());
-        let by_label = |label: &str| {
+    /// Runs the full sweep.
+    fn run(&self) -> Data {
+        let mut runs = vec![
+            measure(
+                self,
+                "exclusive-1-client",
+                1,
+                CapPolicyConfig::best_effort(),
+            ),
+            measure(self, "best-effort", 2, CapPolicyConfig::best_effort()),
+        ];
+        for quota in &self.quotas {
+            runs.push(measure(
+                self,
+                &format!("quota={quota}"),
+                2,
+                CapPolicyConfig::quota(*quota, RESERVATION),
+            ));
+        }
+        Data { runs }
+    }
+
+    /// Figure 6: throughput + mean latency per configuration.
+    fn render(&self, data: &Data) -> String {
+        let mut out =
+            String::from("Figure 6: sequencer throughput vs. capability quota (2 clients)\n\n");
+        let rows: Vec<Vec<String>> = data
+            .runs
+            .iter()
+            .map(|r| {
+                vec![
+                    r.label.clone(),
+                    format!("{:.0}", r.throughput),
+                    format!("{:.1}", r.mean_latency_us),
+                    r.total_ops.to_string(),
+                ]
+            })
+            .collect();
+        out.push_str(&report::table(
+            &["configuration", "ops/sec", "mean latency (us)", "total ops"],
+            &rows,
+        ));
+        out
+    }
+
+    fn assert_shape(&self, data: &Data) -> Result<(), String> {
+        let by_label = |label: String| {
             data.runs
                 .iter()
                 .find(|r| r.label == label)
-                .unwrap_or_else(|| panic!("missing {label}"))
+                .ok_or(format!("missing {label}"))
         };
-        let exclusive = by_label("exclusive-1-client");
-        let best = by_label("best-effort");
-        let q10 = by_label("quota=10");
-        let q1k = by_label("quota=1000");
-        let q100k = by_label("quota=100000");
         // Monotone through the sweep.
-        assert!(
-            q10.throughput < q1k.throughput,
-            "{} !< {}",
-            q10.throughput,
-            q1k.throughput
+        let sweep = (self.quotas.iter())
+            .map(|q| by_label(format!("quota={q}")))
+            .collect::<Result<Vec<_>, _>>()?;
+        for pair in sweep.windows(2) {
+            ensure!(
+                pair[0].throughput < pair[1].throughput
+                    && pair[0].mean_latency_us > pair[1].mean_latency_us,
+                "throughput must rise and latency fall from {:?} to {:?}",
+                pair[0],
+                pair[1]
+            );
+        }
+        let (exclusive, best) = (
+            by_label("exclusive-1-client".into())?,
+            by_label("best-effort".into())?,
         );
-        assert!(q1k.throughput < q100k.throughput);
-        assert!(q10.mean_latency_us > q1k.mean_latency_us);
-        assert!(q1k.mean_latency_us > q100k.mean_latency_us);
-        // Exclusive single client is the ceiling.
-        assert!(exclusive.throughput >= q100k.throughput * 0.9);
-        // Best-effort is worse than a modest quota.
-        assert!(best.throughput < q1k.throughput);
+        let (modest, largest) = (by_label("quota=1000".into())?, sweep[sweep.len() - 1]);
+        ensure!(
+            exclusive.throughput >= largest.throughput * 0.9,
+            "the exclusive client is not the ceiling: {exclusive:?} vs {largest:?}"
+        );
+        ensure!(
+            best.throughput < modest.throughput,
+            "best-effort must lose to a modest quota: {best:?} vs {modest:?}"
+        );
+        Ok(())
+    }
+}
+
+/// Figure 7: the per-client latency quantiles of the Figure 6 sweep.
+pub struct Fig7(Config);
+
+impl Experiment for Fig7 {
+    type Data = Data;
+
+    fn at(scale: Scale) -> Self {
+        Fig7(Config::at(scale))
     }
 
-    #[test]
-    fn p99_under_a_millisecond_for_batched_configs() {
-        let data = run(&quick_config());
-        let q100k = data
-            .runs
-            .iter()
-            .find(|r| r.label == "quota=100000")
-            .unwrap();
-        for (_, qs) in &q100k.latency_quantiles {
-            let p99 = qs.iter().find(|(q, _)| *q == 99.0).unwrap().1;
-            assert!(p99 < 1_000.0, "p99 {p99} us >= 1 ms");
-        }
-        let out = render(&data);
-        assert!(out.contains("quota=100000"));
-        let out7 = render_fig7(&data);
-        assert!(out7.contains("p99"));
+    fn run(&self) -> Data {
+        self.0.run()
     }
+
+    fn render(&self, data: &Data) -> String {
+        let mut out = String::from("Figure 7: latency CDF of obtaining a log position\n");
+        for r in &data.runs {
+            out.push_str(&format!("\n== {} ==\n", r.label));
+            let mut rows = Vec::new();
+            for (client, qs) in &r.latency_quantiles {
+                for (q, v) in qs {
+                    rows.push(vec![client.clone(), format!("p{q}"), format!("{v:.1} us")]);
+                }
+            }
+            out.push_str(&report::table(&["client", "percentile", "latency"], &rows));
+        }
+        out
+    }
+
+    /// The 99th percentile stays under a millisecond once grants are
+    /// batched.
+    fn assert_shape(&self, data: &Data) -> Result<(), String> {
+        let batched = &data.runs[data.runs.len() - 1];
+        for (client, qs) in &batched.latency_quantiles {
+            let p99 = qs
+                .iter()
+                .find(|(q, _)| *q == 99.0)
+                .map_or(f64::NAN, |q| q.1);
+            ensure!(
+                p99 < 1_000.0,
+                "{} {client}: p99 {p99} us >= 1 ms",
+                batched.label
+            );
+        }
+        Ok(())
+    }
+}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
     #[test]
     fn mixed_quantiles_math() {

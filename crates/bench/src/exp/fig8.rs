@@ -14,35 +14,21 @@ use mala_rados::OsdConfig;
 use mala_sim::{SimDuration, SimTime};
 use malacology::cluster::{Cluster, ClusterBuilder};
 
-use crate::report;
+use crate::{ensure, report, Experiment, Scale};
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Number of OSDs (paper: 120, in-memory).
     pub osds: u32,
-    /// Fraction of OSDs subscribed to the monitor (the rest learn by
-    /// gossip).
-    pub subscriber_fraction: f64,
     /// Number of interface updates to install (paper: 1000).
     pub updates: u32,
     /// Gap between successive updates.
     pub update_gap: SimDuration,
-    /// RNG seed.
-    pub seed: u64,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            osds: 120,
-            subscriber_fraction: 0.1,
-            updates: 200,
-            update_gap: SimDuration::from_millis(1100),
-            seed: 8,
-        }
-    }
-}
+/// Fraction of OSDs subscribed to the monitor; the rest learn by gossip.
+const SUBSCRIBER_FRACTION: f64 = 0.1;
 
 /// Results.
 #[derive(Debug, Clone)]
@@ -67,18 +53,10 @@ fn build(config: &Config, proposal_interval: SimDuration) -> Cluster {
         proposal_interval,
         ..MonConfig::default()
     };
-    let subscribe_cutoff = (f64::from(config.osds) * config.subscriber_fraction).ceil() as u32;
-    // ClusterBuilder applies one OsdConfig to all OSDs; for split
-    // subscription we build the cluster with subscribers disabled and
-    // patch per-OSD config by adding OSDs manually. Simpler: subscribe
-    // only the first `cutoff` by building with subscribe disabled and
-    // re-adding. Instead, we build two groups through the builder's
-    // single config by making subscription the default and removing it
-    // via gossip-only daemons added afterwards — but node ids must match
-    // the osdmap. The cleanest available knob: build with subscription
-    // ON for everyone when the fraction is 1.0, otherwise OFF for
-    // everyone and manually subscribe the first group by injecting
-    // subscription messages (equivalent wire behaviour).
+    let subscribe_cutoff = (f64::from(config.osds) * SUBSCRIBER_FRACTION).ceil() as u32;
+    // ClusterBuilder applies one OsdConfig to all OSDs, so subscription
+    // is off for everyone and the first group subscribes by sending the
+    // message `subscribe_to_monitor = true` would have sent at start.
     let osd_config = OsdConfig {
         subscribe_to_monitor: false,
         ..OsdConfig::default()
@@ -89,9 +67,7 @@ fn build(config: &Config, proposal_interval: SimDuration) -> Cluster {
         .osd_config(osd_config)
         .mon_config(mon_config)
         .rados_clients(0)
-        .build(config.seed);
-    // Subscribe the first `cutoff` OSDs by having them send Subscribe
-    // (what `subscribe_to_monitor = true` would have done at start).
+        .build(8);
     for i in 0..subscribe_cutoff.min(config.osds) {
         let node = cluster.osd_node(i);
         let mon = cluster.mon();
@@ -128,136 +104,140 @@ fn commit_latency_ms(config: &Config, interval: SimDuration) -> f64 {
                 )],
             },
         );
-        let before = commit_count(&cluster);
+        let before = commit_count(&cluster.sim);
         let deadline = t0 + SimDuration::from_secs(10);
         cluster
             .sim
-            .run_until_pred(deadline, |s| commit_count_sim(s) > before);
+            .run_until_pred(deadline, |s| commit_count(s) > before);
         latencies.push(cluster.sim.now().since(t0).as_millis_f64());
     }
     report::mean(&latencies)
 }
 
-fn commit_count(cluster: &Cluster) -> usize {
-    commit_count_sim(&cluster.sim)
-}
-
-fn commit_count_sim(sim: &mala_sim::Sim) -> usize {
+fn commit_count(sim: &mala_sim::Sim) -> usize {
     sim.metrics()
         .series(&format!("mon.commit.{SERVICE_MAP_INTERFACES}"))
         .len()
 }
 
-/// Runs the propagation experiment.
-pub fn run(config: &Config) -> Data {
-    let mut cluster = build(config, MonConfig::default().proposal_interval);
-    let mon = cluster.mon();
-    // Stream the updates.
-    for i in 0..config.updates {
-        cluster.sim.inject(
-            mon,
-            MonMsg::Submit {
-                seq: 1000 + u64::from(i),
-                updates: vec![MapUpdate::set(
-                    SERVICE_MAP_INTERFACES,
-                    "bench_iface",
-                    format!("function ping(input) return \"{i}\" end").into_bytes(),
-                )],
-            },
+impl Experiment for Config {
+    type Data = Data;
+
+    fn at(scale: Scale) -> Self {
+        let (osds, updates, gap_ms) = match scale {
+            Scale::Paper => (120, 1000, 1100),
+            Scale::Quick => (24, 8, 1200),
+        };
+        Config {
+            osds,
+            updates,
+            update_gap: SimDuration::from_millis(gap_ms),
+        }
+    }
+
+    /// Runs the propagation experiment.
+    fn run(&self) -> Data {
+        let mut cluster = build(self, MonConfig::default().proposal_interval);
+        let mon = cluster.mon();
+        // Stream the updates.
+        for i in 0..self.updates {
+            cluster.sim.inject(
+                mon,
+                MonMsg::Submit {
+                    seq: 1000 + u64::from(i),
+                    updates: vec![MapUpdate::set(
+                        SERVICE_MAP_INTERFACES,
+                        "bench_iface",
+                        format!("function ping(input) return \"{i}\" end").into_bytes(),
+                    )],
+                },
+            );
+            cluster.sim.run_for(self.update_gap);
+        }
+        // Drain: let the last updates propagate.
+        cluster.sim.run_for(SimDuration::from_secs(10));
+
+        // Commit time per epoch (first monitor observation wins).
+        let metrics = cluster.sim.metrics();
+        let mut commit_at: std::collections::HashMap<u64, SimTime> =
+            std::collections::HashMap::new();
+        for s in metrics.series(&format!("mon.commit.{SERVICE_MAP_INTERFACES}")) {
+            commit_at.entry(s.value as u64).or_insert(s.at);
+        }
+        // Install times per epoch per OSD.
+        let mut latencies_ms = Vec::new();
+        let mut complete = 0;
+        for (epoch, committed) in &commit_at {
+            let series = metrics.series(&format!("osd.iface_live.e{epoch}"));
+            if series.len() as u32 >= self.osds {
+                complete += 1;
+            }
+            for s in series {
+                latencies_ms.push(s.at.saturating_since(*committed).as_millis_f64());
+            }
+        }
+        latencies_ms.retain(|l| l.is_finite());
+        latencies_ms.sort_by(f64::total_cmp);
+
+        let commit_ms_1s = commit_latency_ms(self, SimDuration::from_secs(1));
+        let commit_ms_222ms = commit_latency_ms(self, SimDuration::from_millis(222));
+        Data {
+            latencies_ms,
+            committed_epochs: commit_at.len() as u32,
+            complete_updates: complete,
+            commit_ms_1s,
+            commit_ms_222ms,
+        }
+    }
+
+    /// The CDF and the proposal-interval comparison.
+    fn render(&self, data: &Data) -> String {
+        let mut out = format!(
+            "Figure 8: interface-update propagation latency ({} OSDs, {} updates)\n\n",
+            self.osds, self.updates
         );
-        cluster.sim.run_for(config.update_gap);
-    }
-    // Drain: let the last updates propagate.
-    cluster.sim.run_for(SimDuration::from_secs(10));
-
-    // Commit time per epoch (first monitor observation wins).
-    let metrics = cluster.sim.metrics();
-    let mut commit_at: std::collections::HashMap<u64, SimTime> = std::collections::HashMap::new();
-    for s in metrics.series(&format!("mon.commit.{SERVICE_MAP_INTERFACES}")) {
-        commit_at.entry(s.value as u64).or_insert(s.at);
-    }
-    // Install times per epoch per OSD.
-    let mut latencies_ms = Vec::new();
-    let mut complete = 0;
-    for (epoch, committed) in &commit_at {
-        let series = metrics.series(&format!("osd.iface_live.e{epoch}"));
-        if series.len() as u32 >= config.osds {
-            complete += 1;
-        }
-        for s in series {
-            latencies_ms.push(s.at.saturating_since(*committed).as_millis_f64());
-        }
-    }
-    latencies_ms.retain(|l| l.is_finite());
-    latencies_ms.sort_by(f64::total_cmp);
-
-    let commit_ms_1s = commit_latency_ms(config, SimDuration::from_secs(1));
-    let commit_ms_222ms = commit_latency_ms(config, SimDuration::from_millis(222));
-    Data {
-        latencies_ms,
-        committed_epochs: commit_at.len() as u32,
-        complete_updates: complete,
-        commit_ms_1s,
-        commit_ms_222ms,
-    }
-}
-
-/// Renders the CDF and the proposal-interval comparison.
-pub fn render(data: &Data, config: &Config) -> String {
-    let mut out = format!(
-        "Figure 8: interface-update propagation latency ({} OSDs, {} updates)\n\n",
-        config.osds, config.updates
-    );
-    let qs = report::quantiles(&data.latencies_ms, &[10.0, 50.0, 90.0, 99.0, 100.0]);
-    let rows: Vec<Vec<String>> = qs
-        .iter()
-        .map(|(q, v)| vec![format!("p{q}"), format!("{v:.1} ms")])
-        .collect();
-    out.push_str(&report::table(&["percentile", "install latency"], &rows));
-    out.push_str(&format!(
+        let qs = report::quantiles(&data.latencies_ms, &[10.0, 50.0, 90.0, 99.0, 100.0]);
+        let rows: Vec<Vec<String>> = qs
+            .iter()
+            .map(|(q, v)| vec![format!("p{q}"), format!("{v:.1} ms")])
+            .collect();
+        out.push_str(&report::table(&["percentile", "install latency"], &rows));
+        out.push_str(&format!(
         "\ncommitted epochs: {} (from {} submitted updates)\nepochs fully live on all OSDs: {}/{}\n",
-        data.committed_epochs, config.updates, data.complete_updates, data.committed_epochs
+        data.committed_epochs, self.updates, data.complete_updates, data.committed_epochs
     ));
-    out.push_str(&format!(
+        out.push_str(&format!(
         "\nproposal accumulation interval (submit -> commit):\n  1 s interval   : {:.0} ms mean\n  222 ms interval: {:.0} ms mean\n",
         data.commit_ms_1s, data.commit_ms_222ms
     ));
-    out
-}
+        out
+    }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn propagation_is_fast_and_complete() {
-        let config = Config {
-            osds: 24,
-            updates: 8,
-            update_gap: SimDuration::from_millis(1200),
-            ..Default::default()
-        };
-        let data = run(&config);
-        assert!(data.committed_epochs >= 5, "too few epochs committed");
-        assert_eq!(
-            data.complete_updates, data.committed_epochs,
-            "a committed epoch never became live everywhere"
+    fn assert_shape(&self, data: &Data) -> Result<(), String> {
+        let (epochs, complete) = (data.committed_epochs, data.complete_updates);
+        ensure!(
+            epochs * 2 > self.updates,
+            "only {epochs} epochs committed from {} updates",
+            self.updates
         );
-        assert_eq!(
-            data.latencies_ms.len(),
-            (config.osds * data.committed_epochs) as usize
+        ensure!(
+            complete == epochs,
+            "{complete} of {epochs} committed epochs became live everywhere"
         );
-        let p90 = report::quantiles(&data.latencies_ms, &[90.0])[0].1;
+        let installs = data.latencies_ms.len();
+        ensure!(
+            installs == (self.osds * epochs) as usize,
+            "{installs} install samples for {} OSDs x {epochs} epochs",
+            self.osds
+        );
         // Paper: < 54 ms at p90 on 120 RAM OSDs. Gossip-dominated here too.
-        assert!(p90 < 100.0, "p90 propagation {p90} ms too slow");
-        // Shorter proposal interval must lower commit latency.
-        assert!(
-            data.commit_ms_222ms < data.commit_ms_1s,
-            "222 ms ({}) !< 1 s ({})",
-            data.commit_ms_222ms,
-            data.commit_ms_1s
+        let p90 = report::quantiles(&data.latencies_ms, &[90.0])[0].1;
+        ensure!(p90 < 100.0, "p90 propagation {p90} ms too slow");
+        let (tuned, stock) = (data.commit_ms_222ms, data.commit_ms_1s);
+        ensure!(
+            tuned < stock,
+            "a shorter proposal interval must commit sooner: {tuned} ms vs {stock} ms"
         );
-        let rendered = render(&data, &config);
-        assert!(rendered.contains("p90"));
+        Ok(())
     }
 }

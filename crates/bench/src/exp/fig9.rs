@@ -14,8 +14,8 @@ use mala_mds::CephFsMode;
 use mala_sim::SimDuration;
 use mala_zlog::SeqMode;
 
-use crate::report;
 use crate::workload::{BalancerChoice, SeqBench, SeqBenchCfg};
+use crate::{ensure, report, Experiment, Scale};
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
@@ -24,34 +24,14 @@ pub struct Config {
     pub duration: SimDuration,
     /// Balancing tick (Ceph default 10 s).
     pub balance_interval: SimDuration,
-    /// Sequencers (paper: 3).
-    pub sequencers: u32,
-    /// Clients per sequencer (paper: 4).
-    pub clients_per_seq: u32,
-    /// MDS ranks (paper: 3).
-    pub mds: u32,
-    /// OSD count (paper: 10 object-storage nodes).
-    pub osds: u32,
+    /// Import settle window (see [`SeqBenchCfg::settle`]).
+    pub settle: SimDuration,
     /// Throughput window for the rendered series.
     pub window: SimDuration,
-    /// RNG seed.
-    pub seed: u64,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            duration: SimDuration::from_secs(180),
-            balance_interval: SimDuration::from_secs(10),
-            sequencers: 3,
-            clients_per_seq: 4,
-            mds: 3,
-            osds: 10,
-            window: SimDuration::from_secs(5),
-            seed: 9,
-        }
-    }
-}
+/// The paper's cluster: 3 sequencers, 3 MDS ranks, 10 object-storage nodes.
+const SEQUENCERS: u32 = 3;
 
 /// One regime's run.
 #[derive(Debug, Clone)]
@@ -75,17 +55,17 @@ pub struct Data {
     pub runs: Vec<RegimeRun>,
 }
 
-/// Runs one regime.
-pub fn run_regime(config: &Config, label: &str, balancer: BalancerChoice) -> RegimeRun {
+fn run_regime(config: &Config, label: &str, balancer: BalancerChoice) -> RegimeRun {
     let mut bench = SeqBench::build(SeqBenchCfg {
-        seed: config.seed,
-        mds: config.mds,
-        osds: config.osds,
-        sequencers: config.sequencers,
-        clients_per_seq: config.clients_per_seq,
+        seed: 9,
+        mds: 3,
+        osds: 10,
+        sequencers: SEQUENCERS,
+        clients_per_seq: 4,
         mode: SeqMode::RoundTrip,
         balancer,
         balance_interval: config.balance_interval,
+        settle: config.settle,
         prefix: format!("fig9.{label}"),
     });
     let t0 = bench.cluster.sim.now().as_secs_f64();
@@ -94,13 +74,10 @@ pub fn run_regime(config: &Config, label: &str, balancer: BalancerChoice) -> Reg
     bench.cluster.sim.run_for(config.duration);
     bench.stop_all();
     // Merge all sequencers' events into one cluster series.
-    let mut events = Vec::new();
-    for k in 0..config.sequencers as usize {
-        for (t, n) in bench.events_of_seq(k) {
-            events.push((t - t0, n));
-        }
-    }
-    events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+    let mut events: Vec<(f64, f64)> = (0..SEQUENCERS as usize)
+        .flat_map(|k| bench.events_of_seq(k, t0))
+        .collect();
+    events.sort_by(|a, b| a.0.total_cmp(&b.0));
     let series = report::windowed_rate(
         &events,
         config.window.as_secs_f64(),
@@ -128,97 +105,89 @@ pub fn run_regime(config: &Config, label: &str, balancer: BalancerChoice) -> Reg
     }
 }
 
-/// Runs all three regimes.
-pub fn run(config: &Config) -> Data {
-    Data {
-        runs: vec![
-            run_regime(config, "no-balancing", BalancerChoice::None),
-            run_regime(
-                config,
-                "cephfs",
-                BalancerChoice::CephFs(CephFsMode::Workload),
-            ),
-            run_regime(
-                config,
-                "mantle",
-                BalancerChoice::Mantle(mala_mantle::SEQUENCER_AWARE_POLICY.to_string()),
-            ),
-        ],
-    }
-}
+impl Experiment for Config {
+    type Data = Data;
 
-/// Renders the three time series side by side.
-pub fn render(data: &Data) -> String {
-    let mut out = String::from(
-        "Figure 9: cluster sequencer throughput over time (3 sequencers x 4 clients)\n\n",
-    );
-    let mut headers = vec!["t (s)"];
-    for r in &data.runs {
-        headers.push(Box::leak(r.label.clone().into_boxed_str()));
-    }
-    let len = data.runs.iter().map(|r| r.series.len()).max().unwrap_or(0);
-    let mut rows = Vec::new();
-    for i in 0..len {
-        let mut row = vec![data.runs[0]
-            .series
-            .get(i)
-            .map(|(t, _)| format!("{t:.0}"))
-            .unwrap_or_default()];
-        for r in &data.runs {
-            row.push(
-                r.series
-                    .get(i)
-                    .map(|(_, v)| format!("{v:.0}"))
-                    .unwrap_or_default(),
-            );
+    fn at(scale: Scale) -> Self {
+        // Quick compresses time, not load: tick, settle window and run
+        // shrink together, so the regimes reach the same plateaus sooner.
+        let [duration, balance_interval, settle, window] = match scale {
+            Scale::Paper => [180, 10, 30, 5],
+            Scale::Quick => [12, 1, 4, 1],
         }
-        rows.push(row);
+        .map(SimDuration::from_secs);
+        Config {
+            duration,
+            balance_interval,
+            settle,
+            window,
+        }
     }
-    out.push_str(&report::table(&headers, &rows));
-    out.push('\n');
-    for r in &data.runs {
-        out.push_str(&format!(
-            "{:<14} steady-state {:>8.0} ops/s   migrations: {}   first effect: {}\n",
-            r.label,
-            r.steady_state,
-            r.migrations,
-            r.first_migration_s
-                .map(|t| format!("{t:.0} s"))
-                .unwrap_or_else(|| "-".to_string())
-        ));
+
+    /// Runs all three regimes.
+    fn run(&self) -> Data {
+        Data {
+            runs: vec![
+                run_regime(self, "no-balancing", BalancerChoice::None),
+                run_regime(self, "cephfs", BalancerChoice::CephFs(CephFsMode::Workload)),
+                run_regime(
+                    self,
+                    "mantle",
+                    BalancerChoice::Mantle(mala_mantle::SEQUENCER_AWARE_POLICY.to_string()),
+                ),
+            ],
+        }
     }
-    out
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// The three time series side by side.
+    fn render(&self, data: &Data) -> String {
+        let mut out = String::from(
+            "Figure 9: cluster sequencer throughput over time (3 sequencers x 4 clients)\n\n",
+        );
+        let mut headers = vec!["t (s)"];
+        headers.extend(data.runs.iter().map(|r| r.label.as_str()));
+        let len = data.runs.iter().map(|r| r.series.len()).max().unwrap_or(0);
+        let mut rows = Vec::new();
+        for i in 0..len {
+            let mut row = vec![data.runs[0]
+                .series
+                .get(i)
+                .map(|(t, _)| format!("{t:.0}"))
+                .unwrap_or_default()];
+            for r in &data.runs {
+                row.push(
+                    r.series
+                        .get(i)
+                        .map(|(_, v)| format!("{v:.0}"))
+                        .unwrap_or_default(),
+                );
+            }
+            rows.push(row);
+        }
+        out.push_str(&report::table(&headers, &rows));
+        out.push('\n');
+        for r in &data.runs {
+            out.push_str(&format!(
+                "{:<14} steady-state {:>8.0} ops/s   migrations: {}   first effect: {}\n",
+                r.label,
+                r.steady_state,
+                r.migrations,
+                r.first_migration_s
+                    .map(|t| format!("{t:.0} s"))
+                    .unwrap_or_else(|| "-".to_string())
+            ));
+        }
+        out
+    }
 
-    #[test]
-    fn balancers_beat_no_balancing_and_mantle_wins() {
-        let config = Config {
-            duration: SimDuration::from_secs(90),
-            balance_interval: SimDuration::from_secs(5),
-            ..Default::default()
-        };
-        let data = run(&config);
+    fn assert_shape(&self, data: &Data) -> Result<(), String> {
         let [none, cephfs, mantle] = [&data.runs[0], &data.runs[1], &data.runs[2]];
-        assert_eq!(none.migrations, 0);
-        assert!(cephfs.migrations > 0, "cephfs never migrated");
-        assert!(mantle.migrations > 0, "mantle never migrated");
-        assert!(
-            cephfs.steady_state > none.steady_state * 1.05,
-            "cephfs {} !> none {}",
-            cephfs.steady_state,
-            none.steady_state
-        );
-        assert!(
-            mantle.steady_state > cephfs.steady_state * 1.05,
-            "mantle {} !> cephfs {}",
-            mantle.steady_state,
-            cephfs.steady_state
-        );
-        let rendered = render(&data);
-        assert!(rendered.contains("steady-state"));
+        ensure!(none.migrations == 0, "no-balancing migrated");
+        ensure!(cephfs.migrations > 0, "cephfs never migrated");
+        ensure!(mantle.migrations > 0, "mantle never migrated");
+        let [n, c, m] = [none, cephfs, mantle].map(|r| r.steady_state);
+        ensure!(c > n * 1.05, "cephfs {c} !> none {n}");
+        ensure!(m > c * 1.05, "mantle {m} !> cephfs {c}");
+        Ok(())
     }
 }

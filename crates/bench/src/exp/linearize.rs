@@ -13,8 +13,8 @@
 //! controls ambiguity (info ops never close, so they stay concurrent
 //! with everything after them and widen every window they touch).
 //!
-//! The binary writes `results/BENCH_linearize.json` alongside the
-//! rendered table.
+//! The JSON body is `results/BENCH_linearize.json`; check times are the
+//! host's, so they differ from run to run.
 
 use std::time::Instant;
 
@@ -24,34 +24,22 @@ use mala_sim::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::report;
+use crate::report::{self, Json};
+use crate::{ensure, Experiment, Scale};
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// History lengths (operation counts) to sweep.
     pub lengths: Vec<usize>,
-    /// Concurrent clients issuing ops.
-    pub clients: u64,
-    /// Percentage of appends whose outcome is ambiguous (info).
-    pub info_pct: u32,
     /// Timed check repetitions per length (median reported).
     pub iters: u32,
-    /// RNG seed for the synthetic trace.
-    pub seed: u64,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            lengths: vec![64, 128, 256, 512, 1024, 2048, 4096],
-            clients: 4,
-            info_pct: 10,
-            iters: 5,
-            seed: 2017,
-        }
-    }
-}
+/// Concurrent clients issuing ops.
+const CLIENTS: u64 = 4;
+/// Percentage of appends whose outcome is ambiguous (info).
+const INFO_PCT: u32 = 10;
 
 /// One history length's measurements.
 #[derive(Debug, Clone)]
@@ -70,14 +58,8 @@ pub struct LengthRun {
     pub ops_per_sec: f64,
 }
 
-/// Full sweep results.
-#[derive(Debug, Clone)]
-pub struct Data {
-    /// Configuration used.
-    pub config: Config,
-    /// One row per history length.
-    pub runs: Vec<LengthRun>,
-}
+/// One row per history length.
+pub type Data = Vec<LengthRun>;
 
 /// Generates a linearizable synthetic shared-log history of `len` ops.
 ///
@@ -155,95 +137,123 @@ fn pick(rng: &mut StdRng, cells: &[(u64, LogRet)]) -> Option<(u64, LogRet)> {
     Some((*pos, state.clone()))
 }
 
-/// Runs the sweep: for each length, generate one history and time the
-/// checker `iters` times, reporting the median.
-pub fn run(config: &Config) -> Data {
-    let mut runs = Vec::new();
-    for (i, &len) in config.lengths.iter().enumerate() {
-        let rec = synth_history(len, config.clients, config.info_pct, config.seed + i as u64);
-        let ops = rec.operations();
-        let mut times = Vec::new();
-        let mut stats = None;
-        for _ in 0..config.iters.max(1) {
-            let t0 = Instant::now();
-            let s = check_shared_log(&ops).expect("synthetic history is linearizable");
-            times.push(t0.elapsed().as_secs_f64() * 1e6);
-            stats = Some(s);
-        }
-        let stats = stats.expect("at least one iteration ran");
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let check_us = times[times.len() / 2];
-        runs.push(LengthRun {
-            history_len: ops.len(),
-            checked_ops: stats.ops,
-            partitions: stats.partitions,
-            visited: stats.visited,
-            check_us,
-            ops_per_sec: if check_us > 0.0 {
-                stats.ops as f64 / (check_us / 1e6)
-            } else {
-                f64::INFINITY
+impl Experiment for Config {
+    type Data = Data;
+
+    fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Paper => Config {
+                lengths: vec![64, 128, 256, 512, 1024, 2048, 4096],
+                iters: 5,
             },
-        });
+            Scale::Quick => Config {
+                lengths: vec![32, 64],
+                iters: 2,
+            },
+        }
     }
-    Data {
-        config: config.clone(),
-        runs,
-    }
-}
 
-/// Renders the sweep as an aligned table.
-pub fn render(data: &Data) -> String {
-    let rows: Vec<Vec<String>> = data
-        .runs
-        .iter()
-        .map(|r| {
-            vec![
-                r.history_len.to_string(),
-                r.checked_ops.to_string(),
-                r.partitions.to_string(),
-                r.visited.to_string(),
-                format!("{:.1}", r.check_us),
-                format!("{:.0}", r.ops_per_sec),
-            ]
-        })
-        .collect();
-    let mut out = format!(
+    /// Runs the sweep: for each length, generate one history and time the
+    /// checker `iters` times, reporting the median.
+    fn run(&self) -> Data {
+        let mut runs = Vec::new();
+        for (i, &len) in self.lengths.iter().enumerate() {
+            let rec = synth_history(len, CLIENTS, INFO_PCT, 2017 + i as u64);
+            let ops = rec.operations();
+            let mut timed: Vec<(f64, _)> = (0..self.iters.max(1))
+                .map(|_| {
+                    let t0 = Instant::now();
+                    let stats = check_shared_log(&ops)
+                        .unwrap_or_else(|e| panic!("synthetic history must check: {e:?}"));
+                    (t0.elapsed().as_secs_f64() * 1e6, stats)
+                })
+                .collect();
+            timed.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let (check_us, stats) = timed.swap_remove(timed.len() / 2);
+            runs.push(LengthRun {
+                history_len: ops.len(),
+                checked_ops: stats.ops,
+                partitions: stats.partitions,
+                visited: stats.visited,
+                check_us,
+                ops_per_sec: if check_us > 0.0 {
+                    stats.ops as f64 / (check_us / 1e6)
+                } else {
+                    f64::INFINITY
+                },
+            });
+        }
+        runs
+    }
+
+    /// The sweep as an aligned table.
+    fn render(&self, data: &Data) -> String {
+        let rows: Vec<Vec<String>> = data
+            .iter()
+            .map(|r| {
+                vec![
+                    r.history_len.to_string(),
+                    r.checked_ops.to_string(),
+                    r.partitions.to_string(),
+                    r.visited.to_string(),
+                    format!("{:.1}", r.check_us),
+                    format!("{:.0}", r.ops_per_sec),
+                ]
+            })
+            .collect();
+        let mut out = format!(
         "WGL checker cost vs history length ({} clients, {}% ambiguous appends, median of {})\n\n",
-        data.config.clients, data.config.info_pct, data.config.iters
+        CLIENTS, INFO_PCT, self.iters
     );
-    out.push_str(&report::table(
-        &[
-            "history_ops",
-            "checked_ops",
-            "partitions",
-            "visited",
-            "check_us",
-            "ops/s",
-        ],
-        &rows,
-    ));
-    out
-}
-
-/// Machine-readable results for `results/BENCH_linearize.json`.
-pub fn to_json(data: &Data) -> String {
-    let mut out = String::from("{\n  \"bench\": \"linearize\",\n  \"runs\": [\n");
-    for (i, r) in data.runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"history_ops\": {}, \"checked_ops\": {}, \"partitions\": {}, \
-             \"visited\": {}, \"check_us\": {:.1}, \"ops_per_sec\": {:.0}}}{}\n",
-            r.history_len,
-            r.checked_ops,
-            r.partitions,
-            r.visited,
-            r.check_us,
-            r.ops_per_sec,
-            if i + 1 == data.runs.len() { "" } else { "," }
+        out.push_str(&report::table(
+            &[
+                "history_ops",
+                "checked_ops",
+                "partitions",
+                "visited",
+                "check_us",
+                "ops/s",
+            ],
+            &rows,
         ));
+        out
     }
-    out.push_str("  ]\n}\n");
-    out
+
+    fn json(&self, data: &Data) -> Option<Json> {
+        Some(Json::obj([
+            ("bench", Json::from("linearize")),
+            (
+                "runs",
+                Json::arr(data, |r| {
+                    Json::obj([
+                        ("history_ops", Json::from(r.history_len)),
+                        ("checked_ops", Json::from(r.checked_ops)),
+                        ("partitions", Json::from(r.partitions)),
+                        ("visited", Json::from(r.visited)),
+                        ("check_us", Json::Fixed(r.check_us, 1)),
+                        ("ops_per_sec", Json::Fixed(r.ops_per_sec, 0)),
+                    ])
+                }),
+            ),
+        ]))
+    }
+
+    /// One row per length, and longer histories admit more operations.
+    fn assert_shape(&self, data: &Data) -> Result<(), String> {
+        ensure!(
+            data.len() == self.lengths.len(),
+            "{} rows for {} lengths",
+            data.len(),
+            self.lengths.len()
+        );
+        for pair in data.windows(2) {
+            ensure!(
+                pair[1].checked_ops > pair[0].checked_ops,
+                "a longer history must check more operations: {pair:?}"
+            );
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -259,23 +269,5 @@ mod tests {
             let stats = check_shared_log(&ops).expect("synthetic history must check");
             assert!(stats.partitions > 0);
         }
-    }
-
-    #[test]
-    fn sweep_produces_one_row_per_length() {
-        let config = Config {
-            lengths: vec![32, 64],
-            clients: 3,
-            info_pct: 10,
-            iters: 2,
-            seed: 11,
-        };
-        let data = run(&config);
-        assert_eq!(data.runs.len(), 2);
-        assert!(data.runs[1].checked_ops > data.runs[0].checked_ops);
-        let rendered = render(&data);
-        assert!(rendered.contains("history_ops"));
-        let json = to_json(&data);
-        assert!(json.contains("\"bench\": \"linearize\""));
     }
 }

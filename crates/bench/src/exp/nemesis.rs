@@ -9,24 +9,28 @@
 //! the client re-runs setup and CORFU recovery (seal, find tail) before
 //! appends resume. The report shows the throughput dip and latency spike
 //! around each event and the retry counters that absorbed them.
+//!
+//! The `sequencer-failover` scenario ([`FailoverConfig`]) crashes the MDS
+//! *without any harness help*: the monitor must notice the missed beacons,
+//! promote the standby, and the standby must replay the metadata journal
+//! and seal the log before positions flow again. The client rides through
+//! on its retry machinery.
 
 use mala_mds::server::Mds;
 use mala_mds::{MdsConfig, NoBalancer};
 use mala_rados::{Osd, OsdConfig};
-use mala_sim::{Fault, FaultSchedule, Nemesis, SimDuration, SimTime};
+use mala_sim::{Fault, FaultSchedule, Nemesis, NodeId, SimDuration};
 use mala_zlog::log::{run_op, ZlogOut};
 use mala_zlog::{zlog_interface_update, AppendResult, ZlogClient, ZlogConfig};
 use malacology::cluster::{Cluster, ClusterBuilder};
 
-use crate::report;
+use crate::report::{self, phase_stats, PhaseStats};
+use crate::workload::ClosedLoop;
+use crate::{ensure, Experiment, Scale};
 
-/// Experiment configuration.
+/// Configuration of the availability scenario.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// OSD count.
-    pub osds: u32,
-    /// Stripe width of the log.
-    pub stripe_width: u32,
     /// Total run length.
     pub duration: SimDuration,
     /// When the nemesis kills the OSD (no osdmap update).
@@ -35,40 +39,6 @@ pub struct Config {
     pub restart_at: SimDuration,
     /// When the sequencer MDS is killed and restarted.
     pub failover_at: SimDuration,
-    /// Throughput window for the rendered series.
-    pub window: SimDuration,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            osds: 5,
-            stripe_width: 4,
-            duration: SimDuration::from_secs(30),
-            crash_at: SimDuration::from_secs(10),
-            restart_at: SimDuration::from_secs(14),
-            failover_at: SimDuration::from_secs(18),
-            window: SimDuration::from_secs(1),
-            seed: 13,
-        }
-    }
-}
-
-/// Aggregates for one phase of the run.
-#[derive(Debug, Clone)]
-pub struct PhaseStats {
-    /// Phase label.
-    pub label: String,
-    /// Appends completed in the phase.
-    pub appends: u64,
-    /// Mean append latency (ms).
-    pub mean_latency_ms: f64,
-    /// 99th-percentile append latency (ms).
-    pub p99_latency_ms: f64,
-    /// Appends per second over the phase.
-    pub rate: f64,
 }
 
 /// Run results.
@@ -88,42 +58,17 @@ pub struct Data {
     pub failures: u64,
 }
 
-fn phase_stats(label: &str, samples: &[(f64, f64)], from_s: f64, until_s: f64) -> PhaseStats {
-    let lat: Vec<f64> = samples
-        .iter()
-        .filter(|(t, _)| *t >= from_s && *t < until_s)
-        .map(|(_, l)| *l)
-        .collect();
-    let lat_us: Vec<f64> = lat.iter().map(|ms| ms * 1e3).collect();
-    let p99 = mala_sim::Hist::from_values(&lat_us)
-        .quantile(0.99)
-        .unwrap_or(0.0)
-        / 1e3;
-    PhaseStats {
-        label: label.to_string(),
-        appends: lat.len() as u64,
-        mean_latency_ms: report::mean(&lat),
-        p99_latency_ms: p99,
-        rate: lat.len() as f64 / (until_s - from_s).max(f64::EPSILON),
-    }
-}
-
-/// Runs the experiment.
-pub fn run(config: &Config) -> Data {
-    let mut cluster = ClusterBuilder::new()
-        .monitors(1)
-        .osds(config.osds)
-        .mds_ranks(1)
-        .pool("logpool", 16, 2)
-        .build(config.seed);
+/// Adds a client for log `name` on `logpool`, sets the log up, and returns
+/// the client's node.
+fn zlog_client(cluster: &mut Cluster, name: &str) -> NodeId {
     cluster.commit_updates(vec![zlog_interface_update()]);
     let node = cluster.alloc_node();
     cluster.sim.add_node(
         node,
         ZlogClient::new(ZlogConfig {
-            name: "avail".into(),
+            name: name.into(),
             pool: "logpool".into(),
-            stripe_width: config.stripe_width,
+            stripe_width: 4,
             mds_nodes: cluster.mds_nodes(),
             home_rank: 0,
             monitor: cluster.mon(),
@@ -136,204 +81,159 @@ pub fn run(config: &Config) -> Data {
         SimDuration::from_secs(10),
         |c, ctx| c.setup(ctx),
     );
+    node
+}
 
-    let t0 = cluster.sim.now();
-    let victim = cluster.osd_node(0);
-    let schedule = FaultSchedule::new()
-        .at(t0 + config.crash_at, Fault::Crash(victim))
-        .at(t0 + config.restart_at, Fault::Restart(victim));
-    let journals = cluster.journals().clone();
-    let mon = cluster.mon();
-    let mut nemesis = Nemesis::new(schedule).on_restart(move |sim, n| {
-        sim.restart(
-            n,
-            Osd::with_journal(n.0 - 10, mon, OsdConfig::default(), journals.journal(n)),
-        );
-    });
-
-    // Closed-loop appends; each sample is (completion_s since t0, ms).
-    let mut samples: Vec<(f64, f64)> = Vec::new();
-    let mut failures = 0u64;
-    let mut seq = 0u64;
-    let append_until = |cluster: &mut Cluster,
-                        nemesis: &mut Nemesis,
-                        samples: &mut Vec<(f64, f64)>,
-                        failures: &mut u64,
-                        seq: &mut u64,
-                        until: SimTime| {
-        while cluster.sim.now() < until {
-            let started = cluster.sim.now();
-            let payload = format!("e{}", *seq).into_bytes();
-            *seq += 1;
-            let op = cluster
-                .sim
-                .with_actor::<ZlogClient, _>(node, move |c, ctx| c.append(ctx, payload));
-            let deadline = started + SimDuration::from_secs(90);
-            while !cluster.sim.actor::<ZlogClient>(node).is_done(op) {
-                if cluster.sim.now() >= deadline {
-                    break;
-                }
-                nemesis.run_for(&mut cluster.sim, SimDuration::from_millis(20));
-            }
-            match cluster.sim.actor_mut::<ZlogClient>(node).take_result(op) {
-                Some(AppendResult::Ok(ZlogOut::Pos(_))) => {
-                    let done = cluster.sim.now();
-                    samples.push((
-                        done.since(t0).as_secs_f64(),
-                        done.since(started).as_micros() as f64 / 1000.0,
-                    ));
-                }
-                _ => *failures += 1,
-            }
-        }
-    };
-
-    append_until(
-        &mut cluster,
-        &mut nemesis,
-        &mut samples,
-        &mut failures,
-        &mut seq,
-        t0 + config.failover_at,
-    );
-
-    // Sequencer failover: kill the MDS, restart it cold, re-establish the
-    // namespace, and run CORFU recovery (seal the old epoch, find the
-    // tail) before appends resume.
-    let mds0 = cluster.mds_node(0);
-    cluster.sim.crash(mds0);
-    cluster.sim.restart(
-        mds0,
-        Mds::new(0, mon, MdsConfig::default(), Box::new(NoBalancer)),
-    );
-    cluster.sim.run_for(SimDuration::from_secs(1));
-    run_op(
-        &mut cluster.sim,
-        node,
-        SimDuration::from_secs(10),
-        |c, ctx| c.setup(ctx),
-    );
-    let recovered = run_op(
-        &mut cluster.sim,
-        node,
-        SimDuration::from_secs(30),
-        |c, ctx| c.recover(ctx),
-    );
-    let recovered_tail = match recovered {
-        AppendResult::Ok(ZlogOut::Recovered { tail, .. }) => tail,
-        other => panic!("sequencer recovery failed: {other:?}"),
-    };
-
-    append_until(
-        &mut cluster,
-        &mut nemesis,
-        &mut samples,
-        &mut failures,
-        &mut seq,
-        t0 + config.duration,
-    );
-
-    let events: Vec<(f64, f64)> = samples.iter().map(|(t, _)| (*t, 1.0)).collect();
-    let series = report::windowed_rate(
-        &events,
-        config.window.as_secs_f64(),
-        config.duration.as_secs_f64(),
-    );
-    let (crash_s, restart_s, failover_s, end_s) = (
-        config.crash_at.as_secs_f64(),
-        config.restart_at.as_secs_f64(),
-        config.failover_at.as_secs_f64(),
-        config.duration.as_secs_f64(),
-    );
-    let phases = vec![
-        phase_stats("healthy", &samples, 0.0, crash_s),
-        phase_stats("osd-outage", &samples, crash_s, restart_s),
-        phase_stats("osd-recovered", &samples, restart_s, failover_s),
-        phase_stats("post-failover", &samples, failover_s, end_s),
-    ];
+fn retries(cluster: &Cluster) -> u64 {
     let metrics = cluster.sim.metrics();
-    Data {
-        series,
-        phases,
-        retries: metrics.counter("client.retries") + metrics.counter("zlog.retries"),
-        journal_replays: metrics.counter("osd.journal_replays"),
-        recovered_tail,
-        failures,
+    metrics.counter("client.retries") + metrics.counter("zlog.retries")
+}
+
+impl Experiment for Config {
+    type Data = Data;
+
+    fn at(scale: Scale) -> Self {
+        let [duration, crash_at, restart_at, failover_at] = match scale {
+            Scale::Paper => [30, 10, 14, 18],
+            Scale::Quick => [16, 5, 8, 10],
+        }
+        .map(SimDuration::from_secs);
+        Config {
+            duration,
+            crash_at,
+            restart_at,
+            failover_at,
+        }
+    }
+
+    fn run(&self) -> Data {
+        let mut cluster = ClusterBuilder::new()
+            .monitors(1)
+            .osds(5)
+            .mds_ranks(1)
+            .pool("logpool", 16, 2)
+            .build(13);
+        let node = zlog_client(&mut cluster, "avail");
+
+        let t0 = cluster.sim.now();
+        let victim = cluster.osd_node(0);
+        let schedule = FaultSchedule::new()
+            .at(t0 + self.crash_at, Fault::Crash(victim))
+            .at(t0 + self.restart_at, Fault::Restart(victim));
+        let journals = cluster.journals().clone();
+        let mon = cluster.mon();
+        let mut nemesis = Nemesis::new(schedule).on_restart(move |sim, n| {
+            sim.restart(
+                n,
+                Osd::with_journal(n.0 - 10, mon, OsdConfig::default(), journals.journal(n)),
+            );
+        });
+
+        let mut appends = ClosedLoop::new(node, t0, "e");
+        appends.append_until(&mut cluster.sim, &mut nemesis, t0 + self.failover_at);
+
+        // Sequencer failover: kill the MDS, restart it cold, re-establish
+        // the namespace, and run CORFU recovery (seal the old epoch, find
+        // the tail) before appends resume.
+        let mds0 = cluster.mds_node(0);
+        cluster.sim.crash(mds0);
+        cluster.sim.restart(
+            mds0,
+            Mds::new(0, mon, MdsConfig::default(), Box::new(NoBalancer)),
+        );
+        cluster.sim.run_for(SimDuration::from_secs(1));
+        run_op(
+            &mut cluster.sim,
+            node,
+            SimDuration::from_secs(10),
+            |c, ctx| c.setup(ctx),
+        );
+        let recovered = run_op(
+            &mut cluster.sim,
+            node,
+            SimDuration::from_secs(30),
+            |c, ctx| c.recover(ctx),
+        );
+        let recovered_tail = match recovered {
+            AppendResult::Ok(ZlogOut::Recovered { tail, .. }) => tail,
+            other => panic!("sequencer recovery failed: {other:?}"),
+        };
+
+        appends.append_until(&mut cluster.sim, &mut nemesis, t0 + self.duration);
+
+        let samples = &appends.samples;
+        let (crash_s, restart_s, failover_s, end_s) = (
+            self.crash_at.as_secs_f64(),
+            self.restart_at.as_secs_f64(),
+            self.failover_at.as_secs_f64(),
+            self.duration.as_secs_f64(),
+        );
+        Data {
+            series: report::append_rate(samples, end_s),
+            phases: vec![
+                phase_stats("healthy", samples, 0.0, crash_s),
+                phase_stats("osd-outage", samples, crash_s, restart_s),
+                phase_stats("osd-recovered", samples, restart_s, failover_s),
+                phase_stats("post-failover", samples, failover_s, end_s),
+            ],
+            retries: retries(&cluster),
+            journal_replays: cluster.sim.metrics().counter("osd.journal_replays"),
+            recovered_tail,
+            failures: appends.failures,
+        }
+    }
+
+    /// The availability timeline and phase table.
+    fn render(&self, data: &Data) -> String {
+        let mut out = String::from(
+            "Nemesis availability: zlog appends through an OSD crash (no map \
+             update) and a sequencer failover\n\n",
+        );
+        out.push_str(&report::timeline(&data.series, &data.phases));
+        out.push_str(&format!(
+            "\nretries absorbed: {}   journal replays: {}   recovered tail: {}   \
+             terminal failures: {}\n",
+            data.retries, data.journal_replays, data.recovered_tail, data.failures
+        ));
+        out
+    }
+
+    /// Throughput dips through the outage, the restart restores it, and
+    /// the failover loses no acked append.
+    fn assert_shape(&self, data: &Data) -> Result<(), String> {
+        ensure!(data.failures == 0, "{} terminal failures", data.failures);
+        let [healthy, outage, recovered, post] = [0, 1, 2, 3].map(|i| &data.phases[i]);
+        ensure!(
+            healthy.rate > 0.0 && outage.rate < healthy.rate,
+            "the outage must dip throughput: {outage:?} vs {healthy:?}"
+        );
+        ensure!(
+            recovered.rate > outage.rate,
+            "the restart must restore throughput: {recovered:?} vs {outage:?}"
+        );
+        ensure!(post.rate > 0.0, "appends dead after sequencer failover");
+        ensure!(data.journal_replays >= 1, "restarted OSD never replayed");
+        ensure!(data.retries > 0, "outage should surface retransmits");
+        // Positions are burned (not reused) by attempts that timed out and
+        // retried, so the recovered tail bounds the acked appends from
+        // above; losing one would show as tail < acked.
+        let acked = healthy.appends + outage.appends + recovered.appends;
+        ensure!(
+            data.recovered_tail >= acked,
+            "recovery lost acked appends: tail {} < {acked}",
+            data.recovered_tail
+        );
+        Ok(())
     }
 }
 
-/// Renders the availability timeline and phase table.
-pub fn render(data: &Data) -> String {
-    let mut out = String::from(
-        "Nemesis availability: zlog appends through an OSD crash (no map \
-         update) and a sequencer failover\n\n",
-    );
-    let rows: Vec<Vec<String>> = data
-        .series
-        .iter()
-        .map(|(t, r)| vec![format!("{t:.0}"), format!("{r:.0}")])
-        .collect();
-    out.push_str(&report::table(&["t (s)", "appends/s"], &rows));
-    out.push('\n');
-    let rows: Vec<Vec<String>> = data
-        .phases
-        .iter()
-        .map(|p| {
-            vec![
-                p.label.clone(),
-                p.appends.to_string(),
-                format!("{:.1}", p.rate),
-                format!("{:.2}", p.mean_latency_ms),
-                format!("{:.2}", p.p99_latency_ms),
-            ]
-        })
-        .collect();
-    out.push_str(&report::table(
-        &["phase", "appends", "ops/s", "mean ms", "p99 ms"],
-        &rows,
-    ));
-    out.push_str(&format!(
-        "\nretries absorbed: {}   journal replays: {}   recovered tail: {}   \
-         terminal failures: {}\n",
-        data.retries, data.journal_replays, data.recovered_tail, data.failures
-    ));
-    out
-}
-
-// ---- sequencer-failover scenario ----
-
-/// Configuration for the `sequencer-failover` scenario: the MDS hosting
-/// the sequencer is crashed *without any harness help* — the monitor must
-/// notice the missed beacons, promote the standby, and the standby must
-/// replay the metadata journal and seal the log before positions flow
-/// again. The client rides through on its retry machinery.
+/// Configuration of the `sequencer-failover` scenario.
 #[derive(Debug, Clone)]
 pub struct FailoverConfig {
-    /// OSD count.
-    pub osds: u32,
-    /// Stripe width of the log.
-    pub stripe_width: u32,
     /// Total run length.
     pub duration: SimDuration,
     /// When the active MDS is crashed (beacons just stop).
     pub crash_at: SimDuration,
-    /// Throughput window for the rendered series.
-    pub window: SimDuration,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for FailoverConfig {
-    fn default() -> Self {
-        FailoverConfig {
-            osds: 4,
-            stripe_width: 4,
-            duration: SimDuration::from_secs(24),
-            crash_at: SimDuration::from_secs(10),
-            window: SimDuration::from_secs(1),
-            seed: 17,
-        }
-    }
 }
 
 /// Results of the `sequencer-failover` scenario.
@@ -356,217 +256,92 @@ pub struct FailoverData {
     pub failures: u64,
 }
 
-/// Runs the sequencer-failover scenario.
-pub fn run_failover(config: &FailoverConfig) -> FailoverData {
-    let mut cluster = ClusterBuilder::new()
-        .monitors(1)
-        .osds(config.osds)
-        .mds_ranks(1)
-        .standby_mds(1)
-        .pool("logpool", 16, 2)
-        .pool("meta", 16, 2)
-        .mds_config(MdsConfig {
-            journal: true,
-            journal_sync: true,
-            ..MdsConfig::default()
-        })
-        .build(config.seed);
-    cluster.commit_updates(vec![zlog_interface_update()]);
-    let node = cluster.alloc_node();
-    cluster.sim.add_node(
-        node,
-        ZlogClient::new(ZlogConfig {
-            name: "failover".into(),
-            pool: "logpool".into(),
-            stripe_width: config.stripe_width,
-            mds_nodes: cluster.mds_nodes(),
-            home_rank: 0,
-            monitor: cluster.mon(),
-        }),
-    );
-    cluster.sim.run_for(SimDuration::from_secs(1));
-    run_op(
-        &mut cluster.sim,
-        node,
-        SimDuration::from_secs(10),
-        |c, ctx| c.setup(ctx),
-    );
+impl Experiment for FailoverConfig {
+    type Data = FailoverData;
 
-    let t0 = cluster.sim.now();
-    let crash_time = t0 + config.crash_at;
-    let end = t0 + config.duration;
-    let mut samples: Vec<(f64, f64)> = Vec::new();
-    let mut failures = 0u64;
-    let mut seq = 0u64;
-    let mut crashed = false;
-    let mut first_after_crash: Option<SimTime> = None;
-    while cluster.sim.now() < end {
-        if !crashed && cluster.sim.now() >= crash_time {
-            // Beacons stop; nobody updates the map for the monitor.
-            cluster.sim.crash(cluster.mds_node(0));
-            crashed = true;
+    fn at(scale: Scale) -> Self {
+        let [duration, crash_at] = match scale {
+            Scale::Paper => [24, 10],
+            Scale::Quick => [16, 6],
         }
-        let started = cluster.sim.now();
-        let payload = format!("f{seq}").into_bytes();
-        seq += 1;
-        let op = cluster
-            .sim
-            .with_actor::<ZlogClient, _>(node, move |c, ctx| c.append(ctx, payload));
-        let deadline = started + SimDuration::from_secs(90);
-        while !cluster.sim.actor::<ZlogClient>(node).is_done(op) {
-            if cluster.sim.now() >= deadline {
-                break;
-            }
-            cluster.sim.run_for(SimDuration::from_millis(20));
-        }
-        match cluster.sim.actor_mut::<ZlogClient>(node).take_result(op) {
-            Some(AppendResult::Ok(ZlogOut::Pos(_))) => {
-                let done = cluster.sim.now();
-                if crashed && first_after_crash.is_none() {
-                    first_after_crash = Some(done);
-                }
-                samples.push((
-                    done.since(t0).as_secs_f64(),
-                    done.since(started).as_micros() as f64 / 1000.0,
-                ));
-            }
-            _ => failures += 1,
+        .map(SimDuration::from_secs);
+        FailoverConfig { duration, crash_at }
+    }
+
+    fn run(&self) -> FailoverData {
+        let mut cluster = ClusterBuilder::new()
+            .monitors(1)
+            .osds(4)
+            .mds_ranks(1)
+            .standby_mds(1)
+            .pool("logpool", 16, 2)
+            .pool("meta", 16, 2)
+            .mds_config(MdsConfig {
+                journal: true,
+                journal_sync: true,
+                ..MdsConfig::default()
+            })
+            .build(17);
+        let node = zlog_client(&mut cluster, "failover");
+
+        let t0 = cluster.sim.now();
+        let mut no_faults = Nemesis::new(FaultSchedule::new());
+        let mut appends = ClosedLoop::new(node, t0, "f");
+        appends.append_until(&mut cluster.sim, &mut no_faults, t0 + self.crash_at);
+        // Beacons stop; nobody updates the map for the monitor.
+        cluster.sim.crash(cluster.mds_node(0));
+        let before_crash = appends.samples.len();
+        appends.append_until(&mut cluster.sim, &mut no_faults, t0 + self.duration);
+
+        let samples = &appends.samples;
+        let (crash_s, end_s) = (self.crash_at.as_secs_f64(), self.duration.as_secs_f64());
+        let resume_s = samples
+            .get(before_crash)
+            .map_or(end_s, |(done_s, _)| *done_s);
+        let metrics = cluster.sim.metrics();
+        FailoverData {
+            series: report::append_rate(samples, end_s),
+            phases: vec![
+                phase_stats("healthy", samples, 0.0, crash_s),
+                phase_stats("takeover", samples, crash_s, resume_s),
+                phase_stats("resumed", samples, resume_s, end_s),
+            ],
+            unavailability_ms: (resume_s - crash_s) * 1000.0,
+            takeovers: metrics.counter("mds.takeovers"),
+            seq_seals: metrics.counter("mds.seq_seals"),
+            retries: retries(&cluster),
+            failures: appends.failures,
         }
     }
 
-    let events: Vec<(f64, f64)> = samples.iter().map(|(t, _)| (*t, 1.0)).collect();
-    let series = report::windowed_rate(
-        &events,
-        config.window.as_secs_f64(),
-        config.duration.as_secs_f64(),
-    );
-    let crash_s = config.crash_at.as_secs_f64();
-    let resume_s = first_after_crash
-        .map(|t| t.since(t0).as_secs_f64())
-        .unwrap_or(config.duration.as_secs_f64());
-    let phases = vec![
-        phase_stats("healthy", &samples, 0.0, crash_s),
-        phase_stats("takeover", &samples, crash_s, resume_s),
-        phase_stats("resumed", &samples, resume_s, config.duration.as_secs_f64()),
-    ];
-    let metrics = cluster.sim.metrics();
-    FailoverData {
-        series,
-        phases,
-        unavailability_ms: (resume_s - crash_s) * 1000.0,
-        takeovers: metrics.counter("mds.takeovers"),
-        seq_seals: metrics.counter("mds.seq_seals"),
-        retries: metrics.counter("client.retries") + metrics.counter("zlog.retries"),
-        failures,
-    }
-}
-
-/// Renders the failover timeline and phase table.
-pub fn render_failover(data: &FailoverData) -> String {
-    let mut out = String::from(
-        "Sequencer failover: zlog appends through an unannounced MDS crash \
-         (beacon detection, standby takeover, journal replay, epoch seal)\n\n",
-    );
-    let rows: Vec<Vec<String>> = data
-        .series
-        .iter()
-        .map(|(t, r)| vec![format!("{t:.0}"), format!("{r:.0}")])
-        .collect();
-    out.push_str(&report::table(&["t (s)", "appends/s"], &rows));
-    out.push('\n');
-    let rows: Vec<Vec<String>> = data
-        .phases
-        .iter()
-        .map(|p| {
-            vec![
-                p.label.clone(),
-                p.appends.to_string(),
-                format!("{:.1}", p.rate),
-                format!("{:.2}", p.mean_latency_ms),
-                format!("{:.2}", p.p99_latency_ms),
-            ]
-        })
-        .collect();
-    out.push_str(&report::table(
-        &["phase", "appends", "ops/s", "mean ms", "p99 ms"],
-        &rows,
-    ));
-    out.push_str(&format!(
-        "\nsequencer unavailable for {:.0} ms   takeovers: {}   seals: {}   \
-         retries absorbed: {}   terminal failures: {}\n",
-        data.unavailability_ms, data.takeovers, data.seq_seals, data.retries, data.failures
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn availability_dips_and_recovers() {
-        let config = Config {
-            duration: SimDuration::from_secs(16),
-            crash_at: SimDuration::from_secs(5),
-            restart_at: SimDuration::from_secs(8),
-            failover_at: SimDuration::from_secs(10),
-            ..Default::default()
-        };
-        let data = run(&config);
-        assert_eq!(data.failures, 0, "appends must not fail terminally");
-        let [healthy, outage, recovered, post] = [
-            &data.phases[0],
-            &data.phases[1],
-            &data.phases[2],
-            &data.phases[3],
-        ];
-        assert!(healthy.rate > 0.0, "no baseline throughput");
-        assert!(
-            outage.rate < healthy.rate,
-            "outage {} !< healthy {}",
-            outage.rate,
-            healthy.rate
+    /// The failover timeline and phase table.
+    fn render(&self, data: &FailoverData) -> String {
+        let mut out = String::from(
+            "Sequencer failover: zlog appends through an unannounced MDS crash \
+             (beacon detection, standby takeover, journal replay, epoch seal)\n\n",
         );
-        assert!(
-            recovered.rate > outage.rate,
-            "restart did not restore throughput"
-        );
-        assert!(post.rate > 0.0, "appends dead after sequencer failover");
-        assert!(data.journal_replays >= 1, "restarted OSD never replayed");
-        assert!(data.retries > 0, "outage should surface retransmits");
-        // Positions are burned (not reused) by attempts that timed out and
-        // retried, so the recovered tail bounds the acked appends from
-        // above; losing one would show as tail < acked.
-        assert!(
-            data.recovered_tail >= healthy.appends + outage.appends + recovered.appends,
-            "recovery lost acked appends: tail {} < {}",
-            data.recovered_tail,
-            healthy.appends + outage.appends + recovered.appends
-        );
-        let rendered = render(&data);
-        assert!(rendered.contains("recovered tail"));
+        out.push_str(&report::timeline(&data.series, &data.phases));
+        out.push_str(&format!(
+            "\nsequencer unavailable for {:.0} ms   takeovers: {}   seals: {}   \
+             retries absorbed: {}   terminal failures: {}\n",
+            data.unavailability_ms, data.takeovers, data.seq_seals, data.retries, data.failures
+        ));
+        out
     }
 
-    #[test]
-    fn failover_window_is_bounded_and_throughput_recovers() {
-        let config = FailoverConfig {
-            duration: SimDuration::from_secs(16),
-            crash_at: SimDuration::from_secs(6),
-            ..Default::default()
-        };
-        let data = run_failover(&config);
-        assert_eq!(data.failures, 0, "appends must not fail terminally");
-        assert!(data.takeovers >= 1, "standby never took over");
-        assert!(data.seq_seals >= 1, "promoted standby never sealed");
-        assert!(
-            data.unavailability_ms > 0.0 && data.unavailability_ms < 10_000.0,
-            "implausible unavailability window: {} ms",
-            data.unavailability_ms
+    /// The standby takes over and seals within a bounded window, and
+    /// appends resume.
+    fn assert_shape(&self, data: &FailoverData) -> Result<(), String> {
+        ensure!(data.failures == 0, "{} terminal failures", data.failures);
+        ensure!(data.takeovers >= 1, "standby never took over");
+        ensure!(data.seq_seals >= 1, "promoted standby never sealed");
+        let unavailable = data.unavailability_ms;
+        ensure!(
+            unavailable > 0.0 && unavailable < 10_000.0,
+            "implausible unavailability window: {unavailable} ms"
         );
-        let [healthy, _takeover, resumed] = [&data.phases[0], &data.phases[1], &data.phases[2]];
-        assert!(healthy.rate > 0.0, "no baseline throughput");
-        assert!(resumed.rate > 0.0, "appends dead after standby takeover");
-        let rendered = render_failover(&data);
-        assert!(rendered.contains("sequencer unavailable"));
+        ensure!(data.phases[0].rate > 0.0, "no baseline throughput");
+        ensure!(data.phases[2].rate > 0.0, "appends dead after takeover");
+        Ok(())
     }
 }

@@ -28,13 +28,14 @@
 //! drops to ~20 µs (same for rank 0's `admin` share). The default model
 //! is untouched — Figs. 10/12 still run the conservative costs.
 
-use mala_mds::{FileType, Ino, MdsConfig, MdsCostModel, MdsMsg, ServeStyle};
+use mala_mds::{MdsConfig, MdsCostModel, MdsMsg, ServeStyle};
 use mala_sim::SimDuration;
 use malacology::cluster::ClusterBuilder;
 
 use crate::openloop::{FleetConfig, OpenLoopFleet};
-use crate::report;
-use crate::workload::AdminClient;
+use crate::report::{self, Json};
+use crate::workload::{create_sequencers, AdminClient};
+use crate::{ensure, Experiment, Scale};
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
@@ -55,27 +56,8 @@ pub struct Config {
     pub fixed_clients: u64,
     /// Per-virtual-client think time (fleet rate = clients / think).
     pub think: SimDuration,
-    /// Zipf exponent for log popularity.
-    pub zipf_s: f64,
     /// Measurement window per point.
     pub measure: SimDuration,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            seed: 2017,
-            rank_sweep: vec![1, 2, 4],
-            log_sweep: vec![64, 512, 2048],
-            client_sweep: vec![16_384, 65_536, 262_144],
-            sweep_ranks: 4,
-            fixed_logs: 512,
-            fixed_clients: 65_536,
-            think: SimDuration::from_secs(2),
-            zipf_s: 0.6,
-            measure: SimDuration::from_secs(4),
-        }
-    }
 }
 
 /// One measured point.
@@ -121,6 +103,9 @@ pub struct Data {
     pub rank_scaling: f64,
 }
 
+/// Zipf exponent of log popularity.
+const ZIPF_S: f64 = 0.6;
+
 /// Fleet-scale cost model: coherence batched and amortized across
 /// thousands of inodes (see module docs). `settle` is shortened to match
 /// so measurement starts after import load decays.
@@ -135,15 +120,8 @@ pub fn fleet_costs() -> MdsCostModel {
 
 /// Runs one point: build a cluster, spread `logs` sequencers across
 /// `ranks`, drive the open-loop fleet for the measurement window.
-pub fn run_point(
-    seed: u64,
-    ranks: u32,
-    logs: u32,
-    clients: u64,
-    think: SimDuration,
-    zipf_s: f64,
-    measure: SimDuration,
-) -> Point {
+fn run_point(config: &Config, ranks: u32, logs: u32, clients: u64) -> Point {
+    let (think, measure) = (config.think, config.measure);
     let mds_config = MdsConfig {
         costs: fleet_costs(),
         // Placement is operator-driven here; keep the balancer out.
@@ -155,54 +133,11 @@ pub fn run_point(
         .mds_ranks(ranks)
         .mds_config(mds_config)
         .rados_clients(0)
-        .build(seed);
+        .build(config.seed);
 
     // Namespace setup: /fleet plus one sequencer per log, all on rank 0.
-    let admin = cluster.alloc_node();
-    cluster.sim.add_node(admin, AdminClient::default());
+    let (admin, inos) = create_sequencers(&mut cluster, "fleet", "l", logs, 1000);
     let mds0 = cluster.mds_node(0);
-    cluster
-        .sim
-        .with_actor::<AdminClient, _>(admin, move |_, ctx| {
-            ctx.send(
-                mds0,
-                MdsMsg::Create {
-                    reqid: 1,
-                    parent_path: "/".to_string(),
-                    name: "fleet".to_string(),
-                    ftype: FileType::Dir,
-                },
-            );
-        });
-    cluster.sim.run_for(SimDuration::from_millis(100));
-    for k in 0..logs {
-        cluster
-            .sim
-            .with_actor::<AdminClient, _>(admin, move |_, ctx| {
-                ctx.send(
-                    mds0,
-                    MdsMsg::Create {
-                        reqid: 10 + u64::from(k),
-                        parent_path: "/fleet".to_string(),
-                        name: format!("l{k}"),
-                        ftype: FileType::Sequencer,
-                    },
-                );
-            });
-    }
-    cluster.sim.run_for(SimDuration::from_secs(1));
-    let inos: Vec<Ino> = (0..logs)
-        .map(|k| {
-            cluster
-                .sim
-                .actor::<AdminClient>(admin)
-                .created
-                .get(&(10 + u64::from(k)))
-                .cloned()
-                .unwrap_or_else(|| panic!("log {k} not created"))
-                .expect("create succeeded")
-        })
-        .collect();
 
     // Spread the logs by popularity: greedy longest-processing-time
     // assignment of each log's Zipf weight onto the rank whose projected
@@ -218,25 +153,16 @@ pub fn run_point(
         c.as_secs_f64()
     };
     let mut load = vec![0.0f64; ranks as usize];
-    let mut targets = Vec::with_capacity(inos.len());
-    for k in 0..inos.len() {
-        let w = 1.0 / ((k + 1) as f64).powf(zipf_s.max(0.0));
-        let r = (0..ranks)
-            .min_by(|a, b| {
-                let ta = (load[*a as usize] + w) * direct_secs(*a);
-                let tb = (load[*b as usize] + w) * direct_secs(*b);
-                ta.partial_cmp(&tb).expect("finite loads")
-            })
-            .expect("at least one rank");
-        load[r as usize] += w;
-        targets.push(r);
-    }
-    for (k, ino) in inos.iter().enumerate() {
-        let target = targets[k];
+    for (k, &ino) in inos.iter().enumerate() {
+        let w = 1.0 / ((k + 1) as f64).powf(ZIPF_S);
+        let busy = |r: &u32| (load[*r as usize] + w) * direct_secs(*r);
+        let target = (0..ranks)
+            .min_by(|a, b| busy(a).total_cmp(&busy(b)))
+            .unwrap_or(0);
+        load[target as usize] += w;
         if target == 0 {
             continue;
         }
-        let ino = *ino;
         cluster
             .sim
             .with_actor::<AdminClient, _>(admin, move |_, ctx| {
@@ -262,7 +188,7 @@ pub fn run_point(
         logs: inos,
         clients,
         think,
-        zipf_s,
+        zipf_s: ZIPF_S,
         series: "fleet".to_string(),
         retry_delay: SimDuration::from_millis(5),
     });
@@ -306,58 +232,6 @@ pub fn run_point(
     }
 }
 
-/// Runs the three sweeps.
-pub fn run(config: &Config) -> Data {
-    let mut rank_series = Vec::new();
-    for &ranks in &config.rank_sweep {
-        rank_series.push(run_point(
-            config.seed,
-            ranks,
-            config.fixed_logs,
-            config.fixed_clients,
-            config.think,
-            config.zipf_s,
-            config.measure,
-        ));
-    }
-    let mut log_series = Vec::new();
-    for &logs in &config.log_sweep {
-        log_series.push(run_point(
-            config.seed,
-            config.sweep_ranks,
-            logs,
-            config.fixed_clients,
-            config.think,
-            config.zipf_s,
-            config.measure,
-        ));
-    }
-    let mut client_series = Vec::new();
-    for &clients in &config.client_sweep {
-        client_series.push(run_point(
-            config.seed,
-            config.sweep_ranks,
-            config.fixed_logs,
-            clients,
-            config.think,
-            config.zipf_s,
-            config.measure,
-        ));
-    }
-    let rank_scaling = match (rank_series.first(), rank_series.last()) {
-        (Some(first), Some(last)) if first.ops_per_sec > 0.0 => {
-            last.ops_per_sec / first.ops_per_sec
-        }
-        _ => 0.0,
-    };
-    Data {
-        rank_series,
-        log_series,
-        client_series,
-        rank_scaling,
-    }
-}
-
 fn point_row(p: &Point) -> Vec<String> {
     let shares = p
         .rank_shares
@@ -379,140 +253,160 @@ fn point_row(p: &Point) -> Vec<String> {
     ]
 }
 
-/// Renders the three series as tables.
-pub fn render(data: &Data) -> String {
-    let headers = [
-        "ranks",
-        "logs",
-        "clients",
-        "offered/s",
-        "ops/s",
-        "p50 ms",
-        "p99 ms",
-        "redirects",
-        "failed",
-        "rank shares",
-    ];
-    let mut out = String::new();
-    out.push_str("Scale-out: ops/s vs. MDS ranks (open-loop fleet)\n");
-    out.push_str(&report::table(
-        &headers,
-        &data.rank_series.iter().map(point_row).collect::<Vec<_>>(),
-    ));
-    out.push_str(&format!(
-        "\n1 → {} rank scaling: {:.2}x\n",
-        data.rank_series.last().map_or(0, |p| p.ranks),
-        data.rank_scaling
-    ));
-    out.push_str("\nContention: ops/s vs. log count\n");
-    out.push_str(&report::table(
-        &headers,
-        &data.log_series.iter().map(point_row).collect::<Vec<_>>(),
-    ));
-    out.push_str("\nSaturation: ops/s vs. fleet size\n");
-    out.push_str(&report::table(
-        &headers,
-        &data.client_series.iter().map(point_row).collect::<Vec<_>>(),
-    ));
-    out
+fn series_json(series: &[Point]) -> Json {
+    Json::arr(series, |p| {
+        Json::obj([
+            ("ranks", Json::from(p.ranks)),
+            ("logs", Json::from(p.logs)),
+            ("clients", Json::from(p.clients)),
+            ("offered_per_s", Json::Fixed(p.offered_per_sec, 1)),
+            ("ops_per_s", Json::Fixed(p.ops_per_sec, 1)),
+            ("p50_ms", Json::Fixed(p.p50_ms, 3)),
+            ("p99_ms", Json::Fixed(p.p99_ms, 3)),
+            ("redirects", Json::from(p.redirects)),
+            ("retries", Json::from(p.retries)),
+            ("failed", Json::from(p.failed)),
+            (
+                "rank_shares",
+                Json::obj((p.rank_shares.iter()).map(|(r, s)| (r.to_string(), Json::Fixed(*s, 4)))),
+            ),
+        ])
+    })
 }
 
-fn series_json(out: &mut String, name: &str, series: &[Point], last: bool) {
-    out.push_str(&format!("  \"{name}\": [\n"));
-    for (i, p) in series.iter().enumerate() {
-        let shares = p
-            .rank_shares
-            .iter()
-            .map(|(r, s)| format!("\"{r}\": {s:.4}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{\"ranks\": {}, \"logs\": {}, \"clients\": {}, \
-             \"offered_per_s\": {:.1}, \"ops_per_s\": {:.1}, \
-             \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"redirects\": {}, \
-             \"retries\": {}, \"failed\": {}, \"rank_shares\": {{{}}}}}{}\n",
-            p.ranks,
-            p.logs,
-            p.clients,
-            p.offered_per_sec,
-            p.ops_per_sec,
-            p.p50_ms,
-            p.p99_ms,
-            p.redirects,
-            p.retries,
-            p.failed,
-            shares,
-            if i + 1 == series.len() { "" } else { "," }
+impl Experiment for Config {
+    type Data = Data;
+
+    fn at(scale: Scale) -> Self {
+        match scale {
+            Scale::Paper => Config {
+                seed: 2017,
+                rank_sweep: vec![1, 2, 4],
+                log_sweep: vec![64, 512, 2048],
+                client_sweep: vec![16_384, 65_536, 262_144],
+                sweep_ranks: 4,
+                fixed_logs: 512,
+                fixed_clients: 65_536,
+                think: SimDuration::from_secs(2),
+                measure: SimDuration::from_secs(4),
+            },
+            // 16 logs x 256 virtual clients thinking 10 ms offer 25.6k/s,
+            // past even the 3-rank capacity, so both rank points measure
+            // capacity; 16 clients (1.6k/s) are the underloaded point.
+            Scale::Quick => Config {
+                seed: 7,
+                rank_sweep: vec![1, 3],
+                log_sweep: vec![],
+                client_sweep: vec![16],
+                sweep_ranks: 3,
+                fixed_logs: 16,
+                fixed_clients: 256,
+                think: SimDuration::from_millis(10),
+                measure: SimDuration::from_secs(2),
+            },
+        }
+    }
+
+    /// Runs the three sweeps.
+    fn run(&self) -> Data {
+        let (ranks, logs, clients) = (self.sweep_ranks, self.fixed_logs, self.fixed_clients);
+        let rank_series: Vec<Point> = (self.rank_sweep.iter())
+            .map(|&r| run_point(self, r, logs, clients))
+            .collect();
+        let log_series = (self.log_sweep.iter())
+            .map(|&l| run_point(self, ranks, l, clients))
+            .collect();
+        let client_series = (self.client_sweep.iter())
+            .map(|&c| run_point(self, ranks, logs, c))
+            .collect();
+        let rank_scaling = match (rank_series.first(), rank_series.last()) {
+            (Some(first), Some(last)) if first.ops_per_sec > 0.0 => {
+                last.ops_per_sec / first.ops_per_sec
+            }
+            _ => 0.0,
+        };
+        Data {
+            rank_series,
+            log_series,
+            client_series,
+            rank_scaling,
+        }
+    }
+
+    /// The three series as tables.
+    fn render(&self, data: &Data) -> String {
+        let headers = [
+            "ranks",
+            "logs",
+            "clients",
+            "offered/s",
+            "ops/s",
+            "p50 ms",
+            "p99 ms",
+            "redirects",
+            "failed",
+            "rank shares",
+        ];
+        let mut out = String::new();
+        out.push_str("Scale-out: ops/s vs. MDS ranks (open-loop fleet)\n");
+        out.push_str(&report::table(
+            &headers,
+            &data.rank_series.iter().map(point_row).collect::<Vec<_>>(),
         ));
-    }
-    out.push_str(&format!("  ]{}\n", if last { "" } else { "," }));
-}
-
-/// Serializes the run for `results/BENCH_scaleout.json`.
-pub fn to_json(data: &Data) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"scaleout\",\n");
-    out.push_str("  \"time_base\": \"simulated\",\n");
-    out.push_str("  \"workload\": \"open-loop poisson, zipfian logs\",\n");
-    out.push_str(&format!(
-        "  \"rank_scaling_1_to_max\": {:.3},\n",
-        data.rank_scaling
-    ));
-    series_json(&mut out, "rank_series", &data.rank_series, false);
-    series_json(&mut out, "log_series", &data.log_series, false);
-    series_json(&mut out, "client_series", &data.client_series, true);
-    out.push_str("}\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Scaled-down scale-out: 1 → 3 ranks must carry ≥2× the grant
-    /// throughput at the same offered load (the CI smoke from ISSUE 10).
-    #[test]
-    fn scaleout_smoke() {
-        let measure = SimDuration::from_secs(2);
-        // 16 logs × 256 virtual clients; a think time of 10 ms puts the
-        // offered load (25.6k/s) past even the 3-rank capacity, so both
-        // points measure capacity rather than offered load.
-        let think_fast = SimDuration::from_millis(10);
-        let one = run_point(7, 1, 16, 256, think_fast, 0.6, measure);
-        let three = run_point(7, 3, 16, 256, think_fast, 0.6, measure);
-        assert_eq!(one.failed, 0, "no dropped requests at 1 rank");
-        assert_eq!(three.failed, 0, "no dropped requests at 3 ranks");
-        assert!(one.done > 0 && three.done > 0);
-        // Clients learned placements through redirects.
-        assert!(three.redirects > 0, "direct exports must redirect once");
-        assert!(
-            three.ops_per_sec >= 2.0 * one.ops_per_sec,
-            "1 → 3 ranks should scale ≥2x: {:.0} vs {:.0}",
-            one.ops_per_sec,
-            three.ops_per_sec
-        );
+        out.push_str(&format!(
+            "\n1 → {} rank scaling: {:.2}x\n",
+            data.rank_series.last().map_or(0, |p| p.ranks),
+            data.rank_scaling
+        ));
+        out.push_str("\nContention: ops/s vs. log count\n");
+        out.push_str(&report::table(
+            &headers,
+            &data.log_series.iter().map(point_row).collect::<Vec<_>>(),
+        ));
+        out.push_str("\nSaturation: ops/s vs. fleet size\n");
+        out.push_str(&report::table(
+            &headers,
+            &data.client_series.iter().map(point_row).collect::<Vec<_>>(),
+        ));
+        out
     }
 
-    #[test]
-    fn saturation_point_tracks_offered_load_when_underloaded() {
-        // 64 clients thinking 1 s → 64/s offered, single rank capacity
-        // ~8.3k/s: completion rate must track the offered rate.
-        let p = run_point(
-            11,
-            1,
-            8,
-            64,
-            SimDuration::from_secs(1),
-            0.0,
-            SimDuration::from_secs(4),
+    fn json(&self, data: &Data) -> Option<Json> {
+        Some(Json::obj([
+            ("bench", Json::from("scaleout")),
+            ("time_base", Json::from("simulated")),
+            ("workload", Json::from("open-loop poisson, zipfian logs")),
+            ("rank_scaling_1_to_max", Json::Fixed(data.rank_scaling, 3)),
+            ("rank_series", series_json(&data.rank_series)),
+            ("log_series", series_json(&data.log_series)),
+            ("client_series", series_json(&data.client_series)),
+        ]))
+    }
+
+    /// Grant throughput at least doubles from one rank to the most, with
+    /// placements learned through redirects and nothing dropped; the
+    /// smallest fleet is underloaded and completes at its offered rate.
+    fn assert_shape(&self, data: &Data) -> Result<(), String> {
+        let all = (data.rank_series.iter())
+            .chain(&data.log_series)
+            .chain(&data.client_series);
+        for p in all {
+            ensure!(p.failed == 0 && p.done > 0, "dropped or idle: {p:?}");
+            ensure!(
+                p.ranks == 1 || p.redirects > 0,
+                "direct exports must redirect once: {p:?}"
+            );
+        }
+        let scaling = data.rank_scaling;
+        ensure!(
+            scaling >= 2.0,
+            "1 -> max ranks scales {scaling:.2}x, not 2x"
         );
-        assert_eq!(p.failed, 0);
-        assert!(
-            (p.ops_per_sec - p.offered_per_sec).abs() < p.offered_per_sec * 0.35,
-            "underloaded fleet should complete near the offered rate: \
-             offered {:.0}/s done {:.0}/s",
-            p.offered_per_sec,
-            p.ops_per_sec
+        let small = &data.client_series[0];
+        ensure!(
+            (small.ops_per_sec - small.offered_per_sec).abs() < small.offered_per_sec * 0.35,
+            "an underloaded fleet completes near its offered rate: {small:?}"
         );
+        Ok(())
     }
 }

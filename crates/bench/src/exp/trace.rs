@@ -8,25 +8,15 @@
 //! (and the MDS service time inside it), the coalesced stripe write, the
 //! primary's journal group-commit, and the replica-ack fan-out.
 //!
-//! The binary writes `results/BENCH_trace.json` alongside the rendered
-//! table, plus the tracer's slow-op log (spans past the threshold, dumped
-//! with full ancestry).
+//! The JSON body is `results/BENCH_trace.json`; the rendering also shows
+//! the tracer's slow-op log (spans past the threshold, dumped with full
+//! ancestry).
 
-use std::collections::HashMap;
+use mala_sim::{Sim, SimDuration};
 
-use mala_consensus::{MonConfig, MonMsg, Monitor};
-use mala_mds::server::Mds;
-use mala_mds::{MdsConfig, MdsMapView, NoBalancer};
-use mala_rados::{Osd, OsdConfig, OsdMapView, PoolInfo};
-use mala_sim::{NodeId, Sim, SimDuration};
-use mala_zlog::log::{run_op, ZlogOut};
-use mala_zlog::{zlog_interface_update, AppendResult, BatchConfig, ZlogClient, ZlogConfig};
-
-use crate::report;
-
-const MON: NodeId = NodeId(0);
-const MDS0: NodeId = NodeId(20);
-const CLIENT: NodeId = NodeId(100);
+use crate::report::{self, Json};
+use crate::workload::{pipelined_appends, pipelined_client, zlog_cluster};
+use crate::{ensure, Experiment, Scale};
 
 /// The stages reported, in pipeline order: `(span name, table label)`.
 pub const STAGES: &[(&str, &str)] = &[
@@ -46,33 +36,12 @@ pub const STAGES: &[(&str, &str)] = &[
 pub struct Config {
     /// Appends driven through the pipelined path.
     pub appends: usize,
-    /// Client queue depth (appends kept in flight).
-    pub depth: usize,
-    /// OSD count.
-    pub osds: u32,
-    /// Stripe width (objects the log fans out over).
-    pub stripe_width: u32,
-    /// Flush window for partial queues.
-    pub flush_window: SimDuration,
     /// Spans slower than this land in the slow-op log.
     pub slow_threshold: SimDuration,
-    /// RNG seed.
-    pub seed: u64,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            appends: 512,
-            depth: 8,
-            osds: 4,
-            stripe_width: 4,
-            flush_window: SimDuration::from_millis(1),
-            slow_threshold: SimDuration::from_millis(20),
-            seed: 7,
-        }
-    }
-}
+/// Client queue depth (appends kept in flight).
+const DEPTH: usize = 8;
 
 /// One stage's latency summary (histogram quantiles, microseconds).
 #[derive(Debug, Clone)]
@@ -94,10 +63,6 @@ pub struct StageStats {
 /// The breakdown.
 #[derive(Debug, Clone)]
 pub struct Data {
-    /// Appends driven.
-    pub appends: usize,
-    /// Client queue depth.
-    pub depth: usize,
     /// One entry per [`STAGES`] row with at least one finished span.
     pub stages: Vec<StageStats>,
     /// Distinct traces rooted by appends.
@@ -106,218 +71,128 @@ pub struct Data {
     pub slow_ops: Vec<String>,
 }
 
-fn build(config: &Config) -> Sim {
-    let zcfg = ZlogConfig {
-        name: "tracebench".to_string(),
-        pool: "zlogpool".to_string(),
-        stripe_width: config.stripe_width,
-        mds_nodes: HashMap::from([(0, MDS0)]),
-        home_rank: 0,
-        monitor: MON,
-    };
-    let client = ZlogClient::with_batching(
-        zcfg,
-        BatchConfig {
-            queue_depth: config.depth,
-            flush_window: config.flush_window,
-        },
-    );
-    let mut sim = Sim::new(config.seed);
-    sim.add_node(MON, Monitor::new(0, vec![MON], MonConfig::default()));
-    for i in 0..config.osds {
-        sim.add_node(NodeId(10 + i), Osd::new(i, MON, OsdConfig::default()));
-    }
-    sim.add_node(
-        MDS0,
-        Mds::new(0, MON, MdsConfig::default(), Box::new(NoBalancer)),
-    );
-    sim.add_node(CLIENT, client);
-    let mut updates = vec![
-        OsdMapView::update_pool(
-            "zlogpool",
-            PoolInfo {
-                pg_num: 32,
-                replicas: 2,
-            },
-        ),
-        MdsMapView::update_rank(0, MDS0, true),
-        zlog_interface_update(),
-    ];
-    for i in 0..config.osds {
-        updates.push(OsdMapView::update_osd(i, NodeId(10 + i), true));
-    }
-    sim.inject(MON, MonMsg::Submit { seq: 1, updates });
-    sim.run_for(SimDuration::from_secs(3));
-    let res = run_op(&mut sim, CLIENT, SimDuration::from_secs(5), |c, ctx| {
-        c.setup(ctx)
-    });
-    assert!(
-        matches!(res, AppendResult::Ok(ZlogOut::SetUp(_))),
-        "{res:?}"
-    );
-    sim
-}
-
 /// Builds the cluster and drives the append workload; the returned sim's
-/// tracer holds every span. Split from [`run`] so tests can inspect raw
+/// tracer holds every span. Split from `run` so tests can inspect raw
 /// traces.
-pub fn run_sim(config: &Config) -> Sim {
-    let mut sim = build(config);
+fn run_sim(config: &Config) -> Sim {
+    let client = pipelined_client("tracebench", DEPTH);
+    let mut sim = zlog_cluster(7, vec![client]);
     // Setup noise (map propagation, sequencer creation) stays out of the
     // measured histograms.
     sim.tracer_mut().clear();
     sim.tracer_mut()
         .set_slow_threshold(Some(config.slow_threshold));
-    let mut inflight: Vec<u64> = Vec::new();
-    let mut completed = 0usize;
-    let mut submitted = 0usize;
-    while completed < config.appends {
-        while inflight.len() < config.depth && submitted < config.appends {
-            let data = format!("entry-{submitted}").into_bytes();
-            let op =
-                sim.with_actor::<ZlogClient, _>(CLIENT, move |c, ctx| c.append_async(ctx, data));
-            inflight.push(op);
-            submitted += 1;
-        }
-        if submitted == config.appends {
-            sim.with_actor::<ZlogClient, _>(CLIENT, |c, ctx| c.flush(ctx));
-        }
-        let deadline = sim.now() + SimDuration::from_secs(60);
-        let watched = inflight.clone();
-        let progressed = sim.run_until_pred(deadline, move |s| {
-            let c = s.actor::<ZlogClient>(CLIENT);
-            watched.iter().any(|&op| c.is_done(op))
-        });
-        assert!(progressed, "traced appends stalled");
-        let done: Vec<u64> = inflight
-            .iter()
-            .copied()
-            .filter(|&op| sim.actor::<ZlogClient>(CLIENT).is_done(op))
-            .collect();
-        for &op in &done {
-            match sim.actor_mut::<ZlogClient>(CLIENT).take_result(op) {
-                Some(AppendResult::Ok(ZlogOut::Pos(_))) => completed += 1,
-                other => panic!("traced append failed: {other:?}"),
-            }
-        }
-        inflight.retain(|op| !done.contains(op));
-    }
+    pipelined_appends(&mut sim, config.appends, DEPTH);
     sim
 }
 
-/// Summarizes the sim's tracer into per-stage stats.
-pub fn summarize(sim: &Sim, config: &Config) -> Data {
-    let tracer = sim.tracer();
-    let stages = STAGES
-        .iter()
-        .filter_map(|(name, label)| {
-            let h = tracer.hist(name)?;
-            Some(StageStats {
-                stage: (*name).to_string(),
-                label: (*label).to_string(),
-                count: h.count(),
-                p50_us: h.quantile(0.5).unwrap_or(0.0),
-                p99_us: h.quantile(0.99).unwrap_or(0.0),
-                mean_us: h.mean().unwrap_or(0.0),
-            })
-        })
-        .collect();
-    let traces = tracer
-        .spans()
-        .iter()
-        .filter(|s| s.name == "zlog.append")
-        .count() as u64;
-    Data {
-        appends: config.appends,
-        depth: config.depth,
-        stages,
-        traces,
-        slow_ops: tracer.slow_ops().to_vec(),
-    }
-}
+impl Experiment for Config {
+    type Data = Data;
 
-/// Runs the whole experiment.
-pub fn run(config: &Config) -> Data {
-    let sim = run_sim(config);
-    summarize(&sim, config)
-}
-
-/// Renders the breakdown as an aligned table plus the slow-op log.
-pub fn render(data: &Data) -> String {
-    let mut out = format!(
-        "Traced pipelined appends: {} appends at queue depth {}, {} traces\n\n",
-        data.appends, data.depth, data.traces
-    );
-    let headers = ["stage", "spans", "p50 us", "p99 us", "mean us"];
-    let rows: Vec<Vec<String>> = data
-        .stages
-        .iter()
-        .map(|s| {
-            vec![
-                s.label.clone(),
-                s.count.to_string(),
-                format!("{:.0}", s.p50_us),
-                format!("{:.0}", s.p99_us),
-                format!("{:.0}", s.mean_us),
-            ]
-        })
-        .collect();
-    out.push_str(&report::table(&headers, &rows));
-    out.push_str(&format!(
-        "\nslow ops (threshold): {}\n",
-        data.slow_ops.len()
-    ));
-    for line in data.slow_ops.iter().take(10) {
-        out.push_str(&format!("  {line}\n"));
-    }
-    out
-}
-
-/// Machine-readable rendering for `results/BENCH_trace.json`.
-pub fn to_json(data: &Data) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"trace_pipelined_appends\",\n");
-    out.push_str(&format!("  \"appends\": {},\n", data.appends));
-    out.push_str(&format!("  \"queue_depth\": {},\n", data.depth));
-    out.push_str(&format!("  \"traces\": {},\n", data.traces));
-    out.push_str("  \"time_base\": \"simulated\",\n");
-    out.push_str("  \"stages\": [\n");
-    for (i, s) in data.stages.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"stage\": \"{}\", \"label\": \"{}\", \"spans\": {}, \
-             \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"mean_us\": {:.1}}}{}\n",
-            s.stage,
-            s.label,
-            s.count,
-            s.p50_us,
-            s.p99_us,
-            s.mean_us,
-            if i + 1 == data.stages.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"slow_ops\": {}\n", data.slow_ops.len()));
-    out.push_str("}\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn small() -> Config {
+    fn at(scale: Scale) -> Self {
         Config {
-            appends: 48,
-            depth: 8,
-            ..Default::default()
+            appends: match scale {
+                Scale::Paper => 512,
+                Scale::Quick => 48,
+            },
+            slow_threshold: SimDuration::from_millis(20),
         }
     }
 
-    #[test]
-    fn per_stage_histograms_cover_the_whole_pipeline() {
-        let config = small();
-        let data = run(&config);
-        assert_eq!(data.traces as usize, config.appends);
+    /// Summarizes the run's tracer into per-stage stats.
+    fn run(&self) -> Data {
+        let sim = run_sim(self);
+        let tracer = sim.tracer();
+        let stages = STAGES
+            .iter()
+            .filter_map(|(name, label)| {
+                let h = tracer.hist(name)?;
+                Some(StageStats {
+                    stage: (*name).to_string(),
+                    label: (*label).to_string(),
+                    count: h.count(),
+                    p50_us: h.quantile(0.5).unwrap_or(0.0),
+                    p99_us: h.quantile(0.99).unwrap_or(0.0),
+                    mean_us: h.mean().unwrap_or(0.0),
+                })
+            })
+            .collect();
+        let traces = tracer
+            .spans()
+            .iter()
+            .filter(|s| s.name == "zlog.append")
+            .count() as u64;
+        Data {
+            stages,
+            traces,
+            slow_ops: tracer.slow_ops().to_vec(),
+        }
+    }
+
+    /// The breakdown as an aligned table plus the slow-op log.
+    fn render(&self, data: &Data) -> String {
+        let mut out = format!(
+            "Traced pipelined appends: {} appends at queue depth {}, {} traces\n\n",
+            self.appends, DEPTH, data.traces
+        );
+        let headers = ["stage", "spans", "p50 us", "p99 us", "mean us"];
+        let rows: Vec<Vec<String>> = data
+            .stages
+            .iter()
+            .map(|s| {
+                vec![
+                    s.label.clone(),
+                    s.count.to_string(),
+                    format!("{:.0}", s.p50_us),
+                    format!("{:.0}", s.p99_us),
+                    format!("{:.0}", s.mean_us),
+                ]
+            })
+            .collect();
+        out.push_str(&report::table(&headers, &rows));
+        out.push_str(&format!(
+            "\nslow ops (threshold): {}\n",
+            data.slow_ops.len()
+        ));
+        for line in data.slow_ops.iter().take(10) {
+            out.push_str(&format!("  {line}\n"));
+        }
+        out
+    }
+
+    fn json(&self, data: &Data) -> Option<Json> {
+        Some(Json::obj([
+            ("bench", Json::from("trace_pipelined_appends")),
+            ("appends", Json::from(self.appends)),
+            ("queue_depth", Json::from(DEPTH)),
+            ("traces", Json::from(data.traces)),
+            ("time_base", Json::from("simulated")),
+            (
+                "stages",
+                Json::arr(&data.stages, |s| {
+                    Json::obj([
+                        ("stage", Json::from(s.stage.as_str())),
+                        ("label", Json::from(s.label.as_str())),
+                        ("spans", Json::from(s.count)),
+                        ("p50_us", Json::Fixed(s.p50_us, 1)),
+                        ("p99_us", Json::Fixed(s.p99_us, 1)),
+                        ("mean_us", Json::Fixed(s.mean_us, 1)),
+                    ])
+                }),
+            ),
+            ("slow_ops", Json::from(data.slow_ops.len())),
+        ]))
+    }
+
+    /// Every append roots one trace and every pipeline stage recorded
+    /// spans.
+    fn assert_shape(&self, data: &Data) -> Result<(), String> {
+        ensure!(
+            data.traces as usize == self.appends,
+            "{} traces for {} appends",
+            data.traces,
+            self.appends
+        );
         for required in [
             "zlog.append",
             "zlog.queue",
@@ -326,36 +201,29 @@ mod tests {
             "osd.journal_commit",
             "osd.replica_ack",
         ] {
-            let stage = data
-                .stages
-                .iter()
+            let stage = (data.stages.iter())
                 .find(|s| s.stage == required)
-                .unwrap_or_else(|| panic!("stage {required} missing from breakdown"));
-            assert!(stage.count > 0, "stage {required} recorded no spans");
-            assert!(
-                stage.p99_us >= stage.p50_us,
-                "stage {required}: p99 {} < p50 {}",
-                stage.p99_us,
-                stage.p50_us
+                .ok_or(format!("stage {required} missing from breakdown"))?;
+            ensure!(
+                stage.count > 0 && stage.p99_us >= stage.p50_us,
+                "no spans, or p99 < p50: {stage:?}"
             );
         }
-        // The end-to-end append dominates any single stage's median.
-        let append_p50 = data
-            .stages
-            .iter()
-            .find(|s| s.stage == "zlog.append")
-            .map(|s| s.p50_us)
-            .unwrap_or(0.0);
-        assert!(append_p50 > 0.0);
-        let json = to_json(&data);
-        assert!(json.contains("\"stage\": \"osd.replica_ack\""));
-        assert!(render(&data).contains("journal commit"));
+        ensure!(
+            data.stages[0].p50_us > 0.0,
+            "end-to-end append took no time"
+        );
+        Ok(())
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
 
     #[test]
     fn appends_trace_contiguously_from_client_to_replica_journal() {
-        let config = small();
-        let sim = run_sim(&config);
+        let sim = run_sim(&Config::at(Scale::Quick));
         let tracer = sim.tracer();
         // Find a replica-side journal span and walk its ancestry: the
         // whole chain must share one trace rooted at the client's append.

@@ -9,24 +9,17 @@
 //! a single bulk grant (`next_batch:N`), and same-stripe positions travel
 //! to the OSD as one `write_batch` call — one journal group-commit.
 //!
-//! The binary writes `results/BENCH_zlog_append.json` (machine readable)
-//! alongside the rendered table.
+//! The JSON body is `results/BENCH_zlog_append.json`.
 
-use std::collections::HashMap;
-
-use mala_consensus::{MonConfig, MonMsg, Monitor};
-use mala_mds::server::Mds;
-use mala_mds::{MdsConfig, MdsMapView, NoBalancer};
-use mala_rados::{Osd, OsdConfig, OsdMapView, PoolInfo};
-use mala_sim::{Hist, NodeId, Sim, SimDuration};
+use mala_sim::{Hist, SimDuration};
 use mala_zlog::log::{run_op, ZlogOut};
-use mala_zlog::{zlog_interface_update, AppendResult, BatchConfig, ZlogClient, ZlogConfig};
+use mala_zlog::{AppendResult, ZlogClient};
 
-use crate::report;
-
-const MON: NodeId = NodeId(0);
-const MDS0: NodeId = NodeId(20);
-const CLIENT: NodeId = NodeId(100);
+use crate::report::{self, Json};
+use crate::workload::{
+    pipelined_appends, pipelined_client, zlog_cluster, zlog_config, ZLOG_CLIENT,
+};
+use crate::{ensure, Experiment, Scale};
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
@@ -35,27 +28,6 @@ pub struct Config {
     pub appends: usize,
     /// Queue depths to sweep; depth 1 is the single-append baseline.
     pub depths: Vec<usize>,
-    /// OSD count.
-    pub osds: u32,
-    /// Stripe width (objects the log fans out over).
-    pub stripe_width: u32,
-    /// Flush window for partial queues.
-    pub flush_window: SimDuration,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            appends: 512,
-            depths: vec![1, 2, 4, 8, 16, 32],
-            osds: 4,
-            stripe_width: 4,
-            flush_window: SimDuration::from_millis(1),
-            seed: 7,
-        }
-    }
 }
 
 /// One queue depth's measurements.
@@ -80,146 +52,56 @@ pub struct DepthRun {
     pub journal_commits: u64,
 }
 
-/// The sweep.
-#[derive(Debug, Clone)]
-pub struct Data {
-    /// Appends per run.
-    pub appends: usize,
-    /// One entry per queue depth, in sweep order.
-    pub runs: Vec<DepthRun>,
-}
-
-fn build(config: &Config, depth: usize) -> Sim {
-    let zcfg = ZlogConfig {
-        name: format!("pipebench.d{depth}"),
-        pool: "zlogpool".to_string(),
-        stripe_width: config.stripe_width,
-        mds_nodes: HashMap::from([(0, MDS0)]),
-        home_rank: 0,
-        monitor: MON,
-    };
-    let client = if depth <= 1 {
-        ZlogClient::new(zcfg)
-    } else {
-        ZlogClient::with_batching(
-            zcfg,
-            BatchConfig {
-                queue_depth: depth,
-                flush_window: config.flush_window,
-            },
-        )
-    };
-    let mut sim = Sim::new(config.seed);
-    sim.add_node(MON, Monitor::new(0, vec![MON], MonConfig::default()));
-    for i in 0..config.osds {
-        sim.add_node(NodeId(10 + i), Osd::new(i, MON, OsdConfig::default()));
-    }
-    sim.add_node(
-        MDS0,
-        Mds::new(0, MON, MdsConfig::default(), Box::new(NoBalancer)),
-    );
-    sim.add_node(CLIENT, client);
-    let mut updates = vec![
-        OsdMapView::update_pool(
-            "zlogpool",
-            PoolInfo {
-                pg_num: 32,
-                replicas: 2,
-            },
-        ),
-        MdsMapView::update_rank(0, MDS0, true),
-        zlog_interface_update(),
-    ];
-    for i in 0..config.osds {
-        updates.push(OsdMapView::update_osd(i, NodeId(10 + i), true));
-    }
-    sim.inject(MON, MonMsg::Submit { seq: 1, updates });
-    sim.run_for(SimDuration::from_secs(3));
-    let res = run_op(&mut sim, CLIENT, SimDuration::from_secs(5), |c, ctx| {
-        c.setup(ctx)
-    });
-    assert!(
-        matches!(res, AppendResult::Ok(ZlogOut::SetUp(_))),
-        "{res:?}"
-    );
-    sim
-}
+/// One entry per queue depth, in sweep order.
+pub type Data = Vec<DepthRun>;
 
 /// Runs one depth; panics on any failed or duplicated append.
-pub fn run_depth(config: &Config, depth: usize) -> DepthRun {
-    let mut sim = build(config, depth);
-    let mut latencies_ms: Vec<f64> = Vec::with_capacity(config.appends);
-    let mut positions: Vec<u64> = Vec::with_capacity(config.appends);
-    let t_start = sim.now();
-    if depth <= 1 {
-        // Baseline: strictly one append in flight, classic path.
-        for i in 0..config.appends {
-            let t0 = sim.now();
-            let data = format!("entry-{i}").into_bytes();
-            match run_op(
-                &mut sim,
-                CLIENT,
-                SimDuration::from_secs(60),
-                move |c, ctx| c.append(ctx, data),
-            ) {
-                AppendResult::Ok(ZlogOut::Pos(p)) => positions.push(p),
-                other => panic!("baseline append {i} failed: {other:?}"),
-            }
-            latencies_ms.push(sim.now().since(t0).as_secs_f64() * 1e3);
-        }
+fn run_depth(config: &Config, depth: usize) -> DepthRun {
+    let log = format!("pipebench.d{depth}");
+    let client = if depth <= 1 {
+        ZlogClient::new(zlog_config(&log))
     } else {
-        // Closed loop: keep `depth` async appends in flight.
-        let mut inflight: Vec<u64> = Vec::new();
-        let mut starts: HashMap<u64, mala_sim::SimTime> = HashMap::new();
-        let mut submitted = 0usize;
-        while positions.len() < config.appends {
-            while inflight.len() < depth && submitted < config.appends {
-                let data = format!("entry-{submitted}").into_bytes();
-                let now = sim.now();
-                let op = sim
-                    .with_actor::<ZlogClient, _>(CLIENT, move |c, ctx| c.append_async(ctx, data));
-                starts.insert(op, now);
-                inflight.push(op);
-                submitted += 1;
-            }
-            if submitted == config.appends {
-                // Tail of the run: don't idle on the flush window.
-                sim.with_actor::<ZlogClient, _>(CLIENT, |c, ctx| c.flush(ctx));
-            }
-            let deadline = sim.now() + SimDuration::from_secs(60);
-            let watched = inflight.clone();
-            let progressed = sim.run_until_pred(deadline, move |s| {
-                let c = s.actor::<ZlogClient>(CLIENT);
-                watched.iter().any(|&op| c.is_done(op))
-            });
-            assert!(progressed, "pipelined appends stalled at depth {depth}");
-            let now = sim.now();
-            let done: Vec<u64> = inflight
-                .iter()
-                .copied()
-                .filter(|&op| sim.actor::<ZlogClient>(CLIENT).is_done(op))
-                .collect();
-            for &op in &done {
-                match sim.actor_mut::<ZlogClient>(CLIENT).take_result(op) {
-                    Some(AppendResult::Ok(ZlogOut::Pos(p))) => positions.push(p),
-                    other => panic!("async append failed: {other:?}"),
+        pipelined_client(&log, depth)
+    };
+    let mut sim = zlog_cluster(7, vec![client]);
+    let t_start = sim.now();
+    let done: Vec<(u64, f64)> = if depth <= 1 {
+        // Baseline: strictly one append in flight, classic path.
+        (0..config.appends)
+            .map(|i| {
+                let t0 = sim.now();
+                let data = format!("entry-{i}").into_bytes();
+                let res = run_op(
+                    &mut sim,
+                    ZLOG_CLIENT,
+                    SimDuration::from_secs(60),
+                    move |c, ctx| c.append(ctx, data),
+                );
+                match res {
+                    AppendResult::Ok(ZlogOut::Pos(p)) => {
+                        (p, sim.now().since(t0).as_secs_f64() * 1e3)
+                    }
+                    other => panic!("baseline append {i} failed: {other:?}"),
                 }
-                let t0 = starts.remove(&op).expect("start recorded");
-                latencies_ms.push(now.since(t0).as_secs_f64() * 1e3);
-            }
-            inflight.retain(|op| !done.contains(op));
-        }
-    }
+            })
+            .collect()
+    } else {
+        pipelined_appends(&mut sim, config.appends, depth)
+    };
     let wall_s = sim.now().since(t_start).as_secs_f64();
     // CORFU safety is part of the benchmark contract: every op resolved
     // to a distinct position.
-    let mut dedup = positions.clone();
-    dedup.sort_unstable();
-    dedup.dedup();
-    assert_eq!(dedup.len(), config.appends, "duplicate positions assigned");
+    let mut positions: Vec<u64> = done.iter().map(|(p, _)| *p).collect();
+    positions.sort_unstable();
+    positions.dedup();
+    assert_eq!(
+        positions.len(),
+        config.appends,
+        "duplicate positions assigned"
+    );
     // Log-scale histogram over microseconds: same machinery the tracer
     // uses, immune to NaN-poisoned comparison sorts.
-    let lat_us: Vec<f64> = latencies_ms.iter().map(|ms| ms * 1e3).collect();
+    let lat_us: Vec<f64> = done.iter().map(|(_, ms)| ms * 1e3).collect();
     let hist = Hist::from_values(&lat_us);
     let grants = if depth <= 1 {
         config.appends as u64
@@ -238,118 +120,102 @@ pub fn run_depth(config: &Config, depth: usize) -> DepthRun {
     }
 }
 
-/// Runs the whole sweep.
-pub fn run(config: &Config) -> Data {
-    Data {
-        appends: config.appends,
-        runs: config
-            .depths
-            .iter()
-            .map(|&d| run_depth(config, d))
-            .collect(),
-    }
-}
-
 /// Speedup of `run` over the depth-1 baseline in `data` (1.0 if absent).
-pub fn speedup(data: &Data, run: &DepthRun) -> f64 {
-    data.runs
-        .iter()
+fn speedup(data: &Data, run: &DepthRun) -> f64 {
+    data.iter()
         .find(|r| r.queue_depth == 1)
         .map(|base| run.throughput / base.throughput)
         .unwrap_or(1.0)
 }
 
-/// Renders the sweep as an aligned table.
-pub fn render(data: &Data) -> String {
-    let mut out = format!(
-        "Pipelined ZLog appends: {} appends per run, single closed-loop client\n\n",
-        data.appends
-    );
-    let headers = [
-        "depth", "ops/s", "speedup", "p50 ms", "p99 ms", "grants", "batches", "jrnl",
-    ];
-    let rows: Vec<Vec<String>> = data
-        .runs
-        .iter()
-        .map(|r| {
-            vec![
-                r.queue_depth.to_string(),
-                format!("{:.0}", r.throughput),
-                format!("{:.2}x", speedup(data, r)),
-                format!("{:.2}", r.p50_ms),
-                format!("{:.2}", r.p99_ms),
-                r.grants.to_string(),
-                r.batch_writes.to_string(),
-                r.journal_commits.to_string(),
-            ]
-        })
-        .collect();
-    out.push_str(&report::table(&headers, &rows));
-    out
-}
+impl Experiment for Config {
+    type Data = Data;
 
-/// Machine-readable rendering for `results/BENCH_zlog_append.json`.
-pub fn to_json(data: &Data) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"zlog_pipelined_appends\",\n");
-    out.push_str(&format!("  \"appends_per_run\": {},\n", data.appends));
-    out.push_str("  \"time_base\": \"simulated\",\n");
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in data.runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"queue_depth\": {}, \"throughput_ops_per_s\": {:.1}, \
-             \"speedup_vs_depth1\": {:.2}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-             \"wall_s\": {:.3}, \"sequencer_grants\": {}, \"batch_writes\": {}, \
-             \"osd_journal_commits\": {}}}{}\n",
-            r.queue_depth,
-            r.throughput,
-            speedup(data, r),
-            r.p50_ms,
-            r.p99_ms,
-            r.wall_s,
-            r.grants,
-            r.batch_writes,
-            r.journal_commits,
-            if i + 1 == data.runs.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn batching_beats_the_baseline_by_3x_at_depth_8() {
-        let config = Config {
-            appends: 96,
-            depths: vec![1, 8],
-            ..Default::default()
+    fn at(scale: Scale) -> Self {
+        let (appends, depths) = match scale {
+            Scale::Paper => (512, vec![1, 2, 4, 8, 16, 32]),
+            Scale::Quick => (96, vec![1, 8]),
         };
-        let data = run(&config);
-        let base = &data.runs[0];
-        let deep = &data.runs[1];
-        assert!(
+        Config { appends, depths }
+    }
+
+    /// Runs the whole sweep.
+    fn run(&self) -> Data {
+        self.depths.iter().map(|&d| run_depth(self, d)).collect()
+    }
+
+    fn render(&self, data: &Data) -> String {
+        let mut out = format!(
+            "Pipelined ZLog appends: {} appends per run, single closed-loop client\n\n",
+            self.appends
+        );
+        let headers = [
+            "depth", "ops/s", "speedup", "p50 ms", "p99 ms", "grants", "batches", "jrnl",
+        ];
+        let rows: Vec<Vec<String>> = data
+            .iter()
+            .map(|r| {
+                vec![
+                    r.queue_depth.to_string(),
+                    format!("{:.0}", r.throughput),
+                    format!("{:.2}x", speedup(data, r)),
+                    format!("{:.2}", r.p50_ms),
+                    format!("{:.2}", r.p99_ms),
+                    r.grants.to_string(),
+                    r.batch_writes.to_string(),
+                    r.journal_commits.to_string(),
+                ]
+            })
+            .collect();
+        out.push_str(&report::table(&headers, &rows));
+        out
+    }
+
+    fn json(&self, data: &Data) -> Option<Json> {
+        Some(Json::obj([
+            ("bench", Json::from("zlog_pipelined_appends")),
+            ("appends_per_run", Json::from(self.appends)),
+            ("time_base", Json::from("simulated")),
+            (
+                "runs",
+                Json::arr(data, |r| {
+                    Json::obj([
+                        ("queue_depth", Json::from(r.queue_depth)),
+                        ("throughput_ops_per_s", Json::Fixed(r.throughput, 1)),
+                        ("speedup_vs_depth1", Json::Fixed(speedup(data, r), 2)),
+                        ("p50_ms", Json::Fixed(r.p50_ms, 3)),
+                        ("p99_ms", Json::Fixed(r.p99_ms, 3)),
+                        ("wall_s", Json::Fixed(r.wall_s, 3)),
+                        ("sequencer_grants", Json::from(r.grants)),
+                        ("batch_writes", Json::from(r.batch_writes)),
+                        ("osd_journal_commits", Json::from(r.journal_commits)),
+                    ])
+                }),
+            ),
+        ]))
+    }
+
+    /// Depth 8 beats the one-at-a-time baseline by at least 3x, and the
+    /// coalescing shows at the sequencer, the client and the journal.
+    fn assert_shape(&self, data: &Data) -> Result<(), String> {
+        let at = |depth: usize| {
+            data.iter()
+                .find(|r| r.queue_depth == depth)
+                .ok_or(format!("no depth-{depth} run"))
+        };
+        let (base, deep) = (at(1)?, at(8)?);
+        ensure!(
             deep.throughput >= 3.0 * base.throughput,
-            "depth 8 must be >= 3x depth 1: {:.0} vs {:.0} ops/s",
-            deep.throughput,
-            base.throughput
+            "depth 8 must be >= 3x depth 1: {deep:?} vs {base:?}"
         );
-        // Grant amortization: far fewer round trips than appends.
-        assert!(deep.grants * 4 <= base.grants, "grants: {}", deep.grants);
-        // Coalescing visible at both the client and the journal.
-        assert!(deep.batch_writes > 0);
-        assert!(
+        ensure!(
+            deep.grants * 4 <= base.grants && deep.batch_writes > 0,
+            "grants and stripe writes must coalesce: {deep:?} vs {base:?}"
+        );
+        ensure!(
             deep.journal_commits < base.journal_commits,
-            "journal commits must shrink: {} vs {}",
-            deep.journal_commits,
-            base.journal_commits
+            "journal commits must shrink: {deep:?} vs {base:?}"
         );
-        let rendered = render(&data);
-        assert!(rendered.contains("speedup"));
-        let json = to_json(&data);
-        assert!(json.contains("\"queue_depth\": 8"));
+        Ok(())
     }
 }

@@ -15,27 +15,18 @@
 //! lag, recovery restores the snapshot and replays only the suffix —
 //! flat in total log length, which is the whole point of trim/checkpoint.
 //!
-//! The binary writes `results/BENCH_zlog_read.json` alongside the tables.
+//! The JSON body is `results/BENCH_zlog_read.json`.
 
-use std::collections::HashMap;
-
-use mala_consensus::{MonConfig, MonMsg, Monitor};
-use mala_mds::server::Mds;
-use mala_mds::{MdsConfig, MdsMapView, NoBalancer};
-use mala_rados::{Osd, OsdConfig, OsdMapView, PoolInfo};
 use mala_sim::{NodeId, Sim, SimDuration};
 use mala_zlog::log::{run_op, ZlogOut};
-use mala_zlog::{
-    encode_cmd, zlog_interface_update, AppendResult, KvCmd, KvStore, ReadConfig, ReadOutcome,
-    ZlogClient, ZlogConfig,
-};
+use mala_zlog::{encode_cmd, AppendResult, KvCmd, KvStore, ReadConfig, ReadOutcome, ZlogClient};
 
-use crate::report;
+use crate::report::{self, Json};
+use crate::workload::{zlog_cluster, zlog_config, ZLOG_CLIENT};
+use crate::{ensure, Experiment, Scale};
 
-const MON: NodeId = NodeId(0);
-const MDS0: NodeId = NodeId(20);
-const WRITER: NodeId = NodeId(100);
-const READER: NodeId = NodeId(101);
+const WRITER: NodeId = ZLOG_CLIENT;
+const READER: NodeId = NodeId(ZLOG_CLIENT.0 + 1);
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
@@ -48,26 +39,6 @@ pub struct Config {
     pub log_lens: Vec<usize>,
     /// Distance the checkpoint trails the tail by in the recovery sweep.
     pub ckpt_lag: usize,
-    /// OSD count.
-    pub osds: u32,
-    /// Stripe width (objects the log fans out over).
-    pub stripe_width: u32,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            entries: 192,
-            depths: vec![1, 8, 32],
-            log_lens: vec![64, 128, 256],
-            ckpt_lag: 16,
-            osds: 4,
-            stripe_width: 4,
-            seed: 11,
-        }
-    }
 }
 
 /// One batch depth's catch-up measurements.
@@ -101,59 +72,23 @@ pub struct RecoveryRun {
 /// Both sweeps.
 #[derive(Debug, Clone)]
 pub struct Data {
-    pub entries: usize,
-    pub ckpt_lag: usize,
     pub runs: Vec<DepthRun>,
     pub recoveries: Vec<RecoveryRun>,
 }
 
-fn build(config: &Config, log: &str, reader: ZlogClient) -> Sim {
-    let mut sim = Sim::new(config.seed);
-    sim.add_node(MON, Monitor::new(0, vec![MON], MonConfig::default()));
-    for i in 0..config.osds {
-        sim.add_node(NodeId(10 + i), Osd::new(i, MON, OsdConfig::default()));
-    }
-    sim.add_node(
-        MDS0,
-        Mds::new(0, MON, MdsConfig::default(), Box::new(NoBalancer)),
-    );
-    sim.add_node(WRITER, ZlogClient::new(zcfg(config, log)));
-    sim.add_node(READER, reader);
-    let mut updates = vec![
-        OsdMapView::update_pool(
-            "zlogpool",
-            PoolInfo {
-                pg_num: 32,
-                replicas: 2,
-            },
-        ),
-        MdsMapView::update_rank(0, MDS0, true),
-        zlog_interface_update(),
-    ];
-    for i in 0..config.osds {
-        updates.push(OsdMapView::update_osd(i, NodeId(10 + i), true));
-    }
-    sim.inject(MON, MonMsg::Submit { seq: 1, updates });
-    sim.run_for(SimDuration::from_secs(3));
-    let res = run_op(&mut sim, WRITER, SimDuration::from_secs(5), |c, ctx| {
-        c.setup(ctx)
-    });
-    assert!(
-        matches!(res, AppendResult::Ok(ZlogOut::SetUp(_))),
-        "{res:?}"
-    );
-    sim
+/// A reader of `log` whose cursor prefetches `readahead` positions.
+fn cursor_client(log: &str, readahead: usize) -> ZlogClient {
+    let read_config = ReadConfig {
+        readahead,
+        max_inflight: 4,
+    };
+    ZlogClient::with_read_config(zlog_config(log), read_config)
 }
 
-fn zcfg(config: &Config, log: &str) -> ZlogConfig {
-    ZlogConfig {
-        name: log.to_string(),
-        pool: "zlogpool".to_string(),
-        stripe_width: config.stripe_width,
-        mds_nodes: HashMap::from([(0, MDS0)]),
-        home_rank: 0,
-        monitor: MON,
-    }
+/// A cluster with a plain writer and `reader` on log `log`.
+fn build(log: &str, reader: ZlogClient) -> Sim {
+    let writer = ZlogClient::new(zlog_config(log));
+    zlog_cluster(11, vec![writer, reader])
 }
 
 fn append(sim: &mut Sim, data: Vec<u8>) -> u64 {
@@ -184,20 +119,14 @@ fn drain_cursor(sim: &mut Sim, id: u64, max: usize) -> Vec<(u64, ReadOutcome)> {
 }
 
 /// Runs one catch-up depth; panics on any lost or reordered entry.
-pub fn run_depth(config: &Config, depth: usize) -> DepthRun {
+fn run_depth(config: &Config, depth: usize) -> DepthRun {
     let log = format!("readbench.d{depth}");
     let reader = if depth <= 1 {
-        ZlogClient::new(zcfg(config, &log))
+        ZlogClient::new(zlog_config(&log))
     } else {
-        ZlogClient::with_read_config(
-            zcfg(config, &log),
-            ReadConfig {
-                readahead: depth,
-                max_inflight: 4,
-            },
-        )
+        cursor_client(&log, depth)
     };
-    let mut sim = build(config, &log, reader);
+    let mut sim = build(&log, reader);
     for i in 0..config.entries {
         append(&mut sim, format!("entry-{i}").into_bytes());
     }
@@ -243,25 +172,20 @@ pub fn run_depth(config: &Config, depth: usize) -> DepthRun {
 }
 
 /// Runs one recovery measurement at `log_len` total entries.
-pub fn run_recovery(config: &Config, log_len: usize, checkpointed: bool) -> RecoveryRun {
+fn run_recovery(config: &Config, log_len: usize, checkpointed: bool) -> RecoveryRun {
     let log = format!(
         "recbench.l{log_len}.{}",
         if checkpointed { "ck" } else { "cold" }
     );
-    let reader = ZlogClient::with_read_config(
-        zcfg(config, &log),
-        ReadConfig {
-            readahead: 32,
-            max_inflight: 4,
-        },
-    );
-    let mut sim = build(config, &log, reader);
+    let mut sim = build(&log, cursor_client(&log, 32));
     let ckpt_at = log_len.saturating_sub(config.ckpt_lag) as u64;
     let mut state = KvStore::new();
     for i in 0..log_len {
         let bytes = encode_cmd(&KvCmd::put(format!("k{}", i % 8), format!("v{i}")));
         let pos = append(&mut sim, bytes.clone());
-        state.apply(pos, &ReadOutcome::Data(bytes)).unwrap();
+        state
+            .apply(pos, &ReadOutcome::Data(bytes))
+            .unwrap_or_else(|e| panic!("writer-side apply: {e}"));
         if checkpointed && state.applied() == ckpt_at {
             let (pos, blob) = (state.applied(), state.snapshot());
             let res = run_op(
@@ -293,7 +217,9 @@ pub fn run_recovery(config: &Config, log_len: usize, checkpointed: bool) -> Reco
         other => panic!("checkpoint_read failed: {other:?}"),
     };
     let mut recovered = match &ckpt {
-        Some((pos, blob)) => KvStore::restore(*pos, blob).unwrap(),
+        Some((pos, blob)) => {
+            KvStore::restore(*pos, blob).unwrap_or_else(|e| panic!("snapshot restore: {e}"))
+        }
         None => KvStore::new(),
     };
     assert_eq!(ckpt.is_some(), checkpointed, "unexpected checkpoint state");
@@ -301,7 +227,9 @@ pub fn run_recovery(config: &Config, log_len: usize, checkpointed: bool) -> Reco
     let suffix = drain_cursor(&mut sim, id, 32);
     let replayed = suffix.len() as u64;
     for (p, o) in &suffix {
-        recovered.apply(*p, o).unwrap();
+        recovered
+            .apply(*p, o)
+            .unwrap_or_else(|e| panic!("suffix replay: {e}"));
     }
     let recovery_ms = sim.now().since(t0).as_secs_f64() * 1e3;
     assert_eq!(recovered, state, "recovered replica diverged");
@@ -313,31 +241,8 @@ pub fn run_recovery(config: &Config, log_len: usize, checkpointed: bool) -> Reco
     }
 }
 
-/// Runs both sweeps.
-pub fn run(config: &Config) -> Data {
-    Data {
-        entries: config.entries,
-        ckpt_lag: config.ckpt_lag,
-        runs: config
-            .depths
-            .iter()
-            .map(|&d| run_depth(config, d))
-            .collect(),
-        recoveries: config
-            .log_lens
-            .iter()
-            .flat_map(|&l| {
-                [
-                    run_recovery(config, l, false),
-                    run_recovery(config, l, true),
-                ]
-            })
-            .collect(),
-    }
-}
-
 /// Speedup of `run` over the depth-1 baseline in `data` (1.0 if absent).
-pub fn speedup(data: &Data, run: &DepthRun) -> f64 {
+fn speedup(data: &Data, run: &DepthRun) -> f64 {
     data.runs
         .iter()
         .find(|r| r.depth == 1)
@@ -345,156 +250,152 @@ pub fn speedup(data: &Data, run: &DepthRun) -> f64 {
         .unwrap_or(1.0)
 }
 
-/// Renders both sweeps as aligned tables.
-pub fn render(data: &Data) -> String {
-    let mut out = format!(
-        "ZLog catch-up: {} entries replayed by one cold reader\n\n",
-        data.entries
-    );
-    let headers = [
-        "depth",
-        "pos/s",
-        "speedup",
-        "wall s",
-        "batch ops",
-        "srv reads",
-    ];
-    let rows: Vec<Vec<String>> = data
-        .runs
-        .iter()
-        .map(|r| {
-            vec![
-                r.depth.to_string(),
-                format!("{:.0}", r.throughput),
-                format!("{:.2}x", speedup(data, r)),
-                format!("{:.3}", r.wall_s),
-                r.batch_ops.to_string(),
-                r.reads_served.to_string(),
-            ]
-        })
-        .collect();
-    out.push_str(&report::table(&headers, &rows));
-    out.push_str(&format!(
-        "\nKV recovery: checkpoint trails the tail by {} entries\n\n",
-        data.ckpt_lag
-    ));
-    let headers = ["log len", "checkpoint", "replayed", "recovery ms"];
-    let rows: Vec<Vec<String>> = data
-        .recoveries
-        .iter()
-        .map(|r| {
-            vec![
-                r.log_len.to_string(),
-                if r.checkpointed { "yes" } else { "no" }.to_string(),
-                r.replayed.to_string(),
-                format!("{:.2}", r.recovery_ms),
-            ]
-        })
-        .collect();
-    out.push_str(&report::table(&headers, &rows));
-    out
-}
+impl Experiment for Config {
+    type Data = Data;
 
-/// Machine-readable rendering for `results/BENCH_zlog_read.json`.
-pub fn to_json(data: &Data) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"zlog_read_scaleout\",\n");
-    out.push_str(&format!("  \"entries_per_run\": {},\n", data.entries));
-    out.push_str(&format!("  \"checkpoint_lag\": {},\n", data.ckpt_lag));
-    out.push_str("  \"time_base\": \"simulated\",\n");
-    out.push_str("  \"catchup\": [\n");
-    for (i, r) in data.runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"depth\": {}, \"throughput_pos_per_s\": {:.1}, \
-             \"speedup_vs_depth1\": {:.2}, \"wall_s\": {:.3}, \
-             \"read_batch_ops\": {}, \"osd_reads_served\": {}}}{}\n",
-            r.depth,
-            r.throughput,
-            speedup(data, r),
-            r.wall_s,
-            r.batch_ops,
-            r.reads_served,
-            if i + 1 == data.runs.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"recovery\": [\n");
-    for (i, r) in data.recoveries.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"log_len\": {}, \"checkpointed\": {}, \"replayed\": {}, \
-             \"recovery_ms\": {:.3}}}{}\n",
-            r.log_len,
-            r.checkpointed,
-            r.replayed,
-            r.recovery_ms,
-            if i + 1 == data.recoveries.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn vectored_catchup_beats_scalar_reads_5x_at_depth_32() {
-        let config = Config {
-            entries: 96,
-            depths: vec![1, 32],
-            log_lens: vec![],
-            ..Default::default()
+    fn at(scale: Scale) -> Self {
+        let (entries, depths, log_lens, ckpt_lag) = match scale {
+            Scale::Paper => (192, vec![1, 8, 32], vec![64, 128, 256], 16),
+            Scale::Quick => (96, vec![1, 32], vec![48, 144], 12),
         };
-        let data = run(&config);
-        let base = &data.runs[0];
-        let deep = &data.runs[1];
-        assert!(
-            deep.throughput >= 5.0 * base.throughput,
-            "depth 32 must be >= 5x depth 1: {:.0} vs {:.0} pos/s",
-            deep.throughput,
-            base.throughput
-        );
-        // Round-trip amplification: many positions per RADOS op.
-        assert!(deep.batch_ops > 0);
-        assert!(
-            deep.reads_served >= 4 * deep.batch_ops,
-            "batching must amortize round trips: {} reads over {} ops",
-            deep.reads_served,
-            deep.batch_ops
-        );
+        Config {
+            entries,
+            depths,
+            log_lens,
+            ckpt_lag,
+        }
     }
 
-    #[test]
-    fn checkpointed_recovery_is_flat_in_log_length() {
-        let config = Config {
-            log_lens: vec![48, 144],
-            ckpt_lag: 12,
-            ..Default::default()
-        };
-        let short_cold = run_recovery(&config, 48, false);
-        let long_cold = run_recovery(&config, 144, false);
-        let short_ck = run_recovery(&config, 48, true);
-        let long_ck = run_recovery(&config, 144, true);
-        // Cold replay grows with the log; checkpointed replay does not.
-        assert!(long_cold.replayed == 144 && short_cold.replayed == 48);
-        assert_eq!(short_ck.replayed, 12, "must replay only the suffix");
-        assert_eq!(long_ck.replayed, 12, "must replay only the suffix");
-        assert!(
+    /// Runs both sweeps.
+    fn run(&self) -> Data {
+        Data {
+            runs: self.depths.iter().map(|&d| run_depth(self, d)).collect(),
+            recoveries: (self.log_lens.iter())
+                .flat_map(|&l| [run_recovery(self, l, false), run_recovery(self, l, true)])
+                .collect(),
+        }
+    }
+
+    /// Both sweeps as aligned tables.
+    fn render(&self, data: &Data) -> String {
+        let mut out = format!(
+            "ZLog catch-up: {} entries replayed by one cold reader\n\n",
+            self.entries
+        );
+        let headers = [
+            "depth",
+            "pos/s",
+            "speedup",
+            "wall s",
+            "batch ops",
+            "srv reads",
+        ];
+        let rows: Vec<Vec<String>> = data
+            .runs
+            .iter()
+            .map(|r| {
+                vec![
+                    r.depth.to_string(),
+                    format!("{:.0}", r.throughput),
+                    format!("{:.2}x", speedup(data, r)),
+                    format!("{:.3}", r.wall_s),
+                    r.batch_ops.to_string(),
+                    r.reads_served.to_string(),
+                ]
+            })
+            .collect();
+        out.push_str(&report::table(&headers, &rows));
+        out.push_str(&format!(
+            "\nKV recovery: checkpoint trails the tail by {} entries\n\n",
+            self.ckpt_lag
+        ));
+        let headers = ["log len", "checkpoint", "replayed", "recovery ms"];
+        let rows: Vec<Vec<String>> = data
+            .recoveries
+            .iter()
+            .map(|r| {
+                vec![
+                    r.log_len.to_string(),
+                    if r.checkpointed { "yes" } else { "no" }.to_string(),
+                    r.replayed.to_string(),
+                    format!("{:.2}", r.recovery_ms),
+                ]
+            })
+            .collect();
+        out.push_str(&report::table(&headers, &rows));
+        out
+    }
+
+    fn json(&self, data: &Data) -> Option<Json> {
+        Some(Json::obj([
+            ("bench", Json::from("zlog_read_scaleout")),
+            ("entries_per_run", Json::from(self.entries)),
+            ("checkpoint_lag", Json::from(self.ckpt_lag)),
+            ("time_base", Json::from("simulated")),
+            (
+                "catchup",
+                Json::arr(&data.runs, |r| {
+                    Json::obj([
+                        ("depth", Json::from(r.depth)),
+                        ("throughput_pos_per_s", Json::Fixed(r.throughput, 1)),
+                        ("speedup_vs_depth1", Json::Fixed(speedup(data, r), 2)),
+                        ("wall_s", Json::Fixed(r.wall_s, 3)),
+                        ("read_batch_ops", Json::from(r.batch_ops)),
+                        ("osd_reads_served", Json::from(r.reads_served)),
+                    ])
+                }),
+            ),
+            (
+                "recovery",
+                Json::arr(&data.recoveries, |r| {
+                    Json::obj([
+                        ("log_len", Json::from(r.log_len)),
+                        ("checkpointed", Json::from(r.checkpointed)),
+                        ("replayed", Json::from(r.replayed)),
+                        ("recovery_ms", Json::Fixed(r.recovery_ms, 3)),
+                    ])
+                }),
+            ),
+        ]))
+    }
+
+    /// The deepest cursor beats scalar reads 5x by amortizing round trips;
+    /// checkpointed recovery replays only the suffix and stays flat in log
+    /// length while cold replay grows with it.
+    fn assert_shape(&self, data: &Data) -> Result<(), String> {
+        let (base, deep) = (&data.runs[0], &data.runs[data.runs.len() - 1]);
+        ensure!(
+            base.depth == 1 && deep.throughput >= 5.0 * base.throughput,
+            "the deepest cursor must be >= 5x scalar reads: {deep:?} vs {base:?}"
+        );
+        ensure!(
+            deep.batch_ops > 0 && deep.reads_served >= 4 * deep.batch_ops,
+            "batching must amortize round trips: {deep:?}"
+        );
+        let n = data.recoveries.len();
+        let [short_cold, short_ck] = [&data.recoveries[0], &data.recoveries[1]];
+        let [long_cold, long_ck] = [&data.recoveries[n - 2], &data.recoveries[n - 1]];
+        for r in [short_cold, long_cold] {
+            ensure!(
+                r.replayed == r.log_len as u64,
+                "cold replay is whole: {r:?}"
+            );
+        }
+        for r in [short_ck, long_ck] {
+            ensure!(
+                r.replayed == self.ckpt_lag as u64,
+                "checkpointed replay is only the {}-entry suffix: {r:?}",
+                self.ckpt_lag
+            );
+        }
+        ensure!(
             long_ck.recovery_ms < 1.5 * short_ck.recovery_ms,
-            "checkpointed recovery must stay flat: {:.2}ms vs {:.2}ms",
-            long_ck.recovery_ms,
-            short_ck.recovery_ms
+            "checkpointed recovery must stay flat: {long_ck:?} vs {short_ck:?}"
         );
-        assert!(
+        ensure!(
             long_cold.recovery_ms > 2.0 * long_ck.recovery_ms,
-            "checkpoint must beat cold replay: {:.2}ms vs {:.2}ms",
-            long_cold.recovery_ms,
-            long_ck.recovery_ms
+            "checkpoint must beat cold replay: {long_cold:?} vs {long_ck:?}"
         );
+        Ok(())
     }
 }

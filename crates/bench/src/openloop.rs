@@ -281,22 +281,24 @@ impl Actor for OpenLoopFleet {
         };
         if let Ok(mon) = msg.downcast::<MonMsg>() {
             match &*mon {
-                MonMsg::Snapshot(snap) if snap.map == SERVICE_MAP_MDS => {
-                    if self.router.adopt_snapshot(snap) && !self.retry_q.is_empty() {
-                        // A fresh map is progress: re-drive parked
-                        // requests now rather than waiting out pacing.
-                        self.drain_retries(ctx);
-                    }
+                // A fresh map is progress: re-drive parked requests now
+                // rather than waiting out pacing.
+                MonMsg::Snapshot(snap)
+                    if snap.map == SERVICE_MAP_MDS
+                        && self.router.adopt_snapshot(snap)
+                        && !self.retry_q.is_empty() =>
+                {
+                    self.drain_retries(ctx);
                 }
-                MonMsg::Changed { map, epoch, .. } if map == SERVICE_MAP_MDS => {
-                    if self.router.needs_fetch(*epoch) {
-                        ctx.send(
-                            self.cfg.monitor,
-                            MonMsg::Get {
-                                map: SERVICE_MAP_MDS.to_string(),
-                            },
-                        );
-                    }
+                MonMsg::Changed { map, epoch, .. }
+                    if map == SERVICE_MAP_MDS && self.router.needs_fetch(*epoch) =>
+                {
+                    ctx.send(
+                        self.cfg.monitor,
+                        MonMsg::Get {
+                            map: SERVICE_MAP_MDS.to_string(),
+                        },
+                    );
                 }
                 _ => {}
             }

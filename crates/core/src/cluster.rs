@@ -564,7 +564,7 @@ mod tests {
         for i in 0..24 {
             cluster
                 .rados(
-                    ObjectId::new("data", &format!("obj{i}")),
+                    ObjectId::new("data", format!("obj{i}")),
                     durability::put_blob(vec![i as u8; 64]),
                 )
                 .unwrap();
@@ -583,7 +583,7 @@ mod tests {
         for i in 0..24 {
             let out = cluster
                 .rados(
-                    ObjectId::new("data", &format!("obj{i}")),
+                    ObjectId::new("data", format!("obj{i}")),
                     durability::get_blob(),
                 )
                 .unwrap();
@@ -597,7 +597,7 @@ mod tests {
         for i in 0..24 {
             cluster
                 .rados(
-                    ObjectId::new("data", &format!("obj{i}")),
+                    ObjectId::new("data", format!("obj{i}")),
                     durability::put_blob(vec![i as u8; 64]),
                 )
                 .unwrap();
@@ -620,7 +620,7 @@ mod tests {
         for i in 0..24 {
             let out = cluster
                 .rados(
-                    ObjectId::new("data", &format!("obj{i}")),
+                    ObjectId::new("data", format!("obj{i}")),
                     durability::get_blob(),
                 )
                 .unwrap();

@@ -38,6 +38,9 @@
 //! cluster.sim.run_for(SimDuration::from_secs(1));
 //! assert!(cluster.ready());
 //! ```
+// Serving paths must degrade, not abort: a stray panic site is a lint
+// error outside tests.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cluster;
 pub mod interfaces;

@@ -40,6 +40,9 @@
 //! -- the paper's migration-unit example (§6.2.2):
 //! targets[whoami + 1] = mds[whoami]["load"] / 2
 //! ```
+// Serving paths must degrade, not abort: a stray panic site is a lint
+// error outside tests.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod policies;
 
@@ -99,7 +102,9 @@ impl MantleBalancer {
     /// Panics if the bootstrap policy does not compile — a harness bug.
     pub fn with_policy_engine(source: &str, kind: EngineKind) -> MantleBalancer {
         let mut b = MantleBalancer::with_engine(kind);
-        b.install(source, 0).expect("bootstrap policy must compile");
+        if let Err(e) = b.install(source, 0) {
+            panic!("bootstrap policy must compile: {e}");
+        }
         b.bootstrap = Some(source.to_string());
         b
     }

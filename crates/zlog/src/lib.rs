@@ -19,6 +19,9 @@
 //!   monitor's service metadata, `seal` every stripe object (invalidating
 //!   stale clients), compute the maximum written position, and restart
 //!   the sequencer from it.
+// Serving paths must degrade, not abort: a stray panic site is a lint
+// error outside tests.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod kv;
 pub mod log;
