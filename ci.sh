@@ -34,13 +34,15 @@ bench_out="$(benchmark/run.sh --quick --traced)" || {
 grep -E '^(==|gates:|GATE FAILED)' <<<"$bench_out"
 
 echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (noise-free regression gates)"
-# Allocations per operation repeat exactly on every rep of a seed, and the
-# peak heap to 0.1 %. Each ceiling is the value this quick run measured
-# when it was written, plus a margin; lower it when a change lowers the
-# number.
-#   host_allocs_per_op  read_tail 574.97 (the scripted read path and the
+# Allocations and allocated bytes per operation repeat exactly on every rep
+# of a seed, and the peak heap to 0.1 %. Each ceiling is the value this
+# quick run measured when it was written, plus a margin; lower it when a
+# change lowers the number.
+#   host_allocs_per_op  read_tail 395.83 (the scripted read path and the
 #                       cursor), mds_balance 4.139 (scheduler and
 #                       Metrics); +10 %.
+#   host_alloc_kb_per_op  read_tail 124.38 (every copy of a 1 KiB payload
+#                       between the omap and the reader); +10 %.
 #   host_peak_heap_mb   append_overload 34.578 (the event queue at its
 #                       fullest); +5 %. Scheduler bookkeeping that grows
 #                       with the number of events ever queued, not with the
@@ -56,7 +58,8 @@ metric_at_most() {
             exit (verdict != "ok")
         }' <<<"$bench_out"
 }
-metric_at_most read_tail host_allocs_per_op 632
+metric_at_most read_tail host_allocs_per_op 436
+metric_at_most read_tail host_alloc_kb_per_op 137
 metric_at_most mds_balance host_allocs_per_op 4.55
 metric_at_most append_overload host_peak_heap_mb 36.3
 

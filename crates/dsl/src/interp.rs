@@ -578,9 +578,19 @@ pub(crate) fn to_key(v: &Value) -> Result<Key, RtError> {
 }
 
 thread_local! {
-    /// Staging buffer for [`join`], kept between calls so that building a
-    /// string costs one allocation: the result's, at its exact size.
-    static CONCAT_BUF: RefCell<String> = const { RefCell::new(String::new()) };
+    /// Staging buffer for [`with_scratch`], kept between calls so that
+    /// building a string costs one allocation: the result's, at its exact
+    /// size.
+    static SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// Runs `build` on the (emptied) staging buffer. `build` must not call
+/// back into an engine.
+pub(crate) fn with_scratch<R>(build: impl FnOnce(&mut String) -> R) -> R {
+    SCRATCH.with_borrow_mut(|buf| {
+        buf.clear();
+        build(buf)
+    })
 }
 
 /// Appends `v` the way `..` renders it: strings as they are, numbers,
@@ -605,8 +615,7 @@ fn push_coerced(buf: &mut String, v: &Value) -> Result<(), RtError> {
 /// every byte copied into the staging buffer once and out of it once.
 /// Reports the leftmost value that cannot be joined.
 pub(crate) fn join(vals: &[Value]) -> Result<Value, RtError> {
-    CONCAT_BUF.with_borrow_mut(|buf| {
-        buf.clear();
+    with_scratch(|buf| {
         for v in vals {
             push_coerced(buf, v)?;
         }

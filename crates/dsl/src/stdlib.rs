@@ -6,8 +6,11 @@
 
 use std::rc::Rc;
 
-use crate::interp::{join, Interp, RtError};
-use crate::value::{fmt_num, HostCtx, Key, NativeFn, Value};
+use crate::interp::{join, with_scratch, Interp, RtError};
+use crate::value::{fmt_num, write_num, HostCtx, Key, NativeFn, Value};
+
+/// The widest field `zpad` fills, and the zeros it fills with.
+const ZEROS: &str = "0000000000000000000000000000000000000000000000000000000000000000";
 
 fn arg(args: &[Value], i: usize) -> Value {
     args.get(i).cloned().unwrap_or(Value::Nil)
@@ -289,6 +292,28 @@ pub(crate) fn natives() -> Vec<(&'static str, NativeFn)> {
         "fmt",
         Rc::new(|_, args| Ok(Value::str(fmt_num(num_arg("fmt", args, 0)?)))),
     );
+    // zpad(n, width) — `fmt(n)` left-padded with `0` to `width` bytes, left
+    // whole when already that wide: fixed-width keys whose byte order is
+    // numeric order, in one allocation.
+    interp.register(
+        "zpad",
+        Rc::new(|_, args| {
+            let n = num_arg("zpad", args, 0)?;
+            let width = num_arg("zpad", args, 1)?;
+            if !(0.0..=ZEROS.len() as f64).contains(&width) {
+                return Err(RtError::new(format!(
+                    "zpad: width must be between 0 and {}",
+                    ZEROS.len()
+                )));
+            }
+            Ok(with_scratch(|buf| {
+                write_num(buf, n);
+                let missing = (width as usize).saturating_sub(buf.len());
+                buf.insert_str(0, &ZEROS[..missing]);
+                Value::str(buf.as_str())
+            }))
+        }),
+    );
 
     interp.0
 }
@@ -389,9 +414,12 @@ mod tests {
 
     #[test]
     fn format_helpers() {
-        let interp = run("a = format_num(3.14159, 2)\nb = fmt(4)");
+        let interp =
+            run("a = format_num(3.14159, 2)\nb = fmt(4)\nc = zpad(42, 5)\nd = zpad(123456, 5)");
         assert_eq!(interp.global("a"), Value::str("3.14"));
         assert_eq!(interp.global("b"), Value::str("4"));
+        assert_eq!(interp.global("c"), Value::str("00042"));
+        assert_eq!(interp.global("d"), Value::str("123456"));
     }
 
     #[test]

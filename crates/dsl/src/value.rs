@@ -124,6 +124,21 @@ impl Table {
     pub fn array(&self) -> &[Value] {
         &self.arr
     }
+
+    /// Whether the table is a plain list: nothing outside the array part.
+    pub fn is_list(&self) -> bool {
+        self.map.is_empty()
+    }
+}
+
+/// A plain list: the items become the array part, in order.
+impl FromIterator<Value> for Table {
+    fn from_iter<I: IntoIterator<Item = Value>>(items: I) -> Table {
+        Table {
+            arr: items.into_iter().collect(),
+            map: BTreeMap::new(),
+        }
+    }
 }
 
 /// A script-defined function: parameters, body, and captured environment.

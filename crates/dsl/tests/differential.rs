@@ -200,3 +200,66 @@ fn sub_inside_a_multibyte_character_is_an_error_not_a_panic() {
     assert_eq!(sub("éé", "3"), Ok("é".to_string()));
     assert_eq!(sub("éé", "5"), Ok(String::new()));
 }
+
+/// `zpad(n, 20)` builds the storage class's entry keys. It replaced a
+/// scripted `pad` — kept here as the oracle — and every key must stay the
+/// byte string that one built, or stored objects stop being found: small
+/// and large integers, `fmt`'s float forms from 1e15 up, numbers wider
+/// than the field, negatives and fractions.
+#[test]
+fn zpad_builds_the_keys_the_scripted_pad_built() {
+    const SCRIPTED_PAD: &str = "
+        function pad(pos)
+            local s = fmt(pos)
+            if #s < 20 then
+                s = sub(\"00000000000000000000\" .. s, -20)
+            end
+            return \"e\" .. s
+        end
+    ";
+    for (n, want) in [
+        ("0", "e00000000000000000000"),
+        ("1", "e00000000000000000001"),
+        ("10", "e00000000000000000010"),
+        ("100000000000000", "e00000100000000000000"),
+        ("1000000000000000", "e00001000000000000000"),
+        ("1e15", "e00001000000000000000"),
+        ("12345678901234567890", "e12345678901234567000"),
+        ("1e30", "e1000000000000000000000000000000"),
+        ("(0 - 5)", "e000000000000000000-5"),
+        ("2.5", "e000000000000000002.5"),
+        ("(1 / 0)", "e00000000000000000inf"),
+    ] {
+        let old = eval_both(&format!("{SCRIPTED_PAD} x = pad({n})"));
+        let new = eval_both(&format!("x = \"e\" .. zpad({n}, 20)"));
+        assert_eq!(new, old, "zpad({n}, 20)");
+        assert_eq!(new, Ok(want.to_string()), "zpad({n}, 20)");
+    }
+    for (src, want) in [
+        ("x = zpad(7, 0)", Ok("7")),
+        ("x = zpad(7, 1)", Ok("7")),
+        ("x = zpad(7, 3)", Ok("007")),
+        ("x = zpad(7, 3.9)", Ok("007")),
+        ("x = #zpad(7, 64)", Ok("64")),
+        (
+            "x = zpad(7, 65)",
+            Err("zpad: width must be between 0 and 64"),
+        ),
+        (
+            "x = zpad(7, 0 - 1)",
+            Err("zpad: width must be between 0 and 64"),
+        ),
+        (
+            "x = zpad(7, 0 / 0)",
+            Err("zpad: width must be between 0 and 64"),
+        ),
+        ("x = zpad(7)", Err("zpad: argument 2 must be a number")),
+        (
+            "x = zpad(\"7\", 3)",
+            Err("zpad: argument 1 must be a number"),
+        ),
+    ] {
+        let want = want.map(str::to_string).map_err(str::to_string);
+        assert_eq!(eval_both(src), want, "`{src}`");
+    }
+}

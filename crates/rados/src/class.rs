@@ -12,13 +12,15 @@
 //!   Metadata interface. These reproduce the dynamic Lua object interfaces
 //!   that Malacology contributes.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use mala_dsl::value::HostCtx;
-use mala_dsl::{DslEngine, EngineKind, RtError, Script, Value};
+use mala_dsl::value::{fmt_num, HostCtx};
+use mala_dsl::{DslEngine, EngineKind, RtError, Script, Table, Value};
 
+use crate::frame;
 use crate::object::Object;
 use crate::ops::{ObjTxn, OsdError};
 
@@ -268,11 +270,12 @@ impl ClassRegistry {
         let arg = text(input);
         let out = cls.engine.borrow_mut().call(method, &[arg], &mut host);
         *txn = host.txn;
-        Ok(match out.map_err(|e| OsdError::Class(rt_to_class(e)))? {
-            Value::Nil => Vec::new(),
-            Value::Str(s) => s.as_bytes().to_vec(),
-            other => other.display().into_bytes(),
-        })
+        match out.map_err(|e| OsdError::Class(rt_to_class(e)))? {
+            Value::Nil => Ok(Vec::new()),
+            Value::Str(s) => Ok(s.as_bytes().to_vec()),
+            Value::Table(t) => frame_list(&t.borrow()).map_err(OsdError::Class),
+            other => Ok(other.display().into_bytes()),
+        }
     }
 
     /// Names of all scripted classes, sorted.
@@ -297,6 +300,30 @@ impl Default for ClassRegistry {
     fn default() -> Self {
         ClassRegistry::new()
     }
+}
+
+/// The reply for a method that returned a table: its array part as a
+/// framed list ([`crate::frame`]), strings as they are and numbers as
+/// `fmt` prints them. The host frames so that no script builds wire text;
+/// anything the frame cannot carry — a map part, a nested table, a
+/// boolean, a function — is the method's error, not a silent rendering.
+fn frame_list(list: &Table) -> Result<Vec<u8>, ClassError> {
+    if !list.is_list() {
+        return Err(ClassError::invalid("returned table has a map part"));
+    }
+    let items: Vec<Cow<'_, str>> = list
+        .array()
+        .iter()
+        .map(|v| match v {
+            Value::Str(s) => Ok(Cow::Borrowed(&**s)),
+            Value::Num(n) => Ok(Cow::Owned(fmt_num(*n))),
+            other => Err(ClassError::invalid(format!(
+                "returned list holds a {} value",
+                other.type_name()
+            ))),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(frame::encode(items.iter().map(|item| item.as_bytes())))
 }
 
 fn rt_to_class(e: RtError) -> ClassError {
@@ -478,6 +505,32 @@ fn install_object_natives(interp: &mut DslEngine) {
     interp.register(
         "obj_exists",
         Rc::new(|ctx, _args| Ok(Value::Bool(host(ctx)?.txn.obj().is_some()))),
+    );
+    // unframe(s) — the items of a framed list as a table of strings, in
+    // one call: the script indexes what its caller framed instead of
+    // searching and slicing text.
+    interp.register(
+        "unframe",
+        Rc::new(|_ctx, args| {
+            let s = str_arg("unframe", args, 0)?;
+            let items =
+                frame::decode(s.as_bytes()).map_err(|e| RtError::new(format!("EINVAL: {e}")))?;
+            // Bodies sit back to back at the end of the frame. Lengths
+            // count bytes; one that ends inside a character has no string
+            // to hand over.
+            let mut at = s.len() - items.iter().map(|item| item.len()).sum::<usize>();
+            let list = items
+                .iter()
+                .map(|item| {
+                    let piece = s.get(at..at + item.len()).ok_or_else(|| {
+                        RtError::new("EINVAL: frame: length inside a multi-byte character")
+                    })?;
+                    at += item.len();
+                    Ok(Value::str(piece))
+                })
+                .collect::<Result<Table, RtError>>()?;
+            Ok(Value::from_table(list))
+        }),
     );
 }
 
@@ -695,6 +748,64 @@ mod tests {
                 b"8",
                 "{kind:?}"
             );
+        }
+    }
+
+    /// A method that returns a table answers with the frame of its array
+    /// part; what a frame cannot carry is the method's error (it used to
+    /// be rendered the way `print` shows a table).
+    #[test]
+    fn returned_lists_are_framed_by_the_host() {
+        const LISTS: &str = r#"
+            function empty(i) return {} end
+            function strings(i) return {"ab", "", "c|d,e", i} end
+            function numbers(i) return {1, 2.5, 0 - 3, 1e15, "x"} end
+            function built(i)
+                local t = {}
+                for k = 1, 3 do t[k] = i .. fmt(k) end
+                return t
+            end
+            function nested(i) return {"a", {"b"}} end
+            function mapped(i) return {"a", k = "v"} end
+            function sparse(i) local t = {} t[2] = "b" return t end
+            function flag(i) return {"a", true} end
+            function hole(i) local t = {} insert(t, nil) return t end
+            function func(i) return {fmt} end
+        "#;
+        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
+            let mut reg = ClassRegistry::with_engine(kind);
+            reg.install_scripted("lists", LISTS, 1).unwrap();
+            let call = |method: &str| {
+                reg.call("lists", method, &mut None, "in\u{e9}".as_bytes())
+                    .map_err(|e| match e {
+                        OsdError::Class(ce) => ce.code,
+                        other => panic!("{kind:?} {method}: {other:?}"),
+                    })
+            };
+            assert_eq!(call("empty"), Ok(b"0||".to_vec()), "{kind:?}");
+            assert_eq!(
+                call("strings"),
+                Ok("4|2,0,5,4|abc|d,ein\u{e9}".as_bytes().to_vec()),
+                "{kind:?}"
+            );
+            assert_eq!(
+                call("numbers"),
+                Ok(b"5|1,3,2,16,1|12.5-31000000000000000x".to_vec()),
+                "{kind:?}"
+            );
+            let built = call("built").unwrap();
+            assert_eq!(
+                frame::decode(&built).unwrap(),
+                vec![
+                    "in\u{e9}1".as_bytes(),
+                    "in\u{e9}2".as_bytes(),
+                    "in\u{e9}3".as_bytes()
+                ],
+                "{kind:?}"
+            );
+            for method in ["nested", "mapped", "sparse", "flag", "hole", "func"] {
+                assert_eq!(call(method), Err(-22), "{kind:?} {method}");
+            }
         }
     }
 

@@ -3,7 +3,7 @@
 //! changes and primary failovers.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use mala_consensus::{MonMsg, SERVICE_MAP_OSD};
 use mala_sim::{Actor, Context, NodeId, Sim, SimDuration, SimTime, SpanContext, TimerHandle};
@@ -59,7 +59,9 @@ pub struct RadosClient {
     map: OsdMapView,
     next_reqid: u64,
     inflight: HashMap<u64, InFlight>,
-    completed: HashMap<u64, ClientEvent>,
+    /// Completions not yet collected, by request id: ordered, so draining
+    /// them never lets hash order decide what the caller does first.
+    completed: BTreeMap<u64, ClientEvent>,
 }
 
 impl RadosClient {
@@ -70,7 +72,7 @@ impl RadosClient {
             map: OsdMapView::default(),
             next_reqid: 1,
             inflight: HashMap::new(),
-            completed: HashMap::new(),
+            completed: BTreeMap::new(),
         }
     }
 
@@ -80,8 +82,9 @@ impl RadosClient {
     }
 
     /// Submits a transaction; returns its request id. Drive the simulation
-    /// and collect the outcome with [`RadosClient::take_completed`] (or use
-    /// [`request`] for a synchronous harness call).
+    /// and collect the outcome with [`RadosClient::take_completed`] or
+    /// [`RadosClient::drain_completed`] (or use [`request`] for a
+    /// synchronous harness call).
     pub fn submit(&mut self, ctx: &mut Context<'_>, oid: ObjectId, txn: Transaction) -> u64 {
         self.submit_spanned(ctx, oid, txn, None)
     }
@@ -125,6 +128,19 @@ impl RadosClient {
     /// Whether `reqid` has completed.
     pub fn is_completed(&self, reqid: u64) -> bool {
         self.completed.contains_key(&reqid)
+    }
+
+    /// Removes and returns every completion held, in ascending request
+    /// order. An embedding actor collects this way: a completion it no
+    /// longer has a use for (it abandoned the request) is dropped by the
+    /// same call instead of being kept for the life of the client.
+    pub fn drain_completed(&mut self) -> impl Iterator<Item = ClientEvent> {
+        std::mem::take(&mut self.completed).into_values()
+    }
+
+    /// Whether any completion is waiting to be collected.
+    pub fn holds_completions(&self) -> bool {
+        !self.completed.is_empty()
     }
 
     /// Completes `reqid`, cancelling any pending retransmit timer.

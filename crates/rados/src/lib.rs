@@ -12,6 +12,9 @@
 //!   classes, and *scripted* classes written in Cephalo that can be
 //!   installed cluster-wide at runtime through the monitor, reproducing the
 //!   paper's dynamic Lua interfaces.
+//! * **Framed lists** ([`frame`]) — the one wire shape of vectored class
+//!   calls: the registry frames the list a scripted method returns, the
+//!   `unframe` native hands a script the list its caller framed.
 //! * **The shipped class catalog** ([`class_registry`]) — a census of
 //!   classes/methods by category, regenerating the paper's Figure 2 and
 //!   Table 1 statistics.
@@ -33,6 +36,7 @@
 pub mod class;
 pub mod class_registry;
 pub mod client;
+pub mod frame;
 pub mod journal;
 pub mod object;
 pub mod ops;

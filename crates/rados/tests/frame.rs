@@ -1,0 +1,179 @@
+//! The framed list, end to end: the codec against itself, the `unframe`
+//! native against the codec on both engines, and malformed frames as
+//! errors — `Err` from `decode`, `EINVAL` through a class call — never a
+//! panic and never an allocation the header asked for.
+
+use mala_dsl::EngineKind;
+use mala_rados::{frame, ClassRegistry, OsdError};
+use proptest::prelude::*;
+
+/// `echo` answers the list it was handed (the host frames it again),
+/// `count` its length, `last` its last item.
+const LISTS: &str = r#"
+    function echo(input) return unframe(input) end
+    function count(input) return fmt(#unframe(input)) end
+    function last(input)
+        local items = unframe(input)
+        return items[#items]
+    end
+"#;
+
+fn registries() -> [ClassRegistry; 2] {
+    [EngineKind::TreeWalk, EngineKind::Bytecode].map(|kind| {
+        let mut reg = ClassRegistry::with_engine(kind);
+        reg.install_scripted("lists", LISTS, 1).unwrap();
+        reg
+    })
+}
+
+/// The reply, or the class error's code.
+fn call(reg: &ClassRegistry, method: &str, input: &[u8]) -> Result<Vec<u8>, i32> {
+    reg.call("lists", method, &mut None, input)
+        .map_err(|e| match e {
+            OsdError::Class(ce) => ce.code,
+            other => panic!("{method}: {other:?}"),
+        })
+}
+
+fn encode<T: AsRef<[u8]>>(items: &[T]) -> Vec<u8> {
+    frame::encode(items.iter().map(AsRef::as_ref))
+}
+
+/// Arbitrary text: random bytes as the lossy conversion shows them.
+fn any_text() -> impl Strategy<Value = String> {
+    prop::collection::vec(any::<u8>(), 0..40)
+        .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+}
+
+/// Bodies that look like headers, hold the separators, are empty, or are
+/// multi-byte text, besides arbitrary ones.
+fn text_item() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just(String::new()),
+        Just("|".to_string()),
+        Just(",".to_string()),
+        Just("2|1,1|ab".to_string()),
+        Just("h\u{e9}llo \u{2603} w\u{f6}rld".to_string()),
+        "[a-z0-9|,\u{e9}\u{2603}]{0,24}",
+        any_text(),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn decode_inverts_encode(
+        items in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 0..12),
+    ) {
+        let framed = encode(&items);
+        let back = frame::decode(&framed).unwrap();
+        prop_assert_eq!(back, items.iter().map(Vec::as_slice).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn unframe_hands_the_script_what_decode_returns(
+        items in prop::collection::vec(text_item(), 0..12),
+    ) {
+        let framed = encode(&items);
+        let decoded = frame::decode(&framed).unwrap();
+        prop_assert_eq!(&decoded, &items.iter().map(String::as_bytes).collect::<Vec<_>>());
+        for reg in registries() {
+            // The list comes back as the frame it came in.
+            prop_assert_eq!(call(&reg, "echo", &framed), Ok(framed.clone()));
+            prop_assert_eq!(call(&reg, "count", &framed), Ok(items.len().to_string().into_bytes()));
+            let last = items.last().map_or(Vec::new(), |s| s.as_bytes().to_vec());
+            prop_assert_eq!(call(&reg, "last", &framed), Ok(last));
+        }
+    }
+
+    /// Any damage to a frame's length — bytes cut off the end, bytes added
+    /// — is refused on both sides.
+    #[test]
+    fn cut_or_padded_frames_are_refused(
+        items in prop::collection::vec("[a-z|,]{0,12}", 0..8),
+        cut in 1usize..40,
+        junk in "[a-z0-9|,]{1,4}",
+    ) {
+        let framed = encode(&items);
+        let short = &framed[..framed.len().saturating_sub(cut)];
+        let long = [framed.as_slice(), junk.as_bytes()].concat();
+        for bad in [short, long.as_slice()] {
+            prop_assert!(frame::decode(bad).is_err(), "{:?}", String::from_utf8_lossy(bad));
+            for reg in registries() {
+                prop_assert_eq!(call(&reg, "echo", bad), Err(-22));
+            }
+        }
+    }
+
+    /// Whatever the bytes, `decode` and `unframe` answer or refuse; they do
+    /// not panic, and they agree on which.
+    #[test]
+    fn arbitrary_input_never_panics(
+        input in prop_oneof![
+            "[0-9]{0,3}[|x]?[0-9,]{0,8}[|]?[a-z\u{e9}|,]{0,12}",
+            any_text(),
+        ],
+    ) {
+        let decoded = frame::decode(input.as_bytes());
+        for reg in registries() {
+            match (&decoded, call(&reg, "count", input.as_bytes())) {
+                (Ok(items), Ok(count)) => {
+                    prop_assert_eq!(items.len().to_string().into_bytes(), count);
+                }
+                // A length inside a character is the script side's alone.
+                (_, Err(code)) => prop_assert_eq!(code, -22),
+                (Err(e), Ok(count)) => prop_assert!(false, "decode: {}, unframe: {:?}", e, count),
+            }
+        }
+    }
+}
+
+#[test]
+fn malformed_frames_are_einval_through_a_class_call() {
+    let huge = format!("{}|1|a", usize::MAX);
+    let cases: [(&[u8], &str); 9] = [
+        (b"", "not a frame"),
+        (b"3|1,1|ab", "count beyond the lengths listed"),
+        (
+            huge.as_bytes(),
+            "count beyond anything the frame could hold",
+        ),
+        (b"1000000|1,1|ab", "count beyond the header's length"),
+        (b"1|5|abc", "length past the end"),
+        (b"1|1|abc", "trailing bytes"),
+        (b"1|x|a", "non-numeric length"),
+        (b"x|1|a", "non-numeric count"),
+        ("2|1,1|\u{e9}".as_bytes(), "length inside a character"),
+    ];
+    for reg in registries() {
+        for (bad, why) in cases {
+            assert_eq!(call(&reg, "echo", bad), Err(-22), "{why}");
+        }
+    }
+    // The last one is a frame of bytes — only text has characters to split.
+    for (bad, why) in &cases[..8] {
+        assert!(frame::decode(bad).is_err(), "{why}");
+    }
+    assert_eq!(
+        frame::decode("2|1,1|\u{e9}".as_bytes()).unwrap(),
+        vec![&b"\xc3"[..], b"\xa9"]
+    );
+}
+
+/// Input bytes that are not UTF-8 reach the script as lossy text. A frame
+/// built over the raw bytes no longer fits that text, which is why callers
+/// frame the text the script will see (`mala-zlog`'s `encode_write_batch`).
+#[test]
+fn lengths_count_the_text_the_script_sees() {
+    let raw: [&[u8]; 2] = [b"a\xffb", b"tail"];
+    let seen: Vec<String> = raw
+        .iter()
+        .map(|b| String::from_utf8_lossy(b).into_owned())
+        .collect();
+    for reg in registries() {
+        assert_eq!(call(&reg, "echo", &encode(&raw)), Err(-22));
+        assert_eq!(call(&reg, "echo", &encode(&seen)), Ok(encode(&seen)));
+        assert_eq!(call(&reg, "last", &encode(&seen)), Ok(b"tail".to_vec()));
+    }
+}

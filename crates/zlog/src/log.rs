@@ -474,10 +474,12 @@ impl ZlogClient {
     }
 
     /// Whether the client holds no work and no trace of any: no pending
-    /// op, reply route, parked entry or queued append.
+    /// op, reply route, uncollected completion, parked entry or queued
+    /// append.
     pub fn is_idle(&self) -> bool {
         self.ops.is_empty()
             && self.rados_waiting.is_empty()
+            && !self.rados.holds_completions()
             && self.mds_waiting.is_empty()
             && self.mon_waiting.is_empty()
             && self.blocked_on_epoch.is_empty()
@@ -1222,19 +1224,19 @@ impl ZlogClient {
     /// (Re-)issues a vectored read: the op's position vector grouped by
     /// stripe, one `read_batch` RADOS op per stripe object.
     fn step_read_batch(&mut self, ctx: &mut Context<'_>, op: u64) {
+        let width = u64::from(self.config.stripe_width).max(1);
         let Some(pending) = self.ops.get_mut(&op) else {
             return;
         };
-        let OpKind::ReadBatch { positions } = pending.kind.clone() else {
+        let OpKind::ReadBatch { positions } = &pending.kind else {
             return;
         };
         if positions.is_empty() {
             self.finish(ctx, op, AppendResult::Ok(ZlogOut::ReadBatch(Vec::new())));
             return;
         }
-        let width = u64::from(self.config.stripe_width).max(1);
         let mut groups: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for pos in positions {
+        for &pos in positions {
             groups.entry(pos % width).or_default().push(pos);
         }
         pending.stage = Stage::ReadVector {
@@ -1445,11 +1447,13 @@ impl ZlogClient {
 
     /// Internal vectored read prefetching one stripe group.
     fn spawn_cursor_fetch(&mut self, ctx: &mut Context<'_>, id: u64, positions: Vec<u64>) {
+        if let Some(cursor) = self.cursors.get_mut(&id) {
+            cursor.inflight_ops += 1;
+            cursor.inflight.extend(positions.iter().copied());
+        }
         let op = self.begin(
             ctx,
-            OpKind::ReadBatch {
-                positions: positions.clone(),
-            },
+            OpKind::ReadBatch { positions },
             Stage::ReadVector {
                 outstanding: 0,
                 parts: Vec::new(),
@@ -1462,10 +1466,6 @@ impl ZlogClient {
             pending.span = Some(span);
         }
         self.record_batch_reads(ctx, op);
-        if let Some(cursor) = self.cursors.get_mut(&id) {
-            cursor.inflight_ops += 1;
-            cursor.inflight.extend(positions);
-        }
         self.step_read_batch(ctx, op);
     }
 
@@ -1623,21 +1623,19 @@ impl ZlogClient {
     }
 
     /// Collects completions from the embedded RADOS client and routes them
-    /// into the owning ops.
+    /// into the owning ops. Completions drive sends and timers, so they
+    /// are taken in request order. One whose route is gone belongs to a
+    /// request an earlier attempt abandoned ([`Self::forget_requests`]):
+    /// it is dropped here, reply payload and all.
     fn drain_rados(&mut self, ctx: &mut Context<'_>) {
-        // Completions drive sends and timers: take them in request order,
-        // not hash order.
-        let mut waiting: Vec<u64> = self.rados_waiting.keys().copied().collect();
-        waiting.sort_unstable();
-        for reqid in waiting {
-            if let Some(event) = self.rados.take_completed(reqid) {
-                if let Some(op) = self.rados_waiting.remove(&reqid) {
-                    if self.is_batch(op) {
-                        self.on_batch_write_done(ctx, op, reqid, event.result);
-                    } else {
-                        self.on_rados_done(ctx, op, event.result);
-                    }
-                }
+        for event in self.rados.drain_completed() {
+            let Some(op) = self.rados_waiting.remove(&event.reqid) else {
+                continue;
+            };
+            if self.is_batch(op) {
+                self.on_batch_write_done(ctx, op, event.reqid, event.result);
+            } else {
+                self.on_rados_done(ctx, op, event.result);
             }
         }
     }

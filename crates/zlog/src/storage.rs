@@ -21,22 +21,32 @@
 //! `write_batch` is the vectored variant behind the pipelined append
 //! path: one call carries every same-stripe position of a client batch,
 //! so the whole group is admitted under one epoch check, applied in one
-//! RADOS transaction, and journaled as one group-commit. Payloads may
-//! contain the separator, so entries are length-prefixed rather than
-//! split: `epoch|n|` followed by `n` entries `pos|len|payload`
-//! concatenated back to back (`len` = payload byte length, see
-//! [`encode_write_batch`]). Semantics are all-or-nothing: any conflict
-//! (a written position, or a duplicate inside the batch) rejects the
-//! whole call with `EEXIST` before anything is applied, and a sealed
-//! epoch rejects it with `ESTALE`.
+//! RADOS transaction, and journaled as one group-commit. Semantics are
+//! all-or-nothing: any conflict (a written position, or a duplicate
+//! inside the batch) rejects the whole call with `EEXIST` before anything
+//! is applied, and a sealed epoch rejects it with `ESTALE`.
 //!
-//! `read_batch` is the vectored read mirror: `epoch|pos,pos,...` in, one
-//! epoch check for the whole vector, and a tagged result per position
-//! out — `n|` followed by `n` entries `pos|tag|len|payload` where the
-//! tag is `D` (data), `F` (junk fill), `T` (trimmed), or `U` (unwritten)
-//! and `len` is the payload byte length (0 for non-data tags). Unlike
+//! `read_batch` is the vectored read mirror: one epoch check for the
+//! whole vector, and a tagged value per position out — `D|<payload>`
+//! (data), `F|` (junk fill), `T|` (trimmed) or `U|` (unwritten). Unlike
 //! the single `read`, unwritten positions are *not* an error: a reader
 //! catching up wants the tagged hole, not a round trip per `ENOENT`.
+//!
+//! The vectored calls exchange **framed lists** ([`mala_rados::frame`]:
+//! `n|l1,…,ln|` then the `n` bodies back to back), so payloads may hold
+//! any separator and neither side searches or slices text. `write_batch`
+//! takes the list `{epoch, pos1, payload1, …, posn, payloadn}`
+//! ([`encode_write_batch`]) and reads it with one `unframe` call.
+//! `read_batch` keeps its text input, `epoch|pos,pos,...`
+//! ([`encode_read_batch`]; the OSD counts `osd.reads_served` from it), and
+//! *returns a table* `{<the position csv as it came>, v1, …, vn}` with
+//! `vi` the stored value untouched or the constants `"T|"` / `"U|"`; the
+//! class registry frames that table into the reply and
+//! [`decode_read_batch`] takes positions from the echoed csv, the tag
+//! from each value's first byte and the payload as the bytes after `D|`.
+//! The class never formats a position, measures a payload or joins a
+//! reply. Lengths count bytes of the text the interpreter sees — inputs
+//! reach a script lossy-decoded — so the encoder frames that text.
 //!
 //! Trim carries a *prefix watermark* besides the per-position `trim`:
 //! `trim_upto` (`epoch|pos`) marks every position `<= pos` on this
@@ -51,7 +61,10 @@
 //! writer cannot roll the checkpoint back), `checkpoint_read` returns
 //! `pos|len|blob` (`-1|0|` when none was ever taken).
 
+use std::borrow::Cow;
+
 use mala_consensus::{MapUpdate, SERVICE_MAP_INTERFACES};
+use mala_rados::frame;
 
 /// The class name, as registered in the interface map.
 pub const ZLOG_CLASS: &str = "zlog";
@@ -63,16 +76,13 @@ pub const ZLOG_CLASS_SOURCE: &str = r#"
 -- Entry values are tagged: "D|<payload>" data, "F|" filled junk,
 -- "T|" trimmed. The "trimlo" xattr is the prefix-trim watermark:
 -- every position <= trimlo is trimmed, its omap entry purged.
+-- Vectored calls exchange lists the host frames: write_batch reads its
+-- input with unframe(), read_batch returns a table. Neither builds nor
+-- parses wire text.
 
 __readonly = {"maxpos", "read", "read_batch", "checkpoint_read"}
 
-function pad(pos)
-    local s = fmt(pos)
-    if #s < 20 then
-        s = sub("00000000000000000000" .. s, -20)
-    end
-    return "e" .. s
-end
+function pad(pos) return "e" .. zpad(pos, 20) end
 
 function check_epoch(e)
     local sealed = tonumber(xattr_get("epoch"))
@@ -122,40 +132,24 @@ function write(input)
     return "ok"
 end
 
--- Vectored write: "epoch|n|" then n length-prefixed entries
--- "pos|len|payload" back to back. All-or-nothing: every entry is
--- validated (epoch, write-once, intra-batch duplicates) before any is
--- applied, so a rejected batch leaves no residue.
+-- Vectored write: the framed list {epoch, pos1, payload1, ..., posn,
+-- payloadn}. All-or-nothing: every entry is validated (epoch, write-once,
+-- intra-batch duplicates) before any is applied, so a rejected batch
+-- leaves no residue.
 function write_batch(input)
-    local i = find(input, "|")
-    if i == nil then error("EINVAL: bad write_batch input") end
-    local e = tonumber(sub(input, 1, i - 1))
-    local s = sub(input, i + 1)
-    i = find(s, "|")
-    if i == nil then error("EINVAL: bad write_batch input") end
-    local n = tonumber(sub(s, 1, i - 1))
-    s = sub(s, i + 1)
-    if e == nil or n == nil or n < 1 then
+    local items = unframe(input)
+    local e = tonumber(items[1])
+    local n = (#items - 1) / 2
+    if e == nil or n < 1 or n ~= floor(n) then
         error("EINVAL: bad write_batch input")
     end
     check_epoch(e)
     local lo = trim_floor()
     local keys = {}
-    local vals = {}
     local hi = nil
-    local k = 1
-    while k <= n do
-        i = find(s, "|")
-        if i == nil then error("EINVAL: short write_batch entry") end
-        local pos = tonumber(sub(s, 1, i - 1))
-        s = sub(s, i + 1)
-        i = find(s, "|")
-        if i == nil then error("EINVAL: short write_batch entry") end
-        local len = tonumber(sub(s, 1, i - 1))
-        s = sub(s, i + 1)
-        if pos == nil or len == nil or len < 0 or #s < len then
-            error("EINVAL: short write_batch entry")
-        end
+    for k = 1, n do
+        local pos = tonumber(items[2 * k])
+        if pos == nil then error("EINVAL: bad write_batch position") end
         if pos <= lo then
             error("EEXIST: position " .. fmt(pos) .. " trimmed")
         end
@@ -163,23 +157,16 @@ function write_batch(input)
         if omap_get(key) ~= nil then
             error("EEXIST: position " .. fmt(pos) .. " already written")
         end
-        local j = 1
-        while j < k do
+        for j = 1, k - 1 do
             if keys[j] == key then
                 error("EEXIST: position " .. fmt(pos) .. " duplicated in batch")
             end
-            j = j + 1
         end
-        insert(keys, key)
-        insert(vals, "D|" .. sub(s, 1, len))
-        s = sub(s, len + 1)
+        keys[k] = key
         if hi == nil or pos > hi then hi = pos end
-        k = k + 1
     end
-    k = 1
-    while k <= n do
-        omap_set(keys[k], vals[k])
-        k = k + 1
+    for k = 1, n do
+        omap_set(keys[k], "D|" .. items[2 * k + 1])
     end
     bump_maxpos(hi)
     return fmt(n)
@@ -200,41 +187,32 @@ function read(input)
 end
 
 -- Vectored read: "epoch|pos,pos,...". One epoch check covers the whole
--- vector. Every requested position yields a tagged entry — "n|" then n
--- entries "pos|tag|len|payload" back to back, tag D/F/T/U — so holes
--- come back as U instead of burning a round trip on ENOENT.
+-- vector. The reply is a list the host frames: the position csv as it
+-- came, then one value per position — the stored value as it is
+-- ("D|<payload>", "F|", "T|"), "T|" under the trim watermark, "U|" for a
+-- hole — so holes come back tagged instead of burning a round trip on
+-- ENOENT, and no byte of a payload is touched here.
 function read_batch(input)
     local i = find(input, "|")
     if i == nil then error("EINVAL: bad read_batch input") end
     local e = tonumber(sub(input, 1, i - 1))
+    local csv = sub(input, i + 1)
     if e == nil then error("EINVAL: bad read_batch input") end
     check_epoch(e)
-    local ps = split(sub(input, i + 1), ",")
+    local ps = split(csv, ",")
     local lo = trim_floor()
-    local out = {"", "|"}
-    local n = 0
-    local k = 1
-    while ps[k] ~= nil do
+    local out = {csv}
+    for k = 1, #ps do
         local pos = tonumber(ps[k])
         if pos == nil then error("EINVAL: bad read_batch position") end
-        if pos <= lo then
-            insert(out, fmt(pos) .. "|T|0|")
-        else
-            local v = omap_get(pad(pos))
-            if v == nil then
-                insert(out, fmt(pos) .. "|U|0|")
-            else
-                local payload = sub(v, 3)
-                insert(out, fmt(pos) .. "|" .. sub(v, 1, 1) .. "|" .. fmt(#payload) .. "|")
-                insert(out, payload)
-            end
+        local v = "T|"
+        if pos > lo then
+            v = omap_get(pad(pos))
+            if v == nil then v = "U|" end
         end
-        n = n + 1
-        k = k + 1
+        out[k + 1] = v
     end
-    if n == 0 then error("EINVAL: empty read_batch") end
-    out[1] = fmt(n)
-    return concat(out)
+    return out
 end
 
 function fill(input)
@@ -344,19 +322,18 @@ function maxpos(input)
 end
 "#;
 
-/// Encodes a `write_batch` input: `epoch|n|` then each entry as
-/// `pos|len|payload` with `len` the payload byte length, so payloads may
-/// contain the separator. Entries must be non-empty.
+/// Encodes a `write_batch` input: the framed list `{epoch, pos1,
+/// payload1, …, posn, payloadn}`. Entries must be non-empty.
 pub fn encode_write_batch(epoch: u64, entries: &[(u64, &[u8])]) -> Vec<u8> {
-    let mut out = format!("{epoch}|{}|", entries.len()).into_bytes();
+    let mut items: Vec<Cow<'_, str>> = Vec::with_capacity(1 + 2 * entries.len());
+    items.push(epoch.to_string().into());
     for (pos, payload) in entries {
-        // The class runs on lossy-decoded text, so measure the length of
-        // what the interpreter will actually see.
-        let text = String::from_utf8_lossy(payload);
-        out.extend_from_slice(format!("{pos}|{}|", text.len()).as_bytes());
-        out.extend_from_slice(text.as_bytes());
+        items.push(pos.to_string().into());
+        // The class runs on lossy-decoded text, so frame what the
+        // interpreter will actually see: the lengths count its bytes.
+        items.push(String::from_utf8_lossy(payload));
     }
-    out
+    frame::encode(items.iter().map(|item| item.as_bytes()))
 }
 
 /// Encodes a `read_batch` input: `epoch|pos,pos,...`.
@@ -370,56 +347,36 @@ pub fn encode_read_batch(epoch: u64, positions: &[u64]) -> Vec<u8> {
     out.into_bytes()
 }
 
-/// Decodes a `read_batch` reply: `n|` then `n` entries of
-/// `pos|tag|len|payload`, tag one of D/F/T/U. Lengths count bytes of the
-/// lossy-decoded text the class operated on, matching [`encode_write_batch`].
+/// Decodes a `read_batch` reply: the framed list `{csv, v1, …, vn}` — the
+/// request's position csv echoed, then one value per position, `X|` with
+/// the tag `X` one of D/F/T/U and, after `D|`, the payload. Payload bytes
+/// are copied out as they are; only the csv is read as text.
 pub fn decode_read_batch(bytes: &[u8]) -> Result<Vec<(u64, crate::log::ReadOutcome)>, String> {
     use crate::log::ReadOutcome;
-    /// Splits the `|`-terminated field off the front of `rest`, borrowed.
-    fn take<'a>(rest: &mut &'a str, what: &str) -> Result<&'a str, String> {
-        let (field, tail) = rest
-            .split_once('|')
-            .ok_or_else(|| format!("read_batch reply: missing {what}"))?;
-        *rest = tail;
-        Ok(field)
-    }
-    let text = String::from_utf8_lossy(bytes);
-    let mut rest = text.as_ref();
-    let n_str = take(&mut rest, "count")?;
-    let n: usize = n_str
-        .parse()
-        .map_err(|_| format!("read_batch reply: bad count {n_str:?}"))?;
-    // An entry is at least its three separators, so a count beyond the
-    // reply's length is malformed: refuse it before allocating for it.
-    if n > rest.len() {
-        return Err(format!("read_batch reply: count {n} exceeds its length"));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let pos_str = take(&mut rest, "position")?;
-        let pos: u64 = pos_str
+    let items = frame::decode(bytes).map_err(|e| format!("read_batch reply: {e}"))?;
+    let (csv, values) = items
+        .split_first()
+        .ok_or("read_batch reply: missing positions")?;
+    let csv = std::str::from_utf8(csv).map_err(|_| "read_batch reply: bad positions")?;
+    let mut values = values.iter();
+    let mut out = Vec::with_capacity(values.len());
+    for field in csv.split(',') {
+        let pos: u64 = field
             .parse()
-            .map_err(|_| format!("read_batch reply: bad position {pos_str:?}"))?;
-        let tag = take(&mut rest, "tag")?;
-        let len_str = take(&mut rest, "length")?;
-        let len: usize = len_str
-            .parse()
-            .map_err(|_| format!("read_batch reply: bad length {len_str:?}"))?;
-        // `len` counts bytes of the text and ends on a character, as the
-        // class measured it; anything else is a reply cut short.
-        if !rest.is_char_boundary(len) {
-            return Err("read_batch reply: truncated payload".into());
-        }
-        let (payload, tail) = rest.split_at(len);
-        let outcome = match tag {
-            "D" => ReadOutcome::Data(payload.as_bytes().to_vec()),
-            "F" => ReadOutcome::Filled,
-            "T" => ReadOutcome::Trimmed,
-            "U" => ReadOutcome::NotWritten,
-            other => return Err(format!("read_batch reply: unknown tag {other:?}")),
+            .map_err(|_| format!("read_batch reply: bad position {field:?}"))?;
+        let outcome = match values.next() {
+            Some([b'D', b'|', payload @ ..]) => ReadOutcome::Data(payload.to_vec()),
+            Some([b'F', b'|', ..]) => ReadOutcome::Filled,
+            Some([b'T', b'|', ..]) => ReadOutcome::Trimmed,
+            Some([b'U', b'|', ..]) => ReadOutcome::NotWritten,
+            Some([_, b'|', ..]) => return Err(format!("read_batch reply: unknown tag at {pos}")),
+            Some(_) => return Err(format!("read_batch reply: value at {pos} has no tag")),
+            None => return Err(format!("read_batch reply: no value for {pos}")),
         };
-        rest = tail;
         out.push((pos, outcome));
+    }
+    if values.next().is_some() {
+        return Err("read_batch reply: more values than positions".into());
     }
     Ok(out)
 }
@@ -474,10 +431,15 @@ pub fn zlog_interface_update() -> MapUpdate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mala_dsl::EngineKind;
     use mala_rados::{ClassRegistry, Object, OsdError};
 
     fn reg() -> ClassRegistry {
-        let mut reg = ClassRegistry::new();
+        reg_on(EngineKind::default())
+    }
+
+    fn reg_on(kind: EngineKind) -> ClassRegistry {
+        let mut reg = ClassRegistry::with_engine(kind);
         reg.install_scripted(ZLOG_CLASS, ZLOG_CLASS_SOURCE, 1)
             .unwrap();
         reg
@@ -697,30 +659,49 @@ mod tests {
     fn write_batch_bad_inputs_are_einval() {
         let reg = reg();
         let mut slot = Some(Object::new());
-        for input in ["", "0", "0|2|", "0|1|5", "0|1|5|10|short", "0|x|"] {
-            assert_eq!(call(&reg, &mut slot, "write_batch", input), Err(-22));
+        for input in [
+            // Not a frame, a cut one, one with bytes left over.
+            "",
+            "0",
+            "0|1|5|10|short",
+            "3|1,1,5|05sho",
+            "3|1,1,2|05short",
+            // A frame, but not {epoch, pos, payload, ...}: empty, epoch
+            // alone, a position without its payload, a bad epoch or position.
+            "0||",
+            "1|1|0",
+            "2|1,1|05",
+            "4|1,1,1,1|05a6",
+            "3|1,1,1|x5a",
+            "3|1,1,1|0xa",
+            "5|1,1,1,0,1|05a6",
+        ] {
+            assert_eq!(
+                call(&reg, &mut slot, "write_batch", input),
+                Err(-22),
+                "{input:?}"
+            );
         }
         // Nothing was applied by the truncated attempts.
         assert_eq!(call(&reg, &mut slot, "maxpos", ""), Ok("-1".into()));
     }
 
-    /// A `len` that ends inside a multi-byte character passes the
-    /// `#s < len` check; `sub(s, 1, len)` used to abort the OSD on the
-    /// byte index. It is a class error like any other short entry.
+    /// A length that ends inside a multi-byte character has no string to
+    /// hand the script (slicing there used to abort the OSD on the byte
+    /// index). It is a class error like any other malformed frame.
     #[test]
     fn write_batch_length_inside_a_character_is_einval() {
-        for kind in [
-            mala_dsl::EngineKind::TreeWalk,
-            mala_dsl::EngineKind::Bytecode,
-        ] {
-            let mut reg = ClassRegistry::with_engine(kind);
-            reg.install_scripted(ZLOG_CLASS, ZLOG_CLASS_SOURCE, 1)
-                .unwrap();
+        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
+            let reg = reg_on(kind);
             let mut slot = Some(Object::new());
             call(&reg, &mut slot, "write", "0|1|kept").unwrap();
             let before = slot.clone();
-            assert_eq!(call(&reg, &mut slot, "write_batch", "0|1|5|3|éé"), Err(-22));
+            let input = "5|1,1,3,1,0|05éé";
+            assert_eq!(call(&reg, &mut slot, "write_batch", input), Err(-22));
             assert_eq!(slot, before);
+            // The same bytes with lengths on character ends are a batch.
+            let input = "5|1,1,2,1,2|05é6é";
+            assert_eq!(call(&reg, &mut slot, "write_batch", input), Ok("2".into()));
         }
     }
 
@@ -942,7 +923,8 @@ mod tests {
             String::from_utf8(encode_read_batch(7, &[1, 33, 65])).unwrap(),
             "7|1,33,65"
         );
-        let reply = b"3|1|D|5|ab|cd2|U|0|3|T|0|";
+        // The reply is the frame of {csv, v1, .., vn}.
+        let reply = b"4|5,7,2,2|1,2,3D|ab|cdU|T|";
         assert_eq!(
             decode_read_batch(reply).unwrap(),
             vec![
@@ -951,12 +933,103 @@ mod tests {
                 (3, ReadOutcome::Trimmed),
             ]
         );
-        assert!(decode_read_batch(b"1|5|D|9|short").is_err());
-        assert!(decode_read_batch(b"1|5|X|0|").is_err());
+        assert_eq!(
+            decode_read_batch(b"3|3,2,2|5,6F|D|").unwrap(),
+            vec![(5, ReadOutcome::Filled), (6, ReadOutcome::Data(Vec::new()))]
+        );
+        // Payloads are bytes: never read as text, copied as they are.
+        assert_eq!(
+            decode_read_batch(b"2|1,4|9D|\xff\xc3").unwrap(),
+            vec![(9, ReadOutcome::Data(b"\xff\xc3".to_vec()))]
+        );
+        assert!(decode_read_batch(b"2|1,9|5D|short").is_err());
+        assert!(decode_read_batch(b"2|1,2|5X|").is_err());
         assert!(decode_read_batch(b"junk").is_err());
         // A count the reply cannot hold is refused before allocating for it.
-        assert!(decode_read_batch(b"18446744073709551615|1|U|0|").is_err());
-        // A length that ends inside a character is a truncated reply.
-        assert!(decode_read_batch("1|5|D|1|é".as_bytes()).is_err());
+        assert!(decode_read_batch(b"18446744073709551615|1,2|5U|").is_err());
+        // A length that ends inside a character leaves the rest over.
+        assert!(decode_read_batch("2|1,3|5D|é".as_bytes()).is_err());
+    }
+
+    /// Every way a reply can disagree with itself is the malformed reply
+    /// the client re-issues the vector for, never a partial answer.
+    #[test]
+    fn decode_read_batch_refuses_malformed_replies() {
+        for (bad, why) in [
+            (&b"0||"[..], "no echo"),
+            (b"1|3|1,2", "positions without values"),
+            (b"2|3,2|1,2U|", "fewer values than positions"),
+            (b"3|1,2,2|1U|U|", "more values than positions"),
+            (b"2|0,2|U|", "empty echo"),
+            (b"2|2,2|1,U|", "empty position"),
+            (b"2|1,2|xU|", "non-numeric position"),
+            (b"2|2,2|-1U|", "negative position"),
+            (b"2|1,2|1X|", "unknown tag"),
+            (b"2|1,2|1d|", "lower-case tag"),
+            (b"2|1,1|1D", "one-byte value"),
+            (b"2|1,0|1", "empty value"),
+            (b"2|1,2|1DD", "tag without its separator"),
+            (b"2|1,2|1U|U|", "trailing bytes"),
+            (b"2|1,2|\xffU|", "echo that is not text"),
+        ] {
+            assert!(
+                decode_read_batch(bad).is_err(),
+                "{why}: {:?}",
+                String::from_utf8_lossy(bad)
+            );
+        }
+    }
+
+    /// What the class answers is what `decode_read_batch` reads, and
+    /// `encode_write_batch` frames what `write_batch` stores — payloads
+    /// with separators, multi-byte text and invalid UTF-8 (stored as the
+    /// lossy text the class saw) included, on both engines.
+    #[test]
+    fn batch_helpers_round_trip_through_the_class() {
+        use crate::log::ReadOutcome;
+        let payloads: [&[u8]; 6] = [
+            b"plain",
+            b"",
+            b"a|b,c|",
+            "h\u{e9}llo \u{2603}".as_bytes(),
+            b"3|1,1,1|abc",
+            b"bad \xff utf8",
+        ];
+        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
+            let reg = reg_on(kind);
+            let mut slot = None;
+            let entries: Vec<(u64, &[u8])> = payloads
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (i as u64 * 4, *p))
+                .collect();
+            let out = reg
+                .call(
+                    ZLOG_CLASS,
+                    "write_batch",
+                    &mut slot,
+                    &encode_write_batch(0, &entries),
+                )
+                .unwrap();
+            assert_eq!(out, b"6");
+            let positions: Vec<u64> = (0..7).map(|i| i * 4).collect();
+            let reply = reg
+                .call(
+                    ZLOG_CLASS,
+                    "read_batch",
+                    &mut slot,
+                    &encode_read_batch(0, &positions),
+                )
+                .unwrap();
+            let mut want: Vec<(u64, ReadOutcome)> = entries
+                .iter()
+                .map(|(pos, p)| {
+                    let seen = String::from_utf8_lossy(p).into_owned().into_bytes();
+                    (*pos, ReadOutcome::Data(seen))
+                })
+                .collect();
+            want.push((24, ReadOutcome::NotWritten));
+            assert_eq!(decode_read_batch(&reply).unwrap(), want, "{kind:?}");
+        }
     }
 }

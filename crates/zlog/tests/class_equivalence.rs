@@ -1,20 +1,125 @@
 //! The scripted storage class against its previous source.
 //!
-//! `ZLOG_CLASS_SOURCE` was rewritten for cost (constant-op `pad`, a
-//! list-and-`concat` `read_batch`); what it stores and answers must not
-//! have moved by a byte. The previous source is frozen in
+//! `ZLOG_CLASS_SOURCE` was rewritten for cost — a one-builtin `pad`, then
+//! vectored calls that exchange host-framed lists instead of text the
+//! script builds and parses — and what it stores and answers must not have
+//! moved. The previous source is frozen in
 //! `fixtures/zlog_class_parent.cephalo` and both run the same random call
-//! sequences, on both engines: every reply, every error (code and
-//! message) and the object left behind must be identical.
+//! sequences, on both engines. The two speak different wire formats for
+//! `write_batch` inputs and `read_batch` replies, so each side encodes and
+//! decodes with its own helpers (the parent's live on in [`parent`]) and
+//! the comparison is on what was said: every decoded reply, every error
+//! (code and message) and, byte for byte, the object left behind.
 
 use mala_dsl::EngineKind;
-use mala_rados::{ClassRegistry, Object, OsdError};
+use mala_rados::{frame, ClassRegistry, Object, OsdError};
+use mala_zlog::storage::decode_read_batch;
 use mala_zlog::{
-    encode_checkpoint, encode_read_batch, encode_write_batch, ZLOG_CLASS, ZLOG_CLASS_SOURCE,
+    encode_checkpoint, encode_read_batch, encode_write_batch, ReadOutcome, ZLOG_CLASS,
+    ZLOG_CLASS_SOURCE,
 };
 use proptest::prelude::*;
 
 const PARENT_SOURCE: &str = include_str!("fixtures/zlog_class_parent.cephalo");
+
+/// One `read_batch` reply entry as either format spells it: the position
+/// text, the tag byte, the payload.
+type Entry = (String, u8, Vec<u8>);
+
+/// The wire helpers `mala_zlog::storage` had while the parent source was
+/// the shipped one: `write_batch` took `epoch|n|` then `pos|len|payload`
+/// entries, `read_batch` answered `n|` then `pos|tag|len|payload` entries.
+mod parent {
+    use super::Entry;
+
+    pub fn encode_write_batch(epoch: u64, entries: &[(u64, &[u8])]) -> Vec<u8> {
+        let mut out = format!("{epoch}|{}|", entries.len()).into_bytes();
+        for (pos, payload) in entries {
+            let text = String::from_utf8_lossy(payload);
+            out.extend_from_slice(format!("{pos}|{}|", text.len()).as_bytes());
+            out.extend_from_slice(text.as_bytes());
+        }
+        out
+    }
+
+    pub fn read_batch_entries(bytes: &[u8]) -> Result<Vec<Entry>, String> {
+        fn take<'a>(rest: &mut &'a str, what: &str) -> Result<&'a str, String> {
+            let (field, tail) = rest.split_once('|').ok_or(format!("missing {what}"))?;
+            *rest = tail;
+            Ok(field)
+        }
+        let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+        let mut rest = text;
+        let n: usize = take(&mut rest, "count")?.parse().map_err(|_| "bad count")?;
+        let mut out = Vec::new();
+        for _ in 0..n {
+            let pos = take(&mut rest, "position")?.to_string();
+            let tag = take(&mut rest, "tag")?;
+            let len: usize = take(&mut rest, "length")?
+                .parse()
+                .map_err(|_| "bad length")?;
+            let (payload, tail) = rest
+                .is_char_boundary(len)
+                .then(|| rest.split_at(len))
+                .ok_or("truncated payload")?;
+            rest = tail;
+            let [tag] = tag.as_bytes() else {
+                return Err(format!("bad tag {tag:?}"));
+            };
+            // Non-data entries carry no bytes.
+            if *tag != b'D' && len != 0 {
+                return Err(format!("{len} bytes under tag {}", *tag as char));
+            }
+            out.push((pos, *tag, payload.as_bytes().to_vec()));
+        }
+        if !rest.is_empty() {
+            return Err(format!("{} trailing bytes", rest.len()));
+        }
+        Ok(out)
+    }
+}
+
+/// The current reply — the frame of `{csv, v1, …, vn}` — in [`Entry`] form.
+fn read_batch_entries(bytes: &[u8]) -> Result<Vec<Entry>, String> {
+    let items = frame::decode(bytes)?;
+    let (csv, values) = items.split_first().ok_or("missing echo")?;
+    let csv = std::str::from_utf8(csv).map_err(|e| e.to_string())?;
+    let positions: Vec<&str> = csv.split(',').collect();
+    if positions.len() != values.len() {
+        return Err(format!(
+            "{} positions, {} values",
+            positions.len(),
+            values.len()
+        ));
+    }
+    positions
+        .iter()
+        .zip(values)
+        .map(|(pos, value)| match value {
+            [tag, b'|', payload @ ..] if *tag == b'D' || payload.is_empty() => {
+                Ok((pos.to_string(), *tag, payload.to_vec()))
+            }
+            other => Err(format!("bad value {:?}", String::from_utf8_lossy(other))),
+        })
+        .collect()
+}
+
+/// The outcomes a client would see, when every position is a `u64`.
+fn outcomes(entries: &[Entry]) -> Option<Vec<(u64, ReadOutcome)>> {
+    entries
+        .iter()
+        .map(|(pos, tag, payload)| {
+            let outcome = match tag {
+                b'D' => ReadOutcome::Data(payload.clone()),
+                b'F' => ReadOutcome::Filled,
+                b'T' => ReadOutcome::Trimmed,
+                b'U' => ReadOutcome::NotWritten,
+                _ => return None,
+            };
+            Some((pos.parse().ok()?, outcome))
+        })
+        .collect()
+}
 
 /// Positions as the wire carries them: a dense low range so calls collide
 /// on cells (all four states D/F/T/U turn up under `read_batch`), plus
@@ -37,6 +142,7 @@ fn payload() -> impl Strategy<Value = String> {
         Just("x".to_string()),
         Just("a|b|c".to_string()),
         Just("1|2|".to_string()),
+        Just("3|1,1,1|abc".to_string()),
         Just("héé|wörld".to_string()),
         "[a-z0-9|,]{0,40}",
     ]
@@ -46,36 +152,47 @@ fn epoch() -> impl Strategy<Value = u64> {
     0u64..4
 }
 
-/// One class call: `(method, input)`.
-fn call() -> BoxedStrategy<(&'static str, String)> {
+/// One class call, said once and spelled per side.
+#[derive(Debug, Clone)]
+enum Call {
+    /// A method whose input and reply are the same bytes on both sides.
+    Same(&'static str, String),
+    /// `read_batch`: same input, replies compared decoded.
+    ReadBatch(String),
+    /// `write_batch` of these entries, encoded per side.
+    WriteBatch(u64, Vec<(u64, String)>),
+    /// A `write_batch` frame with its last `cut` bytes missing (or, for
+    /// `cut == 0`, one byte too many). The parent's format broke in other
+    /// places, so this one runs on the current side only: it must be
+    /// `EINVAL` and leave the object alone.
+    BrokenWriteBatch(u64, Vec<(u64, String)>, usize),
+}
+
+fn call() -> BoxedStrategy<Call> {
     let at = |method: &'static str| {
         (epoch(), position())
-            .prop_map(move |(e, p)| (method, format!("{e}|{p}")))
+            .prop_map(move |(e, p)| Call::Same(method, format!("{e}|{p}")))
             .boxed()
     };
-    let write =
-        (epoch(), position(), payload()).prop_map(|(e, p, d)| ("write", format!("{e}|{p}|{d}")));
-    let write_batch =
-        (epoch(), prop::collection::vec((0u64..24, payload()), 1..5)).prop_map(|(e, entries)| {
-            let entries: Vec<(u64, &[u8])> =
-                entries.iter().map(|(p, d)| (*p, d.as_bytes())).collect();
-            let input = encode_write_batch(e, &entries);
-            ("write_batch", String::from_utf8(input).unwrap())
-        });
+    let write = (epoch(), position(), payload())
+        .prop_map(|(e, p, d)| Call::Same("write", format!("{e}|{p}|{d}")));
+    let entries = || prop::collection::vec((0u64..24, payload()), 1..5);
+    let write_batch = (epoch(), entries()).prop_map(|(e, entries)| Call::WriteBatch(e, entries));
+    let broken_write_batch = (epoch(), entries(), 0usize..64)
+        .prop_map(|(e, entries, cut)| Call::BrokenWriteBatch(e, entries, cut));
     let read_batch = (epoch(), prop::collection::vec(0u64..24, 1..9)).prop_map(|(e, ps)| {
         let input = encode_read_batch(e, &ps);
-        ("read_batch", String::from_utf8(input).unwrap())
+        Call::ReadBatch(String::from_utf8(input).unwrap())
     });
     let read_batch_wide = (epoch(), prop::collection::vec(position(), 1..4))
-        .prop_map(|(e, ps)| ("read_batch", format!("{e}|{}", ps.join(","))));
+        .prop_map(|(e, ps)| Call::ReadBatch(format!("{e}|{}", ps.join(","))));
     let checkpoint = (epoch(), 0u64..40, payload()).prop_map(|(e, p, blob)| {
         let input = encode_checkpoint(e, p, blob.as_bytes());
-        ("checkpoint", String::from_utf8(input).unwrap())
+        Call::Same("checkpoint", String::from_utf8(input).unwrap())
     });
     let bad = (
         prop_oneof![
             Just("write"),
-            Just("write_batch"),
             Just("read"),
             Just("read_batch"),
             Just("fill"),
@@ -98,7 +215,11 @@ fn call() -> BoxedStrategy<(&'static str, String)> {
             Just("0|1|9|short".to_string()),
             "[0-9|,x]{0,12}",
         ],
-    );
+    )
+        .prop_map(|(method, input)| match method {
+            "read_batch" => Call::ReadBatch(input),
+            _ => Call::Same(method, input),
+        });
     prop_oneof![
         4 => write.boxed(),
         4 => write_batch.boxed(),
@@ -108,11 +229,12 @@ fn call() -> BoxedStrategy<(&'static str, String)> {
         2 => at("fill"),
         2 => at("trim"),
         1 => at("trim_upto"),
-        1 => (1u64..5).prop_map(|e| ("seal", e.to_string())).boxed(),
-        1 => Just(("maxpos", String::new())).boxed(),
+        1 => (1u64..5).prop_map(|e| Call::Same("seal", e.to_string())).boxed(),
+        1 => Just(Call::Same("maxpos", String::new())).boxed(),
         1 => checkpoint.boxed(),
-        1 => Just(("checkpoint_read", String::new())).boxed(),
+        1 => Just(Call::Same("checkpoint_read", String::new())).boxed(),
         3 => bad.boxed(),
+        1 => broken_write_batch.boxed(),
     ]
     .boxed()
 }
@@ -126,12 +248,114 @@ fn registry(kind: EngineKind, source: &str) -> ClassRegistry {
 /// The reply bytes, or the class error's code and message.
 type Reply = Result<Vec<u8>, (i32, String)>;
 
-fn invoke(reg: &ClassRegistry, slot: &mut Option<Object>, method: &str, input: &str) -> Reply {
-    match reg.call(ZLOG_CLASS, method, slot, input.as_bytes()) {
+fn invoke(reg: &ClassRegistry, slot: &mut Option<Object>, method: &str, input: &[u8]) -> Reply {
+    match reg.call(ZLOG_CLASS, method, slot, input) {
         Ok(out) => Ok(out),
         Err(OsdError::Class(e)) => Err((e.code, e.message)),
-        Err(other) => panic!("{method}({input:?}): unexpected error {other:?}"),
+        Err(other) => panic!("{method}: unexpected error {other:?}"),
     }
+}
+
+fn as_slices(entries: &[(u64, String)]) -> Vec<(u64, &[u8])> {
+    entries.iter().map(|(p, d)| (*p, d.as_bytes())).collect()
+}
+
+/// The two sides of one comparison: the frozen parent and the shipped
+/// class on one engine, each with the object its calls built.
+struct Pair {
+    parent: ClassRegistry,
+    current: ClassRegistry,
+    was: Option<Object>,
+    is: Option<Object>,
+}
+
+impl Pair {
+    fn new(kind: EngineKind) -> Pair {
+        Pair {
+            parent: registry(kind, PARENT_SOURCE),
+            current: registry(kind, ZLOG_CLASS_SOURCE),
+            was: None,
+            is: None,
+        }
+    }
+
+    /// Makes `call` on both sides; `Err` says how they differ.
+    fn step(&mut self, call: &Call) -> Result<(), String> {
+        match call {
+            Call::Same(method, input) => {
+                let want = invoke(&self.parent, &mut self.was, method, input.as_bytes());
+                let got = invoke(&self.current, &mut self.is, method, input.as_bytes());
+                if got != want {
+                    return Err(format!("got {got:?}, parent {want:?}"));
+                }
+            }
+            Call::WriteBatch(e, entries) => {
+                let entries = as_slices(entries);
+                let want = parent::encode_write_batch(*e, &entries);
+                let want = invoke(&self.parent, &mut self.was, "write_batch", &want);
+                let got = encode_write_batch(*e, &entries);
+                let got = invoke(&self.current, &mut self.is, "write_batch", &got);
+                if got != want {
+                    return Err(format!("got {got:?}, parent {want:?}"));
+                }
+            }
+            Call::ReadBatch(input) => {
+                let want = invoke(&self.parent, &mut self.was, "read_batch", input.as_bytes());
+                let got = invoke(&self.current, &mut self.is, "read_batch", input.as_bytes());
+                match (got, want) {
+                    (Err(got), Err(want)) if got == want => {}
+                    (Ok(got), Ok(want)) => same_read_batch(&got, &want)?,
+                    (got, want) => return Err(format!("got {got:?}, parent {want:?}")),
+                }
+            }
+            Call::BrokenWriteBatch(e, entries, cut) => {
+                let mut input = encode_write_batch(*e, &as_slices(entries));
+                match cut {
+                    0 => input.push(b'0'),
+                    // Inputs are text: cut on a character.
+                    _ => {
+                        let text = std::str::from_utf8(&input).unwrap();
+                        let mut keep = text.len().saturating_sub(*cut);
+                        while !text.is_char_boundary(keep) {
+                            keep -= 1;
+                        }
+                        input.truncate(keep);
+                    }
+                }
+                let got = invoke(&self.current, &mut self.is, "write_batch", &input);
+                if !matches!(got, Err((-22, _))) {
+                    return Err(format!("got {got:?}, not EINVAL"));
+                }
+            }
+        }
+        if self.is != self.was {
+            return Err(format!("object {:?}, parent {:?}", self.is, self.was));
+        }
+        Ok(())
+    }
+}
+
+/// Two `read_batch` replies, one per format, that say the same thing:
+/// equal tags and payloads, numerically equal positions (the parent echoed
+/// `fmt(tonumber(p))`, the current class echoes `p` as it came), and the
+/// client's decoder reads exactly that out of the current one.
+fn same_read_batch(got: &[u8], want: &[u8]) -> Result<(), String> {
+    let got_entries = read_batch_entries(got)?;
+    let want_entries = parent::read_batch_entries(want)?;
+    let number = |e: &Entry| e.0.trim().parse::<f64>().map_err(|e| e.to_string());
+    if got_entries.len() != want_entries.len() {
+        return Err(format!("got {got_entries:?}, parent {want_entries:?}"));
+    }
+    for (g, w) in got_entries.iter().zip(&want_entries) {
+        if (number(g)?, g.1, &g.2) != (number(w)?, w.1, &w.2) {
+            return Err(format!("got {g:?}, parent {w:?}"));
+        }
+    }
+    let decoded = decode_read_batch(got).ok();
+    if decoded != outcomes(&got_entries) {
+        return Err(format!("client decodes {decoded:?} from {got_entries:?}"));
+    }
+    Ok(())
 }
 
 proptest! {
@@ -142,14 +366,11 @@ proptest! {
         calls in prop::collection::vec(call(), 1..48),
     ) {
         for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
-            let parent = registry(kind, PARENT_SOURCE);
-            let current = registry(kind, ZLOG_CLASS_SOURCE);
-            let (mut was, mut is) = (None, None);
-            for (method, input) in &calls {
-                let want = invoke(&parent, &mut was, method, input);
-                let got = invoke(&current, &mut is, method, input);
-                prop_assert_eq!(&got, &want, "{:?} {}({:?})", kind, method, input);
-                prop_assert_eq!(&is, &was, "{:?} object after {}({:?})", kind, method, input);
+            let mut pair = Pair::new(kind);
+            for call in &calls {
+                if let Err(diff) = pair.step(call) {
+                    prop_assert!(false, "{:?} {:?}: {}", kind, call, diff);
+                }
             }
         }
     }
@@ -157,31 +378,48 @@ proptest! {
 
 /// The sequences above must actually reach every cell state through
 /// `read_batch`; this pins one that does, so a generator change cannot
-/// quietly stop covering them.
+/// quietly stop covering them — and pins the reply's bytes.
 #[test]
 fn read_batch_over_all_four_cell_states_is_unchanged() {
     for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
-        let (parent, current) = (
-            registry(kind, PARENT_SOURCE),
-            registry(kind, ZLOG_CLASS_SOURCE),
-        );
-        let (mut was, mut is) = (None, None);
-        for (method, input) in [
-            ("write", "0|2|early"),
-            ("write", "0|8|live|data"),
-            ("fill", "0|12"),
-            ("trim", "0|16"),
-            ("trim_upto", "0|4"),
-            ("read_batch", "0|2,8,12,16,20,8"),
+        let mut pair = Pair::new(kind);
+        for call in [
+            Call::Same("write", "0|2|early".into()),
+            Call::Same("write", "0|8|live|data".into()),
+            Call::WriteBatch(0, vec![(9, "3|1,1,1|abc".into()), (10, "héé".into())]),
+            Call::Same("fill", "0|12".into()),
+            Call::Same("trim", "0|16".into()),
+            Call::Same("trim_upto", "0|4".into()),
+            Call::ReadBatch("0|2,8,12,16,20,8,10".into()),
+            Call::BrokenWriteBatch(0, vec![(30, "x".into())], 1),
+            Call::BrokenWriteBatch(0, vec![(30, "x".into())], 0),
         ] {
-            let want = invoke(&parent, &mut was, method, input);
-            assert_eq!(invoke(&current, &mut is, method, input), want);
+            pair.step(&call)
+                .unwrap_or_else(|diff| panic!("{kind:?} {call:?}: {diff}"));
         }
-        let reply = invoke(&current, &mut is, "read_batch", "0|2,8,12,16,20,8").unwrap();
+        let input = b"0|2,8,12,16,20,8,10";
+        let was = invoke(&pair.parent, &mut pair.was, "read_batch", input).unwrap();
         assert_eq!(
-            String::from_utf8(reply).unwrap(),
-            "6|2|T|0|8|D|9|live|data12|F|0|16|T|0|20|U|0|8|D|9|live|data"
+            String::from_utf8(was).unwrap(),
+            "7|2|T|0|8|D|9|live|data12|F|0|16|T|0|20|U|0|8|D|9|live|data10|D|5|héé"
         );
-        assert_eq!(is, was);
+        let is = invoke(&pair.current, &mut pair.is, "read_batch", input).unwrap();
+        assert_eq!(
+            String::from_utf8(is.clone()).unwrap(),
+            "8|17,2,11,2,2,2,11,7|2,8,12,16,20,8,10T|D|live|dataF|T|U|D|live|dataD|héé"
+        );
+        assert_eq!(
+            decode_read_batch(&is).unwrap(),
+            vec![
+                (2, ReadOutcome::Trimmed),
+                (8, ReadOutcome::Data(b"live|data".to_vec())),
+                (12, ReadOutcome::Filled),
+                (16, ReadOutcome::Trimmed),
+                (20, ReadOutcome::NotWritten),
+                (8, ReadOutcome::Data(b"live|data".to_vec())),
+                (10, ReadOutcome::Data("héé".as_bytes().to_vec())),
+            ]
+        );
+        assert_eq!(pair.is, pair.was);
     }
 }

@@ -451,6 +451,47 @@ fn cursor_refetches_a_failed_fetch_mid_window() {
     assert_eq!(delivered, 24);
 }
 
+/// A watchdog re-drive abandons the RADOS requests of the attempt before
+/// it; the embedded RADOS client goes on retransmitting them and, once
+/// the links heal, completes every one. Those completions — a whole
+/// `read_batch` reply each — have no op to go to and must be dropped when
+/// they arrive, not kept for the life of the client.
+#[test]
+fn completions_of_abandoned_requests_are_dropped() {
+    let mut sim = build("cu5");
+    for i in 0..24u64 {
+        append(&mut sim, CLIENT_A, &format!("e{i}"));
+    }
+    sim.add_node(CLIENT_C, ZlogClient::new(zcfg("cu5")));
+    sim.run_for(SimDuration::from_secs(1));
+    // Cut the reader off from every OSD for a few watchdog periods: each
+    // re-drive forgets the requests out so far and submits the vector anew.
+    for osd in 0..4u32 {
+        sim.network_mut().sever(CLIENT_C, NodeId(10 + osd));
+    }
+    let op =
+        sim.with_actor::<ZlogClient, _>(CLIENT_C, |c, ctx| c.read_batch(ctx, (0..24).collect()));
+    sim.run_for(SimDuration::from_secs(3));
+    assert!(!sim.actor::<ZlogClient>(CLIENT_C).is_done(op));
+    let redrives = sim.metrics().counter("zlog.retries");
+    assert!(redrives >= 2, "wanted a few re-drives, saw {redrives}");
+    sim.network_mut().heal_all();
+    // Long enough for every abandoned request's retransmit to go out.
+    sim.run_for(SimDuration::from_secs(10));
+    let result = sim.actor_mut::<ZlogClient>(CLIENT_C).take_result(op);
+    let Some(AppendResult::Ok(ZlogOut::ReadBatch(entries))) = result else {
+        panic!("read_batch after heal: {result:?}");
+    };
+    for (p, o) in &entries {
+        assert_eq!(*o, data(&format!("e{p}")), "position {p}");
+    }
+    assert_eq!(entries.len(), 24);
+    assert!(
+        sim.actor::<ZlogClient>(CLIENT_C).is_idle(),
+        "a drained client holds nothing, abandoned completions included"
+    );
+}
+
 #[test]
 fn kv_recovery_replays_only_the_suffix() {
     let mut sim = build("kv0");
