@@ -530,31 +530,13 @@ impl Mds {
         let span = ctx.span_start("mds.typeop", ctx.incoming_span());
         ctx.span_tag(span, "op", &op);
         if self.frozen.contains(&ino) {
-            ctx.span_tag(span, "error", "frozen");
-            ctx.span_end(span);
-            ctx.send(
-                from,
-                MdsMsg::TypeOpReply {
-                    reqid,
-                    result: Err(MdsError::Frozen),
-                    served_by: self.rank,
-                },
-            );
+            self.refuse_type_op(ctx, span, from, reqid, "frozen", MdsError::Frozen);
             return;
         }
         if self.recovering_seqs.contains_key(&ino) {
             // The seal protocol hasn't finished: issuing a position now
             // could duplicate one the store already holds.
-            ctx.span_tag(span, "error", "recovering");
-            ctx.span_end(span);
-            ctx.send(
-                from,
-                MdsMsg::TypeOpReply {
-                    reqid,
-                    result: Err(MdsError::Recovering),
-                    served_by: self.rank,
-                },
-            );
+            self.refuse_type_op(ctx, span, from, reqid, "recovering", MdsError::Recovering);
             return;
         }
         let route = self.routes.get(&ino).copied().unwrap_or(Route {
@@ -613,30 +595,37 @@ impl Mds {
                 // The authoritative rank has no live node (failover in
                 // progress): a NotAuth redirect would just bounce the
                 // client back here. Tell it to wait for the map.
-                ctx.span_tag(span, "error", "mds unavailable");
-                ctx.span_end(span);
-                ctx.send(
-                    from,
-                    MdsMsg::TypeOpReply {
-                        reqid,
-                        result: Err(MdsError::MdsUnavailable { rank: route.auth }),
-                        served_by: self.rank,
-                    },
-                );
+                let err = MdsError::MdsUnavailable { rank: route.auth };
+                self.refuse_type_op(ctx, span, from, reqid, "mds unavailable", err);
             }
         } else {
             // Client mode: redirect.
-            ctx.span_tag(span, "error", "not auth");
-            ctx.span_end(span);
-            ctx.send(
-                from,
-                MdsMsg::TypeOpReply {
-                    reqid,
-                    result: Err(MdsError::NotAuth { rank: route.auth }),
-                    served_by: self.rank,
-                },
-            );
+            let err = MdsError::NotAuth { rank: route.auth };
+            self.refuse_type_op(ctx, span, from, reqid, "not auth", err);
         }
+    }
+
+    /// Refuses a type op: the span is tagged with the reason and ended,
+    /// the client gets the typed error.
+    fn refuse_type_op(
+        &self,
+        ctx: &mut Context<'_>,
+        span: SpanContext,
+        from: NodeId,
+        reqid: u64,
+        reason: &str,
+        err: MdsError,
+    ) {
+        ctx.span_tag(span, "error", reason);
+        ctx.span_end(span);
+        ctx.send(
+            from,
+            MdsMsg::TypeOpReply {
+                reqid,
+                result: Err(err),
+                served_by: self.rank,
+            },
+        );
     }
 
     fn handle_proxy_op(
@@ -870,13 +859,7 @@ impl Mds {
         };
         let exports = self.balancer.decide(&view);
         for line in self.balancer.take_log() {
-            ctx.send(
-                self.monitor,
-                MonMsg::ClusterLog {
-                    source: format!("mds.{}", self.rank),
-                    line,
-                },
-            );
+            self.cluster_log(ctx, line);
         }
         for export in exports {
             if export.target != self.rank && self.mdsmap.node_of(export.target).is_some() {
@@ -946,13 +929,7 @@ impl Mds {
         let version = self.mantle_version_seen;
         match self.balancer.install_policy(source, version) {
             Ok(()) => {
-                ctx.send(
-                    self.monitor,
-                    MonMsg::ClusterLog {
-                        source: format!("mds.{}", self.rank),
-                        line: format!("mantle: installed balancer v{version}"),
-                    },
-                );
+                self.cluster_log(ctx, format!("mantle: installed balancer v{version}"));
                 ctx.metrics().incr("mds.mantle_installs", 1);
                 // Record the active policy version: a failover replayer
                 // reinstalls from the monitor's pointer, and the journal
@@ -960,13 +937,7 @@ impl Mds {
                 self.journal(JournalEntry::MantleVersion { version });
             }
             Err(e) => {
-                ctx.send(
-                    self.monitor,
-                    MonMsg::ClusterLog {
-                        source: format!("mds.{}", self.rank),
-                        line: format!("mantle: balancer v{version} rejected: {e}"),
-                    },
-                );
+                self.cluster_log(ctx, format!("mantle: balancer v{version} rejected: {e}"));
                 ctx.metrics().incr("mds.mantle_install_errors", 1);
             }
         }
@@ -1132,6 +1103,17 @@ impl Mds {
 
     // ---- failover ----
 
+    /// Reports `line` to the monitor's central cluster log as `mds.<rank>`.
+    fn cluster_log(&self, ctx: &mut Context<'_>, line: String) {
+        ctx.send(
+            self.monitor,
+            MonMsg::ClusterLog {
+                source: format!("mds.{}", self.rank),
+                line,
+            },
+        );
+    }
+
     /// Liveness beacon. Active daemons report their rank; standbys send
     /// `None`, which doubles as standby registration at the monitor.
     fn send_beacon(&mut self, ctx: &mut Context<'_>) {
@@ -1160,13 +1142,8 @@ impl Mds {
         self.ready = false;
         self.namespace = Namespace::new();
         ctx.metrics().incr("mds.takeovers", 1);
-        ctx.send(
-            self.monitor,
-            MonMsg::ClusterLog {
-                source: format!("mds.{rank}"),
-                line: format!("standby {} taking over rank {rank}", ctx.me().0),
-            },
-        );
+        let me = ctx.me().0;
+        self.cluster_log(ctx, format!("standby {me} taking over rank {rank}"));
         if self.config.journal {
             // Replay the rank's journal (the read completes the takeover);
             // if the osdmap isn't usable yet, the OSD snapshot arm retries.
@@ -1228,20 +1205,22 @@ impl Mds {
         }
     }
 
-    /// Begins the seal/maxpos protocol for every sequencer layout known
-    /// after a journal replay. Until an inode's seal completes, its type
-    /// ops answer `Recovering`.
-    fn start_seal_recovery(&mut self, ctx: &mut Context<'_>) {
-        if self.seq_layouts.is_empty() {
-            return;
-        }
+    /// Begins the seal/maxpos protocol for `seqs` — every layout known
+    /// after a journal replay, or one whose layout arrived later (see
+    /// `unsealed_seqs`). Until an inode's seal completes, its type ops
+    /// answer `Recovering`.
+    fn start_seals(
+        &mut self,
+        ctx: &mut Context<'_>,
+        seqs: impl IntoIterator<Item = (Ino, crate::namespace::SeqLayout)>,
+    ) {
         // Submit seqs dedup per client *node*: a second incarnation on the
         // same node (crash → takeover → crash → takeover) restarting the
         // counter at 1 would have its epoch bump silently deduped — no
         // ack, no commit — wedging recovery at AwaitCommit. Virtual time
         // is strictly increasing across incarnations.
         self.mon_seq = self.mon_seq.max(ctx.now().as_micros());
-        for (ino, layout) in self.seq_layouts.clone() {
+        for (ino, layout) in seqs {
             self.recovering_seqs.insert(
                 ino,
                 SealRecovery {
@@ -1252,34 +1231,6 @@ impl Mds {
                 },
             );
         }
-        ctx.send(
-            self.monitor,
-            MonMsg::Get {
-                map: ZLOG_EPOCH_MAP.to_string(),
-            },
-        );
-        ctx.set_timer(SimDuration::from_millis(500), TIMER_SEAL);
-    }
-
-    /// Begins the seal/maxpos protocol for one sequencer whose layout
-    /// arrived after replay (see `unsealed_seqs`). Same protocol as
-    /// [`Mds::start_seal_recovery`], scoped to a single inode.
-    fn start_seal_for(
-        &mut self,
-        ctx: &mut Context<'_>,
-        ino: Ino,
-        layout: crate::namespace::SeqLayout,
-    ) {
-        self.mon_seq = self.mon_seq.max(ctx.now().as_micros());
-        self.recovering_seqs.insert(
-            ino,
-            SealRecovery {
-                maxpos: vec![None; layout.stripe_width as usize],
-                layout,
-                stage: SealStage::GetEpoch,
-                new_epoch: 0,
-            },
-        );
         ctx.send(
             self.monitor,
             MonMsg::Get {
@@ -1307,25 +1258,11 @@ impl Mds {
             match rec.stage {
                 SealStage::GetEpoch => {
                     let new_epoch = cur + 1;
-                    let seq = self.mon_seq;
-                    self.mon_seq += 1;
-                    self.seal_mon_waiting.insert(seq, ino);
-                    let Some(rec) = self.recovering_seqs.get_mut(&ino) else {
-                        continue;
-                    };
-                    rec.new_epoch = new_epoch;
-                    rec.stage = SealStage::AwaitCommit;
-                    ctx.send(
-                        self.monitor,
-                        MonMsg::Submit {
-                            seq,
-                            updates: vec![mala_consensus::MapUpdate::set(
-                                ZLOG_EPOCH_MAP,
-                                &key,
-                                new_epoch.to_string().into_bytes(),
-                            )],
-                        },
-                    );
+                    if let Some(rec) = self.recovering_seqs.get_mut(&ino) {
+                        rec.new_epoch = new_epoch;
+                        rec.stage = SealStage::AwaitCommit;
+                    }
+                    self.submit_epoch_bump(ctx, ino, &key, new_epoch);
                 }
                 SealStage::AwaitCommit if cur >= rec.new_epoch => {
                     // Commit observed via the map itself (ack lost).
@@ -1339,24 +1276,30 @@ impl Mds {
                     // fresh seq — re-setting the same value is
                     // idempotent, and TIMER_SEAL paces these snapshots.
                     let new_epoch = rec.new_epoch;
-                    let seq = self.mon_seq;
-                    self.mon_seq += 1;
-                    self.seal_mon_waiting.insert(seq, ino);
-                    ctx.send(
-                        self.monitor,
-                        MonMsg::Submit {
-                            seq,
-                            updates: vec![mala_consensus::MapUpdate::set(
-                                ZLOG_EPOCH_MAP,
-                                &key,
-                                new_epoch.to_string().into_bytes(),
-                            )],
-                        },
-                    );
+                    self.submit_epoch_bump(ctx, ino, &key, new_epoch);
                 }
                 _ => {}
             }
         }
+    }
+
+    /// Submits `key = new_epoch` to the zlog map under a fresh seq and
+    /// routes the ack to `ino`'s recovery.
+    fn submit_epoch_bump(&mut self, ctx: &mut Context<'_>, ino: Ino, key: &str, new_epoch: u64) {
+        let seq = self.mon_seq;
+        self.mon_seq += 1;
+        self.seal_mon_waiting.insert(seq, ino);
+        ctx.send(
+            self.monitor,
+            MonMsg::Submit {
+                seq,
+                updates: vec![mala_consensus::MapUpdate::set(
+                    ZLOG_EPOCH_MAP,
+                    key,
+                    new_epoch.to_string().into_bytes(),
+                )],
+            },
+        );
     }
 
     /// Sends `seal(new_epoch)` to every stripe object of `ino`'s log.
@@ -1479,12 +1422,9 @@ impl Mds {
             }
         }
         ctx.metrics().incr("mds.seq_seals", 1);
-        ctx.send(
-            self.monitor,
-            MonMsg::ClusterLog {
-                source: format!("mds.{}", self.rank),
-                line: format!("sealed log {name} at epoch {epoch}, tail resumes at {store_tail}"),
-            },
+        self.cluster_log(
+            ctx,
+            format!("sealed log {name} at epoch {epoch}, tail resumes at {store_tail}"),
         );
         // Requests stashed while this inode recovered can now be served.
         if self.ready {
@@ -1650,7 +1590,7 @@ impl Mds {
                 // `Recovering` with no window for a double issue.
                 if self.unsealed_seqs.remove(&ino) {
                     ctx.metrics().incr("mds.late_layout_seals", 1);
-                    self.start_seal_for(ctx, ino, layout);
+                    self.start_seals(ctx, [(ino, layout)]);
                 }
             }
             MdsMsg::AdminExport { ino, target, style } => {
@@ -1827,13 +1767,7 @@ impl Actor for Mds {
                                 // into recovery, never abort the daemon:
                                 // keep the clean prefix, surface the rest.
                                 ctx.metrics().incr("mds.journal_corrupt_replays", 1);
-                                ctx.send(
-                                    self.monitor,
-                                    MonMsg::ClusterLog {
-                                        source: format!("mds.{}", self.rank),
-                                        line: format!("journal corrupt: {err}"),
-                                    },
-                                );
+                                self.cluster_log(ctx, format!("journal corrupt: {err}"));
                                 err.recovered
                             }
                         };
@@ -1865,7 +1799,9 @@ impl Actor for Mds {
                             ctx.metrics().incr("mds.reconnect_recalls", 1);
                         }
                         ctx.metrics().incr("mds.journal_replays", 1);
-                        self.start_seal_recovery(ctx);
+                        if !self.seq_layouts.is_empty() {
+                            self.start_seals(ctx, self.seq_layouts.clone());
+                        }
                         self.become_ready(ctx);
                     } else if let Some((ino, stripe)) = self.seal_osd_waiting.remove(&reqid) {
                         self.on_seal_reply(ctx, ino, stripe, result);
@@ -1968,13 +1904,9 @@ impl Actor for Mds {
                         self.mantle_fetch_deadline = None;
                         // Allow a later retry of the same version.
                         self.mantle_version_seen = self.mantle_version_seen.saturating_sub(1);
-                        ctx.send(
-                            self.monitor,
-                            MonMsg::ClusterLog {
-                                source: format!("mds.{}", self.rank),
-                                line: "mantle: Connection Timeout reading balancer policy"
-                                    .to_string(),
-                            },
+                        self.cluster_log(
+                            ctx,
+                            "mantle: Connection Timeout reading balancer policy".to_string(),
                         );
                         ctx.metrics().incr("mds.mantle_fetch_timeouts", 1);
                     }
