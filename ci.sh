@@ -21,6 +21,16 @@ cargo test -q
 echo "==> mala-bench all --quick (release: every experiment's shape check, nothing written)"
 cargo run --release -q -p mala-bench -- all --quick >/dev/null
 
+echo "==> mala-bench fig9, fig10, backoff at paper scale (release): a fresh run writes the committed results/ files"
+# The balancer figures replay since Mds::balance_tick breaks rate ties by
+# inode; at paper scale they are too slow for the debug-mode tests/cli.rs.
+paper_dir="$PWD/target/tmp/ci-paper"
+rm -rf "$paper_dir" && mkdir -p "$paper_dir"
+for name in fig9 fig10 backoff; do
+    (cd "$paper_dir" && cargo run --release -q -p mala-bench -- "$name" >/dev/null)
+    cmp "$paper_dir/results/$name.txt" "results/$name.txt"
+done
+
 echo "==> frozen benchmark (offline build against the current crates; quick run, correctness + determinism gates)"
 # benchmark/ is its own workspace and only ever changes in PRs of its own,
 # so this is where a break of the public API it drives shows up. --traced

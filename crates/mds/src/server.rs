@@ -850,7 +850,9 @@ impl Mds {
         // Rates come from wall-clock division and peer samples; a NaN or
         // infinite rate must not take down the balancer tick.
         my_inodes.retain(|(_, rate, _)| rate.is_finite());
-        my_inodes.sort_by(|a, b| b.1.total_cmp(&a.1));
+        // Hottest first; `last_rates` is a `HashMap`, so equal rates are
+        // ordered by inode or the exports below would leave in hash order.
+        my_inodes.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let view = BalanceView {
             whoami: self.rank,
             now,
@@ -1881,12 +1883,15 @@ impl Actor for Mds {
             }
             TIMER_CAP => {
                 let now = ctx.now();
-                let due: Vec<(Ino, Vec<CapAction>)> = self
+                let mut due: Vec<(Ino, Vec<CapAction>)> = self
                     .caps
                     .iter_mut()
                     .map(|(ino, cap)| (*ino, cap.on_tick(now)))
                     .filter(|(_, a)| !a.is_empty())
                     .collect();
+                // Grants and recalls are sent per entry: inode order, not
+                // the map's hash order.
+                due.sort_unstable_by_key(|(ino, _)| *ino);
                 for (ino, actions) in due {
                     self.run_cap_actions(ctx, ino, actions);
                 }
