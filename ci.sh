@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints (warnings are errors), the tier-1 build +
-# test pass (the whole workspace minus the vendored stand-ins), every
-# experiment's shape check at quick scale, and the frozen benchmark with its
-# ceilings. Run from the repository root before pushing.
+# Local CI gate: formatting, lints (warnings are errors), the one-RADOS-client
+# structure check, the tier-1 build + test pass (the whole workspace minus
+# the vendored stand-ins), every experiment's shape check at quick scale, the
+# three balancer figures at paper scale against results/, and the frozen
+# benchmark with its ceilings. Run from the repository root before pushing.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -11,6 +12,10 @@ cargo fmt --check
 
 echo "==> cargo clippy --all-targets (-D warnings)"
 cargo clippy --all-targets -- -D warnings
+
+echo "==> one RADOS client: OsdMsg::ClientOp is built in rados/src/client.rs alone (osd.rs matches on it); the MDS places nothing"
+[ "$(grep -rl 'OsdMsg::ClientOp {' crates --include='*.rs' | sort | xargs)" = "crates/rados/src/client.rs crates/rados/src/osd.rs" ]
+[ -z "$(grep -rl 'acting_set_for' crates/mds/src)" ]
 
 echo "==> cargo build --release"
 cargo build --release

@@ -21,8 +21,9 @@
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-use mala_consensus::{MonMsg, SERVICE_MAP_MANTLE, SERVICE_MAP_MDS, SERVICE_MAP_OSD};
-use mala_rados::{ObjectId, Op, OpResult, OsdError, OsdMsg};
+use mala_consensus::{MonMsg, SERVICE_MAP_MANTLE, SERVICE_MAP_MDS};
+use mala_rados::client::RETRY_TOKEN_BASE;
+use mala_rados::{ObjectId, Op, OpResult, OsdError, OsdMsg, RadosClient};
 use mala_sim::history::Recorder;
 use mala_sim::linearize::{RegOp, RegRet};
 use mala_sim::{Actor, Context, NodeId, SimDuration, SimTime, SpanContext};
@@ -121,7 +122,6 @@ const TIMER_JOURNAL: u64 = 3;
 const TIMER_MANTLE_TIMEOUT: u64 = 4;
 const TIMER_BEACON: u64 = 5;
 const TIMER_SEAL: u64 = 6;
-const TIMER_RECOVER: u64 = 7;
 
 /// Rank sentinel of a standby daemon (it serves nothing until promoted).
 pub const STANDBY_RANK: u32 = u32::MAX;
@@ -151,6 +151,45 @@ enum SealStage {
     AwaitCommit,
     /// Seal calls in flight against the stripe objects.
     Sealing,
+}
+
+/// What a request to the object store is for: the route from the embedded
+/// [`RadosClient`]'s request id back to the state waiting on it. A request
+/// in flight is the client's to route, retransmit and time out; a
+/// completion whose route is gone (deposed, deadline passed) is dropped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StoreWait {
+    /// The append of the flush in `journal_inflight`.
+    Journal,
+    /// The read of this rank's journal that completes a start or takeover.
+    Recover,
+    /// A `seal` / `maxpos` call on one stripe of a recovering sequencer.
+    Seal { ino: Ino, stripe: u32 },
+    /// The read of the Mantle policy object.
+    Policy,
+}
+
+/// One journal append, from buffer to durable-ack. While its request is in
+/// flight the client retransmits it (same reqid — the OSD reply cache
+/// dedups); one that completed with an error goes out again under a new
+/// reqid, so what waits on the flush rides with it, not in reqid-keyed maps.
+struct Flush {
+    data: Vec<u8>,
+    /// The `mds.journal` span: the commit latency the gated replies wait.
+    span: SpanContext,
+    /// Group commit: acks released when the store confirms the append.
+    replies: Vec<(SimDuration, NodeId, MdsMsg)>,
+}
+
+/// The outcome of a store request, as the client completes it.
+type StoreResult = Result<Vec<OpResult>, OsdError>;
+
+/// A read of a whole object (the journal, a policy).
+fn read_whole() -> Vec<Op> {
+    vec![Op::Read {
+        offset: 0,
+        len: usize::MAX / 2,
+    }]
 }
 
 /// Peer-to-peer MDS messages.
@@ -232,7 +271,10 @@ pub struct Mds {
     pending_exports: HashMap<Ino, Export>,
 
     mdsmap: MdsMapView,
-    osdmap: mala_rados::OsdMapView,
+    /// The one client this daemon reaches the object store through.
+    rados: RadosClient,
+    /// Store requests in flight: reqid → what waits on the completion.
+    store_waiting: HashMap<u64, StoreWait>,
 
     // Queueing model.
     busy_until: SimTime,
@@ -248,30 +290,19 @@ pub struct Mds {
 
     // Journal.
     journal_buf: String,
-    journal_reqid: u64,
-    /// The flush currently in doubt: `(reqid, bytes)` of an append sent
-    /// to the store but not yet acknowledged. Kept so a lost message or
-    /// reply is retransmitted (same reqid — the OSD reply cache dedups)
-    /// instead of silently dropping journaled entries; further entries
-    /// accumulate in `journal_buf` behind it so appends stay ordered.
-    journal_inflight: Option<(u64, Vec<u8>)>,
+    /// The flush currently in doubt: an append the store has not yet
+    /// acknowledged. Further entries accumulate in `journal_buf` behind it
+    /// so appends stay ordered.
+    journal_inflight: Option<Flush>,
     ready: bool,
     stashed: VecDeque<(NodeId, MdsMsg)>,
-
-    // Group commit (journal_sync): replies withheld until the journal
-    // append they depend on is durable.
+    /// Group commit (journal_sync): replies withheld until the next flush,
+    /// which carries the journal entries they depend on.
     unflushed_replies: Vec<(SimDuration, NodeId, MdsMsg)>,
-    pending_replies: HashMap<u64, Vec<(SimDuration, NodeId, MdsMsg)>>,
-    /// Open `mds.journal` spans, keyed by the flush's OSD reqid.
-    journal_spans: HashMap<u64, SpanContext>,
 
     // Failover.
     /// True until this daemon is promoted into a rank.
     standby: bool,
-    /// Outstanding journal recovery read, drawn fresh per attempt from
-    /// the top reqid band so OSD reply dedup can never serve a stale
-    /// journal cached for an earlier incarnation of this node.
-    recover_reqid: Option<u64>,
     /// Sequencer inodes mid-seal after a takeover; type ops answer
     /// `Recovering` until the protocol completes.
     /// Ordered: `on_zlog_map` and `TIMER_SEAL` send per entry in iteration
@@ -292,12 +323,10 @@ pub struct Mds {
     mon_seq: u64,
     /// Outstanding epoch-bump submits: seq → sequencer inode.
     seal_mon_waiting: HashMap<u64, Ino>,
-    /// Outstanding seal/maxpos calls: reqid → (inode, stripe).
-    seal_osd_waiting: HashMap<u64, (Ino, u32)>,
 
     // Mantle policy plumbing.
     mantle_version_seen: u64,
-    mantle_fetch_reqid: Option<u64>,
+    /// When the policy read in flight (`StoreWait::Policy`) is given up on.
     mantle_fetch_deadline: Option<SimTime>,
 
     /// Optional linearizability history for the cap-protected embedded
@@ -322,7 +351,8 @@ impl Mds {
             frozen: HashSet::new(),
             pending_exports: HashMap::new(),
             mdsmap: MdsMapView::default(),
-            osdmap: mala_rados::OsdMapView::default(),
+            rados: RadosClient::new(monitor),
+            store_waiting: HashMap::new(),
             busy_until: SimTime::ZERO,
             served_this_tick: 0,
             per_inode_this_tick: HashMap::new(),
@@ -332,24 +362,18 @@ impl Mds {
             peer_loads: HashMap::new(),
             last_tick_at: SimTime::ZERO,
             journal_buf: String::new(),
-            journal_reqid: 1,
             journal_inflight: None,
             ready: false,
             stashed: VecDeque::new(),
             unflushed_replies: Vec::new(),
-            pending_replies: HashMap::new(),
-            journal_spans: HashMap::new(),
             standby: false,
-            recover_reqid: None,
             recovering_seqs: BTreeMap::new(),
             unsealed_seqs: HashSet::new(),
             seq_layouts: HashMap::new(),
             replayed_mantle_version: 0,
             mon_seq: 1,
             seal_mon_waiting: HashMap::new(),
-            seal_osd_waiting: HashMap::new(),
             mantle_version_seen: 0,
-            mantle_fetch_reqid: None,
             mantle_fetch_deadline: None,
             cap_history: None,
         }
@@ -398,6 +422,14 @@ impl Mds {
     /// Capability holder of `ino`, if any (harness inspection).
     pub fn cap_holder(&self, ino: Ino) -> Option<NodeId> {
         self.caps.get(&ino).and_then(|c| c.holder())
+    }
+
+    /// Whether nothing of this daemon's is left with the object store: no
+    /// request routed, no flush in doubt, no completion uncollected.
+    pub fn store_idle(&self) -> bool {
+        self.store_waiting.is_empty()
+            && self.journal_inflight.is_none()
+            && !self.rados.holds_completions()
     }
 
     // ---- queueing model ----
@@ -874,62 +906,65 @@ impl Mds {
 
     // ---- Mantle policy plumbing ----
 
-    fn maybe_fetch_policy(&mut self, ctx: &mut Context<'_>) {
-        if !self.balancer.wants_policy() {
-            return;
-        }
-        ctx.send(
-            self.monitor,
-            MonMsg::Get {
-                map: SERVICE_MAP_MANTLE.to_string(),
-            },
-        );
+    /// Asks the monitor for the current snapshot of `map`.
+    fn get_map(&self, ctx: &mut Context<'_>, map: &str) {
+        let map = map.to_string();
+        ctx.send(self.monitor, MonMsg::Get { map });
     }
 
-    fn on_mantle_map(&mut self, ctx: &mut Context<'_>, epoch: u64, object_name: Option<String>) {
-        if !self.balancer.wants_policy() || epoch <= self.mantle_version_seen {
+    fn maybe_fetch_policy(&mut self, ctx: &mut Context<'_>) {
+        if self.balancer.wants_policy() {
+            self.get_map(ctx, SERVICE_MAP_MANTLE);
+        }
+    }
+
+    fn on_mantle_map(&mut self, ctx: &mut Context<'_>, snap: &mala_consensus::MapSnapshot) {
+        if !self.balancer.wants_policy() || snap.epoch <= self.mantle_version_seen {
             return;
         }
-        let Some(object_name) = object_name else {
+        let Some(object_name) = snap.entries.get("balancer") else {
             return;
         };
-        if self.osdmap.pools.is_empty() {
-            return; // no object store yet
-        }
+        let object_name = String::from_utf8_lossy(object_name).into_owned();
         // Dereference the version pointer: read the policy object from
-        // RADOS, with a timeout of half the balancing tick (§5.1.2).
-        let reqid = self.journal_reqid;
-        self.journal_reqid += 1;
+        // RADOS, with a timeout of half the balancing tick (§5.1.2). A
+        // read still out for an older version is given up on.
+        self.forget_policy_fetch();
         let oid = ObjectId::new(self.config.meta_pool.clone(), object_name);
-        if let Some(primary) = self
-            .osdmap
-            .acting_set_for(&oid.pool, &oid.name)
-            .and_then(|a| a.first().copied())
-            .and_then(|p| self.osdmap.node_of(p))
-        {
-            self.mantle_fetch_reqid = Some(reqid);
-            self.mantle_version_seen = epoch;
-            let timeout = self.config.balance_interval.div(2);
-            self.mantle_fetch_deadline = Some(ctx.now() + timeout);
-            ctx.set_timer(timeout, TIMER_MANTLE_TIMEOUT);
-            ctx.send(
-                primary,
-                OsdMsg::ClientOp {
-                    reqid,
-                    oid,
-                    txn: vec![Op::Read {
-                        offset: 0,
-                        len: usize::MAX / 2,
-                    }],
-                    map_epoch: self.osdmap.epoch,
-                },
-            );
+        self.submit_store(ctx, oid, read_whole(), None, StoreWait::Policy);
+        self.mantle_version_seen = snap.epoch;
+        let timeout = self.config.balance_interval.div(2);
+        self.mantle_fetch_deadline = Some(ctx.now() + timeout);
+        ctx.set_timer(timeout, TIMER_MANTLE_TIMEOUT);
+    }
+
+    /// Gives up the policy read in flight, if there is one — it failed, ran
+    /// out of time (§5.1.2), was superseded or the daemon was deposed: its
+    /// route goes, so a late completion is dropped by the drain, and its
+    /// version may be fetched again on a later tick.
+    fn forget_policy_fetch(&mut self) {
+        if self.mantle_fetch_deadline.take().is_some() {
+            self.store_waiting.retain(|_, w| *w != StoreWait::Policy);
+            self.mantle_version_seen = self.mantle_version_seen.saturating_sub(1);
         }
     }
 
-    fn on_policy_fetched(&mut self, ctx: &mut Context<'_>, source: &str) {
-        let version = self.mantle_version_seen;
-        match self.balancer.install_policy(source, version) {
+    /// The policy read completed: install what it returned, or give the
+    /// fetch up.
+    fn on_policy_read(&mut self, ctx: &mut Context<'_>, result: StoreResult) {
+        let data = match result.map(|results| results.into_iter().next()) {
+            Ok(Some(OpResult::Data(data))) => data,
+            other => {
+                ctx.metrics().incr("mds.mantle_fetch_errors", 1);
+                self.forget_policy_fetch();
+                let line = format!("mantle: reading balancer policy failed: {other:?}");
+                self.cluster_log(ctx, line);
+                return;
+            }
+        };
+        self.mantle_fetch_deadline = None;
+        let (source, version) = (String::from_utf8_lossy(&data), self.mantle_version_seen);
+        match self.balancer.install_policy(&source, version) {
             Ok(()) => {
                 self.cluster_log(ctx, format!("mantle: installed balancer v{version}"));
                 ctx.metrics().incr("mds.mantle_installs", 1);
@@ -962,138 +997,166 @@ impl Mds {
         }
     }
 
+    fn journal_oid(&self) -> ObjectId {
+        let name = format!("mds_journal.{}", self.rank);
+        ObjectId::new(self.config.meta_pool.clone(), name)
+    }
+
+    /// Submits `txn` through the embedded client and routes its completion
+    /// to `wait`.
+    fn submit_store(
+        &mut self,
+        ctx: &mut Context<'_>,
+        oid: ObjectId,
+        txn: Vec<Op>,
+        parent: Option<SpanContext>,
+        wait: StoreWait,
+    ) {
+        let reqid = self.rados.submit_spanned(ctx, oid, txn, parent);
+        self.store_waiting.insert(reqid, wait);
+    }
+
+    fn store_has(&self, wait: StoreWait) -> bool {
+        self.store_waiting.values().any(|w| *w == wait)
+    }
+
     fn flush_journal(&mut self, ctx: &mut Context<'_>) {
-        if self.standby {
+        // One append at a time: a second one racing the first could land
+        // out of order. While it is in flight the client retransmits it;
+        // fresh entries wait in `journal_buf`.
+        if self.standby || self.store_has(StoreWait::Journal) {
             return;
         }
-        let oid = ObjectId::new(
-            self.config.meta_pool.clone(),
-            format!("mds_journal.{}", self.rank),
-        );
-        // A flush in doubt is retransmitted before anything new goes out:
-        // a second append racing a retry could land out of order, and the
-        // OSD reply cache dedups the repeated reqid, so entries stay
-        // exactly-once and ordered. Fresh entries wait in `journal_buf`.
-        if let Some((reqid, data)) = self.journal_inflight.clone() {
-            if let Some(primary) = self
-                .osdmap
-                .acting_set_for(&oid.pool, &oid.name)
-                .and_then(|a| a.first().copied())
-                .and_then(|p| self.osdmap.node_of(p))
-            {
-                ctx.send(
-                    primary,
-                    OsdMsg::ClientOp {
-                        reqid,
-                        oid,
-                        txn: vec![Op::Append { data }],
-                        map_epoch: self.osdmap.epoch,
-                    },
-                );
-                ctx.metrics().incr("mds.journal_retransmits", 1);
+        if self.journal_inflight.is_none() {
+            if self.journal_buf.is_empty() {
+                return;
             }
-            return;
-        }
-        if self.journal_buf.is_empty() || self.osdmap.pools.is_empty() {
-            return;
-        }
-        // Reqids must stay unique across incarnations of this node: a
-        // restarted daemon reusing a low reqid would have its first flush
-        // answered from the reply cache of its previous life. Virtual
-        // time is strictly increasing across restarts.
-        self.journal_reqid = self.journal_reqid.max(ctx.now().as_micros());
-        let data = std::mem::take(&mut self.journal_buf).into_bytes();
-        let reqid = self.journal_reqid;
-        self.journal_reqid += 1;
-        if let Some(primary) = self
-            .osdmap
-            .acting_set_for(&oid.pool, &oid.name)
-            .and_then(|a| a.first().copied())
-            .and_then(|p| self.osdmap.node_of(p))
-        {
-            // The flush's lifetime — send to durable-ack — is the journal
-            // commit latency the group-committed replies wait on.
-            let span = ctx.span_start("mds.journal", ctx.incoming_span());
-            self.journal_spans.insert(reqid, span);
-            self.journal_inflight = Some((reqid, data.clone()));
-            ctx.send_spanned(
-                primary,
-                OsdMsg::ClientOp {
-                    reqid,
-                    oid,
-                    txn: vec![Op::Append { data }],
-                    map_epoch: self.osdmap.epoch,
-                },
-                Some(span),
-            );
             ctx.metrics().incr("mds.journal_flushes", 1);
-            // Group commit: acks gated on this flush are released when
-            // the store confirms it.
-            if !self.unflushed_replies.is_empty() {
-                self.pending_replies
-                    .insert(reqid, std::mem::take(&mut self.unflushed_replies));
-            }
-        } else {
-            // No store reachable (every journal-pool OSD down or
-            // drained): keep buffering. The bytes were our own buffer a
-            // moment ago, but never abort on the round-trip. Surfaced as
-            // a metric so a stalled journal is visible to operators
-            // instead of silently accumulating.
-            ctx.metrics().incr("mds.journal_stall_no_osd", 1);
-            self.journal_buf = match String::from_utf8(data) {
-                Ok(s) => s,
-                Err(e) => String::from_utf8_lossy(e.as_bytes()).into_owned(),
-            };
+            self.journal_inflight = Some(Flush {
+                data: std::mem::take(&mut self.journal_buf).into_bytes(),
+                span: ctx.span_start("mds.journal", ctx.incoming_span()),
+                replies: std::mem::take(&mut self.unflushed_replies),
+            });
+        }
+        // A flush whose request completed with an error goes out again
+        // before anything newer. If the earlier attempt did land (`Timeout`
+        // cannot tell) the block is journaled twice back to back, which
+        // replays to the same state.
+        if let Some(flush) = &self.journal_inflight {
+            let (data, span) = (flush.data.clone(), Some(flush.span));
+            let (oid, txn) = (self.journal_oid(), vec![Op::Append { data }]);
+            self.submit_store(ctx, oid, txn, span, StoreWait::Journal);
         }
     }
 
+    /// Reads this rank's journal; the completion ([`Mds::on_journal_read`])
+    /// makes the daemon ready. Until then every client op sits stashed.
     fn try_recover(&mut self, ctx: &mut Context<'_>) {
-        // Called when the osdmap first becomes usable: read our journal.
-        if self.ready || self.standby || !self.config.journal {
+        let wanted = self.config.journal && !self.standby && !self.ready;
+        if wanted && !self.store_has(StoreWait::Recover) {
+            let oid = self.journal_oid();
+            self.submit_store(ctx, oid, read_whole(), None, StoreWait::Recover);
+        }
+    }
+
+    /// Collects the embedded client's completions, in request order, and
+    /// hands each to what waits on it. One whose route is gone — the daemon
+    /// was deposed, Mantle's deadline passed — is dropped here.
+    fn drain_store(&mut self, ctx: &mut Context<'_>) {
+        for event in self.rados.drain_completed() {
+            let Some(wait) = self.store_waiting.remove(&event.reqid) else {
+                continue;
+            };
+            match wait {
+                StoreWait::Journal => self.on_journal_flushed(ctx, event.result),
+                StoreWait::Recover => self.on_journal_read(ctx, event.result),
+                StoreWait::Seal { ino, stripe } => {
+                    self.on_seal_reply(ctx, ino, stripe, event.result)
+                }
+                StoreWait::Policy => self.on_policy_read(ctx, event.result),
+            }
+        }
+    }
+
+    fn on_journal_flushed(&mut self, ctx: &mut Context<'_>, result: StoreResult) {
+        if result.is_err() {
+            // No OSD placed, or the client's deadline passed. The flush
+            // stays in doubt and its acks withheld — a replay never shows
+            // an acked mutation the store lost; `TIMER_JOURNAL` submits
+            // the same bytes again.
+            ctx.metrics().incr("mds.journal_flush_errors", 1);
             return;
         }
-        // The read (or its reply) can die to message loss or a crashed
-        // primary; until it lands the daemon is not ready and every
-        // client op sits stashed, so keep re-driving — even while the
-        // osdmap is still missing, so a lost snapshot can't wedge us.
-        // The reply handler ignores duplicates once ready.
-        ctx.set_timer(SimDuration::from_millis(500), TIMER_RECOVER);
-        if self.osdmap.pools.is_empty() {
+        let Some(flush) = self.journal_inflight.take() else {
             return;
+        };
+        ctx.span_end(flush.span);
+        ctx.metrics().incr("mds.journal_commits", 1);
+        for (delay, to, msg) in flush.replies {
+            ctx.send_after(delay, to, msg);
         }
-        let oid = ObjectId::new(
-            self.config.meta_pool.clone(),
-            format!("mds_journal.{}", self.rank),
-        );
-        if let Some(primary) = self
-            .osdmap
-            .acting_set_for(&oid.pool, &oid.name)
-            .and_then(|a| a.first().copied())
-            .and_then(|p| self.osdmap.node_of(p))
-        {
-            // Fresh reqid per attempt: reusing one would hit the OSD's
-            // reply cache and replay whatever journal an *earlier*
-            // incarnation of this node read, losing everything journaled
-            // since. Virtual time is unique across attempts.
-            let reqid = u64::MAX - ctx.now().as_micros();
-            self.recover_reqid = Some(reqid);
-            ctx.send(
-                primary,
-                OsdMsg::ClientOp {
-                    reqid,
-                    oid,
-                    txn: vec![Op::Read {
-                        offset: 0,
-                        len: usize::MAX / 2,
-                    }],
-                    map_epoch: self.osdmap.epoch,
-                },
+        // Entries that accumulated behind the in-doubt flush go out now.
+        self.flush_journal(ctx);
+    }
+
+    /// The journal read of a start or takeover completed: replay it and
+    /// start serving.
+    fn on_journal_read(&mut self, ctx: &mut Context<'_>, result: StoreResult) {
+        let data = match result.map(|results| results.into_iter().next()) {
+            Ok(Some(OpResult::Data(data))) => data,
+            // The one error that is an answer: nothing journaled yet.
+            Err(OsdError::NoEnt) => Vec::new(),
+            // Anything else says nothing about the journal: the daemon
+            // stays un-ready and `TIMER_JOURNAL` submits the read again.
+            Ok(_) | Err(_) => {
+                ctx.metrics().incr("mds.journal_read_errors", 1);
+                return;
+            }
+        };
+        let replay = match crate::namespace::replay_journal_checked(&data) {
+            Ok(replay) => replay,
+            Err(err) => {
+                // A corrupt journal must degrade the rank into recovery,
+                // never abort the daemon: keep the clean prefix, surface
+                // the rest.
+                ctx.metrics().incr("mds.journal_corrupt_replays", 1);
+                self.cluster_log(ctx, format!("journal corrupt: {err}"));
+                err.recovered
+            }
+        };
+        self.namespace = replay.namespace;
+        self.split_cache = None;
+        self.seq_layouts.extend(replay.layouts);
+        // Sequencers the journal knows about but has no layout for cannot
+        // be sealed here: their tails stay suspect until a client
+        // re-registers the layout (every grant/tail drive re-sends it).
+        for ino in self.namespace.inodes_of_type(&FileType::Sequencer) {
+            if !self.seq_layouts.contains_key(&ino) {
+                self.unsealed_seqs.insert(ino);
+                ctx.metrics().incr("mds.unsealed_seq_replays", 1);
+            }
+        }
+        self.replayed_mantle_version = replay.mantle_version;
+        // Reconnect window: recall every journaled holder. A live one
+        // reasserts its cap (and flushes state); a dead or partitioned one
+        // stays silent and the cap timeout evicts it.
+        let now = ctx.now();
+        // Recalls are sent per holder: inode order, not the map's.
+        let mut holders: Vec<(Ino, NodeId)> = replay.cap_holders.into_iter().collect();
+        holders.sort_unstable();
+        for (ino, holder) in holders {
+            self.caps.insert(
+                ino,
+                CapState::reconnect(CapPolicyConfig::best_effort(), holder, now),
             );
-        } else {
-            // Recovery cannot start while no journal-pool OSD is placed;
-            // TIMER_RECOVER re-drives, but make the stall observable.
-            ctx.metrics().incr("mds.recover_stall_no_osd", 1);
+            ctx.send(holder, MdsMsg::CapRecall { ino });
+            ctx.metrics().incr("mds.reconnect_recalls", 1);
         }
+        ctx.metrics().incr("mds.journal_replays", 1);
+        if !self.seq_layouts.is_empty() {
+            self.start_seals(ctx, self.seq_layouts.clone());
+        }
+        self.become_ready(ctx);
     }
 
     fn become_ready(&mut self, ctx: &mut Context<'_>) {
@@ -1114,6 +1177,16 @@ impl Mds {
                 line,
             },
         );
+    }
+
+    /// Subscribes to the maps this daemon follows, in the order it always
+    /// has: the mdsmap, the osdmap — through the embedded client, whose
+    /// `on_start` is its subscribe — and the Mantle policy map.
+    fn subscribe(&mut self, ctx: &mut Context<'_>) {
+        let subscribe = |map: &str| MonMsg::Subscribe { map: map.into() };
+        ctx.send(self.monitor, subscribe(SERVICE_MAP_MDS));
+        self.rados.on_start(ctx);
+        ctx.send(self.monitor, subscribe(SERVICE_MAP_MANTLE));
     }
 
     /// Liveness beacon. Active daemons report their rank; standbys send
@@ -1147,8 +1220,7 @@ impl Mds {
         let me = ctx.me().0;
         self.cluster_log(ctx, format!("standby {me} taking over rank {rank}"));
         if self.config.journal {
-            // Replay the rank's journal (the read completes the takeover);
-            // if the osdmap isn't usable yet, the OSD snapshot arm retries.
+            // Replay the rank's journal: the read completes the takeover.
             self.try_recover(ctx);
         } else {
             self.become_ready(ctx);
@@ -1158,20 +1230,23 @@ impl Mds {
     /// Steps down: the monitor re-assigned this rank elsewhere. Dropping
     /// caps and buffered journal entries is safe — the new authority
     /// replays the durable journal and re-establishes caps through the
-    /// reconnect window.
+    /// reconnect window. Store requests still in flight lose their routes:
+    /// their completions are dropped by the drain.
     fn depose(&mut self, ctx: &mut Context<'_>) {
         self.standby = true;
         self.ready = false;
         self.caps.clear();
         self.journal_buf.clear();
-        self.journal_inflight = None;
+        if let Some(flush) = self.journal_inflight.take() {
+            ctx.span_tag(flush.span, "error", "deposed");
+            ctx.span_end(flush.span);
+        }
         self.unflushed_replies.clear();
-        self.pending_replies.clear();
-        self.recover_reqid = None;
         self.recovering_seqs.clear();
         self.unsealed_seqs.clear();
         self.seal_mon_waiting.clear();
-        self.seal_osd_waiting.clear();
+        self.forget_policy_fetch();
+        self.store_waiting.clear();
         self.stashed.clear();
         ctx.metrics().incr("mds.deposed", 1);
     }
@@ -1233,12 +1308,7 @@ impl Mds {
                 },
             );
         }
-        ctx.send(
-            self.monitor,
-            MonMsg::Get {
-                map: ZLOG_EPOCH_MAP.to_string(),
-            },
-        );
+        self.get_map(ctx, ZLOG_EPOCH_MAP);
         ctx.set_timer(SimDuration::from_millis(500), TIMER_SEAL);
     }
 
@@ -1269,7 +1339,7 @@ impl Mds {
                 SealStage::AwaitCommit if cur >= rec.new_epoch => {
                     // Commit observed via the map itself (ack lost).
                     self.seal_mon_waiting.retain(|_, i| *i != ino);
-                    self.begin_sealing(ctx, ino);
+                    self.seal_stripes(ctx, ino);
                 }
                 SealStage::AwaitCommit => {
                     // The snapshot proves the bump never committed: the
@@ -1304,71 +1374,48 @@ impl Mds {
         );
     }
 
-    /// Sends `seal(new_epoch)` to every stripe object of `ino`'s log.
-    fn begin_sealing(&mut self, ctx: &mut Context<'_>, ino: Ino) {
+    /// Enters the sealing stage and calls `seal(new_epoch)` on every
+    /// stripe object of `ino`'s log that has neither answered nor a call
+    /// out: a call in flight is the client's to retransmit, and one that
+    /// completed with an error is made again when `TIMER_SEAL` comes back
+    /// here.
+    fn seal_stripes(&mut self, ctx: &mut Context<'_>, ino: Ino) {
         let Some(rec) = self.recovering_seqs.get_mut(&ino) else {
             return;
         };
         rec.stage = SealStage::Sealing;
-        let (layout, new_epoch) = (rec.layout.clone(), rec.new_epoch);
-        for stripe in 0..layout.stripe_width {
-            self.send_seal_call(ctx, ino, &layout, stripe, "seal", new_epoch);
+        let open = (0u32..).zip(&rec.maxpos).filter(|(_, m)| m.is_none());
+        let open: Vec<u32> = open.map(|(stripe, _)| stripe).collect();
+        for stripe in open {
+            if !self.store_has(StoreWait::Seal { ino, stripe }) {
+                self.send_seal_call(ctx, ino, stripe, "seal");
+            }
         }
     }
 
-    fn send_seal_call(
-        &mut self,
-        ctx: &mut Context<'_>,
-        ino: Ino,
-        layout: &crate::namespace::SeqLayout,
-        stripe: u32,
-        method: &str,
-        epoch: u64,
-    ) {
-        let oid = ObjectId::new(layout.pool.clone(), format!("{}.{}", layout.name, stripe));
-        let Some(primary) = self
-            .osdmap
-            .acting_set_for(&oid.pool, &oid.name)
-            .and_then(|a| a.first().copied())
-            .and_then(|p| self.osdmap.node_of(p))
-        else {
-            // TIMER_SEAL re-drives once the osdmap is usable; count the
-            // stall so an undrainable seal (no OSD up for the stripe) is
-            // visible rather than silent.
-            ctx.metrics().incr("mds.seal_stall_no_osd", 1);
+    /// Calls `method` — `seal` with the recovery's new epoch, or the
+    /// read-only `maxpos` — on one stripe object of `ino`'s log.
+    fn send_seal_call(&mut self, ctx: &mut Context<'_>, ino: Ino, stripe: u32, method: &str) {
+        let Some(rec) = self.recovering_seqs.get(&ino) else {
             return;
         };
-        let reqid = self.journal_reqid;
-        self.journal_reqid += 1;
-        self.seal_osd_waiting.insert(reqid, (ino, stripe));
+        let name = format!("{}.{}", rec.layout.name, stripe);
+        let oid = ObjectId::new(rec.layout.pool.clone(), name);
         let input = if method == "seal" {
-            epoch.to_string().into_bytes()
+            rec.new_epoch.to_string().into_bytes()
         } else {
             Vec::new()
         };
-        ctx.send(
-            primary,
-            OsdMsg::ClientOp {
-                reqid,
-                oid,
-                txn: vec![Op::Call {
-                    class: "zlog".to_string(),
-                    method: method.to_string(),
-                    input,
-                }],
-                map_epoch: self.osdmap.epoch,
-            },
-        );
+        let call = Op::Call {
+            class: "zlog".to_string(),
+            method: method.to_string(),
+            input,
+        };
+        self.submit_store(ctx, oid, vec![call], None, StoreWait::Seal { ino, stripe });
     }
 
     /// Handles the reply of one stripe's seal/maxpos call.
-    fn on_seal_reply(
-        &mut self,
-        ctx: &mut Context<'_>,
-        ino: Ino,
-        stripe: u32,
-        result: Result<Vec<OpResult>, OsdError>,
-    ) {
+    fn on_seal_reply(&mut self, ctx: &mut Context<'_>, ino: Ino, stripe: u32, result: StoreResult) {
         let Some(rec) = self.recovering_seqs.get_mut(&ino) else {
             return;
         };
@@ -1383,11 +1430,16 @@ impl Mds {
                 // Already sealed at (or past) our epoch by a concurrent
                 // recovery: the write fence holds either way; fall back to
                 // the read-only maxpos query for this stripe.
-                let (layout, epoch) = (rec.layout.clone(), rec.new_epoch);
-                self.send_seal_call(ctx, ino, &layout, stripe, "maxpos", epoch);
+                self.send_seal_call(ctx, ino, stripe, "maxpos");
                 return;
             }
-            Err(_) => return, // TIMER_SEAL re-drives unanswered stripes
+            Err(_) => {
+                // No OSD placed, the client's deadline passed, or the class
+                // is not installed yet: the stripe stays unanswered and
+                // `TIMER_SEAL` submits its seal again.
+                ctx.metrics().incr("mds.seal_call_errors", 1);
+                return;
+            }
         }
         self.finish_seal_if_done(ctx, ino);
     }
@@ -1609,14 +1661,7 @@ impl Mds {
 
 impl Actor for Mds {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        for map in [SERVICE_MAP_MDS, SERVICE_MAP_OSD, SERVICE_MAP_MANTLE] {
-            ctx.send(
-                self.monitor,
-                MonMsg::Subscribe {
-                    map: map.to_string(),
-                },
-            );
-        }
+        self.subscribe(ctx);
         ctx.set_timer(self.config.balance_interval, TIMER_BALANCE);
         ctx.set_timer(self.config.cap_tick, TIMER_CAP);
         ctx.set_timer(SimDuration::from_millis(500), TIMER_JOURNAL);
@@ -1624,6 +1669,7 @@ impl Actor for Mds {
         if !self.config.journal && !self.standby {
             self.ready = true;
         }
+        self.try_recover(ctx);
         self.send_beacon(ctx);
         ctx.set_timer(self.config.beacon_interval, TIMER_BEACON);
     }
@@ -1632,39 +1678,37 @@ impl Actor for Mds {
         // Monitor map traffic.
         let msg = match msg.downcast::<MonMsg>() {
             Ok(mon) => {
-                match *mon {
-                    MonMsg::Snapshot(snap) => match snap.map.as_str() {
-                        SERVICE_MAP_MDS if snap.epoch > self.mdsmap.epoch => {
-                            self.mdsmap = MdsMapView::from_snapshot(&snap);
+                match &*mon {
+                    MonMsg::Snapshot(snap) if snap.map == SERVICE_MAP_MDS => {
+                        if snap.epoch > self.mdsmap.epoch {
+                            self.mdsmap = MdsMapView::from_snapshot(snap);
                             self.check_promotion(ctx);
                         }
-                        SERVICE_MAP_OSD if snap.epoch > self.osdmap.epoch => {
-                            self.osdmap = mala_rados::OsdMapView::from_snapshot(&snap);
-                            self.try_recover(ctx);
-                        }
-                        SERVICE_MAP_MANTLE => {
-                            let name = snap
-                                .entries
-                                .get("balancer")
-                                .map(|v| String::from_utf8_lossy(v).into_owned());
-                            self.on_mantle_map(ctx, snap.epoch, name);
-                        }
-                        ZLOG_EPOCH_MAP => {
-                            self.on_zlog_map(ctx, &snap);
-                        }
-                        _ => {}
-                    },
-                    MonMsg::Changed { map, .. } => {
+                    }
+                    MonMsg::Snapshot(snap) if snap.map == SERVICE_MAP_MANTLE => {
+                        self.on_mantle_map(ctx, snap);
+                    }
+                    MonMsg::Snapshot(snap) if snap.map == ZLOG_EPOCH_MAP => {
+                        self.on_zlog_map(ctx, snap);
+                    }
+                    MonMsg::Changed { map, .. }
+                        if matches!(map.as_str(), SERVICE_MAP_MDS | SERVICE_MAP_MANTLE) =>
+                    {
                         // Re-fetch the full map (deltas may skip epochs).
-                        ctx.send(self.monitor, MonMsg::Get { map });
+                        self.get_map(ctx, map);
                     }
                     MonMsg::SubmitAck { seq, .. } => {
-                        if let Some(ino) = self.seal_mon_waiting.remove(&seq) {
+                        if let Some(ino) = self.seal_mon_waiting.remove(seq) {
                             // Epoch bump committed: fence the stripes.
-                            self.begin_sealing(ctx, ino);
+                            self.seal_stripes(ctx, ino);
                         }
                     }
-                    _ => {}
+                    // The rest is the osdmap, which the embedded client
+                    // follows; a new map can complete a request.
+                    _ => {
+                        self.rados.on_message(ctx, from, mon);
+                        self.drain_store(ctx);
+                    }
                 }
                 return;
             }
@@ -1740,119 +1784,11 @@ impl Actor for Mds {
             }
             Err(other) => other,
         };
-        // OSD replies (journal / policy reads).
+        // OSD replies: feed the embedded client, then collect completions.
         let msg = match msg.downcast::<OsdMsg>() {
             Ok(osd) => {
-                if let OsdMsg::ClientReply { reqid, result, .. } = *osd {
-                    if let Some(span) = self.journal_spans.remove(&reqid) {
-                        ctx.span_end(span);
-                    }
-                    if Some(reqid) == self.recover_reqid {
-                        if self.ready {
-                            // Late duplicate of the recovery read:
-                            // replaying it would reset live state.
-                            return;
-                        }
-                        self.recover_reqid = None;
-                        // Journal recovery read.
-                        let data = match result {
-                            Ok(results) => match results.into_iter().next() {
-                                Some(OpResult::Data(data)) => data,
-                                _ => Vec::new(),
-                            },
-                            Err(_) => Vec::new(), // NoEnt: nothing journaled yet
-                        };
-                        let replay = match crate::namespace::replay_journal_checked(&data) {
-                            Ok(replay) => replay,
-                            Err(err) => {
-                                // A corrupt journal must degrade the rank
-                                // into recovery, never abort the daemon:
-                                // keep the clean prefix, surface the rest.
-                                ctx.metrics().incr("mds.journal_corrupt_replays", 1);
-                                self.cluster_log(ctx, format!("journal corrupt: {err}"));
-                                err.recovered
-                            }
-                        };
-                        self.namespace = replay.namespace;
-                        self.split_cache = None;
-                        self.seq_layouts.extend(replay.layouts);
-                        // Sequencers the journal knows about but has no
-                        // layout for cannot be sealed here: their tails
-                        // stay suspect until a client re-registers the
-                        // layout (every grant/tail drive re-sends it).
-                        for ino in self.namespace.inodes_of_type(&FileType::Sequencer) {
-                            if !self.seq_layouts.contains_key(&ino) {
-                                self.unsealed_seqs.insert(ino);
-                                ctx.metrics().incr("mds.unsealed_seq_replays", 1);
-                            }
-                        }
-                        self.replayed_mantle_version = replay.mantle_version;
-                        // Reconnect window: recall every journaled holder.
-                        // A live one reasserts its cap (and flushes state);
-                        // a dead or partitioned one stays silent and the
-                        // cap timeout evicts it.
-                        let now = ctx.now();
-                        for (ino, holder) in replay.cap_holders {
-                            self.caps.insert(
-                                ino,
-                                CapState::reconnect(CapPolicyConfig::best_effort(), holder, now),
-                            );
-                            ctx.send(holder, MdsMsg::CapRecall { ino });
-                            ctx.metrics().incr("mds.reconnect_recalls", 1);
-                        }
-                        ctx.metrics().incr("mds.journal_replays", 1);
-                        if !self.seq_layouts.is_empty() {
-                            self.start_seals(ctx, self.seq_layouts.clone());
-                        }
-                        self.become_ready(ctx);
-                    } else if let Some((ino, stripe)) = self.seal_osd_waiting.remove(&reqid) {
-                        self.on_seal_reply(ctx, ino, stripe, result);
-                    } else if self
-                        .journal_inflight
-                        .as_ref()
-                        .is_some_and(|(inflight, _)| *inflight == reqid)
-                    {
-                        if result.is_ok() {
-                            self.journal_inflight = None;
-                            ctx.metrics().incr("mds.journal_commits", 1);
-                            if let Some(replies) = self.pending_replies.remove(&reqid) {
-                                for (delay, to, msg) in replies {
-                                    ctx.send_after(delay, to, msg);
-                                }
-                            }
-                            // Entries that accumulated behind the
-                            // in-doubt flush go out now.
-                            if !self.journal_buf.is_empty() {
-                                self.flush_journal(ctx);
-                            }
-                        } else {
-                            // The flush stays in doubt: TIMER_JOURNAL
-                            // retransmits it under the same reqid (the
-                            // reply cache dedups), and the gated acks
-                            // stay withheld until the store confirms.
-                            ctx.metrics().incr("mds.journal_flush_errors", 1);
-                        }
-                    } else if let Some(replies) = self.pending_replies.remove(&reqid) {
-                        if result.is_ok() {
-                            ctx.metrics().incr("mds.journal_commits", 1);
-                            for (delay, to, msg) in replies {
-                                ctx.send_after(delay, to, msg);
-                            }
-                        }
-                        // On error the acks stay withheld: the clients
-                        // retry and the replay never shows an acked
-                        // mutation the store lost.
-                    } else if Some(reqid) == self.mantle_fetch_reqid {
-                        self.mantle_fetch_reqid = None;
-                        self.mantle_fetch_deadline = None;
-                        if let Ok(results) = result {
-                            if let Some(OpResult::Data(data)) = results.first() {
-                                let source = String::from_utf8_lossy(data).into_owned();
-                                self.on_policy_fetched(ctx, &source);
-                            }
-                        }
-                    }
-                }
+                self.rados.on_message(ctx, from, osd);
+                self.drain_store(ctx);
                 return;
             }
             Err(other) => other,
@@ -1874,6 +1810,13 @@ impl Actor for Mds {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+        if token >= RETRY_TOKEN_BASE {
+            // A retransmit timer of the embedded client; when it fires past
+            // the request's deadline the request completes (`Timeout`).
+            self.rados.on_timer(ctx, token);
+            self.drain_store(ctx);
+            return;
+        }
         match token {
             TIMER_BALANCE => {
                 if self.ready {
@@ -1898,24 +1841,21 @@ impl Actor for Mds {
                 ctx.set_timer(self.config.cap_tick, TIMER_CAP);
             }
             TIMER_JOURNAL => {
+                // The store tick: collect a request refused at submit
+                // (`NoOsdsUp` completes without a message), submit again
+                // what completed with an error — the journal read, the
+                // flush in doubt — and flush what was buffered since.
+                self.drain_store(ctx);
+                self.try_recover(ctx);
                 self.flush_journal(ctx);
                 ctx.set_timer(SimDuration::from_millis(500), TIMER_JOURNAL);
             }
-            TIMER_MANTLE_TIMEOUT => {
-                if let Some(deadline) = self.mantle_fetch_deadline {
-                    if ctx.now() >= deadline && self.mantle_fetch_reqid.is_some() {
-                        // §5.1.2: the synchronous policy read gave up.
-                        self.mantle_fetch_reqid = None;
-                        self.mantle_fetch_deadline = None;
-                        // Allow a later retry of the same version.
-                        self.mantle_version_seen = self.mantle_version_seen.saturating_sub(1);
-                        self.cluster_log(
-                            ctx,
-                            "mantle: Connection Timeout reading balancer policy".to_string(),
-                        );
-                        ctx.metrics().incr("mds.mantle_fetch_timeouts", 1);
-                    }
-                }
+            TIMER_MANTLE_TIMEOUT if self.mantle_fetch_deadline.is_some_and(|d| ctx.now() >= d) => {
+                // §5.1.2: the synchronous policy read gave up.
+                ctx.metrics().incr("mds.mantle_fetch_timeouts", 1);
+                self.forget_policy_fetch();
+                let line = "mantle: Connection Timeout reading balancer policy";
+                self.cluster_log(ctx, line.to_string());
             }
             TIMER_BEACON => {
                 self.send_beacon(ctx);
@@ -1924,56 +1864,27 @@ impl Actor for Mds {
                 // journal, and one without the mdsmap can never be
                 // promoted. Re-assert until a snapshot has landed
                 // (subscribing twice is idempotent at the monitor).
-                if self.osdmap.epoch == 0 || self.mdsmap.epoch == 0 {
-                    for map in [SERVICE_MAP_MDS, SERVICE_MAP_OSD, SERVICE_MAP_MANTLE] {
-                        ctx.send(
-                            self.monitor,
-                            MonMsg::Subscribe {
-                                map: map.to_string(),
-                            },
-                        );
-                    }
+                if self.rados.map_epoch() == 0 || self.mdsmap.epoch == 0 {
+                    self.subscribe(ctx);
                 }
                 ctx.set_timer(self.config.beacon_interval, TIMER_BEACON);
             }
-            TIMER_RECOVER => {
-                self.try_recover(ctx);
-            }
             TIMER_SEAL => {
-                // Re-drive stuck seal recoveries (lost messages, osdmap not
-                // yet usable). All steps are idempotent.
                 if self.recovering_seqs.is_empty() {
                     return;
                 }
-                let mut want_map = false;
-                let mut resend: Vec<(Ino, crate::namespace::SeqLayout, u32, u64)> = Vec::new();
-                for (ino, rec) in &self.recovering_seqs {
-                    match rec.stage {
-                        SealStage::GetEpoch | SealStage::AwaitCommit => want_map = true,
-                        SealStage::Sealing => {
-                            for (stripe, m) in rec.maxpos.iter().enumerate() {
-                                if m.is_none() {
-                                    resend.push((
-                                        *ino,
-                                        rec.layout.clone(),
-                                        stripe as u32,
-                                        rec.new_epoch,
-                                    ));
-                                }
-                            }
-                        }
-                    }
+                // Re-drive stuck seal recoveries, every step idempotent: a
+                // lost `Get`, `Submit` or ack is healed by re-reading the
+                // epoch map; a seal call that completed with an error is
+                // made again.
+                let sealing = |rec: &SealRecovery| rec.stage == SealStage::Sealing;
+                if !self.recovering_seqs.values().all(sealing) {
+                    self.get_map(ctx, ZLOG_EPOCH_MAP);
                 }
-                if want_map {
-                    ctx.send(
-                        self.monitor,
-                        MonMsg::Get {
-                            map: ZLOG_EPOCH_MAP.to_string(),
-                        },
-                    );
-                }
-                for (ino, layout, stripe, epoch) in resend {
-                    self.send_seal_call(ctx, ino, &layout, stripe, "seal", epoch);
+                let recs = self.recovering_seqs.iter();
+                let inos: Vec<Ino> = recs.filter(|(_, r)| sealing(r)).map(|(i, _)| *i).collect();
+                for ino in inos {
+                    self.seal_stripes(ctx, ino);
                 }
                 ctx.set_timer(SimDuration::from_millis(500), TIMER_SEAL);
             }

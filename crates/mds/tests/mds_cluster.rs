@@ -567,27 +567,48 @@ fn journal_recovery_after_mds_crash() {
         "seq",
         FileType::Sequencer,
     );
-    let _ = (dir, seq);
+    let _ = dir;
     // Let the journal flush (500 ms timer), then crash the MDS.
+    sim.run_for(SimDuration::from_secs(2));
+    sim.crash(mds_node(0));
+    let mds = Mds::new(0, MON, config.clone(), Box::new(NoBalancer));
+    sim.restart(mds_node(0), mds);
+    sim.run_for(SimDuration::from_secs(3));
+    // The restarted MDS must have replayed its journal.
+    let resolve = |sim: &mut Sim, reqid: u64, path: &str| {
+        let path = path.to_string();
+        send_from(
+            sim,
+            client_node(0),
+            mds_node(0),
+            MdsMsg::Resolve { reqid, path },
+        );
+        sim.run_for(SimDuration::from_millis(200));
+        let client = sim.actor::<TestClient>(client_node(0));
+        let resolved = client.resolved.get(&reqid).cloned().expect("resolve done");
+        resolved.map(|(ino, _)| ino)
+    };
+    assert_eq!(resolve(&mut sim, 50, "/dir/seq"), Ok(seq));
+    assert!(sim.metrics().counter("mds.journal_replays") > 0);
+
+    // A second life on the same node journals under request ids of its
+    // own: a flush numbered like one of the first life's would be answered
+    // from the OSD's reply cache, never applied, and lost to the third.
+    let late = create(
+        &mut sim,
+        client_node(0),
+        3,
+        "/dir",
+        "late",
+        FileType::Regular,
+    );
     sim.run_for(SimDuration::from_secs(2));
     sim.crash(mds_node(0));
     sim.restart(mds_node(0), Mds::new(0, MON, config, Box::new(NoBalancer)));
     sim.run_for(SimDuration::from_secs(3));
-    // The restarted MDS must have replayed its journal.
-    send_from(
-        &mut sim,
-        client_node(0),
-        mds_node(0),
-        MdsMsg::Resolve {
-            reqid: 50,
-            path: "/dir/seq".into(),
-        },
-    );
-    sim.run_for(SimDuration::from_millis(200));
-    let client = sim.actor::<TestClient>(client_node(0));
-    let resolved = client.resolved.get(&50).cloned().expect("resolve done");
-    assert_eq!(resolved.map(|(ino, _)| ino), Ok(seq));
-    assert!(sim.metrics().counter("mds.journal_replays") > 0);
+    assert_eq!(resolve(&mut sim, 51, "/dir/seq"), Ok(seq));
+    assert_eq!(resolve(&mut sim, 52, "/dir/late"), Ok(late));
+    assert!(sim.actor::<Mds>(mds_node(0)).store_idle());
 }
 
 #[test]

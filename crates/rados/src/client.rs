@@ -266,6 +266,12 @@ impl RadosClient {
 
 impl Actor for RadosClient {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
+        // Request ids stay unique across incarnations of this node: a
+        // daemon restarted here and counting from 1 again would have its
+        // first requests answered from the OSDs' reply caches of its
+        // previous life. Virtual time is strictly increasing across
+        // restarts, and no incarnation mints a request per microsecond.
+        self.next_reqid = self.next_reqid.max(ctx.now().as_micros());
         ctx.send(
             self.monitor,
             MonMsg::Subscribe {

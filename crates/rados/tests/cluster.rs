@@ -361,6 +361,41 @@ fn client_handles_stale_epoch_after_map_change() {
     ));
 }
 
+/// Request ids are seeded from the clock at start, so a client restarted on
+/// its node is not answered from the reply cache of its previous life:
+/// counting from 1 again, its first request would carry the id of the old
+/// life's append and come back with that append's cached reply.
+#[test]
+fn restarted_client_is_not_answered_from_the_reply_cache_of_its_previous_life() {
+    // One OSD: every object has the same primary, so the same cache.
+    let mut sim = build_cluster(1, 1, OsdConfig::default());
+    let append = vec![Op::Append {
+        data: b"a previous life".to_vec(),
+    }];
+    let first = request(
+        &mut sim,
+        CLIENT,
+        oid("kept"),
+        append,
+        SimDuration::from_secs(5),
+    );
+    assert!(first.result.is_ok(), "{:?}", first.result);
+    sim.crash(CLIENT);
+    sim.restart(CLIENT, RadosClient::new(MON));
+    sim.run_for(SimDuration::from_secs(1));
+    // Executed, the read finds no such object.
+    let read = vec![Op::Read { offset: 0, len: 16 }];
+    let ev = request(
+        &mut sim,
+        CLIENT,
+        oid("never-written"),
+        read,
+        SimDuration::from_secs(5),
+    );
+    assert_eq!(ev.result, Err(mala_rados::OsdError::NoEnt));
+    assert!(ev.reqid > first.reqid);
+}
+
 #[test]
 fn lock_class_serializes_two_clients() {
     let mut sim = build_cluster(3, 2, OsdConfig::default());

@@ -563,7 +563,8 @@ mod durability_props {
 
 mod mds_failover_props {
     use super::*;
-    use mala_mds::{Mds, MdsConfig, NoBalancer};
+    use mala_consensus::{MonMsg, Monitor, SERVICE_MAP_MDS};
+    use mala_mds::{FileType, Mds, MdsConfig, MdsMsg, NoBalancer};
     use mala_rados::{ObjectId, Osd, OsdConfig, OsdError};
     use mala_sim::{FaultSchedule, Nemesis, SimDuration};
     use mala_zlog::log::{run_op, ZlogOut};
@@ -573,14 +574,19 @@ mod mds_failover_props {
 
     /// A cluster whose single MDS rank journals synchronously and has one
     /// standby waiting to be promoted by the monitor's beacon reaper.
-    fn failover_cluster(seed: u64) -> Cluster {
+    pub(super) fn failover_cluster(seed: u64) -> Cluster {
+        failover_cluster_with(seed, 16, OsdConfig::default())
+    }
+
+    pub(super) fn failover_cluster_with(seed: u64, meta_pgs: u32, osds: OsdConfig) -> Cluster {
         let mut cluster = ClusterBuilder::new()
             .monitors(1)
             .osds(4)
+            .osd_config(osds)
             .mds_ranks(1)
             .standby_mds(1)
             .pool("p", 16, 2)
-            .pool("meta", 16, 2)
+            .pool("meta", meta_pgs, 2)
             .mds_config(MdsConfig {
                 journal: true,
                 journal_sync: true,
@@ -591,7 +597,7 @@ mod mds_failover_props {
         cluster
     }
 
-    fn add_zlog_client(
+    pub(super) fn add_zlog_client(
         cluster: &mut Cluster,
         name: &str,
         history: mala_sim::history::Recorder<
@@ -712,6 +718,12 @@ mod mds_failover_props {
                 }
             }
             cluster.sim.run_for(SimDuration::from_secs(2));
+            // The promoted daemon left nothing with the store: no request
+            // routed, no flush in doubt, no completion uncollected.
+            prop_assert!(
+                cluster.sim.actor::<Mds>(cluster.standby_node(0)).store_idle(),
+                "promoted MDS not idle towards the store after the drain (seed {})", seed
+            );
 
             // Write-once across the failover: no two appends share a cell.
             let mut seen: Vec<u64> = acked.iter().map(|(p, _)| *p).collect();
@@ -939,6 +951,14 @@ mod mds_failover_props {
             );
         }
 
+        cluster.sim.run_for(SimDuration::from_secs(1));
+        assert!(
+            cluster
+                .sim
+                .actor::<Mds>(cluster.standby_node(0))
+                .store_idle(),
+            "promoted MDS not idle towards the store after the drain"
+        );
         let metrics = cluster.sim.metrics();
         assert!(
             metrics.counter("mds.seq_seals") >= 4,
@@ -956,6 +976,44 @@ mod mds_failover_props {
                 .collect(),
             end_us: cluster.sim.now().as_micros(),
         }
+    }
+
+    /// A daemon deposed while its journal flush could not reach the store
+    /// leaves nothing behind: `depose` drops the flush in doubt with every
+    /// route, and the drain drops the completion that arrives later.
+    #[test]
+    fn deposed_daemon_leaves_nothing_with_the_store() {
+        let mut cluster = failover_cluster(11);
+        let (mds0, mon) = (cluster.mds_node(0), cluster.mon());
+        // Its beacons and its journal append reach no one; it lives on.
+        cluster.sim.network_mut().isolate(mds0);
+        let create = MdsMsg::Create {
+            reqid: 1,
+            parent_path: "/".into(),
+            name: "orphan".into(),
+            ftype: FileType::Regular,
+        };
+        cluster.sim.inject(mds0, create);
+        cluster.sim.run_for(SimDuration::from_secs(4));
+        assert_eq!(cluster.sim.metrics().counter("mds.takeovers"), 1);
+        assert!(
+            !cluster.sim.actor::<Mds>(mds0).store_idle(),
+            "no flush in doubt"
+        );
+        // Healed, it learns from the next mdsmap it sees that its rank moved.
+        cluster.sim.network_mut().rejoin(mds0);
+        let mdsmap = cluster.sim.actor::<Monitor>(mon).map(SERVICE_MAP_MDS);
+        let snapshot = MonMsg::Snapshot(mdsmap.expect("an mdsmap").clone());
+        cluster.sim.inject(mds0, snapshot);
+        cluster.sim.run_for(SimDuration::from_millis(1));
+        let deposed = cluster.sim.actor::<Mds>(mds0);
+        assert!(deposed.is_standby(), "not deposed");
+        assert!(deposed.store_idle(), "depose left store state behind");
+        // The embedded client still retransmits the orphaned append; its
+        // completion finds no route.
+        cluster.sim.run_for(SimDuration::from_secs(5));
+        assert_eq!(cluster.sim.metrics().counter("mds.deposed"), 1);
+        assert!(cluster.sim.actor::<Mds>(mds0).store_idle());
     }
 
     /// Two runs of one seed *in one process* must be the same run. Every
@@ -976,6 +1034,137 @@ mod mds_failover_props {
                 );
             }
         }
+    }
+}
+
+/// A failed journal read is not an empty journal. A standby promoted
+/// while the store cannot answer its journal read used to take any error
+/// for "nothing journaled yet", replay an empty journal and serve an empty
+/// namespace; it must instead stay un-ready until the read succeeds.
+mod journal_read_regressions {
+    use mala_mds::Mds;
+    use mala_rados::placement::acting_set_weighted;
+    use mala_rados::{pg_of, OsdConfig, OsdMapView, WEIGHT_UNIT};
+    use mala_sim::{NodeId, SimDuration};
+    use mala_zlog::log::{run_op, ZlogOut};
+    use mala_zlog::{AppendResult, ZlogClient};
+    use malacology::cluster::Cluster;
+
+    use super::mds_failover_props::{add_zlog_client, failover_cluster, failover_cluster_with};
+
+    /// Creates log `name` and appends to it; returns the client and the
+    /// highest position granted.
+    fn log_with_appends(cluster: &mut Cluster, name: &str) -> (NodeId, u64) {
+        let node = add_zlog_client(cluster, name, super::lin::recorder());
+        let mut tail = 0;
+        for k in 0..4 {
+            let res = run_op(
+                &mut cluster.sim,
+                node,
+                SimDuration::from_secs(30),
+                move |c, ctx| c.append(ctx, format!("pre-{k}").into_bytes()),
+            );
+            let AppendResult::Ok(ZlogOut::Pos(pos)) = res else {
+                panic!("pre-crash append {k} failed: {res:?}");
+            };
+            tail = tail.max(pos);
+        }
+        (node, tail)
+    }
+
+    /// The promoted standby replays, once, the journal written before the
+    /// crash: it grants above the pre-crash tail and resolves the sequencer
+    /// created then.
+    fn assert_replays(cluster: &mut Cluster, node: NodeId, name: &str, pre_tail: u64) {
+        let replays = cluster.sim.metrics().counter("mds.journal_replays");
+        let res = run_op(
+            &mut cluster.sim,
+            node,
+            SimDuration::from_secs(90),
+            |c, ctx| c.append(ctx, b"post".to_vec()),
+        );
+        let AppendResult::Ok(ZlogOut::Pos(pos)) = res else {
+            panic!("post-takeover append failed: {res:?}");
+        };
+        assert!(pos > pre_tail, "granted {pos}, pre-crash tail {pre_tail}");
+        let m = cluster.sim.metrics();
+        assert_eq!(m.counter("mds.takeovers"), 1);
+        assert_eq!(m.counter("mds.journal_replays"), replays + 1);
+        cluster.sim.run_for(SimDuration::from_secs(1));
+        let mds = cluster.sim.actor::<Mds>(cluster.standby_node(0));
+        assert!(
+            mds.namespace().resolve(&format!("/zlog/{name}")).is_ok(),
+            "the promoted rank lost the namespace"
+        );
+        assert!(mds.store_idle(), "promoted MDS not idle towards the store");
+        assert!(cluster.sim.actor::<ZlogClient>(node).is_idle());
+    }
+
+    /// The journal object's PG is mid-backfill at takeover: its new
+    /// primary, a joiner cut off from its backfill sources, answers
+    /// `NotReady` until the links heal.
+    #[test]
+    fn takeover_waits_for_a_journal_pg_in_backfill() {
+        // Four OSDs, four `meta` PGs: OSD 4 joining becomes the primary of
+        // the PG that holds `mds_journal.0`.
+        let (osds, meta_pgs) = (4, 4);
+        let placed: Vec<(u32, u32)> = (0..=osds).map(|i| (i, WEIGHT_UNIT)).collect();
+        let journal_pg = pg_of("meta", "mds_journal.0", meta_pgs);
+        assert_eq!(acting_set_weighted(journal_pg, &placed, 2)[0], osds);
+        // A backfill whose sources stay silent is given up on after 16
+        // pulls; at one pull a second it outlasts the cut below.
+        let osd_config = OsdConfig {
+            backfill_retry_interval: SimDuration::from_secs(1),
+            ..OsdConfig::default()
+        };
+        let mut cluster = failover_cluster_with(2017, meta_pgs, osd_config);
+        let (node, pre_tail) = log_with_appends(&mut cluster, "backfill");
+
+        let joiner = NodeId(10 + osds);
+        for i in 0..osds {
+            let source = cluster.osd_node(i);
+            cluster.sim.network_mut().sever(joiner, source);
+        }
+        assert_eq!(cluster.add_osd_nowait(), osds);
+        cluster.sim.run_for(SimDuration::from_millis(1_500));
+        let replays = cluster.sim.metrics().counter("mds.journal_replays");
+        cluster.sim.crash(cluster.mds_node(0));
+        cluster.sim.run_for(SimDuration::from_secs(5));
+        // Promoted, refused by the backfilling primary, and still waiting.
+        let m = cluster.sim.metrics();
+        assert_eq!(m.counter("mds.takeovers"), 1, "standby not promoted yet");
+        assert!(m.counter("osd.backfill_rejects") > 0, "no NotReady answer");
+        assert_eq!(
+            m.counter("mds.journal_replays"),
+            replays,
+            "replayed a journal it could not read"
+        );
+        cluster.sim.network_mut().heal_all();
+        assert_replays(&mut cluster, node, "backfill", pre_tail);
+    }
+
+    /// The standby's osdmap is one epoch behind at takeover: the journal's
+    /// primary answers `StaleEpoch`, the client refreshes and asks again.
+    #[test]
+    fn takeover_with_a_stale_osdmap_refreshes_and_replays() {
+        let mut cluster = failover_cluster(7);
+        let (node, pre_tail) = log_with_appends(&mut cluster, "stale");
+        // An osdmap epoch commits while the standby cannot hear the
+        // monitor: it misses the change notice, and nothing repeats it.
+        let (standby, mon) = (cluster.standby_node(0), cluster.mon());
+        cluster.sim.network_mut().sever(standby, mon);
+        let osd0 = cluster.osd_node(0);
+        cluster.commit_updates(vec![OsdMapView::update_osd(0, osd0, true)]);
+        cluster.sim.run_for(SimDuration::from_millis(200));
+        cluster.sim.network_mut().heal(standby, mon);
+
+        let stale_before = cluster.sim.metrics().counter("osd.stale_epoch_rejects");
+        cluster.sim.crash(cluster.mds_node(0));
+        assert_replays(&mut cluster, node, "stale", pre_tail);
+        assert!(
+            cluster.sim.metrics().counter("osd.stale_epoch_rejects") > stale_before,
+            "the takeover's journal read was never refused as stale"
+        );
     }
 }
 
@@ -1141,7 +1330,7 @@ mod cap_partition {
 }
 
 mod smoke {
-    use mala_mds::MdsConfig;
+    use mala_mds::{Mds, MdsConfig};
     use mala_rados::{Osd, OsdConfig};
     use mala_sim::{Fault, FaultSchedule, Nemesis, SimDuration, SimTime};
     use mala_zlog::log::{run_op, ZlogOut};
@@ -1233,6 +1422,14 @@ mod smoke {
         while !nemesis.finished() {
             nemesis.run_for(&mut cluster.sim, SimDuration::from_millis(500));
         }
+        cluster.sim.run_for(SimDuration::from_secs(1));
+        assert!(
+            cluster
+                .sim
+                .actor::<Mds>(cluster.standby_node(0))
+                .store_idle(),
+            "promoted MDS not idle towards the store after the drain"
+        );
 
         let mut unique = positions.clone();
         unique.sort_unstable();
