@@ -425,10 +425,12 @@ impl Mds {
     }
 
     /// Whether nothing of this daemon's is left with the object store: no
-    /// request routed, no flush in doubt, no completion uncollected.
+    /// request routed or still the client's to retransmit, no flush in
+    /// doubt, no completion uncollected.
     pub fn store_idle(&self) -> bool {
         self.store_waiting.is_empty()
             && self.journal_inflight.is_none()
+            && !self.rados.holds_requests()
             && !self.rados.holds_completions()
     }
 
@@ -929,7 +931,7 @@ impl Mds {
         // Dereference the version pointer: read the policy object from
         // RADOS, with a timeout of half the balancing tick (§5.1.2). A
         // read still out for an older version is given up on.
-        self.forget_policy_fetch();
+        self.forget_policy_fetch(ctx);
         let oid = ObjectId::new(self.config.meta_pool.clone(), object_name);
         self.submit_store(ctx, oid, read_whole(), None, StoreWait::Policy);
         self.mantle_version_seen = snap.epoch;
@@ -940,12 +942,30 @@ impl Mds {
 
     /// Gives up the policy read in flight, if there is one — it failed, ran
     /// out of time (§5.1.2), was superseded or the daemon was deposed: its
-    /// route goes, so a late completion is dropped by the drain, and its
-    /// version may be fetched again on a later tick.
-    fn forget_policy_fetch(&mut self) {
+    /// route goes and its request is cancelled, and its version may be
+    /// fetched again on a later tick.
+    fn forget_policy_fetch(&mut self, ctx: &mut Context<'_>) {
         if self.mantle_fetch_deadline.take().is_some() {
-            self.store_waiting.retain(|_, w| *w != StoreWait::Policy);
+            self.drop_store_routes(ctx, |w| *w == StoreWait::Policy);
             self.mantle_version_seen = self.mantle_version_seen.saturating_sub(1);
+        }
+    }
+
+    /// Drops the store routes `dropped` selects and cancels their requests
+    /// with the embedded client: nothing more is sent for them and no
+    /// completion comes back.
+    fn drop_store_routes(&mut self, ctx: &mut Context<'_>, dropped: impl Fn(&StoreWait) -> bool) {
+        let mut reqids: Vec<u64> = self
+            .store_waiting
+            .iter()
+            .filter(|(_, w)| dropped(w))
+            .map(|(reqid, _)| *reqid)
+            .collect();
+        // Ending spans in hash order would reorder the trace from run to run.
+        reqids.sort_unstable();
+        for reqid in reqids {
+            self.store_waiting.remove(&reqid);
+            self.rados.cancel(ctx, reqid);
         }
     }
 
@@ -956,7 +976,7 @@ impl Mds {
             Ok(Some(OpResult::Data(data))) => data,
             other => {
                 ctx.metrics().incr("mds.mantle_fetch_errors", 1);
-                self.forget_policy_fetch();
+                self.forget_policy_fetch(ctx);
                 let line = format!("mantle: reading balancer policy failed: {other:?}");
                 self.cluster_log(ctx, line);
                 return;
@@ -1060,8 +1080,7 @@ impl Mds {
     }
 
     /// Collects the embedded client's completions, in request order, and
-    /// hands each to what waits on it. One whose route is gone — the daemon
-    /// was deposed, Mantle's deadline passed — is dropped here.
+    /// hands each to what waits on it.
     fn drain_store(&mut self, ctx: &mut Context<'_>) {
         for event in self.rados.drain_completed() {
             let Some(wait) = self.store_waiting.remove(&event.reqid) else {
@@ -1230,8 +1249,8 @@ impl Mds {
     /// Steps down: the monitor re-assigned this rank elsewhere. Dropping
     /// caps and buffered journal entries is safe — the new authority
     /// replays the durable journal and re-establishes caps through the
-    /// reconnect window. Store requests still in flight lose their routes:
-    /// their completions are dropped by the drain.
+    /// reconnect window. Store requests still in flight lose their routes
+    /// and are cancelled: a deposed daemon retransmits nothing.
     fn depose(&mut self, ctx: &mut Context<'_>) {
         self.standby = true;
         self.ready = false;
@@ -1245,8 +1264,8 @@ impl Mds {
         self.recovering_seqs.clear();
         self.unsealed_seqs.clear();
         self.seal_mon_waiting.clear();
-        self.forget_policy_fetch();
-        self.store_waiting.clear();
+        self.forget_policy_fetch(ctx);
+        self.drop_store_routes(ctx, |_| true);
         self.stashed.clear();
         ctx.metrics().incr("mds.deposed", 1);
     }
@@ -1853,7 +1872,7 @@ impl Actor for Mds {
             TIMER_MANTLE_TIMEOUT if self.mantle_fetch_deadline.is_some_and(|d| ctx.now() >= d) => {
                 // §5.1.2: the synchronous policy read gave up.
                 ctx.metrics().incr("mds.mantle_fetch_timeouts", 1);
-                self.forget_policy_fetch();
+                self.forget_policy_fetch(ctx);
                 let line = "mantle: Connection Timeout reading balancer policy";
                 self.cluster_log(ctx, line.to_string());
             }

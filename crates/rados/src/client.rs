@@ -6,17 +6,17 @@ use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 
 use mala_consensus::{MonMsg, SERVICE_MAP_OSD};
-use mala_sim::{Actor, Context, NodeId, Sim, SimDuration, SimTime, SpanContext, TimerHandle};
+use mala_sim::{Actor, Context, Deadlines, NodeId, Sim, SimDuration, SimTime, SpanContext};
 
 use crate::object::ObjectId;
 use crate::ops::{OpResult, OsdError, Transaction};
 use crate::osd::OsdMsg;
 use crate::osdmap::OsdMapView;
 
-/// Timer-token namespace for per-request retransmit timers; the reqid is
-/// added to the base, keeping clear of small tokens other actors use.
-/// Public so actors embedding a [`RadosClient`] can route timer callbacks
-/// at or above this base to [`Actor::on_timer`] on the embedded client.
+/// The token of the client's one retransmit timer, clear of the small
+/// tokens other actors use. Public so actors embedding a [`RadosClient`]
+/// can route timer callbacks at or above it to [`Actor::on_timer`] on the
+/// embedded client.
 pub const RETRY_TOKEN_BASE: u64 = 1 << 48;
 /// First retransmit delay; doubles each attempt.
 const RETRY_BASE: SimDuration = SimDuration::from_millis(10);
@@ -46,8 +46,9 @@ struct InFlight {
     deadline: SimTime,
     /// Waiting for a map with epoch > this before retrying.
     blocked_on_epoch: Option<u64>,
-    /// The pending retransmit timer, if armed.
-    retry_timer: Option<TimerHandle>,
+    /// When the next retransmission is due: the request's entry in
+    /// [`RadosClient::retries`].
+    retry_at: Option<SimTime>,
     /// The `rados.op` span covering submission → completion; travels on
     /// every (re)transmission so the OSD parents its work under it.
     span: Option<SpanContext>,
@@ -59,6 +60,8 @@ pub struct RadosClient {
     map: OsdMapView,
     next_reqid: u64,
     inflight: HashMap<u64, InFlight>,
+    /// Retransmit deadlines of the requests in flight, by request id.
+    retries: Deadlines<u64>,
     /// Completions not yet collected, by request id: ordered, so draining
     /// them never lets hash order decide what the caller does first.
     completed: BTreeMap<u64, ClientEvent>,
@@ -72,6 +75,7 @@ impl RadosClient {
             map: OsdMapView::default(),
             next_reqid: 1,
             inflight: HashMap::new(),
+            retries: Deadlines::new(RETRY_TOKEN_BASE),
             completed: BTreeMap::new(),
         }
     }
@@ -112,7 +116,7 @@ impl RadosClient {
                 submitted_at: ctx.now(),
                 deadline: ctx.now() + REQUEST_DEADLINE,
                 blocked_on_epoch: None,
-                retry_timer: None,
+                retry_at: None,
                 span: Some(span),
             },
         );
@@ -131,9 +135,8 @@ impl RadosClient {
     }
 
     /// Removes and returns every completion held, in ascending request
-    /// order. An embedding actor collects this way: a completion it no
-    /// longer has a use for (it abandoned the request) is dropped by the
-    /// same call instead of being kept for the life of the client.
+    /// order. An embedding actor collects this way; a request it abandons
+    /// it [`RadosClient::cancel`]s, so none of these is unwanted.
     pub fn drain_completed(&mut self) -> impl Iterator<Item = ClientEvent> {
         std::mem::take(&mut self.completed).into_values()
     }
@@ -143,7 +146,29 @@ impl RadosClient {
         !self.completed.is_empty()
     }
 
-    /// Completes `reqid`, cancelling any pending retransmit timer.
+    /// Whether any request is still the client's to retransmit.
+    pub fn holds_requests(&self) -> bool {
+        !self.inflight.is_empty()
+    }
+
+    /// Abandons `reqid`: nothing more is sent for it and no completion
+    /// surfaces, collected or not. Its `rados.op` span ends tagged
+    /// `cancelled`. An embedder calls this where it drops the request's
+    /// route; a reply still on the wire finds no request.
+    pub fn cancel(&mut self, ctx: &mut Context<'_>, reqid: u64) {
+        self.completed.remove(&reqid);
+        let Some(inflight) = self.inflight.remove(&reqid) else {
+            return;
+        };
+        self.retries.disarm(reqid, inflight.retry_at);
+        if let Some(span) = inflight.span {
+            ctx.span_tag(span, "cancelled", "true");
+            ctx.span_end(span);
+        }
+        ctx.metrics().incr("client.cancelled", 1);
+    }
+
+    /// Completes `reqid` and drops its retransmit deadline.
     fn complete(
         &mut self,
         ctx: &mut Context<'_>,
@@ -153,9 +178,7 @@ impl RadosClient {
         let Some(inflight) = self.inflight.remove(&reqid) else {
             return;
         };
-        if let Some(timer) = inflight.retry_timer {
-            ctx.cancel_timer(timer);
-        }
+        self.retries.disarm(reqid, inflight.retry_at);
         let latency = ctx.now().since(inflight.submitted_at);
         if let Some(span) = inflight.span {
             if result.is_err() {
@@ -231,14 +254,13 @@ impl RadosClient {
                 );
             }
         }
-        // Always arm a retransmit timer: the op, its reply, or the map
-        // fetch may be lost. The timer fires, backs off, and re-sends.
-        let delay = ctx.backoff(RETRY_BASE, RETRY_CAP, attempts - 1);
-        let timer = ctx.set_timer(delay, RETRY_TOKEN_BASE + reqid);
+        // Always hold a retransmit deadline: the op, its reply, or the map
+        // fetch may be lost. When it comes due the request backs off and
+        // goes out again.
+        let at = ctx.now() + ctx.backoff(RETRY_BASE, RETRY_CAP, attempts - 1);
         if let Some(inflight) = self.inflight.get_mut(&reqid) {
-            if let Some(old) = inflight.retry_timer.replace(timer) {
-                ctx.cancel_timer(old);
-            }
+            let was = inflight.retry_at.replace(at);
+            self.retries.arm(ctx, reqid, was, at);
         }
     }
 
@@ -359,18 +381,20 @@ impl Actor for RadosClient {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-        if token < RETRY_TOKEN_BASE {
+        if token != RETRY_TOKEN_BASE {
             return;
         }
-        let reqid = token - RETRY_TOKEN_BASE;
-        let Some(inflight) = self.inflight.get_mut(&reqid) else {
-            return;
-        };
-        // The attempt (or its reply, or the map fetch) was lost or is too
-        // slow; unblock and go again. dispatch() enforces the deadline.
-        inflight.retry_timer = None;
-        inflight.blocked_on_epoch = None;
-        self.dispatch(ctx, reqid);
+        while let Some(reqid) = self.retries.pop_due(ctx) {
+            let Some(inflight) = self.inflight.get_mut(&reqid) else {
+                continue;
+            };
+            // The attempt (or its reply, or the map fetch) was lost or is
+            // too slow; unblock and go again. dispatch() enforces the
+            // deadline.
+            inflight.retry_at = None;
+            inflight.blocked_on_epoch = None;
+            self.dispatch(ctx, reqid);
+        }
     }
 }
 

@@ -396,6 +396,55 @@ fn restarted_client_is_not_answered_from_the_reply_cache_of_its_previous_life() 
     assert!(ev.reqid > first.reqid);
 }
 
+/// A cancelled request is no longer the client's: nothing more is sent for
+/// it and no completion surfaces — not for one still being retransmitted,
+/// not for one that completed and was not collected yet.
+#[test]
+fn cancelled_request_sends_nothing_more_and_surfaces_no_completion() {
+    let mut sim = build_cluster(3, 2, OsdConfig::default());
+    let append = || {
+        vec![Op::Append {
+            data: b"abandoned".to_vec(),
+        }]
+    };
+    // No OSD hears the client: the request is retransmitted with backoff.
+    for i in 0..3 {
+        sim.network_mut().sever(CLIENT, osd_node(i));
+    }
+    let lost = sim
+        .with_actor::<RadosClient, _>(CLIENT, |c, ctx| c.submit(ctx, oid("abandoned"), append()));
+    sim.run_for(SimDuration::from_millis(200));
+    let retries = sim.metrics().counter("client.retries");
+    assert!(retries >= 2, "only {retries} retransmissions in 200 ms");
+    assert!(sim.actor::<RadosClient>(CLIENT).holds_requests());
+    sim.with_actor::<RadosClient, _>(CLIENT, |c, ctx| c.cancel(ctx, lost));
+    assert!(!sim.actor::<RadosClient>(CLIENT).holds_requests());
+    // The links come back; a request still the client's would now land.
+    sim.network_mut().heal_all();
+    sim.run_for(SimDuration::from_secs(30));
+    assert_eq!(sim.metrics().counter("client.retries"), retries);
+    assert_eq!(sim.metrics().counter("client.cancelled"), 1);
+    assert_eq!(sim.metrics().counter("client.completed"), 0);
+    assert_eq!(sim.metrics().counter("client.timeouts"), 0);
+    let client = sim.actor::<RadosClient>(CLIENT);
+    assert!(!client.is_completed(lost) && !client.holds_completions());
+    for i in 0..3 {
+        let store = sim.actor::<Osd>(osd_node(i)).store();
+        assert!(!store.contains_key(&oid("abandoned")), "osd {i} got it");
+    }
+
+    // Completed and not collected yet: the completion goes too.
+    let done = sim
+        .with_actor::<RadosClient, _>(CLIENT, |c, ctx| c.submit(ctx, oid("uncollected"), append()));
+    let deadline = sim.now() + SimDuration::from_secs(5);
+    assert!(sim.run_until_pred(deadline, |s| {
+        s.actor::<RadosClient>(CLIENT).is_completed(done)
+    }));
+    sim.with_actor::<RadosClient, _>(CLIENT, |c, ctx| c.cancel(ctx, done));
+    let client = sim.actor_mut::<RadosClient>(CLIENT);
+    assert!(client.take_completed(done).is_none() && !client.holds_completions());
+}
+
 #[test]
 fn lock_class_serializes_two_clients() {
     let mut sim = build_cluster(3, 2, OsdConfig::default());

@@ -41,6 +41,7 @@
 //! assert_eq!(sim.actor::<Probe>(NodeId(0)).0, 42);
 //! ```
 
+pub mod deadlines;
 pub mod history;
 pub mod linearize;
 pub mod metrics;
@@ -53,6 +54,7 @@ pub mod actor;
 mod sched;
 
 pub use actor::{Actor, Context, TimerHandle};
+pub use deadlines::Deadlines;
 pub use metrics::{Hist, Metrics};
 pub use nemesis::{Fault, FaultSchedule, FaultTargets, Nemesis};
 pub use net::{NetConfig, Network};

@@ -534,8 +534,9 @@ impl Sim {
         }
     }
 
-    /// Number of events waiting in the queue.
-    pub fn pending_events(&self) -> usize {
+    /// Keys in the event queue — messages in flight, armed timers and the
+    /// tombstones of cancelled ones: the scheduler's occupancy.
+    pub fn queue_len(&self) -> usize {
         self.inner.queue.len()
     }
 }
@@ -638,14 +639,14 @@ mod tests {
             ctx.cancel_timer(h);
             ctx.cancel_timer(h);
         });
-        assert_eq!(sim.pending_events(), 1);
+        assert_eq!(sim.queue_len(), 1);
         assert_eq!(sim.step(), Some(SimTime(10_000)));
         assert_eq!(sim.step(), None);
         assert_eq!(sim.actor::<Recorder>(NodeId(0)).log.len(), 1);
     }
 
     /// Re-arms itself from its own firing and cancels the handle that
-    /// just fired, as the zlog and rados client watchdogs do.
+    /// just fired.
     struct Watchdog {
         armed: Option<TimerHandle>,
         fired: u32,
@@ -681,7 +682,7 @@ mod tests {
         assert_eq!(sim.actor::<Watchdog>(NodeId(0)).fired, 100_000);
         // One event is ever queued at a time; everything the scheduler
         // keeps per event stays that size.
-        assert_eq!(sim.pending_events(), 1);
+        assert_eq!(sim.queue_len(), 1);
         assert!(
             sim.inner.slots.len() <= 2,
             "{} slots",

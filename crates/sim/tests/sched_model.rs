@@ -312,11 +312,7 @@ fn run(program: &[Cmd]) {
             }
             Cmd::Send { .. } | Cmd::SetTimer { .. } | Cmd::Cancel { .. } => {}
         }
-        assert_eq!(
-            sim.pending_events(),
-            model.queue.len(),
-            "after {i}: {cmd:?}"
-        );
+        assert_eq!(sim.queue_len(), model.queue.len(), "after {i}: {cmd:?}");
         for node in 0..NODES {
             assert_eq!(sim.is_crashed(NodeId(node)), !model.alive.contains(&node));
         }
@@ -325,7 +321,7 @@ fn run(program: &[Cmd]) {
     sim.run_until_idle();
     while model.step() {}
     assert_eq!(sim.now(), SimTime(model.now), "clock after run_until_idle");
-    assert_eq!(sim.pending_events(), 0);
+    assert_eq!(sim.queue_len(), 0);
     assert_eq!(shared.borrow().log, model.log, "dispatch log");
     assert_eq!(shared.borrow().handles.len(), model.handles.len());
     let metrics = sim.metrics();

@@ -18,7 +18,9 @@ use mala_rados::client::RETRY_TOKEN_BASE as RADOS_RETRY_TOKEN_BASE;
 use mala_rados::{ObjectId, Op, OpResult, OsdError, RadosClient};
 use mala_sim::history::Recorder;
 use mala_sim::linearize::{LogOp, LogRead, LogRet};
-use mala_sim::{Actor, Context, NodeId, Sim, SimDuration, SimTime, SpanContext, TimerHandle};
+use mala_sim::{
+    Actor, Context, Deadlines, NodeId, Sim, SimDuration, SimTime, SpanContext, TimerHandle,
+};
 
 use crate::route::SeqRouter;
 use crate::storage::{
@@ -148,7 +150,8 @@ pub enum ZlogOut {
 
 enum Stage {
     /// Enqueued for the pipelined append path; a flush drains it into a
-    /// batch. Progress is owned by the flush timer, not the watchdog.
+    /// batch. Progress is owned by the flush timer: the watchdog holds
+    /// only the op's hard deadline.
     Queued,
     /// Member of the in-flight batch `batch` (an [`OpKind::Batch`] entry),
     /// which owns its progress.
@@ -213,10 +216,11 @@ struct PendingOp {
     kind: OpKind,
     stage: Stage,
     attempts: u32,
-    /// Hard deadline; the watchdog fails the op past it.
+    /// Hard deadline; the watchdog fails the op at it.
     deadline: SimTime,
-    /// Pending watchdog timer, replaced on each re-arm.
-    watch: Option<TimerHandle>,
+    /// When the watchdog looks at the op next: its entry in
+    /// [`ZlogClient::watch`], if it holds one.
+    watch: Option<SimTime>,
     /// Client-internal op (hole fill): completion is dropped, never
     /// surfaced as a result.
     internal: bool,
@@ -337,11 +341,11 @@ struct Cursor {
     waiter: Option<(u64, usize)>,
 }
 
-/// Watchdog tokens (`+ op id`): below the embedded RADOS client's band
-/// (`1 << 48`).
-const TOKEN_RETRY_BASE: u64 = 1 << 32;
 /// The append-queue flush-window timer.
 const TOKEN_FLUSH: u64 = 1;
+/// The watchdog's one timer ([`ZlogClient::watch`]). Both sit below the
+/// embedded RADOS client's token (`1 << 48`).
+const TOKEN_WATCH: u64 = 2;
 
 /// First watchdog delay; doubles per attempt up to [`RETRY_CAP`].
 const RETRY_BASE: SimDuration = SimDuration::from_millis(20);
@@ -366,6 +370,8 @@ pub struct ZlogClient {
     router: SeqRouter,
     seq_ino: Option<Ino>,
     ops: HashMap<u64, PendingOp>,
+    /// When the watchdog looks at each entry of `ops` next, by op id.
+    watch: Deadlines<u64>,
     results: HashMap<u64, AppendResult>,
     next_op: u64,
     next_seq: u64,
@@ -407,6 +413,7 @@ impl ZlogClient {
             epoch: 0,
             seq_ino: None,
             ops: HashMap::new(),
+            watch: Deadlines::new(TOKEN_WATCH),
             results: HashMap::new(),
             next_op: 1,
             next_seq: 1,
@@ -474,11 +481,12 @@ impl ZlogClient {
     }
 
     /// Whether the client holds no work and no trace of any: no pending
-    /// op, reply route, uncollected completion, parked entry or queued
-    /// append.
+    /// op, reply route, RADOS request still being retransmitted,
+    /// uncollected completion, parked entry or queued append.
     pub fn is_idle(&self) -> bool {
         self.ops.is_empty()
             && self.rados_waiting.is_empty()
+            && !self.rados.holds_requests()
             && !self.rados.holds_completions()
             && self.mds_waiting.is_empty()
             && self.mon_waiting.is_empty()
@@ -526,16 +534,28 @@ impl ZlogClient {
         op
     }
 
-    /// (Re-)arms the watchdog for `op` — single op or batch — with capped
-    /// exponential backoff and jitter from the sim's seeded RNG.
+    /// Sets when the watchdog looks at `op` — single op or batch — next.
+    /// An entry whose progress is someone else's (`Queued`: the flush
+    /// timer's; `InBatch`: its batch's; `BatchWrite`: the embedded RADOS
+    /// client's) holds its hard deadline and nothing else, which for a
+    /// batch is nothing. Every other stage is re-driven after a capped
+    /// exponential backoff with jitter from the sim's seeded RNG, or
+    /// failed at its deadline if that comes first.
     fn arm_watchdog(&mut self, ctx: &mut Context<'_>, op: u64) {
         let Some(pending) = self.ops.get_mut(&op) else {
             return;
         };
-        let delay = ctx.backoff(RETRY_BASE, RETRY_CAP, pending.attempts);
-        let timer = ctx.set_timer(delay, TOKEN_RETRY_BASE + op);
-        if let Some(old) = pending.watch.replace(timer) {
-            ctx.cancel_timer(old);
+        let at = match pending.stage {
+            Stage::Queued | Stage::InBatch { .. } | Stage::BatchWrite { .. } => pending.deadline,
+            _ => {
+                let delay = ctx.backoff(RETRY_BASE, RETRY_CAP, pending.attempts);
+                pending.deadline.min(ctx.now() + delay)
+            }
+        };
+        if at == NO_DEADLINE {
+            self.watch.disarm(op, pending.watch.take());
+        } else {
+            self.watch.arm(ctx, op, pending.watch.replace(at), at);
         }
     }
 
@@ -914,18 +934,16 @@ impl ZlogClient {
         let Some(pending) = self.ops.remove(&op) else {
             return;
         };
-        if let OpKind::Batch { .. } = pending.kind {
-            // Kept as found: a batch cancels its watchdog when it goes, a
-            // single op leaves its timer to fire at nothing. The digests
-            // tell the two apart.
-            if let Some(timer) = pending.watch {
-                ctx.cancel_timer(timer);
-            }
+        // Kept as found (DESIGN §23): an entry at the op's deadline, a
+        // minute away, goes with the op; one a backoff away is left to
+        // come due at nothing.
+        if pending.watch == Some(pending.deadline) {
+            self.watch.disarm(op, pending.watch);
         }
         if let AppendResult::Err(msg) = &result {
             // The op may die with requests out or parked: late replies
             // must find no route.
-            self.forget_requests(op);
+            self.forget_requests(ctx, op);
             // A batch only fails before any write went out, so it takes
             // its members with it, definitely failed.
             if let OpKind::Batch { members } = &pending.kind {
@@ -1624,9 +1642,7 @@ impl ZlogClient {
 
     /// Collects completions from the embedded RADOS client and routes them
     /// into the owning ops. Completions drive sends and timers, so they
-    /// are taken in request order. One whose route is gone belongs to a
-    /// request an earlier attempt abandoned ([`Self::forget_requests`]):
-    /// it is dropped here, reply payload and all.
+    /// are taken in request order.
     fn drain_rados(&mut self, ctx: &mut Context<'_>) {
         for event in self.rados.drain_completed() {
             let Some(op) = self.rados_waiting.remove(&event.reqid) else {
@@ -1699,11 +1715,20 @@ impl ZlogClient {
         self.redrive_op(ctx, op);
     }
 
-    /// Drops every reply route and park entry of `op`.
-    fn forget_requests(&mut self, op: u64) {
+    /// Drops every reply route and park entry of `op`, and cancels its
+    /// RADOS requests: an abandoned request is not retransmitted.
+    fn forget_requests(&mut self, ctx: &mut Context<'_>, op: u64) {
         self.blocked_on_epoch.retain(|(o, _)| *o != op);
         self.mds_blocked.retain(|o| *o != op);
-        self.rados_waiting.retain(|_, o| *o != op);
+        let routed = self.rados_waiting.iter().filter(|(_, o)| **o == op);
+        let mut reqids: Vec<u64> = routed.map(|(reqid, _)| *reqid).collect();
+        // Ending spans in hash order would reorder the trace from run to
+        // run.
+        reqids.sort_unstable();
+        for reqid in reqids {
+            self.rados_waiting.remove(&reqid);
+            self.rados.cancel(ctx, reqid);
+        }
         self.mds_waiting.retain(|_, o| *o != op);
         self.mon_waiting.retain(|_, o| *o != op);
     }
@@ -1722,8 +1747,8 @@ impl ZlogClient {
             // Batched appends are re-driven by the flush timer and their
             // batch, never through the single-op path (a stray restart
             // here would double-assign the op), and a batch with writes
-            // out keeps their reply routes.
-            self.arm_watchdog(ctx, op);
+            // out keeps their reply routes. Their watchdog entry is their
+            // hard deadline already: nothing to re-arm.
             return;
         }
         let write_pos = match pending.stage {
@@ -1736,7 +1761,7 @@ impl ZlogClient {
         // requests from earlier attempts: their late replies must not be
         // routed into the fresh attempt's state machine (for a batch, a
         // late duplicate grant must not double-grant).
-        self.forget_requests(op);
+        self.forget_requests(ctx, op);
         let Some(pending) = self.ops.get(&op) else {
             return;
         };
@@ -2601,26 +2626,23 @@ impl Actor for ZlogClient {
             self.drain_rados(ctx);
             return;
         }
-        if token >= TOKEN_RETRY_BASE {
-            let op = token - TOKEN_RETRY_BASE;
-            let Some(pending) = self.ops.get(&op) else {
-                return;
-            };
-            if ctx.now() >= pending.deadline {
-                ctx.metrics().incr("zlog.timeouts", 1);
-                self.fail_auto(ctx, op, "op deadline exceeded");
-                return;
-            }
-            match pending.stage {
+        if token == TOKEN_WATCH {
+            ctx.metrics().incr("zlog.watchdog_fires", 1);
+            while let Some(op) = self.watch.pop_due(ctx) {
+                let Some(pending) = self.ops.get_mut(&op) else {
+                    continue;
+                };
+                pending.watch = None;
                 // Queued / batched appends progress through the flush
                 // timer and their batch, and a batch's writes through the
                 // embedded RADOS client's own retransmit/timeout
-                // machinery: the watchdog only enforces the deadline and
-                // stays armed as the backstop.
-                Stage::Queued | Stage::InBatch { .. } | Stage::BatchWrite { .. } => {
-                    self.arm_watchdog(ctx, op)
+                // machinery: such an entry is due at its deadline only.
+                if ctx.now() >= pending.deadline {
+                    ctx.metrics().incr("zlog.timeouts", 1);
+                    self.fail_auto(ctx, op, "op deadline exceeded");
+                } else {
+                    self.restart_op(ctx, op);
                 }
-                _ => self.restart_op(ctx, op),
             }
             return;
         }

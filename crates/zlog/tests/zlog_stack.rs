@@ -7,6 +7,7 @@ use mala_consensus::{MonConfig, MonMsg, Monitor};
 use mala_mds::server::Mds;
 use mala_mds::{MdsConfig, MdsMapView, NoBalancer};
 use mala_rados::{Osd, OsdConfig, OsdMapView, PoolInfo};
+use mala_sim::history::{Outcome, Recorder};
 use mala_sim::{NodeId, Sim, SimDuration};
 use mala_zlog::log::{run_op, ZlogOut, ZLOG_MAP};
 use mala_zlog::{
@@ -237,14 +238,18 @@ fn epoch_lives_in_service_metadata() {
 
 /// Drives `count` pipelined appends through CLIENT_A and returns the
 /// assigned positions in submission order.
-fn drive_async_appends(sim: &mut Sim, count: usize, timeout: SimDuration) -> Vec<u64> {
-    let ops: Vec<u64> = (0..count)
+fn submit_async_appends(sim: &mut Sim, count: usize) -> Vec<u64> {
+    (0..count)
         .map(|i| {
             sim.with_actor::<ZlogClient, _>(CLIENT_A, move |c, ctx| {
                 c.append_async(ctx, format!("entry-{i}").into_bytes())
             })
         })
-        .collect();
+        .collect()
+}
+
+/// Waits for `ops` and returns their positions, in submission order.
+fn await_positions(sim: &mut Sim, ops: &[u64], timeout: SimDuration) -> Vec<u64> {
     let deadline = sim.now() + timeout;
     let done = sim.run_until_pred(deadline, |s| {
         let c = s.actor::<ZlogClient>(CLIENT_A);
@@ -260,6 +265,11 @@ fn drive_async_appends(sim: &mut Sim, count: usize, timeout: SimDuration) -> Vec
             },
         )
         .collect()
+}
+
+fn drive_async_appends(sim: &mut Sim, count: usize, timeout: SimDuration) -> Vec<u64> {
+    let ops = submit_async_appends(sim, count);
+    await_positions(sim, &ops, timeout)
 }
 
 #[test]
@@ -540,5 +550,159 @@ fn tail_discovery_skips_abandoned_grants_after_batched_appends() {
             !matches!(out, ReadOutcome::NotWritten),
             "cell {pos} unreadable below the sealed tail: {out:?}"
         );
+    }
+}
+
+// ---- timer economy: one deadline set per client (DESIGN §27) ----
+
+/// The client's per-op deadline (`OP_DEADLINE`).
+const OP_DEADLINE: SimDuration = SimDuration::from_secs(60);
+
+/// An append whose progress is someone else's holds its hard deadline and
+/// nothing else, and fails at it to the microsecond: left in the queue by a
+/// flush window longer than the deadline, or batched behind a sequencer
+/// rank that never answers (the batch spends its own attempts re-driving
+/// the grant; its member only waits).
+#[test]
+fn a_waiting_append_fails_at_its_deadline_exactly() {
+    for (log, flush_after_s, rank_answers) in [("dl0", 120, true), ("dl1", 40, false)] {
+        let history = Recorder::new();
+        let batch = BatchConfig {
+            queue_depth: 64,
+            flush_window: SimDuration::from_secs(flush_after_s),
+        };
+        let client = ZlogClient::with_batching(zcfg(log), batch).with_history(history.clone());
+        let mut sim = build_with(log, client);
+        if !rank_answers {
+            sim.network_mut().sever(CLIENT_A, MDS0);
+        }
+        let timeouts = sim.metrics().counter("zlog.timeouts");
+        let fires = sim.metrics().counter("zlog.watchdog_fires");
+        let invoked = sim.now();
+        let op = sim
+            .with_actor::<ZlogClient, _>(CLIENT_A, |c, ctx| c.append_async(ctx, b"late".to_vec()));
+        let limit = invoked + OP_DEADLINE + SimDuration::from_secs(1);
+        let done = sim.run_until_pred(limit, |s| s.actor::<ZlogClient>(CLIENT_A).is_done(op));
+        assert!(done, "{log}: still pending a second past its deadline");
+        assert_eq!(sim.now(), invoked + OP_DEADLINE, "{log}");
+        assert_eq!(
+            sim.actor_mut::<ZlogClient>(CLIENT_A).take_result(op),
+            Some(AppendResult::Err("op deadline exceeded".into())),
+            "{log}"
+        );
+        assert_eq!(
+            sim.metrics().counter("zlog.timeouts"),
+            timeouts + 1,
+            "{log}"
+        );
+        // No write went out, so the history knows the append did not apply.
+        let ops = history.operations();
+        let append = ops.last().expect("the append is in the history");
+        match &append.outcome {
+            Outcome::Fail { at, reason } => {
+                assert_eq!((*at, reason.as_str()), (sim.now(), "op deadline exceeded"));
+            }
+            other => panic!("{log}: {other:?}"),
+        }
+        // The append itself woke the client once, at its deadline; the
+        // rest is its batch re-driving the grant, a capped backoff apart.
+        let fires = sim.metrics().counter("zlog.watchdog_fires") - fires;
+        assert!(fires <= 20, "{log}: {fires} watchdog callbacks");
+        // The batch finds no live member at its next re-drive and goes.
+        sim.run_for(SimDuration::from_secs(4));
+        assert!(sim.actor::<ZlogClient>(CLIENT_A).is_idle(), "{log}");
+    }
+}
+
+/// Appends queued behind a rank that does not answer wait; they do not
+/// spin. Only their batches come back to the watchdog, a capped backoff
+/// apart — each waiting append used to re-arm a 20–30 ms timer of its own,
+/// some 120 000 callbacks here.
+#[test]
+fn appends_behind_a_silent_rank_wait_without_spinning() {
+    const N: usize = 1_000;
+    let batch = BatchConfig {
+        queue_depth: 8,
+        flush_window: SimDuration::from_millis(1),
+    };
+    let mut sim = build_with("quiet", ZlogClient::with_batching(zcfg("quiet"), batch));
+    sim.network_mut().sever(CLIENT_A, MDS0);
+    let fires = sim.metrics().counter("zlog.watchdog_fires");
+    let ops = submit_async_appends(&mut sim, N);
+    sim.run_for(SimDuration::from_secs(3));
+    let fires = sim.metrics().counter("zlog.watchdog_fires") - fires;
+    assert!(
+        (1..=N as u64).contains(&fires),
+        "{fires} watchdog callbacks for {N} waiting appends"
+    );
+    assert_eq!(sim.metrics().counter("zlog.timeouts"), 0);
+
+    // The rank answers again: every append completes, at its own position.
+    sim.network_mut().heal_all();
+    let mut positions = await_positions(&mut sim, &ops, SimDuration::from_secs(30));
+    positions.sort_unstable();
+    positions.dedup();
+    assert_eq!(positions.len(), N, "appends share positions");
+    assert!(sim.actor::<ZlogClient>(CLIENT_A).is_idle());
+}
+
+/// Finished ops and requests leave nothing in the scheduler: its occupancy
+/// is messages in flight plus a handful of timers per node, before the
+/// work, the moment it completes, and afterwards. Every append and every
+/// RADOS request used to park a key of its own for 10–30 ms.
+#[test]
+fn finished_work_leaves_the_scheduler_as_it_found_it() {
+    const N: usize = 1_000;
+    const NODES: usize = 8;
+    // Periodic timers come and go by one per node; each client's deadline
+    // sets keep at most a far and a near timer queued.
+    let slack = 2 * NODES;
+    let batch = BatchConfig {
+        queue_depth: 8,
+        flush_window: SimDuration::from_millis(1),
+    };
+    let mut sim = build_with("tidy", ZlogClient::with_batching(zcfg("tidy"), batch));
+    sim.run_for(SimDuration::from_millis(100));
+    let before = sim.queue_len();
+
+    // Paced so that the healthy sequencer keeps up.
+    let mut ops = Vec::with_capacity(N);
+    for i in 0..N {
+        ops.push(sim.with_actor::<ZlogClient, _>(CLIENT_A, move |c, ctx| {
+            c.append_async(ctx, format!("entry-{i}").into_bytes())
+        }));
+        sim.run_for(SimDuration::from_micros(200));
+    }
+    await_positions(&mut sim, &ops, SimDuration::from_secs(10));
+    let after_appends = sim.queue_len();
+    assert!(
+        after_appends <= before + slack,
+        "{N} finished appends left {after_appends} keys queued, {before} before them"
+    );
+
+    let cursor = sim.with_actor::<ZlogClient, _>(CLIENT_B, |c, ctx| c.tail_cursor(ctx));
+    for expect in 0..N as u64 {
+        let res = run_op(&mut sim, CLIENT_B, SimDuration::from_secs(5), |c, ctx| {
+            c.cursor_next_batch(ctx, cursor, 1)
+        });
+        match res {
+            AppendResult::Ok(ZlogOut::CursorBatch(entries)) => {
+                assert_eq!(entries.len(), 1);
+                assert_eq!(entries[0].0, expect);
+            }
+            other => panic!("cursor read {expect}: {other:?}"),
+        }
+    }
+    let after_reads = sim.queue_len();
+    assert!(
+        after_reads <= before + slack,
+        "{N} finished cursor reads left {after_reads} keys queued, {before} before them"
+    );
+
+    sim.run_for(SimDuration::from_millis(100));
+    let settled = sim.queue_len();
+    assert!(settled.abs_diff(before) <= slack, "{before} → {settled}");
+    for node in [CLIENT_A, CLIENT_B] {
+        assert!(sim.actor::<ZlogClient>(node).is_idle(), "{node}");
     }
 }
