@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints (warnings are errors), the one-RADOS-client
-# and no-timer-per-item structure checks, the tier-1 build + test pass (the
-# whole workspace minus the vendored stand-ins), every experiment's shape
-# check at quick scale, the three balancer figures at paper scale against
-# results/, and the frozen benchmark with its ceilings. Run from the
-# repository root before pushing.
+# Local CI gate: formatting, lints (warnings are errors), the one-RADOS-client,
+# no-timer-per-item and effects-not-calls structure checks, the tier-1 build +
+# test pass (the whole workspace minus the vendored stand-ins), every
+# experiment's shape check at quick scale, the three balancer figures at paper
+# scale against results/, and the frozen benchmark with its ceilings. Run from
+# the repository root before pushing.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -22,6 +22,10 @@ echo "==> no timer per item: a client's ops and requests share one deadline set 
 [ -z "$(grep -rn 'TOKEN_BASE +' crates --include='*.rs')" ]
 [ -z "$(grep -n 'set_timer(' crates/zlog/src/log.rs | grep -v 'TOKEN_FLUSH')" ]
 [ -z "$(grep -n 'set_timer(' crates/rados/src/client.rs)" ]
+
+echo "==> replication ships effects: in osd.rs only OsdMsg::ClientOp and handle_client_op hold a Transaction, and the replica path names no class registry (DESIGN §28)"
+[ "$(grep -c 'txn: Transaction' crates/rados/src/osd.rs)" = 2 ]
+[ -z "$(awk '/^    fn (handle_repl|apply_effect)\(/,/^    }$/' crates/rados/src/osd.rs | grep -E 'registry|ClassRegistry|ObjTxn|Transaction')" ]
 
 echo "==> cargo build --release"
 cargo build --release
@@ -59,11 +63,17 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 # operation repeat exactly on every rep of a seed, and the peak heap to
 # 0.1 %. Each ceiling is the value this quick run measured when it was
 # written, plus a margin; lower it when a change lowers the number.
-#   host_allocs_per_op  read_tail 393.03 (the scripted read path and the
+#   host_allocs_per_op  read_tail 390.40 (the scripted read path and the
 #                       cursor), mds_balance 4.139 (scheduler and
-#                       Metrics); +10 %.
+#                       Metrics); +10 %. append_steady 106.55 (127.64 while
+#                       each replica ran the write's class code again,
+#                       DESIGN §28); +5 %, so that a second execution per
+#                       write fails it.
 #   host_alloc_kb_per_op  read_tail 123.58 (every copy of a 1 KiB payload
 #                       between the omap and the reader); +10 %.
+#                       append_steady 18.07 (21.75 with the payload cloned
+#                       into every replica's message and run through the VM
+#                       there); +5 %.
 #   host_peak_heap_mb   append_overload 34.00 (the event queue at its
 #                       fullest); +5 %. Scheduler bookkeeping that grows
 #                       with the number of events ever queued, not with the
@@ -83,9 +93,11 @@ metric_at_most() {
             exit (verdict != "ok")
         }' <<<"$bench_out"
 }
-metric_at_most read_tail host_allocs_per_op 433
+metric_at_most read_tail host_allocs_per_op 430
 metric_at_most read_tail host_alloc_kb_per_op 136
 metric_at_most mds_balance host_allocs_per_op 4.55
+metric_at_most append_steady host_allocs_per_op 111.9
+metric_at_most append_steady host_alloc_kb_per_op 19.0
 metric_at_most append_overload host_peak_heap_mb 35.7
 metric_at_most append_overload sim.events_per_op 15.9
 

@@ -34,9 +34,10 @@ pub enum JournalRecord {
     /// what compaction folds an object's history into.
     PutObject(ObjectId, Object),
     /// What one transaction changed in an object: the post-image of the
-    /// parts it touched, applied on top of the records before it.
+    /// parts it touched, applied on top of the records before it. Built
+    /// by the primary; its replicas journal the same record.
     Delta(ObjectId, ObjectDelta),
-    /// Object removal.
+    /// Object removal (by a transaction, so shipped like a `Delta`).
     DelObject(ObjectId),
     /// The interfaces map became live at this epoch.
     Interfaces {
@@ -80,7 +81,10 @@ pub struct JournalSnapshot {
 
 #[derive(Debug, Default)]
 struct JournalInner {
-    records: Vec<JournalRecord>,
+    /// A transaction's effect is one record shared with the other
+    /// acting-set members' journals (DESIGN §28); the rest are this
+    /// journal's alone.
+    records: Vec<Rc<JournalRecord>>,
     appends: u64,
     compactions: u64,
 }
@@ -106,15 +110,15 @@ impl Journal {
 
     /// Appends one record, compacting first if the log is past the
     /// threshold (write-ahead: the caller appends *before* acking).
-    pub fn append(&self, record: JournalRecord) {
+    pub fn append(&self, record: impl Into<Rc<JournalRecord>>) {
         let mut inner = self.inner.borrow_mut();
         inner.appends += 1;
         if inner.records.len() >= COMPACT_THRESHOLD {
             let records = std::mem::take(&mut inner.records);
-            inner.records = unfold(fold(records));
+            inner.records = unfold(fold(records)).into_iter().map(Rc::new).collect();
             inner.compactions += 1;
         }
-        inner.records.push(record);
+        inner.records.push(record.into());
     }
 
     /// Folds the log into the durable state (what a restart loads).
@@ -143,15 +147,15 @@ impl Journal {
     }
 }
 
-fn fold(records: impl IntoIterator<Item = JournalRecord>) -> JournalSnapshot {
+fn fold(records: impl IntoIterator<Item = Rc<JournalRecord>>) -> JournalSnapshot {
     let mut snapshot = JournalSnapshot::default();
     for record in records {
-        match record {
+        match Rc::unwrap_or_clone(record) {
             JournalRecord::PutObject(oid, obj) => {
                 snapshot.store.insert(oid, obj);
             }
             JournalRecord::Delta(oid, delta) => {
-                snapshot.store.entry(oid).or_default().apply_delta(delta);
+                snapshot.store.entry(oid).or_default().apply_delta(&delta);
             }
             JournalRecord::DelObject(oid) => {
                 snapshot.store.remove(&oid);

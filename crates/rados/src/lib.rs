@@ -20,10 +20,11 @@
 //!   Table 1 statistics.
 //! * **Placement** ([`placement`]) — pools, placement groups, and
 //!   highest-random-weight (CRUSH-like) mapping of PGs onto OSDs.
-//! * **OSD daemons** ([`osd`]) — primary-copy replication, epoch-guarded
-//!   request admission, peer gossip of cluster maps (the gossip protocol
-//!   lives inside the OSD actor), scrubbing, and PG recovery after
-//!   failures.
+//! * **OSD daemons** ([`osd`]) — primary-copy replication (the primary
+//!   runs a transaction, its replicas apply the post-image it ships),
+//!   epoch-guarded request admission, peer gossip of cluster maps (the
+//!   gossip protocol lives inside the OSD actor), scrubbing, and PG
+//!   recovery after failures.
 //! * **Client** ([`client`]) — a librados-like client actor that maps
 //!   object names to primaries and retries across map changes.
 //! * **Journal** ([`journal`]) — a per-OSD write-ahead journal held

@@ -111,21 +111,23 @@ impl Object {
         h
     }
 
-    /// Applies a journalled post-image: after this the touched parts equal
-    /// what the transaction left behind, the rest is as it was.
-    pub fn apply_delta(&mut self, delta: ObjectDelta) {
+    /// Applies a post-image — journalled, or shipped by the primary: after
+    /// this the touched parts equal what the transaction left behind, the
+    /// rest is as it was. By reference, because one delta is shared by every
+    /// acting-set member and their journals.
+    pub fn apply_delta(&mut self, delta: &ObjectDelta) {
         if delta.reset {
             *self = Object::new();
         }
-        if let Some(d) = delta.data {
+        if let Some(d) = &delta.data {
             self.data.resize(d.len, 0);
             self.data[d.offset..d.offset + d.bytes.len()].copy_from_slice(&d.bytes);
         }
-        for (key, value) in delta.omap {
-            put_key(&mut self.omap, key, value);
+        for (key, value) in &delta.omap {
+            copy_key(&mut self.omap, key, value.as_ref());
         }
-        for (key, value) in delta.xattrs {
-            put_key(&mut self.xattrs, key, value);
+        for (key, value) in &delta.xattrs {
+            copy_key(&mut self.xattrs, key, value.as_ref());
         }
     }
 }
@@ -139,11 +141,25 @@ pub(crate) fn put_key(map: &mut BTreeMap<String, Vec<u8>>, key: String, value: O
     };
 }
 
+/// [`put_key`] from a borrowed post-image: a key that is already there keeps
+/// its allocations (a stripe's `maxpos` is rewritten by every append).
+fn copy_key(map: &mut BTreeMap<String, Vec<u8>>, key: &str, value: Option<&Vec<u8>>) {
+    match (value, map.get_mut(key)) {
+        (Some(v), Some(slot)) => slot.clone_from(v),
+        (Some(v), None) => {
+            map.insert(key.to_string(), v.clone());
+        }
+        (None, _) => {
+            map.remove(key);
+        }
+    }
+}
+
 /// What one committed transaction changed in an object, as *post-images*:
 /// the values the touched parts hold afterwards, not the operations that
-/// produced them. This is what the journal stores per mutation, so a record
-/// is as large as what the transaction touched, and replaying it runs no
-/// class code.
+/// produced them. This is what the journal stores per mutation and what the
+/// primary ships to its replicas, so a record is as large as what the
+/// transaction touched, and replaying or replicating it runs no class code.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObjectDelta {
     /// The transaction created the object, or removed and re-created it:

@@ -194,8 +194,8 @@ enum Undo {
 /// overwritten range alone — so [`ObjTxn::rollback`] undoes a failed
 /// transaction by replaying the log backwards, and
 /// [`ObjTxn::journal_record`] reads the post-image of the same touched
-/// parts for the journal. Both cost O(touched); a transaction that only
-/// reads logs nothing.
+/// parts for the journal and the replicas. Both cost O(touched); a
+/// transaction that only reads logs nothing.
 #[derive(Debug, Default)]
 pub struct ObjTxn {
     obj: Option<Object>,
@@ -405,8 +405,9 @@ impl ObjTxn {
         }
     }
 
-    /// The journal record for what this transaction did to `oid`: the
-    /// post-image of the logged parts. `None` if it changed nothing.
+    /// What this transaction did to `oid`, as the record the primary
+    /// journals and ships to its replicas: the post-image of the logged
+    /// parts. `None` if it changed nothing.
     pub fn journal_record(&self, oid: &ObjectId) -> Option<JournalRecord> {
         if self.undo.is_empty() {
             return None;

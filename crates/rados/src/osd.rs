@@ -3,8 +3,9 @@
 //! Reproduces the RADOS behaviours the paper's experiments lean on:
 //!
 //! * **Primary-copy replication** — clients address the PG primary; the
-//!   primary applies the transaction, replicates mutations to the acting
-//!   set, and acknowledges once all replicas ack.
+//!   primary runs the transaction, ships what it changed (its *effect*, a
+//!   post-image) to the acting set, and acknowledges once all replicas
+//!   ack. Replicas apply values; only the primary runs class code.
 //! * **Epoch-guarded admission** — requests tagged with a stale osdmap
 //!   epoch are rejected so clients refresh (Ceph's map-epoch handshake);
 //!   this is the transport-level half of CORFU's seal protocol.
@@ -19,6 +20,7 @@
 
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::rc::Rc;
 
 use mala_consensus::{MonMsg, SERVICE_MAP_INTERFACES, SERVICE_MAP_OSD};
 use mala_sim::{Actor, Context, NodeId, SimDuration, SpanContext};
@@ -94,14 +96,20 @@ pub enum OsdMsg {
         /// The OSD's current map epoch (lets clients refresh lazily).
         map_epoch: u64,
     },
-    /// Primary → replica mutation shipping.
+    /// Primary → replica effect shipping.
     Repl {
         /// Primary-chosen id for ack matching.
         repl_id: u64,
         /// Target object.
         oid: ObjectId,
-        /// The (already-validated) transaction.
-        txn: Transaction,
+        /// What the transaction changed at the primary — a
+        /// [`JournalRecord::Delta`] or [`JournalRecord::DelObject`], one
+        /// allocation shared by every copy of this message; `None` when a
+        /// mutation touched nothing.
+        effect: Option<Rc<JournalRecord>>,
+        /// The primary's per-op results: what this replica answers a
+        /// retransmit of the request with, should it become primary.
+        results: Vec<OpResult>,
         /// Originating client, for replica-side dedup of retransmits.
         origin_client: NodeId,
         /// The client's reqid (monotonic per client).
@@ -185,7 +193,7 @@ struct PendingRepl {
     client: NodeId,
     reqid: u64,
     oid: ObjectId,
-    txn: Transaction,
+    effect: Option<Rc<JournalRecord>>,
     results: Vec<OpResult>,
     waiting_on: HashSet<u32>,
     /// The `osd.op` span of the originating client op, closed when the
@@ -204,19 +212,19 @@ enum DupState {
     Done(Result<Vec<OpResult>, OsdError>),
 }
 
-/// A replicated mutation parked while its PG backfills; replayed (with
-/// dedup against the source's shipped reply window) once the snapshot
-/// lands.
 /// One source reply-cache entry carried by [`OsdMsg::BackfillPush`]:
 /// `(origin client, reqid, result)` of an op the snapshot already
 /// reflects.
 pub type AppliedReply = (NodeId, u64, Result<Vec<OpResult>, OsdError>);
 
+/// An [`OsdMsg::Repl`] as the replica handles it: at once, or — parked
+/// while the object's PG backfills — once the snapshot lands, deduped
+/// against the source's shipped reply window. The effect names its object.
 struct DeferredRepl {
     from: NodeId,
     repl_id: u64,
-    oid: ObjectId,
-    txn: Transaction,
+    effect: Option<Rc<JournalRecord>>,
+    results: Vec<OpResult>,
     origin_client: NodeId,
     origin_reqid: u64,
 }
@@ -331,21 +339,70 @@ impl Osd {
         &self.registry
     }
 
-    /// Applies `txn` to `oid` atomically and, write-ahead, journals what it
-    /// changed: the post-image of the parts it touched, so the record is as
-    /// large as the mutation, not the object. Called before the ack.
-    fn apply(&mut self, oid: &ObjectId, txn: &Transaction) -> Result<Vec<OpResult>, OsdError> {
+    /// The outcome this OSD would answer a retransmit of `(client, reqid)`
+    /// with: `None` if the request is outside the reply window or still
+    /// waiting for its replicas' acks.
+    pub fn cached_reply(
+        &self,
+        client: NodeId,
+        reqid: u64,
+    ) -> Option<&Result<Vec<OpResult>, OsdError>> {
+        match self.replies.get(&client)?.get(&reqid)? {
+            DupState::Done(result) => Some(result),
+            DupState::InFlight => None,
+        }
+    }
+
+    /// Applies `txn` to `oid` atomically — the one place class code runs —
+    /// and returns, beside the results, its effect: the post-image of the
+    /// parts it touched, as large as the mutation, not the object. Built
+    /// when there is a journal to write it ahead to (before the ack) or
+    /// replicas to `ship` it to, once for all of them; `None` if the
+    /// transaction changed nothing or nobody wants the record.
+    fn apply(
+        &mut self,
+        oid: &ObjectId,
+        txn: &Transaction,
+        ship: bool,
+    ) -> (Result<Vec<OpResult>, OsdError>, Option<Rc<JournalRecord>>) {
         let mut tracked = ObjTxn::begin(self.store.remove(oid));
         let result = tracked.run(txn, &self.registry);
-        if let Some(journal) = &self.journal {
-            if let Some(record) = tracked.journal_record(oid) {
-                journal.append(record);
-            }
+        let effect = if ship || self.journal.is_some() {
+            tracked.journal_record(oid).map(Rc::new)
+        } else {
+            None
+        };
+        if let (Some(journal), Some(effect)) = (&self.journal, &effect) {
+            journal.append(Rc::clone(effect));
         }
         if let Some(obj) = tracked.finish() {
             self.store.insert(oid.clone(), obj);
         }
-        result
+        (result, effect)
+    }
+
+    /// Makes a primary-shipped effect this replica's own: applied as values
+    /// and journalled, before the ack. Nothing here depends on which
+    /// interface version this OSD has installed.
+    fn apply_effect(&mut self, effect: Rc<JournalRecord>) {
+        match effect.as_ref() {
+            JournalRecord::Delta(oid, delta) => match self.store.get_mut(oid) {
+                Some(obj) => obj.apply_delta(delta),
+                None => {
+                    let mut obj = Object::new();
+                    obj.apply_delta(delta);
+                    self.store.insert(oid.clone(), obj);
+                }
+            },
+            JournalRecord::DelObject(oid) => {
+                self.store.remove(oid);
+            }
+            // A primary ships nothing else.
+            _ => return,
+        }
+        if let Some(journal) = &self.journal {
+            journal.append(effect);
+        }
     }
 
     /// Installs a whole object shipped by backfill or repair, journalling
@@ -416,14 +473,9 @@ impl Osd {
 
     /// Records the final answer for `(client, reqid)` in the in-memory
     /// cache and prunes the per-client window.
-    fn cache_reply(
-        &mut self,
-        client: NodeId,
-        reqid: u64,
-        result: &Result<Vec<OpResult>, OsdError>,
-    ) {
+    fn cache_reply(&mut self, client: NodeId, reqid: u64, result: Result<Vec<OpResult>, OsdError>) {
         let window = self.replies.entry(client).or_default();
-        window.insert(reqid, DupState::Done(result.clone()));
+        window.insert(reqid, DupState::Done(result));
         while window.len() > REPLY_CACHE_PER_CLIENT {
             window.pop_first();
         }
@@ -555,7 +607,7 @@ impl Osd {
             };
             let epoch = self.map.epoch;
             let result = Ok(pending.results);
-            self.cache_reply(pending.client, pending.reqid, &result);
+            self.cache_reply(pending.client, pending.reqid, result.clone());
             ctx.send_after(
                 self.config.service_time,
                 pending.client,
@@ -568,7 +620,7 @@ impl Osd {
         }
         // Drop backfills for PGs this map takes away from us. The parked
         // replications are replayed through the normal replica path —
-        // replicas apply shipped mutations unconditionally, so this keeps
+        // replicas apply shipped effects unconditionally, so this keeps
         // the primary's ack accounting moving even though we no longer
         // serve the PG.
         let mut dropped: Vec<(String, u32)> = self
@@ -694,7 +746,7 @@ impl Osd {
                 .find(|(client, reqid, _)| *client == d.origin_client && *reqid == d.origin_reqid);
             if let Some((client, reqid, result)) = done {
                 self.journal_reply(*client, *reqid, result);
-                self.cache_reply(*client, *reqid, result);
+                self.cache_reply(*client, *reqid, result.clone());
                 ctx.send_after(
                     self.config.service_time,
                     d.from,
@@ -797,7 +849,8 @@ impl Osd {
                                     OsdMsg::Repl {
                                         repl_id: *repl_id,
                                         oid: p.oid.clone(),
-                                        txn: p.txn.clone(),
+                                        effect: p.effect.clone(),
+                                        results: p.results.clone(),
                                         origin_client: p.client,
                                         origin_reqid: p.reqid,
                                     },
@@ -856,8 +909,9 @@ impl Osd {
         let parent = ctx.incoming_span();
         let op_span = ctx.span_start("osd.op", parent);
         let is_mutation = txn.iter().any(|op| op.is_mutation(&self.registry));
+        let replicate = is_mutation && acting.len() > 1;
         // Write-ahead: durable before replication and before the ack.
-        let result = self.apply(&oid, &txn);
+        let (result, effect) = self.apply(&oid, &txn, replicate);
         if is_mutation && result.is_ok() {
             // One group-commit covers every op the transaction batched
             // (e.g. a zlog `write_batch`); txn_ops / journal_commits is
@@ -899,23 +953,20 @@ impl Osd {
         }
         match result {
             Ok(results) => {
-                let replicas: Vec<u32> = acting[1..]
-                    .iter()
-                    .copied()
-                    .filter(|osd| *osd != self.id)
-                    .collect();
-                if is_mutation && !replicas.is_empty() {
+                if replicate {
+                    let replicas = &acting[1..];
                     let repl_id = self.next_repl_id;
                     self.next_repl_id += 1;
                     let ack_span = ctx.span_start("osd.replica_ack", Some(op_span));
-                    for osd in &replicas {
+                    for osd in replicas {
                         if let Some(node) = self.map.node_of(*osd) {
                             ctx.send_spanned(
                                 node,
                                 OsdMsg::Repl {
                                     repl_id,
                                     oid: oid.clone(),
-                                    txn: txn.clone(),
+                                    effect: effect.clone(),
+                                    results: results.clone(),
                                     origin_client: from,
                                     origin_reqid: reqid,
                                 },
@@ -938,9 +989,9 @@ impl Osd {
                             client: from,
                             reqid,
                             oid,
-                            txn,
+                            effect,
                             results,
-                            waiting_on: replicas.into_iter().collect(),
+                            waiting_on: replicas.iter().copied().collect(),
                             op_span: Some(op_span),
                             ack_span: Some(ack_span),
                         },
@@ -949,7 +1000,7 @@ impl Osd {
                     let result = Ok(results);
                     if is_mutation {
                         self.journal_reply(from, reqid, &result);
-                        self.cache_reply(from, reqid, &result);
+                        self.cache_reply(from, reqid, result.clone());
                     }
                     let msg = reply(self, result);
                     let done_at = ctx.now() + self.config.service_time;
@@ -964,7 +1015,7 @@ impl Osd {
                     // could succeed (e.g. exclusive create) — cache the
                     // verdict so a retransmit sees the original outcome.
                     self.journal_reply(from, reqid, &result);
-                    self.cache_reply(from, reqid, &result);
+                    self.cache_reply(from, reqid, result.clone());
                 }
                 ctx.span_tag(op_span, "error", "true");
                 let msg = reply(self, result);
@@ -975,16 +1026,17 @@ impl Osd {
         }
     }
 
-    /// Applies a primary-shipped mutation on this replica and acks it.
-    /// Retransmits are deduped by `(client, reqid)` — applying a
-    /// non-idempotent transaction (Append) twice would corrupt the copy —
-    /// and answered from the reply cache.
+    /// Applies a primary-shipped effect on this replica and acks it. No
+    /// class code runs here: the replica takes the primary's post-image and
+    /// the primary's results, whatever interface version it has installed
+    /// itself (DESIGN §28). Re-sent effects are deduped by
+    /// `(client, reqid)`, so each is journalled and applied once.
     fn handle_repl(&mut self, ctx: &mut Context<'_>, repl: DeferredRepl) {
         let DeferredRepl {
             from,
             repl_id,
-            oid,
-            txn,
+            effect,
+            results,
             origin_client,
             origin_reqid,
         } = repl;
@@ -997,16 +1049,15 @@ impl Osd {
         } else {
             let parent = ctx.incoming_span();
             let jspan = ctx.span_start("osd.repl_journal", parent);
-            // Replicas apply unconditionally; the primary already
-            // validated the transaction. The locally-computed
-            // result is identical to the primary's (deterministic
-            // state machine), so recording it lets this replica
-            // answer client retransmits correctly after a failover.
             // Journalled before acking: the primary counts this ack as
-            // a durable replica.
-            let result = self.apply(&oid, &txn);
+            // a durable replica. Recording the primary's results lets
+            // this replica answer client retransmits after a failover.
+            if let Some(effect) = effect {
+                self.apply_effect(effect);
+            }
+            let result = Ok(results);
             self.journal_reply(origin_client, origin_reqid, &result);
-            self.cache_reply(origin_client, origin_reqid, &result);
+            self.cache_reply(origin_client, origin_reqid, result);
             let done_at = ctx.now() + self.config.service_time;
             ctx.span_end_at(jspan, done_at);
         }
@@ -1111,7 +1162,8 @@ impl Actor for Osd {
             OsdMsg::Repl {
                 repl_id,
                 oid,
-                txn,
+                effect,
+                results,
                 origin_client,
                 origin_reqid,
             } => {
@@ -1126,29 +1178,20 @@ impl Actor for Osd {
                     .get(&oid.pool)
                     .map(|info| pg_of(&oid.pool, &oid.name, info.pg_num).index);
                 let backfill =
-                    pg_index.and_then(|index| self.backfills.get_mut(&(oid.pool.clone(), index)));
+                    pg_index.and_then(|index| self.backfills.get_mut(&(oid.pool, index)));
+                let repl = DeferredRepl {
+                    from,
+                    repl_id,
+                    effect,
+                    results,
+                    origin_client,
+                    origin_reqid,
+                };
                 if let Some(backfill) = backfill {
-                    backfill.deferred.push(DeferredRepl {
-                        from,
-                        repl_id,
-                        oid,
-                        txn,
-                        origin_client,
-                        origin_reqid,
-                    });
+                    backfill.deferred.push(repl);
                     ctx.metrics().incr("osd.backfill_deferred_repls", 1);
                 } else {
-                    self.handle_repl(
-                        ctx,
-                        DeferredRepl {
-                            from,
-                            repl_id,
-                            oid,
-                            txn,
-                            origin_client,
-                            origin_reqid,
-                        },
-                    );
+                    self.handle_repl(ctx, repl);
                 }
             }
             OsdMsg::ReplAck { repl_id } => {
@@ -1165,7 +1208,7 @@ impl Actor for Osd {
                     if let Some(pending) = done.then(|| self.pending.remove(&repl_id)).flatten() {
                         let epoch = self.map.epoch;
                         let result = Ok(pending.results);
-                        self.cache_reply(pending.client, pending.reqid, &result);
+                        self.cache_reply(pending.client, pending.reqid, result.clone());
                         if let Some(span) = pending.ack_span {
                             ctx.span_end(span);
                         }

@@ -4,7 +4,10 @@
 
 use mala_consensus::{MapUpdate, MonConfig, MonMsg, Monitor, SERVICE_MAP_INTERFACES};
 use mala_rados::client::request;
-use mala_rados::{Op, OpResult, Osd, OsdConfig, OsdMapView, PoolInfo, RadosClient};
+use mala_rados::{
+    JournalSet, Object, ObjectId, Op, OpResult, Osd, OsdConfig, OsdError, OsdMapView, PoolInfo,
+    RadosClient, Transaction,
+};
 use mala_sim::{NodeId, Sim, SimDuration};
 
 const MON: NodeId = NodeId(0);
@@ -17,10 +20,25 @@ fn osd_node(i: u32) -> NodeId {
 
 /// Builds a cluster: 1 monitor, `osds` OSDs, 1 client, and a `data` pool.
 fn build_cluster(osds: u32, replicas: u32, osd_config: OsdConfig) -> Sim {
+    build_cluster_of(osds, replicas, |i| Osd::new(i, MON, osd_config.clone()))
+}
+
+/// [`build_cluster`] with every OSD journalling into `journals`.
+fn build_journaled_cluster(osds: u32, replicas: u32, journals: &JournalSet) -> Sim {
+    build_cluster_of(osds, replicas, |i| journaled_osd(i, journals))
+}
+
+/// OSD `i` as it boots, and as it restarts, on its journal in `journals`.
+fn journaled_osd(i: u32, journals: &JournalSet) -> Osd {
+    let journal = journals.journal(osd_node(i));
+    Osd::with_journal(i, MON, OsdConfig::default(), journal)
+}
+
+fn build_cluster_of(osds: u32, replicas: u32, osd: impl Fn(u32) -> Osd) -> Sim {
     let mut sim = Sim::new(11);
     sim.add_node(MON, Monitor::new(0, vec![MON], MonConfig::default()));
     for i in 0..osds {
-        sim.add_node(osd_node(i), Osd::new(i, MON, osd_config.clone()));
+        sim.add_node(osd_node(i), osd(i));
     }
     sim.add_node(CLIENT, RadosClient::new(MON));
     // Register the pool and OSD membership.
@@ -40,8 +58,43 @@ fn build_cluster(osds: u32, replicas: u32, osd_config: OsdConfig) -> Sim {
     sim
 }
 
-fn oid(name: &str) -> mala_rados::ObjectId {
-    mala_rados::ObjectId::new("data", name)
+fn oid(name: &str) -> ObjectId {
+    ObjectId::new("data", name)
+}
+
+/// The acting set of `data/name` under the monitor's committed osdmap.
+fn acting_set(sim: &Sim, name: &str) -> Vec<u32> {
+    OsdMapView::from_snapshot(sim.actor::<Monitor>(MON).map("osdmap").unwrap())
+        .acting_set_for("data", name)
+        .unwrap()
+}
+
+/// OSD `i`'s copy of `data/name`.
+fn copy_on(sim: &Sim, i: u32, name: &str) -> Option<Object> {
+    sim.actor::<Osd>(osd_node(i))
+        .store()
+        .get(&oid(name))
+        .cloned()
+}
+
+/// Every acting-set member of `data/name` holds what the primary holds;
+/// returns that.
+fn assert_replicas_equal(sim: &Sim, name: &str) -> Option<Object> {
+    let acting = acting_set(sim, name);
+    let primary = copy_on(sim, acting[0], name);
+    for osd in &acting[1..] {
+        let copy = copy_on(sim, *osd, name);
+        assert_eq!(copy, primary, "{name}: osd {osd} differs from the primary");
+    }
+    primary
+}
+
+fn call(class: &str, method: &str, input: &[u8]) -> Op {
+    Op::Call {
+        class: class.into(),
+        method: method.into(),
+        input: input.to_vec(),
+    }
 }
 
 #[test]
@@ -242,12 +295,7 @@ fn primary_failure_recovers_data_and_serves_reads() {
     .result
     .unwrap();
     // Find and kill the primary.
-    let primary = {
-        let osdmap = |sim: &Sim| -> OsdMapView {
-            OsdMapView::from_snapshot(sim.actor::<Monitor>(MON).map("osdmap").unwrap())
-        };
-        osdmap(&sim).acting_set_for("data", "precious").unwrap()[0]
-    };
+    let primary = acting_set(&sim, "precious")[0];
     sim.crash(osd_node(primary));
     // The harness plays the monitor's failure detector: mark it down.
     sim.inject(
@@ -297,10 +345,7 @@ fn scrub_repairs_corrupted_replica() {
     .unwrap();
     sim.run_for(SimDuration::from_millis(100));
     // Corrupt one replica behind the system's back (bit rot).
-    let acting = OsdMapView::from_snapshot(sim.actor::<Monitor>(MON).map("osdmap").unwrap())
-        .acting_set_for("data", "checked")
-        .unwrap();
-    let victim = acting[1];
+    let victim = acting_set(&sim, "checked")[1];
     {
         let osd = sim.actor_mut::<Osd>(osd_node(victim));
         // Test-only backdoor: mutate the stored object directly.
@@ -515,5 +560,380 @@ fn transactions_are_atomic_across_replicas() {
         if let Some(obj) = osd.store().get(&oid("atomic")) {
             assert!(obj.omap.is_empty(), "osd {i} kept partial state");
         }
+    }
+}
+
+/// Interface-version skew: only the primary has heard of the class. The
+/// write must still land on every acting-set member, because replicas take
+/// the primary's effect and run nothing themselves. (While `Repl` carried
+/// the transaction, OSDs 1 and 2 answered themselves `NoClass`, cached
+/// that, acked, and held nothing, and the client was told `ok`.)
+#[test]
+fn replicas_converge_under_interface_version_skew() {
+    let quiet = |subscribe_to_monitor| OsdConfig {
+        subscribe_to_monitor,
+        gossip_fanout: 0,
+        gossip_interval: SimDuration::from_secs(3600),
+        ..OsdConfig::default()
+    };
+    let mut sim = build_cluster_of(3, 3, |i| Osd::new(i, MON, quiet(i == 0)));
+    let class_src = r#"
+        function put(input)
+            omap_set("payload", input)
+            return "stored"
+        end
+    "#;
+    sim.inject(
+        MON,
+        MonMsg::Submit {
+            seq: 2,
+            updates: vec![MapUpdate::set(
+                SERVICE_MAP_INTERFACES,
+                "kvdemo",
+                class_src.as_bytes().to_vec(),
+            )],
+        },
+    );
+    sim.run_for(SimDuration::from_secs(5));
+    for i in 0..3 {
+        let live = sim.actor::<Osd>(osd_node(i)).registry();
+        let live = live.scripted_version("kvdemo").is_some();
+        assert_eq!(live, i == 0, "osd {i}: kvdemo live = {live}");
+    }
+    let name = (0..)
+        .map(|k| format!("skew-{k}"))
+        .find(|name| acting_set(&sim, name)[0] == 0)
+        .unwrap();
+    let ev = request(
+        &mut sim,
+        CLIENT,
+        oid(&name),
+        vec![call("kvdemo", "put", b"42")],
+        SimDuration::from_secs(5),
+    );
+    let expected = Ok(vec![OpResult::CallOut(b"stored".to_vec())]);
+    assert_eq!(ev.result, expected);
+    for i in 0..3 {
+        let osd = sim.actor::<Osd>(osd_node(i));
+        let held = osd.store().get(&oid(&name)).map(|o| o.omap.get("payload"));
+        assert_eq!(held, Some(Some(&b"42".to_vec())), "osd {i} holds {held:?}");
+        let cached = osd.cached_reply(CLIENT, ev.reqid);
+        assert_eq!(cached, Some(&expected), "osd {i} would answer {cached:?}");
+    }
+}
+
+/// Mixed transactions through a 3-replica pool: whatever a transaction does
+/// at the primary — class code, byte-stream edits, key deletes, a remove and
+/// re-create, nothing at all — each replica ends up with the primary's
+/// object and the primary's answer.
+#[test]
+fn replicas_hold_the_primarys_object_after_mixed_transactions() {
+    let mut sim = build_cluster(3, 3, OsdConfig::default());
+    let name = "mixed";
+    let append = |data: &[u8]| Op::Append {
+        data: data.to_vec(),
+    };
+    let set = |key: &str, value: &[u8]| Op::OmapSet {
+        key: key.into(),
+        value: value.to_vec(),
+    };
+    let xset = |key: &str, value: &[u8]| Op::XattrSet {
+        key: key.into(),
+        value: value.to_vec(),
+    };
+    // Runs `txn`; every replica must then hold the primary's object and,
+    // if the primary said `Ok`, the primary's answer. A replica hears
+    // nothing of a transaction that failed.
+    let run = |sim: &mut Sim, txn: Transaction| {
+        let ev = request(sim, CLIENT, oid(name), txn, SimDuration::from_secs(5));
+        let object = assert_replicas_equal(sim, name);
+        let shipped = ev.result.is_ok().then_some(&ev.result);
+        for osd in &acting_set(sim, name)[1..] {
+            let cached = sim
+                .actor::<Osd>(osd_node(*osd))
+                .cached_reply(CLIENT, ev.reqid);
+            assert_eq!(cached, shipped, "osd {osd}: reply to {}", ev.reqid);
+        }
+        (ev.result, object)
+    };
+
+    // Class calls: an xattr set, a counter whose output is not repeatable,
+    // an xattr delete.
+    run(&mut sim, vec![call("lock", "lock", b"alice")])
+        .0
+        .unwrap();
+    let (counted, _) = run(&mut sim, vec![call("refcount", "get", b"")]);
+    assert_eq!(counted, Ok(vec![OpResult::CallOut(b"1".to_vec())]));
+    let (_, object) = run(&mut sim, vec![call("lock", "unlock", b"alice")]);
+    assert!(!object.unwrap().xattrs.contains_key("lock.owner"));
+
+    // The byte stream: append, overwrite past the end, truncate both ways.
+    run(&mut sim, vec![append(b"0123456789"), set("k", b"v1")])
+        .0
+        .unwrap();
+    let write = Op::Write {
+        offset: 12,
+        data: b"xy".to_vec(),
+    };
+    run(&mut sim, vec![write, Op::Truncate { size: 13 }])
+        .0
+        .unwrap();
+    let (_, object) = run(&mut sim, vec![Op::Truncate { size: 4 }, append(b"!")]);
+    assert_eq!(object.unwrap().data, b"0123!");
+    let (_, object) = run(&mut sim, vec![Op::Truncate { size: 7 }]);
+    assert_eq!(object.unwrap().data, b"0123!\0\0");
+
+    // Keys: set and delete in one transaction, delete of an earlier one.
+    let del = |key: &str| Op::OmapDel { key: key.into() };
+    run(&mut sim, vec![set("gone", b"x"), del("gone"), del("k")])
+        .0
+        .unwrap();
+    run(&mut sim, vec![xset("colour", b"green"), set("k", b"v2")])
+        .0
+        .unwrap();
+
+    // A mutation that touches nothing ships no effect; the replicas still
+    // record its answer (`run` checks that).
+    let before = assert_replicas_equal(&sim, name);
+    let (result, object) = run(&mut sim, vec![del("never-set")]);
+    assert_eq!(result, Ok(vec![OpResult::Done]));
+    assert_eq!(object, before);
+
+    // A failing transaction: rolled back at the primary, nothing shipped,
+    // nothing replicated.
+    let cmp = Op::OmapCmpXchg {
+        key: "k".into(),
+        expect: Some(b"v1".to_vec()),
+        value: b"v3".to_vec(),
+    };
+    let (result, object) = run(&mut sim, vec![set("half", b"done"), cmp]);
+    assert_eq!(result, Err(OsdError::CmpFailed));
+    assert_eq!(object, before);
+
+    // Remove then re-create in one transaction: the copy starts over.
+    let (_, object) = run(
+        &mut sim,
+        vec![
+            Op::Remove,
+            Op::Create { exclusive: true },
+            set("fresh", b"1"),
+        ],
+    );
+    let mut fresh = Object::new();
+    fresh.omap.insert("fresh".into(), b"1".to_vec());
+    assert_eq!(object, Some(fresh));
+
+    // Remove alone: gone everywhere.
+    let (_, object) = run(&mut sim, vec![Op::Remove]);
+    assert_eq!(object, None);
+    for i in 0..3 {
+        assert_eq!(
+            copy_on(&sim, i, name),
+            None,
+            "osd {i} kept a removed object"
+        );
+    }
+}
+
+/// Submits `txn` without waiting for it.
+fn submit(sim: &mut Sim, name: &str, txn: Transaction) -> u64 {
+    sim.with_actor::<RadosClient, _>(CLIENT, |c, ctx| c.submit(ctx, oid(name), txn))
+}
+
+/// Runs until `reqid` completes and returns its result.
+fn wait_for(sim: &mut Sim, reqid: u64) -> Result<Vec<OpResult>, OsdError> {
+    let deadline = sim.now() + SimDuration::from_secs(30);
+    let done = sim.run_until_pred(deadline, |s| {
+        s.actor::<RadosClient>(CLIENT).is_completed(reqid)
+    });
+    assert!(done, "request {reqid} never completed");
+    let client = sim.actor_mut::<RadosClient>(CLIENT);
+    client.take_completed(reqid).unwrap().result
+}
+
+/// A replica's ack is lost, the client retransmits while the primary still
+/// waits, and the primary re-sends the same effect: the replica journals
+/// and applies it once, and acks the copy from its reply window.
+#[test]
+fn redriven_effect_is_applied_once() {
+    let journals = JournalSet::new();
+    let mut sim = build_journaled_cluster(3, 3, &journals);
+    let name = "redriven";
+    let acting = acting_set(&sim, name);
+    let (primary, replica) = (acting[0], acting[1]);
+
+    let handled = sim.metrics().counter("osd.ops");
+    let append = vec![Op::Append {
+        data: b"once".to_vec(),
+    }];
+    let reqid = submit(&mut sim, name, append);
+    // The primary has applied and sent; cut its link to one replica while
+    // the effect is on the wire, so that replica's ack goes nowhere.
+    let deadline = sim.now() + SimDuration::from_secs(1);
+    assert!(sim.run_until_pred(deadline, |s| s.metrics().counter("osd.ops") > handled));
+    sim.network_mut()
+        .sever(osd_node(primary), osd_node(replica));
+    sim.run_for(SimDuration::from_millis(5));
+    let held = copy_on(&sim, replica, name).unwrap();
+    assert_eq!(held.data, b"once");
+    let answer = Ok(vec![OpResult::Done]);
+    let on = |sim: &Sim, osd: u32| {
+        let cached = sim.actor::<Osd>(osd_node(osd)).cached_reply(CLIENT, reqid);
+        cached.cloned()
+    };
+    assert_eq!(on(&sim, replica), Some(answer.clone()));
+    assert_eq!(on(&sim, primary), None, "primary answered short an ack");
+    assert!(!sim.actor::<RadosClient>(CLIENT).is_completed(reqid));
+    let journalled = journals.journal(osd_node(replica)).appends();
+
+    sim.network_mut().heal_all();
+    assert_eq!(wait_for(&mut sim, reqid), answer);
+    assert_eq!(sim.metrics().counter("osd.dup_repls"), 1);
+    assert_eq!(
+        journals.journal(osd_node(replica)).appends(),
+        journalled,
+        "the re-sent effect was journalled again"
+    );
+    assert_eq!(on(&sim, primary), Some(answer));
+    assert_eq!(assert_replicas_equal(&sim, name), Some(held));
+}
+
+/// An effect that reaches a joiner while the object's PG is still
+/// backfilling is parked and applied on top of the snapshot. Here the
+/// snapshot comes from the primary, which applied the write before it
+/// shipped either and still counts it in flight, so its reply window does
+/// not vouch for it: the joiner applies a post-image the snapshot already
+/// holds, and nothing changes. (Re-running the transaction there appended
+/// the bytes a second time.)
+#[test]
+fn effect_parked_during_backfill_is_applied_once() {
+    let config = OsdConfig {
+        backfill_retry_interval: SimDuration::from_secs(5),
+        ..OsdConfig::default()
+    };
+    let mut sim = build_cluster(3, 3, config.clone());
+    let names: Vec<String> = (0..16).map(|k| format!("bf-{k}")).collect();
+    for name in &names {
+        let append = vec![Op::Append {
+            data: b"a".to_vec(),
+        }];
+        let ev = request(
+            &mut sim,
+            CLIENT,
+            oid(name),
+            append,
+            SimDuration::from_secs(5),
+        );
+        ev.result.unwrap();
+    }
+    // OSD 3 joins cut off from its peers: it hears the map from the
+    // monitor, opens a backfill for every PG it gained, and its pulls are
+    // lost — the first, to each PG's primary, and two retries, to the other
+    // two prior members; the next retry goes to the primary again.
+    let joiner = 3;
+    sim.add_node(osd_node(joiner), Osd::new(joiner, MON, config));
+    for i in 0..3 {
+        sim.network_mut().sever(osd_node(joiner), osd_node(i));
+    }
+    sim.inject(
+        MON,
+        MonMsg::Submit {
+            seq: 2,
+            updates: vec![OsdMapView::update_osd(joiner, osd_node(joiner), true)],
+        },
+    );
+    let deadline = sim.now() + SimDuration::from_secs(20);
+    assert!(sim.run_until_pred(deadline, |s| {
+        let opened = s.metrics().counter("osd.backfills_started");
+        opened > 0 && s.metrics().counter("osd.backfill_retries") == 2 * opened
+    }));
+    sim.network_mut().heal_all();
+    sim.run_for(SimDuration::from_millis(10));
+    assert_eq!(sim.metrics().counter("osd.backfills_completed"), 0);
+
+    let name = names
+        .iter()
+        .find(|name| acting_set(&sim, name)[1..].contains(&joiner))
+        .unwrap();
+    assert_eq!(copy_on(&sim, joiner, name), None);
+    let append = vec![Op::Append {
+        data: b"b".to_vec(),
+    }];
+    let reqid = submit(&mut sim, name, append);
+    // Held back by the joiner's ack, which waits for the snapshot.
+    sim.run_for(SimDuration::from_millis(100));
+    assert!(!sim.actor::<RadosClient>(CLIENT).is_completed(reqid));
+    let parked = sim.metrics().counter("osd.backfill_deferred_repls");
+    assert!(parked >= 1, "nothing was parked");
+    assert_eq!(wait_for(&mut sim, reqid), Ok(vec![OpResult::Done]));
+
+    let m = sim.metrics();
+    assert!(m.counter("osd.backfills_completed") >= 1);
+    // The client's retransmits re-sent the effect, and each copy was parked
+    // too: all but one are answered from a reply window.
+    let parked = m.counter("osd.backfill_deferred_repls");
+    let deduped = m.counter("osd.backfill_deduped_repls") + m.counter("osd.dup_repls");
+    assert!(parked - deduped <= 1, "{parked} parked, {deduped} deduped");
+    let object = assert_replicas_equal(&sim, name).unwrap();
+    assert_eq!(object.data, b"ab");
+}
+
+/// A journalled replica that crashes comes back, from the primary's records
+/// in its own journal, with the objects and the reply window it had.
+#[test]
+fn journalled_replica_replays_shipped_effects_to_the_same_state() {
+    let journals = JournalSet::new();
+    let mut sim = build_journaled_cluster(3, 3, &journals);
+    let replica = 1;
+    let names: Vec<String> = (0..)
+        .map(|k| format!("replayed-{k}"))
+        .filter(|name| acting_set(&sim, name)[0] != replica)
+        .take(3)
+        .collect();
+    let mut reqids = Vec::new();
+    for round in 0..8u8 {
+        for name in &names {
+            let txn = match round % 4 {
+                0 => vec![
+                    Op::Append {
+                        data: vec![b'a' + round; 3],
+                    },
+                    call("refcount", "get", b""),
+                ],
+                1 => vec![Op::OmapSet {
+                    key: format!("k{round}"),
+                    value: vec![round; 5],
+                }],
+                2 => vec![
+                    Op::Truncate { size: 2 },
+                    Op::OmapDel {
+                        key: format!("k{}", round - 1),
+                    },
+                ],
+                _ => vec![Op::Remove, Op::Create { exclusive: false }],
+            };
+            let ev = request(&mut sim, CLIENT, oid(name), txn, SimDuration::from_secs(5));
+            ev.result.unwrap();
+            reqids.push(ev.reqid);
+        }
+    }
+    let window = |sim: &Sim| -> Vec<Option<Result<Vec<OpResult>, OsdError>>> {
+        let osd = sim.actor::<Osd>(osd_node(replica));
+        let cached = reqids.iter().map(|r| osd.cached_reply(CLIENT, *r).cloned());
+        cached.collect()
+    };
+    let store = sim.actor::<Osd>(osd_node(replica)).store().clone();
+    let replies = window(&sim);
+    assert_eq!(store.len(), names.len());
+    assert!(replies.iter().all(|r| matches!(r, Some(Ok(_)))));
+
+    sim.crash(osd_node(replica));
+    sim.restart(osd_node(replica), journaled_osd(replica, &journals));
+    sim.run_for(SimDuration::from_secs(1));
+    assert_eq!(sim.metrics().counter("osd.journal_replays"), 1);
+    assert_eq!(sim.actor::<Osd>(osd_node(replica)).store(), &store);
+    assert_eq!(window(&sim), replies);
+    for name in &names {
+        assert_replicas_equal(&sim, name);
     }
 }

@@ -136,14 +136,17 @@ impl<O: std::fmt::Debug, R: std::fmt::Debug> std::fmt::Display for Operation<O, 
 #[derive(Debug)]
 pub struct History<O, R> {
     events: Vec<Event<O, R>>,
-    next_id: u64,
+    /// The client of each invocation, by op id (ids start at 1 and are
+    /// handed out in order), so a completion finds its client without
+    /// searching `events`.
+    clients: Vec<u64>,
 }
 
 impl<O, R> Default for History<O, R> {
     fn default() -> History<O, R> {
         History {
             events: Vec::new(),
-            next_id: 1,
+            clients: Vec::new(),
         }
     }
 }
@@ -156,8 +159,8 @@ impl<O: Clone, R: Clone> History<O, R> {
 
     /// Records an invocation and returns its op id.
     pub fn invoke(&mut self, client: u64, at: SimTime, op: O) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
+        self.clients.push(client);
+        let id = self.clients.len() as u64;
         self.events.push(Event {
             id,
             client,
@@ -167,15 +170,12 @@ impl<O: Clone, R: Clone> History<O, R> {
         id
     }
 
-    fn complete(&mut self, id: u64, client_hint: Option<u64>, at: SimTime, phase: Phase<O, R>) {
-        let client = client_hint
-            .or_else(|| {
-                self.events
-                    .iter()
-                    .find(|e| e.id == id && matches!(e.phase, Phase::Invoke(_)))
-                    .map(|e| e.client)
-            })
-            .unwrap_or(0);
+    fn complete(&mut self, id: u64, at: SimTime, phase: Phase<O, R>) {
+        // An id this history never handed out completes as client 0.
+        let client = id
+            .checked_sub(1)
+            .and_then(|i| self.clients.get(usize::try_from(i).ok()?))
+            .map_or(0, |client| *client);
         self.events.push(Event {
             id,
             client,
@@ -186,17 +186,17 @@ impl<O: Clone, R: Clone> History<O, R> {
 
     /// Records a successful completion.
     pub fn ok(&mut self, id: u64, at: SimTime, ret: R) {
-        self.complete(id, None, at, Phase::Ok(ret));
+        self.complete(id, at, Phase::Ok(ret));
     }
 
     /// Records a definite failure (not applied).
     pub fn fail(&mut self, id: u64, at: SimTime, reason: impl Into<String>) {
-        self.complete(id, None, at, Phase::Fail(reason.into()));
+        self.complete(id, at, Phase::Fail(reason.into()));
     }
 
     /// Records an ambiguous completion (possibly applied).
     pub fn info(&mut self, id: u64, at: SimTime, maybe: Option<R>, reason: impl Into<String>) {
-        self.complete(id, None, at, Phase::Info(maybe, reason.into()));
+        self.complete(id, at, Phase::Info(maybe, reason.into()));
     }
 
     /// Pairs invokes with completions. Invocations with no completion
@@ -342,6 +342,58 @@ mod tests {
         assert!(matches!(ops[3].outcome, Outcome::Info { maybe: None, .. }));
         assert_eq!(ops[0].response_micros(), 15);
         assert_eq!(ops[2].response_micros(), u64::MAX);
+    }
+
+    /// Completions land out of invocation order and from interleaved
+    /// clients; each carries the client of its own invocation, and
+    /// `operations()` pairs them by id as before.
+    #[test]
+    fn interleaved_completions_are_attributed_to_the_invoking_client() {
+        let rec: Recorder<u32, u32> = Recorder::new();
+        let at = SimTime::from_micros;
+        let ids: Vec<u64> = (0..9u32)
+            .map(|i| rec.invoke(u64::from(10 + i % 3), at(u64::from(i)), i))
+            .collect();
+        assert_eq!(ids, (1..=9).collect::<Vec<u64>>());
+        // Newest first, one op left open, one id nobody invoked.
+        for (n, id) in ids.iter().rev().skip(1).enumerate() {
+            match n % 3 {
+                0 => rec.ok(*id, at(100 + *id), *id as u32),
+                1 => rec.fail(*id, at(100 + *id), "refused"),
+                _ => rec.info(*id, at(100 + *id), None, "timeout"),
+            }
+        }
+        rec.ok(77, at(300), 0);
+        let history = rec.inner.borrow();
+        let completions: Vec<(u64, u64)> = history
+            .events()
+            .iter()
+            .filter(|e| !matches!(e.phase, Phase::Invoke(_)))
+            .map(|e| (e.id, e.client))
+            .collect();
+        let expected: Vec<(u64, u64)> = (1..=8u64)
+            .rev()
+            .map(|id| (id, 10 + (id - 1) % 3))
+            .chain([(77, 0)])
+            .collect();
+        assert_eq!(completions, expected);
+
+        let ops = history.operations();
+        assert_eq!(ops.len(), 9);
+        for (i, op) in ops.iter().enumerate() {
+            assert_eq!((op.id, op.op), (i as u64 + 1, i as u32));
+            assert_eq!(op.client, 10 + i as u64 % 3);
+            assert_eq!(op.invoked, at(i as u64));
+        }
+        // Completion n (0-based) went to id 8 - n.
+        assert!(matches!(ops[7].outcome, Outcome::Ok { ret: 8, .. }));
+        assert!(matches!(ops[6].outcome, Outcome::Fail { .. }));
+        assert!(matches!(&ops[5].outcome, Outcome::Info { reason, .. } if reason == "timeout"));
+        assert!(matches!(ops[4].outcome, Outcome::Ok { ret: 5, .. }));
+        assert_eq!(ops[7].response_micros(), 108);
+        assert!(
+            matches!(&ops[8].outcome, Outcome::Info { reason, .. } if reason.contains("pending"))
+        );
     }
 
     #[test]

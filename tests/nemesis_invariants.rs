@@ -2319,7 +2319,7 @@ mod batched_props {
 }
 
 mod batched_smoke {
-    use mala_rados::{Osd, OsdConfig};
+    use mala_rados::{ObjectId, Osd, OsdConfig};
     use mala_sim::{Fault, FaultSchedule, Nemesis, SimDuration, SimTime};
     use mala_zlog::log::{run_op, ZlogOut};
     use mala_zlog::{
@@ -2457,6 +2457,34 @@ mod batched_smoke {
         assert!(m.counter("nemesis.crash.osd") >= 1, "fault metrics missing");
         if let Err(e) = super::lin::check_log(&history, seed) {
             panic!("{e}");
+        }
+        assert_replicas_equal(&cluster, 3, "p");
+    }
+
+    /// At quiesce every up acting-set member of every `pool` object holds
+    /// the object its primary holds: replicas take the primary's effects,
+    /// so crash, journal replay and re-driven replication leave no copy
+    /// behind or ahead.
+    fn assert_replicas_equal(cluster: &Cluster, osds: u32, pool: &str) {
+        let store = |i: u32| cluster.sim.actor::<Osd>(cluster.osd_node(i)).store();
+        let mut oids: Vec<&ObjectId> = (0..osds)
+            .flat_map(|i| store(i).keys().filter(|oid| oid.pool == pool))
+            .collect();
+        oids.sort();
+        oids.dedup();
+        assert!(!oids.is_empty(), "no object in pool {pool}");
+        let map = cluster.sim.actor::<Osd>(cluster.osd_node(0)).osdmap();
+        for oid in oids {
+            let acting = map.acting_set_for(&oid.pool, &oid.name).unwrap();
+            assert_eq!(acting.len(), 2, "{oid}: acting set {acting:?}");
+            for osd in &acting[1..] {
+                assert_eq!(
+                    store(*osd).get(oid),
+                    store(acting[0]).get(oid),
+                    "{oid}: osd {osd} differs from primary {}",
+                    acting[0]
+                );
+            }
         }
     }
 }
