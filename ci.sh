@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints (warnings are errors), the one-RADOS-client,
-# no-timer-per-item and effects-not-calls structure checks, the tier-1 build +
+# no-timer-per-item, effects-not-calls and payload-is-bytes structure checks, the tier-1 build +
 # test pass (the whole workspace minus the vendored stand-ins), every
 # experiment's shape check at quick scale, the three balancer figures at paper
 # scale against results/, and the frozen benchmark with its ceilings. Run from
@@ -23,9 +23,17 @@ echo "==> no timer per item: a client's ops and requests share one deadline set 
 [ -z "$(grep -n 'set_timer(' crates/zlog/src/log.rs | grep -v 'TOKEN_FLUSH')" ]
 [ -z "$(grep -n 'set_timer(' crates/rados/src/client.rs)" ]
 
-echo "==> replication ships effects: in osd.rs only OsdMsg::ClientOp and handle_client_op hold a Transaction, and the replica path names no class registry (DESIGN §28)"
-[ "$(grep -c 'txn: Transaction' crates/rados/src/osd.rs)" = 2 ]
+echo "==> replication ships effects: in osd.rs only OsdMsg::ClientOp and handle_client_op hold a Transaction (the client's, shared) and apply borrows it, and the replica path names no class registry (DESIGN §28)"
+[ "$(grep -c 'req: Rc<(ObjectId, Transaction)>' crates/rados/src/osd.rs)" = 2 ]
+[ "$(grep -c 'Transaction' crates/rados/src/osd.rs)" = 4 ]
 [ -z "$(awk '/^    fn (handle_repl|apply_effect)\(/,/^    }$/' crates/rados/src/osd.rs | grep -E 'registry|ClassRegistry|ObjTxn|Transaction')" ]
+
+echo "==> a payload is bytes, held once: no lossy decoding on the class path or in the zlog wire helpers, and no native copies a value to store it (DESIGN §29)"
+above_tests() { awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
+[ -z "$(above_tests crates/rados/src/class.rs | grep -n 'from_utf8_lossy')" ]
+[ -z "$(above_tests crates/zlog/src/storage.rs | grep -n 'from_utf8_lossy')" ]
+[ -z "$(awk '/^fn install_object_natives\(/,/^}$/' crates/rados/src/class.rs | grep -n '\.to_vec()')" ]
+[ -z "$(grep -rn 'Rc<str>' crates/dsl/src crates/rados/src | grep -v 'names: Vec<Rc<str>>\|type GlobalNames')" ]
 
 echo "==> cargo build --release"
 cargo build --release
@@ -63,21 +71,27 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 # operation repeat exactly on every rep of a seed, and the peak heap to
 # 0.1 %. Each ceiling is the value this quick run measured when it was
 # written, plus a margin; lower it when a change lowers the number.
-#   host_allocs_per_op  read_tail 390.40 (the scripted read path and the
-#                       cursor), mds_balance 4.139 (scheduler and
-#                       Metrics); +10 %. append_steady 106.55 (127.64 while
+#   host_allocs_per_op  read_tail 323.56 (the scripted read path and the
+#                       cursor; 390.40 while a stored value was copied
+#                       into the VM and again into the reply, DESIGN §29),
+#                       mds_balance 4.139 (scheduler and Metrics); +10 %.
+#                       append_steady 82.45 (106.55 while the request was
+#                       cloned per transmission and the payload copied into
+#                       the argument, the omap and the effect; 127.64 while
 #                       each replica ran the write's class code again,
-#                       DESIGN §28); +5 %, so that a second execution per
-#                       write fails it.
-#   host_alloc_kb_per_op  read_tail 123.58 (every copy of a 1 KiB payload
-#                       between the omap and the reader); +10 %.
-#                       append_steady 18.07 (21.75 with the payload cloned
-#                       into every replica's message and run through the VM
-#                       there); +5 %.
-#   host_peak_heap_mb   append_overload 34.00 (the event queue at its
-#                       fullest); +5 %. Scheduler bookkeeping that grows
-#                       with the number of events ever queued, not with the
-#                       number queued at once, shows here first.
+#                       DESIGN §28); +5 %.
+#   host_alloc_kb_per_op  read_tail 83.57 (one copy of a 1 KiB payload
+#                       between the omap and the reader; 123.58 with
+#                       three); +10 %. append_steady 13.11 (18.07 before
+#                       stored values were shared buffers; 21.75 with the
+#                       payload cloned into every replica's message and run
+#                       through the VM there); +5 %.
+#   host_peak_heap_mb   append_overload 29.22 (the event queue at its
+#                       fullest; 34.00 while every queued request owned a
+#                       copy of its transaction); +5 %. Scheduler
+#                       bookkeeping that grows with the number of events
+#                       ever queued, not with the number queued at once,
+#                       shows here first.
 #   sim.events_per_op   append_overload 14.42 (72.5 while every waiting
 #                       append re-armed a watchdog of its own); +10 %. An
 #                       op that spins on a timer while its progress is
@@ -93,12 +107,12 @@ metric_at_most() {
             exit (verdict != "ok")
         }' <<<"$bench_out"
 }
-metric_at_most read_tail host_allocs_per_op 430
-metric_at_most read_tail host_alloc_kb_per_op 136
+metric_at_most read_tail host_allocs_per_op 356
+metric_at_most read_tail host_alloc_kb_per_op 92
 metric_at_most mds_balance host_allocs_per_op 4.55
-metric_at_most append_steady host_allocs_per_op 111.9
-metric_at_most append_steady host_alloc_kb_per_op 19.0
-metric_at_most append_overload host_peak_heap_mb 35.7
+metric_at_most append_steady host_allocs_per_op 86.6
+metric_at_most append_steady host_alloc_kb_per_op 13.8
+metric_at_most append_overload host_peak_heap_mb 30.7
 metric_at_most append_overload sim.events_per_op 15.9
 
 echo "CI gate passed."

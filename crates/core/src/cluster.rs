@@ -497,10 +497,10 @@ mod tests {
         let out = cluster
             .rados(
                 ObjectId::new("data", "obj"),
-                data_io::call("echo", "echo", b"hi".to_vec()),
+                data_io::call("echo", "echo", b"hi"),
             )
             .unwrap();
-        assert_eq!(out[0], OpResult::CallOut(b"hi".to_vec()));
+        assert_eq!(out[0], OpResult::CallOut(b"hi"[..].into()));
     }
 
     #[test]

@@ -103,11 +103,11 @@ pub mod data_io {
     }
 
     /// A transaction invoking `class.method` with `input`.
-    pub fn call(class: &str, method: &str, input: impl Into<Vec<u8>>) -> Transaction {
+    pub fn call(class: &str, method: &str, input: impl AsRef<[u8]>) -> Transaction {
         vec![Op::Call {
             class: class.to_string(),
             method: method.to_string(),
-            input: input.into(),
+            input: input.as_ref().into(),
         }]
     }
 }
@@ -209,7 +209,7 @@ mod tests {
         let up = data_io::install_interface("demo", "function f() end");
         assert_eq!(up.map, SERVICE_MAP_INTERFACES);
         assert_eq!(up.key, "demo");
-        let txn = data_io::call("demo", "f", b"x".to_vec());
+        let txn = data_io::call("demo", "f", b"x");
         assert!(matches!(&txn[0], Op::Call { class, method, .. }
             if class == "demo" && method == "f"));
     }

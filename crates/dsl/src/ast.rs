@@ -6,6 +6,7 @@
 //! wire format.
 
 use std::fmt;
+use std::rc::Rc;
 
 /// A sequence of statements.
 pub type Block = Vec<Stmt>;
@@ -73,8 +74,8 @@ pub enum Expr {
     Bool(bool),
     /// Numeric literal.
     Num(f64),
-    /// String literal.
-    Str(String),
+    /// String literal: its bytes, shared with every value it evaluates to.
+    Str(Rc<[u8]>),
     /// Variable reference.
     Var(String),
     /// `{ [expr, ...] [name = expr, ...] }`
@@ -263,16 +264,21 @@ pub fn print_block(block: &Block) -> String {
     P(block).to_string()
 }
 
-fn escape(s: &str) -> String {
+/// A literal's bytes as source: printable ASCII as it is, the rest
+/// escaped, so the printed script is text whatever the literal holds.
+fn escape(s: &[u8]) -> String {
+    use fmt::Write;
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            other => out.push(other),
+    for &b in s {
+        match b {
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            b'\\' => out.push_str("\\\\"),
+            b'"' => out.push_str("\\\""),
+            b' '..=b'~' => out.push(b as char),
+            // Writing to a `String` cannot fail.
+            _ => drop(write!(out, "\\x{b:02x}")),
         }
     }
     out
@@ -307,8 +313,8 @@ impl fmt::Display for Expr {
             }
             Expr::Index(base, idx) => {
                 if let Expr::Str(s) = idx.as_ref() {
-                    if is_identifier(s) {
-                        return write!(f, "{base}.{s}");
+                    if let Some(field) = std::str::from_utf8(s).ok().filter(|s| is_identifier(s)) {
+                        return write!(f, "{base}.{field}");
                     }
                 }
                 write!(f, "{base}[{idx}]")
@@ -402,12 +408,12 @@ mod tests {
     fn display_field_vs_index() {
         let field = Expr::Index(
             Box::new(Expr::Var("t".into())),
-            Box::new(Expr::Str("name".into())),
+            Box::new(Expr::Str(b"name"[..].into())),
         );
         assert_eq!(field.to_string(), "t.name");
         let idx = Expr::Index(
             Box::new(Expr::Var("t".into())),
-            Box::new(Expr::Str("not an id".into())),
+            Box::new(Expr::Str(b"not an id"[..].into())),
         );
         assert_eq!(idx.to_string(), "t[\"not an id\"]");
     }
@@ -426,7 +432,9 @@ mod tests {
 
     #[test]
     fn string_escaping_round_trips_visually() {
-        let e = Expr::Str("a\"b\\c\nd".into());
+        let e = Expr::Str(b"a\"b\\c\nd"[..].into());
         assert_eq!(e.to_string(), "\"a\\\"b\\\\c\\nd\"");
+        let e = Expr::Str("h\u{e9}\0\u{7f}".as_bytes().into());
+        assert_eq!(e.to_string(), "\"h\\xc3\\xa9\\x00\\x7f\"");
     }
 }

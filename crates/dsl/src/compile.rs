@@ -822,7 +822,7 @@ impl Compiler {
                 self.emit(Op::Const(i));
             }
             Expr::Str(s) => {
-                let i = self.const_idx(Value::str(s))?;
+                let i = self.const_idx(Value::Str(Rc::clone(s)))?;
                 self.emit(Op::Const(i));
             }
             Expr::Var(name) => match self.resolve(name) {
@@ -850,7 +850,7 @@ impl Compiler {
                         }
                         TableItem::Named(k, e) => {
                             self.expr(e)?;
-                            let i = self.key_idx(Key::Str(k.clone()))?;
+                            let i = self.key_idx(Key::Str(k.as_bytes().into()))?;
                             self.emit(Op::TableSetConst(i));
                         }
                     }
@@ -949,7 +949,7 @@ impl Compiler {
 /// interpreter's.
 fn const_key(idx: &Expr) -> Option<Key> {
     match idx {
-        Expr::Str(s) => Some(Key::Str(s.clone())),
+        Expr::Str(s) => Some(Key::Str(Rc::clone(s))),
         Expr::Num(n) if n.fract() == 0.0 => Some(Key::Int(*n as i64)),
         _ => None,
     }
@@ -1120,7 +1120,7 @@ fn disasm_proto(p: &Proto, path: &str, out: &mut String) {
     );
     for (i, c) in p.consts.iter().enumerate() {
         let rendered = match c {
-            Value::Str(s) => format!("{s:?}"),
+            Value::Str(_) => format!("{:?}", c.display()),
             other => other.display(),
         };
         let _ = writeln!(out, "  const[{i}] = {rendered}");
@@ -1128,7 +1128,7 @@ fn disasm_proto(p: &Proto, path: &str, out: &mut String) {
     for (i, k) in p.keys.iter().enumerate() {
         let rendered = match k {
             Key::Int(n) => format!("[{n}]"),
-            Key::Str(s) => format!(".{s}"),
+            Key::Str(_) => format!(".{k}"),
         };
         let _ = writeln!(out, "  key[{i}] = {rendered}");
     }
@@ -1147,14 +1147,14 @@ fn disasm_proto(p: &Proto, path: &str, out: &mut String) {
             Op::Const(k) => {
                 let c = &p.consts[*k as usize];
                 match c {
-                    Value::Str(s) => format!(" ; {s:?}"),
+                    Value::Str(_) => format!(" ; {:?}", c.display()),
                     other => format!(" ; {}", other.display()),
                 }
             }
             Op::GetConst(k) | Op::SetConst(k) | Op::TableSetConst(k) => {
                 match &p.keys[*k as usize] {
                     Key::Int(n) => format!(" ; [{n}]"),
-                    Key::Str(s) => format!(" ; .{s}"),
+                    key @ Key::Str(_) => format!(" ; .{key}"),
                 }
             }
             Op::LoadGlobal(n) | Op::StoreGlobal(n) => {
@@ -1212,7 +1212,7 @@ mod tests {
     fn const_field_access_uses_key_pool() {
         let c = chunk("x = t.load + t[2]");
         assert!(c.main.code.contains(&Op::GetConst(0)));
-        assert_eq!(c.main.keys[0], Key::Str("load".to_string()));
+        assert_eq!(c.main.keys[0], Key::Str(b"load"[..].into()));
         assert_eq!(c.main.keys[1], Key::Int(2));
     }
 

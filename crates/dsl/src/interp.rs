@@ -374,7 +374,7 @@ impl Interp {
                     let scope = Scope::child(env);
                     let key_val = match k {
                         Key::Int(i) => Value::Num(i as f64),
-                        Key::Str(s) => Value::str(s),
+                        Key::Str(s) => Value::Str(s),
                     };
                     scope.declare(key, key_val);
                     scope.declare(value, v);
@@ -428,7 +428,7 @@ impl Interp {
             Expr::Nil => Ok(Value::Nil),
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::Num(n) => Ok(Value::Num(*n)),
-            Expr::Str(s) => Ok(Value::str(s)),
+            Expr::Str(s) => Ok(Value::Str(Rc::clone(s))),
             Expr::Var(name) => Ok(env.get(name)),
             Expr::TableLit(items) => {
                 let mut t = Table::new();
@@ -569,7 +569,7 @@ pub(crate) fn to_key(v: &Value) -> Result<Key, RtError> {
                 Err(RtError::new(format!("non-integer table key {n}")))
             }
         }
-        Value::Str(s) => Ok(Key::Str(s.to_string())),
+        Value::Str(s) => Ok(Key::Str(Rc::clone(s))),
         other => Err(RtError::new(format!(
             "invalid table key of type {}",
             other.type_name()
@@ -581,12 +581,12 @@ thread_local! {
     /// Staging buffer for [`with_scratch`], kept between calls so that
     /// building a string costs one allocation: the result's, at its exact
     /// size.
-    static SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
+    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Runs `build` on the (emptied) staging buffer. `build` must not call
 /// back into an engine.
-pub(crate) fn with_scratch<R>(build: impl FnOnce(&mut String) -> R) -> R {
+pub(crate) fn with_scratch<R>(build: impl FnOnce(&mut Vec<u8>) -> R) -> R {
     SCRATCH.with_borrow_mut(|buf| {
         buf.clear();
         build(buf)
@@ -595,12 +595,12 @@ pub(crate) fn with_scratch<R>(build: impl FnOnce(&mut String) -> R) -> R {
 
 /// Appends `v` the way `..` renders it: strings as they are, numbers,
 /// booleans and `nil` by their display form. Anything else is the error.
-fn push_coerced(buf: &mut String, v: &Value) -> Result<(), RtError> {
+fn push_coerced(buf: &mut Vec<u8>, v: &Value) -> Result<(), RtError> {
     match v {
-        Value::Str(s) => buf.push_str(s),
+        Value::Str(s) => buf.extend_from_slice(s),
         Value::Num(n) => write_num(buf, *n),
-        Value::Bool(b) => buf.push_str(if *b { "true" } else { "false" }),
-        Value::Nil => buf.push_str("nil"),
+        Value::Bool(b) => buf.extend_from_slice(if *b { b"true" } else { b"false" }),
+        Value::Nil => buf.extend_from_slice(b"nil"),
         other => {
             return Err(RtError::new(format!(
                 "cannot concatenate a {} value",
@@ -619,7 +619,7 @@ pub(crate) fn join(vals: &[Value]) -> Result<Value, RtError> {
         for v in vals {
             push_coerced(buf, v)?;
         }
-        Ok(Value::str(buf.as_str()))
+        Ok(Value::str(buf))
     })
 }
 
@@ -634,7 +634,7 @@ pub(crate) fn concat(operands: &[Value]) -> Result<Value, RtError> {
         innermost
             .iter()
             .chain(outer.iter().rev())
-            .find_map(|v| push_coerced(&mut String::new(), v).err())
+            .find_map(|v| push_coerced(&mut Vec::new(), v).err())
             .unwrap_or(leftmost)
     })
 }

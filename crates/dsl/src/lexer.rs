@@ -14,7 +14,10 @@ pub struct Token {
 pub enum Tok {
     // Literals and names.
     Num(f64),
-    Str(String),
+    /// A string literal's bytes: the source's own between the quotes,
+    /// escapes resolved. `\xHH` writes any byte, so a literal need not be
+    /// UTF-8 even though the source is.
+    Str(Vec<u8>),
     Name(String),
     // Keywords.
     And,
@@ -203,7 +206,7 @@ impl Lexer<'_> {
     fn string(&mut self) -> Result<(), LexError> {
         let line = self.line;
         let quote = self.bump();
-        let mut s = String::new();
+        let mut s = Vec::new();
         loop {
             match self.peek() {
                 0 | b'\n' => return Err(self.err("unterminated string")),
@@ -211,12 +214,20 @@ impl Lexer<'_> {
                     self.bump();
                     let esc = self.bump();
                     s.push(match esc {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        b'\\' => '\\',
-                        b'"' => '"',
-                        b'\'' => '\'',
+                        b'n' => b'\n',
+                        b't' => b'\t',
+                        b'r' => b'\r',
+                        b'\\' | b'"' | b'\'' => esc,
+                        b'x' => {
+                            let hex = |d: u8| (d as char).to_digit(16).map(|v| v as u8);
+                            match (hex(self.peek()), hex(self.peek2())) {
+                                (Some(hi), Some(lo)) => {
+                                    self.pos += 2;
+                                    hi << 4 | lo
+                                }
+                                _ => return Err(self.err("`\\x` needs two hex digits")),
+                            }
+                        }
                         other => {
                             return Err(self.err(format!("unknown escape `\\{}`", other as char)))
                         }
@@ -227,10 +238,7 @@ impl Lexer<'_> {
                     self.push(Tok::Str(s), line);
                     return Ok(());
                 }
-                _ => {
-                    let c = self.bump();
-                    s.push(c as char);
-                }
+                _ => s.push(self.bump()),
             }
         }
     }
@@ -365,6 +373,25 @@ mod tests {
             kinds(r#""a\nb" 'c'"#),
             vec![Tok::Str("a\nb".into()), Tok::Str("c".into()), Tok::Eof]
         );
+    }
+
+    /// A literal holds the source's bytes: a two-byte character stays two
+    /// bytes (each used to be widened to a `char` of its own), and `\xHH`
+    /// writes bytes no UTF-8 source could.
+    #[test]
+    fn string_literals_are_the_bytes_between_the_quotes() {
+        assert_eq!(
+            kinds("\"h\u{e9}llo\" '\\xff\\x00\\xC3'"),
+            vec![
+                Tok::Str("h\u{e9}llo".as_bytes().to_vec()),
+                Tok::Str(vec![0xff, 0x00, 0xc3]),
+                Tok::Eof
+            ]
+        );
+        assert_eq!("h\u{e9}llo".len(), 6);
+        for bad in ["\"\\x\"", "\"\\xf\"", "\"\\xfg\"", "\"\\q\""] {
+            assert!(lex(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -376,7 +376,8 @@ impl Parser<'_> {
                 Tok::Dot => {
                     self.bump();
                     let field = self.name()?;
-                    e = Expr::Index(Box::new(e), Box::new(Expr::Str(field)));
+                    let field = Expr::Str(field.into_bytes().into());
+                    e = Expr::Index(Box::new(e), Box::new(field));
                 }
                 Tok::LBracket => {
                     self.bump();
@@ -417,7 +418,7 @@ impl Parser<'_> {
             Tok::True => Ok(Expr::Bool(true)),
             Tok::False => Ok(Expr::Bool(false)),
             Tok::Num(n) => Ok(Expr::Num(n)),
-            Tok::Str(s) => Ok(Expr::Str(s)),
+            Tok::Str(s) => Ok(Expr::Str(s.into())),
             Tok::Name(n) => Ok(Expr::Var(n)),
             Tok::LParen => {
                 let e = self.expr()?;

@@ -10,10 +10,35 @@ use crate::interp::{join, with_scratch, Interp, RtError};
 use crate::value::{fmt_num, write_num, HostCtx, Key, NativeFn, Value};
 
 /// The widest field `zpad` fills, and the zeros it fills with.
-const ZEROS: &str = "0000000000000000000000000000000000000000000000000000000000000000";
+const ZEROS: &[u8] = b"0000000000000000000000000000000000000000000000000000000000000000";
 
-fn arg(args: &[Value], i: usize) -> Value {
-    args.get(i).cloned().unwrap_or(Value::Nil)
+fn arg(args: &[Value], i: usize) -> &Value {
+    args.get(i).unwrap_or(&Value::Nil)
+}
+
+fn bytes_arg<'a>(name: &str, args: &'a [Value], i: usize) -> Result<&'a [u8], RtError> {
+    arg(args, i)
+        .as_bytes()
+        .ok_or_else(|| RtError::new(format!("{name}: argument {} must be a string", i + 1)))
+}
+
+fn table_arg<'a>(
+    name: &str,
+    args: &'a [Value],
+) -> Result<&'a std::cell::RefCell<crate::value::Table>, RtError> {
+    arg(args, 0)
+        .as_table()
+        .map(|t| &**t)
+        .ok_or_else(|| RtError::new(format!("{name}: argument 1 must be a table")))
+}
+
+/// Where `needle` first occurs in `s`, as `str::find` answers for text.
+fn find_bytes(s: &[u8], needle: &[u8]) -> Option<usize> {
+    match needle {
+        [] => Some(0),
+        [b] => s.iter().position(|x| x == b),
+        _ => s.windows(needle.len()).position(|w| w == needle),
+    }
 }
 
 fn num_arg(name: &str, args: &[Value], i: usize) -> Result<f64, RtError> {
@@ -49,23 +74,28 @@ pub(crate) fn natives() -> Vec<(&'static str, NativeFn)> {
         }),
     );
 
-    // tostring(v)
+    // tostring(v) — a string is itself, bytes and all.
     interp.register(
         "tostring",
-        Rc::new(|_, args| Ok(Value::str(arg(args, 0).display()))),
+        Rc::new(|_, args| {
+            Ok(match arg(args, 0) {
+                s @ Value::Str(_) => s.clone(),
+                v => Value::str(v.display()),
+            })
+        }),
     );
 
-    // tonumber(v) — nil on failure, like Lua.
+    // tonumber(v) — nil on failure, like Lua. A number is written in text,
+    // so bytes that are not text are not one.
     interp.register(
         "tonumber",
         Rc::new(|_, args| {
             Ok(match arg(args, 0) {
-                Value::Num(n) => Value::Num(n),
-                Value::Str(s) => s
-                    .trim()
-                    .parse::<f64>()
-                    .map(Value::Num)
-                    .unwrap_or(Value::Nil),
+                Value::Num(n) => Value::Num(*n),
+                s @ Value::Str(_) => s
+                    .as_str()
+                    .and_then(|text| text.trim().parse::<f64>().ok())
+                    .map_or(Value::Nil, Value::Num),
                 _ => Value::Nil,
             })
         }),
@@ -88,7 +118,7 @@ pub(crate) fn natives() -> Vec<(&'static str, NativeFn)> {
         "assert",
         Rc::new(|_, args| {
             if arg(args, 0).truthy() {
-                Ok(arg(args, 0))
+                Ok(arg(args, 0).clone())
             } else {
                 let msg = match arg(args, 1) {
                     Value::Nil => "assertion failed".to_string(),
@@ -144,37 +174,27 @@ pub(crate) fn natives() -> Vec<(&'static str, NativeFn)> {
     interp.register(
         "insert",
         Rc::new(|_, args| {
-            let t = arg(args, 0);
-            let t = t
-                .as_table()
-                .ok_or_else(|| RtError::new("insert: argument 1 must be a table"))?;
-            t.borrow_mut().push(arg(args, 1));
+            table_arg("insert", args)?
+                .borrow_mut()
+                .push(arg(args, 1).clone());
             Ok(Value::Nil)
         }),
     );
     interp.register(
         "remove",
         Rc::new(|_, args| {
-            let t = arg(args, 0);
-            let t = t
-                .as_table()
-                .ok_or_else(|| RtError::new("remove: argument 1 must be a table"))?;
-            let popped = t.borrow_mut().pop();
+            let popped = table_arg("remove", args)?.borrow_mut().pop();
             Ok(popped.unwrap_or(Value::Nil))
         }),
     );
     interp.register(
         "keys",
         Rc::new(|_, args| {
-            let t = arg(args, 0);
-            let t = t
-                .as_table()
-                .ok_or_else(|| RtError::new("keys: argument 1 must be a table"))?;
             let mut out = crate::value::Table::new();
-            for (k, _) in t.borrow().iter() {
+            for (k, _) in table_arg("keys", args)?.borrow().iter() {
                 out.push(match k {
                     Key::Int(i) => Value::Num(i as f64),
-                    Key::Str(s) => Value::str(s),
+                    Key::Str(s) => Value::Str(s),
                 });
             }
             Ok(Value::from_table(out))
@@ -185,10 +205,7 @@ pub(crate) fn natives() -> Vec<(&'static str, NativeFn)> {
     interp.register(
         "sub",
         Rc::new(|_, args| {
-            let s = args
-                .first()
-                .and_then(Value::as_str)
-                .ok_or_else(|| RtError::new("sub: argument 1 must be a string"))?;
+            let s = bytes_arg("sub", args, 0)?;
             let len = s.len() as i64;
             let norm = |i: f64| -> i64 {
                 let i = i as i64;
@@ -201,11 +218,8 @@ pub(crate) fn natives() -> Vec<(&'static str, NativeFn)> {
             let from = norm(num_arg("sub", args, 1)?);
             let to = match arg(args, 2) {
                 Value::Nil => len,
-                v => {
-                    let i = v
-                        .as_num()
-                        .ok_or_else(|| RtError::new("sub: argument 3 must be a number"))?;
-                    let i = i as i64;
+                _ => {
+                    let i = num_arg("sub", args, 2)? as i64;
                     if i < 0 {
                         len + i + 1
                     } else {
@@ -213,41 +227,26 @@ pub(crate) fn natives() -> Vec<(&'static str, NativeFn)> {
                     }
                 }
             };
-            if from > to {
-                return Ok(Value::str(""));
-            }
-            // Indices count bytes; one inside a multi-byte character has
-            // no string to return.
-            s.get((from - 1) as usize..to as usize)
-                .map(Value::str)
-                .ok_or_else(|| RtError::new("sub: index inside a multi-byte character"))
+            // Indices count bytes and cut wherever they fall; `from >= 1`
+            // and `to <= len`, so an empty range is the only one refused.
+            Ok(Value::str(
+                s.get((from - 1) as usize..to.max(0) as usize)
+                    .unwrap_or_default(),
+            ))
         }),
     );
     // concat(list) — the array part joined with `..`'s coercions, in one
     // allocation (Lua's table.concat without a separator).
     interp.register(
         "concat",
-        Rc::new(|_, args| {
-            let t = arg(args, 0);
-            let t = t
-                .as_table()
-                .ok_or_else(|| RtError::new("concat: argument 1 must be a table"))?;
-            let t = t.borrow();
-            join(t.array())
-        }),
+        Rc::new(|_, args| join(table_arg("concat", args)?.borrow().array())),
     );
     interp.register(
         "find",
         Rc::new(|_, args| {
-            let s = arg(args, 0);
-            let s = s
-                .as_str()
-                .ok_or_else(|| RtError::new("find: argument 1 must be a string"))?;
-            let needle = arg(args, 1);
-            let needle = needle
-                .as_str()
-                .ok_or_else(|| RtError::new("find: argument 2 must be a string"))?;
-            Ok(match s.find(needle) {
+            let s = bytes_arg("find", args, 0)?;
+            let needle = bytes_arg("find", args, 1)?;
+            Ok(match find_bytes(s, needle) {
                 Some(i) => Value::Num((i + 1) as f64), // 1-based, like Lua
                 None => Value::Nil,
             })
@@ -256,22 +255,18 @@ pub(crate) fn natives() -> Vec<(&'static str, NativeFn)> {
     interp.register(
         "split",
         Rc::new(|_, args| {
-            let s = arg(args, 0);
-            let s = s
-                .as_str()
-                .ok_or_else(|| RtError::new("split: argument 1 must be a string"))?;
-            let sep = arg(args, 1);
-            let sep = sep
-                .as_str()
-                .ok_or_else(|| RtError::new("split: argument 2 must be a string"))?;
+            let mut rest = bytes_arg("split", args, 0)?;
+            let sep = bytes_arg("split", args, 1)?;
             let mut out = crate::value::Table::new();
             if sep.is_empty() {
-                out.push(Value::str(s));
-            } else {
-                for part in s.split(sep) {
-                    out.push(Value::str(part));
-                }
+                out.push(arg(args, 0).clone());
+                return Ok(Value::from_table(out));
             }
+            while let Some(at) = find_bytes(rest, sep) {
+                out.push(Value::str(&rest[..at]));
+                rest = &rest[at + sep.len()..];
+            }
+            out.push(Value::str(rest));
             Ok(Value::from_table(out))
         }),
     );
@@ -281,9 +276,7 @@ pub(crate) fn natives() -> Vec<(&'static str, NativeFn)> {
             let n = num_arg("format_num", args, 0)?;
             let digits = match arg(args, 1) {
                 Value::Nil => 2.0,
-                v => v
-                    .as_num()
-                    .ok_or_else(|| RtError::new("format_num: argument 2 must be a number"))?,
+                _ => num_arg("format_num", args, 1)?,
             };
             Ok(Value::str(format!("{:.*}", digits as usize, n)))
         }),
@@ -309,8 +302,8 @@ pub(crate) fn natives() -> Vec<(&'static str, NativeFn)> {
             Ok(with_scratch(|buf| {
                 write_num(buf, n);
                 let missing = (width as usize).saturating_sub(buf.len());
-                buf.insert_str(0, &ZEROS[..missing]);
-                Value::str(buf.as_str())
+                buf.splice(0..0, ZEROS[..missing].iter().copied());
+                Value::str(buf)
             }))
         }),
     );

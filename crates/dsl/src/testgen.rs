@@ -110,6 +110,11 @@ struct Gen {
     next_id: u32,
 }
 
+/// A string literal holding `bytes`.
+fn lit(bytes: &[u8]) -> Expr {
+    Expr::Str(bytes.into())
+}
+
 /// Generates a random program from `seed`.
 pub fn generate(seed: u64) -> GenProgram {
     let mut g = Gen {
@@ -253,9 +258,9 @@ impl Gen {
     fn index_read(&mut self, d: u32) -> Option<Expr> {
         let (name, _) = self.pick_var(Ty::Table)?;
         let idx = match self.rng.below(5) {
-            0 => Expr::Str("a".to_string()),
-            1 => Expr::Str("b".to_string()),
-            2 => Expr::Str("c".to_string()),
+            0 => lit(b"a"),
+            1 => lit(b"b"),
+            2 => lit(b"c"),
             3 => Expr::Num(1.0 + self.rng.below(2) as f64),
             _ => {
                 // Computed (dynamic) index, taking the non-const path.
@@ -320,10 +325,25 @@ impl Gen {
     }
 
     fn str_leaf(&mut self) -> Expr {
-        const WORDS: [&str; 6] = ["osd", "mds", "pg", "load", "x:y:z", ""];
+        // Text, and bytes that are not: a lone lead byte, a lone
+        // continuation, 0xff, a surrogate half, NUL. The printed program
+        // spells those with `\xHH` escapes.
+        const WORDS: [&[u8]; 11] = [
+            b"osd",
+            b"mds",
+            b"pg",
+            b"load",
+            b"x:y:z",
+            b"",
+            "h\u{e9}llo".as_bytes(),
+            b"o\xc3",
+            b"\xa9:\xff",
+            b"\xed\xa0\x80",
+            b"a\0b",
+        ];
         match self.pick_var(Ty::Str) {
             Some((name, _)) if self.rng.pct(50) => Expr::Var(name),
-            _ => Expr::Str(WORDS[self.rng.below(WORDS.len() as u64) as usize].to_string()),
+            _ => lit(WORDS[self.rng.below(WORDS.len() as u64) as usize]),
         }
     }
 
@@ -373,7 +393,7 @@ impl Gen {
                 BinOp::Ne,
                 Box::new(Expr::Call(
                     Box::new(Expr::Var("find".to_string())),
-                    vec![self.str_expr(d - 1), Expr::Str("o".to_string())],
+                    vec![self.str_expr(d - 1), lit(b"o")],
                 )),
                 Box::new(Expr::Nil),
             ),
@@ -383,7 +403,7 @@ impl Gen {
                     Box::new(Expr::Var("type".to_string())),
                     vec![self.any_expr(d - 1)],
                 )),
-                Box::new(Expr::Str("number".to_string())),
+                Box::new(lit(b"number")),
             ),
         }
     }
@@ -512,8 +532,8 @@ impl Gen {
         match self.pick_var(Ty::Table) {
             Some((name, _)) => {
                 let idx = match self.rng.below(4) {
-                    0 => Expr::Str("a".to_string()),
-                    1 => Expr::Str("b".to_string()),
+                    0 => lit(b"a"),
+                    1 => lit(b"b"),
                     2 => Expr::Num(1.0 + self.rng.below(3) as f64),
                     _ => Expr::Bin(
                         BinOp::Add,

@@ -15,15 +15,15 @@ use crate::interp::RtError;
 pub enum Key {
     /// Integer key (numeric keys must be whole numbers).
     Int(i64),
-    /// String key.
-    Str(String),
+    /// String key: the string value's own buffer, ordered bytewise.
+    Str(Rc<[u8]>),
 }
 
 impl fmt::Display for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Key::Int(i) => write!(f, "{i}"),
-            Key::Str(s) => write!(f, "{s}"),
+            Key::Str(s) => write!(f, "{}", String::from_utf8_lossy(s)),
         }
     }
 }
@@ -76,7 +76,7 @@ impl Table {
 
     /// Convenience string-key read.
     pub fn get_str(&self, key: &str) -> Value {
-        self.get(&Key::Str(key.to_string()))
+        self.get(&Key::Str(key.as_bytes().into()))
     }
 
     /// Writes by key. Integer writes adjacent to the array part extend it;
@@ -107,7 +107,7 @@ impl Table {
 
     /// Convenience string-key write.
     pub fn set_str(&mut self, key: &str, v: Value) {
-        self.set(Key::Str(key.to_string()), v);
+        self.set(Key::Str(key.as_bytes().into()), v);
     }
 
     /// Deterministic iteration: array entries as `(Int(i), v)` (1-based),
@@ -251,8 +251,10 @@ pub enum Value {
     Bool(bool),
     /// IEEE-754 double, the only numeric type (as in Lua 5.1).
     Num(f64),
-    /// Immutable string.
-    Str(Rc<str>),
+    /// Immutable byte string, as Lua's are: any bytes, counted and cut
+    /// bytewise, shared by refcount. Text is a reading of it that only
+    /// [`Value::display`], [`Value::as_str`] and `tonumber` take.
+    Str(Rc<[u8]>),
     /// Shared mutable table.
     Table(Rc<RefCell<Table>>),
     /// Script-defined function.
@@ -267,8 +269,8 @@ pub enum Value {
 }
 
 impl Value {
-    /// Builds a string value.
-    pub fn str(s: impl AsRef<str>) -> Value {
+    /// Builds a string value holding a copy of `s`.
+    pub fn str(s: impl AsRef<[u8]>) -> Value {
         Value::Str(Rc::from(s.as_ref()))
     }
 
@@ -307,12 +309,17 @@ impl Value {
         }
     }
 
-    /// String view, if this value is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    /// The bytes, if this value is a string.
+    pub fn as_bytes(&self) -> Option<&[u8]> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
         }
+    }
+
+    /// Text view, if this value is a string that is valid UTF-8.
+    pub fn as_str(&self) -> Option<&str> {
+        std::str::from_utf8(self.as_bytes()?).ok()
     }
 
     /// Table view, if this value is a table.
@@ -323,7 +330,9 @@ impl Value {
         }
     }
 
-    /// Converts to a display string (the `tostring` builtin).
+    /// Converts to a display string (`print`, error text, `tostring` of a
+    /// non-string). A string that is not UTF-8 shows U+FFFD where it is
+    /// not: display is for people, the value keeps its bytes.
     pub fn display(&self) -> String {
         self.display_depth(8)
     }
@@ -336,7 +345,7 @@ impl Value {
             Value::Nil => "nil".to_string(),
             Value::Bool(b) => b.to_string(),
             Value::Num(n) => fmt_num(*n),
-            Value::Str(s) => s.to_string(),
+            Value::Str(s) => String::from_utf8_lossy(s).into_owned(),
             Value::Table(t) => {
                 if depth == 0 {
                     return "{...}".to_string();
@@ -362,15 +371,15 @@ impl Value {
 /// Formats a number the way Lua's `tostring` does for common cases:
 /// integral values print without a fractional part.
 pub fn fmt_num(n: f64) -> String {
-    let mut s = String::new();
+    let mut s = Vec::new();
     write_num(&mut s, n);
-    s
+    String::from_utf8(s).expect("numbers print as ASCII")
 }
 
 /// Appends what [`fmt_num`] returns for `n` to `out`.
-pub(crate) fn write_num(out: &mut String, n: f64) {
-    use fmt::Write;
-    // Writing to a `String` cannot fail.
+pub(crate) fn write_num(out: &mut Vec<u8>, n: f64) {
+    use std::io::Write;
+    // Writing to a `Vec` cannot fail.
     let _ = if n.fract() == 0.0 && n.abs() < 1e15 {
         write!(out, "{}", n as i64)
     } else {

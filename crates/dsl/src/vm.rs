@@ -629,7 +629,7 @@ impl Vm {
                     Some((k, v)) => {
                         stack.push(match k {
                             Key::Int(i) => Value::Num(i as f64),
-                            Key::Str(s) => Value::str(s),
+                            Key::Str(s) => Value::Str(s),
                         });
                         stack.push(v);
                     }

@@ -175,30 +175,66 @@ fn concat_builtin_joins_the_array_part() {
     }
 }
 
-/// `sub` indexes bytes. An index inside a multi-byte character used to
-/// abort the host ("byte index 1 is not a char boundary"); it is a
-/// runtime error now, on both engines. The string arrives as a global, the
-/// way a class method's input does (the lexer reads literals bytewise).
+/// `sub` indexes bytes and cuts where the indices fall, inside a multi-byte
+/// character too (that used to be refused: a string was text). The string
+/// arrives as a global, the way a class method's input does.
 #[test]
-fn sub_inside_a_multibyte_character_is_an_error_not_a_panic() {
+fn sub_cuts_bytes_wherever_the_indices_fall() {
     let sub = |s: &str, args: &str| {
         let script = Script::compile(&format!("x = sub(s, {args})")).unwrap();
         let [tree, vm] = [EngineKind::TreeWalk, EngineKind::Bytecode].map(|kind| {
             let mut engine = DslEngine::new(kind);
             engine.set_global("s", Value::str(s));
-            engine.load(&script).map_err(|e| e.message)?;
-            Ok::<_, String>(engine.global("x").display())
+            engine.load(&script).unwrap();
+            engine.global("x").as_bytes().unwrap().to_vec()
         });
         assert_eq!(tree, vm, "engines disagree on sub({s:?}, {args})");
         vm
     };
-    let inside = Err("sub: index inside a multi-byte character".to_string());
-    assert_eq!(sub("é", "2"), inside);
-    assert_eq!(sub("éé", "1, 3"), inside);
-    assert_eq!(sub("aé", "-1"), inside);
-    assert_eq!(sub("éé", "1, 2"), Ok("é".to_string()));
-    assert_eq!(sub("éé", "3"), Ok("é".to_string()));
-    assert_eq!(sub("éé", "5"), Ok(String::new()));
+    assert_eq!(sub("é", "2"), b"\xa9");
+    assert_eq!(sub("éé", "1, 3"), b"\xc3\xa9\xc3");
+    assert_eq!(sub("aé", "-1"), b"\xa9");
+    assert_eq!(sub("éé", "1, 2"), "é".as_bytes());
+    assert_eq!(sub("éé", "3"), "é".as_bytes());
+    assert_eq!(sub("éé", "5"), b"");
+    assert_eq!(sub("éé", "2, -9"), b"");
+}
+
+/// Strings are byte strings on both engines: `#` counts bytes, `..`,
+/// `find`, `split`, `sub` and comparison work on bytes that are not UTF-8,
+/// a string survives `tostring` and being a table key, and only `tonumber`,
+/// `print` and error text read it as text.
+#[test]
+fn byte_strings_behave_alike_on_both_engines() {
+    for (src, want) in [
+        ("x = #\"h\u{e9}llo\"", Ok("6")),
+        ("x = #\"\\xff\\x00\\xc3\"", Ok("3")),
+        ("x = #(\"\\xff\" .. \"\\xc3\" .. 1)", Ok("3")),
+        ("x = find(\"a\\xff|b\", \"|\")", Ok("3")),
+        ("x = find(\"a\\xc3\\xa9\", \"\\xa9\")", Ok("3")),
+        ("x = find(\"abc\", \"\")", Ok("1")),
+        ("x = find(\"abc\", \"cd\")", Ok("nil")),
+        ("x = #split(\"\\xff,\\xfe,,\", \",\")", Ok("4")),
+        ("x = #split(\"\\xff,\\xfe\", \",\")[2]", Ok("1")),
+        ("x = split(\"a::b\", \"::\")[2]", Ok("b")),
+        ("x = #split(\"abc\", \"\")", Ok("1")),
+        ("x = \"\\xff\" == sub(\"a\\xffb\", 2, 2)", Ok("true")),
+        ("x = \"\\xfe\" < \"\\xff\"", Ok("true")),
+        ("x = #tostring(\"\\xff\\xfe\")", Ok("2")),
+        ("t = {} t[\"\\xff\"] = 7 x = t[\"\\xff\"]", Ok("7")),
+        (
+            "t = {} t[\"\\xff\"] = 7 for k, v in t do x = #k end",
+            Ok("1"),
+        ),
+        ("x = #keys({k = 1})[1]", Ok("1")),
+        ("x = tonumber(\" 42 \")", Ok("42")),
+        ("x = tonumber(\"4\\xff\")", Ok("nil")),
+        ("x = #zpad(7, 3)", Ok("3")),
+        ("error(\"EINVAL: \\xff\")", Err("EINVAL: \u{fffd}")),
+    ] {
+        let want = want.map(str::to_string).map_err(str::to_string);
+        assert_eq!(eval_both(src), want, "`{src}`");
+    }
 }
 
 /// `zpad(n, 20)` builds the storage class's entry keys. It replaced a

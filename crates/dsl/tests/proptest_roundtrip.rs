@@ -41,7 +41,9 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
         // Restrict to values whose Display round-trips exactly.
         (0u32..100_000).prop_map(|n| Expr::Num(n as f64)),
         (0u32..1000).prop_map(|n| Expr::Num(n as f64 + 0.5)),
-        "[ -~]{0,8}".prop_map(Expr::Str),
+        "[ -~]{0,8}".prop_map(|s| Expr::Str(s.into_bytes().into())),
+        // Literals are bytes: any of them, printed with escapes.
+        prop::collection::vec(any::<u8>(), 0..8).prop_map(|b| Expr::Str(b.into())),
         arb_name().prop_map(Expr::Var),
     ];
     leaf.prop_recursive(3, 24, 4, |inner| {
@@ -53,8 +55,10 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
             )),
             (arb_unop(), inner.clone()).prop_map(|(op, e)| Expr::Un(op, Box::new(e))),
             (inner.clone(), inner.clone()).prop_map(|(b, i)| Expr::Index(Box::new(b), Box::new(i))),
-            (inner.clone(), arb_name())
-                .prop_map(|(b, f)| Expr::Index(Box::new(b), Box::new(Expr::Str(f)))),
+            (inner.clone(), arb_name()).prop_map(|(b, f)| {
+                let field = Expr::Str(f.into_bytes().into());
+                Expr::Index(Box::new(b), Box::new(field))
+            }),
             (inner.clone(), prop::collection::vec(inner.clone(), 0..3))
                 .prop_map(|(f, args)| Expr::Call(Box::new(f), args)),
             prop::collection::vec(

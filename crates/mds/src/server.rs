@@ -1421,14 +1421,14 @@ impl Mds {
         let name = format!("{}.{}", rec.layout.name, stripe);
         let oid = ObjectId::new(rec.layout.pool.clone(), name);
         let input = if method == "seal" {
-            rec.new_epoch.to_string().into_bytes()
+            rec.new_epoch.to_string()
         } else {
-            Vec::new()
+            String::new()
         };
         let call = Op::Call {
             class: "zlog".to_string(),
             method: method.to_string(),
-            input,
+            input: input.as_bytes().into(),
         };
         self.submit_store(ctx, oid, vec![call], None, StoreWait::Seal { ino, stripe });
     }

@@ -12,7 +12,6 @@
 //!   Metadata interface. These reproduce the dynamic Lua object interfaces
 //!   that Malacology contributes.
 
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -22,7 +21,7 @@ use mala_dsl::{DslEngine, EngineKind, RtError, Script, Table, Value};
 
 use crate::frame;
 use crate::object::Object;
-use crate::ops::{ObjTxn, OsdError};
+use crate::ops::{ObjTxn, OpResult, OsdError};
 
 /// Error raised by a class method.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,7 +69,7 @@ pub enum MethodKind {
 
 /// A native class method: reads and mutates the object through the
 /// transaction's tracker, so its writes roll back with the transaction.
-type NativeMethod = Rc<dyn Fn(&mut ObjTxn, &[u8]) -> Result<Vec<u8>, ClassError>>;
+type NativeMethod = Rc<dyn Fn(&mut ObjTxn, &[u8]) -> Result<Rc<[u8]>, ClassError>>;
 
 struct ScriptedClass {
     version: u64,
@@ -107,6 +106,13 @@ impl ScriptedClass {
             readonly,
         })
     }
+}
+
+/// What a method answered: bytes, or — a scripted method that returned a
+/// table — the list of its items, each the buffer the script held.
+enum Reply {
+    Bytes(Rc<[u8]>),
+    List(Vec<Rc<[u8]>>),
 }
 
 /// A resolved `class.method`.
@@ -224,7 +230,8 @@ impl ClassRegistry {
     }
 
     /// Invokes `class.method` against `slot` with `input`, outside any
-    /// transaction: whatever the method wrote before failing stays.
+    /// transaction: whatever the method wrote before failing stays. The
+    /// reply comes flat — a returned table as its frame ([`crate::frame`]).
     ///
     /// # Errors
     ///
@@ -237,12 +244,19 @@ impl ClassRegistry {
         input: &[u8],
     ) -> Result<Vec<u8>, OsdError> {
         let mut txn = ObjTxn::begin(slot.take());
-        let out = self.call_in(class, method, &mut txn, input);
+        let out = self.invoke(class, method, &mut txn, &input.into());
         *slot = txn.finish();
-        out
+        Ok(match out? {
+            Reply::Bytes(bytes) => bytes.to_vec(),
+            Reply::List(items) => frame::encode(items.iter().map(|item| &**item)),
+        })
     }
 
-    /// Invokes `class.method` inside the transaction `txn`.
+    /// Invokes `class.method` inside the transaction `txn`, which learns
+    /// here — the one place the method is resolved — whether the call may
+    /// mutate ([`ObjTxn::mutates`]). A scripted method is handed `input`
+    /// itself and answers [`OpResult::CallOut`] with the string it returned
+    /// (not a copy), or [`OpResult::CallList`] for a table.
     ///
     /// # Errors
     ///
@@ -252,13 +266,31 @@ impl ClassRegistry {
         class: &str,
         method: &str,
         txn: &mut ObjTxn,
-        input: &[u8],
-    ) -> Result<Vec<u8>, OsdError> {
+        input: &Rc<[u8]>,
+    ) -> Result<OpResult, OsdError> {
+        Ok(match self.invoke(class, method, txn, input)? {
+            Reply::Bytes(bytes) => OpResult::CallOut(bytes),
+            Reply::List(items) => OpResult::CallList(items),
+        })
+    }
+
+    fn invoke(
+        &self,
+        class: &str,
+        method: &str,
+        txn: &mut ObjTxn,
+        input: &Rc<[u8]>,
+    ) -> Result<Reply, OsdError> {
         let Some((kind, resolved)) = self.resolve(class, method) else {
+            // Unknown classes are conservatively treated as mutations.
+            txn.note_mutation();
             return Err(OsdError::NoClass(format!("{class}.{method}")));
         };
+        if kind == MethodKind::ReadWrite {
+            txn.note_mutation();
+        }
         let cls = match resolved {
-            Method::Native(f) => return f(txn, input).map_err(OsdError::Class),
+            Method::Native(f) => return f(txn, input).map(Reply::Bytes).map_err(OsdError::Class),
             Method::Scripted(cls) => cls,
         };
         // The host must be `'static` to travel as `&mut dyn Any`, so it
@@ -267,15 +299,15 @@ impl ClassRegistry {
             txn: std::mem::take(txn),
             readonly: kind == MethodKind::ReadOnly,
         };
-        let arg = text(input);
+        let arg = Value::Str(Rc::clone(input));
         let out = cls.engine.borrow_mut().call(method, &[arg], &mut host);
         *txn = host.txn;
-        match out.map_err(|e| OsdError::Class(rt_to_class(e)))? {
-            Value::Nil => Ok(Vec::new()),
-            Value::Str(s) => Ok(s.as_bytes().to_vec()),
-            Value::Table(t) => frame_list(&t.borrow()).map_err(OsdError::Class),
-            other => Ok(other.display().into_bytes()),
-        }
+        Ok(match out.map_err(|e| OsdError::Class(rt_to_class(e)))? {
+            Value::Nil => Reply::Bytes(Rc::default()),
+            Value::Str(s) => Reply::Bytes(s),
+            Value::Table(t) => Reply::List(list_items(&t.borrow()).map_err(OsdError::Class)?),
+            other => Reply::Bytes(other.display().as_bytes().into()),
+        })
     }
 
     /// Names of all scripted classes, sorted.
@@ -302,28 +334,26 @@ impl Default for ClassRegistry {
     }
 }
 
-/// The reply for a method that returned a table: its array part as a
-/// framed list ([`crate::frame`]), strings as they are and numbers as
-/// `fmt` prints them. The host frames so that no script builds wire text;
-/// anything the frame cannot carry — a map part, a nested table, a
-/// boolean, a function — is the method's error, not a silent rendering.
-fn frame_list(list: &Table) -> Result<Vec<u8>, ClassError> {
+/// The reply for a method that returned a table: the items of its array
+/// part, strings as the buffers they are and numbers as `fmt` prints them.
+/// No payload is copied and no script builds wire text; anything a list
+/// of byte strings cannot carry — a map part, a nested table, a boolean, a
+/// function — is the method's error, not a silent rendering.
+fn list_items(list: &Table) -> Result<Vec<Rc<[u8]>>, ClassError> {
     if !list.is_list() {
         return Err(ClassError::invalid("returned table has a map part"));
     }
-    let items: Vec<Cow<'_, str>> = list
-        .array()
+    list.array()
         .iter()
         .map(|v| match v {
-            Value::Str(s) => Ok(Cow::Borrowed(&**s)),
-            Value::Num(n) => Ok(Cow::Owned(fmt_num(*n))),
+            Value::Str(s) => Ok(Rc::clone(s)),
+            Value::Num(n) => Ok(fmt_num(*n).as_bytes().into()),
             other => Err(ClassError::invalid(format!(
                 "returned list holds a {} value",
                 other.type_name()
             ))),
         })
-        .collect::<Result<_, _>>()?;
-    Ok(frame::encode(items.iter().map(|item| item.as_bytes())))
+        .collect()
 }
 
 fn rt_to_class(e: RtError) -> ClassError {
@@ -374,24 +404,27 @@ fn writable<'a>(ctx: &'a mut HostCtx<'_>, name: &str) -> Result<&'a mut ObjTxn, 
     Ok(&mut h.txn)
 }
 
+/// An omap or xattr key, or a class-defined name: text.
 fn str_arg<'a>(name: &str, args: &'a [Value], i: usize) -> Result<&'a str, RtError> {
     args.get(i)
         .and_then(Value::as_str)
         .ok_or_else(|| RtError::new(format!("{name}: argument {} must be a string", i + 1)))
 }
 
-/// `bytes` as a string value, invalid sequences replaced by U+FFFD. Stored
-/// text is almost always valid already, and `from_utf8` checks that a word
-/// at a time where the lossy walk goes byte by byte.
-fn text(bytes: &[u8]) -> Value {
-    match std::str::from_utf8(bytes) {
-        Ok(valid) => Value::str(valid),
-        Err(_) => Value::str(String::from_utf8_lossy(bytes)),
+/// A value to store or to cut: the script's own buffer, whatever it holds.
+fn bytes_arg<'a>(name: &str, args: &'a [Value], i: usize) -> Result<&'a Rc<[u8]>, RtError> {
+    match args.get(i) {
+        Some(Value::Str(s)) => Ok(s),
+        _ => Err(RtError::new(format!(
+            "{name}: argument {} must be a string",
+            i + 1
+        ))),
     }
 }
 
-fn lossy(bytes: Option<&Vec<u8>>) -> Value {
-    bytes.map_or(Value::Nil, |v| text(v))
+/// A stored value as the script sees it: the stored buffer itself.
+fn stored(value: Option<&Rc<[u8]>>) -> Value {
+    value.map_or(Value::Nil, |v| Value::Str(Rc::clone(v)))
 }
 
 /// Registers the object-access natives scripted classes use.
@@ -416,23 +449,23 @@ fn install_object_natives(interp: &mut DslEngine) {
             } else {
                 o.size()
             };
-            Ok(text(o.read(off, len)))
+            Ok(Value::str(o.read(off, len)))
         }),
     );
     interp.register(
         "data_write",
         Rc::new(|ctx, args| {
             let off = args.first().and_then(Value::as_num).unwrap_or(0.0) as usize;
-            let data = str_arg("data_write", args, 1)?;
-            writable(ctx, "data_write")?.write(off, data.as_bytes());
+            let data = bytes_arg("data_write", args, 1)?;
+            writable(ctx, "data_write")?.write(off, data);
             Ok(Value::Nil)
         }),
     );
     interp.register(
         "data_append",
         Rc::new(|ctx, args| {
-            let data = str_arg("data_append", args, 0)?;
-            writable(ctx, "data_append")?.append(data.as_bytes());
+            let data = bytes_arg("data_append", args, 0)?;
+            writable(ctx, "data_append")?.append(data);
             Ok(Value::Nil)
         }),
     );
@@ -440,15 +473,15 @@ fn install_object_natives(interp: &mut DslEngine) {
         "omap_get",
         Rc::new(|ctx, args| {
             let key = str_arg("omap_get", args, 0)?;
-            Ok(lossy(host(ctx)?.txn.omap_get(key)))
+            Ok(stored(host(ctx)?.txn.omap_get(key)))
         }),
     );
     interp.register(
         "omap_set",
         Rc::new(|ctx, args| {
             let key = str_arg("omap_set", args, 0)?;
-            let val = str_arg("omap_set", args, 1)?;
-            writable(ctx, "omap_set")?.omap_set(key, val.as_bytes().to_vec());
+            let val = bytes_arg("omap_set", args, 1)?;
+            writable(ctx, "omap_set")?.omap_set(key, Rc::clone(val));
             Ok(Value::Nil)
         }),
     );
@@ -490,15 +523,15 @@ fn install_object_natives(interp: &mut DslEngine) {
         "xattr_get",
         Rc::new(|ctx, args| {
             let key = str_arg("xattr_get", args, 0)?;
-            Ok(lossy(host(ctx)?.txn.xattr_get(key)))
+            Ok(stored(host(ctx)?.txn.xattr_get(key)))
         }),
     );
     interp.register(
         "xattr_set",
         Rc::new(|ctx, args| {
             let key = str_arg("xattr_set", args, 0)?;
-            let val = str_arg("xattr_set", args, 1)?;
-            writable(ctx, "xattr_set")?.xattr_set(key, val.as_bytes().to_vec());
+            let val = bytes_arg("xattr_set", args, 1)?;
+            writable(ctx, "xattr_set")?.xattr_set(key, Rc::clone(val));
             Ok(Value::Nil)
         }),
     );
@@ -512,24 +545,11 @@ fn install_object_natives(interp: &mut DslEngine) {
     interp.register(
         "unframe",
         Rc::new(|_ctx, args| {
-            let s = str_arg("unframe", args, 0)?;
-            let items =
-                frame::decode(s.as_bytes()).map_err(|e| RtError::new(format!("EINVAL: {e}")))?;
-            // Bodies sit back to back at the end of the frame. Lengths
-            // count bytes; one that ends inside a character has no string
-            // to hand over.
-            let mut at = s.len() - items.iter().map(|item| item.len()).sum::<usize>();
-            let list = items
-                .iter()
-                .map(|item| {
-                    let piece = s.get(at..at + item.len()).ok_or_else(|| {
-                        RtError::new("EINVAL: frame: length inside a multi-byte character")
-                    })?;
-                    at += item.len();
-                    Ok(Value::str(piece))
-                })
-                .collect::<Result<Table, RtError>>()?;
-            Ok(Value::from_table(list))
+            let s = bytes_arg("unframe", args, 0)?;
+            let items = frame::decode(s).map_err(|e| RtError::new(format!("EINVAL: {e}")))?;
+            Ok(Value::from_table(
+                items.into_iter().map(Value::str).collect(),
+            ))
         }),
     );
 }
@@ -558,21 +578,100 @@ mod tests {
         end
     "#;
 
+    /// Bytes a script is given, stores, reads back and returns are the
+    /// bytes it was given — not UTF-8, separators and NUL included — on
+    /// both engines (they used to be decoded lossily on the way in, so
+    /// `0xff` was stored as U+FFFD and the write acked).
     #[test]
-    fn text_matches_the_lossy_conversion_on_every_input() {
+    fn a_script_stores_and_returns_the_bytes_it_was_given() {
+        const ECHO: &str = r#"
+            __readonly = {"get", "len"}
+            function put(input) omap_set("k", input) xattr_set("x", input) return input end
+            function get(input) return omap_get("k") end
+            function len(input) return fmt(#xattr_get("x")) end
+            function lit(input)
+                local s = "héllo"
+                omap_set("lit", s)
+                return {omap_get("lit"), fmt(#s), "\xff\x00"}
+            end
+        "#;
         let inputs: [&[u8]; 7] = [
             b"",
-            b"0|1|5|3|plain ascii payload",
+            b"plain|with,separators",
             "h\u{e9}llo \u{2603}".as_bytes(),
             b"\xff",
-            b"ok\xc3",         // truncated two-byte sequence
-            b"a\xe2\x98b",     // truncated three-byte sequence mid-string
-            b"\xed\xa0\x80ok", // surrogate half
+            b"ok\xc3",             // truncated two-byte sequence
+            b"\xed\xa0\x80|\0,ok", // surrogate half, NUL
+            b"\xa9\xa9",           // lone continuation bytes
         ];
-        for bytes in inputs {
-            assert_eq!(text(bytes), Value::str(String::from_utf8_lossy(bytes)));
+        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
+            let mut reg = ClassRegistry::with_engine(kind);
+            reg.install_scripted("echo", ECHO, 1).unwrap();
+            for bytes in inputs {
+                let mut slot = None;
+                assert_eq!(reg.call("echo", "put", &mut slot, bytes).unwrap(), bytes);
+                let held = slot.as_ref().unwrap();
+                assert_eq!(&*held.omap["k"], bytes, "{kind:?}");
+                assert_eq!(&*held.xattrs["x"], bytes, "{kind:?}");
+                assert_eq!(reg.call("echo", "get", &mut slot, b"").unwrap(), bytes);
+                let len = bytes.len().to_string().into_bytes();
+                assert_eq!(reg.call("echo", "len", &mut slot, b"").unwrap(), len);
+            }
+            // A literal is the source's bytes — `é` is two of them, it was
+            // four — and comes back from the omap as it went in.
+            let mut slot = None;
+            let lit = reg.call("echo", "lit", &mut slot, b"").unwrap();
+            assert_eq!(
+                frame::decode(&lit).unwrap(),
+                vec!["h\u{e9}llo".as_bytes(), b"6", b"\xff\x00"],
+                "{kind:?}"
+            );
+            assert_eq!(&*slot.unwrap().omap["lit"], "h\u{e9}llo".as_bytes());
         }
-        assert_eq!(text(b"a\xffb"), Value::str("a\u{fffd}b"));
+    }
+
+    /// Held once: what `omap_set` stores is the buffer the script held (a
+    /// method's input is the caller's), what `omap_get` pushes on the stack
+    /// is the stored buffer, and a returned string or list item is that
+    /// buffer again — refcounts all the way, on both engines.
+    #[test]
+    fn stored_values_and_script_strings_share_one_buffer() {
+        const HOLD: &str = r#"
+            __readonly = {"get", "list"}
+            function put(input) omap_set("k", input) xattr_set("x", input) return input end
+            function get(input) return omap_get("k") end
+            function list(input) return {omap_get("k"), xattr_get("x"), input} end
+        "#;
+        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
+            let mut reg = ClassRegistry::with_engine(kind);
+            reg.install_scripted("hold", HOLD, 1).unwrap();
+            let input: Rc<[u8]> = b"payload \xff"[..].into();
+            let mut txn = ObjTxn::begin(None);
+            let out = reg.call_in("hold", "put", &mut txn, &input).unwrap();
+            assert!(txn.mutates());
+            let OpResult::CallOut(out) = out else {
+                panic!("{out:?}")
+            };
+            assert!(Rc::ptr_eq(&out, &input), "{kind:?}: returned input");
+            assert!(Rc::ptr_eq(txn.omap_get("k").unwrap(), &input), "{kind:?}");
+            assert!(Rc::ptr_eq(txn.xattr_get("x").unwrap(), &input), "{kind:?}");
+
+            let mut txn = ObjTxn::begin(txn.finish());
+            let got = reg.call_in("hold", "get", &mut txn, &Rc::default());
+            assert!(!txn.mutates());
+            let Ok(OpResult::CallOut(got)) = got else {
+                panic!("{got:?}")
+            };
+            assert!(Rc::ptr_eq(&got, &input), "{kind:?}: omap_get, returned");
+            let arg: Rc<[u8]> = b"arg"[..].into();
+            let Ok(OpResult::CallList(items)) = reg.call_in("hold", "list", &mut txn, &arg) else {
+                panic!("{kind:?}: list")
+            };
+            assert_eq!(items.len(), 3);
+            assert!(Rc::ptr_eq(&items[0], &input), "{kind:?}: list item");
+            assert!(Rc::ptr_eq(&items[1], &input), "{kind:?}: list item");
+            assert!(Rc::ptr_eq(&items[2], &arg), "{kind:?}: list item");
+        }
     }
 
     #[test]
@@ -586,10 +685,7 @@ mod tests {
         assert_eq!(out, b"8");
         let out = reg.call("counter", "get", &mut slot, b"").unwrap();
         assert_eq!(out, b"8");
-        assert_eq!(
-            slot.as_ref().unwrap().omap.get("counter").unwrap(),
-            &b"8".to_vec()
-        );
+        assert_eq!(&*slot.as_ref().unwrap().omap["counter"], b"8");
     }
 
     #[test]
@@ -626,7 +722,7 @@ mod tests {
             let mut reg = ClassRegistry::with_engine(kind);
             reg.install_scripted("sneaky", SNEAKY, 1).unwrap();
             let mut before = Object::new();
-            before.omap.insert("k".into(), b"old".to_vec());
+            before.omap.insert("k".into(), b"old"[..].into());
             for method in ["set", "xset", "del", "purge", "write", "append"] {
                 assert_eq!(
                     reg.method_kind("sneaky", method),

@@ -241,13 +241,13 @@ pub fn install_builtin_classes(reg: &mut ClassRegistry) {
                 return Err(ClassError::invalid("lock: empty owner"));
             }
             match ctx.xattr_get("lock.owner") {
-                Some(cur) if cur != input => Err(ClassError::busy(format!(
+                Some(cur) if **cur != *input => Err(ClassError::busy(format!(
                     "locked by {}",
                     String::from_utf8_lossy(cur)
                 ))),
                 _ => {
-                    ctx.xattr_set("lock.owner", input.to_vec());
-                    Ok(Vec::new())
+                    ctx.xattr_set("lock.owner", input.into());
+                    Ok(Rc::default())
                 }
             }
         }),
@@ -257,9 +257,9 @@ pub fn install_builtin_classes(reg: &mut ClassRegistry) {
         "unlock",
         MethodKind::ReadWrite,
         Rc::new(|ctx, input| match ctx.xattr_get("lock.owner") {
-            Some(cur) if cur == input => {
+            Some(cur) if **cur == *input => {
                 ctx.xattr_del("lock.owner");
-                Ok(Vec::new())
+                Ok(Rc::default())
             }
             Some(cur) => Err(ClassError::busy(format!(
                 "locked by {}",
@@ -281,9 +281,9 @@ pub fn install_builtin_classes(reg: &mut ClassRegistry) {
         "get",
         MethodKind::ReadWrite,
         Rc::new(|ctx, _| {
-            let n = read_u64_xattr(ctx.xattr_get("refcount")) + 1;
-            ctx.xattr_set("refcount", n.to_string().into_bytes());
-            Ok(n.to_string().into_bytes())
+            let n = decimal(read_u64_xattr(ctx.xattr_get("refcount")) + 1);
+            ctx.xattr_set("refcount", Rc::clone(&n));
+            Ok(n)
         }),
     );
     reg.register_native(
@@ -295,25 +295,21 @@ pub fn install_builtin_classes(reg: &mut ClassRegistry) {
             if n == 0 {
                 return Err(ClassError::invalid("refcount underflow"));
             }
-            let n = n - 1;
-            if n == 0 {
+            let left = decimal(n - 1);
+            if n == 1 {
                 // Dropping the last reference garbage-collects the object.
                 ctx.remove();
             } else {
-                ctx.xattr_set("refcount", n.to_string().into_bytes());
+                ctx.xattr_set("refcount", Rc::clone(&left));
             }
-            Ok(n.to_string().into_bytes())
+            Ok(left)
         }),
     );
     reg.register_native(
         "refcount",
         "read",
         MethodKind::ReadOnly,
-        Rc::new(|ctx, _| {
-            Ok(read_u64_xattr(ctx.xattr_get("refcount"))
-                .to_string()
-                .into_bytes())
-        }),
+        Rc::new(|ctx, _| Ok(decimal(read_u64_xattr(ctx.xattr_get("refcount"))))),
     );
 
     // version.set / version.get / version.check
@@ -322,24 +318,28 @@ pub fn install_builtin_classes(reg: &mut ClassRegistry) {
         "set",
         MethodKind::ReadWrite,
         Rc::new(|ctx, input| {
-            ctx.xattr_set("version", input.to_vec());
-            Ok(Vec::new())
+            ctx.xattr_set("version", input.into());
+            Ok(Rc::default())
         }),
     );
     reg.register_native(
         "version",
         "get",
         MethodKind::ReadOnly,
-        Rc::new(|ctx, _| Ok(ctx.xattr_get("version").map_or(b"0".to_vec(), Vec::clone))),
+        Rc::new(|ctx, _| {
+            Ok(ctx
+                .xattr_get("version")
+                .map_or_else(|| decimal(0), Rc::clone))
+        }),
     );
     reg.register_native(
         "version",
         "check",
         MethodKind::ReadOnly,
         Rc::new(|ctx, input| {
-            let cur = ctx.xattr_get("version").map_or(&b"0"[..], Vec::as_slice);
+            let cur = ctx.xattr_get("version").map_or(&b"0"[..], |v| v);
             if cur == input {
-                Ok(Vec::new())
+                Ok(Rc::default())
             } else {
                 Err(ClassError::stale(format!(
                     "version is {}, expected {}",
@@ -357,8 +357,8 @@ pub fn install_builtin_classes(reg: &mut ClassRegistry) {
         MethodKind::ReadWrite,
         Rc::new(|ctx, input| {
             let seq = ctx.obj().map_or(0, |o| o.omap.len()) as u64;
-            ctx.omap_set(&format!("log.{seq:016}"), input.to_vec());
-            Ok(seq.to_string().into_bytes())
+            ctx.omap_set(&format!("log.{seq:016}"), input.into());
+            Ok(decimal(seq))
         }),
     );
     reg.register_native(
@@ -367,15 +367,12 @@ pub fn install_builtin_classes(reg: &mut ClassRegistry) {
         MethodKind::ReadOnly,
         Rc::new(|ctx, input| {
             let max: usize = String::from_utf8_lossy(input).parse().unwrap_or(usize::MAX);
-            let Some(obj) = ctx.obj() else {
-                return Ok(Vec::new());
-            };
             let mut out = Vec::new();
-            for (_, v) in obj.omap.iter().take(max) {
+            for v in ctx.obj().iter().flat_map(|o| o.omap.values()).take(max) {
                 out.extend_from_slice(v);
                 out.push(b'\n');
             }
-            Ok(out)
+            Ok(out.into())
         }),
     );
 
@@ -389,16 +386,21 @@ pub fn install_builtin_classes(reg: &mut ClassRegistry) {
                 .obj()
                 .map(|o| o.fingerprint())
                 .ok_or(ClassError::invalid("ENOENT: no object"))?;
-            let text = format!("{fp:016x}");
-            ctx.xattr_set("checksum", text.clone().into_bytes());
-            Ok(text.into_bytes())
+            let text: Rc<[u8]> = format!("{fp:016x}").as_bytes().into();
+            ctx.xattr_set("checksum", Rc::clone(&text));
+            Ok(text)
         }),
     );
 }
 
-fn read_u64_xattr(v: Option<&Vec<u8>>) -> u64 {
-    v.and_then(|b| String::from_utf8_lossy(b).parse().ok())
+fn read_u64_xattr(v: Option<&Rc<[u8]>>) -> u64 {
+    v.and_then(|b| std::str::from_utf8(b).ok()?.parse().ok())
         .unwrap_or(0)
+}
+
+/// `n` in decimal, as a stored value or a reply.
+fn decimal(n: u64) -> Rc<[u8]> {
+    n.to_string().as_bytes().into()
 }
 
 #[cfg(test)]
@@ -497,6 +499,9 @@ mod tests {
         let mut slot = Some(Object::new());
         slot.as_mut().unwrap().append(b"payload");
         let out = reg.call("checksum", "compute", &mut slot, b"").unwrap();
-        assert_eq!(slot.as_ref().unwrap().xattrs.get("checksum").unwrap(), &out);
+        assert_eq!(
+            **slot.as_ref().unwrap().xattrs.get("checksum").unwrap(),
+            *out
+        );
     }
 }

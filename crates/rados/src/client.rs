@@ -4,6 +4,7 @@
 
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 use mala_consensus::{MonMsg, SERVICE_MAP_OSD};
 use mala_sim::{Actor, Context, Deadlines, NodeId, Sim, SimDuration, SimTime, SpanContext};
@@ -37,8 +38,9 @@ pub struct ClientEvent {
 }
 
 struct InFlight {
-    oid: ObjectId,
-    txn: Transaction,
+    /// The request as every (re)transmission carries it: one allocation,
+    /// shared with the messages and whoever receives them.
+    req: Rc<(ObjectId, Transaction)>,
     attempts: u32,
     submitted_at: SimTime,
     /// Hard per-request deadline; passing it completes with
@@ -110,8 +112,7 @@ impl RadosClient {
         self.inflight.insert(
             reqid,
             InFlight {
-                oid,
-                txn,
+                req: Rc::new((oid, txn)),
                 attempts: 0,
                 submitted_at: ctx.now(),
                 deadline: ctx.now() + REQUEST_DEADLINE,
@@ -215,10 +216,9 @@ impl RadosClient {
         if attempts > 1 {
             ctx.metrics().incr("client.retries", 1);
         }
-        let oid = inflight.oid.clone();
-        let txn = inflight.txn.clone();
+        let req = Rc::clone(&inflight.req);
         let span = inflight.span;
-        let acting = self.map.acting_set_for(&oid.pool, &oid.name);
+        let acting = self.map.acting_set_for(&req.0.pool, &req.0.name);
         // A committed map that places no OSD for this object (every
         // candidate down or drained) is a typed, retryable condition the
         // caller must see now — blocking until the deadline just converts
@@ -235,8 +235,7 @@ impl RadosClient {
             Some(node) => {
                 let msg = OsdMsg::ClientOp {
                     reqid,
-                    oid,
-                    txn,
+                    req,
                     map_epoch: self.map.epoch,
                 };
                 ctx.send_spanned(node, msg, span);

@@ -2,14 +2,15 @@
 //!
 //! A list of `n` byte strings travels as `n|l1,l2,…,ln|` followed by the
 //! `n` bodies back to back (`0||` when empty). The header is ASCII
-//! decimal, so it survives the lossy text conversion a scripted class's
-//! input goes through; bodies are opaque and may hold the separators.
-//! Nothing is escaped and nothing is scanned for: a reader slices.
+//! decimal; bodies are opaque and may hold the separators. Nothing is
+//! escaped and nothing is scanned for: a reader slices.
 //!
-//! This is the only length-prefix code on the class path. The registry
-//! frames the list a scripted method returns, the `unframe` native hands
-//! a script the list a caller framed, and `mala-zlog`'s `write_batch` /
-//! `read_batch` helpers encode and decode through the same two functions.
+//! This is the only length-prefix code on the class path. The `unframe`
+//! native hands a script the list a caller framed (`mala-zlog`'s
+//! `encode_write_batch`), and [`crate::ClassRegistry::call`] frames the
+//! list a scripted method returned for a caller that wants flat bytes —
+//! through an OSD such a reply stays the list of its items
+//! ([`crate::OpResult::CallList`], DESIGN §29).
 
 /// Frames `items` in order. The iterator is walked once to size the
 /// frame, once for the lengths and once for the bodies, so encoding costs

@@ -1,6 +1,7 @@
 //! Objects: byte stream + omap + xattrs, as in RADOS.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Fully-qualified object name: `(pool, name)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,14 +35,19 @@ impl std::fmt::Display for ObjectId {
 /// ... and accessing a sorted key-value database" map onto these three
 /// components; the ZLog storage interface stores log entries in the omap
 /// and its epoch seal in an xattr.
+///
+/// Omap and xattr values are immutable shared buffers: a value is set
+/// whole, never edited, so whoever holds it — a script, a reply, a journal
+/// record, a replica's copy of the object — holds the same allocation
+/// (DESIGN §29). Cloning an object copies the byte stream and the keys.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Object {
     /// The byte stream.
     pub data: Vec<u8>,
     /// The sorted key-value database.
-    pub omap: BTreeMap<String, Vec<u8>>,
+    pub omap: BTreeMap<String, Rc<[u8]>>,
     /// Extended attributes.
-    pub xattrs: BTreeMap<String, Vec<u8>>,
+    pub xattrs: BTreeMap<String, Rc<[u8]>>,
 }
 
 impl Object {
@@ -124,30 +130,31 @@ impl Object {
             self.data[d.offset..d.offset + d.bytes.len()].copy_from_slice(&d.bytes);
         }
         for (key, value) in &delta.omap {
-            copy_key(&mut self.omap, key, value.as_ref());
+            share_key(&mut self.omap, key, value.as_ref());
         }
         for (key, value) in &delta.xattrs {
-            copy_key(&mut self.xattrs, key, value.as_ref());
+            share_key(&mut self.xattrs, key, value.as_ref());
         }
     }
 }
 
 /// Makes `key` hold `value` in an omap or xattr map (`None` = absent): how
 /// both a journalled post-image and a rollback pre-image are put back.
-pub(crate) fn put_key(map: &mut BTreeMap<String, Vec<u8>>, key: String, value: Option<Vec<u8>>) {
+pub(crate) fn put_key(map: &mut BTreeMap<String, Rc<[u8]>>, key: String, value: Option<Rc<[u8]>>) {
     match value {
         Some(v) => map.insert(key, v),
         None => map.remove(&key),
     };
 }
 
-/// [`put_key`] from a borrowed post-image: a key that is already there keeps
-/// its allocations (a stripe's `maxpos` is rewritten by every append).
-fn copy_key(map: &mut BTreeMap<String, Vec<u8>>, key: &str, value: Option<&Vec<u8>>) {
+/// [`put_key`] from a borrowed post-image: the map takes a reference to the
+/// delta's buffer, and a key that is already there is not allocated again
+/// (a stripe's `maxpos` is rewritten by every append).
+fn share_key(map: &mut BTreeMap<String, Rc<[u8]>>, key: &str, value: Option<&Rc<[u8]>>) {
     match (value, map.get_mut(key)) {
-        (Some(v), Some(slot)) => slot.clone_from(v),
+        (Some(v), Some(slot)) => *slot = Rc::clone(v),
         (Some(v), None) => {
-            map.insert(key.to_string(), v.clone());
+            map.insert(key.to_string(), Rc::clone(v));
         }
         (None, _) => {
             map.remove(key);
@@ -167,10 +174,11 @@ pub struct ObjectDelta {
     pub reset: bool,
     /// The byte stream's new length and the range that was written.
     pub data: Option<DataDelta>,
-    /// Touched omap keys with their final value (`None` = deleted).
-    pub omap: Vec<(String, Option<Vec<u8>>)>,
+    /// Touched omap keys with their final value (`None` = deleted): the
+    /// buffer the primary's object holds.
+    pub omap: Vec<(String, Option<Rc<[u8]>>)>,
     /// Touched xattrs with their final value (`None` = deleted).
-    pub xattrs: Vec<(String, Option<Vec<u8>>)>,
+    pub xattrs: Vec<(String, Option<Rc<[u8]>>)>,
 }
 
 /// The byte-stream part of an [`ObjectDelta`]: resize to `len` (zero-filling
@@ -227,21 +235,21 @@ mod tests {
         a.append(b"x");
         let with_data = a.fingerprint();
         assert_ne!(base, with_data);
-        a.omap.insert("k".into(), b"v".to_vec());
+        a.omap.insert("k".into(), b"v"[..].into());
         let with_omap = a.fingerprint();
         assert_ne!(with_data, with_omap);
-        a.xattrs.insert("e".into(), b"1".to_vec());
+        a.xattrs.insert("e".into(), b"1"[..].into());
         assert_ne!(with_omap, a.fingerprint());
     }
 
     #[test]
     fn fingerprint_is_canonical() {
         let mut a = Object::new();
-        a.omap.insert("a".into(), b"1".to_vec());
-        a.omap.insert("b".into(), b"2".to_vec());
+        a.omap.insert("a".into(), b"1"[..].into());
+        a.omap.insert("b".into(), b"2"[..].into());
         let mut b = Object::new();
-        b.omap.insert("b".into(), b"2".to_vec());
-        b.omap.insert("a".into(), b"1".to_vec());
+        b.omap.insert("b".into(), b"2"[..].into());
+        b.omap.insert("a".into(), b"1"[..].into());
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 

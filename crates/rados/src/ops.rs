@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::rc::Rc;
 
 use crate::class::{ClassError, ClassRegistry};
 use crate::journal::JournalRecord;
@@ -51,11 +52,13 @@ pub enum Op {
     XattrGet { key: String },
     /// Set one xattr.
     XattrSet { key: String, value: Vec<u8> },
-    /// Invoke `class.method` with `input` (the exec/cls mechanism).
+    /// Invoke `class.method` with `input` (the exec/cls mechanism). The
+    /// input is a shared buffer: a scripted method receives this very
+    /// allocation as its argument.
     Call {
         class: String,
         method: String,
-        input: Vec<u8>,
+        input: Rc<[u8]>,
     },
 }
 
@@ -85,14 +88,19 @@ pub enum OpResult {
     Done,
     /// Bytes read.
     Data(Vec<u8>),
-    /// Omap/xattr value (`None` = absent).
-    Maybe(Option<Vec<u8>>),
-    /// Key-value pairs from [`Op::OmapList`].
-    Pairs(Vec<(String, Vec<u8>)>),
+    /// Omap/xattr value (`None` = absent): the stored buffer.
+    Maybe(Option<Rc<[u8]>>),
+    /// Key-value pairs from [`Op::OmapList`], values as stored.
+    Pairs(Vec<(String, Rc<[u8]>)>),
     /// `(size, exists)` from [`Op::Stat`].
     Stat { size: u64, exists: bool },
     /// Output of a class call.
-    CallOut(Vec<u8>),
+    CallOut(Rc<[u8]>),
+    /// Output of a class call whose scripted method returned a table: the
+    /// items of its array part, each the buffer the script held (a stored
+    /// value it read is the stored buffer). [`crate::frame::encode`] of
+    /// these is the flat form, for whoever wants one.
+    CallList(Vec<Rc<[u8]>>),
 }
 
 /// Errors surfaced to clients.
@@ -173,9 +181,9 @@ enum Undo {
     /// The object was removed; this is it, moved out of the slot.
     Removed(Object),
     /// An omap key and the value it held (`None` = absent).
-    Omap(String, Option<Vec<u8>>),
+    Omap(String, Option<Rc<[u8]>>),
     /// An xattr and the value it held (`None` = absent).
-    Xattr(String, Option<Vec<u8>>),
+    Xattr(String, Option<Rc<[u8]>>),
     /// The byte stream was `len` long and held `old` at `offset`; the op
     /// wrote `[offset, end)`.
     Data {
@@ -200,13 +208,17 @@ enum Undo {
 pub struct ObjTxn {
     obj: Option<Object>,
     undo: Vec<Undo>,
+    /// Some op run through [`ObjTxn::run`] may mutate, whether or not it
+    /// got to (see [`ObjTxn::mutates`]).
+    mutates: bool,
 }
 
-/// Final values of the logged keys, each key once.
+/// Final values of the logged keys, each key once: the object's own
+/// buffers, so the record, the replicas and their journals share them.
 fn post_image(
     mut keys: Vec<&str>,
-    map: &BTreeMap<String, Vec<u8>>,
-) -> Vec<(String, Option<Vec<u8>>)> {
+    map: &BTreeMap<String, Rc<[u8]>>,
+) -> Vec<(String, Option<Rc<[u8]>>)> {
     keys.sort_unstable();
     keys.dedup();
     keys.into_iter()
@@ -220,6 +232,7 @@ impl ObjTxn {
         ObjTxn {
             obj,
             undo: Vec::new(),
+            mutates: false,
         }
     }
 
@@ -233,13 +246,26 @@ impl ObjTxn {
         self.obj.as_ref()
     }
 
-    /// Reads an omap value.
-    pub fn omap_get(&self, key: &str) -> Option<&Vec<u8>> {
+    /// Whether any op of the transactions [`ObjTxn::run`] here is a
+    /// mutation ([`Op::is_mutation`]), including the ops behind a failed
+    /// one. Known once the run returns; a transaction that succeeds
+    /// resolves each class method once, where it calls it.
+    pub fn mutates(&self) -> bool {
+        self.mutates
+    }
+
+    /// A class call found its method read-write, or did not find it.
+    pub(crate) fn note_mutation(&mut self) {
+        self.mutates = true;
+    }
+
+    /// Reads an omap value: the stored buffer.
+    pub fn omap_get(&self, key: &str) -> Option<&Rc<[u8]>> {
         self.obj.as_ref().and_then(|o| o.omap.get(key))
     }
 
-    /// Reads an xattr.
-    pub fn xattr_get(&self, key: &str) -> Option<&Vec<u8>> {
+    /// Reads an xattr: the stored buffer.
+    pub fn xattr_get(&self, key: &str) -> Option<&Rc<[u8]>> {
         self.obj.as_ref().and_then(|o| o.xattrs.get(key))
     }
 
@@ -267,8 +293,8 @@ impl ObjTxn {
         }
     }
 
-    /// Sets one omap pair.
-    pub fn omap_set(&mut self, key: &str, value: Vec<u8>) {
+    /// Sets one omap pair; the object holds `value` itself.
+    pub fn omap_set(&mut self, key: &str, value: Rc<[u8]>) {
         let (o, undo) = self.parts();
         let prev = o.omap.insert(key.to_string(), value);
         undo.push(Undo::Omap(key.to_string(), prev));
@@ -302,8 +328,8 @@ impl ObjTxn {
         purged
     }
 
-    /// Sets one xattr.
-    pub fn xattr_set(&mut self, key: &str, value: Vec<u8>) {
+    /// Sets one xattr; the object holds `value` itself.
+    pub fn xattr_set(&mut self, key: &str, value: Rc<[u8]>) {
         let (o, undo) = self.parts();
         let prev = o.xattrs.insert(key.to_string(), value);
         undo.push(Undo::Xattr(key.to_string(), prev));
@@ -458,6 +484,8 @@ impl ObjTxn {
     ) -> Result<Vec<OpResult>, OsdError> {
         let results = self.apply(txn, registry);
         if results.is_err() {
+            // The ops behind the failed one never ran to say what they are.
+            self.mutates = self.mutates || txn.iter().any(|op| op.is_mutation(registry));
             self.rollback();
         }
         results
@@ -470,6 +498,8 @@ impl ObjTxn {
     ) -> Result<Vec<OpResult>, OsdError> {
         let mut results = Vec::with_capacity(txn.len());
         for op in txn {
+            // A class call says what it is where it resolves its method.
+            self.mutates |= !matches!(op, Op::Call { .. }) && op.is_mutation(registry);
             let res = match op {
                 Op::Create { exclusive } => {
                     if *exclusive && self.obj.is_some() {
@@ -515,16 +545,16 @@ impl ObjTxn {
                 }
                 Op::OmapList { after, max } => {
                     let o = self.obj().ok_or(OsdError::NoEnt)?;
-                    let pairs: Vec<(String, Vec<u8>)> = o
+                    let pairs = o
                         .omap
                         .range::<str, _>((Bound::Excluded(after.as_str()), Bound::Unbounded))
                         .take(*max)
-                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .map(|(k, v)| (k.clone(), Rc::clone(v)))
                         .collect();
                     OpResult::Pairs(pairs)
                 }
                 Op::OmapSet { key, value } => {
-                    self.omap_set(key, value.clone());
+                    self.omap_set(key, value.as_slice().into());
                     OpResult::Done
                 }
                 Op::OmapDel { key } => {
@@ -534,10 +564,10 @@ impl ObjTxn {
                 }
                 Op::OmapCmpXchg { key, expect, value } => {
                     self.create();
-                    if self.omap_get(key) != expect.as_ref() {
+                    if self.omap_get(key).map(|held| &**held) != expect.as_deref() {
                         return Err(OsdError::CmpFailed);
                     }
-                    self.omap_set(key, value.clone());
+                    self.omap_set(key, value.as_slice().into());
                     OpResult::Done
                 }
                 Op::XattrGet { key } => {
@@ -545,14 +575,14 @@ impl ObjTxn {
                     OpResult::Maybe(o.xattrs.get(key).cloned())
                 }
                 Op::XattrSet { key, value } => {
-                    self.xattr_set(key, value.clone());
+                    self.xattr_set(key, value.as_slice().into());
                     OpResult::Done
                 }
                 Op::Call {
                     class,
                     method,
                     input,
-                } => OpResult::CallOut(registry.call_in(class, method, self, input)?),
+                } => registry.call_in(class, method, self, input)?,
             };
             results.push(res);
         }
@@ -648,7 +678,7 @@ mod tests {
             }],
         )
         .unwrap();
-        assert_eq!(slot.unwrap().omap["k"], b"v2".to_vec());
+        assert_eq!(&*slot.unwrap().omap["k"], b"v2");
     }
 
     #[test]
@@ -745,7 +775,7 @@ mod tests {
         assert!(Op::Call {
             class: "unknown".into(),
             method: "m".into(),
-            input: vec![]
+            input: Rc::default()
         }
         .is_mutation(&registry));
     }

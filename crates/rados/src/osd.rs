@@ -80,10 +80,9 @@ pub enum OsdMsg {
     ClientOp {
         /// Client-chosen request id, echoed in the reply.
         reqid: u64,
-        /// Target object.
-        oid: ObjectId,
-        /// The transaction.
-        txn: Transaction,
+        /// The target object and the transaction, shared with the client's
+        /// in-flight table: a retransmission is a refcount.
+        req: Rc<(ObjectId, Transaction)>,
         /// The client's osdmap epoch (stale ⇒ rejected).
         map_epoch: u64,
     },
@@ -354,20 +353,26 @@ impl Osd {
     }
 
     /// Applies `txn` to `oid` atomically — the one place class code runs —
-    /// and returns, beside the results, its effect: the post-image of the
-    /// parts it touched, as large as the mutation, not the object. Built
-    /// when there is a journal to write it ahead to (before the ack) or
-    /// replicas to `ship` it to, once for all of them; `None` if the
-    /// transaction changed nothing or nobody wants the record.
+    /// and returns, beside the results and whether any of its ops is a
+    /// mutation, its effect: the post-image of the parts it touched, as
+    /// large as the mutation, not the object. Built when there is a journal
+    /// to write it ahead to (before the ack) or, for a mutation, `replicas`
+    /// to ship it to, once for all of them; `None` if the transaction
+    /// changed nothing or nobody wants the record.
     fn apply(
         &mut self,
         oid: &ObjectId,
         txn: &Transaction,
-        ship: bool,
-    ) -> (Result<Vec<OpResult>, OsdError>, Option<Rc<JournalRecord>>) {
+        replicas: bool,
+    ) -> (
+        Result<Vec<OpResult>, OsdError>,
+        bool,
+        Option<Rc<JournalRecord>>,
+    ) {
         let mut tracked = ObjTxn::begin(self.store.remove(oid));
         let result = tracked.run(txn, &self.registry);
-        let effect = if ship || self.journal.is_some() {
+        let is_mutation = tracked.mutates();
+        let effect = if (is_mutation && replicas) || self.journal.is_some() {
             tracked.journal_record(oid).map(Rc::new)
         } else {
             None
@@ -378,7 +383,7 @@ impl Osd {
         if let Some(obj) = tracked.finish() {
             self.store.insert(oid.clone(), obj);
         }
-        (result, effect)
+        (result, is_mutation, effect)
     }
 
     /// Makes a primary-shipped effect this replica's own: applied as values
@@ -813,10 +818,10 @@ impl Osd {
         ctx: &mut Context<'_>,
         from: NodeId,
         reqid: u64,
-        oid: ObjectId,
-        txn: Transaction,
+        req: Rc<(ObjectId, Transaction)>,
         map_epoch: u64,
     ) {
+        let (oid, txn) = &*req;
         let reply = |osd: &Osd, result: Result<Vec<OpResult>, OsdError>| OsdMsg::ClientReply {
             reqid,
             result,
@@ -883,18 +888,18 @@ impl Osd {
             return;
         };
         let pg = pg_of(&oid.pool, &oid.name, info.pg_num);
-        let acting = crate::placement::acting_set_weighted(
-            pg,
-            &self.map.weighted_up_osds(),
-            info.replicas as usize,
-        );
+        let acting = self
+            .map
+            .acting_set_for_pg(&oid.pool, pg.index)
+            .unwrap_or_default();
         if acting.first() != Some(&self.id) {
             let msg = reply(self, Err(OsdError::NotPrimary));
             ctx.send(from, msg);
             ctx.metrics().incr("osd.not_primary_rejects", 1);
             return;
         }
-        if self.backfills.contains_key(&(oid.pool.clone(), pg.index)) {
+        if !self.backfills.is_empty() && self.backfills.contains_key(&(oid.pool.clone(), pg.index))
+        {
             // This PG's snapshot has not landed yet; serving now could
             // miss acknowledged writes. The client retries on its backoff
             // timer — this rejection window is the availability cost of a
@@ -908,10 +913,9 @@ impl Osd {
         // the request (the client's `rados.op`).
         let parent = ctx.incoming_span();
         let op_span = ctx.span_start("osd.op", parent);
-        let is_mutation = txn.iter().any(|op| op.is_mutation(&self.registry));
-        let replicate = is_mutation && acting.len() > 1;
         // Write-ahead: durable before replication and before the ack.
-        let (result, effect) = self.apply(&oid, &txn, replicate);
+        let (result, is_mutation, effect) = self.apply(oid, txn, acting.len() > 1);
+        let replicate = is_mutation && acting.len() > 1;
         if is_mutation && result.is_ok() {
             // One group-commit covers every op the transaction batched
             // (e.g. a zlog `write_batch`); txn_ops / journal_commits is
@@ -936,13 +940,11 @@ impl Osd {
                     input,
                 } if class == "zlog" => match method.as_str() {
                     "read" => 1,
-                    "read_batch" => {
-                        let s = String::from_utf8_lossy(input);
-                        s.split('|')
-                            .nth(1)
-                            .map(|ps| ps.split(',').count() as u64)
-                            .unwrap_or(0)
-                    }
+                    // `epoch|pos,pos,...`: one more position than the
+                    // field after the first `|` has commas.
+                    "read_batch" => input.split(|b| *b == b'|').nth(1).map_or(0, |csv| {
+                        1 + csv.iter().filter(|b| **b == b',').count() as u64
+                    }),
                     _ => 0,
                 },
                 _ => 0,
@@ -988,7 +990,7 @@ impl Osd {
                         PendingRepl {
                             client: from,
                             reqid,
-                            oid,
+                            oid: oid.clone(),
                             effect,
                             results,
                             waiting_on: replicas.iter().copied().collect(),
@@ -1155,10 +1157,9 @@ impl Actor for Osd {
         match *msg {
             OsdMsg::ClientOp {
                 reqid,
-                oid,
-                txn,
+                req,
                 map_epoch,
-            } => self.handle_client_op(ctx, from, reqid, oid, txn, map_epoch),
+            } => self.handle_client_op(ctx, from, reqid, req, map_epoch),
             OsdMsg::Repl {
                 repl_id,
                 oid,

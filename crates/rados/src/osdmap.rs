@@ -6,7 +6,9 @@
 //! `k=v` text codec so no serialization dependency is needed and map dumps
 //! stay human-readable (handy when debugging experiments).
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 use mala_consensus::{MapSnapshot, MapUpdate, SERVICE_MAP_OSD};
 use mala_sim::NodeId;
@@ -34,8 +36,13 @@ pub struct OsdEntry {
     pub weight: u32,
 }
 
-/// A parsed, versioned view of the OSD map.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Acting sets (primary first) by pool name and PG index.
+type ActingSets = BTreeMap<String, HashMap<u32, Rc<[u32]>>>;
+
+/// A parsed, versioned view of the OSD map. A view is one epoch: a new
+/// epoch is a new view ([`OsdMapView::from_snapshot`]), never an edit of
+/// this one, which is what lets it remember the placements it computed.
+#[derive(Debug, Clone, Default)]
 pub struct OsdMapView {
     /// Map epoch (the monitor map's epoch).
     pub epoch: u64,
@@ -46,7 +53,22 @@ pub struct OsdMapView {
     /// Entries in the snapshot that failed to parse (operator typos).
     /// Surfaced once per epoch by daemons as `rados.osdmap_skipped_entries`.
     pub skipped: u64,
+    /// The acting sets asked for under this map: a placement is a function of the map, so it is scored and sorted
+    /// once per epoch instead of once per request. Filled on demand (at
+    /// most `pg_num` entries per pool) and dropped with the view.
+    acting: RefCell<ActingSets>,
 }
+
+/// Two views are the same map when what they parsed is equal; what each
+/// has computed from it so far says nothing.
+impl PartialEq for OsdMapView {
+    fn eq(&self, other: &OsdMapView) -> bool {
+        (self.epoch, &self.osds, &self.pools, self.skipped)
+            == (other.epoch, &other.osds, &other.pools, other.skipped)
+    }
+}
+
+impl Eq for OsdMapView {}
 
 impl OsdMapView {
     /// Parses the monitor's `osdmap` snapshot.
@@ -136,29 +158,37 @@ impl OsdMapView {
     /// The acting set (primary first) for an object, given this map.
     ///
     /// Returns `None` when the pool is unknown.
-    pub fn acting_set_for(&self, pool: &str, object_name: &str) -> Option<Vec<u32>> {
+    pub fn acting_set_for(&self, pool: &str, object_name: &str) -> Option<Rc<[u32]>> {
         let info = self.pools.get(pool)?;
         let pg = crate::placement::pg_of(pool, object_name, info.pg_num);
-        Some(crate::placement::acting_set_weighted(
-            pg,
-            &self.weighted_up_osds(),
-            info.replicas as usize,
-        ))
+        self.acting_set_for_pg(pool, pg.index)
     }
 
     /// The acting set for one PG of a pool (backfill works per-PG, not
-    /// per-object). Returns `None` when the pool is unknown.
-    pub fn acting_set_for_pg(&self, pool: &str, pg_index: u32) -> Option<Vec<u32>> {
+    /// per-object), computed the first time this view is asked for it.
+    /// Returns `None` when the pool is unknown.
+    pub fn acting_set_for_pg(&self, pool: &str, pg_index: u32) -> Option<Rc<[u32]>> {
         let info = self.pools.get(pool)?;
+        let mut acting = self.acting.borrow_mut();
+        if let Some(set) = acting.get(pool).and_then(|pgs| pgs.get(&pg_index)) {
+            return Some(Rc::clone(set));
+        }
         let pg = crate::placement::PgId {
             pool_hash: crate::placement::stable_hash(pool),
             index: pg_index,
         };
-        Some(crate::placement::acting_set_weighted(
+        let set: Rc<[u32]> = crate::placement::acting_set_weighted(
             pg,
             &self.weighted_up_osds(),
             info.replicas as usize,
-        ))
+        )
+        .into();
+        // An index the pool does not have is answered, not remembered.
+        if pg_index < info.pg_num {
+            let pgs = acting.entry(pool.to_string()).or_default();
+            pgs.insert(pg_index, Rc::clone(&set));
+        }
+        Some(set)
     }
 
     /// Builds the update registering (or re-marking) an OSD at weight 1.0×.
@@ -348,6 +378,55 @@ mod tests {
             view.acting_set_for("data", "obj").unwrap()
         );
         assert!(view.acting_set_for_pg("nope", 0).is_none());
+    }
+
+    /// A placement is computed once per view: asking again hands back the
+    /// same slice, whichever way it is asked for, and it is the slice the
+    /// placement function computes. A view of another epoch starts over.
+    #[test]
+    fn acting_sets_are_computed_once_per_view() {
+        let entries = vec![
+            ("osd.0", "node=10,up=1"),
+            ("osd.1", "node=11,up=1,weight=250"),
+            ("osd.2", "node=12,up=1"),
+            ("osd.3", "node=13,up=0"),
+            ("pool.data", "pg_num=8,replicas=2"),
+            ("pool.meta", "pg_num=4,replicas=3"),
+        ];
+        let view = OsdMapView::from_snapshot(&snapshot(entries.clone(), 1));
+        for (pool, info) in view.pools.clone() {
+            for index in 0..info.pg_num {
+                let first = view.acting_set_for_pg(&pool, index).unwrap();
+                let again = view.acting_set_for_pg(&pool, index).unwrap();
+                assert!(Rc::ptr_eq(&first, &again), "{pool}/{index}");
+                let pg = crate::placement::PgId {
+                    pool_hash: crate::placement::stable_hash(&pool),
+                    index,
+                };
+                let fresh = crate::placement::acting_set_weighted(
+                    pg,
+                    &view.weighted_up_osds(),
+                    info.replicas as usize,
+                );
+                assert_eq!(&*first, &fresh[..], "{pool}/{index}");
+            }
+        }
+        let by_name = view.acting_set_for("data", "obj").unwrap();
+        let pg = crate::placement::pg_of("data", "obj", 8);
+        let by_pg = view.acting_set_for_pg("data", pg.index).unwrap();
+        assert!(Rc::ptr_eq(&by_name, &by_pg));
+        // The memo is not part of what a view is, and a copy keeps it.
+        let bare = OsdMapView::from_snapshot(&snapshot(entries.clone(), 1));
+        assert_eq!(view, bare);
+        assert!(Rc::ptr_eq(
+            &view.clone().acting_set_for("data", "obj").unwrap(),
+            &by_name
+        ));
+        let next = OsdMapView::from_snapshot(&snapshot(entries, 2));
+        assert!(!Rc::ptr_eq(
+            &next.acting_set_for("data", "obj").unwrap(),
+            &by_name
+        ));
     }
 
     #[test]

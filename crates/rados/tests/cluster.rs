@@ -9,6 +9,7 @@ use mala_rados::{
     RadosClient, Transaction,
 };
 use mala_sim::{NodeId, Sim, SimDuration};
+use std::rc::Rc;
 
 const MON: NodeId = NodeId(0);
 const CLIENT: NodeId = NodeId(100);
@@ -67,6 +68,7 @@ fn acting_set(sim: &Sim, name: &str) -> Vec<u32> {
     OsdMapView::from_snapshot(sim.actor::<Monitor>(MON).map("osdmap").unwrap())
         .acting_set_for("data", name)
         .unwrap()
+        .to_vec()
 }
 
 /// OSD `i`'s copy of `data/name`.
@@ -93,7 +95,7 @@ fn call(class: &str, method: &str, input: &[u8]) -> Op {
     Op::Call {
         class: class.into(),
         method: method.into(),
-        input: input.to_vec(),
+        input: input.into(),
     }
 }
 
@@ -154,7 +156,7 @@ fn read_after_write_round_trip() {
         SimDuration::from_secs(5),
     );
     let results = ev.result.unwrap();
-    assert_eq!(results[0], OpResult::Maybe(Some(b"green".to_vec())));
+    assert_eq!(results[0], OpResult::Maybe(Some(b"green"[..].into())));
     assert_eq!(results[1], OpResult::Data(b"body".to_vec()));
 }
 
@@ -226,11 +228,11 @@ fn scripted_interface_installs_cluster_wide_and_executes() {
         vec![Op::Call {
             class: "kvdemo".into(),
             method: "put".into(),
-            input: b"42".to_vec(),
+            input: b"42"[..].into(),
         }],
         SimDuration::from_secs(5),
     );
-    assert_eq!(ev.result.unwrap()[0], OpResult::CallOut(b"ok".to_vec()));
+    assert_eq!(ev.result.unwrap()[0], OpResult::CallOut(b"ok"[..].into()));
     let ev = request(
         &mut sim,
         CLIENT,
@@ -238,11 +240,11 @@ fn scripted_interface_installs_cluster_wide_and_executes() {
         vec![Op::Call {
             class: "kvdemo".into(),
             method: "get".into(),
-            input: Vec::new(),
+            input: Rc::default(),
         }],
         SimDuration::from_secs(5),
     );
-    assert_eq!(ev.result.unwrap()[0], OpResult::CallOut(b"42".to_vec()));
+    assert_eq!(ev.result.unwrap()[0], OpResult::CallOut(b"42"[..].into()));
 }
 
 #[test]
@@ -269,13 +271,13 @@ fn interface_upgrade_takes_effect_without_restart() {
             vec![Op::Call {
                 class: "ver".into(),
                 method: "which".into(),
-                input: Vec::new(),
+                input: Rc::default(),
             }],
             SimDuration::from_secs(5),
         );
         assert_eq!(
             ev.result.unwrap()[0],
-            OpResult::CallOut(reply.as_bytes().to_vec())
+            OpResult::CallOut(reply.as_bytes().into())
         );
     }
 }
@@ -505,7 +507,7 @@ fn lock_class_serializes_two_clients() {
                 Op::Call {
                     class: "lock".into(),
                     method: "lock".into(),
-                    input: owner.as_bytes().to_vec(),
+                    input: owner.as_bytes().into(),
                 },
             ],
             SimDuration::from_secs(5),
@@ -523,7 +525,7 @@ fn lock_class_serializes_two_clients() {
         vec![Op::Call {
             class: "lock".into(),
             method: "unlock".into(),
-            input: b"alice".to_vec(),
+            input: b"alice"[..].into(),
         }],
         SimDuration::from_secs(5),
     )
@@ -611,12 +613,16 @@ fn replicas_converge_under_interface_version_skew() {
         vec![call("kvdemo", "put", b"42")],
         SimDuration::from_secs(5),
     );
-    let expected = Ok(vec![OpResult::CallOut(b"stored".to_vec())]);
+    let expected = Ok(vec![OpResult::CallOut(b"stored"[..].into())]);
     assert_eq!(ev.result, expected);
     for i in 0..3 {
         let osd = sim.actor::<Osd>(osd_node(i));
         let held = osd.store().get(&oid(&name)).map(|o| o.omap.get("payload"));
-        assert_eq!(held, Some(Some(&b"42".to_vec())), "osd {i} holds {held:?}");
+        assert_eq!(
+            held,
+            Some(Some(&b"42"[..].into())),
+            "osd {i} holds {held:?}"
+        );
         let cached = osd.cached_reply(CLIENT, ev.reqid);
         assert_eq!(cached, Some(&expected), "osd {i} would answer {cached:?}");
     }
@@ -663,7 +669,7 @@ fn replicas_hold_the_primarys_object_after_mixed_transactions() {
         .0
         .unwrap();
     let (counted, _) = run(&mut sim, vec![call("refcount", "get", b"")]);
-    assert_eq!(counted, Ok(vec![OpResult::CallOut(b"1".to_vec())]));
+    assert_eq!(counted, Ok(vec![OpResult::CallOut(b"1"[..].into())]));
     let (_, object) = run(&mut sim, vec![call("lock", "unlock", b"alice")]);
     assert!(!object.unwrap().xattrs.contains_key("lock.owner"));
 
@@ -720,7 +726,7 @@ fn replicas_hold_the_primarys_object_after_mixed_transactions() {
         ],
     );
     let mut fresh = Object::new();
-    fresh.omap.insert("fresh".into(), b"1".to_vec());
+    fresh.omap.insert("fresh".into(), b"1"[..].into());
     assert_eq!(object, Some(fresh));
 
     // Remove alone: gone everywhere.

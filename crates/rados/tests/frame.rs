@@ -45,17 +45,19 @@ fn any_text() -> impl Strategy<Value = String> {
         .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
 }
 
-/// Bodies that look like headers, hold the separators, are empty, or are
-/// multi-byte text, besides arbitrary ones.
-fn text_item() -> impl Strategy<Value = String> {
+/// Bodies that look like headers, hold the separators, are empty, are
+/// multi-byte text or are not text at all, besides arbitrary ones.
+fn item() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
-        Just(String::new()),
-        Just("|".to_string()),
-        Just(",".to_string()),
-        Just("2|1,1|ab".to_string()),
-        Just("h\u{e9}llo \u{2603} w\u{f6}rld".to_string()),
-        "[a-z0-9|,\u{e9}\u{2603}]{0,24}",
-        any_text(),
+        Just(Vec::new()),
+        Just(b"|".to_vec()),
+        Just(b",".to_vec()),
+        Just(b"2|1,1|ab".to_vec()),
+        Just("h\u{e9}llo \u{2603} w\u{f6}rld".as_bytes().to_vec()),
+        Just(b"\xff\0\xc3".to_vec()),
+        "[a-z0-9|,\u{e9}\u{2603}]{0,24}".prop_map(String::into_bytes),
+        any_text().prop_map(String::into_bytes),
+        prop::collection::vec(any::<u8>(), 0..40),
     ]
 }
 
@@ -73,16 +75,16 @@ proptest! {
 
     #[test]
     fn unframe_hands_the_script_what_decode_returns(
-        items in prop::collection::vec(text_item(), 0..12),
+        items in prop::collection::vec(item(), 0..12),
     ) {
         let framed = encode(&items);
         let decoded = frame::decode(&framed).unwrap();
-        prop_assert_eq!(&decoded, &items.iter().map(String::as_bytes).collect::<Vec<_>>());
+        prop_assert_eq!(&decoded, &items.iter().map(Vec::as_slice).collect::<Vec<_>>());
         for reg in registries() {
             // The list comes back as the frame it came in.
             prop_assert_eq!(call(&reg, "echo", &framed), Ok(framed.clone()));
             prop_assert_eq!(call(&reg, "count", &framed), Ok(items.len().to_string().into_bytes()));
-            let last = items.last().map_or(Vec::new(), |s| s.as_bytes().to_vec());
+            let last = items.last().cloned().unwrap_or_default();
             prop_assert_eq!(call(&reg, "last", &framed), Ok(last));
         }
     }
@@ -107,23 +109,26 @@ proptest! {
     }
 
     /// Whatever the bytes, `decode` and `unframe` answer or refuse; they do
-    /// not panic, and they agree on which.
+    /// not panic, and they agree on which: the script is handed the bytes
+    /// `decode` is.
     #[test]
     fn arbitrary_input_never_panics(
         input in prop_oneof![
-            "[0-9]{0,3}[|x]?[0-9,]{0,8}[|]?[a-z\u{e9}|,]{0,12}",
-            any_text(),
+            "[0-9]{0,3}[|x]?[0-9,]{0,8}[|]?[a-z\u{e9}|,]{0,12}".prop_map(String::into_bytes),
+            any_text().prop_map(String::into_bytes),
+            prop::collection::vec(any::<u8>(), 0..40),
         ],
     ) {
-        let decoded = frame::decode(input.as_bytes());
+        let decoded = frame::decode(&input);
         for reg in registries() {
-            match (&decoded, call(&reg, "count", input.as_bytes())) {
+            match (&decoded, call(&reg, "count", &input)) {
                 (Ok(items), Ok(count)) => {
                     prop_assert_eq!(items.len().to_string().into_bytes(), count);
                 }
-                // A length inside a character is the script side's alone.
-                (_, Err(code)) => prop_assert_eq!(code, -22),
-                (Err(e), Ok(count)) => prop_assert!(false, "decode: {}, unframe: {:?}", e, count),
+                (Err(_), Err(code)) => prop_assert_eq!(code, -22),
+                (decoded, unframed) => {
+                    prop_assert!(false, "decode: {:?}, unframe: {:?}", decoded, unframed)
+                }
             }
         }
     }
@@ -132,7 +137,7 @@ proptest! {
 #[test]
 fn malformed_frames_are_einval_through_a_class_call() {
     let huge = format!("{}|1|a", usize::MAX);
-    let cases: [(&[u8], &str); 9] = [
+    let cases: [(&[u8], &str); 8] = [
         (b"", "not a frame"),
         (b"3|1,1|ab", "count beyond the lengths listed"),
         (
@@ -144,36 +149,35 @@ fn malformed_frames_are_einval_through_a_class_call() {
         (b"1|1|abc", "trailing bytes"),
         (b"1|x|a", "non-numeric length"),
         (b"x|1|a", "non-numeric count"),
-        ("2|1,1|\u{e9}".as_bytes(), "length inside a character"),
     ];
     for reg in registries() {
         for (bad, why) in cases {
             assert_eq!(call(&reg, "echo", bad), Err(-22), "{why}");
         }
     }
-    // The last one is a frame of bytes — only text has characters to split.
-    for (bad, why) in &cases[..8] {
+    for (bad, why) in cases {
         assert!(frame::decode(bad).is_err(), "{why}");
     }
-    assert_eq!(
-        frame::decode("2|1,1|\u{e9}".as_bytes()).unwrap(),
-        vec![&b"\xc3"[..], b"\xa9"]
-    );
+    // A length that ends inside a character is no malformation: items are
+    // bytes on both sides, and only text has characters to split.
+    let split = "2|1,1|\u{e9}".as_bytes();
+    assert_eq!(frame::decode(split).unwrap(), vec![&b"\xc3"[..], b"\xa9"]);
+    for reg in registries() {
+        assert_eq!(call(&reg, "echo", split), Ok(split.to_vec()));
+        assert_eq!(call(&reg, "last", split), Ok(b"\xa9".to_vec()));
+    }
 }
 
-/// Input bytes that are not UTF-8 reach the script as lossy text. A frame
-/// built over the raw bytes no longer fits that text, which is why callers
-/// frame the text the script will see (`mala-zlog`'s `encode_write_batch`).
+/// Input bytes that are not UTF-8 reach the script as they are, so the
+/// text the script sees is the bytes the caller framed and the lengths
+/// count those (they used to count a lossy decoding, which a frame over the
+/// raw bytes no longer fitted).
 #[test]
 fn lengths_count_the_text_the_script_sees() {
     let raw: [&[u8]; 2] = [b"a\xffb", b"tail"];
-    let seen: Vec<String> = raw
-        .iter()
-        .map(|b| String::from_utf8_lossy(b).into_owned())
-        .collect();
     for reg in registries() {
-        assert_eq!(call(&reg, "echo", &encode(&raw)), Err(-22));
-        assert_eq!(call(&reg, "echo", &encode(&seen)), Ok(encode(&seen)));
-        assert_eq!(call(&reg, "last", &encode(&seen)), Ok(b"tail".to_vec()));
+        assert_eq!(call(&reg, "echo", &encode(&raw)), Ok(encode(&raw)));
+        assert_eq!(call(&reg, "count", &encode(&raw)), Ok(b"2".to_vec()));
+        assert_eq!(call(&reg, "last", &encode(&raw)), Ok(b"tail".to_vec()));
     }
 }

@@ -117,7 +117,7 @@ fn reference_op(
         }
         Op::OmapSet { key, value } => {
             let o = slot.get_or_insert_with(Object::new);
-            o.omap.insert(key.clone(), value.clone());
+            o.omap.insert(key.clone(), value.as_slice().into());
             OpResult::Done
         }
         Op::OmapDel { key } => {
@@ -126,10 +126,10 @@ fn reference_op(
         }
         Op::OmapCmpXchg { key, expect, value } => {
             let o = slot.get_or_insert_with(Object::new);
-            if o.omap.get(key) != expect.as_ref() {
+            if o.omap.get(key).map(|held| &**held) != expect.as_deref() {
                 return Err(OsdError::CmpFailed);
             }
-            o.omap.insert(key.clone(), value.clone());
+            o.omap.insert(key.clone(), value.as_slice().into());
             OpResult::Done
         }
         Op::XattrGet { key } => {
@@ -138,14 +138,14 @@ fn reference_op(
         }
         Op::XattrSet { key, value } => {
             let o = slot.get_or_insert_with(Object::new);
-            o.xattrs.insert(key.clone(), value.clone());
+            o.xattrs.insert(key.clone(), value.as_slice().into());
             OpResult::Done
         }
         Op::Call {
             class,
             method,
             input,
-        } => OpResult::CallOut(reg.call(class, method, slot, input)?),
+        } => OpResult::CallOut(reg.call(class, method, slot, input)?.into()),
     })
 }
 
@@ -176,7 +176,7 @@ fn call(class: &'static str, method: &'static str) -> impl Strategy<Value = Op> 
     prop_oneof![Just("x"), Just("y"), Just("owner-1")].prop_map(move |input| Op::Call {
         class: class.to_string(),
         method: method.to_string(),
-        input: input.as_bytes().to_vec(),
+        input: input.as_bytes().into(),
     })
 }
 
@@ -267,7 +267,7 @@ fn rolled_back_implicit_create_leaves_no_object() {
         Op::Call {
             class: "probe".into(),
             method: "boom".into(),
-            input: b"x".to_vec(),
+            input: b"x"[..].into(),
         },
     ] {
         let txn = vec![
@@ -292,8 +292,8 @@ fn remove_then_failing_op_restores_the_object() {
     let reg = registry();
     let mut obj = Object::new();
     obj.append(b"payload");
-    obj.omap.insert("a".into(), b"1".to_vec());
-    obj.xattrs.insert("x".into(), b"2".to_vec());
+    obj.omap.insert("a".into(), b"1"[..].into());
+    obj.xattrs.insert("x".into(), b"2"[..].into());
     let txn = vec![
         Op::Remove,
         Op::Append {

@@ -28,6 +28,7 @@ pub mod log;
 pub mod route;
 pub mod sequencer;
 pub mod storage;
+mod window;
 
 pub use kv::{decode_cmd, encode_cmd, KvCmd, KvStore};
 pub use log::{

@@ -9,7 +9,7 @@
 //! the client refreshes.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 use mala_consensus::{MapUpdate, MonMsg, SERVICE_MAP_MDS};
 use mala_mds::types::{MdsError, MdsMsg};
@@ -24,9 +24,10 @@ use mala_sim::{
 
 use crate::route::SeqRouter;
 use crate::storage::{
-    decode_checkpoint, decode_read_batch, encode_checkpoint, encode_read_batch, encode_write_batch,
+    decode_checkpoint, encode_checkpoint, encode_read_batch, encode_write_batch, read_outcomes,
     ZLOG_CLASS,
 };
+use crate::window::Window;
 
 /// Monitor map holding ZLog service metadata (per-log epochs).
 pub const ZLOG_MAP: &str = "zlog";
@@ -310,8 +311,9 @@ enum OpKind {
 /// contiguous runs to `next_batch` waiters in position order.
 struct Cursor {
     cfg: ReadConfig,
-    /// Next position to deliver.
-    next_pos: u64,
+    /// Next position to deliver and what is known about the positions
+    /// from there on.
+    window: Window,
     /// Exclusive tail bound last learned from the sequencer.
     tail: u64,
     /// Start position resolved (checkpoint object consulted).
@@ -323,20 +325,8 @@ struct Cursor {
     /// The tail was refreshed since the current waiter arrived, so
     /// "caught up" can be answered against a fresh bound.
     tail_fresh: bool,
-    /// Prefetched outcomes not yet delivered.
-    ready: BTreeMap<u64, ReadOutcome>,
-    /// Positions currently out in some fetch op.
-    inflight: BTreeSet<u64>,
     /// Outstanding fetch ops (the `max_inflight` bound).
     inflight_ops: usize,
-    /// Positions with a hole-resolving fill in flight.
-    healing: BTreeSet<u64>,
-    /// Prefetch high-water mark: every position in `next_pos..requested`
-    /// is in exactly one of `ready`, `inflight` and `healing`, so the
-    /// window is examined from here on only. Whatever takes a position
-    /// out of all three without delivering it (a failed fetch, a finished
-    /// heal) rewinds the mark to `next_pos`.
-    requested: u64,
     /// Waiting `next_batch` op and its delivery cap.
     waiter: Option<(u64, usize)>,
 }
@@ -697,17 +687,13 @@ impl ZlogClient {
             id,
             Cursor {
                 cfg: self.read_cfg.clone(),
-                next_pos: 0,
+                window: Window::default(),
                 tail: 0,
                 started: false,
                 ckpt_inflight: false,
                 tail_inflight: false,
                 tail_fresh: false,
-                ready: BTreeMap::new(),
-                inflight: BTreeSet::new(),
                 inflight_ops: 0,
-                healing: BTreeSet::new(),
-                requested: 0,
                 waiter: None,
             },
         );
@@ -743,7 +729,7 @@ impl ZlogClient {
 
     /// The next position cursor `id` will deliver, if the cursor exists.
     pub fn cursor_pos(&self, id: u64) -> Option<u64> {
-        self.cursors.get(&id).map(|c| c.next_pos)
+        self.cursors.get(&id).map(|c| c.window.next_pos())
     }
 
     /// Junk-fills `pos`; resolves to [`ZlogOut::Done`].
@@ -1099,7 +1085,7 @@ impl ZlogClient {
             vec![Op::Call {
                 class: ZLOG_CLASS.into(),
                 method: method.into(),
-                input,
+                input: input.into(),
             }],
         );
         self.rados_waiting.insert(reqid, op);
@@ -1364,21 +1350,11 @@ impl ZlogClient {
         let mut need_tail = false;
         if let Some(cursor) = self.cursors.get_mut(&id) {
             if let Some((op, max)) = cursor.waiter {
-                let mut entries = Vec::new();
-                while entries.len() < max {
-                    let p = cursor.next_pos;
-                    match cursor.ready.remove(&p) {
-                        Some(o) => {
-                            entries.push((p, o));
-                            cursor.next_pos += 1;
-                        }
-                        None => break,
-                    }
-                }
+                let entries = cursor.window.deliver(max);
                 if !entries.is_empty() {
                     cursor.waiter = None;
                     deliver = Some((op, entries));
-                } else if cursor.next_pos >= cursor.tail {
+                } else if cursor.window.next_pos() >= cursor.tail {
                     if cursor.tail_fresh {
                         // Caught up against a freshly read tail.
                         cursor.waiter = None;
@@ -1415,21 +1391,17 @@ impl ZlogClient {
             let width = u64::from(self.config.stripe_width).max(1);
             let hi = cursor
                 .tail
-                .min(cursor.next_pos + cursor.cfg.readahead.max(1) as u64);
+                .min(cursor.window.next_pos() + cursor.cfg.readahead.max(1) as u64);
             let mut by_stripe: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-            for p in cursor.next_pos.max(cursor.requested)..hi {
-                if !cursor.ready.contains_key(&p)
-                    && !cursor.inflight.contains(&p)
-                    && !cursor.healing.contains(&p)
-                {
-                    by_stripe.entry(p % width).or_default().push(p);
-                }
+            for p in cursor.window.missing(hi) {
+                by_stripe.entry(p % width).or_default().push(p);
             }
             let mut groups: Vec<Vec<u64>> = by_stripe.into_values().collect();
             // Groups the cap leaves out stay above the mark for the next
             // pass.
             let left_out = groups.split_off(room.min(groups.len()));
-            cursor.requested = left_out.iter().map(|g| g[0]).fold(hi, u64::min);
+            let mark = left_out.iter().map(|g| g[0]).fold(hi, u64::min);
+            cursor.window.set_requested(mark);
             groups
         };
         for group in groups {
@@ -1467,7 +1439,7 @@ impl ZlogClient {
     fn spawn_cursor_fetch(&mut self, ctx: &mut Context<'_>, id: u64, positions: Vec<u64>) {
         if let Some(cursor) = self.cursors.get_mut(&id) {
             cursor.inflight_ops += 1;
-            cursor.inflight.extend(positions.iter().copied());
+            cursor.window.fetching(&positions);
         }
         let op = self.begin(
             ctx,
@@ -1493,7 +1465,7 @@ impl ZlogClient {
     /// that beat the fill).
     fn spawn_cursor_heal(&mut self, ctx: &mut Context<'_>, id: u64, pos: u64) {
         if let Some(cursor) = self.cursors.get_mut(&id) {
-            cursor.healing.insert(pos);
+            cursor.window.healing(pos);
         }
         ctx.metrics().incr("zlog.cursor_hole_fills", 1);
         let op = self.begin(ctx, OpKind::Fill { pos }, Stage::Mutate);
@@ -1506,7 +1478,7 @@ impl ZlogClient {
 
     /// A cursor's internal op concluded: fold its result into the cursor
     /// and re-drive. The cursor is the result's only consumer, so it
-    /// arrives by value and the outcomes move into `ready`.
+    /// arrives by value and the outcomes move into the window.
     fn on_cursor_op_done(
         &mut self,
         ctx: &mut Context<'_>,
@@ -1514,7 +1486,7 @@ impl ZlogClient {
         kind: OpKind,
         result: AppendResult,
     ) {
-        let mut heal: Vec<u64> = Vec::new();
+        let mut heal = Vec::new();
         {
             let Some(cursor) = self.cursors.get_mut(&id) else {
                 return;
@@ -1525,7 +1497,7 @@ impl ZlogClient {
                     if let AppendResult::Ok(ZlogOut::Checkpoint(ckpt)) = result {
                         cursor.started = true;
                         let start = ckpt.map_or(0, |(p, _)| p);
-                        cursor.next_pos = start;
+                        cursor.window.start_at(start);
                         cursor.tail = cursor.tail.max(start);
                     }
                     // On failure the cursor stays unstarted and the next
@@ -1540,30 +1512,14 @@ impl ZlogClient {
                 }
                 OpKind::ReadBatch { positions } => {
                     cursor.inflight_ops = cursor.inflight_ops.saturating_sub(1);
-                    for p in &positions {
-                        cursor.inflight.remove(p);
-                    }
-                    if let AppendResult::Ok(ZlogOut::ReadBatch(entries)) = result {
-                        let tail = cursor.tail;
-                        for (p, o) in entries {
-                            if matches!(o, ReadOutcome::NotWritten) && p < tail {
-                                if !cursor.healing.contains(&p) {
-                                    heal.push(p);
-                                }
-                            } else {
-                                cursor.ready.insert(p, o);
-                            }
-                        }
-                    } else {
-                        // A failed fetch simply re-enters the needed set.
-                        cursor.requested = cursor.next_pos;
-                    }
+                    // A failed fetch simply re-enters the needed set.
+                    let entries = match result {
+                        AppendResult::Ok(ZlogOut::ReadBatch(entries)) => Some(entries),
+                        _ => None,
+                    };
+                    heal = cursor.window.fetched(&positions, entries, cursor.tail);
                 }
-                OpKind::Fill { pos } => {
-                    // Healed or not, the position is read again.
-                    cursor.healing.remove(&pos);
-                    cursor.requested = cursor.next_pos;
-                }
+                OpKind::Fill { pos } => cursor.window.healed(pos),
                 _ => {}
             }
         }
@@ -1951,9 +1907,14 @@ impl ZlogClient {
                 Err(e) => self.fail(ctx, op, format!("mutation failed: {e}")),
             },
             Stage::ReadVector { outstanding, parts } => {
+                // The reply is the list the method returned, each value
+                // the buffer the stripe object stores; payloads are copied
+                // here, once, into the outcomes the reader is handed.
                 let part = match &result {
                     Ok(outs) => match outs.first() {
-                        Some(OpResult::CallOut(bytes)) => decode_read_batch(bytes).ok(),
+                        Some(OpResult::CallList(items)) => {
+                            read_outcomes(items.iter().map(|item| &**item)).ok()
+                        }
                         _ => None,
                     },
                     Err(_) => None,
@@ -1994,9 +1955,7 @@ impl ZlogClient {
             Stage::CkptWrite => match result {
                 Ok(outs) => {
                     let held = match outs.first() {
-                        Some(OpResult::CallOut(bytes)) => {
-                            String::from_utf8_lossy(bytes).parse::<u64>().ok()
-                        }
+                        Some(OpResult::CallOut(bytes)) => decimal::<u64>(bytes),
                         _ => None,
                     };
                     match held {
@@ -2034,7 +1993,7 @@ impl ZlogClient {
                 *outstanding -= 1;
                 if let Ok(results) = &result {
                     if let Some(OpResult::CallOut(bytes)) = results.first() {
-                        if let Ok(v) = String::from_utf8_lossy(bytes).parse::<i64>() {
+                        if let Some(v) = decimal::<i64>(bytes) {
                             *max_pos = (*max_pos).max(v);
                         }
                     }
@@ -2370,7 +2329,7 @@ impl ZlogClient {
                 vec![Op::Call {
                     class: ZLOG_CLASS.into(),
                     method: "write_batch".into(),
-                    input,
+                    input: input.into(),
                 }],
                 Some(span),
             );
@@ -2651,6 +2610,11 @@ impl Actor for ZlogClient {
             self.flush(ctx);
         }
     }
+}
+
+/// A class reply that is one decimal number.
+fn decimal<T: std::str::FromStr>(bytes: &[u8]) -> Option<T> {
+    std::str::from_utf8(bytes).ok()?.parse().ok()
 }
 
 /// The history-model operation a client op records as, if any (setup and

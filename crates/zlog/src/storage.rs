@@ -45,8 +45,12 @@
 //! [`decode_read_batch`] takes positions from the echoed csv, the tag
 //! from each value's first byte and the payload as the bytes after `D|`.
 //! The class never formats a position, measures a payload or joins a
-//! reply. Lengths count bytes of the text the interpreter sees — inputs
-//! reach a script lossy-decoded — so the encoder frames that text.
+//! reply. Payloads are bytes end to end (DESIGN §29): the script is handed
+//! the frame as it was built, stores what `unframe` cut out of it, and a
+//! stored value travels back as the buffer it is stored in — through the
+//! OSD the reply is the list of those buffers
+//! ([`mala_rados::OpResult::CallList`], [`read_outcomes`]), never a copy of
+//! them.
 //!
 //! Trim carries a *prefix watermark* besides the per-position `trim`:
 //! `trim_upto` (`epoch|pos`) marks every position `<= pos` on this
@@ -60,8 +64,6 @@
 //! takes `epoch|pos|len|blob` and only ever advances (a stale snapshot
 //! writer cannot roll the checkpoint back), `checkpoint_read` returns
 //! `pos|len|blob` (`-1|0|` when none was ever taken).
-
-use std::borrow::Cow;
 
 use mala_consensus::{MapUpdate, SERVICE_MAP_INTERFACES};
 use mala_rados::frame;
@@ -323,17 +325,22 @@ end
 "#;
 
 /// Encodes a `write_batch` input: the framed list `{epoch, pos1,
-/// payload1, …, posn, payloadn}`. Entries must be non-empty.
+/// payload1, …, posn, payloadn}`, payloads as they are. Entries must be
+/// non-empty.
 pub fn encode_write_batch(epoch: u64, entries: &[(u64, &[u8])]) -> Vec<u8> {
-    let mut items: Vec<Cow<'_, str>> = Vec::with_capacity(1 + 2 * entries.len());
-    items.push(epoch.to_string().into());
-    for (pos, payload) in entries {
-        items.push(pos.to_string().into());
-        // The class runs on lossy-decoded text, so frame what the
-        // interpreter will actually see: the lengths count its bytes.
-        items.push(String::from_utf8_lossy(payload));
-    }
-    frame::encode(items.iter().map(|item| item.as_bytes()))
+    let numbers: Vec<String> = std::iter::once(epoch)
+        .chain(entries.iter().map(|(pos, _)| *pos))
+        .map(|n| n.to_string())
+        .collect();
+    let payloads = entries.iter().map(|(_, payload)| *payload);
+    let positions = numbers[1..].iter().map(|pos| pos.as_bytes());
+    frame::encode(
+        std::iter::once(numbers[0].as_bytes()).chain(
+            positions
+                .zip(payloads)
+                .flat_map(|(pos, payload)| [pos, payload]),
+        ),
+    )
 }
 
 /// Encodes a `read_batch` input: `epoch|pos,pos,...`.
@@ -347,24 +354,30 @@ pub fn encode_read_batch(epoch: u64, positions: &[u64]) -> Vec<u8> {
     out.into_bytes()
 }
 
-/// Decodes a `read_batch` reply: the framed list `{csv, v1, …, vn}` — the
-/// request's position csv echoed, then one value per position, `X|` with
-/// the tag `X` one of D/F/T/U and, after `D|`, the payload. Payload bytes
-/// are copied out as they are; only the csv is read as text.
+/// Decodes a `read_batch` reply in its flat form: the frame of `{csv, v1,
+/// …, vn}` (see [`read_outcomes`]).
 pub fn decode_read_batch(bytes: &[u8]) -> Result<Vec<(u64, crate::log::ReadOutcome)>, String> {
-    use crate::log::ReadOutcome;
     let items = frame::decode(bytes).map_err(|e| format!("read_batch reply: {e}"))?;
-    let (csv, values) = items
-        .split_first()
-        .ok_or("read_batch reply: missing positions")?;
+    read_outcomes(items.into_iter())
+}
+
+/// Reads a `read_batch` reply, the list `{csv, v1, …, vn}`: the request's
+/// position csv echoed, then one value per position, `X|` with the tag `X`
+/// one of D/F/T/U and, after `D|`, the payload. Only the csv is read as
+/// text; a payload is copied out as it is, and this is the one copy made
+/// of it between the omap that stores it and the reader.
+pub fn read_outcomes<'a>(
+    mut items: impl Iterator<Item = &'a [u8]>,
+) -> Result<Vec<(u64, crate::log::ReadOutcome)>, String> {
+    use crate::log::ReadOutcome;
+    let csv = items.next().ok_or("read_batch reply: missing positions")?;
     let csv = std::str::from_utf8(csv).map_err(|_| "read_batch reply: bad positions")?;
-    let mut values = values.iter();
-    let mut out = Vec::with_capacity(values.len());
+    let mut out = Vec::with_capacity(items.size_hint().0);
     for field in csv.split(',') {
         let pos: u64 = field
             .parse()
             .map_err(|_| format!("read_batch reply: bad position {field:?}"))?;
-        let outcome = match values.next() {
+        let outcome = match items.next() {
             Some([b'D', b'|', payload @ ..]) => ReadOutcome::Data(payload.to_vec()),
             Some([b'F', b'|', ..]) => ReadOutcome::Filled,
             Some([b'T', b'|', ..]) => ReadOutcome::Trimmed,
@@ -375,48 +388,48 @@ pub fn decode_read_batch(bytes: &[u8]) -> Result<Vec<(u64, crate::log::ReadOutco
         };
         out.push((pos, outcome));
     }
-    if values.next().is_some() {
+    if items.next().is_some() {
         return Err("read_batch reply: more values than positions".into());
     }
     Ok(out)
 }
 
-/// Encodes a `checkpoint` input: `epoch|pos|len|blob`, `len` counting the
-/// bytes of the lossy-decoded blob text (same convention as write_batch).
+/// Encodes a `checkpoint` input: `epoch|pos|len|blob`, the blob as it is
+/// and `len` its length in bytes.
 pub fn encode_checkpoint(epoch: u64, pos: u64, blob: &[u8]) -> Vec<u8> {
-    let text = String::from_utf8_lossy(blob);
-    let mut out = format!("{epoch}|{pos}|{}|", text.len()).into_bytes();
-    out.extend_from_slice(text.as_bytes());
+    let mut out = format!("{epoch}|{pos}|{}|", blob.len()).into_bytes();
+    out.extend_from_slice(blob);
     out
 }
 
 /// Decodes a `checkpoint_read` reply (`pos|len|blob`). `None` when no
-/// checkpoint has been taken yet (`-1|0|`).
+/// checkpoint has been taken yet (`-1|0|`). The two header fields are read
+/// as text, the blob is bytes.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<Option<(u64, Vec<u8>)>, String> {
-    let text = String::from_utf8_lossy(bytes);
-    let s = text.as_ref();
-    let i = s
-        .find('|')
-        .ok_or_else(|| "checkpoint reply: missing position".to_string())?;
-    let pos_str = &s[..i];
-    if pos_str == "-1" {
+    /// Splits the `|`-terminated text field off the front of `rest`.
+    fn field<'a>(rest: &mut &'a [u8], what: &str) -> Result<&'a str, String> {
+        let at = rest
+            .iter()
+            .position(|b| *b == b'|')
+            .ok_or_else(|| format!("checkpoint reply: missing {what}"))?;
+        let (head, tail) = rest.split_at(at);
+        *rest = &tail[1..];
+        std::str::from_utf8(head).map_err(|_| format!("checkpoint reply: bad {what}"))
+    }
+    let mut rest = bytes;
+    let pos = field(&mut rest, "position")?;
+    if pos == "-1" {
         return Ok(None);
     }
-    let pos: u64 = pos_str
+    let pos: u64 = pos
         .parse()
-        .map_err(|_| format!("checkpoint reply: bad position {pos_str:?}"))?;
-    let rest = &s[i + 1..];
-    let j = rest
-        .find('|')
-        .ok_or_else(|| "checkpoint reply: missing length".to_string())?;
-    let len: usize = rest[..j]
+        .map_err(|_| format!("checkpoint reply: bad position {pos:?}"))?;
+    let len = field(&mut rest, "length")?;
+    let len: usize = len
         .parse()
-        .map_err(|_| format!("checkpoint reply: bad length {:?}", &rest[..j]))?;
-    let blob = &rest[j + 1..];
-    if blob.len() < len {
-        return Err("checkpoint reply: truncated blob".into());
-    }
-    Ok(Some((pos, blob.as_bytes()[..len].to_vec())))
+        .map_err(|_| format!("checkpoint reply: bad length {len:?}"))?;
+    let blob = rest.get(..len).ok_or("checkpoint reply: truncated blob")?;
+    Ok(Some((pos, blob.to_vec())))
 }
 
 /// The monitor update that installs (or upgrades) the class cluster-wide.
@@ -483,7 +496,7 @@ mod tests {
             &vec![Op::Call {
                 class: ZLOG_CLASS.into(),
                 method: "write_batch".into(),
-                input: encode_write_batch(0, &[(1000, b"one more")]),
+                input: encode_write_batch(0, &[(1000, b"one more")]).into(),
             }],
             &reg,
         )
@@ -498,7 +511,7 @@ mod tests {
             delta.omap,
             vec![(
                 "e00000000000000001000".to_string(),
-                Some(b"D|one more".to_vec())
+                Some(b"D|one more"[..].into())
             )]
         );
         assert_eq!(txn.finish().unwrap().omap.len(), 1001);
@@ -686,22 +699,29 @@ mod tests {
         assert_eq!(call(&reg, &mut slot, "maxpos", ""), Ok("-1".into()));
     }
 
-    /// A length that ends inside a multi-byte character has no string to
-    /// hand the script (slicing there used to abort the OSD on the byte
-    /// index). It is a class error like any other malformed frame.
+    /// Lengths count bytes and cut where they fall: a frame whose lengths
+    /// end inside multi-byte characters is a batch like any other (it was
+    /// `EINVAL` while the script's strings were text), and what is stored
+    /// is the bytes that were framed.
     #[test]
-    fn write_batch_length_inside_a_character_is_einval() {
+    fn write_batch_lengths_cut_bytes_not_characters() {
+        use crate::log::ReadOutcome;
         for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
             let reg = reg_on(kind);
             let mut slot = Some(Object::new());
-            call(&reg, &mut slot, "write", "0|1|kept").unwrap();
-            let before = slot.clone();
-            let input = "5|1,1,3,1,0|05éé";
-            assert_eq!(call(&reg, &mut slot, "write_batch", input), Err(-22));
-            assert_eq!(slot, before);
-            // The same bytes with lengths on character ends are a batch.
-            let input = "5|1,1,2,1,2|05é6é";
-            assert_eq!(call(&reg, &mut slot, "write_batch", input), Ok("2".into()));
+            // {0, 5, "é" and half of the next, 9, its other half}.
+            let input = "5|1,1,3,1,1|05\u{e9}\u{e9}";
+            let input = [&input.as_bytes()[..17], b"9", &input.as_bytes()[17..]].concat();
+            let out = reg.call(ZLOG_CLASS, "write_batch", &mut slot, &input);
+            assert_eq!(out.unwrap(), b"2", "{kind:?}");
+            assert_eq!(
+                rb(&reg, &mut slot, 0, &[5, 9]).unwrap(),
+                vec![
+                    (5, ReadOutcome::Data(b"\xc3\xa9\xc3".to_vec())),
+                    (9, ReadOutcome::Data(b"\xa9".to_vec())),
+                ],
+                "{kind:?}"
+            );
         }
     }
 
@@ -752,18 +772,18 @@ mod tests {
         );
     }
 
-    fn rb_input(epoch: u64, positions: &[u64]) -> String {
-        String::from_utf8(encode_read_batch(epoch, positions)).unwrap()
-    }
-
     fn rb(
         reg: &ClassRegistry,
         slot: &mut Option<Object>,
         epoch: u64,
         positions: &[u64],
     ) -> Result<Vec<(u64, crate::log::ReadOutcome)>, i32> {
-        let out = call(reg, slot, "read_batch", &rb_input(epoch, positions))?;
-        Ok(decode_read_batch(out.as_bytes()).unwrap())
+        let input = encode_read_batch(epoch, positions);
+        match reg.call(ZLOG_CLASS, "read_batch", slot, &input) {
+            Ok(out) => Ok(decode_read_batch(&out).unwrap()),
+            Err(OsdError::Class(e)) => Err(e.code),
+            Err(other) => panic!("unexpected error: {other:?}"),
+        }
     }
 
     #[test]
@@ -947,8 +967,13 @@ mod tests {
         assert!(decode_read_batch(b"junk").is_err());
         // A count the reply cannot hold is refused before allocating for it.
         assert!(decode_read_batch(b"18446744073709551615|1,2|5U|").is_err());
-        // A length that ends inside a character leaves the rest over.
-        assert!(decode_read_batch("2|1,3|5D|é".as_bytes()).is_err());
+        // Lengths count bytes: one that ends inside a character takes its
+        // first byte and leaves the rest over.
+        assert!(decode_read_batch("2|1,3|5D|\u{e9}".as_bytes()).is_err());
+        assert_eq!(
+            decode_read_batch("2|1,4|5D|\u{e9}".as_bytes()).unwrap(),
+            vec![(5, ReadOutcome::Data("\u{e9}".as_bytes().to_vec()))]
+        );
     }
 
     /// Every way a reply can disagree with itself is the malformed reply
@@ -982,18 +1007,19 @@ mod tests {
 
     /// What the class answers is what `decode_read_batch` reads, and
     /// `encode_write_batch` frames what `write_batch` stores — payloads
-    /// with separators, multi-byte text and invalid UTF-8 (stored as the
-    /// lossy text the class saw) included, on both engines.
+    /// with separators, multi-byte text and bytes that are no text at all
+    /// included, byte for byte, on both engines.
     #[test]
     fn batch_helpers_round_trip_through_the_class() {
         use crate::log::ReadOutcome;
-        let payloads: [&[u8]; 6] = [
+        let payloads: [&[u8]; 7] = [
             b"plain",
             b"",
             b"a|b,c|",
             "h\u{e9}llo \u{2603}".as_bytes(),
             b"3|1,1,1|abc",
             b"bad \xff utf8",
+            b"\xed\xa0\x80\0\xa9",
         ];
         for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
             let reg = reg_on(kind);
@@ -1011,25 +1037,92 @@ mod tests {
                     &encode_write_batch(0, &entries),
                 )
                 .unwrap();
-            assert_eq!(out, b"6");
-            let positions: Vec<u64> = (0..7).map(|i| i * 4).collect();
-            let reply = reg
-                .call(
-                    ZLOG_CLASS,
-                    "read_batch",
-                    &mut slot,
-                    &encode_read_batch(0, &positions),
-                )
-                .unwrap();
+            assert_eq!(out, b"7");
+            let positions: Vec<u64> = (0..8).map(|i| i * 4).collect();
             let mut want: Vec<(u64, ReadOutcome)> = entries
                 .iter()
-                .map(|(pos, p)| {
-                    let seen = String::from_utf8_lossy(p).into_owned().into_bytes();
-                    (*pos, ReadOutcome::Data(seen))
-                })
+                .map(|(pos, p)| (*pos, ReadOutcome::Data(p.to_vec())))
                 .collect();
-            want.push((24, ReadOutcome::NotWritten));
-            assert_eq!(decode_read_batch(&reply).unwrap(), want, "{kind:?}");
+            want.push((28, ReadOutcome::NotWritten));
+            assert_eq!(
+                rb(&reg, &mut slot, 0, &positions).unwrap(),
+                want,
+                "{kind:?}"
+            );
+        }
+    }
+
+    /// Arbitrary payloads through every data-carrying method of the class,
+    /// on both engines: what goes in by `write`, `write_batch` or
+    /// `checkpoint` comes out of `read`, `read_batch` and `checkpoint_read`
+    /// as the same bytes. (`write` takes `epoch|pos|payload` and re-joins a
+    /// payload that holds `|`.)
+    mod any_payload {
+        use super::*;
+        use crate::log::ReadOutcome;
+        use proptest::prelude::*;
+
+        /// Bytes no text holds, the bytes the wire formats' separators are
+        /// made of, and anything else.
+        fn payload() -> impl Strategy<Value = Vec<u8>> {
+            prop_oneof![
+                Just(b"\xff".to_vec()),
+                Just(b"\xa9\xa9".to_vec()),
+                Just(b"\xed\xa0\x80".to_vec()),
+                Just(b"ok\xc3".to_vec()),
+                Just(b"|,\0|1,2|".to_vec()),
+                prop::collection::vec(
+                    prop_oneof![Just(b'|'), Just(b','), Just(0u8), Just(0xffu8), any::<u8>()],
+                    0..48
+                ),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn the_class_returns_the_bytes_it_was_given(
+                single in payload(),
+                batch in prop::collection::vec(payload(), 1..6),
+                blob in payload(),
+            ) {
+                for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
+                    let reg = reg_on(kind);
+                    let call = |slot: &mut Option<Object>, method: &str, input: &[u8]| {
+                        reg.call(ZLOG_CLASS, method, slot, input)
+                            .unwrap_or_else(|e| panic!("{kind:?} {method}: {e:?}"))
+                    };
+                    let mut slot = None;
+                    let write = [b"0|0|", single.as_slice()].concat();
+                    prop_assert_eq!(call(&mut slot, "write", &write), b"ok");
+                    let entries: Vec<(u64, &[u8])> = batch
+                        .iter()
+                        .enumerate()
+                        .map(|(i, p)| (4 + 4 * i as u64, p.as_slice()))
+                        .collect();
+                    let wrote = call(&mut slot, "write_batch", &encode_write_batch(0, &entries));
+                    prop_assert_eq!(wrote, batch.len().to_string().into_bytes());
+
+                    let tagged = [b"D|", single.as_slice()].concat();
+                    prop_assert_eq!(call(&mut slot, "read", b"0|0"), tagged);
+                    let positions: Vec<u64> = (0..=batch.len() as u64).map(|i| 4 * i).collect();
+                    let reply = call(&mut slot, "read_batch", &encode_read_batch(0, &positions));
+                    let mut want = vec![(0, ReadOutcome::Data(single.clone()))];
+                    want.extend(
+                        entries
+                            .iter()
+                            .map(|(pos, p)| (*pos, ReadOutcome::Data(p.to_vec()))),
+                    );
+                    prop_assert_eq!(decode_read_batch(&reply).unwrap(), want);
+
+                    // The checkpoint lives on an object of its own.
+                    let mut ckpt = None;
+                    call(&mut ckpt, "checkpoint", &encode_checkpoint(0, 9, &blob));
+                    let held = call(&mut ckpt, "checkpoint_read", b"");
+                    prop_assert_eq!(decode_checkpoint(&held).unwrap(), Some((9, blob.clone())));
+                }
+            }
         }
     }
 }

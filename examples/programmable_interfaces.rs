@@ -82,15 +82,12 @@ fn main() {
         cluster
             .rados(
                 oid.clone(),
-                data_io::call("indexed_store", "put", kv.as_bytes().to_vec()),
+                data_io::call("indexed_store", "put", kv.as_bytes()),
             )
             .expect("put failed");
     }
     let out = cluster
-        .rados(
-            oid.clone(),
-            data_io::call("indexed_store", "get", b"beta".to_vec()),
-        )
+        .rados(oid.clone(), data_io::call("indexed_store", "get", b"beta"))
         .expect("get failed");
     if let OpResult::CallOut(v) = &out[0] {
         println!("get(beta) = {:?}", String::from_utf8_lossy(v));
@@ -104,7 +101,7 @@ fn main() {
             Op::Call {
                 class: "indexed_store".into(),
                 method: "put".into(),
-                input: b"doomed=will-roll-back".to_vec(),
+                input: b"doomed=will-roll-back"[..].into(),
             },
             Op::OmapCmpXchg {
                 key: "fence".into(),
@@ -116,7 +113,7 @@ fn main() {
     assert!(err.is_err());
     let gone = cluster.rados(
         oid.clone(),
-        data_io::call("indexed_store", "get", b"doomed".to_vec()),
+        data_io::call("indexed_store", "get", b"doomed"),
     );
     assert!(gone.is_err(), "rolled-back put must not be visible");
     println!("atomicity: failing transaction rolled the indexed put back");

@@ -54,7 +54,7 @@ fn main() {
     let out = cluster
         .rados(
             ObjectId::new("data", "greeting"),
-            data_io::call("greeter", "greet", b"world".to_vec()),
+            data_io::call("greeter", "greet", b"world"),
         )
         .expect("class call failed");
     if let OpResult::CallOut(reply) = &out[0] {
@@ -120,7 +120,7 @@ fn main() {
                 Op::Call {
                     class: "refcount".into(),
                     method: "get".into(),
-                    input: Vec::new(),
+                    input: Default::default(),
                 },
             ],
         )

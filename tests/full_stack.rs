@@ -232,7 +232,7 @@ fn cross_interface_transaction_atomicity() {
                 Op::Call {
                     class: "acct".into(),
                     method: "deposit".into(),
-                    input: b"100".to_vec(),
+                    input: b"100"[..].into(),
                 },
                 Op::XattrSet {
                     key: "audited".into(),
@@ -241,7 +241,7 @@ fn cross_interface_transaction_atomicity() {
             ],
         )
         .unwrap();
-    assert_eq!(out[0], OpResult::CallOut(b"100".to_vec()));
+    assert_eq!(out[0], OpResult::CallOut(b"100"[..].into()));
     // Failing transaction: deposit + impossible compare → full rollback.
     let err = cluster.rados(
         oid.clone(),
@@ -249,7 +249,7 @@ fn cross_interface_transaction_atomicity() {
             Op::Call {
                 class: "acct".into(),
                 method: "deposit".into(),
-                input: b"900".to_vec(),
+                input: b"900"[..].into(),
             },
             Op::OmapCmpXchg {
                 key: "balance".into(),
@@ -269,7 +269,7 @@ fn cross_interface_transaction_atomicity() {
         .unwrap();
     assert_eq!(
         out[0],
-        OpResult::Maybe(Some(b"100".to_vec())),
+        OpResult::Maybe(Some(b"100"[..].into())),
         "failed deposit must be rolled back everywhere"
     );
 }

@@ -254,7 +254,7 @@ mod seal_props {
             match sealed {
                 Ok(out) => prop_assert_eq!(
                     &out[0],
-                    &OpResult::CallOut(pos.to_string().into_bytes()),
+                    &OpResult::CallOut(pos.to_string().as_bytes().into()),
                     "seal reported wrong maxpos"
                 ),
                 Err(e) => return Err(TestCaseError::fail(format!("seal failed: {e:?}"))),
@@ -283,7 +283,7 @@ mod seal_props {
             let read = cluster.rados(oid.clone(), data_io::call("zlog", "read", format!("{seal_epoch}|{pos}")));
             prop_assert_eq!(
                 read.map(|out| out[0].clone()),
-                Ok(OpResult::CallOut(b"D|pre".to_vec())),
+                Ok(OpResult::CallOut(b"D|pre"[..].into())),
                 "sealed cell was clobbered (seed {})", seed
             );
             let unwritten = cluster.rados(
