@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints (warnings are errors), the one-RADOS-client,
-# no-timer-per-item, effects-not-calls and payload-is-bytes structure checks, the tier-1 build +
+# no-timer-per-item, effects-not-calls, payload-is-bytes and name-held-once structure checks, the tier-1 build +
 # test pass (the whole workspace minus the vendored stand-ins), every
 # experiment's shape check at quick scale, the three balancer figures at paper
 # scale against results/, and the frozen benchmark with its ceilings. Run from
@@ -33,7 +33,18 @@ above_tests() { awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
 [ -z "$(above_tests crates/rados/src/class.rs | grep -n 'from_utf8_lossy')" ]
 [ -z "$(above_tests crates/zlog/src/storage.rs | grep -n 'from_utf8_lossy')" ]
 [ -z "$(awk '/^fn install_object_natives\(/,/^}$/' crates/rados/src/class.rs | grep -n '\.to_vec()')" ]
-[ -z "$(grep -rn 'Rc<str>' crates/dsl/src crates/rados/src | grep -v 'names: Vec<Rc<str>>\|type GlobalNames')" ]
+# Text that is held as `Rc<str>` is a name, never a value: the VM's global
+# names, an omap / xattr key (`object::Key`), an object id's two parts and
+# `Op::Call`'s class and method.
+[ -z "$(grep -rn 'Rc<str>' crates/dsl/src crates/rados/src | grep -v 'names: Vec<Rc<str>>\|type GlobalNames\|type Key = Rc<str>\|pub pool: Rc<str>\|pub name: Rc<str>\|Into<Rc<str>>\|class: Rc<str>\|method: Rc<str>')" ]
+
+echo "==> a name is held once: no hop copies an object id's parts or an omap key, the zlog client formats no stripe id per request, and a sequencer verb is not text (DESIGN §30)"
+for file in osd ops object; do
+    [ -z "$(above_tests "crates/rados/src/$file.rs" | grep -n '\.pool\.clone()\|\.name\.clone()\|key\.to_string()')" ]
+done
+[ -z "$(awk '/^    fn stripe_oid\(/,/^    }$/' crates/zlog/src/log.rs | grep -n 'format!')" ]
+[ -z "$(grep -rn 'op: String' crates/mds/src/types.rs)" ]
+[ -z "$(grep -rn 'span_tag(.*to_string()' crates)" ]
 
 echo "==> cargo build --release"
 cargo build --release
@@ -71,22 +82,30 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 # operation repeat exactly on every rep of a seed, and the peak heap to
 # 0.1 %. Each ceiling is the value this quick run measured when it was
 # written, plus a margin; lower it when a change lowers the number.
-#   host_allocs_per_op  read_tail 323.56 (the scripted read path and the
-#                       cursor; 390.40 while a stored value was copied
+#   host_allocs_per_op  read_tail 308.36 (the scripted read path and the
+#                       cursor; 323.56 while every request formatted its
+#                       stripe id and copied its class and method names,
+#                       DESIGN §30; 390.40 while a stored value was copied
 #                       into the VM and again into the reply, DESIGN §29),
-#                       mds_balance 4.139 (scheduler and Metrics); +10 %.
-#                       append_steady 82.45 (106.55 while the request was
-#                       cloned per transmission and the payload copied into
-#                       the argument, the omap and the effect; 127.64 while
+#                       mds_balance 3.139 (the three message boxes of a
+#                       round trip; 4.139 while the verb was a `String`);
+#                       +10 %.
+#                       append_steady 53.00 (82.45 while object ids, omap
+#                       keys, class and method names and the grant's verb
+#                       and layout were copied at every hop, DESIGN §30;
+#                       106.55 while the request was cloned per
+#                       transmission and the payload copied into the
+#                       argument, the omap and the effect; 127.64 while
 #                       each replica ran the write's class code again,
 #                       DESIGN §28); +5 %.
-#   host_alloc_kb_per_op  read_tail 83.57 (one copy of a 1 KiB payload
+#   host_alloc_kb_per_op  read_tail 83.29 (one copy of a 1 KiB payload
 #                       between the omap and the reader; 123.58 with
-#                       three); +10 %. append_steady 13.11 (18.07 before
-#                       stored values were shared buffers; 21.75 with the
-#                       payload cloned into every replica's message and run
-#                       through the VM there); +5 %.
-#   host_peak_heap_mb   append_overload 29.22 (the event queue at its
+#                       three); +10 %. append_steady 12.20 (13.11 with the
+#                       names copied; 18.07 before stored values were
+#                       shared buffers; 21.75 with the payload cloned into
+#                       every replica's message and run through the VM
+#                       there); +5 %.
+#   host_peak_heap_mb   append_overload 29.00 (the event queue at its
 #                       fullest; 34.00 while every queued request owned a
 #                       copy of its transaction); +5 %. Scheduler
 #                       bookkeeping that grows with the number of events
@@ -107,12 +126,12 @@ metric_at_most() {
             exit (verdict != "ok")
         }' <<<"$bench_out"
 }
-metric_at_most read_tail host_allocs_per_op 356
-metric_at_most read_tail host_alloc_kb_per_op 92
-metric_at_most mds_balance host_allocs_per_op 4.55
-metric_at_most append_steady host_allocs_per_op 86.6
-metric_at_most append_steady host_alloc_kb_per_op 13.8
-metric_at_most append_overload host_peak_heap_mb 30.7
+metric_at_most read_tail host_allocs_per_op 339
+metric_at_most read_tail host_alloc_kb_per_op 91.6
+metric_at_most mds_balance host_allocs_per_op 3.45
+metric_at_most append_steady host_allocs_per_op 55.6
+metric_at_most append_steady host_alloc_kb_per_op 12.8
+metric_at_most append_overload host_peak_heap_mb 30.4
 metric_at_most append_overload sim.events_per_op 15.9
 
 echo "CI gate passed."

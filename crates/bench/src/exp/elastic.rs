@@ -196,7 +196,7 @@ impl Experiment for Config {
             let name = format!("obj{}", seq % u64::from(self.objects));
             seq += 1;
             let result = cluster.rados(
-                ObjectId::new("data", &name),
+                ObjectId::new("data", name.as_str()),
                 vec![Op::Append {
                     data: vec![(seq % 251) as u8; PAYLOAD],
                 }],

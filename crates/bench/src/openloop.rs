@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use mala_consensus::{MonMsg, SERVICE_MAP_MDS};
-use mala_mds::types::{MdsError, MdsMsg};
+use mala_mds::types::{MdsError, MdsMsg, SeqOp};
 use mala_mds::Ino;
 use mala_sim::{Actor, Context, NodeId, SimDuration, SimTime};
 use mala_zlog::SeqRouter;
@@ -184,7 +184,7 @@ impl OpenLoopFleet {
                     MdsMsg::TypeOp {
                         reqid,
                         ino: flight.ino,
-                        op: "next".into(),
+                        op: SeqOp::Next,
                     },
                 );
                 self.inflight.insert(reqid, flight);

@@ -676,7 +676,7 @@ impl Actor for Monitor {
                         };
                         if let Some(first) = batch.txids.first().copied() {
                             let span = ctx.span_start("mon.propose", None);
-                            ctx.span_tag(span, "updates", &batch.updates.len().to_string());
+                            ctx.span_tag_display(span, "updates", batch.updates.len());
                             self.propose_spans.insert(first, span);
                         }
                         let out = self.paxos.submit(batch);

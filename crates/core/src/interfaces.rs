@@ -105,8 +105,8 @@ pub mod data_io {
     /// A transaction invoking `class.method` with `input`.
     pub fn call(class: &str, method: &str, input: impl AsRef<[u8]>) -> Transaction {
         vec![Op::Call {
-            class: class.to_string(),
-            method: method.to_string(),
+            class: class.into(),
+            method: method.into(),
             input: input.as_ref().into(),
         }]
     }
@@ -211,7 +211,7 @@ mod tests {
         assert_eq!(up.key, "demo");
         let txn = data_io::call("demo", "f", b"x");
         assert!(matches!(&txn[0], Op::Call { class, method, .. }
-            if class == "demo" && method == "f"));
+            if &**class == "demo" && &**method == "f"));
     }
 
     #[test]

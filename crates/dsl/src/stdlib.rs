@@ -7,7 +7,7 @@
 use std::rc::Rc;
 
 use crate::interp::{join, with_scratch, Interp, RtError};
-use crate::value::{fmt_num, write_num, HostCtx, Key, NativeFn, Value};
+use crate::value::{write_num, HostCtx, Key, NativeFn, Value};
 
 /// The widest field `zpad` fills, and the zeros it fills with.
 const ZEROS: &[u8] = b"0000000000000000000000000000000000000000000000000000000000000000";
@@ -47,6 +47,15 @@ fn num_arg(name: &str, args: &[Value], i: usize) -> Result<f64, RtError> {
         .ok_or_else(|| RtError::new(format!("{name}: argument {} must be a number", i + 1)))
 }
 
+/// `n` as `fmt` and `tostring` print it, staged so that the string is the
+/// one allocation.
+fn num_str(n: f64) -> Value {
+    with_scratch(|buf| {
+        write_num(buf, n);
+        Value::str(&*buf)
+    })
+}
+
 /// Installs the standard library into `interp`.
 pub fn install(interp: &mut Interp) {
     for (name, f) in natives() {
@@ -80,6 +89,7 @@ pub(crate) fn natives() -> Vec<(&'static str, NativeFn)> {
         Rc::new(|_, args| {
             Ok(match arg(args, 0) {
                 s @ Value::Str(_) => s.clone(),
+                Value::Num(n) => num_str(*n),
                 v => Value::str(v.display()),
             })
         }),
@@ -283,7 +293,7 @@ pub(crate) fn natives() -> Vec<(&'static str, NativeFn)> {
     );
     interp.register(
         "fmt",
-        Rc::new(|_, args| Ok(Value::str(fmt_num(num_arg("fmt", args, 0)?)))),
+        Rc::new(|_, args| Ok(num_str(num_arg("fmt", args, 0)?))),
     );
     // zpad(n, width) — `fmt(n)` left-padded with `0` to `width` bytes, left
     // whole when already that wide: fixed-width keys whose byte order is

@@ -8,8 +8,9 @@
 //! Durability interface backing the metadata service).
 
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
-use mala_sim::NodeId;
+use mala_sim::{IdMap, NodeId};
 
 use crate::types::{FileType, Ino, MdsError, ROOT_INO};
 
@@ -34,14 +35,14 @@ pub struct Inode {
 /// The in-memory namespace.
 #[derive(Debug, Clone)]
 pub struct Namespace {
-    inodes: HashMap<Ino, Inode>,
+    inodes: IdMap<Ino, Inode>,
     next_ino: Ino,
 }
 
 impl Namespace {
     /// A namespace holding only `/`.
     pub fn new() -> Namespace {
-        let mut inodes = HashMap::new();
+        let mut inodes = IdMap::default();
         inodes.insert(
             ROOT_INO,
             Inode {
@@ -228,10 +229,10 @@ pub enum JournalEntry {
         /// Stripe width.
         stripe_width: u32,
         /// RADOS pool.
-        pool: String,
+        pool: Rc<str>,
         /// Log name (objects `<name>.<stripe>`; kept last in the encoding
         /// because it may contain spaces).
-        name: String,
+        name: Rc<str>,
     },
 }
 
@@ -299,7 +300,7 @@ impl JournalEntry {
             "L" => {
                 let ino = parts.next()?.parse().ok()?;
                 let stripe_width = parts.next()?.parse().ok()?;
-                let pool = parts.next()?.to_string();
+                let pool = parts.next()?.into();
                 let name = parts.collect::<Vec<_>>().join(" ");
                 if name.is_empty() {
                     return None;
@@ -308,7 +309,7 @@ impl JournalEntry {
                     ino,
                     stripe_width,
                     pool,
-                    name,
+                    name: name.into(),
                 })
             }
             _ => None,
@@ -316,13 +317,15 @@ impl JournalEntry {
     }
 }
 
-/// Storage layout of a sequencer's backing log, as journaled.
+/// Storage layout of a sequencer's backing log, as journaled. The names
+/// are the shared handles the registering client sent: a re-registration
+/// (one rides every grant) is compared and dropped without copying one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeqLayout {
     /// RADOS pool.
-    pub pool: String,
+    pub pool: Rc<str>,
     /// Log name (objects `<name>.<stripe>`).
-    pub name: String,
+    pub name: Rc<str>,
     /// Stripe width.
     pub stripe_width: u32,
 }
@@ -630,8 +633,8 @@ mod tests {
         assert_eq!(state.cap_holders.get(&2), Some(&NodeId(2001)));
         assert_eq!(state.mantle_version, 3);
         let layout = &state.layouts[&2];
-        assert_eq!(layout.pool, "logpool");
-        assert_eq!(layout.name, "mylog");
+        assert_eq!(&*layout.pool, "logpool");
+        assert_eq!(&*layout.name, "mylog");
         assert_eq!(layout.stripe_width, 4);
     }
 

@@ -19,21 +19,22 @@
 //!   Mode (Full) approaches 2× client mode in Figure 10(b).
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::rc::Rc;
 
 use mala_consensus::{MonMsg, SERVICE_MAP_MANTLE, SERVICE_MAP_MDS};
 use mala_rados::client::RETRY_TOKEN_BASE;
 use mala_rados::{ObjectId, Op, OpResult, OsdError, OsdMsg, RadosClient};
 use mala_sim::history::Recorder;
 use mala_sim::linearize::{RegOp, RegRet};
-use mala_sim::{Actor, Context, NodeId, SimDuration, SimTime, SpanContext};
+use mala_sim::{Actor, Context, IdMap, IdSet, NodeId, SimDuration, SimTime, SpanContext};
 use rand::Rng;
 
 use crate::balancer::{BalanceView, Balancer, Export, LoadSample};
 use crate::caps::{CapAction, CapState};
 use crate::mdsmap::MdsMapView;
 use crate::namespace::{JournalEntry, Namespace};
-use crate::types::{CapPolicyConfig, FileType, Ino, MdsError, MdsMsg, ServeStyle};
+use crate::types::{CapPolicyConfig, FileType, Ino, MdsError, MdsMsg, SeqOp, ServeStyle};
 
 /// Service costs of the MDS queueing model.
 #[derive(Debug, Clone)]
@@ -184,6 +185,11 @@ struct Flush {
 /// The outcome of a store request, as the client completes it.
 type StoreResult = Result<Vec<OpResult>, OsdError>;
 
+/// The journal object of `rank` in the metadata pool.
+fn journal_oid_of(meta_pool: &str, rank: u32) -> ObjectId {
+    ObjectId::new(meta_pool, format!("mds_journal.{rank}"))
+}
+
 /// A read of a whole object (the journal, a policy).
 fn read_whole() -> Vec<Op> {
     vec![Op::Read {
@@ -244,8 +250,8 @@ pub enum MdsPeer {
         client: NodeId,
         /// Target inode.
         ino: Ino,
-        /// Operation name.
-        op: String,
+        /// The operation, as the client sent it.
+        op: SeqOp,
     },
 }
 
@@ -258,37 +264,40 @@ pub struct Mds {
     balancer: Box<dyn Balancer>,
 
     namespace: Namespace,
-    routes: HashMap<Ino, Route>,
+    routes: IdMap<Ino, Route>,
     /// Cached "namespace is split" verdict (≥ 2 participating ranks).
     /// The underlying scan is O(#sequencer inodes); at fleet scale
     /// (thousands of logs) recomputing it per request made typeop
     /// dispatch itself the cross-log bottleneck. Invalidated on every
     /// route or namespace-shape change.
     split_cache: Option<bool>,
-    caps: HashMap<Ino, CapState>,
-    frozen: HashSet<Ino>,
+    caps: IdMap<Ino, CapState>,
+    frozen: IdSet<Ino>,
     /// Exports deferred until the holder releases its capability.
-    pending_exports: HashMap<Ino, Export>,
+    pending_exports: IdMap<Ino, Export>,
 
     mdsmap: MdsMapView,
     /// The one client this daemon reaches the object store through.
     rados: RadosClient,
     /// Store requests in flight: reqid → what waits on the completion.
-    store_waiting: HashMap<u64, StoreWait>,
+    store_waiting: IdMap<u64, StoreWait>,
 
     // Queueing model.
     busy_until: SimTime,
 
     // Load accounting.
     served_this_tick: u64,
-    per_inode_this_tick: HashMap<Ino, u64>,
-    last_rates: HashMap<Ino, f64>,
+    per_inode_this_tick: IdMap<Ino, u64>,
+    last_rates: IdMap<Ino, f64>,
     coherence_spike: f64,
     coherence_spike_at: SimTime,
-    peer_loads: HashMap<u32, LoadSample>,
+    peer_loads: IdMap<u32, LoadSample>,
     last_tick_at: SimTime,
 
     // Journal.
+    /// This rank's journal object, named once per rank held: every flush
+    /// and the recovery read address it by refcount.
+    journal_oid: ObjectId,
     journal_buf: String,
     /// The flush currently in doubt: an append the store has not yet
     /// acknowledged. Further entries accumulate in `journal_buf` behind it
@@ -314,15 +323,15 @@ pub struct Mds {
     /// without a layout the seal/maxpos protocol cannot run. Their type
     /// ops answer `Recovering` until a client re-registers the layout
     /// (which triggers the seal) or drives `advance_to` itself.
-    unsealed_seqs: HashSet<Ino>,
+    unsealed_seqs: IdSet<Ino>,
     /// Registered sequencer layouts (journaled; survive failover).
-    seq_layouts: HashMap<Ino, crate::namespace::SeqLayout>,
+    seq_layouts: IdMap<Ino, crate::namespace::SeqLayout>,
     /// Mantle policy version recovered from the journal (0 = none).
     replayed_mantle_version: u64,
     /// Monitor submit seq counter (zlog epoch bumps).
     mon_seq: u64,
     /// Outstanding epoch-bump submits: seq → sequencer inode.
-    seal_mon_waiting: HashMap<u64, Ino>,
+    seal_mon_waiting: IdMap<u64, Ino>,
 
     // Mantle policy plumbing.
     mantle_version_seen: u64,
@@ -342,24 +351,25 @@ impl Mds {
         Mds {
             rank,
             monitor,
+            journal_oid: journal_oid_of(&config.meta_pool, rank),
             config,
             balancer,
             namespace: Namespace::new(),
-            routes: HashMap::new(),
+            routes: IdMap::default(),
             split_cache: None,
-            caps: HashMap::new(),
-            frozen: HashSet::new(),
-            pending_exports: HashMap::new(),
+            caps: IdMap::default(),
+            frozen: IdSet::default(),
+            pending_exports: IdMap::default(),
             mdsmap: MdsMapView::default(),
             rados: RadosClient::new(monitor),
-            store_waiting: HashMap::new(),
+            store_waiting: IdMap::default(),
             busy_until: SimTime::ZERO,
             served_this_tick: 0,
-            per_inode_this_tick: HashMap::new(),
-            last_rates: HashMap::new(),
+            per_inode_this_tick: IdMap::default(),
+            last_rates: IdMap::default(),
             coherence_spike: 0.0,
             coherence_spike_at: SimTime::ZERO,
-            peer_loads: HashMap::new(),
+            peer_loads: IdMap::default(),
             last_tick_at: SimTime::ZERO,
             journal_buf: String::new(),
             journal_inflight: None,
@@ -368,11 +378,11 @@ impl Mds {
             unflushed_replies: Vec::new(),
             standby: false,
             recovering_seqs: BTreeMap::new(),
-            unsealed_seqs: HashSet::new(),
-            seq_layouts: HashMap::new(),
+            unsealed_seqs: IdSet::default(),
+            seq_layouts: IdMap::default(),
             replayed_mantle_version: 0,
             mon_seq: 1,
-            seal_mon_waiting: HashMap::new(),
+            seal_mon_waiting: IdMap::default(),
             mantle_version_seen: 0,
             mantle_fetch_deadline: None,
             cap_history: None,
@@ -501,15 +511,20 @@ impl Mds {
 
     // ---- type operations ----
 
-    fn exec_type_op(&mut self, ctx: &mut Context<'_>, ino: Ino, op: &str) -> Result<u64, MdsError> {
+    fn exec_type_op(
+        &mut self,
+        ctx: &mut Context<'_>,
+        ino: Ino,
+        op: SeqOp,
+    ) -> Result<u64, MdsError> {
         // A sequencer inherited from a journal replay without a layout
         // cannot prove its in-memory tail covers the store: minting or
         // reading positions before the seal/maxpos protocol runs could
         // double-issue a position or report a regressed tail. The one
-        // exception is `advance_to`, which *is* recovery — the client
+        // exception is `AdvanceTo`, which *is* recovery — the client
         // sealed the stripes itself and is writing back the derived tail.
         if self.unsealed_seqs.contains(&ino) {
-            if op.starts_with("advance_to:") {
+            if matches!(op, SeqOp::AdvanceTo(_)) {
                 self.unsealed_seqs.remove(&ino);
             } else {
                 ctx.metrics().incr("mds.unsealed_seq_rejects", 1);
@@ -517,39 +532,35 @@ impl Mds {
             }
         }
         let inode = self.namespace.get_mut(ino).ok_or(MdsError::NotFound)?;
-        match (&inode.ftype, op) {
-            (FileType::Sequencer, "next") => {
+        // Every verb is a sequencer's: on any other file type it is the
+        // wrong operation, whichever it is.
+        if inode.ftype != FileType::Sequencer {
+            return Err(MdsError::BadType);
+        }
+        match op {
+            SeqOp::Next => {
                 let v = inode.embedded;
                 inode.embedded += 1;
                 Ok(v)
             }
-            (FileType::Sequencer, op) if op.starts_with("next_batch:") => {
-                // Bulk grant (`GetPosBatch { n }`): reserve a contiguous
-                // range in one round trip. The reply carries the first
-                // position; the caller owns `[first, first + n)`. Granted
-                // ranges a client abandons become holes it must junk-fill
-                // — the tail never moves backwards to reclaim them.
-                let n: u64 = op["next_batch:".len()..]
-                    .parse()
-                    .map_err(|_| MdsError::BadType)?;
-                if n == 0 {
-                    return Err(MdsError::BadType);
-                }
+            // Bulk grant (`GetPosBatch { n }`): reserve a contiguous range
+            // in one round trip. The reply carries the first position; the
+            // caller owns `[first, first + n)`. Granted ranges a client
+            // abandons become holes it must junk-fill — the tail never
+            // moves backwards to reclaim them.
+            SeqOp::NextBatch(0) => Err(MdsError::BadType),
+            SeqOp::NextBatch(n) => {
                 let v = inode.embedded;
                 inode.embedded = inode.embedded.saturating_add(n);
                 Ok(v)
             }
-            (FileType::Sequencer, "read") => Ok(inode.embedded),
-            (FileType::Sequencer, op) if op.starts_with("advance_to:") => {
-                // Used by ZLog recovery: restart the tail at the sealed
-                // maximum. Never moves backwards.
-                let v: u64 = op["advance_to:".len()..]
-                    .parse()
-                    .map_err(|_| MdsError::BadType)?;
+            SeqOp::Read => Ok(inode.embedded),
+            // Used by ZLog recovery: restart the tail at the sealed
+            // maximum. Never moves backwards.
+            SeqOp::AdvanceTo(v) => {
                 inode.embedded = inode.embedded.max(v);
                 Ok(inode.embedded)
             }
-            _ => Err(MdsError::BadType),
         }
     }
 
@@ -559,10 +570,10 @@ impl Mds {
         from: NodeId,
         reqid: u64,
         ino: Ino,
-        op: String,
+        op: SeqOp,
     ) {
         let span = ctx.span_start("mds.typeop", ctx.incoming_span());
-        ctx.span_tag(span, "op", &op);
+        ctx.span_tag_display(span, "op", op);
         if self.frozen.contains(&ino) {
             self.refuse_type_op(ctx, span, from, reqid, "frozen", MdsError::Frozen);
             return;
@@ -584,7 +595,7 @@ impl Mds {
             let cost = costs.handle + costs.find + self.split_surcharge();
             let delay = self.enqueue(ctx.now(), cost);
             self.account_request(ino);
-            let result = self.exec_type_op(ctx, ino, &op);
+            let result = self.exec_type_op(ctx, ino, op);
             let rank = self.rank;
             ctx.metrics().incr("mds.typeops", 1);
             if result.is_err() {
@@ -668,14 +679,14 @@ impl Mds {
         reqid: u64,
         client: NodeId,
         ino: Ino,
-        op: String,
+        op: SeqOp,
     ) {
         let span = ctx.span_start("mds.typeop", ctx.incoming_span());
-        ctx.span_tag(span, "op", &op);
+        ctx.span_tag_display(span, "op", op);
         let cost = self.config.costs.find;
         let delay = self.enqueue(ctx.now(), cost);
         self.account_request(ino);
-        let result = self.exec_type_op(ctx, ino, &op);
+        let result = self.exec_type_op(ctx, ino, op);
         let rank = self.rank;
         let done = ctx.now() + delay;
         ctx.span_end_at(span, done);
@@ -884,8 +895,8 @@ impl Mds {
         // Rates come from wall-clock division and peer samples; a NaN or
         // infinite rate must not take down the balancer tick.
         my_inodes.retain(|(_, rate, _)| rate.is_finite());
-        // Hottest first; `last_rates` is a `HashMap`, so equal rates are
-        // ordered by inode or the exports below would leave in hash order.
+        // Hottest first; `last_rates` iterates in hash order, so equal
+        // rates are ordered by inode or the exports below would leave in it.
         my_inodes.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let view = BalanceView {
             whoami: self.rank,
@@ -932,7 +943,7 @@ impl Mds {
         // RADOS, with a timeout of half the balancing tick (§5.1.2). A
         // read still out for an older version is given up on.
         self.forget_policy_fetch(ctx);
-        let oid = ObjectId::new(self.config.meta_pool.clone(), object_name);
+        let oid = ObjectId::new(self.config.meta_pool.as_str(), object_name);
         self.submit_store(ctx, oid, read_whole(), None, StoreWait::Policy);
         self.mantle_version_seen = snap.epoch;
         let timeout = self.config.balance_interval.div(2);
@@ -1017,11 +1028,6 @@ impl Mds {
         }
     }
 
-    fn journal_oid(&self) -> ObjectId {
-        let name = format!("mds_journal.{}", self.rank);
-        ObjectId::new(self.config.meta_pool.clone(), name)
-    }
-
     /// Submits `txn` through the embedded client and routes its completion
     /// to `wait`.
     fn submit_store(
@@ -1064,7 +1070,7 @@ impl Mds {
         // replays to the same state.
         if let Some(flush) = &self.journal_inflight {
             let (data, span) = (flush.data.clone(), Some(flush.span));
-            let (oid, txn) = (self.journal_oid(), vec![Op::Append { data }]);
+            let (oid, txn) = (self.journal_oid.clone(), vec![Op::Append { data }]);
             self.submit_store(ctx, oid, txn, span, StoreWait::Journal);
         }
     }
@@ -1074,7 +1080,7 @@ impl Mds {
     fn try_recover(&mut self, ctx: &mut Context<'_>) {
         let wanted = self.config.journal && !self.standby && !self.ready;
         if wanted && !self.store_has(StoreWait::Recover) {
-            let oid = self.journal_oid();
+            let oid = self.journal_oid.clone();
             self.submit_store(ctx, oid, read_whole(), None, StoreWait::Recover);
         }
     }
@@ -1233,6 +1239,7 @@ impl Mds {
     fn takeover(&mut self, ctx: &mut Context<'_>, rank: u32) {
         self.standby = false;
         self.rank = rank;
+        self.journal_oid = journal_oid_of(&self.config.meta_pool, rank);
         self.ready = false;
         self.namespace = Namespace::new();
         ctx.metrics().incr("mds.takeovers", 1);
@@ -1419,15 +1426,15 @@ impl Mds {
             return;
         };
         let name = format!("{}.{}", rec.layout.name, stripe);
-        let oid = ObjectId::new(rec.layout.pool.clone(), name);
+        let oid = ObjectId::new(Rc::clone(&rec.layout.pool), name);
         let input = if method == "seal" {
             rec.new_epoch.to_string()
         } else {
             String::new()
         };
         let call = Op::Call {
-            class: "zlog".to_string(),
-            method: method.to_string(),
+            class: "zlog".into(),
+            method: method.into(),
             input: input.as_bytes().into(),
         };
         self.submit_store(ctx, oid, vec![call], None, StoreWait::Seal { ino, stripe });
@@ -1650,8 +1657,8 @@ impl Mds {
                         JournalEntry::SeqLayout {
                             ino,
                             stripe_width: layout.stripe_width,
-                            pool: layout.pool.clone(),
-                            name: layout.name.clone(),
+                            pool: Rc::clone(&layout.pool),
+                            name: Rc::clone(&layout.name),
                         },
                     );
                     self.seq_layouts.insert(ino, layout.clone());

@@ -1,5 +1,7 @@
 //! Shared MDS types and the client-facing wire protocol.
 
+use std::rc::Rc;
+
 use mala_sim::SimDuration;
 
 /// Inode number.
@@ -40,6 +42,36 @@ impl FileType {
             "regular" => Some(FileType::Regular),
             "sequencer" => Some(FileType::Sequencer),
             _ => None,
+        }
+    }
+}
+
+/// A sequencer's file-type operation: the closed set of verbs
+/// [`FileType::Sequencer`] serves. A request carries the verb itself, not
+/// its text, so nothing is formatted to send one or parsed to serve it;
+/// `Display` prints the text the verbs used to travel as (`next`,
+/// `next_batch:3`, `read`, `advance_to:17`), which is what span tags and
+/// logs show.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeqOp {
+    /// Take the next position.
+    Next,
+    /// Reserve `n` contiguous positions; the reply carries the first
+    /// (`GetPosBatch`). `n == 0` is [`MdsError::BadType`].
+    NextBatch(u64),
+    /// Read the tail without advancing it.
+    Read,
+    /// ZLog recovery: restart the tail at no less than this.
+    AdvanceTo(u64),
+}
+
+impl std::fmt::Display for SeqOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SeqOp::Next => f.write_str("next"),
+            SeqOp::NextBatch(n) => write!(f, "next_batch:{n}"),
+            SeqOp::Read => f.write_str("read"),
+            SeqOp::AdvanceTo(v) => write!(f, "advance_to:{v}"),
         }
     }
 }
@@ -194,9 +226,8 @@ pub enum MdsMsg {
         reqid: u64,
         /// Target inode.
         ino: Ino,
-        /// Operation name (`"next"`, `"read"` for sequencers, plus
-        /// `"next_batch:<n>"` — see [`MdsMsg::get_pos_batch`]).
-        op: String,
+        /// The operation.
+        op: SeqOp,
     },
     /// Reply to `TypeOp`.
     TypeOpReply {
@@ -251,10 +282,11 @@ pub enum MdsMsg {
     SetSeqLayout {
         /// The sequencer inode.
         ino: Ino,
-        /// RADOS pool holding the log's stripe objects.
-        pool: String,
-        /// Log name (objects are `<name>.<stripe>`).
-        name: String,
+        /// RADOS pool holding the log's stripe objects: the client's one
+        /// allocation of the name, shared by every copy of this message.
+        pool: Rc<str>,
+        /// Log name (objects are `<name>.<stripe>`), shared likewise.
+        name: Rc<str>,
         /// Stripe width.
         stripe_width: u32,
     },
@@ -274,15 +306,35 @@ pub enum MdsMsg {
 impl MdsMsg {
     /// `GetPosBatch { n }`: one sequencer round trip reserving the
     /// contiguous position range `[first, first + n)`, where `first` is
-    /// the value carried by the `TypeOpReply`. Encoded as the type op
-    /// `next_batch:<n>` so it rides the ordinary `TypeOp` path — frozen /
-    /// recovering / proxy / redirect handling and seal-based failover
-    /// re-delegation all apply unchanged.
+    /// the value carried by the `TypeOpReply`. It is the type op
+    /// [`SeqOp::NextBatch`], so it rides the ordinary `TypeOp` path —
+    /// frozen / recovering / proxy / redirect handling and seal-based
+    /// failover re-delegation all apply unchanged.
     pub fn get_pos_batch(reqid: u64, ino: Ino, n: u64) -> MdsMsg {
         MdsMsg::TypeOp {
             reqid,
             ino,
-            op: format!("next_batch:{n}"),
+            op: SeqOp::NextBatch(n),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Span tags, the cluster log and the traced digests read a verb as the
+    /// text it used to travel as.
+    #[test]
+    fn a_seq_op_prints_as_its_old_wire_text() {
+        let text = |op: SeqOp| op.to_string();
+        assert_eq!(text(SeqOp::Next), "next");
+        assert_eq!(text(SeqOp::NextBatch(3)), "next_batch:3");
+        assert_eq!(text(SeqOp::Read), "read");
+        assert_eq!(text(SeqOp::AdvanceTo(17)), "advance_to:17");
+        let MdsMsg::TypeOp { op, .. } = MdsMsg::get_pos_batch(1, 2, 8) else {
+            panic!("a bulk grant is a type op");
+        };
+        assert_eq!(op, SeqOp::NextBatch(8));
     }
 }

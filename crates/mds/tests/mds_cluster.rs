@@ -7,7 +7,7 @@ use std::collections::HashMap;
 
 use mala_consensus::{MonConfig, MonMsg, Monitor};
 use mala_mds::server::Mds;
-use mala_mds::types::CapPolicyConfig;
+use mala_mds::types::{CapPolicyConfig, SeqOp};
 use mala_mds::{
     CephFsBalancer, CephFsMode, FileType, MdsConfig, MdsMapView, MdsMsg, NoBalancer, ServeStyle,
 };
@@ -167,7 +167,7 @@ fn sequencer_type_ops_are_strictly_increasing() {
             MdsMsg::TypeOp {
                 reqid,
                 ino: seq,
-                op: "next".into(),
+                op: SeqOp::Next,
             },
         );
     }
@@ -204,7 +204,7 @@ fn sequencer_bulk_grants_reserve_disjoint_ranges() {
         MdsMsg::TypeOp {
             reqid: 13,
             ino: seq,
-            op: "read".into(),
+            op: SeqOp::Read,
         },
     );
     // A zero-width grant is a type error, not a stall.
@@ -340,7 +340,7 @@ fn released_state_flushes_into_inode() {
         MdsMsg::TypeOp {
             reqid: 7,
             ino: seq,
-            op: "next".into(),
+            op: SeqOp::Next,
         },
     );
     sim.run_for(SimDuration::from_millis(50));
@@ -370,7 +370,7 @@ fn admin_export_proxy_mode_forwards_and_serves() {
         MdsMsg::TypeOp {
             reqid: 9,
             ino: seq,
-            op: "next".into(),
+            op: SeqOp::Next,
         },
     );
     sim.run_for(SimDuration::from_millis(100));
@@ -401,7 +401,7 @@ fn admin_export_client_mode_redirects() {
         MdsMsg::TypeOp {
             reqid: 5,
             ino: seq,
-            op: "next".into(),
+            op: SeqOp::Next,
         },
     );
     sim.run_for(SimDuration::from_millis(100));
@@ -420,7 +420,7 @@ fn admin_export_client_mode_redirects() {
         MdsMsg::TypeOp {
             reqid: 6,
             ino: seq,
-            op: "next".into(),
+            op: SeqOp::Next,
         },
     );
     sim.run_for(SimDuration::from_millis(100));
@@ -509,7 +509,7 @@ fn cephfs_balancer_migrates_under_load() {
             MdsMsg::TypeOp {
                 reqid: 100 + i,
                 ino,
-                op: "next".into(),
+                op: SeqOp::Next,
             },
         );
         sim.run_for(SimDuration::from_millis(20));
@@ -525,18 +525,13 @@ fn cephfs_balancer_migrates_under_load() {
     );
 }
 
-#[test]
-fn journal_recovery_after_mds_crash() {
-    // Full stack: monitor + 3 OSDs (meta pool) + 1 journaling MDS.
+/// Full stack: monitor + 3 OSDs (meta pool) + 1 journaling MDS.
+fn build_journalled(config: &MdsConfig) -> Sim {
     let mut sim = Sim::new(17);
     sim.add_node(MON, Monitor::new(0, vec![MON], MonConfig::default()));
     for i in 0..3 {
         sim.add_node(NodeId(10 + i), Osd::new(i, MON, OsdConfig::default()));
     }
-    let config = MdsConfig {
-        journal: true,
-        ..MdsConfig::default()
-    };
     sim.add_node(
         mds_node(0),
         Mds::new(0, MON, config.clone(), Box::new(NoBalancer)),
@@ -557,6 +552,16 @@ fn journal_recovery_after_mds_crash() {
     }
     sim.inject(MON, MonMsg::Submit { seq: 1, updates });
     sim.run_for(SimDuration::from_secs(3));
+    sim
+}
+
+#[test]
+fn journal_recovery_after_mds_crash() {
+    let config = MdsConfig {
+        journal: true,
+        ..MdsConfig::default()
+    };
+    let mut sim = build_journalled(&config);
 
     let dir = create(&mut sim, client_node(0), 1, "/", "dir", FileType::Dir);
     let seq = create(
@@ -644,4 +649,97 @@ fn crashed_cap_holder_is_evicted_and_waiter_granted() {
     );
     let c1 = sim.actor::<TestClient>(client_node(1));
     assert_eq!(c1.grants.len(), 1);
+}
+
+/// Sends one type op from client 0 to rank 0 and returns what came back
+/// with the rank that served it.
+fn type_op(
+    sim: &mut Sim,
+    reqid: u64,
+    ino: u64,
+    op: SeqOp,
+) -> (Result<u64, mala_mds::types::MdsError>, u32) {
+    let msg = MdsMsg::TypeOp { reqid, ino, op };
+    send_from(sim, client_node(0), mds_node(0), msg);
+    sim.run_for(SimDuration::from_millis(100));
+    sim.actor::<TestClient>(client_node(0)).typeops[&reqid].clone()
+}
+
+/// Every sequencer verb does the same thing served where it arrives
+/// (`TypeOp`) and forwarded by the home rank to the authority (`ProxyOp`);
+/// the one verb that is wrong whatever its file type is a zero-width grant,
+/// and every verb is wrong on a file that is no sequencer.
+#[test]
+fn every_seq_op_serves_directly_and_through_a_proxy() {
+    use mala_mds::types::MdsError;
+    let mut sim = build(2);
+    let direct = create(&mut sim, client_node(0), 1, "/", "d", FileType::Sequencer);
+    let proxied = create(&mut sim, client_node(0), 2, "/", "p", FileType::Sequencer);
+    let dir = create(&mut sim, client_node(0), 3, "/", "dir", FileType::Dir);
+    sim.inject(
+        mds_node(0),
+        MdsMsg::AdminExport {
+            ino: proxied,
+            target: 1,
+            style: ServeStyle::Proxy,
+        },
+    );
+    sim.run_for(SimDuration::from_secs(1));
+    let script = [
+        (SeqOp::Next, Ok(0)),
+        (SeqOp::NextBatch(4), Ok(1)),
+        (SeqOp::Read, Ok(5)),
+        (SeqOp::AdvanceTo(9), Ok(9)),
+        (SeqOp::AdvanceTo(3), Ok(9)),
+        (SeqOp::Next, Ok(9)),
+        (SeqOp::NextBatch(0), Err(MdsError::BadType)),
+        (SeqOp::Read, Ok(10)),
+    ];
+    let mut reqid = 100;
+    for (ino, rank) in [(direct, 0), (proxied, 1)] {
+        for (op, expected) in &script {
+            reqid += 1;
+            let (result, served_by) = type_op(&mut sim, reqid, ino, *op);
+            assert_eq!(&result, expected, "{op} on rank {rank}");
+            assert_eq!(served_by, rank, "{op}");
+        }
+    }
+    assert_eq!(sim.metrics().counter("mds.proxied"), script.len() as u64);
+    for op in script.map(|(op, _)| op) {
+        reqid += 1;
+        let (result, _) = type_op(&mut sim, reqid, dir, op);
+        assert_eq!(result, Err(MdsError::BadType), "{op} on a directory");
+    }
+}
+
+/// A sequencer that comes back from a journal replay with no layout on
+/// record serves no verb that reads or moves its tail — grants were never
+/// journalled, so the replayed tail (0) understates the 5 positions handed
+/// out — until the client's `AdvanceTo` writes the recovered tail back.
+#[test]
+fn seq_ops_after_a_journal_replay_wait_for_advance_to() {
+    use mala_mds::types::MdsError;
+    let config = MdsConfig {
+        journal: true,
+        ..MdsConfig::default()
+    };
+    let mut sim = build_journalled(&config);
+    let seq = create(&mut sim, client_node(0), 1, "/", "s", FileType::Sequencer);
+    assert_eq!(type_op(&mut sim, 10, seq, SeqOp::NextBatch(5)).0, Ok(0));
+    sim.run_for(SimDuration::from_secs(2));
+    sim.crash(mds_node(0));
+    sim.restart(mds_node(0), Mds::new(0, MON, config, Box::new(NoBalancer)));
+    sim.run_for(SimDuration::from_secs(3));
+    assert!(sim.metrics().counter("mds.journal_replays") > 0);
+    for (reqid, op) in [
+        (20, SeqOp::Next),
+        (21, SeqOp::NextBatch(2)),
+        (22, SeqOp::Read),
+    ] {
+        let (result, _) = type_op(&mut sim, reqid, seq, op);
+        assert_eq!(result, Err(MdsError::Recovering), "{op}");
+    }
+    assert_eq!(type_op(&mut sim, 23, seq, SeqOp::AdvanceTo(5)).0, Ok(5));
+    assert_eq!(type_op(&mut sim, 24, seq, SeqOp::NextBatch(3)).0, Ok(5));
+    assert_eq!(type_op(&mut sim, 25, seq, SeqOp::Read).0, Ok(8));
 }

@@ -507,7 +507,7 @@ fn install_object_natives(interp: &mut DslEngine) {
         Rc::new(|ctx, _args| {
             let obj = host(ctx)?.txn.obj();
             Ok(match obj.and_then(|o| o.omap.keys().next_back()) {
-                Some(k) => Value::str(k),
+                Some(k) => Value::str(&**k),
                 None => Value::Nil,
             })
         }),

@@ -3,11 +3,11 @@
 //! changes and primary failovers.
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use mala_consensus::{MonMsg, SERVICE_MAP_OSD};
-use mala_sim::{Actor, Context, Deadlines, NodeId, Sim, SimDuration, SimTime, SpanContext};
+use mala_sim::{Actor, Context, Deadlines, IdMap, NodeId, Sim, SimDuration, SimTime, SpanContext};
 
 use crate::object::ObjectId;
 use crate::ops::{OpResult, OsdError, Transaction};
@@ -61,7 +61,7 @@ pub struct RadosClient {
     monitor: NodeId,
     map: OsdMapView,
     next_reqid: u64,
-    inflight: HashMap<u64, InFlight>,
+    inflight: IdMap<u64, InFlight>,
     /// Retransmit deadlines of the requests in flight, by request id.
     retries: Deadlines<u64>,
     /// Completions not yet collected, by request id: ordered, so draining
@@ -76,7 +76,7 @@ impl RadosClient {
             monitor,
             map: OsdMapView::default(),
             next_reqid: 1,
-            inflight: HashMap::new(),
+            inflight: IdMap::default(),
             retries: Deadlines::new(RETRY_TOKEN_BASE),
             completed: BTreeMap::new(),
         }
@@ -218,7 +218,7 @@ impl RadosClient {
         }
         let req = Rc::clone(&inflight.req);
         let span = inflight.span;
-        let acting = self.map.acting_set_for(&req.0.pool, &req.0.name);
+        let acting = self.map.acting_set_of(&req.0);
         // A committed map that places no OSD for this object (every
         // candidate down or drained) is a typed, retryable condition the
         // caller must see now — blocking until the deadline just converts

@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
-use mala_sim::NodeId;
+use mala_sim::{IdMap, NodeId};
 
 use crate::object::{Object, ObjectDelta, ObjectId};
 use crate::ops::{OpResult, OsdError};
@@ -70,13 +70,13 @@ pub enum JournalRecord {
 #[derive(Debug, Clone, Default)]
 pub struct JournalSnapshot {
     /// Live objects.
-    pub store: HashMap<ObjectId, Object>,
+    pub store: IdMap<ObjectId, Object>,
     /// Latest interfaces map, if any was installed.
     pub interfaces: Option<(u64, BTreeMap<String, Vec<u8>>)>,
     /// Latest osdmap, if any was installed.
     pub osdmap: Option<(u64, BTreeMap<String, Vec<u8>>)>,
     /// Recorded request outcomes per client (bounded window).
-    pub replies: HashMap<NodeId, BTreeMap<u64, Result<Vec<OpResult>, OsdError>>>,
+    pub replies: IdMap<NodeId, BTreeMap<u64, Result<Vec<OpResult>, OsdError>>>,
 }
 
 #[derive(Debug, Default)]

@@ -48,8 +48,8 @@ pub mod placement;
 pub use class::{ClassError, ClassRegistry, MethodKind};
 pub use client::{ClientEvent, RadosClient};
 pub use journal::{Journal, JournalRecord, JournalSet, JournalSnapshot};
-pub use object::{DataDelta, Object, ObjectDelta, ObjectId};
+pub use object::{DataDelta, Key, Object, ObjectDelta, ObjectId};
 pub use ops::{ObjTxn, Op, OpResult, OsdError, Transaction};
 pub use osd::{Osd, OsdConfig, OsdMsg};
 pub use osdmap::{OsdMapView, PoolInfo};
-pub use placement::{pg_of, primary_and_replicas, PgId, WEIGHT_UNIT};
+pub use placement::{pg_of, pg_of_id, primary_and_replicas, PgId, WEIGHT_UNIT};

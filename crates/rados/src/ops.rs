@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use crate::class::{ClassError, ClassRegistry};
 use crate::journal::JournalRecord;
-use crate::object::{put_key, DataDelta, Object, ObjectDelta, ObjectId};
+use crate::object::{put_key, set_key, DataDelta, Key, Object, ObjectDelta, ObjectId};
 
 /// One native operation against an object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,11 +53,12 @@ pub enum Op {
     /// Set one xattr.
     XattrSet { key: String, value: Vec<u8> },
     /// Invoke `class.method` with `input` (the exec/cls mechanism). The
-    /// input is a shared buffer: a scripted method receives this very
-    /// allocation as its argument.
+    /// names are shared handles — a client that calls one method often
+    /// builds them once — and the input is a shared buffer: a scripted
+    /// method receives this very allocation as its argument.
     Call {
-        class: String,
-        method: String,
+        class: Rc<str>,
+        method: Rc<str>,
         input: Rc<[u8]>,
     },
 }
@@ -90,8 +91,8 @@ pub enum OpResult {
     Data(Vec<u8>),
     /// Omap/xattr value (`None` = absent): the stored buffer.
     Maybe(Option<Rc<[u8]>>),
-    /// Key-value pairs from [`Op::OmapList`], values as stored.
-    Pairs(Vec<(String, Rc<[u8]>)>),
+    /// Key-value pairs from [`Op::OmapList`], keys and values as stored.
+    Pairs(Vec<(Key, Rc<[u8]>)>),
     /// `(size, exists)` from [`Op::Stat`].
     Stat { size: u64, exists: bool },
     /// Output of a class call.
@@ -181,9 +182,9 @@ enum Undo {
     /// The object was removed; this is it, moved out of the slot.
     Removed(Object),
     /// An omap key and the value it held (`None` = absent).
-    Omap(String, Option<Rc<[u8]>>),
+    Omap(Key, Option<Rc<[u8]>>),
     /// An xattr and the value it held (`None` = absent).
-    Xattr(String, Option<Rc<[u8]>>),
+    Xattr(Key, Option<Rc<[u8]>>),
     /// The byte stream was `len` long and held `old` at `offset`; the op
     /// wrote `[offset, end)`.
     Data {
@@ -213,16 +214,13 @@ pub struct ObjTxn {
     mutates: bool,
 }
 
-/// Final values of the logged keys, each key once: the object's own
-/// buffers, so the record, the replicas and their journals share them.
-fn post_image(
-    mut keys: Vec<&str>,
-    map: &BTreeMap<String, Rc<[u8]>>,
-) -> Vec<(String, Option<Rc<[u8]>>)> {
+/// Final values of the logged keys, each key once: the object's own keys
+/// and buffers, so the record, the replicas and their journals share them.
+fn post_image(mut keys: Vec<&Key>, map: &BTreeMap<Key, Rc<[u8]>>) -> Vec<(Key, Option<Rc<[u8]>>)> {
     keys.sort_unstable();
     keys.dedup();
     keys.into_iter()
-        .map(|k| (k.to_string(), map.get(k).cloned()))
+        .map(|k| (Rc::clone(k), map.get(k).cloned()))
         .collect()
 }
 
@@ -293,17 +291,18 @@ impl ObjTxn {
         }
     }
 
-    /// Sets one omap pair; the object holds `value` itself.
+    /// Sets one omap pair; the object holds `value` itself, under the key
+    /// it already held or one allocated here.
     pub fn omap_set(&mut self, key: &str, value: Rc<[u8]>) {
         let (o, undo) = self.parts();
-        let prev = o.omap.insert(key.to_string(), value);
-        undo.push(Undo::Omap(key.to_string(), prev));
+        let (key, prev) = set_key(&mut o.omap, key, value);
+        undo.push(Undo::Omap(key, prev));
     }
 
     /// Deletes one omap key; an absent object stays absent.
     pub fn omap_del(&mut self, key: &str) {
-        if let Some(prev) = self.obj.as_mut().and_then(|o| o.omap.remove(key)) {
-            self.undo.push(Undo::Omap(key.to_string(), Some(prev)));
+        if let Some((key, prev)) = self.obj.as_mut().and_then(|o| o.omap.remove_entry(key)) {
+            self.undo.push(Undo::Omap(key, Some(prev)));
         }
     }
 
@@ -315,30 +314,31 @@ impl ObjTxn {
         if lo > hi {
             return 0;
         }
-        let doomed: Vec<String> = o
+        let doomed: Vec<Key> = o
             .omap
             .range::<str, _>((Bound::Included(lo), Bound::Included(hi)))
-            .map(|(k, _)| k.clone())
+            .map(|(k, _)| Rc::clone(k))
             .collect();
         let purged = doomed.len();
         for key in doomed {
-            let prev = o.omap.remove(&key);
+            let prev = o.omap.remove(&*key);
             self.undo.push(Undo::Omap(key, prev));
         }
         purged
     }
 
-    /// Sets one xattr; the object holds `value` itself.
+    /// Sets one xattr; the object holds `value` itself, keyed as
+    /// [`ObjTxn::omap_set`] keys.
     pub fn xattr_set(&mut self, key: &str, value: Rc<[u8]>) {
         let (o, undo) = self.parts();
-        let prev = o.xattrs.insert(key.to_string(), value);
-        undo.push(Undo::Xattr(key.to_string(), prev));
+        let (key, prev) = set_key(&mut o.xattrs, key, value);
+        undo.push(Undo::Xattr(key, prev));
     }
 
     /// Deletes one xattr; an absent object stays absent.
     pub fn xattr_del(&mut self, key: &str) {
-        if let Some(prev) = self.obj.as_mut().and_then(|o| o.xattrs.remove(key)) {
-            self.undo.push(Undo::Xattr(key.to_string(), Some(prev)));
+        if let Some((key, prev)) = self.obj.as_mut().and_then(|o| o.xattrs.remove_entry(key)) {
+            self.undo.push(Undo::Xattr(key, Some(prev)));
         }
     }
 
@@ -433,7 +433,8 @@ impl ObjTxn {
 
     /// What this transaction did to `oid`, as the record the primary
     /// journals and ships to its replicas: the post-image of the logged
-    /// parts. `None` if it changed nothing.
+    /// parts, under the caller's id and the object's own keys (refcounts,
+    /// not copies). `None` if it changed nothing.
     pub fn journal_record(&self, oid: &ObjectId) -> Option<JournalRecord> {
         if self.undo.is_empty() {
             return None;
@@ -450,8 +451,8 @@ impl ObjTxn {
                 Undo::Created => reset = true,
                 // The object exists now, so a `Created` follows.
                 Undo::Removed(_) => {}
-                Undo::Omap(key, _) => omap.push(key.as_str()),
-                Undo::Xattr(key, _) => xattrs.push(key.as_str()),
+                Undo::Omap(key, _) => omap.push(key),
+                Undo::Xattr(key, _) => xattrs.push(key),
                 Undo::Data { offset, end, .. } => {
                     let (lo, hi) = written.unwrap_or((*offset, *end));
                     written = Some((lo.min(*offset), hi.max(*end)));
@@ -541,7 +542,7 @@ impl ObjTxn {
                 }
                 Op::OmapGet { key } => {
                     let o = self.obj().ok_or(OsdError::NoEnt)?;
-                    OpResult::Maybe(o.omap.get(key).cloned())
+                    OpResult::Maybe(o.omap.get(key.as_str()).cloned())
                 }
                 Op::OmapList { after, max } => {
                     let o = self.obj().ok_or(OsdError::NoEnt)?;
@@ -549,7 +550,7 @@ impl ObjTxn {
                         .omap
                         .range::<str, _>((Bound::Excluded(after.as_str()), Bound::Unbounded))
                         .take(*max)
-                        .map(|(k, v)| (k.clone(), Rc::clone(v)))
+                        .map(|(k, v)| (Rc::clone(k), Rc::clone(v)))
                         .collect();
                     OpResult::Pairs(pairs)
                 }
@@ -572,7 +573,7 @@ impl ObjTxn {
                 }
                 Op::XattrGet { key } => {
                     let o = self.obj().ok_or(OsdError::NoEnt)?;
-                    OpResult::Maybe(o.xattrs.get(key).cloned())
+                    OpResult::Maybe(o.xattrs.get(key.as_str()).cloned())
                 }
                 Op::XattrSet { key, value } => {
                     self.xattr_set(key, value.as_slice().into());
@@ -657,6 +658,63 @@ mod tests {
         );
     }
 
+    /// A failing transaction after `omap_set` / `omap_del` / `xattr_set`
+    /// puts back the keys and values that were there — the very
+    /// allocations, since a key that exists is reused, not replaced.
+    #[test]
+    fn rollback_restores_the_keys_and_values_that_were_held() {
+        let mut obj = Object::new();
+        obj.omap.insert("kept".into(), b"v1"[..].into());
+        obj.omap.insert("doomed".into(), b"d"[..].into());
+        obj.xattrs.insert("maxpos".into(), b"7"[..].into());
+        let held = |o: &Object| -> Vec<(Key, Rc<[u8]>)> {
+            let pairs = o.omap.iter().chain(o.xattrs.iter());
+            pairs.map(|(k, v)| (Rc::clone(k), Rc::clone(v))).collect()
+        };
+        let before = held(&obj);
+
+        let mut tracked = ObjTxn::begin(Some(obj));
+        tracked.omap_set("kept", b"v2"[..].into());
+        tracked.omap_set("fresh", b"f"[..].into());
+        tracked.omap_del("doomed");
+        tracked.xattr_set("maxpos", b"8"[..].into());
+        tracked.xattr_set("epoch", b"1"[..].into());
+        // The rewritten keys are the stored ones, in the object and in the
+        // record a replica would get.
+        let now = tracked.obj().unwrap();
+        assert!(Rc::ptr_eq(
+            now.omap.get_key_value("kept").unwrap().0,
+            &before[1].0
+        ));
+        assert!(Rc::ptr_eq(
+            now.xattrs.get_key_value("maxpos").unwrap().0,
+            &before[2].0
+        ));
+        let Some(JournalRecord::Delta(_, delta)) = tracked.journal_record(&ObjectId::new("p", "o"))
+        else {
+            panic!("the transaction touched the object");
+        };
+        let shipped = |key: &str| {
+            delta
+                .omap
+                .iter()
+                .chain(&delta.xattrs)
+                .find(|(k, _)| &**k == key)
+        };
+        assert!(Rc::ptr_eq(&shipped("kept").unwrap().0, &before[1].0));
+        assert!(Rc::ptr_eq(&shipped("maxpos").unwrap().0, &before[2].0));
+        let fresh = now.omap.get_key_value("fresh").unwrap().0;
+        assert!(Rc::ptr_eq(&shipped("fresh").unwrap().0, fresh));
+        assert_eq!(shipped("doomed").unwrap().1, None);
+
+        tracked.rollback();
+        let after = held(tracked.obj().unwrap());
+        assert_eq!(after.len(), before.len());
+        for ((k0, v0), (k1, v1)) in before.iter().zip(&after) {
+            assert!(Rc::ptr_eq(k0, k1) && Rc::ptr_eq(v0, v1), "{k0}");
+        }
+    }
+
     #[test]
     fn cmpxchg_success_path() {
         let mut slot = Some(Object::new());
@@ -705,7 +763,7 @@ mod tests {
         let OpResult::Pairs(pairs) = &res[0] else {
             panic!()
         };
-        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| &**k).collect();
         assert_eq!(keys, vec!["k05", "k06", "k07"]);
     }
 

@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
 use mala_consensus::{MonMsg, SERVICE_MAP_INTERFACES, SERVICE_MAP_OSD};
-use mala_sim::{Actor, Context, NodeId, SimDuration, SpanContext};
+use mala_sim::{Actor, Context, IdMap, NodeId, SimDuration, SpanContext};
 use rand::seq::SliceRandom;
 
 use crate::class::ClassRegistry;
@@ -31,7 +31,7 @@ use crate::journal::{Journal, JournalRecord, REPLY_CACHE_PER_CLIENT};
 use crate::object::{Object, ObjectId};
 use crate::ops::{ObjTxn, OpResult, OsdError, Transaction};
 use crate::osdmap::OsdMapView;
-use crate::placement::pg_of;
+use crate::placement::pg_of_id;
 
 /// OSD configuration.
 #[derive(Debug, Clone)]
@@ -194,7 +194,8 @@ struct PendingRepl {
     oid: ObjectId,
     effect: Option<Rc<JournalRecord>>,
     results: Vec<OpResult>,
-    waiting_on: HashSet<u32>,
+    /// Replicas whose ack is still out, in acting-set order.
+    waiting_on: Vec<u32>,
     /// The `osd.op` span of the originating client op, closed when the
     /// final reply leaves.
     op_span: Option<SpanContext>,
@@ -248,8 +249,9 @@ pub struct Osd {
     pub id: u32,
     monitor: NodeId,
     config: OsdConfig,
-    /// Local object store.
-    store: HashMap<ObjectId, Object>,
+    /// Local object store. An id hashes as the two words it carries, so a
+    /// probe rehashes no name; iteration order is fixed, not sorted.
+    store: IdMap<ObjectId, Object>,
     /// Parsed osdmap.
     map: OsdMapView,
     /// Interfaces map (scripted classes): epoch + raw entries.
@@ -258,13 +260,13 @@ pub struct Osd {
     /// Class registry (builtins + installed scripted classes).
     registry: ClassRegistry,
     /// In-flight replicated writes, by repl_id.
-    pending: HashMap<u64, PendingRepl>,
+    pending: IdMap<u64, PendingRepl>,
     next_repl_id: u64,
     /// Durable write-ahead journal; `None` runs the OSD memory-only (the
     /// pre-journal behaviour, still used by latency-focused experiments).
     journal: Option<Journal>,
     /// Reply cache for client-op dedup, per client, keyed by reqid.
-    replies: HashMap<NodeId, BTreeMap<u64, DupState>>,
+    replies: IdMap<NodeId, BTreeMap<u64, DupState>>,
     /// In-progress PG backfills, keyed by `(pool, pg_index)`. A PG with an
     /// entry here is not served (`NotReady`) and its replications are
     /// deferred until the snapshot lands.
@@ -278,15 +280,15 @@ impl Osd {
             id,
             monitor,
             config,
-            store: HashMap::new(),
+            store: IdMap::default(),
             map: OsdMapView::default(),
             interfaces_epoch: 0,
             interfaces: BTreeMap::new(),
             registry: ClassRegistry::with_builtins(),
-            pending: HashMap::new(),
+            pending: IdMap::default(),
             next_repl_id: 1,
             journal: None,
-            replies: HashMap::new(),
+            replies: IdMap::default(),
             backfills: HashMap::new(),
         }
     }
@@ -306,14 +308,14 @@ impl Osd {
     }
 
     /// Read-only access to the object store (tests and scrub checks).
-    pub fn store(&self) -> &HashMap<ObjectId, Object> {
+    pub fn store(&self) -> &IdMap<ObjectId, Object> {
         &self.store
     }
 
     /// Mutable access to the object store. Test-only backdoor used by the
     /// scrub experiments to inject silent corruption ("bit rot") that the
     /// daemon itself cannot see happening.
-    pub fn store_mut(&mut self) -> &mut HashMap<ObjectId, Object> {
+    pub fn store_mut(&mut self) -> &mut IdMap<ObjectId, Object> {
         &mut self.store
     }
 
@@ -359,6 +361,11 @@ impl Osd {
     /// to write it ahead to (before the ack) or, for a mutation, `replicas`
     /// to ship it to, once for all of them; `None` if the transaction
     /// changed nothing or nobody wants the record.
+    ///
+    /// The object is borrowed where it is stored: the tracker owns it for
+    /// the transaction (a script host must) and hands it back to the slot it
+    /// came from, so an op probes the store once and the store's key — the
+    /// id the object's first writer named it with — is never copied.
     fn apply(
         &mut self,
         oid: &ObjectId,
@@ -369,7 +376,8 @@ impl Osd {
         bool,
         Option<Rc<JournalRecord>>,
     ) {
-        let mut tracked = ObjTxn::begin(self.store.remove(oid));
+        let mut slot = self.store.get_mut(oid);
+        let mut tracked = ObjTxn::begin(slot.as_deref_mut().map(std::mem::take));
         let result = tracked.run(txn, &self.registry);
         let is_mutation = tracked.mutates();
         let effect = if (is_mutation && replicas) || self.journal.is_some() {
@@ -380,8 +388,15 @@ impl Osd {
         if let (Some(journal), Some(effect)) = (&self.journal, &effect) {
             journal.append(Rc::clone(effect));
         }
-        if let Some(obj) = tracked.finish() {
-            self.store.insert(oid.clone(), obj);
+        match (tracked.finish(), slot) {
+            (Some(obj), Some(slot)) => *slot = obj,
+            (Some(obj), None) => {
+                self.store.insert(oid.clone(), obj);
+            }
+            (None, Some(_)) => {
+                self.store.remove(oid);
+            }
+            (None, None) => {}
         }
         (result, is_mutation, effect)
     }
@@ -603,8 +618,8 @@ impl Osd {
                 completed.push(*repl_id);
             }
         }
-        // `pending` is a HashMap: order the releases so replies leave in
-        // the same order in every process (determinism).
+        // `pending` iterates in a fixed order, not a sorted one: releases
+        // leave in repl_id order.
         completed.sort_unstable();
         for repl_id in completed {
             let Some(pending) = self.pending.remove(&repl_id) else {
@@ -882,12 +897,12 @@ impl Osd {
             ctx.metrics().incr("osd.stale_epoch_rejects", 1);
             return;
         }
-        let Some(info) = self.map.pools.get(&oid.pool).copied() else {
+        let Some(info) = self.map.pools.get(&*oid.pool).copied() else {
             let msg = reply(self, Err(OsdError::NotReady));
             ctx.send(from, msg);
             return;
         };
-        let pg = pg_of(&oid.pool, &oid.name, info.pg_num);
+        let pg = pg_of_id(oid, info.pg_num);
         let acting = self
             .map
             .acting_set_for_pg(&oid.pool, pg.index)
@@ -898,8 +913,7 @@ impl Osd {
             ctx.metrics().incr("osd.not_primary_rejects", 1);
             return;
         }
-        if !self.backfills.is_empty() && self.backfills.contains_key(&(oid.pool.clone(), pg.index))
-        {
+        if self.backfill_of(oid).is_some() {
             // This PG's snapshot has not landed yet; serving now could
             // miss acknowledged writes. The client retries on its backoff
             // timer — this rejection window is the availability cost of a
@@ -938,7 +952,7 @@ impl Osd {
                     class,
                     method,
                     input,
-                } if class == "zlog" => match method.as_str() {
+                } if &**class == "zlog" => match &**method {
                     "read" => 1,
                     // `epoch|pos,pos,...`: one more position than the
                     // field after the first `|` has commas.
@@ -993,7 +1007,7 @@ impl Osd {
                             oid: oid.clone(),
                             effect,
                             results,
-                            waiting_on: replicas.iter().copied().collect(),
+                            waiting_on: replicas.to_vec(),
                             op_span: Some(op_span),
                             ack_span: Some(ack_span),
                         },
@@ -1066,6 +1080,17 @@ impl Osd {
         ctx.send_after(self.config.service_time, from, OsdMsg::ReplAck { repl_id });
     }
 
+    /// The backfill in progress for `oid`'s PG, if any. None is running in
+    /// the common case, and then nothing is placed or looked up.
+    fn backfill_of(&mut self, oid: &ObjectId) -> Option<&mut Backfill> {
+        if self.backfills.is_empty() {
+            return None;
+        }
+        let info = self.map.pools.get(&*oid.pool)?;
+        let key = (oid.pool.to_string(), pg_of_id(oid, info.pg_num).index);
+        self.backfills.get_mut(&key)
+    }
+
     fn objects_in_pg(&self, pool: &str, pg_index: u32) -> Vec<(ObjectId, Object)> {
         let Some(info) = self.map.pools.get(pool) else {
             return Vec::new();
@@ -1073,15 +1098,12 @@ impl Osd {
         let mut objects: Vec<(ObjectId, Object)> = self
             .store
             .iter()
-            .filter(|(oid, _)| {
-                oid.pool == pool && pg_of(&oid.pool, &oid.name, info.pg_num).index == pg_index
-            })
+            .filter(|(oid, _)| *oid.pool == *pool && pg_of_id(oid, info.pg_num).index == pg_index)
             .map(|(oid, obj)| (oid.clone(), obj.clone()))
             .collect();
-        // The store is a HashMap; callers put these on the wire (backfill
-        // pushes, scrub fingerprints), so the order must not depend on
-        // per-process hash seeds or replayability is lost.
-        objects.sort_by(|(a, _), (b, _)| (&a.pool, &a.name).cmp(&(&b.pool, &b.name)));
+        // The store iterates in hash order; callers put these on the wire
+        // (backfill pushes, scrub fingerprints), in the order of the names.
+        objects.sort_by(|(a, _), (b, _)| a.cmp(b));
         objects
     }
 }
@@ -1173,13 +1195,6 @@ impl Actor for Osd {
                 // wrongly with the snapshot. It is replayed (deduped
                 // against the source's reply window) when the snapshot
                 // lands, and the primary's ack arrives then.
-                let pg_index = self
-                    .map
-                    .pools
-                    .get(&oid.pool)
-                    .map(|info| pg_of(&oid.pool, &oid.name, info.pg_num).index);
-                let backfill =
-                    pg_index.and_then(|index| self.backfills.get_mut(&(oid.pool, index)));
                 let repl = DeferredRepl {
                     from,
                     repl_id,
@@ -1188,7 +1203,7 @@ impl Actor for Osd {
                     origin_client,
                     origin_reqid,
                 };
-                if let Some(backfill) = backfill {
+                if let Some(backfill) = self.backfill_of(&oid) {
                     backfill.deferred.push(repl);
                     ctx.metrics().incr("osd.backfill_deferred_repls", 1);
                 } else {
@@ -1204,7 +1219,7 @@ impl Actor for Osd {
                     .map(|(id, _)| *id);
                 if let (Some(from_osd), Some(pending)) = (from_osd, self.pending.get_mut(&repl_id))
                 {
-                    pending.waiting_on.remove(&from_osd);
+                    pending.waiting_on.retain(|osd| *osd != from_osd);
                     let done = pending.waiting_on.is_empty();
                     if let Some(pending) = done.then(|| self.pending.remove(&repl_id)).flatten() {
                         let epoch = self.map.epoch;

@@ -7,11 +7,13 @@
 //! stay human-readable (handy when debugging experiments).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use mala_consensus::{MapSnapshot, MapUpdate, SERVICE_MAP_OSD};
-use mala_sim::NodeId;
+use mala_sim::{IdMap, NodeId};
+
+use crate::object::ObjectId;
 
 /// One pool's placement parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +39,7 @@ pub struct OsdEntry {
 }
 
 /// Acting sets (primary first) by pool name and PG index.
-type ActingSets = BTreeMap<String, HashMap<u32, Rc<[u32]>>>;
+type ActingSets = BTreeMap<String, IdMap<u32, Rc<[u32]>>>;
 
 /// A parsed, versioned view of the OSD map. A view is one epoch: a new
 /// epoch is a new view ([`OsdMapView::from_snapshot`]), never an edit of
@@ -162,6 +164,14 @@ impl OsdMapView {
         let info = self.pools.get(pool)?;
         let pg = crate::placement::pg_of(pool, object_name, info.pg_num);
         self.acting_set_for_pg(pool, pg.index)
+    }
+
+    /// [`OsdMapView::acting_set_for`] for a caller that holds the object's
+    /// id: placement reuses the id's hash words.
+    pub fn acting_set_of(&self, oid: &ObjectId) -> Option<Rc<[u32]>> {
+        let info = self.pools.get(&*oid.pool)?;
+        let pg = crate::placement::pg_of_id(oid, info.pg_num);
+        self.acting_set_for_pg(&oid.pool, pg.index)
     }
 
     /// The acting set for one PG of a pool (backfill works per-PG, not

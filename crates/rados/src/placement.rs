@@ -5,6 +5,8 @@
 //! hashing over the up set. HRW gives the property CRUSH gives Ceph: when
 //! an OSD is added or removed, only the PGs that touched it move.
 
+use crate::object::ObjectId;
+
 /// A placement group within a pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PgId {
@@ -42,6 +44,18 @@ pub fn pg_of(pool: &str, object_name: &str, pg_num: u32) -> PgId {
     PgId {
         pool_hash: stable_hash(pool),
         index: (stable_hash(object_name) % u64::from(pg_num.max(1))) as u32,
+    }
+}
+
+/// [`pg_of`] for a caller that holds the object's id: the id carries
+/// [`stable_hash`] of both names, so nothing is hashed here and the result
+/// is bit for bit what `pg_of(&oid.pool, &oid.name, pg_num)` gives. The
+/// `&str` form stays for callers that hold no id (harnesses placing a name
+/// they never address) and as this one's oracle.
+pub fn pg_of_id(oid: &ObjectId, pg_num: u32) -> PgId {
+    PgId {
+        pool_hash: oid.pool_hash(),
+        index: (oid.name_hash() % u64::from(pg_num.max(1))) as u32,
     }
 }
 
@@ -325,6 +339,18 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
+            /// Placement through an id is placement through its names, for
+            /// any names and any `pg_num` — zero included, which both clamp.
+            #[test]
+            fn pg_of_an_id_is_pg_of_its_names(
+                pool in "[a-z0-9._\u{e9}]{0,12}",
+                name in "[a-z0-9._/\u{2603}]{0,24}",
+                pg_num in prop_oneof![Just(0u32), Just(1), 1u32..4096, any::<u32>()],
+            ) {
+                let oid = ObjectId::new(pool.as_str(), name.as_str());
+                prop_assert_eq!(pg_of_id(&oid, pg_num), pg_of(&pool, &name, pg_num));
+            }
+
             /// Removing one OSD from an arbitrary up set only remaps PGs
             /// whose acting set contained it; survivors keep their order.
             #[test]

@@ -943,3 +943,59 @@ fn journalled_replica_replays_shipped_effects_to_the_same_state() {
         assert_replicas_equal(&sim, name);
     }
 }
+
+/// A name is held once (DESIGN §30): after a replicated class call on a
+/// journalled cluster, the object id the client built is the key of every
+/// acting-set member's store and the id in every journal's record of the
+/// write, and the omap key the native allocated is the one in the primary's
+/// omap, the shipped delta (each journal replays from it), and each
+/// replica's omap. A second write to the same key reuses it.
+#[test]
+fn a_name_is_one_allocation_from_the_client_to_every_journal() {
+    let journals = JournalSet::new();
+    let mut sim = build_journaled_cluster(3, 3, &journals);
+    let id = oid("held-once");
+    let add = |sim: &mut Sim, entry: &[u8]| {
+        let tail = Op::OmapSet {
+            key: "tail".into(),
+            value: entry.to_vec(),
+        };
+        let txn = vec![call("cls_log", "add", entry), tail];
+        let ev = request(sim, CLIENT, id.clone(), txn, SimDuration::from_secs(5));
+        ev.result.unwrap();
+    };
+    add(&mut sim, b"first");
+    let key = "log.0000000000000000";
+    let next = "tail";
+    let held = |sim: &Sim, i: u32, key: &str| -> (ObjectId, Rc<str>) {
+        let store = sim.actor::<Osd>(osd_node(i)).store();
+        let (stored_id, object) = store.get_key_value(&id).expect("every OSD is acting");
+        let (stored_key, _) = object.omap.get_key_value(key).expect("the entry is there");
+        (stored_id.clone(), Rc::clone(stored_key))
+    };
+    let (_, first_key) = held(&sim, 0, key);
+    let (_, first_next) = held(&sim, 0, next);
+    for i in 0..3 {
+        let (stored_id, stored_key) = held(&sim, i, key);
+        assert!(stored_id.ptr_eq(&id), "osd {i} keys its store by a copy");
+        assert!(
+            Rc::ptr_eq(&stored_key, &first_key),
+            "osd {i} holds a copy of the key"
+        );
+        // A journal folds its records by applying them: what it replays to
+        // holds the id and the key of its record of this write.
+        let replayed = journals.journal(osd_node(i)).replay();
+        let (journalled_id, object) = replayed.store.get_key_value(&id).unwrap();
+        assert!(journalled_id.ptr_eq(&id), "osd {i}'s journal copied the id");
+        assert!(
+            Rc::ptr_eq(object.omap.get_key_value(key).unwrap().0, &first_key),
+            "osd {i}'s journal copied the key"
+        );
+    }
+    // `tail` is rewritten by every add: the key stays the first one.
+    add(&mut sim, b"second");
+    for i in 0..3 {
+        assert!(Rc::ptr_eq(&held(&sim, i, next).1, &first_next), "osd {i}");
+        assert!(held(&sim, i, key).0.ptr_eq(&id), "osd {i}");
+    }
+}

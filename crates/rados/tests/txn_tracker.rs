@@ -5,12 +5,11 @@
 //! whole object before the transaction, apply each op straight to the
 //! object, and put the copy back if one fails.
 
-use std::collections::HashMap;
-
 use mala_rados::{
     ClassRegistry, Journal, JournalRecord, ObjTxn, Object, ObjectId, Op, OpResult, OsdError,
     Transaction,
 };
+use mala_sim::IdMap;
 use proptest::prelude::*;
 
 /// A scripted class whose methods write every part of the object, fail
@@ -102,14 +101,14 @@ fn reference_op(
         }
         Op::OmapGet { key } => {
             let o = slot.as_ref().ok_or(OsdError::NoEnt)?;
-            OpResult::Maybe(o.omap.get(key).cloned())
+            OpResult::Maybe(o.omap.get(key.as_str()).cloned())
         }
         Op::OmapList { after, max } => {
             let o = slot.as_ref().ok_or(OsdError::NoEnt)?;
             OpResult::Pairs(
                 o.omap
                     .iter()
-                    .filter(|(k, _)| *k > after)
+                    .filter(|(k, _)| ***k > **after)
                     .take(*max)
                     .map(|(k, v)| (k.clone(), v.clone()))
                     .collect(),
@@ -117,28 +116,31 @@ fn reference_op(
         }
         Op::OmapSet { key, value } => {
             let o = slot.get_or_insert_with(Object::new);
-            o.omap.insert(key.clone(), value.as_slice().into());
+            o.omap.insert(key.as_str().into(), value.as_slice().into());
             OpResult::Done
         }
         Op::OmapDel { key } => {
-            slot.get_or_insert_with(Object::new).omap.remove(key);
+            slot.get_or_insert_with(Object::new)
+                .omap
+                .remove(key.as_str());
             OpResult::Done
         }
         Op::OmapCmpXchg { key, expect, value } => {
             let o = slot.get_or_insert_with(Object::new);
-            if o.omap.get(key).map(|held| &**held) != expect.as_deref() {
+            if o.omap.get(key.as_str()).map(|held| &**held) != expect.as_deref() {
                 return Err(OsdError::CmpFailed);
             }
-            o.omap.insert(key.clone(), value.as_slice().into());
+            o.omap.insert(key.as_str().into(), value.as_slice().into());
             OpResult::Done
         }
         Op::XattrGet { key } => {
             let o = slot.as_ref().ok_or(OsdError::NoEnt)?;
-            OpResult::Maybe(o.xattrs.get(key).cloned())
+            OpResult::Maybe(o.xattrs.get(key.as_str()).cloned())
         }
         Op::XattrSet { key, value } => {
             let o = slot.get_or_insert_with(Object::new);
-            o.xattrs.insert(key.clone(), value.as_slice().into());
+            o.xattrs
+                .insert(key.as_str().into(), value.as_slice().into());
             OpResult::Done
         }
         Op::Call {
@@ -174,8 +176,8 @@ fn bytes() -> impl Strategy<Value = Vec<u8>> {
 
 fn call(class: &'static str, method: &'static str) -> impl Strategy<Value = Op> {
     prop_oneof![Just("x"), Just("y"), Just("owner-1")].prop_map(move |input| Op::Call {
-        class: class.to_string(),
-        method: method.to_string(),
+        class: class.into(),
+        method: method.into(),
         input: input.as_bytes().into(),
     })
 }
@@ -318,7 +320,7 @@ proptest! {
     fn journal_replay_equals_live_store(sequence in txns(12000..12100)) {
         let reg = registry();
         let journal = Journal::new();
-        let mut store: HashMap<ObjectId, Object> = HashMap::new();
+        let mut store: IdMap<ObjectId, Object> = IdMap::default();
         for (i, txn) in sequence.iter().enumerate() {
             let oid = ObjectId::new("p", format!("o{}", i % 5));
             let mut tracked = ObjTxn::begin(store.remove(&oid));

@@ -1,6 +1,7 @@
 //! The actor abstraction and the per-dispatch context handed to actors.
 
 use std::any::Any;
+use std::fmt::Display;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -169,6 +170,13 @@ impl Context<'_> {
     /// Attaches a key/value annotation to `span`.
     pub fn span_tag(&mut self, span: SpanContext, key: &str, value: &str) {
         self.inner.tracer.tag(span, key, value);
+    }
+
+    /// [`Context::span_tag`] for a value that is not text yet (a count, a
+    /// typed verb): formatted only if the tracer records the span, so a
+    /// tag costs an untraced run nothing.
+    pub fn span_tag_display(&mut self, span: SpanContext, key: &str, value: impl Display) {
+        self.inner.tracer.tag_display(span, key, value);
     }
 }
 

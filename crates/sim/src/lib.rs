@@ -43,6 +43,7 @@
 
 pub mod deadlines;
 pub mod history;
+pub mod idmap;
 pub mod linearize;
 pub mod metrics;
 pub mod nemesis;
@@ -55,6 +56,7 @@ mod sched;
 
 pub use actor::{Actor, Context, TimerHandle};
 pub use deadlines::Deadlines;
+pub use idmap::{IdMap, IdSet};
 pub use metrics::{Hist, Metrics};
 pub use nemesis::{Fault, FaultSchedule, FaultTargets, Nemesis};
 pub use net::{NetConfig, Network};

@@ -3,13 +3,13 @@
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::actor::{Actor, AnyActor, Context, TimerHandle};
+use crate::idmap::IdMap;
 use crate::net::{Delivery, Network};
 use crate::trace::{SpanContext, Tracer};
 use crate::{Metrics, NodeId, SimDuration, SimTime};
@@ -53,31 +53,6 @@ enum Slot {
 /// What the queue orders: `(at, seq, slot)`, earliest first, ties in
 /// insertion order. `seq` is unique, so `slot` never decides.
 type Key = Reverse<(SimTime, u64, u32)>;
-
-/// Hasher for the scheduler's own integer keys ([`NodeId`]s and pairs of
-/// them): one multiply per word, the same on every run. The ids come from
-/// the harness, not from outside the program, so there are no crafted
-/// collisions to defend against.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u32(u32::from(byte));
-        }
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        self.0 = (self.0.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// The mutable guts of a simulation, split from the node table so a
 /// dispatched actor can borrow both itself and this state.

@@ -14,6 +14,7 @@
 //! formatted — with their full ancestry — into a slow-op log.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 
 use crate::metrics::Hist;
 use crate::{NodeId, SimDuration, SimTime};
@@ -179,6 +180,12 @@ impl Tracer {
 
     /// Attaches a key/value annotation to an open or closed span.
     pub fn tag(&mut self, span: SpanContext, key: &str, value: &str) {
+        self.tag_display(span, key, value);
+    }
+
+    /// [`Tracer::tag`] with the value formatted here, and only when `span`
+    /// is recorded (a disabled tracer hands out a sentinel that is not).
+    pub fn tag_display(&mut self, span: SpanContext, key: &str, value: impl Display) {
         if let Some(rec) = self.spans.get_mut(span.span.0 as usize) {
             rec.tags.push((key.to_string(), value.to_string()));
         }

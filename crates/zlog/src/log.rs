@@ -10,16 +10,17 @@
 
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 use mala_consensus::{MapUpdate, MonMsg, SERVICE_MAP_MDS};
-use mala_mds::types::{MdsError, MdsMsg};
+use mala_mds::types::{MdsError, MdsMsg, SeqOp};
 use mala_mds::{FileType, Ino};
 use mala_rados::client::RETRY_TOKEN_BASE as RADOS_RETRY_TOKEN_BASE;
 use mala_rados::{ObjectId, Op, OpResult, OsdError, RadosClient};
 use mala_sim::history::Recorder;
 use mala_sim::linearize::{LogOp, LogRead, LogRet};
 use mala_sim::{
-    Actor, Context, Deadlines, NodeId, Sim, SimDuration, SimTime, SpanContext, TimerHandle,
+    Actor, Context, Deadlines, IdMap, NodeId, Sim, SimDuration, SimTime, SpanContext, TimerHandle,
 };
 
 use crate::route::SeqRouter;
@@ -331,6 +332,71 @@ struct Cursor {
     waiter: Option<(u64, usize)>,
 }
 
+/// A method of the `zlog` class, as the client calls it: an index into the
+/// handles [`Names`] built.
+#[derive(Debug, Clone, Copy)]
+enum Method {
+    Write,
+    WriteBatch,
+    Read,
+    ReadBatch,
+    Fill,
+    Trim,
+    TrimUpto,
+    Seal,
+    Checkpoint,
+    CheckpointRead,
+}
+
+impl Method {
+    /// Every method with its name in the class source, in discriminant
+    /// order.
+    const ALL: [(Method, &'static str); 10] = [
+        (Method::Write, "write"),
+        (Method::WriteBatch, "write_batch"),
+        (Method::Read, "read"),
+        (Method::ReadBatch, "read_batch"),
+        (Method::Fill, "fill"),
+        (Method::Trim, "trim"),
+        (Method::TrimUpto, "trim_upto"),
+        (Method::Seal, "seal"),
+        (Method::Checkpoint, "checkpoint"),
+        (Method::CheckpointRead, "checkpoint_read"),
+    ];
+}
+
+/// Every name one client's requests carry, allocated when the client is
+/// built: a request takes refcounts of these and formats nothing
+/// (DESIGN §30).
+struct Names {
+    /// The log's pool and name, as `SetSeqLayout` carries them.
+    pool: Rc<str>,
+    log: Rc<str>,
+    /// The stripe objects `<log>.<i>`, by stripe index.
+    stripes: Vec<ObjectId>,
+    /// The per-log checkpoint object (not a stripe: seals never touch it,
+    /// so checkpoint traffic survives recovery untouched).
+    ckpt: ObjectId,
+    class: Rc<str>,
+    /// Method-name handles, indexed by [`Method`].
+    methods: [Rc<str>; Method::ALL.len()],
+}
+
+impl Names {
+    fn new(config: &ZlogConfig) -> Names {
+        let pool: Rc<str> = config.pool.as_str().into();
+        let stripe = |i: u32| ObjectId::new(Rc::clone(&pool), format!("{}.{i}", config.name));
+        Names {
+            stripes: (0..config.stripe_width).map(stripe).collect(),
+            ckpt: ObjectId::new(Rc::clone(&pool), format!("{}.ckpt", config.name)),
+            log: config.name.as_str().into(),
+            class: ZLOG_CLASS.into(),
+            methods: Method::ALL.map(|(_, name)| name.into()),
+            pool,
+        }
+    }
+}
+
 /// The append-queue flush-window timer.
 const TOKEN_FLUSH: u64 = 1;
 /// The watchdog's one timer ([`ZlogClient::watch`]). Both sit below the
@@ -353,24 +419,25 @@ pub struct ZlogClient {
     /// Embedded RADOS client (delegated object I/O).
     rados: RadosClient,
     config: ZlogConfig,
+    names: Names,
     /// Current CORFU epoch for this log (from the `zlog` map).
     epoch: u64,
     /// Placement-aware MDS routing: live mdsmap plus the cached
     /// authoritative rank of the sequencer inode.
     router: SeqRouter,
     seq_ino: Option<Ino>,
-    ops: HashMap<u64, PendingOp>,
+    ops: IdMap<u64, PendingOp>,
     /// When the watchdog looks at each entry of `ops` next, by op id.
     watch: Deadlines<u64>,
-    results: HashMap<u64, AppendResult>,
+    results: IdMap<u64, AppendResult>,
     next_op: u64,
     next_seq: u64,
     /// rados reqid → op id routing.
-    rados_waiting: HashMap<u64, u64>,
+    rados_waiting: IdMap<u64, u64>,
     /// MDS reqid → op id routing.
-    mds_waiting: HashMap<u64, u64>,
+    mds_waiting: IdMap<u64, u64>,
     /// Monitor submit seq → op id routing.
-    mon_waiting: HashMap<u64, u64>,
+    mon_waiting: IdMap<u64, u64>,
     /// Ops blocked until a newer epoch arrives.
     blocked_on_epoch: Vec<(u64, u64)>,
     /// Ops whose MDS rank was unroutable (withheld send or a typed
@@ -387,7 +454,7 @@ pub struct ZlogClient {
     /// Optional op-history recorder (linearizability checking).
     history: Option<Recorder<LogOp, LogRet>>,
     /// Live tailing readers by id.
-    cursors: HashMap<u64, Cursor>,
+    cursors: IdMap<u64, Cursor>,
     next_cursor: u64,
     /// Tailing-reader tuning for cursors created without an explicit one.
     read_cfg: ReadConfig,
@@ -399,24 +466,25 @@ impl ZlogClient {
         ZlogClient {
             rados: RadosClient::new(config.monitor),
             router: SeqRouter::new(config.mds_nodes.clone(), config.home_rank),
+            names: Names::new(&config),
             config,
             epoch: 0,
             seq_ino: None,
-            ops: HashMap::new(),
+            ops: IdMap::default(),
             watch: Deadlines::new(TOKEN_WATCH),
-            results: HashMap::new(),
+            results: IdMap::default(),
             next_op: 1,
             next_seq: 1,
-            rados_waiting: HashMap::new(),
-            mds_waiting: HashMap::new(),
-            mon_waiting: HashMap::new(),
+            rados_waiting: IdMap::default(),
+            mds_waiting: IdMap::default(),
+            mon_waiting: IdMap::default(),
             blocked_on_epoch: Vec::new(),
             mds_blocked: Vec::new(),
             batch_cfg: BatchConfig::default(),
             append_queue: Vec::new(),
             flush_timer: None,
             history: None,
-            cursors: HashMap::new(),
+            cursors: IdMap::default(),
             next_cursor: 1,
             read_cfg: ReadConfig::default(),
         }
@@ -500,10 +568,12 @@ impl ZlogClient {
     fn insert_op(&mut self, ctx: &mut Context<'_>, kind: OpKind, stage: Stage) -> u64 {
         let op = self.next_op;
         self.next_op += 1;
-        let hist = match (&self.history, log_op_of(&kind)) {
-            (Some(rec), Some(logop)) => Some(rec.invoke(u64::from(ctx.me().0), ctx.now(), logop)),
-            _ => None,
-        };
+        // The model op holds a copy of an append's payload: built only for
+        // a recorder.
+        let hist = self.history.as_ref().and_then(|rec| {
+            let logop = log_op_of(&kind)?;
+            Some(rec.invoke(u64::from(ctx.me().0), ctx.now(), logop))
+        });
         self.ops.insert(
             op,
             PendingOp {
@@ -867,8 +937,8 @@ impl ZlogClient {
             ino,
             MdsMsg::SetSeqLayout {
                 ino,
-                pool: self.config.pool.clone(),
-                name: self.config.name.clone(),
+                pool: Rc::clone(&self.names.pool),
+                name: Rc::clone(&self.names.log),
                 stripe_width: self.config.stripe_width,
             },
         );
@@ -881,15 +951,11 @@ impl ZlogClient {
         reqid
     }
 
+    /// The stripe object holding `pos`: a refcount of the id built with
+    /// the client.
     fn stripe_oid(&self, pos: u64) -> ObjectId {
-        ObjectId::new(
-            self.config.pool.clone(),
-            format!(
-                "{}.{}",
-                self.config.name,
-                pos % u64::from(self.config.stripe_width)
-            ),
-        )
+        let stripe = pos % self.names.stripes.len() as u64;
+        self.names.stripes[stripe as usize].clone()
     }
 
     fn finish(&mut self, ctx: &mut Context<'_>, op: u64, result: AppendResult) {
@@ -1071,30 +1137,33 @@ impl ZlogClient {
         }
     }
 
+    /// The `Op::Call` of `method` on the `zlog` class: its names are
+    /// refcounts of the client's handles.
+    fn class_call(&self, method: Method, input: Vec<u8>) -> Op {
+        Op::Call {
+            class: Rc::clone(&self.names.class),
+            method: Rc::clone(&self.names.methods[method as usize]),
+            input: input.into(),
+        }
+    }
+
     fn call_class(
         &mut self,
         ctx: &mut Context<'_>,
         op: u64,
         oid: ObjectId,
-        method: &str,
+        method: Method,
         input: Vec<u8>,
     ) {
-        let reqid = self.rados.submit(
-            ctx,
-            oid,
-            vec![Op::Call {
-                class: ZLOG_CLASS.into(),
-                method: method.into(),
-                input: input.into(),
-            }],
-        );
+        let call = self.class_call(method, input);
+        let reqid = self.rados.submit(ctx, oid, vec![call]);
         self.rados_waiting.insert(reqid, op);
     }
 
     /// Calls a per-cell class method (`read`, `fill`, `trim`,
     /// `trim_upto`) on the stripe object holding `pos`; each takes
     /// `epoch|pos`.
-    fn call_cell(&mut self, ctx: &mut Context<'_>, op: u64, method: &str, pos: u64) {
+    fn call_cell(&mut self, ctx: &mut Context<'_>, op: u64, method: Method, pos: u64) {
         let input = format!("{}|{pos}", self.epoch).into_bytes();
         let oid = self.stripe_oid(pos);
         self.call_class(ctx, op, oid, method, input);
@@ -1125,7 +1194,7 @@ impl ZlogClient {
             MdsMsg::TypeOp {
                 reqid,
                 ino,
-                op: "next".into(),
+                op: SeqOp::Next,
             },
         );
     }
@@ -1198,7 +1267,7 @@ impl ZlogClient {
             MdsMsg::TypeOp {
                 reqid,
                 ino,
-                op: "read".into(),
+                op: SeqOp::Read,
             },
         );
     }
@@ -1208,21 +1277,12 @@ impl ZlogClient {
             return;
         };
         let (method, pos) = match pending.kind {
-            OpKind::Read { pos } => ("read", pos),
-            OpKind::Fill { pos } => ("fill", pos),
-            OpKind::Trim { pos } => ("trim", pos),
+            OpKind::Read { pos } => (Method::Read, pos),
+            OpKind::Fill { pos } => (Method::Fill, pos),
+            OpKind::Trim { pos } => (Method::Trim, pos),
             _ => return,
         };
         self.call_cell(ctx, op, method, pos);
-    }
-
-    /// The per-log checkpoint object (not a stripe: seals never touch it,
-    /// so checkpoint traffic survives recovery untouched).
-    fn ckpt_oid(&self) -> ObjectId {
-        ObjectId::new(
-            self.config.pool.clone(),
-            format!("{}.ckpt", self.config.name),
-        )
     }
 
     /// (Re-)issues a vectored read: the op's position vector grouped by
@@ -1253,7 +1313,8 @@ impl ZlogClient {
             ctx.metrics().incr("rados.read_batch_ops", 1);
             ctx.metrics()
                 .incr("rados.read_batch_positions", group.len() as u64);
-            self.call_class(ctx, op, oid, "read_batch", encode_read_batch(epoch, &group));
+            let input = encode_read_batch(epoch, &group);
+            self.call_class(ctx, op, oid, Method::ReadBatch, input);
         }
     }
 
@@ -1283,7 +1344,7 @@ impl ZlogClient {
             outstanding: targets.len(),
         };
         for p in targets {
-            self.call_cell(ctx, op, "trim_upto", p);
+            self.call_cell(ctx, op, Method::TrimUpto, p);
         }
     }
 
@@ -1295,13 +1356,13 @@ impl ZlogClient {
             return;
         };
         let input = encode_checkpoint(self.epoch, pos, &blob);
-        let oid = self.ckpt_oid();
-        self.call_class(ctx, op, oid, "checkpoint", input);
+        let oid = self.names.ckpt.clone();
+        self.call_class(ctx, op, oid, Method::Checkpoint, input);
     }
 
     fn step_ckpt_read(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let oid = self.ckpt_oid();
-        self.call_class(ctx, op, oid, "checkpoint_read", Vec::new());
+        let oid = self.names.ckpt.clone();
+        self.call_class(ctx, op, oid, Method::CheckpointRead, Vec::new());
     }
 
     /// Records one history read per position of a vectored read op, so
@@ -1554,7 +1615,7 @@ impl ZlogClient {
         };
         pending.stage = Stage::WriteProbe { pos };
         ctx.metrics().incr("zlog.write_probes", 1);
-        self.call_cell(ctx, op, "read", pos);
+        self.call_cell(ctx, op, Method::Read, pos);
         self.arm_watchdog(ctx, op);
     }
 
@@ -1574,7 +1635,7 @@ impl ZlogClient {
             }
         }
         ctx.metrics().incr("zlog.probe_seals", 1);
-        self.call_cell(ctx, op, "fill", pos);
+        self.call_cell(ctx, op, Method::Fill, pos);
         self.arm_watchdog(ctx, op);
     }
 
@@ -2018,7 +2079,7 @@ impl ZlogClient {
                         MdsMsg::TypeOp {
                             reqid,
                             ino,
-                            op: format!("advance_to:{tail}"),
+                            op: SeqOp::AdvanceTo(tail),
                         },
                     );
                 }
@@ -2103,7 +2164,7 @@ impl ZlogClient {
                     let mut input = format!("{}|{pos}|", self.epoch).into_bytes();
                     input.extend_from_slice(&data);
                     let oid = self.stripe_oid(pos);
-                    self.call_class(ctx, op, oid, "write", input);
+                    self.call_class(ctx, op, oid, Method::Write, input);
                 }
                 Err(MdsError::NotAuth { rank }) => self.on_redirect(ctx, op, rank),
                 Err(e) if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
@@ -2140,7 +2201,7 @@ impl ZlogClient {
                                 MdsMsg::TypeOp {
                                     reqid,
                                     ino,
-                                    op: format!("advance_to:{tail}"),
+                                    op: SeqOp::AdvanceTo(tail),
                                 },
                             );
                         }
@@ -2163,7 +2224,7 @@ impl ZlogClient {
                             MdsMsg::TypeOp {
                                 reqid,
                                 ino,
-                                op: format!("advance_to:{tail}"),
+                                op: SeqOp::AdvanceTo(tail),
                             },
                         );
                     }
@@ -2200,7 +2261,8 @@ impl ZlogClient {
         self.epoch = self.epoch.max(new_epoch);
         for i in 0..u64::from(width) {
             let oid = self.stripe_oid(i);
-            self.call_class(ctx, op, oid, "seal", new_epoch.to_string().into_bytes());
+            let input = new_epoch.to_string().into_bytes();
+            self.call_class(ctx, op, oid, Method::Seal, input);
         }
     }
 
@@ -2239,27 +2301,23 @@ impl ZlogClient {
     /// count. Runs under [`ZlogClient::redrive_op`], which has dropped
     /// the earlier grant's reply route and arms the watchdog after.
     fn drive_batch_grant(&mut self, ctx: &mut Context<'_>, id: u64) {
-        let Some(OpKind::Batch { members }) = self.ops.get(&id).map(|p| &p.kind) else {
+        let Some(mut members) = self.take_members(id) else {
             return;
         };
         // Members may have died (op deadline) while the batch waited.
-        let live: Vec<u64> = members
-            .iter()
-            .copied()
-            .filter(|o| self.ops.contains_key(o))
-            .collect();
-        if live.is_empty() {
+        members.retain(|o| self.ops.contains_key(o));
+        let Some(&first) = members.first() else {
             self.finish(ctx, id, AppendResult::Ok(ZlogOut::Done));
             return;
-        }
-        let n = live.len() as u64;
+        };
+        let n = members.len() as u64;
         // The grant round trip is traced under the first member's append
         // span; the MDS parents its own work beneath it via the wire.
-        let parent = self.ops.get(&live[0]).and_then(|p| p.span);
+        let parent = self.ops.get(&first).and_then(|p| p.span);
         let span = ctx.span_start("zlog.grant", parent);
-        ctx.span_tag(span, "members", &n.to_string());
+        ctx.span_tag_display(span, "members", n);
+        self.put_members(id, members);
         if let Some(batch) = self.ops.get_mut(&id) {
-            batch.kind = OpKind::Batch { members: live };
             batch.stage = Stage::BatchGrant { span: Some(span) };
         }
         match self.seq_ino {
@@ -2286,56 +2344,56 @@ impl ZlogClient {
     /// every same-stripe member rides one RADOS transaction (and one OSD
     /// journal group-commit).
     fn launch_batch_writes(&mut self, ctx: &mut Context<'_>, id: u64, base: u64) {
-        let Some(OpKind::Batch { members }) = self.ops.get(&id).map(|p| p.kind.clone()) else {
+        let Some(members) = self.take_members(id) else {
             return;
         };
-        let width = u64::from(self.config.stripe_width).max(1);
+        let (n, width) = (members.len() as u64, self.names.stripes.len() as u64);
         ctx.metrics().incr("zlog.pos_grants", 1);
         // Round trips the bulk grant saved over position-at-a-time.
-        ctx.metrics()
-            .incr("zlog.grants_saved", members.len() as u64 - 1);
-        // Deterministic stripe order keeps the event trace seed-stable.
-        let mut by_stripe: BTreeMap<u64, Vec<(usize, u64)>> = BTreeMap::new();
-        for (i, &op) in members.iter().enumerate() {
-            let pos = base + i as u64;
-            if self.ops.contains_key(&op) {
-                by_stripe.entry(pos % width).or_default().push((i, pos));
-            } else {
+        ctx.metrics().incr("zlog.grants_saved", n - 1);
+        for (pos, op) in (base..).zip(&members) {
+            if !self.ops.contains_key(op) {
                 // The member died while the grant was in flight: its cell
                 // would stay a hole nobody owns. Junk-fill it now.
                 self.spawn_hole_fill(ctx, pos);
             }
         }
+        // `base..base + n` covers `min(n, width)` stripes, each first at
+        // one of the first offsets: those below `wrap` sit on stripes
+        // `base % width..`, the rest wrapped around to stripe 0. Ascending
+        // stripe order keeps the event trace seed-stable.
+        let covered = n.min(width);
+        let wrap = (width - base % width).min(covered);
         let epoch = self.epoch;
-        let mut groups = Vec::with_capacity(by_stripe.len());
-        for cells in by_stripe.into_values() {
-            let entries: Vec<(u64, &[u8])> = cells
-                .iter()
-                .filter_map(|(i, pos)| match &self.ops.get(&members[*i])?.kind {
-                    OpKind::Append { data } => Some((*pos, data.as_slice())),
-                    _ => None,
-                })
-                .collect();
-            let input = encode_write_batch(epoch, &entries);
-            let oid = self.stripe_oid(cells[0].1);
+        let mut groups = Vec::with_capacity(covered as usize);
+        for first in (wrap..covered).chain(0..wrap) {
+            let on_stripe = (n - first).div_ceil(width) as usize;
+            let mut cells = Vec::with_capacity(on_stripe);
+            let mut entries: Vec<(u64, &[u8])> = Vec::with_capacity(on_stripe);
+            for i in (first..n).step_by(width as usize) {
+                let Some(member) = self.ops.get(&members[i as usize]) else {
+                    continue;
+                };
+                cells.push((i as usize, base + i));
+                if let OpKind::Append { data } = &member.kind {
+                    entries.push((base + i, data));
+                }
+            }
+            let Some(&(lead, pos)) = cells.first() else {
+                continue;
+            };
+            let call = self.class_call(Method::WriteBatch, encode_write_batch(epoch, &entries));
+            let oid = self.stripe_oid(pos);
             // One stripe-write span per vectored call, parented under the
             // first member's append; the rados.op rides beneath it.
-            let parent = self.ops.get(&members[cells[0].0]).and_then(|p| p.span);
+            let parent = self.ops.get(&members[lead]).and_then(|p| p.span);
             let span = ctx.span_start("zlog.stripe_write", parent);
-            ctx.span_tag(span, "entries", &cells.len().to_string());
-            let reqid = self.rados.submit_spanned(
-                ctx,
-                oid,
-                vec![Op::Call {
-                    class: ZLOG_CLASS.into(),
-                    method: "write_batch".into(),
-                    input: input.into(),
-                }],
-                Some(span),
-            );
+            ctx.span_tag_display(span, "entries", cells.len());
+            let reqid = self.rados.submit_spanned(ctx, oid, vec![call], Some(span));
             self.rados_waiting.insert(reqid, id);
             groups.push(StripeWrite { reqid, span, cells });
         }
+        self.put_members(id, members);
         if groups.is_empty() {
             self.finish(ctx, id, AppendResult::Ok(ZlogOut::Done));
             return;
@@ -2344,6 +2402,25 @@ impl ZlogClient {
             batch.stage = Stage::BatchWrite { groups };
         }
         self.arm_watchdog(ctx, id);
+    }
+
+    /// Borrows batch `id`'s member list out of the op table, so that the
+    /// table can be read and written while the list is walked;
+    /// [`ZlogClient::put_members`] hands it back. Nothing that runs in
+    /// between reads the list: a member that concludes meanwhile looks its
+    /// cell up in the batch's in-flight groups only, and finds it there or
+    /// not whatever the list holds.
+    fn take_members(&mut self, id: u64) -> Option<Vec<u64>> {
+        match &mut self.ops.get_mut(&id)?.kind {
+            OpKind::Batch { members } => Some(std::mem::take(members)),
+            _ => None,
+        }
+    }
+
+    fn put_members(&mut self, id: u64, members: Vec<u64>) {
+        if let Some(OpKind::Batch { members: slot }) = self.ops.get_mut(&id).map(|p| &mut p.kind) {
+            *slot = members;
+        }
     }
 
     /// One stripe group of a batch completed. Success finishes every
@@ -2361,12 +2438,7 @@ impl ZlogClient {
         reqid: u64,
         result: Result<Vec<OpResult>, OsdError>,
     ) {
-        let Some(batch) = self.ops.get_mut(&id) else {
-            return;
-        };
-        let (OpKind::Batch { members }, Stage::BatchWrite { groups }) =
-            (&batch.kind, &mut batch.stage)
-        else {
+        let Some(Stage::BatchWrite { groups }) = self.ops.get_mut(&id).map(|p| &mut p.stage) else {
             return;
         };
         let Some(at) = groups.iter().position(|group| group.reqid == reqid) else {
@@ -2374,7 +2446,9 @@ impl ZlogClient {
         };
         let StripeWrite { span, cells, .. } = groups.swap_remove(at);
         let last = groups.is_empty();
-        let members = members.clone();
+        let Some(members) = self.take_members(id) else {
+            return;
+        };
         ctx.span_end(span);
         match result {
             Ok(_) => {
@@ -2425,6 +2499,7 @@ impl ZlogClient {
                 }
             }
         }
+        self.put_members(id, members);
         if last {
             self.finish(ctx, id, AppendResult::Ok(ZlogOut::Done));
         }

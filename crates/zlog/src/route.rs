@@ -26,7 +26,7 @@ use std::collections::HashMap;
 
 use mala_consensus::MapSnapshot;
 use mala_mds::{Ino, MdsMapView};
-use mala_sim::NodeId;
+use mala_sim::{IdMap, NodeId};
 
 /// Per-client routing state: live mdsmap plus a sequencer-inode
 /// placement cache.
@@ -34,7 +34,7 @@ use mala_sim::NodeId;
 pub struct SeqRouter {
     /// Static rank → node fallback (from config; used until the first
     /// mdsmap snapshot arrives).
-    mds_nodes: HashMap<u32, NodeId>,
+    mds_nodes: IdMap<u32, NodeId>,
     /// Rank owning the namespace (resolve/create) and the default
     /// target for sequencers with no cached placement.
     home_rank: u32,
@@ -43,17 +43,17 @@ pub struct SeqRouter {
     mdsmap: MdsMapView,
     /// Sequencer inode → authoritative rank, learned from `Resolved`
     /// replies and `NotAuth` redirects.
-    placement: HashMap<Ino, u32>,
+    placement: IdMap<Ino, u32>,
 }
 
 impl SeqRouter {
     /// Creates a router with the static config fallback.
     pub fn new(mds_nodes: HashMap<u32, NodeId>, home_rank: u32) -> SeqRouter {
         SeqRouter {
-            mds_nodes,
+            mds_nodes: mds_nodes.into_iter().collect(),
             home_rank,
             mdsmap: MdsMapView::default(),
-            placement: HashMap::new(),
+            placement: IdMap::default(),
         }
     }
 

@@ -31,7 +31,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 
-use mala_mds::types::MdsMsg;
+use mala_mds::types::{MdsMsg, SeqOp};
 use mala_mds::{Ino, ServeStyle};
 use mala_sim::actor::TimerHandle;
 use mala_sim::{Actor, Context, NodeId, SimDuration, SimTime};
@@ -185,7 +185,7 @@ impl SeqWorkload {
             _ => MdsMsg::TypeOp {
                 reqid,
                 ino: self.ino,
-                op: "next".to_string(),
+                op: SeqOp::Next,
             },
         };
         ctx.send(self.target, msg);

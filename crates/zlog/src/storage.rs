@@ -328,19 +328,24 @@ end
 /// payload1, …, posn, payloadn}`, payloads as they are. Entries must be
 /// non-empty.
 pub fn encode_write_batch(epoch: u64, entries: &[(u64, &[u8])]) -> Vec<u8> {
-    let numbers: Vec<String> = std::iter::once(epoch)
-        .chain(entries.iter().map(|(pos, _)| *pos))
-        .map(|n| n.to_string())
-        .collect();
-    let payloads = entries.iter().map(|(_, payload)| *payload);
-    let positions = numbers[1..].iter().map(|pos| pos.as_bytes());
-    frame::encode(
-        std::iter::once(numbers[0].as_bytes()).chain(
-            positions
-                .zip(payloads)
-                .flat_map(|(pos, payload)| [pos, payload]),
-        ),
-    )
+    use std::io::Write;
+    // The epoch and the positions in decimal, back to back in one buffer;
+    // each is found again by its digit count. Writing to a `Vec` cannot
+    // fail.
+    let mut text = Vec::with_capacity(20 * (entries.len() + 1));
+    let _ = write!(text, "{epoch}");
+    let epoch_len = text.len();
+    for (pos, _) in entries {
+        let _ = write!(text, "{pos}");
+    }
+    let text = &text[..];
+    let cells = entries.iter().scan(epoch_len, move |at, (pos, payload)| {
+        let digits = pos.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let pos = &text[*at..*at + digits];
+        *at += digits;
+        Some([pos, *payload])
+    });
+    frame::encode(std::iter::once(&text[..epoch_len]).chain(cells.flatten()))
 }
 
 /// Encodes a `read_batch` input: `epoch|pos,pos,...`.
@@ -510,7 +515,7 @@ mod tests {
         assert_eq!(
             delta.omap,
             vec![(
-                "e00000000000000001000".to_string(),
+                "e00000000000000001000".into(),
                 Some(b"D|one more"[..].into())
             )]
         );

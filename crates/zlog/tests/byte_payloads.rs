@@ -15,7 +15,7 @@ use std::rc::Rc;
 use mala_consensus::{MonConfig, MonMsg, Monitor};
 use mala_mds::server::Mds;
 use mala_mds::{MdsConfig, MdsMapView, NoBalancer};
-use mala_rados::{JournalSet, ObjectId, Osd, OsdConfig, OsdMapView, PoolInfo};
+use mala_rados::{JournalSet, Object, ObjectId, Osd, OsdConfig, OsdMapView, PoolInfo};
 use mala_sim::{NodeId, Sim, SimDuration};
 use mala_zlog::log::{run_op, ZlogOut};
 use mala_zlog::{zlog_interface_update, AppendResult, ReadOutcome, ZlogClient, ZlogConfig};
@@ -216,7 +216,8 @@ proptest! {
 /// script's string), the post-image the primary shipped and journalled
 /// (`ObjectDelta`, behind the one `Rc<JournalRecord>` of DESIGN §28), the
 /// value in each replica's omap (applied from that record, no class code
-/// run), and the record in each replica's journal.
+/// run), and the record in each replica's journal. So is its key, which
+/// the script's `omap_set` allocated once (DESIGN §30).
 #[test]
 fn a_replicated_entry_is_one_buffer_on_every_osd_and_in_every_journal() {
     let journals = JournalSet::new();
@@ -226,26 +227,27 @@ fn a_replicated_entry_is_one_buffer_on_every_osd_and_in_every_journal() {
     for (pos, payload) in positions.iter().zip(&payloads) {
         let oid = ObjectId::new("zlogpool", format!("{LOG}.{}", pos % u64::from(WIDTH)));
         let key = format!("e{pos:020}");
-        let stored = |sim: &Sim, i: u32| -> Rc<[u8]> {
-            let osd = sim.actor::<Osd>(osd_node(i));
-            let object = osd
-                .store()
-                .get(&oid)
-                .expect("every OSD is in the acting set");
-            Rc::clone(&object.omap[&key])
+        let entry = |object: &Object| -> (Rc<str>, Rc<[u8]>) {
+            let (k, v) = object.omap.get_key_value(key.as_str()).expect("written");
+            (Rc::clone(k), Rc::clone(v))
         };
-        let first = stored(&sim, 0);
+        let stored = |sim: &Sim, i: u32| {
+            let osd = sim.actor::<Osd>(osd_node(i));
+            entry(osd.store().get(&oid).expect("every OSD is acting"))
+        };
+        let (first_key, first) = stored(&sim, 0);
         assert_eq!(&first[2..], payload.as_slice(), "position {pos}");
         for i in 0..OSDS {
+            let (k, v) = stored(&sim, i);
             assert!(
-                Rc::ptr_eq(&stored(&sim, i), &first),
+                Rc::ptr_eq(&k, &first_key) && Rc::ptr_eq(&v, &first),
                 "position {pos}: osd {i} holds a copy of its own"
             );
             // A journal folds its records by applying them, so what it
             // replays to is what its record of this write holds.
-            let replayed = journals.journal(osd_node(i)).replay();
+            let (k, v) = entry(&journals.journal(osd_node(i)).replay().store[&oid]);
             assert!(
-                Rc::ptr_eq(&replayed.store[&oid].omap[&key], &first),
+                Rc::ptr_eq(&k, &first_key) && Rc::ptr_eq(&v, &first),
                 "position {pos}: osd {i}'s journal holds a copy of its own"
             );
         }

@@ -502,7 +502,7 @@ mod durability_props {
                 let name = format!("obj{idx}");
                 let payload = vec![*byte; 8 + idx];
                 let res = cluster.rados(
-                    ObjectId::new("data", &name),
+                    ObjectId::new("data", name.as_str()),
                     durability::put_blob(payload.clone()),
                 );
                 match res {
@@ -529,7 +529,7 @@ mod durability_props {
             cluster.sim.run_for(SimDuration::from_secs(2));
 
             for (name, payload) in &expected {
-                let res = cluster.rados(ObjectId::new("data", name), durability::get_blob());
+                let res = cluster.rados(ObjectId::new("data", name.as_str()), durability::get_blob());
                 match res {
                     Ok(out) => prop_assert_eq!(
                         &out[0],
@@ -548,7 +548,7 @@ mod durability_props {
                 let store = cluster.sim.actor::<Osd>(cluster.osd_node(i)).store();
                 for oid in store.keys() {
                     prop_assert!(
-                        expected.contains_key(&oid.name),
+                        expected.contains_key(&*oid.name),
                         "osd {} holds phantom object {:?} (seed {})", i, oid, seed
                     );
                 }
@@ -1784,7 +1784,7 @@ mod elastic_membership {
             let name = format!("obj{k}");
             cluster
                 .rados(
-                    ObjectId::new("data", &name),
+                    ObjectId::new("data", name.as_str()),
                     durability::put_blob(payload.clone()),
                 )
                 .unwrap();
@@ -1834,7 +1834,7 @@ mod elastic_membership {
         );
         for (name, payload) in expected {
             let out = cluster
-                .rados(ObjectId::new("data", &name), durability::get_blob())
+                .rados(ObjectId::new("data", name.as_str()), durability::get_blob())
                 .unwrap();
             assert_eq!(
                 out[0],
@@ -2468,7 +2468,7 @@ mod batched_smoke {
     fn assert_replicas_equal(cluster: &Cluster, osds: u32, pool: &str) {
         let store = |i: u32| cluster.sim.actor::<Osd>(cluster.osd_node(i)).store();
         let mut oids: Vec<&ObjectId> = (0..osds)
-            .flat_map(|i| store(i).keys().filter(|oid| oid.pool == pool))
+            .flat_map(|i| store(i).keys().filter(|oid| *oid.pool == *pool))
             .collect();
         oids.sort();
         oids.dedup();
