@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints (warnings are errors), the one-RADOS-client,
-# no-timer-per-item, effects-not-calls, payload-is-bytes and name-held-once structure checks, the tier-1 build +
-# test pass (the whole workspace minus the vendored stand-ins), every
-# experiment's shape check at quick scale, the three balancer figures at paper
-# scale against results/, and the frozen benchmark with its ceilings. Run from
-# the repository root before pushing.
+# no-timer-per-item, effects-not-calls, payload-is-bytes, name-held-once and
+# one-engine structure checks, the tier-1 build + test pass (the whole
+# workspace minus the vendored stand-ins), every experiment's shape check at
+# quick scale, the three balancer figures at paper scale against results/, and
+# the frozen benchmark with its ceilings. Run from the repository root before
+# pushing.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -45,6 +46,12 @@ done
 [ -z "$(awk '/^    fn stripe_oid\(/,/^    }$/' crates/zlog/src/log.rs | grep -n 'format!')" ]
 [ -z "$(grep -rn 'op: String' crates/mds/src/types.rs)" ]
 [ -z "$(grep -rn 'span_tag(.*to_string()' crates)" ]
+
+echo "==> one engine on production paths: no value selects an engine, and outside tests only the dsl crate and the dsl_vm experiment name the tree-walker (DESIGN §18)"
+[ -z "$(grep -rn 'EngineKind\|DslEngine' crates)" ]
+for file in $(find crates -name '*.rs' -not -path 'crates/dsl/src/*' -not -path '*/tests/*' -not -path 'crates/bench/src/exp/dsl_vm.rs'); do
+    [ -z "$(above_tests "$file" | grep -nw 'Interp')" ]
+done
 
 echo "==> cargo build --release"
 cargo build --release

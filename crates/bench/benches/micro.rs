@@ -8,7 +8,7 @@
 //! * simulator event throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mala_dsl::{Interp, Script, Value};
+use mala_dsl::{Engine, Script, Value, Vm};
 use mala_rados::{ClassRegistry, Object};
 
 fn bench_class_dispatch(c: &mut Criterion) {
@@ -57,10 +57,10 @@ fn bench_dsl(c: &mut Criterion) {
         "function fib(n) if n < 2 then return n end return fib(n-1) + fib(n-2) end",
     )
     .unwrap();
-    let mut interp = Interp::new();
-    interp.load(&fib).unwrap();
+    let mut vm = Vm::new();
+    vm.load(&fib).unwrap();
     group.bench_function("fib_15", |b| {
-        b.iter(|| std::hint::black_box(interp.call("fib", &[Value::from(15.0)], &mut ()).unwrap()))
+        b.iter(|| std::hint::black_box(vm.call("fib", &[Value::from(15.0)], &mut ()).unwrap()))
     });
     group.finish();
 }

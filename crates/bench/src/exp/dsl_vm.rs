@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use mala_dsl::{DslEngine, EngineKind, Script, Table, Value};
+use mala_dsl::{Engine, Interp, Script, Table, Value, Vm};
 
 use crate::report::{self, Json};
 use crate::{ensure, Experiment, Scale};
@@ -98,15 +98,8 @@ pub struct Data {
     pub speedup_guard: f64,
 }
 
-fn kind_label(kind: EngineKind) -> &'static str {
-    match kind {
-        EngineKind::TreeWalk => "tree",
-        EngineKind::Bytecode => "vm",
-    }
-}
-
 /// Installs the per-tick globals the balancer policy reads.
-fn set_balancer_globals(engine: &mut DslEngine, ranks: u32) {
+fn set_balancer_globals(engine: &mut impl Engine, ranks: u32) {
     let mut mds = Table::new();
     let mut total = 0.0;
     for r in 0..ranks {
@@ -140,13 +133,13 @@ fn sample<F: FnMut()>(iters: u32, warmup: u32, mut eval: F) -> Vec<f64> {
     samples
 }
 
-fn summarize(engine: EngineKind, workload: &str, mut samples: Vec<f64>) -> EngineRun {
+fn summarize(engine: &str, workload: &str, mut samples: Vec<f64>) -> EngineRun {
     samples.sort_by(f64::total_cmp);
     let total_us: f64 = samples.iter().sum();
     let p50 = samples[samples.len() / 2];
     let p99 = samples[((samples.len() as f64 * 0.99) as usize).min(samples.len() - 1)];
     EngineRun {
-        engine: kind_label(engine).to_string(),
+        engine: engine.to_string(),
         workload: workload.to_string(),
         evals_per_sec: samples.len() as f64 / (total_us / 1e6),
         p50_us: p50,
@@ -157,6 +150,33 @@ fn summarize(engine: EngineKind, workload: &str, mut samples: Vec<f64>) -> Engin
 /// Unwraps a script result; a failure is a bug in the fixed bench scripts.
 fn ok<T, E: std::fmt::Debug>(what: &str, result: Result<T, E>) -> T {
     result.unwrap_or_else(|e| panic!("{what}: {e:?}"))
+}
+
+impl Config {
+    /// The `mantle_balance` row of engine `E`, labelled `label`.
+    fn mantle_balance<E: Engine>(&self, label: &str, policy: &Script) -> EngineRun {
+        let mut engine = E::new();
+        ok("balancer loads", engine.load(policy));
+        set_balancer_globals(&mut engine, self.ranks);
+        let samples = sample(self.iters, self.warmup, || {
+            let go = ok("when() runs", engine.call("when", &[], &mut ()));
+            assert!(go.truthy(), "benchmark policy must decide to act");
+            ok("balance() runs", engine.call("balance", &[], &mut ()));
+        });
+        summarize(label, "mantle_balance", samples)
+    }
+
+    /// The `class_guard` row of engine `E`, labelled `label`.
+    fn class_guard<E: Engine>(&self, label: &str, class: &Script) -> EngineRun {
+        let mut engine = E::new();
+        ok("guard loads", engine.load(class));
+        let arg = [Value::str("7")];
+        let samples = sample(self.iters, self.warmup, || {
+            let out = ok("guard() runs", engine.call("guard", &arg, &mut ()));
+            debug_assert_eq!(out.as_str(), Some("ok"));
+        });
+        summarize(label, "class_guard", samples)
+    }
 }
 
 impl Experiment for Config {
@@ -181,32 +201,13 @@ impl Experiment for Config {
     fn run(&self) -> Data {
         let balancer = ok("balancer policy compiles", Script::compile(BALANCER_POLICY));
         let guard = ok("guard class compiles", Script::compile(GUARD_CLASS));
-        let mut runs = Vec::new();
-
-        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
-            let mut engine = DslEngine::new(kind);
-            ok("balancer loads", engine.load(&balancer));
-            set_balancer_globals(&mut engine, self.ranks);
-            let samples = sample(self.iters, self.warmup, || {
-                let go = ok("when() runs", engine.call("when", &[], &mut ()));
-                assert!(go.truthy(), "benchmark policy must decide to act");
-                ok("balance() runs", engine.call("balance", &[], &mut ()));
-            });
-            runs.push(summarize(kind, "mantle_balance", samples));
-        }
-
-        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
-            let mut engine = DslEngine::new(kind);
-            ok("guard loads", engine.load(&guard));
-            let arg = [Value::str("7")];
-            let samples = sample(self.iters, self.warmup, || {
-                let out = ok("guard() runs", engine.call("guard", &arg, &mut ()));
-                debug_assert_eq!(out.as_str(), Some("ok"));
-            });
-            runs.push(summarize(kind, "class_guard", samples));
-        }
-
         // Rows alternate tree-walker, VM.
+        let runs = vec![
+            self.mantle_balance::<Interp>("tree", &balancer),
+            self.mantle_balance::<Vm>("vm", &balancer),
+            self.class_guard::<Interp>("tree", &guard),
+            self.class_guard::<Vm>("vm", &guard),
+        ];
         Data {
             speedup_mantle: runs[1].evals_per_sec / runs[0].evals_per_sec,
             speedup_guard: runs[3].evals_per_sec / runs[2].evals_per_sec,
@@ -288,16 +289,16 @@ mod tests {
     #[test]
     fn both_engines_produce_the_same_targets_table() {
         // The bench is only meaningful if the engines agree on the work.
-        let script = Script::compile(BALANCER_POLICY).unwrap();
-        let mut results = Vec::new();
-        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
-            let mut engine = DslEngine::new(kind);
+        fn targets<E: Engine>() -> String {
+            let script = Script::compile(BALANCER_POLICY).unwrap();
+            let mut engine = E::new();
             engine.load(&script).unwrap();
             set_balancer_globals(&mut engine, 4);
             engine.call("when", &[], &mut ()).unwrap();
             engine.call("balance", &[], &mut ()).unwrap();
-            results.push(engine.global("targets").display());
+            engine.global("targets").display()
         }
+        let results = [targets::<Interp>(), targets::<Vm>()];
         assert_eq!(results[0], results[1]);
         assert!(results[0].contains(", 0}"), "{}", results[0]);
     }

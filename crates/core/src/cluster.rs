@@ -37,7 +37,6 @@ pub struct ClusterBuilder {
     net_config: NetConfig,
     balancer_factory: BalancerFactory,
     rados_clients: u32,
-    settle: SimDuration,
 }
 
 impl ClusterBuilder {
@@ -55,7 +54,6 @@ impl ClusterBuilder {
             net_config: NetConfig::default(),
             balancer_factory: Box::new(|_| Box::new(NoBalancer)),
             rados_clients: 1,
-            settle: SimDuration::from_secs(3),
         }
     }
 
@@ -127,13 +125,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// How long to run the simulation after bootstrap so maps commit and
-    /// propagate before the harness takes over.
-    pub fn settle_time(mut self, d: SimDuration) -> Self {
-        self.settle = d;
-        self
-    }
-
     /// Builds the cluster and settles it.
     pub fn build(self, seed: u64) -> Cluster {
         let mut sim = Sim::with_network(seed, Network::new(self.net_config.clone()));
@@ -201,11 +192,10 @@ impl ClusterBuilder {
             next_client: 2000 + self.rados_clients,
             next_mon_seq: 2,
             osd_config: self.osd_config,
-            mds_config: self.mds_config,
-            balancer_factory: self.balancer_factory,
             journals,
         };
-        cluster.sim.run_for(self.settle);
+        // Long enough for the bootstrap maps to commit and propagate.
+        cluster.sim.run_for(SimDuration::from_secs(3));
         cluster
     }
 }
@@ -228,8 +218,6 @@ pub struct Cluster {
     next_client: u32,
     next_mon_seq: u64,
     osd_config: OsdConfig,
-    mds_config: MdsConfig,
-    balancer_factory: BalancerFactory,
     journals: JournalSet,
 }
 
@@ -431,23 +419,6 @@ impl Cluster {
     pub fn remove_osd(&mut self, i: u32) {
         let _ = self.osd_node(i);
         self.commit_updates(vec![OsdMapView::remove_osd(i)]);
-    }
-
-    /// Crashes MDS rank `r` and commits an mdsmap marking it down.
-    pub fn crash_mds(&mut self, r: u32) {
-        let node = self.mds_node(r);
-        self.sim.crash(node);
-        self.commit_updates(vec![MdsMapView::update_rank(r, node, false)]);
-    }
-
-    /// Restarts MDS rank `r` (fresh state; sequencer epochs are
-    /// re-established via RADOS) and commits an mdsmap marking it up.
-    pub fn restart_mds(&mut self, r: u32) {
-        let node = self.mds_node(r);
-        let mon = self.mon();
-        let mds = Mds::new(r, mon, self.mds_config.clone(), (self.balancer_factory)(r));
-        self.sim.restart(node, mds);
-        self.commit_updates(vec![MdsMapView::update_rank(r, node, true)]);
     }
 }
 

@@ -1,58 +1,12 @@
 //! Tree-walking interpreter with deterministic sandboxing.
 
 use std::any::Any;
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::ast::{BinOp, Block, Expr, Stmt, TableItem, UnOp};
-use crate::value::{write_num, Function, HostCtx, Key, Native, NativeFn, Scope, Table, Value};
+use crate::runtime::{compare, concat, num_of, to_key, Engine, RtError, Sandbox};
+use crate::value::{Function, HostCtx, Key, Native, NativeFn, Scope, Table, Value};
 use crate::Script;
-
-/// A runtime error raised during script execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RtError {
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl RtError {
-    /// Builds an error from a message.
-    pub fn new(message: impl Into<String>) -> RtError {
-        RtError {
-            message: message.into(),
-        }
-    }
-}
-
-impl std::fmt::Display for RtError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "runtime error: {}", self.message)
-    }
-}
-
-impl std::error::Error for RtError {}
-
-/// Execution limits enforced per [`Interp::load`] / [`Interp::call`].
-///
-/// The paper notes that the Lua runtime's "flexibility ... allows execution
-/// sandboxing in order to address security and performance concerns"; here
-/// that is an instruction budget and a call-depth limit, both deterministic.
-#[derive(Debug, Clone, Copy)]
-pub struct Sandbox {
-    /// Maximum AST evaluation steps per entry point.
-    pub max_steps: u64,
-    /// Maximum nested script-function call depth.
-    pub max_depth: u32,
-}
-
-impl Default for Sandbox {
-    fn default() -> Self {
-        Sandbox {
-            max_steps: 2_000_000,
-            max_depth: 128,
-        }
-    }
-}
 
 /// Control flow signal threaded through statement execution.
 enum Flow {
@@ -76,18 +30,12 @@ pub struct Interp {
 
 impl Default for Interp {
     fn default() -> Self {
-        Self::new()
+        Engine::new()
     }
 }
 
-impl Interp {
-    /// Creates an interpreter with the default sandbox and standard library.
-    pub fn new() -> Interp {
-        Interp::with_sandbox(Sandbox::default())
-    }
-
-    /// Creates an interpreter with explicit sandbox limits.
-    pub fn with_sandbox(sandbox: Sandbox) -> Interp {
+impl Engine for Interp {
+    fn with_sandbox(sandbox: Sandbox) -> Interp {
         let mut interp = Interp {
             globals: Scope::root(),
             sandbox,
@@ -99,8 +47,7 @@ impl Interp {
         interp
     }
 
-    /// Registers a native function under a global name.
-    pub fn register(&mut self, name: &str, f: NativeFn) {
+    fn register(&mut self, name: &str, f: NativeFn) {
         self.globals.declare(
             name,
             Value::Native(Rc::new(Native {
@@ -110,33 +57,19 @@ impl Interp {
         );
     }
 
-    /// Sets a global variable.
-    pub fn set_global(&mut self, name: &str, v: Value) {
+    fn set_global(&mut self, name: &str, v: Value) {
         self.globals.declare(name, v);
     }
 
-    /// Reads a global variable (`nil` if unset).
-    pub fn global(&self, name: &str) -> Value {
+    fn global(&self, name: &str) -> Value {
         self.globals.get(name)
     }
 
-    /// Lines produced by `print`/`log` since the last [`Interp::take_output`].
-    pub fn take_output(&mut self) -> Vec<String> {
+    fn take_output(&mut self) -> Vec<String> {
         std::mem::take(&mut self.output)
     }
 
-    /// Executes a script's top level (typically declaring functions) without
-    /// host state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any runtime error, including sandbox violations.
-    pub fn load(&mut self, script: &Script) -> Result<(), RtError> {
-        self.load_with(script, &mut ())
-    }
-
-    /// Executes a script's top level with host state available to natives.
-    pub fn load_with(&mut self, script: &Script, host: &mut dyn Any) -> Result<(), RtError> {
+    fn load_with(&mut self, script: &Script, host: &mut dyn Any) -> Result<(), RtError> {
         self.steps_left = self.sandbox.max_steps;
         self.depth = 0;
         let env = Rc::clone(&self.globals);
@@ -144,26 +77,14 @@ impl Interp {
         Ok(())
     }
 
-    /// Whether a global function named `name` exists.
-    pub fn has_function(&self, name: &str) -> bool {
+    fn has_function(&self, name: &str) -> bool {
         matches!(
             self.globals.get(name),
             Value::Func(_) | Value::Closure(_) | Value::Native { .. }
         )
     }
 
-    /// Calls the global function `name` with `args`, giving natives access
-    /// to `host`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the global is not callable or the call raises.
-    pub fn call(
-        &mut self,
-        name: &str,
-        args: &[Value],
-        host: &mut dyn Any,
-    ) -> Result<Value, RtError> {
+    fn call(&mut self, name: &str, args: &[Value], host: &mut dyn Any) -> Result<Value, RtError> {
         let f = self.globals.get(name);
         if matches!(f, Value::Nil) {
             return Err(RtError::new(format!("no such function `{name}`")));
@@ -173,9 +94,7 @@ impl Interp {
         self.call_value(&f, args.to_vec(), host)
     }
 
-    /// Calls an arbitrary callable value (used for callbacks stored in
-    /// tables, e.g. Mantle's `when()` policies).
-    pub fn call_value(
+    fn call_value(
         &mut self,
         f: &Value,
         args: Vec<Value>,
@@ -214,7 +133,9 @@ impl Interp {
             ))),
         }
     }
+}
 
+impl Interp {
     fn tick(&mut self) -> Result<(), RtError> {
         if self.steps_left == 0 {
             return Err(RtError::new("instruction budget exceeded"));
@@ -324,15 +245,10 @@ impl Interp {
                 step,
                 body,
             } => {
-                let start_v = self.eval_owned(start, env, host)?;
-                let start = self.num(start_v)?;
-                let stop_v = self.eval_owned(stop, env, host)?;
-                let stop = self.num(stop_v)?;
+                let start = num_of(&self.eval(start, env, host)?)?;
+                let stop = num_of(&self.eval(stop, env, host)?)?;
                 let step = match step {
-                    Some(e) => {
-                        let v = self.eval_owned(e, env, host)?;
-                        self.num(v)?
-                    }
+                    Some(e) => num_of(&self.eval(e, env, host)?)?,
                     None => 1.0,
                 };
                 if step == 0.0 {
@@ -409,19 +325,6 @@ impl Interp {
         }
     }
 
-    fn eval_owned(
-        &mut self,
-        e: &Expr,
-        env: &Rc<Scope>,
-        host: &mut dyn Any,
-    ) -> Result<Value, RtError> {
-        self.eval(e, env, host)
-    }
-
-    fn num(&self, v: Value) -> Result<f64, RtError> {
-        num_of(&v)
-    }
-
     fn eval(&mut self, e: &Expr, env: &Rc<Scope>, host: &mut dyn Any) -> Result<Value, RtError> {
         self.tick()?;
         match e {
@@ -478,7 +381,7 @@ impl Interp {
             Expr::Un(op, e) => {
                 let v = self.eval(e, env, host)?;
                 match op {
-                    UnOp::Neg => Ok(Value::Num(-self.num(v)?)),
+                    UnOp::Neg => Ok(Value::Num(-num_of(&v)?)),
                     UnOp::Not => Ok(Value::Bool(!v.truthy())),
                     UnOp::Len => match &v {
                         Value::Table(t) => Ok(Value::Num(t.borrow().len() as f64)),
@@ -524,16 +427,16 @@ impl Interp {
         let lhs = self.eval(a, env, host)?;
         let rhs = self.eval(b, env, host)?;
         match op {
-            BinOp::Add => Ok(Value::Num(self.num(lhs)? + self.num(rhs)?)),
-            BinOp::Sub => Ok(Value::Num(self.num(lhs)? - self.num(rhs)?)),
-            BinOp::Mul => Ok(Value::Num(self.num(lhs)? * self.num(rhs)?)),
-            BinOp::Div => Ok(Value::Num(self.num(lhs)? / self.num(rhs)?)),
+            BinOp::Add => Ok(Value::Num(num_of(&lhs)? + num_of(&rhs)?)),
+            BinOp::Sub => Ok(Value::Num(num_of(&lhs)? - num_of(&rhs)?)),
+            BinOp::Mul => Ok(Value::Num(num_of(&lhs)? * num_of(&rhs)?)),
+            BinOp::Div => Ok(Value::Num(num_of(&lhs)? / num_of(&rhs)?)),
             BinOp::Mod => {
-                let (x, y) = (self.num(lhs)?, self.num(rhs)?);
+                let (x, y) = (num_of(&lhs)?, num_of(&rhs)?);
                 // Lua semantics: result has the sign of the divisor.
                 Ok(Value::Num(x - (x / y).floor() * y))
             }
-            BinOp::Pow => Ok(Value::Num(self.num(lhs)?.powf(self.num(rhs)?))),
+            BinOp::Pow => Ok(Value::Num(num_of(&lhs)?.powf(num_of(&rhs)?))),
             BinOp::Concat => concat(&[lhs, rhs]),
             BinOp::Eq => Ok(Value::Bool(lhs == rhs)),
             BinOp::Ne => Ok(Value::Bool(lhs != rhs)),
@@ -549,107 +452,6 @@ impl Interp {
             }
             BinOp::And | BinOp::Or => unreachable!("handled above"),
         }
-    }
-}
-
-/// Numeric view of a value, with the engines' shared error message.
-/// Both the interpreter and the VM call these helpers so type errors are
-/// byte-for-byte identical — a property the differential harness asserts.
-pub(crate) fn num_of(v: &Value) -> Result<f64, RtError> {
-    v.as_num()
-        .ok_or_else(|| RtError::new(format!("expected a number, got {}", v.type_name())))
-}
-
-pub(crate) fn to_key(v: &Value) -> Result<Key, RtError> {
-    match v {
-        Value::Num(n) => {
-            if n.fract() == 0.0 {
-                Ok(Key::Int(*n as i64))
-            } else {
-                Err(RtError::new(format!("non-integer table key {n}")))
-            }
-        }
-        Value::Str(s) => Ok(Key::Str(Rc::clone(s))),
-        other => Err(RtError::new(format!(
-            "invalid table key of type {}",
-            other.type_name()
-        ))),
-    }
-}
-
-thread_local! {
-    /// Staging buffer for [`with_scratch`], kept between calls so that
-    /// building a string costs one allocation: the result's, at its exact
-    /// size.
-    static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `build` on the (emptied) staging buffer. `build` must not call
-/// back into an engine.
-pub(crate) fn with_scratch<R>(build: impl FnOnce(&mut Vec<u8>) -> R) -> R {
-    SCRATCH.with_borrow_mut(|buf| {
-        buf.clear();
-        build(buf)
-    })
-}
-
-/// Appends `v` the way `..` renders it: strings as they are, numbers,
-/// booleans and `nil` by their display form. Anything else is the error.
-fn push_coerced(buf: &mut Vec<u8>, v: &Value) -> Result<(), RtError> {
-    match v {
-        Value::Str(s) => buf.extend_from_slice(s),
-        Value::Num(n) => write_num(buf, *n),
-        Value::Bool(b) => buf.extend_from_slice(if *b { b"true" } else { b"false" }),
-        Value::Nil => buf.extend_from_slice(b"nil"),
-        other => {
-            return Err(RtError::new(format!(
-                "cannot concatenate a {} value",
-                other.type_name()
-            )))
-        }
-    }
-    Ok(())
-}
-
-/// The coerced forms of `vals` joined left to right into one string,
-/// every byte copied into the staging buffer once and out of it once.
-/// Reports the leftmost value that cannot be joined.
-pub(crate) fn join(vals: &[Value]) -> Result<Value, RtError> {
-    with_scratch(|buf| {
-        for v in vals {
-            push_coerced(buf, v)?;
-        }
-        Ok(Value::str(buf))
-    })
-}
-
-/// A whole `a .. b .. … .. z` chain, operands in source order, shared by
-/// both engines so coercion and its error message are identical. `..` is
-/// right-associative and the tree-walker evaluates it pair by pair, so the
-/// operand it rejects first is one of the innermost (last) pair, then the
-/// ones to its left from right to left; a chain reports that same operand.
-pub(crate) fn concat(operands: &[Value]) -> Result<Value, RtError> {
-    join(operands).map_err(|leftmost| {
-        let (outer, innermost) = operands.split_at(operands.len().saturating_sub(2));
-        innermost
-            .iter()
-            .chain(outer.iter().rev())
-            .find_map(|v| push_coerced(&mut Vec::new(), v).err())
-            .unwrap_or(leftmost)
-    })
-}
-
-pub(crate) fn compare(a: &Value, b: &Value) -> Result<std::cmp::Ordering, RtError> {
-    match (a, b) {
-        (Value::Num(x), Value::Num(y)) => x
-            .partial_cmp(y)
-            .ok_or_else(|| RtError::new("NaN comparison")),
-        (Value::Str(x), Value::Str(y)) => Ok(x.cmp(y)),
-        _ => Err(RtError::new(format!(
-            "cannot compare {} with {}",
-            a.type_name(),
-            b.type_name()
-        ))),
     }
 }
 

@@ -5,8 +5,13 @@
 //! without restarting the cluster. Binding a real Lua implementation is off
 //! the table under this repository's offline-dependency policy, so Cephalo
 //! is a small, Lua-flavoured language implemented from scratch: a lexer, a
-//! recursive-descent parser, and a tree-walking interpreter with
-//! deterministic sandboxing (instruction budgets and call-depth limits).
+//! recursive-descent parser, and a bytecode compiler whose chunks run on a
+//! stack VM ([`Vm`]) with deterministic sandboxing (instruction budgets and
+//! call-depth limits). The VM is the one engine daemons embed. A
+//! tree-walking interpreter ([`Interp`]) defines the semantics and stays as
+//! the reference the VM is tested against; both implement [`Engine`], so a
+//! test or the `dsl_vm` experiment names the oracle by type and nothing
+//! selects an engine at run time.
 //!
 //! The feature set is the subset the paper's services actually need:
 //! numbers, strings, booleans, nil, tables (array + map parts), functions
@@ -17,7 +22,7 @@
 //! # Examples
 //!
 //! ```
-//! use mala_dsl::{Interp, Script, Value};
+//! use mala_dsl::{Engine, Script, Value, Vm};
 //!
 //! let script = Script::compile(
 //!     r#"
@@ -27,9 +32,9 @@
 //!     "#,
 //! )
 //! .unwrap();
-//! let mut interp = Interp::new();
-//! interp.load(&script).unwrap();
-//! let out = interp
+//! let mut vm = Vm::new();
+//! vm.load(&script).unwrap();
+//! let out = vm
 //!     .call("howmuch", &[Value::from(10.0)], &mut ())
 //!     .unwrap();
 //! assert_eq!(out, Value::from(5.0));
@@ -37,20 +42,19 @@
 
 pub mod ast;
 pub mod compile;
-pub mod engine;
 pub mod interp;
 pub mod lexer;
 pub mod parser;
+pub mod runtime;
 pub mod stdlib;
-pub mod testgen;
 pub mod value;
 pub mod vm;
 
 pub use ast::{BinOp, Block, Expr, Stmt, UnOp};
 pub use compile::{Chunk, CompileError};
-pub use engine::{DslEngine, EngineKind};
-pub use interp::{Interp, RtError, Sandbox};
+pub use interp::Interp;
 pub use parser::ParseError;
+pub use runtime::{Engine, RtError, Sandbox};
 pub use value::{NativeFn, Table, Value};
 pub use vm::Vm;
 

@@ -6,8 +6,8 @@
 
 use std::rc::Rc;
 
-use crate::interp::{join, with_scratch, Interp, RtError};
-use crate::value::{write_num, HostCtx, Key, NativeFn, Value};
+use crate::runtime::{join, with_scratch, Engine, RtError};
+use crate::value::{write_num, HostCtx, Key, Value};
 
 /// The widest field `zpad` fills, and the zeros it fills with.
 const ZEROS: &[u8] = b"0000000000000000000000000000000000000000000000000000000000000000";
@@ -56,19 +56,9 @@ fn num_str(n: f64) -> Value {
     })
 }
 
-/// Installs the standard library into `interp`.
-pub fn install(interp: &mut Interp) {
-    for (name, f) in natives() {
-        interp.register(name, f);
-    }
-}
-
-/// The standard library as `(name, fn)` pairs — the single definition both
-/// engines (tree-walking [`Interp`] and the bytecode [`crate::vm::Vm`])
-/// install, so stdlib behavior cannot diverge between them.
-pub(crate) fn natives() -> Vec<(&'static str, NativeFn)> {
-    let mut interp = Registrar(Vec::new());
-
+/// Installs the standard library into `interp` — the single definition
+/// both engines install, so stdlib behavior cannot diverge between them.
+pub fn install(interp: &mut impl Engine) {
     // print(...) — joins arguments with tabs into the output buffer.
     interp.register(
         "print",
@@ -317,24 +307,12 @@ pub(crate) fn natives() -> Vec<(&'static str, NativeFn)> {
             }))
         }),
     );
-
-    interp.0
-}
-
-/// Collects `(name, fn)` pairs through the same `register` call shape the
-/// engines expose, keeping the registration bodies above engine-agnostic.
-struct Registrar(Vec<(&'static str, NativeFn)>);
-
-impl Registrar {
-    fn register(&mut self, name: &'static str, f: NativeFn) {
-        self.0.push((name, f));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Script;
+    use crate::{Interp, Script};
 
     fn run(src: &str) -> Interp {
         let script = Script::compile(src).unwrap();

@@ -7,7 +7,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::ast::Block;
-use crate::interp::RtError;
+use crate::runtime::RtError;
 
 /// A table key: Cephalo restricts keys to strings and integers, which is
 /// what the paper's balancer and object-class scripts use.

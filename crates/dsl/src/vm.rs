@@ -1,10 +1,10 @@
 //! Stack VM executing compiled Cephalo chunks.
 //!
-//! Mirrors [`crate::interp::Interp`]'s public surface (load/call/globals/
-//! output/sandbox) so consumers can switch engines behind
-//! [`crate::engine::DslEngine`]. Semantics are defined by the tree-walking
-//! interpreter; the differential harness (`crate::testgen`, the
-//! `differential` integration test) holds this implementation to it.
+//! The engine of every production path (object classes, Mantle policies);
+//! its public surface is [`Engine`]. Semantics are defined by the
+//! tree-walking interpreter, which implements the same trait; the
+//! differential harness (the `differential` integration test and its
+//! `testgen` program generator) holds this implementation to it.
 //!
 //! Layout at runtime: one shared operand stack; a frame's plain locals
 //! live at `stack[base .. base + n_slots]`; closure-captured locals live
@@ -27,8 +27,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
-use crate::compile::{self, Chunk, Op, Proto, UpvalDesc};
-use crate::interp::{compare, concat, num_of, to_key, RtError, Sandbox};
+use crate::compile::{self, Op, Proto, UpvalDesc};
+use crate::runtime::{compare, concat, num_of, to_key, Engine, RtError, Sandbox};
 use crate::value::{HostCtx, Key, Native, NativeFn, Value};
 use crate::Script;
 
@@ -116,18 +116,12 @@ pub struct Vm {
 
 impl Default for Vm {
     fn default() -> Self {
-        Self::new()
+        Engine::new()
     }
 }
 
-impl Vm {
-    /// Creates a VM with the default sandbox and standard library.
-    pub fn new() -> Vm {
-        Vm::with_sandbox(Sandbox::default())
-    }
-
-    /// Creates a VM with explicit sandbox limits.
-    pub fn with_sandbox(sandbox: Sandbox) -> Vm {
+impl Engine for Vm {
+    fn with_sandbox(sandbox: Sandbox) -> Vm {
         let mut vm = Vm {
             global_names: GlobalNames::default(),
             global_vals: Vec::new(),
@@ -138,30 +132,11 @@ impl Vm {
             stack_buf: Vec::with_capacity(64),
             frames_buf: Vec::with_capacity(8),
         };
-        for (name, f) in crate::stdlib::natives() {
-            vm.register(name, f);
-        }
+        crate::stdlib::install(&mut vm);
         vm
     }
 
-    /// Interns a global name, allocating a nil-valued slot on first use.
-    fn slot(&mut self, name: &str) -> u32 {
-        if let Some(&s) = self.global_names.get(name) {
-            return s;
-        }
-        let s = u32::try_from(self.global_vals.len()).expect("global slot count fits u32");
-        self.global_names.insert(Rc::from(name), s);
-        self.global_vals.push(Value::Nil);
-        s
-    }
-
-    /// Resolves a proto's global-name pool to slots for a new closure.
-    fn resolve_slots(&mut self, proto: &Proto) -> Rc<[u32]> {
-        proto.names.iter().map(|n| self.slot(n)).collect()
-    }
-
-    /// Registers a native function under a global name.
-    pub fn register(&mut self, name: &str, f: NativeFn) {
+    fn register(&mut self, name: &str, f: NativeFn) {
         self.set_global(
             name,
             Value::Native(Rc::new(Native {
@@ -171,50 +146,31 @@ impl Vm {
         );
     }
 
-    /// Sets a global variable.
-    pub fn set_global(&mut self, name: &str, v: Value) {
+    fn set_global(&mut self, name: &str, v: Value) {
         let s = self.slot(name);
         self.global_vals[s as usize] = v;
     }
 
-    /// Reads a global variable (`nil` if unset).
-    pub fn global(&self, name: &str) -> Value {
+    fn global(&self, name: &str) -> Value {
         self.global_names
             .get(name)
             .map(|&s| self.global_vals[s as usize].clone())
             .unwrap_or(Value::Nil)
     }
 
-    /// Lines produced by `print`/`log` since the last [`Vm::take_output`].
-    pub fn take_output(&mut self) -> Vec<String> {
+    fn take_output(&mut self) -> Vec<String> {
         std::mem::take(&mut self.output)
     }
 
-    /// Whether a global function named `name` exists.
-    pub fn has_function(&self, name: &str) -> bool {
+    fn has_function(&self, name: &str) -> bool {
         matches!(self.global(name), Value::Closure(_) | Value::Native { .. })
     }
 
-    /// Compiles and executes a script's top level without host state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compile errors (as runtime errors, with the same message
-    /// the interpreter would raise at execution time) and any runtime
-    /// error, including sandbox violations.
-    pub fn load(&mut self, script: &Script) -> Result<(), RtError> {
-        self.load_with(script, &mut ())
-    }
-
-    /// Compiles and executes a script's top level with host state.
-    pub fn load_with(&mut self, script: &Script, host: &mut dyn Any) -> Result<(), RtError> {
+    /// Compiles, then executes the top level: a compile error surfaces as
+    /// a runtime error, with the message the interpreter would raise when
+    /// it reached the offending statement.
+    fn load_with(&mut self, script: &Script, host: &mut dyn Any) -> Result<(), RtError> {
         let chunk = compile::compile(script).map_err(|e| RtError::new(e.message))?;
-        self.load_chunk_with(&chunk, host)
-    }
-
-    /// Executes an already-compiled chunk's top level (lets callers cache
-    /// compilation across evals).
-    pub fn load_chunk_with(&mut self, chunk: &Chunk, host: &mut dyn Any) -> Result<(), RtError> {
         self.steps_left = self.sandbox.max_steps;
         self.depth = 0;
         let main = Rc::new(Closure {
@@ -226,17 +182,7 @@ impl Vm {
         Ok(())
     }
 
-    /// Calls the global function `name` with `args`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the global is not callable or the call raises.
-    pub fn call(
-        &mut self,
-        name: &str,
-        args: &[Value],
-        host: &mut dyn Any,
-    ) -> Result<Value, RtError> {
+    fn call(&mut self, name: &str, args: &[Value], host: &mut dyn Any) -> Result<Value, RtError> {
         let f = self.global(name);
         if matches!(f, Value::Nil) {
             return Err(RtError::new(format!("no such function `{name}`")));
@@ -249,12 +195,7 @@ impl Vm {
         }
     }
 
-    /// Calls an arbitrary callable value.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `f` is not callable or the call raises.
-    pub fn call_value(
+    fn call_value(
         &mut self,
         f: &Value,
         args: Vec<Value>,
@@ -277,6 +218,24 @@ impl Vm {
                 other.type_name()
             ))),
         }
+    }
+}
+
+impl Vm {
+    /// Interns a global name, allocating a nil-valued slot on first use.
+    fn slot(&mut self, name: &str) -> u32 {
+        if let Some(&s) = self.global_names.get(name) {
+            return s;
+        }
+        let s = u32::try_from(self.global_vals.len()).expect("global slot count fits u32");
+        self.global_names.insert(Rc::from(name), s);
+        self.global_vals.push(Value::Nil);
+        s
+    }
+
+    /// Resolves a proto's global-name pool to slots for a new closure.
+    fn resolve_slots(&mut self, proto: &Proto) -> Rc<[u32]> {
+        proto.names.iter().map(|n| self.slot(n)).collect()
     }
 
     /// Pushes a call frame whose `argc` arguments are already the top of

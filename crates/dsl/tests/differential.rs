@@ -1,19 +1,21 @@
 //! Differential testing: the bytecode VM against the tree-walking
 //! interpreter (the reference semantics).
 //!
-//! [`mala_dsl::testgen`] generates random — but always-terminating —
-//! Cephalo programs and compares every observation between the engines:
+//! [`testgen`] (a module of this test, not of the library) generates
+//! random — but always-terminating — Cephalo programs and compares every observation between the engines:
 //! the load result (or exact error message), all `print` output, tracked
 //! globals (structural equivalence), and post-load calls to generated
 //! functions. A fixed-seed smoke covers a contiguous block of seeds so CI
 //! is deterministic; a proptest layer on top draws arbitrary seeds and
 //! shrinks to the smallest failing one.
 
-use mala_dsl::testgen::check_seed;
-use proptest::prelude::*;
+mod testgen;
 
-/// Fixed-seed smoke: 1500 programs, zero tolerated divergences. This is
-/// the tier-1 gate (ci.sh runs it by name in the `dsl-diff` step).
+use mala_dsl::{Engine, Interp, Script, Value, Vm};
+use proptest::prelude::*;
+use testgen::{check_seed, Rng};
+
+/// Fixed-seed smoke: 1500 programs, zero tolerated divergences.
 #[test]
 fn fixed_seed_differential_smoke() {
     let mut checked = 0u32;
@@ -63,22 +65,19 @@ proptest! {
 
 // ---- `..` chains, `concat` and `sub`: fixed cases on both engines ----
 
-use mala_dsl::testgen::Rng;
-use mala_dsl::{DslEngine, EngineKind, Script, Value};
-
 /// `src` on one engine: the display form of global `x`, or the error
 /// message.
-fn eval_x(kind: EngineKind, src: &str) -> Result<String, String> {
+fn eval_x<E: Engine>(src: &str) -> Result<String, String> {
     let script = Script::compile(src).unwrap_or_else(|e| panic!("`{src}`: {e}"));
-    let mut engine = DslEngine::new(kind);
+    let mut engine = E::new();
     engine.load(&script).map_err(|e| e.message)?;
     Ok(engine.global("x").display())
 }
 
 /// `src` on both engines, which must agree on value and error message.
 fn eval_both(src: &str) -> Result<String, String> {
-    let tree = eval_x(EngineKind::TreeWalk, src);
-    let vm = eval_x(EngineKind::Bytecode, src);
+    let tree = eval_x::<Interp>(src);
+    let vm = eval_x::<Vm>(src);
     assert_eq!(tree, vm, "engines disagree on `{src}`");
     vm
 }
@@ -180,14 +179,15 @@ fn concat_builtin_joins_the_array_part() {
 /// arrives as a global, the way a class method's input does.
 #[test]
 fn sub_cuts_bytes_wherever_the_indices_fall() {
+    fn sub_on<E: Engine>(s: &str, script: &Script) -> Vec<u8> {
+        let mut engine = E::new();
+        engine.set_global("s", Value::str(s));
+        engine.load(script).unwrap();
+        engine.global("x").as_bytes().unwrap().to_vec()
+    }
     let sub = |s: &str, args: &str| {
         let script = Script::compile(&format!("x = sub(s, {args})")).unwrap();
-        let [tree, vm] = [EngineKind::TreeWalk, EngineKind::Bytecode].map(|kind| {
-            let mut engine = DslEngine::new(kind);
-            engine.set_global("s", Value::str(s));
-            engine.load(&script).unwrap();
-            engine.global("x").as_bytes().unwrap().to_vec()
-        });
+        let (tree, vm) = (sub_on::<Interp>(s, &script), sub_on::<Vm>(s, &script));
         assert_eq!(tree, vm, "engines disagree on sub({s:?}, {args})");
         vm
     };

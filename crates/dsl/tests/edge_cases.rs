@@ -4,7 +4,7 @@
 //! compile/run pipeline must reject hostile input with a typed error —
 //! never a panic or a stack overflow.
 
-use mala_dsl::{Interp, RtError, Script, Value};
+use mala_dsl::{Engine, Interp, RtError, Script, Value};
 use proptest::prelude::*;
 
 fn run(src: &str) -> Result<Interp, RtError> {

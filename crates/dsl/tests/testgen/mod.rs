@@ -31,10 +31,8 @@
 
 use std::collections::HashSet;
 
-use crate::ast::{BinOp, UnOp};
-use crate::ast::{Block, Expr, Stmt, TableItem};
-use crate::value::Value;
-use crate::{Interp, Script, Vm};
+use mala_dsl::ast::{print_block, BinOp, Block, Expr, Stmt, TableItem, UnOp};
+use mala_dsl::{Engine, Interp, Script, Table, Value, Vm};
 
 /// Deterministic splitmix64 generator — no external crates, identical
 /// sequences on every platform.
@@ -129,7 +127,7 @@ pub fn generate(seed: u64) -> GenProgram {
     for _ in 0..n {
         g.top_stmt(&mut block);
     }
-    let source = crate::ast::print_block(&block);
+    let source = print_block(&block);
     GenProgram {
         source,
         block,
@@ -925,10 +923,10 @@ mod tests {
     fn equivalence_rules() {
         assert!(equivalent(&Value::Num(f64::NAN), &Value::Num(f64::NAN)));
         assert!(!equivalent(&Value::Num(1.0), &Value::Num(2.0)));
-        let mut ta = crate::Table::new();
+        let mut ta = Table::new();
         ta.push(Value::from(1.0));
         ta.set_str("k", Value::str("v"));
-        let mut tb = crate::Table::new();
+        let mut tb = Table::new();
         tb.push(Value::from(1.0));
         tb.set_str("k", Value::str("v"));
         assert!(equivalent(&Value::from_table(ta), &Value::from_table(tb)));

@@ -7,9 +7,9 @@
 //! program differs; what must be identical is that both trip, and what
 //! they report.
 
-use mala_dsl::{DslEngine, EngineKind, Interp, Sandbox, Script, Value, Vm};
+use std::any::type_name;
 
-const BOTH: [EngineKind; 2] = [EngineKind::TreeWalk, EngineKind::Bytecode];
+use mala_dsl::{Engine, Interp, Sandbox, Script, Value, Vm};
 
 fn tiny(steps: u64) -> Sandbox {
     Sandbox {
@@ -20,36 +20,45 @@ fn tiny(steps: u64) -> Sandbox {
 
 #[test]
 fn infinite_loop_trips_budget_in_both_engines() {
-    let script = Script::compile("while true do x = 1 end").unwrap();
-    for kind in BOTH {
-        let mut eng = DslEngine::with_sandbox(kind, tiny(10_000));
+    fn case<E: Engine>() {
+        let script = Script::compile("while true do x = 1 end").unwrap();
+        let mut eng = E::with_sandbox(tiny(10_000));
         let err = eng.load(&script).expect_err("must trip");
-        assert_eq!(err.message, "instruction budget exceeded", "{kind:?}");
+        let engine = type_name::<E>();
+        assert_eq!(err.message, "instruction budget exceeded", "{engine}");
     }
+    case::<Interp>();
+    case::<Vm>();
 }
 
 #[test]
 fn infinite_numeric_for_trips_budget_in_both_engines() {
     // A huge-but-finite numeric for: far more iterations than budget.
-    let script = Script::compile("for i = 1, 100000000 do y = i end").unwrap();
-    for kind in BOTH {
-        let mut eng = DslEngine::with_sandbox(kind, tiny(5_000));
+    fn case<E: Engine>() {
+        let script = Script::compile("for i = 1, 100000000 do y = i end").unwrap();
+        let mut eng = E::with_sandbox(tiny(5_000));
         let err = eng.load(&script).expect_err("must trip");
-        assert_eq!(err.message, "instruction budget exceeded", "{kind:?}");
+        let engine = type_name::<E>();
+        assert_eq!(err.message, "instruction budget exceeded", "{engine}");
     }
+    case::<Interp>();
+    case::<Vm>();
 }
 
 #[test]
 fn deep_recursion_trips_depth_limit_in_both_engines() {
-    let script = Script::compile("function f(n) return f(n + 1) end").unwrap();
-    for kind in BOTH {
-        let mut eng = DslEngine::with_sandbox(kind, tiny(1_000_000));
+    fn case<E: Engine>() {
+        let script = Script::compile("function f(n) return f(n + 1) end").unwrap();
+        let mut eng = E::with_sandbox(tiny(1_000_000));
         eng.load(&script).unwrap();
         let err = eng
             .call("f", &[Value::from(0.0)], &mut ())
             .expect_err("must trip");
-        assert_eq!(err.message, "call depth limit exceeded", "{kind:?}");
+        let engine = type_name::<E>();
+        assert_eq!(err.message, "call depth limit exceeded", "{engine}");
     }
+    case::<Interp>();
+    case::<Vm>();
 }
 
 #[test]
@@ -57,20 +66,22 @@ fn budget_resets_between_calls_in_both_engines() {
     // Each call costs a few hundred ticks; with the budget reset per
     // entry point, fifty calls must all succeed even though their sum is
     // far beyond one budget.
-    let script = Script::compile(
-        "function work(n)\n  local s = 0\n  for i = 1, 40 do s = s + i end\n  return s + n\nend",
-    )
-    .unwrap();
-    for kind in BOTH {
-        let mut eng = DslEngine::with_sandbox(kind, tiny(1_000));
+    fn case<E: Engine>() {
+        let script = Script::compile(
+            "function work(n)\n  local s = 0\n  for i = 1, 40 do s = s + i end\n  return s + n\nend",
+        )
+        .unwrap();
+        let mut eng = E::with_sandbox(tiny(1_000));
         eng.load(&script).unwrap();
         for i in 0..50 {
             let out = eng
                 .call("work", &[Value::from(i as f64)], &mut ())
-                .unwrap_or_else(|e| panic!("{kind:?} call {i}: {e:?}"));
+                .unwrap_or_else(|e| panic!("{} call {i}: {e:?}", type_name::<E>()));
             assert_eq!(out, Value::from(820.0 + i as f64));
         }
     }
+    case::<Interp>();
+    case::<Vm>();
 }
 
 #[test]
@@ -136,25 +147,28 @@ fn tripped_interp_matches_vm_recovery_behaviour() {
 
 #[test]
 fn depth_trip_then_shallow_call_succeeds() {
-    let script = Script::compile(
-        r#"
-        function down(n)
-            if n <= 0 then return 0 end
-            return down(n - 1) + 1
-        end
-        "#,
-    )
-    .unwrap();
-    for kind in BOTH {
-        let mut eng = DslEngine::with_sandbox(kind, tiny(1_000_000));
+    fn case<E: Engine>() {
+        let script = Script::compile(
+            r#"
+            function down(n)
+                if n <= 0 then return 0 end
+                return down(n - 1) + 1
+            end
+            "#,
+        )
+        .unwrap();
+        let engine = type_name::<E>();
+        let mut eng = E::with_sandbox(tiny(1_000_000));
         eng.load(&script).unwrap();
         // 100 nested calls exceeds max_depth=16.
         let err = eng
             .call("down", &[Value::from(100.0)], &mut ())
             .expect_err("must trip");
-        assert_eq!(err.message, "call depth limit exceeded", "{kind:?}");
+        assert_eq!(err.message, "call depth limit exceeded", "{engine}");
         // A shallow call right after succeeds: depth accounting unwound.
         let out = eng.call("down", &[Value::from(5.0)], &mut ()).unwrap();
-        assert_eq!(out, Value::from(5.0), "{kind:?}");
+        assert_eq!(out, Value::from(5.0), "{engine}");
     }
+    case::<Interp>();
+    case::<Vm>();
 }

@@ -46,7 +46,7 @@
 
 pub mod policies;
 
-use mala_dsl::{DslEngine, EngineKind, Script, Table, Value};
+use mala_dsl::{Engine, Script, Table, Value, Vm};
 use mala_mds::balancer::{BalanceView, Balancer, Export};
 use mala_mds::{FileType, ServeStyle};
 
@@ -56,62 +56,45 @@ pub use policies::*;
 /// object's name (the "version pointer").
 pub const MANTLE_POLICY_KEY: &str = "balancer";
 
-/// The Mantle balancer: evaluates an installed Cephalo policy each tick.
-pub struct MantleBalancer {
-    engine: Option<DslEngine>,
-    engine_kind: EngineKind,
+/// The Mantle balancer: evaluates an installed Cephalo policy each tick,
+/// on engine `E` — the bytecode VM wherever the type is written without a
+/// parameter, which is every production path. Only a test names another
+/// engine, to hold the VM to the reference tree-walker.
+pub struct MantleBalancer<E = Vm> {
+    engine: Option<E>,
     version: u64,
     log: Vec<String>,
-    /// Policy installed directly at construction (tests / static setups);
-    /// map-driven installs override it.
-    bootstrap: Option<String>,
 }
 
 impl MantleBalancer {
     /// A balancer with no policy yet (it waits for the `mantle` map).
-    /// Policies run on the bytecode VM; see [`MantleBalancer::with_engine`]
-    /// to select the reference tree-walker instead.
     pub fn new() -> MantleBalancer {
-        MantleBalancer::with_engine(EngineKind::default())
+        MantleBalancer::for_engine()
     }
 
-    /// A balancer whose policies run on the given engine.
-    pub fn with_engine(kind: EngineKind) -> MantleBalancer {
-        MantleBalancer {
-            engine: None,
-            engine_kind: kind,
-            version: 0,
-            log: Vec::new(),
-            bootstrap: None,
-        }
-    }
-
-    /// A balancer with a policy compiled in at construction time.
+    /// A balancer with a policy compiled in at construction time (tests /
+    /// static setups); map-driven installs override it.
     ///
     /// # Panics
     ///
     /// Panics if the bootstrap policy does not compile — a harness bug.
     pub fn with_policy(source: &str) -> MantleBalancer {
-        MantleBalancer::with_policy_engine(source, EngineKind::default())
-    }
-
-    /// [`MantleBalancer::with_policy`] on an explicit engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bootstrap policy does not compile — a harness bug.
-    pub fn with_policy_engine(source: &str, kind: EngineKind) -> MantleBalancer {
-        let mut b = MantleBalancer::with_engine(kind);
+        let mut b = MantleBalancer::new();
         if let Err(e) = b.install(source, 0) {
             panic!("bootstrap policy must compile: {e}");
         }
-        b.bootstrap = Some(source.to_string());
         b
     }
+}
 
-    /// Which engine evaluates policies.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.engine_kind
+impl<E: Engine> MantleBalancer<E> {
+    /// A balancer with no policy yet whose policies will run on `E`.
+    pub fn for_engine() -> Self {
+        MantleBalancer {
+            engine: None,
+            version: 0,
+            log: Vec::new(),
+        }
     }
 
     /// The installed policy version.
@@ -121,7 +104,7 @@ impl MantleBalancer {
 
     fn install(&mut self, source: &str, version: u64) -> Result<(), String> {
         let script = Script::compile(source).map_err(|e| e.to_string())?;
-        let mut engine = DslEngine::new(self.engine_kind);
+        let mut engine = E::new();
         engine.load(&script).map_err(|e| e.to_string())?;
         if !engine.has_function("when") || !engine.has_function("balance") {
             return Err("policy must define when() and balance()".to_string());
@@ -135,7 +118,7 @@ impl MantleBalancer {
         Ok(())
     }
 
-    fn build_globals(engine: &mut DslEngine, view: &BalanceView) {
+    fn build_globals(engine: &mut E, view: &BalanceView) {
         let mut mds = Table::new();
         let mut total = 0.0;
         for sample in &view.loads {
@@ -226,7 +209,7 @@ impl Default for MantleBalancer {
     }
 }
 
-impl Balancer for MantleBalancer {
+impl<E: Engine> Balancer for MantleBalancer<E> {
     fn name(&self) -> &str {
         "mantle"
     }
@@ -481,9 +464,14 @@ mod tests {
         );
     }
 
+    /// A balancer whose type names no engine evaluates on the VM: the
+    /// constructors production code calls exist on that type alone.
     #[test]
     fn default_engine_is_bytecode_vm() {
-        assert_eq!(MantleBalancer::new().engine_kind(), EngineKind::Bytecode);
+        let _: MantleBalancer<Vm> = MantleBalancer::new();
+        let _: MantleBalancer<Vm> = MantleBalancer::default();
+        let _: MantleBalancer<Vm> =
+            MantleBalancer::with_policy("function when() return false end function balance() end");
     }
 
     #[test]
@@ -507,8 +495,10 @@ mod tests {
             vec![(0, 300.0, 0.0), (1, 0.0, 0.0)],
             vec![(10, 150.0), (11, 150.0)],
         );
-        let mut tree = MantleBalancer::with_policy_engine(policy, EngineKind::TreeWalk);
-        let mut vmb = MantleBalancer::with_policy_engine(policy, EngineKind::Bytecode);
+        let mut tree = MantleBalancer::<mala_dsl::Interp>::for_engine();
+        let mut vmb = MantleBalancer::<Vm>::for_engine();
+        tree.install_policy(policy, 1).unwrap();
+        vmb.install_policy(policy, 1).unwrap();
         for _ in 0..3 {
             let et = tree.decide(&v);
             let ev = vmb.decide(&v);

@@ -97,20 +97,6 @@ impl MdsMapView {
             format!("node={},up={}", node.0, u8::from(up)).into_bytes(),
         )
     }
-
-    /// Builds the monitor update registering a standby daemon.
-    pub fn update_standby(node: NodeId) -> MapUpdate {
-        MapUpdate::set(
-            SERVICE_MAP_MDS,
-            &format!("standby.{}", node.0),
-            b"1".to_vec(),
-        )
-    }
-
-    /// Builds the monitor update dropping a standby registration.
-    pub fn remove_standby(node: NodeId) -> MapUpdate {
-        MapUpdate::del(SERVICE_MAP_MDS, &format!("standby.{}", node.0))
-    }
 }
 
 #[cfg(test)]

@@ -76,8 +76,6 @@ pub struct MdsConfig {
     pub costs: MdsCostModel,
     /// Balancing tick (Ceph default: 10 s).
     pub balance_interval: SimDuration,
-    /// Capability policy check resolution.
-    pub cap_tick: SimDuration,
     /// Journal namespace mutations to RADOS.
     pub journal: bool,
     /// Group-commit mode: flush the journal synchronously on every
@@ -85,11 +83,6 @@ pub struct MdsConfig {
     /// the append. Guarantees a failover replay reproduces every *acked*
     /// mutation (at the price of one RADOS round trip per create).
     pub journal_sync: bool,
-    /// Pool holding MDS metadata objects (journal, Mantle policies).
-    pub meta_pool: String,
-    /// How often this daemon beacons the monitor (liveness; standby
-    /// daemons also register through beacons).
-    pub beacon_interval: SimDuration,
 }
 
 impl Default for MdsConfig {
@@ -97,11 +90,8 @@ impl Default for MdsConfig {
         MdsConfig {
             costs: MdsCostModel::default(),
             balance_interval: SimDuration::from_secs(10),
-            cap_tick: SimDuration::from_millis(10),
             journal: false,
             journal_sync: false,
-            meta_pool: "meta".to_string(),
-            beacon_interval: SimDuration::from_millis(250),
         }
     }
 }
@@ -123,6 +113,14 @@ const TIMER_JOURNAL: u64 = 3;
 const TIMER_MANTLE_TIMEOUT: u64 = 4;
 const TIMER_BEACON: u64 = 5;
 const TIMER_SEAL: u64 = 6;
+
+/// Capability policy check resolution.
+const CAP_TICK: SimDuration = SimDuration::from_millis(10);
+/// How often a daemon beacons the monitor (liveness; standby daemons also
+/// register through beacons).
+const BEACON_INTERVAL: SimDuration = SimDuration::from_millis(250);
+/// Pool holding MDS metadata objects (journal, Mantle policies).
+const META_POOL: &str = "meta";
 
 /// Rank sentinel of a standby daemon (it serves nothing until promoted).
 pub const STANDBY_RANK: u32 = u32::MAX;
@@ -186,8 +184,8 @@ struct Flush {
 type StoreResult = Result<Vec<OpResult>, OsdError>;
 
 /// The journal object of `rank` in the metadata pool.
-fn journal_oid_of(meta_pool: &str, rank: u32) -> ObjectId {
-    ObjectId::new(meta_pool, format!("mds_journal.{rank}"))
+fn journal_oid_of(rank: u32) -> ObjectId {
+    ObjectId::new(META_POOL, format!("mds_journal.{rank}"))
 }
 
 /// A read of a whole object (the journal, a policy).
@@ -351,7 +349,7 @@ impl Mds {
         Mds {
             rank,
             monitor,
-            journal_oid: journal_oid_of(&config.meta_pool, rank),
+            journal_oid: journal_oid_of(rank),
             config,
             balancer,
             namespace: Namespace::new(),
@@ -943,7 +941,7 @@ impl Mds {
         // RADOS, with a timeout of half the balancing tick (§5.1.2). A
         // read still out for an older version is given up on.
         self.forget_policy_fetch(ctx);
-        let oid = ObjectId::new(self.config.meta_pool.as_str(), object_name);
+        let oid = ObjectId::new(META_POOL, object_name);
         self.submit_store(ctx, oid, read_whole(), None, StoreWait::Policy);
         self.mantle_version_seen = snap.epoch;
         let timeout = self.config.balance_interval.div(2);
@@ -1239,7 +1237,7 @@ impl Mds {
     fn takeover(&mut self, ctx: &mut Context<'_>, rank: u32) {
         self.standby = false;
         self.rank = rank;
-        self.journal_oid = journal_oid_of(&self.config.meta_pool, rank);
+        self.journal_oid = journal_oid_of(rank);
         self.ready = false;
         self.namespace = Namespace::new();
         ctx.metrics().incr("mds.takeovers", 1);
@@ -1689,7 +1687,7 @@ impl Actor for Mds {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.subscribe(ctx);
         ctx.set_timer(self.config.balance_interval, TIMER_BALANCE);
-        ctx.set_timer(self.config.cap_tick, TIMER_CAP);
+        ctx.set_timer(CAP_TICK, TIMER_CAP);
         ctx.set_timer(SimDuration::from_millis(500), TIMER_JOURNAL);
         self.last_tick_at = ctx.now();
         if !self.config.journal && !self.standby {
@@ -1697,7 +1695,7 @@ impl Actor for Mds {
         }
         self.try_recover(ctx);
         self.send_beacon(ctx);
-        ctx.set_timer(self.config.beacon_interval, TIMER_BEACON);
+        ctx.set_timer(BEACON_INTERVAL, TIMER_BEACON);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Box<dyn Any>) {
@@ -1864,7 +1862,7 @@ impl Actor for Mds {
                 for (ino, actions) in due {
                     self.run_cap_actions(ctx, ino, actions);
                 }
-                ctx.set_timer(self.config.cap_tick, TIMER_CAP);
+                ctx.set_timer(CAP_TICK, TIMER_CAP);
             }
             TIMER_JOURNAL => {
                 // The store tick: collect a request refused at submit
@@ -1893,7 +1891,7 @@ impl Actor for Mds {
                 if self.rados.map_epoch() == 0 || self.mdsmap.epoch == 0 {
                     self.subscribe(ctx);
                 }
-                ctx.set_timer(self.config.beacon_interval, TIMER_BEACON);
+                ctx.set_timer(BEACON_INTERVAL, TIMER_BEACON);
             }
             TIMER_SEAL => {
                 if self.recovering_seqs.is_empty() {

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use mala_dsl::value::{fmt_num, HostCtx};
-use mala_dsl::{DslEngine, EngineKind, RtError, Script, Table, Value};
+use mala_dsl::{Engine, RtError, Script, Table, Value, Vm};
 
 use crate::frame;
 use crate::object::Object;
@@ -71,24 +71,23 @@ pub enum MethodKind {
 /// transaction's tracker, so its writes roll back with the transaction.
 type NativeMethod = Rc<dyn Fn(&mut ObjTxn, &[u8]) -> Result<Rc<[u8]>, ClassError>>;
 
-struct ScriptedClass {
+struct ScriptedClass<E> {
     version: u64,
-    script: Script,
     /// Cached engine with the script loaded; rebuilt on reinstall.
-    engine: RefCell<DslEngine>,
+    engine: RefCell<E>,
     /// Methods the script's `__readonly = {"m1", ...}` global named when it
     /// was loaded; every other method is read-write.
     readonly: Vec<String>,
 }
 
-impl ScriptedClass {
+impl<E: Engine> ScriptedClass<E> {
     /// Runs `script`'s top level on a fresh engine (which declares the
     /// method functions) and resolves the read-only set, once per load.
-    fn load(kind: EngineKind, version: u64, script: Script) -> Result<ScriptedClass, ClassError> {
-        let mut engine = DslEngine::new(kind);
+    fn load(version: u64, script: &Script) -> Result<Self, ClassError> {
+        let mut engine = E::new();
         install_object_natives(&mut engine);
         engine
-            .load_with(&script, &mut ObjHost::default())
+            .load_with(script, &mut ObjHost::default())
             .map_err(|e| ClassError::invalid(format!("load error: {e}")))?;
         let readonly = match engine.global("__readonly") {
             Value::Table(t) => t
@@ -101,7 +100,6 @@ impl ScriptedClass {
         };
         Ok(ScriptedClass {
             version,
-            script,
             engine: RefCell::new(engine),
             readonly,
         })
@@ -116,39 +114,25 @@ enum Reply {
 }
 
 /// A resolved `class.method`.
-enum Method<'a> {
+enum Method<'a, E> {
     Native(&'a NativeMethod),
-    Scripted(&'a ScriptedClass),
+    Scripted(&'a ScriptedClass<E>),
 }
 
-/// The per-OSD registry of object classes.
-pub struct ClassRegistry {
+/// The per-OSD registry of object classes. Scripted classes run on `E`:
+/// the bytecode VM wherever the type is written without a parameter, which
+/// is every production path. Only a test names another engine, to run a
+/// class on the reference tree-walker ([`ClassRegistry::for_engine`]).
+pub struct ClassRegistry<E = Vm> {
     /// class → method → implementation; nested so both lookups borrow.
     native: HashMap<String, HashMap<String, (MethodKind, NativeMethod)>>,
-    scripted: HashMap<String, ScriptedClass>,
-    /// Engine used for scripted classes (bytecode VM by default; the
-    /// tree-walker remains selectable as the reference implementation).
-    engine_kind: EngineKind,
+    scripted: HashMap<String, ScriptedClass<E>>,
 }
 
 impl ClassRegistry {
     /// An empty registry (no classes).
     pub fn new() -> ClassRegistry {
-        ClassRegistry::with_engine(EngineKind::default())
-    }
-
-    /// An empty registry whose scripted classes run on `kind`.
-    pub fn with_engine(kind: EngineKind) -> ClassRegistry {
-        ClassRegistry {
-            native: HashMap::new(),
-            scripted: HashMap::new(),
-            engine_kind: kind,
-        }
-    }
-
-    /// Which engine executes scripted classes.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.engine_kind
+        ClassRegistry::for_engine()
     }
 
     /// A registry pre-loaded with the built-in native classes.
@@ -156,6 +140,16 @@ impl ClassRegistry {
         let mut reg = ClassRegistry::new();
         crate::class_registry::install_builtin_classes(&mut reg);
         reg
+    }
+}
+
+impl<E: Engine> ClassRegistry<E> {
+    /// An empty registry whose scripted classes run on `E`.
+    pub fn for_engine() -> Self {
+        ClassRegistry {
+            native: HashMap::new(),
+            scripted: HashMap::new(),
+        }
     }
 
     /// Registers a native method as `class.method`.
@@ -193,7 +187,7 @@ impl ClassRegistry {
         }
         let script = Script::compile(source)
             .map_err(|e| ClassError::invalid(format!("compile error: {e}")))?;
-        let cls = ScriptedClass::load(self.engine_kind, version, script)?;
+        let cls = ScriptedClass::load(version, &script)?;
         self.scripted.insert(class.to_string(), cls);
         Ok(())
     }
@@ -203,12 +197,7 @@ impl ClassRegistry {
         self.scripted.get(class).map(|c| c.version)
     }
 
-    /// Number of scripted classes installed.
-    pub fn scripted_count(&self) -> usize {
-        self.scripted.len()
-    }
-
-    fn resolve(&self, class: &str, method: &str) -> Option<(MethodKind, Method<'_>)> {
+    fn resolve(&self, class: &str, method: &str) -> Option<(MethodKind, Method<'_, E>)> {
         if let Some((kind, f)) = self.native.get(class).and_then(|c| c.get(method)) {
             return Some((*kind, Method::Native(f)));
         }
@@ -308,23 +297,6 @@ impl ClassRegistry {
             Value::Table(t) => Reply::List(list_items(&t.borrow()).map_err(OsdError::Class)?),
             other => Reply::Bytes(other.display().as_bytes().into()),
         })
-    }
-
-    /// Names of all scripted classes, sorted.
-    pub fn scripted_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.scripted.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// Re-runs a scripted class's top level (used after interpreter state
-    /// is suspected stale). Mostly useful in tests.
-    pub fn reload_scripted(&mut self, class: &str) -> Result<(), ClassError> {
-        let Some(cls) = self.scripted.get_mut(class) else {
-            return Err(ClassError::invalid(format!("no such class {class}")));
-        };
-        *cls = ScriptedClass::load(self.engine_kind, cls.version, cls.script.clone())?;
-        Ok(())
     }
 }
 
@@ -428,7 +400,7 @@ fn stored(value: Option<&Rc<[u8]>>) -> Value {
 }
 
 /// Registers the object-access natives scripted classes use.
-fn install_object_natives(interp: &mut DslEngine) {
+fn install_object_natives(interp: &mut impl Engine) {
     interp.register(
         "data_size",
         Rc::new(|ctx, _args| {
@@ -557,6 +529,8 @@ fn install_object_natives(interp: &mut DslEngine) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mala_dsl::Interp;
+    use std::any::type_name;
 
     const COUNTER_CLS: &str = r#"
         __readonly = {"get"}
@@ -595,7 +569,7 @@ mod tests {
                 return {omap_get("lit"), fmt(#s), "\xff\x00"}
             end
         "#;
-        let inputs: [&[u8]; 7] = [
+        const INPUTS: [&[u8]; 7] = [
             b"",
             b"plain|with,separators",
             "h\u{e9}llo \u{2603}".as_bytes(),
@@ -604,15 +578,16 @@ mod tests {
             b"\xed\xa0\x80|\0,ok", // surrogate half, NUL
             b"\xa9\xa9",           // lone continuation bytes
         ];
-        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
-            let mut reg = ClassRegistry::with_engine(kind);
+        fn case<E: Engine>() {
+            let kind = type_name::<E>();
+            let mut reg = ClassRegistry::<E>::for_engine();
             reg.install_scripted("echo", ECHO, 1).unwrap();
-            for bytes in inputs {
+            for bytes in INPUTS {
                 let mut slot = None;
                 assert_eq!(reg.call("echo", "put", &mut slot, bytes).unwrap(), bytes);
                 let held = slot.as_ref().unwrap();
-                assert_eq!(&*held.omap["k"], bytes, "{kind:?}");
-                assert_eq!(&*held.xattrs["x"], bytes, "{kind:?}");
+                assert_eq!(&*held.omap["k"], bytes, "{kind}");
+                assert_eq!(&*held.xattrs["x"], bytes, "{kind}");
                 assert_eq!(reg.call("echo", "get", &mut slot, b"").unwrap(), bytes);
                 let len = bytes.len().to_string().into_bytes();
                 assert_eq!(reg.call("echo", "len", &mut slot, b"").unwrap(), len);
@@ -624,10 +599,12 @@ mod tests {
             assert_eq!(
                 frame::decode(&lit).unwrap(),
                 vec!["h\u{e9}llo".as_bytes(), b"6", b"\xff\x00"],
-                "{kind:?}"
+                "{kind}"
             );
             assert_eq!(&*slot.unwrap().omap["lit"], "h\u{e9}llo".as_bytes());
         }
+        case::<Interp>();
+        case::<Vm>();
     }
 
     /// Held once: what `omap_set` stores is the buffer the script held (a
@@ -642,8 +619,9 @@ mod tests {
             function get(input) return omap_get("k") end
             function list(input) return {omap_get("k"), xattr_get("x"), input} end
         "#;
-        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
-            let mut reg = ClassRegistry::with_engine(kind);
+        fn case<E: Engine>() {
+            let kind = type_name::<E>();
+            let mut reg = ClassRegistry::<E>::for_engine();
             reg.install_scripted("hold", HOLD, 1).unwrap();
             let input: Rc<[u8]> = b"payload \xff"[..].into();
             let mut txn = ObjTxn::begin(None);
@@ -652,9 +630,9 @@ mod tests {
             let OpResult::CallOut(out) = out else {
                 panic!("{out:?}")
             };
-            assert!(Rc::ptr_eq(&out, &input), "{kind:?}: returned input");
-            assert!(Rc::ptr_eq(txn.omap_get("k").unwrap(), &input), "{kind:?}");
-            assert!(Rc::ptr_eq(txn.xattr_get("x").unwrap(), &input), "{kind:?}");
+            assert!(Rc::ptr_eq(&out, &input), "{kind}: returned input");
+            assert!(Rc::ptr_eq(txn.omap_get("k").unwrap(), &input), "{kind}");
+            assert!(Rc::ptr_eq(txn.xattr_get("x").unwrap(), &input), "{kind}");
 
             let mut txn = ObjTxn::begin(txn.finish());
             let got = reg.call_in("hold", "get", &mut txn, &Rc::default());
@@ -662,16 +640,18 @@ mod tests {
             let Ok(OpResult::CallOut(got)) = got else {
                 panic!("{got:?}")
             };
-            assert!(Rc::ptr_eq(&got, &input), "{kind:?}: omap_get, returned");
+            assert!(Rc::ptr_eq(&got, &input), "{kind}: omap_get, returned");
             let arg: Rc<[u8]> = b"arg"[..].into();
             let Ok(OpResult::CallList(items)) = reg.call_in("hold", "list", &mut txn, &arg) else {
-                panic!("{kind:?}: list")
+                panic!("{kind}: list")
             };
             assert_eq!(items.len(), 3);
-            assert!(Rc::ptr_eq(&items[0], &input), "{kind:?}: list item");
-            assert!(Rc::ptr_eq(&items[1], &input), "{kind:?}: list item");
-            assert!(Rc::ptr_eq(&items[2], &arg), "{kind:?}: list item");
+            assert!(Rc::ptr_eq(&items[0], &input), "{kind}: list item");
+            assert!(Rc::ptr_eq(&items[1], &input), "{kind}: list item");
+            assert!(Rc::ptr_eq(&items[2], &arg), "{kind}: list item");
         }
+        case::<Interp>();
+        case::<Vm>();
     }
 
     #[test]
@@ -718,8 +698,9 @@ mod tests {
             function write(i) data_write(0, "v") end
             function append(i) data_append("v") end
         "#;
-        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
-            let mut reg = ClassRegistry::with_engine(kind);
+        fn case<E: Engine>() {
+            let kind = type_name::<E>();
+            let mut reg = ClassRegistry::<E>::for_engine();
             reg.install_scripted("sneaky", SNEAKY, 1).unwrap();
             let mut before = Object::new();
             before.omap.insert("k".into(), b"old"[..].into());
@@ -731,36 +712,37 @@ mod tests {
                 let mut slot = Some(before.clone());
                 let err = reg.call("sneaky", method, &mut slot, b"").unwrap_err();
                 let OsdError::Class(ce) = err else { panic!() };
-                assert_eq!(ce.code, -30, "{kind:?} {method}: {}", ce.message);
-                assert_eq!(slot.as_ref(), Some(&before), "{kind:?} {method}");
+                assert_eq!(ce.code, -30, "{kind} {method}: {}", ce.message);
+                assert_eq!(slot.as_ref(), Some(&before), "{kind} {method}");
                 // Nor does it conjure an object out of nothing.
                 let mut slot = None;
                 assert!(reg.call("sneaky", method, &mut slot, b"").is_err());
-                assert_eq!(slot, None, "{kind:?} {method}");
+                assert_eq!(slot, None, "{kind} {method}");
             }
         }
+        case::<Interp>();
+        case::<Vm>();
     }
 
     /// The read-only set is resolved when the class is loaded; a method
     /// cannot rewrite `__readonly` to change how later calls are classed.
     #[test]
     fn readonly_set_is_fixed_at_load() {
-        let mut reg = ClassRegistry::new();
-        reg.install_scripted(
-            "c",
-            r#"
+        const FLIPPER: &str = r#"
             __readonly = {"get"}
             function get(i) return "x" end
             function flip(i) __readonly = {"flip"} end
-            "#,
-            1,
-        )
-        .unwrap();
+        "#;
+        let mut reg = ClassRegistry::new();
+        reg.install_scripted("c", FLIPPER, 1).unwrap();
         reg.call("c", "flip", &mut None, b"").unwrap();
         assert_eq!(reg.method_kind("c", "get"), Some(MethodKind::ReadOnly));
         assert_eq!(reg.method_kind("c", "flip"), Some(MethodKind::ReadWrite));
-        reg.reload_scripted("c").unwrap();
+        // An upgrade loads on a fresh engine: what the old one's methods
+        // did to their globals is gone with it.
+        reg.install_scripted("c", FLIPPER, 2).unwrap();
         assert_eq!(reg.method_kind("c", "get"), Some(MethodKind::ReadOnly));
+        assert_eq!(reg.method_kind("c", "flip"), Some(MethodKind::ReadWrite));
     }
 
     #[test]
@@ -813,38 +795,45 @@ mod tests {
         ));
     }
 
+    /// A registry whose type names no engine runs its classes on the VM:
+    /// the constructors production code calls exist on that type alone.
     #[test]
     fn scripted_classes_default_to_bytecode_vm() {
-        assert_eq!(ClassRegistry::new().engine_kind(), EngineKind::Bytecode);
+        let _: ClassRegistry<Vm> = ClassRegistry::new();
+        let _: ClassRegistry<Vm> = ClassRegistry::with_builtins();
+        let _: ClassRegistry<Vm> = ClassRegistry::default();
     }
 
     #[test]
     fn both_engines_run_scripted_classes_identically() {
-        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
-            let mut reg = ClassRegistry::with_engine(kind);
+        fn case<E: Engine>() {
+            let kind = type_name::<E>();
+            let mut reg = ClassRegistry::<E>::for_engine();
             reg.install_scripted("counter", COUNTER_CLS, 1).unwrap();
             assert_eq!(
                 reg.method_kind("counter", "get"),
                 Some(MethodKind::ReadOnly),
-                "{kind:?}"
+                "{kind}"
             );
             let mut slot = None;
             assert_eq!(
                 reg.call("counter", "incr", &mut slot, b"5").unwrap(),
                 b"5",
-                "{kind:?}"
+                "{kind}"
             );
             assert_eq!(
                 reg.call("counter", "incr", &mut slot, b"3").unwrap(),
                 b"8",
-                "{kind:?}"
+                "{kind}"
             );
             assert_eq!(
                 reg.call("counter", "get", &mut slot, b"").unwrap(),
                 b"8",
-                "{kind:?}"
+                "{kind}"
             );
         }
+        case::<Interp>();
+        case::<Vm>();
     }
 
     /// A method that returns a table answers with the frame of its array
@@ -868,26 +857,27 @@ mod tests {
             function hole(i) local t = {} insert(t, nil) return t end
             function func(i) return {fmt} end
         "#;
-        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
-            let mut reg = ClassRegistry::with_engine(kind);
+        fn case<E: Engine>() {
+            let kind = type_name::<E>();
+            let mut reg = ClassRegistry::<E>::for_engine();
             reg.install_scripted("lists", LISTS, 1).unwrap();
             let call = |method: &str| {
                 reg.call("lists", method, &mut None, "in\u{e9}".as_bytes())
                     .map_err(|e| match e {
                         OsdError::Class(ce) => ce.code,
-                        other => panic!("{kind:?} {method}: {other:?}"),
+                        other => panic!("{kind} {method}: {other:?}"),
                     })
             };
-            assert_eq!(call("empty"), Ok(b"0||".to_vec()), "{kind:?}");
+            assert_eq!(call("empty"), Ok(b"0||".to_vec()), "{kind}");
             assert_eq!(
                 call("strings"),
                 Ok("4|2,0,5,4|abc|d,ein\u{e9}".as_bytes().to_vec()),
-                "{kind:?}"
+                "{kind}"
             );
             assert_eq!(
                 call("numbers"),
                 Ok(b"5|1,3,2,16,1|12.5-31000000000000000x".to_vec()),
-                "{kind:?}"
+                "{kind}"
             );
             let built = call("built").unwrap();
             assert_eq!(
@@ -897,12 +887,14 @@ mod tests {
                     "in\u{e9}2".as_bytes(),
                     "in\u{e9}3".as_bytes()
                 ],
-                "{kind:?}"
+                "{kind}"
             );
             for method in ["nested", "mapped", "sparse", "flag", "hole", "func"] {
-                assert_eq!(call(method), Err(-22), "{kind:?} {method}");
+                assert_eq!(call(method), Err(-22), "{kind} {method}");
             }
         }
+        case::<Interp>();
+        case::<Vm>();
     }
 
     #[test]

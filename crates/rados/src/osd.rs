@@ -162,9 +162,6 @@ pub enum OsdMsg {
     PgPush {
         /// The objects.
         objects: Vec<(ObjectId, Object)>,
-        /// Repair pushes overwrite existing copies; legacy recovery pushes
-        /// fill only absent ones.
-        overwrite: bool,
     },
     /// Scrub: primary sends its fingerprints for a PG.
     ScrubCheck {
@@ -1334,11 +1331,9 @@ impl Actor for Osd {
                 self.finish_backfill(ctx, key, &applied);
                 ctx.metrics().incr("osd.backfills_completed", 1);
             }
-            OsdMsg::PgPush { objects, overwrite } => {
+            OsdMsg::PgPush { objects } => {
                 for (oid, obj) in objects {
-                    if overwrite || !self.store.contains_key(&oid) {
-                        self.install_object(oid, obj);
-                    }
+                    self.install_object(oid, obj);
                 }
                 ctx.metrics().incr("osd.recovery_pushes_applied", 1);
             }
@@ -1376,13 +1371,7 @@ impl Actor for Osd {
                     .collect();
                 ctx.metrics()
                     .incr("osd.scrub_repairs", repaired.len() as u64);
-                ctx.send(
-                    from,
-                    OsdMsg::PgPush {
-                        objects: repaired,
-                        overwrite: true,
-                    },
-                );
+                ctx.send(from, OsdMsg::PgPush { objects: repaired });
             }
             OsdMsg::ClientReply { .. } => {}
         }

@@ -3,10 +3,11 @@
 //! failure recovery, and scrub repair.
 
 use mala_consensus::{MapUpdate, MonConfig, MonMsg, Monitor, SERVICE_MAP_INTERFACES};
+use mala_dsl::Vm;
 use mala_rados::client::request;
 use mala_rados::{
-    JournalSet, Object, ObjectId, Op, OpResult, Osd, OsdConfig, OsdError, OsdMapView, PoolInfo,
-    RadosClient, Transaction,
+    ClassRegistry, JournalSet, Object, ObjectId, Op, OpResult, Osd, OsdConfig, OsdError,
+    OsdMapView, PoolInfo, RadosClient, Transaction,
 };
 use mala_sim::{NodeId, Sim, SimDuration};
 use std::rc::Rc;
@@ -245,6 +246,37 @@ fn scripted_interface_installs_cluster_wide_and_executes() {
         SimDuration::from_secs(5),
     );
     assert_eq!(ev.result.unwrap()[0], OpResult::CallOut(b"42"[..].into()));
+}
+
+/// One engine on production paths: the registry an OSD builds is a
+/// `ClassRegistry<Vm>` — by its type, which is all that picks an engine —
+/// and it is what runs the shipped zlog class for a client.
+#[test]
+fn an_osd_runs_the_zlog_class_on_the_vm() {
+    use mala_zlog::{zlog_interface_update, ZLOG_CLASS};
+    let mut sim = build_cluster(3, 2, OsdConfig::default());
+    let updates = vec![zlog_interface_update()];
+    sim.inject(MON, MonMsg::Submit { seq: 2, updates });
+    sim.run_for(SimDuration::from_secs(5));
+    for i in 0..3 {
+        let registry: &ClassRegistry<Vm> = sim.actor::<Osd>(osd_node(i)).registry();
+        assert!(registry.scripted_version(ZLOG_CLASS).is_some(), "osd {i}");
+    }
+    for (method, input, reply) in [("write", "0|5|hello", "ok"), ("read", "0|5", "D|hello")] {
+        let ev = request(
+            &mut sim,
+            CLIENT,
+            oid("stripe"),
+            vec![Op::Call {
+                class: ZLOG_CLASS.into(),
+                method: method.into(),
+                input: input.as_bytes().into(),
+            }],
+            SimDuration::from_secs(5),
+        );
+        let reply: Rc<[u8]> = reply.as_bytes().into();
+        assert_eq!(ev.result.unwrap(), [OpResult::CallOut(reply)], "{method}");
+    }
 }
 
 #[test]

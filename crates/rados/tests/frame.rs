@@ -3,7 +3,7 @@
 //! errors — `Err` from `decode`, `EINVAL` through a class call — never a
 //! panic and never an allocation the header asked for.
 
-use mala_dsl::EngineKind;
+use mala_dsl::{Engine, Interp, Vm};
 use mala_rados::{frame, ClassRegistry, OsdError};
 use proptest::prelude::*;
 
@@ -18,21 +18,24 @@ const LISTS: &str = r#"
     end
 "#;
 
-fn registries() -> [ClassRegistry; 2] {
-    [EngineKind::TreeWalk, EngineKind::Bytecode].map(|kind| {
-        let mut reg = ClassRegistry::with_engine(kind);
-        reg.install_scripted("lists", LISTS, 1).unwrap();
-        reg
-    })
+/// `method(input)` on the class: the reply, or the class error's code.
+type Call = Box<dyn Fn(&str, &[u8]) -> Result<Vec<u8>, i32>>;
+
+/// The class installed on the tree-walker and on the VM.
+fn engines() -> [Call; 2] {
+    [caller::<Interp>(), caller::<Vm>()]
 }
 
-/// The reply, or the class error's code.
-fn call(reg: &ClassRegistry, method: &str, input: &[u8]) -> Result<Vec<u8>, i32> {
-    reg.call("lists", method, &mut None, input)
-        .map_err(|e| match e {
-            OsdError::Class(ce) => ce.code,
-            other => panic!("{method}: {other:?}"),
-        })
+fn caller<E: Engine>() -> Call {
+    let mut reg = ClassRegistry::<E>::for_engine();
+    reg.install_scripted("lists", LISTS, 1).unwrap();
+    Box::new(move |method, input| {
+        reg.call("lists", method, &mut None, input)
+            .map_err(|e| match e {
+                OsdError::Class(ce) => ce.code,
+                other => panic!("{method}: {other:?}"),
+            })
+    })
 }
 
 fn encode<T: AsRef<[u8]>>(items: &[T]) -> Vec<u8> {
@@ -80,12 +83,12 @@ proptest! {
         let framed = encode(&items);
         let decoded = frame::decode(&framed).unwrap();
         prop_assert_eq!(&decoded, &items.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        for reg in registries() {
+        for call in engines() {
             // The list comes back as the frame it came in.
-            prop_assert_eq!(call(&reg, "echo", &framed), Ok(framed.clone()));
-            prop_assert_eq!(call(&reg, "count", &framed), Ok(items.len().to_string().into_bytes()));
+            prop_assert_eq!(call("echo", &framed), Ok(framed.clone()));
+            prop_assert_eq!(call("count", &framed), Ok(items.len().to_string().into_bytes()));
             let last = items.last().cloned().unwrap_or_default();
-            prop_assert_eq!(call(&reg, "last", &framed), Ok(last));
+            prop_assert_eq!(call("last", &framed), Ok(last));
         }
     }
 
@@ -102,8 +105,8 @@ proptest! {
         let long = [framed.as_slice(), junk.as_bytes()].concat();
         for bad in [short, long.as_slice()] {
             prop_assert!(frame::decode(bad).is_err(), "{:?}", String::from_utf8_lossy(bad));
-            for reg in registries() {
-                prop_assert_eq!(call(&reg, "echo", bad), Err(-22));
+            for call in engines() {
+                prop_assert_eq!(call("echo", bad), Err(-22));
             }
         }
     }
@@ -120,8 +123,8 @@ proptest! {
         ],
     ) {
         let decoded = frame::decode(&input);
-        for reg in registries() {
-            match (&decoded, call(&reg, "count", &input)) {
+        for call in engines() {
+            match (&decoded, call("count", &input)) {
                 (Ok(items), Ok(count)) => {
                     prop_assert_eq!(items.len().to_string().into_bytes(), count);
                 }
@@ -150,9 +153,9 @@ fn malformed_frames_are_einval_through_a_class_call() {
         (b"1|x|a", "non-numeric length"),
         (b"x|1|a", "non-numeric count"),
     ];
-    for reg in registries() {
+    for call in engines() {
         for (bad, why) in cases {
-            assert_eq!(call(&reg, "echo", bad), Err(-22), "{why}");
+            assert_eq!(call("echo", bad), Err(-22), "{why}");
         }
     }
     for (bad, why) in cases {
@@ -162,9 +165,9 @@ fn malformed_frames_are_einval_through_a_class_call() {
     // bytes on both sides, and only text has characters to split.
     let split = "2|1,1|\u{e9}".as_bytes();
     assert_eq!(frame::decode(split).unwrap(), vec![&b"\xc3"[..], b"\xa9"]);
-    for reg in registries() {
-        assert_eq!(call(&reg, "echo", split), Ok(split.to_vec()));
-        assert_eq!(call(&reg, "last", split), Ok(b"\xa9".to_vec()));
+    for call in engines() {
+        assert_eq!(call("echo", split), Ok(split.to_vec()));
+        assert_eq!(call("last", split), Ok(b"\xa9".to_vec()));
     }
 }
 
@@ -175,9 +178,9 @@ fn malformed_frames_are_einval_through_a_class_call() {
 #[test]
 fn lengths_count_the_text_the_script_sees() {
     let raw: [&[u8]; 2] = [b"a\xffb", b"tail"];
-    for reg in registries() {
-        assert_eq!(call(&reg, "echo", &encode(&raw)), Ok(encode(&raw)));
-        assert_eq!(call(&reg, "count", &encode(&raw)), Ok(b"2".to_vec()));
-        assert_eq!(call(&reg, "last", &encode(&raw)), Ok(b"tail".to_vec()));
+    for call in engines() {
+        assert_eq!(call("echo", &encode(&raw)), Ok(encode(&raw)));
+        assert_eq!(call("count", &encode(&raw)), Ok(b"2".to_vec()));
+        assert_eq!(call("last", &encode(&raw)), Ok(b"tail".to_vec()));
     }
 }

@@ -65,11 +65,6 @@ impl Metrics {
         self.series.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Iterates over all series names.
-    pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.series.keys().map(String::as_str)
-    }
-
     /// Iterates over all counter `(name, value)` pairs.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))

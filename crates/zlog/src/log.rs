@@ -797,11 +797,6 @@ impl ZlogClient {
         op
     }
 
-    /// The next position cursor `id` will deliver, if the cursor exists.
-    pub fn cursor_pos(&self, id: u64) -> Option<u64> {
-        self.cursors.get(&id).map(|c| c.window.next_pos())
-    }
-
     /// Junk-fills `pos`; resolves to [`ZlogOut::Done`].
     pub fn fill(&mut self, ctx: &mut Context<'_>, pos: u64) -> u64 {
         let op = self.begin(ctx, OpKind::Fill { pos }, Stage::Mutate);

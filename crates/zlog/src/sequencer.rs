@@ -32,7 +32,7 @@ use std::any::Any;
 use std::collections::HashMap;
 
 use mala_mds::types::{MdsMsg, SeqOp};
-use mala_mds::{Ino, ServeStyle};
+use mala_mds::Ino;
 use mala_sim::actor::TimerHandle;
 use mala_sim::{Actor, Context, NodeId, SimDuration, SimTime};
 
@@ -425,9 +425,4 @@ impl Actor for SeqWorkload {
             _ => {}
         }
     }
-}
-
-/// Harness helper: builds the `AdminExport` message migrating a sequencer.
-pub fn migrate_sequencer(ino: Ino, target: u32, style: ServeStyle) -> MdsMsg {
-    MdsMsg::AdminExport { ino, target, style }
 }

@@ -449,15 +449,17 @@ pub fn zlog_interface_update() -> MapUpdate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mala_dsl::EngineKind;
+    use mala_dsl::{Engine, Interp, Vm};
     use mala_rados::{ClassRegistry, Object, OsdError};
+    use std::any::type_name;
 
     fn reg() -> ClassRegistry {
-        reg_on(EngineKind::default())
+        reg_on()
     }
 
-    fn reg_on(kind: EngineKind) -> ClassRegistry {
-        let mut reg = ClassRegistry::with_engine(kind);
+    /// The class installed on `E`: the tree-walker in the two-engine tests.
+    fn reg_on<E: Engine>() -> ClassRegistry<E> {
+        let mut reg = ClassRegistry::for_engine();
         reg.install_scripted(ZLOG_CLASS, ZLOG_CLASS_SOURCE, 1)
             .unwrap();
         reg
@@ -711,8 +713,9 @@ mod tests {
     #[test]
     fn write_batch_lengths_cut_bytes_not_characters() {
         use crate::log::ReadOutcome;
-        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
-            let reg = reg_on(kind);
+        fn case<E: Engine>() {
+            let kind = type_name::<E>();
+            let reg = reg_on::<E>();
             let mut slot = Some(Object::new());
             // {0, 5, "é" and half of the next, 9, its other half}.
             let input = "5|1,1,3,1,1|05\u{e9}\u{e9}";
@@ -725,9 +728,11 @@ mod tests {
                     (5, ReadOutcome::Data(b"\xc3\xa9\xc3".to_vec())),
                     (9, ReadOutcome::Data(b"\xa9".to_vec())),
                 ],
-                "{kind:?}"
+                "{kind}"
             );
         }
+        case::<Interp>();
+        case::<Vm>();
     }
 
     #[test]
@@ -777,8 +782,8 @@ mod tests {
         );
     }
 
-    fn rb(
-        reg: &ClassRegistry,
+    fn rb<E: Engine>(
+        reg: &ClassRegistry<E>,
         slot: &mut Option<Object>,
         epoch: u64,
         positions: &[u64],
@@ -1017,7 +1022,7 @@ mod tests {
     #[test]
     fn batch_helpers_round_trip_through_the_class() {
         use crate::log::ReadOutcome;
-        let payloads: [&[u8]; 7] = [
+        const PAYLOADS: [&[u8]; 7] = [
             b"plain",
             b"",
             b"a|b,c|",
@@ -1026,10 +1031,10 @@ mod tests {
             b"bad \xff utf8",
             b"\xed\xa0\x80\0\xa9",
         ];
-        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
-            let reg = reg_on(kind);
+        fn case<E: Engine>() {
+            let reg = reg_on::<E>();
             let mut slot = None;
-            let entries: Vec<(u64, &[u8])> = payloads
+            let entries: Vec<(u64, &[u8])> = PAYLOADS
                 .iter()
                 .enumerate()
                 .map(|(i, p)| (i as u64 * 4, *p))
@@ -1052,9 +1057,12 @@ mod tests {
             assert_eq!(
                 rb(&reg, &mut slot, 0, &positions).unwrap(),
                 want,
-                "{kind:?}"
+                "{}",
+                type_name::<E>()
             );
         }
+        case::<Interp>();
+        case::<Vm>();
     }
 
     /// Arbitrary payloads through every data-carrying method of the class,
@@ -1083,6 +1091,48 @@ mod tests {
             ]
         }
 
+        /// One case on one engine.
+        fn round_trip<E: Engine>(
+            single: &[u8],
+            batch: &[Vec<u8>],
+            blob: &[u8],
+        ) -> Result<(), TestCaseError> {
+            let reg = reg_on::<E>();
+            let call = |slot: &mut Option<Object>, method: &str, input: &[u8]| {
+                reg.call(ZLOG_CLASS, method, slot, input)
+                    .unwrap_or_else(|e| panic!("{} {method}: {e:?}", type_name::<E>()))
+            };
+            let mut slot = None;
+            let write = [b"0|0|", single].concat();
+            prop_assert_eq!(call(&mut slot, "write", &write), b"ok");
+            let entries: Vec<(u64, &[u8])> = batch
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (4 + 4 * i as u64, p.as_slice()))
+                .collect();
+            let wrote = call(&mut slot, "write_batch", &encode_write_batch(0, &entries));
+            prop_assert_eq!(wrote, batch.len().to_string().into_bytes());
+
+            let tagged = [b"D|", single].concat();
+            prop_assert_eq!(call(&mut slot, "read", b"0|0"), tagged);
+            let positions: Vec<u64> = (0..=batch.len() as u64).map(|i| 4 * i).collect();
+            let reply = call(&mut slot, "read_batch", &encode_read_batch(0, &positions));
+            let mut want = vec![(0, ReadOutcome::Data(single.to_vec()))];
+            want.extend(
+                entries
+                    .iter()
+                    .map(|(pos, p)| (*pos, ReadOutcome::Data(p.to_vec()))),
+            );
+            prop_assert_eq!(decode_read_batch(&reply).unwrap(), want);
+
+            // The checkpoint lives on an object of its own.
+            let mut ckpt = None;
+            call(&mut ckpt, "checkpoint", &encode_checkpoint(0, 9, blob));
+            let held = call(&mut ckpt, "checkpoint_read", b"");
+            prop_assert_eq!(decode_checkpoint(&held).unwrap(), Some((9, blob.to_vec())));
+            Ok(())
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -1092,41 +1142,8 @@ mod tests {
                 batch in prop::collection::vec(payload(), 1..6),
                 blob in payload(),
             ) {
-                for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
-                    let reg = reg_on(kind);
-                    let call = |slot: &mut Option<Object>, method: &str, input: &[u8]| {
-                        reg.call(ZLOG_CLASS, method, slot, input)
-                            .unwrap_or_else(|e| panic!("{kind:?} {method}: {e:?}"))
-                    };
-                    let mut slot = None;
-                    let write = [b"0|0|", single.as_slice()].concat();
-                    prop_assert_eq!(call(&mut slot, "write", &write), b"ok");
-                    let entries: Vec<(u64, &[u8])> = batch
-                        .iter()
-                        .enumerate()
-                        .map(|(i, p)| (4 + 4 * i as u64, p.as_slice()))
-                        .collect();
-                    let wrote = call(&mut slot, "write_batch", &encode_write_batch(0, &entries));
-                    prop_assert_eq!(wrote, batch.len().to_string().into_bytes());
-
-                    let tagged = [b"D|", single.as_slice()].concat();
-                    prop_assert_eq!(call(&mut slot, "read", b"0|0"), tagged);
-                    let positions: Vec<u64> = (0..=batch.len() as u64).map(|i| 4 * i).collect();
-                    let reply = call(&mut slot, "read_batch", &encode_read_batch(0, &positions));
-                    let mut want = vec![(0, ReadOutcome::Data(single.clone()))];
-                    want.extend(
-                        entries
-                            .iter()
-                            .map(|(pos, p)| (*pos, ReadOutcome::Data(p.to_vec()))),
-                    );
-                    prop_assert_eq!(decode_read_batch(&reply).unwrap(), want);
-
-                    // The checkpoint lives on an object of its own.
-                    let mut ckpt = None;
-                    call(&mut ckpt, "checkpoint", &encode_checkpoint(0, 9, &blob));
-                    let held = call(&mut ckpt, "checkpoint_read", b"");
-                    prop_assert_eq!(decode_checkpoint(&held).unwrap(), Some((9, blob.clone())));
-                }
+                round_trip::<Interp>(&single, &batch, &blob)?;
+                round_trip::<Vm>(&single, &batch, &blob)?;
             }
         }
     }

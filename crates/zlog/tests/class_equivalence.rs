@@ -11,7 +11,7 @@
 //! the comparison is on what was said: every decoded reply, every error
 //! (code and message) and, byte for byte, the object left behind.
 
-use mala_dsl::EngineKind;
+use mala_dsl::{Engine, Interp, Vm};
 use mala_rados::{frame, ClassRegistry, Object, OsdError};
 use mala_zlog::storage::decode_read_batch;
 use mala_zlog::{
@@ -239,8 +239,8 @@ fn call() -> BoxedStrategy<Call> {
     .boxed()
 }
 
-fn registry(kind: EngineKind, source: &str) -> ClassRegistry {
-    let mut reg = ClassRegistry::with_engine(kind);
+fn registry<E: Engine>(source: &str) -> ClassRegistry<E> {
+    let mut reg = ClassRegistry::for_engine();
     reg.install_scripted(ZLOG_CLASS, source, 1).unwrap();
     reg
 }
@@ -248,7 +248,12 @@ fn registry(kind: EngineKind, source: &str) -> ClassRegistry {
 /// The reply bytes, or the class error's code and message.
 type Reply = Result<Vec<u8>, (i32, String)>;
 
-fn invoke(reg: &ClassRegistry, slot: &mut Option<Object>, method: &str, input: &[u8]) -> Reply {
+fn invoke<E: Engine>(
+    reg: &ClassRegistry<E>,
+    slot: &mut Option<Object>,
+    method: &str,
+    input: &[u8],
+) -> Reply {
     match reg.call(ZLOG_CLASS, method, slot, input) {
         Ok(out) => Ok(out),
         Err(OsdError::Class(e)) => Err((e.code, e.message)),
@@ -262,18 +267,18 @@ fn as_slices(entries: &[(u64, String)]) -> Vec<(u64, &[u8])> {
 
 /// The two sides of one comparison: the frozen parent and the shipped
 /// class on one engine, each with the object its calls built.
-struct Pair {
-    parent: ClassRegistry,
-    current: ClassRegistry,
+struct Pair<E> {
+    parent: ClassRegistry<E>,
+    current: ClassRegistry<E>,
     was: Option<Object>,
     is: Option<Object>,
 }
 
-impl Pair {
-    fn new(kind: EngineKind) -> Pair {
+impl<E: Engine> Pair<E> {
+    fn new() -> Self {
         Pair {
-            parent: registry(kind, PARENT_SOURCE),
-            current: registry(kind, ZLOG_CLASS_SOURCE),
+            parent: registry(PARENT_SOURCE),
+            current: registry(ZLOG_CLASS_SOURCE),
             was: None,
             is: None,
         }
@@ -358,6 +363,17 @@ fn same_read_batch(got: &[u8], want: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
+/// `calls` on one engine; `Err` names the engine, the call and the
+/// difference.
+fn replay<E: Engine>(calls: &[Call]) -> Result<(), String> {
+    let mut pair = Pair::<E>::new();
+    for call in calls {
+        pair.step(call)
+            .map_err(|diff| format!("{} {call:?}: {diff}", std::any::type_name::<E>()))?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -365,13 +381,8 @@ proptest! {
     fn rewritten_class_answers_and_stores_what_the_parent_did(
         calls in prop::collection::vec(call(), 1..48),
     ) {
-        for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
-            let mut pair = Pair::new(kind);
-            for call in &calls {
-                if let Err(diff) = pair.step(call) {
-                    prop_assert!(false, "{:?} {:?}: {}", kind, call, diff);
-                }
-            }
+        for outcome in [replay::<Interp>(&calls), replay::<Vm>(&calls)] {
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
         }
     }
 }
@@ -381,8 +392,9 @@ proptest! {
 /// quietly stop covering them — and pins the reply's bytes.
 #[test]
 fn read_batch_over_all_four_cell_states_is_unchanged() {
-    for kind in [EngineKind::TreeWalk, EngineKind::Bytecode] {
-        let mut pair = Pair::new(kind);
+    fn case<E: Engine>() {
+        let kind = std::any::type_name::<E>();
+        let mut pair = Pair::<E>::new();
         for call in [
             Call::Same("write", "0|2|early".into()),
             Call::Same("write", "0|8|live|data".into()),
@@ -395,7 +407,7 @@ fn read_batch_over_all_four_cell_states_is_unchanged() {
             Call::BrokenWriteBatch(0, vec![(30, "x".into())], 0),
         ] {
             pair.step(&call)
-                .unwrap_or_else(|diff| panic!("{kind:?} {call:?}: {diff}"));
+                .unwrap_or_else(|diff| panic!("{kind} {call:?}: {diff}"));
         }
         let input = b"0|2,8,12,16,20,8,10";
         let was = invoke(&pair.parent, &mut pair.was, "read_batch", input).unwrap();
@@ -422,4 +434,6 @@ fn read_batch_over_all_four_cell_states_is_unchanged() {
         );
         assert_eq!(pair.is, pair.was);
     }
+    case::<Interp>();
+    case::<Vm>();
 }
