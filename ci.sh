@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints (warnings are errors), the one-RADOS-client,
-# no-timer-per-item, effects-not-calls, payload-is-bytes, name-held-once and
-# one-engine structure checks, the tier-1 build + test pass (the whole
-# workspace minus the vendored stand-ins), every experiment's shape check at
-# quick scale, the three balancer figures at paper scale against results/, and
+# no-timer-per-item, effects-not-calls, payload-is-bytes, name-held-once,
+# one-engine and one-encoding structure checks, the tier-1 build + test pass
+# (the whole workspace minus the vendored stand-ins), every experiment's shape
+# check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
 # pushing.
 set -euo pipefail
@@ -51,6 +51,11 @@ echo "==> one engine on production paths: no value selects an engine, and outsid
 [ -z "$(grep -rn 'EngineKind\|DslEngine' crates)" ]
 for file in $(find crates -name '*.rs' -not -path 'crates/dsl/src/*' -not -path '*/tests/*' -not -path 'crates/bench/src/exp/dsl_vm.rs'); do
     [ -z "$(above_tests "$file" | grep -nw 'Interp')" ]
+done
+
+echo "==> one encoding: Cephalo bytecode names slots; no operand-stack instruction survives beside the register forms (DESIGN §18)"
+for file in crates/dsl/src/*.rs; do
+    [ -z "$(above_tests "$file" | grep -n 'LoadLocal\|StoreLocal\|JumpIfFalsePeek')" ]
 done
 
 echo "==> cargo build --release"

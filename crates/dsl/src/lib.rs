@@ -6,7 +6,7 @@
 //! the table under this repository's offline-dependency policy, so Cephalo
 //! is a small, Lua-flavoured language implemented from scratch: a lexer, a
 //! recursive-descent parser, and a bytecode compiler whose chunks run on a
-//! stack VM ([`Vm`]) with deterministic sandboxing (instruction budgets and
+//! register VM ([`Vm`]) with deterministic sandboxing (instruction budgets and
 //! call-depth limits). The VM is the one engine daemons embed. A
 //! tree-walking interpreter ([`Interp`]) defines the semantics and stays as
 //! the reference the VM is tested against; both implement [`Engine`], so a

@@ -9,8 +9,8 @@ use std::rc::Rc;
 use crate::runtime::{join, with_scratch, Engine, RtError};
 use crate::value::{write_num, HostCtx, Key, Value};
 
-/// The widest field `zpad` fills, and the zeros it fills with.
-const ZEROS: &[u8] = b"0000000000000000000000000000000000000000000000000000000000000000";
+/// The widest field `zpad` fills.
+const MAX_PAD: usize = 64;
 
 fn arg(args: &[Value], i: usize) -> &Value {
     args.get(i).unwrap_or(&Value::Nil)
@@ -45,6 +45,21 @@ fn num_arg(name: &str, args: &[Value], i: usize) -> Result<f64, RtError> {
     arg(args, i)
         .as_num()
         .ok_or_else(|| RtError::new(format!("{name}: argument {} must be a number", i + 1)))
+}
+
+/// The number a string spells, as `tonumber` reads it. Up to 15 digits and
+/// nothing else (a position, an epoch: what class methods parse per call) is
+/// an integer a double holds exactly; [`parse_num_slow`] agrees on those.
+fn parse_num(s: &[u8]) -> Option<f64> {
+    if (1..=15).contains(&s.len()) && s.iter().all(u8::is_ascii_digit) {
+        let n = s.iter().fold(0u64, |n, d| n * 10 + u64::from(d - b'0'));
+        return Some(n as f64);
+    }
+    parse_num_slow(s)
+}
+
+fn parse_num_slow(s: &[u8]) -> Option<f64> {
+    std::str::from_utf8(s).ok()?.trim().parse().ok()
 }
 
 /// `n` as `fmt` and `tostring` print it, staged so that the string is the
@@ -92,10 +107,7 @@ pub fn install(interp: &mut impl Engine) {
         Rc::new(|_, args| {
             Ok(match arg(args, 0) {
                 Value::Num(n) => Value::Num(*n),
-                s @ Value::Str(_) => s
-                    .as_str()
-                    .and_then(|text| text.trim().parse::<f64>().ok())
-                    .map_or(Value::Nil, Value::Num),
+                Value::Str(s) => parse_num(s).map_or(Value::Nil, Value::Num),
                 _ => Value::Nil,
             })
         }),
@@ -293,16 +305,18 @@ pub fn install(interp: &mut impl Engine) {
         Rc::new(|_, args| {
             let n = num_arg("zpad", args, 0)?;
             let width = num_arg("zpad", args, 1)?;
-            if !(0.0..=ZEROS.len() as f64).contains(&width) {
+            if !(0.0..=MAX_PAD as f64).contains(&width) {
                 return Err(RtError::new(format!(
-                    "zpad: width must be between 0 and {}",
-                    ZEROS.len()
+                    "zpad: width must be between 0 and {MAX_PAD}"
                 )));
             }
             Ok(with_scratch(|buf| {
                 write_num(buf, n);
-                let missing = (width as usize).saturating_sub(buf.len());
-                buf.splice(0..0, ZEROS[..missing].iter().copied());
+                let len = buf.len();
+                let missing = (width as usize).saturating_sub(len);
+                buf.resize(len + missing, b'0');
+                buf.copy_within(..len, missing);
+                buf[..missing].fill(b'0');
                 Value::str(buf)
             }))
         }),
@@ -401,6 +415,45 @@ mod tests {
         assert_eq!(interp.global("b"), Value::str("4"));
         assert_eq!(interp.global("c"), Value::str("00042"));
         assert_eq!(interp.global("d"), Value::str("123456"));
+    }
+
+    #[test]
+    fn zpad_pads_on_the_left_whatever_the_widths() {
+        let interp = run(
+            "a = zpad(7, 1)\nb = zpad(7, 2)\nc = zpad(123, 4)\nd = zpad(123, 9)\ne = zpad(-5, 4)\nf = zpad(0, 0)\ng = zpad(1.5, 6)",
+        );
+        for (name, want) in [
+            ("a", "7"),
+            ("b", "07"),
+            ("c", "0123"),
+            ("d", "000000123"),
+            ("e", "00-5"),
+            ("f", "0"),
+            ("g", "0001.5"),
+        ] {
+            assert_eq!(interp.global(name), Value::str(want), "{name}");
+        }
+        let wide = format!("w = zpad(1, {MAX_PAD})");
+        assert_eq!(
+            run(&wide).global("w"),
+            Value::str(format!("{:0>1$}", 1, MAX_PAD))
+        );
+    }
+
+    proptest::proptest! {
+        /// The integer fast path of `tonumber` answers what the general
+        /// parse does, on digit strings either side of its length limit
+        /// and on text that only looks like one.
+        #[test]
+        fn tonumber_fast_path_agrees_with_the_parse(
+            digits in "[0-9]{0,20}",
+            noisy in "[ 0-9.eE+-]{0,12}",
+        ) {
+            for s in [digits, noisy] {
+                let (fast, slow) = (parse_num(s.as_bytes()), parse_num_slow(s.as_bytes()));
+                proptest::prop_assert_eq!(fast.map(f64::to_bits), slow.map(f64::to_bits), "{:?}", s);
+            }
+        }
     }
 
     #[test]

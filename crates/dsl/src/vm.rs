@@ -1,4 +1,4 @@
-//! Stack VM executing compiled Cephalo chunks.
+//! Register VM executing compiled Cephalo chunks.
 //!
 //! The engine of every production path (object classes, Mantle policies);
 //! its public surface is [`Engine`]. Semantics are defined by the
@@ -6,20 +6,25 @@
 //! differential harness (the `differential` integration test and its
 //! `testgen` program generator) holds this implementation to it.
 //!
-//! Layout at runtime: one shared operand stack; a frame's plain locals
-//! live at `stack[base .. base + n_slots]`; closure-captured locals live
-//! in per-frame `Rc<RefCell<Value>>` boxes so nested closures share the
-//! same storage the interpreter's scope chain provides. Iterator state
-//! for generic `for` lives on a parallel stack of table snapshots. Every
-//! executed opcode costs one sandbox step; call depth is charged per
+//! Layout at runtime: one shared slot array; a frame is the window
+//! `stack[base .. base + n_slots]` — parameters, locals and loop control,
+//! then expression temporaries — and instructions name their operands by
+//! slot or constant-pool index ([`compile::Rk`]) and read them in place.
+//! A call's callee and arguments are the top slots of the caller's window,
+//! so the callee's frame starts at its first argument, a native reads its
+//! arguments as a slice of the array, and the result replaces the callee:
+//! no value is copied to be passed. A slot above the running frame may
+//! hold a finished callee's value until it is overwritten or the run ends;
+//! nothing reads it. Closure-captured locals live in per-frame
+//! `Rc<RefCell<Value>>` boxes so nested closures share the same storage the
+//! interpreter's scope chain provides; iterator state for generic `for`
+//! lives on a parallel stack of table snapshots. Every executed
+//! instruction costs one sandbox step; call depth is charged per
 //! script-function frame (the top-level chunk frame is free, as in the
-//! interpreter). The operand and frame stacks are reusable buffers owned
-//! by the [`Vm`], but [`Vm::run`] clears them on every exit — including
-//! error returns — so a budget trip cannot leave poisoned state behind:
-//! the next entry point starts from an empty stack. The dispatch loop
-//! keeps the active frame's `ip`/`base`/closure in locals, writing `ip`
-//! back only across calls, so straight-line opcodes never touch the
-//! frame stack.
+//! interpreter). The slot array and the frame stack are reusable buffers
+//! owned by the [`Vm`], but [`Vm::run`] clears them on every exit —
+//! including error returns — so a budget trip cannot leave poisoned state
+//! behind.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -108,7 +113,7 @@ pub struct Vm {
     output: Vec<String>,
     steps_left: u64,
     depth: u32,
-    /// Reusable operand stack; always left empty between runs.
+    /// Reusable slot array; always left empty between runs.
     stack_buf: Vec<Value>,
     /// Reusable frame stack; always left empty between runs.
     frames_buf: Vec<Frame>,
@@ -213,10 +218,7 @@ impl Engine for Vm {
             Value::Func(_) => Err(RtError::new(
                 "attempt to call a tree-walker function from the bytecode VM",
             )),
-            other => Err(RtError::new(format!(
-                "attempt to call a {} value",
-                other.type_name()
-            ))),
+            other => Err(cannot("call", other)),
         }
     }
 }
@@ -238,15 +240,18 @@ impl Vm {
         proto.names.iter().map(|n| self.slot(n)).collect()
     }
 
-    /// Pushes a call frame whose `argc` arguments are already the top of
-    /// `stack`; pads missing parameters with nil and drops extras
-    /// (interp rules).
+    /// Pushes a call frame over the `argc` arguments already in
+    /// `stack[base..]`: missing parameters read nil, extra arguments are
+    /// ignored (interp rules; they sit where the frame's own locals and
+    /// temporaries go, which are written before they are read).
+    #[allow(clippy::too_many_arguments)]
     fn push_frame(
         &mut self,
         stack: &mut Vec<Value>,
         frames: &mut Vec<Frame>,
         iter_base: usize,
         closure: Rc<Closure>,
+        base: usize,
         argc: usize,
         counted: bool,
     ) -> Result<(), RtError> {
@@ -256,24 +261,25 @@ impl Vm {
             }
             self.depth += 1;
         }
-        let base = stack.len() - argc;
         let np = closure.proto.params.len();
-        stack.truncate(base + argc.min(np));
-        stack.resize(base + closure.proto.n_slots as usize, Value::Nil);
-        let boxes = vec![None; closure.proto.n_boxes as usize];
+        let top = base + closure.proto.n_slots as usize;
+        if stack.len() < top {
+            stack.resize(top, Value::Nil);
+        }
+        stack[base + argc.min(np)..base + np].fill(Value::Nil);
         frames.push(Frame {
+            boxes: vec![None; closure.proto.n_boxes as usize],
             closure,
             ip: 0,
             base,
-            boxes,
             iter_base,
             depth_counted: counted,
         });
         Ok(())
     }
 
-    /// Entry point around [`Vm::run_inner`]: borrows the reusable operand
-    /// and frame buffers and returns them **cleared** on every exit, so an
+    /// Entry point around [`Vm::run_inner`]: borrows the reusable slot and
+    /// frame buffers and returns them **cleared** on every exit, so an
     /// error — including a sandbox trip — cannot poison later entries.
     fn run(
         &mut self,
@@ -284,7 +290,14 @@ impl Vm {
     ) -> Result<Value, RtError> {
         let mut stack = std::mem::take(&mut self.stack_buf);
         let mut frames = std::mem::take(&mut self.frames_buf);
-        let result = self.run_inner(&mut stack, &mut frames, closure, args, host, counted);
+        stack.extend_from_slice(args);
+        // A local while the loop (inlined here) runs: counting a step is a
+        // register decrement, not a load and a store through `self`.
+        let mut steps = self.steps_left;
+        let result = self
+            .push_frame(&mut stack, &mut frames, 0, closure, 0, args.len(), counted)
+            .and_then(|()| self.run_inner(&mut steps, &mut stack, &mut frames, host));
+        self.steps_left = steps;
         stack.clear();
         frames.clear();
         self.stack_buf = stack;
@@ -292,400 +305,312 @@ impl Vm {
         result
     }
 
-    /// The dispatch loop. The active frame's `ip`, `base`, and closure are
-    /// cached in locals (`ip` is written back to the frame only across
-    /// calls), so straight-line opcodes never touch the frame stack. The
-    /// iterator stack is a local: any error return drops it whole.
+    /// The dispatch loop, over the frame [`Vm::run`] pushed. The running
+    /// frame's `ip`, code, constants and window are locals, re-derived only
+    /// at a frame switch, so straight-line instructions never touch the
+    /// frame stack. The iterator stack is a local: an error drops it whole.
+    #[inline(always)]
     fn run_inner(
         &mut self,
+        steps: &mut u64,
         stack: &mut Vec<Value>,
         frames: &mut Vec<Frame>,
-        closure: Rc<Closure>,
-        args: &[Value],
         host: &mut dyn Any,
-        counted: bool,
     ) -> Result<Value, RtError> {
         let mut iters: Vec<std::vec::IntoIter<(Key, Value)>> = Vec::new();
-        stack.extend_from_slice(args);
-        self.push_frame(stack, frames, 0, closure, args.len(), counted)?;
-        let mut cl = Rc::clone(&frames.last().expect("frame").closure);
-        let mut ip: usize = 0;
-        let mut base: usize = frames.last().expect("frame").base;
-        loop {
-            if self.steps_left == 0 {
-                return Err(RtError::new("instruction budget exceeded"));
+        // One turn per activation of a frame (entered, or returned to): what
+        // its instructions share is borrowed once, until the next switch.
+        'frame: loop {
+            let top = frames.last().expect("frame");
+            let cl = Rc::clone(&top.closure);
+            let base = top.base;
+            let mut ip = top.ip;
+            let code = &cl.proto.code[..];
+            let consts = &cl.proto.consts[..];
+            let regs = &mut stack[base..base + cl.proto.n_slots as usize];
+            // An operand where it is: a constant of the running proto, or
+            // a slot of the running frame.
+            macro_rules! rk {
+                ($x:expr) => {
+                    match $x.as_const() {
+                        Some(k) => &consts[k],
+                        None => &regs[$x.as_slot()],
+                    }
+                };
             }
-            self.steps_left -= 1;
-            let op = cl.proto.code[ip];
-            ip += 1;
-            match op {
-                Op::Const(i) => {
-                    let v = cl.proto.consts[i as usize].clone();
-                    stack.push(v);
+            macro_rules! arith {
+                ($dst:expr, $a:expr, $b:expr, |$x:ident, $y:ident| $r:expr) => {{
+                    let $x = num_of(rk!($a))?;
+                    let $y = num_of(rk!($b))?;
+                    regs[$dst as usize] = Value::Num($r);
+                }};
+            }
+            macro_rules! jump_if {
+                ($holds:expr, $want:expr, $to:expr) => {
+                    if $holds == $want {
+                        ip = $to as usize;
+                    }
+                };
+            }
+            loop {
+                if *steps == 0 {
+                    return Err(RtError::new("instruction budget exceeded"));
                 }
-                Op::Nil => stack.push(Value::Nil),
-                Op::True => stack.push(Value::Bool(true)),
-                Op::False => stack.push(Value::Bool(false)),
-                Op::Pop => {
-                    stack.pop().expect("value to pop");
-                }
-                Op::LoadLocal(i) => {
-                    let v = stack[base + i as usize].clone();
-                    stack.push(v);
-                }
-                Op::StoreLocal(i) => {
-                    let v = stack.pop().expect("value to store");
-                    stack[base + i as usize] = v;
-                }
-                Op::LoadBox(i) => {
-                    let v = frames.last().expect("frame").boxes[i as usize]
-                        .as_ref()
-                        .expect("box bound at declaration")
-                        .borrow()
-                        .clone();
-                    stack.push(v);
-                }
-                Op::StoreBox(i) => {
-                    let v = stack.pop().expect("value to store");
-                    *frames.last().expect("frame").boxes[i as usize]
-                        .as_ref()
-                        .expect("box bound at declaration")
-                        .borrow_mut() = v;
-                }
-                Op::NewBox(i) => {
-                    let v = stack.pop().expect("value to box");
-                    frames.last_mut().expect("frame").boxes[i as usize] =
-                        Some(Rc::new(RefCell::new(v)));
-                }
-                Op::LoadUpval(i) => {
-                    let v = cl.upvals[i as usize].borrow().clone();
-                    stack.push(v);
-                }
-                Op::StoreUpval(i) => {
-                    let v = stack.pop().expect("value to store");
-                    *cl.upvals[i as usize].borrow_mut() = v;
-                }
-                Op::LoadGlobal(i) => {
-                    let v = self.global_vals[cl.slots[i as usize] as usize].clone();
-                    stack.push(v);
-                }
-                Op::StoreGlobal(i) => {
-                    let v = stack.pop().expect("value to store");
-                    self.global_vals[cl.slots[i as usize] as usize] = v;
-                }
-                Op::NewTable => stack.push(Value::table()),
-                Op::TablePush => {
-                    let v = stack.pop().expect("value to append");
-                    match stack.last() {
-                        Some(Value::Table(t)) => t.borrow_mut().push(v),
+                *steps -= 1;
+                let op = code[ip];
+                ip += 1;
+                match op {
+                    Op::Move { dst, src } => regs[dst as usize] = rk!(src).clone(),
+                    Op::LoadBox { dst, b } => {
+                        let v = frames.last().expect("frame").boxes[b as usize]
+                            .as_ref()
+                            .expect("box bound at declaration")
+                            .borrow()
+                            .clone();
+                        regs[dst as usize] = v;
+                    }
+                    Op::StoreBox { b, src } => {
+                        *frames.last().expect("frame").boxes[b as usize]
+                            .as_ref()
+                            .expect("box bound at declaration")
+                            .borrow_mut() = rk!(src).clone();
+                    }
+                    Op::NewBox { b, src } => {
+                        frames.last_mut().expect("frame").boxes[b as usize] =
+                            Some(Rc::new(RefCell::new(rk!(src).clone())));
+                    }
+                    Op::LoadUpval { dst, u } => {
+                        regs[dst as usize] = cl.upvals[u as usize].borrow().clone();
+                    }
+                    Op::StoreUpval { u, src } => {
+                        *cl.upvals[u as usize].borrow_mut() = rk!(src).clone();
+                    }
+                    Op::LoadGlobal { dst, name } => {
+                        regs[dst as usize] =
+                            self.global_vals[cl.slots[name as usize] as usize].clone();
+                    }
+                    Op::StoreGlobal { name, src } => {
+                        self.global_vals[cl.slots[name as usize] as usize] = rk!(src).clone();
+                    }
+                    Op::NewTable { dst } => regs[dst as usize] = Value::table(),
+                    Op::TablePush { table, src } => match &regs[table as usize] {
+                        Value::Table(t) => t.borrow_mut().push(rk!(src).clone()),
                         _ => unreachable!("table literal under construction"),
-                    }
-                }
-                Op::TableSetConst(k) => {
-                    let v = stack.pop().expect("value to set");
-                    let key = cl.proto.keys[k as usize].clone();
-                    match stack.last() {
-                        Some(Value::Table(t)) => t.borrow_mut().set(key, v),
+                    },
+                    Op::TableSetConst { table, key, src } => match &regs[table as usize] {
+                        Value::Table(t) => {
+                            let key = cl.proto.keys[key as usize].clone();
+                            t.borrow_mut().set(key, rk!(src).clone());
+                        }
                         _ => unreachable!("table literal under construction"),
+                    },
+                    Op::GetIndex { dst, base: b, idx } => {
+                        let v = match rk!(b) {
+                            Value::Table(t) => t.borrow().get(&to_key(rk!(idx))?),
+                            other => return Err(cannot("index", other)),
+                        };
+                        regs[dst as usize] = v;
                     }
-                }
-                Op::GetIndex => {
-                    let idx = stack.pop().expect("index");
-                    let base_v = stack.pop().expect("indexed value");
-                    match base_v {
+                    Op::GetConst { dst, base: b, key } => {
+                        let v = match rk!(b) {
+                            Value::Table(t) => t.borrow().get(&cl.proto.keys[key as usize]),
+                            other => return Err(cannot("index", other)),
+                        };
+                        regs[dst as usize] = v;
+                    }
+                    Op::SetIndex { base: b, idx, src } => {
+                        // Key conversion precedes the base-type check, as
+                        // in the interpreter's assignment path.
+                        let key = to_key(rk!(idx))?;
+                        match rk!(b) {
+                            Value::Table(t) => t.borrow_mut().set(key, rk!(src).clone()),
+                            other => return Err(cannot("index", other)),
+                        }
+                    }
+                    Op::SetConst { base: b, key, src } => match rk!(b) {
                         Value::Table(t) => {
-                            let key = to_key(&idx)?;
-                            let v = t.borrow().get(&key);
-                            stack.push(v);
+                            let key = cl.proto.keys[key as usize].clone();
+                            t.borrow_mut().set(key, rk!(src).clone());
                         }
-                        other => {
-                            return Err(RtError::new(format!(
-                                "attempt to index a {} value",
-                                other.type_name()
-                            )))
-                        }
+                        other => return Err(cannot("index", other)),
+                    },
+                    Op::Add { dst, a, b } => arith!(dst, a, b, |x, y| x + y),
+                    Op::Sub { dst, a, b } => arith!(dst, a, b, |x, y| x - y),
+                    Op::Mul { dst, a, b } => arith!(dst, a, b, |x, y| x * y),
+                    Op::Div { dst, a, b } => arith!(dst, a, b, |x, y| x / y),
+                    // Lua semantics: the result has the sign of the divisor.
+                    Op::Mod { dst, a, b } => arith!(dst, a, b, |x, y| x - (x / y).floor() * y),
+                    Op::Pow { dst, a, b } => arith!(dst, a, b, |x, y| x.powf(y)),
+                    Op::Concat { dst, first, n } => {
+                        let first = first as usize;
+                        regs[dst as usize] = concat(&regs[first..first + n as usize])?;
                     }
-                }
-                Op::GetConst(k) => {
-                    let base_v = stack.pop().expect("indexed value");
-                    match base_v {
-                        Value::Table(t) => {
-                            let key = &cl.proto.keys[k as usize];
-                            let v = t.borrow().get(key);
-                            stack.push(v);
-                        }
-                        other => {
-                            return Err(RtError::new(format!(
-                                "attempt to index a {} value",
-                                other.type_name()
-                            )))
-                        }
+                    Op::Eq { dst, a, b, want } => {
+                        regs[dst as usize] = Value::Bool((rk!(a) == rk!(b)) == want);
                     }
-                }
-                Op::SetIndex => {
-                    let idx = stack.pop().expect("index");
-                    let base_v = stack.pop().expect("indexed value");
-                    let v = stack.pop().expect("assigned value");
-                    // Key conversion precedes the base-type check, as in
-                    // the interpreter's assignment path.
-                    let key = to_key(&idx)?;
-                    match base_v {
-                        Value::Table(t) => t.borrow_mut().set(key, v),
-                        other => {
-                            return Err(RtError::new(format!(
-                                "attempt to index a {} value",
-                                other.type_name()
-                            )))
-                        }
+                    Op::Lt { dst, a, b, want } => {
+                        let holds = compare(rk!(a), rk!(b))?.is_lt();
+                        regs[dst as usize] = Value::Bool(holds == want);
                     }
-                }
-                Op::SetConst(k) => {
-                    let base_v = stack.pop().expect("indexed value");
-                    let v = stack.pop().expect("assigned value");
-                    let key = cl.proto.keys[k as usize].clone();
-                    match base_v {
-                        Value::Table(t) => t.borrow_mut().set(key, v),
-                        other => {
-                            return Err(RtError::new(format!(
-                                "attempt to index a {} value",
-                                other.type_name()
-                            )))
-                        }
+                    Op::Le { dst, a, b, want } => {
+                        let holds = compare(rk!(a), rk!(b))?.is_le();
+                        regs[dst as usize] = Value::Bool(holds == want);
                     }
-                }
-                Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Mod | Op::Pow => {
-                    let rhs = stack.pop().expect("rhs");
-                    let lhs = stack.pop().expect("lhs");
-                    let x = num_of(&lhs)?;
-                    let y = num_of(&rhs)?;
-                    let r = match op {
-                        Op::Add => x + y,
-                        Op::Sub => x - y,
-                        Op::Mul => x * y,
-                        Op::Div => x / y,
-                        // Lua semantics: result has the sign of the divisor.
-                        Op::Mod => x - (x / y).floor() * y,
-                        Op::Pow => x.powf(y),
-                        _ => unreachable!(),
-                    };
-                    stack.push(Value::Num(r));
-                }
-                Op::Concat(n) => {
-                    let at = stack.len() - n as usize;
-                    let v = concat(&stack[at..])?;
-                    stack.truncate(at);
-                    stack.push(v);
-                }
-                Op::Eq | Op::Ne => {
-                    let rhs = stack.pop().expect("rhs");
-                    let lhs = stack.pop().expect("lhs");
-                    let eq = lhs == rhs;
-                    stack.push(Value::Bool(if matches!(op, Op::Eq) { eq } else { !eq }));
-                }
-                Op::Lt | Op::Le | Op::Gt | Op::Ge => {
-                    let rhs = stack.pop().expect("rhs");
-                    let lhs = stack.pop().expect("lhs");
-                    let ord = compare(&lhs, &rhs)?;
-                    use std::cmp::Ordering;
-                    stack.push(Value::Bool(match op {
-                        Op::Lt => ord == Ordering::Less,
-                        Op::Le => ord != Ordering::Greater,
-                        Op::Gt => ord == Ordering::Greater,
-                        Op::Ge => ord != Ordering::Less,
-                        _ => unreachable!(),
-                    }));
-                }
-                Op::Neg => {
-                    let v = stack.pop().expect("operand");
-                    stack.push(Value::Num(-num_of(&v)?));
-                }
-                Op::Not => {
-                    let v = stack.pop().expect("operand");
-                    stack.push(Value::Bool(!v.truthy()));
-                }
-                Op::Len => {
-                    let v = stack.pop().expect("operand");
-                    match &v {
-                        Value::Table(t) => stack.push(Value::Num(t.borrow().len() as f64)),
-                        Value::Str(s) => stack.push(Value::Num(s.len() as f64)),
-                        other => {
-                            return Err(RtError::new(format!(
-                                "attempt to get length of a {} value",
-                                other.type_name()
-                            )))
+                    Op::Neg { dst, src } => {
+                        regs[dst as usize] = Value::Num(-num_of(rk!(src))?);
+                    }
+                    Op::Not { dst, src } => {
+                        regs[dst as usize] = Value::Bool(!rk!(src).truthy());
+                    }
+                    Op::Len { dst, src } => {
+                        let len = match rk!(src) {
+                            Value::Table(t) => t.borrow().len(),
+                            Value::Str(s) => s.len(),
+                            other => return Err(cannot("get length of", other)),
+                        };
+                        regs[dst as usize] = Value::Num(len as f64);
+                    }
+                    Op::CheckNum { src } => {
+                        num_of(&regs[src as usize])?;
+                    }
+                    Op::Jump(t) => ip = t as usize,
+                    Op::JumpIf { src, want, to } => jump_if!(rk!(src).truthy(), want, to),
+                    Op::JumpEq { a, b, want, to } => jump_if!((rk!(a) == rk!(b)), want, to),
+                    Op::JumpLt { a, b, want, to } => {
+                        jump_if!(compare(rk!(a), rk!(b))?.is_lt(), want, to)
+                    }
+                    Op::JumpLe { a, b, want, to } => {
+                        jump_if!(compare(rk!(a), rk!(b))?.is_le(), want, to)
+                    }
+                    Op::ForPrep { slot, to } => {
+                        // The bounds are numbers: by their form, or CheckNum.
+                        let ctl = &mut regs[slot as usize..slot as usize + 4];
+                        let start = ctl[0].as_num().expect("for start");
+                        let stop = ctl[1].as_num().expect("for stop");
+                        let step = ctl[2].as_num().expect("for step");
+                        if step == 0.0 {
+                            return Err(RtError::new("for loop step is zero"));
+                        }
+                        if (step > 0.0 && start <= stop) || (step < 0.0 && start >= stop) {
+                            ctl[3] = Value::Num(start);
+                        } else {
+                            ip = to as usize;
                         }
                     }
-                }
-                Op::CheckNum => {
-                    num_of(stack.last().expect("operand"))?;
-                }
-                Op::Jump(t) => ip = t as usize,
-                Op::JumpIfFalse(t) => {
-                    let v = stack.pop().expect("condition");
-                    if !v.truthy() {
-                        ip = t as usize;
+                    Op::ForLoop { slot, to } => {
+                        let ctl = &mut regs[slot as usize..slot as usize + 4];
+                        let step = ctl[2].as_num().expect("for step");
+                        let stop = ctl[1].as_num().expect("for stop");
+                        let i = ctl[0].as_num().expect("for control") + step;
+                        if (step > 0.0 && i <= stop) || (step < 0.0 && i >= stop) {
+                            ctl[0] = Value::Num(i);
+                            ctl[3] = Value::Num(i);
+                            ip = to as usize;
+                        }
                     }
-                }
-                Op::JumpIfFalsePeek(t) => {
-                    if stack.last().expect("operand").truthy() {
-                        stack.pop();
-                    } else {
-                        ip = t as usize;
-                    }
-                }
-                Op::JumpIfTruePeek(t) => {
-                    if stack.last().expect("operand").truthy() {
-                        ip = t as usize;
-                    } else {
-                        stack.pop();
-                    }
-                }
-                Op::ForPrep { slot, exit } => {
-                    // Operands were verified numeric by CheckNum.
-                    let step = stack.pop().and_then(|v| v.as_num()).expect("for step");
-                    let stop = stack.pop().and_then(|v| v.as_num()).expect("for stop");
-                    let start = stack.pop().and_then(|v| v.as_num()).expect("for start");
-                    if step == 0.0 {
-                        return Err(RtError::new("for loop step is zero"));
-                    }
-                    let b = base + slot as usize;
-                    stack[b] = Value::Num(start);
-                    stack[b + 1] = Value::Num(stop);
-                    stack[b + 2] = Value::Num(step);
-                    let in_range = (step > 0.0 && start <= stop) || (step < 0.0 && start >= stop);
-                    if !in_range {
-                        ip = exit as usize;
-                    }
-                }
-                Op::ForLoop { slot, back } => {
-                    let b = base + slot as usize;
-                    let step = stack[b + 2].as_num().expect("for step");
-                    let stop = stack[b + 1].as_num().expect("for stop");
-                    let i = stack[b].as_num().expect("for control") + step;
-                    stack[b] = Value::Num(i);
-                    if (step > 0.0 && i <= stop) || (step < 0.0 && i >= stop) {
-                        ip = back as usize;
-                    }
-                }
-                Op::IterNew => {
-                    let v = stack.pop().expect("iterable");
-                    match v {
+                    Op::IterNew { src } => match rk!(src) {
                         Value::Table(t) => {
                             // Snapshot entries so the body may mutate the
                             // table, as the interpreter does.
                             let entries: Vec<(Key, Value)> = t.borrow().iter().collect();
                             iters.push(entries.into_iter());
                         }
-                        other => {
-                            return Err(RtError::new(format!(
-                                "attempt to iterate a {} value",
-                                other.type_name()
-                            )))
+                        other => return Err(cannot("iterate", other)),
+                    },
+                    Op::IterNext { dst, to } => {
+                        match iters.last_mut().expect("open iterator").next() {
+                            Some((k, v)) => {
+                                regs[dst as usize] = match k {
+                                    Key::Int(i) => Value::Num(i as f64),
+                                    Key::Str(s) => Value::Str(s),
+                                };
+                                regs[dst as usize + 1] = v;
+                            }
+                            None => {
+                                iters.pop();
+                                ip = to as usize;
+                            }
                         }
                     }
-                }
-                Op::IterNext(t) => match iters.last_mut().expect("open iterator").next() {
-                    Some((k, v)) => {
-                        stack.push(match k {
-                            Key::Int(i) => Value::Num(i as f64),
-                            Key::Str(s) => Value::Str(s),
-                        });
-                        stack.push(v);
+                    Op::IterDrop => {
+                        iters.pop().expect("open iterator");
                     }
-                    None => {
-                        iters.pop();
-                        ip = t as usize;
-                    }
-                },
-                Op::IterDrop => {
-                    iters.pop().expect("open iterator");
-                }
-                Op::Call(n) => {
-                    // Remove the callee from under its arguments; the
-                    // arguments stay in place and become the new frame's
-                    // leading slots (no per-call argument Vec).
-                    let at = stack.len() - n as usize;
-                    let callee = stack.remove(at - 1);
-                    match callee {
-                        Value::Closure(c) => {
-                            frames.last_mut().expect("frame").ip = ip;
-                            self.push_frame(stack, frames, iters.len(), c, n as usize, true)?;
-                            let top = frames.last().expect("frame");
-                            cl = Rc::clone(&top.closure);
-                            ip = 0;
-                            base = top.base;
-                        }
-                        Value::Native(nat) => {
-                            let mut ctx = HostCtx {
-                                host,
-                                output: &mut self.output,
-                            };
-                            let v = (nat.f)(&mut ctx, &stack[at - 1..])?;
-                            stack.truncate(at - 1);
-                            stack.push(v);
-                        }
-                        Value::Func(_) => {
-                            return Err(RtError::new(
-                                "attempt to call a tree-walker function from the bytecode VM",
-                            ))
-                        }
-                        other => {
-                            return Err(RtError::new(format!(
-                                "attempt to call a {} value",
-                                other.type_name()
-                            )))
+                    Op::Call { at, argc } => {
+                        // The arguments are where they were evaluated: a
+                        // script callee's frame starts at the first, a
+                        // native borrows them as a slice. Neither copies.
+                        let at = at as usize;
+                        let args = at + 1..at + 1 + argc as usize;
+                        match &regs[at] {
+                            Value::Closure(c) => {
+                                let c = Rc::clone(c);
+                                frames.last_mut().expect("frame").ip = ip;
+                                let (at, argc) = (base + args.start, args.len());
+                                self.push_frame(stack, frames, iters.len(), c, at, argc, true)?;
+                                continue 'frame;
+                            }
+                            Value::Native(nat) => {
+                                let mut ctx = HostCtx {
+                                    host,
+                                    output: &mut self.output,
+                                };
+                                regs[at] = (nat.f)(&mut ctx, &regs[args])?;
+                            }
+                            Value::Func(_) => {
+                                return Err(RtError::new(
+                                    "attempt to call a tree-walker function from the bytecode VM",
+                                ))
+                            }
+                            other => return Err(cannot("call", other)),
                         }
                     }
-                }
-                Op::Ret | Op::RetNil => {
-                    let ret = if matches!(op, Op::Ret) {
-                        stack.pop().expect("return value")
-                    } else {
-                        Value::Nil
-                    };
-                    let frame = frames.pop().expect("frame");
-                    stack.truncate(frame.base);
-                    iters.truncate(frame.iter_base);
-                    if frame.depth_counted {
-                        self.depth -= 1;
-                    }
-                    match frames.last() {
-                        None => return Ok(ret),
-                        Some(top) => {
-                            cl = Rc::clone(&top.closure);
-                            ip = top.ip;
-                            base = top.base;
-                            stack.push(ret);
+                    Op::Ret { src } => {
+                        // The frame is dead: a slot's value is moved out.
+                        let ret = match src.as_const() {
+                            Some(k) => consts[k].clone(),
+                            None => std::mem::take(&mut regs[src.as_slot()]),
+                        };
+                        let frame = frames.pop().expect("frame");
+                        iters.truncate(frame.iter_base);
+                        if frame.depth_counted {
+                            self.depth -= 1;
                         }
+                        if frames.is_empty() {
+                            return Ok(ret);
+                        }
+                        // The result replaces the callee, one slot below
+                        // the frame that computed it.
+                        stack[base - 1] = ret;
+                        continue 'frame;
                     }
-                }
-                Op::Closure(i) => {
-                    let proto = Rc::clone(&cl.proto.protos[i as usize]);
-                    let slots = self.resolve_slots(&proto);
-                    let new_closure = {
+                    Op::Closure { dst, proto } => {
+                        let proto = Rc::clone(&cl.proto.protos[proto as usize]);
+                        let slots = self.resolve_slots(&proto);
                         let frame = frames.last().expect("frame");
-                        let mut upvals = Vec::with_capacity(proto.upvals.len());
-                        for d in &proto.upvals {
-                            upvals.push(match d {
-                                UpvalDesc::ParentBox(b) => Rc::clone(
-                                    frame.boxes[*b as usize]
-                                        .as_ref()
-                                        .expect("captured box bound before closure creation"),
-                                ),
-                                UpvalDesc::ParentUpval(u) => Rc::clone(&cl.upvals[*u as usize]),
-                            });
-                        }
-                        Closure {
+                        let upvals = proto.upvals.iter().map(|d| match d {
+                            UpvalDesc::ParentBox(b) => Rc::clone(
+                                frame.boxes[*b as usize]
+                                    .as_ref()
+                                    .expect("captured box bound before closure creation"),
+                            ),
+                            UpvalDesc::ParentUpval(u) => Rc::clone(&cl.upvals[*u as usize]),
+                        });
+                        let upvals = upvals.collect();
+                        regs[dst as usize] = Value::Closure(Rc::new(Closure {
                             proto,
                             upvals,
                             slots,
-                        }
-                    };
-                    stack.push(Value::Closure(Rc::new(new_closure)));
+                        }));
+                    }
                 }
             }
         }
     }
+}
+
+/// `v` is of no type that can be indexed, called, iterated or measured.
+fn cannot(verb: &str, v: &Value) -> RtError {
+    RtError::new(format!("attempt to {verb} a {} value", v.type_name()))
 }
 
 #[cfg(test)]

@@ -172,3 +172,52 @@ fn depth_trip_then_shallow_call_succeeds() {
     case::<Interp>();
     case::<Vm>();
 }
+
+/// Instructions per iteration of a `read_batch`-shaped loop (the zlog
+/// class's hot method: parse a position, compare it to a watermark, build
+/// a key in a helper function, look it up, store the answer), pinned so a
+/// codegen change that adds operand traffic back is a failing number, not
+/// a profile. The stack encoding took 43.
+#[test]
+fn read_batch_shaped_loop_costs_23_instructions_an_iteration() {
+    const BATCH: &str = r#"
+        function pad(pos) return "e" .. zpad(pos, 20) end
+        function batch(csv, lo)
+            local ps = split(csv, ",")
+            local out = {csv}
+            for k = 1, #ps do
+                local pos = tonumber(ps[k])
+                if pos == nil then error("EINVAL: bad position") end
+                local v = "T|"
+                if pos > lo then
+                    v = lookup(pad(pos))
+                    if v == nil then v = "U|" end
+                end
+                out[k + 1] = v
+            end
+            return out
+        end
+    "#;
+    let script = Script::compile(BATCH).unwrap();
+    let run = |positions: u32, max_steps: u64| {
+        let mut vm = Vm::with_sandbox(tiny(max_steps));
+        vm.register("lookup", std::rc::Rc::new(|_, args| Ok(args[0].clone())));
+        vm.load(&script).unwrap();
+        let csv: Vec<String> = (1..=positions).map(|p| (p + 7).to_string()).collect();
+        let args = [Value::str(csv.join(",")), Value::from(3.0)];
+        vm.call("batch", &args, &mut ()).map(|out| {
+            let out = out.as_table().expect("a list").borrow();
+            assert_eq!(out.len(), positions as usize + 1);
+            assert_eq!(out.array()[1], Value::str("e00000000000000000008"));
+        })
+    };
+    // The whole call: trips one short of its count, completes at it.
+    const PER_ITERATION: u64 = 23;
+    const ONE: u64 = 37;
+    const THIRTY_THREE: u64 = ONE + 32 * PER_ITERATION;
+    for (positions, steps) in [(1, ONE), (33, THIRTY_THREE)] {
+        let err = run(positions, steps - 1).expect_err("one step short");
+        assert_eq!(err.message, "instruction budget exceeded", "{positions}");
+        run(positions, steps).unwrap_or_else(|e| panic!("{positions} positions: {e}"));
+    }
+}

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use mala_dsl::value::{fmt_num, HostCtx};
-use mala_dsl::{Engine, RtError, Script, Table, Value, Vm};
+use mala_dsl::{Engine, Expr, RtError, Script, Stmt, Table, Value, Vm};
 
 use crate::frame;
 use crate::object::Object;
@@ -75,21 +75,23 @@ struct ScriptedClass<E> {
     version: u64,
     /// Cached engine with the script loaded; rebuilt on reinstall.
     engine: RefCell<E>,
-    /// Methods the script's `__readonly = {"m1", ...}` global named when it
-    /// was loaded; every other method is read-write.
-    readonly: Vec<String>,
+    /// The class's interface, fixed when it was loaded: the functions the
+    /// script defined — not the host natives or the standard library its
+    /// engine also holds as globals — each read-only if the script's
+    /// `__readonly = {"m1", ...}` global named it, read-write otherwise.
+    methods: HashMap<Box<str>, MethodKind>,
 }
 
 impl<E: Engine> ScriptedClass<E> {
     /// Runs `script`'s top level on a fresh engine (which declares the
-    /// method functions) and resolves the read-only set, once per load.
+    /// method functions) and resolves the method table, once per load.
     fn load(version: u64, script: &Script) -> Result<Self, ClassError> {
         let mut engine = E::new();
         install_object_natives(&mut engine);
         engine
             .load_with(script, &mut ObjHost::default())
             .map_err(|e| ClassError::invalid(format!("load error: {e}")))?;
-        let readonly = match engine.global("__readonly") {
+        let readonly: Vec<String> = match engine.global("__readonly") {
             Value::Table(t) => t
                 .borrow()
                 .array()
@@ -98,11 +100,49 @@ impl<E: Engine> ScriptedClass<E> {
                 .collect(),
             _ => Vec::new(),
         };
+        let mut names = Vec::new();
+        assigned_names(&script.block, &mut names);
+        let methods = names
+            .into_iter()
+            .filter(|name| matches!(engine.global(name), Value::Closure(_) | Value::Func(_)))
+            .map(|name| {
+                let kind = if readonly.iter().any(|m| m == name) {
+                    MethodKind::ReadOnly
+                } else {
+                    MethodKind::ReadWrite
+                };
+                (name.into(), kind)
+            })
+            .collect();
         Ok(ScriptedClass {
             version,
             engine: RefCell::new(engine),
-            readonly,
+            methods,
         })
+    }
+}
+
+/// Every name a statement of `block`, at any depth, assigns or declares a
+/// function under: what a script can have made a global function of.
+fn assigned_names<'a>(block: &'a [Stmt], out: &mut Vec<&'a str>) {
+    for stmt in block {
+        match stmt {
+            Stmt::Assign(Expr::Var(name), _) | Stmt::Local(name, _) => out.push(name),
+            Stmt::FuncDecl { name, body, .. } => {
+                out.push(name);
+                assigned_names(body, out);
+            }
+            Stmt::If(arms, else_blk) => {
+                for body in arms.iter().map(|(_, body)| body).chain(else_blk) {
+                    assigned_names(body, out);
+                }
+            }
+            Stmt::While(_, body)
+            | Stmt::Repeat(body, _)
+            | Stmt::NumFor { body, .. }
+            | Stmt::GenFor { body, .. } => assigned_names(body, out),
+            _ => {}
+        }
     }
 }
 
@@ -202,14 +242,7 @@ impl<E: Engine> ClassRegistry<E> {
             return Some((*kind, Method::Native(f)));
         }
         let cls = self.scripted.get(class)?;
-        if !cls.engine.borrow().has_function(method) {
-            return None;
-        }
-        let kind = if cls.readonly.iter().any(|m| m == method) {
-            MethodKind::ReadOnly
-        } else {
-            MethodKind::ReadWrite
-        };
+        let kind = *cls.methods.get(method)?;
         Some((kind, Method::Scripted(cls)))
     }
 
@@ -743,6 +776,65 @@ mod tests {
         reg.install_scripted("c", FLIPPER, 2).unwrap();
         assert_eq!(reg.method_kind("c", "get"), Some(MethodKind::ReadOnly));
         assert_eq!(reg.method_kind("c", "flip"), Some(MethodKind::ReadWrite));
+    }
+
+    /// A class's methods are the functions its script defined. The host
+    /// natives and the standard library are globals of the same engine,
+    /// and used to resolve too: `zlog.omap_del` erased a written entry of
+    /// a write-once log for whoever asked. On both engines.
+    #[test]
+    fn only_script_defined_functions_are_methods() {
+        const LOG: &str = r#"
+            __readonly = {"get"}
+            local limit = 3
+            function put(i) omap_set("e" .. i, "D|" .. i) return "ok" end
+            function get(i) return omap_get("e" .. i) end
+            helper = function(i) return "helped" end
+            if limit > 2 then function late(i) return "late" end end
+            alias = omap_del
+            data = {}
+        "#;
+        fn case<E: Engine>() {
+            let kind = type_name::<E>();
+            let mut reg = ClassRegistry::<E>::for_engine();
+            reg.install_scripted("log", LOG, 1).unwrap();
+            let mut slot = None;
+            reg.call("log", "put", &mut slot, b"7").unwrap();
+            for native in [
+                "omap_del",
+                "omap_del_range",
+                "omap_set",
+                "data_write",
+                "xattr_set",
+                "error",
+                "split",
+                "tonumber",
+                "alias",
+                "data",
+                "limit",
+                "__readonly",
+            ] {
+                assert_eq!(reg.method_kind("log", native), None, "{kind} {native}");
+                let mut txn = ObjTxn::begin(slot.take());
+                let out = reg.call_in("log", native, &mut txn, &b"e7"[..].into());
+                assert!(
+                    matches!(&out, Err(OsdError::NoClass(m)) if m == &format!("log.{native}")),
+                    "{kind} {native}: {out:?}"
+                );
+                slot = txn.finish();
+                assert_eq!(reg.call("log", "get", &mut slot, b"7").unwrap(), b"D|7");
+            }
+            // However the script made them: a declaration, an assigned
+            // function literal, a declaration under a condition.
+            assert_eq!(reg.method_kind("log", "get"), Some(MethodKind::ReadOnly));
+            for method in ["put", "helper", "late"] {
+                let kind_of = reg.method_kind("log", method);
+                assert_eq!(kind_of, Some(MethodKind::ReadWrite), "{kind} {method}");
+            }
+            assert_eq!(reg.call("log", "late", &mut slot, b"").unwrap(), b"late");
+        }
+        case::<Interp>();
+        case::<Vm>();
     }
 
     #[test]

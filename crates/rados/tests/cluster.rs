@@ -279,6 +279,50 @@ fn an_osd_runs_the_zlog_class_on_the_vm() {
     }
 }
 
+/// A host native is not a method of the class whose engine holds it:
+/// `zlog.omap_del` sent by a client answers `NoClass` from the primary and
+/// the written entry it named is still there, on every replica.
+#[test]
+fn a_host_native_is_not_a_remotely_callable_method() {
+    use mala_zlog::{zlog_interface_update, ZLOG_CLASS};
+    let mut sim = build_cluster(3, 3, OsdConfig::default());
+    let updates = vec![zlog_interface_update()];
+    sim.inject(MON, MonMsg::Submit { seq: 2, updates });
+    sim.run_for(SimDuration::from_secs(5));
+    let mut zlog = |method: &str, input: &str| {
+        let op = call(ZLOG_CLASS, method, input.as_bytes());
+        request(
+            &mut sim,
+            CLIENT,
+            oid("stripe"),
+            vec![op],
+            SimDuration::from_secs(5),
+        )
+        .result
+    };
+    let written: Rc<[u8]> = b"D|kept"[..].into();
+    assert_eq!(
+        zlog("write", "0|0|kept"),
+        Ok(vec![OpResult::CallOut(b"ok"[..].into())])
+    );
+    for (native, input) in [
+        ("omap_del", "e00000000000000000000"),
+        ("omap_del_range", "e"),
+        ("data_write", "0"),
+        ("error", "EEXIST: made up"),
+    ] {
+        let refused = OsdError::NoClass(format!("{ZLOG_CLASS}.{native}"));
+        assert_eq!(zlog(native, input), Err(refused), "{native}");
+        assert_eq!(
+            zlog("read", "0|0"),
+            Ok(vec![OpResult::CallOut(Rc::clone(&written))])
+        );
+    }
+    sim.run_for(SimDuration::from_millis(50));
+    let held = assert_replicas_equal(&sim, "stripe").expect("the stripe object");
+    assert_eq!(held.omap["e00000000000000000000"], written);
+}
+
 #[test]
 fn interface_upgrade_takes_effect_without_restart() {
     let mut sim = build_cluster(3, 2, OsdConfig::default());
