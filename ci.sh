@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints (warnings are errors), the one-RADOS-client,
 # no-timer-per-item, effects-not-calls, payload-is-bytes, name-held-once,
-# one-engine and one-encoding structure checks, the tier-1 build + test pass
+# one-append-path, one-engine and one-encoding structure checks, the tier-1
+# build + test pass
 # (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
@@ -29,10 +30,11 @@ echo "==> replication ships effects: in osd.rs only OsdMsg::ClientOp and handle_
 [ "$(grep -c 'Transaction' crates/rados/src/osd.rs)" = 4 ]
 [ -z "$(awk '/^    fn (handle_repl|apply_effect)\(/,/^    }$/' crates/rados/src/osd.rs | grep -E 'registry|ClassRegistry|ObjTxn|Transaction')" ]
 
-echo "==> a payload is bytes, held once: no lossy decoding on the class path or in the zlog wire helpers, and no native copies a value to store it (DESIGN §29)"
+echo "==> a payload is bytes, held once: no lossy decoding on the class path, in the zlog wire helpers or in the zlog client, and no native copies a value to store it (DESIGN §29)"
 above_tests() { awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
-[ -z "$(above_tests crates/rados/src/class.rs | grep -n 'from_utf8_lossy')" ]
-[ -z "$(above_tests crates/zlog/src/storage.rs | grep -n 'from_utf8_lossy')" ]
+for file in crates/rados/src/class.rs crates/zlog/src/storage.rs crates/zlog/src/log.rs; do
+    [ -z "$(above_tests "$file" | grep -n 'from_utf8_lossy')" ]
+done
 [ -z "$(awk '/^fn install_object_natives\(/,/^}$/' crates/rados/src/class.rs | grep -n '\.to_vec()')" ]
 # Text that is held as `Rc<str>` is a name, never a value: the VM's global
 # names, an omap / xattr key (`object::Key`), an object id's two parts and
@@ -46,6 +48,10 @@ done
 [ -z "$(awk '/^    fn stripe_oid\(/,/^    }$/' crates/zlog/src/log.rs | grep -n 'format!')" ]
 [ -z "$(grep -rn 'op: String' crates/mds/src/types.rs)" ]
 [ -z "$(grep -rn 'span_tag(.*to_string()' crates)" ]
+
+echo "==> one append path: an append is a batch of one; the scalar grant-and-write protocol and the class's scalar write are gone (DESIGN §13)"
+[ -z "$(grep -n 'SeqOp::Next\b\|Stage::Write\b\|Stage::GetPos\|Method::Write\b' crates/zlog/src/log.rs)" ]
+[ -z "$(grep -n 'function write(' crates/zlog/src/storage.rs)" ]
 
 echo "==> one engine on production paths: no value selects an engine, and outside tests only the dsl crate and the dsl_vm experiment name the tree-walker (DESIGN §18)"
 [ -z "$(grep -rn 'EngineKind\|DslEngine' crates)" ]

@@ -2,23 +2,20 @@
 //! stripe writes versus the one-round-trip-per-append baseline.
 //!
 //! A single closed-loop client appends `appends` entries to a fresh log
-//! at each queue depth. Depth 1 is the classic path ([`ZlogClient::
-//! append`]): one sequencer round trip and one stripe write per entry.
-//! Depth ≥ 2 uses the pipelined path ([`ZlogClient::append_async`]): the
-//! client keeps `depth` appends in flight, each full queue is covered by
-//! a single bulk grant (`next_batch:N`), and same-stripe positions travel
-//! to the OSD as one `write_batch` call — one journal group-commit.
+//! at each queue depth, on the pipelined path
+//! ([`mala_zlog::ZlogClient::append_async`]): the client keeps `depth`
+//! appends in flight, each full queue is covered by a single bulk grant
+//! (`next_batch:N`), and same-stripe positions travel to the OSD as one
+//! `write_batch` call — one journal group-commit. Depth 1 is the baseline:
+//! every append a batch of one, one sequencer round trip and one stripe
+//! write per entry, as a plain `append` runs.
 //!
 //! The JSON body is `results/BENCH_zlog_append.json`.
 
-use mala_sim::{Hist, SimDuration};
-use mala_zlog::log::{run_op, ZlogOut};
-use mala_zlog::{AppendResult, ZlogClient};
+use mala_sim::Hist;
 
 use crate::report::{self, Json};
-use crate::workload::{
-    pipelined_appends, pipelined_client, zlog_cluster, zlog_config, ZLOG_CLIENT,
-};
+use crate::workload::{pipelined_appends, pipelined_client, zlog_cluster};
 use crate::{ensure, Experiment, Scale};
 
 /// Experiment configuration.
@@ -33,7 +30,7 @@ pub struct Config {
 /// One queue depth's measurements.
 #[derive(Debug, Clone)]
 pub struct DepthRun {
-    /// Queue depth (1 = plain `append`).
+    /// Queue depth (1 = every append a batch of one).
     pub queue_depth: usize,
     /// Appends per simulated second.
     pub throughput: f64,
@@ -43,10 +40,9 @@ pub struct DepthRun {
     pub p99_ms: f64,
     /// Run length in simulated seconds.
     pub wall_s: f64,
-    /// Sequencer round trips consumed (bulk grants, or every append at
-    /// depth 1).
+    /// Sequencer round trips consumed (one bulk grant per batch).
     pub grants: u64,
-    /// Coalesced `write_batch` calls issued (0 at depth 1).
+    /// `write_batch` calls issued (one per append at depth 1).
     pub batch_writes: u64,
     /// OSD journal group-commits on the primaries.
     pub journal_commits: u64,
@@ -58,36 +54,9 @@ pub type Data = Vec<DepthRun>;
 /// Runs one depth; panics on any failed or duplicated append.
 fn run_depth(config: &Config, depth: usize) -> DepthRun {
     let log = format!("pipebench.d{depth}");
-    let client = if depth <= 1 {
-        ZlogClient::new(zlog_config(&log))
-    } else {
-        pipelined_client(&log, depth)
-    };
-    let mut sim = zlog_cluster(7, vec![client]);
+    let mut sim = zlog_cluster(7, vec![pipelined_client(&log, depth)]);
     let t_start = sim.now();
-    let done: Vec<(u64, f64)> = if depth <= 1 {
-        // Baseline: strictly one append in flight, classic path.
-        (0..config.appends)
-            .map(|i| {
-                let t0 = sim.now();
-                let data = format!("entry-{i}").into_bytes();
-                let res = run_op(
-                    &mut sim,
-                    ZLOG_CLIENT,
-                    SimDuration::from_secs(60),
-                    move |c, ctx| c.append(ctx, data),
-                );
-                match res {
-                    AppendResult::Ok(ZlogOut::Pos(p)) => {
-                        (p, sim.now().since(t0).as_secs_f64() * 1e3)
-                    }
-                    other => panic!("baseline append {i} failed: {other:?}"),
-                }
-            })
-            .collect()
-    } else {
-        pipelined_appends(&mut sim, config.appends, depth)
-    };
+    let done = pipelined_appends(&mut sim, config.appends, depth);
     let wall_s = sim.now().since(t_start).as_secs_f64();
     // CORFU safety is part of the benchmark contract: every op resolved
     // to a distinct position.
@@ -103,18 +72,13 @@ fn run_depth(config: &Config, depth: usize) -> DepthRun {
     // uses, immune to NaN-poisoned comparison sorts.
     let lat_us: Vec<f64> = done.iter().map(|(_, ms)| ms * 1e3).collect();
     let hist = Hist::from_values(&lat_us);
-    let grants = if depth <= 1 {
-        config.appends as u64
-    } else {
-        sim.metrics().counter("zlog.pos_grants")
-    };
     DepthRun {
         queue_depth: depth,
         throughput: config.appends as f64 / wall_s,
         p50_ms: hist.quantile(0.5).unwrap_or(0.0) / 1e3,
         p99_ms: hist.quantile(0.99).unwrap_or(0.0) / 1e3,
         wall_s,
-        grants,
+        grants: sim.metrics().counter("zlog.pos_grants"),
         batch_writes: sim.metrics().counter("zlog.batch_writes"),
         journal_commits: sim.metrics().counter("osd.journal_commits"),
     }

@@ -428,7 +428,8 @@ pub fn pipelined_appends(sim: &mut Sim, appends: usize, depth: usize) -> Vec<(u6
     done_appends
 }
 
-/// Closed loop over the classic path: one `append` in flight at a time.
+/// Closed loop of plain `append`s (each a batch of one), one in flight at a
+/// time.
 pub struct ClosedLoop {
     client: NodeId,
     t0: SimTime,

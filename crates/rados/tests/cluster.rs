@@ -100,6 +100,12 @@ fn call(class: &str, method: &str, input: &[u8]) -> Op {
     }
 }
 
+/// The input of a one-entry zlog `write_batch`: `payload` at `pos` under
+/// `epoch`.
+fn write_one(epoch: u64, pos: u64, payload: &str) -> Vec<u8> {
+    mala_zlog::encode_write_batch(epoch, &[(pos, payload.as_bytes())])
+}
+
 #[test]
 fn write_replicates_to_full_acting_set() {
     let mut sim = build_cluster(5, 3, OsdConfig::default());
@@ -262,16 +268,15 @@ fn an_osd_runs_the_zlog_class_on_the_vm() {
         let registry: &ClassRegistry<Vm> = sim.actor::<Osd>(osd_node(i)).registry();
         assert!(registry.scripted_version(ZLOG_CLASS).is_some(), "osd {i}");
     }
-    for (method, input, reply) in [("write", "0|5|hello", "ok"), ("read", "0|5", "D|hello")] {
+    for (method, input, reply) in [
+        ("write_batch", write_one(0, 5, "hello"), "1"),
+        ("read", b"0|5".to_vec(), "D|hello"),
+    ] {
         let ev = request(
             &mut sim,
             CLIENT,
             oid("stripe"),
-            vec![Op::Call {
-                class: ZLOG_CLASS.into(),
-                method: method.into(),
-                input: input.as_bytes().into(),
-            }],
+            vec![call(ZLOG_CLASS, method, &input)],
             SimDuration::from_secs(5),
         );
         let reply: Rc<[u8]> = reply.as_bytes().into();
@@ -289,8 +294,8 @@ fn a_host_native_is_not_a_remotely_callable_method() {
     let updates = vec![zlog_interface_update()];
     sim.inject(MON, MonMsg::Submit { seq: 2, updates });
     sim.run_for(SimDuration::from_secs(5));
-    let mut zlog = |method: &str, input: &str| {
-        let op = call(ZLOG_CLASS, method, input.as_bytes());
+    let mut zlog = |method: &str, input: &[u8]| {
+        let op = call(ZLOG_CLASS, method, input);
         request(
             &mut sim,
             CLIENT,
@@ -302,8 +307,8 @@ fn a_host_native_is_not_a_remotely_callable_method() {
     };
     let written: Rc<[u8]> = b"D|kept"[..].into();
     assert_eq!(
-        zlog("write", "0|0|kept"),
-        Ok(vec![OpResult::CallOut(b"ok"[..].into())])
+        zlog("write_batch", &write_one(0, 0, "kept")),
+        Ok(vec![OpResult::CallOut(b"1"[..].into())])
     );
     for (native, input) in [
         ("omap_del", "e00000000000000000000"),
@@ -312,9 +317,9 @@ fn a_host_native_is_not_a_remotely_callable_method() {
         ("error", "EEXIST: made up"),
     ] {
         let refused = OsdError::NoClass(format!("{ZLOG_CLASS}.{native}"));
-        assert_eq!(zlog(native, input), Err(refused), "{native}");
+        assert_eq!(zlog(native, input.as_bytes()), Err(refused), "{native}");
         assert_eq!(
-            zlog("read", "0|0"),
+            zlog("read", b"0|0"),
             Ok(vec![OpResult::CallOut(Rc::clone(&written))])
         );
     }

@@ -170,11 +170,7 @@ enum Stage {
     SetupSeq,
     /// Waiting for a Resolve of the sequencer inode.
     ResolveSeq,
-    /// Waiting for the sequencer position.
-    GetPos,
-    /// Waiting for the storage write at `pos`.
-    Write { pos: u64 },
-    /// An append's write at `pos` timed out or bounced ambiguously:
+    /// An append's write at `pos` timed out or bounced as occupied:
     /// probing the cell (a read) to learn whether our payload landed.
     WriteProbe { pos: u64 },
     /// The probe saw a hole at `pos`: junk-filling it so the in-flight
@@ -336,7 +332,6 @@ struct Cursor {
 /// handles [`Names`] built.
 #[derive(Debug, Clone, Copy)]
 enum Method {
-    Write,
     WriteBatch,
     Read,
     ReadBatch,
@@ -351,8 +346,7 @@ enum Method {
 impl Method {
     /// Every method with its name in the class source, in discriminant
     /// order.
-    const ALL: [(Method, &'static str); 10] = [
-        (Method::Write, "write"),
+    const ALL: [(Method, &'static str); 9] = [
         (Method::WriteBatch, "write_batch"),
         (Method::Read, "read"),
         (Method::ReadBatch, "read_batch"),
@@ -372,6 +366,10 @@ struct Names {
     /// The log's pool and name, as `SetSeqLayout` carries them.
     pool: Rc<str>,
     log: Rc<str>,
+    /// The log's key in the monitor's [`ZLOG_MAP`], `epoch.<log>`.
+    epoch_key: String,
+    /// The sequencer inode's path, `/zlog/<log>`.
+    seq_path: String,
     /// The stripe objects `<log>.<i>`, by stripe index.
     stripes: Vec<ObjectId>,
     /// The per-log checkpoint object (not a stripe: seals never touch it,
@@ -390,6 +388,8 @@ impl Names {
             stripes: (0..config.stripe_width).map(stripe).collect(),
             ckpt: ObjectId::new(Rc::clone(&pool), format!("{}.ckpt", config.name)),
             log: config.name.as_str().into(),
+            epoch_key: format!("epoch.{}", config.name),
+            seq_path: format!("/zlog/{}", config.name),
             class: ZLOG_CLASS.into(),
             methods: Method::ALL.map(|(_, name)| name.into()),
             pool,
@@ -626,10 +626,12 @@ impl ZlogClient {
         op
     }
 
-    /// Appends `data`; resolves to [`ZlogOut::Pos`].
+    /// Appends `data`; resolves to [`ZlogOut::Pos`]. A batch of one: the
+    /// append skips the queue and goes out at once, a `GetPosBatch` grant
+    /// of one position and then a one-entry `write_batch`.
     pub fn append(&mut self, ctx: &mut Context<'_>, data: Vec<u8>) -> u64 {
-        let op = self.begin(ctx, OpKind::Append { data }, Stage::GetPos);
-        self.step_get_pos(ctx, op);
+        let op = self.new_append(ctx, data);
+        self.start_batch(ctx, vec![op]);
         op
     }
 
@@ -641,18 +643,25 @@ impl ZlogClient {
     /// [`BatchConfig::queue_depth`], when the flush window elapses, or on
     /// an explicit [`ZlogClient::flush`].
     pub fn append_async(&mut self, ctx: &mut Context<'_>, data: Vec<u8>) -> u64 {
+        let op = self.new_append(ctx, data);
+        self.append_queue.push(op);
+        if self.append_queue.len() >= self.batch_cfg.queue_depth.max(1) {
+            self.flush(ctx);
+        } else {
+            self.arm_flush_timer(ctx);
+        }
+        op
+    }
+
+    /// Enters an append, `Queued` under its `zlog.append` span with the
+    /// `zlog.queue` child open: whoever starts its batch ends that.
+    fn new_append(&mut self, ctx: &mut Context<'_>, data: Vec<u8>) -> u64 {
         let op = self.begin(ctx, OpKind::Append { data }, Stage::Queued);
         let root = ctx.span_start("zlog.append", None);
         let queue = ctx.span_start("zlog.queue", Some(root));
         if let Some(pending) = self.ops.get_mut(&op) {
             pending.span = Some(root);
             pending.queue_span = Some(queue);
-        }
-        self.append_queue.push(op);
-        if self.append_queue.len() >= self.batch_cfg.queue_depth.max(1) {
-            self.flush(ctx);
-        } else {
-            self.arm_flush_timer(ctx);
         }
         op
     }
@@ -1048,9 +1057,9 @@ impl ZlogClient {
                             None
                         } else {
                             match &pending.stage {
-                                Stage::Write { pos }
-                                | Stage::WriteProbe { pos }
-                                | Stage::WriteSeal { pos } => Some(Some(LogRet::Pos(*pos))),
+                                Stage::WriteProbe { pos } | Stage::WriteSeal { pos } => {
+                                    Some(Some(LogRet::Pos(*pos)))
+                                }
                                 Stage::Mutate => Some(None),
                                 // A trim fan with any stripe outstanding may
                                 // have trimmed a prefix of the range already.
@@ -1164,34 +1173,14 @@ impl ZlogClient {
         self.call_class(ctx, op, oid, method, input);
     }
 
-    fn step_get_pos(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let Some(ino) = self.seq_ino else {
-            // Resolve the sequencer first.
-            if let Some(p) = self.ops.get_mut(&op) {
-                p.stage = Stage::ResolveSeq;
-            }
-            let reqid = self.mds_reqid(op);
-            let path = format!("/zlog/{}", self.config.name);
-            self.send_home(ctx, MdsMsg::Resolve { reqid, path });
-            return;
-        };
-        if let Some(p) = self.ops.get_mut(&op) {
-            p.stage = Stage::GetPos;
-        }
-        // Re-assert the layout with every grant request: a promoted MDS
-        // whose journal never captured it refuses grants until it can
-        // seal, and this is what lets it.
-        self.register_layout(ctx, ino);
+    /// Asks the home rank, which owns the directory tree, for the
+    /// sequencer inode and its authoritative rank; the reply routes to
+    /// `op`, and `span` (a batch's grant) parents the round trip.
+    fn send_resolve(&mut self, ctx: &mut Context<'_>, op: u64, span: Option<SpanContext>) {
         let reqid = self.mds_reqid(op);
-        self.send_seq(
-            ctx,
-            ino,
-            MdsMsg::TypeOp {
-                reqid,
-                ino,
-                op: SeqOp::Next,
-            },
-        );
+        let path = self.names.seq_path.clone();
+        let home = self.router.home_rank();
+        self.send_mds(ctx, home, MdsMsg::Resolve { reqid, path }, span);
     }
 
     /// (Re-)starts namespace setup from the top: mkdir/create tolerate
@@ -1229,7 +1218,7 @@ impl ZlogClient {
                 seq,
                 updates: vec![MapUpdate::set(
                     ZLOG_MAP,
-                    &format!("epoch.{}", self.config.name),
+                    &self.names.epoch_key,
                     new_epoch.to_string().into_bytes(),
                 )],
             },
@@ -1241,9 +1230,7 @@ impl ZlogClient {
             if let Some(p) = self.ops.get_mut(&op) {
                 p.stage = Stage::ResolveSeq;
             }
-            let reqid = self.mds_reqid(op);
-            let path = format!("/zlog/{}", self.config.name);
-            self.send_home(ctx, MdsMsg::Resolve { reqid, path });
+            self.send_resolve(ctx, op, None);
             return;
         };
         // Re-entered after a lazy resolve: move the stage back so the
@@ -1251,9 +1238,9 @@ impl ZlogClient {
         if let Some(p) = self.ops.get_mut(&op) {
             p.stage = Stage::Tail;
         }
-        // As in `step_get_pos`: a tail read against a promoted MDS that
-        // lost the layout must carry it, or the seal that makes the tail
-        // trustworthy can never run.
+        // As in `drive_batch_grant`: a tail read against a promoted MDS
+        // that lost the layout must carry it, or the seal that makes the
+        // tail trustworthy can never run.
         self.register_layout(ctx, ino);
         let reqid = self.mds_reqid(op);
         self.send_seq(
@@ -1588,7 +1575,9 @@ impl ZlogClient {
     // ---- ambiguous-write resolution (probe/seal) ----
     //
     // A write whose reply is lost is *ambiguous*: the payload may sit in
-    // the cell with nobody holding the ack. Retrying at a fresh position
+    // the cell with nobody holding the ack. So is one bounced as occupied
+    // (`EEXIST`): a retransmit of the same write may have landed it and
+    // lost the reply that said so. Retrying at a fresh position
     // would orphan that data — a reader would then observe an entry no
     // acknowledged op wrote, which is a real linearizability violation.
     // Instead the append resolves the old position first: probe (read)
@@ -1635,20 +1624,23 @@ impl ZlogClient {
     }
 
     /// The probed position is resolved as not-ours (occupied by someone
-    /// else, or fenced by our fill): retry the append at a fresh one.
+    /// else, or fenced by our fill): retry the append at a fresh one, as a
+    /// batch of one that skips the queue.
     fn retry_fresh_pos(&mut self, ctx: &mut Context<'_>, op: u64) {
         let Some(pending) = self.ops.get_mut(&op) else {
             return;
         };
         // The old position is resolved as not-applied and no new write
         // was issued: past the budget this is a definite failure, which
-        // is what an op dying in `GetPos` records.
-        pending.stage = Stage::GetPos;
+        // is what an op dying in `Queued` records.
+        pending.stage = Stage::Queued;
         if !self.burn_attempt(ctx, op) {
             return;
         }
         ctx.metrics().incr("zlog.retries", 1);
-        self.step_get_pos(ctx, op);
+        self.start_batch(ctx, vec![op]);
+        // Its progress is the batch's now: the watchdog holds only its
+        // deadline.
         self.arm_watchdog(ctx, op);
     }
 
@@ -1665,6 +1657,18 @@ impl ZlogClient {
             } else {
                 self.on_rados_done(ctx, op, event.result);
             }
+        }
+    }
+
+    /// Adopts `value`, the log's entry in the zlog map, as the epoch if it
+    /// is a newer one: ops blocked on the old epoch go again.
+    fn adopt_epoch(&mut self, ctx: &mut Context<'_>, value: &[u8]) {
+        match decimal::<u64>(value) {
+            Some(epoch) if epoch > self.epoch => {
+                self.epoch = epoch;
+                self.retry_blocked(ctx);
+            }
+            _ => {}
         }
     }
 
@@ -1764,9 +1768,7 @@ impl ZlogClient {
             return;
         }
         let write_pos = match pending.stage {
-            Stage::Write { pos } | Stage::WriteProbe { pos } | Stage::WriteSeal { pos } => {
-                Some(pos)
-            }
+            Stage::WriteProbe { pos } | Stage::WriteSeal { pos } => Some(pos),
             _ => None,
         };
         // Drop any stale epoch-block entry and abandon outstanding
@@ -1778,13 +1780,15 @@ impl ZlogClient {
             return;
         };
         match pending.kind {
-            OpKind::Append { .. } => match write_pos {
-                // A write was issued at `pos` and its fate is unknown:
-                // never abandon the position blindly (the payload may
-                // have landed and would be orphaned) — resolve it first.
-                Some(pos) => self.enter_write_probe(ctx, op, pos),
-                None => self.step_get_pos(ctx, op),
-            },
+            // Outside its queue and batch, an append is resolving a write
+            // of unknown fate at `pos`: never abandon the position blindly
+            // (the payload may have landed and would be orphaned) — probe
+            // it again.
+            OpKind::Append { .. } => {
+                if let Some(pos) = write_pos {
+                    self.enter_write_probe(ctx, op, pos);
+                }
+            }
             OpKind::Read { .. } | OpKind::Fill { .. } | OpKind::Trim { .. } => {
                 self.step_storage_simple(ctx, op)
             }
@@ -1860,20 +1864,6 @@ impl ZlogClient {
             return;
         };
         match &mut pending.stage {
-            Stage::Write { pos } => {
-                let pos = *pos;
-                match result {
-                    Ok(_) => self.finish(ctx, op, AppendResult::Ok(ZlogOut::Pos(pos))),
-                    Err(OsdError::Class(ce)) if ce.code == -17 => {
-                        // The cell is occupied. Either recovery reissued
-                        // the position to someone else, or a lost-reply
-                        // retransmit of our own write landed first: probe
-                        // before abandoning the position.
-                        self.enter_write_probe(ctx, op, pos);
-                    }
-                    Err(e) => self.fail(ctx, op, format!("write failed: {e}")),
-                }
-            }
             Stage::WriteProbe { pos } => {
                 let pos = *pos;
                 match result {
@@ -2063,9 +2053,7 @@ impl ZlogClient {
                     pending.stage = Stage::RecoverAdvance { new_epoch, tail };
                     let Some(ino) = self.seq_ino else {
                         // Resolve then advance.
-                        let reqid = self.mds_reqid(op);
-                        let path = format!("/zlog/{}", self.config.name);
-                        self.send_home(ctx, MdsMsg::Resolve { reqid, path });
+                        self.send_resolve(ctx, op, None);
                         return;
                     };
                     let reqid = self.mds_reqid(op);
@@ -2120,9 +2108,7 @@ impl ZlogClient {
                 }
                 Err(MdsError::Exists) => {
                     pending.stage = Stage::ResolveSeq;
-                    let reqid = self.mds_reqid(op);
-                    let path = format!("/zlog/{}", self.config.name);
-                    self.send_home(ctx, MdsMsg::Resolve { reqid, path });
+                    self.send_resolve(ctx, op, None);
                 }
                 Err(e) if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
                 Err(e) => self.fail(ctx, op, format!("create sequencer failed: {e}")),
@@ -2140,7 +2126,6 @@ impl ZlogClient {
                             OpKind::Setup => {
                                 self.finish(ctx, op, AppendResult::Ok(ZlogOut::SetUp(ino)))
                             }
-                            OpKind::Append { .. } => self.step_get_pos(ctx, op),
                             OpKind::CheckTail => self.step_tail(ctx, op),
                             OpKind::Batch { .. } => self.redrive_op(ctx, op),
                             _ => {}
@@ -2150,21 +2135,6 @@ impl ZlogClient {
                     Err(e) => self.fail(ctx, op, format!("sequencer resolve failed: {e}")),
                 }
             }
-            (Stage::GetPos, MdsMsg::TypeOpReply { result, .. }) => match result {
-                Ok(pos) => {
-                    let OpKind::Append { data } = pending.kind.clone() else {
-                        return;
-                    };
-                    pending.stage = Stage::Write { pos };
-                    let mut input = format!("{}|{pos}|", self.epoch).into_bytes();
-                    input.extend_from_slice(&data);
-                    let oid = self.stripe_oid(pos);
-                    self.call_class(ctx, op, oid, Method::Write, input);
-                }
-                Err(MdsError::NotAuth { rank }) => self.on_redirect(ctx, op, rank),
-                Err(e) if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
-                Err(e) => self.fail(ctx, op, format!("sequencer next failed: {e}")),
-            },
             (Stage::Tail, MdsMsg::TypeOpReply { result, .. }) => match result {
                 Ok(tail) => self.finish(ctx, op, AppendResult::Ok(ZlogOut::Tail(tail))),
                 Err(MdsError::NotAuth { rank }) => self.on_redirect(ctx, op, rank),
@@ -2317,20 +2287,17 @@ impl ZlogClient {
         }
         match self.seq_ino {
             // Grants go to the sequencer's cached authoritative rank and
-            // re-assert the layout too (see `step_get_pos`); the resolve
-            // that discovers the rank goes to home.
+            // re-assert the layout with every request: a promoted MDS whose
+            // journal never captured it refuses grants until it can seal,
+            // and this is what lets it. The resolve that discovers the rank
+            // goes to home.
             Some(ino) => {
                 self.register_layout(ctx, ino);
                 let reqid = self.mds_reqid(id);
                 let rank = self.router.rank_of(ino);
                 self.send_mds(ctx, rank, MdsMsg::get_pos_batch(reqid, ino, n), Some(span));
             }
-            None => {
-                let reqid = self.mds_reqid(id);
-                let path = format!("/zlog/{}", self.config.name);
-                let home = self.router.home_rank();
-                self.send_mds(ctx, home, MdsMsg::Resolve { reqid, path }, Some(span));
-            }
+            None => self.send_resolve(ctx, id, Some(span)),
         }
     }
 
@@ -2419,13 +2386,16 @@ impl ZlogClient {
     }
 
     /// One stripe group of a batch completed. Success finishes every
-    /// member with its position. Failure is group-atomic on the OSD
-    /// (`write_batch` validates before applying), so the CORFU-safe
-    /// reaction is uniform: re-enqueue the members for a *fresh* grant —
-    /// never rewrite old positions after a possible seal, the restarted
-    /// sequencer may reissue them — and junk-fill the abandoned cells so
-    /// readers never block on them. On ESTALE the epoch refresh is
-    /// kicked first; the fills ride the normal blocked-on-epoch path.
+    /// member with its position. A timeout or an `EEXIST` leaves the
+    /// cells' fate unknown, and each member resolves its own through
+    /// probe/seal. Any other failure is an authoritative, group-atomic
+    /// rejection (`write_batch` validates before applying), so the
+    /// CORFU-safe reaction is uniform: re-enqueue the members for a
+    /// *fresh* grant — never rewrite old positions after a possible seal,
+    /// the restarted sequencer may reissue them — and junk-fill the
+    /// abandoned cells so readers never block on them. On ESTALE the epoch
+    /// refresh is kicked first; the fills ride the normal blocked-on-epoch
+    /// path.
     fn on_batch_write_done(
         &mut self,
         ctx: &mut Context<'_>,
@@ -2456,28 +2426,14 @@ impl ZlogClient {
             }
             Err(OsdError::Timeout) => {
                 ctx.metrics().incr("zlog.rados_timeouts", 1);
-                // Ambiguous: the vectored write may have landed (it is
-                // group-atomic on the OSD). Never abandon the cells — a
-                // landed payload would be orphaned data no acknowledged
-                // op wrote. Each member resolves its own granted
-                // position through the probe/seal protocol and only then
-                // retries at a fresh one.
-                for (i, pos) in cells {
-                    let op = members[i];
-                    if self.ops.contains_key(&op) {
-                        self.enter_write_probe(ctx, op, pos);
-                    } else {
-                        // The member died while the write was in flight;
-                        // fence its cell so readers never block on it.
-                        self.spawn_hole_fill(ctx, pos);
-                    }
-                }
+                self.probe_cells(ctx, &members, cells);
             }
+            Err(OsdError::Class(ce)) if ce.code == -17 => self.probe_cells(ctx, &members, cells),
             Err(err) => {
-                // Class errors are authoritative rejections (`write_batch`
-                // validates the whole vector before applying anything):
-                // nothing landed, so re-enqueueing for a fresh grant and
-                // junk-filling the abandoned cells is safe.
+                // The other class errors are authoritative rejections
+                // (`write_batch` validates the whole vector before applying
+                // anything): nothing landed, so re-enqueueing for a fresh
+                // grant and junk-filling the abandoned cells is safe.
                 if matches!(&err, OsdError::Class(ce) if ce.code == -116) {
                     ctx.metrics().incr("zlog.estale_retries", 1);
                     ctx.send(
@@ -2497,6 +2453,21 @@ impl ZlogClient {
         self.put_members(id, members);
         if last {
             self.finish(ctx, id, AppendResult::Ok(ZlogOut::Done));
+        }
+    }
+
+    /// A stripe group's cells have an unknown fate: each live member
+    /// resolves its own by probe/seal before it retries anywhere else.
+    fn probe_cells(&mut self, ctx: &mut Context<'_>, members: &[u64], cells: Vec<(usize, u64)>) {
+        for (i, pos) in cells {
+            let op = members[i];
+            if self.ops.contains_key(&op) {
+                self.enter_write_probe(ctx, op, pos);
+            } else {
+                // The member died while the write was in flight; fence its
+                // cell so readers never block on it.
+                self.spawn_hole_fill(ctx, pos);
+            }
         }
     }
 
@@ -2570,29 +2541,16 @@ impl Actor for ZlogClient {
             Ok(mon) => {
                 match &*mon {
                     MonMsg::Snapshot(snap) if snap.map == ZLOG_MAP => {
-                        let key = format!("epoch.{}", self.config.name);
-                        if let Some(v) = snap.entries.get(&key) {
-                            if let Ok(e) = String::from_utf8_lossy(v).parse::<u64>() {
-                                if e > self.epoch {
-                                    self.epoch = e;
-                                    self.retry_blocked(ctx);
-                                }
-                            }
+                        if let Some(v) = snap.entries.get(&self.names.epoch_key) {
+                            self.adopt_epoch(ctx, v);
                         }
                         return;
                     }
                     MonMsg::Changed { map, delta, .. } if map == ZLOG_MAP => {
-                        let key = format!("epoch.{}", self.config.name);
                         for (k, v) in delta {
-                            if k == &key {
-                                if let Some(v) = v {
-                                    if let Ok(e) = String::from_utf8_lossy(v).parse::<u64>() {
-                                        if e > self.epoch {
-                                            self.epoch = e;
-                                            self.retry_blocked(ctx);
-                                        }
-                                    }
-                                }
+                            match v {
+                                Some(v) if *k == self.names.epoch_key => self.adopt_epoch(ctx, v),
+                                _ => {}
                             }
                         }
                         return;

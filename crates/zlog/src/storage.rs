@@ -15,13 +15,15 @@
 //!   maximum written position — the primitive sequencer recovery is built
 //!   from.
 //!
-//! Wire format (text, `|`-separated): `write`: `epoch|pos|payload`,
-//! `read`/`fill`/`trim`: `epoch|pos`, `seal`: `epoch`, `maxpos`: ``.
+//! The methods: `write_batch`, `read`, `read_batch`, `fill`, `trim`,
+//! `trim_upto`, `seal`, `maxpos`, `checkpoint`, `checkpoint_read`. Wire
+//! format of the scalar ones (text, `|`-separated): `read`/`fill`/`trim`/
+//! `trim_upto`: `epoch|pos`, `seal`: `epoch`, `maxpos`: ``.
 //!
-//! `write_batch` is the vectored variant behind the pipelined append
-//! path: one call carries every same-stripe position of a client batch,
-//! so the whole group is admitted under one epoch check, applied in one
-//! RADOS transaction, and journaled as one group-commit. Semantics are
+//! `write_batch` is the one write, behind every append (an `append` is a
+//! batch of one): one call carries every same-stripe position of a client
+//! batch, so the whole group is admitted under one epoch check, applied in
+//! one RADOS transaction, and journaled as one group-commit. Semantics are
 //! all-or-nothing: any conflict (a written position, or a duplicate
 //! inside the batch) rejects the whole call with `EEXIST` before anything
 //! is applied, and a sealed epoch rejects it with `ESTALE`.
@@ -107,34 +109,7 @@ function trim_floor()
     return lo
 end
 
-function write(input)
-    local parts = split(input, "|")
-    local e = tonumber(parts[1])
-    local pos = tonumber(parts[2])
-    if e == nil or pos == nil then error("EINVAL: bad write input") end
-    check_epoch(e)
-    if pos <= trim_floor() then
-        error("EEXIST: position " .. fmt(pos) .. " trimmed")
-    end
-    local key = pad(pos)
-    local cur = omap_get(key)
-    if cur ~= nil then
-        error("EEXIST: position " .. fmt(pos) .. " already written")
-    end
-    local payload = parts[3]
-    if payload == nil then payload = "" end
-    -- Re-join any payload containing the separator.
-    local i = 4
-    while parts[i] ~= nil do
-        payload = payload .. "|" .. parts[i]
-        i = i + 1
-    end
-    omap_set(key, "D|" .. payload)
-    bump_maxpos(pos)
-    return "ok"
-end
-
--- Vectored write: the framed list {epoch, pos1, payload1, ..., posn,
+-- The one write: the framed list {epoch, pos1, payload1, ..., posn,
 -- payloadn}. All-or-nothing: every entry is validated (epoch, write-once,
 -- intra-batch duplicates) before any is applied, so a rejected batch
 -- leaves no residue.
@@ -478,6 +453,22 @@ mod tests {
         }
     }
 
+    /// A one-entry `write_batch`: `payload` at `pos` under `epoch`.
+    fn write(
+        reg: &ClassRegistry,
+        slot: &mut Option<Object>,
+        epoch: u64,
+        pos: u64,
+        payload: &str,
+    ) -> Result<String, i32> {
+        call(
+            reg,
+            slot,
+            "write_batch",
+            &batch_input(epoch, &[(pos, payload)]),
+        )
+    }
+
     /// The journal record of an append carries what the append touched —
     /// the entry's key and the `maxpos` xattr — however large the stripe
     /// object already is.
@@ -528,9 +519,9 @@ mod tests {
     fn write_once_semantics() {
         let reg = reg();
         let mut slot = Some(Object::new());
-        assert_eq!(call(&reg, &mut slot, "write", "0|5|hello"), Ok("ok".into()));
+        assert_eq!(write(&reg, &mut slot, 0, 5, "hello"), Ok("1".into()));
         // Same position again: EEXIST (-17).
-        assert_eq!(call(&reg, &mut slot, "write", "0|5|other"), Err(-17));
+        assert_eq!(write(&reg, &mut slot, 0, 5, "other"), Err(-17));
         assert_eq!(call(&reg, &mut slot, "read", "0|5"), Ok("D|hello".into()));
     }
 
@@ -548,7 +539,7 @@ mod tests {
         assert_eq!(call(&reg, &mut slot, "fill", "0|2"), Ok("ok".into()));
         assert_eq!(call(&reg, &mut slot, "fill", "0|2"), Ok("ok".into())); // idempotent
         assert_eq!(call(&reg, &mut slot, "read", "0|2"), Ok("F|".into()));
-        call(&reg, &mut slot, "write", "0|7|data").unwrap();
+        write(&reg, &mut slot, 0, 7, "data").unwrap();
         assert_eq!(call(&reg, &mut slot, "fill", "0|7"), Err(-17));
     }
 
@@ -556,7 +547,7 @@ mod tests {
     fn trim_overwrites_anything() {
         let reg = reg();
         let mut slot = Some(Object::new());
-        call(&reg, &mut slot, "write", "0|1|x").unwrap();
+        write(&reg, &mut slot, 0, 1, "x").unwrap();
         assert_eq!(call(&reg, &mut slot, "trim", "0|1"), Ok("ok".into()));
         assert_eq!(call(&reg, &mut slot, "read", "0|1"), Ok("T|".into()));
     }
@@ -566,8 +557,8 @@ mod tests {
         let reg = reg();
         let mut slot = Some(Object::new());
         assert_eq!(call(&reg, &mut slot, "seal", "1"), Ok("-1".into()));
-        call(&reg, &mut slot, "write", "1|4|a").unwrap();
-        call(&reg, &mut slot, "write", "1|9|b").unwrap();
+        write(&reg, &mut slot, 1, 4, "a").unwrap();
+        write(&reg, &mut slot, 1, 9, "b").unwrap();
         assert_eq!(call(&reg, &mut slot, "seal", "2"), Ok("9".into()));
         // Seal must be strictly monotone.
         assert_eq!(call(&reg, &mut slot, "seal", "2"), Err(-116));
@@ -578,22 +569,14 @@ mod tests {
     fn stale_epoch_requests_rejected_after_seal() {
         let reg = reg();
         let mut slot = Some(Object::new());
-        call(&reg, &mut slot, "write", "0|0|pre").unwrap();
+        write(&reg, &mut slot, 0, 0, "pre").unwrap();
         call(&reg, &mut slot, "seal", "3").unwrap();
-        assert_eq!(call(&reg, &mut slot, "write", "2|1|stale"), Err(-116));
+        assert_eq!(write(&reg, &mut slot, 2, 1, "stale"), Err(-116));
         assert_eq!(call(&reg, &mut slot, "read", "2|0"), Err(-116));
         assert_eq!(call(&reg, &mut slot, "fill", "0|1"), Err(-116));
         // Current-epoch traffic flows.
-        assert_eq!(call(&reg, &mut slot, "write", "3|1|fresh"), Ok("ok".into()));
+        assert_eq!(write(&reg, &mut slot, 3, 1, "fresh"), Ok("1".into()));
         assert_eq!(call(&reg, &mut slot, "read", "3|0"), Ok("D|pre".into()));
-    }
-
-    #[test]
-    fn payload_may_contain_separator() {
-        let reg = reg();
-        let mut slot = Some(Object::new());
-        call(&reg, &mut slot, "write", "0|0|a|b|c").unwrap();
-        assert_eq!(call(&reg, &mut slot, "read", "0|0"), Ok("D|a|b|c".into()));
     }
 
     #[test]
@@ -601,9 +584,9 @@ mod tests {
         let reg = reg();
         let mut slot = Some(Object::new());
         assert_eq!(call(&reg, &mut slot, "maxpos", ""), Ok("-1".into()));
-        call(&reg, &mut slot, "write", "0|3|x").unwrap();
+        write(&reg, &mut slot, 0, 3, "x").unwrap();
         call(&reg, &mut slot, "fill", "0|10").unwrap();
-        call(&reg, &mut slot, "write", "0|6|y").unwrap();
+        write(&reg, &mut slot, 0, 6, "y").unwrap();
         assert_eq!(call(&reg, &mut slot, "maxpos", ""), Ok("10".into()));
     }
 
@@ -630,7 +613,7 @@ mod tests {
     fn write_batch_conflict_rejects_whole_batch() {
         let reg = reg();
         let mut slot = Some(Object::new());
-        call(&reg, &mut slot, "write", "0|4|held").unwrap();
+        write(&reg, &mut slot, 0, 4, "held").unwrap();
         // One member collides with a written cell: nothing may land.
         let input = batch_input(0, &[(0, "a"), (4, "clobber"), (8, "c")]);
         assert_eq!(call(&reg, &mut slot, "write_batch", &input), Err(-17));
@@ -739,7 +722,6 @@ mod tests {
     fn bad_inputs_are_einval() {
         let reg = reg();
         let mut slot = Some(Object::new());
-        assert_eq!(call(&reg, &mut slot, "write", "garbage"), Err(-22));
         assert_eq!(call(&reg, &mut slot, "read", ""), Err(-22));
         assert_eq!(call(&reg, &mut slot, "seal", "x"), Err(-22));
     }
@@ -765,9 +747,11 @@ mod tests {
             Some(MethodKind::ReadOnly)
         );
         assert_eq!(
-            reg.method_kind(ZLOG_CLASS, "write"),
+            reg.method_kind(ZLOG_CLASS, "write_batch"),
             Some(MethodKind::ReadWrite)
         );
+        // `write_batch` is the one write.
+        assert_eq!(reg.method_kind(ZLOG_CLASS, "write"), None);
         assert_eq!(
             reg.method_kind(ZLOG_CLASS, "seal"),
             Some(MethodKind::ReadWrite)
@@ -801,8 +785,8 @@ mod tests {
         use crate::log::ReadOutcome;
         let reg = reg();
         let mut slot = Some(Object::new());
-        call(&reg, &mut slot, "write", "0|0|early").unwrap();
-        call(&reg, &mut slot, "write", "0|8|live|data").unwrap();
+        write(&reg, &mut slot, 0, 0, "early").unwrap();
+        write(&reg, &mut slot, 0, 8, "live|data").unwrap();
         call(&reg, &mut slot, "fill", "0|12").unwrap();
         call(&reg, &mut slot, "trim", "0|16").unwrap();
         // One vector covering data, junk, trimmed, and unwritten positions.
@@ -822,7 +806,7 @@ mod tests {
     fn read_batch_rejects_stale_epoch_wholesale() {
         let reg = reg();
         let mut slot = Some(Object::new());
-        call(&reg, &mut slot, "write", "0|0|x").unwrap();
+        write(&reg, &mut slot, 0, 0, "x").unwrap();
         call(&reg, &mut slot, "seal", "4").unwrap();
         assert_eq!(rb(&reg, &mut slot, 3, &[0, 4]), Err(-116));
         assert!(rb(&reg, &mut slot, 4, &[0]).is_ok());
@@ -843,7 +827,7 @@ mod tests {
         let reg = reg();
         let mut slot = Some(Object::new());
         for pos in [0u64, 4, 8, 12] {
-            call(&reg, &mut slot, "write", &format!("0|{pos}|v{pos}")).unwrap();
+            write(&reg, &mut slot, 0, pos, &format!("v{pos}")).unwrap();
         }
         // Trim everything through position 8: three entries purged.
         assert_eq!(call(&reg, &mut slot, "trim_upto", "0|8"), Ok("3".into()));
@@ -869,17 +853,17 @@ mod tests {
     fn trimmed_prefix_rejects_rewrites_and_fills() {
         let reg = reg();
         let mut slot = Some(Object::new());
-        call(&reg, &mut slot, "write", "0|4|x").unwrap();
+        write(&reg, &mut slot, 0, 4, "x").unwrap();
         call(&reg, &mut slot, "trim_upto", "0|8").unwrap();
-        assert_eq!(call(&reg, &mut slot, "write", "0|4|late"), Err(-17));
-        assert_eq!(call(&reg, &mut slot, "write", "0|8|late"), Err(-17));
+        assert_eq!(write(&reg, &mut slot, 0, 4, "late"), Err(-17));
+        assert_eq!(write(&reg, &mut slot, 0, 8, "late"), Err(-17));
         assert_eq!(call(&reg, &mut slot, "fill", "0|0"), Err(-17));
         assert_eq!(call(&reg, &mut slot, "trim", "0|4"), Ok("ok".into()));
         let input = batch_input(0, &[(8, "under"), (12, "over")]);
         assert_eq!(call(&reg, &mut slot, "write_batch", &input), Err(-17));
         assert_eq!(call(&reg, &mut slot, "read", "0|12"), Err(-2));
         // Writes strictly above the watermark still land.
-        assert_eq!(call(&reg, &mut slot, "write", "0|12|ok"), Ok("ok".into()));
+        assert_eq!(write(&reg, &mut slot, 0, 12, "ok"), Ok("1".into()));
     }
 
     #[test]
@@ -1066,10 +1050,9 @@ mod tests {
     }
 
     /// Arbitrary payloads through every data-carrying method of the class,
-    /// on both engines: what goes in by `write`, `write_batch` or
-    /// `checkpoint` comes out of `read`, `read_batch` and `checkpoint_read`
-    /// as the same bytes. (`write` takes `epoch|pos|payload` and re-joins a
-    /// payload that holds `|`.)
+    /// on both engines: what goes in by a one-entry or a longer
+    /// `write_batch`, or by `checkpoint`, comes out of `read`, `read_batch`
+    /// and `checkpoint_read` as the same bytes.
     mod any_payload {
         use super::*;
         use crate::log::ReadOutcome;
@@ -1103,8 +1086,8 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{} {method}: {e:?}", type_name::<E>()))
             };
             let mut slot = None;
-            let write = [b"0|0|", single].concat();
-            prop_assert_eq!(call(&mut slot, "write", &write), b"ok");
+            let write = encode_write_batch(0, &[(0, single)]);
+            prop_assert_eq!(call(&mut slot, "write_batch", &write), b"1");
             let entries: Vec<(u64, &[u8])> = batch
                 .iter()
                 .enumerate()

@@ -130,13 +130,11 @@ fn build() -> Sim {
     sim
 }
 
-/// One 1 KiB append on the pipelined path, flushed alone: a bulk grant of
-/// one position and a one-entry `write_batch`.
+/// One 1 KiB append, a batch of one: a bulk grant of one position and a
+/// one-entry `write_batch`.
 fn append_one(sim: &mut Sim, fill: u8) {
     let res = run_op(sim, WRITER, SimDuration::from_secs(10), move |c, ctx| {
-        let op = c.append_async(ctx, vec![fill; 1024]);
-        c.flush(ctx);
-        op
+        c.append(ctx, vec![fill; 1024])
     });
     assert!(matches!(res, AppendResult::Ok(ZlogOut::Pos(_))), "{res:?}");
 }

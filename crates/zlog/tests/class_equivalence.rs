@@ -168,14 +168,19 @@ enum Call {
     BrokenWriteBatch(u64, Vec<(u64, String)>, usize),
 }
 
+/// A one-entry `write_batch`: `payload` at `pos` under `epoch`.
+fn write_one(epoch: u64, pos: u64, payload: &str) -> Call {
+    Call::WriteBatch(epoch, vec![(pos, payload.to_string())])
+}
+
 fn call() -> BoxedStrategy<Call> {
     let at = |method: &'static str| {
         (epoch(), position())
             .prop_map(move |(e, p)| Call::Same(method, format!("{e}|{p}")))
             .boxed()
     };
-    let write = (epoch(), position(), payload())
-        .prop_map(|(e, p, d)| Call::Same("write", format!("{e}|{p}|{d}")));
+    // The one-entry batch an `append` sends.
+    let write = (epoch(), 0u64..24, payload()).prop_map(|(e, p, d)| write_one(e, p, &d));
     let entries = || prop::collection::vec((0u64..24, payload()), 1..5);
     let write_batch = (epoch(), entries()).prop_map(|(e, entries)| Call::WriteBatch(e, entries));
     let broken_write_batch = (epoch(), entries(), 0usize..64)
@@ -192,7 +197,6 @@ fn call() -> BoxedStrategy<Call> {
     });
     let bad = (
         prop_oneof![
-            Just("write"),
             Just("read"),
             Just("read_batch"),
             Just("fill"),
@@ -396,8 +400,8 @@ fn read_batch_over_all_four_cell_states_is_unchanged() {
         let kind = std::any::type_name::<E>();
         let mut pair = Pair::<E>::new();
         for call in [
-            Call::Same("write", "0|2|early".into()),
-            Call::Same("write", "0|8|live|data".into()),
+            write_one(0, 2, "early"),
+            write_one(0, 8, "live|data"),
             Call::WriteBatch(0, vec![(9, "3|1,1,1|abc".into()), (10, "héé".into())]),
             Call::Same("fill", "0|12".into()),
             Call::Same("trim", "0|16".into()),

@@ -6,18 +6,24 @@ use std::collections::HashMap;
 use mala_consensus::{MonConfig, MonMsg, Monitor};
 use mala_mds::server::Mds;
 use mala_mds::{MdsConfig, MdsMapView, NoBalancer};
-use mala_rados::{Osd, OsdConfig, OsdMapView, PoolInfo};
+use mala_rados::client::request;
+use mala_rados::{ObjectId, Op, Osd, OsdConfig, OsdMapView, PoolInfo, RadosClient};
 use mala_sim::history::{Outcome, Recorder};
+use mala_sim::linearize::{check_shared_log, LogOp, LogRet};
 use mala_sim::{NodeId, Sim, SimDuration};
 use mala_zlog::log::{run_op, ZlogOut, ZLOG_MAP};
 use mala_zlog::{
-    zlog_interface_update, AppendResult, BatchConfig, ReadOutcome, ZlogClient, ZlogConfig,
+    encode_write_batch, zlog_interface_update, AppendResult, BatchConfig, ReadOutcome, ZlogClient,
+    ZlogConfig, ZLOG_CLASS,
 };
 
 const MON: NodeId = NodeId(0);
+const OSDS: [NodeId; 4] = [NodeId(10), NodeId(11), NodeId(12), NodeId(13)];
 const MDS0: NodeId = NodeId(20);
 const CLIENT_A: NodeId = NodeId(100);
 const CLIENT_B: NodeId = NodeId(101);
+/// A bare RADOS client that writes cells behind the zlog clients' backs.
+const RAW: NodeId = NodeId(102);
 
 fn zcfg(name: &str) -> ZlogConfig {
     ZlogConfig {
@@ -37,8 +43,8 @@ fn build(log: &str) -> Sim {
 fn build_with(log: &str, client_a: ZlogClient) -> Sim {
     let mut sim = Sim::new(23);
     sim.add_node(MON, Monitor::new(0, vec![MON], MonConfig::default()));
-    for i in 0..4u32 {
-        sim.add_node(NodeId(10 + i), Osd::new(i, MON, OsdConfig::default()));
+    for (i, osd) in (0..).zip(OSDS) {
+        sim.add_node(osd, Osd::new(i, MON, OsdConfig::default()));
     }
     sim.add_node(
         MDS0,
@@ -57,8 +63,8 @@ fn build_with(log: &str, client_a: ZlogClient) -> Sim {
         MdsMapView::update_rank(0, MDS0, true),
         zlog_interface_update(),
     ];
-    for i in 0..4u32 {
-        updates.push(OsdMapView::update_osd(i, NodeId(10 + i), true));
+    for (i, osd) in (0..).zip(OSDS) {
+        updates.push(OsdMapView::update_osd(i, osd, true));
     }
     sim.inject(MON, MonMsg::Submit { seq: 1, updates });
     sim.run_for(SimDuration::from_secs(3));
@@ -489,9 +495,9 @@ fn read_racing_a_seal_still_returns_the_entry() {
 fn tail_discovery_skips_abandoned_grants_after_batched_appends() {
     // Occupy position 2 before any append: the first bulk grant [0, 4)
     // will collide there, the batch's stripe group bounces (-17), the
-    // member re-enqueues under a fresh grant and the abandoned cell is
-    // junk-filled. Tail discovery — both the sequencer probe and a
-    // seal-based recovery scan — must account for the regranted range.
+    // member probes the cell, finds it filled and retries under a fresh
+    // grant. Tail discovery — both the sequencer probe and a seal-based
+    // recovery scan — must account for the regranted range.
     let mut sim = build_with(
         "rlog3",
         ZlogClient::with_batching(
@@ -518,10 +524,10 @@ fn tail_discovery_skips_abandoned_grants_after_batched_appends() {
     let max = *sorted.last().unwrap();
     assert!(max >= 4, "collision must force a regrant: {positions:?}");
 
-    // The displaced member burned a retry and its abandoned cell was
-    // junk-filled (EEXIST on the already-filled cell counts as fenced).
+    // The displaced member probed its cell, found someone else's fill
+    // there, and burned a retry.
+    assert!(sim.metrics().counter("zlog.write_probes") >= 1);
     assert!(sim.metrics().counter("zlog.retries") >= 1);
-    assert!(sim.metrics().counter("zlog.hole_fills") >= 1);
 
     // Sequencer tail covers every grant ever issued...
     let res = run_op(&mut sim, CLIENT_B, SimDuration::from_secs(30), |c, ctx| {
@@ -551,6 +557,187 @@ fn tail_discovery_skips_abandoned_grants_after_batched_appends() {
             "cell {pos} unreadable below the sealed tail: {out:?}"
         );
     }
+}
+
+// ---- ambiguous writes: probe/seal, one case per outcome (DESIGN §13) ----
+
+/// A log whose CLIENT_A records its history into the returned recorder,
+/// with a bare RADOS client at RAW.
+fn build_probed(log: &str) -> (Sim, Recorder<LogOp, LogRet>) {
+    let history = Recorder::new();
+    let client = ZlogClient::new(zcfg(log)).with_history(history.clone());
+    let mut sim = build_with(log, client);
+    sim.add_node(RAW, RadosClient::new(MON));
+    sim.run_for(SimDuration::from_millis(100));
+    (sim, history)
+}
+
+/// The stripe object of `log` that holds `pos`.
+fn stripe(log: &str, pos: u64) -> ObjectId {
+    ObjectId::new("zlogpool", format!("{log}.{}", pos % 4))
+}
+
+/// Writes `payload` at `pos` of `log` from RAW: a one-entry `write_batch`
+/// no zlog client knows about.
+fn raw_write(sim: &mut Sim, log: &str, pos: u64, payload: &[u8]) {
+    let call = Op::Call {
+        class: ZLOG_CLASS.into(),
+        method: "write_batch".into(),
+        input: encode_write_batch(0, &[(pos, payload)]).into(),
+    };
+    let ev = request(
+        sim,
+        RAW,
+        stripe(log, pos),
+        vec![call],
+        SimDuration::from_secs(5),
+    );
+    assert!(ev.result.is_ok(), "{:?}", ev.result);
+}
+
+/// Submits `data` on CLIENT_A's pipelined path.
+fn submit(sim: &mut Sim, data: &[u8]) -> u64 {
+    let data = data.to_vec();
+    sim.with_actor::<ZlogClient, _>(CLIENT_A, move |c, ctx| c.append_async(ctx, data))
+}
+
+/// Cuts CLIENT_A off every OSD until its RADOS client gives a request up
+/// (25 s), then heals.
+fn withhold_until_rados_timeout(sim: &mut Sim) {
+    for osd in OSDS {
+        sim.network_mut().sever(CLIENT_A, osd);
+    }
+    let timeouts = sim.metrics().counter("zlog.rados_timeouts");
+    let deadline = sim.now() + SimDuration::from_secs(30);
+    let gave_up = sim.run_until_pred(deadline, |s| {
+        s.metrics().counter("zlog.rados_timeouts") > timeouts
+    });
+    assert!(gave_up, "the write never timed out");
+    sim.network_mut().heal_all();
+}
+
+/// The positions below the tail that hold `payload`, read by CLIENT_A.
+fn positions_holding(sim: &mut Sim, payload: &[u8]) -> Vec<u64> {
+    let tail = match run_op(sim, CLIENT_A, SimDuration::from_secs(5), |c, ctx| {
+        c.check_tail(ctx)
+    }) {
+        AppendResult::Ok(ZlogOut::Tail(tail)) => tail,
+        other => panic!("check_tail failed: {other:?}"),
+    };
+    let res = run_op(sim, CLIENT_A, SimDuration::from_secs(5), move |c, ctx| {
+        c.read_batch(ctx, (0..tail).collect())
+    });
+    let AppendResult::Ok(ZlogOut::ReadBatch(entries)) = res else {
+        panic!("read_batch failed: {res:?}");
+    };
+    let held = ReadOutcome::Data(payload.to_vec());
+    entries
+        .into_iter()
+        .filter_map(|(pos, outcome)| (outcome == held).then_some(pos))
+        .collect()
+}
+
+/// CLIENT_A's history linearizes and the client holds nothing.
+fn assert_settled(sim: &Sim, history: &Recorder<LogOp, LogRet>) {
+    if let Err(cex) = check_shared_log(&history.operations()) {
+        panic!("history not linearizable:\n{cex}");
+    }
+    assert!(sim.actor::<ZlogClient>(CLIENT_A).is_idle());
+}
+
+/// The granted cell already holds the append's own bytes, as when a
+/// retransmit landed its write and the reply saying so was lost, so
+/// `write_batch` answers `EEXIST`. The append claims the cell; it does not
+/// write its payload a second time somewhere else.
+#[test]
+fn an_append_claims_a_cell_holding_its_own_bytes() {
+    let (mut sim, history) = build_probed("own");
+    raw_write(&mut sim, "own", 0, b"mine");
+    let claimed = sim.metrics().counter("zlog.probes_claimed");
+    let op = submit(&mut sim, b"mine");
+    assert_eq!(
+        await_positions(&mut sim, &[op], SimDuration::from_secs(10)),
+        [0]
+    );
+    assert_eq!(sim.metrics().counter("zlog.probes_claimed"), claimed + 1);
+    assert_eq!(positions_holding(&mut sim, b"mine"), [0]);
+    assert_settled(&sim, &history);
+}
+
+/// A foreign payload holds the granted cell: write-once means the append
+/// can never land there, so it is acked at a fresh position and the
+/// foreign entry stays as it was.
+#[test]
+fn an_append_bounced_by_a_foreign_entry_moves_on() {
+    let (mut sim, history) = build_probed("foreign");
+    // The foreign write is an append of the model's, acked at 0.
+    let theirs = LogOp::Append {
+        data: b"theirs".to_vec(),
+    };
+    let id = history.invoke(u64::from(RAW.0), sim.now(), theirs);
+    raw_write(&mut sim, "foreign", 0, b"theirs");
+    history.ok(id, sim.now(), LogRet::Pos(0));
+    let probes = sim.metrics().counter("zlog.write_probes");
+    let claimed = sim.metrics().counter("zlog.probes_claimed");
+    let op = submit(&mut sim, b"mine");
+    assert_eq!(
+        await_positions(&mut sim, &[op], SimDuration::from_secs(10)),
+        [1]
+    );
+    assert_eq!(sim.metrics().counter("zlog.write_probes"), probes + 1);
+    assert_eq!(sim.metrics().counter("zlog.probes_claimed"), claimed);
+    assert_eq!(positions_holding(&mut sim, b"theirs"), [0]);
+    assert_eq!(positions_holding(&mut sim, b"mine"), [1]);
+    assert_settled(&sim, &history);
+}
+
+/// The write landed but its reply is withheld past the RADOS deadline: the
+/// embedded client gives up with a timeout, and the probe finds the
+/// append's own bytes in the cell.
+#[test]
+fn an_append_whose_reply_was_withheld_claims_its_landed_write() {
+    let (mut sim, history) = build_probed("withheld");
+    let claimed = sim.metrics().counter("zlog.probes_claimed");
+    let op = submit(&mut sim, b"landed");
+    // The primary applies the write before it replicates it and answers
+    // only once the replica acked: cut the client off the moment it holds
+    // the entry.
+    let cell = stripe("withheld", 0);
+    let deadline = sim.now() + SimDuration::from_secs(5);
+    let landed = sim.run_until_pred(deadline, |s| {
+        OSDS.iter().any(|&osd| {
+            let store = s.actor::<Osd>(osd).store();
+            (store.get(&cell)).is_some_and(|o| o.omap.contains_key("e00000000000000000000"))
+        })
+    });
+    assert!(landed, "the write never reached its primary");
+    withhold_until_rados_timeout(&mut sim);
+    assert_eq!(
+        await_positions(&mut sim, &[op], SimDuration::from_secs(10)),
+        [0]
+    );
+    assert_eq!(sim.metrics().counter("zlog.probes_claimed"), claimed + 1);
+    assert_eq!(positions_holding(&mut sim, b"landed"), [0]);
+    assert_settled(&sim, &history);
+}
+
+/// The write reached no OSD: the probe finds a hole, seal-fills it so the
+/// write can never land there later, and the append is acked at a fresh
+/// position.
+#[test]
+fn an_append_whose_write_landed_nowhere_seals_its_cell_and_moves_on() {
+    let (mut sim, history) = build_probed("nowhere");
+    let sealed = sim.metrics().counter("zlog.probes_sealed");
+    let op = submit(&mut sim, b"lost");
+    withhold_until_rados_timeout(&mut sim);
+    assert_eq!(
+        await_positions(&mut sim, &[op], SimDuration::from_secs(10)),
+        [1]
+    );
+    assert_eq!(sim.metrics().counter("zlog.probes_sealed"), sealed + 1);
+    assert_eq!(read(&mut sim, CLIENT_A, 0), ReadOutcome::Filled);
+    assert_eq!(positions_holding(&mut sim, b"lost"), [1]);
+    assert_settled(&sim, &history);
 }
 
 // ---- timer economy: one deadline set per client (DESIGN §27) ----

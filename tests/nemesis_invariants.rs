@@ -39,6 +39,13 @@
 
 use proptest::prelude::*;
 
+/// A one-entry `write_batch` of the zlog class: `payload` at `pos` under
+/// `epoch`, sent raw, outside any client.
+fn zlog_write(epoch: u64, pos: u64, payload: &str) -> mala_rados::Transaction {
+    let input = mala_zlog::encode_write_batch(epoch, &[(pos, payload.as_bytes())]);
+    malacology::interfaces::data_io::call("zlog", "write_batch", input)
+}
+
 /// Linearizability harness glue shared by the fault suites (the
 /// trace-driven tentpole): every zlog client gets a cloned [`Recorder`],
 /// and after a schedule closes the captured op history replays through
@@ -248,7 +255,7 @@ mod seal_props {
             let oid = ObjectId::new("p", "sealed-stripe");
             let stale = seed % seal_epoch; // strictly below the seal
 
-            let wrote = cluster.rados(oid.clone(), data_io::call("zlog", "write", format!("0|{pos}|pre")));
+            let wrote = cluster.rados(oid.clone(), zlog_write(0, pos, "pre"));
             prop_assert!(wrote.is_ok(), "pre-seal write failed: {:?}", wrote);
             let sealed = cluster.rados(oid.clone(), data_io::call("zlog", "seal", format!("{seal_epoch}")));
             match sealed {
@@ -263,10 +270,7 @@ mod seal_props {
             // Stale writes — to the written cell and to a fresh one — must
             // both be rejected with ESTALE.
             for target in [pos, pos + 1] {
-                let res = cluster.rados(
-                    oid.clone(),
-                    data_io::call("zlog", "write", format!("{stale}|{target}|evil")),
-                );
+                let res = cluster.rados(oid.clone(), zlog_write(stale, target, "evil"));
                 match res {
                     Err(OsdError::Class(e)) => prop_assert_eq!(
                         e.code, -116,
@@ -299,10 +303,7 @@ mod seal_props {
                 }
             }
             // Sanity liveness: the current epoch still writes fine.
-            let ok = cluster.rados(
-                oid,
-                data_io::call("zlog", "write", format!("{seal_epoch}|{}|good", pos + 1)),
-            );
+            let ok = cluster.rados(oid, zlog_write(seal_epoch, pos + 1, "good"));
             prop_assert!(ok.is_ok(), "current-epoch write failed: {:?}", ok);
         }
     }
@@ -570,7 +571,6 @@ mod mds_failover_props {
     use mala_zlog::log::{run_op, ZlogOut};
     use mala_zlog::{zlog_interface_update, AppendResult, ReadOutcome, ZlogClient, ZlogConfig};
     use malacology::cluster::{Cluster, ClusterBuilder};
-    use malacology::interfaces::data_io;
 
     /// A cluster whose single MDS rank journals synchronously and has one
     /// standby waiting to be promoted by the monitor's beacon reaper.
@@ -758,10 +758,7 @@ mod mds_failover_props {
 
             // The seal fenced the old epoch: a write stamped below the new
             // sequencer's epoch bounces with ESTALE and leaves no residue.
-            let stale = cluster.rados(
-                ObjectId::new("p", "failover.0"),
-                data_io::call("zlog", "write", "0|9999|evil"),
-            );
+            let stale = cluster.rados(ObjectId::new("p", "failover.0"), zlog_write(0, 9999, "evil"));
             match stale {
                 Err(OsdError::Class(e)) => prop_assert_eq!(
                     e.code, -116,
