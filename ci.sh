@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints (warnings are errors), the one-RADOS-client,
 # no-timer-per-item, effects-not-calls, payload-is-bytes, name-held-once,
-# one-append-path, one-engine and one-encoding structure checks, the tier-1
-# build + test pass
+# one-append-path, one-engine, one-encoding and forget-what-it-holds structure
+# checks, the tier-1 build + test pass
 # (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
@@ -63,6 +63,9 @@ echo "==> one encoding: Cephalo bytecode names slots; no operand-stack instructi
 for file in crates/dsl/src/*.rs; do
     [ -z "$(above_tests "$file" | grep -n 'LoadLocal\|StoreLocal\|JumpIfFalsePeek')" ]
 done
+
+echo "==> an op forgets what it holds: the zlog client drops an op's reply routes through the ids the op lists, never by scanning a route table (DESIGN §23)"
+[ -z "$(grep -n '_waiting\.retain(\|_waiting\.iter()' crates/zlog/src/log.rs)" ]
 
 echo "==> cargo build --release"
 cargo build --release

@@ -240,6 +240,89 @@ struct PendingOp {
     span: Option<SpanContext>,
     /// Open `zlog.queue` child while the op waits in the append queue.
     queue_span: Option<SpanContext>,
+    /// The reply routes this op registered that no reply has consumed.
+    held: Held,
+}
+
+/// A reply route: the table it sits in and the id it is keyed by there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// A RADOS request id, in `rados_waiting`.
+    Rados(u64),
+    /// An MDS request id, in `mds_waiting`.
+    Mds(u64),
+    /// A monitor submit seq, in `mon_waiting`.
+    Mon(u64),
+}
+
+impl Route {
+    fn id(self) -> u64 {
+        match self {
+            Route::Rados(id) | Route::Mds(id) | Route::Mon(id) => id,
+        }
+    }
+}
+
+/// Routes an op holds before they spill to the heap.
+const HELD_INLINE: usize = 2;
+
+/// The routes one op holds, in the order it registered them, which for
+/// RADOS requests is ascending reqid order. Up to [`HELD_INLINE`] live in
+/// the op itself: an op with one or two requests out allocates nothing for
+/// them.
+#[derive(Debug)]
+enum Held {
+    /// Held routes first, then `None`s.
+    Inline([Option<Route>; HELD_INLINE]),
+    Spilled(Vec<Route>),
+}
+
+impl Default for Held {
+    fn default() -> Held {
+        Held::Inline([None; HELD_INLINE])
+    }
+}
+
+impl Held {
+    fn push(&mut self, route: Route) {
+        match self {
+            Held::Inline(slots) => match slots.iter_mut().find(|slot| slot.is_none()) {
+                Some(slot) => *slot = Some(route),
+                None => {
+                    let mut routes = Vec::with_capacity(2 * HELD_INLINE);
+                    routes.extend(slots.iter().flatten());
+                    routes.push(route);
+                    *self = Held::Spilled(routes);
+                }
+            },
+            Held::Spilled(routes) => routes.push(route),
+        }
+    }
+
+    /// Drops `route`, keeping the others in registration order.
+    fn remove(&mut self, route: Route) {
+        match self {
+            Held::Inline(slots) => {
+                if let Some(at) = slots.iter().position(|slot| *slot == Some(route)) {
+                    slots[at..].rotate_left(1);
+                    slots[HELD_INLINE - 1] = None;
+                }
+            }
+            Held::Spilled(routes) => {
+                if let Some(at) = routes.iter().position(|held| *held == route) {
+                    routes.remove(at);
+                }
+            }
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = Route> + '_ {
+        let (inline, spilled): (&[Option<Route>], &[Route]) = match self {
+            Held::Inline(slots) => (slots, &[]),
+            Held::Spilled(routes) => (&[], routes),
+        };
+        inline.iter().flatten().chain(spilled).copied()
+    }
 }
 
 /// How an open probe-seal fill record resolves.
@@ -553,6 +636,38 @@ impl ZlogClient {
             && self.append_queue.is_empty()
     }
 
+    /// Checks the reply-route bookkeeping (DESIGN §23): every route names
+    /// a live op that lists it, and every route an op lists is in its
+    /// table, naming that op. It walks every op, so it is for tests, not
+    /// for a serving path.
+    pub fn check_routes(&self) -> Result<(), String> {
+        let mut listed = 0;
+        for (&op, pending) in &self.ops {
+            for (i, route) in pending.held.iter().enumerate() {
+                let table = match route {
+                    Route::Rados(_) => &self.rados_waiting,
+                    Route::Mds(_) => &self.mds_waiting,
+                    Route::Mon(_) => &self.mon_waiting,
+                };
+                let to = table.get(&route.id());
+                if to != Some(&op) {
+                    return Err(format!("op {op} lists {route:?}, which routes to {to:?}"));
+                }
+                if pending.held.iter().take(i).any(|earlier| earlier == route) {
+                    return Err(format!("op {op} lists {route:?} twice"));
+                }
+                listed += 1;
+            }
+        }
+        // Every listed route is in its table under its op, once: tables
+        // that hold no more than that hold no route to anything else.
+        let routed = self.rados_waiting.len() + self.mds_waiting.len() + self.mon_waiting.len();
+        if routed != listed {
+            return Err(format!("{routed} routes, {listed} listed by live ops"));
+        }
+        Ok(())
+    }
+
     // ---- op starters ----
 
     fn begin(&mut self, ctx: &mut Context<'_>, kind: OpKind, stage: Stage) -> u64 {
@@ -589,6 +704,7 @@ impl ZlogClient {
                 seal_hist: None,
                 span: None,
                 queue_span: None,
+                held: Held::default(),
             },
         );
         op
@@ -951,8 +1067,36 @@ impl ZlogClient {
     fn mds_reqid(&mut self, op: u64) -> u64 {
         let reqid = self.next_seq;
         self.next_seq += 1;
-        self.mds_waiting.insert(reqid, op);
+        self.hold(op, Route::Mds(reqid));
         reqid
+    }
+
+    /// The table `route` sits in.
+    fn table(&mut self, route: Route) -> &mut IdMap<u64, u64> {
+        match route {
+            Route::Rados(_) => &mut self.rados_waiting,
+            Route::Mds(_) => &mut self.mds_waiting,
+            Route::Mon(_) => &mut self.mon_waiting,
+        }
+    }
+
+    /// Routes replies on `route` to `op`: its table names the op, and the
+    /// op lists the route.
+    fn hold(&mut self, op: u64, route: Route) {
+        self.table(route).insert(route.id(), op);
+        if let Some(pending) = self.ops.get_mut(&op) {
+            pending.held.push(route);
+        }
+    }
+
+    /// Takes the route a reply arrived on: the op it names, if any, which
+    /// no longer lists it.
+    fn take_route(&mut self, route: Route) -> Option<u64> {
+        let op = self.table(route).remove(&route.id())?;
+        if let Some(pending) = self.ops.get_mut(&op) {
+            pending.held.remove(route);
+        }
+        Some(op)
     }
 
     /// The stripe object holding `pos`: a refcount of the id built with
@@ -999,7 +1143,7 @@ impl ZlogClient {
         if let AppendResult::Err(msg) = &result {
             // The op may die with requests out or parked: late replies
             // must find no route.
-            self.forget_requests(ctx, op);
+            self.forget_requests(ctx, op, &pending.held);
             // A batch only fails before any write went out, so it takes
             // its members with it, definitely failed.
             if let OpKind::Batch { members } = &pending.kind {
@@ -1161,7 +1305,7 @@ impl ZlogClient {
     ) {
         let call = self.class_call(method, input);
         let reqid = self.rados.submit(ctx, oid, vec![call]);
-        self.rados_waiting.insert(reqid, op);
+        self.hold(op, Route::Rados(reqid));
     }
 
     /// Calls a per-cell class method (`read`, `fill`, `trim`,
@@ -1211,7 +1355,7 @@ impl ZlogClient {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.mon_waiting.insert(seq, op);
+        self.hold(op, Route::Mon(seq));
         ctx.send(
             self.config.monitor,
             MonMsg::Submit {
@@ -1649,7 +1793,7 @@ impl ZlogClient {
     /// are taken in request order.
     fn drain_rados(&mut self, ctx: &mut Context<'_>) {
         for event in self.rados.drain_completed() {
-            let Some(op) = self.rados_waiting.remove(&event.reqid) else {
+            let Some(op) = self.take_route(Route::Rados(event.reqid)) else {
                 continue;
             };
             if self.is_batch(op) {
@@ -1731,22 +1875,27 @@ impl ZlogClient {
         self.redrive_op(ctx, op);
     }
 
-    /// Drops every reply route and park entry of `op`, and cancels its
-    /// RADOS requests: an abandoned request is not retransmitted.
-    fn forget_requests(&mut self, ctx: &mut Context<'_>, op: u64) {
+    /// Drops the park entries of `op` and the reply routes it `held`
+    /// (taken off the op, or from the op `conclude` removed), and cancels
+    /// its RADOS requests: an abandoned request is not retransmitted. Only
+    /// what the op holds is walked, so forgetting costs what the op has
+    /// out, not what the client has in flight. A route goes only while it
+    /// still names `op`. RADOS requests are cancelled in the order they
+    /// were held, ascending reqid order: each cancel ends a span, and hash
+    /// order would reorder the trace from run to run.
+    fn forget_requests(&mut self, ctx: &mut Context<'_>, op: u64, held: &Held) {
         self.blocked_on_epoch.retain(|(o, _)| *o != op);
         self.mds_blocked.retain(|o| *o != op);
-        let routed = self.rados_waiting.iter().filter(|(_, o)| **o == op);
-        let mut reqids: Vec<u64> = routed.map(|(reqid, _)| *reqid).collect();
-        // Ending spans in hash order would reorder the trace from run to
-        // run.
-        reqids.sort_unstable();
-        for reqid in reqids {
-            self.rados_waiting.remove(&reqid);
-            self.rados.cancel(ctx, reqid);
+        for route in held.iter() {
+            let table = self.table(route);
+            if table.get(&route.id()) != Some(&op) {
+                continue;
+            }
+            table.remove(&route.id());
+            if let Route::Rados(reqid) = route {
+                self.rados.cancel(ctx, reqid);
+            }
         }
-        self.mds_waiting.retain(|_, o| *o != op);
-        self.mon_waiting.retain(|_, o| *o != op);
     }
 
     /// Re-dispatches `op` from its current stage without touching the
@@ -1775,7 +1924,11 @@ impl ZlogClient {
         // requests from earlier attempts: their late replies must not be
         // routed into the fresh attempt's state machine (for a batch, a
         // late duplicate grant must not double-grant).
-        self.forget_requests(ctx, op);
+        let held = match self.ops.get_mut(&op) {
+            Some(pending) => std::mem::take(&mut pending.held),
+            None => return,
+        };
+        self.forget_requests(ctx, op, &held);
         let Some(pending) = self.ops.get(&op) else {
             return;
         };
@@ -2352,7 +2505,7 @@ impl ZlogClient {
             let span = ctx.span_start("zlog.stripe_write", parent);
             ctx.span_tag_display(span, "entries", cells.len());
             let reqid = self.rados.submit_spanned(ctx, oid, vec![call], Some(span));
-            self.rados_waiting.insert(reqid, id);
+            self.hold(id, Route::Rados(reqid));
             groups.push(StripeWrite { reqid, span, cells });
         }
         self.put_members(id, members);
@@ -2527,7 +2680,7 @@ impl Actor for ZlogClient {
                     _ => None,
                 };
                 if let Some(reqid) = reqid {
-                    if let Some(op) = self.mds_waiting.remove(&reqid) {
+                    if let Some(op) = self.take_route(Route::Mds(reqid)) {
                         self.on_mds_reply(ctx, op, *mds);
                     }
                 }
@@ -2587,7 +2740,7 @@ impl Actor for ZlogClient {
                         return;
                     }
                     MonMsg::SubmitAck { seq, .. } => {
-                        if let Some(op) = self.mon_waiting.remove(seq) {
+                        if let Some(op) = self.take_route(Route::Mon(*seq)) {
                             self.on_epoch_committed(ctx, op);
                         }
                         return;
@@ -2730,3 +2883,6 @@ pub fn run_op(
         .take_result(op)
         .unwrap_or_else(|| panic!("completion for zlog op {op} missing"))
 }
+
+#[cfg(test)]
+mod tests;

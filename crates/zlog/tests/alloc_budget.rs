@@ -14,6 +14,12 @@
 //! append: object ids, omap keys, class and method names, the grant's verb
 //! and layout strings, each copied at every hop, and numbers formatted
 //! into a `String` apiece).
+//!
+//! The second budget is a watchdog re-drive of a batch whose sequencer
+//! never answers: forgetting the old grant and sending the new one. An op
+//! lists the reply routes it holds (DESIGN §23), inline while it holds one
+//! or two, so the re-drive allocates the two messages it sends and nothing
+//! for its bookkeeping.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -161,5 +167,57 @@ fn a_steady_state_append_stays_inside_its_allocation_budget() {
         per_append <= budget,
         "{per_append:.4} allocations per append, budget {budget:.2} \
          (was {MEASURED_PER_APPEND} when set): see DESIGN §30 for what an append may allocate"
+    );
+}
+
+/// Allocations per watchdog re-drive of a stalled batch when the budget
+/// was set: the boxes of the two messages it sends. The tree before ops
+/// listed their routes made as many.
+const MEASURED_PER_REDRIVE: f64 = 2.0;
+
+#[test]
+fn a_stalled_batch_is_redriven_inside_its_allocation_budget() {
+    const REDRIVES: u64 = 10;
+    let mut sim = build();
+    for i in 0..64 {
+        append_one(&mut sim, i);
+    }
+    sim.network_mut().sever(WRITER, MDS0);
+    let op = sim.with_actor::<ZlogClient, _>(WRITER, |c, ctx| c.append(ctx, vec![7; 1024]));
+    // A re-drive is the event that sends the grant (and the layout beside
+    // it) into the severed link; every other event (the cluster's beacons
+    // and heartbeats, a watchdog callback that finds nothing due) is left
+    // out of the reading, and so is the first re-drive.
+    let dropped = |sim: &Sim| sim.metrics().counter("sim.messages_dropped");
+    let deadline = sim.now() + SimDuration::from_secs(40);
+    let (mut redrives, mut allocs) = (0, 0);
+    while redrives <= REDRIVES {
+        assert!(
+            sim.now() < deadline,
+            "the batch was not re-driven {REDRIVES} times"
+        );
+        let (before, sent) = (ALLOCS.get(), dropped(&sim));
+        sim.step();
+        if dropped(&sim) > sent {
+            if redrives > 0 {
+                allocs += ALLOCS.get() - before;
+            }
+            redrives += 1;
+        }
+    }
+    let per_redrive = allocs as f64 / REDRIVES as f64;
+    assert!(
+        per_redrive <= MEASURED_PER_REDRIVE,
+        "{per_redrive:.4} allocations per re-drive, budget {MEASURED_PER_REDRIVE}: \
+         forgetting a request must not allocate (DESIGN §23)"
+    );
+
+    sim.network_mut().heal_all();
+    let deadline = sim.now() + SimDuration::from_secs(10);
+    assert!(sim.run_until_pred(deadline, |s| s.actor::<ZlogClient>(WRITER).is_done(op)));
+    let res = sim.actor_mut::<ZlogClient>(WRITER).take_result(op);
+    assert!(
+        matches!(res, Some(AppendResult::Ok(ZlogOut::Pos(_)))),
+        "{res:?}"
     );
 }

@@ -2317,16 +2317,46 @@ mod batched_props {
 
 mod batched_smoke {
     use mala_rados::{ObjectId, Osd, OsdConfig};
-    use mala_sim::{Fault, FaultSchedule, Nemesis, SimDuration, SimTime};
+    use mala_sim::{Fault, FaultSchedule, Nemesis, NodeId, Sim, SimDuration, SimTime};
     use mala_zlog::log::{run_op, ZlogOut};
     use mala_zlog::{
         zlog_interface_update, AppendResult, BatchConfig, ReadOutcome, ZlogClient, ZlogConfig,
     };
     use malacology::cluster::{Cluster, ClusterBuilder};
 
+    /// Runs `nemesis` for `dur`, checking the reply routes of the client
+    /// at `node` (`ZlogClient::check_routes`) after every event. The sim
+    /// stops at each of the schedule's fault times in `stamps` for the
+    /// nemesis to apply it, as `Nemesis::run_for` would: the run is the
+    /// same event for event.
+    fn run_checked(
+        nemesis: &mut Nemesis,
+        sim: &mut Sim,
+        node: NodeId,
+        stamps: &[SimTime],
+        dur: SimDuration,
+    ) {
+        let until = sim.now() + dur;
+        let check = |s: &Sim| {
+            if let Err(e) = s.actor::<ZlogClient>(node).check_routes() {
+                panic!("routes broken at {}: {e}", s.now());
+            }
+            false
+        };
+        for &at in stamps {
+            if sim.now() < at && at <= until {
+                sim.run_until_pred(at, check);
+                nemesis.run_until(sim, at);
+            }
+        }
+        sim.run_until_pred(until, check);
+        nemesis.run_until(sim, until);
+    }
+
     /// Fixed-seed CI smoke for the pipelined path: sixteen appends at a
     /// small queue depth ride through one OSD crash/restart (journal
-    /// replay on the way back). Deterministic; `ci.sh` runs exactly this.
+    /// replay on the way back), the client's routes checked after every
+    /// event. Deterministic; `ci.sh` runs exactly this.
     #[test]
     fn smoke_fixed_seed_batched_append() {
         let seed = 2017;
@@ -2367,12 +2397,10 @@ mod batched_smoke {
         );
 
         let t0 = cluster.sim.now();
+        let stamps = [SimTime(t0.0 + 500_000), SimTime(t0.0 + 3_000_000)];
         let schedule = FaultSchedule::new()
-            .at(SimTime(t0.0 + 500_000), Fault::Crash(cluster.osd_node(0)))
-            .at(
-                SimTime(t0.0 + 3_000_000),
-                Fault::Restart(cluster.osd_node(0)),
-            );
+            .at(stamps[0], Fault::Crash(cluster.osd_node(0)))
+            .at(stamps[1], Fault::Restart(cluster.osd_node(0)));
         let journals = cluster.journals().clone();
         let mon = cluster.mon();
         let mut nemesis = Nemesis::new(schedule)
@@ -2402,7 +2430,8 @@ mod batched_smoke {
                 break;
             }
             assert!(cluster.sim.now() < deadline, "batched appends hung");
-            nemesis.run_for(&mut cluster.sim, SimDuration::from_millis(200));
+            let step = SimDuration::from_millis(200);
+            run_checked(&mut nemesis, &mut cluster.sim, node, &stamps, step);
         }
         let mut positions = Vec::new();
         for (op, payload) in ops {
@@ -2417,9 +2446,11 @@ mod batched_smoke {
             positions.push((pos, payload));
         }
         while !nemesis.finished() {
-            nemesis.run_for(&mut cluster.sim, SimDuration::from_millis(500));
+            let step = SimDuration::from_millis(500);
+            run_checked(&mut nemesis, &mut cluster.sim, node, &stamps, step);
         }
-        cluster.sim.run_for(SimDuration::from_secs(2));
+        let settle = SimDuration::from_secs(2);
+        run_checked(&mut nemesis, &mut cluster.sim, node, &stamps, settle);
 
         let mut unique: Vec<u64> = positions.iter().map(|(p, _)| *p).collect();
         unique.sort_unstable();
