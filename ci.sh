@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints (warnings are errors), the one-RADOS-client,
 # no-timer-per-item, effects-not-calls, payload-is-bytes, name-held-once,
-# one-append-path, one-engine, one-encoding and forget-what-it-holds structure
-# checks, the tier-1 build + test pass
+# one-append-path, one-engine, one-encoding, forget-what-it-holds and
+# map-held-once structure checks, the tier-1 build + test pass
 # (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
@@ -67,6 +67,12 @@ done
 echo "==> an op forgets what it holds: the zlog client drops an op's reply routes through the ids the op lists, never by scanning a route table (DESIGN §23)"
 [ -z "$(grep -n '_waiting\.retain(\|_waiting\.iter()' crates/zlog/src/log.rs)" ]
 
+echo "==> a map is held once on the OSD: both maps a gossip message carries are the sender's shared handles, and nothing deep-copies the interface map (DESIGN §31)"
+gossip_fields="$(awk '/^    Gossip \{$/,/^    \},$/' crates/rados/src/osd.rs | grep -E '^        [a-z_]+: ')"
+[ "$(grep -c . <<<"$gossip_fields")" = 2 ]
+[ "$(grep -c 'Rc<' <<<"$gossip_fields")" = 2 ]
+[ -z "$(grep -n 'self\.interfaces\.clone()' crates/rados/src/osd.rs)" ]
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -108,24 +114,29 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 #                       stripe id and copied its class and method names,
 #                       DESIGN §30; 390.40 while a stored value was copied
 #                       into the VM and again into the reply, DESIGN §29),
-#                       mds_balance 3.139 (the three message boxes of a
-#                       round trip; 4.139 while the verb was a `String`);
-#                       +10 %.
-#                       append_steady 53.00 (82.45 while object ids, omap
-#                       keys, class and method names and the grant's verb
-#                       and layout were copied at every hop, DESIGN §30;
-#                       106.55 while the request was cloned per
-#                       transmission and the payload copied into the
-#                       argument, the omap and the effect; 127.64 while
-#                       each replica ran the write's class code again,
-#                       DESIGN §28); +5 %.
+#                       mds_balance 3.106 (the three message boxes of a
+#                       round trip; 3.139 while every OSD gossip message
+#                       deep-copied its maps, DESIGN §31; 4.139 while the
+#                       verb was a `String`); +10 %.
+#                       append_steady 51.82 (53.03 with the gossip copies;
+#                       82.45 while object ids, omap keys, class and
+#                       method names and the grant's verb and layout were
+#                       copied at every hop, DESIGN §30; 106.55 while the
+#                       request was cloned per transmission and the
+#                       payload copied into the argument, the omap and the
+#                       effect; 127.64 while each replica ran the write's
+#                       class code again, DESIGN §28); +5 %.
 #   host_alloc_kb_per_op  read_tail 83.29 (one copy of a 1 KiB payload
 #                       between the omap and the reader; 123.58 with
-#                       three); +10 %. append_steady 12.20 (13.11 with the
-#                       names copied; 18.07 before stored values were
-#                       shared buffers; 21.75 with the payload cloned into
-#                       every replica's message and run through the VM
-#                       there); +5 %.
+#                       three); +10 %. append_steady 11.64 (12.15 with the
+#                       gossip copies; 13.11 with the names copied; 18.07
+#                       before stored values were shared buffers; 21.75
+#                       with the payload cloned into every replica's
+#                       message and run through the VM there); +5 %.
+#                       fault_churn 16.01 (30.95 while each gossip message
+#                       to each peer deep-copied the interface map, zlog
+#                       class source included, and a re-encoded osdmap,
+#                       DESIGN §31); +10 %.
 #   host_peak_heap_mb   append_overload 29.00 (the event queue at its
 #                       fullest; 34.00 while every queued request owned a
 #                       copy of its transaction); +5 %. Scheduler
@@ -149,9 +160,10 @@ metric_at_most() {
 }
 metric_at_most read_tail host_allocs_per_op 339
 metric_at_most read_tail host_alloc_kb_per_op 91.6
-metric_at_most mds_balance host_allocs_per_op 3.45
-metric_at_most append_steady host_allocs_per_op 55.6
-metric_at_most append_steady host_alloc_kb_per_op 12.8
+metric_at_most mds_balance host_allocs_per_op 3.42
+metric_at_most append_steady host_allocs_per_op 54.4
+metric_at_most append_steady host_alloc_kb_per_op 12.2
+metric_at_most fault_churn host_alloc_kb_per_op 17.6
 metric_at_most append_overload host_peak_heap_mb 30.4
 metric_at_most append_overload sim.events_per_op 15.9
 

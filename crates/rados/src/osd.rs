@@ -119,12 +119,15 @@ pub enum OsdMsg {
         /// Echoed id.
         repl_id: u64,
     },
-    /// Peer gossip: full copies of maps newer than the receiver's.
+    /// Peer gossip: the sender's current maps, whatever the receiver
+    /// holds. Each map is the sender's own shared handle (DESIGN §31), so a
+    /// payload and its copies to every peer cost refcounts, and a receiver
+    /// already at the epoch drops its handle without reading the entries.
     Gossip {
-        /// The interfaces map `(epoch, entries)`, if carried.
-        interfaces: Option<(u64, BTreeMap<String, Vec<u8>>)>,
-        /// The osdmap `(epoch, entries)`, if carried.
-        osdmap: Option<(u64, BTreeMap<String, Vec<u8>>)>,
+        /// The interfaces map `(epoch, entries)`.
+        interfaces: (u64, Rc<BTreeMap<String, Vec<u8>>>),
+        /// The osdmap `(epoch, entries)`, encoded from the sender's view.
+        osdmap: (u64, Rc<BTreeMap<String, Vec<u8>>>),
     },
     /// Backfill: a new acting-set member asks a prior member for a PG's
     /// objects. Epoch-stamped so a source that has not yet learned the
@@ -251,9 +254,13 @@ pub struct Osd {
     store: IdMap<ObjectId, Object>,
     /// Parsed osdmap.
     map: OsdMapView,
-    /// Interfaces map (scripted classes): epoch + raw entries.
+    /// `map` as gossip carries it: encoded once per installed epoch, where
+    /// `map` is assigned, and shared by every payload built under it.
+    map_entries: Rc<BTreeMap<String, Vec<u8>>>,
+    /// Interfaces map (scripted classes): epoch + raw entries, shared with
+    /// every payload and with the peers that installed it from one.
     interfaces_epoch: u64,
-    interfaces: BTreeMap<String, Vec<u8>>,
+    interfaces: Rc<BTreeMap<String, Vec<u8>>>,
     /// Class registry (builtins + installed scripted classes).
     registry: ClassRegistry,
     /// In-flight replicated writes, by repl_id.
@@ -279,8 +286,9 @@ impl Osd {
             config,
             store: IdMap::default(),
             map: OsdMapView::default(),
+            map_entries: Rc::default(),
             interfaces_epoch: 0,
-            interfaces: BTreeMap::new(),
+            interfaces: Rc::default(),
             registry: ClassRegistry::with_builtins(),
             pending: IdMap::default(),
             next_repl_id: 1,
@@ -447,17 +455,8 @@ impl Osd {
         self.store = snapshot.store;
         if let Some((epoch, entries)) = snapshot.interfaces {
             self.interfaces_epoch = epoch;
-            self.interfaces = entries;
-            for (class, source) in self.interfaces.clone() {
-                let source = String::from_utf8_lossy(&source).into_owned();
-                if self
-                    .registry
-                    .install_scripted(&class, &source, epoch)
-                    .is_err()
-                {
-                    ctx.metrics().incr("osd.iface_install_errors", 1);
-                }
-            }
+            self.interfaces = Rc::new(entries);
+            self.install_classes(ctx);
         }
         if let Some((epoch, entries)) = snapshot.osdmap {
             // Loaded directly, without the map-change reactions: recovery
@@ -468,6 +467,7 @@ impl Osd {
                 epoch,
                 entries,
             });
+            self.map_entries = Rc::new(self.encode_osdmap_entries());
         }
         self.replies = snapshot
             .replies
@@ -524,11 +524,28 @@ impl Osd {
             .collect()
     }
 
+    /// Installs every class of the held interfaces map at its epoch,
+    /// counting the ones that do not compile.
+    fn install_classes(&mut self, ctx: &mut Context<'_>) {
+        for (class, source) in self.interfaces.iter() {
+            let source = String::from_utf8_lossy(source);
+            if self
+                .registry
+                .install_scripted(class, &source, self.interfaces_epoch)
+                .is_err()
+            {
+                ctx.metrics().incr("osd.iface_install_errors", 1);
+            }
+        }
+    }
+
+    /// Adopts `entries` as the interfaces map if `epoch` is news, holding
+    /// the handle it came in: nothing is copied but the journal's record.
     fn install_interfaces(
         &mut self,
         ctx: &mut Context<'_>,
         epoch: u64,
-        entries: BTreeMap<String, Vec<u8>>,
+        entries: Rc<BTreeMap<String, Vec<u8>>>,
     ) -> bool {
         if epoch <= self.interfaces_epoch {
             return false;
@@ -539,16 +556,10 @@ impl Osd {
         if let Some(journal) = &self.journal {
             journal.append(JournalRecord::Interfaces {
                 epoch,
-                entries: self.interfaces.clone(),
+                entries: BTreeMap::clone(&self.interfaces),
             });
         }
-        for (class, source) in self.interfaces.clone() {
-            let source = String::from_utf8_lossy(&source).into_owned();
-            if let Err(e) = self.registry.install_scripted(&class, &source, epoch) {
-                ctx.metrics().incr("osd.iface_install_errors", 1);
-                let _ = e;
-            }
-        }
+        self.install_classes(ctx);
         // Figure 8's measurement point: the update is now live here. An
         // epoch jump makes every skipped update live transitively (the
         // newer map subsumes the older ones), so record them all.
@@ -561,15 +572,18 @@ impl Osd {
         true
     }
 
+    /// Adopts the osdmap `entries` if `epoch` is news. Only then are they
+    /// read, and copied only if another holder still shares them.
     fn install_osdmap(
         &mut self,
         ctx: &mut Context<'_>,
         epoch: u64,
-        entries: BTreeMap<String, Vec<u8>>,
+        entries: Rc<BTreeMap<String, Vec<u8>>>,
     ) -> bool {
         if epoch <= self.map.epoch {
             return false;
         }
+        let entries = Rc::unwrap_or_clone(entries);
         if let Some(journal) = &self.journal {
             journal.append(JournalRecord::OsdMap {
                 epoch,
@@ -584,6 +598,7 @@ impl Osd {
                 entries,
             }),
         );
+        self.map_entries = Rc::new(self.encode_osdmap_entries());
         if self.map.skipped > 0 {
             // Surfaced exactly once per epoch per daemon: install_osdmap
             // is guarded on `epoch > self.map.epoch`, so a bad entry shows
@@ -776,16 +791,13 @@ impl Osd {
         }
     }
 
+    /// This OSD's current maps, whatever a peer holds: two refcounts. The
+    /// interfaces go as the raw entries they came as; the osdmap as the
+    /// entries encoded from the typed view when it was installed.
     fn gossip_payload(&self) -> OsdMsg {
         OsdMsg::Gossip {
-            interfaces: Some((self.interfaces_epoch, self.interfaces.clone())),
-            osdmap: Some((
-                self.map.epoch,
-                // Re-encode the view we hold; fidelity is preserved because
-                // we keep raw entries only for interfaces. For the osdmap we
-                // rebuild entries from the typed view.
-                self.encode_osdmap_entries(),
-            )),
+            interfaces: (self.interfaces_epoch, Rc::clone(&self.interfaces)),
+            osdmap: (self.map.epoch, Rc::clone(&self.map_entries)),
         }
     }
 
@@ -1142,24 +1154,24 @@ impl Actor for Osd {
                 match *mon {
                     MonMsg::Snapshot(snap) => {
                         if snap.map == SERVICE_MAP_OSD {
-                            self.install_osdmap(ctx, snap.epoch, snap.entries);
+                            self.install_osdmap(ctx, snap.epoch, Rc::new(snap.entries));
                         } else if snap.map == SERVICE_MAP_INTERFACES
-                            && self.install_interfaces(ctx, snap.epoch, snap.entries)
+                            && self.install_interfaces(ctx, snap.epoch, Rc::new(snap.entries))
                         {
                             self.push_gossip(ctx);
                         }
                     }
                     MonMsg::Changed { map, epoch, delta } => {
                         if map == SERVICE_MAP_OSD {
-                            let mut entries = self.encode_osdmap_entries();
+                            let mut entries = BTreeMap::clone(&self.map_entries);
                             apply_delta(&mut entries, delta);
-                            if self.install_osdmap(ctx, epoch, entries) {
+                            if self.install_osdmap(ctx, epoch, Rc::new(entries)) {
                                 self.push_gossip(ctx);
                             }
                         } else if map == SERVICE_MAP_INTERFACES {
-                            let mut entries = self.interfaces.clone();
+                            let mut entries = BTreeMap::clone(&self.interfaces);
                             apply_delta(&mut entries, delta);
-                            if self.install_interfaces(ctx, epoch, entries) {
+                            if self.install_interfaces(ctx, epoch, Rc::new(entries)) {
                                 self.push_gossip(ctx);
                             }
                         }
@@ -1241,14 +1253,14 @@ impl Actor for Osd {
                     }
                 }
             }
-            OsdMsg::Gossip { interfaces, osdmap } => {
-                let mut fresh = false;
-                if let Some((epoch, entries)) = osdmap {
-                    fresh |= self.install_osdmap(ctx, epoch, entries);
-                }
-                if let Some((epoch, entries)) = interfaces {
-                    fresh |= self.install_interfaces(ctx, epoch, entries);
-                }
+            OsdMsg::Gossip {
+                interfaces: (interfaces_epoch, interfaces),
+                osdmap: (map_epoch, osdmap),
+            } => {
+                // Each install compares epochs before it reads the entries:
+                // a round with no news drops two handles and copies nothing.
+                let fresh = self.install_osdmap(ctx, map_epoch, osdmap)
+                    | self.install_interfaces(ctx, interfaces_epoch, interfaces);
                 if fresh {
                     // Epidemic push: forward news immediately.
                     self.push_gossip(ctx);
@@ -1490,6 +1502,169 @@ fn apply_delta(entries: &mut BTreeMap<String, Vec<u8>>, delta: Vec<(String, Opti
             None => {
                 entries.remove(&key);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::osdmap::PoolInfo;
+    use crate::JournalSet;
+    use mala_consensus::MapUpdate;
+    use mala_sim::Sim;
+
+    type Entries = BTreeMap<String, Vec<u8>>;
+
+    const MON: NodeId = NodeId(0);
+    const OSD: NodeId = NodeId(10);
+    const PEER: NodeId = NodeId(11);
+
+    fn entries(updates: Vec<MapUpdate>) -> Entries {
+        updates
+            .into_iter()
+            .filter_map(|u| Some((u.key, u.value?)))
+            .collect()
+    }
+
+    /// OSD 0 (the one under test) and OSD 1, up or not, and one pool.
+    fn osdmap(peer_up: bool) -> Entries {
+        entries(vec![
+            OsdMapView::update_osd(0, OSD, true),
+            OsdMapView::update_osd(1, PEER, peer_up),
+            OsdMapView::update_pool(
+                "data",
+                PoolInfo {
+                    pg_num: 8,
+                    replicas: 2,
+                },
+            ),
+        ])
+    }
+
+    /// An interfaces map of one scripted class answering `reply`.
+    fn interfaces(reply: &str) -> Entries {
+        let source = format!("function get(input) return \"{reply}\" end");
+        BTreeMap::from([("kv".to_string(), source.into_bytes())])
+    }
+
+    /// OSD 0 alone in a simulation, nothing run yet; it is driven through
+    /// [`Sim::with_actor`].
+    fn sim_with(osd: Osd) -> Sim {
+        let mut sim = Sim::new(1);
+        sim.add_node(OSD, osd);
+        sim
+    }
+
+    /// Installs both maps at epoch 1, as news.
+    fn install_first_maps(sim: &mut Sim) {
+        sim.with_actor::<Osd, _>(OSD, |osd, ctx| {
+            assert!(osd.install_osdmap(ctx, 1, Rc::new(osdmap(true))));
+            assert!(osd.install_interfaces(ctx, 1, Rc::new(interfaces("v1"))));
+        });
+    }
+
+    fn counters(sim: &Sim) -> Vec<(String, u64)> {
+        let metrics = sim.metrics().counters();
+        metrics.map(|(name, n)| (name.to_string(), n)).collect()
+    }
+
+    /// The `(interfaces, osdmap)` a gossip payload carries.
+    type Maps = ((u64, Rc<Entries>), (u64, Rc<Entries>));
+
+    fn maps_of(msg: OsdMsg) -> Maps {
+        match msg {
+            OsdMsg::Gossip { interfaces, osdmap } => (interfaces, osdmap),
+            other => panic!("not gossip: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn two_payloads_at_one_epoch_share_their_maps() {
+        let mut sim = sim_with(Osd::new(0, MON, OsdConfig::default()));
+        install_first_maps(&mut sim);
+        let osd = sim.actor::<Osd>(OSD);
+        let ((interfaces_epoch, interfaces), (map_epoch, map)) = maps_of(osd.gossip_payload());
+        let ((_, interfaces_again), (_, map_again)) = maps_of(osd.gossip_payload());
+        assert_eq!((interfaces_epoch, map_epoch), (1, 1));
+        assert!(Rc::ptr_eq(&interfaces, &interfaces_again));
+        assert!(Rc::ptr_eq(&map, &map_again));
+        // They are the maps the OSD holds, not copies of them.
+        assert!(Rc::ptr_eq(&interfaces, &osd.interfaces));
+        assert!(Rc::ptr_eq(&map, &osd.map_entries));
+    }
+
+    /// Every place the view is assigned re-encodes the held entries: by
+    /// gossip, by the monitor's delta, and by a journal replay. So what
+    /// gossip carries is never a stale epoch, nor an entry the view skipped.
+    #[test]
+    fn held_entries_are_the_encoding_of_the_installed_view() {
+        let journals = JournalSet::new();
+        let journalled = || Osd::with_journal(0, MON, OsdConfig::default(), journals.journal(OSD));
+        let mut sim = sim_with(journalled());
+        install_first_maps(&mut sim);
+        let held = |sim: &Sim| {
+            let osd = sim.actor::<Osd>(OSD);
+            assert_eq!(*osd.map_entries, osd.encode_osdmap_entries());
+            let (_, (epoch, entries)) = maps_of(osd.gossip_payload());
+            assert_eq!(epoch, osd.map_epoch());
+            assert!(Rc::ptr_eq(&entries, &osd.map_entries));
+            entries
+        };
+        let first = held(&sim);
+
+        let mut next = osdmap(false);
+        next.insert("osd.x".to_string(), b"garbage".to_vec());
+        sim.with_actor::<Osd, _>(OSD, |osd, ctx| osd.install_osdmap(ctx, 2, Rc::new(next)));
+        let second = held(&sim);
+        assert!(!Rc::ptr_eq(&first, &second));
+        assert_eq!(second["osd.1"], b"node=11,up=0,weight=100");
+        assert!(!second.contains_key("osd.x"));
+
+        let update = OsdMapView::update_osd(2, NodeId(12), true);
+        let changed = MonMsg::Changed {
+            map: SERVICE_MAP_OSD.to_string(),
+            epoch: 3,
+            delta: vec![(update.key, update.value)],
+        };
+        sim.with_actor::<Osd, _>(OSD, |osd, ctx| osd.on_message(ctx, MON, Box::new(changed)));
+        let third = held(&sim);
+        assert_eq!(sim.actor::<Osd>(OSD).map_epoch(), 3);
+        assert!(third.contains_key("osd.2") && !third.contains_key("osd.x"));
+
+        sim.restart(OSD, journalled());
+        sim.step();
+        let replayed = held(&sim);
+        assert_eq!(sim.actor::<Osd>(OSD).map_epoch(), 3);
+        assert_eq!(replayed, third);
+    }
+
+    #[test]
+    fn gossip_at_an_equal_or_older_epoch_leaves_the_osd_as_it_was() {
+        let mut sim = sim_with(Osd::new(0, MON, OsdConfig::default()));
+        install_first_maps(&mut sim);
+        let osd = sim.actor::<Osd>(OSD);
+        let (held_map, held_ifaces) = (Rc::clone(&osd.map_entries), Rc::clone(&osd.interfaces));
+        let view = osd.osdmap().clone();
+        let (before, queued) = (counters(&sim), sim.queue_len());
+        for (map_epoch, interfaces_epoch) in [(1, 1), (0, 0), (1, 0), (0, 1)] {
+            let stale = OsdMsg::Gossip {
+                interfaces: (interfaces_epoch, Rc::new(interfaces("stale"))),
+                osdmap: (map_epoch, Rc::new(osdmap(false))),
+            };
+            sim.with_actor::<Osd, _>(OSD, |osd, ctx| osd.on_message(ctx, PEER, Box::new(stale)));
+            let osd = sim.actor::<Osd>(OSD);
+            assert!(Rc::ptr_eq(&osd.map_entries, &held_map));
+            assert!(Rc::ptr_eq(&osd.interfaces, &held_ifaces));
+            assert_eq!(*osd.osdmap(), view);
+            assert_eq!((osd.map_epoch(), osd.interfaces_epoch()), (1, 1));
+            assert_eq!(osd.registry().scripted_version("kv"), Some(1));
+            assert_eq!(
+                counters(&sim),
+                before,
+                "at ({map_epoch}, {interfaces_epoch})"
+            );
+            assert_eq!(sim.queue_len(), queued, "nothing sent, nothing armed");
         }
     }
 }

@@ -6,10 +6,13 @@
 //! per observation for as long as the `Sim` lives, so it is for what a
 //! figure plots over time (throughput timelines, per-client grant
 //! timelines) — record one only where something reads it back.
+//!
+//! A counter is bumped for every message the scheduler sends, so a name is
+//! found with one hash probe ([`IdMap`], eight bytes to a multiply), not a
+//! descent through sorted keys; the readers that list every metric sort by
+//! name when they read.
 
-use std::collections::BTreeMap;
-
-use crate::SimTime;
+use crate::{IdMap, SimTime};
 
 /// A single timestamped observation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,10 +26,10 @@ pub struct Sample {
 /// Metric sink shared by all actors in a simulation.
 #[derive(Debug, Default, Clone)]
 pub struct Metrics {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    series: BTreeMap<String, Vec<Sample>>,
-    hists: BTreeMap<String, Hist>,
+    counters: IdMap<Box<str>, u64>,
+    gauges: IdMap<Box<str>, f64>,
+    series: IdMap<Box<str>, Vec<Sample>>,
+    hists: IdMap<Box<str>, Hist>,
 }
 
 impl Metrics {
@@ -65,9 +68,9 @@ impl Metrics {
         self.series.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Iterates over all counter `(name, value)` pairs.
+    /// Iterates over all counter `(name, value)` pairs, in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        by_name(&self.counters).map(|(k, v)| (k, *v))
     }
 
     /// Folds `value` into the named log-scale histogram.
@@ -86,9 +89,9 @@ impl Metrics {
         self.hists.get(name)
     }
 
-    /// Iterates over all `(name, histogram)` pairs.
+    /// Iterates over all `(name, histogram)` pairs, in name order.
     pub fn hists(&self) -> impl Iterator<Item = (&str, &Hist)> {
-        self.hists.iter().map(|(k, v)| (k.as_str(), v))
+        by_name(&self.hists)
     }
 
     /// Drops every recorded metric. Used between experiment phases.
@@ -103,11 +106,18 @@ impl Metrics {
 /// Applies `f` to the value under `name`, default-created on first use.
 /// Names repeat on every event, so a hit looks up by `&str`; only the
 /// first use of a name builds the owned key.
-fn upsert<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+fn upsert<V: Default>(map: &mut IdMap<Box<str>, V>, name: &str, f: impl FnOnce(&mut V)) {
     match map.get_mut(name) {
         Some(v) => f(v),
-        None => f(map.entry(name.to_string()).or_default()),
+        None => f(map.entry(name.into()).or_default()),
     }
+}
+
+/// `map`'s entries sorted by name: a hash map's order is fixed, not sorted.
+fn by_name<V>(map: &IdMap<Box<str>, V>) -> impl Iterator<Item = (&str, &V)> {
+    let mut entries: Vec<(&str, &V)> = map.iter().map(|(k, v)| (&**k, v)).collect();
+    entries.sort_unstable_by_key(|(k, _)| *k);
+    entries.into_iter()
 }
 
 /// Sub-buckets per power of two; 4 bounds the relative quantile error at
@@ -324,6 +334,32 @@ mod tests {
         m.incr("ops", 3);
         assert_eq!(m.counter("ops"), 5);
         assert_eq!(m.counter("missing"), 0);
+    }
+
+    #[test]
+    fn counters_and_hists_read_back_in_name_order() {
+        let mut m = Metrics::new();
+        let names = [
+            "zlog.appends",
+            "osd.ops",
+            "sim.messages_sent",
+            "mds.exports",
+            "a",
+        ];
+        for (i, name) in names.iter().enumerate() {
+            m.incr(name, i as u64 + 1);
+            m.observe_hist(name, 1.0);
+        }
+        let mut sorted = names;
+        sorted.sort_unstable();
+        let counted: Vec<&str> = m.counters().map(|(name, _)| name).collect();
+        assert_eq!(counted, sorted);
+        let hists: Vec<&str> = m.hists().map(|(name, _)| name).collect();
+        assert_eq!(hists, sorted);
+        assert_eq!(
+            m.counters().find(|(name, _)| *name == "osd.ops"),
+            Some(("osd.ops", 2))
+        );
     }
 
     #[test]

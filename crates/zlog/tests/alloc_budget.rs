@@ -145,8 +145,9 @@ fn append_one(sim: &mut Sim, fill: u8) {
     assert!(matches!(res, AppendResult::Ok(ZlogOut::Pos(_))), "{res:?}");
 }
 
-/// Allocations per append this tree made when the budget was set.
-const MEASURED_PER_APPEND: f64 = 49.18;
+/// Allocations per append this tree made when the budget was set (49.18
+/// while every gossip message deep-copied the OSD's maps, DESIGN §31).
+const MEASURED_PER_APPEND: f64 = 47.88;
 
 #[test]
 fn a_steady_state_append_stays_inside_its_allocation_budget() {
