@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints (warnings are errors), the one-RADOS-client,
 # no-timer-per-item, effects-not-calls, payload-is-bytes, name-held-once,
-# one-append-path, one-engine, one-encoding, forget-what-it-holds and
-# map-held-once structure checks, the tier-1 build + test pass
+# one-append-path, one-engine, one-encoding, forget-what-it-holds,
+# map-held-once and counter-is-a-slot structure checks, the tier-1 build + test pass
 # (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
@@ -73,6 +73,13 @@ gossip_fields="$(awk '/^    Gossip \{$/,/^    \},$/' crates/rados/src/osd.rs | g
 [ "$(grep -c 'Rc<' <<<"$gossip_fields")" = 2 ]
 [ -z "$(grep -n 'self\.interfaces\.clone()' crates/rados/src/osd.rs)" ]
 
+echo "==> a counter is a slot: a literal counter name is bumped through counter!, which resolves it once per call site; incr takes only names built at run time (DESIGN §32)"
+# Whitespace is squeezed out first, so a call rustfmt breaks after `incr(`
+# is caught too.
+for file in $(find crates/*/src -name '*.rs'); do
+    [ -z "$(above_tests "$file" | tr -d ' \n' | grep -o '\.incr("[^"]*"')" ]
+done
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -114,8 +121,10 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 #                       stripe id and copied its class and method names,
 #                       DESIGN §30; 390.40 while a stored value was copied
 #                       into the VM and again into the reply, DESIGN §29),
-#                       mds_balance 3.106 (the three message boxes of a
-#                       round trip; 3.139 while every OSD gossip message
+#                       mds_balance 3.006 (the three message boxes of a
+#                       round trip; 3.106 while the sequencer client
+#                       formatted a series name for every sample it
+#                       recorded, DESIGN §32; 3.139 while every OSD gossip message
 #                       deep-copied its maps, DESIGN §31; 4.139 while the
 #                       verb was a `String`); +10 %.
 #                       append_steady 51.82 (53.03 with the gossip copies;
@@ -160,7 +169,7 @@ metric_at_most() {
 }
 metric_at_most read_tail host_allocs_per_op 339
 metric_at_most read_tail host_alloc_kb_per_op 91.6
-metric_at_most mds_balance host_allocs_per_op 3.42
+metric_at_most mds_balance host_allocs_per_op 3.31
 metric_at_most append_steady host_allocs_per_op 54.4
 metric_at_most append_steady host_alloc_kb_per_op 12.2
 metric_at_most fault_churn host_alloc_kb_per_op 17.6

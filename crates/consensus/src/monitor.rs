@@ -14,7 +14,7 @@
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use mala_sim::{Actor, Context, NodeId, SimDuration, SimTime, SpanContext};
+use mala_sim::{counter, Actor, Context, NodeId, SimDuration, SimTime, SpanContext};
 
 use crate::paxos::{Outbound, PaxosMsg, PaxosNode, ReplicaId, Slot};
 
@@ -339,7 +339,8 @@ impl Monitor {
                 && up.key.starts_with("pool.")
                 && matches!(&up.value, Some(value) if !pool_entry_is_valid(value))
             {
-                ctx.metrics().incr("mon.osdmap_rejected_updates", 1);
+                ctx.metrics()
+                    .bump(counter!("mon.osdmap_rejected_updates"), 1);
                 continue;
             }
             let snap = self
@@ -387,7 +388,7 @@ impl Monitor {
                     );
                 }
             }
-            ctx.metrics().incr("mon.map_commits", 1);
+            ctx.metrics().bump(counter!("mon.map_commits"), 1);
             let now = ctx.now();
             ctx.metrics()
                 .observe(&format!("mon.commit.{map}"), now, snap.epoch as f64);
@@ -498,7 +499,7 @@ impl Monitor {
                     &format!("standby.{}", standby.0),
                 ));
                 line = format!("mds.{rank} on {node} failed; promoting standby {standby}");
-                ctx.metrics().incr("mon.mds_failovers", 1);
+                ctx.metrics().bump(counter!("mon.mds_failovers"), 1);
             } else {
                 updates.push(MapUpdate::set(
                     SERVICE_MAP_MDS,
@@ -506,7 +507,7 @@ impl Monitor {
                     format!("node={},up=0", node.0).into_bytes(),
                 ));
                 line = format!("mds.{rank} on {node} missed beacons; marked down (no standby)");
-                ctx.metrics().incr("mon.mds_marked_down", 1);
+                ctx.metrics().bump(counter!("mon.mds_marked_down"), 1);
             }
             actions.push((rank, updates, line));
         }
@@ -550,7 +551,8 @@ impl Monitor {
         }
         self.mds_proposed.insert(key.clone(), now);
         self.submit_self(vec![MapUpdate::set(SERVICE_MAP_MDS, &key, b"1".to_vec())]);
-        ctx.metrics().incr("mon.mds_standbys_registered", 1);
+        ctx.metrics()
+            .bump(counter!("mon.mds_standbys_registered"), 1);
     }
 }
 
@@ -597,7 +599,7 @@ impl Actor for Monitor {
                 // rogue sender steer consensus (or, previously, crash the
                 // monitor). Drop it on the floor and count it.
                 let Some(rank) = self.peers.iter().position(|p| *p == from) else {
-                    ctx.metrics().incr("mon.paxos_rogue_msgs", 1);
+                    ctx.metrics().bump(counter!("mon.paxos_rogue_msgs"), 1);
                     return;
                 };
                 let rank = rank as ReplicaId;
@@ -619,7 +621,7 @@ impl Actor for Monitor {
         };
         match *msg {
             MonMsg::Submit { seq, updates } => {
-                ctx.metrics().incr("mon.submits", 1);
+                ctx.metrics().bump(counter!("mon.submits"), 1);
                 self.pending.push((from, seq, updates));
             }
             MonMsg::Get { map } => {
@@ -632,11 +634,11 @@ impl Actor for Monitor {
                 ctx.send(from, MonMsg::Snapshot(snap));
             }
             MonMsg::ClusterLog { source, line } => {
-                ctx.metrics().incr("mon.cluster_log_lines", 1);
+                ctx.metrics().bump(counter!("mon.cluster_log_lines"), 1);
                 self.cluster_log.push((ctx.now(), source, line));
             }
             MonMsg::MdsBeacon { rank } => {
-                ctx.metrics().incr("mon.mds_beacons", 1);
+                ctx.metrics().bump(counter!("mon.mds_beacons"), 1);
                 self.mds_beacons.insert(from, ctx.now());
                 if rank.is_none() {
                     self.register_standby(ctx, from);
@@ -682,7 +684,7 @@ impl Actor for Monitor {
                         let out = self.paxos.submit(batch);
                         self.ship(ctx, out);
                     }
-                    ctx.metrics().incr("mon.proposals", 1);
+                    ctx.metrics().bump(counter!("mon.proposals"), 1);
                 }
                 ctx.set_timer(self.config.proposal_interval, TIMER_PROPOSAL);
             }
@@ -699,7 +701,7 @@ impl Actor for Monitor {
                 if leaderless && !self.paxos.is_leader() {
                     let out = self.paxos.campaign();
                     self.ship(ctx, out);
-                    ctx.metrics().incr("mon.elections", 1);
+                    ctx.metrics().bump(counter!("mon.elections"), 1);
                 }
                 ctx.set_timer(patience, TIMER_ELECTION);
             }

@@ -27,7 +27,7 @@ use mala_rados::client::RETRY_TOKEN_BASE;
 use mala_rados::{ObjectId, Op, OpResult, OsdError, OsdMsg, RadosClient};
 use mala_sim::history::Recorder;
 use mala_sim::linearize::{RegOp, RegRet};
-use mala_sim::{Actor, Context, IdMap, IdSet, NodeId, SimDuration, SimTime, SpanContext};
+use mala_sim::{counter, Actor, Context, IdMap, IdSet, NodeId, SimDuration, SimTime, SpanContext};
 use rand::Rng;
 
 use crate::balancer::{BalanceView, Balancer, Export, LoadSample};
@@ -525,7 +525,7 @@ impl Mds {
             if matches!(op, SeqOp::AdvanceTo(_)) {
                 self.unsealed_seqs.remove(&ino);
             } else {
-                ctx.metrics().incr("mds.unsealed_seq_rejects", 1);
+                ctx.metrics().bump(counter!("mds.unsealed_seq_rejects"), 1);
                 return Err(MdsError::Recovering);
             }
         }
@@ -595,7 +595,7 @@ impl Mds {
             self.account_request(ino);
             let result = self.exec_type_op(ctx, ino, op);
             let rank = self.rank;
-            ctx.metrics().incr("mds.typeops", 1);
+            ctx.metrics().bump(counter!("mds.typeops"), 1);
             if result.is_err() {
                 ctx.span_tag(span, "error", "typeop failed");
             }
@@ -618,7 +618,7 @@ impl Mds {
             // occupy the server (which is what lets a proxy shovel far
             // more requests than it could fully process).
             self.account_request(ino);
-            ctx.metrics().incr("mds.proxied", 1);
+            ctx.metrics().bump(counter!("mds.proxied"), 1);
             if let Some(node) = self.mdsmap.node_of(route.auth) {
                 ctx.span_tag(span, "proxied", "true");
                 let done = ctx.now() + costs.forward;
@@ -712,7 +712,7 @@ impl Mds {
             let delay = self.enqueue(ctx.now(), cost);
             match action {
                 CapAction::Grant { to } => {
-                    ctx.metrics().incr("mds.cap_grants", 1);
+                    ctx.metrics().bump(counter!("mds.cap_grants"), 1);
                     let span = ctx.span_start("mds.cap_grant", ctx.incoming_span());
                     if let Some(rec) = &self.cap_history {
                         let id = rec.invoke(u64::from(to.0), ctx.now(), RegOp::Read { key: ino });
@@ -736,7 +736,7 @@ impl Mds {
                     );
                 }
                 CapAction::Recall { from } => {
-                    ctx.metrics().incr("mds.cap_recalls", 1);
+                    ctx.metrics().bump(counter!("mds.cap_recalls"), 1);
                     ctx.send_after(delay, from, MdsMsg::CapRecall { ino });
                 }
             }
@@ -777,7 +777,7 @@ impl Mds {
             .map(|c| c.policy())
             .unwrap_or_else(CapPolicyConfig::best_effort);
         self.frozen.insert(ino);
-        ctx.metrics().incr("mds.exports", 1);
+        ctx.metrics().bump(counter!("mds.exports"), 1);
         let now = ctx.now();
         ctx.metrics().observe("mds.export_events", now, ino as f64);
         let home = self.routes.get(&ino).map(|r| r.home).unwrap_or(self.rank);
@@ -984,7 +984,7 @@ impl Mds {
         let data = match result.map(|results| results.into_iter().next()) {
             Ok(Some(OpResult::Data(data))) => data,
             other => {
-                ctx.metrics().incr("mds.mantle_fetch_errors", 1);
+                ctx.metrics().bump(counter!("mds.mantle_fetch_errors"), 1);
                 self.forget_policy_fetch(ctx);
                 let line = format!("mantle: reading balancer policy failed: {other:?}");
                 self.cluster_log(ctx, line);
@@ -996,7 +996,7 @@ impl Mds {
         match self.balancer.install_policy(&source, version) {
             Ok(()) => {
                 self.cluster_log(ctx, format!("mantle: installed balancer v{version}"));
-                ctx.metrics().incr("mds.mantle_installs", 1);
+                ctx.metrics().bump(counter!("mds.mantle_installs"), 1);
                 // Record the active policy version: a failover replayer
                 // reinstalls from the monitor's pointer, and the journal
                 // tells it which version the dead rank was running.
@@ -1004,7 +1004,7 @@ impl Mds {
             }
             Err(e) => {
                 self.cluster_log(ctx, format!("mantle: balancer v{version} rejected: {e}"));
-                ctx.metrics().incr("mds.mantle_install_errors", 1);
+                ctx.metrics().bump(counter!("mds.mantle_install_errors"), 1);
             }
         }
     }
@@ -1055,7 +1055,7 @@ impl Mds {
             if self.journal_buf.is_empty() {
                 return;
             }
-            ctx.metrics().incr("mds.journal_flushes", 1);
+            ctx.metrics().bump(counter!("mds.journal_flushes"), 1);
             self.journal_inflight = Some(Flush {
                 data: std::mem::take(&mut self.journal_buf).into_bytes(),
                 span: ctx.span_start("mds.journal", ctx.incoming_span()),
@@ -1107,14 +1107,14 @@ impl Mds {
             // stays in doubt and its acks withheld — a replay never shows
             // an acked mutation the store lost; `TIMER_JOURNAL` submits
             // the same bytes again.
-            ctx.metrics().incr("mds.journal_flush_errors", 1);
+            ctx.metrics().bump(counter!("mds.journal_flush_errors"), 1);
             return;
         }
         let Some(flush) = self.journal_inflight.take() else {
             return;
         };
         ctx.span_end(flush.span);
-        ctx.metrics().incr("mds.journal_commits", 1);
+        ctx.metrics().bump(counter!("mds.journal_commits"), 1);
         for (delay, to, msg) in flush.replies {
             ctx.send_after(delay, to, msg);
         }
@@ -1132,7 +1132,7 @@ impl Mds {
             // Anything else says nothing about the journal: the daemon
             // stays un-ready and `TIMER_JOURNAL` submits the read again.
             Ok(_) | Err(_) => {
-                ctx.metrics().incr("mds.journal_read_errors", 1);
+                ctx.metrics().bump(counter!("mds.journal_read_errors"), 1);
                 return;
             }
         };
@@ -1142,7 +1142,8 @@ impl Mds {
                 // A corrupt journal must degrade the rank into recovery,
                 // never abort the daemon: keep the clean prefix, surface
                 // the rest.
-                ctx.metrics().incr("mds.journal_corrupt_replays", 1);
+                ctx.metrics()
+                    .bump(counter!("mds.journal_corrupt_replays"), 1);
                 self.cluster_log(ctx, format!("journal corrupt: {err}"));
                 err.recovered
             }
@@ -1156,7 +1157,7 @@ impl Mds {
         for ino in self.namespace.inodes_of_type(&FileType::Sequencer) {
             if !self.seq_layouts.contains_key(&ino) {
                 self.unsealed_seqs.insert(ino);
-                ctx.metrics().incr("mds.unsealed_seq_replays", 1);
+                ctx.metrics().bump(counter!("mds.unsealed_seq_replays"), 1);
             }
         }
         self.replayed_mantle_version = replay.mantle_version;
@@ -1173,9 +1174,9 @@ impl Mds {
                 CapState::reconnect(CapPolicyConfig::best_effort(), holder, now),
             );
             ctx.send(holder, MdsMsg::CapRecall { ino });
-            ctx.metrics().incr("mds.reconnect_recalls", 1);
+            ctx.metrics().bump(counter!("mds.reconnect_recalls"), 1);
         }
-        ctx.metrics().incr("mds.journal_replays", 1);
+        ctx.metrics().bump(counter!("mds.journal_replays"), 1);
         if !self.seq_layouts.is_empty() {
             self.start_seals(ctx, self.seq_layouts.clone());
         }
@@ -1240,7 +1241,7 @@ impl Mds {
         self.journal_oid = journal_oid_of(rank);
         self.ready = false;
         self.namespace = Namespace::new();
-        ctx.metrics().incr("mds.takeovers", 1);
+        ctx.metrics().bump(counter!("mds.takeovers"), 1);
         let me = ctx.me().0;
         self.cluster_log(ctx, format!("standby {me} taking over rank {rank}"));
         if self.config.journal {
@@ -1272,7 +1273,7 @@ impl Mds {
         self.forget_policy_fetch(ctx);
         self.drop_store_routes(ctx, |_| true);
         self.stashed.clear();
-        ctx.metrics().incr("mds.deposed", 1);
+        ctx.metrics().bump(counter!("mds.deposed"), 1);
     }
 
     fn reply_unavailable(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: &MdsMsg) {
@@ -1461,7 +1462,7 @@ impl Mds {
                 // No OSD placed, the client's deadline passed, or the class
                 // is not installed yet: the stripe stays unanswered and
                 // `TIMER_SEAL` submits its seal again.
-                ctx.metrics().incr("mds.seal_call_errors", 1);
+                ctx.metrics().bump(counter!("mds.seal_call_errors"), 1);
                 return;
             }
         }
@@ -1499,7 +1500,7 @@ impl Mds {
                 self.flush_journal(ctx);
             }
         }
-        ctx.metrics().incr("mds.seq_seals", 1);
+        ctx.metrics().bump(counter!("mds.seq_seals"), 1);
         self.cluster_log(
             ctx,
             format!("sealed log {name} at epoch {epoch}, tail resumes at {store_tail}"),
@@ -1605,7 +1606,7 @@ impl Mds {
                     (rec.clone(), rec.invoke(u64::from(from.0), ctx.now(), op))
                 });
                 if known && holder != Some(from) {
-                    ctx.metrics().incr("mds.stale_releases", 1);
+                    ctx.metrics().bump(counter!("mds.stale_releases"), 1);
                     if let Some((rec, id)) = hist {
                         rec.fail(id, ctx.now(), "stale release rejected");
                     }
@@ -1667,7 +1668,7 @@ impl Mds {
                 // `recovering_seqs`, so grants keep answering
                 // `Recovering` with no window for a double issue.
                 if self.unsealed_seqs.remove(&ino) {
-                    ctx.metrics().incr("mds.late_layout_seals", 1);
+                    ctx.metrics().bump(counter!("mds.late_layout_seals"), 1);
                     self.start_seals(ctx, [(ino, layout)]);
                 }
             }
@@ -1767,7 +1768,7 @@ impl Actor for Mds {
                             style,
                         };
                         self.broadcast_route(ctx, ino, route);
-                        ctx.metrics().incr("mds.imports", 1);
+                        ctx.metrics().bump(counter!("mds.imports"), 1);
                         ctx.send(from, MdsPeer::ExportAck { ino });
                     }
                     MdsPeer::ExportAck { ino } => {
@@ -1876,7 +1877,7 @@ impl Actor for Mds {
             }
             TIMER_MANTLE_TIMEOUT if self.mantle_fetch_deadline.is_some_and(|d| ctx.now() >= d) => {
                 // §5.1.2: the synchronous policy read gave up.
-                ctx.metrics().incr("mds.mantle_fetch_timeouts", 1);
+                ctx.metrics().bump(counter!("mds.mantle_fetch_timeouts"), 1);
                 self.forget_policy_fetch(ctx);
                 let line = "mantle: Connection Timeout reading balancer policy";
                 self.cluster_log(ctx, line.to_string());

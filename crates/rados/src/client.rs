@@ -7,7 +7,9 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use mala_consensus::{MonMsg, SERVICE_MAP_OSD};
-use mala_sim::{Actor, Context, Deadlines, IdMap, NodeId, Sim, SimDuration, SimTime, SpanContext};
+use mala_sim::{
+    counter, Actor, Context, Deadlines, IdMap, NodeId, Sim, SimDuration, SimTime, SpanContext,
+};
 
 use crate::object::ObjectId;
 use crate::ops::{OpResult, OsdError, Transaction};
@@ -166,7 +168,7 @@ impl RadosClient {
             ctx.span_tag(span, "cancelled", "true");
             ctx.span_end(span);
         }
-        ctx.metrics().incr("client.cancelled", 1);
+        ctx.metrics().bump(counter!("client.cancelled"), 1);
     }
 
     /// Completes `reqid` and drops its retransmit deadline.
@@ -189,9 +191,9 @@ impl RadosClient {
         }
         ctx.metrics()
             .observe_hist("client.latency_us", latency.as_micros() as f64);
-        ctx.metrics().incr("client.completed", 1);
+        ctx.metrics().bump(counter!("client.completed"), 1);
         if matches!(result, Err(OsdError::Timeout)) {
-            ctx.metrics().incr("client.timeouts", 1);
+            ctx.metrics().bump(counter!("client.timeouts"), 1);
         }
         self.completed.insert(
             reqid,
@@ -214,7 +216,7 @@ impl RadosClient {
         inflight.attempts += 1;
         let attempts = inflight.attempts;
         if attempts > 1 {
-            ctx.metrics().incr("client.retries", 1);
+            ctx.metrics().bump(counter!("client.retries"), 1);
         }
         let req = Rc::clone(&inflight.req);
         let span = inflight.span;
@@ -224,7 +226,7 @@ impl RadosClient {
         // caller must see now — blocking until the deadline just converts
         // an operator-visible state into an opaque timeout.
         if self.map.epoch > 0 && acting.as_ref().is_some_and(|set| set.is_empty()) {
-            ctx.metrics().incr("client.no_osds_up", 1);
+            ctx.metrics().bump(counter!("client.no_osds_up"), 1);
             self.complete(ctx, reqid, Err(OsdError::NoOsdsUp));
             return;
         }
@@ -352,7 +354,8 @@ impl Actor for RadosClient {
                 if let Some(inflight) = self.inflight.get_mut(&reqid) {
                     inflight.blocked_on_epoch = Some(current - 1);
                 }
-                ctx.metrics().incr("client.stale_epoch_retries", 1);
+                ctx.metrics()
+                    .bump(counter!("client.stale_epoch_retries"), 1);
                 ctx.send(
                     self.monitor,
                     MonMsg::Get {

@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
 use mala_consensus::{MonMsg, SERVICE_MAP_INTERFACES, SERVICE_MAP_OSD};
-use mala_sim::{Actor, Context, IdMap, NodeId, SimDuration, SpanContext};
+use mala_sim::{counter, Actor, Context, IdMap, NodeId, SimDuration, SpanContext};
 use rand::seq::SliceRandom;
 
 use crate::class::ClassRegistry;
@@ -482,7 +482,7 @@ impl Osd {
                 )
             })
             .collect();
-        ctx.metrics().incr("osd.journal_replays", 1);
+        ctx.metrics().bump(counter!("osd.journal_replays"), 1);
         let now = ctx.now();
         ctx.metrics()
             .observe("osd.journal_replay_objects", now, self.store.len() as f64);
@@ -534,7 +534,7 @@ impl Osd {
                 .install_scripted(class, &source, self.interfaces_epoch)
                 .is_err()
             {
-                ctx.metrics().incr("osd.iface_install_errors", 1);
+                ctx.metrics().bump(counter!("osd.iface_install_errors"), 1);
             }
         }
     }
@@ -568,7 +568,7 @@ impl Osd {
             ctx.metrics()
                 .observe(&format!("osd.iface_live.e{e}"), now, f64::from(self.id));
         }
-        ctx.metrics().incr("osd.iface_installs", 1);
+        ctx.metrics().bump(counter!("osd.iface_installs"), 1);
         true
     }
 
@@ -605,7 +605,7 @@ impl Osd {
             // up here the first time each daemon adopts the epoch carrying
             // it — visible without flooding on every gossip exchange.
             ctx.metrics()
-                .incr("rados.osdmap_skipped_entries", self.map.skipped);
+                .bump(counter!("rados.osdmap_skipped_entries"), self.map.skipped);
             let now = ctx.now();
             ctx.metrics().observe(
                 &format!("rados.osdmap_skipped.e{epoch}"),
@@ -668,7 +668,7 @@ impl Osd {
             .collect();
         dropped.sort();
         for key in dropped {
-            ctx.metrics().incr("osd.backfill_dropped", 1);
+            ctx.metrics().bump(counter!("osd.backfill_dropped"), 1);
             self.finish_backfill(ctx, key, &[]);
         }
         // Backfill: for every pool/PG where I am now acting but was not
@@ -715,7 +715,7 @@ impl Osd {
                 let sources = source_candidates(self.id, &before_set, &now_set, &up);
                 if sources.is_empty() {
                     // Nobody holds a copy we could pull; serve as-is.
-                    ctx.metrics().incr("osd.backfill_no_source", 1);
+                    ctx.metrics().bump(counter!("osd.backfill_no_source"), 1);
                     continue;
                 }
                 self.backfills.insert(
@@ -727,7 +727,7 @@ impl Osd {
                         deferred: Vec::new(),
                     },
                 );
-                ctx.metrics().incr("osd.backfills_started", 1);
+                ctx.metrics().bump(counter!("osd.backfills_started"), 1);
                 self.send_backfill_pull(ctx, &key);
             }
         }
@@ -754,7 +754,7 @@ impl Osd {
                     epoch,
                 },
             );
-            ctx.metrics().incr("osd.recovery_pulls", 1);
+            ctx.metrics().bump(counter!("osd.recovery_pulls"), 1);
         }
     }
 
@@ -784,7 +784,8 @@ impl Osd {
                     d.from,
                     OsdMsg::ReplAck { repl_id: d.repl_id },
                 );
-                ctx.metrics().incr("osd.backfill_deduped_repls", 1);
+                ctx.metrics()
+                    .bump(counter!("osd.backfill_deduped_repls"), 1);
             } else {
                 self.handle_repl(ctx, d);
             }
@@ -858,11 +859,11 @@ impl Osd {
             Some(DupState::Done(result)) => {
                 let msg = reply(self, result.clone());
                 ctx.send_after(self.config.service_time, from, msg);
-                ctx.metrics().incr("osd.dup_requests", 1);
+                ctx.metrics().bump(counter!("osd.dup_requests"), 1);
                 return;
             }
             Some(DupState::InFlight) => {
-                ctx.metrics().incr("osd.dup_requests", 1);
+                ctx.metrics().bump(counter!("osd.dup_requests"), 1);
                 // Re-drive replication: the original Repl (or its ack) may
                 // have died with a crashed replica. Replicas dedup by
                 // (client, reqid), so re-sending is safe.
@@ -903,7 +904,7 @@ impl Osd {
                 }),
             );
             ctx.send(from, msg);
-            ctx.metrics().incr("osd.stale_epoch_rejects", 1);
+            ctx.metrics().bump(counter!("osd.stale_epoch_rejects"), 1);
             return;
         }
         let Some(info) = self.map.pools.get(&*oid.pool).copied() else {
@@ -919,7 +920,7 @@ impl Osd {
         if acting.first() != Some(&self.id) {
             let msg = reply(self, Err(OsdError::NotPrimary));
             ctx.send(from, msg);
-            ctx.metrics().incr("osd.not_primary_rejects", 1);
+            ctx.metrics().bump(counter!("osd.not_primary_rejects"), 1);
             return;
         }
         if self.backfill_of(oid).is_some() {
@@ -929,7 +930,7 @@ impl Osd {
             // remap, measured by the elastic benchmark.
             let msg = reply(self, Err(OsdError::NotReady));
             ctx.send(from, msg);
-            ctx.metrics().incr("osd.backfill_rejects", 1);
+            ctx.metrics().bump(counter!("osd.backfill_rejects"), 1);
             return;
         }
         // The admitted op's span, parented under whatever travelled with
@@ -946,10 +947,11 @@ impl Osd {
             let jspan = ctx.span_start("osd.journal_commit", Some(op_span));
             let done_at = ctx.now() + self.config.service_time;
             ctx.span_end_at(jspan, done_at);
-            ctx.metrics().incr("osd.journal_commits", 1);
-            ctx.metrics().incr("osd.txn_ops", txn.len() as u64);
+            ctx.metrics().bump(counter!("osd.journal_commits"), 1);
+            ctx.metrics()
+                .bump(counter!("osd.txn_ops"), txn.len() as u64);
         }
-        ctx.metrics().incr("osd.ops", 1);
+        ctx.metrics().bump(counter!("osd.ops"), 1);
         // Log-entry reads served by this OSD, counted per position: a
         // vectored `read_batch` covering k positions bumps this by k while
         // costing one round trip, so reads_served / rados.read_batch_ops
@@ -974,7 +976,7 @@ impl Osd {
             })
             .sum::<u64>();
         if reads > 0 {
-            ctx.metrics().incr("osd.reads_served", reads);
+            ctx.metrics().bump(counter!("osd.reads_served"), reads);
         }
         match result {
             Ok(results) => {
@@ -1070,7 +1072,7 @@ impl Osd {
             .get(&origin_client)
             .is_some_and(|w| w.contains_key(&origin_reqid));
         if applied {
-            ctx.metrics().incr("osd.dup_repls", 1);
+            ctx.metrics().bump(counter!("osd.dup_repls"), 1);
         } else {
             let parent = ctx.incoming_span();
             let jspan = ctx.span_start("osd.repl_journal", parent);
@@ -1214,7 +1216,8 @@ impl Actor for Osd {
                 };
                 if let Some(backfill) = self.backfill_of(&oid) {
                     backfill.deferred.push(repl);
-                    ctx.metrics().incr("osd.backfill_deferred_repls", 1);
+                    ctx.metrics()
+                        .bump(counter!("osd.backfill_deferred_repls"), 1);
                 } else {
                     self.handle_repl(ctx, repl);
                 }
@@ -1278,14 +1281,16 @@ impl Actor for Osd {
                 // retries against rotated sources.
                 if self.map.epoch < epoch || self.backfills.contains_key(&(pool.clone(), pg_index))
                 {
-                    ctx.metrics().incr("osd.backfill_pulls_unserved", 1);
+                    ctx.metrics()
+                        .bump(counter!("osd.backfill_pulls_unserved"), 1);
                     return;
                 }
                 let objects = self.objects_in_pg(&pool, pg_index);
                 let bytes: u64 = objects.iter().map(|(_, obj)| object_bytes(obj)).sum();
                 ctx.metrics()
-                    .incr("osd.backfill_objects_sent", objects.len() as u64);
-                ctx.metrics().incr("osd.backfill_bytes_sent", bytes);
+                    .bump(counter!("osd.backfill_objects_sent"), objects.len() as u64);
+                ctx.metrics()
+                    .bump(counter!("osd.backfill_bytes_sent"), bytes);
                 // Ship the reply window too: it tells the puller which
                 // replicated writes the snapshot already contains (the
                 // PG-log role in Ceph's backfill).
@@ -1327,13 +1332,13 @@ impl Actor for Osd {
                 if !live {
                     // A push for a backfill we no longer run (superseded
                     // epoch, duplicate source reply, or already finished).
-                    ctx.metrics().incr("osd.backfill_stale_pushes", 1);
+                    ctx.metrics().bump(counter!("osd.backfill_stale_pushes"), 1);
                     return;
                 }
                 let bytes: u64 = objects.iter().map(|(_, obj)| object_bytes(obj)).sum();
                 ctx.metrics()
-                    .incr("osd.backfill_objects", objects.len() as u64);
-                ctx.metrics().incr("osd.backfill_bytes", bytes);
+                    .bump(counter!("osd.backfill_objects"), objects.len() as u64);
+                ctx.metrics().bump(counter!("osd.backfill_bytes"), bytes);
                 // The snapshot is authoritative: the source held the PG
                 // before the remap, so its copy supersedes anything this
                 // newcomer might hold from an earlier tenure.
@@ -1341,13 +1346,14 @@ impl Actor for Osd {
                     self.install_object(oid, obj);
                 }
                 self.finish_backfill(ctx, key, &applied);
-                ctx.metrics().incr("osd.backfills_completed", 1);
+                ctx.metrics().bump(counter!("osd.backfills_completed"), 1);
             }
             OsdMsg::PgPush { objects } => {
                 for (oid, obj) in objects {
                     self.install_object(oid, obj);
                 }
-                ctx.metrics().incr("osd.recovery_pushes_applied", 1);
+                ctx.metrics()
+                    .bump(counter!("osd.recovery_pushes_applied"), 1);
             }
             OsdMsg::ScrubCheck {
                 pool,
@@ -1382,7 +1388,7 @@ impl Actor for Osd {
                     .filter_map(|oid| self.store.get(oid).map(|o| (oid.clone(), o.clone())))
                     .collect();
                 ctx.metrics()
-                    .incr("osd.scrub_repairs", repaired.len() as u64);
+                    .bump(counter!("osd.scrub_repairs"), repaired.len() as u64);
                 ctx.send(from, OsdMsg::PgPush { objects: repaired });
             }
             OsdMsg::ClientReply { .. } => {}
@@ -1423,11 +1429,11 @@ impl Actor for Osd {
                 finished.sort();
                 pulls.sort();
                 for key in finished {
-                    ctx.metrics().incr("osd.backfill_aborted", 1);
+                    ctx.metrics().bump(counter!("osd.backfill_aborted"), 1);
                     self.finish_backfill(ctx, key, &[]);
                 }
                 for key in pulls {
-                    ctx.metrics().incr("osd.backfill_retries", 1);
+                    ctx.metrics().bump(counter!("osd.backfill_retries"), 1);
                     self.send_backfill_pull(ctx, &key);
                 }
                 ctx.set_timer(self.config.backfill_retry_interval, TIMER_BACKFILL);
@@ -1461,7 +1467,7 @@ impl Actor for Osd {
                                 );
                             }
                         }
-                        ctx.metrics().incr("osd.scrubs", 1);
+                        ctx.metrics().bump(counter!("osd.scrubs"), 1);
                     }
                 }
                 if let Some(interval) = self.config.scrub_interval {

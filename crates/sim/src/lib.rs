@@ -57,7 +57,7 @@ mod sched;
 pub use actor::{Actor, Context, TimerHandle};
 pub use deadlines::Deadlines;
 pub use idmap::{IdMap, IdSet};
-pub use metrics::{Hist, Metrics};
+pub use metrics::{CounterName, Hist, Metrics};
 pub use nemesis::{Fault, FaultSchedule, FaultTargets, Nemesis};
 pub use net::{NetConfig, Network};
 pub use sched::Sim;

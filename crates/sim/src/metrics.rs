@@ -7,12 +7,109 @@
 //! figure plots over time (throughput timelines, per-client grant
 //! timelines) — record one only where something reads it back.
 //!
-//! A counter is bumped for every message the scheduler sends, so a name is
-//! found with one hash probe ([`IdMap`], eight bytes to a multiply), not a
-//! descent through sorted keys; the readers that list every metric sort by
-//! name when they read.
+//! A counter is bumped for every message the scheduler sends, so a counter
+//! is a slot (DESIGN §32). The process numbers each counter name once, in
+//! one registry, and each [`counter!`] call site caches its name's number:
+//! after the first bump, a bump indexes a vector. [`Metrics::incr`] takes a
+//! name built at run time and finds its slot with one hash probe. Gauges,
+//! series and histograms are rarer and stay keyed by name ([`IdMap`]).
+//! Slot numbers follow the process's first-use order, not the run's, so
+//! every reader that lists metrics sorts them by name.
+
+use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crate::{IdMap, SimTime};
+
+/// The [`CounterName`] of a literal name, held in a `static` at the call
+/// site, so the name is resolved to its slot once per site:
+///
+/// ```
+/// use mala_sim::{counter, Metrics};
+///
+/// let mut m = Metrics::new();
+/// m.bump(counter!("osd.ops"), 1);
+/// assert_eq!(m.counter("osd.ops"), 1);
+/// ```
+#[macro_export]
+macro_rules! counter {
+    ($name:literal) => {{
+        static NAME: $crate::metrics::CounterName = $crate::metrics::CounterName::new($name);
+        &NAME
+    }};
+}
+
+/// Marks a [`CounterName`] whose slot has not been looked up yet.
+const UNRESOLVED: u32 = u32::MAX;
+
+/// A counter's name and, once it has been used, its slot. Build one with
+/// [`counter!`].
+#[derive(Debug)]
+pub struct CounterName {
+    name: &'static str,
+    slot: AtomicU32,
+}
+
+impl CounterName {
+    /// A name whose slot is looked up on its first bump.
+    pub const fn new(name: &'static str) -> CounterName {
+        CounterName {
+            name,
+            slot: AtomicU32::new(UNRESOLVED),
+        }
+    }
+
+    /// The Acquire load pairs with `resolve`'s Release store: a thread that
+    /// sees a slot also sees the registry entry that numbered it.
+    #[inline]
+    fn slot(&self) -> usize {
+        match self.slot.load(Ordering::Acquire) {
+            UNRESOLVED => self.resolve(),
+            slot => slot as usize,
+        }
+    }
+
+    #[cold]
+    fn resolve(&self) -> usize {
+        let (_, slot) = intern(self.name, || self.name);
+        self.slot.store(slot, Ordering::Release);
+        slot as usize
+    }
+}
+
+/// The process's counter names, numbered in the order they were first used.
+#[derive(Default)]
+struct Registry {
+    slots: IdMap<&'static str, u32>,
+    names: Vec<&'static str>,
+}
+
+fn registry() -> MutexGuard<'static, Registry> {
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+    REGISTRY
+        .get_or_init(Mutex::default)
+        .lock()
+        .expect("a thread panicked while it held the counter registry")
+}
+
+/// `name`'s slot, numbering it if the process has not seen it. `keep`
+/// gives the registry a name of its own; it runs once per name.
+fn intern(name: &str, keep: impl FnOnce() -> &'static str) -> (&'static str, u32) {
+    let mut registry = registry();
+    if let Some((&kept, &slot)) = registry.slots.get_key_value(name) {
+        return (kept, slot);
+    }
+    let kept = keep();
+    let slot = u32::try_from(registry.names.len())
+        .ok()
+        .filter(|&slot| slot != UNRESOLVED)
+        .expect("more than u32::MAX - 1 counter names");
+    registry.names.push(kept);
+    registry.slots.insert(kept, slot);
+    (kept, slot)
+}
 
 /// A single timestamped observation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,9 +121,12 @@ pub struct Sample {
 }
 
 /// Metric sink shared by all actors in a simulation.
-#[derive(Debug, Default, Clone)]
+#[derive(Default, Clone)]
 pub struct Metrics {
-    counters: IdMap<Box<str>, u64>,
+    /// Counter values by slot; `None` if this sink never bumped it.
+    counts: Vec<Option<u64>>,
+    /// Slots of the names [`Metrics::incr`] has been given.
+    by_name: IdMap<&'static str, u32>,
     gauges: IdMap<Box<str>, f64>,
     series: IdMap<Box<str>, Vec<Sample>>,
     hists: IdMap<Box<str>, Hist>,
@@ -38,14 +138,56 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Adds `delta` to the named counter.
-    pub fn incr(&mut self, name: &str, delta: u64) {
-        upsert(&mut self.counters, name, |c| *c += delta);
+    /// Adds `delta` to the counter `name`, a [`counter!`]: the way to bump
+    /// a counter whose name is a literal.
+    #[inline]
+    pub fn bump(&mut self, name: &CounterName, delta: u64) {
+        self.add(name.slot(), delta);
     }
 
-    /// Reads a counter, zero if never written.
+    /// Adds `delta` to the named counter, for a name built at run time:
+    /// one hash probe once this sink has seen the name.
+    pub fn incr(&mut self, name: &str, delta: u64) {
+        let slot = match self.by_name.get(name) {
+            Some(&slot) => slot,
+            None => self.learn(name),
+        };
+        self.add(slot as usize, delta);
+    }
+
+    /// The first `incr` of `name` on this sink. A name the process has not
+    /// seen is kept by leaking one copy, once per process: the program
+    /// builds a few dozen.
+    #[cold]
+    fn learn(&mut self, name: &str) -> u32 {
+        let (kept, slot) = intern(name, || Box::leak(name.into()));
+        self.by_name.insert(kept, slot);
+        slot
+    }
+
+    #[inline]
+    fn add(&mut self, slot: usize, delta: u64) {
+        match self.counts.get_mut(slot) {
+            Some(count) => *count = Some(count.unwrap_or(0) + delta),
+            None => self.grow(slot, delta),
+        }
+    }
+
+    #[cold]
+    fn grow(&mut self, slot: usize, delta: u64) {
+        self.counts.resize(slot + 1, None);
+        self.counts[slot] = Some(delta);
+    }
+
+    /// Reads a counter, zero if never written. Reading never numbers a
+    /// name.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        let slot = match self.by_name.get(name) {
+            Some(&slot) => Some(slot),
+            None => registry().slots.get(name).copied(),
+        };
+        slot.and_then(|slot| *self.counts.get(slot as usize)?)
+            .unwrap_or(0)
     }
 
     /// Sets the named gauge to `value`.
@@ -70,7 +212,15 @@ impl Metrics {
 
     /// Iterates over all counter `(name, value)` pairs, in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        by_name(&self.counters).map(|(k, v)| (k, *v))
+        let registry = registry();
+        let mut entries: Vec<(&str, u64)> = self
+            .counts
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, count)| Some((registry.names[slot], (*count)?)))
+            .collect();
+        entries.sort_unstable_by_key(|(name, _)| *name);
+        entries.into_iter()
     }
 
     /// Folds `value` into the named log-scale histogram.
@@ -96,10 +246,22 @@ impl Metrics {
 
     /// Drops every recorded metric. Used between experiment phases.
     pub fn clear(&mut self) {
-        self.counters.clear();
+        self.counts.clear();
         self.gauges.clear();
         self.series.clear();
         self.hists.clear();
+    }
+}
+
+/// Every metric by name: slot order is the process's, not the run's.
+impl fmt::Debug for Metrics {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Metrics")
+            .field("counters", &self.counters().collect::<BTreeMap<_, _>>())
+            .field("gauges", &by_name(&self.gauges).collect::<BTreeMap<_, _>>())
+            .field("series", &by_name(&self.series).collect::<BTreeMap<_, _>>())
+            .field("hists", &self.hists().collect::<BTreeMap<_, _>>())
+            .finish()
     }
 }
 
@@ -330,10 +492,99 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut m = Metrics::new();
-        m.incr("ops", 2);
-        m.incr("ops", 3);
+        m.bump(counter!("ops"), 2);
+        m.bump(counter!("ops"), 3);
         assert_eq!(m.counter("ops"), 5);
         assert_eq!(m.counter("missing"), 0);
+    }
+
+    fn slot_of(name: &str) -> Option<u32> {
+        registry().slots.get(name).copied()
+    }
+
+    #[test]
+    fn a_name_is_one_counter_however_it_is_bumped() {
+        let mut m = Metrics::new();
+        m.bump(counter!("metrics.test.one_counter"), 1);
+        m.bump(counter!("metrics.test.one_counter"), 10);
+        m.incr("metrics.test.one_counter", 100);
+        m.incr(&format!("metrics.test.{}", "one_counter"), 1000);
+        assert_eq!(m.counter("metrics.test.one_counter"), 1111);
+        let listed: Vec<_> = m.counters().collect();
+        assert_eq!(listed, [("metrics.test.one_counter", 1111)]);
+    }
+
+    #[test]
+    fn counters_list_in_name_order_whatever_the_slot_order() {
+        let mut m = Metrics::new();
+        m.bump(counter!("metrics.test.order_z"), 3);
+        m.incr("metrics.test.order_m", 2);
+        m.bump(counter!("metrics.test.order_a"), 0);
+        let (z, a) = (
+            slot_of("metrics.test.order_z"),
+            slot_of("metrics.test.order_a"),
+        );
+        assert!(z < a, "the names were numbered in bump order");
+        let listed: Vec<_> = m.counters().collect();
+        assert_eq!(
+            listed,
+            [
+                ("metrics.test.order_a", 0),
+                ("metrics.test.order_m", 2),
+                ("metrics.test.order_z", 3)
+            ]
+        );
+        let debug = format!("{m:?}");
+        let at = |name: &str| debug.find(name).unwrap();
+        assert!(at("order_a") < at("order_m") && at("order_m") < at("order_z"));
+    }
+
+    #[test]
+    fn reading_a_name_numbers_nothing() {
+        let mut m = Metrics::new();
+        m.bump(counter!("metrics.test.read_known"), 1);
+        assert_eq!(m.counter("metrics.test.never"), 0);
+        assert_eq!(slot_of("metrics.test.never"), None);
+        assert_eq!(Metrics::new().counter("metrics.test.read_known"), 0);
+        assert_eq!(m.counters().count(), 1);
+    }
+
+    #[test]
+    fn two_sinks_are_independent_across_threads() {
+        fn bump(m: &mut Metrics, delta: u64) {
+            m.bump(counter!("metrics.test.across_threads"), delta);
+        }
+        let mut here = Metrics::new();
+        // The name is first resolved on the other thread.
+        let there = std::thread::spawn(|| {
+            let mut there = Metrics::new();
+            bump(&mut there, 5);
+            there.incr("metrics.test.by_name_across_threads", 7);
+            there
+        })
+        .join()
+        .unwrap();
+        bump(&mut here, 2);
+        assert_eq!(here.counter("metrics.test.across_threads"), 2);
+        assert_eq!(there.counter("metrics.test.across_threads"), 5);
+        assert_eq!(here.counter("metrics.test.by_name_across_threads"), 0);
+        assert_eq!(there.counter("metrics.test.by_name_across_threads"), 7);
+        here.incr("metrics.test.by_name_across_threads", 1);
+        assert_eq!(here.counter("metrics.test.by_name_across_threads"), 1);
+        assert_eq!(there.counter("metrics.test.by_name_across_threads"), 7);
+    }
+
+    #[test]
+    fn a_bump_after_clear_counts_from_zero() {
+        let mut m = Metrics::new();
+        m.bump(counter!("metrics.test.cleared"), 4);
+        m.incr("metrics.test.cleared_by_name", 4);
+        m.clear();
+        assert_eq!(m.counters().count(), 0);
+        m.bump(counter!("metrics.test.cleared"), 1);
+        m.incr("metrics.test.cleared_by_name", 2);
+        assert_eq!(m.counter("metrics.test.cleared"), 1);
+        assert_eq!(m.counter("metrics.test.cleared_by_name"), 2);
     }
 
     #[test]
@@ -406,7 +657,7 @@ mod tests {
     #[test]
     fn clear_resets() {
         let mut m = Metrics::new();
-        m.incr("a", 1);
+        m.bump(counter!("a"), 1);
         m.observe("b", SimTime(0), 1.0);
         m.observe_hist("c", 5.0);
         m.clear();

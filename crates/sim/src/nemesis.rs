@@ -18,7 +18,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::net::NetConfig;
-use crate::{NodeId, Sim, SimDuration, SimTime};
+use crate::{counter, NodeId, Sim, SimDuration, SimTime};
 
 /// One injectable fault.
 #[derive(Debug, Clone, PartialEq)]
@@ -434,7 +434,7 @@ impl Nemesis {
         match &self.actions[idx].1 {
             Action::Apply(fault) => {
                 let fault = fault.clone();
-                sim.metrics_mut().incr("nemesis.faults", 1);
+                sim.metrics_mut().bump(counter!("nemesis.faults"), 1);
                 sim.metrics_mut()
                     .incr(&format!("nemesis.{}", fault.kind()), 1);
                 sim.metrics_mut()

@@ -6,11 +6,9 @@
 //! All randomness comes from the simulator's seeded RNG so runs are
 //! deterministic.
 
-use std::collections::HashSet;
-
 use rand::Rng;
 
-use crate::{NodeId, SimDuration};
+use crate::{IdSet, NodeId, SimDuration};
 
 /// Static configuration of the network model.
 #[derive(Debug, Clone)]
@@ -65,9 +63,10 @@ pub enum Delivery {
 pub struct Network {
     config: NetConfig,
     /// Unordered pairs of nodes that cannot currently exchange messages.
-    severed: HashSet<(NodeId, NodeId)>,
+    /// Only ever probed, never iterated.
+    severed: IdSet<(NodeId, NodeId)>,
     /// Nodes whose links are all severed (crashed-network style isolation).
-    isolated: HashSet<NodeId>,
+    isolated: IdSet<NodeId>,
 }
 
 impl Network {
@@ -75,8 +74,8 @@ impl Network {
     pub fn new(config: NetConfig) -> Network {
         Network {
             config,
-            severed: HashSet::new(),
-            isolated: HashSet::new(),
+            severed: IdSet::default(),
+            isolated: IdSet::default(),
         }
     }
 

@@ -12,7 +12,7 @@ use crate::actor::{Actor, AnyActor, Context, TimerHandle};
 use crate::idmap::IdMap;
 use crate::net::{Delivery, Network};
 use crate::trace::{SpanContext, Tracer};
-use crate::{Metrics, NodeId, SimDuration, SimTime};
+use crate::{counter, Metrics, NodeId, SimDuration, SimTime};
 
 enum EventKind {
     Start(NodeId),
@@ -168,10 +168,10 @@ impl SimInner {
                         span,
                     },
                 );
-                self.metrics.incr("sim.messages_sent", 1);
+                self.metrics.bump(counter!("sim.messages_sent"), 1);
             }
             Delivery::Drop => {
-                self.metrics.incr("sim.messages_dropped", 1);
+                self.metrics.bump(counter!("sim.messages_dropped"), 1);
             }
         }
     }
@@ -308,7 +308,7 @@ impl Sim {
     /// discarded on delivery, and its timers never fire.
     pub fn crash(&mut self, node: NodeId) {
         self.nodes.entry(node).or_default().actor = None;
-        self.inner.metrics.incr("sim.crashes", 1);
+        self.inner.metrics.bump(counter!("sim.crashes"), 1);
     }
 
     /// Restarts `node` with fresh actor state (cold restart, as when a
@@ -443,7 +443,9 @@ impl Sim {
             // Armed by a previous incarnation of the node: the process
             // that set it died, so the timer dies with it.
             Some(record) if armed_in.is_some_and(|armed| armed != record.incarnation) => {
-                self.inner.metrics.incr("sim.stale_timers_dropped", 1);
+                self.inner
+                    .metrics
+                    .bump(counter!("sim.stale_timers_dropped"), 1);
             }
             Some(Node {
                 actor: Some(actor),
@@ -458,7 +460,10 @@ impl Sim {
             }
             // Messages to crashed or never-created nodes vanish, as on a
             // real network.
-            _ => self.inner.metrics.incr("sim.messages_to_dead_nodes", 1),
+            _ => self
+                .inner
+                .metrics
+                .bump(counter!("sim.messages_to_dead_nodes"), 1),
         }
     }
 

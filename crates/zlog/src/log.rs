@@ -20,7 +20,8 @@ use mala_rados::{ObjectId, Op, OpResult, OsdError, RadosClient};
 use mala_sim::history::Recorder;
 use mala_sim::linearize::{LogOp, LogRead, LogRet};
 use mala_sim::{
-    Actor, Context, Deadlines, IdMap, NodeId, Sim, SimDuration, SimTime, SpanContext, TimerHandle,
+    counter, Actor, Context, Deadlines, IdMap, NodeId, Sim, SimDuration, SimTime, SpanContext,
+    TimerHandle,
 };
 
 use crate::route::SeqRouter;
@@ -971,7 +972,7 @@ impl ZlogClient {
         match self.router.node_for_rank(rank) {
             Some(node) => ctx.send_spanned(node, msg, span),
             None => {
-                ctx.metrics().incr("zlog.mds_unroutable", 1);
+                ctx.metrics().bump(counter!("zlog.mds_unroutable"), 1);
                 self.park_on_mdsmap(&msg);
             }
         }
@@ -1028,7 +1029,7 @@ impl ZlogClient {
             if !self.burn_attempt(ctx, op) {
                 return;
             }
-            ctx.metrics().incr("zlog.retries", 1);
+            ctx.metrics().bump(counter!("zlog.retries"), 1);
         }
         self.arm_watchdog(ctx, op);
     }
@@ -1038,7 +1039,7 @@ impl ZlogClient {
     /// `restart_op` burns an attempt, which bounds the ping-pong when
     /// two ranks disagree mid-migration.
     fn on_redirect(&mut self, ctx: &mut Context<'_>, op: u64, rank: u32) {
-        ctx.metrics().incr("zlog.redirects", 1);
+        ctx.metrics().bump(counter!("zlog.redirects"), 1);
         if let Some(ino) = self.seq_ino {
             self.router.learn(ino, rank);
         }
@@ -1436,9 +1437,9 @@ impl ZlogClient {
         let epoch = self.epoch;
         for group in groups.into_values() {
             let oid = self.stripe_oid(group[0]);
-            ctx.metrics().incr("rados.read_batch_ops", 1);
+            ctx.metrics().bump(counter!("rados.read_batch_ops"), 1);
             ctx.metrics()
-                .incr("rados.read_batch_positions", group.len() as u64);
+                .bump(counter!("rados.read_batch_positions"), group.len() as u64);
             let input = encode_read_batch(epoch, &group);
             self.call_class(ctx, op, oid, Method::ReadBatch, input);
         }
@@ -1557,7 +1558,7 @@ impl ZlogClient {
         }
         if let Some((op, entries)) = deliver {
             ctx.metrics()
-                .incr("zlog.cursor_entries", entries.len() as u64);
+                .bump(counter!("zlog.cursor_entries"), entries.len() as u64);
             self.finish(ctx, op, AppendResult::Ok(ZlogOut::CursorBatch(entries)));
         }
         // Prefetch: fill the read-ahead window, one fetch op per stripe
@@ -1654,7 +1655,7 @@ impl ZlogClient {
         if let Some(cursor) = self.cursors.get_mut(&id) {
             cursor.window.healing(pos);
         }
-        ctx.metrics().incr("zlog.cursor_hole_fills", 1);
+        ctx.metrics().bump(counter!("zlog.cursor_hole_fills"), 1);
         let op = self.begin(ctx, OpKind::Fill { pos }, Stage::Mutate);
         if let Some(pending) = self.ops.get_mut(&op) {
             pending.internal = true;
@@ -1742,7 +1743,7 @@ impl ZlogClient {
             return;
         };
         pending.stage = Stage::WriteProbe { pos };
-        ctx.metrics().incr("zlog.write_probes", 1);
+        ctx.metrics().bump(counter!("zlog.write_probes"), 1);
         self.call_cell(ctx, op, Method::Read, pos);
         self.arm_watchdog(ctx, op);
     }
@@ -1762,7 +1763,7 @@ impl ZlogClient {
                 pending.seal_hist = Some(id);
             }
         }
-        ctx.metrics().incr("zlog.probe_seals", 1);
+        ctx.metrics().bump(counter!("zlog.probe_seals"), 1);
         self.call_cell(ctx, op, Method::Fill, pos);
         self.arm_watchdog(ctx, op);
     }
@@ -1781,7 +1782,7 @@ impl ZlogClient {
         if !self.burn_attempt(ctx, op) {
             return;
         }
-        ctx.metrics().incr("zlog.retries", 1);
+        ctx.metrics().bump(counter!("zlog.retries"), 1);
         self.start_batch(ctx, vec![op]);
         // Its progress is the batch's now: the watchdog holds only its
         // deadline.
@@ -1839,7 +1840,7 @@ impl ZlogClient {
         blocked.sort_by_key(|op| self.is_batch(*op));
         for op in blocked {
             if self.ops.contains_key(&op) {
-                ctx.metrics().incr("zlog.mdsmap_redrives", 1);
+                ctx.metrics().bump(counter!("zlog.mdsmap_redrives"), 1);
                 self.redrive_op(ctx, op);
             }
         }
@@ -1870,7 +1871,7 @@ impl ZlogClient {
         // Kept as found: a watchdog or redirect re-drive counts as a
         // retry for a single op, not for a batch.
         if !self.is_batch(op) {
-            ctx.metrics().incr("zlog.retries", 1);
+            ctx.metrics().bump(counter!("zlog.retries"), 1);
         }
         self.redrive_op(ctx, op);
     }
@@ -1977,7 +1978,7 @@ impl ZlogClient {
         // retransmit deadline) is retryable at this level: re-drive the
         // whole op rather than surfacing a hang.
         if matches!(result, Err(OsdError::Timeout)) {
-            ctx.metrics().incr("zlog.rados_timeouts", 1);
+            ctx.metrics().bump(counter!("zlog.rados_timeouts"), 1);
             self.restart_op(ctx, op);
             return;
         }
@@ -1986,7 +1987,7 @@ impl ZlogClient {
         // so re-drive through the backoff watchdog rather than restarting
         // in a hot loop; a membership change clears the condition.
         if matches!(result, Err(OsdError::NoOsdsUp)) {
-            ctx.metrics().incr("zlog.no_osds_up_retries", 1);
+            ctx.metrics().bump(counter!("zlog.no_osds_up_retries"), 1);
             self.arm_watchdog(ctx, op);
             return;
         }
@@ -2002,7 +2003,7 @@ impl ZlogClient {
                     self.close_seal_hist(ctx.now(), op, SealClose::NotApplied);
                 }
                 let epoch = self.epoch;
-                ctx.metrics().incr("zlog.estale_retries", 1);
+                ctx.metrics().bump(counter!("zlog.estale_retries"), 1);
                 self.blocked_on_epoch.push((op, epoch));
                 ctx.send(
                     self.config.monitor,
@@ -2034,7 +2035,7 @@ impl ZlogClient {
                                 };
                                 if ours {
                                     // Our write landed; the ack was lost.
-                                    ctx.metrics().incr("zlog.probes_claimed", 1);
+                                    ctx.metrics().bump(counter!("zlog.probes_claimed"), 1);
                                     self.finish(ctx, op, AppendResult::Ok(ZlogOut::Pos(pos)));
                                 } else {
                                     // Foreign entry: write-once means our
@@ -2057,7 +2058,7 @@ impl ZlogClient {
                 Ok(_) => {
                     // The hole is fenced: the zombie write can never land.
                     self.close_seal_hist(ctx.now(), op, SealClose::Applied);
-                    ctx.metrics().incr("zlog.probes_sealed", 1);
+                    ctx.metrics().bump(counter!("zlog.probes_sealed"), 1);
                     self.retry_fresh_pos(ctx, op);
                 }
                 Err(OsdError::Class(ce)) if ce.code == -17 => {
@@ -2309,7 +2310,7 @@ impl ZlogClient {
                         // Don't replay the whole recovery for a stale
                         // route: follow the redirect and re-send the
                         // idempotent tail write-back.
-                        ctx.metrics().incr("zlog.redirects", 1);
+                        ctx.metrics().bump(counter!("zlog.redirects"), 1);
                         if let Some(ino) = self.seq_ino {
                             self.router.learn(ino, rank);
                             let reqid = self.mds_reqid(op);
@@ -2463,9 +2464,9 @@ impl ZlogClient {
             return;
         };
         let (n, width) = (members.len() as u64, self.names.stripes.len() as u64);
-        ctx.metrics().incr("zlog.pos_grants", 1);
+        ctx.metrics().bump(counter!("zlog.pos_grants"), 1);
         // Round trips the bulk grant saved over position-at-a-time.
-        ctx.metrics().incr("zlog.grants_saved", n - 1);
+        ctx.metrics().bump(counter!("zlog.grants_saved"), n - 1);
         for (pos, op) in (base..).zip(&members) {
             if !self.ops.contains_key(op) {
                 // The member died while the grant was in flight: its cell
@@ -2570,15 +2571,15 @@ impl ZlogClient {
         ctx.span_end(span);
         match result {
             Ok(_) => {
-                ctx.metrics().incr("zlog.batch_writes", 1);
+                ctx.metrics().bump(counter!("zlog.batch_writes"), 1);
                 ctx.metrics()
-                    .incr("zlog.coalesced_entries", cells.len() as u64);
+                    .bump(counter!("zlog.coalesced_entries"), cells.len() as u64);
                 for (i, pos) in cells {
                     self.finish(ctx, members[i], AppendResult::Ok(ZlogOut::Pos(pos)));
                 }
             }
             Err(OsdError::Timeout) => {
-                ctx.metrics().incr("zlog.rados_timeouts", 1);
+                ctx.metrics().bump(counter!("zlog.rados_timeouts"), 1);
                 self.probe_cells(ctx, &members, cells);
             }
             Err(OsdError::Class(ce)) if ce.code == -17 => self.probe_cells(ctx, &members, cells),
@@ -2588,7 +2589,7 @@ impl ZlogClient {
                 // anything): nothing landed, so re-enqueueing for a fresh
                 // grant and junk-filling the abandoned cells is safe.
                 if matches!(&err, OsdError::Class(ce) if ce.code == -116) {
-                    ctx.metrics().incr("zlog.estale_retries", 1);
+                    ctx.metrics().bump(counter!("zlog.estale_retries"), 1);
                     ctx.send(
                         self.config.monitor,
                         MonMsg::Get {
@@ -2639,7 +2640,7 @@ impl ZlogClient {
             let root = pending.span;
             pending.queue_span = Some(ctx.span_start("zlog.queue", root));
             self.append_queue.push(op);
-            ctx.metrics().incr("zlog.retries", 1);
+            ctx.metrics().bump(counter!("zlog.retries"), 1);
         }
         self.arm_flush_timer(ctx);
     }
@@ -2647,7 +2648,7 @@ impl ZlogClient {
     /// Junk-fills a granted-but-abandoned cell (CORFU hole fill) with an
     /// internal op: the result is dropped, EEXIST counts as occupied.
     fn spawn_hole_fill(&mut self, ctx: &mut Context<'_>, pos: u64) {
-        ctx.metrics().incr("zlog.hole_fills", 1);
+        ctx.metrics().bump(counter!("zlog.hole_fills"), 1);
         let op = self.begin(ctx, OpKind::Fill { pos }, Stage::Mutate);
         if let Some(pending) = self.ops.get_mut(&op) {
             pending.internal = true;
@@ -2727,7 +2728,7 @@ impl Actor for ZlogClient {
                         // fetches meant N subscribed clients × one
                         // balancer epoch bump = N full-map round trips.
                         if self.router.needs_fetch(*epoch) {
-                            ctx.metrics().incr("zlog.mdsmap_refetches", 1);
+                            ctx.metrics().bump(counter!("zlog.mdsmap_refetches"), 1);
                             ctx.send(
                                 self.config.monitor,
                                 MonMsg::Get {
@@ -2735,7 +2736,7 @@ impl Actor for ZlogClient {
                                 },
                             );
                         } else {
-                            ctx.metrics().incr("zlog.mdsmap_refetch_skips", 1);
+                            ctx.metrics().bump(counter!("zlog.mdsmap_refetch_skips"), 1);
                         }
                         return;
                     }
@@ -2767,7 +2768,7 @@ impl Actor for ZlogClient {
             return;
         }
         if token == TOKEN_WATCH {
-            ctx.metrics().incr("zlog.watchdog_fires", 1);
+            ctx.metrics().bump(counter!("zlog.watchdog_fires"), 1);
             while let Some(op) = self.watch.pop_due(ctx) {
                 let Some(pending) = self.ops.get_mut(&op) else {
                     continue;
@@ -2778,7 +2779,7 @@ impl Actor for ZlogClient {
                 // embedded RADOS client's own retransmit/timeout
                 // machinery: such an entry is due at its deadline only.
                 if ctx.now() >= pending.deadline {
-                    ctx.metrics().incr("zlog.timeouts", 1);
+                    ctx.metrics().bump(counter!("zlog.timeouts"), 1);
                     self.fail_auto(ctx, op, "op deadline exceeded");
                 } else {
                     self.restart_op(ctx, op);

@@ -90,6 +90,26 @@ const MAX_BATCH: u64 = 50_000;
 /// Round-trip throughput window.
 const RT_WINDOW: SimDuration = SimDuration::from_millis(100);
 
+/// The series a client records into, named once: a sample looks its
+/// series up by name, and formatting the name per sample allocated.
+struct SeriesNames {
+    ops: String,
+    rtlat: String,
+    batch: String,
+    wait: String,
+}
+
+impl SeriesNames {
+    fn new(prefix: &str) -> SeriesNames {
+        SeriesNames {
+            ops: format!("{prefix}.ops"),
+            rtlat: format!("{prefix}.rtlat"),
+            batch: format!("{prefix}.batch"),
+            wait: format!("{prefix}.wait"),
+        }
+    }
+}
+
 /// A closed-loop sequencer workload client.
 pub struct SeqWorkload {
     /// MDS rank → node, for routing and redirects.
@@ -98,7 +118,7 @@ pub struct SeqWorkload {
     target: NodeId,
     ino: Ino,
     mode: SeqMode,
-    series: String,
+    series: SeriesNames,
     running: bool,
     next_reqid: u64,
     inflight_reqid: Option<u64>,
@@ -132,7 +152,7 @@ impl SeqWorkload {
             target,
             ino,
             mode,
-            series: series.into(),
+            series: SeriesNames::new(&series.into()),
             running: false,
             next_reqid: 1,
             inflight_reqid: None,
@@ -197,9 +217,8 @@ impl SeqWorkload {
             return;
         }
         if self.rt_window_count > 0 {
-            let series = format!("{}.ops", self.series);
             let count = self.rt_window_count;
-            ctx.metrics().observe(&series, now, count as f64);
+            ctx.metrics().observe(&self.series.ops, now, count as f64);
         }
         self.rt_window_start = now;
         self.rt_window_count = 0;
@@ -219,8 +238,7 @@ impl SeqWorkload {
         self.rt_window_count += n;
         if before / 64 != self.stats.ops / 64 {
             let lat = now.saturating_since(self.last_sent).as_micros() as f64;
-            let series = format!("{}.rtlat", self.series);
-            ctx.metrics().observe(&series, now, lat);
+            ctx.metrics().observe(&self.series.rtlat, now, lat);
         }
         self.last_pos_at = now;
         self.flush_rt_window(ctx, false);
@@ -263,8 +281,7 @@ impl SeqWorkload {
             self.stats.last_pos = self.stats.last_pos.max(holding.tail - 1);
             let end = started + SimDuration::from_micros(done * op_time.as_micros());
             self.last_pos_at = end;
-            let series = format!("{}.batch", self.series);
-            ctx.metrics().observe(&series, end, done as f64);
+            ctx.metrics().observe(&self.series.batch, end, done as f64);
         }
     }
 
@@ -381,8 +398,7 @@ impl Actor for SeqWorkload {
                 // being able to take the next one.
                 let wait_us = ctx.now().saturating_since(self.last_pos_at).as_micros() as f64;
                 let now = ctx.now();
-                let series = format!("{}.wait", self.series);
-                ctx.metrics().observe(&series, now, wait_us);
+                ctx.metrics().observe(&self.series.wait, now, wait_us);
                 self.holding = Some(Holding {
                     tail: state,
                     quota_left: quota,
