@@ -2,8 +2,8 @@
 # Local CI gate: formatting, lints (warnings are errors), the one-RADOS-client,
 # no-timer-per-item, effects-not-calls, payload-is-bytes, name-held-once,
 # one-append-path, one-engine, one-encoding, forget-what-it-holds,
-# map-held-once and counter-is-a-slot structure checks, the tier-1 build + test pass
-# (the whole workspace minus the vendored stand-ins), every experiment's shape
+# map-held-once, counter-is-a-slot and one-read-path structure checks, the
+# tier-1 build + test pass (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
 # pushing.
@@ -80,6 +80,11 @@ for file in $(find crates/*/src -name '*.rs'); do
     [ -z "$(above_tests "$file" | tr -d ' \n' | grep -o '\.incr("[^"]*"')" ]
 done
 
+echo "==> one read path: a point read and a write probe are a read_batch of one, trimming is by prefix only, and RADOS does not parse the zlog class's wire (DESIGN §13, §17, §25)"
+[ -z "$(grep -n 'Method::Read\b\|Method::Trim\b\|Stage::ReadEntry' crates/zlog/src/log.rs)" ]
+[ -z "$(grep -n 'function read(\|function trim(' crates/zlog/src/storage.rs)" ]
+[ -z "$(grep -n '"zlog"' crates/rados/src/osd.rs)" ]
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -116,8 +121,10 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 # operation repeat exactly on every rep of a seed, and the peak heap to
 # 0.1 %. Each ceiling is the value this quick run measured when it was
 # written, plus a margin; lower it when a change lowers the number.
-#   host_allocs_per_op  read_tail 308.36 (the scripted read path and the
-#                       cursor; 323.56 while every request formatted its
+#   host_allocs_per_op  read_tail 298.74 (the scripted read path and the
+#                       cursor; 308.36 while a single stripe's read reply
+#                       was reordered through a map, DESIGN §17; 323.56
+#                       while every request formatted its
 #                       stripe id and copied its class and method names,
 #                       DESIGN §30; 390.40 while a stored value was copied
 #                       into the VM and again into the reply, DESIGN §29),
@@ -135,15 +142,19 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 #                       payload copied into the argument, the omap and the
 #                       effect; 127.64 while each replica ran the write's
 #                       class code again, DESIGN §28); +5 %.
-#   host_alloc_kb_per_op  read_tail 83.29 (one copy of a 1 KiB payload
-#                       between the omap and the reader; 123.58 with
-#                       three); +10 %. append_steady 11.64 (12.15 with the
-#                       gossip copies; 13.11 with the names copied; 18.07
+#   host_alloc_kb_per_op  read_tail 80.45 (one copy of a 1 KiB payload
+#                       between the omap and the reader; 83.29 while a
+#                       single stripe's read reply was reordered through a
+#                       map; 123.58 with three copies); +10 %.
+#                       append_steady 11.64 (12.15 with the gossip copies;
+#                       13.11 with the names copied; 18.07
 #                       before stored values were shared buffers; 21.75
 #                       with the payload cloned into every replica's
 #                       message and run through the VM there); +5 %.
-#                       fault_churn 16.01 (30.95 while each gossip message
-#                       to each peer deep-copied the interface map, zlog
+#                       fault_churn 14.97 (16.01 while a single stripe's
+#                       read reply was reordered through a map; 30.95
+#                       while each gossip message to each peer
+#                       deep-copied the interface map, zlog
 #                       class source included, and a re-encoded osdmap,
 #                       DESIGN §31); +10 %.
 #   host_peak_heap_mb   append_overload 29.00 (the event queue at its
@@ -167,12 +178,12 @@ metric_at_most() {
             exit (verdict != "ok")
         }' <<<"$bench_out"
 }
-metric_at_most read_tail host_allocs_per_op 339
-metric_at_most read_tail host_alloc_kb_per_op 91.6
+metric_at_most read_tail host_allocs_per_op 329
+metric_at_most read_tail host_alloc_kb_per_op 88.5
 metric_at_most mds_balance host_allocs_per_op 3.31
 metric_at_most append_steady host_allocs_per_op 54.4
 metric_at_most append_steady host_alloc_kb_per_op 12.2
-metric_at_most fault_churn host_alloc_kb_per_op 17.6
+metric_at_most fault_churn host_alloc_kb_per_op 16.5
 metric_at_most append_overload host_peak_heap_mb 30.4
 metric_at_most append_overload sim.events_per_op 15.9
 

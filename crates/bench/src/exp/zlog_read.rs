@@ -2,12 +2,13 @@
 //! and checkpointed KV recovery versus total log length.
 //!
 //! **Catch-up sweep** — a cold reader replays a pre-populated log. Depth
-//! 1 is the classic path: one `read` round trip per position. Depth ≥ 2
-//! uses the pipelined tailing cursor ([`ZlogClient::tail_cursor`]): up to
-//! `depth` positions prefetched ahead of the delivery point, one
-//! `read_batch` RADOS op per stripe object, several ops in flight. The
-//! `osd.reads_served / rados.read_batch_ops` ratio is the round-trip
-//! amplification the vectored path removes.
+//! 1 is the classic path: one `read` round trip per position, each a
+//! `read_batch` of one. Depth ≥ 2 uses the pipelined tailing cursor
+//! ([`ZlogClient::tail_cursor`]): up to `depth` positions prefetched ahead
+//! of the delivery point, one `read_batch` RADOS op per stripe object,
+//! several ops in flight. The `rados.read_batch_positions /
+//! rados.read_batch_ops` ratio is the round-trip amplification the vectored
+//! path removes.
 //!
 //! **Recovery sweep** — a KV replica recovers from a log of growing total
 //! length. Without a checkpoint, replay starts at zero and recovery cost
@@ -33,7 +34,7 @@ const READER: NodeId = NodeId(ZLOG_CLIENT.0 + 1);
 pub struct Config {
     /// Log length for the catch-up sweep.
     pub entries: usize,
-    /// Batch depths to sweep; depth 1 is the scalar-read baseline.
+    /// Batch depths to sweep; depth 1 is the point-read baseline.
     pub depths: Vec<usize>,
     /// Total log lengths for the recovery sweep.
     pub log_lens: Vec<usize>,
@@ -44,16 +45,16 @@ pub struct Config {
 /// One batch depth's catch-up measurements.
 #[derive(Debug, Clone)]
 pub struct DepthRun {
-    /// Cursor read-ahead depth (1 = scalar `read` baseline).
+    /// Cursor read-ahead depth (1 = point `read` baseline).
     pub depth: usize,
     /// Positions replayed per simulated second.
     pub throughput: f64,
     /// Run length in simulated seconds.
     pub wall_s: f64,
-    /// Vectored `read_batch` RADOS round trips (0 at depth 1).
+    /// `read_batch` RADOS round trips (one per position at depth 1).
     pub batch_ops: u64,
-    /// Log-entry reads the OSDs served (every position, any path).
-    pub reads_served: u64,
+    /// Positions those round trips asked for.
+    pub positions_read: u64,
 }
 
 /// One total-log-length recovery measurement.
@@ -131,11 +132,11 @@ fn run_depth(config: &Config, depth: usize) -> DepthRun {
         append(&mut sim, format!("entry-{i}").into_bytes());
     }
     let ops_before = sim.metrics().counter("rados.read_batch_ops");
-    let served_before = sim.metrics().counter("osd.reads_served");
+    let positions_before = sim.metrics().counter("rados.read_batch_positions");
     let t0 = sim.now();
     let mut replayed: Vec<(u64, Vec<u8>)> = Vec::new();
     if depth <= 1 {
-        // Baseline: strictly one scalar read in flight.
+        // Baseline: strictly one point read in flight.
         for pos in 0..config.entries as u64 {
             match run_op(
                 &mut sim,
@@ -167,7 +168,7 @@ fn run_depth(config: &Config, depth: usize) -> DepthRun {
         throughput: config.entries as f64 / wall_s,
         wall_s,
         batch_ops: sim.metrics().counter("rados.read_batch_ops") - ops_before,
-        reads_served: sim.metrics().counter("osd.reads_served") - served_before,
+        positions_read: sim.metrics().counter("rados.read_batch_positions") - positions_before,
     }
 }
 
@@ -288,7 +289,7 @@ impl Experiment for Config {
             "speedup",
             "wall s",
             "batch ops",
-            "srv reads",
+            "positions",
         ];
         let rows: Vec<Vec<String>> = data
             .runs
@@ -300,7 +301,7 @@ impl Experiment for Config {
                     format!("{:.2}x", speedup(data, r)),
                     format!("{:.3}", r.wall_s),
                     r.batch_ops.to_string(),
-                    r.reads_served.to_string(),
+                    r.positions_read.to_string(),
                 ]
             })
             .collect();
@@ -341,7 +342,7 @@ impl Experiment for Config {
                         ("speedup_vs_depth1", Json::Fixed(speedup(data, r), 2)),
                         ("wall_s", Json::Fixed(r.wall_s, 3)),
                         ("read_batch_ops", Json::from(r.batch_ops)),
-                        ("osd_reads_served", Json::from(r.reads_served)),
+                        ("positions_read", Json::from(r.positions_read)),
                     ])
                 }),
             ),
@@ -359,17 +360,17 @@ impl Experiment for Config {
         ]))
     }
 
-    /// The deepest cursor beats scalar reads 5x by amortizing round trips;
+    /// The deepest cursor beats point reads 5x by amortizing round trips;
     /// checkpointed recovery replays only the suffix and stays flat in log
     /// length while cold replay grows with it.
     fn assert_shape(&self, data: &Data) -> Result<(), String> {
         let (base, deep) = (&data.runs[0], &data.runs[data.runs.len() - 1]);
         ensure!(
             base.depth == 1 && deep.throughput >= 5.0 * base.throughput,
-            "the deepest cursor must be >= 5x scalar reads: {deep:?} vs {base:?}"
+            "the deepest cursor must be >= 5x point reads: {deep:?} vs {base:?}"
         );
         ensure!(
-            deep.batch_ops > 0 && deep.reads_served >= 4 * deep.batch_ops,
+            deep.batch_ops > 0 && deep.positions_read >= 4 * deep.batch_ops,
             "batching must amortize round trips: {deep:?}"
         );
         let n = data.recoveries.len();

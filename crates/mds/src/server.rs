@@ -196,6 +196,16 @@ fn read_whole() -> Vec<Op> {
     }]
 }
 
+/// `bytes` as a decimal: ASCII digits after an optional `-`, and nothing
+/// else — no blank, no `+`.
+fn strict_decimal(bytes: &[u8]) -> Option<i64> {
+    let digits = bytes.strip_prefix(b"-").unwrap_or(bytes);
+    if digits.is_empty() || !digits.iter().all(u8::is_ascii_digit) {
+        return None;
+    }
+    std::str::from_utf8(bytes).ok()?.parse().ok()
+}
+
 /// Peer-to-peer MDS messages.
 #[derive(Debug, Clone)]
 pub enum MdsPeer {
@@ -1446,10 +1456,20 @@ impl Mds {
         };
         match result {
             Ok(results) => {
-                if let Some(OpResult::CallOut(data)) = results.first() {
-                    let maxpos: i64 = String::from_utf8_lossy(data).trim().parse().unwrap_or(-1);
-                    rec.maxpos[stripe as usize] = Some(maxpos);
-                }
+                let maxpos = match results.first() {
+                    Some(OpResult::CallOut(data)) => strict_decimal(data),
+                    _ => None,
+                };
+                let Some(maxpos) = maxpos else {
+                    // Class code is installed live, so the reply is outside
+                    // input. One that is no number is no answer: read as
+                    // "empty stripe" it could resume the sequencer below a
+                    // written position. The stripe stays unanswered and
+                    // `TIMER_SEAL` calls it again.
+                    ctx.metrics().bump(counter!("mds.seal_call_errors"), 1);
+                    return;
+                };
+                rec.maxpos[stripe as usize] = Some(maxpos);
             }
             Err(OsdError::Class(_)) => {
                 // Already sealed at (or past) our epoch by a concurrent

@@ -952,32 +952,6 @@ impl Osd {
                 .bump(counter!("osd.txn_ops"), txn.len() as u64);
         }
         ctx.metrics().bump(counter!("osd.ops"), 1);
-        // Log-entry reads served by this OSD, counted per position: a
-        // vectored `read_batch` covering k positions bumps this by k while
-        // costing one round trip, so reads_served / rados.read_batch_ops
-        // is the read amplification the batch path saves.
-        let reads = txn
-            .iter()
-            .map(|op| match op {
-                crate::ops::Op::Call {
-                    class,
-                    method,
-                    input,
-                } if &**class == "zlog" => match &**method {
-                    "read" => 1,
-                    // `epoch|pos,pos,...`: one more position than the
-                    // field after the first `|` has commas.
-                    "read_batch" => input.split(|b| *b == b'|').nth(1).map_or(0, |csv| {
-                        1 + csv.iter().filter(|b| **b == b',').count() as u64
-                    }),
-                    _ => 0,
-                },
-                _ => 0,
-            })
-            .sum::<u64>();
-        if reads > 0 {
-            ctx.metrics().bump(counter!("osd.reads_served"), reads);
-        }
         match result {
             Ok(results) => {
                 if replicate {

@@ -269,8 +269,12 @@ fn an_osd_runs_the_zlog_class_on_the_vm() {
         assert!(registry.scripted_version(ZLOG_CLASS).is_some(), "osd {i}");
     }
     for (method, input, reply) in [
-        ("write_batch", write_one(0, 5, "hello"), "1"),
-        ("read", b"0|5".to_vec(), "D|hello"),
+        (
+            "write_batch",
+            write_one(0, 5, "hello"),
+            OpResult::CallOut(b"1"[..].into()),
+        ),
+        ("read_batch", b"0|5".to_vec(), read_reply(5, b"D|hello")),
     ] {
         let ev = request(
             &mut sim,
@@ -279,9 +283,14 @@ fn an_osd_runs_the_zlog_class_on_the_vm() {
             vec![call(ZLOG_CLASS, method, &input)],
             SimDuration::from_secs(5),
         );
-        let reply: Rc<[u8]> = reply.as_bytes().into();
-        assert_eq!(ev.result.unwrap(), [OpResult::CallOut(reply)], "{method}");
+        assert_eq!(ev.result.unwrap(), [reply], "{method}");
     }
+}
+
+/// A one-position zlog `read_batch` reply: the table the method returned,
+/// `{pos, value}`, as the list of its items.
+fn read_reply(pos: u64, value: &[u8]) -> OpResult {
+    OpResult::CallList(vec![pos.to_string().as_bytes().into(), value.into()])
 }
 
 /// A host native is not a method of the class whose engine holds it:
@@ -319,8 +328,8 @@ fn a_host_native_is_not_a_remotely_callable_method() {
         let refused = OsdError::NoClass(format!("{ZLOG_CLASS}.{native}"));
         assert_eq!(zlog(native, input.as_bytes()), Err(refused), "{native}");
         assert_eq!(
-            zlog("read", b"0|0"),
-            Ok(vec![OpResult::CallOut(Rc::clone(&written))])
+            zlog("read_batch", b"0|0"),
+            Ok(vec![read_reply(0, &written)])
         );
     }
     sim.run_for(SimDuration::from_millis(50));

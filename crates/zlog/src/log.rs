@@ -26,7 +26,7 @@ use mala_sim::{
 
 use crate::route::SeqRouter;
 use crate::storage::{
-    decode_checkpoint, encode_checkpoint, encode_read_batch, encode_write_batch, read_outcomes,
+    checkpoint_of, encode_checkpoint, encode_read_batch, encode_write_batch, read_outcomes,
     ZLOG_CLASS,
 };
 use crate::window::Window;
@@ -172,15 +172,15 @@ enum Stage {
     /// Waiting for a Resolve of the sequencer inode.
     ResolveSeq,
     /// An append's write at `pos` timed out or bounced as occupied:
-    /// probing the cell (a read) to learn whether our payload landed.
+    /// probing the cell (a one-position `read_batch`) to learn whether our
+    /// payload landed.
     WriteProbe { pos: u64 },
     /// The probe saw a hole at `pos`: junk-filling it so the in-flight
     /// write can never land later, before retrying at a fresh position.
     WriteSeal { pos: u64 },
-    /// Waiting for a storage read.
-    ReadEntry,
-    /// Waiting for stripe-grouped `read_batch` calls; keeps each group's
-    /// decoded reply until every group replied.
+    /// Waiting for stripe-grouped `read_batch` calls, a point read's one
+    /// among them; keeps each group's decoded reply until every group
+    /// replied.
     ReadVector {
         outstanding: usize,
         parts: Vec<Vec<(u64, ReadOutcome)>>,
@@ -194,7 +194,7 @@ enum Stage {
     /// A cursor `next_batch` waiting for deliverable entries; progress is
     /// owned by the cursor machinery, the watchdog only re-kicks it.
     CursorWait,
-    /// Waiting for fill/trim.
+    /// Waiting for a fill.
     Mutate,
     /// Waiting for the tail round trip.
     Tail,
@@ -352,6 +352,7 @@ enum OpKind {
     Append {
         data: Vec<u8>,
     },
+    /// A point read: a `read_batch` of one position.
     Read {
         pos: u64,
     },
@@ -359,9 +360,6 @@ enum OpKind {
         positions: Vec<u64>,
     },
     Fill {
-        pos: u64,
-    },
-    Trim {
         pos: u64,
     },
     /// Prefix trim: every position `< pos` becomes trimmed, fanned out as
@@ -384,6 +382,17 @@ enum OpKind {
     Batch {
         members: Vec<u64>,
     },
+}
+
+impl OpKind {
+    /// The positions a read op asks for: a point read's one, or a vector.
+    fn read_positions(&self) -> Option<&[u64]> {
+        match self {
+            OpKind::Read { pos } => Some(std::slice::from_ref(pos)),
+            OpKind::ReadBatch { positions } => Some(positions),
+            _ => None,
+        }
+    }
 }
 
 /// One pipelined tailing reader: discovers the tail via the sequencer,
@@ -417,10 +426,8 @@ struct Cursor {
 #[derive(Debug, Clone, Copy)]
 enum Method {
     WriteBatch,
-    Read,
     ReadBatch,
     Fill,
-    Trim,
     TrimUpto,
     Seal,
     Checkpoint,
@@ -430,12 +437,10 @@ enum Method {
 impl Method {
     /// Every method with its name in the class source, in discriminant
     /// order.
-    const ALL: [(Method, &'static str); 9] = [
+    const ALL: [(Method, &'static str); 7] = [
         (Method::WriteBatch, "write_batch"),
-        (Method::Read, "read"),
         (Method::ReadBatch, "read_batch"),
         (Method::Fill, "fill"),
-        (Method::Trim, "trim"),
         (Method::TrimUpto, "trim_upto"),
         (Method::Seal, "seal"),
         (Method::Checkpoint, "checkpoint"),
@@ -805,15 +810,10 @@ impl ZlogClient {
         }
     }
 
-    /// Reads `pos`; resolves to [`ZlogOut::Read`].
+    /// Reads `pos`; resolves to [`ZlogOut::Read`]. A `read_batch` of one
+    /// position that records as one read in the history.
     pub fn read(&mut self, ctx: &mut Context<'_>, pos: u64) -> u64 {
-        let op = self.begin(ctx, OpKind::Read { pos }, Stage::ReadEntry);
-        let span = ctx.span_start("zlog.read", None);
-        if let Some(pending) = self.ops.get_mut(&op) {
-            pending.span = Some(span);
-        }
-        self.step_storage_simple(ctx, op);
-        op
+        self.start_read(ctx, OpKind::Read { pos }, None)
     }
 
     /// Vectored read: one `read_batch` RADOS op per stripe object covers
@@ -822,16 +822,21 @@ impl ZlogClient {
     /// unwritten positions come back as [`ReadOutcome::NotWritten`], not
     /// as errors.
     pub fn read_batch(&mut self, ctx: &mut Context<'_>, positions: Vec<u64>) -> u64 {
-        let op = self.begin(
-            ctx,
-            OpKind::ReadBatch { positions },
-            Stage::ReadVector {
-                outstanding: 0,
-                parts: Vec::new(),
-            },
-        );
+        self.start_read(ctx, OpKind::ReadBatch { positions }, None)
+    }
+
+    /// Starts a read op of `kind` under its `zlog.read_batch` span; one a
+    /// cursor starts is the cursor's internal op.
+    fn start_read(&mut self, ctx: &mut Context<'_>, kind: OpKind, cursor: Option<u64>) -> u64 {
+        let stage = Stage::ReadVector {
+            outstanding: 0,
+            parts: Vec::new(),
+        };
+        let op = self.begin(ctx, kind, stage);
         let span = ctx.span_start("zlog.read_batch", None);
         if let Some(pending) = self.ops.get_mut(&op) {
+            pending.internal = cursor.is_some();
+            pending.cursor = cursor;
             pending.span = Some(span);
         }
         self.record_batch_reads(ctx, op);
@@ -926,14 +931,7 @@ impl ZlogClient {
     /// Junk-fills `pos`; resolves to [`ZlogOut::Done`].
     pub fn fill(&mut self, ctx: &mut Context<'_>, pos: u64) -> u64 {
         let op = self.begin(ctx, OpKind::Fill { pos }, Stage::Mutate);
-        self.step_storage_simple(ctx, op);
-        op
-    }
-
-    /// Trims `pos`; resolves to [`ZlogOut::Done`].
-    pub fn trim(&mut self, ctx: &mut Context<'_>, pos: u64) -> u64 {
-        let op = self.begin(ctx, OpKind::Trim { pos }, Stage::Mutate);
-        self.step_storage_simple(ctx, op);
+        self.step_fill(ctx, op);
         op
     }
 
@@ -1309,9 +1307,8 @@ impl ZlogClient {
         self.hold(op, Route::Rados(reqid));
     }
 
-    /// Calls a per-cell class method (`read`, `fill`, `trim`,
-    /// `trim_upto`) on the stripe object holding `pos`; each takes
-    /// `epoch|pos`.
+    /// Calls a per-cell class method (`fill`, `trim_upto`) on the stripe
+    /// object holding `pos`; each takes `epoch|pos`.
     fn call_cell(&mut self, ctx: &mut Context<'_>, op: u64, method: Method, pos: u64) {
         let input = format!("{}|{pos}", self.epoch).into_bytes();
         let oid = self.stripe_oid(pos);
@@ -1399,50 +1396,57 @@ impl ZlogClient {
         );
     }
 
-    fn step_storage_simple(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let Some(pending) = self.ops.get(&op) else {
-            return;
-        };
-        let (method, pos) = match pending.kind {
-            OpKind::Read { pos } => (Method::Read, pos),
-            OpKind::Fill { pos } => (Method::Fill, pos),
-            OpKind::Trim { pos } => (Method::Trim, pos),
-            _ => return,
-        };
-        self.call_cell(ctx, op, method, pos);
+    /// (Re-)issues a fill's one call.
+    fn step_fill(&mut self, ctx: &mut Context<'_>, op: u64) {
+        if let Some(OpKind::Fill { pos }) = self.ops.get(&op).map(|p| &p.kind) {
+            let pos = *pos;
+            self.call_cell(ctx, op, Method::Fill, pos);
+        }
     }
 
     /// (Re-)issues a vectored read: the op's position vector grouped by
-    /// stripe, one `read_batch` RADOS op per stripe object.
+    /// stripe, one `read_batch` RADOS op per stripe object, in ascending
+    /// stripe order.
     fn step_read_batch(&mut self, ctx: &mut Context<'_>, op: u64) {
         let width = u64::from(self.config.stripe_width).max(1);
-        let Some(pending) = self.ops.get_mut(&op) else {
-            return;
-        };
-        let OpKind::ReadBatch { positions } = &pending.kind else {
+        let Some(positions) = self.ops.get(&op).and_then(|p| p.kind.read_positions()) else {
             return;
         };
         if positions.is_empty() {
             self.finish(ctx, op, AppendResult::Ok(ZlogOut::ReadBatch(Vec::new())));
             return;
         }
-        let mut groups: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for &pos in positions {
-            groups.entry(pos % width).or_default().push(pos);
+        // Stripe by stripe, each stripe's positions in request order: the
+        // sort is stable.
+        let mut sorted = positions.to_vec();
+        sorted.sort_by_key(|pos| pos % width);
+        let mut rest = &sorted[..];
+        let mut groups = 0;
+        while let Some(first) = rest.first() {
+            let on_stripe = rest.iter().take_while(|pos| *pos % width == first % width);
+            let (group, tail) = rest.split_at(on_stripe.count());
+            self.call_read_batch(ctx, op, group);
+            rest = tail;
+            groups += 1;
         }
-        pending.stage = Stage::ReadVector {
-            outstanding: groups.len(),
-            parts: Vec::with_capacity(groups.len()),
-        };
-        let epoch = self.epoch;
-        for group in groups.into_values() {
-            let oid = self.stripe_oid(group[0]);
-            ctx.metrics().bump(counter!("rados.read_batch_ops"), 1);
-            ctx.metrics()
-                .bump(counter!("rados.read_batch_positions"), group.len() as u64);
-            let input = encode_read_batch(epoch, &group);
-            self.call_class(ctx, op, oid, Method::ReadBatch, input);
+        if let Some(pending) = self.ops.get_mut(&op) {
+            pending.stage = Stage::ReadVector {
+                outstanding: groups,
+                parts: Vec::with_capacity(groups),
+            };
         }
+    }
+
+    /// Calls `read_batch` for `positions`, which share one stripe object.
+    fn call_read_batch(&mut self, ctx: &mut Context<'_>, op: u64, positions: &[u64]) {
+        let oid = self.stripe_oid(positions[0]);
+        ctx.metrics().bump(counter!("rados.read_batch_ops"), 1);
+        ctx.metrics().bump(
+            counter!("rados.read_batch_positions"),
+            positions.len() as u64,
+        );
+        let input = encode_read_batch(self.epoch, positions);
+        self.call_class(ctx, op, oid, Method::ReadBatch, input);
     }
 
     /// (Re-)issues the per-stripe `trim_upto` fan of a prefix trim.
@@ -1629,22 +1633,7 @@ impl ZlogClient {
             cursor.inflight_ops += 1;
             cursor.window.fetching(&positions);
         }
-        let op = self.begin(
-            ctx,
-            OpKind::ReadBatch { positions },
-            Stage::ReadVector {
-                outstanding: 0,
-                parts: Vec::new(),
-            },
-        );
-        let span = ctx.span_start("zlog.read_batch", None);
-        if let Some(pending) = self.ops.get_mut(&op) {
-            pending.internal = true;
-            pending.cursor = Some(id);
-            pending.span = Some(span);
-        }
-        self.record_batch_reads(ctx, op);
-        self.step_read_batch(ctx, op);
+        self.start_read(ctx, OpKind::ReadBatch { positions }, Some(id));
     }
 
     /// Internal fill resolving a hole the cursor found below the tail
@@ -1661,7 +1650,7 @@ impl ZlogClient {
             pending.internal = true;
             pending.cursor = Some(id);
         }
-        self.step_storage_simple(ctx, op);
+        self.step_fill(ctx, op);
     }
 
     /// A cursor's internal op concluded: fold its result into the cursor
@@ -1744,7 +1733,7 @@ impl ZlogClient {
         };
         pending.stage = Stage::WriteProbe { pos };
         ctx.metrics().bump(counter!("zlog.write_probes"), 1);
-        self.call_cell(ctx, op, Method::Read, pos);
+        self.call_read_batch(ctx, op, &[pos]);
         self.arm_watchdog(ctx, op);
     }
 
@@ -1943,10 +1932,8 @@ impl ZlogClient {
                     self.enter_write_probe(ctx, op, pos);
                 }
             }
-            OpKind::Read { .. } | OpKind::Fill { .. } | OpKind::Trim { .. } => {
-                self.step_storage_simple(ctx, op)
-            }
-            OpKind::ReadBatch { .. } => self.step_read_batch(ctx, op),
+            OpKind::Fill { .. } => self.step_fill(ctx, op),
+            OpKind::Read { .. } | OpKind::ReadBatch { .. } => self.step_read_batch(ctx, op),
             OpKind::TrimUpto { .. } => self.step_trim_upto(ctx, op),
             OpKind::Checkpoint { .. } => self.step_checkpoint(ctx, op),
             OpKind::CheckpointRead => self.step_ckpt_read(ctx, op),
@@ -2020,38 +2007,28 @@ impl ZlogClient {
         match &mut pending.stage {
             Stage::WriteProbe { pos } => {
                 let pos = *pos;
-                match result {
-                    Ok(results) => {
-                        let Some(OpResult::CallOut(bytes)) = results.first() else {
-                            // Malformed reply: probe again with backoff.
-                            self.restart_op(ctx, op);
-                            return;
-                        };
-                        match bytes.first() {
-                            Some(b'D') => {
-                                let ours = match &self.ops[&op].kind {
-                                    OpKind::Append { data } => bytes[2..] == data[..],
-                                    _ => false,
-                                };
-                                if ours {
-                                    // Our write landed; the ack was lost.
-                                    ctx.metrics().bump(counter!("zlog.probes_claimed"), 1);
-                                    self.finish(ctx, op, AppendResult::Ok(ZlogOut::Pos(pos)));
-                                } else {
-                                    // Foreign entry: write-once means our
-                                    // write can never land here.
-                                    self.retry_fresh_pos(ctx, op);
-                                }
-                            }
-                            Some(b'F') | Some(b'T') => self.retry_fresh_pos(ctx, op),
-                            _ => self.enter_write_seal(ctx, op, pos),
+                let cell = read_reply(&result).and_then(|mut cells| cells.pop());
+                match cell
+                    .filter(|(at, _)| *at == pos)
+                    .map(|(_, outcome)| outcome)
+                {
+                    Some(ReadOutcome::Data(held)) => {
+                        if matches!(&pending.kind, OpKind::Append { data } if *data == held) {
+                            // Our write landed; the ack was lost.
+                            ctx.metrics().bump(counter!("zlog.probes_claimed"), 1);
+                            self.finish(ctx, op, AppendResult::Ok(ZlogOut::Pos(pos)));
+                        } else {
+                            // Foreign entry: write-once means our write can
+                            // never land here.
+                            self.retry_fresh_pos(ctx, op);
                         }
                     }
-                    Err(OsdError::Class(ce)) if ce.code == -2 => {
-                        self.enter_write_seal(ctx, op, pos)
+                    Some(ReadOutcome::Filled | ReadOutcome::Trimmed) => {
+                        self.retry_fresh_pos(ctx, op)
                     }
-                    Err(OsdError::NoEnt) => self.enter_write_seal(ctx, op, pos),
-                    Err(_) => self.restart_op(ctx, op),
+                    Some(ReadOutcome::NotWritten) => self.enter_write_seal(ctx, op, pos),
+                    // An error or a malformed reply: probe again with backoff.
+                    None => self.restart_op(ctx, op),
                 }
             }
             Stage::WriteSeal { .. } => match result {
@@ -2069,36 +2046,6 @@ impl ZlogClient {
                 }
                 Err(_) => self.restart_op(ctx, op),
             },
-            Stage::ReadEntry => match result {
-                Ok(results) => {
-                    let Some(OpResult::CallOut(bytes)) = results.first() else {
-                        self.fail(ctx, op, "malformed read reply");
-                        return;
-                    };
-                    let outcome = match bytes.first() {
-                        Some(b'D') => ReadOutcome::Data(bytes[2..].to_vec()),
-                        Some(b'F') => ReadOutcome::Filled,
-                        Some(b'T') => ReadOutcome::Trimmed,
-                        _ => ReadOutcome::NotWritten,
-                    };
-                    self.finish(ctx, op, AppendResult::Ok(ZlogOut::Read(outcome)));
-                }
-                Err(OsdError::Class(ce)) if ce.code == -2 => {
-                    self.finish(
-                        ctx,
-                        op,
-                        AppendResult::Ok(ZlogOut::Read(ReadOutcome::NotWritten)),
-                    );
-                }
-                Err(OsdError::NoEnt) => {
-                    self.finish(
-                        ctx,
-                        op,
-                        AppendResult::Ok(ZlogOut::Read(ReadOutcome::NotWritten)),
-                    );
-                }
-                Err(e) => self.fail(ctx, op, format!("read failed: {e}")),
-            },
             Stage::Mutate => match result {
                 Ok(_) => self.finish(ctx, op, AppendResult::Ok(ZlogOut::Done)),
                 Err(OsdError::Class(ce)) if ce.code == -17 => {
@@ -2107,19 +2054,7 @@ impl ZlogClient {
                 Err(e) => self.fail(ctx, op, format!("mutation failed: {e}")),
             },
             Stage::ReadVector { outstanding, parts } => {
-                // The reply is the list the method returned, each value
-                // the buffer the stripe object stores; payloads are copied
-                // here, once, into the outcomes the reader is handed.
-                let part = match &result {
-                    Ok(outs) => match outs.first() {
-                        Some(OpResult::CallList(items)) => {
-                            read_outcomes(items.iter().map(|item| &**item)).ok()
-                        }
-                        _ => None,
-                    },
-                    Err(_) => None,
-                };
-                let Some(part) = part else {
+                let Some(part) = read_reply(&result) else {
                     self.restart_op(ctx, op);
                     return;
                 };
@@ -2128,14 +2063,17 @@ impl ZlogClient {
                 if *outstanding > 0 {
                     return;
                 }
-                let OpKind::ReadBatch { positions } = &pending.kind else {
+                let Some(positions) = pending.kind.read_positions() else {
                     return;
                 };
+                let point = matches!(pending.kind, OpKind::Read { .. });
                 let width = u64::from(self.config.stripe_width).max(1);
-                match in_request_order(positions, std::mem::take(parts), width) {
-                    Some(ordered) => {
-                        self.finish(ctx, op, AppendResult::Ok(ZlogOut::ReadBatch(ordered)))
-                    }
+                let out = match in_request_order(positions, std::mem::take(parts), width) {
+                    Some(mut one) if point => one.pop().map(|(_, outcome)| ZlogOut::Read(outcome)),
+                    ordered => ordered.map(ZlogOut::ReadBatch),
+                };
+                match out {
+                    Some(out) => self.finish(ctx, op, AppendResult::Ok(out)),
                     // A group replied without one of its positions:
                     // malformed; re-issue the vector.
                     None => self.restart_op(ctx, op),
@@ -2170,21 +2108,16 @@ impl ZlogClient {
                 }
                 Err(_) => self.restart_op(ctx, op),
             },
-            Stage::CkptRead => match result {
-                Ok(outs) => {
-                    let decoded = match outs.first() {
-                        Some(OpResult::CallOut(bytes)) => decode_checkpoint(bytes).ok(),
-                        _ => None,
-                    };
-                    match decoded {
-                        Some(ckpt) => {
-                            self.finish(ctx, op, AppendResult::Ok(ZlogOut::Checkpoint(ckpt)))
-                        }
-                        None => self.restart_op(ctx, op),
-                    }
+            Stage::CkptRead => {
+                let ckpt = match result.as_ref().map(|outs| outs.first()) {
+                    Ok(Some(OpResult::CallList(items))) => checkpoint_of(items).ok(),
+                    _ => None,
+                };
+                match ckpt {
+                    Some(ckpt) => self.finish(ctx, op, AppendResult::Ok(ZlogOut::Checkpoint(ckpt))),
+                    None => self.restart_op(ctx, op),
                 }
-                Err(_) => self.restart_op(ctx, op),
-            },
+            }
             Stage::RecoverSeal {
                 outstanding,
                 max_pos,
@@ -2653,7 +2586,7 @@ impl ZlogClient {
         if let Some(pending) = self.ops.get_mut(&op) {
             pending.internal = true;
         }
-        self.step_storage_simple(ctx, op);
+        self.step_fill(ctx, op);
     }
 }
 
@@ -2806,7 +2739,6 @@ fn log_op_of(kind: &OpKind) -> Option<LogOp> {
         OpKind::Append { data } => Some(LogOp::Append { data: data.clone() }),
         OpKind::Read { pos } => Some(LogOp::Read { pos: *pos }),
         OpKind::Fill { pos } => Some(LogOp::Fill { pos: *pos }),
-        OpKind::Trim { pos } => Some(LogOp::Trim { pos: *pos }),
         OpKind::CheckTail => Some(LogOp::ReadTail),
         OpKind::TrimUpto { pos } => Some(LogOp::TrimTo { pos: *pos }),
         // Batch reads record per-position (see `multi_hist`); checkpoint and
@@ -2821,15 +2753,33 @@ fn log_op_of(kind: &OpKind) -> Option<LogOp> {
     }
 }
 
+/// The outcomes a `read_batch` call answered, or `None` for an error or a
+/// malformed reply. The reply is the list the method returned, each value
+/// the buffer the stripe object stores; payloads are copied here, once,
+/// into the outcomes the reader is handed.
+fn read_reply(result: &Result<Vec<OpResult>, OsdError>) -> Option<Vec<(u64, ReadOutcome)>> {
+    match result.as_ref().ok()?.first()? {
+        OpResult::CallList(items) => read_outcomes(items.iter().map(|item| &**item)).ok(),
+        _ => None,
+    }
+}
+
 /// Puts the per-stripe replies of a vectored read into request order. A
 /// reply lists its stripe's positions in the order the request named them,
 /// so every requested position takes the next entry of its stripe's reply;
 /// `None` when that entry is missing or for another position.
 fn in_request_order(
     positions: &[u64],
-    parts: Vec<Vec<(u64, ReadOutcome)>>,
+    mut parts: Vec<Vec<(u64, ReadOutcome)>>,
     width: u64,
 ) -> Option<Vec<(u64, ReadOutcome)>> {
+    if let [part] = &mut parts[..] {
+        // One stripe: its reply is in request order already.
+        let ordered = part.len() >= positions.len()
+            && part.iter().zip(positions).all(|((at, _), pos)| at == pos);
+        part.truncate(positions.len());
+        return parts.pop().filter(|_| ordered);
+    }
     let mut by_stripe: BTreeMap<u64, std::vec::IntoIter<(u64, ReadOutcome)>> = parts
         .into_iter()
         .filter_map(|part| Some((part.first()?.0 % width, part.into_iter())))

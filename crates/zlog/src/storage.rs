@@ -15,10 +15,24 @@
 //!   maximum written position — the primitive sequencer recovery is built
 //!   from.
 //!
-//! The methods: `write_batch`, `read`, `read_batch`, `fill`, `trim`,
-//! `trim_upto`, `seal`, `maxpos`, `checkpoint`, `checkpoint_read`. Wire
-//! format of the scalar ones (text, `|`-separated): `read`/`fill`/`trim`/
-//! `trim_upto`: `epoch|pos`, `seal`: `epoch`, `maxpos`: ``.
+//! The methods, and one rule for their wire: an input made only of numbers
+//! is text, `epoch|…`, split once; a method that carries bytes exchanges
+//! **framed lists** ([`mala_rados::frame`]: `n|l1,…,ln|` then the `n`
+//! bodies back to back), so payloads may hold any separator and neither
+//! side searches or slices them. A method that returns a table reaches an
+//! OSD client as the list of its items ([`mala_rados::OpResult::CallList`])
+//! and a direct caller of the class registry as its frame.
+//!
+//! | method | input | reply |
+//! |---|---|---|
+//! | `write_batch` | frame `{epoch, pos1, payload1, …, posn, payloadn}` ([`encode_write_batch`]) | `n` |
+//! | `read_batch` | `epoch\|pos,pos,…` ([`encode_read_batch`]) | list `{csv, v1, …, vn}` ([`read_outcomes`]) |
+//! | `fill` | `epoch\|pos` | `ok` |
+//! | `trim_upto` | `epoch\|pos` | entries purged |
+//! | `checkpoint` | frame `{epoch, pos, blob}` ([`encode_checkpoint`]) | position held |
+//! | `checkpoint_read` | ignored | list `{pos, blob}`, empty before the first ([`checkpoint_of`]) |
+//! | `seal` | `epoch` | maximum position, `-1` if none |
+//! | `maxpos` | ignored | maximum position, `-1` if none |
 //!
 //! `write_batch` is the one write, behind every append (an `append` is a
 //! batch of one): one call carries every same-stripe position of a client
@@ -28,44 +42,28 @@
 //! inside the batch) rejects the whole call with `EEXIST` before anything
 //! is applied, and a sealed epoch rejects it with `ESTALE`.
 //!
-//! `read_batch` is the vectored read mirror: one epoch check for the
-//! whole vector, and a tagged value per position out — `D|<payload>`
-//! (data), `F|` (junk fill), `T|` (trimmed) or `U|` (unwritten). Unlike
-//! the single `read`, unwritten positions are *not* an error: a reader
-//! catching up wants the tagged hole, not a round trip per `ENOENT`.
+//! `read_batch` is the one read, behind every point read and write probe
+//! (a `read` is a batch of one): one epoch check for the whole vector, and
+//! a value per position out — the stored value untouched (`D|<payload>`
+//! data, `F|` junk fill) or the constants `T|` (trimmed) and `U|`
+//! (unwritten). An unwritten position is an outcome, not an error. The
+//! reply's first item echoes the request's position csv as it came;
+//! [`read_outcomes`] takes positions from it, the tag from each value's
+//! first byte and the payload as the bytes after `D|`. The class never
+//! formats a position, measures a payload or joins a reply. Payloads are
+//! bytes end to end (DESIGN §29): the script is handed the frame as it was
+//! built, stores what `unframe` cut out of it, and a stored value travels
+//! back as the buffer it is stored in, never a copy of it.
 //!
-//! The vectored calls exchange **framed lists** ([`mala_rados::frame`]:
-//! `n|l1,…,ln|` then the `n` bodies back to back), so payloads may hold
-//! any separator and neither side searches or slices text. `write_batch`
-//! takes the list `{epoch, pos1, payload1, …, posn, payloadn}`
-//! ([`encode_write_batch`]) and reads it with one `unframe` call.
-//! `read_batch` keeps its text input, `epoch|pos,pos,...`
-//! ([`encode_read_batch`]; the OSD counts `osd.reads_served` from it), and
-//! *returns a table* `{<the position csv as it came>, v1, …, vn}` with
-//! `vi` the stored value untouched or the constants `"T|"` / `"U|"`; the
-//! class registry frames that table into the reply and
-//! [`decode_read_batch`] takes positions from the echoed csv, the tag
-//! from each value's first byte and the payload as the bytes after `D|`.
-//! The class never formats a position, measures a payload or joins a
-//! reply. Payloads are bytes end to end (DESIGN §29): the script is handed
-//! the frame as it was built, stores what `unframe` cut out of it, and a
-//! stored value travels back as the buffer it is stored in — through the
-//! OSD the reply is the list of those buffers
-//! ([`mala_rados::OpResult::CallList`], [`read_outcomes`]), never a copy of
-//! them.
+//! `trim_upto` (`epoch|pos`) marks every position `<= pos` on this stripe
+//! trimmed in O(1) state (the `trimlo` xattr) and purges their omap
+//! entries for space reclaim. Reads at or below the watermark report `T`;
+//! writes and fills there bounce with `EEXIST` (the cell's history is
+//! gone, it can never be written again).
 //!
-//! Trim carries a *prefix watermark* besides the per-position `trim`:
-//! `trim_upto` (`epoch|pos`) marks every position `<= pos` on this
-//! stripe trimmed in O(1) state (the `trimlo` xattr) and purges their
-//! omap entries for space reclaim. Reads at or below the watermark
-//! report `T`; writes and fills there bounce with `EEXIST` (the cell's
-//! history is gone, it can never be written again).
-//!
-//! `checkpoint`/`checkpoint_read` persist `(position, blob)` snapshots
-//! on a *per-log checkpoint object* (not a stripe object): `checkpoint`
-//! takes `epoch|pos|len|blob` and only ever advances (a stale snapshot
-//! writer cannot roll the checkpoint back), `checkpoint_read` returns
-//! `pos|len|blob` (`-1|0|` when none was ever taken).
+//! `checkpoint`/`checkpoint_read` persist `(position, blob)` snapshots on a
+//! *per-log checkpoint object* (not a stripe object); a checkpoint only
+//! ever advances, so a stale snapshot writer cannot roll it back.
 
 use mala_consensus::{MapUpdate, SERVICE_MAP_INTERFACES};
 use mala_rados::frame;
@@ -80,11 +78,12 @@ pub const ZLOG_CLASS_SOURCE: &str = r#"
 -- Entry values are tagged: "D|<payload>" data, "F|" filled junk,
 -- "T|" trimmed. The "trimlo" xattr is the prefix-trim watermark:
 -- every position <= trimlo is trimmed, its omap entry purged.
--- Vectored calls exchange lists the host frames: write_batch reads its
--- input with unframe(), read_batch returns a table. Neither builds nor
--- parses wire text.
+-- Inputs made only of numbers are text, "epoch|...". Methods that carry
+-- bytes exchange lists the host frames: write_batch and checkpoint read
+-- their input with unframe(), read_batch and checkpoint_read return a
+-- table. None builds or parses a payload.
 
-__readonly = {"maxpos", "read", "read_batch", "checkpoint_read"}
+__readonly = {"maxpos", "read_batch", "checkpoint_read"}
 
 function pad(pos) return "e" .. zpad(pos, 20) end
 
@@ -149,26 +148,11 @@ function write_batch(input)
     return fmt(n)
 end
 
-function read(input)
-    local parts = split(input, "|")
-    local e = tonumber(parts[1])
-    local pos = tonumber(parts[2])
-    if e == nil or pos == nil then error("EINVAL: bad read input") end
-    check_epoch(e)
-    if pos <= trim_floor() then return "T|" end
-    local v = omap_get(pad(pos))
-    if v == nil then
-        error("ENOENT: position " .. fmt(pos) .. " not written")
-    end
-    return v
-end
-
--- Vectored read: "epoch|pos,pos,...". One epoch check covers the whole
+-- The one read: "epoch|pos,pos,...". One epoch check covers the whole
 -- vector. The reply is a list the host frames: the position csv as it
 -- came, then one value per position — the stored value as it is
--- ("D|<payload>", "F|", "T|"), "T|" under the trim watermark, "U|" for a
--- hole — so holes come back tagged instead of burning a round trip on
--- ENOENT, and no byte of a payload is touched here.
+-- ("D|<payload>", "F|"), "T|" under the trim watermark, "U|" for a hole —
+-- and no byte of a payload is touched here.
 function read_batch(input)
     local i = find(input, "|")
     if i == nil then error("EINVAL: bad read_batch input") end
@@ -212,18 +196,6 @@ function fill(input)
     return "ok"
 end
 
-function trim(input)
-    local parts = split(input, "|")
-    local e = tonumber(parts[1])
-    local pos = tonumber(parts[2])
-    if e == nil or pos == nil then error("EINVAL: bad trim input") end
-    check_epoch(e)
-    if pos <= trim_floor() then return "ok" end
-    omap_set(pad(pos), "T|")
-    bump_maxpos(pos)
-    return "ok"
-end
-
 -- Prefix trim: every position <= pos on this stripe becomes trimmed in
 -- one call. The watermark is O(1) state; purging the covered omap
 -- entries reclaims their space. Monotone and idempotent.
@@ -241,41 +213,32 @@ function trim_upto(input)
 end
 
 -- Checkpoint persistence (lives on the per-log checkpoint object, not a
--- stripe object). "epoch|pos|len|blob": records that `blob` captures
--- the log prefix [0, pos). Only ever advances — a slow writer with an
--- older snapshot cannot roll the checkpoint back. Returns the position
--- now held.
+-- stripe object). The framed list {epoch, pos, blob}: records that blob
+-- captures the log prefix [0, pos). Only ever advances — a slow writer
+-- with an older snapshot cannot roll the checkpoint back. Returns the
+-- position now held.
 function checkpoint(input)
-    local i = find(input, "|")
-    if i == nil then error("EINVAL: bad checkpoint input") end
-    local e = tonumber(sub(input, 1, i - 1))
-    local s = sub(input, i + 1)
-    i = find(s, "|")
-    if i == nil then error("EINVAL: bad checkpoint input") end
-    local pos = tonumber(sub(s, 1, i - 1))
-    s = sub(s, i + 1)
-    i = find(s, "|")
-    if i == nil then error("EINVAL: bad checkpoint input") end
-    local len = tonumber(sub(s, 1, i - 1))
-    s = sub(s, i + 1)
-    if e == nil or pos == nil or len == nil or len < 0 or #s < len then
+    local items = unframe(input)
+    local e = tonumber(items[1])
+    local pos = tonumber(items[2])
+    if #items ~= 3 or e == nil or pos == nil then
         error("EINVAL: bad checkpoint input")
     end
     check_epoch(e)
     local cur = tonumber(xattr_get("ckpt_pos"))
     if cur ~= nil and pos <= cur then return fmt(cur) end
     xattr_set("ckpt_pos", fmt(pos))
-    omap_set("ckpt", sub(s, 1, len))
+    omap_set("ckpt", items[3])
     return fmt(pos)
 end
 
--- Latest checkpoint as "pos|len|blob", or "-1|0|" before the first one.
+-- Latest checkpoint as the list {pos, blob}, empty before the first one.
 function checkpoint_read(input)
     local pos = xattr_get("ckpt_pos")
-    if pos == nil then return "-1|0|" end
+    if pos == nil then return {} end
     local blob = omap_get("ckpt")
     if blob == nil then blob = "" end
-    return pos .. "|" .. fmt(#blob) .. "|" .. blob
+    return {pos, blob}
 end
 
 function seal(input)
@@ -374,42 +337,34 @@ pub fn read_outcomes<'a>(
     Ok(out)
 }
 
-/// Encodes a `checkpoint` input: `epoch|pos|len|blob`, the blob as it is
-/// and `len` its length in bytes.
+/// Encodes a `checkpoint` input: the framed list `{epoch, pos, blob}`, the
+/// blob as it is.
 pub fn encode_checkpoint(epoch: u64, pos: u64, blob: &[u8]) -> Vec<u8> {
-    let mut out = format!("{epoch}|{pos}|{}|", blob.len()).into_bytes();
-    out.extend_from_slice(blob);
-    out
+    let (epoch, pos) = (epoch.to_string(), pos.to_string());
+    frame::encode([epoch.as_bytes(), pos.as_bytes(), blob].into_iter())
 }
 
-/// Decodes a `checkpoint_read` reply (`pos|len|blob`). `None` when no
-/// checkpoint has been taken yet (`-1|0|`). The two header fields are read
-/// as text, the blob is bytes.
+/// Decodes a `checkpoint_read` reply in its flat form: the frame of `{pos,
+/// blob}` (see [`checkpoint_of`]).
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<Option<(u64, Vec<u8>)>, String> {
-    /// Splits the `|`-terminated text field off the front of `rest`.
-    fn field<'a>(rest: &mut &'a [u8], what: &str) -> Result<&'a str, String> {
-        let at = rest
-            .iter()
-            .position(|b| *b == b'|')
-            .ok_or_else(|| format!("checkpoint reply: missing {what}"))?;
-        let (head, tail) = rest.split_at(at);
-        *rest = &tail[1..];
-        std::str::from_utf8(head).map_err(|_| format!("checkpoint reply: bad {what}"))
+    checkpoint_of(&frame::decode(bytes).map_err(|e| format!("checkpoint reply: {e}"))?)
+}
+
+/// Reads a `checkpoint_read` reply, the list `{pos, blob}`: `None` when it
+/// is empty, no checkpoint having been taken yet. The position is read as
+/// text, the blob is copied out as it is.
+pub fn checkpoint_of(items: &[impl AsRef<[u8]>]) -> Result<Option<(u64, Vec<u8>)>, String> {
+    match items {
+        [] => Ok(None),
+        [pos, blob] => {
+            let pos = std::str::from_utf8(pos.as_ref())
+                .ok()
+                .and_then(|p| p.parse().ok());
+            let pos = pos.ok_or("checkpoint reply: bad position")?;
+            Ok(Some((pos, blob.as_ref().to_vec())))
+        }
+        _ => Err(format!("checkpoint reply: {} items", items.len())),
     }
-    let mut rest = bytes;
-    let pos = field(&mut rest, "position")?;
-    if pos == "-1" {
-        return Ok(None);
-    }
-    let pos: u64 = pos
-        .parse()
-        .map_err(|_| format!("checkpoint reply: bad position {pos:?}"))?;
-    let len = field(&mut rest, "length")?;
-    let len: usize = len
-        .parse()
-        .map_err(|_| format!("checkpoint reply: bad length {len:?}"))?;
-    let blob = rest.get(..len).ok_or("checkpoint reply: truncated blob")?;
-    Ok(Some((pos, blob.to_vec())))
 }
 
 /// The monitor update that installs (or upgrades) the class cluster-wide.
@@ -424,6 +379,7 @@ pub fn zlog_interface_update() -> MapUpdate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::ReadOutcome;
     use mala_dsl::{Engine, Interp, Vm};
     use mala_rados::{ClassRegistry, Object, OsdError};
     use std::any::type_name;
@@ -467,6 +423,22 @@ mod tests {
             "write_batch",
             &batch_input(epoch, &[(pos, payload)]),
         )
+    }
+
+    /// What a one-position `read_batch` finds at `pos` under `epoch`.
+    fn cell(
+        reg: &ClassRegistry,
+        slot: &mut Option<Object>,
+        epoch: u64,
+        pos: u64,
+    ) -> Result<ReadOutcome, i32> {
+        let mut cells = rb(reg, slot, epoch, &[pos])?;
+        assert_eq!(cells.len(), 1, "{cells:?}");
+        Ok(cells.remove(0).1)
+    }
+
+    fn data(payload: &str) -> Result<ReadOutcome, i32> {
+        Ok(ReadOutcome::Data(payload.as_bytes().to_vec()))
     }
 
     /// The journal record of an append carries what the append touched —
@@ -522,14 +494,19 @@ mod tests {
         assert_eq!(write(&reg, &mut slot, 0, 5, "hello"), Ok("1".into()));
         // Same position again: EEXIST (-17).
         assert_eq!(write(&reg, &mut slot, 0, 5, "other"), Err(-17));
-        assert_eq!(call(&reg, &mut slot, "read", "0|5"), Ok("D|hello".into()));
+        assert_eq!(cell(&reg, &mut slot, 0, 5), data("hello"));
     }
 
+    /// A hole is an outcome, not an error, on an object that holds other
+    /// cells and on one that was never created.
     #[test]
-    fn unwritten_reads_are_enoent() {
+    fn unwritten_reads_are_tagged_not_errors() {
         let reg = reg();
-        let mut slot = Some(Object::new());
-        assert_eq!(call(&reg, &mut slot, "read", "0|3"), Err(-2));
+        let mut slot = None;
+        assert_eq!(cell(&reg, &mut slot, 0, 3), Ok(ReadOutcome::NotWritten));
+        assert_eq!(slot, None, "a read creates nothing");
+        write(&reg, &mut slot, 0, 7, "x").unwrap();
+        assert_eq!(cell(&reg, &mut slot, 0, 3), Ok(ReadOutcome::NotWritten));
     }
 
     #[test]
@@ -538,18 +515,9 @@ mod tests {
         let mut slot = Some(Object::new());
         assert_eq!(call(&reg, &mut slot, "fill", "0|2"), Ok("ok".into()));
         assert_eq!(call(&reg, &mut slot, "fill", "0|2"), Ok("ok".into())); // idempotent
-        assert_eq!(call(&reg, &mut slot, "read", "0|2"), Ok("F|".into()));
+        assert_eq!(cell(&reg, &mut slot, 0, 2), Ok(ReadOutcome::Filled));
         write(&reg, &mut slot, 0, 7, "data").unwrap();
         assert_eq!(call(&reg, &mut slot, "fill", "0|7"), Err(-17));
-    }
-
-    #[test]
-    fn trim_overwrites_anything() {
-        let reg = reg();
-        let mut slot = Some(Object::new());
-        write(&reg, &mut slot, 0, 1, "x").unwrap();
-        assert_eq!(call(&reg, &mut slot, "trim", "0|1"), Ok("ok".into()));
-        assert_eq!(call(&reg, &mut slot, "read", "0|1"), Ok("T|".into()));
     }
 
     #[test]
@@ -572,11 +540,11 @@ mod tests {
         write(&reg, &mut slot, 0, 0, "pre").unwrap();
         call(&reg, &mut slot, "seal", "3").unwrap();
         assert_eq!(write(&reg, &mut slot, 2, 1, "stale"), Err(-116));
-        assert_eq!(call(&reg, &mut slot, "read", "2|0"), Err(-116));
+        assert_eq!(cell(&reg, &mut slot, 2, 0), Err(-116));
         assert_eq!(call(&reg, &mut slot, "fill", "0|1"), Err(-116));
         // Current-epoch traffic flows.
         assert_eq!(write(&reg, &mut slot, 3, 1, "fresh"), Ok("1".into()));
-        assert_eq!(call(&reg, &mut slot, "read", "3|0"), Ok("D|pre".into()));
+        assert_eq!(cell(&reg, &mut slot, 3, 0), data("pre"));
     }
 
     #[test]
@@ -601,12 +569,9 @@ mod tests {
         let mut slot = Some(Object::new());
         let input = batch_input(0, &[(0, "alpha"), (4, "with|sep"), (8, "")]);
         assert_eq!(call(&reg, &mut slot, "write_batch", &input), Ok("3".into()));
-        assert_eq!(call(&reg, &mut slot, "read", "0|0"), Ok("D|alpha".into()));
-        assert_eq!(
-            call(&reg, &mut slot, "read", "0|4"),
-            Ok("D|with|sep".into())
-        );
-        assert_eq!(call(&reg, &mut slot, "read", "0|8"), Ok("D|".into()));
+        assert_eq!(cell(&reg, &mut slot, 0, 0), data("alpha"));
+        assert_eq!(cell(&reg, &mut slot, 0, 4), data("with|sep"));
+        assert_eq!(cell(&reg, &mut slot, 0, 8), data(""));
     }
 
     #[test]
@@ -617,9 +582,10 @@ mod tests {
         // One member collides with a written cell: nothing may land.
         let input = batch_input(0, &[(0, "a"), (4, "clobber"), (8, "c")]);
         assert_eq!(call(&reg, &mut slot, "write_batch", &input), Err(-17));
-        assert_eq!(call(&reg, &mut slot, "read", "0|0"), Err(-2));
-        assert_eq!(call(&reg, &mut slot, "read", "0|8"), Err(-2));
-        assert_eq!(call(&reg, &mut slot, "read", "0|4"), Ok("D|held".into()));
+        let hole = Ok(ReadOutcome::NotWritten);
+        assert_eq!(cell(&reg, &mut slot, 0, 0), hole);
+        assert_eq!(cell(&reg, &mut slot, 0, 8), hole);
+        assert_eq!(cell(&reg, &mut slot, 0, 4), data("held"));
     }
 
     #[test]
@@ -629,8 +595,8 @@ mod tests {
         let input = batch_input(0, &[(3, "first"), (7, "mid"), (3, "again")]);
         assert_eq!(call(&reg, &mut slot, "write_batch", &input), Err(-17));
         // All-or-nothing: the earlier members did not sneak in.
-        assert_eq!(call(&reg, &mut slot, "read", "0|3"), Err(-2));
-        assert_eq!(call(&reg, &mut slot, "read", "0|7"), Err(-2));
+        assert_eq!(cell(&reg, &mut slot, 0, 3), Ok(ReadOutcome::NotWritten));
+        assert_eq!(cell(&reg, &mut slot, 0, 7), Ok(ReadOutcome::NotWritten));
     }
 
     #[test]
@@ -640,8 +606,8 @@ mod tests {
         call(&reg, &mut slot, "seal", "5").unwrap();
         let input = batch_input(4, &[(0, "a"), (4, "b")]);
         assert_eq!(call(&reg, &mut slot, "write_batch", &input), Err(-116));
-        assert_eq!(call(&reg, &mut slot, "read", "5|0"), Err(-2));
-        assert_eq!(call(&reg, &mut slot, "read", "5|4"), Err(-2));
+        assert_eq!(cell(&reg, &mut slot, 5, 0), Ok(ReadOutcome::NotWritten));
+        assert_eq!(cell(&reg, &mut slot, 5, 4), Ok(ReadOutcome::NotWritten));
         // The same batch at the sealed epoch is admitted.
         let input = batch_input(5, &[(0, "a"), (4, "b")]);
         assert_eq!(call(&reg, &mut slot, "write_batch", &input), Ok("2".into()));
@@ -695,7 +661,6 @@ mod tests {
     /// is the bytes that were framed.
     #[test]
     fn write_batch_lengths_cut_bytes_not_characters() {
-        use crate::log::ReadOutcome;
         fn case<E: Engine>() {
             let kind = type_name::<E>();
             let reg = reg_on::<E>();
@@ -722,7 +687,9 @@ mod tests {
     fn bad_inputs_are_einval() {
         let reg = reg();
         let mut slot = Some(Object::new());
-        assert_eq!(call(&reg, &mut slot, "read", ""), Err(-22));
+        for method in ["fill", "trim_upto", "checkpoint", "seal"] {
+            assert_eq!(call(&reg, &mut slot, method, ""), Err(-22), "{method}");
+        }
         assert_eq!(call(&reg, &mut slot, "seal", "x"), Err(-22));
     }
 
@@ -730,10 +697,6 @@ mod tests {
     fn read_methods_declared_readonly() {
         let reg = reg();
         use mala_rados::MethodKind;
-        assert_eq!(
-            reg.method_kind(ZLOG_CLASS, "read"),
-            Some(MethodKind::ReadOnly)
-        );
         assert_eq!(
             reg.method_kind(ZLOG_CLASS, "read_batch"),
             Some(MethodKind::ReadOnly)
@@ -750,8 +713,11 @@ mod tests {
             reg.method_kind(ZLOG_CLASS, "write_batch"),
             Some(MethodKind::ReadWrite)
         );
-        // `write_batch` is the one write.
-        assert_eq!(reg.method_kind(ZLOG_CLASS, "write"), None);
+        // `write_batch` is the one write and `read_batch` the one read;
+        // trimming is by prefix only.
+        for gone in ["write", "read", "trim"] {
+            assert_eq!(reg.method_kind(ZLOG_CLASS, gone), None, "{gone}");
+        }
         assert_eq!(
             reg.method_kind(ZLOG_CLASS, "seal"),
             Some(MethodKind::ReadWrite)
@@ -771,7 +737,7 @@ mod tests {
         slot: &mut Option<Object>,
         epoch: u64,
         positions: &[u64],
-    ) -> Result<Vec<(u64, crate::log::ReadOutcome)>, i32> {
+    ) -> Result<Vec<(u64, ReadOutcome)>, i32> {
         let input = encode_read_batch(epoch, positions);
         match reg.call(ZLOG_CLASS, "read_batch", slot, &input) {
             Ok(out) => Ok(decode_read_batch(&out).unwrap()),
@@ -782,21 +748,20 @@ mod tests {
 
     #[test]
     fn read_batch_spans_every_cell_state() {
-        use crate::log::ReadOutcome;
         let reg = reg();
         let mut slot = Some(Object::new());
         write(&reg, &mut slot, 0, 0, "early").unwrap();
         write(&reg, &mut slot, 0, 8, "live|data").unwrap();
         call(&reg, &mut slot, "fill", "0|12").unwrap();
-        call(&reg, &mut slot, "trim", "0|16").unwrap();
+        call(&reg, &mut slot, "trim_upto", "0|4").unwrap();
         // One vector covering data, junk, trimmed, and unwritten positions.
-        let got = rb(&reg, &mut slot, 0, &[8, 12, 16, 20]).unwrap();
+        let got = rb(&reg, &mut slot, 0, &[8, 12, 0, 20]).unwrap();
         assert_eq!(
             got,
             vec![
                 (8, ReadOutcome::Data(b"live|data".to_vec())),
                 (12, ReadOutcome::Filled),
-                (16, ReadOutcome::Trimmed),
+                (0, ReadOutcome::Trimmed),
                 (20, ReadOutcome::NotWritten),
             ]
         );
@@ -823,7 +788,6 @@ mod tests {
 
     #[test]
     fn trim_upto_trims_prefix_and_purges_entries() {
-        use crate::log::ReadOutcome;
         let reg = reg();
         let mut slot = Some(Object::new());
         for pos in [0u64, 4, 8, 12] {
@@ -831,11 +795,11 @@ mod tests {
         }
         // Trim everything through position 8: three entries purged.
         assert_eq!(call(&reg, &mut slot, "trim_upto", "0|8"), Ok("3".into()));
-        assert_eq!(call(&reg, &mut slot, "read", "0|0"), Ok("T|".into()));
-        assert_eq!(call(&reg, &mut slot, "read", "0|8"), Ok("T|".into()));
-        assert_eq!(call(&reg, &mut slot, "read", "0|12"), Ok("D|v12".into()));
+        assert_eq!(cell(&reg, &mut slot, 0, 0), Ok(ReadOutcome::Trimmed));
+        assert_eq!(cell(&reg, &mut slot, 0, 8), Ok(ReadOutcome::Trimmed));
+        assert_eq!(cell(&reg, &mut slot, 0, 12), data("v12"));
         // Positions under the watermark read trimmed even if never written.
-        assert_eq!(call(&reg, &mut slot, "read", "0|6"), Ok("T|".into()));
+        assert_eq!(cell(&reg, &mut slot, 0, 6), Ok(ReadOutcome::Trimmed));
         let got = rb(&reg, &mut slot, 0, &[4, 12]).unwrap();
         assert_eq!(
             got,
@@ -846,7 +810,7 @@ mod tests {
         );
         // Idempotent / monotone: re-trimming a covered prefix purges nothing.
         assert_eq!(call(&reg, &mut slot, "trim_upto", "0|4"), Ok("0".into()));
-        assert_eq!(call(&reg, &mut slot, "read", "0|12"), Ok("D|v12".into()));
+        assert_eq!(cell(&reg, &mut slot, 0, 12), data("v12"));
     }
 
     #[test]
@@ -858,10 +822,9 @@ mod tests {
         assert_eq!(write(&reg, &mut slot, 0, 4, "late"), Err(-17));
         assert_eq!(write(&reg, &mut slot, 0, 8, "late"), Err(-17));
         assert_eq!(call(&reg, &mut slot, "fill", "0|0"), Err(-17));
-        assert_eq!(call(&reg, &mut slot, "trim", "0|4"), Ok("ok".into()));
         let input = batch_input(0, &[(8, "under"), (12, "over")]);
         assert_eq!(call(&reg, &mut slot, "write_batch", &input), Err(-17));
-        assert_eq!(call(&reg, &mut slot, "read", "0|12"), Err(-2));
+        assert_eq!(cell(&reg, &mut slot, 0, 12), Ok(ReadOutcome::NotWritten));
         // Writes strictly above the watermark still land.
         assert_eq!(write(&reg, &mut slot, 0, 12, "ok"), Ok("1".into()));
     }
@@ -874,42 +837,60 @@ mod tests {
         assert_eq!(call(&reg, &mut slot, "maxpos", ""), Ok("20".into()));
         call(&reg, &mut slot, "seal", "2").unwrap();
         assert_eq!(call(&reg, &mut slot, "trim_upto", "1|40"), Err(-116));
-        assert_eq!(call(&reg, &mut slot, "read", "2|40"), Err(-2));
+        assert_eq!(cell(&reg, &mut slot, 2, 40), Ok(ReadOutcome::NotWritten));
+    }
+
+    /// `checkpoint` with the framed `{epoch, pos, blob}`.
+    fn checkpoint(
+        reg: &ClassRegistry,
+        slot: &mut Option<Object>,
+        epoch: u64,
+        pos: u64,
+        blob: &str,
+    ) -> Result<String, i32> {
+        let input = encode_checkpoint(epoch, pos, blob.as_bytes());
+        call(reg, slot, "checkpoint", &String::from_utf8(input).unwrap())
+    }
+
+    fn held_checkpoint(reg: &ClassRegistry, slot: &mut Option<Object>) -> Option<(u64, Vec<u8>)> {
+        let out = call(reg, slot, "checkpoint_read", "").unwrap();
+        decode_checkpoint(out.as_bytes()).unwrap()
     }
 
     #[test]
     fn checkpoint_is_monotone() {
         let reg = reg();
         let mut slot = Some(Object::new());
+        // Before the first checkpoint the reply is the empty list.
         assert_eq!(
             call(&reg, &mut slot, "checkpoint_read", ""),
-            Ok("-1|0|".into())
+            Ok("0||".into())
         );
-        let input = String::from_utf8(encode_checkpoint(0, 100, b"state@100")).unwrap();
+        assert_eq!(held_checkpoint(&reg, &mut slot), None);
         assert_eq!(
-            call(&reg, &mut slot, "checkpoint", &input),
+            checkpoint(&reg, &mut slot, 0, 100, "state@100"),
             Ok("100".into())
         );
         // An older snapshot cannot roll the checkpoint back.
-        let stale = String::from_utf8(encode_checkpoint(0, 60, b"state@60")).unwrap();
         assert_eq!(
-            call(&reg, &mut slot, "checkpoint", &stale),
+            checkpoint(&reg, &mut slot, 0, 60, "state@60"),
             Ok("100".into())
         );
-        let out = call(&reg, &mut slot, "checkpoint_read", "").unwrap();
         assert_eq!(
-            decode_checkpoint(out.as_bytes()).unwrap(),
+            held_checkpoint(&reg, &mut slot),
             Some((100, b"state@100".to_vec()))
         );
         // A newer one advances it, and blobs may contain separators.
-        let fresh = String::from_utf8(encode_checkpoint(0, 250, b"a|b|c")).unwrap();
         assert_eq!(
-            call(&reg, &mut slot, "checkpoint", &fresh),
+            checkpoint(&reg, &mut slot, 0, 250, "a|b|c"),
             Ok("250".into())
         );
-        let out = call(&reg, &mut slot, "checkpoint_read", "").unwrap();
         assert_eq!(
-            decode_checkpoint(out.as_bytes()).unwrap(),
+            call(&reg, &mut slot, "checkpoint_read", ""),
+            Ok("2|3,5|250a|b|c".into())
+        );
+        assert_eq!(
+            held_checkpoint(&reg, &mut slot),
             Some((250, b"a|b|c".to_vec()))
         );
     }
@@ -919,20 +900,55 @@ mod tests {
         let reg = reg();
         let mut slot = Some(Object::new());
         call(&reg, &mut slot, "seal", "3").unwrap();
-        let stale = String::from_utf8(encode_checkpoint(2, 10, b"s")).unwrap();
-        assert_eq!(call(&reg, &mut slot, "checkpoint", &stale), Err(-116));
-        for input in ["", "0", "0|1", "0|1|9|short", "0|1|x|y"] {
-            assert_eq!(call(&reg, &mut slot, "checkpoint", input), Err(-22));
+        assert_eq!(checkpoint(&reg, &mut slot, 2, 10, "s"), Err(-116));
+        for input in [
+            // Not a frame, a cut one, one with bytes left over.
+            "",
+            "0|1|5|10|short",
+            "3|1,2,5|310sho",
+            "3|1,2,1|310sx",
+            // A frame, but not {epoch, pos, blob}: empty, two or four
+            // items, a bad epoch or position.
+            "0||",
+            "2|1,2|310",
+            "4|1,2,1,1|310sx",
+            "3|1,2,1|x10s",
+            "3|1,2,1|31xs",
+        ] {
+            assert_eq!(
+                call(&reg, &mut slot, "checkpoint", input),
+                Err(-22),
+                "{input:?}"
+            );
         }
+        assert_eq!(held_checkpoint(&reg, &mut slot), None);
+    }
+
+    #[test]
+    fn checkpoint_helpers_round_trip() {
+        assert_eq!(encode_checkpoint(7, 250, b"a|b"), b"3|1,3,3|7250a|b");
+        assert_eq!(decode_checkpoint(b"0||"), Ok(None));
         assert_eq!(
-            call(&reg, &mut slot, "checkpoint_read", ""),
-            Ok("-1|0|".into())
+            decode_checkpoint(b"2|2,2|12\xff|"),
+            Ok(Some((12, b"\xff|".to_vec())))
         );
+        for bad in [
+            &b"-1|0|"[..],
+            b"1|2|12",
+            b"2|2,0|-1",
+            b"2|1,0|x",
+            b"3|1,0,0|1",
+        ] {
+            assert!(
+                decode_checkpoint(bad).is_err(),
+                "{:?}",
+                String::from_utf8_lossy(bad)
+            );
+        }
     }
 
     #[test]
     fn read_batch_roundtrip_helpers() {
-        use crate::log::ReadOutcome;
         assert_eq!(
             String::from_utf8(encode_read_batch(7, &[1, 33, 65])).unwrap(),
             "7|1,33,65"
@@ -1005,7 +1021,6 @@ mod tests {
     /// included, byte for byte, on both engines.
     #[test]
     fn batch_helpers_round_trip_through_the_class() {
-        use crate::log::ReadOutcome;
         const PAYLOADS: [&[u8]; 7] = [
             b"plain",
             b"",
@@ -1051,11 +1066,10 @@ mod tests {
 
     /// Arbitrary payloads through every data-carrying method of the class,
     /// on both engines: what goes in by a one-entry or a longer
-    /// `write_batch`, or by `checkpoint`, comes out of `read`, `read_batch`
-    /// and `checkpoint_read` as the same bytes.
+    /// `write_batch`, or by `checkpoint`, comes out of a one-position or a
+    /// longer `read_batch` and out of `checkpoint_read` as the same bytes.
     mod any_payload {
         use super::*;
-        use crate::log::ReadOutcome;
         use proptest::prelude::*;
 
         /// Bytes no text holds, the bytes the wire formats' separators are
@@ -1096,8 +1110,8 @@ mod tests {
             let wrote = call(&mut slot, "write_batch", &encode_write_batch(0, &entries));
             prop_assert_eq!(wrote, batch.len().to_string().into_bytes());
 
-            let tagged = [b"D|", single].concat();
-            prop_assert_eq!(call(&mut slot, "read", b"0|0"), tagged);
+            let one = decode_read_batch(&call(&mut slot, "read_batch", b"0|0")).unwrap();
+            prop_assert_eq!(one, vec![(0, ReadOutcome::Data(single.to_vec()))]);
             let positions: Vec<u64> = (0..=batch.len() as u64).map(|i| 4 * i).collect();
             let reply = call(&mut slot, "read_batch", &encode_read_batch(0, &positions));
             let mut want = vec![(0, ReadOutcome::Data(single.to_vec()))];

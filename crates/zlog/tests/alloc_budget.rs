@@ -15,7 +15,10 @@
 //! and layout strings, each copied at every hop, and numbers formatted
 //! into a `String` apiece).
 //!
-//! The second budget is a watchdog re-drive of a batch whose sequencer
+//! The second budget is a point read of a written entry, a `read_batch` of
+//! one position, over the same cluster after the same warm-up.
+//!
+//! The third budget is a watchdog re-drive of a batch whose sequencer
 //! never answers: forgetting the old grant and sending the new one. An op
 //! lists the reply routes it holds (DESIGN §23), inline while it holds one
 //! or two, so the re-drive allocates the two messages it sends and nothing
@@ -31,7 +34,7 @@ use mala_mds::{MdsConfig, MdsMapView, NoBalancer};
 use mala_rados::{JournalSet, Osd, OsdConfig, OsdMapView, PoolInfo};
 use mala_sim::{NodeId, Sim, SimDuration};
 use mala_zlog::log::{run_op, ZlogOut};
-use mala_zlog::{zlog_interface_update, AppendResult, ZlogClient, ZlogConfig};
+use mala_zlog::{zlog_interface_update, AppendResult, ReadOutcome, ZlogClient, ZlogConfig};
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
@@ -168,6 +171,47 @@ fn a_steady_state_append_stays_inside_its_allocation_budget() {
         per_append <= budget,
         "{per_append:.4} allocations per append, budget {budget:.2} \
          (was {MEASURED_PER_APPEND} when set): see DESIGN §30 for what an append may allocate"
+    );
+}
+
+/// One point read of the 1 KiB entry at `pos`.
+fn read_one(sim: &mut Sim, pos: u64) {
+    let res = run_op(sim, WRITER, SimDuration::from_secs(10), move |c, ctx| {
+        c.read(ctx, pos)
+    });
+    assert!(
+        matches!(res, AppendResult::Ok(ZlogOut::Read(ReadOutcome::Data(_)))),
+        "{res:?}"
+    );
+}
+
+/// Allocations per point read this tree made when the budget was set. The
+/// tree before a point read was a `read_batch` of one made 15.20 through the
+/// class's scalar `read`: the vectored script splits its position list and
+/// returns a table, and the client decodes a list of outcomes.
+const MEASURED_PER_READ: f64 = 22.20;
+
+#[test]
+fn a_point_read_stays_inside_its_allocation_budget() {
+    const READS: u64 = 256;
+    let mut sim = build();
+    for i in 0..64 {
+        append_one(&mut sim, i);
+    }
+    // Warm-up: the read path's tables reach their steady size too.
+    for pos in 0..64 {
+        read_one(&mut sim, pos);
+    }
+    let before = ALLOCS.get();
+    for i in 0..READS {
+        read_one(&mut sim, i * 7 % 64);
+    }
+    let per_read = (ALLOCS.get() - before) as f64 / READS as f64;
+    let budget = MEASURED_PER_READ * 1.05;
+    assert!(
+        per_read <= budget,
+        "{per_read:.4} allocations per point read, budget {budget:.2} \
+         (was {MEASURED_PER_READ} when set)"
     );
 }
 

@@ -2,18 +2,21 @@
 //!
 //! `ZLOG_CLASS_SOURCE` was rewritten for cost — a one-builtin `pad`, then
 //! vectored calls that exchange host-framed lists instead of text the
-//! script builds and parses — and what it stores and answers must not have
-//! moved. The previous source is frozen in
-//! `fixtures/zlog_class_parent.cephalo` and both run the same random call
-//! sequences, on both engines. The two speak different wire formats for
-//! `write_batch` inputs and `read_batch` replies, so each side encodes and
-//! decodes with its own helpers (the parent's live on in [`parent`]) and
-//! the comparison is on what was said: every decoded reply, every error
-//! (code and message) and, byte for byte, the object left behind.
+//! script builds and parses, then one read and a framed checkpoint — and
+//! what it stores and answers must not have moved. The previous source is
+//! frozen in `fixtures/zlog_class_parent.cephalo` and both run the same
+//! random call sequences, on both engines. The two speak different wire
+//! formats for `write_batch` and `checkpoint` inputs and for `read_batch`
+//! and `checkpoint_read` replies, so each side encodes and decodes with its
+//! own helpers (the parent's live on in [`parent`]) and the comparison is
+//! on what was said: every decoded reply, every error (code and message)
+//! and, byte for byte, the object left behind. The parent's scalar `read`
+//! is compared with a one-position `read_batch`, its `ENOENT` with `U|`;
+//! its per-position `trim` has no counterpart and is never called.
 
 use mala_dsl::{Engine, Interp, Vm};
 use mala_rados::{frame, ClassRegistry, Object, OsdError};
-use mala_zlog::storage::decode_read_batch;
+use mala_zlog::storage::{decode_checkpoint, decode_read_batch};
 use mala_zlog::{
     encode_checkpoint, encode_read_batch, encode_write_batch, ReadOutcome, ZLOG_CLASS,
     ZLOG_CLASS_SOURCE,
@@ -28,9 +31,36 @@ type Entry = (String, u8, Vec<u8>);
 
 /// The wire helpers `mala_zlog::storage` had while the parent source was
 /// the shipped one: `write_batch` took `epoch|n|` then `pos|len|payload`
-/// entries, `read_batch` answered `n|` then `pos|tag|len|payload` entries.
+/// entries, `read_batch` answered `n|` then `pos|tag|len|payload` entries,
+/// `checkpoint` took `epoch|pos|len|blob` and `checkpoint_read` answered
+/// `pos|len|blob`, `-1|0|` before the first checkpoint.
 mod parent {
     use super::Entry;
+
+    pub fn encode_checkpoint(epoch: u64, pos: u64, blob: &[u8]) -> Vec<u8> {
+        let mut out = format!("{epoch}|{pos}|{}|", blob.len()).into_bytes();
+        out.extend_from_slice(blob);
+        out
+    }
+
+    pub fn decode_checkpoint(bytes: &[u8]) -> Result<Option<(u64, Vec<u8>)>, String> {
+        let mut fields = bytes.splitn(3, |b| *b == b'|');
+        let mut field = || -> Result<&str, String> {
+            let field = fields.next().ok_or("missing field")?;
+            std::str::from_utf8(field).map_err(|e| e.to_string())
+        };
+        let pos = field()?;
+        if pos == "-1" {
+            return Ok(None);
+        }
+        let pos = pos.parse().map_err(|_| format!("bad position {pos:?}"))?;
+        let len: usize = field()?.parse().map_err(|_| "bad length")?;
+        let blob = fields.next().ok_or("missing blob")?;
+        if blob.len() != len {
+            return Err(format!("{} blob bytes, length {len}", blob.len()));
+        }
+        Ok(Some((pos, blob.to_vec())))
+    }
 
     pub fn encode_write_batch(epoch: u64, entries: &[(u64, &[u8])]) -> Vec<u8> {
         let mut out = format!("{epoch}|{}|", entries.len()).into_bytes();
@@ -157,15 +187,21 @@ fn epoch() -> impl Strategy<Value = u64> {
 enum Call {
     /// A method whose input and reply are the same bytes on both sides.
     Same(&'static str, String),
+    /// `epoch|pos`: the parent's `read` and a one-position `read_batch`.
+    Read(String),
     /// `read_batch`: same input, replies compared decoded.
     ReadBatch(String),
     /// `write_batch` of these entries, encoded per side.
     WriteBatch(u64, Vec<(u64, String)>),
-    /// A `write_batch` frame with its last `cut` bytes missing (or, for
-    /// `cut == 0`, one byte too many). The parent's format broke in other
-    /// places, so this one runs on the current side only: it must be
-    /// `EINVAL` and leave the object alone.
-    BrokenWriteBatch(u64, Vec<(u64, String)>, usize),
+    /// `checkpoint` of `(epoch, pos, blob)`, encoded per side.
+    Checkpoint(u64, u64, String),
+    /// `checkpoint_read`, replies compared decoded.
+    CheckpointRead,
+    /// A frame for `method` (`write_batch` or `checkpoint`) with its last
+    /// `cut` bytes missing (or, for `cut == 0`, one byte too many). The
+    /// parent's formats broke in other places, so this one runs on the
+    /// current side only: it must be `EINVAL` and leave the object alone.
+    Broken(&'static str, String, usize),
 }
 
 /// A one-entry `write_batch`: `payload` at `pos` under `epoch`.
@@ -174,36 +210,42 @@ fn write_one(epoch: u64, pos: u64, payload: &str) -> Call {
 }
 
 fn call() -> BoxedStrategy<Call> {
-    let at = |method: &'static str| {
-        (epoch(), position())
-            .prop_map(move |(e, p)| Call::Same(method, format!("{e}|{p}")))
-            .boxed()
-    };
+    // `epoch|pos`, the input of every per-cell method.
+    let at = || (epoch(), position()).prop_map(|(e, p)| format!("{e}|{p}"));
+    let cell = |method: &'static str| at().prop_map(move |input| Call::Same(method, input));
+    let read = at().prop_map(Call::Read);
     // The one-entry batch an `append` sends.
     let write = (epoch(), 0u64..24, payload()).prop_map(|(e, p, d)| write_one(e, p, &d));
     let entries = || prop::collection::vec((0u64..24, payload()), 1..5);
     let write_batch = (epoch(), entries()).prop_map(|(e, entries)| Call::WriteBatch(e, entries));
-    let broken_write_batch = (epoch(), entries(), 0usize..64)
-        .prop_map(|(e, entries, cut)| Call::BrokenWriteBatch(e, entries, cut));
+    let checkpoint =
+        (epoch(), 0u64..40, payload()).prop_map(|(e, p, blob)| Call::Checkpoint(e, p, blob));
+    let frame = prop_oneof![
+        (epoch(), entries()).prop_map(|(e, entries)| {
+            let input = encode_write_batch(e, &as_slices(&entries));
+            ("write_batch", String::from_utf8(input).unwrap())
+        }),
+        (epoch(), 0u64..40, payload()).prop_map(|(e, p, blob)| {
+            let input = encode_checkpoint(e, p, blob.as_bytes());
+            ("checkpoint", String::from_utf8(input).unwrap())
+        }),
+    ];
+    let broken =
+        (frame, 0usize..64).prop_map(|((method, input), cut)| Call::Broken(method, input, cut));
     let read_batch = (epoch(), prop::collection::vec(0u64..24, 1..9)).prop_map(|(e, ps)| {
         let input = encode_read_batch(e, &ps);
         Call::ReadBatch(String::from_utf8(input).unwrap())
     });
     let read_batch_wide = (epoch(), prop::collection::vec(position(), 1..4))
         .prop_map(|(e, ps)| Call::ReadBatch(format!("{e}|{}", ps.join(","))));
-    let checkpoint = (epoch(), 0u64..40, payload()).prop_map(|(e, p, blob)| {
-        let input = encode_checkpoint(e, p, blob.as_bytes());
-        Call::Same("checkpoint", String::from_utf8(input).unwrap())
-    });
+    // Text inputs both sides parse alike; a bad `read` input is one a
+    // `read_batch` may take (`0|1,2`), and a bad `checkpoint` is a frame.
     let bad = (
         prop_oneof![
-            Just("read"),
             Just("read_batch"),
             Just("fill"),
-            Just("trim"),
             Just("trim_upto"),
             Just("seal"),
-            Just("checkpoint"),
         ],
         prop_oneof![
             Just(String::new()),
@@ -227,18 +269,17 @@ fn call() -> BoxedStrategy<Call> {
     prop_oneof![
         4 => write.boxed(),
         4 => write_batch.boxed(),
-        3 => at("read"),
+        3 => read.boxed(),
         5 => read_batch.boxed(),
         1 => read_batch_wide.boxed(),
-        2 => at("fill"),
-        2 => at("trim"),
-        1 => at("trim_upto"),
+        2 => cell("fill").boxed(),
+        1 => cell("trim_upto").boxed(),
         1 => (1u64..5).prop_map(|e| Call::Same("seal", e.to_string())).boxed(),
         1 => Just(Call::Same("maxpos", String::new())).boxed(),
         1 => checkpoint.boxed(),
-        1 => Just(Call::Same("checkpoint_read", String::new())).boxed(),
+        1 => Just(Call::CheckpointRead).boxed(),
         3 => bad.boxed(),
-        1 => broken_write_batch.boxed(),
+        1 => broken.boxed(),
     ]
     .boxed()
 }
@@ -308,6 +349,38 @@ impl<E: Engine> Pair<E> {
                     return Err(format!("got {got:?}, parent {want:?}"));
                 }
             }
+            Call::Read(input) => {
+                let want = match invoke(&self.parent, &mut self.was, "read", input.as_bytes()) {
+                    Err((-2, _)) => Ok(b"U|".to_vec()),
+                    other => other,
+                };
+                let got = invoke(&self.current, &mut self.is, "read_batch", input.as_bytes());
+                let got = match got {
+                    Ok(reply) => Ok(one_value(&reply, input)?),
+                    Err(e) => Err(e),
+                };
+                if got != want {
+                    return Err(format!("got {got:?}, parent {want:?}"));
+                }
+            }
+            Call::Checkpoint(e, p, blob) => {
+                let want = parent::encode_checkpoint(*e, *p, blob.as_bytes());
+                let want = invoke(&self.parent, &mut self.was, "checkpoint", &want);
+                let got = encode_checkpoint(*e, *p, blob.as_bytes());
+                let got = invoke(&self.current, &mut self.is, "checkpoint", &got);
+                if got != want {
+                    return Err(format!("got {got:?}, parent {want:?}"));
+                }
+            }
+            Call::CheckpointRead => {
+                let want = invoke(&self.parent, &mut self.was, "checkpoint_read", b"")
+                    .map(|reply| parent::decode_checkpoint(&reply));
+                let got = invoke(&self.current, &mut self.is, "checkpoint_read", b"")
+                    .map(|reply| decode_checkpoint(&reply));
+                if got != want {
+                    return Err(format!("got {got:?}, parent {want:?}"));
+                }
+            }
             Call::ReadBatch(input) => {
                 let want = invoke(&self.parent, &mut self.was, "read_batch", input.as_bytes());
                 let got = invoke(&self.current, &mut self.is, "read_batch", input.as_bytes());
@@ -317,21 +390,20 @@ impl<E: Engine> Pair<E> {
                     (got, want) => return Err(format!("got {got:?}, parent {want:?}")),
                 }
             }
-            Call::BrokenWriteBatch(e, entries, cut) => {
-                let mut input = encode_write_batch(*e, &as_slices(entries));
+            Call::Broken(method, input, cut) => {
+                let mut input = input.clone();
                 match cut {
-                    0 => input.push(b'0'),
+                    0 => input.push('0'),
                     // Inputs are text: cut on a character.
                     _ => {
-                        let text = std::str::from_utf8(&input).unwrap();
-                        let mut keep = text.len().saturating_sub(*cut);
-                        while !text.is_char_boundary(keep) {
+                        let mut keep = input.len().saturating_sub(*cut);
+                        while !input.is_char_boundary(keep) {
                             keep -= 1;
                         }
                         input.truncate(keep);
                     }
                 }
-                let got = invoke(&self.current, &mut self.is, "write_batch", &input);
+                let got = invoke(&self.current, &mut self.is, method, input.as_bytes());
                 if !matches!(got, Err((-22, _))) {
                     return Err(format!("got {got:?}, not EINVAL"));
                 }
@@ -341,6 +413,17 @@ impl<E: Engine> Pair<E> {
             return Err(format!("object {:?}, parent {:?}", self.is, self.was));
         }
         Ok(())
+    }
+}
+
+/// The one value of a one-position `read_batch` reply to `input`, checked
+/// to echo the position `input` named.
+fn one_value(reply: &[u8], input: &str) -> Result<Vec<u8>, String> {
+    let items = frame::decode(reply)?;
+    let pos = input.split_once('|').map(|(_, pos)| pos.as_bytes());
+    match items[..] {
+        [echo, value] if Some(echo) == pos => Ok(value.to_vec()),
+        _ => Err(format!("not a reply to {input:?}: {items:?}")),
     }
 }
 
@@ -404,11 +487,14 @@ fn read_batch_over_all_four_cell_states_is_unchanged() {
             write_one(0, 8, "live|data"),
             Call::WriteBatch(0, vec![(9, "3|1,1,1|abc".into()), (10, "héé".into())]),
             Call::Same("fill", "0|12".into()),
-            Call::Same("trim", "0|16".into()),
             Call::Same("trim_upto", "0|4".into()),
             Call::ReadBatch("0|2,8,12,16,20,8,10".into()),
-            Call::BrokenWriteBatch(0, vec![(30, "x".into())], 1),
-            Call::BrokenWriteBatch(0, vec![(30, "x".into())], 0),
+            Call::Read("0|2".into()),
+            Call::Read("0|16".into()),
+            Call::Checkpoint(0, 9, "a|b".into()),
+            Call::CheckpointRead,
+            Call::Broken("write_batch", "1|1|x".into(), 1),
+            Call::Broken("checkpoint", "3|1,1,1|09x".into(), 0),
         ] {
             pair.step(&call)
                 .unwrap_or_else(|diff| panic!("{kind} {call:?}: {diff}"));
@@ -417,12 +503,12 @@ fn read_batch_over_all_four_cell_states_is_unchanged() {
         let was = invoke(&pair.parent, &mut pair.was, "read_batch", input).unwrap();
         assert_eq!(
             String::from_utf8(was).unwrap(),
-            "7|2|T|0|8|D|9|live|data12|F|0|16|T|0|20|U|0|8|D|9|live|data10|D|5|héé"
+            "7|2|T|0|8|D|9|live|data12|F|0|16|U|0|20|U|0|8|D|9|live|data10|D|5|héé"
         );
         let is = invoke(&pair.current, &mut pair.is, "read_batch", input).unwrap();
         assert_eq!(
             String::from_utf8(is.clone()).unwrap(),
-            "8|17,2,11,2,2,2,11,7|2,8,12,16,20,8,10T|D|live|dataF|T|U|D|live|dataD|héé"
+            "8|17,2,11,2,2,2,11,7|2,8,12,16,20,8,10T|D|live|dataF|U|U|D|live|dataD|héé"
         );
         assert_eq!(
             decode_read_batch(&is).unwrap(),
@@ -430,7 +516,7 @@ fn read_batch_over_all_four_cell_states_is_unchanged() {
                 (2, ReadOutcome::Trimmed),
                 (8, ReadOutcome::Data(b"live|data".to_vec())),
                 (12, ReadOutcome::Filled),
-                (16, ReadOutcome::Trimmed),
+                (16, ReadOutcome::NotWritten),
                 (20, ReadOutcome::NotWritten),
                 (8, ReadOutcome::Data(b"live|data".to_vec())),
                 (10, ReadOutcome::Data("héé".as_bytes().to_vec())),

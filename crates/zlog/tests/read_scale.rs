@@ -156,38 +156,38 @@ fn read_batch_spans_data_junk_trimmed_unwritten() {
     for i in 0..4u64 {
         assert_eq!(append(&mut sim, CLIENT_A, &format!("e{i}")), i);
     }
-    // Junk-fill a cell ahead of the frontier, trim one entry.
+    // Junk-fill a cell ahead of the frontier, trim the first entry.
     let res = run_op(&mut sim, CLIENT_A, SimDuration::from_secs(5), |c, ctx| {
         c.fill(ctx, 5)
     });
     assert!(matches!(res, AppendResult::Ok(ZlogOut::Done)), "{res:?}");
-    let res = run_op(&mut sim, CLIENT_A, SimDuration::from_secs(5), |c, ctx| {
-        c.trim(ctx, 1)
-    });
-    assert!(matches!(res, AppendResult::Ok(ZlogOut::Done)), "{res:?}");
+    trim_to(&mut sim, CLIENT_A, 1);
 
     let ops_before = sim.metrics().counter("rados.read_batch_ops");
-    let served_before = sim.metrics().counter("osd.reads_served");
+    let positions_before = sim.metrics().counter("rados.read_batch_positions");
     // One vector covering every cell state, straddling stripe boundaries
     // (width 4: positions 1, 5, 9 share stripe 1).
     let entries = read_batch(&mut sim, CLIENT_B, vec![0, 1, 3, 5, 9]);
     assert_eq!(
         entries,
         vec![
-            (0, data("e0")),
-            (1, ReadOutcome::Trimmed),
+            (0, ReadOutcome::Trimmed),
+            (1, data("e1")),
             (3, data("e3")),
             (5, ReadOutcome::Filled),
             (9, ReadOutcome::NotWritten),
         ]
     );
     // Round-trip amplification: 5 positions over 3 distinct stripes must
-    // cost exactly 3 RADOS ops, and the OSDs see all 5 position reads.
+    // cost exactly 3 RADOS ops, which ask for all 5 positions.
     assert_eq!(
         sim.metrics().counter("rados.read_batch_ops") - ops_before,
         3
     );
-    assert_eq!(sim.metrics().counter("osd.reads_served") - served_before, 5);
+    assert_eq!(
+        sim.metrics().counter("rados.read_batch_positions") - positions_before,
+        5
+    );
 }
 
 #[test]
@@ -234,8 +234,8 @@ fn trim_to_reclaims_prefix_and_preserves_tail() {
         append(&mut sim, CLIENT_A, &format!("e{i}"));
     }
     trim_to(&mut sim, CLIENT_A, 6);
-    // Everything below 6 is gone, from both the vectored and the scalar
-    // read path; everything at or above survives.
+    // Everything below 6 is gone, to a vector and to a point read alike;
+    // everything at or above survives.
     let entries = read_batch(&mut sim, CLIENT_B, (0..10).collect());
     for (p, o) in &entries {
         if *p < 6 {
@@ -320,7 +320,7 @@ fn cursor_starts_from_checkpoint_and_skips_trimmed_prefix() {
     }
     checkpoint(&mut sim, CLIENT_A, 8, b"state-through-7".to_vec());
     trim_to(&mut sim, CLIENT_A, 8);
-    let reads_before = sim.metrics().counter("osd.reads_served");
+    let reads_before = sim.metrics().counter("rados.read_batch_positions");
     let id = sim.with_actor::<ZlogClient, _>(CLIENT_B, |c, ctx| c.tail_cursor(ctx));
     let caught = cursor_drain(&mut sim, CLIENT_B, id);
     let positions: Vec<u64> = caught.iter().map(|(p, _)| *p).collect();
@@ -333,10 +333,10 @@ fn cursor_starts_from_checkpoint_and_skips_trimmed_prefix() {
         assert_eq!(*o, data(&format!("e{p}")));
     }
     // Replay never even touched the trimmed prefix.
-    let served = sim.metrics().counter("osd.reads_served") - reads_before;
+    let read = sim.metrics().counter("rados.read_batch_positions") - reads_before;
     assert!(
-        served < 8,
-        "suffix replay should cost < 8 position reads, cost {served}"
+        read < 8,
+        "suffix replay should cost < 8 position reads, cost {read}"
     );
 }
 

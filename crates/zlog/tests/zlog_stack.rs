@@ -139,12 +139,13 @@ fn fill_and_trim_through_the_stack() {
     });
     assert!(matches!(res, AppendResult::Ok(ZlogOut::Done)));
     assert_eq!(read(&mut sim, CLIENT_A, 5), ReadOutcome::Filled);
-    // Trim position 0.
+    // Trim the prefix below 1: position 0.
     let res = run_op(&mut sim, CLIENT_A, SimDuration::from_secs(5), |c, ctx| {
-        c.trim(ctx, 0)
+        c.trim_to(ctx, 1)
     });
     assert!(matches!(res, AppendResult::Ok(ZlogOut::Done)));
     assert_eq!(read(&mut sim, CLIENT_A, 0), ReadOutcome::Trimmed);
+    assert_eq!(read(&mut sim, CLIENT_A, 5), ReadOutcome::Filled);
 }
 
 #[test]
@@ -430,16 +431,16 @@ fn read_after_trim_is_stable_and_trim_is_idempotent() {
     for i in 0..3u64 {
         assert_eq!(append(&mut sim, CLIENT_A, &format!("t{i}")), i);
     }
-    // Trim the middle entry twice (GC retries are idempotent).
+    // Trim the prefix below 2 twice (GC retries are idempotent).
     for _ in 0..2 {
         let res = run_op(&mut sim, CLIENT_B, SimDuration::from_secs(5), |c, ctx| {
-            c.trim(ctx, 1)
+            c.trim_to(ctx, 2)
         });
         assert!(matches!(res, AppendResult::Ok(ZlogOut::Done)), "{res:?}");
     }
     for node in [CLIENT_A, CLIENT_B] {
+        assert_eq!(read(&mut sim, node, 0), ReadOutcome::Trimmed);
         assert_eq!(read(&mut sim, node, 1), ReadOutcome::Trimmed);
-        assert_eq!(read(&mut sim, node, 0), ReadOutcome::Data(b"t0".to_vec()));
         assert_eq!(read(&mut sim, node, 2), ReadOutcome::Data(b"t2".to_vec()));
     }
     // The trimmed cell stays trimmed across a seal (epoch bump).
@@ -737,6 +738,54 @@ fn an_append_whose_write_landed_nowhere_seals_its_cell_and_moves_on() {
     assert_eq!(sim.metrics().counter("zlog.probes_sealed"), sealed + 1);
     assert_eq!(read(&mut sim, CLIENT_A, 0), ReadOutcome::Filled);
     assert_eq!(positions_holding(&mut sim, b"lost"), [1]);
+    assert_settled(&sim, &history);
+}
+
+/// `read(pos)` is a `read_batch` of one: both answer every cell state
+/// alike, a position whose stripe object was never created included, and
+/// both record reads the history checker accepts.
+#[test]
+fn a_point_read_answers_what_a_read_batch_of_one_does() {
+    let (mut sim, history) = build_probed("point");
+    for i in 0..3u64 {
+        assert_eq!(append(&mut sim, CLIENT_A, &format!("e{i}")), i);
+    }
+    let res = run_op(&mut sim, CLIENT_A, SimDuration::from_secs(5), |c, ctx| {
+        c.fill(ctx, 5)
+    });
+    assert!(matches!(res, AppendResult::Ok(ZlogOut::Done)), "{res:?}");
+    let res = run_op(&mut sim, CLIENT_A, SimDuration::from_secs(5), |c, ctx| {
+        c.trim_to(ctx, 1)
+    });
+    assert!(matches!(res, AppendResult::Ok(ZlogOut::Done)), "{res:?}");
+    // Nothing touched stripe 3: its object does not exist anywhere.
+    let never = stripe("point", 3);
+    assert!(OSDS
+        .iter()
+        .all(|&osd| sim.actor::<Osd>(osd).store().get(&never).is_none()));
+
+    for (pos, want) in [
+        (2, ReadOutcome::Data(b"e2".to_vec())),
+        (5, ReadOutcome::Filled),
+        (0, ReadOutcome::Trimmed),
+        // A hole on a stripe object that exists, and one on a stripe
+        // object that was never created.
+        (6, ReadOutcome::NotWritten),
+        (3, ReadOutcome::NotWritten),
+    ] {
+        assert_eq!(read(&mut sim, CLIENT_A, pos), want, "read({pos})");
+        let res = run_op(
+            &mut sim,
+            CLIENT_A,
+            SimDuration::from_secs(5),
+            move |c, ctx| c.read_batch(ctx, vec![pos]),
+        );
+        assert_eq!(
+            res,
+            AppendResult::Ok(ZlogOut::ReadBatch(vec![(pos, want)])),
+            "read_batch([{pos}])"
+        );
+    }
     assert_settled(&sim, &history);
 }
 

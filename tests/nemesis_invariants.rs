@@ -284,24 +284,19 @@ mod seal_props {
                 }
             }
             // The written cell is intact, the fresh cell still unwritten.
-            let read = cluster.rados(oid.clone(), data_io::call("zlog", "read", format!("{seal_epoch}|{pos}")));
-            prop_assert_eq!(
-                read.map(|out| out[0].clone()),
-                Ok(OpResult::CallOut(b"D|pre"[..].into())),
-                "sealed cell was clobbered (seed {})", seed
-            );
-            let unwritten = cluster.rados(
+            let read = cluster.rados(
                 oid.clone(),
-                data_io::call("zlog", "read", format!("{seal_epoch}|{}", pos + 1)),
+                data_io::call("zlog", "read_batch", format!("{seal_epoch}|{pos},{}", pos + 1)),
             );
-            match unwritten {
-                Err(OsdError::Class(e)) => prop_assert_eq!(e.code, -2, "expected ENOENT"),
-                other => {
-                    return Err(TestCaseError::fail(format!(
-                        "rejected stale write left residue: {other:?} (seed {seed})"
-                    )))
-                }
-            }
+            let cells = match read.map(|mut out| out.remove(0)) {
+                Ok(OpResult::CallList(items)) => items,
+                other => return Err(TestCaseError::fail(format!("read_batch failed: {other:?}"))),
+            };
+            prop_assert_eq!(&*cells[1], b"D|pre", "sealed cell was clobbered (seed {})", seed);
+            prop_assert_eq!(
+                &*cells[2], b"U|",
+                "rejected stale write left residue (seed {})", seed
+            );
             // Sanity liveness: the current epoch still writes fine.
             let ok = cluster.rados(oid, zlog_write(seal_epoch, pos + 1, "good"));
             prop_assert!(ok.is_ok(), "current-epoch write failed: {:?}", ok);
@@ -1051,7 +1046,7 @@ mod journal_read_regressions {
 
     /// Creates log `name` and appends to it; returns the client and the
     /// highest position granted.
-    fn log_with_appends(cluster: &mut Cluster, name: &str) -> (NodeId, u64) {
+    pub(super) fn log_with_appends(cluster: &mut Cluster, name: &str) -> (NodeId, u64) {
         let node = add_zlog_client(cluster, name, super::lin::recorder());
         let mut tail = 0;
         for k in 0..4 {
@@ -1161,6 +1156,60 @@ mod journal_read_regressions {
         assert!(
             cluster.sim.metrics().counter("osd.stale_epoch_rejects") > stale_before,
             "the takeover's journal read was never refused as stale"
+        );
+    }
+}
+
+/// A seal reply that is no number is no answer. Class code is installed
+/// live through the monitor, so what a `zlog` class answers is outside
+/// input to the rank that seals: a promoted standby used to take a reply it
+/// could not parse for "this stripe is empty" (maxpos −1) and resume the
+/// sequencer below written positions.
+mod seal_reply_regressions {
+    use mala_consensus::{MapUpdate, SERVICE_MAP_INTERFACES};
+    use mala_sim::SimDuration;
+    use mala_zlog::ZLOG_CLASS;
+
+    use super::journal_read_regressions::log_with_appends;
+    use super::mds_failover_props::failover_cluster;
+
+    /// A `zlog` class whose first `seal` of a stripe answers a word and
+    /// whose later ones bounce, so the rank falls back to `maxpos`, which
+    /// answers a number with a blank in front.
+    const GARBLED: &str = r#"
+        function seal(input)
+            if xattr_get("garbled") == nil then
+                xattr_set("garbled", "1")
+                return "four"
+            end
+            error("ESTALE: sealed already")
+        end
+        function maxpos(input) return " 4" end
+    "#;
+
+    #[test]
+    fn a_rank_never_resumes_on_seal_replies_that_are_no_number() {
+        let mut cluster = failover_cluster(2017);
+        log_with_appends(&mut cluster, "garbled");
+        let garbled = MapUpdate::set(
+            SERVICE_MAP_INTERFACES,
+            ZLOG_CLASS,
+            GARBLED.as_bytes().to_vec(),
+        );
+        cluster.commit_updates(vec![garbled]);
+        let seals = cluster.sim.metrics().counter("mds.seq_seals");
+        cluster.sim.crash(cluster.mds_node(0));
+        cluster.sim.run_for(SimDuration::from_secs(20));
+        let m = cluster.sim.metrics();
+        assert_eq!(m.counter("mds.takeovers"), 1, "the standby never took over");
+        assert!(
+            m.counter("mds.seal_call_errors") > 0,
+            "no seal reply was refused"
+        );
+        assert_eq!(
+            m.counter("mds.seq_seals"),
+            seals,
+            "the rank resumed the sequencer on a reply that is no number"
         );
     }
 }
