@@ -2,7 +2,8 @@
 # Local CI gate: formatting, lints (warnings are errors), the one-RADOS-client,
 # no-timer-per-item, effects-not-calls, payload-is-bytes, name-held-once,
 # one-append-path, one-engine, one-encoding, forget-what-it-holds,
-# map-held-once, counter-is-a-slot and one-read-path structure checks, the
+# map-held-once, counter-is-a-slot, one-read-path and one-type-op-path
+# structure checks, the
 # tier-1 build + test pass (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
@@ -84,6 +85,10 @@ echo "==> one read path: a point read and a write probe are a read_batch of one,
 [ -z "$(grep -n 'Method::Read\b\|Method::Trim\b\|Stage::ReadEntry' crates/zlog/src/log.rs)" ]
 [ -z "$(grep -n 'function read(\|function trim(' crates/zlog/src/storage.rs)" ]
 [ -z "$(grep -n '"zlog"' crates/rados/src/osd.rs)" ]
+
+echo "==> one type-op path: a sequencer verb from the client and one its home forwards pass one gate into exec_type_op, which has one caller (DESIGN §33)"
+[ "$(grep -c 'exec_type_op(' crates/mds/src/server.rs)" = 2 ]
+[ -z "$(grep -rn 'handle_proxy_op' crates)" ]
 
 echo "==> cargo build --release"
 cargo build --release

@@ -98,13 +98,22 @@ impl Default for MdsConfig {
 
 /// Routing state for an inode whose authority moved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Route {
+pub struct Route {
     /// Authoritative rank.
-    auth: u32,
+    pub auth: u32,
     /// Original (home) rank — the proxy in proxy mode.
-    home: u32,
+    pub home: u32,
     /// Serving style.
-    style: ServeStyle,
+    pub style: ServeStyle,
+}
+
+/// How a type op reached the rank handling it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arrival {
+    /// Sent by the client ([`MdsMsg::TypeOp`]).
+    Direct,
+    /// Forwarded by the inode's home rank ([`MdsPeer::ProxyOp`]).
+    Proxied,
 }
 
 const TIMER_BALANCE: u64 = 1;
@@ -229,21 +238,21 @@ pub enum MdsPeer {
         /// Load the inode carries (for the importer's coherence spike).
         rate: f64,
     },
-    /// Import acknowledgement.
+    /// Import acknowledgement. It carries the importer's route, which the
+    /// exporter installs before it unfreezes: the ack can overtake the
+    /// [`MdsPeer::RouteUpdate`] sent beside it.
     ExportAck {
         /// The inode.
         ino: Ino,
+        /// Its route after the import.
+        route: Route,
     },
     /// Routing-table update broadcast after a migration.
     RouteUpdate {
         /// The inode.
         ino: Ino,
-        /// New authoritative rank.
-        auth: u32,
-        /// Home rank.
-        home: u32,
-        /// Serving style.
-        style: ServeStyle,
+        /// Its route after the import.
+        route: Route,
     },
     /// A namespace mutation replicated from the creating rank.
     NsReplicate {
@@ -427,9 +436,19 @@ impl Mds {
         self.balancer.as_ref()
     }
 
+    /// How `ino` is served: its stored route, or rank 0 serving it
+    /// directly when it never moved.
+    fn route_of(&self, ino: Ino) -> Route {
+        self.routes.get(&ino).copied().unwrap_or(Route {
+            auth: 0,
+            home: 0,
+            style: ServeStyle::Direct,
+        })
+    }
+
     /// Authoritative rank for `ino` under current routing.
     pub fn auth_of(&self, ino: Ino) -> u32 {
-        self.routes.get(&ino).map(|r| r.auth).unwrap_or(0)
+        self.route_of(ino).auth
     }
 
     /// Whether this rank is authoritative for `ino`.
@@ -474,16 +493,10 @@ impl Mds {
     fn participating_ranks(&self) -> HashSet<u32> {
         let mut ranks = HashSet::new();
         for ino in self.namespace.inodes_of_type(&FileType::Sequencer) {
-            match self.routes.get(&ino) {
-                Some(route) => {
-                    ranks.insert(route.auth);
-                    if route.style == ServeStyle::Proxy {
-                        ranks.insert(route.home);
-                    }
-                }
-                None => {
-                    ranks.insert(0);
-                }
+            let route = self.route_of(ino);
+            ranks.insert(route.auth);
+            if route.style == ServeStyle::Proxy {
+                ranks.insert(route.home);
             }
         }
         ranks
@@ -572,40 +585,50 @@ impl Mds {
         }
     }
 
+    /// Handles a sequencer verb for `client`, however it arrived. The gate
+    /// is the same either way: a frozen inode answers `Frozen`, a
+    /// sequencer mid-seal `Recovering`, and only the authority serves.
+    /// The arrival sets the queue cost, whether `mds.typeops` counts the
+    /// op, and what a rank that is not the authority answers: the home of
+    /// a proxied inode forwards a direct op and any other rank redirects
+    /// it, while a forwarded op gets `Frozen` — its home sent it on a
+    /// route this rank has given up, and the client's retry through the
+    /// home finds the new one.
     fn handle_type_op(
         &mut self,
         ctx: &mut Context<'_>,
-        from: NodeId,
+        client: NodeId,
         reqid: u64,
         ino: Ino,
         op: SeqOp,
+        arrival: Arrival,
     ) {
         let span = ctx.span_start("mds.typeop", ctx.incoming_span());
         ctx.span_tag_display(span, "op", op);
         if self.frozen.contains(&ino) {
-            self.refuse_type_op(ctx, span, from, reqid, "frozen", MdsError::Frozen);
+            self.refuse_type_op(ctx, span, client, reqid, "frozen", MdsError::Frozen);
             return;
         }
         if self.recovering_seqs.contains_key(&ino) {
             // The seal protocol hasn't finished: issuing a position now
             // could duplicate one the store already holds.
-            self.refuse_type_op(ctx, span, from, reqid, "recovering", MdsError::Recovering);
+            self.refuse_type_op(ctx, span, client, reqid, "recovering", MdsError::Recovering);
             return;
         }
-        let route = self.routes.get(&ino).copied().unwrap_or(Route {
-            auth: 0,
-            home: 0,
-            style: ServeStyle::Direct,
-        });
+        let route = self.route_of(ino);
         let costs = self.config.costs.clone();
         if route.auth == self.rank {
-            // Serve directly.
-            let cost = costs.handle + costs.find + self.split_surcharge();
+            // Serve. A proxied op pays only the find: the home did the rest.
+            let cost = match arrival {
+                Arrival::Direct => costs.handle + costs.find + self.split_surcharge(),
+                Arrival::Proxied => costs.find,
+            };
             let delay = self.enqueue(ctx.now(), cost);
             self.account_request(ino);
             let result = self.exec_type_op(ctx, ino, op);
-            let rank = self.rank;
-            ctx.metrics().bump(counter!("mds.typeops"), 1);
+            if arrival == Arrival::Direct {
+                ctx.metrics().bump(counter!("mds.typeops"), 1);
+            }
             if result.is_err() {
                 ctx.span_tag(span, "error", "typeop failed");
             }
@@ -613,15 +636,11 @@ impl Mds {
             // when this rank's work on the request ends.
             let done = ctx.now() + delay;
             ctx.span_end_at(span, done);
-            ctx.send_after(
-                delay,
-                from,
-                MdsMsg::TypeOpReply {
-                    reqid,
-                    result,
-                    served_by: rank,
-                },
-            );
+            ctx.send_after(delay, client, self.type_op_reply(reqid, result));
+        } else if arrival == Arrival::Proxied {
+            // Forwarded on a route this rank gave up: never redirected, so
+            // the client stays with its home and retries there.
+            self.refuse_type_op(ctx, span, client, reqid, "stale proxy", MdsError::Frozen);
         } else if route.home == self.rank && route.style == ServeStyle::Proxy {
             // Proxy: the forward happens in the dispatch layer, off the
             // serialized request path — it adds latency but does not
@@ -638,7 +657,7 @@ impl Mds {
                     node,
                     MdsPeer::ProxyOp {
                         reqid,
-                        client: from,
+                        client,
                         ino,
                         op,
                     },
@@ -649,12 +668,12 @@ impl Mds {
                 // progress): a NotAuth redirect would just bounce the
                 // client back here. Tell it to wait for the map.
                 let err = MdsError::MdsUnavailable { rank: route.auth };
-                self.refuse_type_op(ctx, span, from, reqid, "mds unavailable", err);
+                self.refuse_type_op(ctx, span, client, reqid, "mds unavailable", err);
             }
         } else {
             // Client mode: redirect.
             let err = MdsError::NotAuth { rank: route.auth };
-            self.refuse_type_op(ctx, span, from, reqid, "not auth", err);
+            self.refuse_type_op(ctx, span, client, reqid, "not auth", err);
         }
     }
 
@@ -664,49 +683,23 @@ impl Mds {
         &self,
         ctx: &mut Context<'_>,
         span: SpanContext,
-        from: NodeId,
+        client: NodeId,
         reqid: u64,
         reason: &str,
         err: MdsError,
     ) {
         ctx.span_tag(span, "error", reason);
         ctx.span_end(span);
-        ctx.send(
-            from,
-            MdsMsg::TypeOpReply {
-                reqid,
-                result: Err(err),
-                served_by: self.rank,
-            },
-        );
+        ctx.send(client, self.type_op_reply(reqid, Err(err)));
     }
 
-    fn handle_proxy_op(
-        &mut self,
-        ctx: &mut Context<'_>,
-        reqid: u64,
-        client: NodeId,
-        ino: Ino,
-        op: SeqOp,
-    ) {
-        let span = ctx.span_start("mds.typeop", ctx.incoming_span());
-        ctx.span_tag_display(span, "op", op);
-        let cost = self.config.costs.find;
-        let delay = self.enqueue(ctx.now(), cost);
-        self.account_request(ino);
-        let result = self.exec_type_op(ctx, ino, op);
-        let rank = self.rank;
-        let done = ctx.now() + delay;
-        ctx.span_end_at(span, done);
-        ctx.send_after(
-            delay,
-            client,
-            MdsMsg::TypeOpReply {
-                reqid,
-                result,
-                served_by: rank,
-            },
-        );
+    /// This rank's answer to type op `reqid`.
+    fn type_op_reply(&self, reqid: u64, result: Result<u64, MdsError>) -> MdsMsg {
+        MdsMsg::TypeOpReply {
+            reqid,
+            result,
+            served_by: self.rank,
+        }
     }
 
     // ---- capabilities ----
@@ -790,7 +783,6 @@ impl Mds {
         ctx.metrics().bump(counter!("mds.exports"), 1);
         let now = ctx.now();
         ctx.metrics().observe("mds.export_events", now, ino as f64);
-        let home = self.routes.get(&ino).map(|r| r.home).unwrap_or(self.rank);
         ctx.send(
             target_node,
             MdsPeer::Export {
@@ -798,14 +790,17 @@ impl Mds {
                 embedded: inode.embedded,
                 policy,
                 style: export.style,
-                home,
+                home: self.route_of(ino).home,
                 rate,
             },
         );
     }
 
-    fn finish_export(&mut self, ctx: &mut Context<'_>, ino: Ino) {
-        self.frozen.remove(&ino);
+    /// The importer acknowledged: its route goes in as the inode thaws, so
+    /// no op finds the inode unfrozen on a route that still names this
+    /// rank, whichever of the ack and the route update lands first.
+    fn finish_export(&mut self, ctx: &mut Context<'_>, ino: Ino, route: Route) {
+        self.install_route(ino, route);
         self.caps.remove(&ino);
         // Shedding an inode leaves residual coherence churn on the
         // exporter too, though smaller than the importer's.
@@ -813,20 +808,19 @@ impl Mds {
         self.coherence_spike_at = ctx.now();
     }
 
-    fn broadcast_route(&mut self, ctx: &mut Context<'_>, ino: Ino, route: Route) {
+    /// Routes `ino` by `route` and thaws it: a route is sent once an
+    /// import is done, so any export of the inode from here is over.
+    fn install_route(&mut self, ino: Ino, route: Route) {
         self.routes.insert(ino, route);
         self.split_cache = None;
+        self.frozen.remove(&ino);
+    }
+
+    fn broadcast_route(&mut self, ctx: &mut Context<'_>, ino: Ino, route: Route) {
+        self.install_route(ino, route);
         for (rank, entry) in self.mdsmap.ranks.clone() {
             if rank != self.rank && entry.up {
-                ctx.send(
-                    entry.node,
-                    MdsPeer::RouteUpdate {
-                        ino,
-                        auth: route.auth,
-                        home: route.home,
-                        style: route.style,
-                    },
-                );
+                ctx.send(entry.node, MdsPeer::RouteUpdate { ino, route });
             }
         }
     }
@@ -1286,35 +1280,22 @@ impl Mds {
         ctx.metrics().bump(counter!("mds.deposed"), 1);
     }
 
-    fn reply_unavailable(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: &MdsMsg) {
-        let err = MdsError::MdsUnavailable { rank: self.rank };
-        match msg {
-            MdsMsg::Resolve { reqid, .. } => ctx.send(
-                from,
-                MdsMsg::Resolved {
-                    reqid: *reqid,
-                    result: Err(err),
-                },
-            ),
-            MdsMsg::Create { reqid, .. } => ctx.send(
-                from,
-                MdsMsg::Created {
-                    reqid: *reqid,
-                    result: Err(err),
-                },
-            ),
-            MdsMsg::TypeOp { reqid, .. } => ctx.send(
-                from,
-                MdsMsg::TypeOpReply {
-                    reqid: *reqid,
-                    result: Err(err),
-                    served_by: self.rank,
-                },
-            ),
-            // Fire-and-forget messages get no reply; clients re-drive
-            // them against the promoted authority.
-            _ => {}
-        }
+    /// The reply carrying `err` to `request`, or `None` for a
+    /// fire-and-forget message.
+    fn error_reply(&self, request: &MdsMsg, err: MdsError) -> Option<MdsMsg> {
+        let reply = match *request {
+            MdsMsg::Resolve { reqid, .. } => MdsMsg::Resolved {
+                reqid,
+                result: Err(err),
+            },
+            MdsMsg::Create { reqid, .. } => MdsMsg::Created {
+                reqid,
+                result: Err(err),
+            },
+            MdsMsg::TypeOp { reqid, .. } => self.type_op_reply(reqid, Err(err)),
+            _ => return None,
+        };
+        Some(reply)
     }
 
     /// Begins the seal/maxpos protocol for `seqs` — every layout known
@@ -1595,7 +1576,7 @@ impl Mds {
                 }
             }
             MdsMsg::TypeOp { reqid, ino, op } => {
-                self.handle_type_op(ctx, from, reqid, ino, op);
+                self.handle_type_op(ctx, from, reqid, ino, op, Arrival::Direct);
             }
             MdsMsg::CapRequest { ino } => {
                 if !self.is_auth(ino) {
@@ -1789,21 +1770,12 @@ impl Actor for Mds {
                         };
                         self.broadcast_route(ctx, ino, route);
                         ctx.metrics().bump(counter!("mds.imports"), 1);
-                        ctx.send(from, MdsPeer::ExportAck { ino });
+                        ctx.send(from, MdsPeer::ExportAck { ino, route });
                     }
-                    MdsPeer::ExportAck { ino } => {
-                        self.finish_export(ctx, ino);
+                    MdsPeer::ExportAck { ino, route } => {
+                        self.finish_export(ctx, ino, route);
                     }
-                    MdsPeer::RouteUpdate {
-                        ino,
-                        auth,
-                        home,
-                        style,
-                    } => {
-                        self.routes.insert(ino, Route { auth, home, style });
-                        self.split_cache = None;
-                        self.frozen.remove(&ino);
-                    }
+                    MdsPeer::RouteUpdate { ino, route } => self.install_route(ino, route),
                     MdsPeer::NsReplicate { entry } => {
                         if let Some(JournalEntry::Create {
                             ino,
@@ -1822,7 +1794,7 @@ impl Actor for Mds {
                         ino,
                         op,
                     } => {
-                        self.handle_proxy_op(ctx, reqid, client, ino, op);
+                        self.handle_type_op(ctx, client, reqid, ino, op, Arrival::Proxied);
                     }
                 }
                 return;
@@ -1842,8 +1814,13 @@ impl Actor for Mds {
         if let Ok(msg) = msg.downcast::<MdsMsg>() {
             if self.standby {
                 // Not serving any rank: answer with a typed error instead
-                // of leaving the client to hang.
-                self.reply_unavailable(ctx, from, &msg);
+                // of leaving the client to hang. Fire-and-forget messages
+                // get no reply; clients re-drive them against the promoted
+                // authority.
+                let err = MdsError::MdsUnavailable { rank: self.rank };
+                if let Some(reply) = self.error_reply(&msg, err) {
+                    ctx.send(from, reply);
+                }
                 return;
             }
             if !self.ready {

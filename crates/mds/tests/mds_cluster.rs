@@ -6,7 +6,7 @@ use std::any::Any;
 use std::collections::HashMap;
 
 use mala_consensus::{MonConfig, MonMsg, Monitor};
-use mala_mds::server::Mds;
+use mala_mds::server::{Mds, MdsPeer};
 use mala_mds::types::{CapPolicyConfig, SeqOp};
 use mala_mds::{
     CephFsBalancer, CephFsMode, FileType, MdsConfig, MdsMapView, MdsMsg, NoBalancer, ServeStyle,
@@ -651,16 +651,38 @@ fn crashed_cap_holder_is_evicted_and_waiter_granted() {
     assert_eq!(c1.grants.len(), 1);
 }
 
-/// Sends one type op from client 0 to rank 0 and returns what came back
-/// with the rank that served it.
-fn type_op(
-    sim: &mut Sim,
-    reqid: u64,
-    ino: u64,
-    op: SeqOp,
-) -> (Result<u64, mala_mds::types::MdsError>, u32) {
+/// What a type op got back, with the rank that answered.
+type TypeOpAnswer = (Result<u64, mala_mds::types::MdsError>, u32);
+
+/// Sends one type op from client 0 to rank 0 and returns its answer.
+fn type_op(sim: &mut Sim, reqid: u64, ino: u64, op: SeqOp) -> TypeOpAnswer {
+    type_op_at(sim, 0, reqid, ino, op)
+}
+
+/// Sends one type op from client 0 to `rank` and returns its answer.
+fn type_op_at(sim: &mut Sim, rank: u32, reqid: u64, ino: u64, op: SeqOp) -> TypeOpAnswer {
     let msg = MdsMsg::TypeOp { reqid, ino, op };
-    send_from(sim, client_node(0), mds_node(0), msg);
+    send_from(sim, client_node(0), mds_node(rank), msg);
+    answer(sim, reqid)
+}
+
+/// Delivers one type op of client 0's to `rank` the way a home rank
+/// forwards it, and returns its answer.
+fn proxy_op(sim: &mut Sim, rank: u32, reqid: u64, ino: u64, op: SeqOp) -> TypeOpAnswer {
+    let client = client_node(0);
+    sim.inject(
+        mds_node(rank),
+        MdsPeer::ProxyOp {
+            reqid,
+            client,
+            ino,
+            op,
+        },
+    );
+    answer(sim, reqid)
+}
+
+fn answer(sim: &mut Sim, reqid: u64) -> TypeOpAnswer {
     sim.run_for(SimDuration::from_millis(100));
     sim.actor::<TestClient>(client_node(0)).typeops[&reqid].clone()
 }
@@ -668,7 +690,9 @@ fn type_op(
 /// Every sequencer verb does the same thing served where it arrives
 /// (`TypeOp`) and forwarded by the home rank to the authority (`ProxyOp`);
 /// the one verb that is wrong whatever its file type is a zero-width grant,
-/// and every verb is wrong on a file that is no sequencer.
+/// and every verb is wrong on a file that is no sequencer. A forwarded op
+/// passes the gate a direct one does: at a rank that is not the authority
+/// and on a frozen inode it gets `Frozen`, and never a position.
 #[test]
 fn every_seq_op_serves_directly_and_through_a_proxy() {
     use mala_mds::types::MdsError;
@@ -676,6 +700,7 @@ fn every_seq_op_serves_directly_and_through_a_proxy() {
     let direct = create(&mut sim, client_node(0), 1, "/", "d", FileType::Sequencer);
     let proxied = create(&mut sim, client_node(0), 2, "/", "p", FileType::Sequencer);
     let dir = create(&mut sim, client_node(0), 3, "/", "dir", FileType::Dir);
+    let frozen = create(&mut sim, client_node(0), 4, "/", "f", FileType::Sequencer);
     sim.inject(
         mds_node(0),
         MdsMsg::AdminExport {
@@ -705,11 +730,134 @@ fn every_seq_op_serves_directly_and_through_a_proxy() {
         }
     }
     assert_eq!(sim.metrics().counter("mds.proxied"), script.len() as u64);
-    for op in script.map(|(op, _)| op) {
+    let ops = script.map(|(op, _)| op);
+    for op in ops {
         reqid += 1;
         let (result, _) = type_op(&mut sim, reqid, dir, op);
         assert_eq!(result, Err(MdsError::BadType), "{op} on a directory");
     }
+    // Rank 0 gave `proxied` to rank 1 and holds a stale copy of it.
+    for op in ops {
+        reqid += 1;
+        let answer = proxy_op(&mut sim, 0, reqid, proxied, op);
+        assert_eq!(answer, (Err(MdsError::Frozen), 0), "{op} off the authority");
+    }
+    // An export whose importer never answers leaves `frozen` frozen.
+    sim.network_mut().sever(mds_node(0), mds_node(1));
+    let style = ServeStyle::Proxy;
+    sim.inject(
+        mds_node(0),
+        MdsMsg::AdminExport {
+            ino: frozen,
+            target: 1,
+            style,
+        },
+    );
+    sim.run_for(SimDuration::from_millis(10));
+    for op in ops {
+        reqid += 1;
+        assert_eq!(
+            type_op(&mut sim, reqid, frozen, op).0,
+            Err(MdsError::Frozen),
+            "{op}"
+        );
+        reqid += 1;
+        let answer = proxy_op(&mut sim, 0, reqid, frozen, op);
+        assert_eq!(
+            answer.0,
+            Err(MdsError::Frozen),
+            "{op} forwarded to a frozen inode"
+        );
+    }
+}
+
+/// An MDS whose route updates wait until the test lets them through, so
+/// the export ack sent beside one always lands first.
+struct RoutesHeld {
+    mds: Mds,
+    held: Vec<(NodeId, Box<dyn Any>)>,
+}
+
+impl RoutesHeld {
+    fn new(rank: u32) -> RoutesHeld {
+        let mds = Mds::new(rank, MON, MdsConfig::default(), Box::new(NoBalancer));
+        let held = Vec::new();
+        RoutesHeld { mds, held }
+    }
+
+    fn release(&mut self, ctx: &mut Context<'_>) {
+        for (from, msg) in std::mem::take(&mut self.held) {
+            self.mds.on_message(ctx, from, msg);
+        }
+    }
+}
+
+impl Actor for RoutesHeld {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.mds.on_start(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Box<dyn Any>) {
+        if let Some(MdsPeer::RouteUpdate { .. }) = msg.downcast_ref::<MdsPeer>() {
+            self.held.push((from, msg));
+        } else {
+            self.mds.on_message(ctx, from, msg);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+        self.mds.on_timer(ctx, token);
+    }
+}
+
+/// The importer sends the export ack and the route update together, and
+/// either may land first. An exporter that has the ack and not the update
+/// serves nothing from its copy: it redirects a direct op to the new
+/// authority and refuses a forwarded one with `Frozen`. Here rank 1, not
+/// the home, re-exports the sequencer to rank 2 — the re-export that
+/// handed positions out twice.
+#[test]
+fn an_export_ack_that_overtakes_its_route_update_grants_nothing() {
+    use mala_mds::types::MdsError;
+    let mut sim = build(3);
+    sim.restart(mds_node(1), RoutesHeld::new(1));
+    sim.run_for(SimDuration::from_secs(1));
+    let seq = create(&mut sim, client_node(0), 1, "/", "s", FileType::Sequencer);
+    for (from, target) in [(0, 1), (1, 2)] {
+        let style = ServeStyle::Proxy;
+        sim.inject(
+            mds_node(from),
+            MdsMsg::AdminExport {
+                ino: seq,
+                target,
+                style,
+            },
+        );
+        sim.run_for(SimDuration::from_millis(100));
+    }
+    let held = |sim: &Sim| sim.actor::<RoutesHeld>(mds_node(1)).held.len();
+    assert_eq!(held(&sim), 1, "rank 2's route update waits at rank 1");
+    let mut reqid = 10;
+    for released in [false, true] {
+        for op in [SeqOp::Next, SeqOp::NextBatch(4), SeqOp::Read] {
+            reqid += 1;
+            let answer = type_op_at(&mut sim, 1, reqid, seq, op);
+            let redirect = (Err(MdsError::NotAuth { rank: 2 }), 1);
+            assert_eq!(answer, redirect, "direct {op}, update released: {released}");
+            reqid += 1;
+            let answer = proxy_op(&mut sim, 1, reqid, seq, op);
+            let refusal = (Err(MdsError::Frozen), 1);
+            assert_eq!(
+                answer, refusal,
+                "forwarded {op}, update released: {released}"
+            );
+        }
+        sim.with_actor::<RoutesHeld, _>(mds_node(1), |r, ctx| r.release(ctx));
+        sim.run_for(SimDuration::from_millis(10));
+    }
+    // The authority handed nothing out: through the home, the first grant
+    // is position 0.
+    assert_eq!(type_op(&mut sim, 99, seq, SeqOp::Next), (Ok(0), 2));
 }
 
 /// A sequencer that comes back from a journal replay with no layout on
@@ -742,4 +890,44 @@ fn seq_ops_after_a_journal_replay_wait_for_advance_to() {
     assert_eq!(type_op(&mut sim, 23, seq, SeqOp::AdvanceTo(5)).0, Ok(5));
     assert_eq!(type_op(&mut sim, 24, seq, SeqOp::NextBatch(3)).0, Ok(5));
     assert_eq!(type_op(&mut sim, 25, seq, SeqOp::Read).0, Ok(8));
+}
+
+/// A sequencer mid-seal after a takeover answers `Recovering` to a direct
+/// op and to a forwarded one alike. Nothing installs the zlog class here,
+/// so the seal never finishes.
+#[test]
+fn a_forwarded_op_waits_out_a_seal_like_a_direct_one() {
+    use mala_mds::types::MdsError;
+    let config = MdsConfig {
+        journal: true,
+        ..MdsConfig::default()
+    };
+    let mut sim = build_journalled(&config);
+    let seq = create(&mut sim, client_node(0), 1, "/", "s", FileType::Sequencer);
+    let layout = MdsMsg::SetSeqLayout {
+        ino: seq,
+        pool: "meta".into(),
+        name: "s".into(),
+        stripe_width: 2,
+    };
+    send_from(&mut sim, client_node(0), mds_node(0), layout);
+    sim.run_for(SimDuration::from_secs(2));
+    sim.crash(mds_node(0));
+    sim.restart(mds_node(0), Mds::new(0, MON, config, Box::new(NoBalancer)));
+    sim.run_for(SimDuration::from_secs(3));
+    assert!(sim.metrics().counter("mds.journal_replays") > 0);
+    for (reqid, op) in [
+        (10, SeqOp::Next),
+        (12, SeqOp::Read),
+        (14, SeqOp::AdvanceTo(5)),
+    ] {
+        assert_eq!(
+            type_op(&mut sim, reqid, seq, op).0,
+            Err(MdsError::Recovering),
+            "{op}"
+        );
+        let answer = proxy_op(&mut sim, 0, reqid + 1, seq, op);
+        assert_eq!(answer.0, Err(MdsError::Recovering), "forwarded {op}");
+    }
+    assert_eq!(sim.metrics().counter("mds.seq_seals"), 0);
 }

@@ -4,17 +4,22 @@
 //! WGL-checked. Also the regression tests for the ISSUE 10 routing-bug
 //! sweep: the stale-`Changed` re-fetch herd and the stale-route stall.
 
+use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use mala_consensus::{MonConfig, MonMsg, Monitor, SERVICE_MAP_MDS};
 use mala_mds::server::Mds;
-use mala_mds::{MdsConfig, MdsMapView, MdsMsg, NoBalancer, ServeStyle};
+use mala_mds::{FileType, MdsConfig, MdsMapView, MdsMsg, NoBalancer, ServeStyle};
 use mala_rados::{Osd, OsdConfig, OsdMapView, PoolInfo};
 use mala_sim::history::Recorder;
 use mala_sim::linearize::{check_shared_log, LogOp, LogRet};
-use mala_sim::{Context, NodeId, Sim, SimDuration};
+use mala_sim::{Actor, Context, NodeId, Sim, SimDuration};
 use mala_zlog::log::{run_op, ZlogOut};
-use mala_zlog::{zlog_interface_update, AppendResult, ZlogClient, ZlogConfig};
+use mala_zlog::{
+    zlog_interface_update, AppendResult, SeqMode, SeqWorkload, ZlogClient, ZlogConfig,
+};
 use proptest::prelude::*;
 
 const MON: NodeId = NodeId(0);
@@ -335,6 +340,109 @@ fn migration_storm(log: &str, seed: u64, rounds: u64, exports: &[(u64, u32)]) ->
 #[test]
 fn migration_storm_smoke() {
     migration_storm("mig3", 23, 8, &[(2, 1), (5, 2)]);
+}
+
+/// A round-trip sequencer client whose granted positions are tapped off
+/// the wire, before the client decides whether it still waits for them.
+struct Tapped {
+    client: SeqWorkload,
+    granted: Rc<RefCell<Vec<u64>>>,
+}
+
+impl Actor for Tapped {
+    fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Box<dyn Any>) {
+        if let Some(MdsMsg::TypeOpReply {
+            result: Ok(pos), ..
+        }) = msg.downcast_ref::<MdsMsg>()
+        {
+            self.granted.borrow_mut().push(*pos);
+        }
+        self.client.on_message(ctx, from, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+        self.client.on_timer(ctx, token);
+    }
+}
+
+/// Eight round-trip clients draw positions through home rank 0 while the
+/// sequencer moves in proxy style every 20 ms — re-exports from a rank
+/// that is not the home included (1→2, 2→1), where the home keeps
+/// forwarding to the exporter until the new route reaches it. Returns
+/// every position granted, sorted, and the authority's tail at the end.
+fn export_storm(seed: u64) -> (Vec<u64>, u64) {
+    let ranks = [(0, MDS0), (1, MDS1), (2, MDS2)];
+    let mds_nodes = HashMap::from(ranks);
+    let mut sim = Sim::new(seed);
+    sim.add_node(MON, Monitor::new(0, vec![MON], MonConfig::default()));
+    let mut updates = Vec::new();
+    for (rank, node) in ranks {
+        let mds = Mds::new(rank, MON, MdsConfig::default(), Box::new(NoBalancer));
+        sim.add_node(node, mds);
+        updates.push(MdsMapView::update_rank(rank, node, true));
+    }
+    sim.inject(MON, MonMsg::Submit { seq: 1, updates });
+    sim.run_for(SimDuration::from_secs(3));
+    let (parent_path, name) = ("/".to_string(), "storm".to_string());
+    let ftype = FileType::Sequencer;
+    let create = MdsMsg::Create {
+        reqid: 1,
+        parent_path,
+        name,
+        ftype,
+    };
+    sim.inject(MDS0, create);
+    sim.run_for(SimDuration::from_millis(100));
+    let ino = sim.actor::<Mds>(MDS0).namespace().resolve("/storm");
+    let ino = ino.expect("sequencer created");
+    let granted = Rc::new(RefCell::new(Vec::new()));
+    let clients: Vec<NodeId> = (0..8).map(|i| NodeId(100 + i)).collect();
+    for &node in &clients {
+        let client = SeqWorkload::new(mds_nodes.clone(), 0, ino, SeqMode::RoundTrip, "storm");
+        let granted = Rc::clone(&granted);
+        sim.add_node(node, Tapped { client, granted });
+        sim.with_actor::<Tapped, _>(node, |t, ctx| t.client.start(ctx));
+    }
+    for (from, target) in [(0, 1), (1, 2), (2, 1), (1, 0), (0, 2), (2, 0)] {
+        sim.run_for(SimDuration::from_millis(20));
+        let style = ServeStyle::Proxy;
+        sim.inject(mds_nodes[&from], MdsMsg::AdminExport { ino, target, style });
+    }
+    sim.run_for(SimDuration::from_millis(20));
+    for &node in &clients {
+        sim.with_actor::<Tapped, _>(node, |t, ctx| t.client.stop(ctx));
+    }
+    sim.run_for(SimDuration::from_millis(100));
+    let auth = sim.actor::<Mds>(MDS0).auth_of(ino);
+    let authority = sim.actor::<Mds>(mds_nodes[&auth]).namespace().get(ino);
+    let tail = authority.expect("sequencer at its authority").embedded;
+    let mut granted = granted.take();
+    granted.sort_unstable();
+    (granted, tail)
+}
+
+/// No position is granted twice and none below the tail is skipped while
+/// the sequencer is exported back and forth under load, over 64 seeds.
+#[test]
+fn an_export_storm_grants_each_position_once() {
+    for seed in 0..64 {
+        let (granted, tail) = export_storm(seed);
+        assert!(
+            tail > 100,
+            "seed {seed}: the storm granted only {tail} positions"
+        );
+        let twice: Vec<&u64> = granted
+            .windows(2)
+            .filter(|w| w[0] == w[1])
+            .map(|w| &w[0])
+            .collect();
+        assert!(twice.is_empty(), "seed {seed}: granted twice: {twice:?}");
+        assert_eq!(
+            granted,
+            (0..tail).collect::<Vec<u64>>(),
+            "seed {seed}: holes below {tail}"
+        );
+    }
 }
 
 // Random export schedules (times, targets, rank ping-pong included)
