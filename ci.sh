@@ -2,8 +2,8 @@
 # Local CI gate: formatting, lints (warnings are errors), the one-RADOS-client,
 # no-timer-per-item, effects-not-calls, payload-is-bytes, name-held-once,
 # one-append-path, one-engine, one-encoding, forget-what-it-holds,
-# map-held-once, counter-is-a-slot, one-read-path and one-type-op-path
-# structure checks, the
+# map-held-once, counter-is-a-slot, one-read-path, one-type-op-path and
+# one-seal-path structure checks, the
 # tier-1 build + test pass (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
@@ -89,6 +89,13 @@ echo "==> one read path: a point read and a write probe are a read_batch of one,
 echo "==> one type-op path: a sequencer verb from the client and one its home forwards pass one gate into exec_type_op, which has one caller (DESIGN §33)"
 [ "$(grep -c 'exec_type_op(' crates/mds/src/server.rs)" = 2 ]
 [ -z "$(grep -rn 'handle_proxy_op' crates)" ]
+
+echo "==> one seal path: a client's recovery is the MDS's seal; the zlog client seals no stripe, submits no epoch and writes back no tail (DESIGN §34)"
+[ -z "$(grep -rn 'AdvanceTo' crates)" ]
+[ -z "$(grep -n 'Method::Seal\|MonMsg::Submit\|Route::Mon' crates/zlog/src/log.rs)" ]
+for file in $(find crates/zlog/src -name '*.rs'); do
+    [ -z "$(above_tests "$file" | grep -n '"seal"')" ]
+done
 
 echo "==> cargo build --release"
 cargo build --release

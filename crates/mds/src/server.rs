@@ -139,8 +139,9 @@ pub const STANDBY_RANK: u32 = u32::MAX;
 /// contract, like [`FileType::Sequencer`] itself.
 const ZLOG_EPOCH_MAP: &str = "zlog";
 
-/// Progress of the seal/maxpos protocol one promoted MDS runs for one
-/// sequencer inode before it may issue positions again.
+/// Progress of the seal/maxpos protocol an MDS runs for one sequencer
+/// inode before it may issue positions again: after a takeover, once a
+/// late layout arrives, or when a client asks for it ([`SeqOp::Seal`]).
 #[derive(Debug, Clone)]
 struct SealRecovery {
     layout: crate::namespace::SeqLayout,
@@ -149,6 +150,11 @@ struct SealRecovery {
     maxpos: Vec<Option<i64>>,
     /// The epoch this recovery is installing.
     new_epoch: u64,
+    /// The `SeqOp::Seal` requests `(client, reqid)` answered with
+    /// `MdsMsg::Sealed` when this recovery completes: one per client, its
+    /// latest, since a client re-sends under a fresh reqid and drops the
+    /// answer to an older one.
+    waiters: Vec<(NodeId, u64)>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -338,8 +344,8 @@ pub struct Mds {
     /// Sequencer inodes inherited from a journal replay with *no* layout
     /// on record: the in-memory tail may understate the store, and
     /// without a layout the seal/maxpos protocol cannot run. Their type
-    /// ops answer `Recovering` until a client re-registers the layout
-    /// (which triggers the seal) or drives `advance_to` itself.
+    /// ops answer `Recovering` until a client re-registers the layout,
+    /// which starts the seal.
     unsealed_seqs: IdSet<Ino>,
     /// Registered sequencer layouts (journaled; survive failover).
     seq_layouts: IdMap<Ino, crate::namespace::SeqLayout>,
@@ -541,16 +547,11 @@ impl Mds {
         // A sequencer inherited from a journal replay without a layout
         // cannot prove its in-memory tail covers the store: minting or
         // reading positions before the seal/maxpos protocol runs could
-        // double-issue a position or report a regressed tail. The one
-        // exception is `AdvanceTo`, which *is* recovery — the client
-        // sealed the stripes itself and is writing back the derived tail.
+        // double-issue a position or report a regressed tail, and the seal
+        // itself waits for the layout.
         if self.unsealed_seqs.contains(&ino) {
-            if matches!(op, SeqOp::AdvanceTo(_)) {
-                self.unsealed_seqs.remove(&ino);
-            } else {
-                ctx.metrics().bump(counter!("mds.unsealed_seq_rejects"), 1);
-                return Err(MdsError::Recovering);
-            }
+            ctx.metrics().bump(counter!("mds.unsealed_seq_rejects"), 1);
+            return Err(MdsError::Recovering);
         }
         let inode = self.namespace.get_mut(ino).ok_or(MdsError::NotFound)?;
         // Every verb is a sequencer's: on any other file type it is the
@@ -576,18 +577,17 @@ impl Mds {
                 Ok(v)
             }
             SeqOp::Read => Ok(inode.embedded),
-            // Used by ZLog recovery: restart the tail at the sealed
-            // maximum. Never moves backwards.
-            SeqOp::AdvanceTo(v) => {
-                inode.embedded = inode.embedded.max(v);
-                Ok(inode.embedded)
-            }
+            // ZLog recovery runs against the registered layout; the caller
+            // answers once the seal completes.
+            SeqOp::Seal if self.seq_layouts.contains_key(&ino) => Ok(inode.embedded),
+            SeqOp::Seal => Err(MdsError::Recovering),
         }
     }
 
     /// Handles a sequencer verb for `client`, however it arrived. The gate
     /// is the same either way: a frozen inode answers `Frozen`, a
-    /// sequencer mid-seal `Recovering`, and only the authority serves.
+    /// sequencer mid-seal `Recovering` (a seal request joins the seal),
+    /// and only the authority serves.
     /// The arrival sets the queue cost, whether `mds.typeops` counts the
     /// op, and what a rank that is not the authority answers: the home of
     /// a proxied inode forwards a direct op and any other rank redirects
@@ -609,7 +609,7 @@ impl Mds {
             self.refuse_type_op(ctx, span, client, reqid, "frozen", MdsError::Frozen);
             return;
         }
-        if self.recovering_seqs.contains_key(&ino) {
+        if self.recovering_seqs.contains_key(&ino) && op != SeqOp::Seal {
             // The seal protocol hasn't finished: issuing a position now
             // could duplicate one the store already holds.
             self.refuse_type_op(ctx, span, client, reqid, "recovering", MdsError::Recovering);
@@ -633,10 +633,15 @@ impl Mds {
                 ctx.span_tag(span, "error", "typeop failed");
             }
             // The reply leaves once the queueing delay elapses; that is
-            // when this rank's work on the request ends.
+            // when this rank's work on the request ends. A seal's reply
+            // waits for the seal.
             let done = ctx.now() + delay;
             ctx.span_end_at(span, done);
-            ctx.send_after(delay, client, self.type_op_reply(reqid, result));
+            if op == SeqOp::Seal && result.is_ok() {
+                self.await_seal(ctx, ino, client, reqid);
+            } else {
+                ctx.send_after(delay, client, self.type_op_reply(reqid, result));
+            }
         } else if arrival == Arrival::Proxied {
             // Forwarded on a route this rank gave up: never redirected, so
             // the client stays with its home and retries there.
@@ -756,7 +761,10 @@ impl Mds {
 
     fn start_export(&mut self, ctx: &mut Context<'_>, export: Export) {
         let ino = export.ino;
-        if !self.is_auth(ino) || self.frozen.contains(&ino) {
+        // Mid-seal the tail that would travel with the inode is not yet
+        // known, and the seal's waiters are answered here.
+        let sealing = self.recovering_seqs.contains_key(&ino);
+        if !self.is_auth(ino) || self.frozen.contains(&ino) || sealing {
             return;
         }
         // A held capability must come home before the inode can move.
@@ -1321,11 +1329,27 @@ impl Mds {
                     layout,
                     stage: SealStage::GetEpoch,
                     new_epoch: 0,
+                    waiters: Vec::new(),
                 },
             );
         }
         self.get_map(ctx, ZLOG_EPOCH_MAP);
         ctx.set_timer(SimDuration::from_millis(500), TIMER_SEAL);
+    }
+
+    /// Answers `client`'s seal request `reqid` when `ino`'s seal completes,
+    /// joining the one under way — a takeover's, or another client's — or
+    /// starting one. A client's re-sent request replaces its earlier one.
+    fn await_seal(&mut self, ctx: &mut Context<'_>, ino: Ino, client: NodeId, reqid: u64) {
+        if !self.recovering_seqs.contains_key(&ino) {
+            if let Some(layout) = self.seq_layouts.get(&ino).cloned() {
+                self.start_seals(ctx, [(ino, layout)]);
+            }
+        }
+        if let Some(rec) = self.recovering_seqs.get_mut(&ino) {
+            rec.waiters.retain(|&(waiting, _)| waiting != client);
+            rec.waiters.push((client, reqid));
+        }
     }
 
     /// Drives seal progress off a zlog map snapshot: kicks off the epoch
@@ -1471,8 +1495,9 @@ impl Mds {
     }
 
     /// Once every stripe reported its maxpos, fence-and-resume: the new
-    /// tail is `max(journal-replayed tail, max(maxpos)+1)` — gap-free and
-    /// never reissuing a position the store may already hold.
+    /// tail is `max(in-memory tail, max(maxpos)+1)` — gap-free and never
+    /// reissuing a position the store may already hold — and the seal
+    /// requests waiting on it are answered with it and the new epoch.
     fn finish_seal_if_done(&mut self, ctx: &mut Context<'_>, ino: Ino) {
         let Some(rec) = self.recovering_seqs.get(&ino) else {
             return;
@@ -1480,6 +1505,9 @@ impl Mds {
         if rec.stage != SealStage::Sealing || rec.maxpos.iter().any(|m| m.is_none()) {
             return;
         }
+        let Some(rec) = self.recovering_seqs.remove(&ino) else {
+            return;
+        };
         let store_tail = rec
             .maxpos
             .iter()
@@ -1488,9 +1516,6 @@ impl Mds {
             .max()
             .unwrap_or(0)
             .max(0) as u64;
-        let name = rec.layout.name.clone();
-        let epoch = rec.new_epoch;
-        self.recovering_seqs.remove(&ino);
         if let Some(inode) = self.namespace.get_mut(ino) {
             if store_tail > inode.embedded {
                 inode.embedded = store_tail;
@@ -1502,10 +1527,15 @@ impl Mds {
             }
         }
         ctx.metrics().bump(counter!("mds.seq_seals"), 1);
+        let (name, epoch) = (&rec.layout.name, rec.new_epoch);
         self.cluster_log(
             ctx,
             format!("sealed log {name} at epoch {epoch}, tail resumes at {store_tail}"),
         );
+        let tail = self.namespace.get(ino).map_or(store_tail, |i| i.embedded);
+        for (client, reqid) in rec.waiters {
+            ctx.send(client, MdsMsg::Sealed { reqid, epoch, tail });
+        }
         // Requests stashed while this inode recovered can now be served.
         if self.ready {
             let stashed = std::mem::take(&mut self.stashed);
@@ -1679,6 +1709,7 @@ impl Mds {
             MdsMsg::Resolved { .. }
             | MdsMsg::Created { .. }
             | MdsMsg::TypeOpReply { .. }
+            | MdsMsg::Sealed { .. }
             | MdsMsg::CapGrant { .. }
             | MdsMsg::CapRecall { .. } => {}
         }

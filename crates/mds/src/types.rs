@@ -50,8 +50,7 @@ impl FileType {
 /// [`FileType::Sequencer`] serves. A request carries the verb itself, not
 /// its text, so nothing is formatted to send one or parsed to serve it;
 /// `Display` prints the text the verbs used to travel as (`next`,
-/// `next_batch:3`, `read`, `advance_to:17`), which is what span tags and
-/// logs show.
+/// `next_batch:3`, `read`, `seal`), which is what span tags and logs show.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeqOp {
     /// Take the next position.
@@ -61,8 +60,13 @@ pub enum SeqOp {
     NextBatch(u64),
     /// Read the tail without advancing it.
     Read,
-    /// ZLog recovery: restart the tail at no less than this.
-    AdvanceTo(u64),
+    /// ZLog recovery: fence the log and restart its tail past every
+    /// written position. The authority runs the seal a promoted standby
+    /// runs (a new epoch, `seal` on every stripe of the registered layout)
+    /// or joins one under way, and once it completes answers
+    /// [`MdsMsg::Sealed`] with the epoch that seal installed and the tail.
+    /// A refused seal is a `TypeOpReply` carrying the error.
+    Seal,
 }
 
 impl std::fmt::Display for SeqOp {
@@ -71,7 +75,7 @@ impl std::fmt::Display for SeqOp {
             SeqOp::Next => f.write_str("next"),
             SeqOp::NextBatch(n) => write!(f, "next_batch:{n}"),
             SeqOp::Read => f.write_str("read"),
-            SeqOp::AdvanceTo(v) => write!(f, "advance_to:{v}"),
+            SeqOp::Seal => f.write_str("seal"),
         }
     }
 }
@@ -238,6 +242,18 @@ pub enum MdsMsg {
         /// Which rank actually served the op (for mode verification).
         served_by: u32,
     },
+    /// Answer to a [`SeqOp::Seal`] once the seal it started or joined
+    /// completes.
+    Sealed {
+        /// Echoed id.
+        reqid: u64,
+        /// The epoch the seal installed in the zlog map: the seal may have
+        /// been under way, its epoch known to the client, before the
+        /// request joined it.
+        epoch: u64,
+        /// The tail the sequencer resumed at.
+        tail: u64,
+    },
 
     // ---- capabilities ----
     /// Request an exclusive, cacheable capability on `ino`.
@@ -331,7 +347,7 @@ mod tests {
         assert_eq!(text(SeqOp::Next), "next");
         assert_eq!(text(SeqOp::NextBatch(3)), "next_batch:3");
         assert_eq!(text(SeqOp::Read), "read");
-        assert_eq!(text(SeqOp::AdvanceTo(17)), "advance_to:17");
+        assert_eq!(text(SeqOp::Seal), "seal");
         let MdsMsg::TypeOp { op, .. } = MdsMsg::get_pos_batch(1, 2, 8) else {
             panic!("a bulk grant is a type op");
         };

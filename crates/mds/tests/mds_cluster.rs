@@ -5,7 +5,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 
-use mala_consensus::{MonConfig, MonMsg, Monitor};
+use mala_consensus::{MapUpdate, MonConfig, MonMsg, Monitor, SERVICE_MAP_INTERFACES};
 use mala_mds::server::{Mds, MdsPeer};
 use mala_mds::types::{CapPolicyConfig, SeqOp};
 use mala_mds::{
@@ -32,6 +32,8 @@ struct TestClient {
     resolved: HashMap<u64, Result<(u64, u32), mala_mds::types::MdsError>>,
     created: HashMap<u64, Result<u64, mala_mds::types::MdsError>>,
     typeops: HashMap<u64, (Result<u64, mala_mds::types::MdsError>, u32)>,
+    /// Seal answers: reqid → (epoch, tail).
+    sealed: HashMap<u64, (u64, u64)>,
     grants: Vec<(SimTime, u64, u64)>,
     recalls: Vec<(SimTime, u64)>,
     /// While holding a cap: (ino, local tail).
@@ -56,6 +58,9 @@ impl Actor for TestClient {
                 served_by,
             } => {
                 self.typeops.insert(reqid, (result, served_by));
+            }
+            MdsMsg::Sealed { reqid, epoch, tail } => {
+                self.sealed.insert(reqid, (epoch, tail));
             }
             MdsMsg::CapGrant { ino, state, .. } => {
                 self.grants.push((ctx.now(), ino, state));
@@ -525,7 +530,7 @@ fn cephfs_balancer_migrates_under_load() {
     );
 }
 
-/// Full stack: monitor + 3 OSDs (meta pool) + 1 journaling MDS.
+/// Full stack: monitor + 3 OSDs (meta pool) + 1 journaling MDS + 2 clients.
 fn build_journalled(config: &MdsConfig) -> Sim {
     let mut sim = Sim::new(17);
     sim.add_node(MON, Monitor::new(0, vec![MON], MonConfig::default()));
@@ -536,7 +541,9 @@ fn build_journalled(config: &MdsConfig) -> Sim {
         mds_node(0),
         Mds::new(0, MON, config.clone(), Box::new(NoBalancer)),
     );
-    sim.add_node(client_node(0), TestClient::default());
+    for i in 0..2 {
+        sim.add_node(client_node(i), TestClient::default());
+    }
     let mut updates = vec![
         OsdMapView::update_pool(
             "meta",
@@ -690,7 +697,8 @@ fn answer(sim: &mut Sim, reqid: u64) -> TypeOpAnswer {
 /// Every sequencer verb does the same thing served where it arrives
 /// (`TypeOp`) and forwarded by the home rank to the authority (`ProxyOp`);
 /// the one verb that is wrong whatever its file type is a zero-width grant,
-/// and every verb is wrong on a file that is no sequencer. A forwarded op
+/// a seal waits for the log's layout, and every verb is wrong on a file
+/// that is no sequencer. A forwarded op
 /// passes the gate a direct one does: at a rank that is not the authority
 /// and on a frozen inode it gets `Frozen`, and never a position.
 #[test]
@@ -714,11 +722,10 @@ fn every_seq_op_serves_directly_and_through_a_proxy() {
         (SeqOp::Next, Ok(0)),
         (SeqOp::NextBatch(4), Ok(1)),
         (SeqOp::Read, Ok(5)),
-        (SeqOp::AdvanceTo(9), Ok(9)),
-        (SeqOp::AdvanceTo(3), Ok(9)),
-        (SeqOp::Next, Ok(9)),
+        (SeqOp::Seal, Err(MdsError::Recovering)),
+        (SeqOp::Next, Ok(5)),
         (SeqOp::NextBatch(0), Err(MdsError::BadType)),
-        (SeqOp::Read, Ok(10)),
+        (SeqOp::Read, Ok(6)),
     ];
     let mut reqid = 100;
     for (ino, rank) in [(direct, 0), (proxied, 1)] {
@@ -860,18 +867,60 @@ fn an_export_ack_that_overtakes_its_route_update_grants_nothing() {
     assert_eq!(type_op(&mut sim, 99, seq, SeqOp::Next), (Ok(0), 2));
 }
 
+/// Installs a stand-in `zlog` class whose `seal` and `maxpos` report
+/// `maxpos` for every stripe, so a seal resumes the tail at `maxpos + 1`.
+fn install_seal_stub(sim: &mut Sim, maxpos: i64) {
+    let source = format!(
+        "function seal(input) return \"{maxpos}\" end\n\
+         function maxpos(input) return \"{maxpos}\" end\n"
+    );
+    let update = MapUpdate::set(SERVICE_MAP_INTERFACES, "zlog", source.into_bytes());
+    let updates = vec![update];
+    sim.inject(MON, MonMsg::Submit { seq: 2, updates });
+    sim.run_for(SimDuration::from_secs(2));
+}
+
+/// The layout of the log behind sequencer `ino`: two stripes in `meta`.
+fn layout(ino: u64) -> MdsMsg {
+    MdsMsg::SetSeqLayout {
+        ino,
+        pool: "meta".into(),
+        name: "s".into(),
+        stripe_width: 2,
+    }
+}
+
+/// Sends client `i`'s seal request `reqid` for `ino` to rank 0; the answer
+/// waits for the seal.
+fn send_seal(sim: &mut Sim, i: u32, reqid: u64, ino: u64) {
+    let op = SeqOp::Seal;
+    send_from(
+        sim,
+        client_node(i),
+        mds_node(0),
+        MdsMsg::TypeOp { reqid, ino, op },
+    );
+}
+
+/// Client `i`'s seal answers so far: reqid → (epoch, tail).
+fn seals(sim: &Sim, i: u32) -> &HashMap<u64, (u64, u64)> {
+    &sim.actor::<TestClient>(client_node(i)).sealed
+}
+
 /// A sequencer that comes back from a journal replay with no layout on
 /// record serves no verb that reads or moves its tail — grants were never
 /// journalled, so the replayed tail (0) understates the 5 positions handed
-/// out — until the client's `AdvanceTo` writes the recovered tail back.
+/// out — and cannot seal. The layout a client registers starts the seal,
+/// and the sequencer resumes past the store's highest position.
 #[test]
-fn seq_ops_after_a_journal_replay_wait_for_advance_to() {
+fn seq_ops_after_a_journal_replay_wait_for_a_layout() {
     use mala_mds::types::MdsError;
     let config = MdsConfig {
         journal: true,
         ..MdsConfig::default()
     };
     let mut sim = build_journalled(&config);
+    install_seal_stub(&mut sim, 6);
     let seq = create(&mut sim, client_node(0), 1, "/", "s", FileType::Sequencer);
     assert_eq!(type_op(&mut sim, 10, seq, SeqOp::NextBatch(5)).0, Ok(0));
     sim.run_for(SimDuration::from_secs(2));
@@ -883,13 +932,108 @@ fn seq_ops_after_a_journal_replay_wait_for_advance_to() {
         (20, SeqOp::Next),
         (21, SeqOp::NextBatch(2)),
         (22, SeqOp::Read),
+        (23, SeqOp::Seal),
     ] {
         let (result, _) = type_op(&mut sim, reqid, seq, op);
         assert_eq!(result, Err(MdsError::Recovering), "{op}");
     }
-    assert_eq!(type_op(&mut sim, 23, seq, SeqOp::AdvanceTo(5)).0, Ok(5));
-    assert_eq!(type_op(&mut sim, 24, seq, SeqOp::NextBatch(3)).0, Ok(5));
-    assert_eq!(type_op(&mut sim, 25, seq, SeqOp::Read).0, Ok(8));
+    send_from(&mut sim, client_node(0), mds_node(0), layout(seq));
+    sim.run_for(SimDuration::from_secs(1));
+    assert_eq!(sim.metrics().counter("mds.late_layout_seals"), 1);
+    assert_eq!(type_op(&mut sim, 24, seq, SeqOp::NextBatch(3)).0, Ok(7));
+    assert_eq!(type_op(&mut sim, 25, seq, SeqOp::Read).0, Ok(10));
+}
+
+/// A seal request is answered once the seal it started completes, with the
+/// epoch it installed and the tail it resumes at: never below what the
+/// sequencer already handed out, past every position the store holds. A
+/// second client's request while the seal runs joins it instead of
+/// starting another, a client's re-sent request replaces its first (only
+/// the latest is answered), and grants wait for the seal.
+#[test]
+fn a_seal_request_answers_when_its_seal_completes() {
+    use mala_mds::types::MdsError;
+    let mut sim = build_journalled(&MdsConfig::default());
+    install_seal_stub(&mut sim, 6);
+    let seq = create(&mut sim, client_node(0), 1, "/", "s", FileType::Sequencer);
+    send_from(&mut sim, client_node(0), mds_node(0), layout(seq));
+    sim.run_for(SimDuration::from_millis(50));
+    assert_eq!(type_op(&mut sim, 10, seq, SeqOp::NextBatch(3)).0, Ok(0));
+    for (client, reqid) in [(0, 20), (1, 21), (0, 22)] {
+        send_seal(&mut sim, client, reqid, seq);
+    }
+    sim.run_for(SimDuration::from_micros(500));
+    for client in [0, 1] {
+        assert!(seals(&sim, client).is_empty(), "answered before the seal");
+    }
+    assert_eq!(
+        type_op(&mut sim, 23, seq, SeqOp::Next).0,
+        Err(MdsError::Recovering)
+    );
+    sim.run_for(SimDuration::from_secs(1));
+    assert_eq!(seals(&sim, 0), &HashMap::from([(22, (1, 7))]));
+    assert_eq!(seals(&sim, 1), &HashMap::from([(21, (1, 7))]));
+    assert_eq!(sim.metrics().counter("mds.seq_seals"), 1);
+    assert_eq!(type_op(&mut sim, 24, seq, SeqOp::Next).0, Ok(7));
+    // With the store behind the sequencer, a seal never moves it back.
+    assert_eq!(type_op(&mut sim, 25, seq, SeqOp::NextBatch(4)).0, Ok(8));
+    send_seal(&mut sim, 0, 26, seq);
+    sim.run_for(SimDuration::from_secs(1));
+    assert_eq!(seals(&sim, 0).get(&26), Some(&(2, 12)));
+    assert_eq!(sim.metrics().counter("mds.seq_seals"), 2);
+}
+
+/// A seal request that reaches a takeover's seal after its epoch bump
+/// committed joins it and is answered with that epoch, which its client
+/// may already run under, not a newer one. Until the zlog class is
+/// installed the seal stalls on its stripes.
+#[test]
+fn a_seal_request_joins_a_takeover_seal_and_learns_its_epoch() {
+    let config = MdsConfig {
+        journal: true,
+        ..MdsConfig::default()
+    };
+    let mut sim = build_journalled(&config);
+    let seq = create(&mut sim, client_node(0), 1, "/", "s", FileType::Sequencer);
+    send_from(&mut sim, client_node(0), mds_node(0), layout(seq));
+    sim.run_for(SimDuration::from_secs(2));
+    sim.crash(mds_node(0));
+    sim.restart(mds_node(0), Mds::new(0, MON, config, Box::new(NoBalancer)));
+    sim.run_for(SimDuration::from_secs(3));
+    assert!(sim.metrics().counter("mds.seal_call_errors") > 0);
+    send_seal(&mut sim, 0, 20, seq);
+    sim.run_for(SimDuration::from_millis(100));
+    assert!(seals(&sim, 0).is_empty(), "answered before the seal");
+    install_seal_stub(&mut sim, 6);
+    assert_eq!(seals(&sim, 0), &HashMap::from([(20, (1, 7))]));
+    assert_eq!(sim.metrics().counter("mds.seq_seals"), 1);
+}
+
+/// An inode mid-seal stays where it is: its tail is not known until the
+/// seal completes, and the seal's waiters are answered by this rank.
+/// Nothing installs the zlog class here, so the seal never finishes.
+#[test]
+fn a_sequencer_mid_seal_is_not_exported() {
+    let mut sim = build_journalled(&MdsConfig::default());
+    let rank1 = Mds::new(1, MON, MdsConfig::default(), Box::new(NoBalancer));
+    sim.add_node(mds_node(1), rank1);
+    let updates = vec![MdsMapView::update_rank(1, mds_node(1), true)];
+    sim.inject(MON, MonMsg::Submit { seq: 2, updates });
+    sim.run_for(SimDuration::from_secs(2));
+    let seq = create(&mut sim, client_node(0), 1, "/", "s", FileType::Sequencer);
+    send_from(&mut sim, client_node(0), mds_node(0), layout(seq));
+    send_seal(&mut sim, 0, 10, seq);
+    sim.run_for(SimDuration::from_millis(50));
+    let style = ServeStyle::Direct;
+    let export = MdsMsg::AdminExport {
+        ino: seq,
+        target: 1,
+        style,
+    };
+    sim.inject(mds_node(0), export);
+    sim.run_for(SimDuration::from_secs(1));
+    assert_eq!(sim.metrics().counter("mds.exports"), 0);
+    assert_eq!(sim.actor::<Mds>(mds_node(0)).auth_of(seq), 0);
 }
 
 /// A sequencer mid-seal after a takeover answers `Recovering` to a direct
@@ -904,13 +1048,7 @@ fn a_forwarded_op_waits_out_a_seal_like_a_direct_one() {
     };
     let mut sim = build_journalled(&config);
     let seq = create(&mut sim, client_node(0), 1, "/", "s", FileType::Sequencer);
-    let layout = MdsMsg::SetSeqLayout {
-        ino: seq,
-        pool: "meta".into(),
-        name: "s".into(),
-        stripe_width: 2,
-    };
-    send_from(&mut sim, client_node(0), mds_node(0), layout);
+    send_from(&mut sim, client_node(0), mds_node(0), layout(seq));
     sim.run_for(SimDuration::from_secs(2));
     sim.crash(mds_node(0));
     sim.restart(mds_node(0), Mds::new(0, MON, config, Box::new(NoBalancer)));
@@ -919,7 +1057,7 @@ fn a_forwarded_op_waits_out_a_seal_like_a_direct_one() {
     for (reqid, op) in [
         (10, SeqOp::Next),
         (12, SeqOp::Read),
-        (14, SeqOp::AdvanceTo(5)),
+        (14, SeqOp::NextBatch(5)),
     ] {
         assert_eq!(
             type_op(&mut sim, reqid, seq, op).0,

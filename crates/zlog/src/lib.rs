@@ -15,10 +15,11 @@
 //!   Service Metadata interface) providing the write-once, random-read
 //!   log-entry store with the epoch-based `seal` needed for sequencer
 //!   recovery.
-//! * **Recovery** — [`log::ZlogClient::recover`]: bump the epoch in the
-//!   monitor's service metadata, `seal` every stripe object (invalidating
-//!   stale clients), compute the maximum written position, and restart
-//!   the sequencer from it.
+//! * **Recovery** — [`log::ZlogClient::recover`] asks the sequencer's
+//!   authority to run the seal a promoted standby runs: bump the epoch in
+//!   the monitor's service metadata, `seal` every stripe object
+//!   (invalidating stale clients), and restart the sequencer past the
+//!   maximum written position.
 // Serving paths must degrade, not abort: a stray panic site is a lint
 // error outside tests.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]

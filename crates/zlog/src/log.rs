@@ -12,7 +12,7 @@ use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
-use mala_consensus::{MapUpdate, MonMsg, SERVICE_MAP_MDS};
+use mala_consensus::{MonMsg, SERVICE_MAP_MDS};
 use mala_mds::types::{MdsError, MdsMsg, SeqOp};
 use mala_mds::{FileType, Ino};
 use mala_rados::client::RETRY_TOKEN_BASE as RADOS_RETRY_TOKEN_BASE;
@@ -198,17 +198,9 @@ enum Stage {
     Mutate,
     /// Waiting for the tail round trip.
     Tail,
-    /// Recovery: waiting for the epoch commit ack (carries the epoch this
-    /// op submitted, so a racing map notification cannot double-bump it).
-    RecoverEpoch { new_epoch: u64 },
-    /// Recovery: sealing stripes; tracks outstanding rados reqids & max.
-    RecoverSeal {
-        outstanding: usize,
-        max_pos: i64,
-        new_epoch: u64,
-    },
-    /// Recovery: restarting the sequencer.
-    RecoverAdvance { new_epoch: u64, tail: u64 },
+    /// Recovery: waiting for the authority's seal, then, with the epoch
+    /// it installed and the tail it restarted at, for that epoch.
+    Recover { sealed: Option<(u64, u64)> },
 }
 
 struct PendingOp {
@@ -252,14 +244,12 @@ enum Route {
     Rados(u64),
     /// An MDS request id, in `mds_waiting`.
     Mds(u64),
-    /// A monitor submit seq, in `mon_waiting`.
-    Mon(u64),
 }
 
 impl Route {
     fn id(self) -> u64 {
         match self {
-            Route::Rados(id) | Route::Mds(id) | Route::Mon(id) => id,
+            Route::Rados(id) | Route::Mds(id) => id,
         }
     }
 }
@@ -429,7 +419,6 @@ enum Method {
     ReadBatch,
     Fill,
     TrimUpto,
-    Seal,
     Checkpoint,
     CheckpointRead,
 }
@@ -437,12 +426,11 @@ enum Method {
 impl Method {
     /// Every method with its name in the class source, in discriminant
     /// order.
-    const ALL: [(Method, &'static str); 7] = [
+    const ALL: [(Method, &'static str); 6] = [
         (Method::WriteBatch, "write_batch"),
         (Method::ReadBatch, "read_batch"),
         (Method::Fill, "fill"),
         (Method::TrimUpto, "trim_upto"),
-        (Method::Seal, "seal"),
         (Method::Checkpoint, "checkpoint"),
         (Method::CheckpointRead, "checkpoint_read"),
     ];
@@ -525,8 +513,6 @@ pub struct ZlogClient {
     rados_waiting: IdMap<u64, u64>,
     /// MDS reqid → op id routing.
     mds_waiting: IdMap<u64, u64>,
-    /// Monitor submit seq → op id routing.
-    mon_waiting: IdMap<u64, u64>,
     /// Ops blocked until a newer epoch arrives.
     blocked_on_epoch: Vec<(u64, u64)>,
     /// Ops whose MDS rank was unroutable (withheld send or a typed
@@ -566,7 +552,6 @@ impl ZlogClient {
             next_seq: 1,
             rados_waiting: IdMap::default(),
             mds_waiting: IdMap::default(),
-            mon_waiting: IdMap::default(),
             blocked_on_epoch: Vec::new(),
             mds_blocked: Vec::new(),
             batch_cfg: BatchConfig::default(),
@@ -636,7 +621,6 @@ impl ZlogClient {
             && !self.rados.holds_requests()
             && !self.rados.holds_completions()
             && self.mds_waiting.is_empty()
-            && self.mon_waiting.is_empty()
             && self.blocked_on_epoch.is_empty()
             && self.mds_blocked.is_empty()
             && self.append_queue.is_empty()
@@ -653,7 +637,6 @@ impl ZlogClient {
                 let table = match route {
                     Route::Rados(_) => &self.rados_waiting,
                     Route::Mds(_) => &self.mds_waiting,
-                    Route::Mon(_) => &self.mon_waiting,
                 };
                 let to = table.get(&route.id());
                 if to != Some(&op) {
@@ -667,7 +650,7 @@ impl ZlogClient {
         }
         // Every listed route is in its table under its op, once: tables
         // that hold no more than that hold no route to anything else.
-        let routed = self.rados_waiting.len() + self.mds_waiting.len() + self.mon_waiting.len();
+        let routed = self.rados_waiting.len() + self.mds_waiting.len();
         if routed != listed {
             return Err(format!("{routed} routes, {listed} listed by live ops"));
         }
@@ -942,12 +925,14 @@ impl ZlogClient {
         op
     }
 
-    /// Runs CORFU sequencer recovery: bump the epoch (durable, via the
-    /// monitor), seal every stripe object, and restart the sequencer at
-    /// the maximum written position + 1.
+    /// Runs CORFU sequencer recovery through the sequencer's authority,
+    /// which seals the log as a promoted standby does — a new epoch in the
+    /// monitor's zlog map, `seal` on every stripe object — and restarts
+    /// the tail past the highest written position. Resolves to
+    /// [`ZlogOut::Recovered`] once this client runs under the epoch that
+    /// seal installed.
     pub fn recover(&mut self, ctx: &mut Context<'_>) -> u64 {
-        let new_epoch = self.epoch + 1;
-        let op = self.begin(ctx, OpKind::Recover, Stage::RecoverEpoch { new_epoch });
+        let op = self.begin(ctx, OpKind::Recover, Stage::Recover { sealed: None });
         self.step_recover(ctx, op);
         op
     }
@@ -1075,7 +1060,6 @@ impl ZlogClient {
         match route {
             Route::Rados(_) => &mut self.rados_waiting,
             Route::Mds(_) => &mut self.mds_waiting,
-            Route::Mon(_) => &mut self.mon_waiting,
         }
     }
 
@@ -1343,31 +1327,42 @@ impl ZlogClient {
         );
     }
 
-    /// (Re-)starts recovery from scratch under a fresh epoch: sealing is
-    /// idempotent and the epoch only moves forward, so a half-finished
-    /// earlier attempt cannot corrupt anything.
+    /// (Re-)drives recovery: the seal request until the authority answers
+    /// it, then the wait for the epoch that seal installed. A seal request
+    /// that arrives while a seal runs joins it, so a re-sent one starts no
+    /// second seal; the seal joined may be one whose epoch this client
+    /// already runs under.
     fn step_recover(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let new_epoch = self.epoch + 1;
-        if let Some(p) = self.ops.get_mut(&op) {
-            p.stage = Stage::RecoverEpoch { new_epoch };
+        let Some(pending) = self.ops.get(&op) else {
+            return;
+        };
+        let sealed = match pending.stage {
+            Stage::Recover { sealed } => sealed,
+            _ => None,
+        };
+        match sealed {
+            None => self.send_seq_op(ctx, op, SeqOp::Seal, Stage::Recover { sealed: None }),
+            Some((epoch, tail)) if self.epoch >= epoch => {
+                let out = ZlogOut::Recovered { epoch, tail };
+                self.finish(ctx, op, AppendResult::Ok(out));
+            }
+            Some((epoch, _)) => {
+                // Re-driven once the client's epoch passes the one below.
+                self.blocked_on_epoch.push((op, epoch - 1));
+                self.fetch_epoch(ctx);
+            }
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.hold(op, Route::Mon(seq));
-        ctx.send(
-            self.config.monitor,
-            MonMsg::Submit {
-                seq,
-                updates: vec![MapUpdate::set(
-                    ZLOG_MAP,
-                    &self.names.epoch_key,
-                    new_epoch.to_string().into_bytes(),
-                )],
-            },
-        );
     }
 
     fn step_tail(&mut self, ctx: &mut Context<'_>, op: u64) {
+        self.send_seq_op(ctx, op, SeqOp::Read, Stage::Tail);
+    }
+
+    /// Sends sequencer verb `verb` for `op` to the inode's authority, the
+    /// op waiting in `stage`, or resolves the inode first. As in
+    /// `drive_batch_grant`, the layout rides along: a promoted MDS that
+    /// lost it can seal only once a client sends it again.
+    fn send_seq_op(&mut self, ctx: &mut Context<'_>, op: u64, verb: SeqOp, stage: Stage) {
         let Some(ino) = self.seq_ino else {
             if let Some(p) = self.ops.get_mut(&op) {
                 p.stage = Stage::ResolveSeq;
@@ -1378,11 +1373,8 @@ impl ZlogClient {
         // Re-entered after a lazy resolve: move the stage back so the
         // TypeOpReply is not dropped by the ResolveSeq arm's catch-all.
         if let Some(p) = self.ops.get_mut(&op) {
-            p.stage = Stage::Tail;
+            p.stage = stage;
         }
-        // As in `drive_batch_grant`: a tail read against a promoted MDS
-        // that lost the layout must carry it, or the seal that makes the
-        // tail trustworthy can never run.
         self.register_layout(ctx, ino);
         let reqid = self.mds_reqid(op);
         self.send_seq(
@@ -1391,7 +1383,7 @@ impl ZlogClient {
             MdsMsg::TypeOp {
                 reqid,
                 ino,
-                op: SeqOp::Read,
+                op: verb,
             },
         );
     }
@@ -1806,6 +1798,13 @@ impl ZlogClient {
         }
     }
 
+    /// Asks the monitor for the zlog map: a newer epoch in it re-drives
+    /// the ops blocked on the one they ran under.
+    fn fetch_epoch(&self, ctx: &mut Context<'_>) {
+        let map = ZLOG_MAP.to_string();
+        ctx.send(self.config.monitor, MonMsg::Get { map });
+    }
+
     fn retry_blocked(&mut self, ctx: &mut Context<'_>) {
         let blocked = std::mem::take(&mut self.blocked_on_epoch);
         for (op, epoch_when_blocked) in blocked {
@@ -1983,7 +1982,7 @@ impl ZlogClient {
         };
         // Epoch guard: sealed object rejected our epoch.
         if let Err(OsdError::Class(ce)) = &result {
-            if ce.code == -116 && !matches!(pending.stage, Stage::RecoverSeal { .. }) {
+            if ce.code == -116 {
                 // A probe-seal fill bounced by the epoch guard was
                 // validated before applying: definitely not applied.
                 if matches!(pending.stage, Stage::WriteSeal { .. }) {
@@ -1992,12 +1991,7 @@ impl ZlogClient {
                 let epoch = self.epoch;
                 ctx.metrics().bump(counter!("zlog.estale_retries"), 1);
                 self.blocked_on_epoch.push((op, epoch));
-                ctx.send(
-                    self.config.monitor,
-                    MonMsg::Get {
-                        map: ZLOG_MAP.to_string(),
-                    },
-                );
+                self.fetch_epoch(ctx);
                 return;
             }
         }
@@ -2118,42 +2112,6 @@ impl ZlogClient {
                     None => self.restart_op(ctx, op),
                 }
             }
-            Stage::RecoverSeal {
-                outstanding,
-                max_pos,
-                new_epoch,
-            } => {
-                *outstanding -= 1;
-                if let Ok(results) = &result {
-                    if let Some(OpResult::CallOut(bytes)) = results.first() {
-                        if let Some(v) = decimal::<i64>(bytes) {
-                            *max_pos = (*max_pos).max(v);
-                        }
-                    }
-                }
-                // ESTALE from an already-sealed stripe is fine (idempotent
-                // recovery retry); other errors still count the stripe as
-                // sealed because the epoch xattr only moves forward.
-                if *outstanding == 0 {
-                    let tail = (*max_pos + 1) as u64;
-                    let new_epoch = *new_epoch;
-                    pending.stage = Stage::RecoverAdvance { new_epoch, tail };
-                    let Some(ino) = self.seq_ino else {
-                        // Resolve then advance.
-                        self.send_resolve(ctx, op, None);
-                        return;
-                    };
-                    let reqid = self.mds_reqid(op);
-                    self.send_home(
-                        ctx,
-                        MdsMsg::TypeOp {
-                            reqid,
-                            ino,
-                            op: SeqOp::AdvanceTo(tail),
-                        },
-                    );
-                }
-            }
             _ => {}
         }
     }
@@ -2214,6 +2172,7 @@ impl ZlogClient {
                                 self.finish(ctx, op, AppendResult::Ok(ZlogOut::SetUp(ino)))
                             }
                             OpKind::CheckTail => self.step_tail(ctx, op),
+                            OpKind::Recover => self.step_recover(ctx, op),
                             OpKind::Batch { .. } => self.redrive_op(ctx, op),
                             _ => {}
                         }
@@ -2228,62 +2187,15 @@ impl ZlogClient {
                 Err(e) if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
                 Err(e) => self.fail(ctx, op, format!("tail read failed: {e}")),
             },
-            (Stage::RecoverAdvance { new_epoch, tail }, MdsMsg::TypeOpReply { result, .. }) => {
-                let (new_epoch, tail) = (*new_epoch, *tail);
-                match result {
-                    Ok(_) => self.finish(
-                        ctx,
-                        op,
-                        AppendResult::Ok(ZlogOut::Recovered {
-                            epoch: new_epoch,
-                            tail,
-                        }),
-                    ),
-                    Err(MdsError::NotAuth { rank }) => {
-                        // Don't replay the whole recovery for a stale
-                        // route: follow the redirect and re-send the
-                        // idempotent tail write-back.
-                        ctx.metrics().bump(counter!("zlog.redirects"), 1);
-                        if let Some(ino) = self.seq_ino {
-                            self.router.learn(ino, rank);
-                            let reqid = self.mds_reqid(op);
-                            self.send_seq(
-                                ctx,
-                                ino,
-                                MdsMsg::TypeOp {
-                                    reqid,
-                                    ino,
-                                    op: SeqOp::AdvanceTo(tail),
-                                },
-                            );
-                        }
-                    }
-                    Err(e) if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
-                    Err(e) => self.fail(ctx, op, format!("sequencer restart failed: {e}")),
-                }
+            (Stage::Recover { sealed }, MdsMsg::Sealed { epoch, tail, .. }) => {
+                *sealed = Some((epoch, tail));
+                self.step_recover(ctx, op);
             }
-            (Stage::RecoverAdvance { new_epoch, tail }, MdsMsg::Resolved { result, .. }) => {
-                let (new_epoch, tail) = (*new_epoch, *tail);
-                let _ = new_epoch;
-                match result {
-                    Ok((ino, rank)) => {
-                        self.seq_ino = Some(ino);
-                        self.router.learn(ino, rank);
-                        let reqid = self.mds_reqid(op);
-                        self.send_seq(
-                            ctx,
-                            ino,
-                            MdsMsg::TypeOp {
-                                reqid,
-                                ino,
-                                op: SeqOp::AdvanceTo(tail),
-                            },
-                        );
-                    }
-                    Err(e) if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
-                    Err(e) => self.fail(ctx, op, format!("resolve during recovery failed: {e}")),
-                }
-            }
+            (Stage::Recover { .. }, MdsMsg::TypeOpReply { result: Err(e), .. }) => match e {
+                MdsError::NotAuth { rank } => self.on_redirect(ctx, op, rank),
+                e if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
+                e => self.fail(ctx, op, format!("sequencer seal failed: {e}")),
+            },
             (Stage::BatchGrant { .. }, MdsMsg::TypeOpReply { result, .. }) => match result {
                 Ok(base) => self.launch_batch_writes(ctx, op, base),
                 Err(MdsError::NotAuth { rank }) => self.on_redirect(ctx, op, rank),
@@ -2291,30 +2203,6 @@ impl ZlogClient {
                 Err(e) => self.fail(ctx, op, format!("bulk grant failed: {e}")),
             },
             _ => {}
-        }
-    }
-
-    fn on_epoch_committed(&mut self, ctx: &mut Context<'_>, op: u64) {
-        // Recovery stage 2: seal every stripe with the epoch this op
-        // committed (a racing map notification may already have delivered
-        // it; never bump twice).
-        let Some(pending) = self.ops.get_mut(&op) else {
-            return;
-        };
-        let Stage::RecoverEpoch { new_epoch } = pending.stage else {
-            return;
-        };
-        let width = self.config.stripe_width;
-        pending.stage = Stage::RecoverSeal {
-            outstanding: width as usize,
-            max_pos: -1,
-            new_epoch,
-        };
-        self.epoch = self.epoch.max(new_epoch);
-        for i in 0..u64::from(width) {
-            let oid = self.stripe_oid(i);
-            let input = new_epoch.to_string().into_bytes();
-            self.call_class(ctx, op, oid, Method::Seal, input);
         }
     }
 
@@ -2523,12 +2411,7 @@ impl ZlogClient {
                 // grant and junk-filling the abandoned cells is safe.
                 if matches!(&err, OsdError::Class(ce) if ce.code == -116) {
                     ctx.metrics().bump(counter!("zlog.estale_retries"), 1);
-                    ctx.send(
-                        self.config.monitor,
-                        MonMsg::Get {
-                            map: ZLOG_MAP.to_string(),
-                        },
-                    );
+                    self.fetch_epoch(ctx);
                 }
                 let retry: Vec<u64> = cells.iter().map(|(i, _)| members[*i]).collect();
                 self.requeue_members(ctx, &retry);
@@ -2610,7 +2493,8 @@ impl Actor for ZlogClient {
                 let reqid = match &*mds {
                     MdsMsg::Resolved { reqid, .. }
                     | MdsMsg::Created { reqid, .. }
-                    | MdsMsg::TypeOpReply { reqid, .. } => Some(*reqid),
+                    | MdsMsg::TypeOpReply { reqid, .. }
+                    | MdsMsg::Sealed { reqid, .. } => Some(*reqid),
                     _ => None,
                 };
                 if let Some(reqid) = reqid {
@@ -2670,12 +2554,6 @@ impl Actor for ZlogClient {
                             );
                         } else {
                             ctx.metrics().bump(counter!("zlog.mdsmap_refetch_skips"), 1);
-                        }
-                        return;
-                    }
-                    MonMsg::SubmitAck { seq, .. } => {
-                        if let Some(op) = self.take_route(Route::Mon(*seq)) {
-                            self.on_epoch_committed(ctx, op);
                         }
                         return;
                     }

@@ -492,6 +492,100 @@ fn read_racing_a_seal_still_returns_the_entry() {
     assert_eq!(sim.actor::<ZlogClient>(CLIENT_A).epoch(), 1);
 }
 
+/// Two clients recovering at once are answered by one seal: the second
+/// request joins the seal the first started, and both learn its epoch and
+/// tail.
+#[test]
+fn concurrent_recoveries_share_one_seal() {
+    let mut sim = build("rlog4");
+    for i in 0..5u64 {
+        assert_eq!(append(&mut sim, CLIENT_A, &format!("c{i}")), i);
+    }
+    let ops = [CLIENT_A, CLIENT_B].map(|node| {
+        let op = sim.with_actor::<ZlogClient, _>(node, |c, ctx| c.recover(ctx));
+        (node, op)
+    });
+    let deadline = sim.now() + SimDuration::from_secs(20);
+    let done = sim.run_until_pred(deadline, |s| {
+        ops.iter()
+            .all(|&(node, op)| s.actor::<ZlogClient>(node).is_done(op))
+    });
+    assert!(done, "concurrent recoveries did not settle");
+    for (node, op) in ops {
+        let res = sim.actor_mut::<ZlogClient>(node).take_result(op);
+        assert_eq!(
+            res,
+            Some(AppendResult::Ok(ZlogOut::Recovered { epoch: 1, tail: 5 })),
+            "{node:?}"
+        );
+    }
+    assert_eq!(sim.metrics().counter("mds.seq_seals"), 1);
+    assert_eq!(append(&mut sim, CLIENT_B, "after"), 5);
+}
+
+/// A recovery resolves only once its client runs under the epoch the seal
+/// installed, even when the zlog map's change notice never reached it: it
+/// asks the monitor for the map.
+#[test]
+fn a_recovery_waits_for_the_epoch_its_seal_installed() {
+    let mut sim = build("rlog5");
+    append(&mut sim, CLIENT_B, "one");
+    sim.network_mut().sever(MON, CLIENT_B);
+    let op = sim.with_actor::<ZlogClient, _>(CLIENT_B, |c, ctx| c.recover(ctx));
+    sim.run_for(SimDuration::from_secs(2));
+    assert_eq!(sim.metrics().counter("mds.seq_seals"), 1);
+    let client = sim.actor::<ZlogClient>(CLIENT_B);
+    assert!(!client.is_done(op), "recovered while still at epoch 0");
+    assert_eq!(client.epoch(), 0);
+    sim.network_mut().heal_all();
+    let deadline = sim.now() + SimDuration::from_secs(10);
+    let done = sim.run_until_pred(deadline, |s| s.actor::<ZlogClient>(CLIENT_B).is_done(op));
+    assert!(done, "recovery never learned its epoch");
+    let res = sim.actor_mut::<ZlogClient>(CLIENT_B).take_result(op);
+    assert_eq!(
+        res,
+        Some(AppendResult::Ok(ZlogOut::Recovered { epoch: 1, tail: 1 }))
+    );
+}
+
+/// A recovery that joins a seal whose epoch its client already runs under
+/// — another client's, stalled on stripes the MDS cannot reach — resolves
+/// with that seal's epoch and tail once the seal completes, rather than
+/// waiting for an epoch no one installs.
+#[test]
+fn a_recovery_joining_a_seal_whose_epoch_it_knows_resolves() {
+    let mut sim = build("rlog6");
+    for i in 0..3u64 {
+        assert_eq!(append(&mut sim, CLIENT_A, &format!("j{i}")), i);
+    }
+    for osd in OSDS {
+        sim.network_mut().sever(MDS0, osd);
+    }
+    let first = sim.with_actor::<ZlogClient, _>(CLIENT_A, |c, ctx| c.recover(ctx));
+    sim.run_for(SimDuration::from_secs(2));
+    assert_eq!(sim.metrics().counter("mds.seq_seals"), 0, "the seal stalls");
+    assert_eq!(sim.actor::<ZlogClient>(CLIENT_B).epoch(), 1);
+    let second = sim.with_actor::<ZlogClient, _>(CLIENT_B, |c, ctx| c.recover(ctx));
+    sim.run_for(SimDuration::from_millis(500));
+    sim.network_mut().heal_all();
+    let ops = [(CLIENT_A, first), (CLIENT_B, second)];
+    let deadline = sim.now() + SimDuration::from_secs(20);
+    let done = sim.run_until_pred(deadline, |s| {
+        ops.iter()
+            .all(|&(node, op)| s.actor::<ZlogClient>(node).is_done(op))
+    });
+    assert!(done, "a recovery did not settle");
+    for (node, op) in ops {
+        let res = sim.actor_mut::<ZlogClient>(node).take_result(op);
+        assert_eq!(
+            res,
+            Some(AppendResult::Ok(ZlogOut::Recovered { epoch: 1, tail: 3 })),
+            "{node:?}"
+        );
+    }
+    assert_eq!(sim.metrics().counter("mds.seq_seals"), 1);
+}
+
 #[test]
 fn tail_discovery_skips_abandoned_grants_after_batched_appends() {
     // Occupy position 2 before any append: the first bulk grant [0, 4)
