@@ -2,8 +2,8 @@
 # Local CI gate: formatting, lints (warnings are errors), the one-RADOS-client,
 # no-timer-per-item, effects-not-calls, payload-is-bytes, name-held-once,
 # one-append-path, one-engine, one-encoding, forget-what-it-holds,
-# map-held-once, counter-is-a-slot, one-read-path, one-type-op-path and
-# one-seal-path structure checks, the
+# map-held-once, counter-is-a-slot, one-read-path, one-type-op-path,
+# one-seal-path and request-held-once structure checks, the
 # tier-1 build + test pass (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
@@ -97,6 +97,10 @@ for file in $(find crates/zlog/src -name '*.rs'); do
     [ -z "$(above_tests "$file" | grep -n '"seal"')" ]
 done
 
+echo "==> a request is held once: the RADOS client keeps each request's waiter, no embedder a table of its own, and a zlog op parks in one list (DESIGN §23, §26)"
+[ -z "$(grep -rn 'rados_waiting\|store_waiting' crates/*/src)" ]
+[ -z "$(grep -n 'blocked_on_epoch\|mds_blocked' crates/zlog/src/log.rs)" ]
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -133,8 +137,10 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 # operation repeat exactly on every rep of a seed, and the peak heap to
 # 0.1 %. Each ceiling is the value this quick run measured when it was
 # written, plus a margin; lower it when a change lowers the number.
-#   host_allocs_per_op  read_tail 298.74 (the scripted read path and the
-#                       cursor; 308.36 while a single stripe's read reply
+#   host_allocs_per_op  read_tail 296.26 (the scripted read path and the
+#                       cursor; 298.74 while a drain took the RADOS
+#                       client's whole completion map, whose root the next
+#                       completion allocated again; 308.36 while a single stripe's read reply
 #                       was reordered through a map, DESIGN §17; 323.56
 #                       while every request formatted its
 #                       stripe id and copied its class and method names,
@@ -146,7 +152,8 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 #                       recorded, DESIGN §32; 3.139 while every OSD gossip message
 #                       deep-copied its maps, DESIGN §31; 4.139 while the
 #                       verb was a `String`); +10 %.
-#                       append_steady 51.82 (53.03 with the gossip copies;
+#                       append_steady 50.81 (51.82 with the take-all
+#                       drain; 53.03 with the gossip copies;
 #                       82.45 while object ids, omap keys, class and
 #                       method names and the grant's verb and layout were
 #                       copied at every hop, DESIGN §30; 106.55 while the
@@ -154,16 +161,19 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 #                       payload copied into the argument, the omap and the
 #                       effect; 127.64 while each replica ran the write's
 #                       class code again, DESIGN §28); +5 %.
-#   host_alloc_kb_per_op  read_tail 80.45 (one copy of a 1 KiB payload
-#                       between the omap and the reader; 83.29 while a
+#   host_alloc_kb_per_op  read_tail 78.92 (one copy of a 1 KiB payload
+#                       between the omap and the reader; 80.45 with the
+#                       take-all drain; 83.29 while a
 #                       single stripe's read reply was reordered through a
 #                       map; 123.58 with three copies); +10 %.
-#                       append_steady 11.64 (12.15 with the gossip copies;
+#                       append_steady 11.02 (11.64 with the take-all
+#                       drain; 12.15 with the gossip copies;
 #                       13.11 with the names copied; 18.07
 #                       before stored values were shared buffers; 21.75
 #                       with the payload cloned into every replica's
 #                       message and run through the VM there); +5 %.
-#                       fault_churn 14.97 (16.01 while a single stripe's
+#                       fault_churn 13.85 (14.97 with the take-all drain;
+#                       16.01 while a single stripe's
 #                       read reply was reordered through a map; 30.95
 #                       while each gossip message to each peer
 #                       deep-copied the interface map, zlog
@@ -190,12 +200,12 @@ metric_at_most() {
             exit (verdict != "ok")
         }' <<<"$bench_out"
 }
-metric_at_most read_tail host_allocs_per_op 329
-metric_at_most read_tail host_alloc_kb_per_op 88.5
+metric_at_most read_tail host_allocs_per_op 326
+metric_at_most read_tail host_alloc_kb_per_op 86.8
 metric_at_most mds_balance host_allocs_per_op 3.31
-metric_at_most append_steady host_allocs_per_op 54.4
-metric_at_most append_steady host_alloc_kb_per_op 12.2
-metric_at_most fault_churn host_alloc_kb_per_op 16.5
+metric_at_most append_steady host_allocs_per_op 53.4
+metric_at_most append_steady host_alloc_kb_per_op 11.6
+metric_at_most fault_churn host_alloc_kb_per_op 15.3
 metric_at_most append_overload host_peak_heap_mb 30.4
 metric_at_most append_overload sim.events_per_op 15.9
 

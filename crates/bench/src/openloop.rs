@@ -280,27 +280,10 @@ impl Actor for OpenLoopFleet {
             Err(other) => other,
         };
         if let Ok(mon) = msg.downcast::<MonMsg>() {
-            match &*mon {
-                // A fresh map is progress: re-drive parked requests now
-                // rather than waiting out pacing.
-                MonMsg::Snapshot(snap)
-                    if snap.map == SERVICE_MAP_MDS
-                        && self.router.adopt_snapshot(snap)
-                        && !self.retry_q.is_empty() =>
-                {
-                    self.drain_retries(ctx);
-                }
-                MonMsg::Changed { map, epoch, .. }
-                    if map == SERVICE_MAP_MDS && self.router.needs_fetch(*epoch) =>
-                {
-                    ctx.send(
-                        self.cfg.monitor,
-                        MonMsg::Get {
-                            map: SERVICE_MAP_MDS.to_string(),
-                        },
-                    );
-                }
-                _ => {}
+            // A fresh map is progress: re-drive parked requests now rather
+            // than waiting out pacing.
+            if self.router.follow(ctx, self.cfg.monitor, &mon) == Some(true) {
+                self.drain_retries(ctx);
             }
         }
     }

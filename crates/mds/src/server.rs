@@ -167,10 +167,11 @@ enum SealStage {
     Sealing,
 }
 
-/// What a request to the object store is for: the route from the embedded
-/// [`RadosClient`]'s request id back to the state waiting on it. A request
-/// in flight is the client's to route, retransmit and time out; a
-/// completion whose route is gone (deposed, deadline passed) is dropped.
+/// What a request to the object store is for: the waiter the embedded
+/// [`RadosClient`] holds with the request and hands back with its
+/// completion. A request in flight is the client's to retransmit and time
+/// out; one given up on (deposed, deadline passed) is cancelled, and its
+/// completion never comes back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StoreWait {
     /// The append of the flush in `journal_inflight`.
@@ -300,10 +301,9 @@ pub struct Mds {
     pending_exports: IdMap<Ino, Export>,
 
     mdsmap: MdsMapView,
-    /// The one client this daemon reaches the object store through.
-    rados: RadosClient,
-    /// Store requests in flight: reqid → what waits on the completion.
-    store_waiting: IdMap<u64, StoreWait>,
+    /// The one client this daemon reaches the object store through; each
+    /// request waits with what its completion is for.
+    rados: RadosClient<StoreWait>,
 
     // Queueing model.
     busy_until: SimTime,
@@ -384,8 +384,7 @@ impl Mds {
             frozen: IdSet::default(),
             pending_exports: IdMap::default(),
             mdsmap: MdsMapView::default(),
-            rados: RadosClient::new(monitor),
-            store_waiting: IdMap::default(),
+            rados: RadosClient::embedded(monitor),
             busy_until: SimTime::ZERO,
             served_this_tick: 0,
             per_inode_this_tick: IdMap::default(),
@@ -468,11 +467,10 @@ impl Mds {
     }
 
     /// Whether nothing of this daemon's is left with the object store: no
-    /// request routed or still the client's to retransmit, no flush in
-    /// doubt, no completion uncollected.
+    /// request still the client's to retransmit, no flush in doubt, no
+    /// completion uncollected.
     pub fn store_idle(&self) -> bool {
-        self.store_waiting.is_empty()
-            && self.journal_inflight.is_none()
+        self.journal_inflight.is_none()
             && !self.rados.holds_requests()
             && !self.rados.holds_completions()
     }
@@ -954,7 +952,8 @@ impl Mds {
         // read still out for an older version is given up on.
         self.forget_policy_fetch(ctx);
         let oid = ObjectId::new(META_POOL, object_name);
-        self.submit_store(ctx, oid, read_whole(), None, StoreWait::Policy);
+        self.rados
+            .submit_spanned(ctx, oid, read_whole(), None, StoreWait::Policy);
         self.mantle_version_seen = snap.epoch;
         let timeout = self.config.balance_interval.div(2);
         self.mantle_fetch_deadline = Some(ctx.now() + timeout);
@@ -967,26 +966,8 @@ impl Mds {
     /// fetched again on a later tick.
     fn forget_policy_fetch(&mut self, ctx: &mut Context<'_>) {
         if self.mantle_fetch_deadline.take().is_some() {
-            self.drop_store_routes(ctx, |w| *w == StoreWait::Policy);
+            self.rados.cancel_where(ctx, |w| *w == StoreWait::Policy);
             self.mantle_version_seen = self.mantle_version_seen.saturating_sub(1);
-        }
-    }
-
-    /// Drops the store routes `dropped` selects and cancels their requests
-    /// with the embedded client: nothing more is sent for them and no
-    /// completion comes back.
-    fn drop_store_routes(&mut self, ctx: &mut Context<'_>, dropped: impl Fn(&StoreWait) -> bool) {
-        let mut reqids: Vec<u64> = self
-            .store_waiting
-            .iter()
-            .filter(|(_, w)| dropped(w))
-            .map(|(reqid, _)| *reqid)
-            .collect();
-        // Ending spans in hash order would reorder the trace from run to run.
-        reqids.sort_unstable();
-        for reqid in reqids {
-            self.store_waiting.remove(&reqid);
-            self.rados.cancel(ctx, reqid);
         }
     }
 
@@ -1038,29 +1019,11 @@ impl Mds {
         }
     }
 
-    /// Submits `txn` through the embedded client and routes its completion
-    /// to `wait`.
-    fn submit_store(
-        &mut self,
-        ctx: &mut Context<'_>,
-        oid: ObjectId,
-        txn: Vec<Op>,
-        parent: Option<SpanContext>,
-        wait: StoreWait,
-    ) {
-        let reqid = self.rados.submit_spanned(ctx, oid, txn, parent);
-        self.store_waiting.insert(reqid, wait);
-    }
-
-    fn store_has(&self, wait: StoreWait) -> bool {
-        self.store_waiting.values().any(|w| *w == wait)
-    }
-
     fn flush_journal(&mut self, ctx: &mut Context<'_>) {
         // One append at a time: a second one racing the first could land
         // out of order. While it is in flight the client retransmits it;
         // fresh entries wait in `journal_buf`.
-        if self.standby || self.store_has(StoreWait::Journal) {
+        if self.standby || self.rados.has_waiter(&StoreWait::Journal) {
             return;
         }
         if self.journal_inflight.is_none() {
@@ -1081,7 +1044,8 @@ impl Mds {
         if let Some(flush) = &self.journal_inflight {
             let (data, span) = (flush.data.clone(), Some(flush.span));
             let (oid, txn) = (self.journal_oid.clone(), vec![Op::Append { data }]);
-            self.submit_store(ctx, oid, txn, span, StoreWait::Journal);
+            self.rados
+                .submit_spanned(ctx, oid, txn, span, StoreWait::Journal);
         }
     }
 
@@ -1089,20 +1053,19 @@ impl Mds {
     /// makes the daemon ready. Until then every client op sits stashed.
     fn try_recover(&mut self, ctx: &mut Context<'_>) {
         let wanted = self.config.journal && !self.standby && !self.ready;
-        if wanted && !self.store_has(StoreWait::Recover) {
+        if wanted && !self.rados.has_waiter(&StoreWait::Recover) {
             let oid = self.journal_oid.clone();
-            self.submit_store(ctx, oid, read_whole(), None, StoreWait::Recover);
+            self.rados
+                .submit_spanned(ctx, oid, read_whole(), None, StoreWait::Recover);
         }
     }
 
     /// Collects the embedded client's completions, in request order, and
     /// hands each to what waits on it.
     fn drain_store(&mut self, ctx: &mut Context<'_>) {
-        for event in self.rados.drain_completed() {
-            let Some(wait) = self.store_waiting.remove(&event.reqid) else {
-                continue;
-            };
-            match wait {
+        let drain = self.rados.drain_completed();
+        while let Some(event) = drain.next(&mut self.rados) {
+            match event.waiter {
                 StoreWait::Journal => self.on_journal_flushed(ctx, event.result),
                 StoreWait::Recover => self.on_journal_read(ctx, event.result),
                 StoreWait::Seal { ino, stripe } => {
@@ -1283,7 +1246,7 @@ impl Mds {
         self.unsealed_seqs.clear();
         self.seal_mon_waiting.clear();
         self.forget_policy_fetch(ctx);
-        self.drop_store_routes(ctx, |_| true);
+        self.rados.cancel_where(ctx, |_| true);
         self.stashed.clear();
         ctx.metrics().bump(counter!("mds.deposed"), 1);
     }
@@ -1427,7 +1390,7 @@ impl Mds {
         let open = (0u32..).zip(&rec.maxpos).filter(|(_, m)| m.is_none());
         let open: Vec<u32> = open.map(|(stripe, _)| stripe).collect();
         for stripe in open {
-            if !self.store_has(StoreWait::Seal { ino, stripe }) {
+            if !self.rados.has_waiter(&StoreWait::Seal { ino, stripe }) {
                 self.send_seal_call(ctx, ino, stripe, "seal");
             }
         }
@@ -1451,7 +1414,8 @@ impl Mds {
             method: method.into(),
             input: input.as_bytes().into(),
         };
-        self.submit_store(ctx, oid, vec![call], None, StoreWait::Seal { ino, stripe });
+        self.rados
+            .submit_spanned(ctx, oid, vec![call], None, StoreWait::Seal { ino, stripe });
     }
 
     /// Handles the reply of one stripe's seal/maxpos call.

@@ -30,24 +30,25 @@ const REQUEST_DEADLINE: SimDuration = SimDuration::from_secs(25);
 
 /// A completed request surfaced to the harness.
 #[derive(Debug, Clone)]
-pub struct ClientEvent {
+pub struct ClientEvent<W = ()> {
     /// The request id returned by [`RadosClient::submit`].
     pub reqid: u64,
     /// Outcome.
     pub result: Result<Vec<OpResult>, OsdError>,
     /// Submission → completion latency.
     pub latency: SimDuration,
+    /// What waits on the request: the value its submitter handed in.
+    pub waiter: W,
 }
 
-struct InFlight {
+struct InFlight<W> {
     /// The request as every (re)transmission carries it: one allocation,
     /// shared with the messages and whoever receives them.
     req: Rc<(ObjectId, Transaction)>,
     attempts: u32,
+    /// Submission time; [`REQUEST_DEADLINE`] later the request completes
+    /// with [`OsdError::Timeout`].
     submitted_at: SimTime,
-    /// Hard per-request deadline; passing it completes with
-    /// [`OsdError::Timeout`].
-    deadline: SimTime,
     /// Waiting for a map with epoch > this before retrying.
     blocked_on_epoch: Option<u64>,
     /// When the next retransmission is due: the request's entry in
@@ -56,24 +57,43 @@ struct InFlight {
     /// The `rados.op` span covering submission → completion; travels on
     /// every (re)transmission so the OSD parents its work under it.
     span: Option<SpanContext>,
+    waiter: W,
 }
 
-/// The RADOS client actor.
-pub struct RadosClient {
+/// The RADOS client actor. Each request holds a waiter of type `W`, handed
+/// in at submission and handed back with the completion: an actor that
+/// embeds the client keeps no table of its own from request id to what
+/// waits (DESIGN §26). The harness's client waits with `()`.
+pub struct RadosClient<W = ()> {
     monitor: NodeId,
     map: OsdMapView,
     next_reqid: u64,
-    inflight: IdMap<u64, InFlight>,
+    inflight: IdMap<u64, InFlight<W>>,
     /// Retransmit deadlines of the requests in flight, by request id.
     retries: Deadlines<u64>,
     /// Completions not yet collected, by request id: ordered, so draining
     /// them never lets hash order decide what the caller does first.
-    completed: BTreeMap<u64, ClientEvent>,
+    completed: BTreeMap<u64, ClientEvent<W>>,
 }
 
 impl RadosClient {
     /// Creates a client bootstrapping its maps from `monitor`.
     pub fn new(monitor: NodeId) -> RadosClient {
+        RadosClient::embedded(monitor)
+    }
+
+    /// Submits a transaction; returns its request id. Drive the simulation
+    /// and collect the outcome with [`RadosClient::take_completed`] (or use
+    /// [`request`] for a synchronous harness call).
+    pub fn submit(&mut self, ctx: &mut Context<'_>, oid: ObjectId, txn: Transaction) -> u64 {
+        self.submit_spanned(ctx, oid, txn, None, ())
+    }
+}
+
+impl<W> RadosClient<W> {
+    /// Creates a client whose requests wait with a `W`, bootstrapping its
+    /// maps from `monitor`: the form an actor embedding it holds.
+    pub fn embedded(monitor: NodeId) -> RadosClient<W> {
         RadosClient {
             monitor,
             map: OsdMapView::default(),
@@ -89,23 +109,16 @@ impl RadosClient {
         self.map.epoch
     }
 
-    /// Submits a transaction; returns its request id. Drive the simulation
-    /// and collect the outcome with [`RadosClient::take_completed`] or
-    /// [`RadosClient::drain_completed`] (or use [`request`] for a
-    /// synchronous harness call).
-    pub fn submit(&mut self, ctx: &mut Context<'_>, oid: ObjectId, txn: Transaction) -> u64 {
-        self.submit_spanned(ctx, oid, txn, None)
-    }
-
-    /// Like [`RadosClient::submit`], but parents the request's `rados.op`
-    /// span under `parent` (e.g. a ZLog append span) instead of rooting a
-    /// fresh trace.
+    /// Submits a transaction on behalf of `waiter`; returns its request id.
+    /// The request's `rados.op` span is parented under `parent` (e.g. a
+    /// ZLog append span), or roots a fresh trace.
     pub fn submit_spanned(
         &mut self,
         ctx: &mut Context<'_>,
         oid: ObjectId,
         txn: Transaction,
         parent: Option<SpanContext>,
+        waiter: W,
     ) -> u64 {
         let reqid = self.next_reqid;
         self.next_reqid += 1;
@@ -117,10 +130,10 @@ impl RadosClient {
                 req: Rc::new((oid, txn)),
                 attempts: 0,
                 submitted_at: ctx.now(),
-                deadline: ctx.now() + REQUEST_DEADLINE,
                 blocked_on_epoch: None,
                 retry_at: None,
                 span: Some(span),
+                waiter,
             },
         );
         self.dispatch(ctx, reqid);
@@ -128,7 +141,7 @@ impl RadosClient {
     }
 
     /// Removes and returns the completion for `reqid`, if present.
-    pub fn take_completed(&mut self, reqid: u64) -> Option<ClientEvent> {
+    pub fn take_completed(&mut self, reqid: u64) -> Option<ClientEvent<W>> {
         self.completed.remove(&reqid)
     }
 
@@ -137,11 +150,39 @@ impl RadosClient {
         self.completed.contains_key(&reqid)
     }
 
-    /// Removes and returns every completion held, in ascending request
-    /// order. An embedding actor collects this way; a request it abandons
-    /// it [`RadosClient::cancel`]s, so none of these is unwanted.
-    pub fn drain_completed(&mut self) -> impl Iterator<Item = ClientEvent> {
-        std::mem::take(&mut self.completed).into_values()
+    /// Collects the completions held now, in ascending request order, one
+    /// [`Drain::next`] at a time. An embedding actor collects this way: a
+    /// request it cancels while it handles an earlier completion does not
+    /// come back, and one that completes meanwhile waits for the next
+    /// drain.
+    pub fn drain_completed(&self) -> Drain {
+        Drain {
+            below: self.next_reqid,
+        }
+    }
+
+    /// The waiter of `reqid`, while the request is in flight or its
+    /// completion uncollected.
+    pub fn waiter(&self, reqid: u64) -> Option<&W> {
+        match self.inflight.get(&reqid) {
+            Some(inflight) => Some(&inflight.waiter),
+            None => self.completed.get(&reqid).map(|event| &event.waiter),
+        }
+    }
+
+    /// Every request in flight or uncollected with its waiter, in no
+    /// particular order.
+    pub fn waiters(&self) -> impl Iterator<Item = (u64, &W)> {
+        let inflight = self.inflight.iter().map(|(reqid, f)| (*reqid, &f.waiter));
+        inflight.chain(self.completed.iter().map(|(reqid, e)| (*reqid, &e.waiter)))
+    }
+
+    /// Whether a request in flight or uncollected waits with `waiter`.
+    pub fn has_waiter(&self, waiter: &W) -> bool
+    where
+        W: PartialEq,
+    {
+        self.waiters().any(|(_, w)| w == waiter)
     }
 
     /// Whether any completion is waiting to be collected.
@@ -171,6 +212,19 @@ impl RadosClient {
         ctx.metrics().bump(counter!("client.cancelled"), 1);
     }
 
+    /// [`RadosClient::cancel`]s every request whose waiter `cancelled`
+    /// selects, in ascending request order: each cancel of a request in
+    /// flight ends a span, and hash order would reorder the trace from run
+    /// to run.
+    pub fn cancel_where(&mut self, ctx: &mut Context<'_>, cancelled: impl Fn(&W) -> bool) {
+        let held = self.waiters().filter(|(_, waiter)| cancelled(waiter));
+        let mut reqids: Vec<u64> = held.map(|(reqid, _)| reqid).collect();
+        reqids.sort_unstable();
+        for reqid in reqids {
+            self.cancel(ctx, reqid);
+        }
+    }
+
     /// Completes `reqid` and drops its retransmit deadline.
     fn complete(
         &mut self,
@@ -195,12 +249,14 @@ impl RadosClient {
         if matches!(result, Err(OsdError::Timeout)) {
             ctx.metrics().bump(counter!("client.timeouts"), 1);
         }
+        let waiter = inflight.waiter;
         self.completed.insert(
             reqid,
             ClientEvent {
                 reqid,
                 result,
                 latency,
+                waiter,
             },
         );
     }
@@ -209,7 +265,7 @@ impl RadosClient {
         let Some(inflight) = self.inflight.get_mut(&reqid) else {
             return;
         };
-        if ctx.now() >= inflight.deadline {
+        if ctx.now() >= inflight.submitted_at + REQUEST_DEADLINE {
             self.complete(ctx, reqid, Err(OsdError::Timeout));
             return;
         }
@@ -247,12 +303,7 @@ impl RadosClient {
                 if let Some(inflight) = self.inflight.get_mut(&reqid) {
                     inflight.blocked_on_epoch = Some(self.map.epoch);
                 }
-                ctx.send(
-                    self.monitor,
-                    MonMsg::Get {
-                        map: SERVICE_MAP_OSD.to_string(),
-                    },
-                );
+                self.fetch_map(ctx);
             }
         }
         // Always hold a retransmit deadline: the op, its reply, or the map
@@ -263,6 +314,12 @@ impl RadosClient {
             let was = inflight.retry_at.replace(at);
             self.retries.arm(ctx, reqid, was, at);
         }
+    }
+
+    /// Asks the monitor for the full osdmap.
+    fn fetch_map(&self, ctx: &mut Context<'_>) {
+        let map = SERVICE_MAP_OSD.to_string();
+        ctx.send(self.monitor, MonMsg::Get { map });
     }
 
     fn on_new_map(&mut self, ctx: &mut Context<'_>) {
@@ -287,7 +344,23 @@ impl RadosClient {
     }
 }
 
-impl Actor for RadosClient {
+/// A drain of a [`RadosClient`]'s completions: those of the requests
+/// submitted before [`RadosClient::drain_completed`] was called.
+#[derive(Debug, Clone, Copy)]
+pub struct Drain {
+    below: u64,
+}
+
+impl Drain {
+    /// Removes and returns the next completion of the drain from `client`,
+    /// lowest request id first.
+    pub fn next<W>(&self, client: &mut RadosClient<W>) -> Option<ClientEvent<W>> {
+        let entry = client.completed.first_entry()?;
+        (*entry.key() < self.below).then(|| entry.remove())
+    }
+}
+
+impl<W: 'static> Actor for RadosClient<W> {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         // Request ids stay unique across incarnations of this node: a
         // daemon restarted here and counting from 1 again would have its
@@ -319,12 +392,7 @@ impl Actor for RadosClient {
                         // epochs); fetch the full snapshot.
                         && epoch > self.map.epoch =>
                     {
-                        ctx.send(
-                            self.monitor,
-                            MonMsg::Get {
-                                map: SERVICE_MAP_OSD.to_string(),
-                            },
-                        );
+                        self.fetch_map(ctx);
                     }
                     _ => {}
                 }
@@ -335,51 +403,27 @@ impl Actor for RadosClient {
         let Ok(msg) = msg.downcast::<OsdMsg>() else {
             return;
         };
-        let OsdMsg::ClientReply {
-            reqid,
-            result,
-            map_epoch,
-        } = *msg
-        else {
+        let OsdMsg::ClientReply { reqid, result, .. } = *msg else {
             return;
         };
-        if !self.inflight.contains_key(&reqid) {
+        let Some(inflight) = self.inflight.get_mut(&reqid) else {
             return;
-        }
-        match result {
+        };
+        // Retry on a newer map; the retransmit timer stays armed in case
+        // the fetch is lost.
+        inflight.blocked_on_epoch = match result {
+            // Once we hold a map at least as new as the OSD's.
             Err(OsdError::StaleEpoch { current }) => {
-                // Retry once we hold a map at least as new as the OSD's.
-                // The retransmit timer stays armed in case the fetch is
-                // lost.
-                if let Some(inflight) = self.inflight.get_mut(&reqid) {
-                    inflight.blocked_on_epoch = Some(current - 1);
-                }
                 ctx.metrics()
                     .bump(counter!("client.stale_epoch_retries"), 1);
-                ctx.send(
-                    self.monitor,
-                    MonMsg::Get {
-                        map: SERVICE_MAP_OSD.to_string(),
-                    },
-                );
+                Some(current - 1)
             }
-            Err(OsdError::NotPrimary) | Err(OsdError::NotReady) => {
-                // Mis-routed: our map disagrees with the cluster's (the OSD
-                // may be ahead of us, or we raced a failover). Refresh and
-                // retry on any newer epoch. `map_epoch` is informational.
-                let _ = map_epoch;
-                if let Some(inflight) = self.inflight.get_mut(&reqid) {
-                    inflight.blocked_on_epoch = Some(self.map.epoch);
-                }
-                ctx.send(
-                    self.monitor,
-                    MonMsg::Get {
-                        map: SERVICE_MAP_OSD.to_string(),
-                    },
-                );
-            }
-            other => self.complete(ctx, reqid, other),
-        }
+            // Mis-routed: our map disagrees with the cluster's (the OSD may
+            // be ahead of us, or we raced a failover): on any newer epoch.
+            Err(OsdError::NotPrimary) | Err(OsdError::NotReady) => Some(self.map.epoch),
+            other => return self.complete(ctx, reqid, other),
+        };
+        self.fetch_map(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {

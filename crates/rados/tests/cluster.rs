@@ -582,6 +582,162 @@ fn cancelled_request_sends_nothing_more_and_surfaces_no_completion() {
     assert!(client.take_completed(done).is_none() && !client.holds_completions());
 }
 
+/// A client embedded in an actor: each request waits with a name.
+type Embedded = RadosClient<&'static str>;
+const EMBEDDER: NodeId = NodeId(102);
+
+/// Adds an [`Embedded`] client at [`EMBEDDER`] and lets it fetch the map.
+fn add_embedder(sim: &mut Sim) {
+    sim.add_node(EMBEDDER, Embedded::embedded(MON));
+    sim.run_for(SimDuration::from_secs(1));
+}
+
+/// Appends to object `name` on behalf of `waiter`.
+fn submit_as(sim: &mut Sim, name: &str, waiter: &'static str) -> u64 {
+    let txn = vec![Op::Append {
+        data: name.as_bytes().to_vec(),
+    }];
+    sim.with_actor::<Embedded, _>(EMBEDDER, |c, ctx| {
+        c.submit_spanned(ctx, oid(name), txn, None, waiter)
+    })
+}
+
+/// Runs until the embedded client holds nothing in flight.
+fn settle_embedder(sim: &mut Sim) {
+    let deadline = sim.now() + SimDuration::from_secs(5);
+    let settled = sim.run_until_pred(deadline, |s| {
+        !s.actor::<Embedded>(EMBEDDER).holds_requests()
+    });
+    assert!(settled, "requests still in flight");
+}
+
+/// Drains the embedded client: `(reqid, waiter)` of every completion, in
+/// the order the drain hands them out.
+fn drain_embedder(sim: &mut Sim) -> Vec<(u64, &'static str)> {
+    let client = sim.actor_mut::<Embedded>(EMBEDDER);
+    let drain = client.drain_completed();
+    let mut out = Vec::new();
+    while let Some(event) = drain.next(client) {
+        assert!(event.result.is_ok(), "{event:?}");
+        out.push((event.reqid, event.waiter));
+    }
+    out
+}
+
+/// A drain hands back every completion with the waiter its request was
+/// submitted with, in ascending request order, whatever order the OSDs
+/// answered in; the client holds nothing after it.
+#[test]
+fn a_drain_returns_every_completion_with_its_waiter_in_reqid_order() {
+    let mut sim = build_cluster(3, 2, OsdConfig::default());
+    add_embedder(&mut sim);
+    let names = ["w0", "w1", "w2", "w3", "w4", "w5"];
+    let submitted: Vec<(u64, &str)> = names
+        .iter()
+        .map(|&name| (submit_as(&mut sim, name, name), name))
+        .collect();
+    settle_embedder(&mut sim);
+    assert_eq!(sim.actor::<Embedded>(EMBEDDER).waiters().count(), 6);
+    assert_eq!(drain_embedder(&mut sim), submitted);
+    let client = sim.actor::<Embedded>(EMBEDDER);
+    assert!(!client.holds_completions() && client.waiters().next().is_none());
+}
+
+/// A cancelled request's waiter never comes back: not for a request still
+/// in flight, not for one completed and uncollected, and not for one whose
+/// completion a drain under way had collected but not yet handed out.
+#[test]
+fn a_cancelled_requests_waiter_never_comes_back() {
+    let mut sim = build_cluster(3, 2, OsdConfig::default());
+    add_embedder(&mut sim);
+    let kept = submit_as(&mut sim, "kept", "kept");
+    let uncollected = submit_as(&mut sim, "uncollected", "uncollected");
+    let collected = submit_as(&mut sim, "collected", "collected");
+    settle_embedder(&mut sim);
+    for i in 0..3 {
+        sim.network_mut().sever(EMBEDDER, osd_node(i));
+    }
+    let inflight = submit_as(&mut sim, "inflight", "inflight");
+    sim.run_for(SimDuration::from_millis(50));
+    let client = sim.actor::<Embedded>(EMBEDDER);
+    assert_eq!(client.waiter(inflight), Some(&"inflight"));
+    assert_eq!(client.waiter(uncollected), Some(&"uncollected"));
+
+    let handed = sim.with_actor::<Embedded, _>(EMBEDDER, |c, ctx| {
+        c.cancel(ctx, inflight);
+        c.cancel(ctx, uncollected);
+        let drain = c.drain_completed();
+        let first = drain.next(c).map(|event| (event.reqid, event.waiter));
+        c.cancel(ctx, collected);
+        let rest = drain.next(c).map(|event| event.reqid);
+        (first, rest)
+    });
+    assert_eq!(handed, (Some((kept, "kept")), None));
+    sim.network_mut().heal_all();
+    sim.run_for(SimDuration::from_secs(30));
+    let client = sim.actor::<Embedded>(EMBEDDER);
+    assert!(client.waiters().next().is_none());
+    assert!(!client.holds_requests() && !client.holds_completions());
+    assert!(drain_embedder(&mut sim).is_empty());
+}
+
+/// Cancelling by waiter cancels exactly the requests the predicate
+/// selects, and ends their `rados.op` spans in ascending request order
+/// (the client's request table iterates in hash order); the others stay in
+/// flight and complete.
+#[test]
+fn cancelling_by_waiter_ends_the_spans_in_reqid_order() {
+    let mut sim = build_cluster(3, 2, OsdConfig::default());
+    add_embedder(&mut sim);
+    for i in 0..3 {
+        sim.network_mut().sever(EMBEDDER, osd_node(i));
+    }
+    // Every span that ends after lasting at all lands in the slow log, in
+    // the order it ended.
+    sim.tracer_mut().set_slow_threshold(Some(SimDuration::ZERO));
+    let first_span = sim.tracer().spans().len();
+    let names = ["c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"];
+    let waiters = |i: usize| if i.is_multiple_of(2) { "drop" } else { "keep" };
+    for (i, name) in names.iter().enumerate() {
+        submit_as(&mut sim, name, waiters(i));
+    }
+    sim.run_for(SimDuration::from_millis(5));
+    // One `rados.op` span per request, opened in submission order, which
+    // is request order.
+    let spans: Vec<u64> = sim.tracer().spans()[first_span..]
+        .iter()
+        .filter(|span| span.name == "rados.op" && span.node == EMBEDDER)
+        .map(|span| span.id.0)
+        .collect();
+    assert_eq!(spans.len(), names.len());
+    let dropped: Vec<u64> = spans.iter().step_by(2).copied().collect();
+
+    let (cancelled, slow) = (
+        sim.metrics().counter("client.cancelled"),
+        sim.tracer().slow_ops().len(),
+    );
+    sim.with_actor::<Embedded, _>(EMBEDDER, |c, ctx| c.cancel_where(ctx, |w| *w == "drop"));
+    assert_eq!(sim.metrics().counter("client.cancelled"), cancelled + 4);
+    let ended: Vec<u64> = sim.tracer().slow_ops()[slow..]
+        .iter()
+        .map(|line| {
+            let id = line.split("span=").nth(1).and_then(|s| s.split(' ').next());
+            id.and_then(|id| id.parse().ok())
+                .expect("a slow-op line names its span")
+        })
+        .collect();
+    assert_eq!(ended, dropped, "the dropped requests end in reqid order");
+    let client = sim.actor::<Embedded>(EMBEDDER);
+    assert!(client.waiters().all(|(_, w)| *w == "keep"));
+
+    sim.network_mut().heal_all();
+    settle_embedder(&mut sim);
+    let drained = drain_embedder(&mut sim);
+    assert_eq!(drained.len(), 4);
+    assert!(drained.iter().all(|(_, waiter)| *waiter == "keep"));
+    assert_eq!(sim.metrics().counter("client.cancelled"), cancelled + 4);
+}
+
 #[test]
 fn lock_class_serializes_two_clients() {
     let mut sim = build_cluster(3, 2, OsdConfig::default());

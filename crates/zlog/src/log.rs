@@ -237,21 +237,21 @@ struct PendingOp {
     held: Held,
 }
 
-/// A reply route: the table it sits in and the id it is keyed by there.
+/// A reply route: a request of the embedded RADOS client, which holds the
+/// op as the request's waiter, or an MDS request id in `mds_waiting`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Route {
-    /// A RADOS request id, in `rados_waiting`.
     Rados(u64),
-    /// An MDS request id, in `mds_waiting`.
     Mds(u64),
 }
 
-impl Route {
-    fn id(self) -> u64 {
-        match self {
-            Route::Rados(id) | Route::Mds(id) => id,
-        }
-    }
+/// What a parked op waits for before it goes again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Park {
+    /// A zlog epoch newer than this one.
+    Epoch(u64),
+    /// A fresh mdsmap: the op's rank was unroutable.
+    MdsMap,
 }
 
 /// Routes an op holds before they spill to the heap.
@@ -493,8 +493,9 @@ const MAX_ATTEMPTS: u32 = 16;
 
 /// The ZLog client actor.
 pub struct ZlogClient {
-    /// Embedded RADOS client (delegated object I/O).
-    rados: RadosClient,
+    /// Embedded RADOS client (delegated object I/O); each request waits
+    /// with the id of the op it replies to.
+    rados: RadosClient<u64>,
     config: ZlogConfig,
     names: Names,
     /// Current CORFU epoch for this log (from the `zlog` map).
@@ -509,17 +510,12 @@ pub struct ZlogClient {
     results: IdMap<u64, AppendResult>,
     next_op: u64,
     next_seq: u64,
-    /// rados reqid → op id routing.
-    rados_waiting: IdMap<u64, u64>,
     /// MDS reqid → op id routing.
     mds_waiting: IdMap<u64, u64>,
-    /// Ops blocked until a newer epoch arrives.
-    blocked_on_epoch: Vec<(u64, u64)>,
-    /// Ops whose MDS rank was unroutable (withheld send or a typed
-    /// `MdsUnavailable`); re-driven as soon as a fresh mdsmap is
-    /// adopted, mirroring the osdmap `retry_blocked` path — without
-    /// this they'd sit out the full watchdog backoff.
-    mds_blocked: Vec<u64>,
+    /// Ops waiting for a newer epoch or a fresh mdsmap, in park order;
+    /// re-driven as soon as it arrives instead of sitting out the
+    /// watchdog backoff.
+    parked: Vec<(u64, Park)>,
     /// Pipelined append tuning.
     batch_cfg: BatchConfig,
     /// Ops in [`Stage::Queued`], awaiting a flush.
@@ -539,7 +535,7 @@ impl ZlogClient {
     /// Creates a client for `config`.
     pub fn new(config: ZlogConfig) -> ZlogClient {
         ZlogClient {
-            rados: RadosClient::new(config.monitor),
+            rados: RadosClient::embedded(config.monitor),
             router: SeqRouter::new(config.mds_nodes.clone(), config.home_rank),
             names: Names::new(&config),
             config,
@@ -550,10 +546,8 @@ impl ZlogClient {
             results: IdMap::default(),
             next_op: 1,
             next_seq: 1,
-            rados_waiting: IdMap::default(),
             mds_waiting: IdMap::default(),
-            blocked_on_epoch: Vec::new(),
-            mds_blocked: Vec::new(),
+            parked: Vec::new(),
             batch_cfg: BatchConfig::default(),
             append_queue: Vec::new(),
             flush_timer: None,
@@ -617,28 +611,25 @@ impl ZlogClient {
     /// uncollected completion, parked entry or queued append.
     pub fn is_idle(&self) -> bool {
         self.ops.is_empty()
-            && self.rados_waiting.is_empty()
             && !self.rados.holds_requests()
             && !self.rados.holds_completions()
             && self.mds_waiting.is_empty()
-            && self.blocked_on_epoch.is_empty()
-            && self.mds_blocked.is_empty()
+            && self.parked.is_empty()
             && self.append_queue.is_empty()
     }
 
     /// Checks the reply-route bookkeeping (DESIGN §23): every route names
-    /// a live op that lists it, and every route an op lists is in its
-    /// table, naming that op. It walks every op, so it is for tests, not
-    /// for a serving path.
+    /// a live op that lists it, and every route an op lists names that op:
+    /// as the waiter of its RADOS request, or in `mds_waiting`. It walks
+    /// every op, so it is for tests, not for a serving path.
     pub fn check_routes(&self) -> Result<(), String> {
         let mut listed = 0;
         for (&op, pending) in &self.ops {
             for (i, route) in pending.held.iter().enumerate() {
-                let table = match route {
-                    Route::Rados(_) => &self.rados_waiting,
-                    Route::Mds(_) => &self.mds_waiting,
+                let to = match route {
+                    Route::Rados(reqid) => self.rados.waiter(reqid),
+                    Route::Mds(reqid) => self.mds_waiting.get(&reqid),
                 };
-                let to = table.get(&route.id());
                 if to != Some(&op) {
                     return Err(format!("op {op} lists {route:?}, which routes to {to:?}"));
                 }
@@ -648,9 +639,9 @@ impl ZlogClient {
                 listed += 1;
             }
         }
-        // Every listed route is in its table under its op, once: tables
-        // that hold no more than that hold no route to anything else.
-        let routed = self.rados_waiting.len() + self.mds_waiting.len();
+        // Every listed route names its op, once: waiters and a table that
+        // hold no more than that hold no route to anything else.
+        let routed = self.rados.waiters().count() + self.mds_waiting.len();
         if routed != listed {
             return Err(format!("{routed} routes, {listed} listed by live ops"));
         }
@@ -962,7 +953,7 @@ impl ZlogClient {
     }
 
     /// Parks the op owning a withheld message on the mdsmap (see
-    /// [`ZlogClient::retry_blocked_mds`]). Messages with no reply
+    /// [`ZlogClient::redrive_parked_on_mdsmap`]). Messages with no reply
     /// routing (fire-and-forget `SetSeqLayout`) have nothing to park.
     fn park_on_mdsmap(&mut self, msg: &MdsMsg) {
         let reqid = match msg {
@@ -972,9 +963,7 @@ impl ZlogClient {
             _ => return,
         };
         if let Some(&op) = self.mds_waiting.get(&reqid) {
-            if !self.mds_blocked.contains(&op) {
-                self.mds_blocked.push(op);
-            }
+            self.park(op, Park::MdsMap);
         }
     }
 
@@ -1002,9 +991,7 @@ impl ZlogClient {
     fn on_mds_transient(&mut self, ctx: &mut Context<'_>, op: u64, e: &MdsError) {
         if let MdsError::MdsUnavailable { rank } = e {
             self.router.invalidate_rank(*rank);
-            if !self.mds_blocked.contains(&op) {
-                self.mds_blocked.push(op);
-            }
+            self.park(op, Park::MdsMap);
         }
         // Kept as found: a batch pays an attempt and counts a retry for a
         // transient reply, a single op does neither.
@@ -1055,31 +1042,23 @@ impl ZlogClient {
         reqid
     }
 
-    /// The table `route` sits in.
-    fn table(&mut self, route: Route) -> &mut IdMap<u64, u64> {
-        match route {
-            Route::Rados(_) => &mut self.rados_waiting,
-            Route::Mds(_) => &mut self.mds_waiting,
-        }
-    }
-
-    /// Routes replies on `route` to `op`: its table names the op, and the
-    /// op lists the route.
+    /// Routes replies on `route` to `op`: the route names the op (a RADOS
+    /// request was submitted with it as its waiter), and the op lists the
+    /// route.
     fn hold(&mut self, op: u64, route: Route) {
-        self.table(route).insert(route.id(), op);
+        if let Route::Mds(reqid) = route {
+            self.mds_waiting.insert(reqid, op);
+        }
         if let Some(pending) = self.ops.get_mut(&op) {
             pending.held.push(route);
         }
     }
 
-    /// Takes the route a reply arrived on: the op it names, if any, which
-    /// no longer lists it.
-    fn take_route(&mut self, route: Route) -> Option<u64> {
-        let op = self.table(route).remove(&route.id())?;
+    /// `op` no longer lists `route`: a reply consumed it.
+    fn unlist(&mut self, op: u64, route: Route) {
         if let Some(pending) = self.ops.get_mut(&op) {
             pending.held.remove(route);
         }
-        Some(op)
     }
 
     /// The stripe object holding `pos`: a refcount of the id built with
@@ -1287,7 +1266,7 @@ impl ZlogClient {
         input: Vec<u8>,
     ) {
         let call = self.class_call(method, input);
-        let reqid = self.rados.submit(ctx, oid, vec![call]);
+        let reqid = self.rados.submit_spanned(ctx, oid, vec![call], None, op);
         self.hold(op, Route::Rados(reqid));
     }
 
@@ -1348,7 +1327,7 @@ impl ZlogClient {
             }
             Some((epoch, _)) => {
                 // Re-driven once the client's epoch passes the one below.
-                self.blocked_on_epoch.push((op, epoch - 1));
+                self.park(op, Park::Epoch(epoch - 1));
                 self.fetch_epoch(ctx);
             }
         }
@@ -1774,10 +1753,10 @@ impl ZlogClient {
     /// into the owning ops. Completions drive sends and timers, so they
     /// are taken in request order.
     fn drain_rados(&mut self, ctx: &mut Context<'_>) {
-        for event in self.rados.drain_completed() {
-            let Some(op) = self.take_route(Route::Rados(event.reqid)) else {
-                continue;
-            };
+        let drain = self.rados.drain_completed();
+        while let Some(event) = drain.next(&mut self.rados) {
+            let op = event.waiter;
+            self.unlist(op, Route::Rados(event.reqid));
             if self.is_batch(op) {
                 self.on_batch_write_done(ctx, op, event.reqid, event.result);
             } else {
@@ -1787,12 +1766,16 @@ impl ZlogClient {
     }
 
     /// Adopts `value`, the log's entry in the zlog map, as the epoch if it
-    /// is a newer one: ops blocked on the old epoch go again.
+    /// is a newer one: ops parked on an older epoch go again, each a retry,
+    /// in park order.
     fn adopt_epoch(&mut self, ctx: &mut Context<'_>, value: &[u8]) {
         match decimal::<u64>(value) {
             Some(epoch) if epoch > self.epoch => {
                 self.epoch = epoch;
-                self.retry_blocked(ctx);
+                let newer = |park: &Park| matches!(*park, Park::Epoch(e) if epoch > e);
+                for op in self.unpark(newer) {
+                    self.restart_op(ctx, op);
+                }
             }
             _ => {}
         }
@@ -1805,33 +1788,45 @@ impl ZlogClient {
         ctx.send(self.config.monitor, MonMsg::Get { map });
     }
 
-    fn retry_blocked(&mut self, ctx: &mut Context<'_>) {
-        let blocked = std::mem::take(&mut self.blocked_on_epoch);
-        for (op, epoch_when_blocked) in blocked {
-            if self.epoch > epoch_when_blocked {
-                self.restart_op(ctx, op);
-            } else {
-                self.blocked_on_epoch.push((op, epoch_when_blocked));
-            }
-        }
-    }
-
-    /// Re-drives every op parked on an unroutable MDS rank. Runs on
-    /// mdsmap adoption (mirroring the osdmap `retry_blocked` path): the
-    /// map change is progress, so no attempt is burned — without this,
-    /// an op withheld because its rank was unroutable would sit out the
-    /// full watchdog backoff after the fresh map arrived.
-    fn retry_blocked_mds(&mut self, ctx: &mut Context<'_>) {
-        let mut blocked = std::mem::take(&mut self.mds_blocked);
+    /// Re-drives every op parked on the mdsmap. Runs on mdsmap adoption:
+    /// the map change is progress, so no attempt is burned — without
+    /// this, an op withheld because its rank was unroutable would sit out
+    /// the full watchdog backoff after the fresh map arrived.
+    fn redrive_parked_on_mdsmap(&mut self, ctx: &mut Context<'_>) {
+        let mut parked = self.unpark(|park| *park == Park::MdsMap);
         // Single ops go before batches, each in park order: the event
         // order of every seed so far depends on it.
-        blocked.sort_by_key(|op| self.is_batch(*op));
-        for op in blocked {
+        parked.sort_by_key(|op| self.is_batch(*op));
+        for op in parked {
             if self.ops.contains_key(&op) {
                 ctx.metrics().bump(counter!("zlog.mdsmap_redrives"), 1);
                 self.redrive_op(ctx, op);
             }
         }
+    }
+
+    /// Parks `op` until what `park` names arrives. An op holds one entry:
+    /// parking it again replaces what it waits for and keeps its place, so
+    /// a fan bounced on every stripe goes again once.
+    fn park(&mut self, op: u64, park: Park) {
+        match self.parked.iter_mut().find(|(o, _)| *o == op) {
+            Some(entry) => entry.1 = park,
+            None => self.parked.push((op, park)),
+        }
+    }
+
+    /// Takes the entries `due` selects off the park list, the rest staying
+    /// in order, and returns their ops in park order.
+    fn unpark(&mut self, due: impl Fn(&Park) -> bool) -> Vec<u64> {
+        let mut ops = Vec::new();
+        self.parked.retain(|(op, park)| {
+            let stay = !due(park);
+            if !stay {
+                ops.push(*op);
+            }
+            stay
+        });
+        ops
     }
 
     /// Charges `op` one attempt of its retry budget. Past the budget the
@@ -1864,25 +1859,20 @@ impl ZlogClient {
         self.redrive_op(ctx, op);
     }
 
-    /// Drops the park entries of `op` and the reply routes it `held`
-    /// (taken off the op, or from the op `conclude` removed), and cancels
-    /// its RADOS requests: an abandoned request is not retransmitted. Only
-    /// what the op holds is walked, so forgetting costs what the op has
-    /// out, not what the client has in flight. A route goes only while it
-    /// still names `op`. RADOS requests are cancelled in the order they
-    /// were held, ascending reqid order: each cancel ends a span, and hash
-    /// order would reorder the trace from run to run.
+    /// Drops the park entry of `op` and the reply routes it `held` (taken
+    /// off the op, or from the op `conclude` removed): its RADOS requests
+    /// are cancelled, so an abandoned request is not retransmitted and its
+    /// completion never comes back. Only what the op holds is walked, so
+    /// forgetting costs what the op has out, not what the client has in
+    /// flight. RADOS requests are cancelled in the order they were held,
+    /// ascending reqid order: each cancel ends a span, and hash order would
+    /// reorder the trace from run to run.
     fn forget_requests(&mut self, ctx: &mut Context<'_>, op: u64, held: &Held) {
-        self.blocked_on_epoch.retain(|(o, _)| *o != op);
-        self.mds_blocked.retain(|o| *o != op);
+        self.parked.retain(|(o, _)| *o != op);
         for route in held.iter() {
-            let table = self.table(route);
-            if table.get(&route.id()) != Some(&op) {
-                continue;
-            }
-            table.remove(&route.id());
-            if let Route::Rados(reqid) = route {
-                self.rados.cancel(ctx, reqid);
+            match route {
+                Route::Rados(reqid) => self.rados.cancel(ctx, reqid),
+                Route::Mds(reqid) => _ = self.mds_waiting.remove(&reqid),
             }
         }
     }
@@ -1988,9 +1978,8 @@ impl ZlogClient {
                 if matches!(pending.stage, Stage::WriteSeal { .. }) {
                     self.close_seal_hist(ctx.now(), op, SealClose::NotApplied);
                 }
-                let epoch = self.epoch;
                 ctx.metrics().bump(counter!("zlog.estale_retries"), 1);
-                self.blocked_on_epoch.push((op, epoch));
+                self.park(op, Park::Epoch(self.epoch));
                 self.fetch_epoch(ctx);
                 return;
             }
@@ -2326,7 +2315,9 @@ impl ZlogClient {
             let parent = self.ops.get(&members[lead]).and_then(|p| p.span);
             let span = ctx.span_start("zlog.stripe_write", parent);
             ctx.span_tag_display(span, "entries", cells.len());
-            let reqid = self.rados.submit_spanned(ctx, oid, vec![call], Some(span));
+            let reqid = self
+                .rados
+                .submit_spanned(ctx, oid, vec![call], Some(span), id);
             self.hold(id, Route::Rados(reqid));
             groups.push(StripeWrite { reqid, span, cells });
         }
@@ -2494,22 +2485,29 @@ impl Actor for ZlogClient {
                     MdsMsg::Resolved { reqid, .. }
                     | MdsMsg::Created { reqid, .. }
                     | MdsMsg::TypeOpReply { reqid, .. }
-                    | MdsMsg::Sealed { reqid, .. } => Some(*reqid),
-                    _ => None,
+                    | MdsMsg::Sealed { reqid, .. } => *reqid,
+                    _ => return,
                 };
-                if let Some(reqid) = reqid {
-                    if let Some(op) = self.take_route(Route::Mds(reqid)) {
-                        self.on_mds_reply(ctx, op, *mds);
-                    }
+                if let Some(op) = self.mds_waiting.remove(&reqid) {
+                    self.unlist(op, Route::Mds(reqid));
+                    self.on_mds_reply(ctx, op, *mds);
                 }
                 return;
             }
             Err(other) => other,
         };
-        // Monitor traffic: zlog map is ours; everything else feeds the
-        // embedded rados client.
-        let msg = match msg.downcast::<MonMsg>() {
+        // Monitor traffic: the zlog map is ours and the mdsmap the router's;
+        // the rest (the osdmap) feeds the embedded RADOS client below.
+        let msg: Box<dyn Any> = match msg.downcast::<MonMsg>() {
             Ok(mon) => {
+                match self.router.follow(ctx, self.config.monitor, &mon) {
+                    // A fresh map is progress: re-drive ops parked on an
+                    // unroutable rank right away instead of letting them
+                    // sit out the watchdog backoff.
+                    Some(true) => return self.redrive_parked_on_mdsmap(ctx),
+                    Some(false) => return,
+                    None => {}
+                }
                 match &*mon {
                     MonMsg::Snapshot(snap) if snap.map == ZLOG_MAP => {
                         if let Some(v) = snap.entries.get(&self.names.epoch_key) {
@@ -2526,45 +2524,14 @@ impl Actor for ZlogClient {
                         }
                         return;
                     }
-                    MonMsg::Snapshot(snap) if snap.map == SERVICE_MAP_MDS => {
-                        // Newer epochs win; a same-epoch snapshot is
-                        // adopted when the local view is empty (see
-                        // `SeqRouter::adopt_snapshot`). A fresh map is
-                        // progress: re-drive ops parked on an
-                        // unroutable rank right away instead of letting
-                        // them sit out the watchdog backoff.
-                        if self.router.adopt_snapshot(snap) {
-                            self.retry_blocked_mds(ctx);
-                        }
-                        return;
-                    }
-                    MonMsg::Changed { map, epoch, .. } if map == SERVICE_MAP_MDS => {
-                        // Re-fetch the full map (deltas may skip
-                        // epochs) — but only when the notification is
-                        // newer than the cached view. Unconditional
-                        // fetches meant N subscribed clients × one
-                        // balancer epoch bump = N full-map round trips.
-                        if self.router.needs_fetch(*epoch) {
-                            ctx.metrics().bump(counter!("zlog.mdsmap_refetches"), 1);
-                            ctx.send(
-                                self.config.monitor,
-                                MonMsg::Get {
-                                    map: SERVICE_MAP_MDS.to_string(),
-                                },
-                            );
-                        } else {
-                            ctx.metrics().bump(counter!("zlog.mdsmap_refetch_skips"), 1);
-                        }
-                        return;
-                    }
                     _ => {}
                 }
-                self.rados.on_message(ctx, from, mon);
-                return;
+                mon
             }
             Err(other) => other,
         };
-        // OSD replies: feed the rados client, then collect completions.
+        // The osdmap and OSD replies: feed the RADOS client, then collect
+        // completions — a map adopted can complete a request too.
         self.rados.on_message(ctx, from, msg);
         self.drain_rados(ctx);
     }

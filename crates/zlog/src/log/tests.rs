@@ -107,7 +107,7 @@ fn a_batch_redriven_behind_a_silent_sequencer_holds_one_grant_route() {
     assert!(matches!(c.ops[&op].stage, Stage::InBatch { batch: b } if b == batch));
     assert_eq!(held(&sim, batch), [Route::Mds(c.next_seq - 1)]);
     assert!(held(&sim, op).is_empty());
-    assert_eq!((c.mds_waiting.len(), c.rados_waiting.len()), (1, 0));
+    assert_eq!((c.mds_waiting.len(), c.rados.waiters().count()), (1, 0));
     assert_eq!(c.check_routes(), Ok(()));
 
     sim.network_mut().heal_all();
@@ -174,11 +174,11 @@ fn forgetting_one_op_leaves_the_others_routes_in_flight() {
     assert_eq!(ended, a_spans, "A's requests end in reqid order");
     let c = client(&sim);
     for reqid in &a_reqids {
-        assert!(!c.rados_waiting.contains_key(reqid));
+        assert_eq!(c.rados.waiter(*reqid), None);
     }
     assert_eq!(held(&sim, b), b_routes);
     for reqid in &b_reqids {
-        assert_eq!(c.rados_waiting.get(reqid), Some(&b));
+        assert_eq!(c.rados.waiter(*reqid), Some(&b));
     }
     for &id in b_spans {
         let span = sim.tracer().span(mala_sim::SpanId(id)).expect("B's span");

@@ -24,9 +24,9 @@
 
 use std::collections::HashMap;
 
-use mala_consensus::MapSnapshot;
+use mala_consensus::{MapSnapshot, MonMsg, SERVICE_MAP_MDS};
 use mala_mds::{Ino, MdsMapView};
-use mala_sim::{IdMap, NodeId};
+use mala_sim::{counter, Context, IdMap, NodeId};
 
 /// Per-client routing state: live mdsmap plus a sequencer-inode
 /// placement cache.
@@ -117,6 +117,33 @@ impl SeqRouter {
     /// full-map fetches for an epoch they already hold.
     pub fn needs_fetch(&self, epoch: u64) -> bool {
         epoch > self.mdsmap.epoch
+    }
+
+    /// Follows the mdsmap through `msg`, a monitor message: a snapshot is
+    /// adopted (see [`SeqRouter::adopt_snapshot`]), and a `Changed` notice
+    /// fetches the full map from `monitor` (deltas may skip epochs) only
+    /// when it is newer than the cached view (see
+    /// [`SeqRouter::needs_fetch`]); `zlog.mdsmap_refetches` and
+    /// `zlog.mdsmap_refetch_skips` count the two outcomes. Returns `None`
+    /// for a message not about the mdsmap, else whether a fresh view was
+    /// adopted — work parked on an unroutable rank can go again.
+    pub fn follow(&mut self, ctx: &mut Context<'_>, monitor: NodeId, msg: &MonMsg) -> Option<bool> {
+        match msg {
+            MonMsg::Snapshot(snap) if snap.map == SERVICE_MAP_MDS => {
+                Some(self.adopt_snapshot(snap))
+            }
+            MonMsg::Changed { map, epoch, .. } if map == SERVICE_MAP_MDS => {
+                if self.needs_fetch(*epoch) {
+                    ctx.metrics().bump(counter!("zlog.mdsmap_refetches"), 1);
+                    let map = SERVICE_MAP_MDS.to_string();
+                    ctx.send(monitor, MonMsg::Get { map });
+                } else {
+                    ctx.metrics().bump(counter!("zlog.mdsmap_refetch_skips"), 1);
+                }
+                Some(false)
+            }
+            _ => None,
+        }
     }
 
     /// Adopts an mdsmap snapshot. Newer epochs always win; a snapshot

@@ -586,6 +586,47 @@ fn a_recovery_joining_a_seal_whose_epoch_it_knows_resolves() {
     assert_eq!(sim.metrics().counter("mds.seq_seals"), 1);
 }
 
+/// An op parks once. A four-stripe `trim_to` under an epoch another
+/// client's recovery has sealed bounces `ESTALE` on every stripe; once the
+/// new epoch arrives the trim goes again once — one retry, one attempt of
+/// its budget — not once per bounced stripe, each restart cancelling the
+/// fan the one before it had just sent.
+#[test]
+fn a_fan_bounced_on_every_stripe_parks_once() {
+    let mut sim = build("park1");
+    for i in 0..4u64 {
+        assert_eq!(append(&mut sim, CLIENT_A, &format!("p{i}")), i);
+    }
+    // A misses the epoch B's recovery installs.
+    sim.network_mut().sever(MON, CLIENT_A);
+    let res = run_op(&mut sim, CLIENT_B, SimDuration::from_secs(10), |c, ctx| {
+        c.recover(ctx)
+    });
+    assert!(
+        matches!(res, AppendResult::Ok(ZlogOut::Recovered { epoch: 1, .. })),
+        "{res:?}"
+    );
+    sim.network_mut().heal_all();
+    assert_eq!(sim.actor::<ZlogClient>(CLIENT_A).epoch(), 0);
+
+    let (estale, retries) = (
+        sim.metrics().counter("zlog.estale_retries"),
+        sim.metrics().counter("zlog.retries"),
+    );
+    let res = run_op(&mut sim, CLIENT_A, SimDuration::from_secs(10), |c, ctx| {
+        c.trim_to(ctx, 4)
+    });
+    assert_eq!(res, AppendResult::Ok(ZlogOut::Done));
+    assert_eq!(sim.actor::<ZlogClient>(CLIENT_A).epoch(), 1);
+    assert_eq!(sim.metrics().counter("zlog.estale_retries") - estale, 4);
+    assert_eq!(sim.metrics().counter("zlog.retries") - retries, 1);
+    for pos in 0..4 {
+        assert_eq!(read(&mut sim, CLIENT_B, pos), ReadOutcome::Trimmed);
+    }
+    sim.run_for(SimDuration::from_secs(1));
+    assert!(sim.actor::<ZlogClient>(CLIENT_A).is_idle());
+}
+
 #[test]
 fn tail_discovery_skips_abandoned_grants_after_batched_appends() {
     // Occupy position 2 before any append: the first bulk grant [0, 4)
