@@ -3,7 +3,8 @@
 # no-timer-per-item, effects-not-calls, payload-is-bytes, name-held-once,
 # one-append-path, one-engine, one-encoding, forget-what-it-holds,
 # map-held-once, counter-is-a-slot, one-read-path, one-type-op-path,
-# one-seal-path and request-held-once structure checks, the
+# one-seal-path, request-held-once and short-string-in-place structure
+# checks, the
 # tier-1 build + test pass (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
@@ -101,6 +102,15 @@ echo "==> a request is held once: the RADOS client keeps each request's waiter, 
 [ -z "$(grep -rn 'rados_waiting\|store_waiting' crates/*/src)" ]
 [ -z "$(grep -n 'blocked_on_epoch\|mds_blocked' crates/zlog/src/log.rs)" ]
 
+echo "==> a short string is held in place: outside value.rs the dsl builds no script string behind a refcount of its own; only a literal constant shares one (DESIGN §35)"
+for file in crates/dsl/src/*.rs; do
+    [ "$file" = crates/dsl/src/value.rs ] && continue
+    # A literal's buffer (`Expr::Str`), shared, is the one heap string
+    # allowed.
+    [ -z "$(above_tests "$file" | grep -n 'Str::Heap(' | grep -v 'Str::Heap(Rc::clone(s))')" ]
+    [ -z "$(above_tests "$file" | grep -n 'Rc::from(\|Rc<\[u8\]>' | grep -v 'Rc::from(name)\|    Str(Rc<\[u8\]>),')" ]
+done
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -137,8 +147,10 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 # operation repeat exactly on every rep of a seed, and the peak heap to
 # 0.1 %. Each ceiling is the value this quick run measured when it was
 # written, plus a margin; lower it when a change lowers the number.
-#   host_allocs_per_op  read_tail 296.26 (the scripted read path and the
-#                       cursor; 298.74 while a drain took the RADOS
+#   host_allocs_per_op  read_tail 238.88 (the scripted read path and the
+#                       cursor; 296.26 while every stripe key, `split`
+#                       piece and `fmt` result was a refcounted buffer of
+#                       its own, DESIGN §35; 298.74 while a drain took the RADOS
 #                       client's whole completion map, whose root the next
 #                       completion allocated again; 308.36 while a single stripe's read reply
 #                       was reordered through a map, DESIGN §17; 323.56
@@ -152,7 +164,8 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 #                       recorded, DESIGN §32; 3.139 while every OSD gossip message
 #                       deep-copied its maps, DESIGN §31; 4.139 while the
 #                       verb was a `String`); +10 %.
-#                       append_steady 50.81 (51.82 with the take-all
+#                       append_steady 46.79 (50.81 with a buffer per
+#                       short script string; 51.82 with the take-all
 #                       drain; 53.03 with the gossip copies;
 #                       82.45 while object ids, omap keys, class and
 #                       method names and the grant's verb and layout were
@@ -161,6 +174,8 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 #                       payload copied into the argument, the omap and the
 #                       effect; 127.64 while each replica ran the write's
 #                       class code again, DESIGN §28); +5 %.
+#                       fault_churn 119.07 (127.21 with a buffer per
+#                       short script string); +10 %.
 #   host_alloc_kb_per_op  read_tail 78.92 (one copy of a 1 KiB payload
 #                       between the omap and the reader; 80.45 with the
 #                       take-all drain; 83.29 while a
@@ -200,11 +215,12 @@ metric_at_most() {
             exit (verdict != "ok")
         }' <<<"$bench_out"
 }
-metric_at_most read_tail host_allocs_per_op 326
+metric_at_most read_tail host_allocs_per_op 263
 metric_at_most read_tail host_alloc_kb_per_op 86.8
 metric_at_most mds_balance host_allocs_per_op 3.31
-metric_at_most append_steady host_allocs_per_op 53.4
+metric_at_most append_steady host_allocs_per_op 49.2
 metric_at_most append_steady host_alloc_kb_per_op 11.6
+metric_at_most fault_churn host_allocs_per_op 131
 metric_at_most fault_churn host_alloc_kb_per_op 15.3
 metric_at_most append_overload host_peak_heap_mb 30.4
 metric_at_most append_overload sim.events_per_op 15.9

@@ -46,7 +46,7 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::ast::{BinOp, Block, Expr, Stmt, TableItem, UnOp};
-use crate::value::{Key, Value};
+use crate::value::{Key, Str, Value};
 use crate::Script;
 
 /// A compile-time error (e.g. invalid assignment target, pool overflow).
@@ -805,7 +805,7 @@ impl Compiler {
             Expr::Nil => self.konst(Value::Nil)?,
             Expr::Bool(b) => self.konst(Value::Bool(*b))?,
             Expr::Num(n) => self.konst(Value::Num(*n))?,
-            Expr::Str(s) => self.konst(Value::Str(Rc::clone(s)))?,
+            Expr::Str(s) => self.konst(Value::Str(Str::Heap(Rc::clone(s))))?,
             Expr::Var(name) => match self.resolve(name) {
                 VarRef::Plain(slot) => Rk(slot),
                 _ => return Ok(None),
@@ -885,7 +885,7 @@ impl Compiler {
                     let op = match item {
                         TableItem::Positional(_) => Op::TablePush { table, src },
                         TableItem::Named(k, _) => {
-                            let key = self.key_idx(Key::Str(k.as_bytes().into()))?;
+                            let key = self.key_idx(Key::Str(Str::new(k.as_bytes())))?;
                             Op::TableSetConst { table, key, src }
                         }
                     };
@@ -1045,7 +1045,7 @@ impl Compiler {
 /// interpreter's.
 fn const_key(idx: &Expr) -> Option<Key> {
     match idx {
-        Expr::Str(s) => Some(Key::Str(Rc::clone(s))),
+        Expr::Str(s) => Some(Key::Str(Str::Heap(Rc::clone(s)))),
         Expr::Num(n) if n.fract() == 0.0 => Some(Key::Int(*n as i64)),
         _ => None,
     }
@@ -1306,7 +1306,7 @@ mod tests {
             base: r(0),
             key: 0
         }));
-        assert_eq!(c.main.keys[0], Key::Str(b"load"[..].into()));
+        assert_eq!(c.main.keys[0], Key::Str(Str::new(b"load")));
         assert_eq!(c.main.keys[1], Key::Int(2));
     }
 

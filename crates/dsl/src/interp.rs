@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use crate::ast::{BinOp, Block, Expr, Stmt, TableItem, UnOp};
 use crate::runtime::{compare, concat, num_of, to_key, Engine, RtError, Sandbox};
-use crate::value::{Function, HostCtx, Key, Native, NativeFn, Scope, Table, Value};
+use crate::value::{Function, HostCtx, Key, Native, NativeFn, Scope, Str, Table, Value};
 use crate::Script;
 
 /// Control flow signal threaded through statement execution.
@@ -331,7 +331,7 @@ impl Interp {
             Expr::Nil => Ok(Value::Nil),
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::Num(n) => Ok(Value::Num(*n)),
-            Expr::Str(s) => Ok(Value::Str(Rc::clone(s))),
+            Expr::Str(s) => Ok(Value::Str(Str::Heap(Rc::clone(s)))),
             Expr::Var(name) => Ok(env.get(name)),
             Expr::TableLit(items) => {
                 let mut t = Table::new();

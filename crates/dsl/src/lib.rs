@@ -55,7 +55,7 @@ pub use compile::{Chunk, CompileError};
 pub use interp::Interp;
 pub use parser::ParseError;
 pub use runtime::{Engine, RtError, Sandbox};
-pub use value::{NativeFn, Table, Value};
+pub use value::{NativeFn, Str, Table, Value};
 pub use vm::Vm;
 
 /// A compiled (parsed) Cephalo script, ready to be loaded into an

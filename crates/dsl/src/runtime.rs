@@ -4,7 +4,6 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::rc::Rc;
 
 use crate::value::{write_num, Key, NativeFn, Value};
 use crate::Script;
@@ -141,7 +140,7 @@ pub(crate) fn to_key(v: &Value) -> Result<Key, RtError> {
                 Err(RtError::new(format!("non-integer table key {n}")))
             }
         }
-        Value::Str(s) => Ok(Key::Str(Rc::clone(s))),
+        Value::Str(s) => Ok(Key::Str(s.clone())),
         other => Err(RtError::new(format!(
             "invalid table key of type {}",
             other.type_name()
@@ -229,6 +228,7 @@ pub(crate) fn compare(a: &Value, b: &Value) -> Result<std::cmp::Ordering, RtErro
 mod tests {
     use super::*;
     use crate::{Interp, Vm};
+    use std::rc::Rc;
 
     /// Every method of [`Engine`], driven the way the daemons drive it, with
     /// a budget trip and a depth trip that leave the engine usable.

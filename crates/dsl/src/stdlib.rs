@@ -41,6 +41,17 @@ fn find_bytes(s: &[u8], needle: &[u8]) -> Option<usize> {
     }
 }
 
+/// The pieces of `s` between occurrences of the non-empty `sep`.
+fn pieces<'a>(s: &'a [u8], sep: &'a [u8]) -> impl Iterator<Item = &'a [u8]> + 'a {
+    let mut rest = Some(s);
+    std::iter::from_fn(move || {
+        let r = rest?;
+        let at = find_bytes(r, sep);
+        rest = at.map(|at| &r[at + sep.len()..]);
+        Some(&r[..at.unwrap_or(r.len())])
+    })
+}
+
 fn num_arg(name: &str, args: &[Value], i: usize) -> Result<f64, RtError> {
     arg(args, i)
         .as_num()
@@ -267,19 +278,17 @@ pub fn install(interp: &mut impl Engine) {
     interp.register(
         "split",
         Rc::new(|_, args| {
-            let mut rest = bytes_arg("split", args, 0)?;
+            let s = bytes_arg("split", args, 0)?;
             let sep = bytes_arg("split", args, 1)?;
-            let mut out = crate::value::Table::new();
             if sep.is_empty() {
-                out.push(arg(args, 0).clone());
-                return Ok(Value::from_table(out));
+                return Ok(Value::from_table(
+                    [arg(args, 0).clone()].into_iter().collect(),
+                ));
             }
-            while let Some(at) = find_bytes(rest, sep) {
-                out.push(Value::str(&rest[..at]));
-                rest = &rest[at + sep.len()..];
-            }
-            out.push(Value::str(rest));
-            Ok(Value::from_table(out))
+            // Counting the pieces first sizes the table once.
+            let mut out = Vec::with_capacity(pieces(s, sep).count());
+            out.extend(pieces(s, sep).map(Value::str));
+            Ok(Value::from_table(out.into_iter().collect()))
         }),
     );
     interp.register(

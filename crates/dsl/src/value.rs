@@ -4,10 +4,103 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::rc::Rc;
 
 use crate::ast::Block;
 use crate::runtime::RtError;
+
+/// The longest string a [`Str`] holds in place.
+pub const INLINE_LEN: usize = 22;
+
+/// A Cephalo string's bytes. A string a script computes (`..`, `sub`,
+/// `split`, `fmt`, `zpad`, …) of up to [`INLINE_LEN`] bytes is held in
+/// place and costs no allocation; a longer one, a literal and any buffer
+/// the host hands in are shared by refcount. The form is invisible:
+/// equality, order, hashing and `Deref` are the bytes'.
+#[derive(Clone)]
+pub enum Str {
+    /// A short string built at run time ([`Str::new`]).
+    Inline(InlineBytes),
+    /// A shared buffer: a literal's, the host's, or a long string's.
+    Heap(Rc<[u8]>),
+}
+
+/// The first `len` bytes of `buf`, `len` at most [`INLINE_LEN`]: only
+/// [`Str::new`] builds one.
+#[derive(Clone, Copy)]
+pub struct InlineBytes {
+    len: u8,
+    buf: [u8; INLINE_LEN],
+}
+
+impl Str {
+    /// A string holding a copy of `bytes`, in place when they fit.
+    pub fn new(bytes: &[u8]) -> Str {
+        if bytes.len() > INLINE_LEN {
+            return Str::Heap(Rc::from(bytes));
+        }
+        let mut buf = [0; INLINE_LEN];
+        buf[..bytes.len()].copy_from_slice(bytes);
+        Str::Inline(InlineBytes {
+            len: bytes.len() as u8,
+            buf,
+        })
+    }
+
+    /// The bytes as a shared buffer, for a host that keeps them: a heap
+    /// string's own, an inline one's copied out (its one allocation).
+    pub fn to_rc(&self) -> Rc<[u8]> {
+        match self {
+            Str::Inline(_) => Rc::from(&**self),
+            Str::Heap(rc) => Rc::clone(rc),
+        }
+    }
+}
+
+impl Deref for Str {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Str::Inline(InlineBytes { len, buf }) => &buf[..usize::from(*len)],
+            Str::Heap(rc) => rc,
+        }
+    }
+}
+
+impl PartialEq for Str {
+    fn eq(&self, other: &Str) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Str {}
+
+impl PartialOrd for Str {
+    fn partial_cmp(&self, other: &Str) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Str {
+    fn cmp(&self, other: &Str) -> std::cmp::Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl Hash for Str {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for Str {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
 
 /// A table key: Cephalo restricts keys to strings and integers, which is
 /// what the paper's balancer and object-class scripts use.
@@ -15,8 +108,8 @@ use crate::runtime::RtError;
 pub enum Key {
     /// Integer key (numeric keys must be whole numbers).
     Int(i64),
-    /// String key: the string value's own buffer, ordered bytewise.
-    Str(Rc<[u8]>),
+    /// String key: the string value's own bytes, ordered bytewise.
+    Str(Str),
 }
 
 impl fmt::Display for Key {
@@ -76,7 +169,7 @@ impl Table {
 
     /// Convenience string-key read.
     pub fn get_str(&self, key: &str) -> Value {
-        self.get(&Key::Str(key.as_bytes().into()))
+        self.get(&Key::Str(Str::new(key.as_bytes())))
     }
 
     /// Writes by key. Integer writes adjacent to the array part extend it;
@@ -107,7 +200,7 @@ impl Table {
 
     /// Convenience string-key write.
     pub fn set_str(&mut self, key: &str, v: Value) {
-        self.set(Key::Str(key.as_bytes().into()), v);
+        self.set(Key::Str(Str::new(key.as_bytes())), v);
     }
 
     /// Deterministic iteration: array entries as `(Int(i), v)` (1-based),
@@ -252,9 +345,10 @@ pub enum Value {
     /// IEEE-754 double, the only numeric type (as in Lua 5.1).
     Num(f64),
     /// Immutable byte string, as Lua's are: any bytes, counted and cut
-    /// bytewise, shared by refcount. Text is a reading of it that only
+    /// bytewise, held in place when short and shared by refcount
+    /// otherwise ([`Str`]). Text is a reading of it that only
     /// [`Value::display`], [`Value::as_str`] and `tonumber` take.
-    Str(Rc<[u8]>),
+    Str(Str),
     /// Shared mutable table.
     Table(Rc<RefCell<Table>>),
     /// Script-defined function.
@@ -268,10 +362,15 @@ pub enum Value {
     Native(Rc<Native>),
 }
 
+// A short string in place costs no width: a value is three words, as it
+// was when every string was a refcounted pointer.
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
+const _: () = assert!(std::mem::size_of::<Key>() <= 24);
+
 impl Value {
-    /// Builds a string value holding a copy of `s`.
+    /// Builds a string value holding a copy of `s`, in place when short.
     pub fn str(s: impl AsRef<[u8]>) -> Value {
-        Value::Str(Rc::from(s.as_ref()))
+        Value::Str(Str::new(s.as_ref()))
     }
 
     /// Builds a fresh empty table value.

@@ -293,7 +293,7 @@ impl Gen {
         if d == 0 || self.rng.pct(40) {
             return self.str_leaf();
         }
-        match self.rng.below(5) {
+        match self.rng.below(6) {
             0 | 1 => Expr::Bin(
                 BinOp::Concat,
                 Box::new(self.str_expr(d - 1)),
@@ -315,9 +315,18 @@ impl Gen {
                     Expr::Num(1.0 + self.rng.below(3) as f64),
                 ],
             ),
-            _ => Expr::Call(
+            4 => Expr::Call(
                 Box::new(Expr::Var("fmt".to_string())),
                 vec![self.num_expr(d - 1)],
+            ),
+            // A key as the zlog class builds one, 20 to 24 bytes wide:
+            // computed strings on both sides of the in-place limit (22).
+            _ => Expr::Call(
+                Box::new(Expr::Var("zpad".to_string())),
+                vec![
+                    self.num_expr(d - 1),
+                    Expr::Num(20.0 + self.rng.below(5) as f64),
+                ],
             ),
         }
     }
@@ -325,8 +334,9 @@ impl Gen {
     fn str_leaf(&mut self) -> Expr {
         // Text, and bytes that are not: a lone lead byte, a lone
         // continuation, 0xff, a surrogate half, NUL. The printed program
-        // spells those with `\xHH` escapes.
-        const WORDS: [&[u8]; 11] = [
+        // spells those with `\xHH` escapes. Three are 21, 22 and 23 bytes
+        // long, around the longest string a computed value holds in place.
+        const WORDS: [&[u8]; 14] = [
             b"osd",
             b"mds",
             b"pg",
@@ -338,6 +348,9 @@ impl Gen {
             b"\xa9:\xff",
             b"\xed\xa0\x80",
             b"a\0b",
+            b"e00000000000000000005",
+            b"e000000000000000000005",
+            b"e0000000000000000000005",
         ];
         match self.pick_var(Ty::Str) {
             Some((name, _)) if self.rng.pct(50) => Expr::Var(name),

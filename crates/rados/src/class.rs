@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use mala_dsl::value::{fmt_num, HostCtx};
-use mala_dsl::{Engine, Expr, RtError, Script, Stmt, Table, Value, Vm};
+use mala_dsl::{Engine, Expr, RtError, Script, Stmt, Str, Table, Value, Vm};
 
 use crate::frame;
 use crate::object::Object;
@@ -321,12 +321,12 @@ impl<E: Engine> ClassRegistry<E> {
             txn: std::mem::take(txn),
             readonly: kind == MethodKind::ReadOnly,
         };
-        let arg = Value::Str(Rc::clone(input));
+        let arg = Value::Str(Str::Heap(Rc::clone(input)));
         let out = cls.engine.borrow_mut().call(method, &[arg], &mut host);
         *txn = host.txn;
         Ok(match out.map_err(|e| OsdError::Class(rt_to_class(e)))? {
             Value::Nil => Reply::Bytes(Rc::default()),
-            Value::Str(s) => Reply::Bytes(s),
+            Value::Str(s) => Reply::Bytes(s.to_rc()),
             Value::Table(t) => Reply::List(list_items(&t.borrow()).map_err(OsdError::Class)?),
             other => Reply::Bytes(other.display().as_bytes().into()),
         })
@@ -351,7 +351,7 @@ fn list_items(list: &Table) -> Result<Vec<Rc<[u8]>>, ClassError> {
     list.array()
         .iter()
         .map(|v| match v {
-            Value::Str(s) => Ok(Rc::clone(s)),
+            Value::Str(s) => Ok(s.to_rc()),
             Value::Num(n) => Ok(fmt_num(*n).as_bytes().into()),
             other => Err(ClassError::invalid(format!(
                 "returned list holds a {} value",
@@ -416,8 +416,8 @@ fn str_arg<'a>(name: &str, args: &'a [Value], i: usize) -> Result<&'a str, RtErr
         .ok_or_else(|| RtError::new(format!("{name}: argument {} must be a string", i + 1)))
 }
 
-/// A value to store or to cut: the script's own buffer, whatever it holds.
-fn bytes_arg<'a>(name: &str, args: &'a [Value], i: usize) -> Result<&'a Rc<[u8]>, RtError> {
+/// A value to store or to cut: the script's own string, whatever it holds.
+fn bytes_arg<'a>(name: &str, args: &'a [Value], i: usize) -> Result<&'a Str, RtError> {
     match args.get(i) {
         Some(Value::Str(s)) => Ok(s),
         _ => Err(RtError::new(format!(
@@ -429,7 +429,7 @@ fn bytes_arg<'a>(name: &str, args: &'a [Value], i: usize) -> Result<&'a Rc<[u8]>
 
 /// A stored value as the script sees it: the stored buffer itself.
 fn stored(value: Option<&Rc<[u8]>>) -> Value {
-    value.map_or(Value::Nil, |v| Value::Str(Rc::clone(v)))
+    value.map_or(Value::Nil, |v| Value::Str(Str::Heap(Rc::clone(v))))
 }
 
 /// Registers the object-access natives scripted classes use.
@@ -486,7 +486,7 @@ fn install_object_natives(interp: &mut impl Engine) {
         Rc::new(|ctx, args| {
             let key = str_arg("omap_set", args, 0)?;
             let val = bytes_arg("omap_set", args, 1)?;
-            writable(ctx, "omap_set")?.omap_set(key, Rc::clone(val));
+            writable(ctx, "omap_set")?.omap_set(key, val.to_rc());
             Ok(Value::Nil)
         }),
     );
@@ -536,7 +536,7 @@ fn install_object_natives(interp: &mut impl Engine) {
         Rc::new(|ctx, args| {
             let key = str_arg("xattr_set", args, 0)?;
             let val = bytes_arg("xattr_set", args, 1)?;
-            writable(ctx, "xattr_set")?.xattr_set(key, Rc::clone(val));
+            writable(ctx, "xattr_set")?.xattr_set(key, val.to_rc());
             Ok(Value::Nil)
         }),
     );
@@ -643,14 +643,21 @@ mod tests {
     /// Held once: what `omap_set` stores is the buffer the script held (a
     /// method's input is the caller's), what `omap_get` pushes on the stack
     /// is the stored buffer, and a returned string or list item is that
-    /// buffer again — refcounts all the way, on both engines.
+    /// buffer again — refcounts all the way, on both engines. A short
+    /// string the script computes (`fmt(pos)`) is held in place until it is
+    /// stored; what the store holds is then one buffer, and reading it back
+    /// shares that buffer like any other.
     #[test]
     fn stored_values_and_script_strings_share_one_buffer() {
         const HOLD: &str = r#"
-            __readonly = {"get", "list"}
-            function put(input) omap_set("k", input) xattr_set("x", input) return input end
+            __readonly = {"get", "short", "list"}
+            function put(input)
+                omap_set("k", input) xattr_set("x", input) xattr_set("maxpos", fmt(#input))
+                return input
+            end
             function get(input) return omap_get("k") end
-            function list(input) return {omap_get("k"), xattr_get("x"), input} end
+            function short(input) return xattr_get("maxpos") end
+            function list(input) return {omap_get("k"), xattr_get("x"), input, xattr_get("maxpos")} end
         "#;
         fn case<E: Engine>() {
             let kind = type_name::<E>();
@@ -666,6 +673,8 @@ mod tests {
             assert!(Rc::ptr_eq(&out, &input), "{kind}: returned input");
             assert!(Rc::ptr_eq(txn.omap_get("k").unwrap(), &input), "{kind}");
             assert!(Rc::ptr_eq(txn.xattr_get("x").unwrap(), &input), "{kind}");
+            let maxpos = Rc::clone(txn.xattr_get("maxpos").unwrap());
+            assert_eq!(&*maxpos, b"9", "{kind}");
 
             let mut txn = ObjTxn::begin(txn.finish());
             let got = reg.call_in("hold", "get", &mut txn, &Rc::default());
@@ -674,14 +683,20 @@ mod tests {
                 panic!("{got:?}")
             };
             assert!(Rc::ptr_eq(&got, &input), "{kind}: omap_get, returned");
+            let Ok(OpResult::CallOut(got)) = reg.call_in("hold", "short", &mut txn, &Rc::default())
+            else {
+                panic!("{kind}: short")
+            };
+            assert!(Rc::ptr_eq(&got, &maxpos), "{kind}: xattr_get, returned");
             let arg: Rc<[u8]> = b"arg"[..].into();
             let Ok(OpResult::CallList(items)) = reg.call_in("hold", "list", &mut txn, &arg) else {
                 panic!("{kind}: list")
             };
-            assert_eq!(items.len(), 3);
+            assert_eq!(items.len(), 4);
             assert!(Rc::ptr_eq(&items[0], &input), "{kind}: list item");
             assert!(Rc::ptr_eq(&items[1], &input), "{kind}: list item");
             assert!(Rc::ptr_eq(&items[2], &arg), "{kind}: list item");
+            assert!(Rc::ptr_eq(&items[3], &maxpos), "{kind}: list item");
         }
         case::<Interp>();
         case::<Vm>();

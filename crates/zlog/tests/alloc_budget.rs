@@ -18,7 +18,12 @@
 //! The second budget is a point read of a written entry, a `read_batch` of
 //! one position, over the same cluster after the same warm-up.
 //!
-//! The third budget is a watchdog re-drive of a batch whose sequencer
+//! The third is a tailing cursor's `next_batch(32)` over written entries,
+//! the operation of the benchmark's `read_tail` workload, per entry it
+//! delivers (a batch carries the contiguous run the cursor holds, 1 to 32
+//! entries).
+//!
+//! The fourth budget is a watchdog re-drive of a batch whose sequencer
 //! never answers: forgetting the old grant and sending the new one. An op
 //! lists the reply routes it holds (DESIGN §23), inline while it holds one
 //! or two, so the re-drive allocates the two messages it sends and nothing
@@ -148,11 +153,12 @@ fn append_one(sim: &mut Sim, fill: u8) {
     assert!(matches!(res, AppendResult::Ok(ZlogOut::Pos(_))), "{res:?}");
 }
 
-/// Allocations per append this tree made when the budget was set (47.88
-/// while a drain took the RADOS client's whole completion map, whose root
+/// Allocations per append this tree made when the budget was set (46.88
+/// while every short string a script built — the stripe key, `fmt(pos)`
+/// — was a refcounted buffer of its own, DESIGN §35; 47.88 while a drain took the RADOS client's whole completion map, whose root
 /// the next completion allocated again; 49.18 while every gossip message
 /// deep-copied the OSD's maps, DESIGN §31).
-const MEASURED_PER_APPEND: f64 = 46.88;
+const MEASURED_PER_APPEND: f64 = 42.88;
 
 #[test]
 fn a_steady_state_append_stays_inside_its_allocation_budget() {
@@ -190,9 +196,11 @@ fn read_one(sim: &mut Sim, pos: u64) {
 /// Allocations per point read this tree made when the budget was set. The
 /// tree before a point read was a `read_batch` of one made 15.20 through the
 /// class's scalar `read`: the vectored script splits its position list and
-/// returns a table, and the client decodes a list of outcomes. 22.20 while a
-/// drain took the RADOS client's whole completion map.
-const MEASURED_PER_READ: f64 = 21.20;
+/// returns a table, and the client decodes a list of outcomes. 21.20 while
+/// every piece `split` cut and every stripe key was a refcounted buffer
+/// (DESIGN §35); 22.20 while a drain took the RADOS client's whole
+/// completion map.
+const MEASURED_PER_READ: f64 = 17.20;
 
 #[test]
 fn a_point_read_stays_inside_its_allocation_budget() {
@@ -215,6 +223,54 @@ fn a_point_read_stays_inside_its_allocation_budget() {
         per_read <= budget,
         "{per_read:.4} allocations per point read, budget {budget:.2} \
          (was {MEASURED_PER_READ} when set)"
+    );
+}
+
+/// Allocations per entry a tailing cursor delivers through `next_batch(32)`
+/// this tree made when the budget was set. The tree before short strings
+/// were held in place made 7.80 (DESIGN §35).
+const MEASURED_PER_CURSOR_ENTRY: f64 = 4.556;
+
+#[test]
+fn a_cursor_batch_stays_inside_its_allocation_budget() {
+    const WARM: usize = 64;
+    const MEASURED: usize = 256;
+    let mut sim = build();
+    for i in 0..WARM + MEASURED + 64 {
+        append_one(&mut sim, i as u8);
+    }
+    let cursor = sim.with_actor::<ZlogClient, _>(WRITER, |c, ctx| c.tail_cursor(ctx));
+    // A batch carries the contiguous run the cursor holds when it is
+    // asked, up to 32 entries; returns the position after it.
+    let next_batch = |sim: &mut Sim, from: u64| {
+        let res = run_op(sim, WRITER, SimDuration::from_secs(10), move |c, ctx| {
+            c.cursor_next_batch(ctx, cursor, 32)
+        });
+        let AppendResult::Ok(ZlogOut::CursorBatch(entries)) = res else {
+            panic!("{res:?}")
+        };
+        assert!(!entries.is_empty() && entries.len() <= 32);
+        for (i, (pos, entry)) in entries.iter().enumerate() {
+            assert_eq!(*pos, from + i as u64);
+            assert!(matches!(entry, ReadOutcome::Data(d) if d.len() == 1024));
+        }
+        from + entries.len() as u64
+    };
+    // Warm-up: the cursor has found the tail and its window is full.
+    let mut next = 0;
+    while next < WARM as u64 {
+        next = next_batch(&mut sim, next);
+    }
+    let (before, first) = (ALLOCS.get(), next);
+    while next < (WARM + MEASURED) as u64 {
+        next = next_batch(&mut sim, next);
+    }
+    let per_entry = (ALLOCS.get() - before) as f64 / (next - first) as f64;
+    let budget = MEASURED_PER_CURSOR_ENTRY * 1.05;
+    assert!(
+        per_entry <= budget,
+        "{per_entry:.4} allocations per entry a cursor delivers, budget {budget:.2} \
+         (was {MEASURED_PER_CURSOR_ENTRY} when set)"
     );
 }
 
