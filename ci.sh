@@ -3,8 +3,8 @@
 # no-timer-per-item, effects-not-calls, payload-is-bytes, name-held-once,
 # one-append-path, one-engine, one-encoding, forget-what-it-holds,
 # map-held-once, counter-is-a-slot, one-read-path, one-type-op-path,
-# one-seal-path, request-held-once and short-string-in-place structure
-# checks, the
+# one-seal-path, request-held-once, short-string-in-place and
+# outcome-held-once structure checks, the
 # tier-1 build + test pass (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
@@ -111,6 +111,17 @@ for file in crates/dsl/src/*.rs; do
     [ -z "$(above_tests "$file" | grep -n 'Rc::from(\|Rc<\[u8\]>' | grep -v 'Rc::from(name)\|    Str(Rc<\[u8\]>),')" ]
 done
 
+echo "==> an outcome is held once: an OSD keeps a write's result as one Outcome, shared by its reply window, its journal, its replicas and backfill pushes; the reply to the client is its one copy (DESIGN §36)"
+osd_src="$(above_tests crates/rados/src/osd.rs)"
+[ -z "$(grep -nE '(result|outcome)s?\.(clone|to_vec|to_owned)\(\)|Result::clone|Vec::clone' <<<"$osd_src")" ]
+[ "$(grep -c 'into_owned()' <<<"$osd_src")" = 1 ]
+for holder in '^struct PendingRepl \{$' '^struct DeferredRepl \{$' '^    Repl \{$'; do
+    awk -v start="$holder" '$0 ~ start, /^ *\},?$/' <<<"$osd_src" | grep -q 'outcome: Outcome,'
+done
+grep -q 'Done(Outcome)' <<<"$osd_src"
+grep -q 'AppliedReply = (NodeId, u64, Outcome);' <<<"$osd_src"
+grep -q 'result: Outcome,' crates/rados/src/journal.rs
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -146,64 +157,30 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 # Allocations and allocated bytes per operation and handler calls per
 # operation repeat exactly on every rep of a seed, and the peak heap to
 # 0.1 %. Each ceiling is the value this quick run measured when it was
-# written, plus a margin; lower it when a change lowers the number.
-#   host_allocs_per_op  read_tail 238.88 (the scripted read path and the
-#                       cursor; 296.26 while every stripe key, `split`
-#                       piece and `fmt` result was a refcounted buffer of
-#                       its own, DESIGN §35; 298.74 while a drain took the RADOS
-#                       client's whole completion map, whose root the next
-#                       completion allocated again; 308.36 while a single stripe's read reply
-#                       was reordered through a map, DESIGN §17; 323.56
-#                       while every request formatted its
-#                       stripe id and copied its class and method names,
-#                       DESIGN §30; 390.40 while a stored value was copied
-#                       into the VM and again into the reply, DESIGN §29),
-#                       mds_balance 3.006 (the three message boxes of a
-#                       round trip; 3.106 while the sequencer client
-#                       formatted a series name for every sample it
-#                       recorded, DESIGN §32; 3.139 while every OSD gossip message
-#                       deep-copied its maps, DESIGN §31; 4.139 while the
-#                       verb was a `String`); +10 %.
-#                       append_steady 46.79 (50.81 with a buffer per
-#                       short script string; 51.82 with the take-all
-#                       drain; 53.03 with the gossip copies;
-#                       82.45 while object ids, omap keys, class and
-#                       method names and the grant's verb and layout were
-#                       copied at every hop, DESIGN §30; 106.55 while the
-#                       request was cloned per transmission and the
-#                       payload copied into the argument, the omap and the
-#                       effect; 127.64 while each replica ran the write's
-#                       class code again, DESIGN §28); +5 %.
-#                       fault_churn 119.07 (127.21 with a buffer per
-#                       short script string); +10 %.
-#   host_alloc_kb_per_op  read_tail 78.92 (one copy of a 1 KiB payload
-#                       between the omap and the reader; 80.45 with the
-#                       take-all drain; 83.29 while a
-#                       single stripe's read reply was reordered through a
-#                       map; 123.58 with three copies); +10 %.
-#                       append_steady 11.02 (11.64 with the take-all
-#                       drain; 12.15 with the gossip copies;
-#                       13.11 with the names copied; 18.07
-#                       before stored values were shared buffers; 21.75
-#                       with the payload cloned into every replica's
-#                       message and run through the VM there); +5 %.
-#                       fault_churn 13.85 (14.97 with the take-all drain;
-#                       16.01 while a single stripe's
-#                       read reply was reordered through a map; 30.95
-#                       while each gossip message to each peer
-#                       deep-copied the interface map, zlog
-#                       class source included, and a re-encoded osdmap,
-#                       DESIGN §31); +10 %.
-#   host_peak_heap_mb   append_overload 29.00 (the event queue at its
-#                       fullest; 34.00 while every queued request owned a
-#                       copy of its transaction); +5 %. Scheduler
-#                       bookkeeping that grows with the number of events
-#                       ever queued, not with the number queued at once,
-#                       shows here first.
-#   sim.events_per_op   append_overload 14.42 (72.5 while every waiting
-#                       append re-armed a watchdog of its own); +10 %. An
-#                       op that spins on a timer while its progress is
-#                       someone else's shows here first.
+# written, plus a margin; lower it when a change lowers the number. The
+# older readings and their causes are in git history and EXPERIMENTS.md.
+#   host_allocs_per_op  read_tail 238.85, the scripted read path and the
+#                       cursor (DESIGN §35); +10 %.
+#                       mds_balance 3.005, the three message boxes of a
+#                       sequencer round trip (DESIGN §32); +10 %.
+#                       append_steady 42.78, one outcome per replicated
+#                       write and its one copy to the client (DESIGN §36);
+#                       +5 %: a second class-code execution per write, or
+#                       a name copied per hop again (DESIGN §30), fails it.
+#                       fault_churn 101.05, appends through crashes,
+#                       journal replay and backfill, which ships outcomes
+#                       by refcount (DESIGN §36); +10 %.
+#   host_alloc_kb_per_op  read_tail 76.75, one copy of a 1 KiB payload
+#                       between the omap and the reader (DESIGN §29); +10 %.
+#                       append_steady 10.73, the payload into the omap and
+#                       the effect once (DESIGN §28); +5 %.
+#                       fault_churn 11.74, maps gossiped by refcount
+#                       (DESIGN §31); +10 %.
+#   host_peak_heap_mb   append_overload 28.02, the event queue at its
+#                       fullest; +5 %. Scheduler bookkeeping that grows with
+#                       the number of events ever queued shows here first.
+#   sim.events_per_op   append_overload 14.42, one watchdog per client, not
+#                       per waiting append (DESIGN §27); +10 %.
 metric_at_most() {
     awk -v workload="$1" -v metric="$2" -v ceiling="$3" '
         $1 == "==" { current = $2 }
@@ -216,13 +193,13 @@ metric_at_most() {
         }' <<<"$bench_out"
 }
 metric_at_most read_tail host_allocs_per_op 263
-metric_at_most read_tail host_alloc_kb_per_op 86.8
+metric_at_most read_tail host_alloc_kb_per_op 84.4
 metric_at_most mds_balance host_allocs_per_op 3.31
-metric_at_most append_steady host_allocs_per_op 49.2
-metric_at_most append_steady host_alloc_kb_per_op 11.6
-metric_at_most fault_churn host_allocs_per_op 131
-metric_at_most fault_churn host_alloc_kb_per_op 15.3
-metric_at_most append_overload host_peak_heap_mb 30.4
+metric_at_most append_steady host_allocs_per_op 44.9
+metric_at_most append_steady host_alloc_kb_per_op 11.3
+metric_at_most fault_churn host_allocs_per_op 111
+metric_at_most fault_churn host_alloc_kb_per_op 12.9
+metric_at_most append_overload host_peak_heap_mb 29.4
 metric_at_most append_overload sim.events_per_op 15.9
 
 echo "CI gate passed."

@@ -20,7 +20,7 @@ use std::rc::Rc;
 use mala_sim::{IdMap, NodeId};
 
 use crate::object::{Object, ObjectDelta, ObjectId};
-use crate::ops::{OpResult, OsdError};
+use crate::ops::Outcome;
 
 /// Per-client window of remembered request outcomes (both in the OSD's
 /// in-memory cache and in the journal fold). Client reqids are monotonic,
@@ -61,8 +61,8 @@ pub enum JournalRecord {
         client: NodeId,
         /// The client's request id.
         reqid: u64,
-        /// The recorded outcome.
-        result: Result<Vec<OpResult>, OsdError>,
+        /// The recorded outcome, the one the OSD's reply window holds.
+        result: Outcome,
     },
 }
 
@@ -75,8 +75,9 @@ pub struct JournalSnapshot {
     pub interfaces: Option<(u64, BTreeMap<String, Vec<u8>>)>,
     /// Latest osdmap, if any was installed.
     pub osdmap: Option<(u64, BTreeMap<String, Vec<u8>>)>,
-    /// Recorded request outcomes per client (bounded window).
-    pub replies: IdMap<NodeId, BTreeMap<u64, Result<Vec<OpResult>, OsdError>>>,
+    /// Recorded request outcomes per client (bounded window), each the
+    /// one its record holds.
+    pub replies: IdMap<NodeId, BTreeMap<u64, Outcome>>,
 }
 
 #[derive(Debug, Default)]

@@ -49,7 +49,7 @@ pub use class::{ClassError, ClassRegistry, MethodKind};
 pub use client::{ClientEvent, RadosClient};
 pub use journal::{Journal, JournalRecord, JournalSet, JournalSnapshot};
 pub use object::{DataDelta, Key, Object, ObjectDelta, ObjectId};
-pub use ops::{ObjTxn, Op, OpResult, OsdError, Transaction};
+pub use ops::{ObjTxn, Op, OpResult, OsdError, Outcome, Transaction};
 pub use osd::{Osd, OsdConfig, OsdMsg};
 pub use osdmap::{OsdMapView, PoolInfo};
 pub use placement::{pg_of, pg_of_id, primary_and_replicas, PgId, WEIGHT_UNIT};

@@ -174,6 +174,11 @@ impl std::error::Error for OsdError {}
 /// An atomic multi-op transaction against one object.
 pub type Transaction = Vec<Op>;
 
+/// A mutation's per-op results or its first error, fixed once where the
+/// primary applies it: its reply window, its journal, its replicas and
+/// theirs, and backfill pushes all hold this one allocation (DESIGN §36).
+pub type Outcome = Rc<Result<Vec<OpResult>, OsdError>>;
+
 /// One undo-log entry: the pre-image of exactly what one mutation touched.
 #[derive(Debug)]
 enum Undo {
@@ -214,14 +219,15 @@ pub struct ObjTxn {
     mutates: bool,
 }
 
-/// Final values of the logged keys, each key once: the object's own keys
-/// and buffers, so the record, the replicas and their journals share them.
-fn post_image(mut keys: Vec<&Key>, map: &BTreeMap<Key, Rc<[u8]>>) -> Vec<(Key, Option<Rc<[u8]>>)> {
-    keys.sort_unstable();
-    keys.dedup();
-    keys.into_iter()
-        .map(|k| (Rc::clone(k), map.get(k).cloned()))
-        .collect()
+/// Turns `image`, the logged keys in log order, into their post-image:
+/// each key once, with its final value. Keys and values are the object's
+/// own, so the record, the replicas and their journals share them.
+fn post_image(image: &mut Vec<(Key, Option<Rc<[u8]>>)>, map: &BTreeMap<Key, Rc<[u8]>>) {
+    image.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+    image.dedup_by(|(a, _), (b, _)| a == b);
+    for (key, value) in image.iter_mut() {
+        *value = map.get(key).cloned();
+    }
 }
 
 impl ObjTxn {
@@ -444,15 +450,17 @@ impl ObjTxn {
         };
         let mut reset = false;
         let mut written: Option<(usize, usize)> = None;
-        let mut omap = Vec::new();
-        let mut xattrs = Vec::new();
+        // Each post-image is sized once, to the keys logged for it.
+        let logged = |part: fn(&Undo) -> bool| self.undo.iter().filter(|e| part(e)).count();
+        let mut omap = Vec::with_capacity(logged(|e| matches!(e, Undo::Omap(..))));
+        let mut xattrs = Vec::with_capacity(logged(|e| matches!(e, Undo::Xattr(..))));
         for entry in &self.undo {
             match entry {
                 Undo::Created => reset = true,
                 // The object exists now, so a `Created` follows.
                 Undo::Removed(_) => {}
-                Undo::Omap(key, _) => omap.push(key),
-                Undo::Xattr(key, _) => xattrs.push(key),
+                Undo::Omap(key, _) => omap.push((Rc::clone(key), None)),
+                Undo::Xattr(key, _) => xattrs.push((Rc::clone(key), None)),
                 Undo::Data { offset, end, .. } => {
                     let (lo, hi) = written.unwrap_or((*offset, *end));
                     written = Some((lo.min(*offset), hi.max(*end)));
@@ -465,13 +473,15 @@ impl ObjTxn {
             offset: lo.min(len),
             bytes: obj.data[lo.min(len)..hi.min(len)].to_vec(),
         });
+        post_image(&mut omap, &obj.omap);
+        post_image(&mut xattrs, &obj.xattrs);
         Some(JournalRecord::Delta(
             oid.clone(),
             ObjectDelta {
                 reset,
                 data,
-                omap: post_image(omap, &obj.omap),
-                xattrs: post_image(xattrs, &obj.xattrs),
+                omap,
+                xattrs,
             },
         ))
     }

@@ -19,6 +19,7 @@
 //!   repair divergent copies.
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
@@ -29,7 +30,7 @@ use rand::seq::SliceRandom;
 use crate::class::ClassRegistry;
 use crate::journal::{Journal, JournalRecord, REPLY_CACHE_PER_CLIENT};
 use crate::object::{Object, ObjectId};
-use crate::ops::{ObjTxn, OpResult, OsdError, Transaction};
+use crate::ops::{ObjTxn, OpResult, OsdError, Outcome, Transaction};
 use crate::osdmap::OsdMapView;
 use crate::placement::pg_of_id;
 
@@ -106,9 +107,10 @@ pub enum OsdMsg {
         /// allocation shared by every copy of this message; `None` when a
         /// mutation touched nothing.
         effect: Option<Rc<JournalRecord>>,
-        /// The primary's per-op results: what this replica answers a
-        /// retransmit of the request with, should it become primary.
-        results: Vec<OpResult>,
+        /// The primary's outcome, shared with its reply window: what this
+        /// replica answers a retransmit of the request with, should it
+        /// become primary.
+        outcome: Outcome,
         /// Originating client, for replica-side dedup of retransmits.
         origin_client: NodeId,
         /// The client's reqid (monotonic per client).
@@ -193,15 +195,58 @@ struct PendingRepl {
     reqid: u64,
     oid: ObjectId,
     effect: Option<Rc<JournalRecord>>,
-    results: Vec<OpResult>,
-    /// Replicas whose ack is still out, in acting-set order.
-    waiting_on: Vec<u32>,
+    outcome: Outcome,
+    /// The acting set the write was shipped to, as the map view holds it.
+    acting: Rc<[u32]>,
+    /// `acting[i]`'s ack is still out where [`ack_bit`]`(i)` is set.
+    waiting: u64,
     /// The `osd.op` span of the originating client op, closed when the
     /// final reply leaves.
-    op_span: Option<SpanContext>,
+    op_span: SpanContext,
     /// The `osd.replica_ack` span covering the replication round trip,
     /// closed when the last ack lands.
-    ack_span: Option<SpanContext>,
+    ack_span: SpanContext,
+}
+
+/// The ack bit of acting-set member `i`. A pool replicates at most 64
+/// ways; a member past that has none, and is not waited for.
+fn ack_bit(i: usize) -> u64 {
+    1u64.checked_shl(i.try_into().unwrap_or(u32::MAX))
+        .unwrap_or(0)
+}
+
+impl PendingRepl {
+    /// The effect shipment to a replica: refcounts of what the primary
+    /// holds.
+    fn repl(&self, repl_id: u64) -> OsdMsg {
+        OsdMsg::Repl {
+            repl_id,
+            oid: self.oid.clone(),
+            effect: self.effect.clone(),
+            outcome: Rc::clone(&self.outcome),
+            origin_client: self.client,
+            origin_reqid: self.reqid,
+        }
+    }
+
+    /// The replicas whose ack is still out, in acting-set order.
+    fn waiting_on(&self) -> impl Iterator<Item = u32> + '_ {
+        let acting = self.acting.iter().enumerate();
+        acting
+            .filter(|(i, _)| self.waiting & ack_bit(*i) != 0)
+            .map(|(_, osd)| *osd)
+    }
+
+    /// Stops waiting on the replicas `settled` picks (one that acked, or
+    /// one that left the up set and never will); true once none is out.
+    fn settle(&mut self, settled: impl Fn(u32) -> bool) -> bool {
+        for (i, osd) in self.acting.iter().enumerate() {
+            if settled(*osd) {
+                self.waiting &= !ack_bit(i);
+            }
+        }
+        self.waiting == 0
+    }
 }
 
 /// Reply-cache entry: a request we have admitted but not yet answered, or
@@ -209,13 +254,13 @@ struct PendingRepl {
 /// non-idempotent op like `Append` is never applied twice).
 enum DupState {
     InFlight,
-    Done(Result<Vec<OpResult>, OsdError>),
+    Done(Outcome),
 }
 
 /// One source reply-cache entry carried by [`OsdMsg::BackfillPush`]:
-/// `(origin client, reqid, result)` of an op the snapshot already
-/// reflects.
-pub type AppliedReply = (NodeId, u64, Result<Vec<OpResult>, OsdError>);
+/// `(origin client, reqid, outcome)` of an op the snapshot already
+/// reflects, the outcome the source's window holds.
+pub type AppliedReply = (NodeId, u64, Outcome);
 
 /// An [`OsdMsg::Repl`] as the replica handles it: at once, or — parked
 /// while the object's PG backfills — once the snapshot lands, deduped
@@ -224,7 +269,7 @@ struct DeferredRepl {
     from: NodeId,
     repl_id: u64,
     effect: Option<Rc<JournalRecord>>,
-    results: Vec<OpResult>,
+    outcome: Outcome,
     origin_client: NodeId,
     origin_reqid: u64,
 }
@@ -354,7 +399,7 @@ impl Osd {
         reqid: u64,
     ) -> Option<&Result<Vec<OpResult>, OsdError>> {
         match self.replies.get(&client)?.get(&reqid)? {
-            DupState::Done(result) => Some(result),
+            DupState::Done(outcome) => Some(outcome.as_ref()),
             DupState::InFlight => None,
         }
     }
@@ -477,7 +522,7 @@ impl Osd {
                     client,
                     window
                         .into_iter()
-                        .map(|(reqid, result)| (reqid, DupState::Done(result)))
+                        .map(|(reqid, outcome)| (reqid, DupState::Done(outcome)))
                         .collect(),
                 )
             })
@@ -490,9 +535,9 @@ impl Osd {
 
     /// Records the final answer for `(client, reqid)` in the in-memory
     /// cache and prunes the per-client window.
-    fn cache_reply(&mut self, client: NodeId, reqid: u64, result: Result<Vec<OpResult>, OsdError>) {
+    fn cache_reply(&mut self, client: NodeId, reqid: u64, outcome: Outcome) {
         let window = self.replies.entry(client).or_default();
-        window.insert(reqid, DupState::Done(result));
+        window.insert(reqid, DupState::Done(outcome));
         while window.len() > REPLY_CACHE_PER_CLIENT {
             window.pop_first();
         }
@@ -500,18 +545,64 @@ impl Osd {
 
     /// Durably records the outcome of `(client, reqid)` so retransmits
     /// after a restart are answered, never re-applied.
-    fn journal_reply(
-        &mut self,
-        client: NodeId,
-        reqid: u64,
-        result: &Result<Vec<OpResult>, OsdError>,
-    ) {
+    fn journal_reply(&mut self, client: NodeId, reqid: u64, outcome: &Outcome) {
         if let Some(journal) = &self.journal {
             journal.append(JournalRecord::Reply {
                 client,
                 reqid,
-                result: result.clone(),
+                result: Rc::clone(outcome),
             });
+        }
+    }
+
+    /// Answers `client`'s `reqid` once the service time is up, closing the
+    /// op's span then. A kept outcome comes borrowed and is copied here,
+    /// once: [`OsdMsg::ClientReply`] is the client's edge, and the client
+    /// owns what it gets.
+    fn answer(
+        &self,
+        ctx: &mut Context<'_>,
+        client: NodeId,
+        reqid: u64,
+        result: Cow<'_, Result<Vec<OpResult>, OsdError>>,
+        op_span: Option<SpanContext>,
+    ) {
+        let after = self.config.service_time;
+        if let Some(span) = op_span {
+            if result.is_err() {
+                ctx.span_tag(span, "error", "true");
+            }
+            ctx.span_end_at(span, ctx.now() + after);
+        }
+        let reply = OsdMsg::ClientReply {
+            reqid,
+            result: result.into_owned(),
+            map_epoch: self.map.epoch,
+        };
+        ctx.send_after(after, client, reply);
+    }
+
+    /// Fixes `outcome` as the answer to `(client, reqid)` in the reply
+    /// window and sends it.
+    fn conclude(
+        &mut self,
+        ctx: &mut Context<'_>,
+        client: NodeId,
+        reqid: u64,
+        outcome: Outcome,
+        op_span: SpanContext,
+    ) {
+        self.cache_reply(client, reqid, Rc::clone(&outcome));
+        self.answer(ctx, client, reqid, Cow::Borrowed(&outcome), Some(op_span));
+    }
+
+    /// Answers replicated write `repl_id` none of whose acks is out any
+    /// more — the last one landed, or the replicas still out left the up
+    /// set — and closes its spans.
+    fn release(&mut self, ctx: &mut Context<'_>, repl_id: u64) {
+        if let Some(p) = self.pending.remove(&repl_id) {
+            ctx.span_end(p.ack_span);
+            self.conclude(ctx, p.client, p.reqid, p.outcome, p.op_span);
         }
     }
 
@@ -623,32 +714,15 @@ impl Osd {
         // Re-evaluate pending replicated writes: replicas that left the up
         // set can never ack.
         let up: HashSet<u32> = self.map.up_osds().into_iter().collect();
-        let mut completed = Vec::new();
-        for (repl_id, pending) in self.pending.iter_mut() {
-            pending.waiting_on.retain(|osd| up.contains(osd));
-            if pending.waiting_on.is_empty() {
-                completed.push(*repl_id);
-            }
-        }
+        let pending = self.pending.iter_mut();
+        let mut completed: Vec<u64> = pending
+            .filter_map(|(repl_id, p)| p.settle(|osd| !up.contains(&osd)).then_some(*repl_id))
+            .collect();
         // `pending` iterates in a fixed order, not a sorted one: releases
         // leave in repl_id order.
         completed.sort_unstable();
         for repl_id in completed {
-            let Some(pending) = self.pending.remove(&repl_id) else {
-                continue;
-            };
-            let epoch = self.map.epoch;
-            let result = Ok(pending.results);
-            self.cache_reply(pending.client, pending.reqid, result.clone());
-            ctx.send_after(
-                self.config.service_time,
-                pending.client,
-                OsdMsg::ClientReply {
-                    reqid: pending.reqid,
-                    result,
-                    map_epoch: epoch,
-                },
-            );
+            self.release(ctx, repl_id);
         }
         // Drop backfills for PGs this map takes away from us. The parked
         // replications are replayed through the normal replica path —
@@ -776,9 +850,9 @@ impl Osd {
             let done = applied
                 .iter()
                 .find(|(client, reqid, _)| *client == d.origin_client && *reqid == d.origin_reqid);
-            if let Some((client, reqid, result)) = done {
-                self.journal_reply(*client, *reqid, result);
-                self.cache_reply(*client, *reqid, result.clone());
+            if let Some((client, reqid, outcome)) = done {
+                self.journal_reply(*client, *reqid, outcome);
+                self.cache_reply(*client, *reqid, Rc::clone(outcome));
                 ctx.send_after(
                     self.config.service_time,
                     d.from,
@@ -847,18 +921,21 @@ impl Osd {
         map_epoch: u64,
     ) {
         let (oid, txn) = &*req;
-        let reply = |osd: &Osd, result: Result<Vec<OpResult>, OsdError>| OsdMsg::ClientReply {
-            reqid,
-            result,
-            map_epoch: osd.map.epoch,
+        // A request not admitted is answered at once.
+        let reject = |osd: &Osd, ctx: &mut Context<'_>, error| {
+            let reply = OsdMsg::ClientReply {
+                reqid,
+                result: Err(error),
+                map_epoch: osd.map.epoch,
+            };
+            ctx.send(from, reply);
         };
         // Retransmit dedup: a request we already applied is answered from
         // the reply cache (ops like Append are not idempotent); one that is
         // still replicating stays pending and will be answered once.
         match self.replies.get(&from).and_then(|w| w.get(&reqid)) {
-            Some(DupState::Done(result)) => {
-                let msg = reply(self, result.clone());
-                ctx.send_after(self.config.service_time, from, msg);
+            Some(DupState::Done(outcome)) => {
+                self.answer(ctx, from, reqid, Cow::Borrowed(outcome), None);
                 ctx.metrics().bump(counter!("osd.dup_requests"), 1);
                 return;
             }
@@ -867,49 +944,24 @@ impl Osd {
                 // Re-drive replication: the original Repl (or its ack) may
                 // have died with a crashed replica. Replicas dedup by
                 // (client, reqid), so re-sending is safe.
-                let resend: Vec<(NodeId, OsdMsg)> = self
-                    .pending
-                    .iter()
-                    .filter(|(_, p)| p.client == from && p.reqid == reqid)
-                    .flat_map(|(repl_id, p)| {
-                        p.waiting_on.iter().filter_map(|osd| {
-                            self.map.node_of(*osd).map(|node| {
-                                (
-                                    node,
-                                    OsdMsg::Repl {
-                                        repl_id: *repl_id,
-                                        oid: p.oid.clone(),
-                                        effect: p.effect.clone(),
-                                        results: p.results.clone(),
-                                        origin_client: p.client,
-                                        origin_reqid: p.reqid,
-                                    },
-                                )
-                            })
-                        })
-                    })
-                    .collect();
-                for (node, msg) in resend {
-                    ctx.send(node, msg);
+                let redrive = self.pending.iter();
+                for (repl_id, p) in redrive.filter(|(_, p)| p.client == from && p.reqid == reqid) {
+                    for node in p.waiting_on().filter_map(|osd| self.map.node_of(osd)) {
+                        ctx.send(node, p.repl(*repl_id));
+                    }
                 }
                 return;
             }
             None => {}
         }
         if map_epoch < self.map.epoch {
-            let msg = reply(
-                self,
-                Err(OsdError::StaleEpoch {
-                    current: self.map.epoch,
-                }),
-            );
-            ctx.send(from, msg);
+            let current = self.map.epoch;
+            reject(self, ctx, OsdError::StaleEpoch { current });
             ctx.metrics().bump(counter!("osd.stale_epoch_rejects"), 1);
             return;
         }
         let Some(info) = self.map.pools.get(&*oid.pool).copied() else {
-            let msg = reply(self, Err(OsdError::NotReady));
-            ctx.send(from, msg);
+            reject(self, ctx, OsdError::NotReady);
             return;
         };
         let pg = pg_of_id(oid, info.pg_num);
@@ -918,8 +970,7 @@ impl Osd {
             .acting_set_for_pg(&oid.pool, pg.index)
             .unwrap_or_default();
         if acting.first() != Some(&self.id) {
-            let msg = reply(self, Err(OsdError::NotPrimary));
-            ctx.send(from, msg);
+            reject(self, ctx, OsdError::NotPrimary);
             ctx.metrics().bump(counter!("osd.not_primary_rejects"), 1);
             return;
         }
@@ -928,8 +979,7 @@ impl Osd {
             // miss acknowledged writes. The client retries on its backoff
             // timer — this rejection window is the availability cost of a
             // remap, measured by the elastic benchmark.
-            let msg = reply(self, Err(OsdError::NotReady));
-            ctx.send(from, msg);
+            reject(self, ctx, OsdError::NotReady);
             ctx.metrics().bump(counter!("osd.backfill_rejects"), 1);
             return;
         }
@@ -939,7 +989,6 @@ impl Osd {
         let op_span = ctx.span_start("osd.op", parent);
         // Write-ahead: durable before replication and before the ack.
         let (result, is_mutation, effect) = self.apply(oid, txn, acting.len() > 1);
-        let replicate = is_mutation && acting.len() > 1;
         if is_mutation && result.is_ok() {
             // One group-commit covers every op the transaction batched
             // (e.g. a zlog `write_batch`); txn_ops / journal_commits is
@@ -952,79 +1001,46 @@ impl Osd {
                 .bump(counter!("osd.txn_ops"), txn.len() as u64);
         }
         ctx.metrics().bump(counter!("osd.ops"), 1);
-        match result {
-            Ok(results) => {
-                if replicate {
-                    let replicas = &acting[1..];
-                    let repl_id = self.next_repl_id;
-                    self.next_repl_id += 1;
-                    let ack_span = ctx.span_start("osd.replica_ack", Some(op_span));
-                    for osd in replicas {
-                        if let Some(node) = self.map.node_of(*osd) {
-                            ctx.send_spanned(
-                                node,
-                                OsdMsg::Repl {
-                                    repl_id,
-                                    oid: oid.clone(),
-                                    effect: effect.clone(),
-                                    results: results.clone(),
-                                    origin_client: from,
-                                    origin_reqid: reqid,
-                                },
-                                Some(ack_span),
-                            );
-                        }
-                    }
-                    // The outcome is fixed at apply time (the PG-log
-                    // analogue): journal it now so a restarted primary
-                    // answers retransmits instead of re-applying. The
-                    // in-memory state stays InFlight until the acks land.
-                    self.journal_reply(from, reqid, &Ok(results.clone()));
-                    self.replies
-                        .entry(from)
-                        .or_default()
-                        .insert(reqid, DupState::InFlight);
-                    self.pending.insert(
-                        repl_id,
-                        PendingRepl {
-                            client: from,
-                            reqid,
-                            oid: oid.clone(),
-                            effect,
-                            results,
-                            waiting_on: replicas.to_vec(),
-                            op_span: Some(op_span),
-                            ack_span: Some(ack_span),
-                        },
-                    );
-                } else {
-                    let result = Ok(results);
-                    if is_mutation {
-                        self.journal_reply(from, reqid, &result);
-                        self.cache_reply(from, reqid, result.clone());
-                    }
-                    let msg = reply(self, result);
-                    let done_at = ctx.now() + self.config.service_time;
-                    ctx.span_end_at(op_span, done_at);
-                    ctx.send_after(self.config.service_time, from, msg);
-                }
-            }
-            Err(e) => {
-                let result = Err(e);
-                if is_mutation {
-                    // A failed transaction rolled back, but replaying it
-                    // could succeed (e.g. exclusive create) — cache the
-                    // verdict so a retransmit sees the original outcome.
-                    self.journal_reply(from, reqid, &result);
-                    self.cache_reply(from, reqid, result.clone());
-                }
-                ctx.span_tag(op_span, "error", "true");
-                let msg = reply(self, result);
-                let done_at = ctx.now() + self.config.service_time;
-                ctx.span_end_at(op_span, done_at);
-                ctx.send_after(self.config.service_time, from, msg);
-            }
+        if !is_mutation {
+            // Nothing keeps a read's result: it leaves as it is.
+            self.answer(ctx, from, reqid, Cow::Owned(result), Some(op_span));
+            return;
         }
+        // The outcome is fixed here, once (the PG-log analogue), and
+        // journalled now so a restarted primary answers retransmits
+        // instead of re-applying. A failed transaction rolled back, but
+        // replaying it could succeed (e.g. exclusive create): its verdict
+        // is kept too.
+        let outcome = Rc::new(result);
+        self.journal_reply(from, reqid, &outcome);
+        if outcome.is_err() || acting.len() < 2 {
+            self.conclude(ctx, from, reqid, outcome, op_span);
+            return;
+        }
+        let repl_id = self.next_repl_id;
+        self.next_repl_id += 1;
+        let pending = PendingRepl {
+            client: from,
+            reqid,
+            oid: oid.clone(),
+            effect,
+            outcome,
+            // Every member but the primary.
+            waiting: (1..acting.len()).fold(0, |mask, i| mask | ack_bit(i)),
+            acting,
+            op_span,
+            ack_span: ctx.span_start("osd.replica_ack", Some(op_span)),
+        };
+        for node in pending.waiting_on().filter_map(|osd| self.map.node_of(osd)) {
+            ctx.send_spanned(node, pending.repl(repl_id), Some(pending.ack_span));
+        }
+        // Answered once every replica acks; until then a retransmit
+        // re-drives the replication.
+        self.replies
+            .entry(from)
+            .or_default()
+            .insert(reqid, DupState::InFlight);
+        self.pending.insert(repl_id, pending);
     }
 
     /// Applies a primary-shipped effect on this replica and acks it. No
@@ -1033,18 +1049,9 @@ impl Osd {
     /// itself (DESIGN §28). Re-sent effects are deduped by
     /// `(client, reqid)`, so each is journalled and applied once.
     fn handle_repl(&mut self, ctx: &mut Context<'_>, repl: DeferredRepl) {
-        let DeferredRepl {
-            from,
-            repl_id,
-            effect,
-            results,
-            origin_client,
-            origin_reqid,
-        } = repl;
-        let applied = self
-            .replies
-            .get(&origin_client)
-            .is_some_and(|w| w.contains_key(&origin_reqid));
+        let (client, reqid) = (repl.origin_client, repl.origin_reqid);
+        let window = self.replies.get(&client);
+        let applied = window.is_some_and(|w| w.contains_key(&reqid));
         if applied {
             ctx.metrics().bump(counter!("osd.dup_repls"), 1);
         } else {
@@ -1053,16 +1060,18 @@ impl Osd {
             // Journalled before acking: the primary counts this ack as
             // a durable replica. Recording the primary's results lets
             // this replica answer client retransmits after a failover.
-            if let Some(effect) = effect {
+            if let Some(effect) = repl.effect {
                 self.apply_effect(effect);
             }
-            let result = Ok(results);
-            self.journal_reply(origin_client, origin_reqid, &result);
-            self.cache_reply(origin_client, origin_reqid, result);
+            self.journal_reply(client, reqid, &repl.outcome);
+            self.cache_reply(client, reqid, repl.outcome);
             let done_at = ctx.now() + self.config.service_time;
             ctx.span_end_at(jspan, done_at);
         }
-        ctx.send_after(self.config.service_time, from, OsdMsg::ReplAck { repl_id });
+        let ack = OsdMsg::ReplAck {
+            repl_id: repl.repl_id,
+        };
+        ctx.send_after(self.config.service_time, repl.from, ack);
     }
 
     /// The backfill in progress for `oid`'s PG, if any. None is running in
@@ -1171,7 +1180,7 @@ impl Actor for Osd {
                 repl_id,
                 oid,
                 effect,
-                results,
+                outcome,
                 origin_client,
                 origin_reqid,
             } => {
@@ -1184,7 +1193,7 @@ impl Actor for Osd {
                     from,
                     repl_id,
                     effect,
-                    results,
+                    outcome,
                     origin_client,
                     origin_reqid,
                 };
@@ -1197,37 +1206,12 @@ impl Actor for Osd {
                 }
             }
             OsdMsg::ReplAck { repl_id } => {
-                let from_osd = self
-                    .map
-                    .osds
-                    .iter()
-                    .find(|(_, e)| e.node == from)
-                    .map(|(id, _)| *id);
-                if let (Some(from_osd), Some(pending)) = (from_osd, self.pending.get_mut(&repl_id))
-                {
-                    pending.waiting_on.retain(|osd| *osd != from_osd);
-                    let done = pending.waiting_on.is_empty();
-                    if let Some(pending) = done.then(|| self.pending.remove(&repl_id)).flatten() {
-                        let epoch = self.map.epoch;
-                        let result = Ok(pending.results);
-                        self.cache_reply(pending.client, pending.reqid, result.clone());
-                        if let Some(span) = pending.ack_span {
-                            ctx.span_end(span);
-                        }
-                        if let Some(span) = pending.op_span {
-                            let done_at = ctx.now() + self.config.service_time;
-                            ctx.span_end_at(span, done_at);
-                        }
-                        ctx.send_after(
-                            self.config.service_time,
-                            pending.client,
-                            OsdMsg::ClientReply {
-                                reqid: pending.reqid,
-                                result,
-                                map_epoch: epoch,
-                            },
-                        );
-                    }
+                let mut osds = self.map.osds.iter();
+                let acker = osds.find(|(_, e)| e.node == from).map(|(id, _)| *id);
+                let pending = self.pending.get_mut(&repl_id);
+                let done = pending.is_some_and(|p| p.settle(|osd| Some(osd) == acker));
+                if done {
+                    self.release(ctx, repl_id);
                 }
             }
             OsdMsg::Gossip {
@@ -1268,12 +1252,12 @@ impl Actor for Osd {
                 // Ship the reply window too: it tells the puller which
                 // replicated writes the snapshot already contains (the
                 // PG-log role in Ceph's backfill).
-                let mut applied: Vec<(NodeId, u64, Result<Vec<OpResult>, OsdError>)> = self
+                let mut applied: Vec<AppliedReply> = self
                     .replies
                     .iter()
                     .flat_map(|(client, window)| {
                         window.iter().filter_map(|(reqid, state)| match state {
-                            DupState::Done(result) => Some((*client, *reqid, result.clone())),
+                            DupState::Done(outcome) => Some((*client, *reqid, Rc::clone(outcome))),
                             DupState::InFlight => None,
                         })
                     })

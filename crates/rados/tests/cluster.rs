@@ -7,9 +7,10 @@ use mala_dsl::Vm;
 use mala_rados::client::request;
 use mala_rados::{
     ClassRegistry, JournalSet, Object, ObjectId, Op, OpResult, Osd, OsdConfig, OsdError,
-    OsdMapView, PoolInfo, RadosClient, Transaction,
+    OsdMapView, OsdMsg, PoolInfo, RadosClient, Transaction,
 };
-use mala_sim::{NodeId, Sim, SimDuration};
+use mala_sim::{Actor, Context, NodeId, Sim, SimDuration};
+use std::any::Any;
 use std::rc::Rc;
 
 const MON: NodeId = NodeId(0);
@@ -1244,4 +1245,182 @@ fn a_name_is_one_allocation_from_the_client_to_every_journal() {
         assert!(Rc::ptr_eq(&held(&sim, i, next).1, &first_next), "osd {i}");
         assert!(held(&sim, i, key).0.ptr_eq(&id), "osd {i}");
     }
+}
+
+/// A node that keeps every OSD message it is sent: a backfill puller.
+#[derive(Default)]
+struct Sink(Vec<OsdMsg>);
+
+impl Actor for Sink {
+    fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, msg: Box<dyn Any>) {
+        if let Ok(msg) = msg.downcast::<OsdMsg>() {
+            self.0.push(*msg);
+        }
+    }
+}
+
+const SINK: NodeId = NodeId(103);
+
+/// The outcome OSD `osd` holds for [`CLIENT`]'s `reqid`, by address.
+fn held_outcome(sim: &Sim, osd: u32, reqid: u64) -> *const Result<Vec<OpResult>, OsdError> {
+    let osd = sim.actor::<Osd>(osd_node(osd));
+    osd.cached_reply(CLIENT, reqid)
+        .expect("the outcome is in the window")
+}
+
+/// An outcome is held once (DESIGN §36): after a replicated write on
+/// journalled OSDs, the primary's reply window, the replica's and each
+/// journal's record of it are one allocation. A retransmit (the first
+/// reply was lost) is answered from it without running the transaction
+/// again.
+#[test]
+fn an_outcome_is_one_allocation_in_every_reply_window_and_journal() {
+    let journals = JournalSet::new();
+    let mut sim = build_journaled_cluster(3, 2, &journals);
+    let name = "outcome-once";
+    let acting = acting_set(&sim, name);
+    let primary = acting[0];
+    let handled = sim.metrics().counter("osd.ops");
+    let txn = vec![
+        Op::Append {
+            data: b"once".to_vec(),
+        },
+        call("refcount", "get", b""),
+    ];
+    let reqid = submit(&mut sim, name, txn);
+    // Applied and shipped: cut the client off before the reply leaves.
+    let deadline = sim.now() + SimDuration::from_secs(1);
+    assert!(sim.run_until_pred(deadline, |s| s.metrics().counter("osd.ops") > handled));
+    sim.network_mut().sever(CLIENT, osd_node(primary));
+    let deadline = sim.now() + SimDuration::from_secs(1);
+    assert!(sim.run_until_pred(deadline, |s| {
+        s.actor::<Osd>(osd_node(primary))
+            .cached_reply(CLIENT, reqid)
+            .is_some()
+    }));
+
+    let outcome = held_outcome(&sim, primary, reqid);
+    assert_eq!(
+        held_outcome(&sim, acting[1], reqid),
+        outcome,
+        "the replica holds a copy"
+    );
+    for osd in &acting {
+        let replayed = journals.journal(osd_node(*osd)).replay();
+        let journalled = Rc::as_ptr(&replayed.replies[&CLIENT][&reqid]);
+        assert_eq!(journalled, outcome, "osd {osd}'s journal holds a copy");
+    }
+
+    let (ops, dups) = (
+        sim.metrics().counter("osd.ops"),
+        sim.metrics().counter("osd.dup_requests"),
+    );
+    sim.network_mut().heal_all();
+    let answered = wait_for(&mut sim, reqid);
+    assert!(answered.is_ok(), "{answered:?}");
+    let primarys = sim.actor::<Osd>(osd_node(primary));
+    assert_eq!(primarys.cached_reply(CLIENT, reqid), Some(&answered));
+    assert_eq!(sim.metrics().counter("osd.dup_requests"), dups + 1);
+    assert_eq!(sim.metrics().counter("osd.ops"), ops, "the write ran again");
+    assert_eq!(held_outcome(&sim, primary, reqid), outcome);
+    assert_eq!(assert_replicas_equal(&sim, name).unwrap().data, b"once");
+}
+
+/// A backfill push tells its puller which writes its snapshot holds by the
+/// outcomes in the source's reply window: the same allocations, not
+/// copies of them.
+#[test]
+fn a_backfill_push_shares_the_sources_outcomes() {
+    let mut sim = build_cluster(3, 2, OsdConfig::default());
+    sim.add_node(SINK, Sink::default());
+    let name = "pushed";
+    let acting = acting_set(&sim, name);
+    let mut reqids = Vec::new();
+    for data in [b"a", b"b"] {
+        let append = vec![Op::Append {
+            data: data.to_vec(),
+        }];
+        let ev = request(
+            &mut sim,
+            CLIENT,
+            oid(name),
+            append,
+            SimDuration::from_secs(5),
+        );
+        ev.result.unwrap();
+        reqids.push(ev.reqid);
+    }
+    let source = acting[0];
+    let pull = OsdMsg::PgPull {
+        pool: "data".to_string(),
+        pg_index: mala_rados::pg_of_id(&oid(name), 32).index,
+        epoch: sim.actor::<Osd>(osd_node(source)).map_epoch(),
+    };
+    sim.with_actor::<Sink, _>(SINK, |_, ctx| ctx.send(osd_node(source), pull));
+    sim.run_for(SimDuration::from_millis(10));
+    let pushes: Vec<_> = sim.actor::<Sink>(SINK).0.iter().collect();
+    let [OsdMsg::BackfillPush {
+        objects, applied, ..
+    }] = pushes.as_slice()
+    else {
+        panic!("one push expected: {pushes:?}");
+    };
+    assert!(objects
+        .iter()
+        .any(|(id, obj)| *id == oid(name) && obj.data == b"ab"));
+    for reqid in reqids {
+        let (_, _, shipped) = applied
+            .iter()
+            .find(|(client, r, _)| *client == CLIENT && *r == reqid)
+            .expect("the push vouches for the write");
+        let shipped = Rc::as_ptr(shipped);
+        assert_eq!(shipped, held_outcome(&sim, source, reqid));
+    }
+}
+
+/// A replicated write whose replica leaves the up set before acking is
+/// released by the map change: its client is answered, from the outcome
+/// the primary fixed, and the write's one `osd.op` span and its
+/// `osd.replica_ack` span close. (The map-change release answered, but
+/// left both spans open for good.)
+#[test]
+fn a_write_released_by_a_map_change_answers_once_and_closes_its_spans() {
+    let mut sim = build_cluster(3, 2, OsdConfig::default());
+    let name = "released";
+    let acting = acting_set(&sim, name);
+    let (primary, replica) = (acting[0], acting[1]);
+    sim.network_mut()
+        .sever(osd_node(primary), osd_node(replica));
+    let first_span = sim.tracer().spans().len();
+    let append = vec![Op::Append {
+        data: b"kept".to_vec(),
+    }];
+    let reqid = submit(&mut sim, name, append);
+    sim.run_for(SimDuration::from_millis(100));
+    assert!(
+        !sim.actor::<RadosClient>(CLIENT).is_completed(reqid),
+        "answered short an ack"
+    );
+
+    sim.inject(
+        MON,
+        MonMsg::Submit {
+            seq: 2,
+            updates: vec![OsdMapView::update_osd(replica, osd_node(replica), false)],
+        },
+    );
+    assert_eq!(wait_for(&mut sim, reqid), Ok(vec![OpResult::Done]));
+    sim.run_for(SimDuration::from_secs(1));
+    assert_eq!(sim.actor::<Osd>(osd_node(primary)).map_epoch(), 2);
+    let client = sim.actor_mut::<RadosClient>(CLIENT);
+    assert!(client.take_completed(reqid).is_none(), "answered twice");
+    let on_primary = |span_name: &str| -> Vec<bool> {
+        let spans = sim.tracer().spans()[first_span..].iter();
+        spans
+            .filter(|span| span.name == span_name && span.node == osd_node(primary))
+            .map(|span| span.end.is_some())
+            .collect()
+    };
+    assert_eq!(on_primary("osd.op"), [true], "osd.op");
+    assert_eq!(on_primary("osd.replica_ack"), [true], "osd.replica_ack");
 }

@@ -160,7 +160,9 @@ enum Stage {
     /// which owns its progress.
     InBatch { batch: u64 },
     /// A batch waiting for the sequencer resolve or the `GetPosBatch`
-    /// reply, under the open `zlog.grant` span of that round trip.
+    /// reply. Its `zlog.grant` span opens on the first drive and stays
+    /// open across re-drives: it ends when the grant lands, or with an
+    /// error tag when the batch concludes without one.
     BatchGrant { span: Option<SpanContext> },
     /// A batch waiting for its stripe-grouped `write_batch` calls, one
     /// entry per call still in flight.
@@ -1116,6 +1118,10 @@ impl ZlogClient {
         }
         if let Some(queue) = pending.queue_span {
             ctx.span_end(queue);
+        }
+        if let Stage::BatchGrant { span: Some(grant) } = pending.stage {
+            ctx.span_tag(grant, "error", "no grant");
+            ctx.span_end(grant);
         }
         if let Some(span) = pending.span {
             if let AppendResult::Err(msg) = &result {
@@ -2109,12 +2115,6 @@ impl ZlogClient {
         let Some(pending) = self.ops.get_mut(&op) else {
             return;
         };
-        // Whatever a batch's grant round trip answered, its span ends.
-        if let Stage::BatchGrant { span } = &mut pending.stage {
-            if let Some(span) = span.take() {
-                ctx.span_end(span);
-            }
-        }
         match (&mut pending.stage, msg) {
             (Stage::SetupDir, MdsMsg::Created { result, .. }) => match result {
                 Ok(_) | Err(MdsError::Exists) => {
@@ -2185,8 +2185,13 @@ impl ZlogClient {
                 e if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
                 e => self.fail(ctx, op, format!("sequencer seal failed: {e}")),
             },
-            (Stage::BatchGrant { .. }, MdsMsg::TypeOpReply { result, .. }) => match result {
-                Ok(base) => self.launch_batch_writes(ctx, op, base),
+            (Stage::BatchGrant { span }, MdsMsg::TypeOpReply { result, .. }) => match result {
+                Ok(base) => {
+                    if let Some(span) = span.take() {
+                        ctx.span_end(span);
+                    }
+                    self.launch_batch_writes(ctx, op, base)
+                }
                 Err(MdsError::NotAuth { rank }) => self.on_redirect(ctx, op, rank),
                 Err(e) if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
                 Err(e) => self.fail(ctx, op, format!("bulk grant failed: {e}")),
@@ -2240,11 +2245,18 @@ impl ZlogClient {
             return;
         };
         let n = members.len() as u64;
-        // The grant round trip is traced under the first member's append
-        // span; the MDS parents its own work beneath it via the wire.
-        let parent = self.ops.get(&first).and_then(|p| p.span);
-        let span = ctx.span_start("zlog.grant", parent);
-        ctx.span_tag_display(span, "members", n);
+        // The grant is traced under the first member's append span, once
+        // however often it is re-driven; the MDS parents its own work
+        // beneath it via the wire.
+        let span = match self.ops.get(&id).map(|batch| &batch.stage) {
+            Some(Stage::BatchGrant { span: Some(span) }) => *span,
+            _ => {
+                let parent = self.ops.get(&first).and_then(|p| p.span);
+                let span = ctx.span_start("zlog.grant", parent);
+                ctx.span_tag_display(span, "members", n);
+                span
+            }
+        };
         self.put_members(id, members);
         if let Some(batch) = self.ops.get_mut(&id) {
             batch.stage = Stage::BatchGrant { span: Some(span) };

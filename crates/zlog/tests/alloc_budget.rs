@@ -153,12 +153,10 @@ fn append_one(sim: &mut Sim, fill: u8) {
     assert!(matches!(res, AppendResult::Ok(ZlogOut::Pos(_))), "{res:?}");
 }
 
-/// Allocations per append this tree made when the budget was set (46.88
-/// while every short string a script built — the stripe key, `fmt(pos)`
-/// — was a refcounted buffer of its own, DESIGN §35; 47.88 while a drain took the RADOS client's whole completion map, whose root
-/// the next completion allocated again; 49.18 while every gossip message
-/// deep-copied the OSD's maps, DESIGN §31).
-const MEASURED_PER_APPEND: f64 = 42.88;
+/// Allocations per append this tree made when the budget was set (42.88
+/// while every OSD that kept a write's outcome — its reply window, its
+/// journal, the replica's message — held a copy of its own, DESIGN §36).
+const MEASURED_PER_APPEND: f64 = 36.88;
 
 #[test]
 fn a_steady_state_append_stays_inside_its_allocation_budget() {

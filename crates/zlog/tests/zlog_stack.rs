@@ -627,6 +627,50 @@ fn a_fan_bounced_on_every_stripe_parks_once() {
     assert!(sim.actor::<ZlogClient>(CLIENT_A).is_idle());
 }
 
+/// A batch's grant re-driven while its client is cut off from the MDS
+/// stays one `zlog.grant` span, which ends when the grant lands: none is
+/// left open. (Each re-drive used to open a span of its own and leave the
+/// one before it open for good.)
+#[test]
+fn a_grant_redriven_while_the_mds_is_cut_off_keeps_one_span() {
+    const N: usize = 4;
+    let mut sim = build_with(
+        "gspan",
+        ZlogClient::with_batching(
+            zcfg("gspan"),
+            BatchConfig {
+                queue_depth: N,
+                flush_window: SimDuration::from_millis(1),
+            },
+        ),
+    );
+    let first_span = sim.tracer().spans().len();
+    sim.network_mut().sever(MDS0, CLIENT_A);
+    let fires = sim.metrics().counter("zlog.watchdog_fires");
+    let ops = submit_async_appends(&mut sim, N);
+    let deadline = sim.now() + SimDuration::from_secs(20);
+    let redriven = sim.run_until_pred(deadline, |s| {
+        s.metrics().counter("zlog.watchdog_fires") >= fires + 3
+    });
+    assert!(redriven, "the grant was not re-driven");
+    sim.network_mut().heal_all();
+    let mut positions = await_positions(&mut sim, &ops, SimDuration::from_secs(30));
+    positions.sort_unstable();
+    assert_eq!(positions, (0..N as u64).collect::<Vec<_>>());
+
+    let grants: Vec<_> = sim.tracer().spans()[first_span..]
+        .iter()
+        .filter(|span| span.name == "zlog.grant")
+        .collect();
+    assert_eq!(grants.len(), 1, "one span per grant: {grants:?}");
+    assert!(grants[0].end.is_some(), "the grant's span is still open");
+    assert!(
+        !grants[0].tags.iter().any(|(key, _)| key == "error"),
+        "the grant landed: {:?}",
+        grants[0].tags
+    );
+}
+
 #[test]
 fn tail_discovery_skips_abandoned_grants_after_batched_appends() {
     // Occupy position 2 before any append: the first bulk grant [0, 4)
