@@ -3,8 +3,8 @@
 # no-timer-per-item, effects-not-calls, payload-is-bytes, name-held-once,
 # one-append-path, one-engine, one-encoding, forget-what-it-holds,
 # map-held-once, counter-is-a-slot, one-read-path, one-type-op-path,
-# one-seal-path, request-held-once, short-string-in-place and
-# outcome-held-once structure checks, the
+# one-seal-path, request-held-once, short-string-in-place,
+# outcome-held-once and one-request-core structure checks, the
 # tier-1 build + test pass (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
@@ -100,7 +100,7 @@ done
 
 echo "==> a request is held once: the RADOS client keeps each request's waiter, no embedder a table of its own, and a zlog op parks in one list (DESIGN §23, §26)"
 [ -z "$(grep -rn 'rados_waiting\|store_waiting' crates/*/src)" ]
-[ -z "$(grep -n 'blocked_on_epoch\|mds_blocked' crates/zlog/src/log.rs)" ]
+[ -z "$(grep -n 'blocked_on_epoch\|mds_blocked' crates/zlog/src/log.rs crates/rados/src/client.rs)" ]
 
 echo "==> a short string is held in place: outside value.rs the dsl builds no script string behind a refcount of its own; only a literal constant shares one (DESIGN §35)"
 for file in crates/dsl/src/*.rs; do
@@ -121,6 +121,13 @@ done
 grep -q 'Done(Outcome)' <<<"$osd_src"
 grep -q 'AppliedReply = (NodeId, u64, Outcome);' <<<"$osd_src"
 grep -q 'result: Outcome,' crates/rados/src/journal.rs
+
+echo "==> one request core: the zlog client, the RADOS client and the open-loop fleet hold their work in flight in one mala_sim::Requests, with its looks and its park list (DESIGN §23)"
+[ -z "$(grep -rln 'Deadlines::new(' crates/*/src | grep -v '^crates/sim/src/')" ]
+for file in crates/rados/src/client.rs crates/zlog/src/log.rs crates/bench/src/openloop.rs; do
+    [ -z "$(grep -n 'parked:\|retry_q\|retry_armed\|blocked_on_epoch\|retry_at\|Deadlines<' "$file")" ]
+done
+[ -z "$(awk '/^pub struct FleetConfig \{$/,/^}$/' crates/bench/src/openloop.rs | grep -n 'retry_delay')" ]
 
 echo "==> cargo build --release"
 cargo build --release

@@ -190,7 +190,6 @@ fn run_point(config: &Config, ranks: u32, logs: u32, clients: u64) -> Point {
         think,
         zipf_s: ZIPF_S,
         series: "fleet".to_string(),
-        retry_delay: SimDuration::from_millis(5),
     });
     cluster.sim.add_node(fleet_node, fleet);
     cluster.sim.run_for(SimDuration::from_millis(50));

@@ -10,7 +10,8 @@
 //! `clients / think`), Zipfian log popularity, and per-sequencer
 //! placement-aware routing through [`mala_zlog::SeqRouter`] — learned
 //! from `NotAuth` redirects, invalidated on `MdsUnavailable`, refreshed
-//! from the monitor's mdsmap.
+//! from the monitor's mdsmap. Its requests in flight sit in
+//! [`mala_sim::Requests`], the zlog and RADOS clients' request core.
 //!
 //! One actor carries the whole fleet: a per-arrival timer with
 //! exponential interarrival keeps the sim event count at O(requests),
@@ -21,7 +22,7 @@ use std::collections::{BTreeMap, HashMap};
 use mala_consensus::{MonMsg, SERVICE_MAP_MDS};
 use mala_mds::types::{MdsError, MdsMsg, SeqOp};
 use mala_mds::Ino;
-use mala_sim::{Actor, Context, NodeId, SimDuration, SimTime};
+use mala_sim::{Actor, Context, NodeId, Requests, SimDuration, SimTime};
 use mala_zlog::SeqRouter;
 use rand::Rng;
 
@@ -30,6 +31,11 @@ const TOKEN_RETRY: u64 = 2;
 
 /// Per-request attempt budget (redirect ping-pong / transient errors).
 const MAX_ATTEMPTS: u32 = 16;
+/// Backoff after a transient refusal: 5 ms doubling per attempt to 2 s.
+const RETRY_BASE: SimDuration = SimDuration::from_millis(5);
+const RETRY_CAP: SimDuration = SimDuration::from_secs(2);
+/// A request has no deadline: its attempt budget bounds it.
+const NO_DEADLINE: SimTime = SimTime::from_micros(u64::MAX);
 
 /// Fleet configuration.
 #[derive(Clone)]
@@ -51,8 +57,6 @@ pub struct FleetConfig {
     pub zipf_s: f64,
     /// Metric series prefix (latency histogram at `<series>.lat_us`).
     pub series: String,
-    /// Pacing delay before transient errors re-send.
-    pub retry_delay: SimDuration,
 }
 
 /// Fleet counters.
@@ -68,7 +72,7 @@ pub struct FleetStats {
     pub retries: u64,
     /// Requests dropped after the attempt budget.
     pub failed: u64,
-    /// Arrivals withheld because their rank was unroutable.
+    /// Sends withheld (parked until a fresh mdsmap): rank unroutable.
     pub unroutable: u64,
     /// Completions by serving rank (`served_by`).
     pub per_rank: BTreeMap<u32, u64>,
@@ -76,8 +80,8 @@ pub struct FleetStats {
 
 struct Flight {
     ino: Ino,
+    /// Arrival time, for the latency.
     sent: SimTime,
-    attempts: u32,
 }
 
 /// The open-loop fleet actor.
@@ -89,11 +93,9 @@ pub struct OpenLoopFleet {
     zipf_cdf: Vec<f64>,
     running: bool,
     next_reqid: u64,
-    inflight: HashMap<u64, Flight>,
-    /// Requests awaiting a paced re-send (transient error or
-    /// unroutable rank).
-    retry_q: Vec<Flight>,
-    retry_armed: bool,
+    /// Requests by the reqid of their grant, which every re-send reuses: a
+    /// flight never has two sends out. One parks on the mdsmap.
+    inflight: Requests<Flight, ()>,
     lat_series: String,
     /// Live counters (read through the harness).
     pub stats: FleetStats,
@@ -122,9 +124,7 @@ impl OpenLoopFleet {
             zipf_cdf: cdf,
             running: false,
             next_reqid: 1,
-            inflight: HashMap::new(),
-            retry_q: Vec::new(),
-            retry_armed: false,
+            inflight: Requests::new(TOKEN_RETRY),
             lat_series,
             stats: FleetStats::default(),
         }
@@ -174,53 +174,35 @@ impl OpenLoopFleet {
         self.cfg.logs[idx]
     }
 
-    fn send_grant(&mut self, ctx: &mut Context<'_>, flight: Flight) {
-        match self.router.target(flight.ino) {
+    fn send_grant(&mut self, ctx: &mut Context<'_>, reqid: u64) {
+        let Some(&Flight { ino, .. }) = self.inflight.get(reqid) else {
+            return;
+        };
+        match self.router.target(ino) {
             Some(node) => {
-                let reqid = self.next_reqid;
-                self.next_reqid += 1;
-                ctx.send(
-                    node,
-                    MdsMsg::TypeOp {
-                        reqid,
-                        ino: flight.ino,
-                        op: SeqOp::Next,
-                    },
-                );
-                self.inflight.insert(reqid, flight);
+                let op = SeqOp::Next;
+                ctx.send(node, MdsMsg::TypeOp { reqid, ino, op });
             }
             None => {
                 // Unroutable rank: park until a fresh mdsmap arrives.
                 self.stats.unroutable += 1;
-                self.retry_q.push(flight);
-                self.arm_retry(ctx);
+                self.inflight.park(reqid, ());
             }
         }
     }
 
-    fn arm_retry(&mut self, ctx: &mut Context<'_>) {
-        if !self.retry_armed && !self.retry_q.is_empty() {
-            self.retry_armed = true;
-            ctx.set_timer(self.cfg.retry_delay, TOKEN_RETRY);
-        }
-    }
-
-    fn drain_retries(&mut self, ctx: &mut Context<'_>) {
-        let queued = std::mem::take(&mut self.retry_q);
-        for flight in queued {
-            self.send_grant(ctx, flight);
-        }
-    }
-
-    fn requeue(&mut self, ctx: &mut Context<'_>, mut flight: Flight) {
-        flight.attempts += 1;
-        if flight.attempts > MAX_ATTEMPTS {
+    /// Charges `reqid` an attempt: past the budget it fails and `false`
+    /// comes back.
+    fn charge(&mut self, reqid: u64) -> bool {
+        let within = self
+            .inflight
+            .charge(reqid)
+            .is_some_and(|n| n <= MAX_ATTEMPTS);
+        if !within {
             self.stats.failed += 1;
-            return;
+            self.inflight.remove(reqid);
         }
-        self.stats.retries += 1;
-        self.retry_q.push(flight);
-        self.arm_retry(ctx);
+        within
     }
 }
 
@@ -243,14 +225,15 @@ impl Actor for OpenLoopFleet {
                     served_by,
                 } = *mds
                 {
-                    let Some(mut flight) = self.inflight.remove(&reqid) else {
+                    let Some(&Flight { ino, sent }) = self.inflight.get(reqid) else {
                         return;
                     };
                     match result {
                         Ok(_) => {
+                            self.inflight.remove(reqid);
                             self.stats.done += 1;
                             *self.stats.per_rank.entry(served_by).or_insert(0) += 1;
-                            let us = ctx.now().since(flight.sent).as_micros() as f64;
+                            let us = ctx.now().since(sent).as_micros() as f64;
                             ctx.metrics().observe_hist(&self.lat_series, us);
                         }
                         Err(MdsError::NotAuth { rank }) => {
@@ -258,21 +241,29 @@ impl Actor for OpenLoopFleet {
                             // re-send immediately — the redirect is the
                             // pacing.
                             self.stats.redirects += 1;
-                            self.router.learn(flight.ino, rank);
-                            flight.attempts += 1;
-                            if flight.attempts > MAX_ATTEMPTS {
-                                self.stats.failed += 1;
-                            } else {
-                                self.send_grant(ctx, flight);
+                            self.router.learn(ino, rank);
+                            if self.charge(reqid) {
+                                self.send_grant(ctx, reqid);
                             }
                         }
                         Err(e) if e.is_retryable() => {
+                            // Frozen, recovering or vacant: back off, as a
+                            // flat short delay would spend the budget inside
+                            // one freeze.
                             if let MdsError::MdsUnavailable { rank } = e {
                                 self.router.invalidate_rank(rank);
                             }
-                            self.requeue(ctx, flight);
+                            if self.charge(reqid) {
+                                self.stats.retries += 1;
+                                let attempts = self.inflight.attempts(reqid);
+                                let at = ctx.now() + ctx.backoff(RETRY_BASE, RETRY_CAP, attempts);
+                                self.inflight.look(ctx, reqid, at);
+                            }
                         }
-                        Err(_) => self.stats.failed += 1,
+                        Err(_) => {
+                            self.inflight.remove(reqid);
+                            self.stats.failed += 1;
+                        }
                     }
                 }
                 return;
@@ -283,7 +274,9 @@ impl Actor for OpenLoopFleet {
             // A fresh map is progress: re-drive parked requests now rather
             // than waiting out pacing.
             if self.router.follow(ctx, self.cfg.monitor, &mon) == Some(true) {
-                self.drain_retries(ctx);
+                for reqid in self.inflight.unpark(|_| true) {
+                    self.send_grant(ctx, reqid);
+                }
             }
         }
     }
@@ -296,18 +289,20 @@ impl Actor for OpenLoopFleet {
                 }
                 self.stats.started += 1;
                 let ino = self.pick_log(ctx);
+                let reqid = self.next_reqid;
+                self.next_reqid += 1;
                 let flight = Flight {
                     ino,
                     sent: ctx.now(),
-                    attempts: 0,
                 };
-                self.send_grant(ctx, flight);
+                self.inflight.insert(reqid, flight, NO_DEADLINE);
+                self.send_grant(ctx, reqid);
                 self.arm_arrival(ctx);
             }
             TOKEN_RETRY => {
-                self.retry_armed = false;
-                self.drain_retries(ctx);
-                self.arm_retry(ctx);
+                while let Some(reqid) = self.inflight.pop_due(ctx) {
+                    self.send_grant(ctx, reqid);
+                }
             }
             _ => {}
         }
@@ -317,6 +312,11 @@ impl Actor for OpenLoopFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mala_consensus::MapSnapshot;
+    use mala_sim::Sim;
+
+    const FLEET: NodeId = NodeId(1);
+    const MDS: NodeId = NodeId(20);
 
     fn cfg(logs: usize, zipf_s: f64) -> FleetConfig {
         FleetConfig {
@@ -328,7 +328,6 @@ mod tests {
             think: SimDuration::from_secs(1),
             zipf_s,
             series: "fleet".to_string(),
-            retry_delay: SimDuration::from_millis(5),
         }
     }
 
@@ -356,5 +355,97 @@ mod tests {
         let fleet = OpenLoopFleet::new(cfg(1, 0.0));
         // 1000 clients thinking 1 s each → 1000 req/s → 1000 µs mean.
         assert!((fleet.mean_interarrival_us() - 1000.0).abs() < 1e-9);
+    }
+
+    /// A rank 0 that refuses every grant `Frozen` until `frozen_until`
+    /// and grants after, noting when each request reached it.
+    struct StandInMds {
+        frozen_until: SimTime,
+        seen: Vec<SimTime>,
+    }
+
+    impl Actor for StandInMds {
+        fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Box<dyn std::any::Any>) {
+            let Ok(msg) = msg.downcast::<MdsMsg>() else {
+                return;
+            };
+            let MdsMsg::TypeOp { reqid, .. } = *msg else {
+                return;
+            };
+            self.seen.push(ctx.now());
+            let result = match ctx.now() < self.frozen_until {
+                true => Err(MdsError::Frozen),
+                false => Ok(self.seen.len() as u64),
+            };
+            let served_by = 0;
+            ctx.send(
+                from,
+                MdsMsg::TypeOpReply {
+                    reqid,
+                    result,
+                    served_by,
+                },
+            );
+        }
+    }
+
+    /// A fleet at `cfg` and a stand-in rank 0, arrivals running for 100 ms.
+    fn fleet_for_100ms(cfg: FleetConfig, frozen_until: SimTime) -> Sim {
+        let mut sim = Sim::new(7);
+        let seen = Vec::new();
+        sim.add_node(MDS, StandInMds { frozen_until, seen });
+        sim.add_node(FLEET, OpenLoopFleet::new(cfg));
+        sim.run_until_idle();
+        sim.with_actor::<OpenLoopFleet, _>(FLEET, |fleet, ctx| fleet.start(ctx));
+        sim.run_for(SimDuration::from_millis(100));
+        sim.with_actor::<OpenLoopFleet, _>(FLEET, |fleet, _| fleet.stop());
+        sim
+    }
+
+    #[test]
+    fn a_short_freeze_fails_no_request() {
+        // Rank 0 is frozen for 300 ms: a request that backs off outlasts
+        // it, one that re-sends every 5 ms spends 16 attempts in 80 ms.
+        let frozen_until = SimTime::from_micros(300_000);
+        let mut sim = fleet_for_100ms(cfg(4, 0.0), frozen_until);
+        sim.run_for(SimDuration::from_secs(10));
+        let stats = &sim.actor::<OpenLoopFleet>(FLEET).stats;
+        assert!(stats.started > 50, "{stats:?}");
+        assert!(stats.retries > 0, "{stats:?}");
+        assert_eq!(stats.failed, 0, "{stats:?}");
+        assert_eq!(stats.done, stats.started, "{stats:?}");
+    }
+
+    #[test]
+    fn an_unroutable_rank_parks_requests_until_the_mdsmap() {
+        // Rank 0 has no node until a snapshot names one.
+        let mut cfg = cfg(4, 0.0);
+        cfg.mds_nodes.clear();
+        let mut sim = fleet_for_100ms(cfg, SimTime::ZERO);
+        sim.run_for(SimDuration::from_millis(100));
+        let withheld = sim.actor::<OpenLoopFleet>(FLEET).stats.started;
+        assert!(withheld > 50, "{withheld} arrivals");
+        assert!(sim.actor::<StandInMds>(MDS).seen.is_empty());
+        let entries = [("mds.0".to_string(), b"node=20,up=1".to_vec())];
+        let snap = MapSnapshot {
+            map: SERVICE_MAP_MDS.to_string(),
+            epoch: 1,
+            entries: entries.into_iter().collect(),
+        };
+        let adopted = sim.now();
+        sim.inject(FLEET, MonMsg::Snapshot(snap));
+        sim.run_for(SimDuration::from_secs(1));
+        let stats = &sim.actor::<OpenLoopFleet>(FLEET).stats;
+        // Each withheld arrival counted once and went out on the snapshot,
+        // not on a poll that happened to follow it.
+        assert_eq!(stats.unroutable, withheld, "{stats:?}");
+        assert_eq!(stats.done, withheld, "{stats:?}");
+        let seen = &sim.actor::<StandInMds>(MDS).seen;
+        assert_eq!(seen.len() as u64, withheld);
+        let one_hop = SimDuration::from_millis(1);
+        assert!(
+            seen.iter().all(|at| at.since(adopted) < one_hop),
+            "{seen:?}"
+        );
     }
 }

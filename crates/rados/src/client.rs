@@ -7,9 +7,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use mala_consensus::{MonMsg, SERVICE_MAP_OSD};
-use mala_sim::{
-    counter, Actor, Context, Deadlines, IdMap, NodeId, Sim, SimDuration, SimTime, SpanContext,
-};
+use mala_sim::{counter, Actor, Context, NodeId, Requests, Sim, SimDuration, SimTime, SpanContext};
 
 use crate::object::ObjectId;
 use crate::ops::{OpResult, OsdError, Transaction};
@@ -45,15 +43,9 @@ struct InFlight<W> {
     /// The request as every (re)transmission carries it: one allocation,
     /// shared with the messages and whoever receives them.
     req: Rc<(ObjectId, Transaction)>,
-    attempts: u32,
-    /// Submission time; [`REQUEST_DEADLINE`] later the request completes
-    /// with [`OsdError::Timeout`].
+    /// Submission time, for the latency; the request's deadline is
+    /// [`REQUEST_DEADLINE`] later.
     submitted_at: SimTime,
-    /// Waiting for a map with epoch > this before retrying.
-    blocked_on_epoch: Option<u64>,
-    /// When the next retransmission is due: the request's entry in
-    /// [`RadosClient::retries`].
-    retry_at: Option<SimTime>,
     /// The `rados.op` span covering submission → completion; travels on
     /// every (re)transmission so the OSD parents its work under it.
     span: Option<SpanContext>,
@@ -68,9 +60,10 @@ pub struct RadosClient<W = ()> {
     monitor: NodeId,
     map: OsdMapView,
     next_reqid: u64,
-    inflight: IdMap<u64, InFlight<W>>,
-    /// Retransmit deadlines of the requests in flight, by request id.
-    retries: Deadlines<u64>,
+    /// The requests in flight by request id: each one's retransmit is its
+    /// look, and one parked waits for a map with an epoch above the one it
+    /// names.
+    inflight: Requests<InFlight<W>, u64>,
     /// Completions not yet collected, by request id: ordered, so draining
     /// them never lets hash order decide what the caller does first.
     completed: BTreeMap<u64, ClientEvent<W>>,
@@ -98,8 +91,7 @@ impl<W> RadosClient<W> {
             monitor,
             map: OsdMapView::default(),
             next_reqid: 1,
-            inflight: IdMap::default(),
-            retries: Deadlines::new(RETRY_TOKEN_BASE),
+            inflight: Requests::new(RETRY_TOKEN_BASE),
             completed: BTreeMap::new(),
         }
     }
@@ -124,18 +116,14 @@ impl<W> RadosClient<W> {
         self.next_reqid += 1;
         let span = ctx.span_start("rados.op", parent);
         ctx.span_tag(span, "oid", &oid.name);
-        self.inflight.insert(
-            reqid,
-            InFlight {
-                req: Rc::new((oid, txn)),
-                attempts: 0,
-                submitted_at: ctx.now(),
-                blocked_on_epoch: None,
-                retry_at: None,
-                span: Some(span),
-                waiter,
-            },
-        );
+        let inflight = InFlight {
+            req: Rc::new((oid, txn)),
+            submitted_at: ctx.now(),
+            span: Some(span),
+            waiter,
+        };
+        self.inflight
+            .insert(reqid, inflight, ctx.now() + REQUEST_DEADLINE);
         self.dispatch(ctx, reqid);
         reqid
     }
@@ -164,7 +152,7 @@ impl<W> RadosClient<W> {
     /// The waiter of `reqid`, while the request is in flight or its
     /// completion uncollected.
     pub fn waiter(&self, reqid: u64) -> Option<&W> {
-        match self.inflight.get(&reqid) {
+        match self.inflight.get(reqid) {
             Some(inflight) => Some(&inflight.waiter),
             None => self.completed.get(&reqid).map(|event| &event.waiter),
         }
@@ -173,7 +161,7 @@ impl<W> RadosClient<W> {
     /// Every request in flight or uncollected with its waiter, in no
     /// particular order.
     pub fn waiters(&self) -> impl Iterator<Item = (u64, &W)> {
-        let inflight = self.inflight.iter().map(|(reqid, f)| (*reqid, &f.waiter));
+        let inflight = self.inflight.iter().map(|(reqid, f)| (reqid, &f.waiter));
         inflight.chain(self.completed.iter().map(|(reqid, e)| (*reqid, &e.waiter)))
     }
 
@@ -201,10 +189,9 @@ impl<W> RadosClient<W> {
     /// route; a reply still on the wire finds no request.
     pub fn cancel(&mut self, ctx: &mut Context<'_>, reqid: u64) {
         self.completed.remove(&reqid);
-        let Some(inflight) = self.inflight.remove(&reqid) else {
+        let Some(inflight) = self.inflight.remove(reqid) else {
             return;
         };
-        self.retries.disarm(reqid, inflight.retry_at);
         if let Some(span) = inflight.span {
             ctx.span_tag(span, "cancelled", "true");
             ctx.span_end(span);
@@ -225,17 +212,16 @@ impl<W> RadosClient<W> {
         }
     }
 
-    /// Completes `reqid` and drops its retransmit deadline.
+    /// Completes `reqid`, its retransmit and park entry dropped with it.
     fn complete(
         &mut self,
         ctx: &mut Context<'_>,
         reqid: u64,
         result: Result<Vec<OpResult>, OsdError>,
     ) {
-        let Some(inflight) = self.inflight.remove(&reqid) else {
+        let Some(inflight) = self.inflight.remove(reqid) else {
             return;
         };
-        self.retries.disarm(reqid, inflight.retry_at);
         let latency = ctx.now().since(inflight.submitted_at);
         if let Some(span) = inflight.span {
             if result.is_err() {
@@ -262,18 +248,22 @@ impl<W> RadosClient<W> {
     }
 
     fn dispatch(&mut self, ctx: &mut Context<'_>, reqid: u64) {
-        let Some(inflight) = self.inflight.get_mut(&reqid) else {
+        let Some(deadline) = self.inflight.deadline(reqid) else {
             return;
         };
-        if ctx.now() >= inflight.submitted_at + REQUEST_DEADLINE {
+        if ctx.now() >= deadline {
             self.complete(ctx, reqid, Err(OsdError::Timeout));
             return;
         }
-        inflight.attempts += 1;
-        let attempts = inflight.attempts;
+        let Some(attempts) = self.inflight.charge(reqid) else {
+            return;
+        };
         if attempts > 1 {
             ctx.metrics().bump(counter!("client.retries"), 1);
         }
+        let Some(inflight) = self.inflight.get(reqid) else {
+            return;
+        };
         let req = Rc::clone(&inflight.req);
         let span = inflight.span;
         let acting = self.map.acting_set_of(&req.0);
@@ -300,9 +290,7 @@ impl<W> RadosClient<W> {
             }
             None => {
                 // No usable map yet: block until a newer epoch arrives.
-                if let Some(inflight) = self.inflight.get_mut(&reqid) {
-                    inflight.blocked_on_epoch = Some(self.map.epoch);
-                }
+                self.inflight.park(reqid, self.map.epoch);
                 self.fetch_map(ctx);
             }
         }
@@ -310,10 +298,7 @@ impl<W> RadosClient<W> {
         // fetch may be lost. When it comes due the request backs off and
         // goes out again.
         let at = ctx.now() + ctx.backoff(RETRY_BASE, RETRY_CAP, attempts - 1);
-        if let Some(inflight) = self.inflight.get_mut(&reqid) {
-            let was = inflight.retry_at.replace(at);
-            self.retries.arm(ctx, reqid, was, at);
-        }
+        self.inflight.look(ctx, reqid, at);
     }
 
     /// Asks the monitor for the full osdmap.
@@ -323,22 +308,12 @@ impl<W> RadosClient<W> {
     }
 
     fn on_new_map(&mut self, ctx: &mut Context<'_>) {
-        let mut retry: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|(_, f)| match f.blocked_on_epoch {
-                Some(epoch) => self.map.epoch > epoch,
-                None => false,
-            })
-            .map(|(reqid, _)| *reqid)
-            .collect();
-        // `dispatch` sends and draws from the RNG: hash order must not
-        // decide which request goes first.
+        let epoch = self.map.epoch;
+        let mut retry = self.inflight.unpark(|&below| epoch > below);
+        // `dispatch` sends and draws from the RNG; the seeds' event order
+        // has the requests go in ascending reqid order, not park order.
         retry.sort_unstable();
         for reqid in retry {
-            if let Some(f) = self.inflight.get_mut(&reqid) {
-                f.blocked_on_epoch = None;
-            }
             self.dispatch(ctx, reqid);
         }
     }
@@ -406,23 +381,24 @@ impl<W: 'static> Actor for RadosClient<W> {
         let OsdMsg::ClientReply { reqid, result, .. } = *msg else {
             return;
         };
-        let Some(inflight) = self.inflight.get_mut(&reqid) else {
+        if !self.inflight.contains_key(reqid) {
             return;
-        };
-        // Retry on a newer map; the retransmit timer stays armed in case
-        // the fetch is lost.
-        inflight.blocked_on_epoch = match result {
+        }
+        // Retry on a newer map; the retransmit stays armed in case the
+        // fetch is lost.
+        let below = match result {
             // Once we hold a map at least as new as the OSD's.
             Err(OsdError::StaleEpoch { current }) => {
                 ctx.metrics()
                     .bump(counter!("client.stale_epoch_retries"), 1);
-                Some(current - 1)
+                current - 1
             }
             // Mis-routed: our map disagrees with the cluster's (the OSD may
             // be ahead of us, or we raced a failover): on any newer epoch.
-            Err(OsdError::NotPrimary) | Err(OsdError::NotReady) => Some(self.map.epoch),
+            Err(OsdError::NotPrimary) | Err(OsdError::NotReady) => self.map.epoch,
             other => return self.complete(ctx, reqid, other),
         };
+        self.inflight.park(reqid, below);
         self.fetch_map(ctx);
     }
 
@@ -430,15 +406,11 @@ impl<W: 'static> Actor for RadosClient<W> {
         if token != RETRY_TOKEN_BASE {
             return;
         }
-        while let Some(reqid) = self.retries.pop_due(ctx) {
-            let Some(inflight) = self.inflight.get_mut(&reqid) else {
-                continue;
-            };
+        while let Some(reqid) = self.inflight.pop_due(ctx) {
             // The attempt (or its reply, or the map fetch) was lost or is
             // too slow; unblock and go again. dispatch() enforces the
             // deadline.
-            inflight.retry_at = None;
-            inflight.blocked_on_epoch = None;
+            self.inflight.unpark_id(reqid);
             self.dispatch(ctx, reqid);
         }
     }

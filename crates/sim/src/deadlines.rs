@@ -6,8 +6,9 @@
 //! ordered set behind a single timer token, so an item that finishes early
 //! takes its entry out of the set and leaves nothing in the scheduler.
 //!
-//! The owner keeps each entry's time in its own record (`was`) and hands it
-//! back when it moves or removes the entry; the set holds no second index.
+//! The owner, a [`crate::Requests`], keeps each entry's time (`was`) and
+//! hands it back when it moves or removes the entry; the set holds no
+//! second index.
 //!
 //! Two invariants:
 //!

@@ -48,6 +48,7 @@ pub mod linearize;
 pub mod metrics;
 pub mod nemesis;
 pub mod net;
+pub mod requests;
 pub mod time;
 pub mod trace;
 
@@ -60,6 +61,7 @@ pub use idmap::{IdMap, IdSet};
 pub use metrics::{CounterName, Hist, Metrics};
 pub use nemesis::{Fault, FaultSchedule, FaultTargets, Nemesis};
 pub use net::{NetConfig, Network};
+pub use requests::Requests;
 pub use sched::Sim;
 pub use time::{SimDuration, SimTime};
 pub use trace::{SpanContext, SpanId, SpanRecord, TraceId, Tracer};

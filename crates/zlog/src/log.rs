@@ -20,7 +20,7 @@ use mala_rados::{ObjectId, Op, OpResult, OsdError, RadosClient};
 use mala_sim::history::Recorder;
 use mala_sim::linearize::{LogOp, LogRead, LogRet};
 use mala_sim::{
-    counter, Actor, Context, Deadlines, IdMap, NodeId, Sim, SimDuration, SimTime, SpanContext,
+    counter, Actor, Context, IdMap, NodeId, Requests, Sim, SimDuration, SimTime, SpanContext,
     TimerHandle,
 };
 
@@ -208,12 +208,6 @@ enum Stage {
 struct PendingOp {
     kind: OpKind,
     stage: Stage,
-    attempts: u32,
-    /// Hard deadline; the watchdog fails the op at it.
-    deadline: SimTime,
-    /// When the watchdog looks at the op next: its entry in
-    /// [`ZlogClient::watch`], if it holds one.
-    watch: Option<SimTime>,
     /// Client-internal op (hole fill): completion is dropped, never
     /// surfaced as a result.
     internal: bool,
@@ -478,8 +472,8 @@ impl Names {
 
 /// The append-queue flush-window timer.
 const TOKEN_FLUSH: u64 = 1;
-/// The watchdog's one timer ([`ZlogClient::watch`]). Both sit below the
-/// embedded RADOS client's token (`1 << 48`).
+/// The watchdog's one timer, for the looks of [`ZlogClient::ops`]. Both
+/// sit below the embedded RADOS client's token (`1 << 48`).
 const TOKEN_WATCH: u64 = 2;
 
 /// First watchdog delay; doubles per attempt up to [`RETRY_CAP`].
@@ -506,18 +500,14 @@ pub struct ZlogClient {
     /// authoritative rank of the sequencer inode.
     router: SeqRouter,
     seq_ino: Option<Ino>,
-    ops: IdMap<u64, PendingOp>,
-    /// When the watchdog looks at each entry of `ops` next, by op id.
-    watch: Deadlines<u64>,
+    /// Every op in flight: its watchdog is its look, and a parked one goes
+    /// again once a newer epoch or a fresh mdsmap arrives.
+    ops: Requests<PendingOp, Park>,
     results: IdMap<u64, AppendResult>,
     next_op: u64,
     next_seq: u64,
     /// MDS reqid → op id routing.
     mds_waiting: IdMap<u64, u64>,
-    /// Ops waiting for a newer epoch or a fresh mdsmap, in park order;
-    /// re-driven as soon as it arrives instead of sitting out the
-    /// watchdog backoff.
-    parked: Vec<(u64, Park)>,
     /// Pipelined append tuning.
     batch_cfg: BatchConfig,
     /// Ops in [`Stage::Queued`], awaiting a flush.
@@ -543,13 +533,11 @@ impl ZlogClient {
             config,
             epoch: 0,
             seq_ino: None,
-            ops: IdMap::default(),
-            watch: Deadlines::new(TOKEN_WATCH),
+            ops: Requests::new(TOKEN_WATCH),
             results: IdMap::default(),
             next_op: 1,
             next_seq: 1,
             mds_waiting: IdMap::default(),
-            parked: Vec::new(),
             batch_cfg: BatchConfig::default(),
             append_queue: Vec::new(),
             flush_timer: None,
@@ -609,14 +597,13 @@ impl ZlogClient {
     }
 
     /// Whether the client holds no work and no trace of any: no pending
-    /// op, reply route, RADOS request still being retransmitted,
-    /// uncollected completion, parked entry or queued append.
+    /// op (nor its park entry), reply route, RADOS request still being
+    /// retransmitted, uncollected completion or queued append.
     pub fn is_idle(&self) -> bool {
         self.ops.is_empty()
             && !self.rados.holds_requests()
             && !self.rados.holds_completions()
             && self.mds_waiting.is_empty()
-            && self.parked.is_empty()
             && self.append_queue.is_empty()
     }
 
@@ -626,7 +613,7 @@ impl ZlogClient {
     /// every op, so it is for tests, not for a serving path.
     pub fn check_routes(&self) -> Result<(), String> {
         let mut listed = 0;
-        for (&op, pending) in &self.ops {
+        for (op, pending) in self.ops.iter() {
             for (i, route) in pending.held.iter().enumerate() {
                 let to = match route {
                     Route::Rados(reqid) => self.rados.waiter(reqid),
@@ -653,7 +640,7 @@ impl ZlogClient {
     // ---- op starters ----
 
     fn begin(&mut self, ctx: &mut Context<'_>, kind: OpKind, stage: Stage) -> u64 {
-        let op = self.insert_op(ctx, kind, stage);
+        let op = self.insert_op(ctx, kind, stage, ctx.now() + OP_DEADLINE);
         // Every op runs under a watchdog: lost replies anywhere in the
         // chain (MDS, monitor, OSD) re-drive it with backoff instead of
         // hanging forever.
@@ -662,7 +649,13 @@ impl ZlogClient {
     }
 
     /// Enters a new op into the table, watchdog not yet armed.
-    fn insert_op(&mut self, ctx: &mut Context<'_>, kind: OpKind, stage: Stage) -> u64 {
+    fn insert_op(
+        &mut self,
+        ctx: &mut Context<'_>,
+        kind: OpKind,
+        stage: Stage,
+        deadline: SimTime,
+    ) -> u64 {
         let op = self.next_op;
         self.next_op += 1;
         // The model op holds a copy of an append's payload: built only for
@@ -671,24 +664,19 @@ impl ZlogClient {
             let logop = log_op_of(&kind)?;
             Some(rec.invoke(u64::from(ctx.me().0), ctx.now(), logop))
         });
-        self.ops.insert(
-            op,
-            PendingOp {
-                kind,
-                stage,
-                attempts: 0,
-                deadline: ctx.now() + OP_DEADLINE,
-                watch: None,
-                internal: false,
-                hist,
-                multi_hist: Vec::new(),
-                cursor: None,
-                seal_hist: None,
-                span: None,
-                queue_span: None,
-                held: Held::default(),
-            },
-        );
+        let pending = PendingOp {
+            kind,
+            stage,
+            internal: false,
+            hist,
+            multi_hist: Vec::new(),
+            cursor: None,
+            seal_hist: None,
+            span: None,
+            queue_span: None,
+            held: Held::default(),
+        };
+        self.ops.insert(op, pending, deadline);
         op
     }
 
@@ -700,20 +688,20 @@ impl ZlogClient {
     /// exponential backoff with jitter from the sim's seeded RNG, or
     /// failed at its deadline if that comes first.
     fn arm_watchdog(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let Some(pending) = self.ops.get_mut(&op) else {
+        let (Some(pending), Some(deadline)) = (self.ops.get(op), self.ops.deadline(op)) else {
             return;
         };
         let at = match pending.stage {
-            Stage::Queued | Stage::InBatch { .. } | Stage::BatchWrite { .. } => pending.deadline,
+            Stage::Queued | Stage::InBatch { .. } | Stage::BatchWrite { .. } => deadline,
             _ => {
-                let delay = ctx.backoff(RETRY_BASE, RETRY_CAP, pending.attempts);
-                pending.deadline.min(ctx.now() + delay)
+                let delay = ctx.backoff(RETRY_BASE, RETRY_CAP, self.ops.attempts(op));
+                deadline.min(ctx.now() + delay)
             }
         };
         if at == NO_DEADLINE {
-            self.watch.disarm(op, pending.watch.take());
+            self.ops.unlook(op);
         } else {
-            self.watch.arm(ctx, op, pending.watch.replace(at), at);
+            self.ops.look(ctx, op, at);
         }
     }
 
@@ -757,7 +745,7 @@ impl ZlogClient {
         let op = self.begin(ctx, OpKind::Append { data }, Stage::Queued);
         let root = ctx.span_start("zlog.append", None);
         let queue = ctx.span_start("zlog.queue", Some(root));
-        if let Some(pending) = self.ops.get_mut(&op) {
+        if let Some(pending) = self.ops.get_mut(op) {
             pending.span = Some(root);
             pending.queue_span = Some(queue);
         }
@@ -810,7 +798,7 @@ impl ZlogClient {
         };
         let op = self.begin(ctx, kind, stage);
         let span = ctx.span_start("zlog.read_batch", None);
-        if let Some(pending) = self.ops.get_mut(&op) {
+        if let Some(pending) = self.ops.get_mut(op) {
             pending.internal = cursor.is_some();
             pending.cursor = cursor;
             pending.span = Some(span);
@@ -886,7 +874,7 @@ impl ZlogClient {
     pub fn cursor_next_batch(&mut self, ctx: &mut Context<'_>, id: u64, max: usize) -> u64 {
         let op = self.begin(ctx, OpKind::CursorBatch, Stage::CursorWait);
         let span = ctx.span_start("zlog.cursor_batch", None);
-        if let Some(pending) = self.ops.get_mut(&op) {
+        if let Some(pending) = self.ops.get_mut(op) {
             pending.span = Some(span);
             pending.cursor = Some(id);
         }
@@ -965,7 +953,7 @@ impl ZlogClient {
             _ => return,
         };
         if let Some(&op) = self.mds_waiting.get(&reqid) {
-            self.park(op, Park::MdsMap);
+            self.ops.park(op, Park::MdsMap);
         }
     }
 
@@ -993,7 +981,7 @@ impl ZlogClient {
     fn on_mds_transient(&mut self, ctx: &mut Context<'_>, op: u64, e: &MdsError) {
         if let MdsError::MdsUnavailable { rank } = e {
             self.router.invalidate_rank(*rank);
-            self.park(op, Park::MdsMap);
+            self.ops.park(op, Park::MdsMap);
         }
         // Kept as found: a batch pays an attempt and counts a retry for a
         // transient reply, a single op does neither.
@@ -1051,14 +1039,14 @@ impl ZlogClient {
         if let Route::Mds(reqid) = route {
             self.mds_waiting.insert(reqid, op);
         }
-        if let Some(pending) = self.ops.get_mut(&op) {
+        if let Some(pending) = self.ops.get_mut(op) {
             pending.held.push(route);
         }
     }
 
     /// `op` no longer lists `route`: a reply consumed it.
     fn unlist(&mut self, op: u64, route: Route) {
-        if let Some(pending) = self.ops.get_mut(&op) {
+        if let Some(pending) = self.ops.get_mut(op) {
             pending.held.remove(route);
         }
     }
@@ -1095,19 +1083,16 @@ impl ZlogClient {
         ambiguous_hint: bool,
     ) {
         let now = ctx.now();
-        let Some(pending) = self.ops.remove(&op) else {
-            return;
-        };
-        // Kept as found (DESIGN §23): an entry at the op's deadline, a
+        // Kept as found (DESIGN §23): a look at the op's deadline, a
         // minute away, goes with the op; one a backoff away is left to
         // come due at nothing.
-        if pending.watch == Some(pending.deadline) {
-            self.watch.disarm(op, pending.watch);
-        }
+        let Some(pending) = self.ops.remove_leaving_backoff(op) else {
+            return;
+        };
         if let AppendResult::Err(msg) = &result {
-            // The op may die with requests out or parked: late replies
+            // The op may die parked or with requests out: late replies
             // must find no route.
-            self.forget_requests(ctx, op, &pending.held);
+            self.forget_requests(ctx, &pending.held);
             // A batch only fails before any write went out, so it takes
             // its members with it, definitely failed.
             if let OpKind::Batch { members } = &pending.kind {
@@ -1218,7 +1203,7 @@ impl ZlogClient {
     /// if any: an `InBatch` member dying mid-write is ambiguous at that
     /// position.
     fn inflight_batch_pos(&self, batch: u64, op: u64) -> Option<u64> {
-        let pending = self.ops.get(&batch)?;
+        let pending = self.ops.get(batch)?;
         let (OpKind::Batch { members }, Stage::BatchWrite { groups }) =
             (&pending.kind, &pending.stage)
         else {
@@ -1232,12 +1217,12 @@ impl ZlogClient {
     }
 
     fn is_batch(&self, op: u64) -> bool {
-        matches!(self.ops.get(&op), Some(p) if matches!(p.kind, OpKind::Batch { .. }))
+        matches!(self.ops.get(op), Some(p) if matches!(p.kind, OpKind::Batch { .. }))
     }
 
     /// Closes the open probe-seal fill record on `op`, if any.
     fn close_seal_hist(&mut self, now: SimTime, op: u64, how: SealClose) {
-        let Some(pending) = self.ops.get_mut(&op) else {
+        let Some(pending) = self.ops.get_mut(op) else {
             return;
         };
         let Some(id) = pending.seal_hist.take() else {
@@ -1297,7 +1282,7 @@ impl ZlogClient {
     /// (Re-)starts namespace setup from the top: mkdir/create tolerate
     /// `Exists`, so replaying is safe.
     fn step_setup(&mut self, ctx: &mut Context<'_>, op: u64) {
-        if let Some(p) = self.ops.get_mut(&op) {
+        if let Some(p) = self.ops.get_mut(op) {
             p.stage = Stage::SetupDir;
         }
         let reqid = self.mds_reqid(op);
@@ -1318,7 +1303,7 @@ impl ZlogClient {
     /// second seal; the seal joined may be one whose epoch this client
     /// already runs under.
     fn step_recover(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let Some(pending) = self.ops.get(&op) else {
+        let Some(pending) = self.ops.get(op) else {
             return;
         };
         let sealed = match pending.stage {
@@ -1333,7 +1318,7 @@ impl ZlogClient {
             }
             Some((epoch, _)) => {
                 // Re-driven once the client's epoch passes the one below.
-                self.park(op, Park::Epoch(epoch - 1));
+                self.ops.park(op, Park::Epoch(epoch - 1));
                 self.fetch_epoch(ctx);
             }
         }
@@ -1349,7 +1334,7 @@ impl ZlogClient {
     /// lost it can seal only once a client sends it again.
     fn send_seq_op(&mut self, ctx: &mut Context<'_>, op: u64, verb: SeqOp, stage: Stage) {
         let Some(ino) = self.seq_ino else {
-            if let Some(p) = self.ops.get_mut(&op) {
+            if let Some(p) = self.ops.get_mut(op) {
                 p.stage = Stage::ResolveSeq;
             }
             self.send_resolve(ctx, op, None);
@@ -1357,7 +1342,7 @@ impl ZlogClient {
         };
         // Re-entered after a lazy resolve: move the stage back so the
         // TypeOpReply is not dropped by the ResolveSeq arm's catch-all.
-        if let Some(p) = self.ops.get_mut(&op) {
+        if let Some(p) = self.ops.get_mut(op) {
             p.stage = stage;
         }
         self.register_layout(ctx, ino);
@@ -1375,7 +1360,7 @@ impl ZlogClient {
 
     /// (Re-)issues a fill's one call.
     fn step_fill(&mut self, ctx: &mut Context<'_>, op: u64) {
-        if let Some(OpKind::Fill { pos }) = self.ops.get(&op).map(|p| &p.kind) {
+        if let Some(OpKind::Fill { pos }) = self.ops.get(op).map(|p| &p.kind) {
             let pos = *pos;
             self.call_cell(ctx, op, Method::Fill, pos);
         }
@@ -1386,7 +1371,7 @@ impl ZlogClient {
     /// stripe order.
     fn step_read_batch(&mut self, ctx: &mut Context<'_>, op: u64) {
         let width = u64::from(self.config.stripe_width).max(1);
-        let Some(positions) = self.ops.get(&op).and_then(|p| p.kind.read_positions()) else {
+        let Some(positions) = self.ops.get(op).and_then(|p| p.kind.read_positions()) else {
             return;
         };
         if positions.is_empty() {
@@ -1406,7 +1391,7 @@ impl ZlogClient {
             rest = tail;
             groups += 1;
         }
-        if let Some(pending) = self.ops.get_mut(&op) {
+        if let Some(pending) = self.ops.get_mut(op) {
             pending.stage = Stage::ReadVector {
                 outstanding: groups,
                 parts: Vec::with_capacity(groups),
@@ -1428,7 +1413,7 @@ impl ZlogClient {
 
     /// (Re-)issues the per-stripe `trim_upto` fan of a prefix trim.
     fn step_trim_upto(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let Some(pending) = self.ops.get_mut(&op) else {
+        let Some(pending) = self.ops.get_mut(op) else {
             return;
         };
         let OpKind::TrimUpto { pos } = pending.kind else {
@@ -1457,7 +1442,7 @@ impl ZlogClient {
     }
 
     fn step_checkpoint(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let Some(pending) = self.ops.get(&op) else {
+        let Some(pending) = self.ops.get(op) else {
             return;
         };
         let OpKind::Checkpoint { pos, blob } = pending.kind.clone() else {
@@ -1479,7 +1464,7 @@ impl ZlogClient {
         let Some(rec) = &self.history else {
             return;
         };
-        let Some(pending) = self.ops.get(&op) else {
+        let Some(pending) = self.ops.get(op) else {
             return;
         };
         let OpKind::ReadBatch { positions } = &pending.kind else {
@@ -1491,7 +1476,7 @@ impl ZlogClient {
             .iter()
             .map(|&pos| (rec.invoke(client, now, LogOp::Read { pos }), pos))
             .collect();
-        if let Some(pending) = self.ops.get_mut(&op) {
+        if let Some(pending) = self.ops.get_mut(op) {
             pending.multi_hist = ids;
         }
     }
@@ -1584,7 +1569,7 @@ impl ZlogClient {
             cursor.ckpt_inflight = true;
         }
         let op = self.begin(ctx, OpKind::CheckpointRead, Stage::CkptRead);
-        if let Some(pending) = self.ops.get_mut(&op) {
+        if let Some(pending) = self.ops.get_mut(op) {
             pending.internal = true;
             pending.cursor = Some(id);
         }
@@ -1597,7 +1582,7 @@ impl ZlogClient {
             cursor.tail_inflight = true;
         }
         let op = self.begin(ctx, OpKind::CheckTail, Stage::Tail);
-        if let Some(pending) = self.ops.get_mut(&op) {
+        if let Some(pending) = self.ops.get_mut(op) {
             pending.internal = true;
             pending.cursor = Some(id);
         }
@@ -1623,7 +1608,7 @@ impl ZlogClient {
         }
         ctx.metrics().bump(counter!("zlog.cursor_hole_fills"), 1);
         let op = self.begin(ctx, OpKind::Fill { pos }, Stage::Mutate);
-        if let Some(pending) = self.ops.get_mut(&op) {
+        if let Some(pending) = self.ops.get_mut(op) {
             pending.internal = true;
             pending.cursor = Some(id);
         }
@@ -1705,7 +1690,7 @@ impl ZlogClient {
         // Leaving WriteSeal with the fill unresolved (lost reply): the
         // fill may still apply, so its record closes as unknown.
         self.close_seal_hist(ctx.now(), op, SealClose::Unknown);
-        let Some(pending) = self.ops.get_mut(&op) else {
+        let Some(pending) = self.ops.get_mut(op) else {
             return;
         };
         pending.stage = Stage::WriteProbe { pos };
@@ -1719,13 +1704,13 @@ impl ZlogClient {
     fn enter_write_seal(&mut self, ctx: &mut Context<'_>, op: u64, pos: u64) {
         let client = u64::from(ctx.me().0);
         let now = ctx.now();
-        let Some(pending) = self.ops.get_mut(&op) else {
+        let Some(pending) = self.ops.get_mut(op) else {
             return;
         };
         pending.stage = Stage::WriteSeal { pos };
         if let Some(rec) = &self.history {
             let id = rec.invoke(client, now, LogOp::Fill { pos });
-            if let Some(pending) = self.ops.get_mut(&op) {
+            if let Some(pending) = self.ops.get_mut(op) {
                 pending.seal_hist = Some(id);
             }
         }
@@ -1738,7 +1723,7 @@ impl ZlogClient {
     /// else, or fenced by our fill): retry the append at a fresh one, as a
     /// batch of one that skips the queue.
     fn retry_fresh_pos(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let Some(pending) = self.ops.get_mut(&op) else {
+        let Some(pending) = self.ops.get_mut(op) else {
             return;
         };
         // The old position is resolved as not-applied and no new write
@@ -1779,7 +1764,7 @@ impl ZlogClient {
             Some(epoch) if epoch > self.epoch => {
                 self.epoch = epoch;
                 let newer = |park: &Park| matches!(*park, Park::Epoch(e) if epoch > e);
-                for op in self.unpark(newer) {
+                for op in self.ops.unpark(newer) {
                     self.restart_op(ctx, op);
                 }
             }
@@ -1799,54 +1784,29 @@ impl ZlogClient {
     /// this, an op withheld because its rank was unroutable would sit out
     /// the full watchdog backoff after the fresh map arrived.
     fn redrive_parked_on_mdsmap(&mut self, ctx: &mut Context<'_>) {
-        let mut parked = self.unpark(|park| *park == Park::MdsMap);
+        let mut parked = self.ops.unpark(|park| *park == Park::MdsMap);
         // Single ops go before batches, each in park order: the event
         // order of every seed so far depends on it.
         parked.sort_by_key(|op| self.is_batch(*op));
         for op in parked {
-            if self.ops.contains_key(&op) {
+            if self.ops.contains_key(op) {
                 ctx.metrics().bump(counter!("zlog.mdsmap_redrives"), 1);
                 self.redrive_op(ctx, op);
             }
         }
     }
 
-    /// Parks `op` until what `park` names arrives. An op holds one entry:
-    /// parking it again replaces what it waits for and keeps its place, so
-    /// a fan bounced on every stripe goes again once.
-    fn park(&mut self, op: u64, park: Park) {
-        match self.parked.iter_mut().find(|(o, _)| *o == op) {
-            Some(entry) => entry.1 = park,
-            None => self.parked.push((op, park)),
-        }
-    }
-
-    /// Takes the entries `due` selects off the park list, the rest staying
-    /// in order, and returns their ops in park order.
-    fn unpark(&mut self, due: impl Fn(&Park) -> bool) -> Vec<u64> {
-        let mut ops = Vec::new();
-        self.parked.retain(|(op, park)| {
-            let stay = !due(park);
-            if !stay {
-                ops.push(*op);
-            }
-            stay
-        });
-        ops
-    }
-
     /// Charges `op` one attempt of its retry budget. Past the budget the
     /// op fails — a batch with all its members — and `false` comes back.
     fn burn_attempt(&mut self, ctx: &mut Context<'_>, op: u64) -> bool {
-        let Some(pending) = self.ops.get_mut(&op) else {
+        let Some(attempts) = self.ops.charge(op) else {
             return false;
         };
-        pending.attempts += 1;
-        if pending.attempts <= MAX_ATTEMPTS {
+        if attempts <= MAX_ATTEMPTS {
             return true;
         }
-        let msg = match pending.kind {
-            OpKind::Batch { .. } => "bulk grant: too many retries",
+        let msg = match self.ops.get(op).map(|pending| &pending.kind) {
+            Some(OpKind::Batch { .. }) => "bulk grant: too many retries",
             _ => "too many retries",
         };
         self.fail_auto(ctx, op, msg);
@@ -1865,16 +1825,14 @@ impl ZlogClient {
         self.redrive_op(ctx, op);
     }
 
-    /// Drops the park entry of `op` and the reply routes it `held` (taken
-    /// off the op, or from the op `conclude` removed): its RADOS requests
-    /// are cancelled, so an abandoned request is not retransmitted and its
-    /// completion never comes back. Only what the op holds is walked, so
-    /// forgetting costs what the op has out, not what the client has in
-    /// flight. RADOS requests are cancelled in the order they were held,
+    /// Drops the reply routes an op `held` (taken off the op, or from the op
+    /// `conclude` removed): its RADOS requests are cancelled, so an
+    /// abandoned request is not retransmitted and its completion never
+    /// comes back. Only what the op holds is walked, so forgetting costs
+    /// what the op has out, not what the client has in flight. RADOS requests are cancelled in the order they were held,
     /// ascending reqid order: each cancel ends a span, and hash order would
     /// reorder the trace from run to run.
-    fn forget_requests(&mut self, ctx: &mut Context<'_>, op: u64, held: &Held) {
-        self.parked.retain(|(o, _)| *o != op);
+    fn forget_requests(&mut self, ctx: &mut Context<'_>, held: &Held) {
         for route in held.iter() {
             match route {
                 Route::Rados(reqid) => self.rados.cancel(ctx, reqid),
@@ -1887,7 +1845,7 @@ impl ZlogClient {
     /// attempt budget (the caller decides whether the re-drive is a
     /// retry or externally-driven progress, e.g. a fresh mdsmap).
     fn redrive_op(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let Some(pending) = self.ops.get(&op) else {
+        let Some(pending) = self.ops.get(op) else {
             return;
         };
         if matches!(
@@ -1909,12 +1867,13 @@ impl ZlogClient {
         // requests from earlier attempts: their late replies must not be
         // routed into the fresh attempt's state machine (for a batch, a
         // late duplicate grant must not double-grant).
-        let held = match self.ops.get_mut(&op) {
+        let held = match self.ops.get_mut(op) {
             Some(pending) => std::mem::take(&mut pending.held),
             None => return,
         };
-        self.forget_requests(ctx, op, &held);
-        let Some(pending) = self.ops.get(&op) else {
+        self.ops.unpark_id(op);
+        self.forget_requests(ctx, &held);
+        let Some(pending) = self.ops.get(op) else {
             return;
         };
         match pending.kind {
@@ -1935,7 +1894,7 @@ impl ZlogClient {
             OpKind::CursorBatch => {
                 // The waiter owns no in-flight requests; re-kick the
                 // cursor machinery instead.
-                if let Some(id) = self.ops.get(&op).and_then(|p| p.cursor) {
+                if let Some(id) = self.ops.get(op).and_then(|p| p.cursor) {
                     self.drive_cursor(ctx, id);
                 }
             }
@@ -1953,7 +1912,7 @@ impl ZlogClient {
         op: u64,
         result: Result<Vec<OpResult>, OsdError>,
     ) {
-        if !self.ops.contains_key(&op) {
+        if !self.ops.contains_key(op) {
             return;
         }
         // A timed-out RADOS request (the embedded client exhausted its
@@ -1973,7 +1932,7 @@ impl ZlogClient {
             self.arm_watchdog(ctx, op);
             return;
         }
-        let Some(pending) = self.ops.get_mut(&op) else {
+        let Some(pending) = self.ops.get_mut(op) else {
             return;
         };
         // Epoch guard: sealed object rejected our epoch.
@@ -1985,12 +1944,12 @@ impl ZlogClient {
                     self.close_seal_hist(ctx.now(), op, SealClose::NotApplied);
                 }
                 ctx.metrics().bump(counter!("zlog.estale_retries"), 1);
-                self.park(op, Park::Epoch(self.epoch));
+                self.ops.park(op, Park::Epoch(self.epoch));
                 self.fetch_epoch(ctx);
                 return;
             }
         }
-        let Some(pending) = self.ops.get_mut(&op) else {
+        let Some(pending) = self.ops.get_mut(op) else {
             return;
         };
         match &mut pending.stage {
@@ -2112,7 +2071,7 @@ impl ZlogClient {
     }
 
     fn on_mds_reply(&mut self, ctx: &mut Context<'_>, op: u64, msg: MdsMsg) {
-        let Some(pending) = self.ops.get_mut(&op) else {
+        let Some(pending) = self.ops.get_mut(op) else {
             return;
         };
         match (&mut pending.stage, msg) {
@@ -2213,8 +2172,8 @@ impl ZlogClient {
         let kind = OpKind::Batch {
             members: Vec::new(),
         };
-        let id = self.insert_op(ctx, kind, Stage::BatchGrant { span: None });
-        for op in &members {
+        let id = self.insert_op(ctx, kind, Stage::BatchGrant { span: None }, NO_DEADLINE);
+        for &op in &members {
             if let Some(p) = self.ops.get_mut(op) {
                 p.stage = Stage::InBatch { batch: id };
                 if let Some(queue) = p.queue_span.take() {
@@ -2222,10 +2181,9 @@ impl ZlogClient {
                 }
             }
         }
-        if let Some(batch) = self.ops.get_mut(&id) {
+        if let Some(batch) = self.ops.get_mut(id) {
             batch.kind = OpKind::Batch { members };
             batch.internal = true;
-            batch.deadline = NO_DEADLINE;
         }
         self.redrive_op(ctx, id);
     }
@@ -2239,7 +2197,7 @@ impl ZlogClient {
             return;
         };
         // Members may have died (op deadline) while the batch waited.
-        members.retain(|o| self.ops.contains_key(o));
+        members.retain(|o| self.ops.contains_key(*o));
         let Some(&first) = members.first() else {
             self.finish(ctx, id, AppendResult::Ok(ZlogOut::Done));
             return;
@@ -2248,17 +2206,17 @@ impl ZlogClient {
         // The grant is traced under the first member's append span, once
         // however often it is re-driven; the MDS parents its own work
         // beneath it via the wire.
-        let span = match self.ops.get(&id).map(|batch| &batch.stage) {
+        let span = match self.ops.get(id).map(|batch| &batch.stage) {
             Some(Stage::BatchGrant { span: Some(span) }) => *span,
             _ => {
-                let parent = self.ops.get(&first).and_then(|p| p.span);
+                let parent = self.ops.get(first).and_then(|p| p.span);
                 let span = ctx.span_start("zlog.grant", parent);
                 ctx.span_tag_display(span, "members", n);
                 span
             }
         };
         self.put_members(id, members);
-        if let Some(batch) = self.ops.get_mut(&id) {
+        if let Some(batch) = self.ops.get_mut(id) {
             batch.stage = Stage::BatchGrant { span: Some(span) };
         }
         match self.seq_ino {
@@ -2290,7 +2248,7 @@ impl ZlogClient {
         // Round trips the bulk grant saved over position-at-a-time.
         ctx.metrics().bump(counter!("zlog.grants_saved"), n - 1);
         for (pos, op) in (base..).zip(&members) {
-            if !self.ops.contains_key(op) {
+            if !self.ops.contains_key(*op) {
                 // The member died while the grant was in flight: its cell
                 // would stay a hole nobody owns. Junk-fill it now.
                 self.spawn_hole_fill(ctx, pos);
@@ -2309,7 +2267,7 @@ impl ZlogClient {
             let mut cells = Vec::with_capacity(on_stripe);
             let mut entries: Vec<(u64, &[u8])> = Vec::with_capacity(on_stripe);
             for i in (first..n).step_by(width as usize) {
-                let Some(member) = self.ops.get(&members[i as usize]) else {
+                let Some(member) = self.ops.get(members[i as usize]) else {
                     continue;
                 };
                 cells.push((i as usize, base + i));
@@ -2324,7 +2282,7 @@ impl ZlogClient {
             let oid = self.stripe_oid(pos);
             // One stripe-write span per vectored call, parented under the
             // first member's append; the rados.op rides beneath it.
-            let parent = self.ops.get(&members[lead]).and_then(|p| p.span);
+            let parent = self.ops.get(members[lead]).and_then(|p| p.span);
             let span = ctx.span_start("zlog.stripe_write", parent);
             ctx.span_tag_display(span, "entries", cells.len());
             let reqid = self
@@ -2338,7 +2296,7 @@ impl ZlogClient {
             self.finish(ctx, id, AppendResult::Ok(ZlogOut::Done));
             return;
         }
-        if let Some(batch) = self.ops.get_mut(&id) {
+        if let Some(batch) = self.ops.get_mut(id) {
             batch.stage = Stage::BatchWrite { groups };
         }
         self.arm_watchdog(ctx, id);
@@ -2351,14 +2309,14 @@ impl ZlogClient {
     /// cell up in the batch's in-flight groups only, and finds it there or
     /// not whatever the list holds.
     fn take_members(&mut self, id: u64) -> Option<Vec<u64>> {
-        match &mut self.ops.get_mut(&id)?.kind {
+        match &mut self.ops.get_mut(id)?.kind {
             OpKind::Batch { members } => Some(std::mem::take(members)),
             _ => None,
         }
     }
 
     fn put_members(&mut self, id: u64, members: Vec<u64>) {
-        if let Some(OpKind::Batch { members: slot }) = self.ops.get_mut(&id).map(|p| &mut p.kind) {
+        if let Some(OpKind::Batch { members: slot }) = self.ops.get_mut(id).map(|p| &mut p.kind) {
             *slot = members;
         }
     }
@@ -2381,7 +2339,7 @@ impl ZlogClient {
         reqid: u64,
         result: Result<Vec<OpResult>, OsdError>,
     ) {
-        let Some(Stage::BatchWrite { groups }) = self.ops.get_mut(&id).map(|p| &mut p.stage) else {
+        let Some(Stage::BatchWrite { groups }) = self.ops.get_mut(id).map(|p| &mut p.stage) else {
             return;
         };
         let Some(at) = groups.iter().position(|group| group.reqid == reqid) else {
@@ -2434,7 +2392,7 @@ impl ZlogClient {
     fn probe_cells(&mut self, ctx: &mut Context<'_>, members: &[u64], cells: Vec<(usize, u64)>) {
         for (i, pos) in cells {
             let op = members[i];
-            if self.ops.contains_key(&op) {
+            if self.ops.contains_key(op) {
                 self.enter_write_probe(ctx, op, pos);
             } else {
                 // The member died while the write was in flight; fence its
@@ -2452,7 +2410,7 @@ impl ZlogClient {
             if !self.burn_attempt(ctx, op) {
                 continue;
             }
-            let Some(pending) = self.ops.get_mut(&op) else {
+            let Some(pending) = self.ops.get_mut(op) else {
                 continue;
             };
             pending.stage = Stage::Queued;
@@ -2469,7 +2427,7 @@ impl ZlogClient {
     fn spawn_hole_fill(&mut self, ctx: &mut Context<'_>, pos: u64) {
         ctx.metrics().bump(counter!("zlog.hole_fills"), 1);
         let op = self.begin(ctx, OpKind::Fill { pos }, Stage::Mutate);
-        if let Some(pending) = self.ops.get_mut(&op) {
+        if let Some(pending) = self.ops.get_mut(op) {
             pending.internal = true;
         }
         self.step_fill(ctx, op);
@@ -2559,16 +2517,12 @@ impl Actor for ZlogClient {
         }
         if token == TOKEN_WATCH {
             ctx.metrics().bump(counter!("zlog.watchdog_fires"), 1);
-            while let Some(op) = self.watch.pop_due(ctx) {
-                let Some(pending) = self.ops.get_mut(&op) else {
-                    continue;
-                };
-                pending.watch = None;
+            while let Some(op) = self.ops.pop_due(ctx) {
                 // Queued / batched appends progress through the flush
                 // timer and their batch, and a batch's writes through the
                 // embedded RADOS client's own retransmit/timeout
                 // machinery: such an entry is due at its deadline only.
-                if ctx.now() >= pending.deadline {
+                if self.ops.deadline(op).is_some_and(|at| ctx.now() >= at) {
                     ctx.metrics().bump(counter!("zlog.timeouts"), 1);
                     self.fail_auto(ctx, op, "op deadline exceeded");
                 } else {

@@ -68,7 +68,8 @@ fn client(sim: &Sim) -> &ZlogClient {
 }
 
 fn held(sim: &Sim, op: u64) -> Vec<Route> {
-    client(sim).ops[&op].held.iter().collect()
+    let pending = client(sim).ops.get(op).expect("op is pending");
+    pending.held.iter().collect()
 }
 
 /// Runs until every op in `ops` completed, then checks the client holds
@@ -95,16 +96,17 @@ fn a_batch_redriven_behind_a_silent_sequencer_holds_one_grant_route() {
     let mut sim = build("silent");
     sim.network_mut().sever(CLIENT, MDS0);
     let op = sim.with_actor::<ZlogClient, _>(CLIENT, |c, ctx| c.append(ctx, b"stuck".to_vec()));
-    let Stage::InBatch { batch } = client(&sim).ops[&op].stage else {
+    let Some(&Stage::InBatch { batch }) = client(&sim).ops.get(op).map(|p| &p.stage) else {
         panic!("an append goes out as a batch of one");
     };
     // Each watchdog re-drive of the batch charges it an attempt.
     let deadline = sim.now() + SimDuration::from_secs(30);
-    let redriven = sim.run_until_pred(deadline, |s| client(s).ops[&batch].attempts == REDRIVES);
+    let redriven = sim.run_until_pred(deadline, |s| client(s).ops.attempts(batch) == REDRIVES);
     assert!(redriven, "the batch was not re-driven {REDRIVES} times");
 
     let c = client(&sim);
-    assert!(matches!(c.ops[&op].stage, Stage::InBatch { batch: b } if b == batch));
+    let stage = c.ops.get(op).map(|p| &p.stage);
+    assert!(matches!(stage, Some(&Stage::InBatch { batch: b }) if b == batch));
     assert_eq!(held(&sim, batch), [Route::Mds(c.next_seq - 1)]);
     assert!(held(&sim, op).is_empty());
     assert_eq!((c.mds_waiting.len(), c.rados.waiters().count()), (1, 0));
@@ -158,8 +160,8 @@ fn forgetting_one_op_leaves_the_others_routes_in_flight() {
     let cancelled = sim.metrics().counter("client.cancelled");
     let slow = sim.tracer().slow_ops().len();
     sim.with_actor::<ZlogClient, _>(CLIENT, |c, ctx| {
-        let held = std::mem::take(&mut c.ops.get_mut(&a).expect("A is pending").held);
-        c.forget_requests(ctx, a, &held);
+        let held = std::mem::take(&mut c.ops.get_mut(a).expect("A is pending").held);
+        c.forget_requests(ctx, &held);
     });
 
     assert_eq!(sim.metrics().counter("client.cancelled"), cancelled + 4);
