@@ -4,7 +4,8 @@
 # one-append-path, one-engine, one-encoding, forget-what-it-holds,
 # map-held-once, counter-is-a-slot, one-read-path, one-type-op-path,
 # one-seal-path, request-held-once, short-string-in-place,
-# outcome-held-once and one-request-core structure checks, the
+# outcome-held-once, one-request-core and one-route-table-one-map-follower
+# structure checks, the
 # tier-1 build + test pass (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
@@ -66,8 +67,10 @@ for file in crates/dsl/src/*.rs; do
     [ -z "$(above_tests "$file" | grep -n 'LoadLocal\|StoreLocal\|JumpIfFalsePeek')" ]
 done
 
-echo "==> an op forgets what it holds: the zlog client drops an op's reply routes through the ids the op lists, never by scanning a route table (DESIGN §23)"
-[ -z "$(grep -n '_waiting\.retain(\|_waiting\.iter()' crates/zlog/src/log.rs)" ]
+echo "==> an op forgets what it holds: the request core hands an op's routes back when it removes or re-drives the op, and the zlog client cancels those, never by scanning its RADOS requests (DESIGN §23)"
+grep -qF 'routes: &Routes<Route>)' crates/zlog/src/log.rs
+[ "$(grep -c 'self\.ops\.take_routes(' crates/zlog/src/log.rs)" = 1 ]
+[ -z "$(grep -n 'cancel_where(\|\.waiters()\.filter' crates/zlog/src/log.rs)" ]
 
 echo "==> a map is held once on the OSD: both maps a gossip message carries are the sender's shared handles, and nothing deep-copies the interface map (DESIGN §31)"
 gossip_fields="$(awk '/^    Gossip \{$/,/^    \},$/' crates/rados/src/osd.rs | grep -E '^        [a-z_]+: ')"
@@ -128,6 +131,14 @@ for file in crates/rados/src/client.rs crates/zlog/src/log.rs crates/bench/src/o
     [ -z "$(grep -n 'parked:\|retry_q\|retry_armed\|blocked_on_epoch\|retry_at\|Deadlines<' "$file")" ]
 done
 [ -z "$(awk '/^pub struct FleetConfig \{$/,/^}$/' crates/bench/src/openloop.rs | grep -n 'retry_delay')" ]
+
+echo "==> one route table, one map follower: an op's reply routes live in mala_sim::Requests, and the osdmap and mdsmap clients follow their maps through one mala_consensus::MapFollower (DESIGN §19, §23)"
+[ -z "$(grep -nw 'mds_waiting\|Held\|HELD_INLINE' crates/zlog/src/log.rs)" ]
+[ -z "$(grep -n 'fn hold(\|fn unlist(' crates/zlog/src/log.rs)" ]
+for file in crates/rados/src/client.rs crates/zlog/src/route.rs crates/bench/src/openloop.rs; do
+    [ -z "$(grep -n 'MonMsg::Get {\|MonMsg::Subscribe {' "$file")" ]
+done
+[ -z "$(grep -rn 'fn adopt_snapshot\|fn needs_fetch\|fn fetch_map\|fn on_new_map' crates/*/src)" ]
 
 echo "==> cargo build --release"
 cargo build --release

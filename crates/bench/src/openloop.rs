@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use mala_consensus::{MonMsg, SERVICE_MAP_MDS};
+use mala_consensus::MonMsg;
 use mala_mds::types::{MdsError, MdsMsg, SeqOp};
 use mala_mds::Ino;
 use mala_sim::{Actor, Context, NodeId, Requests, SimDuration, SimTime};
@@ -116,7 +116,7 @@ impl OpenLoopFleet {
         for c in &mut cdf {
             *c /= total;
         }
-        let router = SeqRouter::new(cfg.mds_nodes.clone(), cfg.home_rank);
+        let router = SeqRouter::new(cfg.mds_nodes.clone(), cfg.home_rank, cfg.monitor);
         let lat_series = format!("{}.lat_us", cfg.series);
         OpenLoopFleet {
             cfg,
@@ -128,11 +128,6 @@ impl OpenLoopFleet {
             lat_series,
             stats: FleetStats::default(),
         }
-    }
-
-    /// The routing state (tests: placement inspection).
-    pub fn router(&self) -> &SeqRouter {
-        &self.router
     }
 
     /// Begins issuing arrivals.
@@ -208,12 +203,7 @@ impl OpenLoopFleet {
 
 impl Actor for OpenLoopFleet {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        ctx.send(
-            self.cfg.monitor,
-            MonMsg::Subscribe {
-                map: SERVICE_MAP_MDS.to_string(),
-            },
-        );
+        self.router.mdsmap.subscribe(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, _from: NodeId, msg: Box<dyn std::any::Any>) {
@@ -273,7 +263,7 @@ impl Actor for OpenLoopFleet {
         if let Ok(mon) = msg.downcast::<MonMsg>() {
             // A fresh map is progress: re-drive parked requests now rather
             // than waiting out pacing.
-            if self.router.follow(ctx, self.cfg.monitor, &mon) == Some(true) {
+            if self.router.mdsmap.follow(ctx, &mon) == Some(true) {
                 for reqid in self.inflight.unpark(|_| true) {
                     self.send_grant(ctx, reqid);
                 }
@@ -312,7 +302,7 @@ impl Actor for OpenLoopFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mala_consensus::MapSnapshot;
+    use mala_consensus::{MapSnapshot, SERVICE_MAP_MDS};
     use mala_sim::Sim;
 
     const FLEET: NodeId = NodeId(1);

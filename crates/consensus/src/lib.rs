@@ -15,6 +15,8 @@
 //!   proposals on a configurable *accumulation interval* (1 s in stock
 //!   Ceph; the paper lowers it to ~222 ms on a 3-monitor quorum), applies
 //!   chosen batches to versioned maps, and notifies subscribers.
+//! * [`follower`] — a client's copy of one map, kept current: the one
+//!   place that fetches, compares epochs and adopts snapshots.
 //!
 //! The proposal interval is the experimental knob behind the paper's
 //! Figure 8 (interface-propagation latency).
@@ -22,9 +24,11 @@
 // panic site into a handled error. Test code is exempt.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod follower;
 pub mod monitor;
 pub mod paxos;
 
+pub use follower::{MapFollower, MapView};
 pub use monitor::{
     MapSnapshot, MapUpdate, MonConfig, MonMsg, Monitor, SERVICE_MAP_INTERFACES, SERVICE_MAP_MANTLE,
     SERVICE_MAP_MDS, SERVICE_MAP_OSD,

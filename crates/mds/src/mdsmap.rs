@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use mala_consensus::{MapSnapshot, MapUpdate, SERVICE_MAP_MDS};
+use mala_consensus::{MapSnapshot, MapUpdate, MapView, SERVICE_MAP_MDS};
 use mala_sim::NodeId;
 
 /// One rank's entry.
@@ -27,10 +27,10 @@ pub struct MdsMapView {
     pub standbys: Vec<NodeId>,
 }
 
-impl MdsMapView {
+impl MapView for MdsMapView {
     /// Parses the monitor's `mdsmap` snapshot (unparseable entries are
     /// skipped).
-    pub fn from_snapshot(snap: &MapSnapshot) -> MdsMapView {
+    fn from_snapshot(snap: &MapSnapshot) -> MdsMapView {
         let mut view = MdsMapView {
             epoch: snap.epoch,
             ..Default::default()
@@ -66,6 +66,17 @@ impl MdsMapView {
         view
     }
 
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// A view without ranks routes nothing, whatever standbys it lists.
+    fn is_empty(&self) -> bool {
+        self.ranks.is_empty()
+    }
+}
+
+impl MdsMapView {
     /// The node of a rank, if present and up.
     pub fn node_of(&self, rank: u32) -> Option<NodeId> {
         self.ranks.get(&rank).filter(|e| e.up).map(|e| e.node)

@@ -22,7 +22,7 @@ use std::any::Any;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::rc::Rc;
 
-use mala_consensus::{MonMsg, SERVICE_MAP_MANTLE, SERVICE_MAP_MDS};
+use mala_consensus::{MapFollower, MonMsg, SERVICE_MAP_MANTLE, SERVICE_MAP_MDS};
 use mala_rados::client::RETRY_TOKEN_BASE;
 use mala_rados::{ObjectId, Op, OpResult, OsdError, OsdMsg, RadosClient};
 use mala_sim::history::Recorder;
@@ -300,7 +300,7 @@ pub struct Mds {
     /// Exports deferred until the holder releases its capability.
     pending_exports: IdMap<Ino, Export>,
 
-    mdsmap: MdsMapView,
+    mdsmap: MapFollower<MdsMapView>,
     /// The one client this daemon reaches the object store through; each
     /// request waits with what its completion is for.
     rados: RadosClient<StoreWait>,
@@ -383,7 +383,12 @@ impl Mds {
             caps: IdMap::default(),
             frozen: IdSet::default(),
             pending_exports: IdMap::default(),
-            mdsmap: MdsMapView::default(),
+            mdsmap: MapFollower::new(
+                SERVICE_MAP_MDS,
+                monitor,
+                counter!("mds.mdsmap_gets"),
+                counter!("mds.mdsmap_skips"),
+            ),
             rados: RadosClient::embedded(monitor),
             busy_until: SimTime::ZERO,
             served_this_tick: 0,
@@ -651,7 +656,7 @@ impl Mds {
             // more requests than it could fully process).
             self.account_request(ino);
             ctx.metrics().bump(counter!("mds.proxied"), 1);
-            if let Some(node) = self.mdsmap.node_of(route.auth) {
+            if let Some(node) = self.mdsmap.view().node_of(route.auth) {
                 ctx.span_tag(span, "proxied", "true");
                 let done = ctx.now() + costs.forward;
                 ctx.span_end_at(span, done);
@@ -773,7 +778,7 @@ impl Mds {
                 return;
             }
         }
-        let Some(target_node) = self.mdsmap.node_of(export.target) else {
+        let Some(target_node) = self.mdsmap.view().node_of(export.target) else {
             return;
         };
         let Some(inode) = self.namespace.get(ino) else {
@@ -824,7 +829,7 @@ impl Mds {
 
     fn broadcast_route(&mut self, ctx: &mut Context<'_>, ino: Ino, route: Route) {
         self.install_route(ino, route);
-        for (rank, entry) in self.mdsmap.ranks.clone() {
+        for (rank, entry) in self.mdsmap.view().ranks.clone() {
             if rank != self.rank && entry.up {
                 ctx.send(entry.node, MdsPeer::RouteUpdate { ino, route });
             }
@@ -871,7 +876,7 @@ impl Mds {
         ctx.metrics()
             .observe(&format!("mds.load.{me}"), now, sample.total());
         // Heartbeat to peers.
-        for (rank, entry) in self.mdsmap.ranks.clone() {
+        for (rank, entry) in self.mdsmap.view().ranks.clone() {
             if rank != self.rank && entry.up {
                 ctx.send(
                     entry.node,
@@ -885,6 +890,7 @@ impl Mds {
         // Build the policy view.
         let mut loads: Vec<LoadSample> = self
             .mdsmap
+            .view()
             .up_ranks()
             .iter()
             .filter_map(|r| self.peer_loads.get(r).cloned())
@@ -917,7 +923,7 @@ impl Mds {
             self.cluster_log(ctx, line);
         }
         for export in exports {
-            if export.target != self.rank && self.mdsmap.node_of(export.target).is_some() {
+            if export.target != self.rank && self.mdsmap.view().node_of(export.target).is_some() {
                 self.start_export(ctx, export);
             }
         }
@@ -1182,10 +1188,10 @@ impl Mds {
     /// has: the mdsmap, the osdmap — through the embedded client, whose
     /// `on_start` is its subscribe — and the Mantle policy map.
     fn subscribe(&mut self, ctx: &mut Context<'_>) {
-        let subscribe = |map: &str| MonMsg::Subscribe { map: map.into() };
-        ctx.send(self.monitor, subscribe(SERVICE_MAP_MDS));
+        self.mdsmap.subscribe(ctx);
         self.rados.on_start(ctx);
-        ctx.send(self.monitor, subscribe(SERVICE_MAP_MANTLE));
+        let map = SERVICE_MAP_MANTLE.to_string();
+        ctx.send(self.monitor, MonMsg::Subscribe { map });
     }
 
     /// Liveness beacon. Active daemons report their rank; standbys send
@@ -1200,10 +1206,10 @@ impl Mds {
     /// itself (the monitor declared it dead — it must not keep serving).
     fn check_promotion(&mut self, ctx: &mut Context<'_>) {
         if self.standby {
-            if let Some(rank) = self.mdsmap.rank_of(ctx.me()) {
+            if let Some(rank) = self.mdsmap.view().rank_of(ctx.me()) {
                 self.takeover(ctx, rank);
             }
-        } else if let Some(entry) = self.mdsmap.ranks.get(&self.rank) {
+        } else if let Some(entry) = self.mdsmap.view().ranks.get(&self.rank) {
             if entry.up && entry.node != ctx.me() {
                 self.depose(ctx);
             }
@@ -1547,7 +1553,7 @@ impl Mds {
                         ftype,
                     }
                     .encode();
-                    for (rank, e) in self.mdsmap.ranks.clone() {
+                    for (rank, e) in self.mdsmap.view().ranks.clone() {
                         if rank != self.rank && e.up {
                             ctx.send(
                                 e.node,
@@ -1699,22 +1705,20 @@ impl Actor for Mds {
         // Monitor map traffic.
         let msg = match msg.downcast::<MonMsg>() {
             Ok(mon) => {
-                match &*mon {
-                    MonMsg::Snapshot(snap) if snap.map == SERVICE_MAP_MDS => {
-                        if snap.epoch > self.mdsmap.epoch {
-                            self.mdsmap = MdsMapView::from_snapshot(snap);
-                            self.check_promotion(ctx);
-                        }
+                if let Some(fresh) = self.mdsmap.follow(ctx, &mon) {
+                    if fresh {
+                        self.check_promotion(ctx);
                     }
+                    return;
+                }
+                match &*mon {
                     MonMsg::Snapshot(snap) if snap.map == SERVICE_MAP_MANTLE => {
                         self.on_mantle_map(ctx, snap);
                     }
                     MonMsg::Snapshot(snap) if snap.map == ZLOG_EPOCH_MAP => {
                         self.on_zlog_map(ctx, snap);
                     }
-                    MonMsg::Changed { map, .. }
-                        if matches!(map.as_str(), SERVICE_MAP_MDS | SERVICE_MAP_MANTLE) =>
-                    {
+                    MonMsg::Changed { map, .. } if map == SERVICE_MAP_MANTLE => {
                         // Re-fetch the full map (deltas may skip epochs).
                         self.get_map(ctx, map);
                     }
@@ -1881,7 +1885,7 @@ impl Actor for Mds {
                 // journal, and one without the mdsmap can never be
                 // promoted. Re-assert until a snapshot has landed
                 // (subscribing twice is idempotent at the monitor).
-                if self.rados.map_epoch() == 0 || self.mdsmap.epoch == 0 {
+                if self.rados.map_epoch() == 0 || self.mdsmap.view().epoch == 0 {
                     self.subscribe(ctx);
                 }
                 ctx.set_timer(BEACON_INTERVAL, TIMER_BEACON);

@@ -6,7 +6,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use mala_consensus::{MonMsg, SERVICE_MAP_OSD};
+use mala_consensus::{MapFollower, MonMsg, SERVICE_MAP_OSD};
 use mala_sim::{counter, Actor, Context, NodeId, Requests, Sim, SimDuration, SimTime, SpanContext};
 
 use crate::object::ObjectId;
@@ -57,8 +57,7 @@ struct InFlight<W> {
 /// embeds the client keeps no table of its own from request id to what
 /// waits (DESIGN §26). The harness's client waits with `()`.
 pub struct RadosClient<W = ()> {
-    monitor: NodeId,
-    map: OsdMapView,
+    osdmap: MapFollower<OsdMapView>,
     next_reqid: u64,
     /// The requests in flight by request id: each one's retransmit is its
     /// look, and one parked waits for a map with an epoch above the one it
@@ -88,8 +87,12 @@ impl<W> RadosClient<W> {
     /// maps from `monitor`: the form an actor embedding it holds.
     pub fn embedded(monitor: NodeId) -> RadosClient<W> {
         RadosClient {
-            monitor,
-            map: OsdMapView::default(),
+            osdmap: MapFollower::new(
+                SERVICE_MAP_OSD,
+                monitor,
+                counter!("client.osdmap_gets"),
+                counter!("client.osdmap_skips"),
+            ),
             next_reqid: 1,
             inflight: Requests::new(RETRY_TOKEN_BASE),
             completed: BTreeMap::new(),
@@ -98,7 +101,7 @@ impl<W> RadosClient<W> {
 
     /// The client's current osdmap epoch.
     pub fn map_epoch(&self) -> u64 {
-        self.map.epoch
+        self.osdmap.view().epoch
     }
 
     /// Submits a transaction on behalf of `waiter`; returns its request id.
@@ -149,15 +152,6 @@ impl<W> RadosClient<W> {
         }
     }
 
-    /// The waiter of `reqid`, while the request is in flight or its
-    /// completion uncollected.
-    pub fn waiter(&self, reqid: u64) -> Option<&W> {
-        match self.inflight.get(reqid) {
-            Some(inflight) => Some(&inflight.waiter),
-            None => self.completed.get(&reqid).map(|event| &event.waiter),
-        }
-    }
-
     /// Every request in flight or uncollected with its waiter, in no
     /// particular order.
     pub fn waiters(&self) -> impl Iterator<Item = (u64, &W)> {
@@ -189,7 +183,7 @@ impl<W> RadosClient<W> {
     /// route; a reply still on the wire finds no request.
     pub fn cancel(&mut self, ctx: &mut Context<'_>, reqid: u64) {
         self.completed.remove(&reqid);
-        let Some(inflight) = self.inflight.remove(reqid) else {
+        let Some((inflight, _)) = self.inflight.remove(reqid) else {
             return;
         };
         if let Some(span) = inflight.span {
@@ -219,7 +213,7 @@ impl<W> RadosClient<W> {
         reqid: u64,
         result: Result<Vec<OpResult>, OsdError>,
     ) {
-        let Some(inflight) = self.inflight.remove(reqid) else {
+        let Some((inflight, _)) = self.inflight.remove(reqid) else {
             return;
         };
         let latency = ctx.now().since(inflight.submitted_at);
@@ -266,32 +260,33 @@ impl<W> RadosClient<W> {
         };
         let req = Rc::clone(&inflight.req);
         let span = inflight.span;
-        let acting = self.map.acting_set_of(&req.0);
+        let map = self.osdmap.view();
+        let acting = map.acting_set_of(&req.0);
         // A committed map that places no OSD for this object (every
         // candidate down or drained) is a typed, retryable condition the
         // caller must see now — blocking until the deadline just converts
         // an operator-visible state into an opaque timeout.
-        if self.map.epoch > 0 && acting.as_ref().is_some_and(|set| set.is_empty()) {
+        if map.epoch > 0 && acting.as_ref().is_some_and(|set| set.is_empty()) {
             ctx.metrics().bump(counter!("client.no_osds_up"), 1);
             self.complete(ctx, reqid, Err(OsdError::NoOsdsUp));
             return;
         }
         let target = acting
             .and_then(|acting| acting.first().copied())
-            .and_then(|primary| self.map.node_of(primary));
+            .and_then(|primary| map.node_of(primary));
         match target {
             Some(node) => {
                 let msg = OsdMsg::ClientOp {
                     reqid,
                     req,
-                    map_epoch: self.map.epoch,
+                    map_epoch: map.epoch,
                 };
                 ctx.send_spanned(node, msg, span);
             }
             None => {
                 // No usable map yet: block until a newer epoch arrives.
-                self.inflight.park(reqid, self.map.epoch);
-                self.fetch_map(ctx);
+                self.inflight.park(reqid, map.epoch);
+                self.osdmap.fetch(ctx);
             }
         }
         // Always hold a retransmit deadline: the op, its reply, or the map
@@ -299,23 +294,6 @@ impl<W> RadosClient<W> {
         // goes out again.
         let at = ctx.now() + ctx.backoff(RETRY_BASE, RETRY_CAP, attempts - 1);
         self.inflight.look(ctx, reqid, at);
-    }
-
-    /// Asks the monitor for the full osdmap.
-    fn fetch_map(&self, ctx: &mut Context<'_>) {
-        let map = SERVICE_MAP_OSD.to_string();
-        ctx.send(self.monitor, MonMsg::Get { map });
-    }
-
-    fn on_new_map(&mut self, ctx: &mut Context<'_>) {
-        let epoch = self.map.epoch;
-        let mut retry = self.inflight.unpark(|&below| epoch > below);
-        // `dispatch` sends and draws from the RNG; the seeds' event order
-        // has the requests go in ascending reqid order, not park order.
-        retry.sort_unstable();
-        for reqid in retry {
-            self.dispatch(ctx, reqid);
-        }
     }
 }
 
@@ -343,33 +321,22 @@ impl<W: 'static> Actor for RadosClient<W> {
         // previous life. Virtual time is strictly increasing across
         // restarts, and no incarnation mints a request per microsecond.
         self.next_reqid = self.next_reqid.max(ctx.now().as_micros());
-        ctx.send(
-            self.monitor,
-            MonMsg::Subscribe {
-                map: SERVICE_MAP_OSD.to_string(),
-            },
-        );
+        self.osdmap.subscribe(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, _from: NodeId, msg: Box<dyn Any>) {
         let msg = match msg.downcast::<MonMsg>() {
             Ok(mon) => {
-                match *mon {
-                    MonMsg::Snapshot(snap)
-                        if snap.map == SERVICE_MAP_OSD && snap.epoch > self.map.epoch =>
-                    {
-                        self.map = OsdMapView::from_snapshot(&snap);
-                        self.on_new_map(ctx);
+                if self.osdmap.follow(ctx, &mon) == Some(true) {
+                    let epoch = self.map_epoch();
+                    let mut retry = self.inflight.unpark(|&below| epoch > below);
+                    // `dispatch` sends and draws from the RNG; the seeds'
+                    // event order has the requests go in ascending reqid
+                    // order, not park order.
+                    retry.sort_unstable();
+                    for reqid in retry {
+                        self.dispatch(ctx, reqid);
                     }
-                    MonMsg::Changed { map, epoch, .. }
-                        if map == SERVICE_MAP_OSD
-                        // Deltas alone are not enough (we may have missed
-                        // epochs); fetch the full snapshot.
-                        && epoch > self.map.epoch =>
-                    {
-                        self.fetch_map(ctx);
-                    }
-                    _ => {}
                 }
                 return;
             }
@@ -395,11 +362,11 @@ impl<W: 'static> Actor for RadosClient<W> {
             }
             // Mis-routed: our map disagrees with the cluster's (the OSD may
             // be ahead of us, or we raced a failover): on any newer epoch.
-            Err(OsdError::NotPrimary) | Err(OsdError::NotReady) => self.map.epoch,
+            Err(OsdError::NotPrimary) | Err(OsdError::NotReady) => self.map_epoch(),
             other => return self.complete(ctx, reqid, other),
         };
         self.inflight.park(reqid, below);
-        self.fetch_map(ctx);
+        self.osdmap.fetch(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {

@@ -23,7 +23,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
-use mala_consensus::{MonMsg, SERVICE_MAP_INTERFACES, SERVICE_MAP_OSD};
+use mala_consensus::{MapView, MonMsg, SERVICE_MAP_INTERFACES, SERVICE_MAP_OSD};
 use mala_sim::{counter, Actor, Context, IdMap, NodeId, SimDuration, SpanContext};
 use rand::seq::SliceRandom;
 

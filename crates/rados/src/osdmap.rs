@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use mala_consensus::{MapSnapshot, MapUpdate, SERVICE_MAP_OSD};
+use mala_consensus::{MapSnapshot, MapUpdate, MapView, SERVICE_MAP_OSD};
 use mala_sim::{IdMap, NodeId};
 
 use crate::object::ObjectId;
@@ -72,12 +72,12 @@ impl PartialEq for OsdMapView {
 
 impl Eq for OsdMapView {}
 
-impl OsdMapView {
+impl MapView for OsdMapView {
     /// Parses the monitor's `osdmap` snapshot.
     ///
     /// Unparseable entries are skipped: the map is operator-writable and a
     /// bad entry must not wedge every daemon.
-    pub fn from_snapshot(snap: &MapSnapshot) -> OsdMapView {
+    fn from_snapshot(snap: &MapSnapshot) -> OsdMapView {
         let mut view = OsdMapView {
             epoch: snap.epoch,
             ..Default::default()
@@ -133,6 +133,16 @@ impl OsdMapView {
         view
     }
 
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    fn is_empty(&self) -> bool {
+        self.osds.is_empty() && self.pools.is_empty()
+    }
+}
+
+impl OsdMapView {
     /// Ids of OSDs currently up, ascending.
     pub fn up_osds(&self) -> Vec<u32> {
         self.osds

@@ -2,7 +2,7 @@
 //! clients — exercising replication, dynamic interface installation,
 //! failure recovery, and scrub repair.
 
-use mala_consensus::{MapUpdate, MonConfig, MonMsg, Monitor, SERVICE_MAP_INTERFACES};
+use mala_consensus::{MapUpdate, MapView, MonConfig, MonMsg, Monitor, SERVICE_MAP_INTERFACES};
 use mala_dsl::Vm;
 use mala_rados::client::request;
 use mala_rados::{
@@ -661,8 +661,9 @@ fn a_cancelled_requests_waiter_never_comes_back() {
     let inflight = submit_as(&mut sim, "inflight", "inflight");
     sim.run_for(SimDuration::from_millis(50));
     let client = sim.actor::<Embedded>(EMBEDDER);
-    assert_eq!(client.waiter(inflight), Some(&"inflight"));
-    assert_eq!(client.waiter(uncollected), Some(&"uncollected"));
+    let waiter = |reqid| client.waiters().find(|(r, _)| *r == reqid).map(|(_, w)| *w);
+    assert_eq!(waiter(inflight), Some("inflight"));
+    assert_eq!(waiter(uncollected), Some("uncollected"));
 
     let handed = sim.with_actor::<Embedded, _>(EMBEDDER, |c, ctx| {
         c.cancel(ctx, inflight);

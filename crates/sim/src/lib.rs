@@ -61,7 +61,7 @@ pub use idmap::{IdMap, IdSet};
 pub use metrics::{CounterName, Hist, Metrics};
 pub use nemesis::{Fault, FaultSchedule, FaultTargets, Nemesis};
 pub use net::{NetConfig, Network};
-pub use requests::Requests;
+pub use requests::{Requests, Routes};
 pub use sched::Sim;
 pub use time::{SimDuration, SimTime};
 pub use trace::{SpanContext, SpanId, SpanRecord, TraceId, Tracer};

@@ -1,15 +1,19 @@
 //! [`Requests`] against a reference model.
 //!
 //! Random programs of insert, remove (both kinds), look, park (a park of a
-//! parked entry is a re-park), unpark and clock advances run on an actor
-//! that owns a [`Requests`] and on plain lists. The core must keep DESIGN
-//! §23's invariant:
+//! parked entry is a re-park), unpark, hold, release, re-drive (taking an
+//! entry's routes) and clock advances run on an actor that owns a
+//! [`Requests`] and on plain lists. The core must keep DESIGN §23's
+//! invariant:
 //!
 //! * no look and no park entry outlives its entry, except the backoff look
 //!   [`Requests::remove_leaving_backoff`] leaves, which comes due at
 //!   nothing;
 //! * a re-park keeps its place, and `unpark` returns ids in park order;
-//! * every live look comes out once, at its time, in `(time, id)` order.
+//! * every live look comes out once, at its time, in `(time, id)` order;
+//! * every held route names a live entry that lists it, `release` returns
+//!   a route's owner exactly once, and removal or re-drive hands back the
+//!   entry's routes in hold order, leaving none of them held.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -23,7 +27,7 @@ const TOKEN: u64 = 7;
 const PARKS: u8 = 3;
 
 struct Owner {
-    requests: Requests<u64, u8>,
+    requests: Requests<u64, u8, u64>,
     /// `(time, id)` in the order the looks came due.
     fired: Vec<(u64, u64)>,
 }
@@ -49,16 +53,31 @@ struct Model {
     orphans: Vec<u64>,
     parked: Vec<(u64, u8)>,
     fired: Vec<(u64, u64)>,
+    /// Live entry → its routes in hold order.
+    routes: BTreeMap<u64, Vec<u64>>,
 }
 
 impl Model {
-    fn remove(&mut self, id: u64, leave_backoff: bool) {
+    /// Removes `id`; its routes come back.
+    fn remove(&mut self, id: u64, leave_backoff: bool) -> Vec<u64> {
         if let Some((deadline, Some(look))) = self.live.remove(&id) {
             if leave_backoff && look != deadline {
                 self.orphans.push(look);
             }
         }
         self.parked.retain(|(parked, _)| *parked != id);
+        self.routes.remove(&id).unwrap_or_default()
+    }
+
+    fn owner(&self, route: u64) -> Option<u64> {
+        let mut owners = self.routes.iter().filter(|(_, held)| held.contains(&route));
+        owners.next().map(|(id, _)| *id)
+    }
+
+    fn release(&mut self, route: u64) -> Option<u64> {
+        let id = self.owner(route)?;
+        self.routes.get_mut(&id)?.retain(|held| *held != route);
+        Some(id)
     }
 
     fn park(&mut self, id: u64, park: u8) {
@@ -122,6 +141,15 @@ enum Cmd {
     Advance {
         us: u64,
     },
+    Hold {
+        pick: usize,
+    },
+    Release {
+        pick: usize,
+    },
+    Redrive {
+        pick: usize,
+    },
 }
 
 fn cmd() -> impl Strategy<Value = Cmd> {
@@ -136,6 +164,10 @@ fn cmd() -> impl Strategy<Value = Cmd> {
         4 => (any::<usize>(), 0..PARKS).prop_map(|(pick, park)| Cmd::Park { pick, park }),
         2 => (0..PARKS).prop_map(|park| Cmd::Unpark { park }),
         3 => (0u64..120).prop_map(|us| Cmd::Advance { us }),
+        // Enough holds that an entry spills past its inline routes.
+        5 => any::<usize>().prop_map(|pick| Cmd::Hold { pick }),
+        3 => any::<usize>().prop_map(|pick| Cmd::Release { pick }),
+        1 => any::<usize>().prop_map(|pick| Cmd::Redrive { pick }),
     ]
 }
 
@@ -149,6 +181,7 @@ proptest! {
         sim.run_until_idle();
         let mut model = Model::default();
         let mut next_id = 1;
+        let mut next_route = 0;
 
         // One advance past every possible look at the end: whatever is
         // still looked at must come out, and every timer must have fired.
@@ -169,8 +202,29 @@ proptest! {
                         true => requests.remove_leaving_backoff(id),
                         false => requests.remove(id),
                     };
-                    prop_assert_eq!(removed, Some(id));
-                    model.remove(id, leave_backoff);
+                    let (value, routes) = removed.unwrap();
+                    prop_assert_eq!(value, id);
+                    let routes: Vec<u64> = routes.iter().collect();
+                    prop_assert_eq!(routes, model.remove(id, leave_backoff), "routes handed back");
+                }
+                Cmd::Hold { pick } => {
+                    let Some(id) = model.pick(pick) else { continue };
+                    sim.actor_mut::<Owner>(OWNER).requests.hold(id, next_route);
+                    model.routes.entry(id).or_default().push(next_route);
+                    next_route += 1;
+                }
+                Cmd::Release { pick } => {
+                    // Any route ever held: a released one answers nothing.
+                    let route = pick as u64 % next_route.max(1);
+                    let owner = sim.actor_mut::<Owner>(OWNER).requests.release(route);
+                    prop_assert_eq!(owner, model.release(route), "release of {}", route);
+                }
+                Cmd::Redrive { pick } => {
+                    let Some(id) = model.pick(pick) else { continue };
+                    let routes = sim.actor_mut::<Owner>(OWNER).requests.take_routes(id);
+                    let routes: Vec<u64> = routes.iter().collect();
+                    let held = model.routes.remove(&id).unwrap_or_default();
+                    prop_assert_eq!(routes, held, "routes handed back");
                 }
                 Cmd::Look { pick, delay, at_deadline } => {
                     let Some(id) = model.pick(pick) else { continue };
@@ -207,6 +261,14 @@ proptest! {
             prop_assert_eq!(&parked, &model.parked, "park list");
             for (&id, &(deadline, _)) in &model.live {
                 prop_assert_eq!(requests.deadline(id), Some(SimTime::from_micros(deadline)));
+                let routes: Vec<u64> = requests.routes(id).collect();
+                let held = model.routes.get(&id).map_or(&[][..], |held| &held[..]);
+                prop_assert_eq!(&routes[..], held, "routes of {}", id);
+            }
+            // Every held route names the live entry that lists it, and no
+            // other route is held.
+            for route in 0..next_route {
+                prop_assert_eq!(requests.owner(route), model.owner(route), "owner of {}", route);
             }
             // A look outlives its entry only as a row-3 orphan, until it
             // comes due.

@@ -12,7 +12,7 @@ use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
-use mala_consensus::{MonMsg, SERVICE_MAP_MDS};
+use mala_consensus::MonMsg;
 use mala_mds::types::{MdsError, MdsMsg, SeqOp};
 use mala_mds::{FileType, Ino};
 use mala_rados::client::RETRY_TOKEN_BASE as RADOS_RETRY_TOKEN_BASE;
@@ -20,8 +20,8 @@ use mala_rados::{ObjectId, Op, OpResult, OsdError, RadosClient};
 use mala_sim::history::Recorder;
 use mala_sim::linearize::{LogOp, LogRead, LogRet};
 use mala_sim::{
-    counter, Actor, Context, IdMap, NodeId, Requests, Sim, SimDuration, SimTime, SpanContext,
-    TimerHandle,
+    counter, Actor, Context, IdMap, NodeId, Requests, Routes, Sim, SimDuration, SimTime,
+    SpanContext, TimerHandle,
 };
 
 use crate::route::SeqRouter;
@@ -229,13 +229,11 @@ struct PendingOp {
     span: Option<SpanContext>,
     /// Open `zlog.queue` child while the op waits in the append queue.
     queue_span: Option<SpanContext>,
-    /// The reply routes this op registered that no reply has consumed.
-    held: Held,
 }
 
-/// A reply route: a request of the embedded RADOS client, which holds the
-/// op as the request's waiter, or an MDS request id in `mds_waiting`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A reply route, held by its op in `ops`: a request of the embedded RADOS
+/// client or an MDS request id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Route {
     Rados(u64),
     Mds(u64),
@@ -248,68 +246,6 @@ enum Park {
     Epoch(u64),
     /// A fresh mdsmap: the op's rank was unroutable.
     MdsMap,
-}
-
-/// Routes an op holds before they spill to the heap.
-const HELD_INLINE: usize = 2;
-
-/// The routes one op holds, in the order it registered them, which for
-/// RADOS requests is ascending reqid order. Up to [`HELD_INLINE`] live in
-/// the op itself: an op with one or two requests out allocates nothing for
-/// them.
-#[derive(Debug)]
-enum Held {
-    /// Held routes first, then `None`s.
-    Inline([Option<Route>; HELD_INLINE]),
-    Spilled(Vec<Route>),
-}
-
-impl Default for Held {
-    fn default() -> Held {
-        Held::Inline([None; HELD_INLINE])
-    }
-}
-
-impl Held {
-    fn push(&mut self, route: Route) {
-        match self {
-            Held::Inline(slots) => match slots.iter_mut().find(|slot| slot.is_none()) {
-                Some(slot) => *slot = Some(route),
-                None => {
-                    let mut routes = Vec::with_capacity(2 * HELD_INLINE);
-                    routes.extend(slots.iter().flatten());
-                    routes.push(route);
-                    *self = Held::Spilled(routes);
-                }
-            },
-            Held::Spilled(routes) => routes.push(route),
-        }
-    }
-
-    /// Drops `route`, keeping the others in registration order.
-    fn remove(&mut self, route: Route) {
-        match self {
-            Held::Inline(slots) => {
-                if let Some(at) = slots.iter().position(|slot| *slot == Some(route)) {
-                    slots[at..].rotate_left(1);
-                    slots[HELD_INLINE - 1] = None;
-                }
-            }
-            Held::Spilled(routes) => {
-                if let Some(at) = routes.iter().position(|held| *held == route) {
-                    routes.remove(at);
-                }
-            }
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = Route> + '_ {
-        let (inline, spilled): (&[Option<Route>], &[Route]) = match self {
-            Held::Inline(slots) => (slots, &[]),
-            Held::Spilled(routes) => (&[], routes),
-        };
-        inline.iter().flatten().chain(spilled).copied()
-    }
 }
 
 /// How an open probe-seal fill record resolves.
@@ -489,9 +425,9 @@ const MAX_ATTEMPTS: u32 = 16;
 
 /// The ZLog client actor.
 pub struct ZlogClient {
-    /// Embedded RADOS client (delegated object I/O); each request waits
-    /// with the id of the op it replies to.
-    rados: RadosClient<u64>,
+    /// Embedded RADOS client (delegated object I/O); each request is a
+    /// route of the op it replies to.
+    rados: RadosClient,
     config: ZlogConfig,
     names: Names,
     /// Current CORFU epoch for this log (from the `zlog` map).
@@ -500,14 +436,13 @@ pub struct ZlogClient {
     /// authoritative rank of the sequencer inode.
     router: SeqRouter,
     seq_ino: Option<Ino>,
-    /// Every op in flight: its watchdog is its look, and a parked one goes
-    /// again once a newer epoch or a fresh mdsmap arrives.
-    ops: Requests<PendingOp, Park>,
+    /// Every op in flight: its watchdog is its look, its requests out are
+    /// its routes, and a parked one goes again once a newer epoch or a
+    /// fresh mdsmap arrives.
+    ops: Requests<PendingOp, Park, Route>,
     results: IdMap<u64, AppendResult>,
     next_op: u64,
     next_seq: u64,
-    /// MDS reqid → op id routing.
-    mds_waiting: IdMap<u64, u64>,
     /// Pipelined append tuning.
     batch_cfg: BatchConfig,
     /// Ops in [`Stage::Queued`], awaiting a flush.
@@ -528,7 +463,7 @@ impl ZlogClient {
     pub fn new(config: ZlogConfig) -> ZlogClient {
         ZlogClient {
             rados: RadosClient::embedded(config.monitor),
-            router: SeqRouter::new(config.mds_nodes.clone(), config.home_rank),
+            router: SeqRouter::new(config.mds_nodes.clone(), config.home_rank, config.monitor),
             names: Names::new(&config),
             config,
             epoch: 0,
@@ -537,7 +472,6 @@ impl ZlogClient {
             results: IdMap::default(),
             next_op: 1,
             next_seq: 1,
-            mds_waiting: IdMap::default(),
             batch_cfg: BatchConfig::default(),
             append_queue: Vec::new(),
             flush_timer: None,
@@ -603,38 +537,27 @@ impl ZlogClient {
         self.ops.is_empty()
             && !self.rados.holds_requests()
             && !self.rados.holds_completions()
-            && self.mds_waiting.is_empty()
             && self.append_queue.is_empty()
     }
 
-    /// Checks the reply-route bookkeeping (DESIGN §23): every route names
-    /// a live op that lists it, and every route an op lists names that op:
-    /// as the waiter of its RADOS request, or in `mds_waiting`. It walks
-    /// every op, so it is for tests, not for a serving path.
+    /// Cross-checks the ops' RADOS routes with the embedded client (DESIGN
+    /// §23): they name exactly the requests it holds. It walks every op, so
+    /// it is for tests, not for a serving path.
     pub fn check_routes(&self) -> Result<(), String> {
-        let mut listed = 0;
-        for (op, pending) in self.ops.iter() {
-            for (i, route) in pending.held.iter().enumerate() {
-                let to = match route {
-                    Route::Rados(reqid) => self.rados.waiter(reqid),
-                    Route::Mds(reqid) => self.mds_waiting.get(&reqid),
-                };
-                if to != Some(&op) {
-                    return Err(format!("op {op} lists {route:?}, which routes to {to:?}"));
-                }
-                if pending.held.iter().take(i).any(|earlier| earlier == route) {
-                    return Err(format!("op {op} lists {route:?} twice"));
-                }
-                listed += 1;
-            }
+        let routes = self.ops.iter().flat_map(|(op, _)| self.ops.routes(op));
+        let mut routed: Vec<u64> = routes
+            .filter_map(|route| match route {
+                Route::Rados(reqid) => Some(reqid),
+                Route::Mds(_) => None,
+            })
+            .collect();
+        let mut held: Vec<u64> = self.rados.waiters().map(|(reqid, _)| reqid).collect();
+        routed.sort_unstable();
+        held.sort_unstable();
+        match routed == held {
+            true => Ok(()),
+            false => Err(format!("routed {routed:?}, in flight {held:?}")),
         }
-        // Every listed route names its op, once: waiters and a table that
-        // hold no more than that hold no route to anything else.
-        let routed = self.rados.waiters().count() + self.mds_waiting.len();
-        if routed != listed {
-            return Err(format!("{routed} routes, {listed} listed by live ops"));
-        }
-        Ok(())
     }
 
     // ---- op starters ----
@@ -674,7 +597,6 @@ impl ZlogClient {
             seal_hist: None,
             span: None,
             queue_span: None,
-            held: Held::default(),
         };
         self.ops.insert(op, pending, deadline);
         op
@@ -952,7 +874,7 @@ impl ZlogClient {
             | MdsMsg::TypeOp { reqid, .. } => *reqid,
             _ => return,
         };
-        if let Some(&op) = self.mds_waiting.get(&reqid) {
+        if let Some(op) = self.ops.owner(Route::Mds(reqid)) {
             self.ops.park(op, Park::MdsMap);
         }
     }
@@ -1028,27 +950,8 @@ impl ZlogClient {
     fn mds_reqid(&mut self, op: u64) -> u64 {
         let reqid = self.next_seq;
         self.next_seq += 1;
-        self.hold(op, Route::Mds(reqid));
+        self.ops.hold(op, Route::Mds(reqid));
         reqid
-    }
-
-    /// Routes replies on `route` to `op`: the route names the op (a RADOS
-    /// request was submitted with it as its waiter), and the op lists the
-    /// route.
-    fn hold(&mut self, op: u64, route: Route) {
-        if let Route::Mds(reqid) = route {
-            self.mds_waiting.insert(reqid, op);
-        }
-        if let Some(pending) = self.ops.get_mut(op) {
-            pending.held.push(route);
-        }
-    }
-
-    /// `op` no longer lists `route`: a reply consumed it.
-    fn unlist(&mut self, op: u64, route: Route) {
-        if let Some(pending) = self.ops.get_mut(op) {
-            pending.held.remove(route);
-        }
     }
 
     /// The stripe object holding `pos`: a refcount of the id built with
@@ -1086,13 +989,12 @@ impl ZlogClient {
         // Kept as found (DESIGN §23): a look at the op's deadline, a
         // minute away, goes with the op; one a backoff away is left to
         // come due at nothing.
-        let Some(pending) = self.ops.remove_leaving_backoff(op) else {
+        let Some((pending, routes)) = self.ops.remove_leaving_backoff(op) else {
             return;
         };
         if let AppendResult::Err(msg) = &result {
-            // The op may die parked or with requests out: late replies
-            // must find no route.
-            self.forget_requests(ctx, &pending.held);
+            // The op may die with requests out: cancel them.
+            self.forget_requests(ctx, &routes);
             // A batch only fails before any write went out, so it takes
             // its members with it, definitely failed.
             if let OpKind::Batch { members } = &pending.kind {
@@ -1257,8 +1159,8 @@ impl ZlogClient {
         input: Vec<u8>,
     ) {
         let call = self.class_call(method, input);
-        let reqid = self.rados.submit_spanned(ctx, oid, vec![call], None, op);
-        self.hold(op, Route::Rados(reqid));
+        let reqid = self.rados.submit_spanned(ctx, oid, vec![call], None, ());
+        self.ops.hold(op, Route::Rados(reqid));
     }
 
     /// Calls a per-cell class method (`fill`, `trim_upto`) on the stripe
@@ -1746,8 +1648,9 @@ impl ZlogClient {
     fn drain_rados(&mut self, ctx: &mut Context<'_>) {
         let drain = self.rados.drain_completed();
         while let Some(event) = drain.next(&mut self.rados) {
-            let op = event.waiter;
-            self.unlist(op, Route::Rados(event.reqid));
+            let Some(op) = self.ops.release(Route::Rados(event.reqid)) else {
+                continue;
+            };
             if self.is_batch(op) {
                 self.on_batch_write_done(ctx, op, event.reqid, event.result);
             } else {
@@ -1825,18 +1728,13 @@ impl ZlogClient {
         self.redrive_op(ctx, op);
     }
 
-    /// Drops the reply routes an op `held` (taken off the op, or from the op
-    /// `conclude` removed): its RADOS requests are cancelled, so an
-    /// abandoned request is not retransmitted and its completion never
-    /// comes back. Only what the op holds is walked, so forgetting costs
-    /// what the op has out, not what the client has in flight. RADOS requests are cancelled in the order they were held,
-    /// ascending reqid order: each cancel ends a span, and hash order would
-    /// reorder the trace from run to run.
-    fn forget_requests(&mut self, ctx: &mut Context<'_>, held: &Held) {
-        for route in held.iter() {
-            match route {
-                Route::Rados(reqid) => self.rados.cancel(ctx, reqid),
-                Route::Mds(reqid) => _ = self.mds_waiting.remove(&reqid),
+    /// Cancels the RADOS requests among `routes`, which `ops` handed back,
+    /// in hold order (ascending reqid): each cancel ends a span, and hash
+    /// order would reorder the trace from run to run.
+    fn forget_requests(&mut self, ctx: &mut Context<'_>, routes: &Routes<Route>) {
+        for route in routes.iter() {
+            if let Route::Rados(reqid) = route {
+                self.rados.cancel(ctx, reqid);
             }
         }
     }
@@ -1867,12 +1765,9 @@ impl ZlogClient {
         // requests from earlier attempts: their late replies must not be
         // routed into the fresh attempt's state machine (for a batch, a
         // late duplicate grant must not double-grant).
-        let held = match self.ops.get_mut(op) {
-            Some(pending) => std::mem::take(&mut pending.held),
-            None => return,
-        };
+        let routes = self.ops.take_routes(op);
         self.ops.unpark_id(op);
-        self.forget_requests(ctx, &held);
+        self.forget_requests(ctx, &routes);
         let Some(pending) = self.ops.get(op) else {
             return;
         };
@@ -2287,8 +2182,8 @@ impl ZlogClient {
             ctx.span_tag_display(span, "entries", cells.len());
             let reqid = self
                 .rados
-                .submit_spanned(ctx, oid, vec![call], Some(span), id);
-            self.hold(id, Route::Rados(reqid));
+                .submit_spanned(ctx, oid, vec![call], Some(span), ());
+            self.ops.hold(id, Route::Rados(reqid));
             groups.push(StripeWrite { reqid, span, cells });
         }
         self.put_members(id, members);
@@ -2437,14 +2332,9 @@ impl ZlogClient {
 impl Actor for ZlogClient {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.rados.on_start(ctx);
-        for map in [ZLOG_MAP, SERVICE_MAP_MDS] {
-            ctx.send(
-                self.config.monitor,
-                MonMsg::Subscribe {
-                    map: map.to_string(),
-                },
-            );
-        }
+        let map = ZLOG_MAP.to_string();
+        ctx.send(self.config.monitor, MonMsg::Subscribe { map });
+        self.router.mdsmap.subscribe(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Box<dyn Any>) {
@@ -2458,8 +2348,7 @@ impl Actor for ZlogClient {
                     | MdsMsg::Sealed { reqid, .. } => *reqid,
                     _ => return,
                 };
-                if let Some(op) = self.mds_waiting.remove(&reqid) {
-                    self.unlist(op, Route::Mds(reqid));
+                if let Some(op) = self.ops.release(Route::Mds(reqid)) {
                     self.on_mds_reply(ctx, op, *mds);
                 }
                 return;
@@ -2470,7 +2359,7 @@ impl Actor for ZlogClient {
         // the rest (the osdmap) feeds the embedded RADOS client below.
         let msg: Box<dyn Any> = match msg.downcast::<MonMsg>() {
             Ok(mon) => {
-                match self.router.follow(ctx, self.config.monitor, &mon) {
+                match self.router.mdsmap.follow(ctx, &mon) {
                     // A fresh map is progress: re-drive ops parked on an
                     // unroutable rank right away instead of letting them
                     // sit out the watchdog backoff.

@@ -68,8 +68,9 @@ fn client(sim: &Sim) -> &ZlogClient {
 }
 
 fn held(sim: &Sim, op: u64) -> Vec<Route> {
-    let pending = client(sim).ops.get(op).expect("op is pending");
-    pending.held.iter().collect()
+    let ops = &client(sim).ops;
+    assert!(ops.contains_key(op), "op {op} is pending");
+    ops.routes(op).collect()
 }
 
 /// Runs until every op in `ops` completed, then checks the client holds
@@ -109,7 +110,12 @@ fn a_batch_redriven_behind_a_silent_sequencer_holds_one_grant_route() {
     assert!(matches!(stage, Some(&Stage::InBatch { batch: b }) if b == batch));
     assert_eq!(held(&sim, batch), [Route::Mds(c.next_seq - 1)]);
     assert!(held(&sim, op).is_empty());
-    assert_eq!((c.mds_waiting.len(), c.rados.waiters().count()), (1, 0));
+    // The one route the core maps is the newest grant's.
+    for reqid in 1..c.next_seq {
+        let owner = (reqid == c.next_seq - 1).then_some(batch);
+        assert_eq!(c.ops.owner(Route::Mds(reqid)), owner, "MDS request {reqid}");
+    }
+    assert_eq!(c.rados.waiters().count(), 0);
     assert_eq!(c.check_routes(), Ok(()));
 
     sim.network_mut().heal_all();
@@ -160,8 +166,8 @@ fn forgetting_one_op_leaves_the_others_routes_in_flight() {
     let cancelled = sim.metrics().counter("client.cancelled");
     let slow = sim.tracer().slow_ops().len();
     sim.with_actor::<ZlogClient, _>(CLIENT, |c, ctx| {
-        let held = std::mem::take(&mut c.ops.get_mut(a).expect("A is pending").held);
-        c.forget_requests(ctx, &held);
+        let routes = c.ops.take_routes(a);
+        c.forget_requests(ctx, &routes);
     });
 
     assert_eq!(sim.metrics().counter("client.cancelled"), cancelled + 4);
@@ -176,11 +182,13 @@ fn forgetting_one_op_leaves_the_others_routes_in_flight() {
     assert_eq!(ended, a_spans, "A's requests end in reqid order");
     let c = client(&sim);
     for reqid in &a_reqids {
-        assert_eq!(c.rados.waiter(*reqid), None);
+        assert!(!c.rados.waiters().any(|(r, _)| r == *reqid));
+        assert_eq!(c.ops.owner(Route::Rados(*reqid)), None);
     }
     assert_eq!(held(&sim, b), b_routes);
     for reqid in &b_reqids {
-        assert_eq!(c.rados.waiter(*reqid), Some(&b));
+        assert!(c.rados.waiters().any(|(r, _)| r == *reqid));
+        assert_eq!(c.ops.owner(Route::Rados(*reqid)), Some(b));
     }
     for &id in b_spans {
         let span = sim.tracer().span(mala_sim::SpanId(id)).expect("B's span");

@@ -8,25 +8,13 @@
 //! routes type ops straight there. Namespace ops (resolve/create) keep
 //! going to the home rank, which owns the directory tree.
 //!
-//! The router also centralizes the client's mdsmap handling, including
-//! two rules that each fixed a routing bug:
-//!
-//! * **Stale `Changed` skip** — the monitor's `Changed` notification
-//!   carries the new epoch; a notification at or below the cached epoch
-//!   must not trigger a full-map `Get`, or N clients × one balancer
-//!   epoch bump means N full-map round trips (the re-fetch thundering
-//!   herd).
-//! * **Same-epoch adoption when empty** — a snapshot re-published at
-//!   the cached epoch is adopted when the local view has no ranks
-//!   (restart/resubscribe before any epoch bump), instead of being
-//!   dropped by a strict `>` guard and leaving the client blind until
-//!   the next bump.
+//! The router also follows the mdsmap, through a [`MapFollower`].
 
 use std::collections::HashMap;
 
-use mala_consensus::{MapSnapshot, MonMsg, SERVICE_MAP_MDS};
+use mala_consensus::{MapFollower, SERVICE_MAP_MDS};
 use mala_mds::{Ino, MdsMapView};
-use mala_sim::{counter, Context, IdMap, NodeId};
+use mala_sim::{counter, IdMap, NodeId};
 
 /// Per-client routing state: live mdsmap plus a sequencer-inode
 /// placement cache.
@@ -38,21 +26,29 @@ pub struct SeqRouter {
     /// Rank owning the namespace (resolve/create) and the default
     /// target for sequencers with no cached placement.
     home_rank: u32,
-    /// Live MDS map: failover moves a rank to another node, and
-    /// requests must follow it rather than the static config.
-    mdsmap: MdsMapView,
+    /// Live MDS map: failover moves a rank to another node, and requests
+    /// must follow it rather than the static config.
+    /// `zlog.mdsmap_refetches` counts its full-map fetches and
+    /// `zlog.mdsmap_refetch_skips` the stale notices it skips.
+    pub mdsmap: MapFollower<MdsMapView>,
     /// Sequencer inode → authoritative rank, learned from `Resolved`
     /// replies and `NotAuth` redirects.
     placement: IdMap<Ino, u32>,
 }
 
 impl SeqRouter {
-    /// Creates a router with the static config fallback.
-    pub fn new(mds_nodes: HashMap<u32, NodeId>, home_rank: u32) -> SeqRouter {
+    /// Creates a router with the static config fallback, following the
+    /// mdsmap at `monitor`.
+    pub fn new(mds_nodes: HashMap<u32, NodeId>, home_rank: u32, monitor: NodeId) -> SeqRouter {
         SeqRouter {
             mds_nodes: mds_nodes.into_iter().collect(),
             home_rank,
-            mdsmap: MdsMapView::default(),
+            mdsmap: MapFollower::new(
+                SERVICE_MAP_MDS,
+                monitor,
+                counter!("zlog.mdsmap_refetches"),
+                counter!("zlog.mdsmap_refetch_skips"),
+            ),
             placement: IdMap::default(),
         }
     }
@@ -60,11 +56,6 @@ impl SeqRouter {
     /// The home (namespace) rank.
     pub fn home_rank(&self) -> u32 {
         self.home_rank
-    }
-
-    /// The cached mdsmap view.
-    pub fn mdsmap(&self) -> &MdsMapView {
-        &self.mdsmap
     }
 
     /// The rank sequencer `ino` should be addressed at: the cached
@@ -80,6 +71,7 @@ impl SeqRouter {
     /// the next mdsmap.
     pub fn node_for_rank(&self, rank: u32) -> Option<NodeId> {
         self.mdsmap
+            .view()
             .node_of(rank)
             .or_else(|| self.mds_nodes.get(&rank).copied())
     }
@@ -96,12 +88,6 @@ impl SeqRouter {
         self.placement.insert(ino, rank) != Some(rank)
     }
 
-    /// Drops the cached placement for `ino` (the next op re-resolves
-    /// through the home rank).
-    pub fn forget(&mut self, ino: Ino) {
-        self.placement.remove(&ino);
-    }
-
     /// Drops every placement pointing at `rank` — used when the rank
     /// reports `MdsUnavailable` or vanishes from the map, so affected
     /// logs re-resolve instead of hammering a dead address.
@@ -110,85 +96,55 @@ impl SeqRouter {
         self.placement.retain(|_, r| *r != rank);
         before - self.placement.len()
     }
-
-    /// Whether a `Changed { epoch }` notification warrants a full-map
-    /// `Get`: only when it is newer than the cached view. Skipping
-    /// stale ones is what keeps N subscribed clients from issuing N
-    /// full-map fetches for an epoch they already hold.
-    pub fn needs_fetch(&self, epoch: u64) -> bool {
-        epoch > self.mdsmap.epoch
-    }
-
-    /// Follows the mdsmap through `msg`, a monitor message: a snapshot is
-    /// adopted (see [`SeqRouter::adopt_snapshot`]), and a `Changed` notice
-    /// fetches the full map from `monitor` (deltas may skip epochs) only
-    /// when it is newer than the cached view (see
-    /// [`SeqRouter::needs_fetch`]); `zlog.mdsmap_refetches` and
-    /// `zlog.mdsmap_refetch_skips` count the two outcomes. Returns `None`
-    /// for a message not about the mdsmap, else whether a fresh view was
-    /// adopted — work parked on an unroutable rank can go again.
-    pub fn follow(&mut self, ctx: &mut Context<'_>, monitor: NodeId, msg: &MonMsg) -> Option<bool> {
-        match msg {
-            MonMsg::Snapshot(snap) if snap.map == SERVICE_MAP_MDS => {
-                Some(self.adopt_snapshot(snap))
-            }
-            MonMsg::Changed { map, epoch, .. } if map == SERVICE_MAP_MDS => {
-                if self.needs_fetch(*epoch) {
-                    ctx.metrics().bump(counter!("zlog.mdsmap_refetches"), 1);
-                    let map = SERVICE_MAP_MDS.to_string();
-                    ctx.send(monitor, MonMsg::Get { map });
-                } else {
-                    ctx.metrics().bump(counter!("zlog.mdsmap_refetch_skips"), 1);
-                }
-                Some(false)
-            }
-            _ => None,
-        }
-    }
-
-    /// Adopts an mdsmap snapshot. Newer epochs always win; a snapshot
-    /// *at* the cached epoch is adopted only when the local view has no
-    /// ranks (a re-published snapshot after restart/resubscribe must
-    /// not be dropped by the strict `>` guard). Returns whether the
-    /// view changed.
-    pub fn adopt_snapshot(&mut self, snap: &MapSnapshot) -> bool {
-        let adopt = snap.epoch > self.mdsmap.epoch
-            || (snap.epoch >= self.mdsmap.epoch && self.mdsmap.ranks.is_empty());
-        if !adopt {
-            return false;
-        }
-        let view = MdsMapView::from_snapshot(snap);
-        if view == self.mdsmap {
-            return false;
-        }
-        self.mdsmap = view;
-        true
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use mala_consensus::SERVICE_MAP_MDS;
+    use std::any::Any;
 
-    fn snap(epoch: u64, ranks: &[(u32, u32)]) -> MapSnapshot {
-        MapSnapshot {
+    use super::*;
+    use mala_consensus::{MapSnapshot, MonMsg};
+    use mala_sim::{Actor, Context, Sim};
+
+    const NODE: NodeId = NodeId(1);
+
+    /// A node holding a router, so that a test hands it snapshots with a
+    /// context.
+    struct Holder(SeqRouter);
+
+    impl Actor for Holder {
+        fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _msg: Box<dyn Any>) {}
+    }
+
+    fn router() -> Sim {
+        let mut sim = Sim::new(0);
+        let router = SeqRouter::new(HashMap::from([(0, NodeId(20))]), 0, NodeId(0));
+        sim.add_node(NODE, Holder(router));
+        sim
+    }
+
+    fn r(sim: &mut Sim) -> &mut SeqRouter {
+        &mut sim.actor_mut::<Holder>(NODE).0
+    }
+
+    /// Hands the router an mdsmap snapshot; returns whether it adopted it.
+    fn adopt(sim: &mut Sim, epoch: u64, ranks: &[(u32, u32)]) -> bool {
+        let snap = MapSnapshot {
             map: SERVICE_MAP_MDS.to_string(),
             epoch,
             entries: ranks
                 .iter()
                 .map(|(r, n)| (format!("mds.{r}"), format!("node={n},up=1").into_bytes()))
                 .collect(),
-        }
-    }
-
-    fn router() -> SeqRouter {
-        SeqRouter::new(HashMap::from([(0, NodeId(20))]), 0)
+        };
+        let msg = MonMsg::Snapshot(snap);
+        sim.with_actor::<Holder, _>(NODE, |h, ctx| h.0.mdsmap.follow(ctx, &msg)) == Some(true)
     }
 
     #[test]
     fn placement_defaults_to_home_and_follows_learning() {
-        let mut r = router();
+        let mut sim = router();
+        let r = r(&mut sim);
         assert_eq!(r.rank_of(7), 0);
         assert_eq!(r.target(7), Some(NodeId(20)));
         assert!(r.learn(7, 2));
@@ -196,15 +152,17 @@ mod tests {
         assert_eq!(r.rank_of(7), 2);
         // Rank 2 is unroutable until a map names its node.
         assert_eq!(r.target(7), None);
-        assert!(r.adopt_snapshot(&snap(1, &[(0, 20), (2, 22)])));
+        assert!(adopt(&mut sim, 1, &[(0, 20), (2, 22)]));
+        let r = self::r(&mut sim);
         assert_eq!(r.target(7), Some(NodeId(22)));
-        r.forget(7);
+        r.invalidate_rank(2);
         assert_eq!(r.rank_of(7), 0);
     }
 
     #[test]
     fn invalidate_rank_drops_only_that_ranks_placements() {
-        let mut r = router();
+        let mut sim = router();
+        let r = r(&mut sim);
         r.learn(7, 2);
         r.learn(8, 2);
         r.learn(9, 1);
@@ -215,43 +173,17 @@ mod tests {
 
     #[test]
     fn live_map_preferred_over_static_config() {
-        let mut r = router();
-        assert_eq!(r.node_for_rank(0), Some(NodeId(20)), "static fallback");
-        assert!(r.adopt_snapshot(&snap(1, &[(0, 30)])));
-        assert_eq!(r.node_for_rank(0), Some(NodeId(30)), "failover followed");
-    }
-
-    #[test]
-    fn stale_changed_needs_no_fetch() {
-        let mut r = router();
-        assert!(r.needs_fetch(1), "anything beats the default empty view");
-        r.adopt_snapshot(&snap(3, &[(0, 20)]));
-        assert!(!r.needs_fetch(2));
-        assert!(!r.needs_fetch(3), "cached epoch itself is not newer");
-        assert!(r.needs_fetch(4));
-    }
-
-    #[test]
-    fn same_epoch_snapshot_adopted_only_when_view_is_empty() {
-        let mut r = router();
-        // A garbage snapshot parses to an empty view but moves the epoch.
-        let garbage = MapSnapshot {
-            map: SERVICE_MAP_MDS.to_string(),
-            epoch: 5,
-            entries: [("mds.0".to_string(), b"nonsense".to_vec())]
-                .into_iter()
-                .collect(),
-        };
-        assert!(r.adopt_snapshot(&garbage));
-        assert!(r.mdsmap().ranks.is_empty());
-        // Re-published at the same epoch with real entries: adopted,
-        // because the local view is empty.
-        assert!(r.adopt_snapshot(&snap(5, &[(0, 20)])));
-        assert_eq!(r.node_for_rank(0), Some(NodeId(20)));
-        // With a populated view, the same epoch no longer overwrites.
-        assert!(!r.adopt_snapshot(&snap(5, &[(0, 99)])));
-        assert_eq!(r.node_for_rank(0), Some(NodeId(20)));
-        // Older epochs never regress the view.
-        assert!(!r.adopt_snapshot(&snap(4, &[(0, 99)])));
+        let mut sim = router();
+        assert_eq!(
+            r(&mut sim).node_for_rank(0),
+            Some(NodeId(20)),
+            "static fallback"
+        );
+        assert!(adopt(&mut sim, 1, &[(0, 30)]));
+        assert_eq!(
+            r(&mut sim).node_for_rank(0),
+            Some(NodeId(30)),
+            "failover followed"
+        );
     }
 }

@@ -182,7 +182,12 @@ fn appends_follow_sequencer_exports_via_redirects() {
 fn stale_mdsmap_changed_skips_full_map_fetch() {
     let mut sim = build("mig1", 2, 23);
     append(&mut sim, CLIENT_A, "x");
-    let epoch = sim.actor::<ZlogClient>(CLIENT_A).router().mdsmap().epoch;
+    let epoch = sim
+        .actor::<ZlogClient>(CLIENT_A)
+        .router()
+        .mdsmap
+        .view()
+        .epoch;
     assert!(epoch > 0, "client adopted the bootstrap mdsmap");
     let fetches = sim.metrics().counter("zlog.mdsmap_refetches");
     let skips = sim.metrics().counter("zlog.mdsmap_refetch_skips");
