@@ -4,8 +4,8 @@
 # one-append-path, one-engine, one-encoding, forget-what-it-holds,
 # map-held-once, counter-is-a-slot, one-read-path, one-type-op-path,
 # one-seal-path, request-held-once, short-string-in-place,
-# outcome-held-once, one-request-core and one-route-table-one-map-follower
-# structure checks, the
+# outcome-held-once, one-request-core, one-route-table-one-map-follower and
+# a-grant-travels-alone structure checks, the
 # tier-1 build + test pass (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
@@ -140,6 +140,15 @@ for file in crates/rados/src/client.rs crates/zlog/src/route.rs crates/bench/src
 done
 [ -z "$(grep -rn 'fn adopt_snapshot\|fn needs_fetch\|fn fetch_map\|fn on_new_map' crates/*/src)" ]
 
+echo "==> a grant travels alone: MdsMsg::SetSeqLayout is built in the zlog client's register_layout alone, which the resolve and create replies and a LayoutMissing answer call; the MDS only matches it (DESIGN §12)"
+[ "$(grep -rl 'MdsMsg::SetSeqLayout' crates/*/src | xargs)" = "crates/mds/src/server.rs crates/zlog/src/log.rs" ]
+[ "$(grep -c 'MdsMsg::SetSeqLayout' crates/mds/src/server.rs)" = 1 ]
+[ "$(grep -A3 'MdsMsg::SetSeqLayout {' crates/mds/src/server.rs | grep -c 'ref pool,\|ref name,')" = 2 ]
+enclosing_fns() { awk -v call="$1" '/^    (pub )?fn [a-z_0-9]+/ { f = $0; sub(/^ *(pub )?fn /, "", f); sub(/[<(].*/, "", f) } index($0, call) { print f }' crates/zlog/src/log.rs | xargs; }
+[ "$(enclosing_fns 'MdsMsg::SetSeqLayout')" = register_layout ]
+[ "$(enclosing_fns 'self.register_layout(')" = "on_mds_transient on_mds_reply on_mds_reply" ]
+grep -q '(MdsError::LayoutMissing, Some(ino)) => self.register_layout(ctx, ino),' crates/zlog/src/log.rs
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -181,13 +190,15 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 #                       cursor (DESIGN §35); +10 %.
 #                       mds_balance 3.005, the three message boxes of a
 #                       sequencer round trip (DESIGN §32); +10 %.
-#                       append_steady 42.78, one outcome per replicated
+#                       append_steady 42.01, one outcome per replicated
 #                       write and its one copy to the client (DESIGN §36);
 #                       +5 %: a second class-code execution per write, or
 #                       a name copied per hop again (DESIGN §30), fails it.
-#                       fault_churn 101.05, appends through crashes,
+#                       fault_churn 97.35, appends through crashes,
 #                       journal replay and backfill, which ships outcomes
 #                       by refcount (DESIGN §36); +10 %.
+#                       append_overload 32.81, a grant without the log's
+#                       layout beside it (DESIGN §12); +10 %.
 #   host_alloc_kb_per_op  read_tail 76.75, one copy of a 1 KiB payload
 #                       between the omap and the reader (DESIGN §29); +10 %.
 #                       append_steady 10.73, the payload into the omap and
@@ -197,8 +208,10 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 #   host_peak_heap_mb   append_overload 28.02, the event queue at its
 #                       fullest; +5 %. Scheduler bookkeeping that grows with
 #                       the number of events ever queued shows here first.
-#   sim.events_per_op   append_overload 14.42, one watchdog per client, not
+#   sim.events_per_op   append_overload 11.26, one watchdog per client, not
 #                       per waiting append (DESIGN §27); +10 %.
+#   sim.msgs_per_op     append_overload 8.48, the layout sent only when an
+#                       MDS asks for it (DESIGN §12); +10 %.
 metric_at_most() {
     awk -v workload="$1" -v metric="$2" -v ceiling="$3" '
         $1 == "==" { current = $2 }
@@ -213,11 +226,13 @@ metric_at_most() {
 metric_at_most read_tail host_allocs_per_op 263
 metric_at_most read_tail host_alloc_kb_per_op 84.4
 metric_at_most mds_balance host_allocs_per_op 3.31
-metric_at_most append_steady host_allocs_per_op 44.9
+metric_at_most append_steady host_allocs_per_op 44.1
 metric_at_most append_steady host_alloc_kb_per_op 11.3
-metric_at_most fault_churn host_allocs_per_op 111
+metric_at_most fault_churn host_allocs_per_op 107
 metric_at_most fault_churn host_alloc_kb_per_op 12.9
+metric_at_most append_overload host_allocs_per_op 36.1
 metric_at_most append_overload host_peak_heap_mb 29.4
-metric_at_most append_overload sim.events_per_op 15.9
+metric_at_most append_overload sim.events_per_op 12.4
+metric_at_most append_overload sim.msgs_per_op 9.33
 
 echo "CI gate passed."

@@ -225,13 +225,19 @@ mod tests {
     fn appends_trace_contiguously_from_client_to_replica_journal() {
         let sim = run_sim(&Config::at(Scale::Quick));
         let tracer = sim.tracer();
-        // Find a replica-side journal span and walk its ancestry: the
-        // whole chain must share one trace rooted at the client's append.
-        let repl = tracer
+        // A grant is traced under its batch's first member only, so start
+        // from the first grant: its trace's replica-side journal span must
+        // have an ancestry that shares one trace rooted at the append.
+        let grant = tracer
             .spans()
             .iter()
+            .find(|s| s.name == "zlog.grant")
+            .expect("no grant span recorded");
+        let repl = *tracer
+            .trace_spans(grant.trace)
+            .iter()
             .find(|s| s.name == "osd.repl_journal")
-            .expect("no replica journal span recorded");
+            .expect("no replica journal span in the grant's trace");
         let chain = tracer.ancestry(repl.id);
         let names: Vec<&str> = chain.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(

@@ -257,7 +257,7 @@ impl Experiment for Config {
     fn at(scale: Scale) -> Self {
         let (entries, depths, log_lens, ckpt_lag) = match scale {
             Scale::Paper => (192, vec![1, 8, 32], vec![64, 128, 256], 16),
-            Scale::Quick => (96, vec![1, 32], vec![48, 144], 12),
+            Scale::Quick => (96, vec![1, 32], vec![48, 256], 12),
         };
         Config {
             entries,

@@ -344,7 +344,7 @@ pub struct Mds {
     /// Sequencer inodes inherited from a journal replay with *no* layout
     /// on record: the in-memory tail may understate the store, and
     /// without a layout the seal/maxpos protocol cannot run. Their type
-    /// ops answer `Recovering` until a client re-registers the layout,
+    /// ops answer `LayoutMissing` until a client re-registers the layout,
     /// which starts the seal.
     unsealed_seqs: IdSet<Ino>,
     /// Registered sequencer layouts (journaled; survive failover).
@@ -554,7 +554,7 @@ impl Mds {
         // itself waits for the layout.
         if self.unsealed_seqs.contains(&ino) {
             ctx.metrics().bump(counter!("mds.unsealed_seq_rejects"), 1);
-            return Err(MdsError::Recovering);
+            return Err(MdsError::LayoutMissing);
         }
         let inode = self.namespace.get_mut(ino).ok_or(MdsError::NotFound)?;
         // Every verb is a sequencer's: on any other file type it is the
@@ -583,7 +583,7 @@ impl Mds {
             // ZLog recovery runs against the registered layout; the caller
             // answers once the seal completes.
             SeqOp::Seal if self.seq_layouts.contains_key(&ino) => Ok(inode.embedded),
-            SeqOp::Seal => Err(MdsError::Recovering),
+            SeqOp::Seal => Err(MdsError::LayoutMissing),
         }
     }
 
@@ -1134,7 +1134,7 @@ impl Mds {
         self.seq_layouts.extend(replay.layouts);
         // Sequencers the journal knows about but has no layout for cannot
         // be sealed here: their tails stay suspect until a client
-        // re-registers the layout (every grant/tail drive re-sends it).
+        // re-registers the layout (their ops answer `LayoutMissing`).
         for ino in self.namespace.inodes_of_type(&FileType::Sequencer) {
             if !self.seq_layouts.contains_key(&ino) {
                 self.unsealed_seqs.insert(ino);
@@ -1642,13 +1642,13 @@ impl Mds {
             }
             MdsMsg::SetSeqLayout {
                 ino,
-                pool,
-                name,
+                ref pool,
+                ref name,
                 stripe_width,
             } => {
                 let layout = crate::namespace::SeqLayout {
-                    pool,
-                    name,
+                    pool: Rc::clone(pool),
+                    name: Rc::clone(name),
                     stripe_width,
                 };
                 if self.seq_layouts.get(&ino) != Some(&layout) {
@@ -1671,6 +1671,15 @@ impl Mds {
                 if self.unsealed_seqs.remove(&ino) {
                     ctx.metrics().bump(counter!("mds.late_layout_seals"), 1);
                     self.start_seals(ctx, [(ino, layout)]);
+                }
+                // A client registers where it sends its grants: the home of
+                // a proxied inode passes the layout on, as it does type ops.
+                let route = self.route_of(ino);
+                let proxied = route.style == ServeStyle::Proxy && route.home == self.rank;
+                if proxied && route.auth != self.rank {
+                    if let Some(node) = self.mdsmap.view().node_of(route.auth) {
+                        ctx.send(node, msg);
+                    }
                 }
             }
             MdsMsg::AdminExport { ino, target, style } => {

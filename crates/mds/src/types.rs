@@ -110,6 +110,9 @@ pub enum MdsError {
     /// The serving MDS is replaying its journal or re-sealing a sequencer
     /// after a takeover; retry shortly.
     Recovering,
+    /// The sequencer has no log layout on record, so it cannot seal:
+    /// send `SetSeqLayout`, then retry.
+    LayoutMissing,
     /// No live MDS currently serves `rank` (failover window); retry after
     /// the mdsmap changes.
     MdsUnavailable {
@@ -125,7 +128,10 @@ impl MdsError {
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
-            MdsError::Frozen | MdsError::Recovering | MdsError::MdsUnavailable { .. }
+            MdsError::Frozen
+                | MdsError::Recovering
+                | MdsError::LayoutMissing
+                | MdsError::MdsUnavailable { .. }
         )
     }
 }
@@ -139,6 +145,7 @@ impl std::fmt::Display for MdsError {
             MdsError::NotAuth { rank } => write!(f, "not authoritative (try mds.{rank})"),
             MdsError::Frozen => write!(f, "inode frozen for migration"),
             MdsError::Recovering => write!(f, "mds recovering after takeover"),
+            MdsError::LayoutMissing => write!(f, "sequencer layout missing"),
             MdsError::MdsUnavailable { rank } => {
                 write!(f, "no live mds for rank {rank} (failover in progress)")
             }
@@ -294,7 +301,8 @@ pub enum MdsMsg {
 
     /// Register the storage layout of a sequencer's log so a promoted
     /// standby can run the seal/maxpos protocol against the right objects
-    /// before issuing positions again. Journaled; idempotent.
+    /// before issuing positions again. Journaled; idempotent. Sent at
+    /// resolve and on `LayoutMissing`; a proxied inode's home passes it on.
     SetSeqLayout {
         /// The sequencer inode.
         ino: Ino,

@@ -697,7 +697,7 @@ fn answer(sim: &mut Sim, reqid: u64) -> TypeOpAnswer {
 /// Every sequencer verb does the same thing served where it arrives
 /// (`TypeOp`) and forwarded by the home rank to the authority (`ProxyOp`);
 /// the one verb that is wrong whatever its file type is a zero-width grant,
-/// a seal waits for the log's layout, and every verb is wrong on a file
+/// a seal asks for the log's layout, and every verb is wrong on a file
 /// that is no sequencer. A forwarded op
 /// passes the gate a direct one does: at a rank that is not the authority
 /// and on a frozen inode it gets `Frozen`, and never a position.
@@ -722,7 +722,7 @@ fn every_seq_op_serves_directly_and_through_a_proxy() {
         (SeqOp::Next, Ok(0)),
         (SeqOp::NextBatch(4), Ok(1)),
         (SeqOp::Read, Ok(5)),
-        (SeqOp::Seal, Err(MdsError::Recovering)),
+        (SeqOp::Seal, Err(MdsError::LayoutMissing)),
         (SeqOp::Next, Ok(5)),
         (SeqOp::NextBatch(0), Err(MdsError::BadType)),
         (SeqOp::Read, Ok(6)),
@@ -910,7 +910,8 @@ fn seals(sim: &Sim, i: u32) -> &HashMap<u64, (u64, u64)> {
 /// A sequencer that comes back from a journal replay with no layout on
 /// record serves no verb that reads or moves its tail — grants were never
 /// journalled, so the replayed tail (0) understates the 5 positions handed
-/// out — and cannot seal. The layout a client registers starts the seal,
+/// out — and cannot seal: each asks for the layout by name. The layout a
+/// client registers starts the seal,
 /// and the sequencer resumes past the store's highest position.
 #[test]
 fn seq_ops_after_a_journal_replay_wait_for_a_layout() {
@@ -935,7 +936,7 @@ fn seq_ops_after_a_journal_replay_wait_for_a_layout() {
         (23, SeqOp::Seal),
     ] {
         let (result, _) = type_op(&mut sim, reqid, seq, op);
-        assert_eq!(result, Err(MdsError::Recovering), "{op}");
+        assert_eq!(result, Err(MdsError::LayoutMissing), "{op}");
     }
     send_from(&mut sim, client_node(0), mds_node(0), layout(seq));
     sim.run_for(SimDuration::from_secs(1));

@@ -892,18 +892,23 @@ impl ZlogClient {
     }
 
     /// Typed transient MDS error (frozen inode, mid-takeover recovery,
-    /// vacant rank). Those replies arrive at full message speed, so
-    /// pacing must come from us: the watchdog's capped exponential
+    /// missing layout, vacant rank). Those replies arrive at full message
+    /// speed, so pacing must come from us: the watchdog's capped exponential
     /// backoff is re-armed (superseding the old timer) and re-drives the
     /// op; a flat short delay would burn the whole attempt budget inside
     /// one takeover window. `MdsUnavailable` additionally drops every
     /// cached placement at the vacant rank (affected logs re-resolve
     /// through home instead of hammering a dead address) and parks the op
-    /// on the mdsmap so adoption re-drives it at once.
+    /// on the mdsmap so adoption re-drives it at once. `LayoutMissing`
+    /// sends the layout the authority asked for.
     fn on_mds_transient(&mut self, ctx: &mut Context<'_>, op: u64, e: &MdsError) {
-        if let MdsError::MdsUnavailable { rank } = e {
-            self.router.invalidate_rank(*rank);
-            self.ops.park(op, Park::MdsMap);
+        match (e, self.seq_ino) {
+            (MdsError::MdsUnavailable { rank }, _) => {
+                self.router.invalidate_rank(*rank);
+                self.ops.park(op, Park::MdsMap);
+            }
+            (MdsError::LayoutMissing, Some(ino)) => self.register_layout(ctx, ino),
+            _ => {}
         }
         // Kept as found: a batch pays an attempt and counts a retry for a
         // transient reply, a single op does neither.
@@ -930,11 +935,12 @@ impl ZlogClient {
 
     /// Tells the authoritative MDS where this log's stripe objects live so
     /// a promoted standby can seal them before reissuing positions.
-    /// Fire-and-forget and idempotent; re-sent on every resolve and on
-    /// every grant/tail drive, so a single lost copy (or an MDS whose
-    /// journal missed the `SeqLayout` entry before a crash) cannot leave
-    /// the authority permanently layout-blind.
+    /// Fire-and-forget and idempotent; sent on every resolve and whenever
+    /// an MDS answers `LayoutMissing`, so a lost copy (or an MDS whose
+    /// journal missed the `SeqLayout` entry before a crash) costs a retry,
+    /// never a layout-blind authority.
     fn register_layout(&mut self, ctx: &mut Context<'_>, ino: Ino) {
+        ctx.metrics().bump(counter!("zlog.layouts_sent"), 1);
         self.send_seq(
             ctx,
             ino,
@@ -1231,9 +1237,7 @@ impl ZlogClient {
     }
 
     /// Sends sequencer verb `verb` for `op` to the inode's authority, the
-    /// op waiting in `stage`, or resolves the inode first. As in
-    /// `drive_batch_grant`, the layout rides along: a promoted MDS that
-    /// lost it can seal only once a client sends it again.
+    /// op waiting in `stage`, or resolves the inode first.
     fn send_seq_op(&mut self, ctx: &mut Context<'_>, op: u64, verb: SeqOp, stage: Stage) {
         let Some(ino) = self.seq_ino else {
             if let Some(p) = self.ops.get_mut(op) {
@@ -1247,7 +1251,6 @@ impl ZlogClient {
         if let Some(p) = self.ops.get_mut(op) {
             p.stage = stage;
         }
-        self.register_layout(ctx, ino);
         let reqid = self.mds_reqid(op);
         self.send_seq(
             ctx,
@@ -2115,13 +2118,9 @@ impl ZlogClient {
             batch.stage = Stage::BatchGrant { span: Some(span) };
         }
         match self.seq_ino {
-            // Grants go to the sequencer's cached authoritative rank and
-            // re-assert the layout with every request: a promoted MDS whose
-            // journal never captured it refuses grants until it can seal,
-            // and this is what lets it. The resolve that discovers the rank
-            // goes to home.
+            // Grants go to the sequencer's cached authoritative rank; the
+            // resolve that discovers the rank goes to home.
             Some(ino) => {
-                self.register_layout(ctx, ino);
                 let reqid = self.mds_reqid(id);
                 let rank = self.router.rank_of(ino);
                 self.send_mds(ctx, rank, MdsMsg::get_pos_batch(reqid, ino, n), Some(span));
