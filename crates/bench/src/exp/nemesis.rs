@@ -16,6 +16,7 @@
 //! and seal the log before positions flow again. The client rides through
 //! on its retry machinery.
 
+use mala_consensus::Monitor;
 use mala_mds::server::Mds;
 use mala_mds::{MdsConfig, NoBalancer};
 use mala_rados::{Osd, OsdConfig};
@@ -246,6 +247,9 @@ pub struct FailoverData {
     /// Sequencer unavailability: crash → first append served by the
     /// promoted standby (ms).
     pub unavailability_ms: f64,
+    /// Crash → the promoted standby's seal, as the monitor's cluster log
+    /// received it (ms).
+    pub seal_ms: f64,
     /// Standby takeovers observed (expected: 1).
     pub takeovers: u64,
     /// Seal rounds the promoted standby ran (expected: ≥ 1).
@@ -298,6 +302,12 @@ impl Experiment for FailoverConfig {
         let resume_s = samples
             .get(before_crash)
             .map_or(end_s, |(done_s, _)| *done_s);
+        let crashed_at = t0 + self.crash_at;
+        let log = cluster.sim.actor::<Monitor>(cluster.mon()).cluster_log();
+        let sealed = log
+            .iter()
+            .find(|(at, _, line)| *at > crashed_at && line.starts_with("sealed log"));
+        let seal_s = sealed.map_or(end_s, |(at, _, _)| at.since(t0).as_secs_f64());
         let metrics = cluster.sim.metrics();
         FailoverData {
             series: report::append_rate(samples, end_s),
@@ -307,6 +317,7 @@ impl Experiment for FailoverConfig {
                 phase_stats("resumed", samples, resume_s, end_s),
             ],
             unavailability_ms: (resume_s - crash_s) * 1000.0,
+            seal_ms: (seal_s - crash_s) * 1000.0,
             takeovers: metrics.counter("mds.takeovers"),
             seq_seals: metrics.counter("mds.seq_seals"),
             retries: retries(&cluster),
@@ -322,15 +333,21 @@ impl Experiment for FailoverConfig {
         );
         out.push_str(&report::timeline(&data.series, &data.phases));
         out.push_str(&format!(
-            "\nsequencer unavailable for {:.0} ms   takeovers: {}   seals: {}   \
-             retries absorbed: {}   terminal failures: {}\n",
-            data.unavailability_ms, data.takeovers, data.seq_seals, data.retries, data.failures
+            "\nsequencer unavailable for {:.0} ms (sealed at {:.0} ms)   takeovers: {}   \
+             seals: {}   retries absorbed: {}   terminal failures: {}\n",
+            data.unavailability_ms,
+            data.seal_ms,
+            data.takeovers,
+            data.seq_seals,
+            data.retries,
+            data.failures
         ));
         out
     }
 
-    /// The standby takes over and seals within a bounded window, and
-    /// appends resume.
+    /// The standby takes over and seals within a bounded window, the
+    /// first append it serves completes within 50 ms of its seal (the
+    /// seal wakes it, no backoff runs out), and appends resume.
     fn assert_shape(&self, data: &FailoverData) -> Result<(), String> {
         ensure!(data.failures == 0, "{} terminal failures", data.failures);
         ensure!(data.takeovers >= 1, "standby never took over");
@@ -339,6 +356,11 @@ impl Experiment for FailoverConfig {
         ensure!(
             unavailable > 0.0 && unavailable < 10_000.0,
             "implausible unavailability window: {unavailable} ms"
+        );
+        let after_seal = unavailable - data.seal_ms;
+        ensure!(
+            (0.0..=50.0).contains(&after_seal),
+            "first standby-served append {after_seal:.1} ms after the seal"
         );
         ensure!(data.phases[0].rate > 0.0, "no baseline throughput");
         ensure!(data.phases[2].rate > 0.0, "appends dead after takeover");

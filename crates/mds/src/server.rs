@@ -116,6 +116,18 @@ enum Arrival {
     Proxied,
 }
 
+/// A type op as it reached this rank: its open `mds.typeop` span, whom to
+/// answer, and how it came. A sequencer in the seal's last round trip
+/// holds it whole until the seal ends.
+#[derive(Debug, Clone, Copy)]
+struct TypeOpRequest {
+    span: SpanContext,
+    client: NodeId,
+    reqid: u64,
+    op: SeqOp,
+    arrival: Arrival,
+}
+
 const TIMER_BALANCE: u64 = 1;
 const TIMER_CAP: u64 = 2;
 const TIMER_JOURNAL: u64 = 3;
@@ -155,6 +167,10 @@ struct SealRecovery {
     /// latest, since a client re-sends under a fresh reqid and drops the
     /// answer to an older one.
     waiters: Vec<(NodeId, u64)>,
+    /// Type ops that arrived while every unanswered stripe had its call
+    /// out: served when the seal completes, answered `Recovering` if a
+    /// call fails first.
+    held: Vec<TypeOpRequest>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -336,7 +352,8 @@ pub struct Mds {
     /// True until this daemon is promoted into a rank.
     standby: bool,
     /// Sequencer inodes mid-seal after a takeover; type ops answer
-    /// `Recovering` until the protocol completes.
+    /// `Recovering` until the protocol's last round trip, which holds them
+    /// until it completes.
     /// Ordered: `on_zlog_map` and `TIMER_SEAL` send per entry in iteration
     /// order, and a send order that differs between processes is a
     /// different run.
@@ -589,8 +606,9 @@ impl Mds {
 
     /// Handles a sequencer verb for `client`, however it arrived. The gate
     /// is the same either way: a frozen inode answers `Frozen`, a
-    /// sequencer mid-seal `Recovering` (a seal request joins the seal),
-    /// and only the authority serves.
+    /// sequencer mid-seal `Recovering` (a seal request joins the seal)
+    /// unless the seal is in its last round trip, which holds the op
+    /// until it ends, and only the authority serves.
     /// The arrival sets the queue cost, whether `mds.typeops` counts the
     /// op, and what a rank that is not the authority answers: the home of
     /// a proxied inode forwards a direct op and any other rank redirects
@@ -608,14 +626,47 @@ impl Mds {
     ) {
         let span = ctx.span_start("mds.typeop", ctx.incoming_span());
         ctx.span_tag_display(span, "op", op);
+        let request = TypeOpRequest {
+            span,
+            client,
+            reqid,
+            op,
+            arrival,
+        };
+        self.serve_type_op(ctx, ino, request);
+    }
+
+    /// [`Mds::handle_type_op`] past the span: also where a held op goes
+    /// again once its seal completes.
+    fn serve_type_op(&mut self, ctx: &mut Context<'_>, ino: Ino, request: TypeOpRequest) {
+        let TypeOpRequest {
+            span,
+            client,
+            reqid,
+            op,
+            arrival,
+        } = request;
         if self.frozen.contains(&ino) {
             self.refuse_type_op(ctx, span, client, reqid, "frozen", MdsError::Frozen);
             return;
         }
-        if self.recovering_seqs.contains_key(&ino) && op != SeqOp::Seal {
+        if op != SeqOp::Seal && self.recovering_seqs.contains_key(&ino) {
             // The seal protocol hasn't finished: issuing a position now
-            // could duplicate one the store already holds.
-            self.refuse_type_op(ctx, span, client, reqid, "recovering", MdsError::Recovering);
+            // could duplicate one the store already holds. In its last
+            // round trip the op waits for it; before, or while a failed
+            // stripe call waits to be made again, it answers at once.
+            let last_step = self.seal_calls_out(ino);
+            match self.recovering_seqs.get_mut(&ino) {
+                Some(rec) if last_step => {
+                    ctx.span_tag(span, "held", "seal");
+                    rec.held.push(request);
+                    ctx.metrics().bump(counter!("mds.seal_held"), 1);
+                }
+                _ => {
+                    let err = MdsError::Recovering;
+                    self.refuse_type_op(ctx, span, client, reqid, "recovering", err);
+                }
+            }
             return;
         }
         let route = self.route_of(ino);
@@ -1164,9 +1215,12 @@ impl Mds {
         self.become_ready(ctx);
     }
 
+    /// Starts serving: the requests stashed so far are handled once each,
+    /// in arrival order. One that stashes itself again (a cap request on
+    /// a sequencer mid-seal) waits for the next drain, not this one.
     fn become_ready(&mut self, ctx: &mut Context<'_>) {
         self.ready = true;
-        while let Some((from, msg)) = self.stashed.pop_front() {
+        for (from, msg) in std::mem::take(&mut self.stashed) {
             self.handle_client(ctx, from, msg);
         }
     }
@@ -1248,6 +1302,10 @@ impl Mds {
             ctx.span_end(flush.span);
         }
         self.unflushed_replies.clear();
+        for held in self.recovering_seqs.values().flat_map(|rec| &rec.held) {
+            ctx.span_tag(held.span, "error", "deposed");
+            ctx.span_end(held.span);
+        }
         self.recovering_seqs.clear();
         self.unsealed_seqs.clear();
         self.seal_mon_waiting.clear();
@@ -1278,7 +1336,7 @@ impl Mds {
     /// Begins the seal/maxpos protocol for `seqs` — every layout known
     /// after a journal replay, or one whose layout arrived later (see
     /// `unsealed_seqs`). Until an inode's seal completes, its type ops
-    /// answer `Recovering`.
+    /// answer `Recovering` or wait for it (see [`Mds::serve_type_op`]).
     fn start_seals(
         &mut self,
         ctx: &mut Context<'_>,
@@ -1299,6 +1357,7 @@ impl Mds {
                     stage: SealStage::GetEpoch,
                     new_epoch: 0,
                     waiters: Vec::new(),
+                    held: Vec::new(),
                 },
             );
         }
@@ -1383,6 +1442,30 @@ impl Mds {
         );
     }
 
+    /// Whether `ino`'s seal is in its last round trip: the epoch bump has
+    /// committed and every stripe that has not answered has its `seal` /
+    /// `maxpos` call out.
+    fn seal_calls_out(&self, ino: Ino) -> bool {
+        let Some(rec) = self.recovering_seqs.get(&ino) else {
+            return false;
+        };
+        let mut open = (0u32..).zip(&rec.maxpos).filter(|(_, m)| m.is_none());
+        rec.stage == SealStage::Sealing
+            && open.all(|(stripe, _)| self.rados.has_waiter(&StoreWait::Seal { ino, stripe }))
+    }
+
+    /// A stripe call of `ino`'s seal failed: the seal waits for
+    /// `TIMER_SEAL` now, so the ops it held answer `Recovering`.
+    fn release_held(&mut self, ctx: &mut Context<'_>, ino: Ino) {
+        let Some(rec) = self.recovering_seqs.get_mut(&ino) else {
+            return;
+        };
+        for held in std::mem::take(&mut rec.held) {
+            let (span, client, reqid) = (held.span, held.client, held.reqid);
+            self.refuse_type_op(ctx, span, client, reqid, "recovering", MdsError::Recovering);
+        }
+    }
+
     /// Enters the sealing stage and calls `seal(new_epoch)` on every
     /// stripe object of `ino`'s log that has neither answered nor a call
     /// out: a call in flight is the client's to retransmit, and one that
@@ -1442,6 +1525,7 @@ impl Mds {
                     // written position. The stripe stays unanswered and
                     // `TIMER_SEAL` calls it again.
                     ctx.metrics().bump(counter!("mds.seal_call_errors"), 1);
+                    self.release_held(ctx, ino);
                     return;
                 };
                 rec.maxpos[stripe as usize] = Some(maxpos);
@@ -1458,6 +1542,7 @@ impl Mds {
                 // is not installed yet: the stripe stays unanswered and
                 // `TIMER_SEAL` submits its seal again.
                 ctx.metrics().bump(counter!("mds.seal_call_errors"), 1);
+                self.release_held(ctx, ino);
                 return;
             }
         }
@@ -1506,7 +1591,11 @@ impl Mds {
         for (client, reqid) in rec.waiters {
             ctx.send(client, MdsMsg::Sealed { reqid, epoch, tail });
         }
-        // Requests stashed while this inode recovered can now be served.
+        // Ops held through the last round trip, and requests stashed while
+        // this inode recovered, can now be served.
+        for held in rec.held {
+            self.serve_type_op(ctx, ino, held);
+        }
         if self.ready {
             let stashed = std::mem::take(&mut self.stashed);
             for (from, msg) in stashed {
@@ -1666,8 +1755,8 @@ impl Mds {
                 // A layout arriving for a replay-inherited sequencer is
                 // the missing piece of its recovery: run the seal/maxpos
                 // protocol now. Until it completes the inode stays in
-                // `recovering_seqs`, so grants keep answering
-                // `Recovering` with no window for a double issue.
+                // `recovering_seqs`, so no grant is served before it and
+                // there is no window for a double issue.
                 if self.unsealed_seqs.remove(&ino) {
                     ctx.metrics().bump(counter!("mds.late_layout_seals"), 1);
                     self.start_seals(ctx, [(ino, layout)]);

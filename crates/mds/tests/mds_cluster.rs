@@ -1070,3 +1070,47 @@ fn a_forwarded_op_waits_out_a_seal_like_a_direct_one() {
     }
     assert_eq!(sim.metrics().counter("mds.seq_seals"), 0);
 }
+
+/// Requests that reach a daemon before its journal replay completes wait
+/// in its stash and are handled once each when it becomes ready; the
+/// replay starts the seal of a sequencer whose layout it holds. A type op
+/// for that sequencer is answered, and a cap request on it, which stashes
+/// itself again until the seal ends, waits for the seal instead of
+/// spinning the drain: the daemon keeps serving, and the seal's end
+/// grants the cap.
+#[test]
+fn a_request_stashed_before_a_replay_is_handled_once() {
+    use mala_mds::types::MdsError;
+    let config = MdsConfig {
+        journal: true,
+        ..MdsConfig::default()
+    };
+    let mut sim = build_journalled(&config);
+    install_seal_stub(&mut sim, 6);
+    let seq = create(&mut sim, client_node(0), 1, "/", "s", FileType::Sequencer);
+    send_from(&mut sim, client_node(0), mds_node(0), layout(seq));
+    sim.run_for(SimDuration::from_secs(2));
+    let replays = sim.metrics().counter("mds.journal_replays");
+    sim.crash(mds_node(0));
+    let mds = Mds::new(0, MON, config, Box::new(NoBalancer));
+    sim.restart(mds_node(0), mds);
+    let cap = MdsMsg::CapRequest { ino: seq };
+    send_from(&mut sim, client_node(1), mds_node(0), cap);
+    assert_eq!(
+        type_op(&mut sim, 10, seq, SeqOp::Next).0,
+        Err(MdsError::Recovering)
+    );
+    let replayed = sim.metrics().counter("mds.journal_replays") - replays;
+    assert_eq!(replayed, 1);
+    assert_eq!(sim.metrics().counter("mds.seq_seals"), 0);
+    let dir = create(&mut sim, client_node(0), 2, "/", "d", FileType::Dir);
+    assert!(dir > seq);
+    sim.run_for(SimDuration::from_secs(2));
+    assert_eq!(sim.metrics().counter("mds.seq_seals"), 1);
+    let grants = &sim.actor::<TestClient>(client_node(1)).grants;
+    assert_eq!(
+        grants.iter().map(|g| (g.1, g.2)).collect::<Vec<_>>(),
+        [(seq, 7)]
+    );
+    assert_eq!(type_op(&mut sim, 11, seq, SeqOp::Next).0, Ok(7));
+}

@@ -229,6 +229,18 @@ struct PendingOp {
     span: Option<SpanContext>,
     /// Open `zlog.queue` child while the op waits in the append queue.
     queue_span: Option<SpanContext>,
+    /// Where the op's latest MDS request went, and under which epoch.
+    mds_sent: Option<MdsSent>,
+}
+
+/// An MDS request as it left: a map that moves `rank` off `node` leaves it
+/// unanswered, and a `Recovering` answer to it waits for an epoch above
+/// `epoch`.
+#[derive(Debug, Clone, Copy)]
+struct MdsSent {
+    rank: u32,
+    node: NodeId,
+    epoch: u64,
 }
 
 /// A reply route, held by its op in `ops`: a request of the embedded RADOS
@@ -597,6 +609,7 @@ impl ZlogClient {
             seal_hist: None,
             span: None,
             queue_span: None,
+            mds_sent: None,
         };
         self.ops.insert(op, pending, deadline);
         op
@@ -846,8 +859,10 @@ impl ZlogClient {
     /// over the static config — after a failover the rank lives on the
     /// promoted standby's node). With the rank unroutable the message
     /// is withheld and the owning op is parked on the mdsmap:
-    /// adoption of a fresh map re-drives it immediately, and the
-    /// watchdog backoff remains the backstop for lost maps.
+    /// adoption of a fresh map re-drives it immediately
+    /// ([`ZlogClient::redrive_on_mdsmap`]), and the
+    /// watchdog backoff remains the backstop for lost maps. A request
+    /// sent is noted on its op ([`MdsSent`]).
     fn send_mds(
         &mut self,
         ctx: &mut Context<'_>,
@@ -855,28 +870,34 @@ impl ZlogClient {
         msg: MdsMsg,
         span: Option<SpanContext>,
     ) {
+        let op = self.mds_owner(&msg);
         match self.router.node_for_rank(rank) {
-            Some(node) => ctx.send_spanned(node, msg, span),
+            Some(node) => {
+                let epoch = self.epoch;
+                if let Some(pending) = op.and_then(|op| self.ops.get_mut(op)) {
+                    pending.mds_sent = Some(MdsSent { rank, node, epoch });
+                }
+                ctx.send_spanned(node, msg, span);
+            }
             None => {
                 ctx.metrics().bump(counter!("zlog.mds_unroutable"), 1);
-                self.park_on_mdsmap(&msg);
+                if let Some(op) = op {
+                    self.ops.park(op, Park::MdsMap);
+                }
             }
         }
     }
 
-    /// Parks the op owning a withheld message on the mdsmap (see
-    /// [`ZlogClient::redrive_parked_on_mdsmap`]). Messages with no reply
-    /// routing (fire-and-forget `SetSeqLayout`) have nothing to park.
-    fn park_on_mdsmap(&mut self, msg: &MdsMsg) {
+    /// The op awaiting the reply to `msg`. Messages with no reply routing
+    /// (fire-and-forget `SetSeqLayout`) have none.
+    fn mds_owner(&self, msg: &MdsMsg) -> Option<u64> {
         let reqid = match msg {
             MdsMsg::Resolve { reqid, .. }
             | MdsMsg::Create { reqid, .. }
             | MdsMsg::TypeOp { reqid, .. } => *reqid,
-            _ => return,
+            _ => return None,
         };
-        if let Some(op) = self.ops.owner(Route::Mds(reqid)) {
-            self.ops.park(op, Park::MdsMap);
-        }
+        self.ops.owner(Route::Mds(reqid))
     }
 
     /// Sends a namespace op (resolve/create) to the home rank, which
@@ -900,7 +921,10 @@ impl ZlogClient {
     /// cached placement at the vacant rank (affected logs re-resolve
     /// through home instead of hammering a dead address) and parks the op
     /// on the mdsmap so adoption re-drives it at once. `LayoutMissing`
-    /// sends the layout the authority asked for.
+    /// sends the layout the authority asked for. `Recovering` parks the op
+    /// on the epoch its request went out under: the seal ends by
+    /// installing a newer one, whose adoption re-drives it, and a request
+    /// sent before this client adopted that epoch goes again now.
     fn on_mds_transient(&mut self, ctx: &mut Context<'_>, op: u64, e: &MdsError) {
         match (e, self.seq_ino) {
             (MdsError::MdsUnavailable { rank }, _) => {
@@ -908,6 +932,15 @@ impl ZlogClient {
                 self.ops.park(op, Park::MdsMap);
             }
             (MdsError::LayoutMissing, Some(ino)) => self.register_layout(ctx, ino),
+            (MdsError::Recovering, _) => {
+                let sent = self.ops.get(op).and_then(|p| p.mds_sent);
+                let sent = sent.map_or(self.epoch, |sent| sent.epoch);
+                if sent < self.epoch {
+                    return self.restart_op(ctx, op);
+                }
+                ctx.metrics().bump(counter!("zlog.recovering_parks"), 1);
+                self.ops.park(op, Park::Epoch(sent));
+            }
             _ => {}
         }
         // Kept as found: a batch pays an attempt and counts a retry for a
@@ -1685,16 +1718,34 @@ impl ZlogClient {
         ctx.send(self.config.monitor, MonMsg::Get { map });
     }
 
-    /// Re-drives every op parked on the mdsmap. Runs on mdsmap adoption:
-    /// the map change is progress, so no attempt is burned — without
-    /// this, an op withheld because its rank was unroutable would sit out
-    /// the full watchdog backoff after the fresh map arrived.
-    fn redrive_parked_on_mdsmap(&mut self, ctx: &mut Context<'_>) {
+    /// Re-drives every op parked on the mdsmap, then every op whose MDS
+    /// request went to a node the map has moved its rank off: a crashed
+    /// daemon answers nothing, and its promoted standby seals and grants
+    /// only what reaches it. Runs on mdsmap adoption: the map change is
+    /// progress, so no attempt is burned — without this, either would sit
+    /// out the full watchdog backoff after the fresh map arrived.
+    fn redrive_on_mdsmap(&mut self, ctx: &mut Context<'_>) {
         let mut parked = self.ops.unpark(|park| *park == Park::MdsMap);
         // Single ops go before batches, each in park order: the event
         // order of every seed so far depends on it.
         parked.sort_by_key(|op| self.is_batch(*op));
-        for op in parked {
+        self.redrive_after_map(ctx, parked);
+        // Looked for after the parked ones went: those now have a request
+        // out to a live node.
+        let moved = |sent: &MdsSent| self.router.node_for_rank(sent.rank) != Some(sent.node);
+        let mut stranded: Vec<u64> = (self.ops.iter())
+            .filter(|(_, pending)| pending.mds_sent.as_ref().is_some_and(moved))
+            .filter(|(op, _)| self.ops.routes(*op).any(|r| matches!(r, Route::Mds(_))))
+            .map(|(op, _)| op)
+            .collect();
+        stranded.sort_unstable();
+        self.redrive_after_map(ctx, stranded);
+    }
+
+    /// Re-drives each op of `ops` still in flight, in order, counting it
+    /// in `zlog.mdsmap_redrives`.
+    fn redrive_after_map(&mut self, ctx: &mut Context<'_>, ops: Vec<u64>) {
+        for op in ops {
             if self.ops.contains_key(op) {
                 ctx.metrics().bump(counter!("zlog.mdsmap_redrives"), 1);
                 self.redrive_op(ctx, op);
@@ -2362,7 +2413,7 @@ impl Actor for ZlogClient {
                     // A fresh map is progress: re-drive ops parked on an
                     // unroutable rank right away instead of letting them
                     // sit out the watchdog backoff.
-                    Some(true) => return self.redrive_parked_on_mdsmap(ctx),
+                    Some(true) => return self.redrive_on_mdsmap(ctx),
                     Some(false) => return,
                     None => {}
                 }

@@ -202,3 +202,69 @@ fn forgetting_one_op_leaves_the_others_routes_in_flight() {
     drain(&mut sim, &[a, b]);
     assert_eq!(sim.metrics().counter("client.cancelled"), cancelled + 4);
 }
+
+/// Answers the MDS request `batch` has out with `Recovering`, as an MDS
+/// mid-seal would; returns the reqid answered.
+fn answer_recovering(sim: &mut Sim, batch: u64) -> u64 {
+    sim.with_actor::<ZlogClient, _>(CLIENT, |c, ctx| {
+        let routes: Vec<Route> = c.ops.routes(batch).collect();
+        let [Route::Mds(reqid)] = routes[..] else {
+            panic!("the batch holds {routes:?}");
+        };
+        let result = Err(MdsError::Recovering);
+        let reply = MdsMsg::TypeOpReply {
+            reqid,
+            result,
+            served_by: 0,
+        };
+        c.on_message(ctx, MDS0, Box::new(reply));
+        reqid
+    })
+}
+
+/// A `Recovering` answer parks the op on the epoch its request went out
+/// under, and adopting a newer epoch sends it again. An answer to a
+/// request sent before the client adopted a newer epoch sends it again at
+/// once: the epoch it would wait for is the one it already has.
+#[test]
+fn a_recovering_answer_waits_for_an_epoch_above_the_one_its_request_went_out_under() {
+    let mut sim = build("recovering");
+    sim.network_mut().sever(CLIENT, MDS0);
+    let op = sim.with_actor::<ZlogClient, _>(CLIENT, |c, ctx| c.append(ctx, b"held".to_vec()));
+    let Some(&Stage::InBatch { batch }) = client(&sim).ops.get(op).map(|p| &p.stage) else {
+        panic!("an append goes out as a batch of one");
+    };
+    let epoch = client(&sim).epoch();
+    let adopt = |sim: &mut Sim, epoch: u64| {
+        let value = epoch.to_string().into_bytes();
+        sim.with_actor::<ZlogClient, _>(CLIENT, |c, ctx| c.adopt_epoch(ctx, &value));
+    };
+    let parked = |sim: &Sim| -> Vec<(u64, Park)> {
+        client(sim).ops.parked().map(|(id, p)| (id, *p)).collect()
+    };
+
+    let first = answer_recovering(&mut sim, batch);
+    assert_eq!(parked(&sim), [(batch, Park::Epoch(epoch))]);
+    assert!(held(&sim, batch).is_empty());
+    adopt(&mut sim, epoch + 1);
+    assert!(parked(&sim).is_empty());
+    let [Route::Mds(second)] = held(&sim, batch)[..] else {
+        panic!("the adopted epoch sent no grant");
+    };
+    assert!(second > first);
+
+    // The second grant went out under `epoch + 1`; the client adopts
+    // `epoch + 2` before its answer comes.
+    adopt(&mut sim, epoch + 2);
+    assert_eq!(held(&sim, batch), [Route::Mds(second)]);
+    answer_recovering(&mut sim, batch);
+    assert!(parked(&sim).is_empty());
+    let [Route::Mds(third)] = held(&sim, batch)[..] else {
+        panic!("the answer parked the grant instead of sending it again");
+    };
+    assert!(third > second);
+    assert_eq!(sim.metrics().counter("zlog.recovering_parks"), 1);
+
+    sim.network_mut().heal_all();
+    drain(&mut sim, &[op]);
+}
