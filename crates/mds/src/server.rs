@@ -1735,6 +1735,13 @@ impl Mds {
                 ref name,
                 stripe_width,
             } => {
+                // A log of no stripes has nothing to seal: its seal would
+                // wait for a stripe reply that never comes, holding every
+                // type op on the sequencer. Refused, it is never journalled.
+                if stripe_width == 0 {
+                    ctx.metrics().bump(counter!("mds.bad_layouts"), 1);
+                    return;
+                }
                 let layout = crate::namespace::SeqLayout {
                     pool: Rc::clone(pool),
                     name: Rc::clone(name),

@@ -984,6 +984,32 @@ fn a_seal_request_answers_when_its_seal_completes() {
     assert_eq!(sim.metrics().counter("mds.seq_seals"), 2);
 }
 
+/// A layout of no stripes is refused: the seal it would start waits for a
+/// stripe reply that never comes, holding every type op on the sequencer.
+/// The sequencer goes on as one with no layout: a seal asks for one, and
+/// grants are served.
+#[test]
+fn a_layout_of_no_stripes_is_refused() {
+    use mala_mds::types::MdsError;
+    let mut sim = build_journalled(&MdsConfig::default());
+    install_seal_stub(&mut sim, 6);
+    let seq = create(&mut sim, client_node(0), 1, "/", "s", FileType::Sequencer);
+    let layout = MdsMsg::SetSeqLayout {
+        ino: seq,
+        pool: "meta".into(),
+        name: "s".into(),
+        stripe_width: 0,
+    };
+    send_from(&mut sim, client_node(0), mds_node(0), layout);
+    sim.run_for(SimDuration::from_millis(50));
+    send_seal(&mut sim, 0, 10, seq);
+    assert_eq!(type_op(&mut sim, 11, seq, SeqOp::NextBatch(3)).0, Ok(0));
+    assert_eq!(answer(&mut sim, 10).0, Err(MdsError::LayoutMissing));
+    assert_eq!(type_op(&mut sim, 12, seq, SeqOp::Read).0, Ok(3));
+    assert_eq!(sim.metrics().counter("mds.bad_layouts"), 1);
+    assert_eq!(sim.metrics().counter("mds.seq_seals"), 0);
+}
+
 /// A seal request that reaches a takeover's seal after its epoch bump
 /// committed joins it and is answered with that epoch, which its client
 /// may already run under, not a newer one. Until the zlog class is

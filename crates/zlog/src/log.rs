@@ -208,17 +208,13 @@ enum Stage {
 struct PendingOp {
     kind: OpKind,
     stage: Stage,
-    /// Client-internal op (hole fill): completion is dropped, never
-    /// surfaced as a result.
-    internal: bool,
+    /// Who takes the op's result when it concludes.
+    owner: Owner,
     /// History op id when a recorder is attached.
     hist: Option<u64>,
     /// Per-position history records of a vectored read (`(id, pos)`):
     /// each position is its own read in the checker's model.
     multi_hist: Vec<(u64, u64)>,
-    /// Cursor this op feeds, if it is part of the tailing-reader
-    /// machinery; its conclusion routes back into the cursor.
-    cursor: Option<u64>,
     /// History op id of an open probe-seal fill (see
     /// [`Stage::WriteSeal`]): the fill mutates the cell, so it records as
     /// its own history op even though the append's state machine drives
@@ -231,6 +227,21 @@ struct PendingOp {
     queue_span: Option<SpanContext>,
     /// Where the op's latest MDS request went, and under which epoch.
     mds_sent: Option<MdsSent>,
+}
+
+/// Who an op's result goes to.
+#[derive(Debug, Clone, Copy)]
+enum Owner {
+    /// The caller, through [`ZlogClient::take_result`].
+    Caller,
+    /// Nobody: a hole fill or a batch completes silently.
+    Nobody,
+    /// Cursor `id`'s internal op (consult, tail, fetch, heal): the cursor
+    /// takes the result itself.
+    Cursor(u64),
+    /// Cursor `id`'s `next_batch` waiter: the result is the caller's, and
+    /// the cursor learns that its waiter is gone.
+    Waiter(u64),
 }
 
 /// An MDS request as it left: a map that moves `rank` off `node` leaves it
@@ -319,6 +330,26 @@ enum OpKind {
 }
 
 impl OpKind {
+    /// The stage an op of this kind enters the table in.
+    fn first_stage(&self) -> Stage {
+        match self {
+            OpKind::Setup => Stage::SetupDir,
+            OpKind::Append { .. } => Stage::Queued,
+            OpKind::Read { .. } | OpKind::ReadBatch { .. } => Stage::ReadVector {
+                outstanding: 0,
+                parts: Vec::new(),
+            },
+            OpKind::Fill { .. } => Stage::Mutate,
+            OpKind::TrimUpto { .. } => Stage::TrimFan { outstanding: 0 },
+            OpKind::Checkpoint { .. } => Stage::CkptWrite,
+            OpKind::CheckpointRead => Stage::CkptRead,
+            OpKind::CursorBatch => Stage::CursorWait,
+            OpKind::CheckTail => Stage::Tail,
+            OpKind::Recover => Stage::Recover { sealed: None },
+            OpKind::Batch { .. } => Stage::BatchGrant { span: None },
+        }
+    }
+
     /// The positions a read op asks for: a point read's one, or a vector.
     fn read_positions(&self) -> Option<&[u64]> {
         match self {
@@ -333,6 +364,7 @@ impl OpKind {
 /// prefetches entries with stripe-grouped `read_batch` ops inside a
 /// bounded window, resolves holes with the fill machinery, and hands
 /// contiguous runs to `next_batch` waiters in position order.
+#[derive(Default)]
 struct Cursor {
     cfg: ReadConfig,
     /// Next position to deliver and what is known about the positions
@@ -416,7 +448,15 @@ impl Names {
             pool,
         }
     }
+
+    /// The stripe width: how many stripe objects positions cycle over.
+    fn width(&self) -> u64 {
+        self.stripes.len() as u64
+    }
 }
+
+/// What a RADOS request of the embedded client completed with.
+type RadosResult = Result<Vec<OpResult>, OsdError>;
 
 /// The append-queue flush-window timer.
 const TOKEN_FLUSH: u64 = 1;
@@ -472,7 +512,16 @@ pub struct ZlogClient {
 
 impl ZlogClient {
     /// Creates a client for `config`.
+    ///
+    /// # Panics
+    ///
+    /// If `config.stripe_width` is 0: the width is a deployment setting,
+    /// and a log of no stripes has nowhere to put a position.
     pub fn new(config: ZlogConfig) -> ZlogClient {
+        assert!(
+            config.stripe_width > 0,
+            "a zlog stripe width must be positive"
+        );
         ZlogClient {
             rados: RadosClient::embedded(config.monitor),
             router: SeqRouter::new(config.mds_nodes.clone(), config.home_rank, config.monitor),
@@ -572,10 +621,16 @@ impl ZlogClient {
         }
     }
 
-    // ---- op starters ----
+    /// Enters an op of `kind` for `owner` and takes its first step.
+    fn start(&mut self, ctx: &mut Context<'_>, kind: OpKind, owner: Owner) -> u64 {
+        let op = self.begin(ctx, kind, owner);
+        self.step(ctx, op);
+        op
+    }
 
-    fn begin(&mut self, ctx: &mut Context<'_>, kind: OpKind, stage: Stage) -> u64 {
-        let op = self.insert_op(ctx, kind, stage, ctx.now() + OP_DEADLINE);
+    /// Enters an op of `kind` for `owner` under its watchdog.
+    fn begin(&mut self, ctx: &mut Context<'_>, kind: OpKind, owner: Owner) -> u64 {
+        let op = self.insert_op(ctx, kind, owner, ctx.now() + OP_DEADLINE);
         // Every op runs under a watchdog: lost replies anywhere in the
         // chain (MDS, monitor, OSD) re-drive it with backoff instead of
         // hanging forever.
@@ -588,7 +643,7 @@ impl ZlogClient {
         &mut self,
         ctx: &mut Context<'_>,
         kind: OpKind,
-        stage: Stage,
+        owner: Owner,
         deadline: SimTime,
     ) -> u64 {
         let op = self.next_op;
@@ -600,12 +655,11 @@ impl ZlogClient {
             Some(rec.invoke(u64::from(ctx.me().0), ctx.now(), logop))
         });
         let pending = PendingOp {
+            stage: kind.first_stage(),
             kind,
-            stage,
-            internal: false,
+            owner,
             hist,
             multi_hist: Vec::new(),
-            cursor: None,
             seal_hist: None,
             span: None,
             queue_span: None,
@@ -642,9 +696,7 @@ impl ZlogClient {
 
     /// Creates `/zlog/<name>` (directory + sequencer inode) if needed.
     pub fn setup(&mut self, ctx: &mut Context<'_>) -> u64 {
-        let op = self.begin(ctx, OpKind::Setup, Stage::SetupDir);
-        self.step_setup(ctx, op);
-        op
+        self.start(ctx, OpKind::Setup, Owner::Caller)
     }
 
     /// Appends `data`; resolves to [`ZlogOut::Pos`]. A batch of one: the
@@ -677,7 +729,7 @@ impl ZlogClient {
     /// Enters an append, `Queued` under its `zlog.append` span with the
     /// `zlog.queue` child open: whoever starts its batch ends that.
     fn new_append(&mut self, ctx: &mut Context<'_>, data: Vec<u8>) -> u64 {
-        let op = self.begin(ctx, OpKind::Append { data }, Stage::Queued);
+        let op = self.begin(ctx, OpKind::Append { data }, Owner::Caller);
         let root = ctx.span_start("zlog.append", None);
         let queue = ctx.span_start("zlog.queue", Some(root));
         if let Some(pending) = self.ops.get_mut(op) {
@@ -712,7 +764,7 @@ impl ZlogClient {
     /// Reads `pos`; resolves to [`ZlogOut::Read`]. A `read_batch` of one
     /// position that records as one read in the history.
     pub fn read(&mut self, ctx: &mut Context<'_>, pos: u64) -> u64 {
-        self.start_read(ctx, OpKind::Read { pos }, None)
+        self.start_read(ctx, OpKind::Read { pos }, Owner::Caller)
     }
 
     /// Vectored read: one `read_batch` RADOS op per stripe object covers
@@ -721,25 +773,24 @@ impl ZlogClient {
     /// unwritten positions come back as [`ReadOutcome::NotWritten`], not
     /// as errors.
     pub fn read_batch(&mut self, ctx: &mut Context<'_>, positions: Vec<u64>) -> u64 {
-        self.start_read(ctx, OpKind::ReadBatch { positions }, None)
+        self.start_read(ctx, OpKind::ReadBatch { positions }, Owner::Caller)
     }
 
-    /// Starts a read op of `kind` under its `zlog.read_batch` span; one a
-    /// cursor starts is the cursor's internal op.
-    fn start_read(&mut self, ctx: &mut Context<'_>, kind: OpKind, cursor: Option<u64>) -> u64 {
-        let stage = Stage::ReadVector {
-            outstanding: 0,
-            parts: Vec::new(),
-        };
-        let op = self.begin(ctx, kind, stage);
+    /// Starts a read op of `kind` for `owner` under its `zlog.read_batch`
+    /// span. A vectored read records one history read per position, so
+    /// the checker sees each position's observation on its own.
+    fn start_read(&mut self, ctx: &mut Context<'_>, kind: OpKind, owner: Owner) -> u64 {
+        let op = self.begin(ctx, kind, owner);
         let span = ctx.span_start("zlog.read_batch", None);
+        let (client, now) = (u64::from(ctx.me().0), ctx.now());
         if let Some(pending) = self.ops.get_mut(op) {
-            pending.internal = cursor.is_some();
-            pending.cursor = cursor;
             pending.span = Some(span);
+            if let (Some(rec), OpKind::ReadBatch { positions }) = (&self.history, &pending.kind) {
+                let invoke = |pos| (rec.invoke(client, now, LogOp::Read { pos }), pos);
+                pending.multi_hist = positions.iter().copied().map(invoke).collect();
+            }
         }
-        self.record_batch_reads(ctx, op);
-        self.step_read_batch(ctx, op);
+        self.step(ctx, op);
         op
     }
 
@@ -748,13 +799,7 @@ impl ZlogClient {
     /// stripe; covered omap entries are purged for space reclaim).
     /// Resolves to [`ZlogOut::Done`].
     pub fn trim_to(&mut self, ctx: &mut Context<'_>, pos: u64) -> u64 {
-        let op = self.begin(
-            ctx,
-            OpKind::TrimUpto { pos },
-            Stage::TrimFan { outstanding: 0 },
-        );
-        self.step_trim_upto(ctx, op);
-        op
+        self.start(ctx, OpKind::TrimUpto { pos }, Owner::Caller)
     }
 
     /// Persists `(pos, blob)` on the per-log checkpoint object: `blob`
@@ -762,17 +807,13 @@ impl ZlogClient {
     /// checkpoint only ever advances; resolves to
     /// [`ZlogOut::CheckpointAt`] with the position now held.
     pub fn checkpoint(&mut self, ctx: &mut Context<'_>, pos: u64, blob: Vec<u8>) -> u64 {
-        let op = self.begin(ctx, OpKind::Checkpoint { pos, blob }, Stage::CkptWrite);
-        self.step_checkpoint(ctx, op);
-        op
+        self.start(ctx, OpKind::Checkpoint { pos, blob }, Owner::Caller)
     }
 
     /// Reads the latest checkpoint; resolves to [`ZlogOut::Checkpoint`]
     /// (`None` when no checkpoint was ever taken).
     pub fn checkpoint_read(&mut self, ctx: &mut Context<'_>) -> u64 {
-        let op = self.begin(ctx, OpKind::CheckpointRead, Stage::CkptRead);
-        self.step_ckpt_read(ctx, op);
-        op
+        self.start(ctx, OpKind::CheckpointRead, Owner::Caller)
     }
 
     /// Creates a pipelined tailing reader and returns its cursor id. The
@@ -783,18 +824,12 @@ impl ZlogClient {
     pub fn tail_cursor(&mut self, ctx: &mut Context<'_>) -> u64 {
         let id = self.next_cursor;
         self.next_cursor += 1;
+        let cfg = self.read_cfg.clone();
         self.cursors.insert(
             id,
             Cursor {
-                cfg: self.read_cfg.clone(),
-                window: Window::default(),
-                tail: 0,
-                started: false,
-                ckpt_inflight: false,
-                tail_inflight: false,
-                tail_fresh: false,
-                inflight_ops: 0,
-                waiter: None,
+                cfg,
+                ..Cursor::default()
             },
         );
         self.drive_cursor(ctx, id);
@@ -807,11 +842,10 @@ impl ZlogClient {
     /// below the tail are resolved (junk-filled, then re-read) before
     /// delivery, so entries always arrive in contiguous position order.
     pub fn cursor_next_batch(&mut self, ctx: &mut Context<'_>, id: u64, max: usize) -> u64 {
-        let op = self.begin(ctx, OpKind::CursorBatch, Stage::CursorWait);
+        let op = self.begin(ctx, OpKind::CursorBatch, Owner::Waiter(id));
         let span = ctx.span_start("zlog.cursor_batch", None);
         if let Some(pending) = self.ops.get_mut(op) {
             pending.span = Some(span);
-            pending.cursor = Some(id);
         }
         let Some(cursor) = self.cursors.get_mut(&id) else {
             self.fail(ctx, op, format!("no such cursor {id}"));
@@ -829,16 +863,12 @@ impl ZlogClient {
 
     /// Junk-fills `pos`; resolves to [`ZlogOut::Done`].
     pub fn fill(&mut self, ctx: &mut Context<'_>, pos: u64) -> u64 {
-        let op = self.begin(ctx, OpKind::Fill { pos }, Stage::Mutate);
-        self.step_fill(ctx, op);
-        op
+        self.start(ctx, OpKind::Fill { pos }, Owner::Caller)
     }
 
     /// Reads the sequencer tail without advancing it.
     pub fn check_tail(&mut self, ctx: &mut Context<'_>) -> u64 {
-        let op = self.begin(ctx, OpKind::CheckTail, Stage::Tail);
-        self.step_tail(ctx, op);
-        op
+        self.start(ctx, OpKind::CheckTail, Owner::Caller)
     }
 
     /// Runs CORFU sequencer recovery through the sequencer's authority,
@@ -848,29 +878,27 @@ impl ZlogClient {
     /// [`ZlogOut::Recovered`] once this client runs under the epoch that
     /// seal installed.
     pub fn recover(&mut self, ctx: &mut Context<'_>) -> u64 {
-        let op = self.begin(ctx, OpKind::Recover, Stage::Recover { sealed: None });
-        self.step_recover(ctx, op);
-        op
+        self.start(ctx, OpKind::Recover, Owner::Caller)
     }
 
     // ---- plumbing ----
 
-    /// Sends `msg` to `rank`'s node if one is known (the live map wins
-    /// over the static config — after a failover the rank lives on the
-    /// promoted standby's node). With the rank unroutable the message
-    /// is withheld and the owning op is parked on the mdsmap:
-    /// adoption of a fresh map re-drives it immediately
-    /// ([`ZlogClient::redrive_on_mdsmap`]), and the
-    /// watchdog backoff remains the backstop for lost maps. A request
-    /// sent is noted on its op ([`MdsSent`]).
+    /// Sends `msg`, `op`'s request if it has one, to `rank`'s node if one
+    /// is known (the live map wins over the static config — after a
+    /// failover the rank lives on the promoted standby's node). With the
+    /// rank unroutable the message is withheld and `op` is parked on the
+    /// mdsmap: adoption of a fresh map re-drives it immediately
+    /// ([`ZlogClient::redrive_on_mdsmap`]), and the watchdog backoff
+    /// remains the backstop for lost maps. A request sent is noted on its
+    /// op ([`MdsSent`]).
     fn send_mds(
         &mut self,
         ctx: &mut Context<'_>,
+        op: Option<u64>,
         rank: u32,
         msg: MdsMsg,
         span: Option<SpanContext>,
     ) {
-        let op = self.mds_owner(&msg);
         match self.router.node_for_rank(rank) {
             Some(node) => {
                 let epoch = self.epoch;
@@ -886,30 +914,6 @@ impl ZlogClient {
                 }
             }
         }
-    }
-
-    /// The op awaiting the reply to `msg`. Messages with no reply routing
-    /// (fire-and-forget `SetSeqLayout`) have none.
-    fn mds_owner(&self, msg: &MdsMsg) -> Option<u64> {
-        let reqid = match msg {
-            MdsMsg::Resolve { reqid, .. }
-            | MdsMsg::Create { reqid, .. }
-            | MdsMsg::TypeOp { reqid, .. } => *reqid,
-            _ => return None,
-        };
-        self.ops.owner(Route::Mds(reqid))
-    }
-
-    /// Sends a namespace op (resolve/create) to the home rank, which
-    /// owns the directory tree.
-    fn send_home(&mut self, ctx: &mut Context<'_>, msg: MdsMsg) {
-        self.send_mds(ctx, self.router.home_rank(), msg, None);
-    }
-
-    /// Sends sequencer traffic for `ino` to its cached authoritative
-    /// rank (home until a placement is learned).
-    fn send_seq(&mut self, ctx: &mut Context<'_>, ino: Ino, msg: MdsMsg) {
-        self.send_mds(ctx, self.router.rank_of(ino), msg, None);
     }
 
     /// Typed transient MDS error (frozen inode, mid-takeover recovery,
@@ -954,6 +958,16 @@ impl ZlogClient {
         self.arm_watchdog(ctx, op);
     }
 
+    /// An MDS answered `op`'s request for `what` with `e`: a redirect, a
+    /// transient error, or a failure.
+    fn on_mds_error(&mut self, ctx: &mut Context<'_>, op: u64, e: MdsError, what: &str) {
+        match e {
+            MdsError::NotAuth { rank } => self.on_redirect(ctx, op, rank),
+            e if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
+            e => self.fail(ctx, op, format!("{what} failed: {e}")),
+        }
+    }
+
     /// `NotAuth { rank }` redirect (direct-mode migration): cache the
     /// new placement and re-drive immediately. Going through
     /// `restart_op` burns an attempt, which bounds the ping-pong when
@@ -974,16 +988,13 @@ impl ZlogClient {
     /// never a layout-blind authority.
     fn register_layout(&mut self, ctx: &mut Context<'_>, ino: Ino) {
         ctx.metrics().bump(counter!("zlog.layouts_sent"), 1);
-        self.send_seq(
-            ctx,
+        let msg = MdsMsg::SetSeqLayout {
             ino,
-            MdsMsg::SetSeqLayout {
-                ino,
-                pool: Rc::clone(&self.names.pool),
-                name: Rc::clone(&self.names.log),
-                stripe_width: self.config.stripe_width,
-            },
-        );
+            pool: Rc::clone(&self.names.pool),
+            name: Rc::clone(&self.names.log),
+            stripe_width: self.names.width() as u32,
+        };
+        self.send_mds(ctx, None, self.router.rank_of(ino), msg, None);
     }
 
     fn mds_reqid(&mut self, op: u64) -> u64 {
@@ -996,8 +1007,15 @@ impl ZlogClient {
     /// The stripe object holding `pos`: a refcount of the id built with
     /// the client.
     fn stripe_oid(&self, pos: u64) -> ObjectId {
-        let stripe = pos % self.names.stripes.len() as u64;
+        let stripe = pos % self.names.width();
         self.names.stripes[stripe as usize].clone()
+    }
+
+    /// Moves `op` to `stage`.
+    fn set_stage(&mut self, op: u64, stage: Stage) {
+        if let Some(pending) = self.ops.get_mut(op) {
+            pending.stage = stage;
+        }
     }
 
     fn finish(&mut self, ctx: &mut Context<'_>, op: u64, result: AppendResult) {
@@ -1024,7 +1042,6 @@ impl ZlogClient {
         result: AppendResult,
         ambiguous_hint: bool,
     ) {
-        let now = ctx.now();
         // Kept as found (DESIGN §23): a look at the op's deadline, a
         // minute away, goes with the op; one a backoff away is left to
         // come due at nothing.
@@ -1058,84 +1075,92 @@ impl ZlogClient {
         if !self.append_queue.is_empty() {
             self.append_queue.retain(|o| *o != op);
         }
-        if let Some(rec) = &self.history {
-            // An open probe-seal fill dies with the op: its outcome stays
-            // unknown (the fill request may still land).
-            if let Some(id) = pending.seal_hist {
-                rec.info(id, now, None, "fill outcome unknown");
+        self.record_end(ctx.now(), op, &pending, &result, ambiguous_hint);
+        match pending.owner {
+            Owner::Caller => {
+                self.results.insert(op, result);
             }
-            // A vectored read closes one record per position. Reads have
-            // no side effects, so a dead batch is a definite failure.
-            if !pending.multi_hist.is_empty() {
-                let by_pos: HashMap<u64, &ReadOutcome> = match &result {
-                    AppendResult::Ok(ZlogOut::ReadBatch(entries)) => {
-                        entries.iter().map(|(p, o)| (*p, o)).collect()
-                    }
-                    _ => HashMap::new(),
-                };
-                for (id, pos) in &pending.multi_hist {
-                    match by_pos.get(pos) {
-                        Some(o) => rec.ok(*id, now, LogRet::Read(log_read_of(o))),
-                        None => rec.fail(*id, now, "batch read failed"),
-                    }
-                }
-            }
-            if let Some(hist) = pending.hist {
-                match &result {
-                    AppendResult::Ok(out) => {
-                        if let Some(ret) = log_ret_of(out) {
-                            rec.ok(hist, now, ret);
-                        }
-                    }
-                    AppendResult::Err(msg) => {
-                        // Outer None = definite failure; Some(maybe) =
-                        // ambiguous, with the return the op would have
-                        // yielded had it applied.
-                        let info: Option<Option<LogRet>> = if !ambiguous_hint {
-                            None
-                        } else {
-                            match &pending.stage {
-                                Stage::WriteProbe { pos } | Stage::WriteSeal { pos } => {
-                                    Some(Some(LogRet::Pos(*pos)))
-                                }
-                                Stage::Mutate => Some(None),
-                                // A trim fan with any stripe outstanding may
-                                // have trimmed a prefix of the range already.
-                                Stage::TrimFan { .. } => Some(None),
-                                Stage::InBatch { batch } => self
-                                    .inflight_batch_pos(*batch, op)
-                                    .map(|pos| Some(LogRet::Pos(pos))),
-                                _ => None,
-                            }
-                        };
-                        match info {
-                            Some(maybe) => rec.info(hist, now, maybe, msg.clone()),
-                            None => rec.fail(hist, now, msg.clone()),
-                        }
-                    }
-                }
-            }
-        }
-        match pending.cursor {
-            // A cursor's internal op (consult, tail, fetch, heal) has no
-            // other consumer: the cursor takes the result itself.
-            Some(cid) if pending.internal => self.on_cursor_op_done(ctx, cid, pending.kind, result),
-            // A `next_batch` waiter: the cursor only learns that it is
-            // gone; the result is the caller's.
-            Some(cid) => {
-                if let Some(cursor) = self.cursors.get_mut(&cid) {
+            // A hole fill's EEXIST ("already written") is success too: the
+            // cell is occupied either way.
+            Owner::Nobody => {}
+            Owner::Cursor(id) => self.on_cursor_op_done(ctx, id, pending.kind, result),
+            Owner::Waiter(id) => {
+                if let Some(cursor) = self.cursors.get_mut(&id) {
                     if cursor.waiter.is_some_and(|(w, _)| w == op) {
                         cursor.waiter = None;
                     }
                 }
-                self.drive_cursor(ctx, cid);
+                self.drive_cursor(ctx, id);
                 self.results.insert(op, result);
             }
-            // Hole fills complete silently; EEXIST ("already written") is
-            // success here — the cell is occupied either way.
-            None if pending.internal => {}
-            None => {
-                self.results.insert(op, result);
+        }
+    }
+
+    /// Closes `op`'s history records as it concludes with `result`; an
+    /// error is ambiguous (`info`) where `ambiguous_hint` says the stage
+    /// it died in may have applied.
+    fn record_end(
+        &self,
+        now: SimTime,
+        op: u64,
+        pending: &PendingOp,
+        result: &AppendResult,
+        ambiguous_hint: bool,
+    ) {
+        let Some(rec) = &self.history else {
+            return;
+        };
+        // An open probe-seal fill dies with the op: its outcome stays
+        // unknown (the fill request may still land).
+        if let Some(id) = pending.seal_hist {
+            rec.info(id, now, None, "fill outcome unknown");
+        }
+        // A vectored read closes one record per position. Reads have
+        // no side effects, so a dead batch is a definite failure.
+        if !pending.multi_hist.is_empty() {
+            let by_pos: HashMap<u64, &ReadOutcome> = match result {
+                AppendResult::Ok(ZlogOut::ReadBatch(entries)) => {
+                    entries.iter().map(|(p, o)| (*p, o)).collect()
+                }
+                _ => HashMap::new(),
+            };
+            for (id, pos) in &pending.multi_hist {
+                match by_pos.get(pos) {
+                    Some(o) => rec.ok(*id, now, LogRet::Read(log_read_of(o))),
+                    None => rec.fail(*id, now, "batch read failed"),
+                }
+            }
+        }
+        if let Some(hist) = pending.hist {
+            match result {
+                AppendResult::Ok(out) => {
+                    if let Some(ret) = log_ret_of(out) {
+                        rec.ok(hist, now, ret);
+                    }
+                }
+                AppendResult::Err(msg) => {
+                    // Outer None = definite failure; Some(maybe) =
+                    // ambiguous, with the return the op would have
+                    // yielded had it applied.
+                    let info: Option<Option<LogRet>> = match &pending.stage {
+                        _ if !ambiguous_hint => None,
+                        Stage::WriteProbe { pos } | Stage::WriteSeal { pos } => {
+                            Some(Some(LogRet::Pos(*pos)))
+                        }
+                        Stage::Mutate => Some(None),
+                        // A trim fan with any stripe outstanding may have
+                        // trimmed a prefix of the range already.
+                        Stage::TrimFan { .. } => Some(None),
+                        Stage::InBatch { batch } => self
+                            .inflight_batch_pos(*batch, op)
+                            .map(|pos| Some(LogRet::Pos(pos))),
+                        _ => None,
+                    };
+                    match info {
+                        Some(maybe) => rec.info(hist, now, maybe, msg.clone()),
+                        None => rec.fail(hist, now, msg.clone()),
+                    }
+                }
             }
         }
     }
@@ -1163,13 +1188,8 @@ impl ZlogClient {
 
     /// Closes the open probe-seal fill record on `op`, if any.
     fn close_seal_hist(&mut self, now: SimTime, op: u64, how: SealClose) {
-        let Some(pending) = self.ops.get_mut(op) else {
-            return;
-        };
-        let Some(id) = pending.seal_hist.take() else {
-            return;
-        };
-        let Some(rec) = &self.history else {
+        let id = self.ops.get_mut(op).and_then(|p| p.seal_hist.take());
+        let (Some(id), Some(rec)) = (id, &self.history) else {
             return;
         };
         match how {
@@ -1213,29 +1233,39 @@ impl ZlogClient {
     /// Asks the home rank, which owns the directory tree, for the
     /// sequencer inode and its authoritative rank; the reply routes to
     /// `op`, and `span` (a batch's grant) parents the round trip.
-    fn send_resolve(&mut self, ctx: &mut Context<'_>, op: u64, span: Option<SpanContext>) {
+    fn resolve(&mut self, ctx: &mut Context<'_>, op: u64, span: Option<SpanContext>) {
         let reqid = self.mds_reqid(op);
         let path = self.names.seq_path.clone();
         let home = self.router.home_rank();
-        self.send_mds(ctx, home, MdsMsg::Resolve { reqid, path }, span);
+        self.send_mds(ctx, Some(op), home, MdsMsg::Resolve { reqid, path }, span);
+    }
+
+    /// Sends `op`'s create of `name` in `parent_path` to the home rank,
+    /// which owns the directory tree.
+    fn send_create(
+        &mut self,
+        ctx: &mut Context<'_>,
+        op: u64,
+        parent_path: &str,
+        name: String,
+        ftype: FileType,
+    ) {
+        let reqid = self.mds_reqid(op);
+        let parent_path = parent_path.into();
+        let msg = MdsMsg::Create {
+            reqid,
+            parent_path,
+            name,
+            ftype,
+        };
+        self.send_mds(ctx, Some(op), self.router.home_rank(), msg, None);
     }
 
     /// (Re-)starts namespace setup from the top: mkdir/create tolerate
     /// `Exists`, so replaying is safe.
     fn step_setup(&mut self, ctx: &mut Context<'_>, op: u64) {
-        if let Some(p) = self.ops.get_mut(op) {
-            p.stage = Stage::SetupDir;
-        }
-        let reqid = self.mds_reqid(op);
-        self.send_home(
-            ctx,
-            MdsMsg::Create {
-                reqid,
-                parent_path: "/".into(),
-                name: "zlog".into(),
-                ftype: FileType::Dir,
-            },
-        );
+        self.set_stage(op, Stage::SetupDir);
+        self.send_create(ctx, op, "/", "zlog".into(), FileType::Dir);
     }
 
     /// (Re-)drives recovery: the seal request until the authority answers
@@ -1244,15 +1274,13 @@ impl ZlogClient {
     /// second seal; the seal joined may be one whose epoch this client
     /// already runs under.
     fn step_recover(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let Some(pending) = self.ops.get(op) else {
-            return;
-        };
-        let sealed = match pending.stage {
-            Stage::Recover { sealed } => sealed,
-            _ => None,
+        let sealed = match self.ops.get(op).map(|p| &p.stage) {
+            Some(Stage::Recover { sealed }) => *sealed,
+            Some(_) => None,
+            None => return,
         };
         match sealed {
-            None => self.send_seq_op(ctx, op, SeqOp::Seal, Stage::Recover { sealed: None }),
+            None => self.send_verb(ctx, op, SeqOp::Seal, Stage::Recover { sealed: None }),
             Some((epoch, tail)) if self.epoch >= epoch => {
                 let out = ZlogOut::Recovered { epoch, tail };
                 self.finish(ctx, op, AppendResult::Ok(out));
@@ -1265,50 +1293,31 @@ impl ZlogClient {
         }
     }
 
-    fn step_tail(&mut self, ctx: &mut Context<'_>, op: u64) {
-        self.send_seq_op(ctx, op, SeqOp::Read, Stage::Tail);
-    }
-
     /// Sends sequencer verb `verb` for `op` to the inode's authority, the
     /// op waiting in `stage`, or resolves the inode first.
-    fn send_seq_op(&mut self, ctx: &mut Context<'_>, op: u64, verb: SeqOp, stage: Stage) {
+    fn send_verb(&mut self, ctx: &mut Context<'_>, op: u64, verb: SeqOp, stage: Stage) {
         let Some(ino) = self.seq_ino else {
-            if let Some(p) = self.ops.get_mut(op) {
-                p.stage = Stage::ResolveSeq;
-            }
-            self.send_resolve(ctx, op, None);
+            self.set_stage(op, Stage::ResolveSeq);
+            self.resolve(ctx, op, None);
             return;
         };
         // Re-entered after a lazy resolve: move the stage back so the
         // TypeOpReply is not dropped by the ResolveSeq arm's catch-all.
-        if let Some(p) = self.ops.get_mut(op) {
-            p.stage = stage;
-        }
+        self.set_stage(op, stage);
         let reqid = self.mds_reqid(op);
-        self.send_seq(
-            ctx,
+        let msg = MdsMsg::TypeOp {
+            reqid,
             ino,
-            MdsMsg::TypeOp {
-                reqid,
-                ino,
-                op: verb,
-            },
-        );
-    }
-
-    /// (Re-)issues a fill's one call.
-    fn step_fill(&mut self, ctx: &mut Context<'_>, op: u64) {
-        if let Some(OpKind::Fill { pos }) = self.ops.get(op).map(|p| &p.kind) {
-            let pos = *pos;
-            self.call_cell(ctx, op, Method::Fill, pos);
-        }
+            op: verb,
+        };
+        self.send_mds(ctx, Some(op), self.router.rank_of(ino), msg, None);
     }
 
     /// (Re-)issues a vectored read: the op's position vector grouped by
     /// stripe, one `read_batch` RADOS op per stripe object, in ascending
     /// stripe order.
     fn step_read_batch(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let width = u64::from(self.config.stripe_width).max(1);
+        let width = self.names.width();
         let Some(positions) = self.ops.get(op).and_then(|p| p.kind.read_positions()) else {
             return;
         };
@@ -1329,12 +1338,14 @@ impl ZlogClient {
             rest = tail;
             groups += 1;
         }
-        if let Some(pending) = self.ops.get_mut(op) {
-            pending.stage = Stage::ReadVector {
+        let parts = Vec::with_capacity(groups);
+        self.set_stage(
+            op,
+            Stage::ReadVector {
                 outstanding: groups,
-                parts: Vec::with_capacity(groups),
-            };
-        }
+                parts,
+            },
+        );
     }
 
     /// Calls `read_batch` for `positions`, which share one stripe object.
@@ -1361,7 +1372,7 @@ impl ZlogClient {
             self.finish(ctx, op, AppendResult::Ok(ZlogOut::Done));
             return;
         }
-        let width = u64::from(self.config.stripe_width).max(1);
+        let width = self.names.width();
         let last = pos - 1;
         // Per stripe: the greatest position <= last living there, if any.
         let mut targets: Vec<u64> = Vec::new();
@@ -1379,62 +1390,22 @@ impl ZlogClient {
         }
     }
 
-    fn step_checkpoint(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let Some(pending) = self.ops.get(op) else {
-            return;
-        };
-        let OpKind::Checkpoint { pos, blob } = pending.kind.clone() else {
-            return;
-        };
-        let input = encode_checkpoint(self.epoch, pos, &blob);
-        let oid = self.names.ckpt.clone();
-        self.call_class(ctx, op, oid, Method::Checkpoint, input);
-    }
-
-    fn step_ckpt_read(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let oid = self.names.ckpt.clone();
-        self.call_class(ctx, op, oid, Method::CheckpointRead, Vec::new());
-    }
-
-    /// Records one history read per position of a vectored read op, so
-    /// the checker sees each position's observation individually.
-    fn record_batch_reads(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let Some(rec) = &self.history else {
-            return;
-        };
-        let Some(pending) = self.ops.get(op) else {
-            return;
-        };
-        let OpKind::ReadBatch { positions } = &pending.kind else {
-            return;
-        };
-        let client = u64::from(ctx.me().0);
-        let now = ctx.now();
-        let ids: Vec<(u64, u64)> = positions
-            .iter()
-            .map(|&pos| (rec.invoke(client, now, LogOp::Read { pos }), pos))
-            .collect();
-        if let Some(pending) = self.ops.get_mut(op) {
-            pending.multi_hist = ids;
-        }
-    }
-
     // ---- tailing cursors ----
 
     /// Advances cursor `id` as far as current state allows: resolve the
     /// checkpointed start, serve the waiter a contiguous run (or a fresh
     /// "caught up"), and keep the prefetch window full.
     fn drive_cursor(&mut self, ctx: &mut Context<'_>, id: u64) {
-        {
-            let Some(cursor) = self.cursors.get(&id) else {
-                return;
-            };
-            if !cursor.started {
-                if !cursor.ckpt_inflight {
-                    self.spawn_cursor_ckpt(ctx, id);
-                }
-                return;
+        let Some(cursor) = self.cursors.get_mut(&id) else {
+            return;
+        };
+        if !cursor.started {
+            // A checkpoint consult resolves the cursor's start position.
+            if !cursor.ckpt_inflight {
+                cursor.ckpt_inflight = true;
+                self.start(ctx, OpKind::CheckpointRead, Owner::Cursor(id));
             }
+            return;
         }
         // Delivery: a contiguous run from the delivery point, capped by
         // the waiter's batch size.
@@ -1452,13 +1423,15 @@ impl ZlogClient {
                         cursor.waiter = None;
                         deliver = Some((op, Vec::new()));
                     } else if !cursor.tail_inflight {
+                        cursor.tail_inflight = true;
                         need_tail = true;
                     }
                 }
             }
         }
         if need_tail {
-            self.spawn_cursor_tail(ctx, id);
+            // A tail read refreshes the cursor's upper bound.
+            self.start(ctx, OpKind::CheckTail, Owner::Cursor(id));
         }
         if let Some((op, entries)) = deliver {
             ctx.metrics()
@@ -1480,7 +1453,7 @@ impl ZlogClient {
             if room == 0 {
                 return;
             }
-            let width = u64::from(self.config.stripe_width).max(1);
+            let width = self.names.width();
             let hi = cursor
                 .tail
                 .min(cursor.window.next_pos() + cursor.cfg.readahead.max(1) as u64);
@@ -1494,63 +1467,15 @@ impl ZlogClient {
             let left_out = groups.split_off(room.min(groups.len()));
             let mark = left_out.iter().map(|g| g[0]).fold(hi, u64::min);
             cursor.window.set_requested(mark);
+            for group in &groups {
+                cursor.inflight_ops += 1;
+                cursor.window.fetching(group);
+            }
             groups
         };
-        for group in groups {
-            self.spawn_cursor_fetch(ctx, id, group);
+        for positions in groups {
+            self.start_read(ctx, OpKind::ReadBatch { positions }, Owner::Cursor(id));
         }
-    }
-
-    /// Internal checkpoint consult resolving the cursor's start position.
-    fn spawn_cursor_ckpt(&mut self, ctx: &mut Context<'_>, id: u64) {
-        if let Some(cursor) = self.cursors.get_mut(&id) {
-            cursor.ckpt_inflight = true;
-        }
-        let op = self.begin(ctx, OpKind::CheckpointRead, Stage::CkptRead);
-        if let Some(pending) = self.ops.get_mut(op) {
-            pending.internal = true;
-            pending.cursor = Some(id);
-        }
-        self.step_ckpt_read(ctx, op);
-    }
-
-    /// Internal tail read refreshing the cursor's upper bound.
-    fn spawn_cursor_tail(&mut self, ctx: &mut Context<'_>, id: u64) {
-        if let Some(cursor) = self.cursors.get_mut(&id) {
-            cursor.tail_inflight = true;
-        }
-        let op = self.begin(ctx, OpKind::CheckTail, Stage::Tail);
-        if let Some(pending) = self.ops.get_mut(op) {
-            pending.internal = true;
-            pending.cursor = Some(id);
-        }
-        self.step_tail(ctx, op);
-    }
-
-    /// Internal vectored read prefetching one stripe group.
-    fn spawn_cursor_fetch(&mut self, ctx: &mut Context<'_>, id: u64, positions: Vec<u64>) {
-        if let Some(cursor) = self.cursors.get_mut(&id) {
-            cursor.inflight_ops += 1;
-            cursor.window.fetching(&positions);
-        }
-        self.start_read(ctx, OpKind::ReadBatch { positions }, Some(id));
-    }
-
-    /// Internal fill resolving a hole the cursor found below the tail
-    /// (an append abandoned its grant; fence the cell so delivery can
-    /// proceed — the re-read then observes Filled, or the racing write
-    /// that beat the fill).
-    fn spawn_cursor_heal(&mut self, ctx: &mut Context<'_>, id: u64, pos: u64) {
-        if let Some(cursor) = self.cursors.get_mut(&id) {
-            cursor.window.healing(pos);
-        }
-        ctx.metrics().bump(counter!("zlog.cursor_hole_fills"), 1);
-        let op = self.begin(ctx, OpKind::Fill { pos }, Stage::Mutate);
-        if let Some(pending) = self.ops.get_mut(op) {
-            pending.internal = true;
-            pending.cursor = Some(id);
-        }
-        self.step_fill(ctx, op);
     }
 
     /// A cursor's internal op concluded: fold its result into the cursor
@@ -1564,44 +1489,49 @@ impl ZlogClient {
         result: AppendResult,
     ) {
         let mut heal = Vec::new();
-        {
-            let Some(cursor) = self.cursors.get_mut(&id) else {
-                return;
-            };
-            match kind {
-                OpKind::CheckpointRead => {
-                    cursor.ckpt_inflight = false;
-                    if let AppendResult::Ok(ZlogOut::Checkpoint(ckpt)) = result {
-                        cursor.started = true;
-                        let start = ckpt.map_or(0, |(p, _)| p);
-                        cursor.window.start_at(start);
-                        cursor.tail = cursor.tail.max(start);
-                    }
-                    // On failure the cursor stays unstarted and the next
-                    // drive (waiter watchdog) retries the consult.
+        let Some(cursor) = self.cursors.get_mut(&id) else {
+            return;
+        };
+        match kind {
+            OpKind::CheckpointRead => {
+                cursor.ckpt_inflight = false;
+                if let AppendResult::Ok(ZlogOut::Checkpoint(ckpt)) = result {
+                    cursor.started = true;
+                    let start = ckpt.map_or(0, |(p, _)| p);
+                    cursor.window.start_at(start);
+                    cursor.tail = cursor.tail.max(start);
                 }
-                OpKind::CheckTail => {
-                    cursor.tail_inflight = false;
-                    if let AppendResult::Ok(ZlogOut::Tail(t)) = result {
-                        cursor.tail = cursor.tail.max(t);
-                        cursor.tail_fresh = true;
-                    }
-                }
-                OpKind::ReadBatch { positions } => {
-                    cursor.inflight_ops = cursor.inflight_ops.saturating_sub(1);
-                    // A failed fetch simply re-enters the needed set.
-                    let entries = match result {
-                        AppendResult::Ok(ZlogOut::ReadBatch(entries)) => Some(entries),
-                        _ => None,
-                    };
-                    heal = cursor.window.fetched(&positions, entries, cursor.tail);
-                }
-                OpKind::Fill { pos } => cursor.window.healed(pos),
-                _ => {}
+                // On failure the cursor stays unstarted and the next
+                // drive (waiter watchdog) retries the consult.
             }
+            OpKind::CheckTail => {
+                cursor.tail_inflight = false;
+                if let AppendResult::Ok(ZlogOut::Tail(t)) = result {
+                    cursor.tail = cursor.tail.max(t);
+                    cursor.tail_fresh = true;
+                }
+            }
+            OpKind::ReadBatch { positions } => {
+                cursor.inflight_ops = cursor.inflight_ops.saturating_sub(1);
+                // A failed fetch simply re-enters the needed set.
+                let entries = match result {
+                    AppendResult::Ok(ZlogOut::ReadBatch(entries)) => Some(entries),
+                    _ => None,
+                };
+                heal = cursor.window.fetched(&positions, entries, cursor.tail);
+                for &pos in &heal {
+                    cursor.window.healing(pos);
+                }
+            }
+            OpKind::Fill { pos } => cursor.window.healed(pos),
+            _ => {}
         }
-        for p in heal {
-            self.spawn_cursor_heal(ctx, id, p);
+        // A hole below the tail: an append abandoned its grant. A fill
+        // fences the cell so delivery can proceed; the re-read then observes
+        // Filled, or the racing write that beat the fill.
+        for pos in heal {
+            ctx.metrics().bump(counter!("zlog.cursor_hole_fills"), 1);
+            self.start(ctx, OpKind::Fill { pos }, Owner::Cursor(id));
         }
         self.drive_cursor(ctx, id);
     }
@@ -1640,18 +1570,13 @@ impl ZlogClient {
     /// The probe found a hole: junk-fill `pos` so the in-flight write is
     /// fenced out before the append retries elsewhere.
     fn enter_write_seal(&mut self, ctx: &mut Context<'_>, op: u64, pos: u64) {
-        let client = u64::from(ctx.me().0);
-        let now = ctx.now();
+        let (client, now) = (u64::from(ctx.me().0), ctx.now());
         let Some(pending) = self.ops.get_mut(op) else {
             return;
         };
         pending.stage = Stage::WriteSeal { pos };
-        if let Some(rec) = &self.history {
-            let id = rec.invoke(client, now, LogOp::Fill { pos });
-            if let Some(pending) = self.ops.get_mut(op) {
-                pending.seal_hist = Some(id);
-            }
-        }
+        let invoke = |rec: &Recorder<_, _>| rec.invoke(client, now, LogOp::Fill { pos });
+        pending.seal_hist = self.history.as_ref().map(invoke);
         ctx.metrics().bump(counter!("zlog.probe_seals"), 1);
         self.call_cell(ctx, op, Method::Fill, pos);
         self.arm_watchdog(ctx, op);
@@ -1699,15 +1624,12 @@ impl ZlogClient {
     /// is a newer one: ops parked on an older epoch go again, each a retry,
     /// in park order.
     fn adopt_epoch(&mut self, ctx: &mut Context<'_>, value: &[u8]) {
-        match decimal::<u64>(value) {
-            Some(epoch) if epoch > self.epoch => {
-                self.epoch = epoch;
-                let newer = |park: &Park| matches!(*park, Park::Epoch(e) if epoch > e);
-                for op in self.ops.unpark(newer) {
-                    self.restart_op(ctx, op);
-                }
+        if let Some(epoch) = decimal::<u64>(value).filter(|epoch| *epoch > self.epoch) {
+            self.epoch = epoch;
+            let newer = |park: &Park| matches!(*park, Park::Epoch(e) if epoch > e);
+            for op in self.ops.unpark(newer) {
+                self.restart_op(ctx, op);
             }
-            _ => {}
         }
     }
 
@@ -1811,10 +1733,6 @@ impl ZlogClient {
             // hard deadline already: nothing to re-arm.
             return;
         }
-        let write_pos = match pending.stage {
-            Stage::WriteProbe { pos } | Stage::WriteSeal { pos } => Some(pos),
-            _ => None,
-        };
         // Drop any stale epoch-block entry and abandon outstanding
         // requests from earlier attempts: their late replies must not be
         // routed into the fresh attempt's state machine (for a batch, a
@@ -1822,71 +1740,76 @@ impl ZlogClient {
         let routes = self.ops.take_routes(op);
         self.ops.unpark_id(op);
         self.forget_requests(ctx, &routes);
+        self.step(ctx, op);
+        self.arm_watchdog(ctx, op);
+    }
+
+    /// Takes `op`'s next step from its stage: (re-)sends what that stage
+    /// waits for. The one map from an op's kind to its protocol: a
+    /// starter and [`ZlogClient::redrive_op`] both go through it.
+    fn step(&mut self, ctx: &mut Context<'_>, op: u64) {
         let Some(pending) = self.ops.get(op) else {
             return;
         };
-        match pending.kind {
+        match &pending.kind {
             // Outside its queue and batch, an append is resolving a write
             // of unknown fate at `pos`: never abandon the position blindly
             // (the payload may have landed and would be orphaned) — probe
             // it again.
             OpKind::Append { .. } => {
-                if let Some(pos) = write_pos {
+                if let Stage::WriteProbe { pos } | Stage::WriteSeal { pos } = pending.stage {
                     self.enter_write_probe(ctx, op, pos);
                 }
             }
-            OpKind::Fill { .. } => self.step_fill(ctx, op),
+            &OpKind::Fill { pos } => self.call_cell(ctx, op, Method::Fill, pos),
             OpKind::Read { .. } | OpKind::ReadBatch { .. } => self.step_read_batch(ctx, op),
             OpKind::TrimUpto { .. } => self.step_trim_upto(ctx, op),
-            OpKind::Checkpoint { .. } => self.step_checkpoint(ctx, op),
-            OpKind::CheckpointRead => self.step_ckpt_read(ctx, op),
+            OpKind::Checkpoint { pos, blob } => {
+                let input = encode_checkpoint(self.epoch, *pos, blob);
+                let oid = self.names.ckpt.clone();
+                self.call_class(ctx, op, oid, Method::Checkpoint, input);
+            }
+            OpKind::CheckpointRead => {
+                let oid = self.names.ckpt.clone();
+                self.call_class(ctx, op, oid, Method::CheckpointRead, Vec::new());
+            }
+            // The waiter owns no in-flight requests; re-kick the cursor
+            // machinery instead.
             OpKind::CursorBatch => {
-                // The waiter owns no in-flight requests; re-kick the
-                // cursor machinery instead.
-                if let Some(id) = self.ops.get(op).and_then(|p| p.cursor) {
+                if let Owner::Waiter(id) = pending.owner {
                     self.drive_cursor(ctx, id);
                 }
             }
-            OpKind::CheckTail => self.step_tail(ctx, op),
+            OpKind::CheckTail => self.send_verb(ctx, op, SeqOp::Read, Stage::Tail),
             OpKind::Batch { .. } => self.drive_batch_grant(ctx, op),
             OpKind::Setup => self.step_setup(ctx, op),
             OpKind::Recover => self.step_recover(ctx, op),
         }
-        self.arm_watchdog(ctx, op);
     }
 
-    fn on_rados_done(
-        &mut self,
-        ctx: &mut Context<'_>,
-        op: u64,
-        result: Result<Vec<OpResult>, OsdError>,
-    ) {
-        if !self.ops.contains_key(op) {
-            return;
-        }
-        // A timed-out RADOS request (the embedded client exhausted its
-        // retransmit deadline) is retryable at this level: re-drive the
-        // whole op rather than surfacing a hang.
-        if matches!(result, Err(OsdError::Timeout)) {
-            ctx.metrics().bump(counter!("zlog.rados_timeouts"), 1);
-            self.restart_op(ctx, op);
-            return;
-        }
-        // The committed map places no OSD for the stripe (drain/removal
-        // emptied the acting set). Unlike Timeout this arrives instantly,
-        // so re-drive through the backoff watchdog rather than restarting
-        // in a hot loop; a membership change clears the condition.
-        if matches!(result, Err(OsdError::NoOsdsUp)) {
-            ctx.metrics().bump(counter!("zlog.no_osds_up_retries"), 1);
-            self.arm_watchdog(ctx, op);
-            return;
-        }
-        let Some(pending) = self.ops.get_mut(op) else {
+    fn on_rados_done(&mut self, ctx: &mut Context<'_>, op: u64, result: RadosResult) {
+        let Some(pending) = self.ops.get(op) else {
             return;
         };
-        // Epoch guard: sealed object rejected our epoch.
-        if let Err(OsdError::Class(ce)) = &result {
-            if ce.code == -116 {
+        match &result {
+            // A timed-out RADOS request (the embedded client exhausted its
+            // retransmit deadline) is retryable at this level: re-drive the
+            // whole op rather than surfacing a hang.
+            Err(OsdError::Timeout) => {
+                ctx.metrics().bump(counter!("zlog.rados_timeouts"), 1);
+                return self.restart_op(ctx, op);
+            }
+            // The committed map places no OSD for the stripe (drain/removal
+            // emptied the acting set). Unlike Timeout this arrives
+            // instantly, so re-drive through the backoff watchdog rather
+            // than restarting in a hot loop; a membership change clears
+            // the condition.
+            Err(OsdError::NoOsdsUp) => {
+                ctx.metrics().bump(counter!("zlog.no_osds_up_retries"), 1);
+                return self.arm_watchdog(ctx, op);
+            }
+            // Epoch guard: sealed object rejected our epoch.
+            Err(OsdError::Class(ce)) if ce.code == -116 => {
                 // A probe-seal fill bounced by the epoch guard was
                 // validated before applying: definitely not applied.
                 if matches!(pending.stage, Stage::WriteSeal { .. }) {
@@ -1894,10 +1817,31 @@ impl ZlogClient {
                 }
                 ctx.metrics().bump(counter!("zlog.estale_retries"), 1);
                 self.ops.park(op, Park::Epoch(self.epoch));
-                self.fetch_epoch(ctx);
-                return;
+                return self.fetch_epoch(ctx);
             }
+            _ => {}
         }
+        match pending.stage {
+            Stage::WriteProbe { .. } | Stage::WriteSeal { .. } => {
+                self.on_probe_done(ctx, op, result)
+            }
+            Stage::ReadVector { .. } => self.on_read_done(ctx, op, result),
+            Stage::TrimFan { .. } | Stage::CkptWrite | Stage::CkptRead => {
+                self.on_trim_done(ctx, op, result)
+            }
+            Stage::Mutate => match result {
+                Ok(_) => self.finish(ctx, op, AppendResult::Ok(ZlogOut::Done)),
+                Err(OsdError::Class(ce)) if ce.code == -17 => {
+                    self.fail(ctx, op, "position already written")
+                }
+                Err(e) => self.fail(ctx, op, format!("mutation failed: {e}")),
+            },
+            _ => {}
+        }
+    }
+
+    /// A probe or probe-seal fill of `op` answered.
+    fn on_probe_done(&mut self, ctx: &mut Context<'_>, op: u64, result: RadosResult) {
         let Some(pending) = self.ops.get_mut(op) else {
             return;
         };
@@ -1943,39 +1887,50 @@ impl ZlogClient {
                 }
                 Err(_) => self.restart_op(ctx, op),
             },
-            Stage::Mutate => match result {
-                Ok(_) => self.finish(ctx, op, AppendResult::Ok(ZlogOut::Done)),
-                Err(OsdError::Class(ce)) if ce.code == -17 => {
-                    self.fail(ctx, op, "position already written")
-                }
-                Err(e) => self.fail(ctx, op, format!("mutation failed: {e}")),
-            },
-            Stage::ReadVector { outstanding, parts } => {
-                let Some(part) = read_reply(&result) else {
-                    self.restart_op(ctx, op);
-                    return;
-                };
-                parts.push(part);
-                *outstanding = outstanding.saturating_sub(1);
-                if *outstanding > 0 {
-                    return;
-                }
-                let Some(positions) = pending.kind.read_positions() else {
-                    return;
-                };
-                let point = matches!(pending.kind, OpKind::Read { .. });
-                let width = u64::from(self.config.stripe_width).max(1);
-                let out = match in_request_order(positions, std::mem::take(parts), width) {
-                    Some(mut one) if point => one.pop().map(|(_, outcome)| ZlogOut::Read(outcome)),
-                    ordered => ordered.map(ZlogOut::ReadBatch),
-                };
-                match out {
-                    Some(out) => self.finish(ctx, op, AppendResult::Ok(out)),
-                    // A group replied without one of its positions:
-                    // malformed; re-issue the vector.
-                    None => self.restart_op(ctx, op),
-                }
-            }
+            _ => {}
+        }
+    }
+
+    /// A stripe group of `op`'s vectored read answered.
+    fn on_read_done(&mut self, ctx: &mut Context<'_>, op: u64, result: RadosResult) {
+        let Some(pending) = self.ops.get_mut(op) else {
+            return;
+        };
+        let Stage::ReadVector { outstanding, parts } = &mut pending.stage else {
+            return;
+        };
+        let Some(part) = read_reply(&result) else {
+            self.restart_op(ctx, op);
+            return;
+        };
+        parts.push(part);
+        *outstanding = outstanding.saturating_sub(1);
+        if *outstanding > 0 {
+            return;
+        }
+        let Some(positions) = pending.kind.read_positions() else {
+            return;
+        };
+        let point = matches!(pending.kind, OpKind::Read { .. });
+        let width = self.names.width();
+        let out = match in_request_order(positions, std::mem::take(parts), width) {
+            Some(mut one) if point => one.pop().map(|(_, outcome)| ZlogOut::Read(outcome)),
+            ordered => ordered.map(ZlogOut::ReadBatch),
+        };
+        match out {
+            Some(out) => self.finish(ctx, op, AppendResult::Ok(out)),
+            // A group replied without one of its positions: malformed;
+            // re-issue the vector.
+            None => self.restart_op(ctx, op),
+        }
+    }
+
+    /// A trim fan call or a checkpoint call of `op` answered.
+    fn on_trim_done(&mut self, ctx: &mut Context<'_>, op: u64, result: RadosResult) {
+        let Some(pending) = self.ops.get_mut(op) else {
+            return;
+        };
+        match &mut pending.stage {
             Stage::TrimFan { outstanding } => match result {
                 Ok(_) => {
                     *outstanding = outstanding.saturating_sub(1);
@@ -2019,7 +1974,18 @@ impl ZlogClient {
         }
     }
 
-    fn on_mds_reply(&mut self, ctx: &mut Context<'_>, op: u64, msg: MdsMsg) {
+    /// An MDS reply, taken by the op whose request it answers.
+    fn on_mds_reply(&mut self, ctx: &mut Context<'_>, msg: MdsMsg) {
+        let reqid = match &msg {
+            MdsMsg::Resolved { reqid, .. }
+            | MdsMsg::Created { reqid, .. }
+            | MdsMsg::TypeOpReply { reqid, .. }
+            | MdsMsg::Sealed { reqid, .. } => *reqid,
+            _ => return,
+        };
+        let Some(op) = self.ops.release(Route::Mds(reqid)) else {
+            return;
+        };
         let Some(pending) = self.ops.get_mut(op) else {
             return;
         };
@@ -2027,20 +1993,10 @@ impl ZlogClient {
             (Stage::SetupDir, MdsMsg::Created { result, .. }) => match result {
                 Ok(_) | Err(MdsError::Exists) => {
                     pending.stage = Stage::SetupSeq;
-                    let reqid = self.mds_reqid(op);
                     let name = self.config.name.clone();
-                    self.send_home(
-                        ctx,
-                        MdsMsg::Create {
-                            reqid,
-                            parent_path: "/zlog".into(),
-                            name,
-                            ftype: FileType::Sequencer,
-                        },
-                    );
+                    self.send_create(ctx, op, "/zlog", name, FileType::Sequencer);
                 }
-                Err(e) if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
-                Err(e) => self.fail(ctx, op, format!("mkdir /zlog failed: {e}")),
+                Err(e) => self.on_mds_error(ctx, op, e, "mkdir /zlog"),
             },
             (Stage::SetupSeq, MdsMsg::Created { result, .. }) => match result {
                 Ok(ino) => {
@@ -2050,10 +2006,9 @@ impl ZlogClient {
                 }
                 Err(MdsError::Exists) => {
                     pending.stage = Stage::ResolveSeq;
-                    self.send_resolve(ctx, op, None);
+                    self.resolve(ctx, op, None);
                 }
-                Err(e) if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
-                Err(e) => self.fail(ctx, op, format!("create sequencer failed: {e}")),
+                Err(e) => self.on_mds_error(ctx, op, e, "create sequencer"),
             },
             (Stage::ResolveSeq | Stage::BatchGrant { .. }, MdsMsg::Resolved { result, .. }) => {
                 match result {
@@ -2068,31 +2023,24 @@ impl ZlogClient {
                             OpKind::Setup => {
                                 self.finish(ctx, op, AppendResult::Ok(ZlogOut::SetUp(ino)))
                             }
-                            OpKind::CheckTail => self.step_tail(ctx, op),
-                            OpKind::Recover => self.step_recover(ctx, op),
                             OpKind::Batch { .. } => self.redrive_op(ctx, op),
-                            _ => {}
+                            _ => self.step(ctx, op),
                         }
                     }
-                    Err(e) if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
-                    Err(e) => self.fail(ctx, op, format!("sequencer resolve failed: {e}")),
+                    Err(e) => self.on_mds_error(ctx, op, e, "sequencer resolve"),
                 }
             }
             (Stage::Tail, MdsMsg::TypeOpReply { result, .. }) => match result {
                 Ok(tail) => self.finish(ctx, op, AppendResult::Ok(ZlogOut::Tail(tail))),
-                Err(MdsError::NotAuth { rank }) => self.on_redirect(ctx, op, rank),
-                Err(e) if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
-                Err(e) => self.fail(ctx, op, format!("tail read failed: {e}")),
+                Err(e) => self.on_mds_error(ctx, op, e, "tail read"),
             },
             (Stage::Recover { sealed }, MdsMsg::Sealed { epoch, tail, .. }) => {
                 *sealed = Some((epoch, tail));
                 self.step_recover(ctx, op);
             }
-            (Stage::Recover { .. }, MdsMsg::TypeOpReply { result: Err(e), .. }) => match e {
-                MdsError::NotAuth { rank } => self.on_redirect(ctx, op, rank),
-                e if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
-                e => self.fail(ctx, op, format!("sequencer seal failed: {e}")),
-            },
+            (Stage::Recover { .. }, MdsMsg::TypeOpReply { result: Err(e), .. }) => {
+                self.on_mds_error(ctx, op, e, "sequencer seal")
+            }
             (Stage::BatchGrant { span }, MdsMsg::TypeOpReply { result, .. }) => match result {
                 Ok(base) => {
                     if let Some(span) = span.take() {
@@ -2100,9 +2048,7 @@ impl ZlogClient {
                     }
                     self.launch_batch_writes(ctx, op, base)
                 }
-                Err(MdsError::NotAuth { rank }) => self.on_redirect(ctx, op, rank),
-                Err(e) if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
-                Err(e) => self.fail(ctx, op, format!("bulk grant failed: {e}")),
+                Err(e) => self.on_mds_error(ctx, op, e, "bulk grant"),
             },
             _ => {}
         }
@@ -2115,13 +2061,13 @@ impl ZlogClient {
     // does that a single op does not lives here.
 
     fn start_batch(&mut self, ctx: &mut Context<'_>, members: Vec<u64>) {
-        // Inserted unarmed (the grant drive below arms the watchdog; a
-        // second arm would draw from the RNG once more) and empty: the
-        // members move in once they carry the batch's id.
+        // Inserted unarmed (armed once its grant is out: a second arm
+        // would draw from the RNG once more) and empty: the members move
+        // in once they carry the batch's id.
         let kind = OpKind::Batch {
             members: Vec::new(),
         };
-        let id = self.insert_op(ctx, kind, Stage::BatchGrant { span: None }, NO_DEADLINE);
+        let id = self.insert_op(ctx, kind, Owner::Nobody, NO_DEADLINE);
         for &op in &members {
             if let Some(p) = self.ops.get_mut(op) {
                 p.stage = Stage::InBatch { batch: id };
@@ -2132,9 +2078,9 @@ impl ZlogClient {
         }
         if let Some(batch) = self.ops.get_mut(id) {
             batch.kind = OpKind::Batch { members };
-            batch.internal = true;
         }
-        self.redrive_op(ctx, id);
+        self.step(ctx, id);
+        self.arm_watchdog(ctx, id);
     }
 
     /// (Re-)sends the batch's grant round trip: a sequencer resolve if
@@ -2165,18 +2111,17 @@ impl ZlogClient {
             }
         };
         self.put_members(id, members);
-        if let Some(batch) = self.ops.get_mut(id) {
-            batch.stage = Stage::BatchGrant { span: Some(span) };
-        }
+        self.set_stage(id, Stage::BatchGrant { span: Some(span) });
         match self.seq_ino {
             // Grants go to the sequencer's cached authoritative rank; the
             // resolve that discovers the rank goes to home.
             Some(ino) => {
                 let reqid = self.mds_reqid(id);
                 let rank = self.router.rank_of(ino);
-                self.send_mds(ctx, rank, MdsMsg::get_pos_batch(reqid, ino, n), Some(span));
+                let msg = MdsMsg::get_pos_batch(reqid, ino, n);
+                self.send_mds(ctx, Some(id), rank, msg, Some(span));
             }
-            None => self.send_resolve(ctx, id, Some(span)),
+            None => self.resolve(ctx, id, Some(span)),
         }
     }
 
@@ -2188,7 +2133,7 @@ impl ZlogClient {
         let Some(members) = self.take_members(id) else {
             return;
         };
-        let (n, width) = (members.len() as u64, self.names.stripes.len() as u64);
+        let (n, width) = (members.len() as u64, self.names.width());
         ctx.metrics().bump(counter!("zlog.pos_grants"), 1);
         // Round trips the bulk grant saved over position-at-a-time.
         ctx.metrics().bump(counter!("zlog.grants_saved"), n - 1);
@@ -2241,9 +2186,7 @@ impl ZlogClient {
             self.finish(ctx, id, AppendResult::Ok(ZlogOut::Done));
             return;
         }
-        if let Some(batch) = self.ops.get_mut(id) {
-            batch.stage = Stage::BatchWrite { groups };
-        }
+        self.set_stage(id, Stage::BatchWrite { groups });
         self.arm_watchdog(ctx, id);
     }
 
@@ -2282,7 +2225,7 @@ impl ZlogClient {
         ctx: &mut Context<'_>,
         id: u64,
         reqid: u64,
-        result: Result<Vec<OpResult>, OsdError>,
+        result: RadosResult,
     ) {
         let Some(Stage::BatchWrite { groups }) = self.ops.get_mut(id).map(|p| &mut p.stage) else {
             return;
@@ -2371,11 +2314,7 @@ impl ZlogClient {
     /// internal op: the result is dropped, EEXIST counts as occupied.
     fn spawn_hole_fill(&mut self, ctx: &mut Context<'_>, pos: u64) {
         ctx.metrics().bump(counter!("zlog.hole_fills"), 1);
-        let op = self.begin(ctx, OpKind::Fill { pos }, Stage::Mutate);
-        if let Some(pending) = self.ops.get_mut(op) {
-            pending.internal = true;
-        }
-        self.step_fill(ctx, op);
+        self.start(ctx, OpKind::Fill { pos }, Owner::Nobody);
     }
 }
 
@@ -2390,19 +2329,7 @@ impl Actor for ZlogClient {
     fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Box<dyn Any>) {
         // MDS replies.
         let msg = match msg.downcast::<MdsMsg>() {
-            Ok(mds) => {
-                let reqid = match &*mds {
-                    MdsMsg::Resolved { reqid, .. }
-                    | MdsMsg::Created { reqid, .. }
-                    | MdsMsg::TypeOpReply { reqid, .. }
-                    | MdsMsg::Sealed { reqid, .. } => *reqid,
-                    _ => return,
-                };
-                if let Some(op) = self.ops.release(Route::Mds(reqid)) {
-                    self.on_mds_reply(ctx, op, *mds);
-                }
-                return;
-            }
+            Ok(mds) => return self.on_mds_reply(ctx, *mds),
             Err(other) => other,
         };
         // Monitor traffic: the zlog map is ours and the mdsmap the router's;
@@ -2426,9 +2353,8 @@ impl Actor for ZlogClient {
                     }
                     MonMsg::Changed { map, delta, .. } if map == ZLOG_MAP => {
                         for (k, v) in delta {
-                            match v {
-                                Some(v) if *k == self.names.epoch_key => self.adopt_epoch(ctx, v),
-                                _ => {}
+                            if let Some(v) = v.as_ref().filter(|_| *k == self.names.epoch_key) {
+                                self.adopt_epoch(ctx, v);
                             }
                         }
                         return;
@@ -2507,7 +2433,7 @@ fn log_op_of(kind: &OpKind) -> Option<LogOp> {
 /// malformed reply. The reply is the list the method returned, each value
 /// the buffer the stripe object stores; payloads are copied here, once,
 /// into the outcomes the reader is handed.
-fn read_reply(result: &Result<Vec<OpResult>, OsdError>) -> Option<Vec<(u64, ReadOutcome)>> {
+fn read_reply(result: &RadosResult) -> Option<Vec<(u64, ReadOutcome)>> {
     match result.as_ref().ok()?.first()? {
         OpResult::CallList(items) => read_outcomes(items.iter().map(|item| &**item)).ok(),
         _ => None,

@@ -268,3 +268,83 @@ fn a_recovering_answer_waits_for_an_epoch_above_the_one_its_request_went_out_und
     sim.network_mut().heal_all();
     drain(&mut sim, &[op]);
 }
+
+#[test]
+#[should_panic(expected = "stripe width must be positive")]
+fn a_client_of_no_stripes_is_refused() {
+    ZlogClient::new(ZlogConfig {
+        name: "empty".to_string(),
+        pool: "zlogpool".to_string(),
+        stripe_width: 0,
+        mds_nodes: HashMap::from([(0, MDS0)]),
+        home_rank: 0,
+        monitor: MON,
+    });
+}
+
+/// How many RADOS and MDS routes `op` holds.
+fn route_kinds(c: &ZlogClient, op: u64) -> (usize, usize) {
+    let routes: Vec<Route> = c.ops.routes(op).collect();
+    let rados = routes.iter().filter(|r| matches!(r, Route::Rados(_)));
+    (rados.count(), routes.len())
+}
+
+/// Starts an op with `start` on a log holding one entry, at position 0,
+/// optionally re-drives it at once, and runs it to its result; checks
+/// that a re-drive leaves the op holding what the start left.
+fn run_started(start: fn(&mut ZlogClient, &mut Context<'_>) -> u64, redrive: bool) -> AppendResult {
+    let mut sim = build("redrive");
+    let res = run_op(&mut sim, CLIENT, SimDuration::from_secs(5), |c, ctx| {
+        c.append(ctx, b"entry".to_vec())
+    });
+    assert_eq!(res, AppendResult::Ok(ZlogOut::Pos(0)));
+    let op = sim.with_actor::<ZlogClient, _>(CLIENT, |c, ctx| {
+        let op = start(c, ctx);
+        if redrive {
+            let started = route_kinds(c, op);
+            assert_ne!(started, (0, 0), "the start sent nothing");
+            c.redrive_op(ctx, op);
+            assert_eq!(
+                route_kinds(c, op),
+                started,
+                "the re-drive sent other requests"
+            );
+            assert_eq!(c.check_routes(), Ok(()));
+        }
+        op
+    });
+    let deadline = sim.now() + SimDuration::from_secs(30);
+    let done = sim.run_until_pred(deadline, |s| client(s).is_done(op));
+    assert!(done, "op {op} never completed");
+    let result = sim.actor_mut::<ZlogClient>(CLIENT).take_result(op);
+    sim.run_for(SimDuration::from_secs(1));
+    assert!(!client(&sim).is_done(op), "op {op} completed twice");
+    result.expect("a completed op has a result")
+}
+
+/// A re-drive right after the start sends what the start sent, for every
+/// kind of op a starter steps: the starters and the re-drive share one
+/// dispatch. The op completes once, with the result an op that was not
+/// re-driven gets on a fresh sim of the same seed.
+#[test]
+fn a_redrive_sends_what_the_start_sent() {
+    type Start = fn(&mut ZlogClient, &mut Context<'_>) -> u64;
+    let cases: [(&str, Start); 9] = [
+        ("setup", |c, ctx| c.setup(ctx)),
+        ("trim_to", |c, ctx| c.trim_to(ctx, 1)),
+        ("checkpoint", |c, ctx| {
+            c.checkpoint(ctx, 1, b"blob".to_vec())
+        }),
+        ("checkpoint_read", |c, ctx| c.checkpoint_read(ctx)),
+        ("fill", |c, ctx| c.fill(ctx, 1)),
+        ("check_tail", |c, ctx| c.check_tail(ctx)),
+        ("recover", |c, ctx| c.recover(ctx)),
+        ("read", |c, ctx| c.read(ctx, 0)),
+        ("read_batch", |c, ctx| c.read_batch(ctx, (0..6).collect())),
+    ];
+    for (name, start) in cases {
+        let twin = run_started(start, false);
+        assert!(matches!(twin, AppendResult::Ok(_)), "{name}: {twin:?}");
+        assert_eq!(run_started(start, true), twin, "{name}");
+    }
+}
