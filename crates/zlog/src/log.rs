@@ -31,6 +31,21 @@ use crate::storage::{
 };
 use crate::window::Window;
 
+mod append;
+mod history;
+mod names;
+mod probe;
+mod read;
+mod seq;
+mod trim;
+
+use append::StripeWrite;
+pub use history::log_read_of;
+use history::{log_op_of, SealClose};
+use names::{Method, Names};
+use read::{read_reply, Cursor};
+use seq::MdsSent;
+
 /// Monitor map holding ZLog service metadata (per-log epochs).
 pub const ZLOG_MAP: &str = "zlog";
 
@@ -244,16 +259,6 @@ enum Owner {
     Waiter(u64),
 }
 
-/// An MDS request as it left: a map that moves `rank` off `node` leaves it
-/// unanswered, and a `Recovering` answer to it waits for an epoch above
-/// `epoch`.
-#[derive(Debug, Clone, Copy)]
-struct MdsSent {
-    rank: u32,
-    node: NodeId,
-    epoch: u64,
-}
-
 /// A reply route, held by its op in `ops`: a request of the embedded RADOS
 /// client or an MDS request id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -269,26 +274,6 @@ enum Park {
     Epoch(u64),
     /// A fresh mdsmap: the op's rank was unroutable.
     MdsMap,
-}
-
-/// How an open probe-seal fill record resolves.
-enum SealClose {
-    /// The fill landed.
-    Applied,
-    /// The fill definitely bounced (cell occupied).
-    NotApplied,
-    /// Outcome unknown (reply lost / epoch bounce mid-flight).
-    Unknown,
-}
-
-/// One in-flight `write_batch` call of a batch.
-struct StripeWrite {
-    /// The RADOS request carrying it.
-    reqid: u64,
-    /// Its open `zlog.stripe_write` span.
-    span: SpanContext,
-    /// The cells it writes, as `(member index, position)`.
-    cells: Vec<(usize, u64)>,
 }
 
 #[derive(Debug, Clone)]
@@ -348,110 +333,6 @@ impl OpKind {
             OpKind::Recover => Stage::Recover { sealed: None },
             OpKind::Batch { .. } => Stage::BatchGrant { span: None },
         }
-    }
-
-    /// The positions a read op asks for: a point read's one, or a vector.
-    fn read_positions(&self) -> Option<&[u64]> {
-        match self {
-            OpKind::Read { pos } => Some(std::slice::from_ref(pos)),
-            OpKind::ReadBatch { positions } => Some(positions),
-            _ => None,
-        }
-    }
-}
-
-/// One pipelined tailing reader: discovers the tail via the sequencer,
-/// prefetches entries with stripe-grouped `read_batch` ops inside a
-/// bounded window, resolves holes with the fill machinery, and hands
-/// contiguous runs to `next_batch` waiters in position order.
-#[derive(Default)]
-struct Cursor {
-    cfg: ReadConfig,
-    /// Next position to deliver and what is known about the positions
-    /// from there on.
-    window: Window,
-    /// Exclusive tail bound last learned from the sequencer.
-    tail: u64,
-    /// Start position resolved (checkpoint object consulted).
-    started: bool,
-    /// Checkpoint consult in flight.
-    ckpt_inflight: bool,
-    /// Tail refresh in flight.
-    tail_inflight: bool,
-    /// The tail was refreshed since the current waiter arrived, so
-    /// "caught up" can be answered against a fresh bound.
-    tail_fresh: bool,
-    /// Outstanding fetch ops (the `max_inflight` bound).
-    inflight_ops: usize,
-    /// Waiting `next_batch` op and its delivery cap.
-    waiter: Option<(u64, usize)>,
-}
-
-/// A method of the `zlog` class, as the client calls it: an index into the
-/// handles [`Names`] built.
-#[derive(Debug, Clone, Copy)]
-enum Method {
-    WriteBatch,
-    ReadBatch,
-    Fill,
-    TrimUpto,
-    Checkpoint,
-    CheckpointRead,
-}
-
-impl Method {
-    /// Every method with its name in the class source, in discriminant
-    /// order.
-    const ALL: [(Method, &'static str); 6] = [
-        (Method::WriteBatch, "write_batch"),
-        (Method::ReadBatch, "read_batch"),
-        (Method::Fill, "fill"),
-        (Method::TrimUpto, "trim_upto"),
-        (Method::Checkpoint, "checkpoint"),
-        (Method::CheckpointRead, "checkpoint_read"),
-    ];
-}
-
-/// Every name one client's requests carry, allocated when the client is
-/// built: a request takes refcounts of these and formats nothing
-/// (DESIGN §30).
-struct Names {
-    /// The log's pool and name, as `SetSeqLayout` carries them.
-    pool: Rc<str>,
-    log: Rc<str>,
-    /// The log's key in the monitor's [`ZLOG_MAP`], `epoch.<log>`.
-    epoch_key: String,
-    /// The sequencer inode's path, `/zlog/<log>`.
-    seq_path: String,
-    /// The stripe objects `<log>.<i>`, by stripe index.
-    stripes: Vec<ObjectId>,
-    /// The per-log checkpoint object (not a stripe: seals never touch it,
-    /// so checkpoint traffic survives recovery untouched).
-    ckpt: ObjectId,
-    class: Rc<str>,
-    /// Method-name handles, indexed by [`Method`].
-    methods: [Rc<str>; Method::ALL.len()],
-}
-
-impl Names {
-    fn new(config: &ZlogConfig) -> Names {
-        let pool: Rc<str> = config.pool.as_str().into();
-        let stripe = |i: u32| ObjectId::new(Rc::clone(&pool), format!("{}.{i}", config.name));
-        Names {
-            stripes: (0..config.stripe_width).map(stripe).collect(),
-            ckpt: ObjectId::new(Rc::clone(&pool), format!("{}.ckpt", config.name)),
-            log: config.name.as_str().into(),
-            epoch_key: format!("epoch.{}", config.name),
-            seq_path: format!("/zlog/{}", config.name),
-            class: ZLOG_CLASS.into(),
-            methods: Method::ALL.map(|(_, name)| name.into()),
-            pool,
-        }
-    }
-
-    /// The stripe width: how many stripe objects positions cycle over.
-    fn width(&self) -> u64 {
-        self.stripes.len() as u64
     }
 }
 
@@ -555,15 +436,6 @@ impl ZlogClient {
         let mut client = ZlogClient::new(config);
         client.batch_cfg = batch;
         client
-    }
-
-    /// Attaches a history recorder: every externally visible op (and
-    /// every internal hole fill, which also mutates cells) records
-    /// invoke/ok/fail/info events with sim-clock stamps for the
-    /// linearizability checker.
-    pub fn with_history(mut self, recorder: Recorder<LogOp, LogRet>) -> ZlogClient {
-        self.history = Some(recorder);
-        self
     }
 
     /// The current epoch this client operates under.
@@ -694,322 +566,12 @@ impl ZlogClient {
         }
     }
 
-    /// Creates `/zlog/<name>` (directory + sequencer inode) if needed.
-    pub fn setup(&mut self, ctx: &mut Context<'_>) -> u64 {
-        self.start(ctx, OpKind::Setup, Owner::Caller)
-    }
-
-    /// Appends `data`; resolves to [`ZlogOut::Pos`]. A batch of one: the
-    /// append skips the queue and goes out at once, a `GetPosBatch` grant
-    /// of one position and then a one-entry `write_batch`.
-    pub fn append(&mut self, ctx: &mut Context<'_>, data: Vec<u8>) -> u64 {
-        let op = self.new_append(ctx, data);
-        self.start_batch(ctx, vec![op]);
-        op
-    }
-
-    /// Enqueues an append on the pipelined path; resolves to
-    /// [`ZlogOut::Pos`] like [`ZlogClient::append`], but positions come
-    /// from bulk `GetPosBatch` grants amortized across the queue and
-    /// same-stripe writes coalesce into one `write_batch` RADOS
-    /// transaction. The queue drains when it reaches
-    /// [`BatchConfig::queue_depth`], when the flush window elapses, or on
-    /// an explicit [`ZlogClient::flush`].
-    pub fn append_async(&mut self, ctx: &mut Context<'_>, data: Vec<u8>) -> u64 {
-        let op = self.new_append(ctx, data);
-        self.append_queue.push(op);
-        if self.append_queue.len() >= self.batch_cfg.queue_depth.max(1) {
-            self.flush(ctx);
-        } else {
-            self.arm_flush_timer(ctx);
-        }
-        op
-    }
-
-    /// Enters an append, `Queued` under its `zlog.append` span with the
-    /// `zlog.queue` child open: whoever starts its batch ends that.
-    fn new_append(&mut self, ctx: &mut Context<'_>, data: Vec<u8>) -> u64 {
-        let op = self.begin(ctx, OpKind::Append { data }, Owner::Caller);
-        let root = ctx.span_start("zlog.append", None);
-        let queue = ctx.span_start("zlog.queue", Some(root));
-        if let Some(pending) = self.ops.get_mut(op) {
-            pending.span = Some(root);
-            pending.queue_span = Some(queue);
-        }
-        op
-    }
-
-    /// Drains the append queue now, forming one batch per
-    /// [`BatchConfig::queue_depth`] chunk.
-    pub fn flush(&mut self, ctx: &mut Context<'_>) {
-        if let Some(timer) = self.flush_timer.take() {
-            ctx.cancel_timer(timer);
-        }
-        while !self.append_queue.is_empty() {
-            let take = self
-                .append_queue
-                .len()
-                .min(self.batch_cfg.queue_depth.max(1));
-            let members: Vec<u64> = self.append_queue.drain(..take).collect();
-            self.start_batch(ctx, members);
-        }
-    }
-
-    fn arm_flush_timer(&mut self, ctx: &mut Context<'_>) {
-        if self.flush_timer.is_none() && !self.append_queue.is_empty() {
-            self.flush_timer = Some(ctx.set_timer(self.batch_cfg.flush_window, TOKEN_FLUSH));
-        }
-    }
-
-    /// Reads `pos`; resolves to [`ZlogOut::Read`]. A `read_batch` of one
-    /// position that records as one read in the history.
-    pub fn read(&mut self, ctx: &mut Context<'_>, pos: u64) -> u64 {
-        self.start_read(ctx, OpKind::Read { pos }, Owner::Caller)
-    }
-
-    /// Vectored read: one `read_batch` RADOS op per stripe object covers
-    /// the whole position vector. Resolves to [`ZlogOut::ReadBatch`] with
-    /// a tagged outcome for every requested position, in request order —
-    /// unwritten positions come back as [`ReadOutcome::NotWritten`], not
-    /// as errors.
-    pub fn read_batch(&mut self, ctx: &mut Context<'_>, positions: Vec<u64>) -> u64 {
-        self.start_read(ctx, OpKind::ReadBatch { positions }, Owner::Caller)
-    }
-
-    /// Starts a read op of `kind` for `owner` under its `zlog.read_batch`
-    /// span. A vectored read records one history read per position, so
-    /// the checker sees each position's observation on its own.
-    fn start_read(&mut self, ctx: &mut Context<'_>, kind: OpKind, owner: Owner) -> u64 {
-        let op = self.begin(ctx, kind, owner);
-        let span = ctx.span_start("zlog.read_batch", None);
-        let (client, now) = (u64::from(ctx.me().0), ctx.now());
-        if let Some(pending) = self.ops.get_mut(op) {
-            pending.span = Some(span);
-            if let (Some(rec), OpKind::ReadBatch { positions }) = (&self.history, &pending.kind) {
-                let invoke = |pos| (rec.invoke(client, now, LogOp::Read { pos }), pos);
-                pending.multi_hist = positions.iter().copied().map(invoke).collect();
-            }
-        }
-        self.step(ctx, op);
-        op
-    }
-
-    /// Prefix trim: every position strictly below `pos` becomes trimmed,
-    /// one `trim_upto` watermark call per stripe object (O(1) state per
-    /// stripe; covered omap entries are purged for space reclaim).
-    /// Resolves to [`ZlogOut::Done`].
-    pub fn trim_to(&mut self, ctx: &mut Context<'_>, pos: u64) -> u64 {
-        self.start(ctx, OpKind::TrimUpto { pos }, Owner::Caller)
-    }
-
-    /// Persists `(pos, blob)` on the per-log checkpoint object: `blob`
-    /// captures the state after applying positions `[0, pos)`. The
-    /// checkpoint only ever advances; resolves to
-    /// [`ZlogOut::CheckpointAt`] with the position now held.
-    pub fn checkpoint(&mut self, ctx: &mut Context<'_>, pos: u64, blob: Vec<u8>) -> u64 {
-        self.start(ctx, OpKind::Checkpoint { pos, blob }, Owner::Caller)
-    }
-
-    /// Reads the latest checkpoint; resolves to [`ZlogOut::Checkpoint`]
-    /// (`None` when no checkpoint was ever taken).
-    pub fn checkpoint_read(&mut self, ctx: &mut Context<'_>) -> u64 {
-        self.start(ctx, OpKind::CheckpointRead, Owner::Caller)
-    }
-
-    /// Creates a pipelined tailing reader and returns its cursor id. The
-    /// cursor starts from the latest checkpoint position (position 0 when
-    /// none exists), discovers the tail via the sequencer, and prefetches
-    /// within the client's [`ReadConfig`] window. Drive it with
-    /// [`ZlogClient::cursor_next_batch`].
-    pub fn tail_cursor(&mut self, ctx: &mut Context<'_>) -> u64 {
-        let id = self.next_cursor;
-        self.next_cursor += 1;
-        let cfg = self.read_cfg.clone();
-        self.cursors.insert(
-            id,
-            Cursor {
-                cfg,
-                ..Cursor::default()
-            },
-        );
-        self.drive_cursor(ctx, id);
-        id
-    }
-
-    /// Requests the next in-order batch (at most `max` entries) from
-    /// cursor `id`; resolves to [`ZlogOut::CursorBatch`]. An empty batch
-    /// means the cursor is caught up with a freshly read tail. Holes
-    /// below the tail are resolved (junk-filled, then re-read) before
-    /// delivery, so entries always arrive in contiguous position order.
-    pub fn cursor_next_batch(&mut self, ctx: &mut Context<'_>, id: u64, max: usize) -> u64 {
-        let op = self.begin(ctx, OpKind::CursorBatch, Owner::Waiter(id));
-        let span = ctx.span_start("zlog.cursor_batch", None);
-        if let Some(pending) = self.ops.get_mut(op) {
-            pending.span = Some(span);
-        }
-        let Some(cursor) = self.cursors.get_mut(&id) else {
-            self.fail(ctx, op, format!("no such cursor {id}"));
-            return op;
-        };
-        cursor.tail_fresh = false;
-        let old = cursor.waiter.replace((op, max.max(1)));
-        if let Some((old_op, _)) = old {
-            // One waiter at a time; a superseded one fails cleanly.
-            self.fail(ctx, old_op, "superseded by a newer next_batch");
-        }
-        self.drive_cursor(ctx, id);
-        op
-    }
-
     /// Junk-fills `pos`; resolves to [`ZlogOut::Done`].
     pub fn fill(&mut self, ctx: &mut Context<'_>, pos: u64) -> u64 {
         self.start(ctx, OpKind::Fill { pos }, Owner::Caller)
     }
 
-    /// Reads the sequencer tail without advancing it.
-    pub fn check_tail(&mut self, ctx: &mut Context<'_>) -> u64 {
-        self.start(ctx, OpKind::CheckTail, Owner::Caller)
-    }
-
-    /// Runs CORFU sequencer recovery through the sequencer's authority,
-    /// which seals the log as a promoted standby does — a new epoch in the
-    /// monitor's zlog map, `seal` on every stripe object — and restarts
-    /// the tail past the highest written position. Resolves to
-    /// [`ZlogOut::Recovered`] once this client runs under the epoch that
-    /// seal installed.
-    pub fn recover(&mut self, ctx: &mut Context<'_>) -> u64 {
-        self.start(ctx, OpKind::Recover, Owner::Caller)
-    }
-
     // ---- plumbing ----
-
-    /// Sends `msg`, `op`'s request if it has one, to `rank`'s node if one
-    /// is known (the live map wins over the static config — after a
-    /// failover the rank lives on the promoted standby's node). With the
-    /// rank unroutable the message is withheld and `op` is parked on the
-    /// mdsmap: adoption of a fresh map re-drives it immediately
-    /// ([`ZlogClient::redrive_on_mdsmap`]), and the watchdog backoff
-    /// remains the backstop for lost maps. A request sent is noted on its
-    /// op ([`MdsSent`]).
-    fn send_mds(
-        &mut self,
-        ctx: &mut Context<'_>,
-        op: Option<u64>,
-        rank: u32,
-        msg: MdsMsg,
-        span: Option<SpanContext>,
-    ) {
-        match self.router.node_for_rank(rank) {
-            Some(node) => {
-                let epoch = self.epoch;
-                if let Some(pending) = op.and_then(|op| self.ops.get_mut(op)) {
-                    pending.mds_sent = Some(MdsSent { rank, node, epoch });
-                }
-                ctx.send_spanned(node, msg, span);
-            }
-            None => {
-                ctx.metrics().bump(counter!("zlog.mds_unroutable"), 1);
-                if let Some(op) = op {
-                    self.ops.park(op, Park::MdsMap);
-                }
-            }
-        }
-    }
-
-    /// Typed transient MDS error (frozen inode, mid-takeover recovery,
-    /// missing layout, vacant rank). Those replies arrive at full message
-    /// speed, so pacing must come from us: the watchdog's capped exponential
-    /// backoff is re-armed (superseding the old timer) and re-drives the
-    /// op; a flat short delay would burn the whole attempt budget inside
-    /// one takeover window. `MdsUnavailable` additionally drops every
-    /// cached placement at the vacant rank (affected logs re-resolve
-    /// through home instead of hammering a dead address) and parks the op
-    /// on the mdsmap so adoption re-drives it at once. `LayoutMissing`
-    /// sends the layout the authority asked for. `Recovering` parks the op
-    /// on the epoch its request went out under: the seal ends by
-    /// installing a newer one, whose adoption re-drives it, and a request
-    /// sent before this client adopted that epoch goes again now.
-    fn on_mds_transient(&mut self, ctx: &mut Context<'_>, op: u64, e: &MdsError) {
-        match (e, self.seq_ino) {
-            (MdsError::MdsUnavailable { rank }, _) => {
-                self.router.invalidate_rank(*rank);
-                self.ops.park(op, Park::MdsMap);
-            }
-            (MdsError::LayoutMissing, Some(ino)) => self.register_layout(ctx, ino),
-            (MdsError::Recovering, _) => {
-                let sent = self.ops.get(op).and_then(|p| p.mds_sent);
-                let sent = sent.map_or(self.epoch, |sent| sent.epoch);
-                if sent < self.epoch {
-                    return self.restart_op(ctx, op);
-                }
-                ctx.metrics().bump(counter!("zlog.recovering_parks"), 1);
-                self.ops.park(op, Park::Epoch(sent));
-            }
-            _ => {}
-        }
-        // Kept as found: a batch pays an attempt and counts a retry for a
-        // transient reply, a single op does neither.
-        if self.is_batch(op) {
-            if !self.burn_attempt(ctx, op) {
-                return;
-            }
-            ctx.metrics().bump(counter!("zlog.retries"), 1);
-        }
-        self.arm_watchdog(ctx, op);
-    }
-
-    /// An MDS answered `op`'s request for `what` with `e`: a redirect, a
-    /// transient error, or a failure.
-    fn on_mds_error(&mut self, ctx: &mut Context<'_>, op: u64, e: MdsError, what: &str) {
-        match e {
-            MdsError::NotAuth { rank } => self.on_redirect(ctx, op, rank),
-            e if e.is_retryable() => self.on_mds_transient(ctx, op, &e),
-            e => self.fail(ctx, op, format!("{what} failed: {e}")),
-        }
-    }
-
-    /// `NotAuth { rank }` redirect (direct-mode migration): cache the
-    /// new placement and re-drive immediately. Going through
-    /// `restart_op` burns an attempt, which bounds the ping-pong when
-    /// two ranks disagree mid-migration.
-    fn on_redirect(&mut self, ctx: &mut Context<'_>, op: u64, rank: u32) {
-        ctx.metrics().bump(counter!("zlog.redirects"), 1);
-        if let Some(ino) = self.seq_ino {
-            self.router.learn(ino, rank);
-        }
-        self.restart_op(ctx, op);
-    }
-
-    /// Tells the authoritative MDS where this log's stripe objects live so
-    /// a promoted standby can seal them before reissuing positions.
-    /// Fire-and-forget and idempotent; sent on every resolve and whenever
-    /// an MDS answers `LayoutMissing`, so a lost copy (or an MDS whose
-    /// journal missed the `SeqLayout` entry before a crash) costs a retry,
-    /// never a layout-blind authority.
-    fn register_layout(&mut self, ctx: &mut Context<'_>, ino: Ino) {
-        ctx.metrics().bump(counter!("zlog.layouts_sent"), 1);
-        let msg = MdsMsg::SetSeqLayout {
-            ino,
-            pool: Rc::clone(&self.names.pool),
-            name: Rc::clone(&self.names.log),
-            stripe_width: self.names.width() as u32,
-        };
-        self.send_mds(ctx, None, self.router.rank_of(ino), msg, None);
-    }
-
-    fn mds_reqid(&mut self, op: u64) -> u64 {
-        let reqid = self.next_seq;
-        self.next_seq += 1;
-        self.ops.hold(op, Route::Mds(reqid));
-        reqid
-    }
-
-    /// The stripe object holding `pos`: a refcount of the id built with
-    /// the client.
-    fn stripe_oid(&self, pos: u64) -> ObjectId {
-        let stripe = pos % self.names.width();
-        self.names.stripes[stripe as usize].clone()
-    }
 
     /// Moves `op` to `stage`.
     fn set_stage(&mut self, op: u64, stage: Stage) {
@@ -1096,511 +658,8 @@ impl ZlogClient {
         }
     }
 
-    /// Closes `op`'s history records as it concludes with `result`; an
-    /// error is ambiguous (`info`) where `ambiguous_hint` says the stage
-    /// it died in may have applied.
-    fn record_end(
-        &self,
-        now: SimTime,
-        op: u64,
-        pending: &PendingOp,
-        result: &AppendResult,
-        ambiguous_hint: bool,
-    ) {
-        let Some(rec) = &self.history else {
-            return;
-        };
-        // An open probe-seal fill dies with the op: its outcome stays
-        // unknown (the fill request may still land).
-        if let Some(id) = pending.seal_hist {
-            rec.info(id, now, None, "fill outcome unknown");
-        }
-        // A vectored read closes one record per position. Reads have
-        // no side effects, so a dead batch is a definite failure.
-        if !pending.multi_hist.is_empty() {
-            let by_pos: HashMap<u64, &ReadOutcome> = match result {
-                AppendResult::Ok(ZlogOut::ReadBatch(entries)) => {
-                    entries.iter().map(|(p, o)| (*p, o)).collect()
-                }
-                _ => HashMap::new(),
-            };
-            for (id, pos) in &pending.multi_hist {
-                match by_pos.get(pos) {
-                    Some(o) => rec.ok(*id, now, LogRet::Read(log_read_of(o))),
-                    None => rec.fail(*id, now, "batch read failed"),
-                }
-            }
-        }
-        if let Some(hist) = pending.hist {
-            match result {
-                AppendResult::Ok(out) => {
-                    if let Some(ret) = log_ret_of(out) {
-                        rec.ok(hist, now, ret);
-                    }
-                }
-                AppendResult::Err(msg) => {
-                    // Outer None = definite failure; Some(maybe) =
-                    // ambiguous, with the return the op would have
-                    // yielded had it applied.
-                    let info: Option<Option<LogRet>> = match &pending.stage {
-                        _ if !ambiguous_hint => None,
-                        Stage::WriteProbe { pos } | Stage::WriteSeal { pos } => {
-                            Some(Some(LogRet::Pos(*pos)))
-                        }
-                        Stage::Mutate => Some(None),
-                        // A trim fan with any stripe outstanding may have
-                        // trimmed a prefix of the range already.
-                        Stage::TrimFan { .. } => Some(None),
-                        Stage::InBatch { batch } => self
-                            .inflight_batch_pos(*batch, op)
-                            .map(|pos| Some(LogRet::Pos(pos))),
-                        _ => None,
-                    };
-                    match info {
-                        Some(maybe) => rec.info(hist, now, maybe, msg.clone()),
-                        None => rec.fail(hist, now, msg.clone()),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Position of a write of `batch` still in flight that carries `op`,
-    /// if any: an `InBatch` member dying mid-write is ambiguous at that
-    /// position.
-    fn inflight_batch_pos(&self, batch: u64, op: u64) -> Option<u64> {
-        let pending = self.ops.get(batch)?;
-        let (OpKind::Batch { members }, Stage::BatchWrite { groups }) =
-            (&pending.kind, &pending.stage)
-        else {
-            return None;
-        };
-        groups
-            .iter()
-            .flat_map(|group| &group.cells)
-            .find(|(i, _)| members.get(*i) == Some(&op))
-            .map(|(_, pos)| *pos)
-    }
-
     fn is_batch(&self, op: u64) -> bool {
         matches!(self.ops.get(op), Some(p) if matches!(p.kind, OpKind::Batch { .. }))
-    }
-
-    /// Closes the open probe-seal fill record on `op`, if any.
-    fn close_seal_hist(&mut self, now: SimTime, op: u64, how: SealClose) {
-        let id = self.ops.get_mut(op).and_then(|p| p.seal_hist.take());
-        let (Some(id), Some(rec)) = (id, &self.history) else {
-            return;
-        };
-        match how {
-            SealClose::Applied => rec.ok(id, now, LogRet::Done),
-            SealClose::NotApplied => rec.fail(id, now, "position already written"),
-            SealClose::Unknown => rec.info(id, now, None, "fill outcome unknown"),
-        }
-    }
-
-    /// The `Op::Call` of `method` on the `zlog` class: its names are
-    /// refcounts of the client's handles.
-    fn class_call(&self, method: Method, input: Vec<u8>) -> Op {
-        Op::Call {
-            class: Rc::clone(&self.names.class),
-            method: Rc::clone(&self.names.methods[method as usize]),
-            input: input.into(),
-        }
-    }
-
-    fn call_class(
-        &mut self,
-        ctx: &mut Context<'_>,
-        op: u64,
-        oid: ObjectId,
-        method: Method,
-        input: Vec<u8>,
-    ) {
-        let call = self.class_call(method, input);
-        let reqid = self.rados.submit_spanned(ctx, oid, vec![call], None, ());
-        self.ops.hold(op, Route::Rados(reqid));
-    }
-
-    /// Calls a per-cell class method (`fill`, `trim_upto`) on the stripe
-    /// object holding `pos`; each takes `epoch|pos`.
-    fn call_cell(&mut self, ctx: &mut Context<'_>, op: u64, method: Method, pos: u64) {
-        let input = format!("{}|{pos}", self.epoch).into_bytes();
-        let oid = self.stripe_oid(pos);
-        self.call_class(ctx, op, oid, method, input);
-    }
-
-    /// Asks the home rank, which owns the directory tree, for the
-    /// sequencer inode and its authoritative rank; the reply routes to
-    /// `op`, and `span` (a batch's grant) parents the round trip.
-    fn resolve(&mut self, ctx: &mut Context<'_>, op: u64, span: Option<SpanContext>) {
-        let reqid = self.mds_reqid(op);
-        let path = self.names.seq_path.clone();
-        let home = self.router.home_rank();
-        self.send_mds(ctx, Some(op), home, MdsMsg::Resolve { reqid, path }, span);
-    }
-
-    /// Sends `op`'s create of `name` in `parent_path` to the home rank,
-    /// which owns the directory tree.
-    fn send_create(
-        &mut self,
-        ctx: &mut Context<'_>,
-        op: u64,
-        parent_path: &str,
-        name: String,
-        ftype: FileType,
-    ) {
-        let reqid = self.mds_reqid(op);
-        let parent_path = parent_path.into();
-        let msg = MdsMsg::Create {
-            reqid,
-            parent_path,
-            name,
-            ftype,
-        };
-        self.send_mds(ctx, Some(op), self.router.home_rank(), msg, None);
-    }
-
-    /// (Re-)starts namespace setup from the top: mkdir/create tolerate
-    /// `Exists`, so replaying is safe.
-    fn step_setup(&mut self, ctx: &mut Context<'_>, op: u64) {
-        self.set_stage(op, Stage::SetupDir);
-        self.send_create(ctx, op, "/", "zlog".into(), FileType::Dir);
-    }
-
-    /// (Re-)drives recovery: the seal request until the authority answers
-    /// it, then the wait for the epoch that seal installed. A seal request
-    /// that arrives while a seal runs joins it, so a re-sent one starts no
-    /// second seal; the seal joined may be one whose epoch this client
-    /// already runs under.
-    fn step_recover(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let sealed = match self.ops.get(op).map(|p| &p.stage) {
-            Some(Stage::Recover { sealed }) => *sealed,
-            Some(_) => None,
-            None => return,
-        };
-        match sealed {
-            None => self.send_verb(ctx, op, SeqOp::Seal, Stage::Recover { sealed: None }),
-            Some((epoch, tail)) if self.epoch >= epoch => {
-                let out = ZlogOut::Recovered { epoch, tail };
-                self.finish(ctx, op, AppendResult::Ok(out));
-            }
-            Some((epoch, _)) => {
-                // Re-driven once the client's epoch passes the one below.
-                self.ops.park(op, Park::Epoch(epoch - 1));
-                self.fetch_epoch(ctx);
-            }
-        }
-    }
-
-    /// Sends sequencer verb `verb` for `op` to the inode's authority, the
-    /// op waiting in `stage`, or resolves the inode first.
-    fn send_verb(&mut self, ctx: &mut Context<'_>, op: u64, verb: SeqOp, stage: Stage) {
-        let Some(ino) = self.seq_ino else {
-            self.set_stage(op, Stage::ResolveSeq);
-            self.resolve(ctx, op, None);
-            return;
-        };
-        // Re-entered after a lazy resolve: move the stage back so the
-        // TypeOpReply is not dropped by the ResolveSeq arm's catch-all.
-        self.set_stage(op, stage);
-        let reqid = self.mds_reqid(op);
-        let msg = MdsMsg::TypeOp {
-            reqid,
-            ino,
-            op: verb,
-        };
-        self.send_mds(ctx, Some(op), self.router.rank_of(ino), msg, None);
-    }
-
-    /// (Re-)issues a vectored read: the op's position vector grouped by
-    /// stripe, one `read_batch` RADOS op per stripe object, in ascending
-    /// stripe order.
-    fn step_read_batch(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let width = self.names.width();
-        let Some(positions) = self.ops.get(op).and_then(|p| p.kind.read_positions()) else {
-            return;
-        };
-        if positions.is_empty() {
-            self.finish(ctx, op, AppendResult::Ok(ZlogOut::ReadBatch(Vec::new())));
-            return;
-        }
-        // Stripe by stripe, each stripe's positions in request order: the
-        // sort is stable.
-        let mut sorted = positions.to_vec();
-        sorted.sort_by_key(|pos| pos % width);
-        let mut rest = &sorted[..];
-        let mut groups = 0;
-        while let Some(first) = rest.first() {
-            let on_stripe = rest.iter().take_while(|pos| *pos % width == first % width);
-            let (group, tail) = rest.split_at(on_stripe.count());
-            self.call_read_batch(ctx, op, group);
-            rest = tail;
-            groups += 1;
-        }
-        let parts = Vec::with_capacity(groups);
-        self.set_stage(
-            op,
-            Stage::ReadVector {
-                outstanding: groups,
-                parts,
-            },
-        );
-    }
-
-    /// Calls `read_batch` for `positions`, which share one stripe object.
-    fn call_read_batch(&mut self, ctx: &mut Context<'_>, op: u64, positions: &[u64]) {
-        let oid = self.stripe_oid(positions[0]);
-        ctx.metrics().bump(counter!("rados.read_batch_ops"), 1);
-        ctx.metrics().bump(
-            counter!("rados.read_batch_positions"),
-            positions.len() as u64,
-        );
-        let input = encode_read_batch(self.epoch, positions);
-        self.call_class(ctx, op, oid, Method::ReadBatch, input);
-    }
-
-    /// (Re-)issues the per-stripe `trim_upto` fan of a prefix trim.
-    fn step_trim_upto(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let Some(pending) = self.ops.get_mut(op) else {
-            return;
-        };
-        let OpKind::TrimUpto { pos } = pending.kind else {
-            return;
-        };
-        if pos == 0 {
-            self.finish(ctx, op, AppendResult::Ok(ZlogOut::Done));
-            return;
-        }
-        let width = self.names.width();
-        let last = pos - 1;
-        // Per stripe: the greatest position <= last living there, if any.
-        let mut targets: Vec<u64> = Vec::new();
-        for s in 0..width {
-            let delta = (last % width + width - s) % width;
-            if let Some(p) = last.checked_sub(delta) {
-                targets.push(p);
-            }
-        }
-        pending.stage = Stage::TrimFan {
-            outstanding: targets.len(),
-        };
-        for p in targets {
-            self.call_cell(ctx, op, Method::TrimUpto, p);
-        }
-    }
-
-    // ---- tailing cursors ----
-
-    /// Advances cursor `id` as far as current state allows: resolve the
-    /// checkpointed start, serve the waiter a contiguous run (or a fresh
-    /// "caught up"), and keep the prefetch window full.
-    fn drive_cursor(&mut self, ctx: &mut Context<'_>, id: u64) {
-        let Some(cursor) = self.cursors.get_mut(&id) else {
-            return;
-        };
-        if !cursor.started {
-            // A checkpoint consult resolves the cursor's start position.
-            if !cursor.ckpt_inflight {
-                cursor.ckpt_inflight = true;
-                self.start(ctx, OpKind::CheckpointRead, Owner::Cursor(id));
-            }
-            return;
-        }
-        // Delivery: a contiguous run from the delivery point, capped by
-        // the waiter's batch size.
-        let mut deliver: Option<(u64, Vec<(u64, ReadOutcome)>)> = None;
-        let mut need_tail = false;
-        if let Some(cursor) = self.cursors.get_mut(&id) {
-            if let Some((op, max)) = cursor.waiter {
-                let entries = cursor.window.deliver(max);
-                if !entries.is_empty() {
-                    cursor.waiter = None;
-                    deliver = Some((op, entries));
-                } else if cursor.window.next_pos() >= cursor.tail {
-                    if cursor.tail_fresh {
-                        // Caught up against a freshly read tail.
-                        cursor.waiter = None;
-                        deliver = Some((op, Vec::new()));
-                    } else if !cursor.tail_inflight {
-                        cursor.tail_inflight = true;
-                        need_tail = true;
-                    }
-                }
-            }
-        }
-        if need_tail {
-            // A tail read refreshes the cursor's upper bound.
-            self.start(ctx, OpKind::CheckTail, Owner::Cursor(id));
-        }
-        if let Some((op, entries)) = deliver {
-            ctx.metrics()
-                .bump(counter!("zlog.cursor_entries"), entries.len() as u64);
-            self.finish(ctx, op, AppendResult::Ok(ZlogOut::CursorBatch(entries)));
-        }
-        // Prefetch: fill the read-ahead window, one fetch op per stripe
-        // group, without exceeding the in-flight cap. Only the part of the
-        // window above the high-water mark can hold anything to request.
-        let groups = {
-            let Some(cursor) = self.cursors.get_mut(&id) else {
-                return;
-            };
-            let room = cursor
-                .cfg
-                .max_inflight
-                .max(1)
-                .saturating_sub(cursor.inflight_ops);
-            if room == 0 {
-                return;
-            }
-            let width = self.names.width();
-            let hi = cursor
-                .tail
-                .min(cursor.window.next_pos() + cursor.cfg.readahead.max(1) as u64);
-            let mut by_stripe: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-            for p in cursor.window.missing(hi) {
-                by_stripe.entry(p % width).or_default().push(p);
-            }
-            let mut groups: Vec<Vec<u64>> = by_stripe.into_values().collect();
-            // Groups the cap leaves out stay above the mark for the next
-            // pass.
-            let left_out = groups.split_off(room.min(groups.len()));
-            let mark = left_out.iter().map(|g| g[0]).fold(hi, u64::min);
-            cursor.window.set_requested(mark);
-            for group in &groups {
-                cursor.inflight_ops += 1;
-                cursor.window.fetching(group);
-            }
-            groups
-        };
-        for positions in groups {
-            self.start_read(ctx, OpKind::ReadBatch { positions }, Owner::Cursor(id));
-        }
-    }
-
-    /// A cursor's internal op concluded: fold its result into the cursor
-    /// and re-drive. The cursor is the result's only consumer, so it
-    /// arrives by value and the outcomes move into the window.
-    fn on_cursor_op_done(
-        &mut self,
-        ctx: &mut Context<'_>,
-        id: u64,
-        kind: OpKind,
-        result: AppendResult,
-    ) {
-        let mut heal = Vec::new();
-        let Some(cursor) = self.cursors.get_mut(&id) else {
-            return;
-        };
-        match kind {
-            OpKind::CheckpointRead => {
-                cursor.ckpt_inflight = false;
-                if let AppendResult::Ok(ZlogOut::Checkpoint(ckpt)) = result {
-                    cursor.started = true;
-                    let start = ckpt.map_or(0, |(p, _)| p);
-                    cursor.window.start_at(start);
-                    cursor.tail = cursor.tail.max(start);
-                }
-                // On failure the cursor stays unstarted and the next
-                // drive (waiter watchdog) retries the consult.
-            }
-            OpKind::CheckTail => {
-                cursor.tail_inflight = false;
-                if let AppendResult::Ok(ZlogOut::Tail(t)) = result {
-                    cursor.tail = cursor.tail.max(t);
-                    cursor.tail_fresh = true;
-                }
-            }
-            OpKind::ReadBatch { positions } => {
-                cursor.inflight_ops = cursor.inflight_ops.saturating_sub(1);
-                // A failed fetch simply re-enters the needed set.
-                let entries = match result {
-                    AppendResult::Ok(ZlogOut::ReadBatch(entries)) => Some(entries),
-                    _ => None,
-                };
-                heal = cursor.window.fetched(&positions, entries, cursor.tail);
-                for &pos in &heal {
-                    cursor.window.healing(pos);
-                }
-            }
-            OpKind::Fill { pos } => cursor.window.healed(pos),
-            _ => {}
-        }
-        // A hole below the tail: an append abandoned its grant. A fill
-        // fences the cell so delivery can proceed; the re-read then observes
-        // Filled, or the racing write that beat the fill.
-        for pos in heal {
-            ctx.metrics().bump(counter!("zlog.cursor_hole_fills"), 1);
-            self.start(ctx, OpKind::Fill { pos }, Owner::Cursor(id));
-        }
-        self.drive_cursor(ctx, id);
-    }
-
-    // ---- ambiguous-write resolution (probe/seal) ----
-    //
-    // A write whose reply is lost is *ambiguous*: the payload may sit in
-    // the cell with nobody holding the ack. So is one bounced as occupied
-    // (`EEXIST`): a retransmit of the same write may have landed it and
-    // lost the reply that said so. Retrying at a fresh position
-    // would orphan that data — a reader would then observe an entry no
-    // acknowledged op wrote, which is a real linearizability violation.
-    // Instead the append resolves the old position first: probe (read)
-    // the cell; if our payload is there, claim the position; if someone
-    // else owns it, the write-once class guarantees ours can never land,
-    // so a fresh position is safe; if it is still a hole, junk-fill it so
-    // the zombie write is fenced out, then take a fresh position. The
-    // fill can itself race the in-flight write (EEXIST), in which case we
-    // probe again; each leg burns an attempt, so the loop is bounded.
-
-    /// Starts (or restarts) probe/seal resolution for an append whose
-    /// write at `pos` has an unknown fate.
-    fn enter_write_probe(&mut self, ctx: &mut Context<'_>, op: u64, pos: u64) {
-        // Leaving WriteSeal with the fill unresolved (lost reply): the
-        // fill may still apply, so its record closes as unknown.
-        self.close_seal_hist(ctx.now(), op, SealClose::Unknown);
-        let Some(pending) = self.ops.get_mut(op) else {
-            return;
-        };
-        pending.stage = Stage::WriteProbe { pos };
-        ctx.metrics().bump(counter!("zlog.write_probes"), 1);
-        self.call_read_batch(ctx, op, &[pos]);
-        self.arm_watchdog(ctx, op);
-    }
-
-    /// The probe found a hole: junk-fill `pos` so the in-flight write is
-    /// fenced out before the append retries elsewhere.
-    fn enter_write_seal(&mut self, ctx: &mut Context<'_>, op: u64, pos: u64) {
-        let (client, now) = (u64::from(ctx.me().0), ctx.now());
-        let Some(pending) = self.ops.get_mut(op) else {
-            return;
-        };
-        pending.stage = Stage::WriteSeal { pos };
-        let invoke = |rec: &Recorder<_, _>| rec.invoke(client, now, LogOp::Fill { pos });
-        pending.seal_hist = self.history.as_ref().map(invoke);
-        ctx.metrics().bump(counter!("zlog.probe_seals"), 1);
-        self.call_cell(ctx, op, Method::Fill, pos);
-        self.arm_watchdog(ctx, op);
-    }
-
-    /// The probed position is resolved as not-ours (occupied by someone
-    /// else, or fenced by our fill): retry the append at a fresh one, as a
-    /// batch of one that skips the queue.
-    fn retry_fresh_pos(&mut self, ctx: &mut Context<'_>, op: u64) {
-        let Some(pending) = self.ops.get_mut(op) else {
-            return;
-        };
-        // The old position is resolved as not-applied and no new write
-        // was issued: past the budget this is a definite failure, which
-        // is what an op dying in `Queued` records.
-        pending.stage = Stage::Queued;
-        if !self.burn_attempt(ctx, op) {
-            return;
-        }
-        ctx.metrics().bump(counter!("zlog.retries"), 1);
-        self.start_batch(ctx, vec![op]);
-        // Its progress is the batch's now: the watchdog holds only its
-        // deadline.
-        self.arm_watchdog(ctx, op);
     }
 
     /// Collects completions from the embedded RADOS client and routes them
@@ -1638,41 +697,6 @@ impl ZlogClient {
     fn fetch_epoch(&self, ctx: &mut Context<'_>) {
         let map = ZLOG_MAP.to_string();
         ctx.send(self.config.monitor, MonMsg::Get { map });
-    }
-
-    /// Re-drives every op parked on the mdsmap, then every op whose MDS
-    /// request went to a node the map has moved its rank off: a crashed
-    /// daemon answers nothing, and its promoted standby seals and grants
-    /// only what reaches it. Runs on mdsmap adoption: the map change is
-    /// progress, so no attempt is burned — without this, either would sit
-    /// out the full watchdog backoff after the fresh map arrived.
-    fn redrive_on_mdsmap(&mut self, ctx: &mut Context<'_>) {
-        let mut parked = self.ops.unpark(|park| *park == Park::MdsMap);
-        // Single ops go before batches, each in park order: the event
-        // order of every seed so far depends on it.
-        parked.sort_by_key(|op| self.is_batch(*op));
-        self.redrive_after_map(ctx, parked);
-        // Looked for after the parked ones went: those now have a request
-        // out to a live node.
-        let moved = |sent: &MdsSent| self.router.node_for_rank(sent.rank) != Some(sent.node);
-        let mut stranded: Vec<u64> = (self.ops.iter())
-            .filter(|(_, pending)| pending.mds_sent.as_ref().is_some_and(moved))
-            .filter(|(op, _)| self.ops.routes(*op).any(|r| matches!(r, Route::Mds(_))))
-            .map(|(op, _)| op)
-            .collect();
-        stranded.sort_unstable();
-        self.redrive_after_map(ctx, stranded);
-    }
-
-    /// Re-drives each op of `ops` still in flight, in order, counting it
-    /// in `zlog.mdsmap_redrives`.
-    fn redrive_after_map(&mut self, ctx: &mut Context<'_>, ops: Vec<u64>) {
-        for op in ops {
-            if self.ops.contains_key(op) {
-                ctx.metrics().bump(counter!("zlog.mdsmap_redrives"), 1);
-                self.redrive_op(ctx, op);
-            }
-        }
     }
 
     /// Charges `op` one attempt of its retry budget. Past the budget the
@@ -1839,483 +863,6 @@ impl ZlogClient {
             _ => {}
         }
     }
-
-    /// A probe or probe-seal fill of `op` answered.
-    fn on_probe_done(&mut self, ctx: &mut Context<'_>, op: u64, result: RadosResult) {
-        let Some(pending) = self.ops.get_mut(op) else {
-            return;
-        };
-        match &mut pending.stage {
-            Stage::WriteProbe { pos } => {
-                let pos = *pos;
-                let cell = read_reply(&result).and_then(|mut cells| cells.pop());
-                match cell
-                    .filter(|(at, _)| *at == pos)
-                    .map(|(_, outcome)| outcome)
-                {
-                    Some(ReadOutcome::Data(held)) => {
-                        if matches!(&pending.kind, OpKind::Append { data } if *data == held) {
-                            // Our write landed; the ack was lost.
-                            ctx.metrics().bump(counter!("zlog.probes_claimed"), 1);
-                            self.finish(ctx, op, AppendResult::Ok(ZlogOut::Pos(pos)));
-                        } else {
-                            // Foreign entry: write-once means our write can
-                            // never land here.
-                            self.retry_fresh_pos(ctx, op);
-                        }
-                    }
-                    Some(ReadOutcome::Filled | ReadOutcome::Trimmed) => {
-                        self.retry_fresh_pos(ctx, op)
-                    }
-                    Some(ReadOutcome::NotWritten) => self.enter_write_seal(ctx, op, pos),
-                    // An error or a malformed reply: probe again with backoff.
-                    None => self.restart_op(ctx, op),
-                }
-            }
-            Stage::WriteSeal { .. } => match result {
-                Ok(_) => {
-                    // The hole is fenced: the zombie write can never land.
-                    self.close_seal_hist(ctx.now(), op, SealClose::Applied);
-                    ctx.metrics().bump(counter!("zlog.probes_sealed"), 1);
-                    self.retry_fresh_pos(ctx, op);
-                }
-                Err(OsdError::Class(ce)) if ce.code == -17 => {
-                    // The cell got occupied between probe and fill —
-                    // possibly by our own in-flight write. Probe again.
-                    self.close_seal_hist(ctx.now(), op, SealClose::NotApplied);
-                    self.restart_op(ctx, op);
-                }
-                Err(_) => self.restart_op(ctx, op),
-            },
-            _ => {}
-        }
-    }
-
-    /// A stripe group of `op`'s vectored read answered.
-    fn on_read_done(&mut self, ctx: &mut Context<'_>, op: u64, result: RadosResult) {
-        let Some(pending) = self.ops.get_mut(op) else {
-            return;
-        };
-        let Stage::ReadVector { outstanding, parts } = &mut pending.stage else {
-            return;
-        };
-        let Some(part) = read_reply(&result) else {
-            self.restart_op(ctx, op);
-            return;
-        };
-        parts.push(part);
-        *outstanding = outstanding.saturating_sub(1);
-        if *outstanding > 0 {
-            return;
-        }
-        let Some(positions) = pending.kind.read_positions() else {
-            return;
-        };
-        let point = matches!(pending.kind, OpKind::Read { .. });
-        let width = self.names.width();
-        let out = match in_request_order(positions, std::mem::take(parts), width) {
-            Some(mut one) if point => one.pop().map(|(_, outcome)| ZlogOut::Read(outcome)),
-            ordered => ordered.map(ZlogOut::ReadBatch),
-        };
-        match out {
-            Some(out) => self.finish(ctx, op, AppendResult::Ok(out)),
-            // A group replied without one of its positions: malformed;
-            // re-issue the vector.
-            None => self.restart_op(ctx, op),
-        }
-    }
-
-    /// A trim fan call or a checkpoint call of `op` answered.
-    fn on_trim_done(&mut self, ctx: &mut Context<'_>, op: u64, result: RadosResult) {
-        let Some(pending) = self.ops.get_mut(op) else {
-            return;
-        };
-        match &mut pending.stage {
-            Stage::TrimFan { outstanding } => match result {
-                Ok(_) => {
-                    *outstanding = outstanding.saturating_sub(1);
-                    if *outstanding == 0 {
-                        self.finish(ctx, op, AppendResult::Ok(ZlogOut::Done));
-                    }
-                }
-                // trim_upto is idempotent: any stripe error re-issues the
-                // whole fan.
-                Err(_) => self.restart_op(ctx, op),
-            },
-            Stage::CkptWrite => match result {
-                Ok(outs) => {
-                    let held = match outs.first() {
-                        Some(OpResult::CallOut(bytes)) => decimal::<u64>(bytes),
-                        _ => None,
-                    };
-                    match held {
-                        Some(held) => {
-                            self.finish(ctx, op, AppendResult::Ok(ZlogOut::CheckpointAt(held)))
-                        }
-                        None => self.restart_op(ctx, op),
-                    }
-                }
-                Err(OsdError::Class(ce)) => {
-                    self.fail(ctx, op, format!("checkpoint rejected: {}", ce.message))
-                }
-                Err(_) => self.restart_op(ctx, op),
-            },
-            Stage::CkptRead => {
-                let ckpt = match result.as_ref().map(|outs| outs.first()) {
-                    Ok(Some(OpResult::CallList(items))) => checkpoint_of(items).ok(),
-                    _ => None,
-                };
-                match ckpt {
-                    Some(ckpt) => self.finish(ctx, op, AppendResult::Ok(ZlogOut::Checkpoint(ckpt))),
-                    None => self.restart_op(ctx, op),
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// An MDS reply, taken by the op whose request it answers.
-    fn on_mds_reply(&mut self, ctx: &mut Context<'_>, msg: MdsMsg) {
-        let reqid = match &msg {
-            MdsMsg::Resolved { reqid, .. }
-            | MdsMsg::Created { reqid, .. }
-            | MdsMsg::TypeOpReply { reqid, .. }
-            | MdsMsg::Sealed { reqid, .. } => *reqid,
-            _ => return,
-        };
-        let Some(op) = self.ops.release(Route::Mds(reqid)) else {
-            return;
-        };
-        let Some(pending) = self.ops.get_mut(op) else {
-            return;
-        };
-        match (&mut pending.stage, msg) {
-            (Stage::SetupDir, MdsMsg::Created { result, .. }) => match result {
-                Ok(_) | Err(MdsError::Exists) => {
-                    pending.stage = Stage::SetupSeq;
-                    let name = self.config.name.clone();
-                    self.send_create(ctx, op, "/zlog", name, FileType::Sequencer);
-                }
-                Err(e) => self.on_mds_error(ctx, op, e, "mkdir /zlog"),
-            },
-            (Stage::SetupSeq, MdsMsg::Created { result, .. }) => match result {
-                Ok(ino) => {
-                    self.seq_ino = Some(ino);
-                    self.register_layout(ctx, ino);
-                    self.finish(ctx, op, AppendResult::Ok(ZlogOut::SetUp(ino)));
-                }
-                Err(MdsError::Exists) => {
-                    pending.stage = Stage::ResolveSeq;
-                    self.resolve(ctx, op, None);
-                }
-                Err(e) => self.on_mds_error(ctx, op, e, "create sequencer"),
-            },
-            (Stage::ResolveSeq | Stage::BatchGrant { .. }, MdsMsg::Resolved { result, .. }) => {
-                match result {
-                    Ok((ino, rank)) => {
-                        self.seq_ino = Some(ino);
-                        // The resolve carries the authoritative rank: route
-                        // sequencer traffic straight there.
-                        self.router.learn(ino, rank);
-                        let kind = pending.kind.clone();
-                        self.register_layout(ctx, ino);
-                        match kind {
-                            OpKind::Setup => {
-                                self.finish(ctx, op, AppendResult::Ok(ZlogOut::SetUp(ino)))
-                            }
-                            OpKind::Batch { .. } => self.redrive_op(ctx, op),
-                            _ => self.step(ctx, op),
-                        }
-                    }
-                    Err(e) => self.on_mds_error(ctx, op, e, "sequencer resolve"),
-                }
-            }
-            (Stage::Tail, MdsMsg::TypeOpReply { result, .. }) => match result {
-                Ok(tail) => self.finish(ctx, op, AppendResult::Ok(ZlogOut::Tail(tail))),
-                Err(e) => self.on_mds_error(ctx, op, e, "tail read"),
-            },
-            (Stage::Recover { sealed }, MdsMsg::Sealed { epoch, tail, .. }) => {
-                *sealed = Some((epoch, tail));
-                self.step_recover(ctx, op);
-            }
-            (Stage::Recover { .. }, MdsMsg::TypeOpReply { result: Err(e), .. }) => {
-                self.on_mds_error(ctx, op, e, "sequencer seal")
-            }
-            (Stage::BatchGrant { span }, MdsMsg::TypeOpReply { result, .. }) => match result {
-                Ok(base) => {
-                    if let Some(span) = span.take() {
-                        ctx.span_end(span);
-                    }
-                    self.launch_batch_writes(ctx, op, base)
-                }
-                Err(e) => self.on_mds_error(ctx, op, e, "bulk grant"),
-            },
-            _ => {}
-        }
-    }
-
-    // ---- pipelined append batches ----
-    //
-    // A batch is an entry of `ops` like any other: the watchdog, redirect,
-    // transient, park and conclude paths above drive it. Only what a batch
-    // does that a single op does not lives here.
-
-    fn start_batch(&mut self, ctx: &mut Context<'_>, members: Vec<u64>) {
-        // Inserted unarmed (armed once its grant is out: a second arm
-        // would draw from the RNG once more) and empty: the members move
-        // in once they carry the batch's id.
-        let kind = OpKind::Batch {
-            members: Vec::new(),
-        };
-        let id = self.insert_op(ctx, kind, Owner::Nobody, NO_DEADLINE);
-        for &op in &members {
-            if let Some(p) = self.ops.get_mut(op) {
-                p.stage = Stage::InBatch { batch: id };
-                if let Some(queue) = p.queue_span.take() {
-                    ctx.span_end(queue);
-                }
-            }
-        }
-        if let Some(batch) = self.ops.get_mut(id) {
-            batch.kind = OpKind::Batch { members };
-        }
-        self.step(ctx, id);
-        self.arm_watchdog(ctx, id);
-    }
-
-    /// (Re-)sends the batch's grant round trip: a sequencer resolve if
-    /// the inode is unknown, else `GetPosBatch` for the live member
-    /// count. Runs under [`ZlogClient::redrive_op`], which has dropped
-    /// the earlier grant's reply route and arms the watchdog after.
-    fn drive_batch_grant(&mut self, ctx: &mut Context<'_>, id: u64) {
-        let Some(mut members) = self.take_members(id) else {
-            return;
-        };
-        // Members may have died (op deadline) while the batch waited.
-        members.retain(|o| self.ops.contains_key(*o));
-        let Some(&first) = members.first() else {
-            self.finish(ctx, id, AppendResult::Ok(ZlogOut::Done));
-            return;
-        };
-        let n = members.len() as u64;
-        // The grant is traced under the first member's append span, once
-        // however often it is re-driven; the MDS parents its own work
-        // beneath it via the wire.
-        let span = match self.ops.get(id).map(|batch| &batch.stage) {
-            Some(Stage::BatchGrant { span: Some(span) }) => *span,
-            _ => {
-                let parent = self.ops.get(first).and_then(|p| p.span);
-                let span = ctx.span_start("zlog.grant", parent);
-                ctx.span_tag_display(span, "members", n);
-                span
-            }
-        };
-        self.put_members(id, members);
-        self.set_stage(id, Stage::BatchGrant { span: Some(span) });
-        match self.seq_ino {
-            // Grants go to the sequencer's cached authoritative rank; the
-            // resolve that discovers the rank goes to home.
-            Some(ino) => {
-                let reqid = self.mds_reqid(id);
-                let rank = self.router.rank_of(ino);
-                let msg = MdsMsg::get_pos_batch(reqid, ino, n);
-                self.send_mds(ctx, Some(id), rank, msg, Some(span));
-            }
-            None => self.resolve(ctx, id, Some(span)),
-        }
-    }
-
-    /// The grant landed: member `i` owns `base + i`. Fan the writes out
-    /// to the stripe objects, one vectored `write_batch` per stripe, so
-    /// every same-stripe member rides one RADOS transaction (and one OSD
-    /// journal group-commit).
-    fn launch_batch_writes(&mut self, ctx: &mut Context<'_>, id: u64, base: u64) {
-        let Some(members) = self.take_members(id) else {
-            return;
-        };
-        let (n, width) = (members.len() as u64, self.names.width());
-        ctx.metrics().bump(counter!("zlog.pos_grants"), 1);
-        // Round trips the bulk grant saved over position-at-a-time.
-        ctx.metrics().bump(counter!("zlog.grants_saved"), n - 1);
-        for (pos, op) in (base..).zip(&members) {
-            if !self.ops.contains_key(*op) {
-                // The member died while the grant was in flight: its cell
-                // would stay a hole nobody owns. Junk-fill it now.
-                self.spawn_hole_fill(ctx, pos);
-            }
-        }
-        // `base..base + n` covers `min(n, width)` stripes, each first at
-        // one of the first offsets: those below `wrap` sit on stripes
-        // `base % width..`, the rest wrapped around to stripe 0. Ascending
-        // stripe order keeps the event trace seed-stable.
-        let covered = n.min(width);
-        let wrap = (width - base % width).min(covered);
-        let epoch = self.epoch;
-        let mut groups = Vec::with_capacity(covered as usize);
-        for first in (wrap..covered).chain(0..wrap) {
-            let on_stripe = (n - first).div_ceil(width) as usize;
-            let mut cells = Vec::with_capacity(on_stripe);
-            let mut entries: Vec<(u64, &[u8])> = Vec::with_capacity(on_stripe);
-            for i in (first..n).step_by(width as usize) {
-                let Some(member) = self.ops.get(members[i as usize]) else {
-                    continue;
-                };
-                cells.push((i as usize, base + i));
-                if let OpKind::Append { data } = &member.kind {
-                    entries.push((base + i, data));
-                }
-            }
-            let Some(&(lead, pos)) = cells.first() else {
-                continue;
-            };
-            let call = self.class_call(Method::WriteBatch, encode_write_batch(epoch, &entries));
-            let oid = self.stripe_oid(pos);
-            // One stripe-write span per vectored call, parented under the
-            // first member's append; the rados.op rides beneath it.
-            let parent = self.ops.get(members[lead]).and_then(|p| p.span);
-            let span = ctx.span_start("zlog.stripe_write", parent);
-            ctx.span_tag_display(span, "entries", cells.len());
-            let reqid = self
-                .rados
-                .submit_spanned(ctx, oid, vec![call], Some(span), ());
-            self.ops.hold(id, Route::Rados(reqid));
-            groups.push(StripeWrite { reqid, span, cells });
-        }
-        self.put_members(id, members);
-        if groups.is_empty() {
-            self.finish(ctx, id, AppendResult::Ok(ZlogOut::Done));
-            return;
-        }
-        self.set_stage(id, Stage::BatchWrite { groups });
-        self.arm_watchdog(ctx, id);
-    }
-
-    /// Borrows batch `id`'s member list out of the op table, so that the
-    /// table can be read and written while the list is walked;
-    /// [`ZlogClient::put_members`] hands it back. Nothing that runs in
-    /// between reads the list: a member that concludes meanwhile looks its
-    /// cell up in the batch's in-flight groups only, and finds it there or
-    /// not whatever the list holds.
-    fn take_members(&mut self, id: u64) -> Option<Vec<u64>> {
-        match &mut self.ops.get_mut(id)?.kind {
-            OpKind::Batch { members } => Some(std::mem::take(members)),
-            _ => None,
-        }
-    }
-
-    fn put_members(&mut self, id: u64, members: Vec<u64>) {
-        if let Some(OpKind::Batch { members: slot }) = self.ops.get_mut(id).map(|p| &mut p.kind) {
-            *slot = members;
-        }
-    }
-
-    /// One stripe group of a batch completed. Success finishes every
-    /// member with its position. A timeout or an `EEXIST` leaves the
-    /// cells' fate unknown, and each member resolves its own through
-    /// probe/seal. Any other failure is an authoritative, group-atomic
-    /// rejection (`write_batch` validates before applying), so the
-    /// CORFU-safe reaction is uniform: re-enqueue the members for a
-    /// *fresh* grant — never rewrite old positions after a possible seal,
-    /// the restarted sequencer may reissue them — and junk-fill the
-    /// abandoned cells so readers never block on them. On ESTALE the epoch
-    /// refresh is kicked first; the fills ride the normal blocked-on-epoch
-    /// path.
-    fn on_batch_write_done(
-        &mut self,
-        ctx: &mut Context<'_>,
-        id: u64,
-        reqid: u64,
-        result: RadosResult,
-    ) {
-        let Some(Stage::BatchWrite { groups }) = self.ops.get_mut(id).map(|p| &mut p.stage) else {
-            return;
-        };
-        let Some(at) = groups.iter().position(|group| group.reqid == reqid) else {
-            return;
-        };
-        let StripeWrite { span, cells, .. } = groups.swap_remove(at);
-        let last = groups.is_empty();
-        let Some(members) = self.take_members(id) else {
-            return;
-        };
-        ctx.span_end(span);
-        match result {
-            Ok(_) => {
-                ctx.metrics().bump(counter!("zlog.batch_writes"), 1);
-                ctx.metrics()
-                    .bump(counter!("zlog.coalesced_entries"), cells.len() as u64);
-                for (i, pos) in cells {
-                    self.finish(ctx, members[i], AppendResult::Ok(ZlogOut::Pos(pos)));
-                }
-            }
-            Err(OsdError::Timeout) => {
-                ctx.metrics().bump(counter!("zlog.rados_timeouts"), 1);
-                self.probe_cells(ctx, &members, cells);
-            }
-            Err(OsdError::Class(ce)) if ce.code == -17 => self.probe_cells(ctx, &members, cells),
-            Err(err) => {
-                // The other class errors are authoritative rejections
-                // (`write_batch` validates the whole vector before applying
-                // anything): nothing landed, so re-enqueueing for a fresh
-                // grant and junk-filling the abandoned cells is safe.
-                if matches!(&err, OsdError::Class(ce) if ce.code == -116) {
-                    ctx.metrics().bump(counter!("zlog.estale_retries"), 1);
-                    self.fetch_epoch(ctx);
-                }
-                let retry: Vec<u64> = cells.iter().map(|(i, _)| members[*i]).collect();
-                self.requeue_members(ctx, &retry);
-                for (_, pos) in cells {
-                    self.spawn_hole_fill(ctx, pos);
-                }
-            }
-        }
-        self.put_members(id, members);
-        if last {
-            self.finish(ctx, id, AppendResult::Ok(ZlogOut::Done));
-        }
-    }
-
-    /// A stripe group's cells have an unknown fate: each live member
-    /// resolves its own by probe/seal before it retries anywhere else.
-    fn probe_cells(&mut self, ctx: &mut Context<'_>, members: &[u64], cells: Vec<(usize, u64)>) {
-        for (i, pos) in cells {
-            let op = members[i];
-            if self.ops.contains_key(op) {
-                self.enter_write_probe(ctx, op, pos);
-            } else {
-                // The member died while the write was in flight; fence its
-                // cell so readers never block on it.
-                self.spawn_hole_fill(ctx, pos);
-            }
-        }
-    }
-
-    /// Puts failed batch members back on the append queue for a fresh
-    /// grant, burning one attempt each; the flush window paces the retry
-    /// (and gives an in-flight epoch refresh time to land).
-    fn requeue_members(&mut self, ctx: &mut Context<'_>, members: &[u64]) {
-        for &op in members {
-            if !self.burn_attempt(ctx, op) {
-                continue;
-            }
-            let Some(pending) = self.ops.get_mut(op) else {
-                continue;
-            };
-            pending.stage = Stage::Queued;
-            let root = pending.span;
-            pending.queue_span = Some(ctx.span_start("zlog.queue", root));
-            self.append_queue.push(op);
-            ctx.metrics().bump(counter!("zlog.retries"), 1);
-        }
-        self.arm_flush_timer(ctx);
-    }
-
-    /// Junk-fills a granted-but-abandoned cell (CORFU hole fill) with an
-    /// internal op: the result is dropped, EEXIST counts as occupied.
-    fn spawn_hole_fill(&mut self, ctx: &mut Context<'_>, pos: u64) {
-        ctx.metrics().bump(counter!("zlog.hole_fills"), 1);
-        self.start(ctx, OpKind::Fill { pos }, Owner::Nobody);
-    }
 }
 
 impl Actor for ZlogClient {
@@ -2406,92 +953,6 @@ impl Actor for ZlogClient {
 /// A class reply that is one decimal number.
 fn decimal<T: std::str::FromStr>(bytes: &[u8]) -> Option<T> {
     std::str::from_utf8(bytes).ok()?.parse().ok()
-}
-
-/// The history-model operation a client op records as, if any (setup and
-/// recovery are administrative and stay out of the history).
-fn log_op_of(kind: &OpKind) -> Option<LogOp> {
-    match kind {
-        OpKind::Append { data } => Some(LogOp::Append { data: data.clone() }),
-        OpKind::Read { pos } => Some(LogOp::Read { pos: *pos }),
-        OpKind::Fill { pos } => Some(LogOp::Fill { pos: *pos }),
-        OpKind::CheckTail => Some(LogOp::ReadTail),
-        OpKind::TrimUpto { pos } => Some(LogOp::TrimTo { pos: *pos }),
-        // Batch reads record per-position (see `multi_hist`); checkpoint and
-        // cursor plumbing are administrative.
-        OpKind::ReadBatch { .. }
-        | OpKind::Checkpoint { .. }
-        | OpKind::CheckpointRead
-        | OpKind::CursorBatch
-        | OpKind::Setup
-        | OpKind::Recover
-        | OpKind::Batch { .. } => None,
-    }
-}
-
-/// The outcomes a `read_batch` call answered, or `None` for an error or a
-/// malformed reply. The reply is the list the method returned, each value
-/// the buffer the stripe object stores; payloads are copied here, once,
-/// into the outcomes the reader is handed.
-fn read_reply(result: &RadosResult) -> Option<Vec<(u64, ReadOutcome)>> {
-    match result.as_ref().ok()?.first()? {
-        OpResult::CallList(items) => read_outcomes(items.iter().map(|item| &**item)).ok(),
-        _ => None,
-    }
-}
-
-/// Puts the per-stripe replies of a vectored read into request order. A
-/// reply lists its stripe's positions in the order the request named them,
-/// so every requested position takes the next entry of its stripe's reply;
-/// `None` when that entry is missing or for another position.
-fn in_request_order(
-    positions: &[u64],
-    mut parts: Vec<Vec<(u64, ReadOutcome)>>,
-    width: u64,
-) -> Option<Vec<(u64, ReadOutcome)>> {
-    if let [part] = &mut parts[..] {
-        // One stripe: its reply is in request order already.
-        let ordered = part.len() >= positions.len()
-            && part.iter().zip(positions).all(|((at, _), pos)| at == pos);
-        part.truncate(positions.len());
-        return parts.pop().filter(|_| ordered);
-    }
-    let mut by_stripe: BTreeMap<u64, std::vec::IntoIter<(u64, ReadOutcome)>> = parts
-        .into_iter()
-        .filter_map(|part| Some((part.first()?.0 % width, part.into_iter())))
-        .collect();
-    positions
-        .iter()
-        .map(|p| {
-            let entry = by_stripe.get_mut(&(p % width))?.next()?;
-            (entry.0 == *p).then_some(entry)
-        })
-        .collect()
-}
-
-fn log_ret_of(out: &ZlogOut) -> Option<LogRet> {
-    match out {
-        ZlogOut::Pos(p) => Some(LogRet::Pos(*p)),
-        ZlogOut::Read(o) => Some(LogRet::Read(log_read_of(o))),
-        ZlogOut::Done => Some(LogRet::Done),
-        ZlogOut::Tail(t) => Some(LogRet::Tail(*t)),
-        ZlogOut::Recovered { .. }
-        | ZlogOut::SetUp(_)
-        | ZlogOut::ReadBatch(_)
-        | ZlogOut::CursorBatch(_)
-        | ZlogOut::CheckpointAt(_)
-        | ZlogOut::Checkpoint(_) => None,
-    }
-}
-
-/// Maps a client read outcome onto the checker's model type.
-pub fn log_read_of(outcome: &ReadOutcome) -> LogRead {
-    match outcome {
-        ReadOutcome::Data(d) => LogRead::Data(d.clone()),
-        ReadOutcome::Filled => LogRead::Filled,
-        ReadOutcome::Trimmed => LogRead::Trimmed,
-        ReadOutcome::NotWritten => LogRead::NotWritten,
-    }
 }
 
 /// Synchronous harness helper: runs `f` against the client at `node`, then
