@@ -5,13 +5,35 @@
 # map-held-once, counter-is-a-slot, one-read-path, one-type-op-path,
 # one-seal-path, request-held-once, short-string-in-place,
 # outcome-held-once, one-request-core, one-route-table-one-map-follower,
-# a-grant-travels-alone and a-seal's-last-step-holds structure checks, the
+# a-grant-travels-alone, a-seal's-last-step-holds and
+# the-zlog-client-fits-in-a-head structure checks, the
 # tier-1 build + test pass (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
 # pushing.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+# A file up to its `#[cfg(test)]` line; nothing of a `tests.rs`, the file
+# of a module declared below that line.
+above_tests() {
+    case "$1" in
+    */tests.rs) ;;
+    *) awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$1" ;;
+    esac
+}
+# The zlog client: log.rs and its protocol modules, their tests excluded.
+zlog_client="crates/zlog/src/log.rs $(find crates/zlog/src/log -name '*.rs' ! -name tests.rs | sort | xargs)"
+# The text of the zlog client's files, above their tests.
+zlog_text="$(for file in $zlog_client; do above_tests "$file"; done)"
+# The functions, in the files after the first argument, whose bodies
+# contain the first argument, one name per occurrence.
+enclosing_fns() {
+    local call="$1"
+    shift
+    for file in "$@"; do above_tests "$file"; done |
+        awk -v call="$call" '/^    (pub(\(super\))? )?fn [a-z_0-9]+/ { f = $0; sub(/^ *(pub(\(super\))? )?fn /, "", f); sub(/[<(].*/, "", f) } index($0, call) { print f }' | xargs
+}
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -25,7 +47,7 @@ echo "==> one RADOS client: OsdMsg::ClientOp is built in rados/src/client.rs alo
 
 echo "==> no timer per item: a client's ops and requests share one deadline set (DESIGN §27); the zlog client arms its flush window itself, the RADOS client nothing"
 [ -z "$(grep -rn 'TOKEN_BASE +' crates --include='*.rs')" ]
-[ -z "$(grep -n 'set_timer(' crates/zlog/src/log.rs | grep -v 'TOKEN_FLUSH')" ]
+[ -z "$(grep -n 'set_timer(' <<<"$zlog_text" | grep -v 'TOKEN_FLUSH')" ]
 [ -z "$(grep -n 'set_timer(' crates/rados/src/client.rs)" ]
 
 echo "==> replication ships effects: in osd.rs only OsdMsg::ClientOp and handle_client_op hold a Transaction (the client's, shared) and apply borrows it, and the replica path names no class registry (DESIGN §28)"
@@ -34,8 +56,7 @@ echo "==> replication ships effects: in osd.rs only OsdMsg::ClientOp and handle_
 [ -z "$(awk '/^    fn (handle_repl|apply_effect)\(/,/^    }$/' crates/rados/src/osd.rs | grep -E 'registry|ClassRegistry|ObjTxn|Transaction')" ]
 
 echo "==> a payload is bytes, held once: no lossy decoding on the class path, in the zlog wire helpers or in the zlog client, and no native copies a value to store it (DESIGN §29)"
-above_tests() { awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
-for file in crates/rados/src/class.rs crates/zlog/src/storage.rs crates/zlog/src/log.rs; do
+for file in crates/rados/src/class.rs crates/zlog/src/storage.rs $zlog_client; do
     [ -z "$(above_tests "$file" | grep -n 'from_utf8_lossy')" ]
 done
 [ -z "$(awk '/^fn install_object_natives\(/,/^}$/' crates/rados/src/class.rs | grep -n '\.to_vec()')" ]
@@ -48,12 +69,14 @@ echo "==> a name is held once: no hop copies an object id's parts or an omap key
 for file in osd ops object; do
     [ -z "$(above_tests "crates/rados/src/$file.rs" | grep -n '\.pool\.clone()\|\.name\.clone()\|key\.to_string()')" ]
 done
-[ -z "$(awk '/^    fn stripe_oid\(/,/^    }$/' crates/zlog/src/log.rs | grep -n 'format!')" ]
+stripe_oid="$(awk '/^    (pub\(super\) )?fn stripe_oid\(/,/^    }$/' <<<"$zlog_text")"
+[ -n "$stripe_oid" ]
+[ -z "$(grep -n 'format!' <<<"$stripe_oid")" ]
 [ -z "$(grep -rn 'op: String' crates/mds/src/types.rs)" ]
 [ -z "$(grep -rn 'span_tag(.*to_string()' crates)" ]
 
 echo "==> one append path: an append is a batch of one; the scalar grant-and-write protocol and the class's scalar write are gone (DESIGN §13)"
-[ -z "$(grep -n 'SeqOp::Next\b\|Stage::Write\b\|Stage::GetPos\|Method::Write\b' crates/zlog/src/log.rs)" ]
+[ -z "$(grep -n 'SeqOp::Next\b\|Stage::Write\b\|Stage::GetPos\|Method::Write\b' <<<"$zlog_text")" ]
 [ -z "$(grep -n 'function write(' crates/zlog/src/storage.rs)" ]
 
 echo "==> one engine on production paths: no value selects an engine, and outside tests only the dsl crate and the dsl_vm experiment name the tree-walker (DESIGN §18)"
@@ -68,9 +91,9 @@ for file in crates/dsl/src/*.rs; do
 done
 
 echo "==> an op forgets what it holds: the request core hands an op's routes back when it removes or re-drives the op, and the zlog client cancels those, never by scanning its RADOS requests (DESIGN §23)"
-grep -qF 'routes: &Routes<Route>)' crates/zlog/src/log.rs
-[ "$(grep -c 'self\.ops\.take_routes(' crates/zlog/src/log.rs)" = 1 ]
-[ -z "$(grep -n 'cancel_where(\|\.waiters()\.filter' crates/zlog/src/log.rs)" ]
+grep -qF 'routes: &Routes<Route>)' <<<"$zlog_text"
+[ "$(grep -c 'self\.ops\.take_routes(' <<<"$zlog_text")" = 1 ]
+[ -z "$(grep -n 'cancel_where(\|\.waiters()\.filter' <<<"$zlog_text")" ]
 
 echo "==> a map is held once on the OSD: both maps a gossip message carries are the sender's shared handles, and nothing deep-copies the interface map (DESIGN §31)"
 gossip_fields="$(awk '/^    Gossip \{$/,/^    \},$/' crates/rados/src/osd.rs | grep -E '^        [a-z_]+: ')"
@@ -86,7 +109,7 @@ for file in $(find crates/*/src -name '*.rs'); do
 done
 
 echo "==> one read path: a point read and a write probe are a read_batch of one, trimming is by prefix only, and RADOS does not parse the zlog class's wire (DESIGN §13, §17, §25)"
-[ -z "$(grep -n 'Method::Read\b\|Method::Trim\b\|Stage::ReadEntry' crates/zlog/src/log.rs)" ]
+[ -z "$(grep -n 'Method::Read\b\|Method::Trim\b\|Stage::ReadEntry' <<<"$zlog_text")" ]
 [ -z "$(grep -n 'function read(\|function trim(' crates/zlog/src/storage.rs)" ]
 [ -z "$(grep -n '"zlog"' crates/rados/src/osd.rs)" ]
 
@@ -96,14 +119,14 @@ echo "==> one type-op path: a sequencer verb from the client and one its home fo
 
 echo "==> one seal path: a client's recovery is the MDS's seal; the zlog client seals no stripe, submits no epoch and writes back no tail (DESIGN §34)"
 [ -z "$(grep -rn 'AdvanceTo' crates)" ]
-[ -z "$(grep -n 'Method::Seal\|MonMsg::Submit\|Route::Mon' crates/zlog/src/log.rs)" ]
+[ -z "$(grep -n 'Method::Seal\|MonMsg::Submit\|Route::Mon' <<<"$zlog_text")" ]
 for file in $(find crates/zlog/src -name '*.rs'); do
     [ -z "$(above_tests "$file" | grep -n '"seal"')" ]
 done
 
 echo "==> a request is held once: the RADOS client keeps each request's waiter, no embedder a table of its own, and a zlog op parks in one list (DESIGN §23, §26)"
 [ -z "$(grep -rn 'rados_waiting\|store_waiting' crates/*/src)" ]
-[ -z "$(grep -n 'blocked_on_epoch\|mds_blocked' crates/zlog/src/log.rs crates/rados/src/client.rs)" ]
+[ -z "$(grep -n 'blocked_on_epoch\|mds_blocked' $zlog_client crates/rados/src/client.rs)" ]
 
 echo "==> a short string is held in place: outside value.rs the dsl builds no script string behind a refcount of its own; only a literal constant shares one (DESIGN §35)"
 for file in crates/dsl/src/*.rs; do
@@ -127,33 +150,46 @@ grep -q 'result: Outcome,' crates/rados/src/journal.rs
 
 echo "==> one request core: the zlog client, the RADOS client and the open-loop fleet hold their work in flight in one mala_sim::Requests, with its looks and its park list (DESIGN §23)"
 [ -z "$(grep -rln 'Deadlines::new(' crates/*/src | grep -v '^crates/sim/src/')" ]
-for file in crates/rados/src/client.rs crates/zlog/src/log.rs crates/bench/src/openloop.rs; do
+for file in crates/rados/src/client.rs $zlog_client crates/bench/src/openloop.rs; do
     [ -z "$(grep -n 'parked:\|retry_q\|retry_armed\|blocked_on_epoch\|retry_at\|Deadlines<' "$file")" ]
 done
 [ -z "$(awk '/^pub struct FleetConfig \{$/,/^}$/' crates/bench/src/openloop.rs | grep -n 'retry_delay')" ]
 
 echo "==> one route table, one map follower: an op's reply routes live in mala_sim::Requests, and the osdmap and mdsmap clients follow their maps through one mala_consensus::MapFollower (DESIGN §19, §23)"
-[ -z "$(grep -nw 'mds_waiting\|Held\|HELD_INLINE' crates/zlog/src/log.rs)" ]
-[ -z "$(grep -n 'fn hold(\|fn unlist(' crates/zlog/src/log.rs)" ]
+[ -z "$(grep -nw 'mds_waiting\|Held\|HELD_INLINE' <<<"$zlog_text")" ]
+[ -z "$(grep -n 'fn hold(\|fn unlist(' <<<"$zlog_text")" ]
 for file in crates/rados/src/client.rs crates/zlog/src/route.rs crates/bench/src/openloop.rs; do
     [ -z "$(grep -n 'MonMsg::Get {\|MonMsg::Subscribe {' "$file")" ]
 done
 [ -z "$(grep -rn 'fn adopt_snapshot\|fn needs_fetch\|fn fetch_map\|fn on_new_map' crates/*/src)" ]
 
 echo "==> a grant travels alone: MdsMsg::SetSeqLayout is built in the zlog client's register_layout alone, which the resolve and create replies and a LayoutMissing answer call; the MDS only matches it (DESIGN §12)"
-[ "$(grep -rl 'MdsMsg::SetSeqLayout' crates/*/src | xargs)" = "crates/mds/src/server.rs crates/zlog/src/log.rs" ]
+[ "$(grep -rl 'MdsMsg::SetSeqLayout' crates/*/src | sort | xargs)" = "crates/mds/src/server.rs crates/zlog/src/log/seq.rs" ]
 [ "$(grep -c 'MdsMsg::SetSeqLayout' crates/mds/src/server.rs)" = 1 ]
 [ "$(grep -A3 'MdsMsg::SetSeqLayout {' crates/mds/src/server.rs | grep -c 'ref pool,\|ref name,')" = 2 ]
-enclosing_fns() { above_tests "$2" | awk -v call="$1" '/^    (pub )?fn [a-z_0-9]+/ { f = $0; sub(/^ *(pub )?fn /, "", f); sub(/[<(].*/, "", f) } index($0, call) { print f }' | xargs; }
-[ "$(enclosing_fns 'MdsMsg::SetSeqLayout' crates/zlog/src/log.rs)" = register_layout ]
-[ "$(enclosing_fns 'self.register_layout(' crates/zlog/src/log.rs)" = "on_mds_transient on_mds_reply on_mds_reply" ]
-grep -q '(MdsError::LayoutMissing, Some(ino)) => self.register_layout(ctx, ino),' crates/zlog/src/log.rs
+[ "$(enclosing_fns 'MdsMsg::SetSeqLayout' $zlog_client)" = register_layout ]
+[ "$(enclosing_fns 'self.register_layout(' $zlog_client)" = "on_mds_transient on_mds_reply on_mds_reply" ]
+grep -q '(MdsError::LayoutMissing, Some(ino)) => self.register_layout(ctx, ino),' <<<"$zlog_text"
 
 echo "==> a seal's last step holds: MdsError::Recovering is built only at the type-op gate and where a failed stripe call releases the ops a seal held, and the zlog client parks a Recovering op on the epoch its request went out under (DESIGN §12)"
-[ "$(grep -rl --exclude=tests.rs 'MdsError::Recovering' crates/*/src | sort | xargs)" = "crates/mds/src/server.rs crates/mds/src/types.rs crates/zlog/src/log.rs" ]
+[ "$(grep -rl --exclude=tests.rs 'MdsError::Recovering' crates/*/src | sort | xargs)" = "crates/mds/src/server.rs crates/mds/src/types.rs crates/zlog/src/log/seq.rs" ]
 [ "$(enclosing_fns 'MdsError::Recovering' crates/mds/src/server.rs)" = "serve_type_op release_held" ]
 grep -q 'rec.held.push(request);' crates/mds/src/server.rs
-[ "$(awk '/\(MdsError::Recovering, _\) => \{/,/^            \}$/' crates/zlog/src/log.rs | grep -c 'self.ops.park(op, Park::Epoch(sent));')" = 1 ]
+[ "$(awk '/\(MdsError::Recovering, _\) => \{/,/^            \}$/' <<<"$zlog_text" | grep -c 'self.ops.park(op, Park::Epoch(sent));')" = 1 ]
+
+echo "==> the zlog client fits in a head: no file under crates/zlog/src is over 1,000 lines, one step dispatch serves the starters and the re-drive, and an op names one owner (DESIGN §23)"
+[ -z "$(find crates/zlog/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1000')" ]
+[ "$(grep -c 'fn step(' <<<"$zlog_text")" = 1 ]
+[ "$(enclosing_fns 'self.step(ctx, op);' $zlog_client | tr ' ' '\n' | grep -cx 'start\|redrive_op')" = 2 ]
+[ -z "$(grep -n 'fn step_fill(\|fn step_tail(\|fn step_checkpoint(\|fn step_ckpt_read(\|fn spawn_cursor_' <<<"$zlog_text")" ]
+pending_op="$(awk '/^struct PendingOp \{$/,/^}$/' crates/zlog/src/log.rs)"
+grep -q '    owner: Owner,' <<<"$pending_op"
+[ -z "$(grep -n 'internal:\|cursor:' <<<"$pending_op")" ]
+# above_tests skips a `tests.rs`: each is the file of a module its parent
+# declares under `#[cfg(test)]`.
+for file in $(find crates/*/src -name tests.rs); do
+    awk 'prev == "#[cfg(test)]" && $0 == "mod tests;" { found = 1 } { prev = $0 } END { exit !found }' "$(dirname "$file").rs"
+done
 
 echo "==> cargo build --release"
 cargo build --release
