@@ -5,8 +5,9 @@
 # map-held-once, counter-is-a-slot, one-read-path, one-type-op-path,
 # one-seal-path, request-held-once, short-string-in-place,
 # outcome-held-once, one-request-core, one-route-table-one-map-follower,
-# a-grant-travels-alone, a-seal's-last-step-holds and
-# the-zlog-client-fits-in-a-head structure checks, the
+# a-grant-travels-alone, a-seal's-last-step-holds,
+# the-zlog-client-fits-in-a-head and a-liveness-action-is-proposed-when-
+# it-is-decided structure checks, the
 # tier-1 build + test pass (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
@@ -149,7 +150,9 @@ grep -q 'AppliedReply = (NodeId, u64, Outcome);' <<<"$osd_src"
 grep -q 'result: Outcome,' crates/rados/src/journal.rs
 
 echo "==> one request core: the zlog client, the RADOS client and the open-loop fleet hold their work in flight in one mala_sim::Requests, with its looks and its park list (DESIGN §23)"
-[ -z "$(grep -rln 'Deadlines::new(' crates/*/src | grep -v '^crates/sim/src/')" ]
+# The monitor's deadline set holds no requests: one beacon deadline per
+# MDS daemon (DESIGN §12).
+[ -z "$(grep -rln 'Deadlines::new(' crates/*/src | grep -v '^crates/sim/src/\|^crates/consensus/src/monitor.rs$')" ]
 for file in crates/rados/src/client.rs $zlog_client crates/bench/src/openloop.rs; do
     [ -z "$(grep -n 'parked:\|retry_q\|retry_armed\|blocked_on_epoch\|retry_at\|Deadlines<' "$file")" ]
 done
@@ -190,6 +193,10 @@ grep -q '    owner: Owner,' <<<"$pending_op"
 for file in $(find crates/*/src -name tests.rs); do
     awk 'prev == "#[cfg(test)]" && $0 == "mod tests;" { found = 1 } { prev = $0 } END { exit !found }' "$(dirname "$file").rs"
 done
+
+echo "==> a liveness action is proposed when it is decided: the monitor proposes a failover, a mark-down or a standby registration at once, not with the next tick's client submits, and looks at an MDS at its beacon deadline, not on a sweep every half grace (DESIGN §12)"
+[ -z "$(enclosing_fns 'pending.push(' $(find crates/*/src -name '*.rs' | sort) | tr ' ' '\n' | grep -x 'submit_self')" ]
+[ -z "$(grep -rn 'beacon_grace\.div(2)' crates --include='*.rs')" ]
 
 echo "==> cargo build --release"
 cargo build --release
@@ -236,19 +243,21 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 #                       write and its one copy to the client (DESIGN §36);
 #                       +5 %: a second class-code execution per write, or
 #                       a name copied per hop again (DESIGN §30), fails it.
-#                       fault_churn 87.04, appends through crashes,
+#                       fault_churn 82.71, appends through crashes,
 #                       journal replay and backfill, which ships outcomes
 #                       by refcount (DESIGN §36), and an MDS outage whose
-#                       waiters the seal wakes instead of a backoff
-#                       (DESIGN §12); +10 %.
+#                       waiters the seal wakes instead of a backoff and
+#                       whose promotion is proposed when the beacon grace
+#                       runs out (DESIGN §12); +10 %.
 #                       append_overload 32.81, a grant without the log's
 #                       layout beside it (DESIGN §12); +10 %.
 #   host_alloc_kb_per_op  read_tail 76.75, one copy of a 1 KiB payload
 #                       between the omap and the reader (DESIGN §29); +10 %.
 #                       append_steady 10.73, the payload into the omap and
 #                       the effect once (DESIGN §28); +5 %.
-#                       fault_churn 11.39, maps gossiped by refcount
-#                       (DESIGN §31); +10 %.
+#                       fault_churn 10.01, maps gossiped by refcount
+#                       (DESIGN §31) and a shorter MDS outage (DESIGN §12);
+#                       +10 %.
 #   host_peak_heap_mb   append_overload 28.02, the event queue at its
 #                       fullest; +5 %. Scheduler bookkeeping that grows with
 #                       the number of events ever queued shows here first.
@@ -256,11 +265,14 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 #                       per waiting append (DESIGN §27); +10 %.
 #   sim.msgs_per_op     append_overload 8.48, the layout sent only when an
 #                       MDS asks for it (DESIGN §12); +10 %.
-#   sim_p99_ms          fault_churn 3087.2, an MDS crash whose appends
-#                       complete when the promoted standby's seal ends, not
-#                       after the client's capped backoff (DESIGN §12);
-#                       +10 %. The one simulated-clock ceiling: it repeats
-#                       exactly for a seed too.
+#   sim_p99_ms          fault_churn 1102.6, an MDS crash that costs the
+#                       beacon grace, the epoch bump's proposal tick and
+#                       one seal: the monitor proposes the promotion when
+#                       the grace runs out, not at a sweep and a tick, and
+#                       the appends complete when the promoted standby's
+#                       seal ends, not after the client's capped backoff
+#                       (DESIGN §12); +10 %. The one simulated-clock
+#                       ceiling: it repeats exactly for a seed too.
 metric_at_most() {
     awk -v workload="$1" -v metric="$2" -v ceiling="$3" '
         $1 == "==" { current = $2 }
@@ -277,9 +289,9 @@ metric_at_most read_tail host_alloc_kb_per_op 84.4
 metric_at_most mds_balance host_allocs_per_op 3.31
 metric_at_most append_steady host_allocs_per_op 44.1
 metric_at_most append_steady host_alloc_kb_per_op 11.3
-metric_at_most fault_churn host_allocs_per_op 95.8
-metric_at_most fault_churn host_alloc_kb_per_op 12.6
-metric_at_most fault_churn sim_p99_ms 3396
+metric_at_most fault_churn host_allocs_per_op 91.0
+metric_at_most fault_churn host_alloc_kb_per_op 11.0
+metric_at_most fault_churn sim_p99_ms 1213
 metric_at_most append_overload host_allocs_per_op 36.1
 metric_at_most append_overload host_peak_heap_mb 29.4
 metric_at_most append_overload sim.events_per_op 12.4

@@ -13,8 +13,9 @@
 //!   reordering, and competing proposers).
 //! * [`monitor`] — the monitor daemon actor: batches client updates into
 //!   proposals on a configurable *accumulation interval* (1 s in stock
-//!   Ceph; the paper lowers it to ~222 ms on a 3-monitor quorum), applies
-//!   chosen batches to versioned maps, and notifies subscribers.
+//!   Ceph; the paper lowers it to ~222 ms on a 3-monitor quorum), proposes
+//!   its own MDS liveness actions at once, applies chosen batches to
+//!   versioned maps, and notifies subscribers.
 //! * [`follower`] — a client's copy of one map, kept current: the one
 //!   place that fetches, compares epochs and adopts snapshots.
 //!

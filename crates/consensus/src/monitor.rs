@@ -6,7 +6,9 @@
 //!   MDS map, interface registry, Mantle policy pointer ...).
 //! * Updates accumulate and are proposed as one Paxos command per
 //!   *proposal interval* (1 s in stock Ceph; the paper reports lowering it
-//!   to ~222 ms on a 3-monitor hard-drive quorum).
+//!   to ~222 ms on a 3-monitor hard-drive quorum). What the leader decides
+//!   itself — an MDS failover, mark-down or standby registration — is
+//!   proposed at once, in a command of its own.
 //! * Every committed batch bumps the *epoch* of each touched map, and
 //!   subscribers receive change notifications — the seed of the OSD gossip
 //!   that Figure 8 measures.
@@ -14,7 +16,7 @@
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use mala_sim::{counter, Actor, Context, NodeId, SimDuration, SimTime, SpanContext};
+use mala_sim::{counter, Actor, Context, Deadlines, NodeId, SimDuration, SimTime, SpanContext};
 
 use crate::paxos::{Outbound, PaxosMsg, PaxosNode, ReplicaId, Slot};
 
@@ -69,18 +71,26 @@ pub struct MapSnapshot {
     pub entries: BTreeMap<String, Vec<u8>>,
 }
 
-/// The Paxos command type: one batch of updates accumulated during a
-/// proposal interval.
+/// One submitted transaction: its updates commit together or not at all.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Tx {
+    /// The submitting node, acknowledged when the transaction commits.
+    pub client: NodeId,
+    /// Client-chosen sequence; `(client, seq)` is the dedup key.
+    pub seq: u64,
+    /// The mutations.
+    pub updates: Vec<MapUpdate>,
+}
+
+/// The Paxos command type: the transactions of one proposal, each whole.
+/// A proposal bumps each map it touches by one epoch, however many
+/// transactions of whatever size it holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TxBatch {
-    /// Dedup key: (submitting client node, client-chosen sequence).
-    pub txids: Vec<(NodeId, u64)>,
-    /// Clients to acknowledge, parallel to `txids`.
-    pub clients: Vec<NodeId>,
     /// The monitor rank that owns sending the acknowledgements.
     pub origin: ReplicaId,
-    /// The concatenated updates of the batch.
-    pub updates: Vec<MapUpdate>,
+    /// The transactions, in submission order.
+    pub txs: Vec<Tx>,
 }
 
 /// Client-facing monitor protocol.
@@ -176,12 +186,21 @@ type MapDelta = (String, Option<Vec<u8>>);
 const TIMER_PROPOSAL: u64 = 1;
 const TIMER_HEARTBEAT: u64 = 2;
 const TIMER_ELECTION: u64 = 3;
-const TIMER_MDS_LIVENESS: u64 = 4;
+/// The token of [`Monitor::mds_deadlines`].
+const TIMER_MDS_DEADLINE: u64 = 4;
 
 /// Seq namespace for transactions the leader originates itself (MDS
 /// liveness actions); keeps their txids clear of harness-injected seqs,
 /// which share the monitor's own NodeId as submitter.
 const SELF_SEQ_BASE: u64 = 1 << 32;
+
+/// What the monitor knows of one MDS daemon's liveness.
+struct MdsLiveness {
+    /// When its last beacon arrived.
+    beacon: SimTime,
+    /// When its entry in [`Monitor::mds_deadlines`] is due, if it has one.
+    deadline: Option<SimTime>,
+}
 
 /// The monitor daemon actor.
 pub struct Monitor {
@@ -196,22 +215,28 @@ pub struct Monitor {
     applied: Slot,
     /// Dedup of applied transactions.
     applied_txids: HashSet<(NodeId, u64)>,
-    /// Updates accumulated since the last proposal tick.
-    pending: Vec<(NodeId, u64, Vec<MapUpdate>)>,
+    /// Client transactions accumulated since the last proposal tick.
+    pending: Vec<Tx>,
     /// Per-map subscribers.
     subs: HashMap<String, HashSet<NodeId>>,
     /// Last time we heard from a leader (heartbeat or prepare).
     last_leader_contact: SimTime,
     /// The central cluster log: `(when, source, line)`.
     cluster_log: Vec<(SimTime, String, String)>,
-    /// Last beacon received per MDS node. Only nodes that have beaconed at
-    /// least once are subject to liveness reaping, so harnesses that build
-    /// synthetic MDS maps without live daemons are left alone.
-    mds_beacons: HashMap<NodeId, SimTime>,
-    /// Per-mdsmap-key proposal debounce: when the reaper last proposed a
-    /// change for this key (avoids re-proposing while a commit is in
-    /// flight).
-    mds_proposed: HashMap<String, SimTime>,
+    /// Per MDS node that has beaconed: its last beacon and its deadline.
+    /// Only nodes that have beaconed at least once are subject to liveness
+    /// reaping, so harnesses that build synthetic MDS maps without live
+    /// daemons are left alone.
+    mds_beacons: HashMap<NodeId, MdsLiveness>,
+    /// When each beaconing MDS is next looked at: one grace after its last
+    /// beacon, or one grace after the reaper proposed an action for its
+    /// rank. The reap scan runs when one passes.
+    mds_deadlines: Deadlines<NodeId>,
+    /// Per-mdsmap-key proposal debounce: when the leader last proposed its
+    /// own change to this key, and the seq that change went out under.
+    /// Cleared when a commit touches the key; until then, or for one grace,
+    /// the key is not proposed again.
+    mds_proposed: HashMap<String, (SimTime, u64)>,
     /// Next self-originated seq (see [`SELF_SEQ_BASE`]).
     self_seq: u64,
     /// `mon.propose` spans for batches this monitor proposed, keyed by the
@@ -237,6 +262,7 @@ impl Monitor {
             last_leader_contact: SimTime::ZERO,
             cluster_log: Vec::new(),
             mds_beacons: HashMap::new(),
+            mds_deadlines: Deadlines::new(TIMER_MDS_DEADLINE),
             mds_proposed: HashMap::new(),
             self_seq: SELF_SEQ_BASE,
             propose_spans: HashMap::new(),
@@ -276,60 +302,44 @@ impl Monitor {
     }
 
     fn apply_chosen(&mut self, ctx: &mut Context<'_>) {
-        loop {
-            let watermark = self.paxos.first_unchosen();
-            if self.applied >= watermark {
-                break;
-            }
-            let batch: Vec<TxBatch> = self
-                .paxos
-                .chosen_from(self.applied)
-                .take_while(|(slot, _)| *slot < watermark)
-                .map(|(_, c)| c.clone())
-                .collect();
-            let first_applied = self.applied;
-            self.applied = watermark;
-            for (i, tx) in batch.iter().enumerate() {
-                let _slot = first_applied + i as u64;
-                self.apply_batch(ctx, tx);
-            }
+        let watermark = self.paxos.first_unchosen();
+        let batches: Vec<TxBatch> = self
+            .paxos
+            .chosen_from(self.applied)
+            .take_while(|(slot, _)| *slot < watermark)
+            .map(|(_, c)| c.clone())
+            .collect();
+        self.applied = self.applied.max(watermark);
+        let mut mds_touched = false;
+        for batch in &batches {
+            mds_touched |= self.apply_batch(ctx, batch);
+        }
+        // A committed mdsmap may hold a vacant rank that a standby can fill
+        // now (one just registered).
+        if mds_touched {
+            self.reap_mds(ctx);
         }
     }
 
-    fn apply_batch(&mut self, ctx: &mut Context<'_>, tx: &TxBatch) {
+    /// Applies one chosen batch; returns whether it changed the mdsmap.
+    fn apply_batch(&mut self, ctx: &mut Context<'_>, batch: &TxBatch) -> bool {
         // Close the propose→commit span if this monitor proposed the batch.
-        if let Some(span) = tx
-            .txids
+        if let Some(span) = batch
+            .txs
             .first()
-            .and_then(|first| self.propose_spans.remove(first))
+            .and_then(|first| self.propose_spans.remove(&(first.client, first.seq)))
         {
             ctx.span_end(span);
         }
-        // Dedup: a batch may contain transactions that were re-proposed
-        // after a leader change; skip already-applied ones.
-        let mut fresh_updates: Vec<&MapUpdate> = Vec::new();
-        let mut fresh_txs: Vec<(NodeId, u64)> = Vec::new();
-        if tx.txids.is_empty() {
-            fresh_updates.extend(tx.updates.iter());
-        } else {
-            // Updates are grouped per txid in submission order; recover the
-            // grouping from the parallel arrays.
-            let per_tx = tx.updates.len() / tx.txids.len().max(1);
-            for (i, txid) in tx.txids.iter().enumerate() {
-                if self.applied_txids.insert(*txid) {
-                    fresh_txs.push(*txid);
-                    let lo = i * per_tx;
-                    let hi = if i + 1 == tx.txids.len() {
-                        tx.updates.len()
-                    } else {
-                        (i + 1) * per_tx
-                    };
-                    fresh_updates.extend(tx.updates[lo..hi].iter());
-                }
-            }
-        }
+        // Dedup: a transaction re-proposed after a leader change may be
+        // chosen in a second slot; it is applied once.
+        let fresh: Vec<&Tx> = batch
+            .txs
+            .iter()
+            .filter(|tx| self.applied_txids.insert((tx.client, tx.seq)))
+            .collect();
         let mut touched: BTreeMap<String, Vec<MapDelta>> = BTreeMap::new();
-        for up in fresh_updates {
+        for up in fresh.iter().flat_map(|tx| &tx.updates) {
             // Pool entries are operator-writable and parameterize
             // placement math on every daemon: validate at commit time so a
             // `pg_num=0` (or unparseable) pool can never enter the
@@ -364,6 +374,12 @@ impl Monitor {
                 .or_default()
                 .push((up.key.clone(), up.value.clone()));
         }
+        let mds_delta = touched.get(SERVICE_MAP_MDS);
+        // What the leader proposed for these keys has landed.
+        for (key, _) in mds_delta.into_iter().flatten() {
+            self.mds_proposed.remove(key);
+        }
+        let mds_touched = mds_delta.is_some();
         let mut epochs = Vec::new();
         for (map, delta) in touched {
             let Some(snap) = self.maps.get_mut(&map) else {
@@ -395,19 +411,18 @@ impl Monitor {
         }
         // Acknowledge clients: only the origin monitor replies, so clients
         // get exactly one ack.
-        if tx.origin == self.rank {
-            for (i, txid) in tx.txids.iter().enumerate() {
-                if fresh_txs.contains(txid) {
-                    ctx.send(
-                        tx.clients[i],
-                        MonMsg::SubmitAck {
-                            seq: txid.1,
-                            epochs: epochs.clone(),
-                        },
-                    );
-                }
+        if batch.origin == self.rank {
+            for tx in &fresh {
+                ctx.send(
+                    tx.client,
+                    MonMsg::SubmitAck {
+                        seq: tx.seq,
+                        epochs: epochs.clone(),
+                    },
+                );
             }
         }
+        mds_touched
     }
 
     fn snapshot_or_empty(&self, map: &str) -> MapSnapshot {
@@ -418,30 +433,95 @@ impl Monitor {
         })
     }
 
-    /// Queues a self-originated transaction (MDS liveness action) for the
-    /// next proposal interval. Acks come back to this monitor and are
-    /// ignored.
-    fn submit_self(&mut self, updates: Vec<MapUpdate>) {
-        let me = self.peers[self.rank as usize];
-        let seq = self.self_seq;
-        self.self_seq += 1;
-        self.pending.push((me, seq, updates));
+    /// Proposes `txs` as one Paxos command. The proposal tick calls it with
+    /// the client submits of its interval, and the leader with each
+    /// transaction it decides itself.
+    fn propose(&mut self, ctx: &mut Context<'_>, txs: Vec<Tx>) {
+        let Some(first) = txs.first() else {
+            return;
+        };
+        let span = ctx.span_start("mon.propose", None);
+        let updates: usize = txs.iter().map(|tx| tx.updates.len()).sum();
+        ctx.span_tag_display(span, "updates", updates);
+        self.propose_spans.insert((first.client, first.seq), span);
+        let out = self.paxos.submit(TxBatch {
+            origin: self.rank,
+            txs,
+        });
+        self.ship(ctx, out);
+        ctx.metrics().bump(counter!("mon.proposals"), 1);
+    }
+
+    /// Proposes the leader's own change to mdsmap `key` (an MDS liveness
+    /// action) at once: client submits wait for the proposal interval, a
+    /// failover does not. A key proposed again before a commit touched it
+    /// goes out under its first seq, so if both proposals are chosen the
+    /// change applies once. Acks come back to this monitor and are ignored.
+    fn submit_self(&mut self, ctx: &mut Context<'_>, key: String, updates: Vec<MapUpdate>) {
+        let seq = match self.mds_proposed.get(&key) {
+            Some(&(_, seq)) => seq,
+            None => {
+                let seq = self.self_seq;
+                self.self_seq += 1;
+                seq
+            }
+        };
+        self.mds_proposed.insert(key, (ctx.now(), seq));
+        let tx = Tx {
+            client: self.peers[self.rank as usize],
+            seq,
+            updates,
+        };
+        self.propose(ctx, vec![tx]);
+    }
+
+    /// Whether the leader proposed a change to mdsmap `key` less than one
+    /// grace ago that no commit has touched yet.
+    fn proposed_lately(&self, key: &str, now: SimTime) -> bool {
+        self.mds_proposed
+            .get(key)
+            .is_some_and(|(at, _)| now.saturating_since(*at) < self.config.mds_beacon_grace)
+    }
+
+    /// Records a beacon from `node` and moves its deadline to one grace
+    /// from now.
+    fn beacon(&mut self, ctx: &mut Context<'_>, node: NodeId) {
+        let now = ctx.now();
+        self.mds_beacons
+            .entry(node)
+            .and_modify(|l| l.beacon = now)
+            .or_insert(MdsLiveness {
+                beacon: now,
+                deadline: None,
+            });
+        self.arm_mds(ctx, node, now + self.config.mds_beacon_grace);
+    }
+
+    /// Arms `node`'s deadline at `at`, if the node has ever beaconed.
+    fn arm_mds(&mut self, ctx: &mut Context<'_>, node: NodeId, at: SimTime) {
+        if let Some(l) = self.mds_beacons.get_mut(&node) {
+            self.mds_deadlines.arm(ctx, node, l.deadline, at);
+            l.deadline = Some(at);
+        }
     }
 
     /// MDS liveness reaping (leader only): ranks whose daemons have gone
     /// silent past the beacon grace are marked down with a Paxos-committed
     /// MDS-map epoch bump, and a registered standby — if one is alive — is
-    /// promoted into the vacant rank.
+    /// promoted into the vacant rank. Runs when an MDS deadline passes and
+    /// when an mdsmap commit lands; each action is proposed at once, and
+    /// re-arms its rank's node so that a commit that has not landed one
+    /// grace later is proposed again.
     fn reap_mds(&mut self, ctx: &mut Context<'_>) {
         if !self.paxos.is_leader() {
             return;
         }
         let now = ctx.now();
         let grace = self.config.mds_beacon_grace;
-        let fresh = |beacons: &HashMap<NodeId, SimTime>, node: NodeId| {
+        let fresh = |beacons: &HashMap<NodeId, MdsLiveness>, node: NodeId| {
             beacons
                 .get(&node)
-                .is_some_and(|at| now.saturating_since(*at) < grace)
+                .is_some_and(|l| now.saturating_since(l.beacon) < grace)
         };
         // Parse the committed mdsmap (same wire format as MdsMapView, which
         // lives upstack in mala-mds): `mds.<rank>` -> `node=<N>,up=<0|1>`,
@@ -469,14 +549,10 @@ impl Monitor {
             }
         }
         standbys.retain(|n| fresh(&self.mds_beacons, *n));
-        let mut actions: Vec<(u32, Vec<MapUpdate>, String)> = Vec::new();
+        let mut actions: Vec<(String, NodeId, Vec<MapUpdate>, String)> = Vec::new();
         for (rank, node, up) in ranks {
             let key = format!("mds.{rank}");
-            if self
-                .mds_proposed
-                .get(&key)
-                .is_some_and(|at| now.saturating_since(*at) < grace)
-            {
+            if self.proposed_lately(&key, now) {
                 continue;
             }
             let silent = self.mds_beacons.contains_key(&node) && !fresh(&self.mds_beacons, node);
@@ -509,13 +585,13 @@ impl Monitor {
                 line = format!("mds.{rank} on {node} missed beacons; marked down (no standby)");
                 ctx.metrics().bump(counter!("mon.mds_marked_down"), 1);
             }
-            actions.push((rank, updates, line));
+            actions.push((key, node, updates, line));
         }
-        for (rank, updates, line) in actions {
-            self.mds_proposed.insert(format!("mds.{rank}"), now);
+        for (key, node, updates, line) in actions {
             self.cluster_log
                 .push((now, format!("mon.{}", self.rank), line));
-            self.submit_self(updates);
+            self.submit_self(ctx, key, updates);
+            self.arm_mds(ctx, node, now + grace);
         }
     }
 
@@ -525,13 +601,8 @@ impl Monitor {
         if !self.paxos.is_leader() {
             return;
         }
-        let now = ctx.now();
         let key = format!("standby.{}", node.0);
-        if self
-            .mds_proposed
-            .get(&key)
-            .is_some_and(|at| now.saturating_since(*at) < self.config.mds_beacon_grace)
-        {
+        if self.proposed_lately(&key, ctx.now()) {
             return;
         }
         let snap = self.snapshot_or_empty(SERVICE_MAP_MDS);
@@ -549,8 +620,8 @@ impl Monitor {
         if holds_rank {
             return;
         }
-        self.mds_proposed.insert(key.clone(), now);
-        self.submit_self(vec![MapUpdate::set(SERVICE_MAP_MDS, &key, b"1".to_vec())]);
+        let update = MapUpdate::set(SERVICE_MAP_MDS, &key, b"1".to_vec());
+        self.submit_self(ctx, key, vec![update]);
         ctx.metrics()
             .bump(counter!("mon.mds_standbys_registered"), 1);
     }
@@ -588,7 +659,6 @@ impl Actor for Monitor {
             self.ship(ctx, out);
         }
         ctx.set_timer(patience, TIMER_ELECTION);
-        ctx.set_timer(self.config.mds_beacon_grace.div(2), TIMER_MDS_LIVENESS);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Box<dyn Any>) {
@@ -622,7 +692,11 @@ impl Actor for Monitor {
         match *msg {
             MonMsg::Submit { seq, updates } => {
                 ctx.metrics().bump(counter!("mon.submits"), 1);
-                self.pending.push((from, seq, updates));
+                self.pending.push(Tx {
+                    client: from,
+                    seq,
+                    updates,
+                });
             }
             MonMsg::Get { map } => {
                 let snap = self.snapshot_or_empty(&map);
@@ -639,7 +713,7 @@ impl Actor for Monitor {
             }
             MonMsg::MdsBeacon { rank } => {
                 ctx.metrics().bump(counter!("mon.mds_beacons"), 1);
-                self.mds_beacons.insert(from, ctx.now());
+                self.beacon(ctx, from);
                 if rank.is_none() {
                     self.register_standby(ctx, from);
                 }
@@ -651,41 +725,8 @@ impl Actor for Monitor {
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
         match token {
             TIMER_PROPOSAL => {
-                if !self.pending.is_empty() {
-                    // Pad every transaction to the same number of updates so
-                    // application can recover per-tx grouping (see
-                    // `apply_batch`); in practice transactions are shipped
-                    // whole, so we simply propose one batch per tx group
-                    // with uniform sizes, falling back to per-tx batches.
-                    let pending = std::mem::take(&mut self.pending);
-                    let uniform = pending
-                        .iter()
-                        .map(|(_, _, u)| u.len())
-                        .collect::<HashSet<_>>()
-                        .len()
-                        <= 1;
-                    let groups: Vec<Vec<(NodeId, u64, Vec<MapUpdate>)>> = if uniform {
-                        vec![pending]
-                    } else {
-                        pending.into_iter().map(|tx| vec![tx]).collect()
-                    };
-                    for group in groups {
-                        let batch = TxBatch {
-                            txids: group.iter().map(|(c, s, _)| (*c, *s)).collect(),
-                            clients: group.iter().map(|(c, _, _)| *c).collect(),
-                            origin: self.rank,
-                            updates: group.into_iter().flat_map(|(_, _, u)| u).collect(),
-                        };
-                        if let Some(first) = batch.txids.first().copied() {
-                            let span = ctx.span_start("mon.propose", None);
-                            ctx.span_tag_display(span, "updates", batch.updates.len());
-                            self.propose_spans.insert(first, span);
-                        }
-                        let out = self.paxos.submit(batch);
-                        self.ship(ctx, out);
-                    }
-                    ctx.metrics().bump(counter!("mon.proposals"), 1);
-                }
+                let pending = std::mem::take(&mut self.pending);
+                self.propose(ctx, pending);
                 ctx.set_timer(self.config.proposal_interval, TIMER_PROPOSAL);
             }
             TIMER_HEARTBEAT => {
@@ -705,9 +746,17 @@ impl Actor for Monitor {
                 }
                 ctx.set_timer(patience, TIMER_ELECTION);
             }
-            TIMER_MDS_LIVENESS => {
-                self.reap_mds(ctx);
-                ctx.set_timer(self.config.mds_beacon_grace.div(2), TIMER_MDS_LIVENESS);
+            TIMER_MDS_DEADLINE => {
+                let mut due = false;
+                while let Some(node) = self.mds_deadlines.pop_due(ctx) {
+                    if let Some(l) = self.mds_beacons.get_mut(&node) {
+                        l.deadline = None;
+                    }
+                    due = true;
+                }
+                if due {
+                    self.reap_mds(ctx);
+                }
             }
             _ => {}
         }
@@ -723,6 +772,8 @@ mod tests {
     #[derive(Default)]
     struct TestClient {
         acks: Vec<(u64, Vec<(String, u64)>)>,
+        /// When each of `acks` arrived.
+        acked_at: Vec<SimTime>,
         snapshots: Vec<MapSnapshot>,
         changes: Vec<ChangedNotice>,
     }
@@ -731,10 +782,13 @@ mod tests {
     type ChangedNotice = (String, u64, Vec<(String, Option<Vec<u8>>)>);
 
     impl Actor for TestClient {
-        fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, msg: Box<dyn Any>) {
+        fn on_message(&mut self, ctx: &mut Context<'_>, _from: NodeId, msg: Box<dyn Any>) {
             if let Ok(msg) = msg.downcast::<MonMsg>() {
                 match *msg {
-                    MonMsg::SubmitAck { seq, epochs } => self.acks.push((seq, epochs)),
+                    MonMsg::SubmitAck { seq, epochs } => {
+                        self.acks.push((seq, epochs));
+                        self.acked_at.push(ctx.now());
+                    }
                     MonMsg::Snapshot(s) => self.snapshots.push(s),
                     MonMsg::Changed { map, epoch, delta } => self.changes.push((map, epoch, delta)),
                     _ => {}
@@ -1088,5 +1142,231 @@ mod tests {
             .unwrap()
             .entries;
         assert!(!snap_entries.contains_key("pool.ok"));
+    }
+
+    #[test]
+    fn one_tick_of_mixed_transactions_is_one_epoch_and_a_repeat_applies_nothing() {
+        let mut sim = build(3, MonConfig::default());
+        sim.run_for(SimDuration::from_millis(500));
+        let submit = |sim: &mut Sim, seq: u64, keys: &[&str]| {
+            let updates = keys
+                .iter()
+                .map(|k| MapUpdate::set(SERVICE_MAP_OSD, k, b"v".to_vec()))
+                .collect();
+            sim.with_actor::<TestClient, _>(NodeId(100), |_, ctx| {
+                ctx.send(NodeId(0), MonMsg::Submit { seq, updates });
+            });
+        };
+        // A 2-update and a 1-update transaction in one interval.
+        submit(&mut sim, 1, &["a", "b"]);
+        submit(&mut sim, 2, &["c"]);
+        sim.run_for(SimDuration::from_secs(2));
+        let osd_epoch = |sim: &Sim| {
+            sim.actor::<Monitor>(NodeId(0))
+                .map(SERVICE_MAP_OSD)
+                .unwrap()
+                .epoch
+        };
+        assert_eq!(osd_epoch(&sim), 1, "one proposal, one epoch");
+        let client = sim.actor::<TestClient>(NodeId(100));
+        let epoch_1 = vec![(SERVICE_MAP_OSD.to_string(), 1)];
+        assert_eq!(client.acks, vec![(1, epoch_1.clone()), (2, epoch_1)]);
+        // The same transaction proposed again is chosen, and applies
+        // nothing: no key, no epoch, no second ack.
+        submit(&mut sim, 1, &["d"]);
+        sim.run_for(SimDuration::from_secs(2));
+        for rank in 0..3 {
+            let snap = sim
+                .actor::<Monitor>(NodeId(rank))
+                .map(SERVICE_MAP_OSD)
+                .unwrap();
+            assert_eq!(snap.epoch, 1);
+            assert_eq!(snap.entries.keys().collect::<Vec<_>>(), ["a", "b", "c"]);
+        }
+        assert_eq!(sim.actor::<TestClient>(NodeId(100)).acks.len(), 2);
+    }
+
+    /// An MDS daemon reduced to its beacon: every 250 ms it tells monitor 0
+    /// which rank it serves (`None`: a standby).
+    struct Beaconer(Option<u32>);
+
+    impl Actor for Beaconer {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.set_timer(SimDuration::from_millis(250), 0);
+        }
+
+        fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _msg: Box<dyn Any>) {}
+
+        fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
+            ctx.send(NodeId(0), MonMsg::MdsBeacon { rank: self.0 });
+            ctx.set_timer(SimDuration::from_millis(250), 0);
+        }
+    }
+
+    const ACTIVE: NodeId = NodeId(200);
+    const STANDBY: NodeId = NodeId(201);
+    /// When the tests crash [`ACTIVE`]: its last beacon reached the leader
+    /// at 1.75 s, so it is silent past the grace just before 2.75 s, and a
+    /// sweep every half grace would find it at 3 s, on a proposal tick.
+    const CRASH_AT: SimTime = SimTime::from_micros(1_900_000);
+
+    /// A quorum of three whose mdsmap puts rank 0 on `rank0`. [`ACTIVE`]
+    /// beacons for rank 0, [`STANDBY`] too if `standby`, and the test
+    /// client follows the mdsmap. Returns at 1.5 s.
+    fn mds_quorum(config: MonConfig, rank0: NodeId, standby: bool) -> Sim {
+        let mut sim = build(3, config);
+        sim.run_for(SimDuration::from_millis(500));
+        let value = format!("node={},up=1", rank0.0);
+        sim.with_actor::<TestClient, _>(NodeId(100), |_, ctx| {
+            let map = SERVICE_MAP_MDS.to_string();
+            ctx.send(NodeId(0), MonMsg::Subscribe { map });
+            let updates = vec![MapUpdate::set(SERVICE_MAP_MDS, "mds.0", value)];
+            ctx.send(NodeId(0), MonMsg::Submit { seq: 1, updates });
+        });
+        sim.add_node(ACTIVE, Beaconer(Some(0)));
+        if standby {
+            sim.add_node(STANDBY, Beaconer(None));
+        }
+        sim.run_for(SimDuration::from_secs(1));
+        sim
+    }
+
+    /// The leader's mdsmap entry for rank 0.
+    fn rank0(sim: &Sim) -> String {
+        let map = sim
+            .actor::<Monitor>(NodeId(0))
+            .map(SERVICE_MAP_MDS)
+            .unwrap();
+        String::from_utf8_lossy(&map.entries["mds.0"]).into_owned()
+    }
+
+    /// The mdsmap notices that put `node` into rank 0.
+    fn promotions(sim: &Sim, node: NodeId) -> usize {
+        let promoted = Some(format!("node={},up=1", node.0).into_bytes());
+        let notices = &sim.actor::<TestClient>(NodeId(100)).changes;
+        notices
+            .iter()
+            .filter(|(map, _, delta)| {
+                map == SERVICE_MAP_MDS && delta.iter().any(|(k, v)| k == "mds.0" && *v == promoted)
+            })
+            .count()
+    }
+
+    fn crash_active_at(sim: &mut Sim, at: SimTime) {
+        sim.run_until_pred(at, |_| false);
+        sim.crash(ACTIVE);
+    }
+
+    #[test]
+    fn one_crash_commits_one_promotion() {
+        let mut sim = mds_quorum(MonConfig::default(), ACTIVE, true);
+        crash_active_at(&mut sim, CRASH_AT);
+        sim.run_for(SimDuration::from_secs(5));
+        assert_eq!(rank0(&sim), format!("node={},up=1", STANDBY.0));
+        assert_eq!(
+            promotions(&sim, STANDBY),
+            1,
+            "the promotion committed more than once"
+        );
+        assert_eq!(sim.metrics().counter("mon.mds_failovers"), 1);
+    }
+
+    #[test]
+    fn a_failover_is_proposed_when_it_is_decided() {
+        let mut sim = mds_quorum(MonConfig::default(), ACTIVE, true);
+        crash_active_at(&mut sim, CRASH_AT);
+        let decided = sim.run_until_pred(CRASH_AT + SimDuration::from_secs(3), |s| {
+            s.metrics().counter("mon.mds_failovers") == 1
+        });
+        assert!(decided);
+        let decided_at = sim.now();
+        // Beacon grace after the last beacon, not a sweep or a tick later.
+        assert!(decided_at < SimTime::from_micros(2_760_000), "{decided_at}");
+        // A client submit made at the same instant waits for the tick at
+        // 3 s; the promotion does not.
+        sim.with_actor::<TestClient, _>(NodeId(100), |_, ctx| {
+            let updates = vec![MapUpdate::set(SERVICE_MAP_OSD, "k", b"v".to_vec())];
+            ctx.send(NodeId(0), MonMsg::Submit { seq: 7, updates });
+        });
+        let tick = SimTime::from_micros(3_000_000);
+        let promoted = sim.run_until_pred(tick, |s| promotions(s, STANDBY) == 1);
+        assert!(promoted && sim.now() < decided_at + SimDuration::from_millis(5));
+        assert!(sim
+            .actor::<Monitor>(NodeId(0))
+            .map(SERVICE_MAP_OSD)
+            .is_none());
+        sim.run_for(SimDuration::from_secs(1));
+        let client = sim.actor::<TestClient>(NodeId(100));
+        let acked: Vec<_> = client.acks.iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(acked, [1, 7]);
+        let at = client.acked_at[1];
+        assert!(
+            at >= tick && at < tick + SimDuration::from_millis(50),
+            "{at}"
+        );
+    }
+
+    #[test]
+    fn a_rank_marked_down_is_filled_when_a_standby_registers() {
+        let mut sim = mds_quorum(MonConfig::default(), ACTIVE, false);
+        crash_active_at(&mut sim, CRASH_AT);
+        sim.run_for(SimDuration::from_secs(3));
+        assert_eq!(rank0(&sim), format!("node={},up=0", ACTIVE.0));
+        assert_eq!(sim.metrics().counter("mon.mds_marked_down"), 1);
+        assert_eq!(sim.metrics().counter("mon.mds_failovers"), 0);
+        // The standby's first beacon comes 250 ms after it starts; its
+        // registration and then the promotion are each proposed at once.
+        let start = sim.now();
+        sim.add_node(STANDBY, Beaconer(None));
+        let filled = sim.run_until_pred(start + SimDuration::from_millis(300), |s| {
+            promotions(s, STANDBY) == 1
+        });
+        assert!(filled, "rank 0 still {}", rank0(&sim));
+        sim.run_for(SimDuration::from_secs(3));
+        assert_eq!(promotions(&sim, STANDBY), 1);
+        assert_eq!(sim.metrics().counter("mon.mds_failovers"), 1);
+    }
+
+    #[test]
+    fn a_promotion_that_does_not_commit_within_a_grace_is_proposed_again_and_applied_once() {
+        let mut sim = mds_quorum(MonConfig::default(), ACTIVE, true);
+        crash_active_at(&mut sim, CRASH_AT);
+        // The leader loses its quorum before the crash is noticed.
+        for peer in [NodeId(1), NodeId(2)] {
+            sim.network_mut().sever(NodeId(0), peer);
+        }
+        sim.run_until_pred(SimTime::from_micros(3_700_000), |_| false);
+        assert_eq!(sim.metrics().counter("mon.mds_failovers"), 1);
+        assert_eq!(rank0(&sim), format!("node={},up=1", ACTIVE.0));
+        sim.run_until_pred(SimTime::from_micros(3_800_000), |_| false);
+        assert_eq!(
+            sim.metrics().counter("mon.mds_failovers"),
+            2,
+            "not proposed again"
+        );
+        sim.network_mut().heal_all();
+        sim.run_for(SimDuration::from_secs(2));
+        assert_eq!(rank0(&sim), format!("node={},up=1", STANDBY.0));
+        assert!(sim.actor::<Monitor>(NodeId(0)).is_leader());
+        // Both proposals are chosen once the quorum is back; the second
+        // went out under the first's seq and applies nothing.
+        assert_eq!(promotions(&sim, STANDBY), 1);
+    }
+
+    #[test]
+    fn a_rank_that_never_beaconed_is_left_alone() {
+        // Rank 0 is on a node that never beacons; the standby does.
+        let silent = NodeId(300);
+        let mut sim = mds_quorum(MonConfig::default(), silent, true);
+        sim.crash(ACTIVE);
+        sim.run_for(SimDuration::from_secs(5));
+        assert_eq!(rank0(&sim), format!("node={},up=1", silent.0));
+        let map = sim
+            .actor::<Monitor>(NodeId(0))
+            .map(SERVICE_MAP_MDS)
+            .unwrap();
+        assert!(map.entries.contains_key(&format!("standby.{}", STANDBY.0)));
+        assert_eq!(sim.metrics().counter("mon.mds_failovers"), 0);
+        assert_eq!(sim.metrics().counter("mon.mds_marked_down"), 0);
     }
 }
