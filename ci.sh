@@ -6,8 +6,8 @@
 # one-seal-path, request-held-once, short-string-in-place,
 # outcome-held-once, one-request-core, one-route-table-one-map-follower,
 # a-grant-travels-alone, a-seal's-last-step-holds,
-# the-zlog-client-fits-in-a-head and a-liveness-action-is-proposed-when-
-# it-is-decided structure checks, the
+# the-zlog-client-fits-in-a-head, a-liveness-action-is-proposed-when-
+# it-is-decided and a-map-entry-has-one-codec structure checks, the
 # tier-1 build + test pass (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
@@ -197,6 +197,12 @@ done
 echo "==> a liveness action is proposed when it is decided: the monitor proposes a failover, a mark-down or a standby registration at once, not with the next tick's client submits, and looks at an MDS at its beacon deadline, not on a sweep every half grace (DESIGN §12)"
 [ -z "$(enclosing_fns 'pending.push(' $(find crates/*/src -name '*.rs' | sort) | tr ' ' '\n' | grep -x 'submit_self')" ]
 [ -z "$(grep -rn 'beacon_grace\.div(2)' crates --include='*.rs')" ]
+
+echo "==> a map entry has one codec: outside crates/consensus/src/maps.rs no code builds, parses or names an osdmap, mdsmap or zlog map entry by hand; the monitor and the daemons go through the codec (DESIGN §12, §31)"
+for file in $(find crates/*/src -name '*.rs' ! -path crates/consensus/src/maps.rs); do
+    # `standby\.[^ ]`: the key prefix, not a sentence that ends in "standby.".
+    [ -z "$(above_tests "$file" | grep -nE '"node=|node=\{|\("(node|up|weight)"|pg_num=|standby\.[^ ]|epoch\.\{|strip_prefix\("(osd|mds|pool)\.')" ]
+done
 
 echo "==> cargo build --release"
 cargo build --release

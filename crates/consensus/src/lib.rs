@@ -18,6 +18,9 @@
 //!   versioned maps, and notifies subscribers.
 //! * [`follower`] — a client's copy of one map, kept current: the one
 //!   place that fetches, compares epochs and adopts snapshots.
+//! * [`maps`] — the entry codec of the typed maps (osdmap, mdsmap, zlog
+//!   epochs) and the parsed MDS map: the monitor and the daemons read and
+//!   write map entries through it alone.
 //!
 //! The proposal interval is the experimental knob behind the paper's
 //! Figure 8 (interface-propagation latency).
@@ -26,12 +29,13 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod follower;
+pub mod maps;
 pub mod monitor;
 pub mod paxos;
 
 pub use follower::{MapFollower, MapView};
+pub use maps::{SERVICE_MAP_MDS, SERVICE_MAP_OSD, SERVICE_MAP_ZLOG};
 pub use monitor::{
     MapSnapshot, MapUpdate, MonConfig, MonMsg, Monitor, SERVICE_MAP_INTERFACES, SERVICE_MAP_MANTLE,
-    SERVICE_MAP_MDS, SERVICE_MAP_OSD,
 };
 pub use paxos::{Ballot, PaxosMsg, PaxosNode, ReplicaId, Slot};

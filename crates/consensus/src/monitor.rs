@@ -14,16 +14,16 @@
 //!   that Figure 8 measures.
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
-use mala_sim::{counter, Actor, Context, Deadlines, NodeId, SimDuration, SimTime, SpanContext};
+use mala_sim::{
+    counter, Actor, Context, CounterName, Deadlines, NodeId, SimDuration, SimTime, SpanContext,
+};
 
+use crate::follower::MapView;
+use crate::maps::{self, standby_key, MapKey, MdsEntry, MdsMapView, SERVICE_MAP_MDS};
 use crate::paxos::{Outbound, PaxosMsg, PaxosNode, ReplicaId, Slot};
 
-/// Name of the OSD cluster map.
-pub const SERVICE_MAP_OSD: &str = "osdmap";
-/// Name of the MDS cluster map.
-pub const SERVICE_MAP_MDS: &str = "mdsmap";
 /// Name of the dynamic object-interface registry map.
 pub const SERVICE_MAP_INTERFACES: &str = "interfaces";
 /// Name of the Mantle balancer-policy map.
@@ -103,11 +103,14 @@ pub enum MonMsg {
         /// The mutations.
         updates: Vec<MapUpdate>,
     },
-    /// Acknowledgement that the batch containing `seq` committed.
+    /// Acknowledgement that the transaction `seq` committed, sent once per
+    /// chosen batch that holds it: a repeat that applies nothing is acked
+    /// too.
     SubmitAck {
         /// Echoed client sequence.
         seq: u64,
-        /// Epoch of each touched map after application.
+        /// The epoch of each map the transaction names, once its batch
+        /// applied.
         epochs: Vec<(String, u64)>,
     },
     /// Read a map.
@@ -142,8 +145,8 @@ pub enum MonMsg {
     },
     /// Periodic MDS liveness beacon. Active ranks send `Some(rank)`;
     /// standby daemons send `None`, which doubles as standby registration:
-    /// the leader commits a `standby.<node>` entry into the MDS map so a
-    /// later failover can promote the node into a vacant rank.
+    /// the leader commits a standby entry ([`maps::standby_key`]) into the
+    /// MDS map so a later failover can promote the node into a vacant rank.
     MdsBeacon {
         /// The rank the sender currently serves, or `None` for a standby.
         rank: Option<u32>,
@@ -214,11 +217,11 @@ pub struct Monitor {
     /// Next chosen slot to apply.
     applied: Slot,
     /// Dedup of applied transactions.
-    applied_txids: HashSet<(NodeId, u64)>,
+    applied_txids: BTreeSet<(NodeId, u64)>,
     /// Client transactions accumulated since the last proposal tick.
     pending: Vec<Tx>,
     /// Per-map subscribers.
-    subs: HashMap<String, HashSet<NodeId>>,
+    subs: BTreeMap<String, BTreeSet<NodeId>>,
     /// Last time we heard from a leader (heartbeat or prepare).
     last_leader_contact: SimTime,
     /// The central cluster log: `(when, source, line)`.
@@ -227,7 +230,7 @@ pub struct Monitor {
     /// Only nodes that have beaconed at least once are subject to liveness
     /// reaping, so harnesses that build synthetic MDS maps without live
     /// daemons are left alone.
-    mds_beacons: HashMap<NodeId, MdsLiveness>,
+    mds_beacons: BTreeMap<NodeId, MdsLiveness>,
     /// When each beaconing MDS is next looked at: one grace after its last
     /// beacon, one grace after the reaper proposed an action for its rank,
     /// or, on a follower, one grace after its deadline last passed. The
@@ -237,12 +240,12 @@ pub struct Monitor {
     /// own change to this key, and the seq that change went out under.
     /// Cleared when a commit touches the key; until then, or for one grace,
     /// the key is not proposed again.
-    mds_proposed: HashMap<String, (SimTime, u64)>,
+    mds_proposed: BTreeMap<String, (SimTime, u64)>,
     /// Next self-originated seq (see [`SELF_SEQ_BASE`]).
     self_seq: u64,
     /// `mon.propose` spans for batches this monitor proposed, keyed by the
     /// batch's first txid; closed when the batch commits locally.
-    propose_spans: HashMap<(NodeId, u64), SpanContext>,
+    propose_spans: BTreeMap<(NodeId, u64), SpanContext>,
 }
 
 impl Monitor {
@@ -257,16 +260,16 @@ impl Monitor {
             paxos: PaxosNode::new(rank, n),
             maps: BTreeMap::new(),
             applied: 0,
-            applied_txids: HashSet::new(),
+            applied_txids: BTreeSet::new(),
             pending: Vec::new(),
-            subs: HashMap::new(),
+            subs: BTreeMap::new(),
             last_leader_contact: SimTime::ZERO,
             cluster_log: Vec::new(),
-            mds_beacons: HashMap::new(),
+            mds_beacons: BTreeMap::new(),
             mds_deadlines: Deadlines::new(TIMER_MDS_DEADLINE),
-            mds_proposed: HashMap::new(),
+            mds_proposed: BTreeMap::new(),
             self_seq: SELF_SEQ_BASE,
-            propose_spans: HashMap::new(),
+            propose_spans: BTreeMap::new(),
         }
     }
 
@@ -341,15 +344,9 @@ impl Monitor {
             .collect();
         let mut touched: BTreeMap<String, Vec<MapDelta>> = BTreeMap::new();
         for up in fresh.iter().flat_map(|tx| &tx.updates) {
-            // Pool entries are operator-writable and parameterize
-            // placement math on every daemon: validate at commit time so a
-            // `pg_num=0` (or unparseable) pool can never enter the
-            // authoritative map. Deterministic — every replica applies the
-            // same batch and skips the same updates.
-            if up.map == SERVICE_MAP_OSD
-                && up.key.starts_with("pool.")
-                && matches!(&up.value, Some(value) if !pool_entry_is_valid(value))
-            {
+            // Deterministic: every replica applies the same batch and skips
+            // the same updates.
+            if !maps::commit_allows(up) {
                 ctx.metrics()
                     .bump(counter!("mon.osdmap_rejected_updates"), 1);
                 continue;
@@ -381,49 +378,58 @@ impl Monitor {
             self.mds_proposed.remove(key);
         }
         let mds_touched = mds_delta.is_some();
-        let mut epochs = Vec::new();
         for (map, delta) in touched {
             let Some(snap) = self.maps.get_mut(&map) else {
                 continue; // unreachable: every touched map was just inserted
             };
             snap.epoch += 1;
-            epochs.push((map.clone(), snap.epoch));
-            if let Some(subs) = self.subs.get(&map) {
-                // Notify in node order: the set hashes by a per-process
-                // seed, and send order feeds the network's latency RNG,
-                // so an unsorted walk makes runs non-replayable.
-                let mut subs: Vec<NodeId> = subs.iter().copied().collect();
-                subs.sort_unstable();
-                for sub in subs {
-                    ctx.send(
-                        sub,
-                        MonMsg::Changed {
-                            map: map.clone(),
-                            epoch: snap.epoch,
-                            delta: delta.clone(),
-                        },
-                    );
-                }
+            for &sub in self.subs.get(&map).into_iter().flatten() {
+                ctx.send(
+                    sub,
+                    MonMsg::Changed {
+                        map: map.clone(),
+                        epoch: snap.epoch,
+                        delta: delta.clone(),
+                    },
+                );
             }
             ctx.metrics().bump(counter!("mon.map_commits"), 1);
             let now = ctx.now();
             ctx.metrics()
                 .observe(&format!("mon.commit.{map}"), now, snap.epoch as f64);
         }
-        // Acknowledge clients: only the origin monitor replies, so clients
-        // get exactly one ack.
+        // Only the origin monitor counts its liveness actions and acks, so
+        // an action counts once and a client gets one ack per chosen batch.
+        // A repeat is acked too: its client may have lost the first ack.
         if batch.origin == self.rank {
-            for tx in &fresh {
-                ctx.send(
-                    tx.client,
-                    MonMsg::SubmitAck {
-                        seq: tx.seq,
-                        epochs: epochs.clone(),
-                    },
-                );
+            let me = self.peers[self.rank as usize];
+            let own = fresh
+                .iter()
+                .filter(|tx| tx.client == me && tx.seq >= SELF_SEQ_BASE);
+            for counter in own.filter_map(|tx| liveness_counter(tx)) {
+                ctx.metrics().bump(counter, 1);
+            }
+            for tx in &batch.txs {
+                let mut epochs: Vec<(String, u64)> = Vec::new();
+                for up in &tx.updates {
+                    if !epochs.iter().any(|(map, _)| *map == up.map) {
+                        let epoch = self.maps.get(&up.map).map_or(0, |snap| snap.epoch);
+                        epochs.push((up.map.clone(), epoch));
+                    }
+                }
+                let seq = tx.seq;
+                ctx.send(tx.client, MonMsg::SubmitAck { seq, epochs });
             }
         }
         mds_touched
+    }
+
+    /// The committed mdsmap, parsed.
+    fn mdsmap(&self) -> MdsMapView {
+        self.maps
+            .get(SERVICE_MAP_MDS)
+            .map(MdsMapView::from_snapshot)
+            .unwrap_or_default()
     }
 
     fn snapshot_or_empty(&self, map: &str) -> MapSnapshot {
@@ -453,13 +459,19 @@ impl Monitor {
         ctx.metrics().bump(counter!("mon.proposals"), 1);
     }
 
-    /// Proposes the leader's own change to mdsmap `key` (an MDS liveness
-    /// action) at once: client submits wait for the proposal interval, a
-    /// failover does not. A key proposed again before a commit touched it
-    /// goes out under its first seq, so if both proposals are chosen the
-    /// change applies once. Acks come back to this monitor and are ignored.
-    fn submit_self(&mut self, ctx: &mut Context<'_>, key: String, updates: Vec<MapUpdate>) {
-        let seq = match self.mds_proposed.get(&key) {
+    /// Proposes the leader's own mdsmap change (an MDS liveness action) at
+    /// once: client submits wait for the proposal interval, a failover does
+    /// not. The action is known by the key of its first update: proposed
+    /// again before a commit touched that key, it goes out under its first
+    /// seq, so if both proposals are chosen the change applies once. Every
+    /// key it writes counts as proposed, so a standby being promoted is not
+    /// promoted into a second rank meanwhile. Acks come back to this
+    /// monitor and are ignored.
+    fn submit_self(&mut self, ctx: &mut Context<'_>, updates: Vec<MapUpdate>) {
+        let first = updates
+            .first()
+            .and_then(|up| self.mds_proposed.get(&up.key));
+        let seq = match first {
             Some(&(_, seq)) => seq,
             None => {
                 let seq = self.self_seq;
@@ -467,7 +479,9 @@ impl Monitor {
                 seq
             }
         };
-        self.mds_proposed.insert(key, (ctx.now(), seq));
+        for up in &updates {
+            self.mds_proposed.insert(up.key.clone(), (ctx.now(), seq));
+        }
         let tx = Tx {
             client: self.peers[self.rank as usize],
             seq,
@@ -519,132 +533,80 @@ impl Monitor {
         }
         let now = ctx.now();
         let grace = self.config.mds_beacon_grace;
-        let fresh = |beacons: &HashMap<NodeId, MdsLiveness>, node: NodeId| {
+        let fresh = |beacons: &BTreeMap<NodeId, MdsLiveness>, node: NodeId| {
             beacons
                 .get(&node)
                 .is_some_and(|l| now.saturating_since(l.beacon) < grace)
         };
-        // Parse the committed mdsmap (same wire format as MdsMapView, which
-        // lives upstack in mala-mds): `mds.<rank>` -> `node=<N>,up=<0|1>`,
-        // `standby.<node>` -> registered standby daemons.
-        let snap = self.snapshot_or_empty(SERVICE_MAP_MDS);
-        let mut ranks: Vec<(u32, NodeId, bool)> = Vec::new();
-        let mut standbys: Vec<NodeId> = Vec::new();
-        for (key, value) in &snap.entries {
-            if let Some(rank) = key.strip_prefix("mds.").and_then(|r| r.parse().ok()) {
-                let text = String::from_utf8_lossy(value);
-                let mut node = None;
-                let mut up = false;
-                for field in text.split(',') {
-                    match field.split_once('=') {
-                        Some(("node", n)) => node = n.parse().ok().map(NodeId),
-                        Some(("up", u)) => up = u == "1",
-                        _ => {}
-                    }
-                }
-                if let Some(node) = node {
-                    ranks.push((rank, node, up));
-                }
-            } else if let Some(node) = key.strip_prefix("standby.").and_then(|n| n.parse().ok()) {
-                standbys.push(NodeId(node));
-            }
-        }
-        standbys.retain(|n| fresh(&self.mds_beacons, *n));
-        let mut actions: Vec<(String, NodeId, Vec<MapUpdate>, String)> = Vec::new();
-        for (rank, node, up) in ranks {
-            let key = format!("mds.{rank}");
-            if self.proposed_lately(&key, now) {
+        let view = self.mdsmap();
+        let mut standbys = view.standbys;
+        standbys.retain(|n| {
+            fresh(&self.mds_beacons, *n) && !self.proposed_lately(&standby_key(*n), now)
+        });
+        // Ranks ascending: the lowest failed rank is filled first.
+        for (rank, entry) in view.ranks {
+            if self.proposed_lately(&MdsEntry::key(rank), now) {
                 continue;
             }
+            let node = entry.node;
             let silent = self.mds_beacons.contains_key(&node) && !fresh(&self.mds_beacons, node);
-            if up && !silent {
+            if entry.up && !silent {
                 continue;
             }
-            if !up && standbys.is_empty() {
+            if !entry.up && standbys.is_empty() {
                 continue;
             }
-            let mut updates = Vec::new();
-            let line;
-            if let Some(standby) = standbys.pop() {
-                updates.push(MapUpdate::set(
-                    SERVICE_MAP_MDS,
-                    &key,
-                    format!("node={},up=1", standby.0).into_bytes(),
-                ));
-                updates.push(MapUpdate::del(
-                    SERVICE_MAP_MDS,
-                    &format!("standby.{}", standby.0),
-                ));
-                line = format!("mds.{rank} on {node} failed; promoting standby {standby}");
-                ctx.metrics().bump(counter!("mon.mds_failovers"), 1);
-            } else {
-                updates.push(MapUpdate::set(
-                    SERVICE_MAP_MDS,
-                    &key,
-                    format!("node={},up=0", node.0).into_bytes(),
-                ));
-                line = format!("mds.{rank} on {node} missed beacons; marked down (no standby)");
-                ctx.metrics().bump(counter!("mon.mds_marked_down"), 1);
-            }
-            actions.push((key, node, updates, line));
-        }
-        for (key, node, updates, line) in actions {
+            let (updates, line) = match standbys.pop() {
+                Some(standby) => (
+                    vec![
+                        MdsMapView::update_rank(rank, standby, true),
+                        MapUpdate::del(SERVICE_MAP_MDS, &standby_key(standby)),
+                    ],
+                    format!("mds.{rank} on {node} failed; promoting standby {standby}"),
+                ),
+                None => (
+                    vec![MdsMapView::update_rank(rank, node, false)],
+                    format!("mds.{rank} on {node} missed beacons; marked down (no standby)"),
+                ),
+            };
             self.cluster_log
                 .push((now, format!("mon.{}", self.rank), line));
-            self.submit_self(ctx, key, updates);
+            self.submit_self(ctx, updates);
             self.arm_mds(ctx, node, now + grace);
         }
     }
 
     /// Standby registration: a beaconing standby not yet in the map gets a
-    /// `standby.<node>` entry committed (leader only).
+    /// standby entry committed (leader only).
     fn register_standby(&mut self, ctx: &mut Context<'_>, node: NodeId) {
         if !self.paxos.is_leader() {
             return;
         }
-        let key = format!("standby.{}", node.0);
+        let key = standby_key(node);
         if self.proposed_lately(&key, ctx.now()) {
             return;
         }
-        let snap = self.snapshot_or_empty(SERVICE_MAP_MDS);
-        if snap.entries.contains_key(&key) {
-            return;
-        }
-        // A node already holding a rank (e.g. just promoted, beacon not yet
-        // switched over) must not be double-registered as a standby.
-        let holds_rank = snap.entries.iter().any(|(k, v)| {
-            k.starts_with("mds.")
-                && String::from_utf8_lossy(v)
-                    .split(',')
-                    .any(|f| f == format!("node={}", node.0))
-        });
-        if holds_rank {
+        // A node already in a rank's entry (e.g. just promoted, beacon not
+        // yet switched over) must not be registered as a standby too.
+        let view = self.mdsmap();
+        if view.standbys.contains(&node) || view.ranks.values().any(|e| e.node == node) {
             return;
         }
         let update = MapUpdate::set(SERVICE_MAP_MDS, &key, b"1".to_vec());
-        self.submit_self(ctx, key, vec![update]);
-        ctx.metrics()
-            .bump(counter!("mon.mds_standbys_registered"), 1);
+        self.submit_self(ctx, vec![update]);
     }
 }
 
-/// Commit-time validation for `pool.*` osdmap entries: the `k=v` value
-/// must parse to a non-zero `pg_num` and `replicas`. A zero (or garbage)
-/// in either would feed degenerate parameters into every daemon's
-/// placement math; a daemon-side clamp exists as defense in depth, but the
-/// authoritative map should never carry the entry at all.
-fn pool_entry_is_valid(value: &[u8]) -> bool {
-    let value = String::from_utf8_lossy(value);
-    let mut pg_num: Option<u32> = None;
-    let mut replicas: Option<u32> = None;
-    for part in value.split(',') {
-        match part.split_once('=') {
-            Some(("pg_num", v)) => pg_num = v.parse().ok(),
-            Some(("replicas", v)) => replicas = v.parse().ok(),
-            _ => {}
-        }
-    }
-    matches!((pg_num, replicas), (Some(p), Some(r)) if p > 0 && r > 0)
+/// The counter of a liveness action the leader proposed, told by its first
+/// update: a promotion, a mark-down or a standby registration.
+fn liveness_counter(tx: &Tx) -> Option<&'static CounterName> {
+    let first = tx.updates.first()?;
+    let entry = first.value.as_deref().and_then(MdsEntry::parse);
+    Some(match (MapKey::parse(&first.key), entry) {
+        (MapKey::Mds(_), Some(MdsEntry { up: true, .. })) => counter!("mon.mds_failovers"),
+        (MapKey::Mds(_), _) => counter!("mon.mds_marked_down"),
+        _ => counter!("mon.mds_standbys_registered"),
+    })
 }
 
 impl Actor for Monitor {
@@ -775,6 +737,7 @@ impl Actor for Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maps::SERVICE_MAP_OSD;
     use mala_sim::{NetConfig, Network, Sim};
 
     /// A scripted client that submits updates and records replies.
@@ -1181,9 +1144,13 @@ mod tests {
         let epoch_1 = vec![(SERVICE_MAP_OSD.to_string(), 1)];
         assert_eq!(client.acks, vec![(1, epoch_1.clone()), (2, epoch_1)]);
         // The same transaction proposed again is chosen, and applies
-        // nothing: no key, no epoch.
+        // nothing: no key, no epoch. It is acked again, with the epoch the
+        // map it names is at.
         submit(&mut sim, 1, &["d"]);
         sim.run_for(SimDuration::from_secs(2));
+        let acks = &sim.actor::<TestClient>(NodeId(100)).acks;
+        assert_eq!(acks.len(), 3);
+        assert_eq!(acks[2], (1, vec![(SERVICE_MAP_OSD.to_string(), 1)]));
         for rank in 0..3 {
             let snap = sim
                 .actor::<Monitor>(NodeId(rank))
@@ -1260,6 +1227,14 @@ mod tests {
             .count()
     }
 
+    /// The promotions the leader decided: lines in monitor 0's cluster log.
+    fn promotions_proposed(sim: &Sim) -> usize {
+        let log = sim.actor::<Monitor>(NodeId(0)).cluster_log();
+        log.iter()
+            .filter(|(_, _, line)| line.contains("promoting standby"))
+            .count()
+    }
+
     fn crash_active_at(sim: &mut Sim, at: SimTime) {
         sim.run_until_pred(at, |_| false);
         sim.crash(ACTIVE);
@@ -1284,7 +1259,7 @@ mod tests {
         let mut sim = mds_quorum(MonConfig::default(), ACTIVE, true);
         crash_active_at(&mut sim, CRASH_AT);
         let decided = sim.run_until_pred(CRASH_AT + SimDuration::from_secs(3), |s| {
-            s.metrics().counter("mon.mds_failovers") == 1
+            promotions_proposed(s) == 1
         });
         assert!(decided);
         let decided_at = sim.now();
@@ -1343,24 +1318,86 @@ mod tests {
         for peer in [NodeId(1), NodeId(2)] {
             sim.network_mut().sever(NodeId(0), peer);
         }
-        let proposed = |sim: &Sim| {
-            let log = sim.actor::<Monitor>(NodeId(0)).cluster_log();
-            log.iter()
-                .filter(|(_, _, line)| line.contains("promoting standby"))
-                .count()
-        };
         sim.run_until_pred(SimTime::from_micros(3_700_000), |_| false);
-        assert_eq!(proposed(&sim), 1);
+        assert_eq!(promotions_proposed(&sim), 1);
         assert_eq!(rank0(&sim), format!("node={},up=1", ACTIVE.0));
         sim.run_until_pred(SimTime::from_micros(3_800_000), |_| false);
-        assert_eq!(proposed(&sim), 2, "not proposed again");
+        assert_eq!(promotions_proposed(&sim), 2, "not proposed again");
         sim.network_mut().heal_all();
         sim.run_for(SimDuration::from_secs(2));
         assert_eq!(rank0(&sim), format!("node={},up=1", STANDBY.0));
         assert!(sim.actor::<Monitor>(NodeId(0)).is_leader());
         // Both proposals are chosen once the quorum is back; the second
-        // went out under the first's seq and applies nothing.
+        // went out under the first's seq and applies nothing, so the
+        // failover counts once.
         assert_eq!(promotions(&sim, STANDBY), 1);
+        assert_eq!(sim.metrics().counter("mon.mds_failovers"), 1);
+    }
+
+    /// Two ranks go silent a beacon's jitter apart, and the one standby is
+    /// promoted into the first while that promotion is still uncommitted
+    /// when the second is reaped: the second is marked down, not filled
+    /// with the same standby.
+    #[test]
+    fn a_standby_being_promoted_is_not_promoted_into_a_second_rank() {
+        let mut sim = build(3, MonConfig::default());
+        sim.run_for(SimDuration::from_millis(500));
+        let (two, ten) = (NodeId(202), NodeId(210));
+        sim.with_actor::<TestClient, _>(NodeId(100), |_, ctx| {
+            let updates = vec![
+                MapUpdate::set(SERVICE_MAP_MDS, "mds.2", format!("node={},up=1", two.0)),
+                MapUpdate::set(SERVICE_MAP_MDS, "mds.10", format!("node={},up=1", ten.0)),
+            ];
+            ctx.send(NodeId(0), MonMsg::Submit { seq: 1, updates });
+        });
+        sim.add_node(two, Beaconer(Some(2)));
+        sim.add_node(ten, Beaconer(Some(10)));
+        sim.add_node(STANDBY, Beaconer(None));
+        sim.run_for(SimDuration::from_secs(1));
+        sim.crash(two);
+        sim.crash(ten);
+        sim.run_for(SimDuration::from_secs(3));
+        let view = sim.actor::<Monitor>(NodeId(0)).mdsmap();
+        let on_standby = view.ranks.values().filter(|e| e.node == STANDBY).count();
+        assert_eq!(on_standby, 1, "{view:?}");
+        assert_eq!(view.up_ranks().len(), 1, "{view:?}");
+        assert_eq!(sim.metrics().counter("mon.mds_failovers"), 1);
+        assert_eq!(sim.metrics().counter("mon.mds_marked_down"), 1);
+    }
+
+    /// Two silent ranks and one standby: the standby fills the lowest
+    /// failed rank, as Ceph's MDSMonitor does, and the other stays down.
+    /// Ranks are walked in numeric order, so 2 comes before 10.
+    #[test]
+    fn a_standby_fills_the_lowest_failed_rank() {
+        let mut sim = build(3, MonConfig::default());
+        sim.run_for(SimDuration::from_millis(500));
+        let (two, ten) = (NodeId(202), NodeId(210));
+        sim.with_actor::<TestClient, _>(NodeId(100), |_, ctx| {
+            let updates = vec![
+                MapUpdate::set(SERVICE_MAP_MDS, "mds.2", format!("node={},up=1", two.0)),
+                MapUpdate::set(SERVICE_MAP_MDS, "mds.10", format!("node={},up=1", ten.0)),
+            ];
+            ctx.send(NodeId(0), MonMsg::Submit { seq: 1, updates });
+        });
+        sim.add_node(two, Beaconer(Some(2)));
+        sim.add_node(ten, Beaconer(Some(10)));
+        sim.run_for(SimDuration::from_secs(1));
+        // Both go silent and are marked down; then one standby registers.
+        sim.crash(two);
+        sim.crash(ten);
+        sim.run_for(SimDuration::from_secs(3));
+        assert_eq!(sim.metrics().counter("mon.mds_marked_down"), 2);
+        sim.add_node(STANDBY, Beaconer(None));
+        sim.run_for(SimDuration::from_secs(1));
+        let map = sim
+            .actor::<Monitor>(NodeId(0))
+            .map(SERVICE_MAP_MDS)
+            .unwrap();
+        let entry = |key: &str| String::from_utf8_lossy(&map.entries[key]).into_owned();
+        assert_eq!(entry("mds.2"), format!("node={},up=1", STANDBY.0));
+        assert_eq!(entry("mds.10"), format!("node={},up=0", ten.0));
+        assert_eq!(sim.metrics().counter("mon.mds_failovers"), 1);
     }
 
     #[test]

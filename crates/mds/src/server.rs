@@ -22,7 +22,8 @@ use std::any::Any;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::rc::Rc;
 
-use mala_consensus::{MapFollower, MonMsg, SERVICE_MAP_MANTLE, SERVICE_MAP_MDS};
+use mala_consensus::maps::{LogEpoch, MdsMapView};
+use mala_consensus::{MapFollower, MonMsg, SERVICE_MAP_MANTLE, SERVICE_MAP_MDS, SERVICE_MAP_ZLOG};
 use mala_rados::client::RETRY_TOKEN_BASE;
 use mala_rados::{ObjectId, Op, OpResult, OsdError, OsdMsg, RadosClient};
 use mala_sim::history::Recorder;
@@ -32,7 +33,6 @@ use rand::Rng;
 
 use crate::balancer::{BalanceView, Balancer, Export, LoadSample};
 use crate::caps::{CapAction, CapState};
-use crate::mdsmap::MdsMapView;
 use crate::namespace::{JournalEntry, Namespace};
 use crate::types::{CapPolicyConfig, FileType, Ino, MdsError, MdsMsg, SeqOp, ServeStyle};
 
@@ -145,11 +145,6 @@ const META_POOL: &str = "meta";
 
 /// Rank sentinel of a standby daemon (it serves nothing until promoted).
 pub const STANDBY_RANK: u32 = u32::MAX;
-
-/// The monitor map carrying ZLog epochs. The MDS drives the seal protocol
-/// against it during sequencer takeover; the name is part of the ZLog wire
-/// contract, like [`FileType::Sequencer`] itself.
-const ZLOG_EPOCH_MAP: &str = "zlog";
 
 /// Progress of the seal/maxpos protocol an MDS runs for one sequencer
 /// inode before it may issue positions again: after a takeover, once a
@@ -1361,7 +1356,7 @@ impl Mds {
                 },
             );
         }
-        self.get_map(ctx, ZLOG_EPOCH_MAP);
+        self.get_map(ctx, SERVICE_MAP_ZLOG);
         ctx.set_timer(SimDuration::from_millis(500), TIMER_SEAL);
     }
 
@@ -1389,12 +1384,9 @@ impl Mds {
             let Some(rec) = self.recovering_seqs.get(&ino) else {
                 continue;
             };
-            let key = format!("epoch.{}", rec.layout.name);
-            let cur: u64 = snap
-                .entries
-                .get(&key)
-                .and_then(|v| String::from_utf8_lossy(v).parse().ok())
-                .unwrap_or(0);
+            let key = LogEpoch::key(&rec.layout.name);
+            let cur = snap.entries.get(&key).and_then(|v| LogEpoch::parse(v));
+            let cur = cur.map_or(0, |LogEpoch(epoch)| epoch);
             match rec.stage {
                 SealStage::GetEpoch => {
                     let new_epoch = cur + 1;
@@ -1434,9 +1426,9 @@ impl Mds {
             MonMsg::Submit {
                 seq,
                 updates: vec![mala_consensus::MapUpdate::set(
-                    ZLOG_EPOCH_MAP,
+                    SERVICE_MAP_ZLOG,
                     key,
-                    new_epoch.to_string().into_bytes(),
+                    LogEpoch(new_epoch).encode(),
                 )],
             },
         );
@@ -1820,7 +1812,7 @@ impl Actor for Mds {
                     MonMsg::Snapshot(snap) if snap.map == SERVICE_MAP_MANTLE => {
                         self.on_mantle_map(ctx, snap);
                     }
-                    MonMsg::Snapshot(snap) if snap.map == ZLOG_EPOCH_MAP => {
+                    MonMsg::Snapshot(snap) if snap.map == SERVICE_MAP_ZLOG => {
                         self.on_zlog_map(ctx, snap);
                     }
                     MonMsg::Changed { map, .. } if map == SERVICE_MAP_MANTLE => {
@@ -2005,7 +1997,7 @@ impl Actor for Mds {
                 // made again.
                 let sealing = |rec: &SealRecovery| rec.stage == SealStage::Sealing;
                 if !self.recovering_seqs.values().all(sealing) {
-                    self.get_map(ctx, ZLOG_EPOCH_MAP);
+                    self.get_map(ctx, SERVICE_MAP_ZLOG);
                 }
                 let recs = self.recovering_seqs.iter();
                 let inos: Vec<Ino> = recs.filter(|(_, r)| sealing(r)).map(|(i, _)| *i).collect();

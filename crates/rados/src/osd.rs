@@ -507,12 +507,7 @@ impl Osd {
             // Loaded directly, without the map-change reactions: recovery
             // decisions belong to the *next* live map this OSD hears about,
             // which install_osdmap will diff against this restored view.
-            self.map = OsdMapView::from_snapshot(&mala_consensus::MapSnapshot {
-                map: SERVICE_MAP_OSD.to_string(),
-                epoch,
-                entries,
-            });
-            self.map_entries = Rc::new(self.encode_osdmap_entries());
+            self.set_map(epoch, entries);
         }
         self.replies = snapshot
             .replies
@@ -663,6 +658,19 @@ impl Osd {
         true
     }
 
+    /// Installs the view parsed from `entries` beside its encoding, which
+    /// gossip carries; returns the view it replaces.
+    fn set_map(&mut self, epoch: u64, entries: BTreeMap<String, Vec<u8>>) -> OsdMapView {
+        let map = SERVICE_MAP_OSD.to_string();
+        let view = OsdMapView::from_snapshot(&mala_consensus::MapSnapshot {
+            map,
+            epoch,
+            entries,
+        });
+        self.map_entries = Rc::new(view.encode());
+        std::mem::replace(&mut self.map, view)
+    }
+
     /// Adopts the osdmap `entries` if `epoch` is news. Only then are they
     /// read, and copied only if another holder still shares them.
     fn install_osdmap(
@@ -681,15 +689,7 @@ impl Osd {
                 entries: entries.clone(),
             });
         }
-        let old = std::mem::replace(
-            &mut self.map,
-            OsdMapView::from_snapshot(&mala_consensus::MapSnapshot {
-                map: SERVICE_MAP_OSD.to_string(),
-                epoch,
-                entries,
-            }),
-        );
-        self.map_entries = Rc::new(self.encode_osdmap_entries());
+        let old = self.set_map(epoch, entries);
         if self.map.skipped > 0 {
             // Surfaced exactly once per epoch per daemon: install_osdmap
             // is guarded on `epoch > self.map.epoch`, so a bad entry shows
@@ -874,29 +874,6 @@ impl Osd {
             interfaces: (self.interfaces_epoch, Rc::clone(&self.interfaces)),
             osdmap: (self.map.epoch, Rc::clone(&self.map_entries)),
         }
-    }
-
-    fn encode_osdmap_entries(&self) -> BTreeMap<String, Vec<u8>> {
-        let mut entries = BTreeMap::new();
-        for (id, e) in &self.map.osds {
-            entries.insert(
-                format!("osd.{id}"),
-                format!(
-                    "node={},up={},weight={}",
-                    e.node.0,
-                    u8::from(e.up),
-                    e.weight
-                )
-                .into_bytes(),
-            );
-        }
-        for (pool, info) in &self.map.pools {
-            entries.insert(
-                format!("pool.{pool}"),
-                format!("pg_num={},replicas={}", info.pg_num, info.replicas).into_bytes(),
-            );
-        }
-        entries
     }
 
     fn push_gossip(&mut self, ctx: &mut Context<'_>) {
@@ -1569,7 +1546,7 @@ mod tests {
         install_first_maps(&mut sim);
         let held = |sim: &Sim| {
             let osd = sim.actor::<Osd>(OSD);
-            assert_eq!(*osd.map_entries, osd.encode_osdmap_entries());
+            assert_eq!(*osd.map_entries, osd.map.encode());
             let (_, (epoch, entries)) = maps_of(osd.gossip_payload());
             assert_eq!(epoch, osd.map_epoch());
             assert!(Rc::ptr_eq(&entries, &osd.map_entries));

@@ -1,42 +1,20 @@
 //! The OSD cluster map: membership, liveness, and pool definitions.
 //!
 //! The authoritative copy lives in the monitor's `osdmap` service-metadata
-//! map as plain key-value entries; this module parses those entries into a
-//! typed view and builds the updates that mutate them. Values use a tiny
-//! `k=v` text codec so no serialization dependency is needed and map dumps
-//! stay human-readable (handy when debugging experiments).
+//! map as plain key-value entries; this module parses those entries,
+//! through the one codec of `mala_consensus::maps`, into a typed view that
+//! computes acting sets, and builds the updates that mutate them.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+pub use mala_consensus::maps::PoolInfo;
+use mala_consensus::maps::{MapKey, OsdEntry, WEIGHT_UNIT};
 use mala_consensus::{MapSnapshot, MapUpdate, MapView, SERVICE_MAP_OSD};
 use mala_sim::{IdMap, NodeId};
 
 use crate::object::ObjectId;
-
-/// One pool's placement parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolInfo {
-    /// Number of placement groups.
-    pub pg_num: u32,
-    /// Replication factor.
-    pub replicas: u32,
-}
-
-/// One OSD's map entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OsdEntry {
-    /// Simulation node hosting the daemon.
-    pub node: NodeId,
-    /// Whether the OSD is in the up set.
-    pub up: bool,
-    /// Placement weight in hundredths (100 = 1.0×). Zero means draining:
-    /// the OSD stays up to serve reads and source backfills, but wins no
-    /// new acting sets. Entries written before weights existed parse as
-    /// weight 100.
-    pub weight: u32,
-}
 
 /// Acting sets (primary first) by pool name and PG index.
 type ActingSets = BTreeMap<String, IdMap<u32, Rc<[u32]>>>;
@@ -83,51 +61,24 @@ impl MapView for OsdMapView {
             ..Default::default()
         };
         for (key, value) in &snap.entries {
-            let value = String::from_utf8_lossy(value);
-            if let Some(id) = key.strip_prefix("osd.") {
-                let Ok(id) = id.parse::<u32>() else {
-                    view.skipped += 1;
-                    continue;
-                };
-                let mut node = None;
-                let mut up = None;
-                let mut weight = crate::placement::WEIGHT_UNIT;
-                for part in value.split(',') {
-                    match part.split_once('=') {
-                        Some(("node", n)) => node = n.parse::<u32>().ok().map(NodeId),
-                        Some(("up", u)) => up = Some(u == "1"),
-                        Some(("weight", w)) => {
-                            weight = w.parse().unwrap_or(crate::placement::WEIGHT_UNIT)
-                        }
-                        _ => {}
+            match MapKey::parse(key) {
+                MapKey::Osd(id) => match OsdEntry::parse(value) {
+                    Some(entry) => {
+                        view.osds.insert(id, entry);
                     }
-                }
-                if let (Some(node), Some(up)) = (node, up) {
-                    view.osds.insert(id, OsdEntry { node, up, weight });
-                } else {
-                    view.skipped += 1;
-                }
-            } else if let Some(pool) = key.strip_prefix("pool.") {
-                let mut pg_num = None;
-                let mut replicas = None;
-                for part in value.split(',') {
-                    match part.split_once('=') {
-                        Some(("pg_num", v)) => pg_num = v.parse().ok(),
-                        Some(("replicas", v)) => replicas = v.parse().ok(),
-                        _ => {}
+                    None => view.skipped += 1,
+                },
+                // A pool the monitor would not commit (a zero, say, in a
+                // hand-written snapshot) is dropped, not clamped, so the
+                // daemons and the monitor agree on which pools exist.
+                MapKey::Pool(name) => match PoolInfo::parse(value) {
+                    Some(info) => {
+                        view.pools.insert(name.to_string(), info);
                     }
-                }
-                match (pg_num, replicas) {
-                    // The monitor validates pool entries at commit time;
-                    // a zero that slips past (hand-written snapshot) is
-                    // dropped here rather than clamped so the daemons and
-                    // the monitor agree on which pools exist.
-                    (Some(pg_num), Some(replicas)) if pg_num > 0 && replicas > 0 => {
-                        view.pools
-                            .insert(pool.to_string(), PoolInfo { pg_num, replicas });
-                    }
-                    _ => view.skipped += 1,
-                }
+                    None => view.skipped += 1,
+                },
+                MapKey::Malformed => view.skipped += 1,
+                MapKey::Mds(_) | MapKey::Standby(_) | MapKey::Other => {}
             }
         }
         view
@@ -211,33 +162,39 @@ impl OsdMapView {
         Some(set)
     }
 
+    /// The entries this view parsed, encoded again: what an OSD gossips
+    /// (an entry the view skipped is not passed on).
+    pub fn encode(&self) -> BTreeMap<String, Vec<u8>> {
+        let mut entries = BTreeMap::new();
+        for (id, entry) in &self.osds {
+            entries.insert(OsdEntry::key(*id), entry.encode());
+        }
+        for (name, info) in &self.pools {
+            entries.insert(PoolInfo::key(name), info.encode());
+        }
+        entries
+    }
+
     /// Builds the update registering (or re-marking) an OSD at weight 1.0×.
     pub fn update_osd(id: u32, node: NodeId, up: bool) -> MapUpdate {
-        Self::update_osd_weighted(id, node, up, crate::placement::WEIGHT_UNIT)
+        Self::update_osd_weighted(id, node, up, WEIGHT_UNIT)
     }
 
     /// Builds the update registering an OSD with an explicit placement
     /// weight (hundredths; 0 = draining).
     pub fn update_osd_weighted(id: u32, node: NodeId, up: bool, weight: u32) -> MapUpdate {
-        MapUpdate::set(
-            SERVICE_MAP_OSD,
-            &format!("osd.{id}"),
-            format!("node={},up={},weight={}", node.0, u8::from(up), weight).into_bytes(),
-        )
+        let entry = OsdEntry { node, up, weight };
+        MapUpdate::set(SERVICE_MAP_OSD, &OsdEntry::key(id), entry.encode())
     }
 
     /// Builds the update removing an OSD from the map entirely.
     pub fn remove_osd(id: u32) -> MapUpdate {
-        MapUpdate::del(SERVICE_MAP_OSD, &format!("osd.{id}"))
+        MapUpdate::del(SERVICE_MAP_OSD, &OsdEntry::key(id))
     }
 
     /// Builds the update creating (or resizing) a pool.
     pub fn update_pool(name: &str, info: PoolInfo) -> MapUpdate {
-        MapUpdate::set(
-            SERVICE_MAP_OSD,
-            &format!("pool.{name}"),
-            format!("pg_num={},replicas={}", info.pg_num, info.replicas).into_bytes(),
-        )
+        MapUpdate::set(SERVICE_MAP_OSD, &PoolInfo::key(name), info.encode())
     }
 }
 
@@ -336,6 +293,8 @@ mod tests {
                 ("osd.0", "node=10,up=1"),
                 ("osd.1", "node=11,up=1,weight=250"),
                 ("osd.2", "node=12,up=1,weight=0"),
+                // An unparseable weight reads as unit weight too.
+                ("osd.3", "node=13,up=0,weight=x"),
                 ("pool.data", "pg_num=8,replicas=2"),
             ],
             3,
@@ -344,11 +303,15 @@ mod tests {
         assert_eq!(view.osds[&0].weight, 100);
         assert_eq!(view.osds[&1].weight, 250);
         assert_eq!(view.osds[&2].weight, 0);
+        assert_eq!(view.osds[&3].weight, 100);
         assert_eq!(view.skipped, 0);
         // Draining osd 2 is up but never placed.
         assert_eq!(view.weighted_up_osds(), vec![(0, 100), (1, 250), (2, 0)]);
         let set = view.acting_set_for("data", "obj").unwrap();
         assert!(!set.contains(&2), "draining osd placed: {set:?}");
+        assert_eq!(view.up_osds(), vec![0, 1, 2]);
+        assert_eq!(view.node_of(1), Some(NodeId(11)));
+        assert_eq!(view.node_of(9), None);
 
         // Builder round-trip.
         let update = OsdMapView::update_osd_weighted(7, NodeId(17), true, 50);
@@ -360,6 +323,25 @@ mod tests {
         let removal = OsdMapView::remove_osd(7);
         assert_eq!(removal.key, "osd.7");
         assert!(removal.value.is_none());
+    }
+
+    /// The monitor's commit check and the view read a pool entry through
+    /// one parse: what the monitor refuses to commit, a daemon skips.
+    #[test]
+    fn a_pool_the_monitor_refuses_to_commit_is_skipped_by_the_view() {
+        for value in [
+            "pg_num=0,replicas=3",
+            "pg_num=8,replicas=0",
+            "pg_num=zz,replicas=3",
+            "garbage",
+            "pg_num=8,replicas=2",
+        ] {
+            let update = MapUpdate::set(SERVICE_MAP_OSD, "pool.p", value.as_bytes());
+            let view = OsdMapView::from_snapshot(&snapshot(vec![("pool.p", value)], 1));
+            let committed = mala_consensus::maps::commit_allows(&update);
+            assert_eq!(committed, view.pools.contains_key("p"), "{value}");
+            assert_eq!(view.skipped, u64::from(!committed), "{value}");
+        }
     }
 
     #[test]

@@ -59,8 +59,7 @@ pub fn pg_of_id(oid: &ObjectId, pg_num: u32) -> PgId {
     }
 }
 
-/// Weight granularity: `WEIGHT_UNIT` hundredths equal weight 1.0×.
-pub const WEIGHT_UNIT: u32 = 100;
+pub use mala_consensus::maps::WEIGHT_UNIT;
 
 /// The per-(pg, osd) rendezvous hash, uniform over `u64`.
 fn rendezvous_draw(pg: PgId, osd: u32) -> u64 {

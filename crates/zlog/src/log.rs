@@ -12,7 +12,8 @@ use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
-use mala_consensus::MonMsg;
+use mala_consensus::maps::LogEpoch;
+use mala_consensus::{MonMsg, SERVICE_MAP_ZLOG};
 use mala_mds::types::{MdsError, MdsMsg, SeqOp};
 use mala_mds::{FileType, Ino};
 use mala_rados::client::RETRY_TOKEN_BASE as RADOS_RETRY_TOKEN_BASE;
@@ -45,9 +46,6 @@ use history::{log_op_of, SealClose};
 use names::{Method, Names};
 use read::{read_reply, Cursor};
 use seq::MdsSent;
-
-/// Monitor map holding ZLog service metadata (per-log epochs).
-pub const ZLOG_MAP: &str = "zlog";
 
 /// Client configuration for one log.
 #[derive(Debug, Clone)]
@@ -683,7 +681,7 @@ impl ZlogClient {
     /// is a newer one: ops parked on an older epoch go again, each a retry,
     /// in park order.
     fn adopt_epoch(&mut self, ctx: &mut Context<'_>, value: &[u8]) {
-        if let Some(epoch) = decimal::<u64>(value).filter(|epoch| *epoch > self.epoch) {
+        if let Some(LogEpoch(epoch)) = LogEpoch::parse(value).filter(|e| e.0 > self.epoch) {
             self.epoch = epoch;
             let newer = |park: &Park| matches!(*park, Park::Epoch(e) if epoch > e);
             for op in self.ops.unpark(newer) {
@@ -695,7 +693,7 @@ impl ZlogClient {
     /// Asks the monitor for the zlog map: a newer epoch in it re-drives
     /// the ops blocked on the one they ran under.
     fn fetch_epoch(&self, ctx: &mut Context<'_>) {
-        let map = ZLOG_MAP.to_string();
+        let map = SERVICE_MAP_ZLOG.to_string();
         ctx.send(self.config.monitor, MonMsg::Get { map });
     }
 
@@ -868,7 +866,7 @@ impl ZlogClient {
 impl Actor for ZlogClient {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.rados.on_start(ctx);
-        let map = ZLOG_MAP.to_string();
+        let map = SERVICE_MAP_ZLOG.to_string();
         ctx.send(self.config.monitor, MonMsg::Subscribe { map });
         self.router.mdsmap.subscribe(ctx);
     }
@@ -892,13 +890,13 @@ impl Actor for ZlogClient {
                     None => {}
                 }
                 match &*mon {
-                    MonMsg::Snapshot(snap) if snap.map == ZLOG_MAP => {
+                    MonMsg::Snapshot(snap) if snap.map == SERVICE_MAP_ZLOG => {
                         if let Some(v) = snap.entries.get(&self.names.epoch_key) {
                             self.adopt_epoch(ctx, v);
                         }
                         return;
                     }
-                    MonMsg::Changed { map, delta, .. } if map == ZLOG_MAP => {
+                    MonMsg::Changed { map, delta, .. } if map == SERVICE_MAP_ZLOG => {
                         for (k, v) in delta {
                             if let Some(v) = v.as_ref().filter(|_| *k == self.names.epoch_key) {
                                 self.adopt_epoch(ctx, v);

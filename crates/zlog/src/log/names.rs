@@ -34,7 +34,7 @@ pub(super) struct Names {
     /// The log's pool and name, as `SetSeqLayout` carries them.
     pub(super) pool: Rc<str>,
     pub(super) log: Rc<str>,
-    /// The log's key in the monitor's [`ZLOG_MAP`], `epoch.<log>`.
+    /// The log's key in the monitor's zlog map ([`LogEpoch::key`]).
     pub(super) epoch_key: String,
     /// The sequencer inode's path, `/zlog/<log>`.
     pub(super) seq_path: String,
@@ -56,7 +56,7 @@ impl Names {
             stripes: (0..config.stripe_width).map(stripe).collect(),
             ckpt: ObjectId::new(Rc::clone(&pool), format!("{}.ckpt", config.name)),
             log: config.name.as_str().into(),
-            epoch_key: format!("epoch.{}", config.name),
+            epoch_key: LogEpoch::key(&config.name),
             seq_path: format!("/zlog/{}", config.name),
             class: ZLOG_CLASS.into(),
             methods: Method::ALL.map(|(_, name)| name.into()),

@@ -11,7 +11,7 @@ use mala_rados::{ObjectId, Op, Osd, OsdConfig, OsdMapView, PoolInfo, RadosClient
 use mala_sim::history::{Outcome, Recorder};
 use mala_sim::linearize::{check_shared_log, LogOp, LogRet};
 use mala_sim::{NodeId, Sim, SimDuration};
-use mala_zlog::log::{run_op, ZlogOut, ZLOG_MAP};
+use mala_zlog::log::{run_op, ZlogOut};
 use mala_zlog::{
     encode_write_batch, zlog_interface_update, AppendResult, BatchConfig, ReadOutcome, ZlogClient,
     ZlogConfig, ZLOG_CLASS,
@@ -235,7 +235,9 @@ fn epoch_lives_in_service_metadata() {
     });
     sim.run_for(SimDuration::from_secs(1));
     let mon = sim.actor::<Monitor>(MON);
-    let snap = mon.map(ZLOG_MAP).expect("zlog map exists");
+    let snap = mon
+        .map(mala_consensus::SERVICE_MAP_ZLOG)
+        .expect("zlog map exists");
     assert_eq!(
         snap.entries.get("epoch.log6").map(|v| v.as_slice()),
         Some(b"1".as_slice()),
