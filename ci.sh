@@ -4,10 +4,11 @@
 # one-append-path, one-engine, one-encoding, forget-what-it-holds,
 # map-held-once, counter-is-a-slot, one-read-path, one-type-op-path,
 # one-seal-path, request-held-once, short-string-in-place,
-# outcome-held-once, one-request-core, one-route-table-one-map-follower,
-# a-grant-travels-alone, a-seal's-last-step-holds,
-# the-zlog-client-fits-in-a-head, a-liveness-action-is-proposed-when-
-# it-is-decided and a-map-entry-has-one-codec structure checks, the
+# outcome-held-once, one-request-core,
+# one-route-table-a-subscriber-is-sent-the-map, a-grant-travels-alone,
+# a-seal's-last-step-holds, the-zlog-client-fits-in-a-head,
+# a-liveness-action-is-proposed-when-it-is-decided and
+# a-map-entry-has-one-codec structure checks, the
 # tier-1 build + test pass (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
@@ -158,12 +159,15 @@ for file in crates/rados/src/client.rs $zlog_client crates/bench/src/openloop.rs
 done
 [ -z "$(awk '/^pub struct FleetConfig \{$/,/^}$/' crates/bench/src/openloop.rs | grep -n 'retry_delay')" ]
 
-echo "==> one route table, one map follower: an op's reply routes live in mala_sim::Requests, and the osdmap and mdsmap clients follow their maps through one mala_consensus::MapFollower (DESIGN §19, §23)"
+echo "==> one route table, a subscriber is sent the map: an op's reply routes live in mala_sim::Requests; the monitor sends each subscriber a touched map's committed snapshot, no delta, and a daemon asks for a map through mala_consensus::follower alone (DESIGN §19, §23)"
 [ -z "$(grep -nw 'mds_waiting\|Held\|HELD_INLINE' <<<"$zlog_text")" ]
 [ -z "$(grep -n 'fn hold(\|fn unlist(' <<<"$zlog_text")" ]
-for file in crates/rados/src/client.rs crates/zlog/src/route.rs crates/bench/src/openloop.rs; do
-    [ -z "$(grep -n 'MonMsg::Get {\|MonMsg::Subscribe {' "$file")" ]
-done
+# Above the tests of every file under crates/*/src: no delta message, no
+# delta patch, no per-tick poll of a map.
+[ -z "$(for file in $(find crates/*/src -name '*.rs' | sort); do above_tests "$file"; done | grep -n 'MonMsg::Changed\|fn apply_delta\|fn get_map\|fn maybe_fetch_policy')" ]
+# Requests for a map are built by the follower module and answered by the
+# monitor; the Figure 8 harness subscribes a tenth of its OSDs by hand.
+[ "$(for file in $(find crates/*/src -name '*.rs' | sort); do above_tests "$file" | grep -q 'MonMsg::Get {\|MonMsg::Subscribe {' && echo "$file"; done | xargs)" = "crates/bench/src/exp/fig8.rs crates/consensus/src/follower.rs crates/consensus/src/monitor.rs" ]
 [ -z "$(grep -rn 'fn adopt_snapshot\|fn needs_fetch\|fn fetch_map\|fn on_new_map' crates/*/src)" ]
 
 echo "==> a grant travels alone: MdsMsg::SetSeqLayout is built in the zlog client's register_layout alone, which the resolve and create replies and a LayoutMissing answer call; the MDS only matches it (DESIGN §12)"
@@ -249,20 +253,23 @@ echo "==> frozen benchmark: ceilings on metrics that repeat exactly for a seed (
 #                       write and its one copy to the client (DESIGN §36);
 #                       +5 %: a second class-code execution per write, or
 #                       a name copied per hop again (DESIGN §30), fails it.
-#                       fault_churn 82.71, appends through crashes,
+#                       fault_churn 81.96, appends through crashes,
 #                       journal replay and backfill, which ships outcomes
-#                       by refcount (DESIGN §36), and an MDS outage whose
+#                       by refcount (DESIGN §36), an MDS outage whose
 #                       waiters the seal wakes instead of a backoff and
 #                       whose promotion is proposed when the beacon grace
-#                       runs out (DESIGN §12); +10 %.
+#                       runs out (DESIGN §12), and map commits sent as the
+#                       snapshot, not a notice that costs a Get (DESIGN
+#                       §19); +10 %.
 #                       append_overload 32.81, a grant without the log's
 #                       layout beside it (DESIGN §12); +10 %.
 #   host_alloc_kb_per_op  read_tail 76.75, one copy of a 1 KiB payload
 #                       between the omap and the reader (DESIGN §29); +10 %.
 #                       append_steady 10.73, the payload into the omap and
 #                       the effect once (DESIGN §28); +5 %.
-#                       fault_churn 10.01, maps gossiped by refcount
-#                       (DESIGN §31) and a shorter MDS outage (DESIGN §12);
+#                       fault_churn 9.92, maps gossiped by refcount
+#                       (DESIGN §31), a shorter MDS outage (DESIGN §12)
+#                       and map commits sent as the snapshot (DESIGN §19);
 #                       +10 %.
 #   host_peak_heap_mb   append_overload 28.02, the event queue at its
 #                       fullest; +5 %. Scheduler bookkeeping that grows with
@@ -295,8 +302,8 @@ metric_at_most read_tail host_alloc_kb_per_op 84.4
 metric_at_most mds_balance host_allocs_per_op 3.31
 metric_at_most append_steady host_allocs_per_op 44.1
 metric_at_most append_steady host_alloc_kb_per_op 11.3
-metric_at_most fault_churn host_allocs_per_op 91.0
-metric_at_most fault_churn host_alloc_kb_per_op 11.0
+metric_at_most fault_churn host_allocs_per_op 90.2
+metric_at_most fault_churn host_alloc_kb_per_op 10.9
 metric_at_most fault_churn sim_p99_ms 1213
 metric_at_most append_overload host_allocs_per_op 36.1
 metric_at_most append_overload host_peak_heap_mb 29.4

@@ -263,7 +263,7 @@ impl Actor for OpenLoopFleet {
         if let Ok(mon) = msg.downcast::<MonMsg>() {
             // A fresh map is progress: re-drive parked requests now rather
             // than waiting out pacing.
-            if self.router.mdsmap.follow(ctx, &mon) == Some(true) {
+            if self.router.mdsmap.follow(&mon) == Some(true) {
                 for reqid in self.inflight.unpark(|_| true) {
                     self.send_grant(ctx, reqid);
                 }

@@ -1,11 +1,16 @@
-//! A client's copy of one monitor map, kept current (DESIGN §19). Two of
-//! [`MapFollower`]'s rules each fixed a routing bug:
+//! A daemon's copy of one monitor map, kept current (DESIGN §19). A
+//! subscriber is sent the map, not a delta: the monitor answers a
+//! `Subscribe` with the map's snapshot and sends the committed snapshot
+//! again after every batch that touches the map. [`MapFollower::follow`]
+//! adopts a snapshot by one rule:
 //!
-//! * a `Changed` notice at or below the held epoch fetches nothing, or N
-//!   clients × one epoch bump mean N full-map round trips;
-//! * a snapshot re-published at the held epoch replaces a view that names
-//!   nothing (a restart or resubscribe before any bump), or the client
-//!   stays blind until the next bump.
+//! * a newer epoch replaces the view, and an older one is ignored, so a
+//!   snapshot overtaken by a newer one on the wire never regresses it;
+//! * a snapshot at the held epoch replaces only a view that names nothing
+//!   (a restart or resubscribe before any bump), or the holder stays
+//!   blind until the next bump.
+//!
+//! [`subscribe`] and [`get`] are the requests a daemon sends the monitor.
 
 use mala_sim::{Context, CounterName, NodeId};
 
@@ -21,31 +26,53 @@ pub trait MapView: Default + PartialEq {
     fn is_empty(&self) -> bool;
 }
 
-/// A client's view `V` of the map `map` at `monitor`, counting the
-/// full-map `Get`s it sends under `gets` and the stale notices under `skips`.
+/// A map held as the monitor sent it, for a holder that reads its entries
+/// as they are (the Mantle policy pointer).
+impl MapView for MapSnapshot {
+    fn from_snapshot(snap: &MapSnapshot) -> Self {
+        snap.clone()
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
+
+/// Subscribes to `map` at `monitor`: it answers with the map's snapshot,
+/// and sends it again after every commit that touches the map.
+pub fn subscribe(ctx: &mut Context<'_>, monitor: NodeId, map: &str) {
+    let map = map.to_string();
+    ctx.send(monitor, MonMsg::Subscribe { map });
+}
+
+/// Asks `monitor` once for the snapshot of `map`.
+pub fn get(ctx: &mut Context<'_>, monitor: NodeId, map: &str) {
+    let map = map.to_string();
+    ctx.send(monitor, MonMsg::Get { map });
+}
+
+/// A daemon's view `V` of the map `map` at `monitor`.
 #[derive(Debug, Clone)]
 pub struct MapFollower<V> {
     map: &'static str,
     monitor: NodeId,
     view: V,
-    gets: &'static CounterName,
-    skips: &'static CounterName,
+    /// Whether a snapshot of the map has arrived, adopted or not.
+    landed: bool,
 }
 
 impl<V: MapView> MapFollower<V> {
     /// A follower holding an empty view.
-    pub fn new(
-        map: &'static str,
-        monitor: NodeId,
-        gets: &'static CounterName,
-        skips: &'static CounterName,
-    ) -> MapFollower<V> {
+    pub fn new(map: &'static str, monitor: NodeId) -> MapFollower<V> {
         MapFollower {
             map,
             monitor,
             view: V::default(),
-            gets,
-            skips,
+            landed: false,
         }
     }
 
@@ -54,44 +81,40 @@ impl<V: MapView> MapFollower<V> {
         &self.view
     }
 
-    /// Subscribes to the map: the monitor answers with a snapshot.
+    /// Whether a snapshot of the map has arrived: one at epoch 0 counts,
+    /// since a map never committed stays at epoch 0.
+    pub fn landed(&self) -> bool {
+        self.landed
+    }
+
+    /// Subscribes to the map.
     pub fn subscribe(&self, ctx: &mut Context<'_>) {
-        let map = self.map.to_string();
-        ctx.send(self.monitor, MonMsg::Subscribe { map });
+        subscribe(ctx, self.monitor, self.map);
     }
 
-    /// Asks the monitor for the full map.
-    pub fn fetch(&self, ctx: &mut Context<'_>) {
-        ctx.metrics().bump(self.gets, 1);
-        let map = self.map.to_string();
-        ctx.send(self.monitor, MonMsg::Get { map });
+    /// Asks the monitor for the map once, counting the `Get` under `gets`.
+    pub fn fetch(&self, ctx: &mut Context<'_>, gets: &'static CounterName) {
+        ctx.metrics().bump(gets, 1);
+        get(ctx, self.monitor, self.map);
     }
 
-    /// Follows the map through `msg`: a newer snapshot is adopted, and a
-    /// `Changed` notice newer than the view fetches the full map (a delta
-    /// may skip epochs). `None` for another map's message, else whether a
-    /// fresh view was adopted.
-    pub fn follow(&mut self, ctx: &mut Context<'_>, msg: &MonMsg) -> Option<bool> {
-        match msg {
-            MonMsg::Snapshot(snap) if snap.map == self.map => {
-                let held = self.view.epoch();
-                if snap.epoch < held || (snap.epoch == held && !self.view.is_empty()) {
-                    return Some(false);
-                }
-                let view = V::from_snapshot(snap);
-                let fresh = view != self.view;
-                self.view = view;
-                Some(fresh)
-            }
-            MonMsg::Changed { map, epoch, .. } if map == self.map => {
-                if *epoch > self.view.epoch() {
-                    self.fetch(ctx);
-                } else {
-                    ctx.metrics().bump(self.skips, 1);
-                }
-                Some(false)
-            }
-            _ => None,
+    /// Follows the map through `msg`: `None` if it is not a snapshot of
+    /// this map, else whether a fresh view was adopted.
+    pub fn follow(&mut self, msg: &MonMsg) -> Option<bool> {
+        let MonMsg::Snapshot(snap) = msg else {
+            return None;
+        };
+        if snap.map != self.map {
+            return None;
         }
+        self.landed = true;
+        let held = self.view.epoch();
+        if snap.epoch < held || (snap.epoch == held && !self.view.is_empty()) {
+            return Some(false);
+        }
+        let view = V::from_snapshot(snap);
+        let fresh = view != self.view;
+        self.view = view;
+        Some(fresh)
     }
 }

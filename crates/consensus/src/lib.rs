@@ -15,9 +15,10 @@
 //!   proposals on a configurable *accumulation interval* (1 s in stock
 //!   Ceph; the paper lowers it to ~222 ms on a 3-monitor quorum), proposes
 //!   its own MDS liveness actions at once, applies chosen batches to
-//!   versioned maps, and notifies subscribers.
-//! * [`follower`] — a client's copy of one map, kept current: the one
-//!   place that fetches, compares epochs and adopts snapshots.
+//!   versioned maps, and sends each subscriber the snapshot of every map
+//!   a batch touched.
+//! * [`follower`] — a daemon's copy of one map, kept current: the one
+//!   place that subscribes, fetches, compares epochs and adopts snapshots.
 //! * [`maps`] — the entry codec of the typed maps (osdmap, mdsmap, zlog
 //!   epochs) and the parsed MDS map: the monitor and the daemons read and
 //!   write map entries through it alone.

@@ -9,9 +9,10 @@
 //!   to ~222 ms on a 3-monitor hard-drive quorum). What the leader decides
 //!   itself — an MDS failover, mark-down or standby registration — is
 //!   proposed at once, in a command of its own.
-//! * Every committed batch bumps the *epoch* of each touched map, and
-//!   subscribers receive change notifications — the seed of the OSD gossip
-//!   that Figure 8 measures.
+//! * Every committed batch bumps the *epoch* of each touched map, and each
+//!   subscriber of a touched map is sent its committed snapshot — a
+//!   subscriber is sent the map, not a delta. That push is the seed of the
+//!   OSD gossip that Figure 8 measures.
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
@@ -118,21 +119,15 @@ pub enum MonMsg {
         /// Map name.
         map: String,
     },
-    /// Reply to [`MonMsg::Get`], also sent on subscribe.
+    /// A whole map: the reply to [`MonMsg::Get`] and to
+    /// [`MonMsg::Subscribe`], and what a subscriber is sent after each
+    /// committed batch that touches the map.
     Snapshot(MapSnapshot),
-    /// Subscribe to change notifications for a map.
+    /// Subscribe to a map: its snapshot now and after every commit that
+    /// touches it.
     Subscribe {
         /// Map name.
         map: String,
-    },
-    /// Pushed to subscribers after a committed batch touches the map.
-    Changed {
-        /// Map name.
-        map: String,
-        /// New epoch.
-        epoch: u64,
-        /// The changed keys and their new values (`None` = deleted).
-        delta: Vec<(String, Option<Vec<u8>>)>,
     },
     /// A daemon reports an important event to the central cluster log
     /// (Mantle's §5.1.3: errors and warnings go to the monitor, not to
@@ -182,9 +177,6 @@ impl Default for MonConfig {
         }
     }
 }
-
-/// One key's change within a committed batch: `(key, new value | deleted)`.
-type MapDelta = (String, Option<Vec<u8>>);
 
 const TIMER_PROPOSAL: u64 = 1;
 const TIMER_HEARTBEAT: u64 = 2;
@@ -342,7 +334,7 @@ impl Monitor {
             .iter()
             .filter(|tx| self.applied_txids.insert((tx.client, tx.seq)))
             .collect();
-        let mut touched: BTreeMap<String, Vec<MapDelta>> = BTreeMap::new();
+        let mut touched: BTreeSet<&str> = BTreeSet::new();
         for up in fresh.iter().flat_map(|tx| &tx.updates) {
             // Deterministic: every replica applies the same batch and skips
             // the same updates.
@@ -367,31 +359,19 @@ impl Monitor {
                     snap.entries.remove(&up.key);
                 }
             }
-            touched
-                .entry(up.map.clone())
-                .or_default()
-                .push((up.key.clone(), up.value.clone()));
+            if up.map == SERVICE_MAP_MDS {
+                // What the leader proposed for this key has landed.
+                self.mds_proposed.remove(&up.key);
+            }
+            touched.insert(&up.map);
         }
-        let mds_delta = touched.get(SERVICE_MAP_MDS);
-        // What the leader proposed for these keys has landed.
-        for (key, _) in mds_delta.into_iter().flatten() {
-            self.mds_proposed.remove(key);
-        }
-        let mds_touched = mds_delta.is_some();
-        for (map, delta) in touched {
-            let Some(snap) = self.maps.get_mut(&map) else {
+        for &map in &touched {
+            let Some(snap) = self.maps.get_mut(map) else {
                 continue; // unreachable: every touched map was just inserted
             };
             snap.epoch += 1;
-            for &sub in self.subs.get(&map).into_iter().flatten() {
-                ctx.send(
-                    sub,
-                    MonMsg::Changed {
-                        map: map.clone(),
-                        epoch: snap.epoch,
-                        delta: delta.clone(),
-                    },
-                );
+            for &sub in self.subs.get(map).into_iter().flatten() {
+                ctx.send(sub, MonMsg::Snapshot(snap.clone()));
             }
             ctx.metrics().bump(counter!("mon.map_commits"), 1);
             let now = ctx.now();
@@ -421,7 +401,7 @@ impl Monitor {
                 ctx.send(tx.client, MonMsg::SubmitAck { seq, epochs });
             }
         }
-        mds_touched
+        touched.contains(SERVICE_MAP_MDS)
     }
 
     /// The committed mdsmap, parsed.
@@ -662,6 +642,7 @@ impl Actor for Monitor {
                 });
             }
             MonMsg::Get { map } => {
+                ctx.metrics().bump(counter!("mon.gets"), 1);
                 let snap = self.snapshot_or_empty(&map);
                 ctx.send(from, MonMsg::Snapshot(snap));
             }
@@ -681,7 +662,7 @@ impl Actor for Monitor {
                     self.register_standby(ctx, from);
                 }
             }
-            MonMsg::SubmitAck { .. } | MonMsg::Snapshot(_) | MonMsg::Changed { .. } => {}
+            MonMsg::SubmitAck { .. } | MonMsg::Snapshot(_) => {}
         }
     }
 
@@ -747,11 +728,7 @@ mod tests {
         /// When each of `acks` arrived.
         acked_at: Vec<SimTime>,
         snapshots: Vec<MapSnapshot>,
-        changes: Vec<ChangedNotice>,
     }
-
-    /// `(map, epoch, delta)` from a `MonMsg::Changed` notification.
-    type ChangedNotice = (String, u64, Vec<(String, Option<Vec<u8>>)>);
 
     impl Actor for TestClient {
         fn on_message(&mut self, ctx: &mut Context<'_>, _from: NodeId, msg: Box<dyn Any>) {
@@ -762,7 +739,6 @@ mod tests {
                         self.acked_at.push(ctx.now());
                     }
                     MonMsg::Snapshot(s) => self.snapshots.push(s),
-                    MonMsg::Changed { map, epoch, delta } => self.changes.push((map, epoch, delta)),
                     _ => {}
                 }
             }
@@ -879,13 +855,19 @@ mod tests {
             );
         });
         sim.run_for(SimDuration::from_secs(3));
+        // The subscription's answer, then the committed map, whole.
         let client = sim.actor::<TestClient>(NodeId(100));
-        assert_eq!(client.changes.len(), 1);
-        let (map, epoch, delta) = &client.changes[0];
-        assert_eq!(map, SERVICE_MAP_INTERFACES);
-        assert_eq!(*epoch, 1);
-        assert_eq!(delta.len(), 1);
-        assert_eq!(delta[0].0, "cls_zlog");
+        assert_eq!(client.snapshots.len(), 2);
+        let (first, pushed) = (&client.snapshots[0], &client.snapshots[1]);
+        assert_eq!(
+            (first.map.as_str(), first.epoch),
+            (SERVICE_MAP_INTERFACES, 0)
+        );
+        assert!(first.entries.is_empty());
+        let committed = sim.actor::<Monitor>(NodeId(1)).map(SERVICE_MAP_INTERFACES);
+        assert_eq!(Some(pushed), committed);
+        assert_eq!(pushed.epoch, 1);
+        assert_eq!(pushed.entries.keys().collect::<Vec<_>>(), ["cls_zlog"]);
     }
 
     #[test]
@@ -1215,16 +1197,19 @@ mod tests {
         String::from_utf8_lossy(&map.entries["mds.0"]).into_owned()
     }
 
-    /// The mdsmap notices that put `node` into rank 0.
+    /// The mdsmap epochs pushed to the test client at which rank 0 is on
+    /// `node`. Every commit touching the mdsmap is one epoch and one
+    /// snapshot, and nothing touches it once the promotion has committed:
+    /// a promotion that committed twice counts 2.
     fn promotions(sim: &Sim, node: NodeId) -> usize {
-        let promoted = Some(format!("node={},up=1", node.0).into_bytes());
-        let notices = &sim.actor::<TestClient>(NodeId(100)).changes;
-        notices
+        let promoted = format!("node={},up=1", node.0).into_bytes();
+        let snapshots = &sim.actor::<TestClient>(NodeId(100)).snapshots;
+        let epochs: BTreeSet<u64> = snapshots
             .iter()
-            .filter(|(map, _, delta)| {
-                map == SERVICE_MAP_MDS && delta.iter().any(|(k, v)| k == "mds.0" && *v == promoted)
-            })
-            .count()
+            .filter(|s| s.map == SERVICE_MAP_MDS && s.entries.get("mds.0") == Some(&promoted))
+            .map(|s| s.epoch)
+            .collect();
+        epochs.len()
     }
 
     /// The promotions the leader decided: lines in monitor 0's cluster log.

@@ -426,6 +426,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::interfaces::{data_io, durability};
+    use mala_consensus::{MapUpdate, MapView, SERVICE_MAP_INTERFACES};
     use mala_rados::Op;
 
     #[test]
@@ -628,5 +629,57 @@ mod tests {
             })
             .count();
         assert_eq!(holders, 3);
+    }
+
+    /// One monitor and three OSDs that gossip to nobody: only the monitor
+    /// can tell OSD 0 of a commit. `missed` commits while OSD 0 is cut
+    /// off, `next` once it is back; then OSD 0 must hold the monitor's
+    /// map whole, the missed change included, not merely its epoch.
+    fn miss_one_commit(missed: MapUpdate, next: MapUpdate) -> Cluster {
+        let mut cluster = ClusterBuilder::new()
+            .osds(3)
+            .osd_config(OsdConfig {
+                gossip_fanout: 0,
+                ..OsdConfig::default()
+            })
+            .build(9);
+        let osd0 = cluster.osd_node(0);
+        cluster.sim.network_mut().isolate(osd0);
+        cluster.commit_updates(vec![missed]);
+        cluster.sim.network_mut().rejoin(osd0);
+        cluster.commit_updates(vec![next]);
+        cluster.sim.run_for(SimDuration::from_secs(2));
+        cluster
+    }
+
+    #[test]
+    fn an_osd_that_missed_an_osdmap_epoch_adopts_the_whole_next_one() {
+        let cluster = miss_one_commit(
+            OsdMapView::update_osd_weighted(1, NodeId(11), true, 50),
+            OsdMapView::update_osd_weighted(2, NodeId(12), true, 70),
+        );
+        let committed = cluster.sim.actor::<Monitor>(cluster.mon()).map("osdmap");
+        let committed = OsdMapView::from_snapshot(committed.unwrap());
+        let osd = cluster.sim.actor::<Osd>(cluster.osd_node(0));
+        assert_eq!(*osd.osdmap(), committed);
+    }
+
+    #[test]
+    fn an_osd_that_missed_an_interfaces_epoch_adopts_the_whole_next_one() {
+        let cluster = miss_one_commit(
+            data_io::install_interface("missed", "function f(input) return input end"),
+            data_io::install_interface("next", "function g(input) return input end"),
+        );
+        let committed = cluster.sim.actor::<Monitor>(cluster.mon());
+        let committed = committed.map(SERVICE_MAP_INTERFACES).unwrap();
+        let osd = cluster.sim.actor::<Osd>(cluster.osd_node(0));
+        assert_eq!(osd.interfaces_epoch(), committed.epoch);
+        for class in committed.entries.keys() {
+            assert_eq!(
+                osd.registry().scripted_version(class),
+                Some(committed.epoch),
+                "{class}"
+            );
+        }
     }
 }

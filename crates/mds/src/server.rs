@@ -23,7 +23,10 @@ use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::rc::Rc;
 
 use mala_consensus::maps::{LogEpoch, MdsMapView};
-use mala_consensus::{MapFollower, MonMsg, SERVICE_MAP_MANTLE, SERVICE_MAP_MDS, SERVICE_MAP_ZLOG};
+use mala_consensus::{
+    follower, MapFollower, MapSnapshot, MonMsg, SERVICE_MAP_MANTLE, SERVICE_MAP_MDS,
+    SERVICE_MAP_ZLOG,
+};
 use mala_rados::client::RETRY_TOKEN_BASE;
 use mala_rados::{ObjectId, Op, OpResult, OsdError, OsdMsg, RadosClient};
 use mala_sim::history::Recorder;
@@ -369,6 +372,8 @@ pub struct Mds {
     seal_mon_waiting: IdMap<u64, Ino>,
 
     // Mantle policy plumbing.
+    /// The Mantle policy map: its `balancer` entry names the policy object.
+    mantle: MapFollower<MapSnapshot>,
     mantle_version_seen: u64,
     /// When the policy read in flight (`StoreWait::Policy`) is given up on.
     mantle_fetch_deadline: Option<SimTime>,
@@ -395,12 +400,7 @@ impl Mds {
             caps: IdMap::default(),
             frozen: IdSet::default(),
             pending_exports: IdMap::default(),
-            mdsmap: MapFollower::new(
-                SERVICE_MAP_MDS,
-                monitor,
-                counter!("mds.mdsmap_gets"),
-                counter!("mds.mdsmap_skips"),
-            ),
+            mdsmap: MapFollower::new(SERVICE_MAP_MDS, monitor),
             rados: RadosClient::embedded(monitor),
             busy_until: SimTime::ZERO,
             served_this_tick: 0,
@@ -422,6 +422,7 @@ impl Mds {
             replayed_mantle_version: 0,
             mon_seq: 1,
             seal_mon_waiting: IdMap::default(),
+            mantle: MapFollower::new(SERVICE_MAP_MANTLE, monitor),
             mantle_version_seen: 0,
             mantle_fetch_deadline: None,
             cap_history: None,
@@ -973,31 +974,24 @@ impl Mds {
                 self.start_export(ctx, export);
             }
         }
-        // Mantle policy refresh: check the policy map version each tick.
-        self.maybe_fetch_policy(ctx);
+        // Mantle policy refresh: the held policy map is read again each
+        // tick, so a read that failed or timed out goes again (§5.1.2).
+        self.refresh_policy(ctx);
     }
 
     // ---- Mantle policy plumbing ----
 
-    /// Asks the monitor for the current snapshot of `map`.
-    fn get_map(&self, ctx: &mut Context<'_>, map: &str) {
-        let map = map.to_string();
-        ctx.send(self.monitor, MonMsg::Get { map });
-    }
-
-    fn maybe_fetch_policy(&mut self, ctx: &mut Context<'_>) {
-        if self.balancer.wants_policy() {
-            self.get_map(ctx, SERVICE_MAP_MANTLE);
-        }
-    }
-
-    fn on_mantle_map(&mut self, ctx: &mut Context<'_>, snap: &mala_consensus::MapSnapshot) {
+    /// Reads the policy the held Mantle map points at, if its version is
+    /// one this daemon has not read yet.
+    fn refresh_policy(&mut self, ctx: &mut Context<'_>) {
+        let snap = self.mantle.view();
         if !self.balancer.wants_policy() || snap.epoch <= self.mantle_version_seen {
             return;
         }
         let Some(object_name) = snap.entries.get("balancer") else {
             return;
         };
+        let version = snap.epoch;
         let object_name = String::from_utf8_lossy(object_name).into_owned();
         // Dereference the version pointer: read the policy object from
         // RADOS, with a timeout of half the balancing tick (§5.1.2). A
@@ -1006,7 +1000,7 @@ impl Mds {
         let oid = ObjectId::new(META_POOL, object_name);
         self.rados
             .submit_spanned(ctx, oid, read_whole(), None, StoreWait::Policy);
-        self.mantle_version_seen = snap.epoch;
+        self.mantle_version_seen = version;
         let timeout = self.config.balance_interval.div(2);
         self.mantle_fetch_deadline = Some(ctx.now() + timeout);
         ctx.set_timer(timeout, TIMER_MANTLE_TIMEOUT);
@@ -1014,8 +1008,8 @@ impl Mds {
 
     /// Gives up the policy read in flight, if there is one — it failed, ran
     /// out of time (§5.1.2), was superseded or the daemon was deposed: its
-    /// route goes and its request is cancelled, and its version may be
-    /// fetched again on a later tick.
+    /// route goes and its request is cancelled, and its version is read
+    /// again on a later tick.
     fn forget_policy_fetch(&mut self, ctx: &mut Context<'_>) {
         if self.mantle_fetch_deadline.take().is_some() {
             self.rados.cancel_where(ctx, |w| *w == StoreWait::Policy);
@@ -1233,14 +1227,20 @@ impl Mds {
         );
     }
 
-    /// Subscribes to the maps this daemon follows, in the order it always
-    /// has: the mdsmap, the osdmap — through the embedded client, whose
-    /// `on_start` is its subscribe — and the Mantle policy map.
+    /// Subscribes to each map this daemon follows whose snapshot has not
+    /// landed, in the order it always has: the mdsmap, the osdmap — through
+    /// the embedded client, whose `on_start` is its subscribe — and the
+    /// Mantle policy map.
     fn subscribe(&mut self, ctx: &mut Context<'_>) {
-        self.mdsmap.subscribe(ctx);
-        self.rados.on_start(ctx);
-        let map = SERVICE_MAP_MANTLE.to_string();
-        ctx.send(self.monitor, MonMsg::Subscribe { map });
+        if !self.mdsmap.landed() {
+            self.mdsmap.subscribe(ctx);
+        }
+        if !self.rados.map_landed() {
+            self.rados.on_start(ctx);
+        }
+        if !self.mantle.landed() {
+            self.mantle.subscribe(ctx);
+        }
     }
 
     /// Liveness beacon. Active daemons report their rank; standbys send
@@ -1339,9 +1339,10 @@ impl Mds {
     ) {
         // Submit seqs dedup per client *node*: a second incarnation on the
         // same node (crash → takeover → crash → takeover) restarting the
-        // counter at 1 would have its epoch bump silently deduped — no
-        // ack, no commit — wedging recovery at AwaitCommit. Virtual time
-        // is strictly increasing across incarnations.
+        // counter at 1 would have its epoch bump deduped against the
+        // earlier one's — acked, but not applied — and would seal the
+        // stripes at an epoch the zlog map never reached. Virtual time is
+        // strictly increasing across incarnations.
         self.mon_seq = self.mon_seq.max(ctx.now().as_micros());
         for (ino, layout) in seqs {
             self.recovering_seqs.insert(
@@ -1356,7 +1357,7 @@ impl Mds {
                 },
             );
         }
-        self.get_map(ctx, SERVICE_MAP_ZLOG);
+        follower::get(ctx, self.monitor, SERVICE_MAP_ZLOG);
         ctx.set_timer(SimDuration::from_millis(500), TIMER_SEAL);
     }
 
@@ -1377,8 +1378,10 @@ impl Mds {
 
     /// Drives seal progress off a zlog map snapshot: kicks off the epoch
     /// bump for fresh recoveries and detects committed bumps whose
-    /// `SubmitAck` was lost (the monitor never re-acks a deduped tx).
-    fn on_zlog_map(&mut self, ctx: &mut Context<'_>, snap: &mala_consensus::MapSnapshot) {
+    /// `SubmitAck` was lost (the monitor acks a transaction once per
+    /// chosen batch that holds it; a lost ack comes again only with a
+    /// re-sent `Submit`).
+    fn on_zlog_map(&mut self, ctx: &mut Context<'_>, snap: &MapSnapshot) {
         let inos: Vec<Ino> = self.recovering_seqs.keys().copied().collect();
         for ino in inos {
             let Some(rec) = self.recovering_seqs.get(&ino) else {
@@ -1802,22 +1805,21 @@ impl Actor for Mds {
         // Monitor map traffic.
         let msg = match msg.downcast::<MonMsg>() {
             Ok(mon) => {
-                if let Some(fresh) = self.mdsmap.follow(ctx, &mon) {
+                if let Some(fresh) = self.mdsmap.follow(&mon) {
                     if fresh {
                         self.check_promotion(ctx);
                     }
                     return;
                 }
-                match &*mon {
-                    MonMsg::Snapshot(snap) if snap.map == SERVICE_MAP_MANTLE => {
-                        self.on_mantle_map(ctx, snap);
+                if let Some(fresh) = self.mantle.follow(&mon) {
+                    if fresh {
+                        self.refresh_policy(ctx);
                     }
+                    return;
+                }
+                match &*mon {
                     MonMsg::Snapshot(snap) if snap.map == SERVICE_MAP_ZLOG => {
                         self.on_zlog_map(ctx, snap);
-                    }
-                    MonMsg::Changed { map, .. } if map == SERVICE_MAP_MANTLE => {
-                        // Re-fetch the full map (deltas may skip epochs).
-                        self.get_map(ctx, map);
                     }
                     MonMsg::SubmitAck { seq, .. } => {
                         if let Some(ino) = self.seal_mon_waiting.remove(seq) {
@@ -1980,11 +1982,9 @@ impl Actor for Mds {
                 // The one-shot Subscribes at start can die to message
                 // loss; a daemon without the osdmap can never replay its
                 // journal, and one without the mdsmap can never be
-                // promoted. Re-assert until a snapshot has landed
+                // promoted. Re-assert each until its snapshot has landed
                 // (subscribing twice is idempotent at the monitor).
-                if self.rados.map_epoch() == 0 || self.mdsmap.view().epoch == 0 {
-                    self.subscribe(ctx);
-                }
+                self.subscribe(ctx);
                 ctx.set_timer(BEACON_INTERVAL, TIMER_BEACON);
             }
             TIMER_SEAL => {
@@ -1997,7 +1997,7 @@ impl Actor for Mds {
                 // made again.
                 let sealing = |rec: &SealRecovery| rec.stage == SealStage::Sealing;
                 if !self.recovering_seqs.values().all(sealing) {
-                    self.get_map(ctx, SERVICE_MAP_ZLOG);
+                    follower::get(ctx, self.monitor, SERVICE_MAP_ZLOG);
                 }
                 let recs = self.recovering_seqs.iter();
                 let inos: Vec<Ino> = recs.filter(|(_, r)| sealing(r)).map(|(i, _)| *i).collect();

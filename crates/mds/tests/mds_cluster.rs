@@ -5,7 +5,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 
-use mala_consensus::{MapUpdate, MonConfig, MonMsg, Monitor, SERVICE_MAP_INTERFACES};
+use mala_consensus::{MapSnapshot, MapUpdate, MonConfig, MonMsg, Monitor, SERVICE_MAP_INTERFACES};
 use mala_mds::server::{Mds, MdsPeer};
 use mala_mds::types::{CapPolicyConfig, SeqOp};
 use mala_mds::{
@@ -1139,4 +1139,43 @@ fn a_request_stashed_before_a_replay_is_handled_once() {
         [(seq, 7)]
     );
     assert_eq!(type_op(&mut sim, 11, seq, SeqOp::Next).0, Ok(7));
+}
+
+/// A monitor that answers a `Subscribe` with the map's epoch-0 snapshot,
+/// except the first for `mantle`, which it drops; it records every
+/// subscription.
+#[derive(Default)]
+struct SubscriptionLog(Vec<String>);
+
+impl Actor for SubscriptionLog {
+    fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Box<dyn Any>) {
+        let Ok(msg) = msg.downcast::<MonMsg>() else {
+            return;
+        };
+        if let MonMsg::Subscribe { map } = *msg {
+            let dropped = map == "mantle" && !self.0.contains(&map);
+            self.0.push(map.clone());
+            if !dropped {
+                let snap = MapSnapshot {
+                    map,
+                    ..MapSnapshot::default()
+                };
+                ctx.send(from, MonMsg::Snapshot(snap));
+            }
+        }
+    }
+}
+
+/// An MDS re-subscribes a map on its beacon tick only until that map's
+/// snapshot has landed, and an epoch-0 snapshot has: a map never
+/// committed stays at epoch 0.
+#[test]
+fn an_mds_subscribes_to_each_map_until_its_snapshot_lands() {
+    let mut sim = Sim::new(5);
+    sim.add_node(MON, SubscriptionLog::default());
+    let mds = Mds::new(0, MON, MdsConfig::default(), Box::new(NoBalancer));
+    sim.add_node(mds_node(0), mds);
+    sim.run_for(SimDuration::from_secs(2));
+    let log = &sim.actor::<SubscriptionLog>(MON).0;
+    assert_eq!(log, &["mdsmap", "osdmap", "mantle", "mantle"]);
 }

@@ -87,12 +87,7 @@ impl<W> RadosClient<W> {
     /// maps from `monitor`: the form an actor embedding it holds.
     pub fn embedded(monitor: NodeId) -> RadosClient<W> {
         RadosClient {
-            osdmap: MapFollower::new(
-                SERVICE_MAP_OSD,
-                monitor,
-                counter!("client.osdmap_gets"),
-                counter!("client.osdmap_skips"),
-            ),
+            osdmap: MapFollower::new(SERVICE_MAP_OSD, monitor),
             next_reqid: 1,
             inflight: Requests::new(RETRY_TOKEN_BASE),
             completed: BTreeMap::new(),
@@ -102,6 +97,11 @@ impl<W> RadosClient<W> {
     /// The client's current osdmap epoch.
     pub fn map_epoch(&self) -> u64 {
         self.osdmap.view().epoch
+    }
+
+    /// Whether a snapshot of the osdmap has arrived, at epoch 0 or later.
+    pub fn map_landed(&self) -> bool {
+        self.osdmap.landed()
     }
 
     /// Submits a transaction on behalf of `waiter`; returns its request id.
@@ -286,7 +286,7 @@ impl<W> RadosClient<W> {
             None => {
                 // No usable map yet: block until a newer epoch arrives.
                 self.inflight.park(reqid, map.epoch);
-                self.osdmap.fetch(ctx);
+                self.osdmap.fetch(ctx, counter!("client.osdmap_gets"));
             }
         }
         // Always hold a retransmit deadline: the op, its reply, or the map
@@ -327,7 +327,7 @@ impl<W: 'static> Actor for RadosClient<W> {
     fn on_message(&mut self, ctx: &mut Context<'_>, _from: NodeId, msg: Box<dyn Any>) {
         let msg = match msg.downcast::<MonMsg>() {
             Ok(mon) => {
-                if self.osdmap.follow(ctx, &mon) == Some(true) {
+                if self.osdmap.follow(&mon) == Some(true) {
                     let epoch = self.map_epoch();
                     let mut retry = self.inflight.unpark(|&below| epoch > below);
                     // `dispatch` sends and draws from the RNG; the seeds'
@@ -366,7 +366,7 @@ impl<W: 'static> Actor for RadosClient<W> {
             other => return self.complete(ctx, reqid, other),
         };
         self.inflight.park(reqid, below);
-        self.osdmap.fetch(ctx);
+        self.osdmap.fetch(ctx, counter!("client.osdmap_gets"));
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {

@@ -156,7 +156,11 @@ fn fold(records: impl IntoIterator<Item = Rc<JournalRecord>>) -> JournalSnapshot
                 snapshot.store.insert(oid, obj);
             }
             JournalRecord::Delta(oid, delta) => {
-                snapshot.store.entry(oid).or_default().apply_delta(&delta);
+                snapshot
+                    .store
+                    .entry(oid)
+                    .or_default()
+                    .apply_post_image(&delta);
             }
             JournalRecord::DelObject(oid) => {
                 snapshot.store.remove(&oid);

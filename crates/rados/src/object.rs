@@ -210,7 +210,7 @@ impl Object {
     /// this the touched parts equal what the transaction left behind, the
     /// rest is as it was. By reference, because one delta is shared by every
     /// acting-set member and their journals.
-    pub fn apply_delta(&mut self, delta: &ObjectDelta) {
+    pub fn apply_post_image(&mut self, delta: &ObjectDelta) {
         if delta.reset {
             *self = Object::new();
         }

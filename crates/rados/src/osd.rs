@@ -23,7 +23,9 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
-use mala_consensus::{MapView, MonMsg, SERVICE_MAP_INTERFACES, SERVICE_MAP_OSD};
+use mala_consensus::{
+    follower, MapSnapshot, MapView, MonMsg, SERVICE_MAP_INTERFACES, SERVICE_MAP_OSD,
+};
 use mala_sim::{counter, Actor, Context, IdMap, NodeId, SimDuration, SpanContext};
 use rand::seq::SliceRandom;
 
@@ -457,10 +459,10 @@ impl Osd {
     fn apply_effect(&mut self, effect: Rc<JournalRecord>) {
         match effect.as_ref() {
             JournalRecord::Delta(oid, delta) => match self.store.get_mut(oid) {
-                Some(obj) => obj.apply_delta(delta),
+                Some(obj) => obj.apply_post_image(delta),
                 None => {
                     let mut obj = Object::new();
-                    obj.apply_delta(delta);
+                    obj.apply_post_image(delta);
                     self.store.insert(oid.clone(), obj);
                 }
             },
@@ -662,7 +664,7 @@ impl Osd {
     /// gossip carries; returns the view it replaces.
     fn set_map(&mut self, epoch: u64, entries: BTreeMap<String, Vec<u8>>) -> OsdMapView {
         let map = SERVICE_MAP_OSD.to_string();
-        let view = OsdMapView::from_snapshot(&mala_consensus::MapSnapshot {
+        let view = OsdMapView::from_snapshot(&MapSnapshot {
             map,
             epoch,
             entries,
@@ -1088,19 +1090,9 @@ impl Actor for Osd {
         // `subscribe_to_monitor` knob only controls whether *interface*
         // updates arrive by subscription or exclusively by peer gossip
         // (the Fig. 8 propagation path).
-        ctx.send(
-            self.monitor,
-            MonMsg::Subscribe {
-                map: SERVICE_MAP_OSD.to_string(),
-            },
-        );
+        follower::subscribe(ctx, self.monitor, SERVICE_MAP_OSD);
         if self.config.subscribe_to_monitor {
-            ctx.send(
-                self.monitor,
-                MonMsg::Subscribe {
-                    map: SERVICE_MAP_INTERFACES.to_string(),
-                },
-            );
+            follower::subscribe(ctx, self.monitor, SERVICE_MAP_INTERFACES);
         }
         ctx.set_timer(self.config.gossip_interval, TIMER_GOSSIP);
         if let Some(interval) = self.config.scrub_interval {
@@ -1113,32 +1105,23 @@ impl Actor for Osd {
         // Monitor traffic.
         let msg = match msg.downcast::<MonMsg>() {
             Ok(mon) => {
-                match *mon {
-                    MonMsg::Snapshot(snap) => {
-                        if snap.map == SERVICE_MAP_OSD {
-                            self.install_osdmap(ctx, snap.epoch, Rc::new(snap.entries));
-                        } else if snap.map == SERVICE_MAP_INTERFACES
-                            && self.install_interfaces(ctx, snap.epoch, Rc::new(snap.entries))
-                        {
-                            self.push_gossip(ctx);
+                // A fresh map is news: push it on to peers.
+                if let MonMsg::Snapshot(MapSnapshot {
+                    map,
+                    epoch,
+                    entries,
+                }) = *mon
+                {
+                    let fresh = match map.as_str() {
+                        SERVICE_MAP_OSD => self.install_osdmap(ctx, epoch, Rc::new(entries)),
+                        SERVICE_MAP_INTERFACES => {
+                            self.install_interfaces(ctx, epoch, Rc::new(entries))
                         }
+                        _ => false,
+                    };
+                    if fresh {
+                        self.push_gossip(ctx);
                     }
-                    MonMsg::Changed { map, epoch, delta } => {
-                        if map == SERVICE_MAP_OSD {
-                            let mut entries = BTreeMap::clone(&self.map_entries);
-                            apply_delta(&mut entries, delta);
-                            if self.install_osdmap(ctx, epoch, Rc::new(entries)) {
-                                self.push_gossip(ctx);
-                            }
-                        } else if map == SERVICE_MAP_INTERFACES {
-                            let mut entries = BTreeMap::clone(&self.interfaces);
-                            apply_delta(&mut entries, delta);
-                            if self.install_interfaces(ctx, epoch, Rc::new(entries)) {
-                                self.push_gossip(ctx);
-                            }
-                        }
-                    }
-                    _ => {}
                 }
                 return;
             }
@@ -1434,19 +1417,6 @@ fn source_candidates(me: u32, before_set: &[u32], now_set: &[u32], up: &HashSet<
     sources
 }
 
-fn apply_delta(entries: &mut BTreeMap<String, Vec<u8>>, delta: Vec<(String, Option<Vec<u8>>)>) {
-    for (key, value) in delta {
-        match value {
-            Some(v) => {
-                entries.insert(key, v);
-            }
-            None => {
-                entries.remove(&key);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1536,7 +1506,7 @@ mod tests {
     }
 
     /// Every place the view is assigned re-encodes the held entries: by
-    /// gossip, by the monitor's delta, and by a journal replay. So what
+    /// gossip, by the monitor's snapshot, and by a journal replay. So what
     /// gossip carries is never a stale epoch, nor an entry the view skipped.
     #[test]
     fn held_entries_are_the_encoding_of_the_installed_view() {
@@ -1562,13 +1532,18 @@ mod tests {
         assert_eq!(second["osd.1"], b"node=11,up=0,weight=100");
         assert!(!second.contains_key("osd.x"));
 
+        // The monitor's map, whole: OSD 2 added, and the malformed entry
+        // still there.
         let update = OsdMapView::update_osd(2, NodeId(12), true);
-        let changed = MonMsg::Changed {
+        let mut map = osdmap(false);
+        map.insert(update.key, update.value.unwrap());
+        map.insert("osd.x".to_string(), b"garbage".to_vec());
+        let snapshot = MonMsg::Snapshot(MapSnapshot {
             map: SERVICE_MAP_OSD.to_string(),
             epoch: 3,
-            delta: vec![(update.key, update.value)],
-        };
-        sim.with_actor::<Osd, _>(OSD, |osd, ctx| osd.on_message(ctx, MON, Box::new(changed)));
+            entries: map,
+        });
+        sim.with_actor::<Osd, _>(OSD, |osd, ctx| osd.on_message(ctx, MON, Box::new(snapshot)));
         let third = held(&sim);
         assert_eq!(sim.actor::<Osd>(OSD).map_epoch(), 3);
         assert!(third.contains_key("osd.2") && !third.contains_key("osd.x"));

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use mala_consensus::maps::LogEpoch;
-use mala_consensus::{MonMsg, SERVICE_MAP_ZLOG};
+use mala_consensus::{follower, MonMsg, SERVICE_MAP_ZLOG};
 use mala_mds::types::{MdsError, MdsMsg, SeqOp};
 use mala_mds::{FileType, Ino};
 use mala_rados::client::RETRY_TOKEN_BASE as RADOS_RETRY_TOKEN_BASE;
@@ -693,8 +693,7 @@ impl ZlogClient {
     /// Asks the monitor for the zlog map: a newer epoch in it re-drives
     /// the ops blocked on the one they ran under.
     fn fetch_epoch(&self, ctx: &mut Context<'_>) {
-        let map = SERVICE_MAP_ZLOG.to_string();
-        ctx.send(self.config.monitor, MonMsg::Get { map });
+        follower::get(ctx, self.config.monitor, SERVICE_MAP_ZLOG);
     }
 
     /// Charges `op` one attempt of its retry budget. Past the budget the
@@ -866,8 +865,7 @@ impl ZlogClient {
 impl Actor for ZlogClient {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.rados.on_start(ctx);
-        let map = SERVICE_MAP_ZLOG.to_string();
-        ctx.send(self.config.monitor, MonMsg::Subscribe { map });
+        follower::subscribe(ctx, self.config.monitor, SERVICE_MAP_ZLOG);
         self.router.mdsmap.subscribe(ctx);
     }
 
@@ -881,7 +879,7 @@ impl Actor for ZlogClient {
         // the rest (the osdmap) feeds the embedded RADOS client below.
         let msg: Box<dyn Any> = match msg.downcast::<MonMsg>() {
             Ok(mon) => {
-                match self.router.mdsmap.follow(ctx, &mon) {
+                match self.router.mdsmap.follow(&mon) {
                     // A fresh map is progress: re-drive ops parked on an
                     // unroutable rank right away instead of letting them
                     // sit out the watchdog backoff.
@@ -889,22 +887,13 @@ impl Actor for ZlogClient {
                     Some(false) => return,
                     None => {}
                 }
-                match &*mon {
-                    MonMsg::Snapshot(snap) if snap.map == SERVICE_MAP_ZLOG => {
+                if let MonMsg::Snapshot(snap) = &*mon {
+                    if snap.map == SERVICE_MAP_ZLOG {
                         if let Some(v) = snap.entries.get(&self.names.epoch_key) {
                             self.adopt_epoch(ctx, v);
                         }
                         return;
                     }
-                    MonMsg::Changed { map, delta, .. } if map == SERVICE_MAP_ZLOG => {
-                        for (k, v) in delta {
-                            if let Some(v) = v.as_ref().filter(|_| *k == self.names.epoch_key) {
-                                self.adopt_epoch(ctx, v);
-                            }
-                        }
-                        return;
-                    }
-                    _ => {}
                 }
                 mon
             }

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use mala_consensus::{MapFollower, SERVICE_MAP_MDS};
 use mala_mds::{Ino, MdsMapView};
-use mala_sim::{counter, IdMap, NodeId};
+use mala_sim::{IdMap, NodeId};
 
 /// Per-client routing state: live mdsmap plus a sequencer-inode
 /// placement cache.
@@ -28,8 +28,6 @@ pub struct SeqRouter {
     home_rank: u32,
     /// Live MDS map: failover moves a rank to another node, and requests
     /// must follow it rather than the static config.
-    /// `zlog.mdsmap_refetches` counts its full-map fetches and
-    /// `zlog.mdsmap_refetch_skips` the stale notices it skips.
     pub mdsmap: MapFollower<MdsMapView>,
     /// Sequencer inode → authoritative rank, learned from `Resolved`
     /// replies and `NotAuth` redirects.
@@ -43,12 +41,7 @@ impl SeqRouter {
         SeqRouter {
             mds_nodes: mds_nodes.into_iter().collect(),
             home_rank,
-            mdsmap: MapFollower::new(
-                SERVICE_MAP_MDS,
-                monitor,
-                counter!("zlog.mdsmap_refetches"),
-                counter!("zlog.mdsmap_refetch_skips"),
-            ),
+            mdsmap: MapFollower::new(SERVICE_MAP_MDS, monitor),
             placement: IdMap::default(),
         }
     }
@@ -138,7 +131,7 @@ mod tests {
                 .collect(),
         };
         let msg = MonMsg::Snapshot(snap);
-        sim.with_actor::<Holder, _>(NODE, |h, ctx| h.0.mdsmap.follow(ctx, &msg)) == Some(true)
+        sim.with_actor::<Holder, _>(NODE, |h, _| h.0.mdsmap.follow(&msg)) == Some(true)
     }
 
     #[test]

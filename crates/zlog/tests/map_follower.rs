@@ -1,13 +1,14 @@
-//! The map follower's two rules (DESIGN §19), each run for both views it
-//! follows in this stack: the mdsmap the sequencer router reads and the
-//! osdmap the RADOS client reads.
+//! The map follower's rule (DESIGN §19), run for both views it follows in
+//! this stack: the mdsmap the sequencer router reads and the osdmap the
+//! RADOS client reads. A subscriber is sent the map, not a delta, so
+//! following it never asks the monitor for anything.
 
 use std::any::Any;
 
 use mala_consensus::{MapFollower, MapSnapshot, MapView, MonMsg, SERVICE_MAP_MDS, SERVICE_MAP_OSD};
 use mala_mds::MdsMapView;
 use mala_rados::OsdMapView;
-use mala_sim::{counter, Actor, Context, NodeId, Sim};
+use mala_sim::{Actor, Context, NodeId, Sim};
 
 const MON: NodeId = NodeId(0);
 const NODE: NodeId = NodeId(1);
@@ -32,9 +33,7 @@ struct Case<V> {
 impl<V: MapView + std::fmt::Debug + 'static> Case<V> {
     fn new(map: &'static str, key: &'static str) -> Case<V> {
         let mut sim = Sim::new(0);
-        let gets = counter!("test.map_gets");
-        let skips = counter!("test.map_skips");
-        sim.add_node(NODE, Holder(MapFollower::<V>::new(map, MON, gets, skips)));
+        sim.add_node(NODE, Holder(MapFollower::<V>::new(map, MON)));
         Case {
             sim,
             map,
@@ -43,13 +42,23 @@ impl<V: MapView + std::fmt::Debug + 'static> Case<V> {
         }
     }
 
+    /// Hands `msg` to the follower, checking that following it sends
+    /// nothing and arms nothing.
     fn follow(&mut self, msg: MonMsg) -> Option<bool> {
-        self.sim
-            .with_actor::<Holder<V>, _>(NODE, |h, ctx| h.0.follow(ctx, &msg))
+        let queued = self.sim.queue_len();
+        let followed = self
+            .sim
+            .with_actor::<Holder<V>, _>(NODE, |h, _| h.0.follow(&msg));
+        assert_eq!(self.sim.queue_len(), queued, "following sends nothing");
+        followed
     }
 
     fn view(&self) -> &V {
         self.sim.actor::<Holder<V>>(NODE).0.view()
+    }
+
+    fn landed(&self) -> bool {
+        self.sim.actor::<Holder<V>>(NODE).0.landed()
     }
 
     /// A snapshot at `epoch` whose one entry has the value `value`.
@@ -73,47 +82,57 @@ impl<V: MapView + std::fmt::Debug + 'static> Case<V> {
         }
         adopted
     }
-
-    /// Hands over a `Changed` notice at `epoch`; returns whether it fetched.
-    fn changed(&mut self, epoch: u64) -> bool {
-        let gets = self.sim.metrics().counter("test.map_gets");
-        let skips = self.sim.metrics().counter("test.map_skips");
-        let queued = self.sim.queue_len();
-        let msg = MonMsg::Changed {
-            map: self.map.to_string(),
-            epoch,
-            delta: Vec::new(),
-        };
-        assert_eq!(self.follow(msg), Some(false), "a notice adopts nothing");
-        let fetched = self.sim.metrics().counter("test.map_gets") == gets + 1;
-        assert_eq!(self.sim.queue_len(), queued + usize::from(fetched));
-        assert_eq!(
-            self.sim.metrics().counter("test.map_skips"),
-            skips + u64::from(!fetched),
-            "a notice either fetches or is counted as skipped"
-        );
-        fetched
-    }
 }
 
-fn stale_changed(mut case: Case<impl MapView + std::fmt::Debug + 'static>) {
-    assert!(case.changed(1), "anything beats the default empty view");
+fn stale_snapshot<V: MapView + std::fmt::Debug + 'static>(mut case: Case<V>) {
+    assert!(!case.landed());
     assert!(case.adopt(3, "node=20,up=1"));
-    assert!(!case.changed(2));
-    assert!(!case.changed(3), "the held epoch itself is not newer");
-    assert!(case.changed(4));
-    let other = MonMsg::Changed {
+    assert!(case.landed());
+    assert!(!case.adopt(2, "node=99,up=1"));
+    assert!(
+        !case.adopt(3, "node=99,up=1"),
+        "the held epoch itself is not newer"
+    );
+    assert_eq!(
+        case.view(),
+        &V::from_snapshot(&case.snap(3, "node=20,up=1"))
+    );
+    assert!(case.adopt(4, "node=21,up=1"));
+    let other = MonMsg::Snapshot(MapSnapshot {
         map: "other".to_string(),
         epoch: 9,
-        delta: Vec::new(),
-    };
-    assert_eq!(case.follow(other), None, "another map's notice is not ours");
+        entries: Default::default(),
+    });
+    assert_eq!(
+        case.follow(other),
+        None,
+        "another map's snapshot is not ours"
+    );
 }
 
 #[test]
-fn stale_changed_needs_no_fetch() {
-    stale_changed(Case::<MdsMapView>::new(SERVICE_MAP_MDS, "mds.0"));
-    stale_changed(Case::<OsdMapView>::new(SERVICE_MAP_OSD, "osd.0"));
+fn stale_snapshot_needs_no_fetch() {
+    stale_snapshot(Case::<MdsMapView>::new(SERVICE_MAP_MDS, "mds.0"));
+    stale_snapshot(Case::<OsdMapView>::new(SERVICE_MAP_OSD, "osd.0"));
+}
+
+/// The answer for a map never committed is a snapshot at epoch 0 naming
+/// nothing: it has landed, though it changes no view.
+fn never_committed<V: MapView + std::fmt::Debug + 'static>(mut case: Case<V>) {
+    let empty = MonMsg::Snapshot(MapSnapshot {
+        map: case.map.to_string(),
+        epoch: 0,
+        entries: Default::default(),
+    });
+    assert_eq!(case.follow(empty), Some(false));
+    assert!(case.landed());
+    assert_eq!(case.view(), &V::default());
+}
+
+#[test]
+fn an_epoch_0_snapshot_has_landed() {
+    never_committed(Case::<MdsMapView>::new(SERVICE_MAP_MDS, "mds.0"));
+    never_committed(Case::<OsdMapView>::new(SERVICE_MAP_OSD, "osd.0"));
 }
 
 fn same_epoch<V: MapView + std::fmt::Debug + 'static>(mut case: Case<V>) {

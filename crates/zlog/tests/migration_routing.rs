@@ -1,15 +1,15 @@
 //! Routing under sequencer migration: clients follow `NotAuth`
 //! redirects across MDS ranks, park cleanly on unroutable ranks, and
 //! never lose or duplicate a position while the sequencer moves —
-//! WGL-checked. Also the regression tests for the ISSUE 10 routing-bug
-//! sweep: the stale-`Changed` re-fetch herd and the stale-route stall.
+//! WGL-checked. Also the regression tests for an earlier routing-bug
+//! sweep: the stale-map re-fetch herd and the stale-route stall.
 
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use mala_consensus::{MonConfig, MonMsg, Monitor, SERVICE_MAP_MDS};
+use mala_consensus::{MapSnapshot, MonConfig, MonMsg, Monitor, SERVICE_MAP_MDS};
 use mala_mds::server::Mds;
 use mala_mds::{FileType, MdsConfig, MdsMapView, MdsMsg, NoBalancer, ServeStyle};
 use mala_rados::{Osd, OsdConfig, OsdMapView, PoolInfo};
@@ -175,56 +175,46 @@ fn appends_follow_sequencer_exports_via_redirects() {
     }
 }
 
-/// Satellite 1 regression: a `Changed` notification at (or below) the
-/// cached mdsmap epoch must not trigger a full-map `Get` — that is the
-/// re-fetch thundering herd. Only a genuinely newer epoch fetches.
+/// Re-fetch herd regression: a snapshot of the mdsmap at (or below) the
+/// epoch the client holds changes nothing and asks the monitor for
+/// nothing, and a newer one is adopted as it comes, without a `Get`
+/// either: a subscriber is sent the map, not a notice to fetch it.
 #[test]
-fn stale_mdsmap_changed_skips_full_map_fetch() {
+fn stale_mdsmap_snapshot_needs_no_get() {
     let mut sim = build("mig1", 2, 23);
     append(&mut sim, CLIENT_A, "x");
-    let epoch = sim
-        .actor::<ZlogClient>(CLIENT_A)
-        .router()
-        .mdsmap
-        .view()
-        .epoch;
-    assert!(epoch > 0, "client adopted the bootstrap mdsmap");
-    let fetches = sim.metrics().counter("zlog.mdsmap_refetches");
-    let skips = sim.metrics().counter("zlog.mdsmap_refetch_skips");
-    // A duplicate notification for the epoch the client already holds.
-    sim.inject(
-        CLIENT_A,
-        MonMsg::Changed {
-            map: SERVICE_MAP_MDS.to_string(),
+    let view = |sim: &Sim| {
+        let client = sim.actor::<ZlogClient>(CLIENT_A);
+        client.router().mdsmap.view().clone()
+    };
+    let held = view(&sim);
+    assert!(held.epoch > 0, "client adopted the bootstrap mdsmap");
+    // The committed map with rank 1 moved to MDS2.
+    let mut moved = sim
+        .actor::<Monitor>(MON)
+        .map(SERVICE_MAP_MDS)
+        .unwrap()
+        .clone();
+    let update = MdsMapView::update_rank(1, MDS2, true);
+    moved.entries.insert(update.key, update.value.unwrap());
+    let gets = sim.metrics().counter("mon.gets");
+    for epoch in [held.epoch - 1, held.epoch, held.epoch + 1] {
+        let snapshot = MapSnapshot {
             epoch,
-            delta: Vec::new(),
-        },
-    );
-    sim.run_for(SimDuration::from_millis(100));
+            ..moved.clone()
+        };
+        sim.inject(CLIENT_A, MonMsg::Snapshot(snapshot));
+        sim.run_for(SimDuration::from_millis(100));
+    }
     assert_eq!(
-        sim.metrics().counter("zlog.mdsmap_refetches"),
-        fetches,
-        "stale Changed must not re-fetch the full map"
+        sim.metrics().counter("mon.gets"),
+        gets,
+        "following the mdsmap never fetches it"
     );
-    assert_eq!(
-        sim.metrics().counter("zlog.mdsmap_refetch_skips"),
-        skips + 1
-    );
-    // A newer epoch still fetches.
-    sim.inject(
-        CLIENT_A,
-        MonMsg::Changed {
-            map: SERVICE_MAP_MDS.to_string(),
-            epoch: epoch + 1,
-            delta: Vec::new(),
-        },
-    );
-    sim.run_for(SimDuration::from_millis(100));
-    assert_eq!(
-        sim.metrics().counter("zlog.mdsmap_refetches"),
-        fetches + 1,
-        "newer Changed fetches exactly once"
-    );
+    let adopted = view(&sim);
+    assert_eq!(adopted.epoch, held.epoch + 1, "only the newer one");
+    assert_eq!(adopted.node_of(1), Some(MDS2));
+    assert_eq!(held.node_of(1), Some(MDS1));
 }
 
 /// Satellite 2 regression: an op whose learned rank becomes unroutable

@@ -388,6 +388,11 @@ fn fetch_counters(sim: &Sim) -> (u64, u64, u64) {
 /// before the incremental prefetch window and must not move with it. The
 /// fetch count was 22 while the log's layout rode ahead of every tail
 /// read: a tail answered sooner splits the same 150 positions once more.
+/// How replies interleave also splits them: the fetch counts follow the
+/// seeded latency draws, so a setup that sends one message more or fewer
+/// moves them (23 / 118 became 20 / 114 with one more `Get`, 25 / 119
+/// with two). They were 23 / 118 while a map commit reached a subscriber
+/// as a notice it answered with a `Get`.
 #[test]
 fn cursor_fetch_counters_are_pinned() {
     let mut sim = build("cu3");
@@ -397,7 +402,7 @@ fn cursor_fetch_counters_are_pinned() {
     // A wide window drained in small batches: many completions per fetch.
     let id = sim.with_actor::<ZlogClient, _>(CLIENT_B, |c, ctx| c.tail_cursor(ctx));
     assert_eq!(cursor_drain(&mut sim, CLIENT_B, id).len(), 150);
-    assert_eq!(fetch_counters(&sim), (23, 150, 150));
+    assert_eq!(fetch_counters(&sim), (21, 150, 150));
     // A narrow window against a wide stripe set: the in-flight cap leaves
     // groups out on every pass.
     let narrow = ReadConfig {
@@ -408,7 +413,7 @@ fn cursor_fetch_counters_are_pinned() {
     sim.run_for(SimDuration::from_secs(1));
     let id = sim.with_actor::<ZlogClient, _>(CLIENT_C, |c, ctx| c.tail_cursor(ctx));
     assert_eq!(cursor_drain(&mut sim, CLIENT_C, id).len(), 150);
-    assert_eq!(fetch_counters(&sim), (118, 300, 300));
+    assert_eq!(fetch_counters(&sim), (115, 300, 300));
 }
 
 /// A fetch that fails mid-window — its replies dropped until the op runs
