@@ -7,8 +7,9 @@
 # outcome-held-once, one-request-core,
 # one-route-table-a-subscriber-is-sent-the-map, a-grant-travels-alone,
 # a-seal's-last-step-holds, the-zlog-client-fits-in-a-head,
-# a-liveness-action-is-proposed-when-it-is-decided and
-# a-map-entry-has-one-codec structure checks, the
+# a-liveness-action-is-proposed-when-it-is-decided,
+# a-map-entry-has-one-codec and a-retry-repeats-its-request structure
+# checks, the
 # tier-1 build + test pass (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
@@ -207,6 +208,14 @@ for file in $(find crates/*/src -name '*.rs' ! -path crates/consensus/src/maps.r
     # `standby\.[^ ]`: the key prefix, not a sentence that ends in "standby.".
     [ -z "$(above_tests "$file" | grep -nE '"node=|node=\{|\("(node|up|weight)"|pg_num=|standby\.[^ ]|epoch\.\{|strip_prefix\("(osd|mds|pool)\.')" ]
 done
+
+echo "==> a retry repeats its request: a seal re-sends its one Submit and repeats its read of the zlog map, the one Get a daemon sends; a map follower re-asks by subscribing; one seal tick serves every open seal (DESIGN §12, §19)"
+[ "$(for file in $(find crates/*/src -name '*.rs' | sort); do above_tests "$file" | grep -q 'follower::get(' && echo "$file"; done | xargs)" = "crates/mds/src/server.rs" ]
+[ -z "$(grep -n 'fn fetch' crates/consensus/src/follower.rs)" ]
+[ -z "$(grep -rn 'seal_mon_waiting' crates)" ]
+# start_seals arms the tick only when none is pending; the tick re-arms itself.
+[ "$(enclosing_fns 'TIMER_SEAL);' crates/mds/src/server.rs)" = "start_seals on_timer" ]
+awk '/^    fn start_seals\(/,/^    }$/' crates/mds/src/server.rs | grep -A2 'if !self.seal_tick_armed {' | grep -q 'ctx.set_timer(SEAL_TICK, TIMER_SEAL);'
 
 echo "==> cargo build --release"
 cargo build --release

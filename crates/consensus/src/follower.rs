@@ -11,8 +11,11 @@
 //!   blind until the next bump.
 //!
 //! [`subscribe`] and [`get`] are the requests a daemon sends the monitor.
+//! A follower that must hear of a newer map re-asks by subscribing again:
+//! the reply is the snapshot a `Get` would bring, and a monitor restarted
+//! empty learns of the subscriber again.
 
-use mala_sim::{Context, CounterName, NodeId};
+use mala_sim::{Context, NodeId};
 
 use crate::monitor::{MapSnapshot, MonMsg};
 
@@ -49,7 +52,8 @@ pub fn subscribe(ctx: &mut Context<'_>, monitor: NodeId, map: &str) {
     ctx.send(monitor, MonMsg::Subscribe { map });
 }
 
-/// Asks `monitor` once for the snapshot of `map`.
+/// Asks `monitor` once for the snapshot of `map`: the seal's read of the
+/// zlog map, which it holds no follower of.
 pub fn get(ctx: &mut Context<'_>, monitor: NodeId, map: &str) {
     let map = map.to_string();
     ctx.send(monitor, MonMsg::Get { map });
@@ -87,15 +91,11 @@ impl<V: MapView> MapFollower<V> {
         self.landed
     }
 
-    /// Subscribes to the map.
+    /// Subscribes to the map, or re-asks for it: subscribing twice is
+    /// idempotent at the monitor, and each subscribe is answered with the
+    /// map's snapshot.
     pub fn subscribe(&self, ctx: &mut Context<'_>) {
         subscribe(ctx, self.monitor, self.map);
-    }
-
-    /// Asks the monitor for the map once, counting the `Get` under `gets`.
-    pub fn fetch(&self, ctx: &mut Context<'_>, gets: &'static CounterName) {
-        ctx.metrics().bump(gets, 1);
-        get(ctx, self.monitor, self.map);
     }
 
     /// Follows the map through `msg`: `None` if it is not a snapshot of

@@ -29,15 +29,15 @@ pub const SERVICE_MAP_ZLOG: &str = "zlog";
 /// Placement weight 1.0× in hundredths: an OSD entry's default weight.
 pub const WEIGHT_UNIT: u32 = 100;
 
-/// What a key of the osdmap or the mdsmap names. `Malformed` is a typed
-/// prefix before a number that does not parse (`osd.x`); `Other` is any
-/// other key.
+/// What a key of a typed map names. `Malformed` is a typed prefix before
+/// a number that does not parse (`osd.x`); `Other` is any other key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MapKey<'a> {
     Osd(u32),
     Pool(&'a str),
     Mds(u32),
     Standby(NodeId),
+    Epoch(&'a str),
     Malformed,
     Other,
 }
@@ -52,6 +52,7 @@ impl<'a> MapKey<'a> {
             Some(("pool", name)) => MapKey::Pool(name),
             Some(("mds", rank)) => number(rank, MapKey::Mds),
             Some(("standby", node)) => number(node, |node| MapKey::Standby(NodeId(node))),
+            Some(("epoch", log)) => MapKey::Epoch(log),
             _ => MapKey::Other,
         }
     }
@@ -142,11 +143,17 @@ impl PoolInfo {
     }
 }
 
-/// Whether the monitor commits `update`: a pool's value must parse.
-pub fn commit_allows(update: &MapUpdate) -> bool {
+/// Whether the monitor commits `update` over `committed`, the entry's
+/// value now: a pool's value must parse, and a log's epoch only rises. A
+/// repeated epoch bump that applies late (its seal re-sent it, DESIGN
+/// §12) then never moves a log back below a newer seal's epoch.
+pub fn commit_allows(update: &MapUpdate, committed: Option<&[u8]>) -> bool {
     match (MapKey::parse(&update.key), &update.value) {
         (MapKey::Pool(_), Some(value)) if update.map == SERVICE_MAP_OSD => {
             PoolInfo::parse(value).is_some()
+        }
+        (MapKey::Epoch(_), Some(value)) if update.map == SERVICE_MAP_ZLOG => {
+            LogEpoch::parse(value) > committed.and_then(LogEpoch::parse)
         }
         _ => true,
     }
@@ -187,7 +194,7 @@ pub fn standby_key(node: NodeId) -> String {
 }
 
 /// A log's epoch in the zlog map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct LogEpoch(pub u64);
 
 impl LogEpoch {
@@ -320,6 +327,7 @@ mod tests {
             prop_assert_eq!(MapKey::parse(&standby_key(node)), MapKey::Standby(node));
             let epoch = LogEpoch(u64::from(id) << 16 | u64::from(node.0));
             prop_assert_eq!(LogEpoch::parse(&epoch.encode()), Some(epoch));
+            prop_assert_eq!(MapKey::parse(&LogEpoch::key(&name)), MapKey::Epoch(name.as_str()));
         }
     }
 
@@ -339,6 +347,26 @@ mod tests {
         assert_eq!(view.up_ranks(), [10]);
         assert_eq!(view.node_of(2), None, "a down rank is not addressable");
         assert_eq!(view.rank_of(NodeId(30)), Some(10));
+    }
+
+    /// A log's epoch only rises at commit: a first set and a delete pass,
+    /// a value at or below the committed one, or no number, is refused.
+    #[test]
+    fn a_log_epoch_commits_only_upward() {
+        let key = LogEpoch::key("log");
+        let set = |value: &str| MapUpdate::set(SERVICE_MAP_ZLOG, &key, value);
+        assert!(commit_allows(&set("1"), None), "a first set");
+        assert!(commit_allows(&set("3"), Some(b"2")));
+        assert!(!commit_allows(&set("2"), Some(b"2")), "a repeat");
+        assert!(!commit_allows(&set("1"), Some(b"2")), "a move back");
+        assert!(!commit_allows(&set("x"), None), "no number");
+        assert!(commit_allows(&set("1"), Some(b"x")), "over no number");
+        assert!(commit_allows(
+            &MapUpdate::del(SERVICE_MAP_ZLOG, &key),
+            Some(b"2")
+        ));
+        let other = MapUpdate::set(SERVICE_MAP_OSD, &key, "1");
+        assert!(commit_allows(&other, Some(b"2")), "another map's key");
     }
 
     #[test]

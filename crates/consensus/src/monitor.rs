@@ -22,7 +22,9 @@ use mala_sim::{
 };
 
 use crate::follower::MapView;
-use crate::maps::{self, standby_key, MapKey, MdsEntry, MdsMapView, SERVICE_MAP_MDS};
+use crate::maps::{
+    self, standby_key, MapKey, MdsEntry, MdsMapView, SERVICE_MAP_MDS, SERVICE_MAP_ZLOG,
+};
 use crate::paxos::{Outbound, PaxosMsg, PaxosNode, ReplicaId, Slot};
 
 /// Name of the dynamic object-interface registry map.
@@ -338,9 +340,17 @@ impl Monitor {
         for up in fresh.iter().flat_map(|tx| &tx.updates) {
             // Deterministic: every replica applies the same batch and skips
             // the same updates.
-            if !maps::commit_allows(up) {
-                ctx.metrics()
-                    .bump(counter!("mon.osdmap_rejected_updates"), 1);
+            let committed = self
+                .maps
+                .get(&up.map)
+                .and_then(|snap| snap.entries.get(&up.key));
+            if !maps::commit_allows(up, committed.map(Vec::as_slice)) {
+                let rejected = if up.map == SERVICE_MAP_ZLOG {
+                    counter!("mon.zlog_rejected_updates")
+                } else {
+                    counter!("mon.osdmap_rejected_updates")
+                };
+                ctx.metrics().bump(rejected, 1);
                 continue;
             }
             let snap = self
@@ -647,6 +657,7 @@ impl Actor for Monitor {
                 ctx.send(from, MonMsg::Snapshot(snap));
             }
             MonMsg::Subscribe { map } => {
+                ctx.metrics().bump(counter!("mon.subscribes"), 1);
                 self.subs.entry(map.clone()).or_default().insert(from);
                 let snap = self.snapshot_or_empty(&map);
                 ctx.send(from, MonMsg::Snapshot(snap));
@@ -1096,6 +1107,50 @@ mod tests {
             .unwrap()
             .entries;
         assert!(!snap_entries.contains_key("pool.ok"));
+    }
+
+    /// The monitor commits a log's epoch only upward, on every replica,
+    /// and counts what it refuses: a seal's epoch bump re-sent and applied
+    /// after a newer seal's never moves the log back.
+    #[test]
+    fn a_log_epoch_that_does_not_rise_is_refused_at_commit() {
+        let mut sim = build(3, MonConfig::default());
+        sim.run_for(SimDuration::from_millis(500));
+        let key = maps::LogEpoch::key("log");
+        let steps: [(Option<&str>, Option<&str>); 5] = [
+            (Some("2"), Some("2")),
+            (Some("2"), Some("2")),
+            (Some("1"), Some("2")),
+            (None, None),
+            (Some("1"), Some("1")),
+        ];
+        for (seq, (value, committed)) in (1..).zip(steps) {
+            let update = match value {
+                Some(v) => MapUpdate::set(SERVICE_MAP_ZLOG, &key, v),
+                None => MapUpdate::del(SERVICE_MAP_ZLOG, &key),
+            };
+            let updates = vec![update];
+            sim.with_actor::<TestClient, _>(NodeId(100), |_, ctx| {
+                ctx.send(NodeId(0), MonMsg::Submit { seq, updates });
+            });
+            sim.run_for(SimDuration::from_secs(2));
+            for rank in 0..3 {
+                let map = sim.actor::<Monitor>(NodeId(rank)).map(SERVICE_MAP_ZLOG);
+                let entry = map.and_then(|snap| snap.entries.get(&key));
+                assert_eq!(
+                    entry.map(Vec::as_slice),
+                    committed.map(str::as_bytes),
+                    "{seq}"
+                );
+            }
+        }
+        // Two refusals, counted by each of the three replicas.
+        assert_eq!(sim.metrics().counter("mon.zlog_rejected_updates"), 2 * 3);
+        assert_eq!(
+            sim.actor::<TestClient>(NodeId(100)).acks.len(),
+            5,
+            "a refusal is acked"
+        );
     }
 
     #[test]

@@ -426,7 +426,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::interfaces::{data_io, durability};
-    use mala_consensus::{MapUpdate, MapView, SERVICE_MAP_INTERFACES};
+    use mala_consensus::{follower, MapUpdate, MapView, SERVICE_MAP_INTERFACES, SERVICE_MAP_OSD};
     use mala_rados::Op;
 
     #[test]
@@ -662,6 +662,62 @@ mod tests {
         let committed = OsdMapView::from_snapshot(committed.unwrap());
         let osd = cluster.sim.actor::<Osd>(cluster.osd_node(0));
         assert_eq!(*osd.osdmap(), committed);
+    }
+
+    /// A RADOS client re-asks for the osdmap by subscribing again, so a
+    /// monitor restarted empty, which holds no subscriber, learns of it:
+    /// the client bounced after the restart adopts the next commit that
+    /// monitor pushes. OSD 0 alone is subscribed again by hand, as no
+    /// OSD re-asks, so only it hears the first commit and bounces the
+    /// client's request.
+    #[test]
+    fn a_client_bounced_after_a_monitor_restart_follows_its_pushes() {
+        let mut cluster = ClusterBuilder::new()
+            .monitors(3)
+            .osds(3)
+            .pool("data", 32, 2)
+            .rados_clients(1)
+            .build(11);
+        let (mon, osd0, client) = (cluster.mon(), cluster.osd_node(0), cluster.client_node(0));
+        let peers: Vec<NodeId> = (0..3).map(NodeId).collect();
+        cluster.sim.crash(mon);
+        let restarted = Monitor::new(0, peers, MonConfig::default());
+        cluster.sim.restart(mon, restarted);
+        cluster.sim.run_for(SimDuration::from_secs(3));
+        let osdmap = |c: &Cluster| {
+            let snap = c.sim.actor::<Monitor>(mon).map(SERVICE_MAP_OSD).unwrap();
+            OsdMapView::from_snapshot(snap)
+        };
+        let epoch = osdmap(&cluster).epoch;
+        assert_eq!(cluster.sim.actor::<RadosClient>(client).map_epoch(), epoch);
+        cluster.sim.with_actor::<Osd, _>(osd0, |_, ctx| {
+            follower::subscribe(ctx, mon, SERVICE_MAP_OSD);
+        });
+        let extra = PoolInfo {
+            pg_num: 8,
+            replicas: 2,
+        };
+        cluster.commit_updates(vec![OsdMapView::update_pool("extra", extra)]);
+        cluster.sim.run_for(SimDuration::from_millis(100));
+        assert_eq!(cluster.sim.actor::<Osd>(osd0).map_epoch(), epoch + 1);
+        let map = osdmap(&cluster);
+        let name = (0..)
+            .map(|i| format!("obj{i}"))
+            .find(|name| map.acting_set_for("data", name).unwrap()[0] == 0)
+            .unwrap();
+        let txn = vec![Op::Append {
+            data: b"x".to_vec(),
+        }];
+        cluster.rados(ObjectId::new("data", &*name), txn).unwrap();
+        assert_eq!(cluster.sim.metrics().counter("osd.stale_epoch_rejects"), 1);
+        assert_eq!(
+            cluster.sim.actor::<RadosClient>(client).map_epoch(),
+            epoch + 1
+        );
+        cluster.commit_updates(vec![OsdMapView::update_pool("more", extra)]);
+        cluster.sim.run_for(SimDuration::from_millis(100));
+        let held = cluster.sim.actor::<RadosClient>(client).map_epoch();
+        assert_eq!(held, epoch + 2, "the client follows the restarted monitor");
     }
 
     #[test]

@@ -60,14 +60,6 @@ impl BalanceView {
     pub fn me(&self) -> Option<&LoadSample> {
         self.loads.iter().find(|l| l.rank == self.whoami)
     }
-
-    /// Mean total load across ranks.
-    pub fn avg_load(&self) -> f64 {
-        if self.loads.is_empty() {
-            return 0.0;
-        }
-        self.loads.iter().map(LoadSample::total).sum::<f64>() / self.loads.len() as f64
-    }
 }
 
 /// A migration decision: ship `ino` to `target`, serving it as `style`
@@ -507,8 +499,5 @@ mod tests {
             coherence: 40.0,
         };
         assert!((s.total() - 140.0).abs() < f64::EPSILON);
-        // And the view average folds it in.
-        let v = view(0, vec![s, sample(1, 60.0, 0.0)], vec![]);
-        assert!((v.avg_load() - 100.0).abs() < f64::EPSILON);
     }
 }

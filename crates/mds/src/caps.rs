@@ -211,14 +211,6 @@ impl CapState {
         }
     }
 
-    /// The next instant `on_tick` could act, for server timer scheduling.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        if self.holder.is_none() || self.waiters.is_empty() || self.recall_sent.is_some() {
-            return None;
-        }
-        self.policy.max_hold.map(|h| self.granted_at + h)
-    }
-
     fn grant_to(&mut self, client: NodeId, now: SimTime) {
         self.holder = Some(client);
         self.granted_at = now;
@@ -271,7 +263,6 @@ mod tests {
         // Contention at t=10ms: no recall yet.
         assert!(cap.request(B, t(10)).is_empty());
         assert!(cap.on_tick(t(100)).is_empty());
-        assert_eq!(cap.next_deadline(), Some(t(250)));
         // At 250 ms the recall fires.
         assert_eq!(cap.on_tick(t(250)), vec![CapAction::Recall { from: A }]);
         // Not repeated until the retry window elapses...

@@ -90,19 +90,6 @@ impl Namespace {
         Ok(cur)
     }
 
-    /// The absolute path of an inode (diagnostics).
-    pub fn path_of(&self, ino: Ino) -> Option<String> {
-        let mut parts = Vec::new();
-        let mut cur = ino;
-        while cur != ROOT_INO {
-            let inode = self.inodes.get(&cur)?;
-            parts.push(inode.name.clone());
-            cur = inode.parent;
-        }
-        parts.reverse();
-        Some(format!("/{}", parts.join("/")))
-    }
-
     /// Creates an entry under `parent`. Returns the new inode number.
     ///
     /// # Errors
@@ -484,7 +471,6 @@ mod tests {
         assert_eq!(ns.resolve("/logs/seq0"), Ok(seq));
         assert_eq!(ns.resolve("/"), Ok(ROOT_INO));
         assert_eq!(ns.resolve("/nope"), Err(MdsError::NotFound));
-        assert_eq!(ns.path_of(seq).unwrap(), "/logs/seq0");
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::rc::Rc;
 
 use mala_consensus::maps::{LogEpoch, MdsMapView};
 use mala_consensus::{
-    follower, MapFollower, MapSnapshot, MonMsg, SERVICE_MAP_MANTLE, SERVICE_MAP_MDS,
+    follower, MapFollower, MapSnapshot, MapUpdate, MonMsg, SERVICE_MAP_MANTLE, SERVICE_MAP_MDS,
     SERVICE_MAP_ZLOG,
 };
 use mala_rados::client::RETRY_TOKEN_BASE;
@@ -138,6 +138,9 @@ const TIMER_MANTLE_TIMEOUT: u64 = 4;
 const TIMER_BEACON: u64 = 5;
 const TIMER_SEAL: u64 = 6;
 
+/// How often a seal repeats the request of the step it is in.
+const SEAL_TICK: SimDuration = SimDuration::from_millis(500);
+
 /// Capability policy check resolution.
 const CAP_TICK: SimDuration = SimDuration::from_millis(10);
 /// How often a daemon beacons the monitor (liveness; standby daemons also
@@ -171,12 +174,14 @@ struct SealRecovery {
     held: Vec<TypeOpRequest>,
 }
 
+/// The step a seal is in, each one request that `TIMER_SEAL` repeats
+/// until it is answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SealStage {
-    /// Waiting for the current epoch from the monitor's zlog map.
+    /// Reading the current epoch from the monitor's zlog map.
     GetEpoch,
-    /// Epoch bump submitted; waiting for the Paxos commit.
-    AwaitCommit,
+    /// The epoch bump, submitted under `seq`, waits for its `SubmitAck`.
+    AwaitCommit { seq: u64 },
     /// Seal calls in flight against the stripe objects.
     Sealing,
 }
@@ -356,6 +361,9 @@ pub struct Mds {
     /// order, and a send order that differs between processes is a
     /// different run.
     recovering_seqs: BTreeMap<Ino, SealRecovery>,
+    /// Whether a `TIMER_SEAL` is pending: one tick repeats the step of
+    /// every open seal, however many were opened since it was armed.
+    seal_tick_armed: bool,
     /// Sequencer inodes inherited from a journal replay with *no* layout
     /// on record: the in-memory tail may understate the store, and
     /// without a layout the seal/maxpos protocol cannot run. Their type
@@ -368,8 +376,6 @@ pub struct Mds {
     replayed_mantle_version: u64,
     /// Monitor submit seq counter (zlog epoch bumps).
     mon_seq: u64,
-    /// Outstanding epoch-bump submits: seq → sequencer inode.
-    seal_mon_waiting: IdMap<u64, Ino>,
 
     // Mantle policy plumbing.
     /// The Mantle policy map: its `balancer` entry names the policy object.
@@ -417,11 +423,11 @@ impl Mds {
             unflushed_replies: Vec::new(),
             standby: false,
             recovering_seqs: BTreeMap::new(),
+            seal_tick_armed: false,
             unsealed_seqs: IdSet::default(),
             seq_layouts: IdMap::default(),
             replayed_mantle_version: 0,
             mon_seq: 1,
-            seal_mon_waiting: IdMap::default(),
             mantle: MapFollower::new(SERVICE_MAP_MANTLE, monitor),
             mantle_version_seen: 0,
             mantle_fetch_deadline: None,
@@ -1303,7 +1309,6 @@ impl Mds {
         }
         self.recovering_seqs.clear();
         self.unsealed_seqs.clear();
-        self.seal_mon_waiting.clear();
         self.forget_policy_fetch(ctx);
         self.rados.cancel_where(ctx, |_| true);
         self.stashed.clear();
@@ -1358,7 +1363,10 @@ impl Mds {
             );
         }
         follower::get(ctx, self.monitor, SERVICE_MAP_ZLOG);
-        ctx.set_timer(SimDuration::from_millis(500), TIMER_SEAL);
+        if !self.seal_tick_armed {
+            self.seal_tick_armed = true;
+            ctx.set_timer(SEAL_TICK, TIMER_SEAL);
+        }
     }
 
     /// Answers `client`'s seal request `reqid` when `ino`'s seal completes,
@@ -1376,65 +1384,45 @@ impl Mds {
         }
     }
 
-    /// Drives seal progress off a zlog map snapshot: kicks off the epoch
-    /// bump for fresh recoveries and detects committed bumps whose
-    /// `SubmitAck` was lost (the monitor acks a transaction once per
-    /// chosen batch that holds it; a lost ack comes again only with a
-    /// re-sent `Submit`).
+    /// Answers the read of every seal still reading its epoch: each one
+    /// bumps its log's epoch past the one in `snap` with its one `Submit`,
+    /// under a seq of its own.
     fn on_zlog_map(&mut self, ctx: &mut Context<'_>, snap: &MapSnapshot) {
         let inos: Vec<Ino> = self.recovering_seqs.keys().copied().collect();
         for ino in inos {
-            let Some(rec) = self.recovering_seqs.get(&ino) else {
+            let Some(rec) = self.recovering_seqs.get_mut(&ino) else {
                 continue;
             };
+            if rec.stage != SealStage::GetEpoch {
+                continue;
+            }
             let key = LogEpoch::key(&rec.layout.name);
             let cur = snap.entries.get(&key).and_then(|v| LogEpoch::parse(v));
-            let cur = cur.map_or(0, |LogEpoch(epoch)| epoch);
-            match rec.stage {
-                SealStage::GetEpoch => {
-                    let new_epoch = cur + 1;
-                    if let Some(rec) = self.recovering_seqs.get_mut(&ino) {
-                        rec.new_epoch = new_epoch;
-                        rec.stage = SealStage::AwaitCommit;
-                    }
-                    self.submit_epoch_bump(ctx, ino, &key, new_epoch);
-                }
-                SealStage::AwaitCommit if cur >= rec.new_epoch => {
-                    // Commit observed via the map itself (ack lost).
-                    self.seal_mon_waiting.retain(|_, i| *i != ino);
-                    self.seal_stripes(ctx, ino);
-                }
-                SealStage::AwaitCommit => {
-                    // The snapshot proves the bump never committed: the
-                    // Submit was lost to the network or deduped against
-                    // an earlier incarnation's seq. Re-submit under a
-                    // fresh seq — re-setting the same value is
-                    // idempotent, and TIMER_SEAL paces these snapshots.
-                    let new_epoch = rec.new_epoch;
-                    self.submit_epoch_bump(ctx, ino, &key, new_epoch);
-                }
-                _ => {}
-            }
+            rec.new_epoch = cur.map_or(0, |LogEpoch(epoch)| epoch) + 1;
+            rec.stage = SealStage::AwaitCommit { seq: self.mon_seq };
+            self.mon_seq += 1;
+            self.submit_epoch_bump(ctx, ino);
         }
     }
 
-    /// Submits `key = new_epoch` to the zlog map under a fresh seq and
-    /// routes the ack to `ino`'s recovery.
-    fn submit_epoch_bump(&mut self, ctx: &mut Context<'_>, ino: Ino, key: &str, new_epoch: u64) {
-        let seq = self.mon_seq;
-        self.mon_seq += 1;
-        self.seal_mon_waiting.insert(seq, ino);
-        ctx.send(
-            self.monitor,
-            MonMsg::Submit {
-                seq,
-                updates: vec![mala_consensus::MapUpdate::set(
-                    SERVICE_MAP_ZLOG,
-                    key,
-                    LogEpoch(new_epoch).encode(),
-                )],
-            },
-        );
+    /// Sends `ino`'s epoch bump: the same `Submit` each time, so the
+    /// monitor applies it once however often it comes, and acks each
+    /// copy (a repeat of one whose ack was lost too). A copy that applies
+    /// after a newer seal's bump is refused at commit (the epoch only
+    /// rises), and still acked: the stripes that seal answers for then
+    /// answer this seal's `seal` with an error, and it reads their
+    /// `maxpos` instead.
+    fn submit_epoch_bump(&self, ctx: &mut Context<'_>, ino: Ino) {
+        let Some(rec) = self.recovering_seqs.get(&ino) else {
+            return;
+        };
+        let SealStage::AwaitCommit { seq } = rec.stage else {
+            return;
+        };
+        let key = LogEpoch::key(&rec.layout.name);
+        let bump = LogEpoch(rec.new_epoch).encode();
+        let updates = vec![MapUpdate::set(SERVICE_MAP_ZLOG, &key, bump)];
+        ctx.send(self.monitor, MonMsg::Submit { seq, updates });
     }
 
     /// Whether `ino`'s seal is in its last round trip: the epoch bump has
@@ -1822,8 +1810,10 @@ impl Actor for Mds {
                         self.on_zlog_map(ctx, snap);
                     }
                     MonMsg::SubmitAck { seq, .. } => {
-                        if let Some(ino) = self.seal_mon_waiting.remove(seq) {
-                            // Epoch bump committed: fence the stripes.
+                        // An epoch bump committed: fence the stripes.
+                        let bumped = SealStage::AwaitCommit { seq: *seq };
+                        let mut recs = self.recovering_seqs.iter();
+                        if let Some((&ino, _)) = recs.find(|(_, rec)| rec.stage == bumped) {
                             self.seal_stripes(ctx, ino);
                         }
                     }
@@ -1989,22 +1979,26 @@ impl Actor for Mds {
             }
             TIMER_SEAL => {
                 if self.recovering_seqs.is_empty() {
+                    self.seal_tick_armed = false;
                     return;
                 }
-                // Re-drive stuck seal recoveries, every step idempotent: a
-                // lost `Get`, `Submit` or ack is healed by re-reading the
-                // epoch map; a seal call that completed with an error is
-                // made again.
-                let sealing = |rec: &SealRecovery| rec.stage == SealStage::Sealing;
-                if !self.recovering_seqs.values().all(sealing) {
+                // Each open seal repeats the request of its step: the read
+                // while it is unanswered (one for all), the same `Submit`
+                // while it is unacked, and the stripe calls that completed
+                // with an error while sealing.
+                let reading = |rec: &SealRecovery| rec.stage == SealStage::GetEpoch;
+                if self.recovering_seqs.values().any(reading) {
                     follower::get(ctx, self.monitor, SERVICE_MAP_ZLOG);
                 }
-                let recs = self.recovering_seqs.iter();
-                let inos: Vec<Ino> = recs.filter(|(_, r)| sealing(r)).map(|(i, _)| *i).collect();
+                let inos: Vec<Ino> = self.recovering_seqs.keys().copied().collect();
                 for ino in inos {
-                    self.seal_stripes(ctx, ino);
+                    match self.recovering_seqs.get(&ino).map(|rec| rec.stage) {
+                        Some(SealStage::AwaitCommit { .. }) => self.submit_epoch_bump(ctx, ino),
+                        Some(SealStage::Sealing) => self.seal_stripes(ctx, ino),
+                        _ => {}
+                    }
                 }
-                ctx.set_timer(SimDuration::from_millis(500), TIMER_SEAL);
+                ctx.set_timer(SEAL_TICK, TIMER_SEAL);
             }
             _ => {}
         }

@@ -3,9 +3,13 @@
 //! serving modes, and journal-based recovery through RADOS.
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
-use mala_consensus::{MapSnapshot, MapUpdate, MonConfig, MonMsg, Monitor, SERVICE_MAP_INTERFACES};
+use mala_consensus::{
+    MapSnapshot, MapUpdate, MonConfig, MonMsg, Monitor, SERVICE_MAP_INTERFACES, SERVICE_MAP_ZLOG,
+};
 use mala_mds::server::{Mds, MdsPeer};
 use mala_mds::types::{CapPolicyConfig, SeqOp};
 use mala_mds::{
@@ -532,15 +536,23 @@ fn cephfs_balancer_migrates_under_load() {
 
 /// Full stack: monitor + 3 OSDs (meta pool) + 1 journaling MDS + 2 clients.
 fn build_journalled(config: &MdsConfig) -> Sim {
+    let mds = Mds::new(0, MON, config.clone(), Box::new(NoBalancer));
+    build_journalled_with(monitor(), mds)
+}
+
+/// The one monitor of a test cluster.
+fn monitor() -> Monitor {
+    Monitor::new(0, vec![MON], MonConfig::default())
+}
+
+/// [`build_journalled`] with `mon` as the monitor and `mds` as rank 0.
+fn build_journalled_with(mon: impl Actor, mds: impl Actor) -> Sim {
     let mut sim = Sim::new(17);
-    sim.add_node(MON, Monitor::new(0, vec![MON], MonConfig::default()));
+    sim.add_node(MON, mon);
     for i in 0..3 {
         sim.add_node(NodeId(10 + i), Osd::new(i, MON, OsdConfig::default()));
     }
-    sim.add_node(
-        mds_node(0),
-        Mds::new(0, MON, config.clone(), Box::new(NoBalancer)),
-    );
+    sim.add_node(mds_node(0), mds);
     for i in 0..2 {
         sim.add_node(client_node(i), TestClient::default());
     }
@@ -1178,4 +1190,196 @@ fn an_mds_subscribes_to_each_map_until_its_snapshot_lands() {
     sim.run_for(SimDuration::from_secs(2));
     let log = &sim.actor::<SubscriptionLog>(MON).0;
     assert_eq!(log, &["mdsmap", "osdmap", "mantle", "mantle"]);
+}
+
+/// Whether a message, given when it arrives and from whom, is lost.
+type Loses = Box<dyn FnMut(SimTime, NodeId, &dyn Any) -> bool>;
+
+/// `inner` behind a lossy link: the messages `lose` picks never reach it.
+struct Lossy<A> {
+    inner: A,
+    lose: Loses,
+}
+
+impl<A> Lossy<A> {
+    fn new(inner: A, lose: impl FnMut(SimTime, NodeId, &dyn Any) -> bool + 'static) -> Lossy<A> {
+        let lose = Box::new(lose);
+        Lossy { inner, lose }
+    }
+}
+
+impl<A: Actor> Actor for Lossy<A> {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.inner.on_start(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Box<dyn Any>) {
+        if !(self.lose)(ctx.now(), from, &*msg) {
+            self.inner.on_message(ctx, from, msg);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+        self.inner.on_timer(ctx, token);
+    }
+}
+
+/// The seq of `msg` if it is the MDS's epoch bump.
+fn bump_seq(from: NodeId, msg: &dyn Any) -> Option<u64> {
+    match msg.downcast_ref::<MonMsg>() {
+        Some(MonMsg::Submit { seq, .. }) if from == mds_node(0) => Some(*seq),
+        _ => None,
+    }
+}
+
+/// The monitor's zlog map: its epoch and the entry of log `s`.
+fn zlog_map(sim: &Sim) -> (u64, Option<&[u8]>) {
+    let map = sim.actor::<Lossy<Monitor>>(MON).inner.map(SERVICE_MAP_ZLOG);
+    let map = map.expect("the zlog map committed");
+    (map.epoch, map.entries.get("epoch.s").map(Vec::as_slice))
+}
+
+/// A sequencer of log `s` with its layout registered and 3 positions
+/// granted, then sealed by client 0's request 20.
+fn seal_after_grants(sim: &mut Sim) {
+    install_seal_stub(sim, 6);
+    let seq = create(sim, client_node(0), 1, "/", "s", FileType::Sequencer);
+    send_from(sim, client_node(0), mds_node(0), layout(seq));
+    sim.run_for(SimDuration::from_millis(50));
+    assert_eq!(type_op(sim, 10, seq, SeqOp::NextBatch(3)).0, Ok(0));
+    send_seal(sim, 0, 20, seq);
+    sim.run_for(SimDuration::from_secs(4));
+}
+
+/// A seal whose `Submit` is lost sends the same one again, under the same
+/// seq: the log's epoch is bumped once, and the seal completes.
+#[test]
+fn a_seal_whose_submit_is_lost_sends_the_same_one_again() {
+    let seqs = Rc::new(RefCell::new(Vec::new()));
+    let seen = Rc::clone(&seqs);
+    let mon = Lossy::new(monitor(), move |_, from, msg| {
+        let Some(seq) = bump_seq(from, msg) else {
+            return false;
+        };
+        seen.borrow_mut().push(seq);
+        seen.borrow().len() == 1
+    });
+    let mds = Mds::new(0, MON, MdsConfig::default(), Box::new(NoBalancer));
+    let mut sim = build_journalled_with(mon, mds);
+    seal_after_grants(&mut sim);
+    let seqs = seqs.borrow();
+    assert!(seqs.len() >= 2, "the lost Submit went again: {seqs:?}");
+    assert!(seqs.iter().all(|seq| *seq == seqs[0]), "{seqs:?}");
+    assert_eq!(zlog_map(&sim), (1, Some(&b"1"[..])), "one bump");
+    assert_eq!(seals(&sim, 0), &HashMap::from([(20, (1, 7))]));
+    assert_eq!(sim.metrics().counter("mds.seq_seals"), 1);
+}
+
+/// A seal whose `SubmitAck`s are lost sends its `Submit` again: the monitor
+/// applies the repeat not at all, neither as a second bump nor as a
+/// refused one, and acks it, and the seal completes.
+#[test]
+fn a_seal_whose_ack_is_lost_is_acked_for_the_same_submit_again() {
+    let lost_at = Rc::new(RefCell::new(None));
+    let lost = Rc::clone(&lost_at);
+    let mds = Mds::new(0, MON, MdsConfig::default(), Box::new(NoBalancer));
+    // Every ack of the first chosen batch that holds the bump: a copy the
+    // seal re-sent before that batch was proposed rides in it too.
+    let mds = Lossy::new(mds, move |now, _, msg| {
+        if !matches!(msg.downcast_ref::<MonMsg>(), Some(MonMsg::SubmitAck { .. })) {
+            return false;
+        }
+        *lost.borrow_mut().get_or_insert(now) == now
+    });
+    let mut sim = build_journalled_with(Lossy::new(monitor(), |_, _, _| false), mds);
+    seal_after_grants(&mut sim);
+    assert!(lost_at.borrow().is_some(), "an ack was lost");
+    assert_eq!(zlog_map(&sim), (1, Some(&b"1"[..])), "one bump");
+    assert_eq!(sim.metrics().counter("mon.zlog_rejected_updates"), 0);
+    assert_eq!(seals(&sim, 0), &HashMap::from([(20, (1, 7))]));
+    assert_eq!(sim.metrics().counter("mds.seq_seals"), 1);
+}
+
+/// Seals opened at different times share one tick: while the monitor
+/// answers no read, the MDS repeats its read of the zlog map once per
+/// 500 ms, not once per seal opened.
+#[test]
+fn seals_opened_apart_repeat_their_read_on_one_tick() {
+    let muted = Rc::new(RefCell::new(false));
+    let reads = Rc::new(RefCell::new(Vec::new()));
+    let (mute, log) = (Rc::clone(&muted), Rc::clone(&reads));
+    let mon = Lossy::new(monitor(), move |now, from, msg| {
+        let read = matches!(msg.downcast_ref::<MonMsg>(), Some(MonMsg::Get { .. }));
+        if read && from == mds_node(0) && *mute.borrow() {
+            log.borrow_mut().push(now);
+            return true;
+        }
+        false
+    });
+    let mds = Mds::new(0, MON, MdsConfig::default(), Box::new(NoBalancer));
+    let mut sim = build_journalled_with(mon, mds);
+    let mut seqs = Vec::new();
+    for (reqid, name) in [(1, "s"), (2, "t")] {
+        let seq = create(
+            &mut sim,
+            client_node(0),
+            reqid,
+            "/",
+            name,
+            FileType::Sequencer,
+        );
+        let layout = MdsMsg::SetSeqLayout {
+            ino: seq,
+            pool: "meta".into(),
+            name: name.into(),
+            stripe_width: 2,
+        };
+        send_from(&mut sim, client_node(0), mds_node(0), layout);
+        seqs.push(seq);
+    }
+    sim.run_for(SimDuration::from_millis(50));
+    *muted.borrow_mut() = true;
+    send_seal(&mut sim, 0, 20, seqs[0]);
+    sim.run_for(SimDuration::from_millis(100));
+    send_seal(&mut sim, 1, 21, seqs[1]);
+    sim.run_for(SimDuration::from_millis(10));
+    let opened = sim.now();
+    assert_eq!(reads.borrow().len(), 2, "each seal read once as it opened");
+    sim.run_for(SimDuration::from_secs(2));
+    let repeats = reads.borrow().iter().filter(|at| **at > opened).count();
+    assert_eq!(repeats, 4, "one read per 500 ms: {:?}", reads.borrow());
+}
+
+/// A seal opened just after the last open one ended joins the tick that
+/// seal left pending, rather than arming a second one beside it.
+#[test]
+fn a_seal_opened_as_the_last_one_ends_joins_its_tick() {
+    let muted = Rc::new(RefCell::new(false));
+    let reads = Rc::new(RefCell::new(Vec::new()));
+    let (mute, log) = (Rc::clone(&muted), Rc::clone(&reads));
+    let mon = Lossy::new(monitor(), move |now, from, msg| {
+        let read = matches!(msg.downcast_ref::<MonMsg>(), Some(MonMsg::Get { .. }));
+        if read && from == mds_node(0) && *mute.borrow() {
+            log.borrow_mut().push(now);
+            return true;
+        }
+        false
+    });
+    let mds = Mds::new(0, MON, MdsConfig::default(), Box::new(NoBalancer));
+    let mut sim = build_journalled_with(mon, mds);
+    install_seal_stub(&mut sim, 6);
+    let seq = create(&mut sim, client_node(0), 1, "/", "s", FileType::Sequencer);
+    send_from(&mut sim, client_node(0), mds_node(0), layout(seq));
+    sim.run_for(SimDuration::from_millis(50));
+    send_seal(&mut sim, 0, 20, seq);
+    let deadline = sim.now() + SimDuration::from_secs(3);
+    assert!(sim.run_until_pred(deadline, |s| !seals(s, 0).is_empty()));
+    *muted.borrow_mut() = true;
+    send_seal(&mut sim, 0, 21, seq);
+    sim.run_for(SimDuration::from_millis(10));
+    let opened = sim.now();
+    assert_eq!(reads.borrow().len(), 1, "the seal read once as it opened");
+    sim.run_for(SimDuration::from_secs(2));
+    let repeats = reads.borrow().iter().filter(|at| **at > opened).count();
+    assert_eq!(repeats, 4, "one read per 500 ms: {:?}", reads.borrow());
 }

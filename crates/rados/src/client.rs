@@ -104,6 +104,15 @@ impl<W> RadosClient<W> {
         self.osdmap.landed()
     }
 
+    /// Re-asks for the osdmap by subscribing again: the monitor answers
+    /// with the map, and one restarted since this client's `on_start`
+    /// learns of it again and pushes it the next commit.
+    fn resubscribe(&self, ctx: &mut Context<'_>) {
+        ctx.metrics()
+            .bump(counter!("client.osdmap_resubscribes"), 1);
+        self.osdmap.subscribe(ctx);
+    }
+
     /// Submits a transaction on behalf of `waiter`; returns its request id.
     /// The request's `rados.op` span is parented under `parent` (e.g. a
     /// ZLog append span), or roots a fresh trace.
@@ -286,12 +295,12 @@ impl<W> RadosClient<W> {
             None => {
                 // No usable map yet: block until a newer epoch arrives.
                 self.inflight.park(reqid, map.epoch);
-                self.osdmap.fetch(ctx, counter!("client.osdmap_gets"));
+                self.resubscribe(ctx);
             }
         }
-        // Always hold a retransmit deadline: the op, its reply, or the map
-        // fetch may be lost. When it comes due the request backs off and
-        // goes out again.
+        // Always hold a retransmit deadline: the op, its reply, or the
+        // re-subscribe may be lost. When it comes due the request backs off
+        // and goes out again.
         let at = ctx.now() + ctx.backoff(RETRY_BASE, RETRY_CAP, attempts - 1);
         self.inflight.look(ctx, reqid, at);
     }
@@ -352,7 +361,7 @@ impl<W: 'static> Actor for RadosClient<W> {
             return;
         }
         // Retry on a newer map; the retransmit stays armed in case the
-        // fetch is lost.
+        // re-subscribe or its answer is lost.
         let below = match result {
             // Once we hold a map at least as new as the OSD's.
             Err(OsdError::StaleEpoch { current }) => {
@@ -366,7 +375,7 @@ impl<W: 'static> Actor for RadosClient<W> {
             other => return self.complete(ctx, reqid, other),
         };
         self.inflight.park(reqid, below);
-        self.osdmap.fetch(ctx, counter!("client.osdmap_gets"));
+        self.resubscribe(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
@@ -374,7 +383,7 @@ impl<W: 'static> Actor for RadosClient<W> {
             return;
         }
         while let Some(reqid) = self.inflight.pop_due(ctx) {
-            // The attempt (or its reply, or the map fetch) was lost or is
+            // The attempt (or its reply, or the re-subscribe) was lost or is
             // too slow; unblock and go again. dispatch() enforces the
             // deadline.
             self.inflight.unpark_id(reqid);

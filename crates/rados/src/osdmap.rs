@@ -78,7 +78,7 @@ impl MapView for OsdMapView {
                     None => view.skipped += 1,
                 },
                 MapKey::Malformed => view.skipped += 1,
-                MapKey::Mds(_) | MapKey::Standby(_) | MapKey::Other => {}
+                MapKey::Mds(_) | MapKey::Standby(_) | MapKey::Epoch(_) | MapKey::Other => {}
             }
         }
         view
@@ -338,7 +338,7 @@ mod tests {
         ] {
             let update = MapUpdate::set(SERVICE_MAP_OSD, "pool.p", value.as_bytes());
             let view = OsdMapView::from_snapshot(&snapshot(vec![("pool.p", value)], 1));
-            let committed = mala_consensus::maps::commit_allows(&update);
+            let committed = mala_consensus::maps::commit_allows(&update, None);
             assert_eq!(committed, view.pools.contains_key("p"), "{value}");
             assert_eq!(view.skipped, u64::from(!committed), "{value}");
         }

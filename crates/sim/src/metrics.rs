@@ -228,12 +228,6 @@ impl Metrics {
         upsert(&mut self.hists, name, |h| h.observe(value));
     }
 
-    /// Merges another histogram into the named one (e.g. when aggregating
-    /// per-phase histograms into a run total).
-    pub fn merge_hist(&mut self, name: &str, other: &Hist) {
-        upsert(&mut self.hists, name, |h| h.merge(other));
-    }
-
     /// Reads the named histogram, `None` if never observed.
     pub fn hist(&self, name: &str) -> Option<&Hist> {
         self.hists.get(name)
@@ -725,11 +719,9 @@ mod tests {
         for v in [10.0, 20.0, 30.0] {
             m.observe_hist("lat", v);
         }
-        let other = Hist::from_values(&[40.0]);
-        m.merge_hist("lat", &other);
         let h = m.hist("lat").unwrap();
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.max(), Some(40.0));
+        assert_eq!(h.count(), 3);
+        assert_eq!(h.max(), Some(30.0));
         assert_eq!(m.hists().count(), 1);
     }
 }

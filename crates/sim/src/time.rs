@@ -75,11 +75,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000)
     }
 
-    /// Builds a duration from fractional seconds, rounding to microseconds.
-    pub fn from_secs_f64(s: f64) -> SimDuration {
-        SimDuration((s * 1_000_000.0).round().max(0.0) as u64)
-    }
-
     /// Returns the duration in microseconds.
     pub fn as_micros(self) -> u64 {
         self.0
@@ -93,12 +88,6 @@ impl SimDuration {
     /// Returns the duration in (fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// Integer division of two durations (e.g. ticks per interval).
-    pub fn div_duration(self, other: SimDuration) -> u64 {
-        assert!(other.0 != 0, "division by zero duration");
-        self.0 / other.0
     }
 
     /// Multiplies the duration by an integer factor.
@@ -169,7 +158,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimDuration::from_millis(3).as_micros(), 3_000);
         assert_eq!(SimDuration::from_micros(7).as_micros(), 7);
-        assert!((SimDuration::from_secs_f64(0.25).as_secs_f64() - 0.25).abs() < 1e-9);
     }
 
     #[test]
@@ -199,10 +187,6 @@ mod tests {
 
     #[test]
     fn duration_division() {
-        assert_eq!(
-            SimDuration::from_secs(10).div_duration(SimDuration::from_secs(3)),
-            3
-        );
         assert_eq!(SimDuration::from_secs(1).mul(3), SimDuration::from_secs(3));
         assert_eq!(SimDuration::from_secs(3).div(3), SimDuration::from_secs(1));
     }

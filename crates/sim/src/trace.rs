@@ -229,12 +229,6 @@ impl Tracer {
         self.hists.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// The `q`-quantile (0 ≤ q ≤ 1) of finished `name` span durations, in
-    /// microseconds.
-    pub fn quantile_us(&self, name: &str, q: f64) -> Option<f64> {
-        self.hists.get(name).and_then(|h| h.quantile(q))
-    }
-
     /// Formatted entries for spans that exceeded the slow threshold.
     pub fn slow_ops(&self) -> &[String] {
         &self.slow_log
@@ -302,9 +296,6 @@ mod tests {
         }
         let h = t.hist("op").unwrap();
         assert_eq!(h.count(), 100);
-        let p50 = t.quantile_us("op", 0.5).unwrap();
-        // Log-scale buckets are approximate; p50 of 100..10_000us is ~5000.
-        assert!((3_500.0..7_000.0).contains(&p50), "p50 = {p50}");
         // Double-end is a no-op.
         let s = t.start(NodeId(0), "op", None, SimTime(0));
         t.end(s, SimTime(50));

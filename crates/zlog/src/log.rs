@@ -690,10 +690,12 @@ impl ZlogClient {
         }
     }
 
-    /// Asks the monitor for the zlog map: a newer epoch in it re-drives
-    /// the ops blocked on the one they ran under.
-    fn fetch_epoch(&self, ctx: &mut Context<'_>) {
-        follower::get(ctx, self.config.monitor, SERVICE_MAP_ZLOG);
+    /// Re-asks for the zlog map by subscribing again (the monitor answers
+    /// with the map, and one restarted since `on_start` learns of this
+    /// client again): a newer epoch in it re-drives the ops blocked on the
+    /// one they ran under.
+    fn resubscribe_epoch(&self, ctx: &mut Context<'_>) {
+        follower::subscribe(ctx, self.config.monitor, SERVICE_MAP_ZLOG);
     }
 
     /// Charges `op` one attempt of its retry budget. Past the budget the
@@ -838,7 +840,7 @@ impl ZlogClient {
                 }
                 ctx.metrics().bump(counter!("zlog.estale_retries"), 1);
                 self.ops.park(op, Park::Epoch(self.epoch));
-                return self.fetch_epoch(ctx);
+                return self.resubscribe_epoch(ctx);
             }
             _ => {}
         }

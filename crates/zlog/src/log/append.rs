@@ -298,7 +298,7 @@ impl ZlogClient {
                 // grant and junk-filling the abandoned cells is safe.
                 if matches!(&err, OsdError::Class(ce) if ce.code == -116) {
                     ctx.metrics().bump(counter!("zlog.estale_retries"), 1);
-                    self.fetch_epoch(ctx);
+                    self.resubscribe_epoch(ctx);
                 }
                 let retry: Vec<u64> = cells.iter().map(|(i, _)| members[*i]).collect();
                 self.requeue_members(ctx, &retry);

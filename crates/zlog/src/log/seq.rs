@@ -212,7 +212,7 @@ impl ZlogClient {
             Some((epoch, _)) => {
                 // Re-driven once the client's epoch passes the one below.
                 self.ops.park(op, Park::Epoch(epoch - 1));
-                self.fetch_epoch(ctx);
+                self.resubscribe_epoch(ctx);
             }
         }
     }

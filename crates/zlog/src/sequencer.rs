@@ -41,15 +41,6 @@ use mala_sim::{Actor, Context, NodeId, SimDuration, SimTime};
 pub enum SeqMode {
     /// Round trip to the MDS per position.
     RoundTrip,
-    /// Bulk-grant round trips: each trip is a `GetPosBatch { n }`
-    /// reserving `n` contiguous positions, amortizing the RPC the way the
-    /// pipelined append path does. Cached/hold semantics are untouched —
-    /// this is still the round-trip (Shared Resource) access mode, just
-    /// `n` positions per trip.
-    Batched {
-        /// Positions reserved per round trip.
-        n: u64,
-    },
     /// Capability-cached local increments, each costing `op_time` locally.
     Cached {
         /// Local cost of one increment while holding the capability.
@@ -175,7 +166,7 @@ impl SeqWorkload {
         self.last_pos_at = ctx.now();
         self.rt_window_start = ctx.now();
         match self.mode {
-            SeqMode::RoundTrip | SeqMode::Batched { .. } => self.send_next(ctx),
+            SeqMode::RoundTrip => self.send_next(ctx),
             SeqMode::Cached { .. } => self.request_cap(ctx),
         }
     }
@@ -200,13 +191,10 @@ impl SeqWorkload {
         self.next_reqid += 1;
         self.inflight_reqid = Some(reqid);
         self.last_sent = ctx.now();
-        let msg = match self.mode {
-            SeqMode::Batched { n } => MdsMsg::get_pos_batch(reqid, self.ino, n.max(1)),
-            _ => MdsMsg::TypeOp {
-                reqid,
-                ino: self.ino,
-                op: SeqOp::Next,
-            },
+        let msg = MdsMsg::TypeOp {
+            reqid,
+            ino: self.ino,
+            op: SeqOp::Next,
         };
         ctx.send(self.target, msg);
     }
@@ -224,19 +212,13 @@ impl SeqWorkload {
         self.rt_window_count = 0;
     }
 
+    /// Accounts position `pos`, granted by one round trip.
     fn record_rt_pos(&mut self, ctx: &mut Context<'_>, pos: u64) {
-        self.record_rt_range(ctx, pos, 1);
-    }
-
-    /// Accounts a granted range `[first, first + n)` from one round trip
-    /// (`n == 1` for plain `next`).
-    fn record_rt_range(&mut self, ctx: &mut Context<'_>, first: u64, n: u64) {
         let now = ctx.now();
-        let before = self.stats.ops;
-        self.stats.ops += n;
-        self.stats.last_pos = self.stats.last_pos.max(first + n - 1);
-        self.rt_window_count += n;
-        if before / 64 != self.stats.ops / 64 {
+        self.stats.ops += 1;
+        self.stats.last_pos = self.stats.last_pos.max(pos);
+        self.rt_window_count += 1;
+        if self.stats.ops.is_multiple_of(64) {
             let lat = now.saturating_since(self.last_sent).as_micros() as f64;
             ctx.metrics().observe(&self.series.rtlat, now, lat);
         }
@@ -359,11 +341,8 @@ impl Actor for SeqWorkload {
                 }
                 self.inflight_reqid = None;
                 match result {
-                    Ok(first) => {
-                        match self.mode {
-                            SeqMode::Batched { n } => self.record_rt_range(ctx, first, n.max(1)),
-                            _ => self.record_rt_pos(ctx, first),
-                        }
+                    Ok(pos) => {
+                        self.record_rt_pos(ctx, pos);
                         self.send_next(ctx);
                     }
                     Err(mala_mds::types::MdsError::NotAuth { rank }) => {
