@@ -8,8 +8,8 @@
 # one-route-table-a-subscriber-is-sent-the-map, a-grant-travels-alone,
 # a-seal's-last-step-holds, the-zlog-client-fits-in-a-head,
 # a-liveness-action-is-proposed-when-it-is-decided,
-# a-map-entry-has-one-codec and a-retry-repeats-its-request structure
-# checks, the
+# a-map-entry-has-one-codec, a-retry-repeats-its-request and
+# everything-kept-has-a-reader structure checks, the
 # tier-1 build + test pass (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
@@ -216,6 +216,20 @@ echo "==> a retry repeats its request: a seal re-sends its one Submit and repeat
 # start_seals arms the tick only when none is pending; the tick re-arms itself.
 [ "$(enclosing_fns 'TIMER_SEAL);' crates/mds/src/server.rs)" = "start_seals on_timer" ]
 awk '/^    fn start_seals\(/,/^    }$/' crates/mds/src/server.rs | grep -A2 'if !self.seal_tick_armed {' | grep -q 'ctx.set_timer(SEAL_TICK, TIMER_SEAL);'
+
+echo "==> everything kept has a reader: no write-only journal record or wire field, and one implementation of journal replay, placement, sample statistics, a table read and a bulk grant (DESIGN §12, §16)"
+crates_text="$(for file in $(find crates/*/src -name '*.rs' | sort); do above_tests "$file"; done)"
+for pattern in MantleVersion replay_journal_full 'fn primary_and_replicas' 'pub fn acting_set(' get_str get_pos_batch; do
+    [ -z "$(grep -nF "$pattern" <<<"$crates_text")" ]
+done
+# The OSD's own journal replay is `Osd::replay_journal`; the benchmark
+# harness keeps its own `summarize`.
+[ -z "$(for file in $(find crates/mds/src -name '*.rs'); do above_tests "$file"; done | grep -n 'fn replay_journal(')" ]
+[ -z "$(for file in $(find crates/sim/src -name '*.rs'); do above_tests "$file"; done | grep -n 'fn summarize')" ]
+client_reply="$(awk '/^    ClientReply \{/,/^    \},/' crates/rados/src/osd.rs)"
+scrub_divergent="$(awk '/^    ScrubDivergent \{/,/^    \},/' crates/rados/src/osd.rs)"
+[ -n "$client_reply" ] && [ -z "$(grep -n 'map_epoch' <<<"$client_reply")" ]
+[ -n "$scrub_divergent" ] && [ -z "$(grep -n 'pool' <<<"$scrub_divergent")" ]
 
 echo "==> cargo build --release"
 cargo build --release

@@ -86,14 +86,14 @@ fn bench_paxos(c: &mut Criterion) {
 }
 
 fn bench_placement(c: &mut Criterion) {
-    use mala_rados::placement::{acting_set, pg_of};
-    let up: Vec<u32> = (0..120).collect();
+    use mala_rados::placement::{acting_set_weighted, pg_of, WEIGHT_UNIT};
+    let up: Vec<(u32, u32)> = (0..120).map(|o| (o, WEIGHT_UNIT)).collect();
     c.bench_function("placement_1000_objects_120osds", |b| {
         b.iter(|| {
             let mut acc = 0u32;
             for i in 0..1000 {
                 let pg = pg_of("data", &format!("obj-{i}"), 256);
-                acc = acc.wrapping_add(acting_set(pg, &up, 3)[0]);
+                acc = acc.wrapping_add(acting_set_weighted(pg, &up, 3)[0]);
             }
             std::hint::black_box(acc)
         })

@@ -350,7 +350,9 @@ impl Monitor {
                 } else {
                     counter!("mon.osdmap_rejected_updates")
                 };
-                ctx.metrics().bump(rejected, 1);
+                if batch.origin == self.rank {
+                    ctx.metrics().bump(rejected, 1);
+                }
                 continue;
             }
             let snap = self
@@ -383,13 +385,17 @@ impl Monitor {
             for &sub in self.subs.get(map).into_iter().flatten() {
                 ctx.send(sub, MonMsg::Snapshot(snap.clone()));
             }
-            ctx.metrics().bump(counter!("mon.map_commits"), 1);
+            if batch.origin == self.rank {
+                ctx.metrics().bump(counter!("mon.map_commits"), 1);
+            }
+            // Every replica records its own sighting of the epoch.
             let now = ctx.now();
             ctx.metrics()
                 .observe(&format!("mon.commit.{map}"), now, snap.epoch as f64);
         }
-        // Only the origin monitor counts its liveness actions and acks, so
-        // an action counts once and a client gets one ack per chosen batch.
+        // Only the origin monitor counts its liveness actions, refusals and
+        // commits and sends acks, so each counts once and a client gets one
+        // ack per chosen batch.
         // A repeat is acked too: its client may have lost the first ack.
         if batch.origin == self.rank {
             let me = self.peers[self.rank as usize];
@@ -576,10 +582,12 @@ impl Monitor {
         if self.proposed_lately(&key, ctx.now()) {
             return;
         }
-        // A node already in a rank's entry (e.g. just promoted, beacon not
-        // yet switched over) must not be registered as a standby too.
+        // A node serving a rank (e.g. just promoted, beacon not yet switched
+        // over) must not be registered as a standby too. A rank marked down
+        // does not hold its node: the daemon may come back as a standby.
         let view = self.mdsmap();
-        if view.standbys.contains(&node) || view.ranks.values().any(|e| e.node == node) {
+        let serving = view.ranks.values().any(|e| e.up && e.node == node);
+        if view.standbys.contains(&node) || serving {
             return;
         }
         let update = MapUpdate::set(SERVICE_MAP_MDS, &key, b"1".to_vec());
@@ -1144,8 +1152,10 @@ mod tests {
                 );
             }
         }
-        // Two refusals, counted by each of the three replicas.
-        assert_eq!(sim.metrics().counter("mon.zlog_rejected_updates"), 2 * 3);
+        // Two refusals and three commits, counted once each: by the monitor
+        // that proposed them, not by every replica that applied the batch.
+        assert_eq!(sim.metrics().counter("mon.zlog_rejected_updates"), 2);
+        assert_eq!(sim.metrics().counter("mon.map_commits"), 3);
         assert_eq!(
             sim.actor::<TestClient>(NodeId(100)).acks.len(),
             5,
@@ -1347,6 +1357,26 @@ mod tests {
         assert!(filled, "rank 0 still {}", rank0(&sim));
         sim.run_for(SimDuration::from_secs(3));
         assert_eq!(promotions(&sim, STANDBY), 1);
+        assert_eq!(sim.metrics().counter("mon.mds_failovers"), 1);
+    }
+
+    /// A rank marked down for want of a standby names its node only as
+    /// down: when that node's daemon restarts as a standby, it registers
+    /// and is promoted back into the rank.
+    #[test]
+    fn a_daemon_whose_rank_was_marked_down_comes_back_as_a_standby() {
+        let mut sim = mds_quorum(MonConfig::default(), ACTIVE, false);
+        crash_active_at(&mut sim, CRASH_AT);
+        sim.run_for(SimDuration::from_secs(3));
+        assert_eq!(rank0(&sim), format!("node={},up=0", ACTIVE.0));
+        let start = sim.now();
+        sim.restart(ACTIVE, Beaconer(None));
+        let grace = MonConfig::default().mds_beacon_grace;
+        let back = sim.run_until_pred(start + grace.mul(2), |s| {
+            rank0(s) == format!("node={},up=1", ACTIVE.0)
+        });
+        assert!(back, "rank 0 still {}", rank0(&sim));
+        assert_eq!(sim.metrics().counter("mon.mds_standbys_registered"), 1);
         assert_eq!(sim.metrics().counter("mon.mds_failovers"), 1);
     }
 

@@ -392,19 +392,13 @@ impl Cluster {
         (i, update)
     }
 
-    /// Commits a new weight for OSD `i` (hundredths; `WEIGHT_UNIT` = full,
-    /// `0` = drained). Every weight change bumps the osdmap epoch and
-    /// remaps only the PGs whose rendezvous scores the change touches.
-    pub fn set_osd_weight(&mut self, i: u32, weight: u32) {
-        let node = self.osd_node(i);
-        self.commit_updates(vec![OsdMapView::update_osd_weighted(i, node, true, weight)]);
-    }
-
-    /// Drains OSD `i`: weight → 0. The daemon stays up — it keeps serving
-    /// reads and sourcing backfill for its old PGs — but wins no new
-    /// placements, so its data migrates off under the epoch guard.
+    /// Drains OSD `i`: commits weight 0. The daemon stays up — it keeps
+    /// serving reads and sourcing backfill for its old PGs — but wins no
+    /// new placements, so its data migrates off under the epoch guard; only
+    /// the PGs whose rendezvous scores the change touches remap.
     pub fn drain_osd(&mut self, i: u32) {
-        self.set_osd_weight(i, 0);
+        let node = self.osd_node(i);
+        self.commit_updates(vec![OsdMapView::update_osd_weighted(i, node, true, 0)]);
     }
 
     /// Like [`Cluster::drain_osd`] but returns as soon as the weight-0

@@ -64,8 +64,6 @@ pub use vm::Vm;
 pub struct Script {
     /// Top-level statements.
     pub block: Block,
-    /// The source text the script was compiled from.
-    pub source: String,
 }
 
 impl Script {
@@ -81,9 +79,6 @@ impl Script {
             message: e.message,
         })?;
         let block = parser::parse(&tokens)?;
-        Ok(Script {
-            block,
-            source: source.to_string(),
-        })
+        Ok(Script { block })
     }
 }

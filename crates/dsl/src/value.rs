@@ -167,11 +167,6 @@ impl Table {
         self.map.get(key).cloned().unwrap_or(Value::Nil)
     }
 
-    /// Convenience string-key read.
-    pub fn get_str(&self, key: &str) -> Value {
-        self.get(&Key::Str(Str::new(key.as_bytes())))
-    }
-
     /// Writes by key. Integer writes adjacent to the array part extend it;
     /// assigning `nil` deletes map entries.
     pub fn set(&mut self, key: Key, v: Value) {
@@ -544,7 +539,7 @@ mod tests {
         t.set_str("name", Value::str("x"));
         assert_eq!(t.len(), 2);
         assert_eq!(t.get(&Key::Int(1)), Value::from(10.0));
-        assert_eq!(t.get_str("name"), Value::str("x"));
+        assert_eq!(t.get(&Key::Str(Str::new(b"name"))), Value::str("x"));
         assert_eq!(t.get(&Key::Int(99)), Value::Nil);
     }
 
@@ -563,7 +558,7 @@ mod tests {
         let mut t = Table::new();
         t.set_str("k", Value::from(1.0));
         t.set_str("k", Value::Nil);
-        assert_eq!(t.get_str("k"), Value::Nil);
+        assert_eq!(t.get(&Key::Str(Str::new(b"k"))), Value::Nil);
         assert!(t.is_empty());
     }
 

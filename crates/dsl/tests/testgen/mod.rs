@@ -811,7 +811,6 @@ pub fn check_seed(seed: u64) -> Result<(), Divergence> {
 
     let script = Script {
         block: prog.block.clone(),
-        source: prog.source.clone(),
     };
     let mut interp = Interp::new();
     let mut vm = Vm::new();

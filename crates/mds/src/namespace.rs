@@ -203,11 +203,6 @@ pub enum JournalEntry {
         /// Target inode.
         ino: Ino,
     },
-    /// The Mantle balancer-policy version active when journaled.
-    MantleVersion {
-        /// Policy pointer epoch.
-        version: u64,
-    },
     /// Storage layout of a sequencer's log (registered by the zlog client)
     /// so a promoted standby can seal the right objects.
     SeqLayout {
@@ -236,7 +231,6 @@ impl JournalEntry {
             JournalEntry::SetEmbedded { ino, value } => format!("E {ino} {value}\n"),
             JournalEntry::CapGrant { ino, holder } => format!("G {ino} {}\n", holder.0),
             JournalEntry::CapDrop { ino } => format!("R {ino}\n"),
-            JournalEntry::MantleVersion { version } => format!("M {version}\n"),
             JournalEntry::SeqLayout {
                 ino,
                 stripe_width,
@@ -279,10 +273,6 @@ impl JournalEntry {
             "R" => {
                 let ino = parts.next()?.parse().ok()?;
                 Some(JournalEntry::CapDrop { ino })
-            }
-            "M" => {
-                let version = parts.next()?.parse().ok()?;
-                Some(JournalEntry::MantleVersion { version })
             }
             "L" => {
                 let ino = parts.next()?.parse().ok()?;
@@ -327,19 +317,12 @@ pub struct ReplayState {
     pub cap_holders: HashMap<Ino, NodeId>,
     /// Registered sequencer layouts: ino → backing log.
     pub layouts: HashMap<Ino, SeqLayout>,
-    /// Last journaled Mantle policy version (0 = never journaled).
-    pub mantle_version: u64,
 }
 
 impl Default for Namespace {
     fn default() -> Self {
         Namespace::new()
     }
-}
-
-/// Replays a journal blob into a fresh namespace.
-pub fn replay_journal(data: &[u8]) -> Namespace {
-    replay_journal_full(data).namespace
 }
 
 fn apply_entry(state: &mut ReplayState, entry: JournalEntry) {
@@ -363,9 +346,6 @@ fn apply_entry(state: &mut ReplayState, entry: JournalEntry) {
         JournalEntry::CapDrop { ino } => {
             state.cap_holders.remove(&ino);
         }
-        JournalEntry::MantleVersion { version } => {
-            state.mantle_version = version;
-        }
         JournalEntry::SeqLayout {
             ino,
             stripe_width,
@@ -382,19 +362,6 @@ fn apply_entry(state: &mut ReplayState, entry: JournalEntry) {
             );
         }
     }
-}
-
-/// Replays a journal blob, recovering namespace, cap holders, sequencer
-/// layouts, and the Mantle policy version. Lossy: undecodable bytes and
-/// lines are silently skipped.
-pub fn replay_journal_full(data: &[u8]) -> ReplayState {
-    let mut state = ReplayState::default();
-    for line in String::from_utf8_lossy(data).lines() {
-        if let Some(entry) = JournalEntry::decode(line) {
-            apply_entry(&mut state, entry);
-        }
-    }
-    state
 }
 
 /// Why a journal blob failed strict validation.
@@ -418,20 +385,23 @@ impl std::fmt::Display for JournalCorruption {
     }
 }
 
-/// Strict replay: every line must decode, except a torn final line with no
-/// trailing newline (an in-progress append cut off by a crash, which is
+/// Replays a journal blob into namespace, cap holders and sequencer
+/// layouts. Strict: every line must decode, except a torn final line with
+/// no trailing newline (an in-progress append cut off by a crash, which is
 /// expected). Invalid UTF-8 or garbage mid-journal is reported as
 /// [`JournalCorruption`] instead of being skipped, so a recovering rank can
 /// tell "crash mid-write" apart from "the journal object was damaged".
+/// Before invalid UTF-8 the valid prefix is replayed by the same rule, so
+/// garbage in that prefix is the damage reported.
 pub fn replay_journal_checked(data: &[u8]) -> Result<ReplayState, Box<JournalCorruption>> {
     let text = match std::str::from_utf8(data) {
         Ok(t) => t,
         Err(e) => {
-            let valid = &data[..e.valid_up_to()];
+            let recovered = replay_journal_checked(&data[..e.valid_up_to()])?;
             return Err(Box::new(JournalCorruption {
                 line: 0,
                 reason: format!("invalid utf-8 at byte {}", e.valid_up_to()),
-                recovered: replay_journal_full(valid),
+                recovered,
             }));
         }
     };
@@ -521,7 +491,6 @@ mod tests {
                 holder: NodeId(2001),
             },
             JournalEntry::CapDrop { ino: 3 },
-            JournalEntry::MantleVersion { version: 7 },
             JournalEntry::SeqLayout {
                 ino: 3,
                 stripe_width: 4,
@@ -566,9 +535,14 @@ mod tests {
             }
             .encode(),
         );
-        blob.push_str("garbage line that must be ignored\n");
-        let replayed = replay_journal(blob.as_bytes());
+        blob.push_str("garbage line that must not be skipped\n");
+        blob.push_str(&valid_journal(1));
+        let err = replay_journal_checked(blob.as_bytes()).unwrap_err();
+        assert_eq!(err.line, 4);
+        let replayed = err.recovered.namespace;
         assert_eq!(replayed.resolve("/d/s"), Ok(seq));
+        // Nothing after the damage is replayed.
+        assert!(replayed.resolve("/f0").is_err());
         assert_eq!(replayed.get(seq).unwrap().embedded, 99);
         assert_eq!(replayed.get(seq).unwrap().ftype, FileType::Sequencer);
         // Allocation continues after the replayed range.
@@ -578,7 +552,7 @@ mod tests {
     }
 
     #[test]
-    fn full_replay_recovers_caps_layouts_and_mantle() {
+    fn checked_replay_recovers_caps_and_layouts() {
         let mut blob = String::new();
         blob.push_str(
             &JournalEntry::Create {
@@ -613,11 +587,9 @@ mod tests {
             }
             .encode(),
         );
-        blob.push_str(&JournalEntry::MantleVersion { version: 3 }.encode());
-        let state = replay_journal_full(blob.as_bytes());
+        let state = replay_journal_checked(blob.as_bytes()).unwrap();
         assert_eq!(state.namespace.resolve("/s"), Ok(2));
         assert_eq!(state.cap_holders.get(&2), Some(&NodeId(2001)));
-        assert_eq!(state.mantle_version, 3);
         let layout = &state.layouts[&2];
         assert_eq!(&*layout.pool, "logpool");
         assert_eq!(&*layout.name, "mylog");
@@ -697,18 +669,34 @@ mod tests {
         assert_eq!(err.recovered.namespace.resolve("/f1"), Ok(101));
     }
 
+    /// Invalid UTF-8 after a garbage line: the garbage is the damage
+    /// reported, and only the lines before it are replayed.
+    #[test]
+    fn checked_replay_of_invalid_utf8_after_garbage_keeps_the_strict_prefix() {
+        let mut data = valid_journal(2).into_bytes();
+        data.extend_from_slice(b"XYZZY not a journal line\n");
+        data.extend_from_slice(valid_journal(3).as_bytes());
+        data.extend_from_slice(&[0xFF, 0xFE, b'\n']);
+        let err = replay_journal_checked(&data).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.reason.contains("undecodable"), "{}", err.reason);
+        let ns = &err.recovered.namespace;
+        assert_eq!(ns.resolve("/f1"), Ok(101));
+        assert!(ns.resolve("/f2").is_err());
+        assert_eq!(ns.inodes_of_type(&FileType::Regular).len(), 2);
+    }
+
     mod corrupt_journal_props {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
-            /// Replaying arbitrary bytes — checked or lossy — must never
-            /// panic: the journal object can come back from RADOS in any
-            /// state after enough faults.
+            /// Replaying arbitrary bytes must never panic: the journal
+            /// object can come back from RADOS in any state after enough
+            /// faults.
             #[test]
             fn replay_never_panics_on_arbitrary_bytes(data in proptest::collection::vec(any::<u8>(), 0..512)) {
                 let _ = replay_journal_checked(&data);
-                let _ = replay_journal_full(&data);
             }
 
             /// Flipping one byte of a valid journal to an arbitrary value

@@ -372,8 +372,6 @@ pub struct Mds {
     unsealed_seqs: IdSet<Ino>,
     /// Registered sequencer layouts (journaled; survive failover).
     seq_layouts: IdMap<Ino, crate::namespace::SeqLayout>,
-    /// Mantle policy version recovered from the journal (0 = none).
-    replayed_mantle_version: u64,
     /// Monitor submit seq counter (zlog epoch bumps).
     mon_seq: u64,
 
@@ -426,7 +424,6 @@ impl Mds {
             seal_tick_armed: false,
             unsealed_seqs: IdSet::default(),
             seq_layouts: IdMap::default(),
-            replayed_mantle_version: 0,
             mon_seq: 1,
             mantle: MapFollower::new(SERVICE_MAP_MANTLE, monitor),
             mantle_version_seen: 0,
@@ -1042,10 +1039,6 @@ impl Mds {
             Ok(()) => {
                 self.cluster_log(ctx, format!("mantle: installed balancer v{version}"));
                 ctx.metrics().bump(counter!("mds.mantle_installs"), 1);
-                // Record the active policy version: a failover replayer
-                // reinstalls from the monitor's pointer, and the journal
-                // tells it which version the dead rank was running.
-                self.journal(JournalEntry::MantleVersion { version });
             }
             Err(e) => {
                 self.cluster_log(ctx, format!("mantle: balancer v{version} rejected: {e}"));
@@ -1187,7 +1180,6 @@ impl Mds {
                 ctx.metrics().bump(counter!("mds.unsealed_seq_replays"), 1);
             }
         }
-        self.replayed_mantle_version = replay.mantle_version;
         // Reconnect window: recall every journaled holder. A live one
         // reasserts its cap (and flushes state); a dead or partitioned one
         // stays silent and the cap timeout evicts it.

@@ -327,22 +327,6 @@ pub enum MdsMsg {
     },
 }
 
-impl MdsMsg {
-    /// `GetPosBatch { n }`: one sequencer round trip reserving the
-    /// contiguous position range `[first, first + n)`, where `first` is
-    /// the value carried by the `TypeOpReply`. It is the type op
-    /// [`SeqOp::NextBatch`], so it rides the ordinary `TypeOp` path —
-    /// frozen / recovering / proxy / redirect handling and seal-based
-    /// failover re-delegation all apply unchanged.
-    pub fn get_pos_batch(reqid: u64, ino: Ino, n: u64) -> MdsMsg {
-        MdsMsg::TypeOp {
-            reqid,
-            ino,
-            op: SeqOp::NextBatch(n),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,9 +340,5 @@ mod tests {
         assert_eq!(text(SeqOp::NextBatch(3)), "next_batch:3");
         assert_eq!(text(SeqOp::Read), "read");
         assert_eq!(text(SeqOp::Seal), "seal");
-        let MdsMsg::TypeOp { op, .. } = MdsMsg::get_pos_batch(1, 2, 8) else {
-            panic!("a bulk grant is a type op");
-        };
-        assert_eq!(op, SeqOp::NextBatch(8));
     }
 }

@@ -202,7 +202,11 @@ fn sequencer_bulk_grants_reserve_disjoint_ranges() {
             &mut sim,
             client_node(0),
             mds_node(0),
-            MdsMsg::get_pos_batch(reqid, seq, n),
+            MdsMsg::TypeOp {
+                reqid,
+                ino: seq,
+                op: SeqOp::NextBatch(n),
+            },
         );
         sim.run_for(SimDuration::from_millis(50));
     }
@@ -221,7 +225,11 @@ fn sequencer_bulk_grants_reserve_disjoint_ranges() {
         &mut sim,
         client_node(0),
         mds_node(0),
-        MdsMsg::get_pos_batch(14, seq, 0),
+        MdsMsg::TypeOp {
+            reqid: 14,
+            ino: seq,
+            op: SeqOp::NextBatch(0),
+        },
     );
     sim.run_for(SimDuration::from_millis(100));
     let client = sim.actor::<TestClient>(client_node(0));

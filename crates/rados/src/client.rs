@@ -33,8 +33,6 @@ pub struct ClientEvent<W = ()> {
     pub reqid: u64,
     /// Outcome.
     pub result: Result<Vec<OpResult>, OsdError>,
-    /// Submission → completion latency.
-    pub latency: SimDuration,
     /// What waits on the request: the value its submitter handed in.
     pub waiter: W,
 }
@@ -244,7 +242,6 @@ impl<W> RadosClient<W> {
             ClientEvent {
                 reqid,
                 result,
-                latency,
                 waiter,
             },
         );

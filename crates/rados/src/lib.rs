@@ -52,4 +52,4 @@ pub use object::{DataDelta, Key, Object, ObjectDelta, ObjectId};
 pub use ops::{ObjTxn, Op, OpResult, OsdError, Outcome, Transaction};
 pub use osd::{Osd, OsdConfig, OsdMsg};
 pub use osdmap::{OsdMapView, PoolInfo};
-pub use placement::{pg_of, pg_of_id, primary_and_replicas, PgId, WEIGHT_UNIT};
+pub use placement::{pg_of, pg_of_id, PgId, WEIGHT_UNIT};

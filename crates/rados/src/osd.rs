@@ -95,8 +95,6 @@ pub enum OsdMsg {
         reqid: u64,
         /// Per-op results or the first error.
         result: Result<Vec<OpResult>, OsdError>,
-        /// The OSD's current map epoch (lets clients refresh lazily).
-        map_epoch: u64,
     },
     /// Primary → replica effect shipping.
     Repl {
@@ -183,8 +181,6 @@ pub enum OsdMsg {
     ScrubDivergent {
         /// Objects whose fingerprint mismatched (or were missing).
         objects: Vec<ObjectId>,
-        /// Pool name (for re-push routing).
-        pool: String,
     },
 }
 
@@ -574,7 +570,6 @@ impl Osd {
         let reply = OsdMsg::ClientReply {
             reqid,
             result: result.into_owned(),
-            map_epoch: self.map.epoch,
         };
         ctx.send_after(after, client, reply);
     }
@@ -901,13 +896,14 @@ impl Osd {
     ) {
         let (oid, txn) = &*req;
         // A request not admitted is answered at once.
-        let reject = |osd: &Osd, ctx: &mut Context<'_>, error| {
-            let reply = OsdMsg::ClientReply {
-                reqid,
-                result: Err(error),
-                map_epoch: osd.map.epoch,
-            };
-            ctx.send(from, reply);
+        let reject = |ctx: &mut Context<'_>, error| {
+            ctx.send(
+                from,
+                OsdMsg::ClientReply {
+                    reqid,
+                    result: Err(error),
+                },
+            );
         };
         // Retransmit dedup: a request we already applied is answered from
         // the reply cache (ops like Append are not idempotent); one that is
@@ -935,12 +931,12 @@ impl Osd {
         }
         if map_epoch < self.map.epoch {
             let current = self.map.epoch;
-            reject(self, ctx, OsdError::StaleEpoch { current });
+            reject(ctx, OsdError::StaleEpoch { current });
             ctx.metrics().bump(counter!("osd.stale_epoch_rejects"), 1);
             return;
         }
         let Some(info) = self.map.pools.get(&*oid.pool).copied() else {
-            reject(self, ctx, OsdError::NotReady);
+            reject(ctx, OsdError::NotReady);
             return;
         };
         let pg = pg_of_id(oid, info.pg_num);
@@ -949,7 +945,7 @@ impl Osd {
             .acting_set_for_pg(&oid.pool, pg.index)
             .unwrap_or_default();
         if acting.first() != Some(&self.id) {
-            reject(self, ctx, OsdError::NotPrimary);
+            reject(ctx, OsdError::NotPrimary);
             ctx.metrics().bump(counter!("osd.not_primary_rejects"), 1);
             return;
         }
@@ -958,7 +954,7 @@ impl Osd {
             // miss acknowledged writes. The client retries on its backoff
             // timer — this rejection window is the availability cost of a
             // remap, measured by the elastic benchmark.
-            reject(self, ctx, OsdError::NotReady);
+            reject(ctx, OsdError::NotReady);
             ctx.metrics().bump(counter!("osd.backfill_rejects"), 1);
             return;
         }
@@ -1289,16 +1285,10 @@ impl Actor for Osd {
                     .map(|(oid, _)| oid)
                     .collect();
                 if !divergent.is_empty() {
-                    ctx.send(
-                        from,
-                        OsdMsg::ScrubDivergent {
-                            objects: divergent,
-                            pool,
-                        },
-                    );
+                    ctx.send(from, OsdMsg::ScrubDivergent { objects: divergent });
                 }
             }
-            OsdMsg::ScrubDivergent { objects, pool: _ } => {
+            OsdMsg::ScrubDivergent { objects } => {
                 // Repair: push the primary's copies to the reporting
                 // replica.
                 let repaired: Vec<(ObjectId, Object)> = objects

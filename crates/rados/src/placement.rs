@@ -68,17 +68,9 @@ fn rendezvous_draw(pg: PgId, osd: u32) -> u64 {
     mix(draw)
 }
 
-/// Computes the acting set for `pg`: up to `replicas` OSD ids drawn from
-/// `up_osds` by rendezvous hashing, primary first. All OSDs weigh 1.0×.
-///
-/// Returns fewer than `replicas` entries when the up set is small, and an
-/// empty vector when no OSD is up.
-pub fn acting_set(pg: PgId, up_osds: &[u32], replicas: usize) -> Vec<u32> {
-    let weighted: Vec<(u32, u32)> = up_osds.iter().map(|o| (*o, WEIGHT_UNIT)).collect();
-    acting_set_weighted(pg, &weighted, replicas)
-}
-
-/// Weighted rendezvous hashing: each candidate is `(osd, weight)` with
+/// Computes the acting set for `pg` by weighted rendezvous hashing: up to
+/// `replicas` OSD ids, primary first, fewer when fewer candidates are
+/// eligible. Each candidate is `(osd, weight)` with
 /// weight in hundredths (100 = 1.0×). An OSD's share of PGs is
 /// proportional to its weight; weight-zero candidates never win (they are
 /// "draining": still up for reads and backfill sourcing, but excluded from
@@ -112,23 +104,18 @@ pub fn acting_set_weighted(pg: PgId, osds: &[(u32, u32)], replicas: usize) -> Ve
         .collect()
 }
 
-/// Convenience: primary and replica OSDs for one object.
-pub fn primary_and_replicas(
-    pool: &str,
-    object_name: &str,
-    pg_num: u32,
-    up_osds: &[u32],
-    replicas: usize,
-) -> Vec<u32> {
-    acting_set(pg_of(pool, object_name, pg_num), up_osds, replicas)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn osds(n: u32) -> Vec<u32> {
         (0..n).collect()
+    }
+
+    /// The acting set over `up`, every OSD at unit weight.
+    fn acting_set(pg: PgId, up: &[u32], replicas: usize) -> Vec<u32> {
+        let weighted: Vec<(u32, u32)> = up.iter().map(|o| (*o, WEIGHT_UNIT)).collect();
+        acting_set_weighted(pg, &weighted, replicas)
     }
 
     #[test]
@@ -226,6 +213,9 @@ mod tests {
         assert_eq!(pg.index, 0);
     }
 
+    /// Under equal weights the score is monotone in the draw, so the
+    /// weighted set is the plain rendezvous ordering: highest draw first,
+    /// ties to the higher osd id.
     #[test]
     fn weighted_with_uniform_weights_matches_unweighted() {
         let up = osds(10);
@@ -235,8 +225,11 @@ mod tests {
                 pool_hash: 77,
                 index: idx,
             };
+            let mut by_draw = up.clone();
+            by_draw.sort_by_key(|o| std::cmp::Reverse((rendezvous_draw(pg, *o), *o)));
+            by_draw.truncate(3);
             assert_eq!(
-                acting_set(pg, &up, 3),
+                by_draw,
                 acting_set_weighted(pg, &weighted, 3),
                 "pg {idx} diverges under uniform weights"
             );

@@ -416,72 +416,9 @@ impl Hist {
     }
 }
 
-/// Summary statistics over the values of a sample slice.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean of the values.
-    pub mean: f64,
-    /// Minimum value.
-    pub min: f64,
-    /// Maximum value.
-    pub max: f64,
-    /// Population standard deviation.
-    pub stddev: f64,
-}
-
-/// Computes summary statistics over `samples`, `None` when empty.
-pub fn summarize(samples: &[Sample]) -> Option<Summary> {
-    if samples.is_empty() {
-        return None;
-    }
-    let n = samples.len() as f64;
-    let mean = samples.iter().map(|s| s.value).sum::<f64>() / n;
-    let var = samples
-        .iter()
-        .map(|s| (s.value - mean).powi(2))
-        .sum::<f64>()
-        / n;
-    let min = samples
-        .iter()
-        .map(|s| s.value)
-        .fold(f64::INFINITY, f64::min);
-    let max = samples
-        .iter()
-        .map(|s| s.value)
-        .fold(f64::NEG_INFINITY, f64::max);
-    Some(Summary {
-        count: samples.len(),
-        mean,
-        min,
-        max,
-        stddev: var.sqrt(),
-    })
-}
-
-/// Returns the `q`-quantile (0 ≤ q ≤ 1) of the sample values by
-/// nearest-rank on the sorted values, `None` when empty.
-pub fn quantile(samples: &[Sample], q: f64) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut values: Vec<f64> = samples.iter().map(|s| s.value).collect();
-    values.sort_by(f64::total_cmp);
-    let rank = ((q.clamp(0.0, 1.0)) * (values.len() - 1) as f64).round() as usize;
-    Some(values[rank])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn s(at: u64, v: f64) -> Sample {
-        Sample {
-            at: SimTime(at),
-            value: v,
-        }
-    }
 
     #[test]
     fn counters_accumulate() {
@@ -627,28 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_statistics() {
-        let samples = vec![s(0, 1.0), s(1, 2.0), s(2, 3.0), s(3, 4.0)];
-        let sum = summarize(&samples).unwrap();
-        assert_eq!(sum.count, 4);
-        assert_eq!(sum.mean, 2.5);
-        assert_eq!(sum.min, 1.0);
-        assert_eq!(sum.max, 4.0);
-        assert!((sum.stddev - 1.118).abs() < 1e-3);
-        assert!(summarize(&[]).is_none());
-    }
-
-    #[test]
-    fn quantiles() {
-        let samples: Vec<Sample> = (0..101).map(|i| s(i, i as f64)).collect();
-        assert_eq!(quantile(&samples, 0.0), Some(0.0));
-        assert_eq!(quantile(&samples, 0.5), Some(50.0));
-        assert_eq!(quantile(&samples, 0.99), Some(99.0));
-        assert_eq!(quantile(&samples, 1.0), Some(100.0));
-        assert_eq!(quantile(&[], 0.5), None);
-    }
-
-    #[test]
     fn clear_resets() {
         let mut m = Metrics::new();
         m.bump(counter!("a"), 1);
@@ -658,13 +573,6 @@ mod tests {
         assert_eq!(m.counter("a"), 0);
         assert!(m.series("b").is_empty());
         assert!(m.hist("c").is_none());
-    }
-
-    #[test]
-    fn quantile_ignores_nan_ordering_panics() {
-        let samples = vec![s(0, 3.0), s(1, f64::NAN), s(2, 1.0)];
-        // Must not panic; NaN sorts last under total_cmp.
-        assert_eq!(quantile(&samples, 0.0), Some(1.0));
     }
 
     #[test]

@@ -156,7 +156,8 @@ impl ZlogClient {
             Some(ino) => {
                 let reqid = self.mds_reqid(id);
                 let rank = self.router.rank_of(ino);
-                let msg = MdsMsg::get_pos_batch(reqid, ino, n);
+                let op = SeqOp::NextBatch(n);
+                let msg = MdsMsg::TypeOp { reqid, ino, op };
                 self.send_mds(ctx, Some(id), rank, msg, Some(span));
             }
             None => self.resolve(ctx, id, Some(span)),

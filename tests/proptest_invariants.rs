@@ -179,7 +179,13 @@ mod cap_props {
 
 mod placement_props {
     use super::*;
-    use mala_rados::placement::{acting_set, PgId};
+    use mala_rados::placement::{acting_set_weighted, PgId, WEIGHT_UNIT};
+
+    /// The acting set over `up`, every OSD at unit weight.
+    fn acting_set(pg: PgId, up: &[u32], replicas: usize) -> Vec<u32> {
+        let weighted: Vec<(u32, u32)> = up.iter().map(|o| (*o, WEIGHT_UNIT)).collect();
+        acting_set_weighted(pg, &weighted, replicas)
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
