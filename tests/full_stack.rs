@@ -174,6 +174,93 @@ fn mantle_policy_lifecycle_with_bad_upgrade() {
     );
 }
 
+/// §5.1.2: a policy read the object store does not answer gives up at
+/// half the balancing tick — a "Connection Timeout" line from each rank in
+/// the central log, nothing installed — and a later tick, once the store
+/// is reachable again, reads the version again and installs it. The OSDs
+/// are cut off from the ranks, not marked down.
+#[test]
+fn a_policy_read_the_store_does_not_answer_times_out_at_half_the_tick() {
+    let interval = SimDuration::from_secs(2);
+    let mds_config = MdsConfig {
+        balance_interval: interval,
+        ..MdsConfig::default()
+    };
+    let mut cluster = ClusterBuilder::new()
+        .monitors(1)
+        .osds(3)
+        .mds_ranks(2)
+        .mds_config(mds_config)
+        .pool("meta", 16, 2)
+        .balancers(|_| Box::new(load_balancing::MantleBalancer::new()))
+        .build(5);
+    cluster
+        .rados(
+            ObjectId::new("meta", "policy_v1"),
+            durability::put_blob(mala_mantle::GREEDY_SPREAD_POLICY.as_bytes().to_vec()),
+        )
+        .unwrap();
+    let ranks = [cluster.mds_node(0), cluster.mds_node(1)];
+    for mds in ranks {
+        for i in 0..3 {
+            let osd = cluster.osd_node(i);
+            cluster.sim.network_mut().sever(mds, osd);
+        }
+    }
+    let idle = |cluster: &malacology::Cluster, mds| cluster.sim.actor::<Mds>(mds).store_idle();
+    assert!(ranks.iter().all(|&mds| idle(&cluster, mds)));
+    cluster.commit_updates(vec![load_balancing::policy_pointer_update("policy_v1")]);
+    // The read goes out when the map reaches the rank.
+    let mut reads = Vec::new();
+    let until = cluster.sim.now() + interval;
+    while reads.len() < ranks.len() && cluster.sim.now() < until {
+        cluster.sim.step();
+        for mds in ranks {
+            if !idle(&cluster, mds) && !reads.iter().any(|(node, _)| *node == mds) {
+                reads.push((mds, cluster.sim.now()));
+            }
+        }
+    }
+    assert_eq!(reads.len(), 2, "each rank reads the policy");
+    reads.sort_by_key(|(_, at)| *at);
+    let half = interval.div(2);
+    for (mds, read_at) in reads {
+        cluster
+            .sim
+            .run_until(read_at + (half - SimDuration::from_micros(1)));
+        assert!(
+            !idle(&cluster, mds),
+            "the read is out until {half} after it"
+        );
+        cluster.sim.run_until(read_at + half);
+        assert!(idle(&cluster, mds), "the read is given up {half} after it");
+    }
+    cluster.sim.run_for(SimDuration::from_millis(100));
+    let metrics = cluster.sim.metrics();
+    assert_eq!(metrics.counter("mds.mantle_fetch_timeouts"), 2);
+    assert_eq!(metrics.counter("mds.mantle_installs"), 0);
+    let mon_node = cluster.mon();
+    let mut timeouts: Vec<String> = cluster
+        .sim
+        .actor::<Monitor>(mon_node)
+        .cluster_log()
+        .iter()
+        .filter(|(_, _, line)| line.contains("Connection Timeout"))
+        .map(|(_, source, _)| source.clone())
+        .collect();
+    timeouts.sort();
+    assert_eq!(timeouts, ["mds.0", "mds.1"]);
+    cluster.sim.network_mut().heal_all();
+    cluster.sim.run_for(interval.mul(2));
+    let metrics = cluster.sim.metrics();
+    assert_eq!(
+        metrics.counter("mds.mantle_installs"),
+        2,
+        "a later tick installs"
+    );
+    assert_eq!(metrics.counter("mds.mantle_fetch_timeouts"), 2);
+}
+
 /// Data I/O propagation during partition: an OSD isolated from the
 /// monitor still converges on a new interface version via peer gossip
 /// once reconnected to its peers.
