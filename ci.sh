@@ -8,8 +8,8 @@
 # one-route-table-a-subscriber-is-sent-the-map, a-grant-travels-alone,
 # a-seal's-last-step-holds, the-zlog-client-fits-in-a-head,
 # a-liveness-action-is-proposed-when-it-is-decided,
-# a-map-entry-has-one-codec, a-retry-repeats-its-request and
-# everything-kept-has-a-reader structure checks, the
+# a-map-entry-has-one-codec, a-retry-repeats-its-request-and-the-MDS-has-one-tick
+# and everything-kept-has-a-reader structure checks, the
 # tier-1 build + test pass (the whole workspace minus the vendored stand-ins), every experiment's shape
 # check at quick scale, the three balancer figures at paper scale against results/, and
 # the frozen benchmark with its ceilings. Run from the repository root before
@@ -209,13 +209,14 @@ for file in $(find crates/*/src -name '*.rs' ! -path crates/consensus/src/maps.r
     [ -z "$(above_tests "$file" | grep -nE '"node=|node=\{|\("(node|up|weight)"|pg_num=|standby\.[^ ]|epoch\.\{|strip_prefix\("(osd|mds|pool)\.')" ]
 done
 
-echo "==> a retry repeats its request: a seal re-sends its one Submit and repeats its read of the zlog map, the one Get a daemon sends; a map follower re-asks by subscribing; one seal tick serves every open seal (DESIGN §12, §19)"
+echo "==> a retry repeats its request, and the MDS has one tick: a seal re-sends its one Submit and repeats its read of the zlog map, the one Get a daemon sends; a map follower re-asks by subscribing; the MDS arms only its balancing tick, its cap tick and the one tick that beacons and repeats what it waits on, with no timer of its own for a seal, the store or a policy read (DESIGN §12, §19, §26)"
 [ "$(for file in $(find crates/*/src -name '*.rs' | sort); do above_tests "$file" | grep -q 'follower::get(' && echo "$file"; done | xargs)" = "crates/mds/src/server.rs" ]
 [ -z "$(grep -n 'fn fetch' crates/consensus/src/follower.rs)" ]
 [ -z "$(grep -rn 'seal_mon_waiting' crates)" ]
-# start_seals arms the tick only when none is pending; the tick re-arms itself.
-[ "$(enclosing_fns 'TIMER_SEAL);' crates/mds/src/server.rs)" = "start_seals on_timer" ]
-awk '/^    fn start_seals\(/,/^    }$/' crates/mds/src/server.rs | grep -A2 'if !self.seal_tick_armed {' | grep -q 'ctx.set_timer(SEAL_TICK, TIMER_SEAL);'
+mds_timers="$(above_tests crates/mds/src/server.rs | grep 'ctx\.set_timer(')"
+[ -z "$(grep -vE 'ctx\.set_timer\([^;]*, (TIMER_BALANCE|TIMER_CAP|TIMER_TICK)\);' <<<"$mds_timers")" ]
+[ "$(grep -oE '(TIMER_BALANCE|TIMER_CAP|TIMER_TICK)\);' <<<"$mds_timers" | sort -u | wc -l)" = 3 ]
+[ -z "$(grep -rnE 'TIMER_SEAL|TIMER_JOURNAL|TIMER_MANTLE_TIMEOUT|seal_tick_armed|mantle_fetch_deadline' crates)" ]
 
 echo "==> everything kept has a reader: no write-only journal record or wire field, and one implementation of journal replay, placement, sample statistics, a table read and a bulk grant (DESIGN §12, §16)"
 crates_text="$(for file in $(find crates/*/src -name '*.rs' | sort); do above_tests "$file"; done)"

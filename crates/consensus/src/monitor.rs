@@ -160,10 +160,6 @@ pub struct MonConfig {
     /// How long updates accumulate before being proposed (Ceph default 1 s;
     /// the paper's tuned quorum reaches ~222 ms).
     pub proposal_interval: SimDuration,
-    /// Leader heartbeat period.
-    pub heartbeat_interval: SimDuration,
-    /// Follower patience before campaigning.
-    pub election_timeout: SimDuration,
     /// How long an MDS may go without beaconing before the leader marks
     /// its rank down and promotes a standby.
     pub mds_beacon_grace: SimDuration,
@@ -173,8 +169,6 @@ impl Default for MonConfig {
     fn default() -> Self {
         MonConfig {
             proposal_interval: SimDuration::from_secs(1),
-            heartbeat_interval: SimDuration::from_millis(250),
-            election_timeout: SimDuration::from_millis(1500),
             mds_beacon_grace: SimDuration::from_millis(1000),
         }
     }
@@ -183,6 +177,10 @@ impl Default for MonConfig {
 const TIMER_PROPOSAL: u64 = 1;
 const TIMER_HEARTBEAT: u64 = 2;
 const TIMER_ELECTION: u64 = 3;
+/// Leader heartbeat period.
+const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_millis(250);
+/// Follower patience before campaigning, times the monitor's rank + 1.
+const ELECTION_TIMEOUT: SimDuration = SimDuration::from_millis(1500);
 /// The token of [`Monitor::mds_deadlines`].
 const TIMER_MDS_DEADLINE: u64 = 4;
 
@@ -611,10 +609,10 @@ impl Actor for Monitor {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.last_leader_contact = ctx.now();
         ctx.set_timer(self.config.proposal_interval, TIMER_PROPOSAL);
-        ctx.set_timer(self.config.heartbeat_interval, TIMER_HEARTBEAT);
+        ctx.set_timer(HEARTBEAT_INTERVAL, TIMER_HEARTBEAT);
         // Stagger election timeouts by rank so rank 0 wins the first
         // election without duels.
-        let patience = self.config.election_timeout.mul(self.rank as u64 + 1);
+        let patience = ELECTION_TIMEOUT.mul(self.rank as u64 + 1);
         if self.rank == 0 {
             let out = self.paxos.campaign();
             self.ship(ctx, out);
@@ -695,10 +693,10 @@ impl Actor for Monitor {
             TIMER_HEARTBEAT => {
                 let out = self.paxos.heartbeat();
                 self.ship(ctx, out);
-                ctx.set_timer(self.config.heartbeat_interval, TIMER_HEARTBEAT);
+                ctx.set_timer(HEARTBEAT_INTERVAL, TIMER_HEARTBEAT);
             }
             TIMER_ELECTION => {
-                let patience = self.config.election_timeout.mul(self.rank as u64 + 1);
+                let patience = ELECTION_TIMEOUT.mul(self.rank as u64 + 1);
                 let stale = ctx.now().saturating_since(self.last_leader_contact) >= patience;
                 let leaderless = self.paxos.leader_hint().is_none()
                     || (stale && self.paxos.leader_hint() != Some(self.rank));

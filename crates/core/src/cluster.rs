@@ -360,28 +360,13 @@ impl Cluster {
     }
 
     /// Adds a brand-new OSD to the running cluster: spawns its actor on
-    /// the next node id in the OSD range, commits an osdmap entry at full
-    /// weight, and returns its index. The joiner's first map arrives at an
-    /// epoch past bootstrap, so it backfills every PG it now owns from the
-    /// previous acting sets before serving.
-    pub fn add_osd(&mut self) -> u32 {
-        let (i, update) = self.spawn_osd();
-        self.commit_updates(vec![update]);
-        i
-    }
-
-    /// Like [`Cluster::add_osd`] but returns as soon as the map update is
-    /// submitted, so a live workload keeps running while the join commits
-    /// and propagates.
+    /// the next node id in the OSD range, submits an osdmap entry at full
+    /// weight, and returns its index as soon as the update is submitted,
+    /// so a live workload keeps running while the join commits and
+    /// propagates. The joiner's first map arrives at an epoch past
+    /// bootstrap, so it backfills every PG it now owns from the previous
+    /// acting sets before serving.
     pub fn add_osd_nowait(&mut self) -> u32 {
-        let (i, update) = self.spawn_osd();
-        self.submit_updates(vec![update]);
-        i
-    }
-
-    /// Spawns the next OSD's actor and returns its index plus the osdmap
-    /// update that admits it at full weight.
-    fn spawn_osd(&mut self) -> (u32, mala_consensus::MapUpdate) {
         let i = self.osds;
         let node = NodeId(10 + i);
         let mon = self.mon();
@@ -389,7 +374,8 @@ impl Cluster {
         self.sim.add_node(node, osd);
         self.osds += 1;
         let update = OsdMapView::update_osd_weighted(i, node, true, mala_rados::WEIGHT_UNIT);
-        (i, update)
+        self.submit_updates(vec![update]);
+        i
     }
 
     /// Drains OSD `i`: commits weight 0. The daemon stays up — it keeps
@@ -535,7 +521,20 @@ mod tests {
                 )
                 .unwrap();
         }
-        let joiner = cluster.add_osd();
+        // The join commits, then the joiner backfills.
+        let mon = cluster.mon();
+        let osd_epoch = |s: &Sim| {
+            s.actor::<Monitor>(mon)
+                .map(SERVICE_MAP_OSD)
+                .map(|m| m.epoch)
+        };
+        let before = osd_epoch(&cluster.sim);
+        let joiner = cluster.add_osd_nowait();
+        let deadline = cluster.sim.now() + SimDuration::from_secs(30);
+        let committed = cluster
+            .sim
+            .run_until_pred(deadline, |s| osd_epoch(s) > before);
+        assert!(committed, "the join did not commit in 30 s");
         cluster.sim.run_for(SimDuration::from_secs(5));
         // The joiner won placements and pulled their objects over.
         let owned = cluster

@@ -27,7 +27,7 @@ use mala_consensus::{
     follower, MapFollower, MapSnapshot, MapUpdate, MonMsg, SERVICE_MAP_MANTLE, SERVICE_MAP_MDS,
     SERVICE_MAP_ZLOG,
 };
-use mala_rados::client::RETRY_TOKEN_BASE;
+use mala_rados::client::{REQUEST_DEADLINE, RETRY_TOKEN_BASE};
 use mala_rados::{ObjectId, Op, OpResult, OsdError, OsdMsg, RadosClient};
 use mala_sim::history::Recorder;
 use mala_sim::linearize::{RegOp, RegRet};
@@ -133,19 +133,17 @@ struct TypeOpRequest {
 
 const TIMER_BALANCE: u64 = 1;
 const TIMER_CAP: u64 = 2;
-const TIMER_JOURNAL: u64 = 3;
-const TIMER_MANTLE_TIMEOUT: u64 = 4;
-const TIMER_BEACON: u64 = 5;
-const TIMER_SEAL: u64 = 6;
+const TIMER_TICK: u64 = 3;
 
-/// How often a seal repeats the request of the step it is in.
-const SEAL_TICK: SimDuration = SimDuration::from_millis(500);
+/// How long the request of a seal's step goes unanswered before the tick
+/// repeats it.
+const SEAL_REPEAT: SimDuration = SimDuration::from_millis(500);
 
 /// Capability policy check resolution.
 const CAP_TICK: SimDuration = SimDuration::from_millis(10);
-/// How often a daemon beacons the monitor (liveness; standby daemons also
-/// register through beacons).
-const BEACON_INTERVAL: SimDuration = SimDuration::from_millis(250);
+/// The daemon's one tick: it beacons the monitor (liveness; standby
+/// daemons also register through beacons) and repeats what it waits on.
+const TICK: SimDuration = SimDuration::from_millis(250);
 /// Pool holding MDS metadata objects (journal, Mantle policies).
 const META_POOL: &str = "meta";
 
@@ -172,10 +170,16 @@ struct SealRecovery {
     /// out: served when the seal completes, answered `Recovering` if a
     /// call fails first.
     held: Vec<TypeOpRequest>,
+    /// The clients whose cap request on the sequencer waits for the seal,
+    /// in arrival order: no cap is granted on a tail not yet fenced.
+    cap_requests: Vec<NodeId>,
+    /// When the request of `stage` last went out: the tick repeats it once
+    /// it has gone unanswered for [`SEAL_REPEAT`].
+    asked: SimTime,
 }
 
-/// The step a seal is in, each one request that `TIMER_SEAL` repeats
-/// until it is answered.
+/// The step a seal is in, each one request that the tick repeats until it
+/// is answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SealStage {
     /// Reading the current epoch from the monitor's zlog map.
@@ -280,10 +284,16 @@ pub enum MdsPeer {
         /// Its route after the import.
         route: Route,
     },
-    /// A namespace mutation replicated from the creating rank.
+    /// A create replicated from the creating rank.
     NsReplicate {
-        /// The journal record.
-        entry: String,
+        /// The new inode.
+        ino: Ino,
+        /// Its parent directory.
+        parent: Ino,
+        /// Its name in the parent.
+        name: String,
+        /// Its file type.
+        ftype: FileType,
     },
     /// Proxied type operation (home → auth).
     ProxyOp {
@@ -346,6 +356,7 @@ pub struct Mds {
     /// so appends stay ordered.
     journal_inflight: Option<Flush>,
     ready: bool,
+    /// Client requests that arrived before the journal replay.
     stashed: VecDeque<(NodeId, MdsMsg)>,
     /// Group commit (journal_sync): replies withheld until the next flush,
     /// which carries the journal entries they depend on.
@@ -357,13 +368,10 @@ pub struct Mds {
     /// Sequencer inodes mid-seal after a takeover; type ops answer
     /// `Recovering` until the protocol's last round trip, which holds them
     /// until it completes.
-    /// Ordered: `on_zlog_map` and `TIMER_SEAL` send per entry in iteration
+    /// Ordered: `on_zlog_map` and the tick send per entry in iteration
     /// order, and a send order that differs between processes is a
     /// different run.
     recovering_seqs: BTreeMap<Ino, SealRecovery>,
-    /// Whether a `TIMER_SEAL` is pending: one tick repeats the step of
-    /// every open seal, however many were opened since it was armed.
-    seal_tick_armed: bool,
     /// Sequencer inodes inherited from a journal replay with *no* layout
     /// on record: the in-memory tail may understate the store, and
     /// without a layout the seal/maxpos protocol cannot run. Their type
@@ -379,8 +387,6 @@ pub struct Mds {
     /// The Mantle policy map: its `balancer` entry names the policy object.
     mantle: MapFollower<MapSnapshot>,
     mantle_version_seen: u64,
-    /// When the policy read in flight (`StoreWait::Policy`) is given up on.
-    mantle_fetch_deadline: Option<SimTime>,
 
     /// Optional linearizability history for the cap-protected embedded
     /// metadata: grants record a register read of the handed-out state,
@@ -421,13 +427,11 @@ impl Mds {
             unflushed_replies: Vec::new(),
             standby: false,
             recovering_seqs: BTreeMap::new(),
-            seal_tick_armed: false,
             unsealed_seqs: IdSet::default(),
             seq_layouts: IdMap::default(),
             mon_seq: 1,
             mantle: MapFollower::new(SERVICE_MAP_MANTLE, monitor),
             mantle_version_seen: 0,
-            mantle_fetch_deadline: None,
             cap_history: None,
         }
     }
@@ -1001,39 +1005,41 @@ impl Mds {
         // read still out for an older version is given up on.
         self.forget_policy_fetch(ctx);
         let oid = ObjectId::new(META_POOL, object_name);
-        self.rados
-            .submit_spanned(ctx, oid, read_whole(), None, StoreWait::Policy);
-        self.mantle_version_seen = version;
         let timeout = self.config.balance_interval.div(2);
-        self.mantle_fetch_deadline = Some(ctx.now() + timeout);
-        ctx.set_timer(timeout, TIMER_MANTLE_TIMEOUT);
+        self.rados
+            .submit_spanned(ctx, oid, read_whole(), None, StoreWait::Policy, timeout);
+        self.mantle_version_seen = version;
     }
 
-    /// Gives up the policy read in flight, if there is one — it failed, ran
-    /// out of time (§5.1.2), was superseded or the daemon was deposed: its
-    /// route goes and its request is cancelled, and its version is read
-    /// again on a later tick.
+    /// Gives up the policy read in flight, if there is one — superseded,
+    /// or the daemon was deposed: its request is cancelled, and its
+    /// version is read again on a later tick.
     fn forget_policy_fetch(&mut self, ctx: &mut Context<'_>) {
-        if self.mantle_fetch_deadline.take().is_some() {
+        if self.rados.has_waiter(&StoreWait::Policy) {
             self.rados.cancel_where(ctx, |w| *w == StoreWait::Policy);
             self.mantle_version_seen = self.mantle_version_seen.saturating_sub(1);
         }
     }
 
-    /// The policy read completed: install what it returned, or give the
-    /// fetch up.
+    /// The policy read completed: install what it returned, or give its
+    /// version up to be read again on a later tick.
     fn on_policy_read(&mut self, ctx: &mut Context<'_>, result: StoreResult) {
         let data = match result.map(|results| results.into_iter().next()) {
             Ok(Some(OpResult::Data(data))) => data,
             other => {
-                ctx.metrics().bump(counter!("mds.mantle_fetch_errors"), 1);
-                self.forget_policy_fetch(ctx);
-                let line = format!("mantle: reading balancer policy failed: {other:?}");
+                let line = if matches!(other, Err(OsdError::Timeout)) {
+                    // §5.1.2: the synchronous policy read gave up.
+                    ctx.metrics().bump(counter!("mds.mantle_fetch_timeouts"), 1);
+                    "mantle: Connection Timeout reading balancer policy".to_string()
+                } else {
+                    ctx.metrics().bump(counter!("mds.mantle_fetch_errors"), 1);
+                    format!("mantle: reading balancer policy failed: {other:?}")
+                };
+                self.mantle_version_seen = self.mantle_version_seen.saturating_sub(1);
                 self.cluster_log(ctx, line);
                 return;
             }
         };
-        self.mantle_fetch_deadline = None;
         let (source, version) = (String::from_utf8_lossy(&data), self.mantle_version_seen);
         match self.balancer.install_policy(&source, version) {
             Ok(()) => {
@@ -1090,7 +1096,7 @@ impl Mds {
             let (data, span) = (flush.data.clone(), Some(flush.span));
             let (oid, txn) = (self.journal_oid.clone(), vec![Op::Append { data }]);
             self.rados
-                .submit_spanned(ctx, oid, txn, span, StoreWait::Journal);
+                .submit_spanned(ctx, oid, txn, span, StoreWait::Journal, REQUEST_DEADLINE);
         }
     }
 
@@ -1099,9 +1105,9 @@ impl Mds {
     fn try_recover(&mut self, ctx: &mut Context<'_>) {
         let wanted = self.config.journal && !self.standby && !self.ready;
         if wanted && !self.rados.has_waiter(&StoreWait::Recover) {
-            let oid = self.journal_oid.clone();
+            let (oid, wait) = (self.journal_oid.clone(), StoreWait::Recover);
             self.rados
-                .submit_spanned(ctx, oid, read_whole(), None, StoreWait::Recover);
+                .submit_spanned(ctx, oid, read_whole(), None, wait, REQUEST_DEADLINE);
         }
     }
 
@@ -1125,8 +1131,8 @@ impl Mds {
         if result.is_err() {
             // No OSD placed, or the client's deadline passed. The flush
             // stays in doubt and its acks withheld — a replay never shows
-            // an acked mutation the store lost; `TIMER_JOURNAL` submits
-            // the same bytes again.
+            // an acked mutation the store lost; the tick submits the same
+            // bytes again.
             ctx.metrics().bump(counter!("mds.journal_flush_errors"), 1);
             return;
         }
@@ -1150,7 +1156,7 @@ impl Mds {
             // The one error that is an answer: nothing journaled yet.
             Err(OsdError::NoEnt) => Vec::new(),
             // Anything else says nothing about the journal: the daemon
-            // stays un-ready and `TIMER_JOURNAL` submits the read again.
+            // stays un-ready and the tick submits the read again.
             Ok(_) | Err(_) => {
                 ctx.metrics().bump(counter!("mds.journal_read_errors"), 1);
                 return;
@@ -1202,9 +1208,8 @@ impl Mds {
         self.become_ready(ctx);
     }
 
-    /// Starts serving: the requests stashed so far are handled once each,
-    /// in arrival order. One that stashes itself again (a cap request on
-    /// a sequencer mid-seal) waits for the next drain, not this one.
+    /// Starts serving: the requests stashed before the journal replay are
+    /// handled once each, in arrival order.
     fn become_ready(&mut self, ctx: &mut Context<'_>) {
         self.ready = true;
         for (from, msg) in std::mem::take(&mut self.stashed) {
@@ -1351,13 +1356,21 @@ impl Mds {
                     new_epoch: 0,
                     waiters: Vec::new(),
                     held: Vec::new(),
+                    cap_requests: Vec::new(),
+                    asked: ctx.now(),
                 },
             );
         }
+        self.read_zlog_map(ctx);
+    }
+
+    /// Reads the monitor's zlog map. One read answers every seal still
+    /// reading, so it is the request of each one's step.
+    fn read_zlog_map(&mut self, ctx: &mut Context<'_>) {
         follower::get(ctx, self.monitor, SERVICE_MAP_ZLOG);
-        if !self.seal_tick_armed {
-            self.seal_tick_armed = true;
-            ctx.set_timer(SEAL_TICK, TIMER_SEAL);
+        let reading = self.recovering_seqs.values_mut();
+        for rec in reading.filter(|rec| rec.stage == SealStage::GetEpoch) {
+            rec.asked = ctx.now();
         }
     }
 
@@ -1404,13 +1417,14 @@ impl Mds {
     /// rises), and still acked: the stripes that seal answers for then
     /// answer this seal's `seal` with an error, and it reads their
     /// `maxpos` instead.
-    fn submit_epoch_bump(&self, ctx: &mut Context<'_>, ino: Ino) {
-        let Some(rec) = self.recovering_seqs.get(&ino) else {
+    fn submit_epoch_bump(&mut self, ctx: &mut Context<'_>, ino: Ino) {
+        let Some(rec) = self.recovering_seqs.get_mut(&ino) else {
             return;
         };
         let SealStage::AwaitCommit { seq } = rec.stage else {
             return;
         };
+        rec.asked = ctx.now();
         let key = LogEpoch::key(&rec.layout.name);
         let bump = LogEpoch(rec.new_epoch).encode();
         let updates = vec![MapUpdate::set(SERVICE_MAP_ZLOG, &key, bump)];
@@ -1429,8 +1443,8 @@ impl Mds {
             && open.all(|(stripe, _)| self.rados.has_waiter(&StoreWait::Seal { ino, stripe }))
     }
 
-    /// A stripe call of `ino`'s seal failed: the seal waits for
-    /// `TIMER_SEAL` now, so the ops it held answer `Recovering`.
+    /// A stripe call of `ino`'s seal failed: the seal waits for the tick
+    /// now, so the ops it held answer `Recovering`.
     fn release_held(&mut self, ctx: &mut Context<'_>, ino: Ino) {
         let Some(rec) = self.recovering_seqs.get_mut(&ino) else {
             return;
@@ -1444,13 +1458,14 @@ impl Mds {
     /// Enters the sealing stage and calls `seal(new_epoch)` on every
     /// stripe object of `ino`'s log that has neither answered nor a call
     /// out: a call in flight is the client's to retransmit, and one that
-    /// completed with an error is made again when `TIMER_SEAL` comes back
+    /// completed with an error is made again when the tick comes back
     /// here.
     fn seal_stripes(&mut self, ctx: &mut Context<'_>, ino: Ino) {
         let Some(rec) = self.recovering_seqs.get_mut(&ino) else {
             return;
         };
         rec.stage = SealStage::Sealing;
+        rec.asked = ctx.now();
         let open = (0u32..).zip(&rec.maxpos).filter(|(_, m)| m.is_none());
         let open: Vec<u32> = open.map(|(stripe, _)| stripe).collect();
         for stripe in open {
@@ -1478,8 +1493,9 @@ impl Mds {
             method: method.into(),
             input: input.as_bytes().into(),
         };
+        let wait = StoreWait::Seal { ino, stripe };
         self.rados
-            .submit_spanned(ctx, oid, vec![call], None, StoreWait::Seal { ino, stripe });
+            .submit_spanned(ctx, oid, vec![call], None, wait, REQUEST_DEADLINE);
     }
 
     /// Handles the reply of one stripe's seal/maxpos call.
@@ -1498,7 +1514,7 @@ impl Mds {
                     // input. One that is no number is no answer: read as
                     // "empty stripe" it could resume the sequencer below a
                     // written position. The stripe stays unanswered and
-                    // `TIMER_SEAL` calls it again.
+                    // the tick calls it again.
                     ctx.metrics().bump(counter!("mds.seal_call_errors"), 1);
                     self.release_held(ctx, ino);
                     return;
@@ -1515,7 +1531,7 @@ impl Mds {
             Err(_) => {
                 // No OSD placed, the client's deadline passed, or the class
                 // is not installed yet: the stripe stays unanswered and
-                // `TIMER_SEAL` submits its seal again.
+                // the tick submits its seal again.
                 ctx.metrics().bump(counter!("mds.seal_call_errors"), 1);
                 self.release_held(ctx, ino);
                 return;
@@ -1566,15 +1582,34 @@ impl Mds {
         for (client, reqid) in rec.waiters {
             ctx.send(client, MdsMsg::Sealed { reqid, epoch, tail });
         }
-        // Ops held through the last round trip, and requests stashed while
-        // this inode recovered, can now be served.
+        // Ops held through the last round trip, and the cap requests that
+        // waited for the seal, can now be served.
         for held in rec.held {
             self.serve_type_op(ctx, ino, held);
         }
-        if self.ready {
-            let stashed = std::mem::take(&mut self.stashed);
-            for (from, msg) in stashed {
-                self.handle_client(ctx, from, msg);
+        for client in rec.cap_requests {
+            self.handle_client(ctx, client, MdsMsg::CapRequest { ino });
+        }
+    }
+
+    /// Repeats the request of each open seal's step that has gone
+    /// unanswered for [`SEAL_REPEAT`]: the read of the zlog map while no
+    /// snapshot has come back (one for every seal still reading), the same
+    /// epoch-bump `Submit` while it is unacked, and the stripe calls that
+    /// completed with an error while sealing.
+    fn repeat_seal_steps(&mut self, ctx: &mut Context<'_>) {
+        let now = ctx.now();
+        let due = (self.recovering_seqs.iter())
+            .filter(|(_, rec)| now.saturating_since(rec.asked) >= SEAL_REPEAT);
+        let due: Vec<(Ino, SealStage)> = due.map(|(ino, rec)| (*ino, rec.stage)).collect();
+        if due.iter().any(|(_, stage)| *stage == SealStage::GetEpoch) {
+            self.read_zlog_map(ctx);
+        }
+        for (ino, stage) in due {
+            match stage {
+                SealStage::GetEpoch => {}
+                SealStage::AwaitCommit { .. } => self.submit_epoch_bump(ctx, ino),
+                SealStage::Sealing => self.seal_stripes(ctx, ino),
             }
         }
     }
@@ -1610,21 +1645,16 @@ impl Mds {
                         ftype: ftype.clone(),
                     });
                     // Replicate the structure to peer ranks.
-                    let entry = JournalEntry::Create {
-                        ino,
-                        parent,
-                        name: name.clone(),
-                        ftype,
-                    }
-                    .encode();
                     for (rank, e) in self.mdsmap.view().ranks.clone() {
                         if rank != self.rank && e.up {
-                            ctx.send(
-                                e.node,
-                                MdsPeer::NsReplicate {
-                                    entry: entry.clone(),
-                                },
-                            );
+                            let (name, ftype) = (name.clone(), ftype.clone());
+                            let create = MdsPeer::NsReplicate {
+                                ino,
+                                parent,
+                                name,
+                                ftype,
+                            };
+                            ctx.send(e.node, create);
                         }
                     }
                     Ok(ino)
@@ -1647,10 +1677,10 @@ impl Mds {
                     // Capability traffic follows authority.
                     return;
                 }
-                if self.recovering_seqs.contains_key(&ino) {
-                    // Don't grant caps on a sequencer mid-seal; re-drive
-                    // the request once the tail is fenced.
-                    self.stashed.push_back((from, MdsMsg::CapRequest { ino }));
+                if let Some(rec) = self.recovering_seqs.get_mut(&ino) {
+                    // Don't grant caps on a sequencer mid-seal: the request
+                    // waits in the seal until the tail is fenced.
+                    rec.cap_requests.push(from);
                     return;
                 }
                 let now = ctx.now();
@@ -1771,14 +1801,13 @@ impl Actor for Mds {
         self.subscribe(ctx);
         ctx.set_timer(self.config.balance_interval, TIMER_BALANCE);
         ctx.set_timer(CAP_TICK, TIMER_CAP);
-        ctx.set_timer(SimDuration::from_millis(500), TIMER_JOURNAL);
         self.last_tick_at = ctx.now();
         if !self.config.journal && !self.standby {
             self.ready = true;
         }
         self.try_recover(ctx);
         self.send_beacon(ctx);
-        ctx.set_timer(BEACON_INTERVAL, TIMER_BEACON);
+        ctx.set_timer(TICK, TIMER_TICK);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Box<dyn Any>) {
@@ -1856,17 +1885,14 @@ impl Actor for Mds {
                         self.finish_export(ctx, ino, route);
                     }
                     MdsPeer::RouteUpdate { ino, route } => self.install_route(ino, route),
-                    MdsPeer::NsReplicate { entry } => {
-                        if let Some(JournalEntry::Create {
-                            ino,
-                            parent,
-                            name,
-                            ftype,
-                        }) = JournalEntry::decode(entry.trim_end())
-                        {
-                            let _ = self.namespace.apply_create(ino, parent, &name, ftype);
-                            self.split_cache = None;
-                        }
+                    MdsPeer::NsReplicate {
+                        ino,
+                        parent,
+                        name,
+                        ftype,
+                    } => {
+                        let _ = self.namespace.apply_create(ino, parent, &name, ftype);
+                        self.split_cache = None;
                     }
                     MdsPeer::ProxyOp {
                         reqid,
@@ -1913,7 +1939,7 @@ impl Actor for Mds {
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
         if token >= RETRY_TOKEN_BASE {
-            // A retransmit timer of the embedded client; when it fires past
+            // A retransmit timer of the embedded client; when it fires at
             // the request's deadline the request completes (`Timeout`).
             self.rados.on_timer(ctx, token);
             self.drain_store(ctx);
@@ -1942,24 +1968,7 @@ impl Actor for Mds {
                 }
                 ctx.set_timer(CAP_TICK, TIMER_CAP);
             }
-            TIMER_JOURNAL => {
-                // The store tick: collect a request refused at submit
-                // (`NoOsdsUp` completes without a message), submit again
-                // what completed with an error — the journal read, the
-                // flush in doubt — and flush what was buffered since.
-                self.drain_store(ctx);
-                self.try_recover(ctx);
-                self.flush_journal(ctx);
-                ctx.set_timer(SimDuration::from_millis(500), TIMER_JOURNAL);
-            }
-            TIMER_MANTLE_TIMEOUT if self.mantle_fetch_deadline.is_some_and(|d| ctx.now() >= d) => {
-                // §5.1.2: the synchronous policy read gave up.
-                ctx.metrics().bump(counter!("mds.mantle_fetch_timeouts"), 1);
-                self.forget_policy_fetch(ctx);
-                let line = "mantle: Connection Timeout reading balancer policy";
-                self.cluster_log(ctx, line.to_string());
-            }
-            TIMER_BEACON => {
+            TIMER_TICK => {
                 self.send_beacon(ctx);
                 // The one-shot Subscribes at start can die to message
                 // loss; a daemon without the osdmap can never replay its
@@ -1967,30 +1976,15 @@ impl Actor for Mds {
                 // promoted. Re-assert each until its snapshot has landed
                 // (subscribing twice is idempotent at the monitor).
                 self.subscribe(ctx);
-                ctx.set_timer(BEACON_INTERVAL, TIMER_BEACON);
-            }
-            TIMER_SEAL => {
-                if self.recovering_seqs.is_empty() {
-                    self.seal_tick_armed = false;
-                    return;
-                }
-                // Each open seal repeats the request of its step: the read
-                // while it is unanswered (one for all), the same `Submit`
-                // while it is unacked, and the stripe calls that completed
-                // with an error while sealing.
-                let reading = |rec: &SealRecovery| rec.stage == SealStage::GetEpoch;
-                if self.recovering_seqs.values().any(reading) {
-                    follower::get(ctx, self.monitor, SERVICE_MAP_ZLOG);
-                }
-                let inos: Vec<Ino> = self.recovering_seqs.keys().copied().collect();
-                for ino in inos {
-                    match self.recovering_seqs.get(&ino).map(|rec| rec.stage) {
-                        Some(SealStage::AwaitCommit { .. }) => self.submit_epoch_bump(ctx, ino),
-                        Some(SealStage::Sealing) => self.seal_stripes(ctx, ino),
-                        _ => {}
-                    }
-                }
-                ctx.set_timer(SEAL_TICK, TIMER_SEAL);
+                // Collect a request refused at submit (`NoOsdsUp` completes
+                // without a message), submit again what completed with an
+                // error — the journal read, the flush in doubt — and flush
+                // what was buffered since.
+                self.drain_store(ctx);
+                self.try_recover(ctx);
+                self.flush_journal(ctx);
+                self.repeat_seal_steps(ctx);
+                ctx.set_timer(TICK, TIMER_TICK);
             }
             _ => {}
         }

@@ -23,8 +23,9 @@ pub const RETRY_TOKEN_BASE: u64 = 1 << 48;
 const RETRY_BASE: SimDuration = SimDuration::from_millis(10);
 /// Cap on the retransmit backoff.
 const RETRY_CAP: SimDuration = SimDuration::from_secs(2);
-/// Per-request deadline (submission → [`OsdError::Timeout`]).
-const REQUEST_DEADLINE: SimDuration = SimDuration::from_secs(25);
+/// How long a request may take unless its submitter says otherwise
+/// (submission → [`OsdError::Timeout`]).
+pub const REQUEST_DEADLINE: SimDuration = SimDuration::from_secs(25);
 
 /// A completed request surfaced to the harness.
 #[derive(Debug, Clone)]
@@ -41,8 +42,7 @@ struct InFlight<W> {
     /// The request as every (re)transmission carries it: one allocation,
     /// shared with the messages and whoever receives them.
     req: Rc<(ObjectId, Transaction)>,
-    /// Submission time, for the latency; the request's deadline is
-    /// [`REQUEST_DEADLINE`] later.
+    /// Submission time, for the latency.
     submitted_at: SimTime,
     /// The `rados.op` span covering submission → completion; travels on
     /// every (re)transmission so the OSD parents its work under it.
@@ -76,7 +76,7 @@ impl RadosClient {
     /// and collect the outcome with [`RadosClient::take_completed`] (or use
     /// [`request`] for a synchronous harness call).
     pub fn submit(&mut self, ctx: &mut Context<'_>, oid: ObjectId, txn: Transaction) -> u64 {
-        self.submit_spanned(ctx, oid, txn, None, ())
+        self.submit_spanned(ctx, oid, txn, None, (), REQUEST_DEADLINE)
     }
 }
 
@@ -113,7 +113,9 @@ impl<W> RadosClient<W> {
 
     /// Submits a transaction on behalf of `waiter`; returns its request id.
     /// The request's `rados.op` span is parented under `parent` (e.g. a
-    /// ZLog append span), or roots a fresh trace.
+    /// ZLog append span), or roots a fresh trace. Unless it completes
+    /// first, the request completes with [`OsdError::Timeout`] `timeout`
+    /// after now, to the microsecond.
     pub fn submit_spanned(
         &mut self,
         ctx: &mut Context<'_>,
@@ -121,6 +123,7 @@ impl<W> RadosClient<W> {
         txn: Transaction,
         parent: Option<SpanContext>,
         waiter: W,
+        timeout: SimDuration,
     ) -> u64 {
         let reqid = self.next_reqid;
         self.next_reqid += 1;
@@ -132,8 +135,7 @@ impl<W> RadosClient<W> {
             span: Some(span),
             waiter,
         };
-        self.inflight
-            .insert(reqid, inflight, ctx.now() + REQUEST_DEADLINE);
+        self.inflight.insert(reqid, inflight, ctx.now() + timeout);
         self.dispatch(ctx, reqid);
         reqid
     }
@@ -297,9 +299,9 @@ impl<W> RadosClient<W> {
         }
         // Always hold a retransmit deadline: the op, its reply, or the
         // re-subscribe may be lost. When it comes due the request backs off
-        // and goes out again.
+        // and goes out again — or, at its deadline, times out.
         let at = ctx.now() + ctx.backoff(RETRY_BASE, RETRY_CAP, attempts - 1);
-        self.inflight.look(ctx, reqid, at);
+        self.inflight.look(ctx, reqid, at.min(deadline));
     }
 }
 

@@ -4,7 +4,7 @@
 
 use mala_consensus::{MapUpdate, MapView, MonConfig, MonMsg, Monitor, SERVICE_MAP_INTERFACES};
 use mala_dsl::Vm;
-use mala_rados::client::request;
+use mala_rados::client::{request, REQUEST_DEADLINE};
 use mala_rados::{
     ClassRegistry, JournalSet, Object, ObjectId, Op, OpResult, Osd, OsdConfig, OsdError,
     OsdMapView, OsdMsg, PoolInfo, RadosClient, Transaction,
@@ -599,7 +599,7 @@ fn submit_as(sim: &mut Sim, name: &str, waiter: &'static str) -> u64 {
         data: name.as_bytes().to_vec(),
     }];
     sim.with_actor::<Embedded, _>(EMBEDDER, |c, ctx| {
-        c.submit_spanned(ctx, oid(name), txn, None, waiter)
+        c.submit_spanned(ctx, oid(name), txn, None, waiter, REQUEST_DEADLINE)
     })
 }
 
@@ -623,6 +623,38 @@ fn drain_embedder(sim: &mut Sim) -> Vec<(u64, &'static str)> {
         out.push((event.reqid, event.waiter));
     }
     out
+}
+
+/// A request no OSD hears is retransmitted until the deadline its
+/// submitter gave it, and completes with `Timeout` at that deadline to the
+/// microsecond, not at the first retransmit due after it.
+#[test]
+fn a_request_times_out_at_its_own_deadline() {
+    let mut sim = build_cluster(3, 2, OsdConfig::default());
+    add_embedder(&mut sim);
+    for i in 0..3 {
+        sim.network_mut().sever(EMBEDDER, osd_node(i));
+    }
+    let (timeout, submitted) = (SimDuration::from_millis(700), sim.now());
+    let txn = vec![Op::Append {
+        data: b"unheard".to_vec(),
+    }];
+    let reqid = sim.with_actor::<Embedded, _>(EMBEDDER, |c, ctx| {
+        c.submit_spanned(ctx, oid("unheard"), txn, None, "unheard", timeout)
+    });
+    sim.run_until(submitted + (timeout - SimDuration::from_micros(1)));
+    assert!(!sim.actor::<Embedded>(EMBEDDER).is_completed(reqid));
+    assert!(sim.metrics().counter("client.retries") >= 3);
+    sim.run_until(submitted + timeout);
+    let client = sim.actor_mut::<Embedded>(EMBEDDER);
+    let event = client
+        .take_completed(reqid)
+        .expect("timed out at its deadline");
+    assert_eq!(
+        (event.result, event.waiter),
+        (Err(OsdError::Timeout), "unheard")
+    );
+    assert_eq!(sim.metrics().counter("client.timeouts"), 1);
 }
 
 /// A drain hands back every completion with the waiter its request was

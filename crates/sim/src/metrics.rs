@@ -347,17 +347,6 @@ impl Hist {
         self.max = self.max.max(value);
     }
 
-    /// Adds all of `other`'s observations to `self`.
-    pub fn merge(&mut self, other: &Hist) {
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -591,20 +580,6 @@ mod tests {
         assert!((890.0..1000.1).contains(&p99), "p99 = {p99}");
         assert_eq!(h.quantile(0.0), Some(1.0));
         assert_eq!(h.quantile(1.0), Some(1000.0));
-    }
-
-    #[test]
-    fn hist_merge_equals_union() {
-        let a = Hist::from_values(&[1.0, 10.0, 100.0]);
-        let b = Hist::from_values(&[5.0, 50.0, 500.0]);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        let direct = Hist::from_values(&[1.0, 10.0, 100.0, 5.0, 50.0, 500.0]);
-        assert_eq!(merged.count(), direct.count());
-        assert_eq!(merged.sum(), direct.sum());
-        assert_eq!(merged.quantile(0.5), direct.quantile(0.5));
-        assert_eq!(merged.min(), direct.min());
-        assert_eq!(merged.max(), direct.max());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use mala_consensus::maps::LogEpoch;
 use mala_consensus::{follower, MonMsg, SERVICE_MAP_ZLOG};
 use mala_mds::types::{MdsError, MdsMsg, SeqOp};
 use mala_mds::{FileType, Ino};
-use mala_rados::client::RETRY_TOKEN_BASE as RADOS_RETRY_TOKEN_BASE;
+use mala_rados::client::{REQUEST_DEADLINE, RETRY_TOKEN_BASE as RADOS_RETRY_TOKEN_BASE};
 use mala_rados::{ObjectId, Op, OpResult, OsdError, RadosClient};
 use mala_sim::history::Recorder;
 use mala_sim::linearize::{LogOp, LogRead, LogRet};

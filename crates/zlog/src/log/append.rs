@@ -214,9 +214,10 @@ impl ZlogClient {
             let parent = self.ops.get(members[lead]).and_then(|p| p.span);
             let span = ctx.span_start("zlog.stripe_write", parent);
             ctx.span_tag_display(span, "entries", cells.len());
+            let (txn, parent) = (vec![call], Some(span));
             let reqid = self
                 .rados
-                .submit_spanned(ctx, oid, vec![call], Some(span), ());
+                .submit_spanned(ctx, oid, txn, parent, (), REQUEST_DEADLINE);
             self.ops.hold(id, Route::Rados(reqid));
             groups.push(StripeWrite { reqid, span, cells });
         }

@@ -97,7 +97,9 @@ impl ZlogClient {
         input: Vec<u8>,
     ) {
         let call = self.class_call(method, input);
-        let reqid = self.rados.submit_spanned(ctx, oid, vec![call], None, ());
+        let reqid = self
+            .rados
+            .submit_spanned(ctx, oid, vec![call], None, (), REQUEST_DEADLINE);
         self.ops.hold(op, Route::Rados(reqid));
     }
 

@@ -259,7 +259,6 @@ fn appends_caught_by_a_crash_complete_with_the_seal_under_a_quick_monitor() {
     appends_wake_with_the_seal(MonConfig {
         proposal_interval: SimDuration::from_millis(250),
         mds_beacon_grace: SimDuration::from_millis(500),
-        ..MonConfig::default()
     });
 }
 
