@@ -14,14 +14,14 @@
 //! * [`monitor`] — the monitor daemon actor: batches client updates into
 //!   proposals on a configurable *accumulation interval* (1 s in stock
 //!   Ceph; the paper lowers it to ~222 ms on a 3-monitor quorum), proposes
-//!   its own MDS liveness actions at once, applies chosen batches to
-//!   versioned maps, and sends each subscriber the snapshot of every map
-//!   a batch touched.
+//!   a zlog epoch bump and its own MDS liveness actions at once, applies
+//!   chosen batches to versioned maps, and sends each subscriber the
+//!   snapshot of every map a batch touched.
 //! * [`follower`] — a daemon's copy of one map, kept current: the one
 //!   place that subscribes, fetches, compares epochs and adopts snapshots.
 //! * [`maps`] — the entry codec of the typed maps (osdmap, mdsmap, zlog
-//!   epochs) and the parsed MDS map: the monitor and the daemons read and
-//!   write map entries through it alone.
+//!   epochs), each map's proposal policy and the parsed MDS map: the
+//!   monitor and the daemons read and write map entries through it alone.
 //!
 //! The proposal interval is the experimental knob behind the paper's
 //! Figure 8 (interface-propagation latency).

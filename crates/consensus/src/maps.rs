@@ -12,6 +12,8 @@
 //!
 //! The monitor and the daemons read and write entries only through this
 //! module, so they agree on what an entry means and on the order of ranks.
+//! It also says which maps' client updates the monitor proposes at once
+//! (`proposes_at_once`).
 
 use std::collections::BTreeMap;
 
@@ -28,6 +30,21 @@ pub const SERVICE_MAP_MDS: &str = "mdsmap";
 pub const SERVICE_MAP_ZLOG: &str = "zlog";
 /// Placement weight 1.0× in hundredths: an OSD entry's default weight.
 pub const WEIGHT_UNIT: u32 = 100;
+
+/// The maps whose client updates the monitor proposes when they arrive:
+/// a seal's epoch bump is on the path a log takes back to service. Every
+/// other map (osdmap, mdsmap, interfaces, mantle) waits for the proposal
+/// tick, which exists to batch updates (DESIGN §12).
+const PROPOSED_AT_ONCE: [&str; 1] = [SERVICE_MAP_ZLOG];
+
+/// Whether the monitor proposes a client transaction when it arrives:
+/// every one of its updates is in a map proposed at once. Any other
+/// transaction waits for the tick whole, so none is split across two
+/// proposals.
+pub(crate) fn proposes_at_once(updates: &[MapUpdate]) -> bool {
+    let at_once = |up: &MapUpdate| PROPOSED_AT_ONCE.contains(&up.map.as_str());
+    !updates.is_empty() && updates.iter().all(at_once)
+}
 
 /// What a key of a typed map names. `Malformed` is a typed prefix before
 /// a number that does not parse (`osd.x`); `Other` is any other key.
@@ -367,6 +384,28 @@ mod tests {
         ));
         let other = MapUpdate::set(SERVICE_MAP_OSD, &key, "1");
         assert!(commit_allows(&other, Some(b"2")), "another map's key");
+    }
+
+    /// Only a transaction wholly in the zlog map is proposed on arrival:
+    /// one that also names a ticked map, or names none, waits.
+    #[test]
+    fn only_a_transaction_wholly_in_the_zlog_map_skips_the_tick() {
+        use crate::monitor::{SERVICE_MAP_INTERFACES, SERVICE_MAP_MANTLE};
+        let epoch = || MapUpdate::set(SERVICE_MAP_ZLOG, &LogEpoch::key("log"), "2");
+        assert!(proposes_at_once(&[epoch()]));
+        assert!(proposes_at_once(&[epoch(), epoch()]));
+        for map in [
+            SERVICE_MAP_OSD,
+            SERVICE_MAP_MDS,
+            SERVICE_MAP_INTERFACES,
+            SERVICE_MAP_MANTLE,
+            "unlisted",
+        ] {
+            let ticked = MapUpdate::set(map, "k", "v");
+            assert!(!proposes_at_once(std::slice::from_ref(&ticked)), "{map}");
+            assert!(!proposes_at_once(&[epoch(), ticked]), "{map} beside zlog");
+        }
+        assert!(!proposes_at_once(&[]), "an empty transaction");
     }
 
     #[test]

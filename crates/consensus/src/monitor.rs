@@ -6,9 +6,11 @@
 //!   MDS map, interface registry, Mantle policy pointer ...).
 //! * Updates accumulate and are proposed as one Paxos command per
 //!   *proposal interval* (1 s in stock Ceph; the paper reports lowering it
-//!   to ~222 ms on a 3-monitor hard-drive quorum). What the leader decides
-//!   itself — an MDS failover, mark-down or standby registration — is
-//!   proposed at once, in a command of its own.
+//!   to ~222 ms on a 3-monitor hard-drive quorum). A transaction wholly in
+//!   maps that propose at once (`maps::proposes_at_once`: the zlog map,
+//!   a seal's epoch bump) is proposed when it arrives, and so is what the
+//!   leader decides itself (an MDS failover, mark-down or standby
+//!   registration), each in a command of its own.
 //! * Every committed batch bumps the *epoch* of each touched map, and each
 //!   subscriber of a touched map is sent its committed snapshot — a
 //!   subscriber is sent the map, not a delta. That push is the seed of the
@@ -157,8 +159,11 @@ pub struct MonWire(pub PaxosMsg<TxBatch>);
 /// Monitor configuration.
 #[derive(Debug, Clone)]
 pub struct MonConfig {
-    /// How long updates accumulate before being proposed (Ceph default 1 s;
-    /// the paper's tuned quorum reaches ~222 ms).
+    /// How long client transactions that name a ticked map accumulate
+    /// before being proposed (Ceph default 1 s; the paper's tuned quorum
+    /// reaches ~222 ms). A transaction wholly in maps that propose at once
+    /// (`maps::proposes_at_once`), and the leader's own liveness
+    /// actions, do not wait for it.
     pub proposal_interval: SimDuration,
     /// How long an MDS may go without beaconing before the leader marks
     /// its rank down and promotes a standby.
@@ -210,7 +215,8 @@ pub struct Monitor {
     applied: Slot,
     /// Dedup of applied transactions.
     applied_txids: BTreeSet<(NodeId, u64)>,
-    /// Client transactions accumulated since the last proposal tick.
+    /// Client transactions that wait for the proposal tick, accumulated
+    /// since the last one.
     pending: Vec<Tx>,
     /// Per-map subscribers.
     subs: BTreeMap<String, BTreeSet<NodeId>>,
@@ -435,8 +441,9 @@ impl Monitor {
     }
 
     /// Proposes `txs` as one Paxos command. The proposal tick calls it with
-    /// the client submits of its interval, and the leader with each
-    /// transaction it decides itself.
+    /// the client submits of its interval, a `Submit` wholly in at-once
+    /// maps with its one transaction, and the leader with each transaction
+    /// it decides itself. On a follower, Paxos forwards it to the leader.
     fn propose(&mut self, ctx: &mut Context<'_>, txs: Vec<Tx>) {
         let Some(first) = txs.first() else {
             return;
@@ -454,13 +461,13 @@ impl Monitor {
     }
 
     /// Proposes the leader's own mdsmap change (an MDS liveness action) at
-    /// once: client submits wait for the proposal interval, a failover does
-    /// not. The action is known by the key of its first update: proposed
-    /// again before a commit touched that key, it goes out under its first
-    /// seq, so if both proposals are chosen the change applies once. Every
-    /// key it writes counts as proposed, so a standby being promoted is not
-    /// promoted into a second rank meanwhile. Acks come back to this
-    /// monitor and are ignored.
+    /// once: a client's mdsmap submit waits for the proposal interval, a
+    /// failover does not. The action is known by the key of its first
+    /// update: proposed again before a commit touched that key, it goes
+    /// out under its first seq, so if both proposals are chosen the change
+    /// applies once. Every key it writes counts as proposed, so a standby
+    /// being promoted is not promoted into a second rank meanwhile. Acks
+    /// come back to this monitor and are ignored.
     fn submit_self(&mut self, ctx: &mut Context<'_>, updates: Vec<MapUpdate>) {
         let first = updates
             .first()
@@ -651,11 +658,16 @@ impl Actor for Monitor {
         match *msg {
             MonMsg::Submit { seq, updates } => {
                 ctx.metrics().bump(counter!("mon.submits"), 1);
-                self.pending.push(Tx {
+                let tx = Tx {
                     client: from,
                     seq,
                     updates,
-                });
+                };
+                if maps::proposes_at_once(&tx.updates) {
+                    self.propose(ctx, vec![tx]);
+                } else {
+                    self.pending.push(tx);
+                }
             }
             MonMsg::Get { map } => {
                 ctx.metrics().bump(counter!("mon.gets"), 1);
@@ -1159,6 +1171,62 @@ mod tests {
             5,
             "a refusal is acked"
         );
+    }
+
+    /// How long after 0.5 s a `Submit` of `updates` sent to monitor `to`
+    /// is acked, and the epochs the ack names. The proposal ticks come at
+    /// each whole second.
+    fn acked_after(to: NodeId, updates: Vec<MapUpdate>) -> (SimDuration, Vec<(String, u64)>) {
+        let mut sim = build(3, MonConfig::default());
+        sim.run_for(SimDuration::from_millis(500));
+        assert!(sim.actor::<Monitor>(NodeId(0)).is_leader());
+        let sent = sim.now();
+        sim.with_actor::<TestClient, _>(NodeId(100), |_, ctx| {
+            ctx.send(to, MonMsg::Submit { seq: 1, updates });
+        });
+        let acked = sim.run_until_pred(sent + SimDuration::from_secs(3), |s| {
+            !s.actor::<TestClient>(NodeId(100)).acks.is_empty()
+        });
+        assert!(acked, "{to}");
+        let client = sim.actor::<TestClient>(NodeId(100));
+        (client.acked_at[0].since(sent), client.acks[0].1.clone())
+    }
+
+    /// A `Submit` wholly in the zlog map is proposed when it arrives: at
+    /// the leader, or at a follower, which forwards it. With a 1 s
+    /// proposal interval it is acked within 10 ms.
+    #[test]
+    fn a_zlog_submit_is_acked_at_once_by_the_leader_and_a_follower() {
+        let config = MonConfig::default();
+        assert_eq!(config.proposal_interval, SimDuration::from_secs(1));
+        let epoch = MapUpdate::set(SERVICE_MAP_ZLOG, &maps::LogEpoch::key("log"), "1");
+        for to in [NodeId(0), NodeId(2)] {
+            let (waited, epochs) = acked_after(to, vec![epoch.clone()]);
+            assert!(waited < SimDuration::from_millis(10), "{to}: {waited}");
+            assert_eq!(epochs, [(SERVICE_MAP_ZLOG.to_string(), 1)]);
+        }
+    }
+
+    /// A `Submit` that names a ticked map waits for the next tick, 500 ms
+    /// after it is sent, alone or beside a zlog update: a transaction is
+    /// proposed whole, so both its maps move in one commit.
+    #[test]
+    fn an_osdmap_or_mixed_submit_waits_for_the_tick_whole() {
+        let epoch = MapUpdate::set(SERVICE_MAP_ZLOG, &maps::LogEpoch::key("log"), "1");
+        let osd = MapUpdate::set(SERVICE_MAP_OSD, "osd.0", "node=1,up=1");
+        let tick = SimDuration::from_millis(500);
+        for to in [NodeId(0), NodeId(2)] {
+            let (waited, epochs) = acked_after(to, vec![osd.clone()]);
+            assert!(waited >= tick, "{to}: {waited}");
+            assert_eq!(epochs, [(SERVICE_MAP_OSD.to_string(), 1)]);
+            let (waited, epochs) = acked_after(to, vec![epoch.clone(), osd.clone()]);
+            assert!(waited >= tick, "{to}: {waited}");
+            let both = [
+                (SERVICE_MAP_ZLOG.to_string(), 1),
+                (SERVICE_MAP_OSD.to_string(), 1),
+            ];
+            assert_eq!(epochs, both);
+        }
     }
 
     #[test]

@@ -1123,7 +1123,8 @@ fn a_forwarded_op_waits_out_a_seal_like_a_direct_one() {
 /// for that sequencer is answered, and a cap request on it, which stashes
 /// itself again until the seal ends, waits for the seal instead of
 /// spinning the drain: the daemon keeps serving, and the seal's end
-/// grants the cap.
+/// grants the cap. The first ack of the seal's epoch bump is lost, so the
+/// seal stays open until its tick sends the same `Submit` again.
 #[test]
 fn a_request_stashed_before_a_replay_is_handled_once() {
     use mala_mds::types::MdsError;
@@ -1138,7 +1139,13 @@ fn a_request_stashed_before_a_replay_is_handled_once() {
     sim.run_for(SimDuration::from_secs(2));
     let replays = sim.metrics().counter("mds.journal_replays");
     sim.crash(mds_node(0));
+    let lost = Rc::new(RefCell::new(false));
+    let lose = Rc::clone(&lost);
     let mds = Mds::new(0, MON, config, Box::new(NoBalancer));
+    let mds = Lossy::new(mds, move |_, _, msg| {
+        let ack = matches!(msg.downcast_ref::<MonMsg>(), Some(MonMsg::SubmitAck { .. }));
+        ack && !lose.replace(true)
+    });
     sim.restart(mds_node(0), mds);
     let cap = MdsMsg::CapRequest { ino: seq };
     send_from(&mut sim, client_node(1), mds_node(0), cap);
@@ -1151,6 +1158,8 @@ fn a_request_stashed_before_a_replay_is_handled_once() {
     assert_eq!(sim.metrics().counter("mds.seq_seals"), 0);
     let dir = create(&mut sim, client_node(0), 2, "/", "d", FileType::Dir);
     assert!(dir > seq);
+    assert!(*lost.borrow(), "the seal's first ack was lost");
+    assert_eq!(sim.metrics().counter("mds.seq_seals"), 0);
     sim.run_for(SimDuration::from_secs(2));
     assert_eq!(sim.metrics().counter("mds.seq_seals"), 1);
     let grants = &sim.actor::<TestClient>(client_node(1)).grants;
@@ -1291,8 +1300,8 @@ fn a_seal_whose_ack_is_lost_is_acked_for_the_same_submit_again() {
     let lost_at = Rc::new(RefCell::new(None));
     let lost = Rc::clone(&lost_at);
     let mds = Mds::new(0, MON, MdsConfig::default(), Box::new(NoBalancer));
-    // Every ack of the first chosen batch that holds the bump: a copy the
-    // seal re-sent before that batch was proposed rides in it too.
+    // Every ack that arrives at the instant of the first: the acks of the
+    // first chosen batch that holds the bump.
     let mds = Lossy::new(mds, move |now, _, msg| {
         if !matches!(msg.downcast_ref::<MonMsg>(), Some(MonMsg::SubmitAck { .. })) {
             return false;

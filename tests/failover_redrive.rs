@@ -1,6 +1,7 @@
-//! An MDS crash costs the beacon grace and one proposal interval: the
-//! monitor proposes the promotion as soon as the grace runs out, and only
-//! the zlog epoch bump, a client submit, waits for a proposal tick.
+//! An MDS crash costs the beacon grace and no proposal interval: the
+//! monitor proposes the promotion as soon as the grace runs out, and the
+//! zlog epoch bump as soon as it arrives, since the zlog map's updates do
+//! not wait for a proposal tick.
 //!
 //! A promoted standby's seal wakes the appends that waited through it. The
 //! standby answers a grant `Recovering` until the seal's stripe calls are
@@ -35,9 +36,9 @@ const AFTER_SEAL: SimDuration = SimDuration::from_millis(50);
 /// runs to two seconds.
 const OUTAGE_AFTER_SEAL: SimDuration = SimDuration::from_millis(200);
 
-/// What a crash costs beyond the monitor's beacon grace and one proposal
-/// interval: the promoted standby's journal replay and the seal's stripe
-/// round trip.
+/// What a crash costs beyond the monitor's beacon grace: the promoted
+/// standby's journal replay, the seal's epoch bump (one Paxos round) and
+/// its stripe round trip.
 const REPLAY_AND_SEAL: SimDuration = SimDuration::from_millis(100);
 
 /// One journalling MDS rank and one standby; the `zlog` class installed
@@ -115,14 +116,14 @@ struct Append {
 }
 
 /// Two batching writers and one tailer on one log; the active MDS crashes
-/// a second into the load. The seal comes within the beacon grace, one
-/// proposal interval and [`REPLAY_AND_SEAL`] of the crash. Every append in
-/// flight at the crash completes within [`AFTER_SEAL`] of the seal, and
-/// every one that arrived during the outage within [`OUTAGE_AFTER_SEAL`];
-/// no position is granted twice, and the tailer reads every append's entry
-/// at the position it was granted.
+/// a second into the load. The seal comes within the beacon grace and
+/// [`REPLAY_AND_SEAL`] of the crash, whatever the proposal interval. Every
+/// append in flight at the crash completes within [`AFTER_SEAL`] of the
+/// seal, and every one that arrived during the outage within
+/// [`OUTAGE_AFTER_SEAL`]; no position is granted twice, and the tailer
+/// reads every append's entry at the position it was granted.
 fn appends_wake_with_the_seal(mon: MonConfig) {
-    let crash_to_seal = mon.mds_beacon_grace + mon.proposal_interval + REPLAY_AND_SEAL;
+    let crash_to_seal = mon.mds_beacon_grace + REPLAY_AND_SEAL;
     let mut cluster = cluster(mon, true);
     let batching =
         |cluster: &Cluster| ZlogClient::with_batching(log_config(cluster), BatchConfig::default());
