@@ -12,7 +12,7 @@
 //! client commands to the leader; a leader that stops heartbeating is
 //! superseded by a higher round.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Identifies a Paxos replica within its quorum (dense, `0..n`).
 pub type ReplicaId = u32;
@@ -90,11 +90,11 @@ enum ProposerState<C> {
     Follower,
     /// Sent `Prepare`, collecting promises.
     Campaigning {
-        promises: HashSet<ReplicaId>,
+        promises: BTreeSet<ReplicaId>,
         /// Highest-ballot accepted value seen per slot, re-proposed on
         /// winning (the Paxos "choose the value of the highest-numbered
         /// proposal" rule).
-        salvage: HashMap<Slot, (Ballot, C)>,
+        salvage: BTreeMap<Slot, (Ballot, C)>,
         /// Highest chosen watermark reported by any promiser; new
         /// proposals must start at or above it.
         peers_chosen: Slot,
@@ -116,7 +116,7 @@ pub struct PaxosNode<C> {
     /// Ballot this node campaigns/leads with.
     my_ballot: Ballot,
     /// Per-slot accepted (ballot, command).
-    accepted: HashMap<Slot, (Ballot, C)>,
+    accepted: BTreeMap<Slot, (Ballot, C)>,
     /// Chosen commands (the replicated log).
     chosen: BTreeMap<Slot, C>,
     /// Lowest slot with no chosen command (contiguous prefix watermark).
@@ -124,9 +124,9 @@ pub struct PaxosNode<C> {
     /// Next slot the leader will assign.
     next_slot: Slot,
     /// Quorum tallies for in-flight proposals led by this node.
-    tallies: HashMap<Slot, HashSet<ReplicaId>>,
+    tallies: BTreeMap<Slot, BTreeSet<ReplicaId>>,
     /// Commands in flight at this leader, for re-proposal bookkeeping.
-    in_flight: HashMap<Slot, C>,
+    in_flight: BTreeMap<Slot, C>,
     /// Commands waiting for leadership/phase 1.
     pending: Vec<C>,
     proposer: ProposerState<C>,
@@ -150,12 +150,12 @@ impl<C: Clone> PaxosNode<C> {
                 round: 1,
                 proposer: id,
             },
-            accepted: HashMap::new(),
+            accepted: BTreeMap::new(),
             chosen: BTreeMap::new(),
             first_unchosen: 0,
             next_slot: 0,
-            tallies: HashMap::new(),
-            in_flight: HashMap::new(),
+            tallies: BTreeMap::new(),
+            in_flight: BTreeMap::new(),
             pending: Vec::new(),
             proposer: ProposerState::Follower,
             leader_hint: None,
@@ -212,8 +212,8 @@ impl<C: Clone> PaxosNode<C> {
             proposer: self.id,
         };
         self.proposer = ProposerState::Campaigning {
-            promises: HashSet::new(),
-            salvage: HashMap::new(),
+            promises: BTreeSet::new(),
+            salvage: BTreeMap::new(),
             peers_chosen: 0,
         };
         self.broadcast(PaxosMsg::Prepare {
@@ -254,17 +254,11 @@ impl<C: Clone> PaxosNode<C> {
             ballot: self.my_ballot,
             chosen_up_to: self.first_unchosen,
         });
-        let mut inflight: Vec<(Slot, C)> = self
-            .in_flight
-            .iter()
-            .map(|(s, c)| (*s, c.clone()))
-            .collect();
-        inflight.sort_by_key(|(s, _)| *s);
-        for (slot, command) in inflight {
+        for (slot, command) in &self.in_flight {
             out.extend(self.broadcast(PaxosMsg::Accept {
                 ballot: self.my_ballot,
-                slot,
-                command,
+                slot: *slot,
+                command: command.clone(),
             }));
         }
         out
@@ -274,7 +268,7 @@ impl<C: Clone> PaxosNode<C> {
         let slot = self.next_slot;
         self.next_slot += 1;
         self.in_flight.insert(slot, command.clone());
-        self.tallies.insert(slot, HashSet::new());
+        self.tallies.insert(slot, BTreeSet::new());
         self.broadcast(PaxosMsg::Accept {
             ballot: self.my_ballot,
             slot,
@@ -389,9 +383,7 @@ impl<C: Clone> PaxosNode<C> {
         // Commands this node had in flight are re-queued so they are not
         // lost (the new leader may also have salvaged them; the monitor's
         // command application is idempotent per transaction id).
-        let mut orphans: Vec<(Slot, C)> = self.in_flight.drain().collect();
-        orphans.sort_by_key(|(s, _)| *s);
-        for (slot, cmd) in orphans {
+        for (slot, cmd) in std::mem::take(&mut self.in_flight) {
             if !self.chosen.contains_key(&slot) {
                 self.pending.push(cmd);
             }
@@ -436,20 +428,16 @@ impl<C: Clone> PaxosNode<C> {
         // chosen value, which is safe — then drain pending commands into
         // fresh slots strictly above everything any promiser has chosen.
         let peers_chosen = *peers_chosen;
-        let mut salvage: Vec<(Slot, C)> = std::mem::take(salvage)
-            .into_iter()
-            .map(|(slot, (_, cmd))| (slot, cmd))
-            .collect();
-        salvage.sort_by_key(|(slot, _)| *slot);
+        let salvage = std::mem::take(salvage);
         self.proposer = ProposerState::Leading;
         let mut out = Vec::new();
-        for (slot, cmd) in salvage {
+        for (slot, (_, cmd)) in salvage {
             self.next_slot = self.next_slot.max(slot + 1);
             if self.chosen.contains_key(&slot) {
                 continue;
             }
             self.in_flight.insert(slot, cmd.clone());
-            self.tallies.insert(slot, HashSet::new());
+            self.tallies.insert(slot, BTreeSet::new());
             out.extend(self.broadcast(PaxosMsg::Accept {
                 ballot: self.my_ballot,
                 slot,
@@ -715,6 +703,47 @@ mod tests {
         let out = nodes[0].submit(1);
         pump_filtered(&mut nodes, tag(0, out), |_, o| o.to >= 3);
         assert_eq!(nodes[1].chosen_from(0).count(), 1);
+    }
+
+    #[test]
+    fn a_promise_lists_accepted_slots_in_slot_order() {
+        let mut node = Node::new(1, 3);
+        let leader = Ballot {
+            round: 1,
+            proposer: 0,
+        };
+        for slot in 0..32 {
+            node.on_message(
+                0,
+                PaxosMsg::Accept {
+                    ballot: leader,
+                    slot,
+                    command: slot,
+                },
+            );
+        }
+        let out = node.on_message(
+            2,
+            PaxosMsg::Prepare {
+                ballot: Ballot {
+                    round: 2,
+                    proposer: 2,
+                },
+            },
+        );
+        let [Outbound {
+            msg: PaxosMsg::Promise { accepted, .. },
+            ..
+        }] = out.as_slice()
+        else {
+            panic!("expected one Promise, got {out:?}");
+        };
+        let slots: Vec<Slot> = accepted.iter().map(|(s, _, _)| *s).collect();
+        assert_eq!(slots.len(), 32);
+        assert!(
+            slots.windows(2).all(|w| w[0] < w[1]),
+            "promise slots out of order: {slots:?}"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use mala_consensus::paxos::{Outbound, PaxosNode};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 type Node = PaxosNode<u64>;
 
@@ -84,7 +84,7 @@ fn run_schedule(n: u32, actions: &[Action]) -> (Vec<Node>, Vec<u64>) {
 }
 
 fn check_agreement_and_validity(nodes: &[Node], submitted: &[u64]) -> Result<(), TestCaseError> {
-    let mut decided: HashMap<u64, u64> = HashMap::new();
+    let mut decided: BTreeMap<u64, u64> = BTreeMap::new();
     for node in nodes {
         for (slot, cmd) in node.chosen_from(0) {
             if let Some(prev) = decided.insert(slot, *cmd) {

@@ -13,11 +13,11 @@
 //!   that Malacology contributes.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use mala_dsl::value::{fmt_num, HostCtx};
 use mala_dsl::{Engine, Expr, RtError, Script, Stmt, Str, Table, Value, Vm};
+use mala_sim::IdMap;
 
 use crate::frame;
 use crate::object::Object;
@@ -79,7 +79,7 @@ struct ScriptedClass<E> {
     /// script defined — not the host natives or the standard library its
     /// engine also holds as globals — each read-only if the script's
     /// `__readonly = {"m1", ...}` global named it, read-write otherwise.
-    methods: HashMap<Box<str>, MethodKind>,
+    methods: IdMap<Box<str>, MethodKind>,
 }
 
 impl<E: Engine> ScriptedClass<E> {
@@ -165,8 +165,8 @@ enum Method<'a, E> {
 /// class on the reference tree-walker ([`ClassRegistry::for_engine`]).
 pub struct ClassRegistry<E = Vm> {
     /// class → method → implementation; nested so both lookups borrow.
-    native: HashMap<String, HashMap<String, (MethodKind, NativeMethod)>>,
-    scripted: HashMap<String, ScriptedClass<E>>,
+    native: IdMap<String, IdMap<String, (MethodKind, NativeMethod)>>,
+    scripted: IdMap<String, ScriptedClass<E>>,
 }
 
 impl ClassRegistry {
@@ -187,8 +187,8 @@ impl<E: Engine> ClassRegistry<E> {
     /// An empty registry whose scripted classes run on `E`.
     pub fn for_engine() -> Self {
         ClassRegistry {
-            native: HashMap::new(),
-            scripted: HashMap::new(),
+            native: IdMap::default(),
+            scripted: IdMap::default(),
         }
     }
 

@@ -14,7 +14,7 @@
 //! (the fold of the log), exactly what replay would produce.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use mala_sim::{IdMap, NodeId};
@@ -223,7 +223,7 @@ fn unfold(snapshot: JournalSnapshot) -> Vec<JournalRecord> {
 /// the set, so builders and restart callbacks see the same journals.
 #[derive(Debug, Clone, Default)]
 pub struct JournalSet {
-    inner: Rc<RefCell<HashMap<NodeId, Journal>>>,
+    inner: Rc<RefCell<BTreeMap<NodeId, Journal>>>,
 }
 
 impl JournalSet {

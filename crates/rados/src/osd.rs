@@ -20,7 +20,7 @@
 
 use std::any::Any;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use mala_consensus::{
@@ -317,7 +317,7 @@ pub struct Osd {
     /// In-progress PG backfills, keyed by `(pool, pg_index)`. A PG with an
     /// entry here is not served (`NotReady`) and its replications are
     /// deferred until the snapshot lands.
-    backfills: HashMap<(String, u32), Backfill>,
+    backfills: BTreeMap<(String, u32), Backfill>,
 }
 
 impl Osd {
@@ -337,7 +337,7 @@ impl Osd {
             next_repl_id: 1,
             journal: None,
             replies: IdMap::default(),
-            backfills: HashMap::new(),
+            backfills: BTreeMap::new(),
         }
     }
 
@@ -710,7 +710,7 @@ impl Osd {
     fn on_map_change(&mut self, ctx: &mut Context<'_>, old: &OsdMapView) {
         // Re-evaluate pending replicated writes: replicas that left the up
         // set can never ack.
-        let up: HashSet<u32> = self.map.up_osds().into_iter().collect();
+        let up: BTreeSet<u32> = self.map.up_osds().into_iter().collect();
         let pending = self.pending.iter_mut();
         let mut completed: Vec<u64> = pending
             .filter_map(|(repl_id, p)| p.settle(|osd| !up.contains(&osd)).then_some(*repl_id))
@@ -726,7 +726,7 @@ impl Osd {
         // replicas apply shipped effects unconditionally, so this keeps
         // the primary's ack accounting moving even though we no longer
         // serve the PG.
-        let mut dropped: Vec<(String, u32)> = self
+        let dropped: Vec<(String, u32)> = self
             .backfills
             .keys()
             .filter(|(pool, pg_index)| {
@@ -737,7 +737,6 @@ impl Osd {
             })
             .cloned()
             .collect();
-        dropped.sort();
         for key in dropped {
             ctx.metrics().bump(counter!("osd.backfill_dropped"), 1);
             self.finish_backfill(ctx, key, &[]);
@@ -1274,7 +1273,7 @@ impl Actor for Osd {
                 pg_index,
                 fingerprints,
             } => {
-                let mine: HashMap<ObjectId, u64> = self
+                let mine: BTreeMap<ObjectId, u64> = self
                     .objects_in_pg(&pool, pg_index)
                     .into_iter()
                     .map(|(oid, obj)| (oid, obj.fingerprint()))
@@ -1319,7 +1318,7 @@ impl Actor for Osd {
                 // with what it has (the data is unreachable — availability
                 // over completeness, and scrub repairs any divergence), as
                 // does one whose sources ignored several full rotations.
-                let up: HashSet<u32> = self.map.up_osds().into_iter().collect();
+                let up: BTreeSet<u32> = self.map.up_osds().into_iter().collect();
                 let mut finished: Vec<(String, u32)> = Vec::new();
                 let mut pulls: Vec<(String, u32)> = Vec::new();
                 for (key, backfill) in self.backfills.iter_mut() {
@@ -1332,10 +1331,6 @@ impl Actor for Osd {
                         pulls.push(key.clone());
                     }
                 }
-                // `backfills` is a HashMap: fix the retry order so runs
-                // replay identically across processes.
-                finished.sort();
-                pulls.sort();
                 for key in finished {
                     ctx.metrics().bump(counter!("osd.backfill_aborted"), 1);
                     self.finish_backfill(ctx, key, &[]);
@@ -1397,7 +1392,7 @@ fn object_bytes(obj: &Object) -> u64 {
 /// Backfill source candidates: prior acting-set members first (they hold
 /// the data), then current peers, deduplicated, excluding `me` and anyone
 /// not up.
-fn source_candidates(me: u32, before_set: &[u32], now_set: &[u32], up: &HashSet<u32>) -> Vec<u32> {
+fn source_candidates(me: u32, before_set: &[u32], now_set: &[u32], up: &BTreeSet<u32>) -> Vec<u32> {
     let mut sources = Vec::new();
     for osd in before_set.iter().chain(now_set.iter()) {
         if *osd != me && up.contains(osd) && !sources.contains(osd) {
