@@ -6,14 +6,14 @@
 # one-seal-path, request-held-once, short-string-in-place,
 # outcome-held-once, one-request-core,
 # one-route-table-a-subscriber-is-sent-the-map, a-grant-travels-alone,
-# a-seal's-last-step-holds, the-zlog-client-fits-in-a-head,
+# a-seal's-last-step-holds, the-zlog-client-the-monitor-and-the-OSD-fit-in-a-head,
 # a-liveness-action-is-proposed-when-it-is-decided, one-proposal-policy,
 # a-map-entry-has-one-codec, a-retry-repeats-its-request-and-the-MDS-has-one-tick
-# and everything-kept-has-a-reader structure checks, the
-# tier-1 build + test pass (the whole workspace minus the vendored stand-ins), every experiment's shape
-# check at quick scale, the three balancer figures at paper scale against results/, and
-# the frozen benchmark with its ceilings. Run from the repository root before
-# pushing.
+# and everything-kept-has-a-reader structure checks, the tier-1 build + test
+# pass (the whole workspace minus the vendored stand-ins; it runs every
+# experiment's shape check at quick scale), the three balancer figures at
+# paper scale against results/, and the frozen benchmark with its ceilings.
+# Run from the repository root before pushing.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -29,6 +29,11 @@ above_tests() {
 zlog_client="crates/zlog/src/log.rs $(find crates/zlog/src/log -name '*.rs' ! -name tests.rs | sort | xargs)"
 # The text of the zlog client's files, above their tests.
 zlog_text="$(for file in $zlog_client; do above_tests "$file"; done)"
+# The OSD and the monitor: each root file and its concern modules, their
+# tests excluded (DESIGN §12, §28).
+osd_files="crates/rados/src/osd.rs $(find crates/rados/src/osd -name '*.rs' ! -name tests.rs | sort | xargs)"
+osd_text="$(for file in $osd_files; do above_tests "$file"; done)"
+monitor_files="crates/consensus/src/monitor.rs $(find crates/consensus/src/monitor -name '*.rs' ! -name tests.rs | sort | xargs)"
 # The functions, in the files after the first argument, whose bodies
 # contain the first argument, one name per occurrence.
 enclosing_fns() {
@@ -44,8 +49,9 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets (-D warnings)"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> one RADOS client: OsdMsg::ClientOp is built in rados/src/client.rs alone (osd.rs matches on it); the MDS places nothing"
-[ "$(grep -rl 'OsdMsg::ClientOp {' crates --include='*.rs' | sort | xargs)" = "crates/rados/src/client.rs crates/rados/src/osd.rs" ]
+echo "==> one RADOS client: OsdMsg::ClientOp is built in rados/src/client.rs alone (the OSD matches on it once); the MDS places nothing"
+[ "$(grep -rl 'OsdMsg::ClientOp {' crates --include='*.rs' | grep -v '^crates/rados/src/osd[./]' | sort | xargs)" = crates/rados/src/client.rs ]
+[ "$(grep -c 'OsdMsg::ClientOp {' <<<"$osd_text")" = 1 ]
 [ -z "$(grep -rl 'acting_set_for' crates/mds/src)" ]
 
 echo "==> no timer per item: a client's ops and requests share one deadline set (DESIGN §27); the zlog client arms its flush window itself, the RADOS client nothing"
@@ -53,10 +59,12 @@ echo "==> no timer per item: a client's ops and requests share one deadline set 
 [ -z "$(grep -n 'set_timer(' <<<"$zlog_text" | grep -v 'TOKEN_FLUSH')" ]
 [ -z "$(grep -n 'set_timer(' crates/rados/src/client.rs)" ]
 
-echo "==> replication ships effects: in osd.rs only OsdMsg::ClientOp and handle_client_op hold a Transaction (the client's, shared) and apply borrows it, and the replica path names no class registry (DESIGN §28)"
-[ "$(grep -c 'req: Rc<(ObjectId, Transaction)>' crates/rados/src/osd.rs)" = 2 ]
-[ "$(grep -c 'Transaction' crates/rados/src/osd.rs)" = 4 ]
-[ -z "$(awk '/^    fn (handle_repl|apply_effect)\(/,/^    }$/' crates/rados/src/osd.rs | grep -E 'registry|ClassRegistry|ObjTxn|Transaction')" ]
+echo "==> replication ships effects: in the OSD only OsdMsg::ClientOp and handle_client_op hold a Transaction (the client's, shared) and apply borrows it, and the replica path names no class registry (DESIGN §28)"
+[ "$(cat $osd_files crates/rados/src/osd/tests.rs | grep -c 'req: Rc<(ObjectId, Transaction)>')" = 2 ]
+[ "$(cat $osd_files crates/rados/src/osd/tests.rs | grep -c 'Transaction')" = 4 ]
+replica_path="$(awk '/^    (pub\(super\) )?fn (handle_repl|apply_effect)\(/,/^    }$/' <<<"$osd_text")"
+[ "$(grep -cE '^    (pub\(super\) )?fn (handle_repl|apply_effect)\(' <<<"$replica_path")" = 2 ]
+[ -z "$(grep -E 'registry|ClassRegistry|ObjTxn|Transaction' <<<"$replica_path")" ]
 
 echo "==> a payload is bytes, held once: no lossy decoding on the class path, in the zlog wire helpers or in the zlog client, and no native copies a value to store it (DESIGN §29)"
 for file in crates/rados/src/class.rs crates/zlog/src/storage.rs $zlog_client; do
@@ -69,8 +77,8 @@ done
 [ -z "$(grep -rn 'Rc<str>' crates/dsl/src crates/rados/src | grep -v 'names: Vec<Rc<str>>\|type GlobalNames\|type Key = Rc<str>\|pub pool: Rc<str>\|pub name: Rc<str>\|Into<Rc<str>>\|class: Rc<str>\|method: Rc<str>')" ]
 
 echo "==> a name is held once: no hop copies an object id's parts or an omap key, the zlog client formats no stripe id per request, and a sequencer verb is not text (DESIGN §30)"
-for file in osd ops object; do
-    [ -z "$(above_tests "crates/rados/src/$file.rs" | grep -n '\.pool\.clone()\|\.name\.clone()\|key\.to_string()')" ]
+for file in $osd_files crates/rados/src/ops.rs crates/rados/src/object.rs; do
+    [ -z "$(above_tests "$file" | grep -n '\.pool\.clone()\|\.name\.clone()\|key\.to_string()')" ]
 done
 stripe_oid="$(awk '/^    (pub\(super\) )?fn stripe_oid\(/,/^    }$/' <<<"$zlog_text")"
 [ -n "$stripe_oid" ]
@@ -99,10 +107,10 @@ grep -qF 'routes: &Routes<Route>)' <<<"$zlog_text"
 [ -z "$(grep -n 'cancel_where(\|\.waiters()\.filter' <<<"$zlog_text")" ]
 
 echo "==> a map is held once on the OSD: both maps a gossip message carries are the sender's shared handles, and nothing deep-copies the interface map (DESIGN §31)"
-gossip_fields="$(awk '/^    Gossip \{$/,/^    \},$/' crates/rados/src/osd.rs | grep -E '^        [a-z_]+: ')"
+gossip_fields="$(awk '/^    Gossip \{$/,/^    \},$/' <<<"$osd_text" | grep -E '^        [a-z_]+: ')"
 [ "$(grep -c . <<<"$gossip_fields")" = 2 ]
 [ "$(grep -c 'Rc<' <<<"$gossip_fields")" = 2 ]
-[ -z "$(grep -n 'self\.interfaces\.clone()' crates/rados/src/osd.rs)" ]
+[ -z "$(grep -n 'self\.interfaces\.clone()' $osd_files crates/rados/src/osd/tests.rs)" ]
 
 echo "==> a counter is a slot: a literal counter name is bumped through counter!, which resolves it once per call site; incr takes only names built at run time (DESIGN §32)"
 # Whitespace is squeezed out first, so a call rustfmt breaks after `incr(`
@@ -114,7 +122,7 @@ done
 echo "==> one read path: a point read and a write probe are a read_batch of one, trimming is by prefix only, and RADOS does not parse the zlog class's wire (DESIGN §13, §17, §25)"
 [ -z "$(grep -n 'Method::Read\b\|Method::Trim\b\|Stage::ReadEntry' <<<"$zlog_text")" ]
 [ -z "$(grep -n 'function read(\|function trim(' crates/zlog/src/storage.rs)" ]
-[ -z "$(grep -n '"zlog"' crates/rados/src/osd.rs)" ]
+[ -z "$(grep -n '"zlog"' $osd_files crates/rados/src/osd/tests.rs)" ]
 
 echo "==> one type-op path: a sequencer verb from the client and one its home forwards pass one gate into exec_type_op, which has one caller (DESIGN §33)"
 [ "$(grep -c 'exec_type_op(' crates/mds/src/server.rs)" = 2 ]
@@ -141,20 +149,19 @@ for file in crates/dsl/src/*.rs; do
 done
 
 echo "==> an outcome is held once: an OSD keeps a write's result as one Outcome, shared by its reply window, its journal, its replicas and backfill pushes; the reply to the client is its one copy (DESIGN §36)"
-osd_src="$(above_tests crates/rados/src/osd.rs)"
-[ -z "$(grep -nE '(result|outcome)s?\.(clone|to_vec|to_owned)\(\)|Result::clone|Vec::clone' <<<"$osd_src")" ]
-[ "$(grep -c 'into_owned()' <<<"$osd_src")" = 1 ]
-for holder in '^struct PendingRepl \{$' '^struct DeferredRepl \{$' '^    Repl \{$'; do
-    awk -v start="$holder" '$0 ~ start, /^ *\},?$/' <<<"$osd_src" | grep -q 'outcome: Outcome,'
+[ -z "$(grep -nE '(result|outcome)s?\.(clone|to_vec|to_owned)\(\)|Result::clone|Vec::clone' <<<"$osd_text")" ]
+[ "$(grep -c 'into_owned()' <<<"$osd_text")" = 1 ]
+for holder in '^(pub[(]super[)] )?struct PendingRepl \{$' '^(pub[(]super[)] )?struct DeferredRepl \{$' '^    Repl \{$'; do
+    awk -v start="$holder" '$0 ~ start, /^ *\},?$/' <<<"$osd_text" | grep -q 'outcome: Outcome,'
 done
-grep -q 'Done(Outcome)' <<<"$osd_src"
-grep -q 'AppliedReply = (NodeId, u64, Outcome);' <<<"$osd_src"
+grep -q 'Done(Outcome)' <<<"$osd_text"
+grep -q 'AppliedReply = (NodeId, u64, Outcome);' <<<"$osd_text"
 grep -q 'result: Outcome,' crates/rados/src/journal.rs
 
 echo "==> one request core: the zlog client, the RADOS client and the open-loop fleet hold their work in flight in one mala_sim::Requests, with its looks and its park list (DESIGN §23)"
 # The monitor's deadline set holds no requests: one beacon deadline per
 # MDS daemon (DESIGN §12).
-[ -z "$(grep -rln 'Deadlines::new(' crates/*/src | grep -v '^crates/sim/src/\|^crates/consensus/src/monitor.rs$')" ]
+[ -z "$(grep -rln 'Deadlines::new(' crates/*/src | grep -v '^crates/sim/src/' | grep -vxF "$(tr ' ' '\n' <<<"$monitor_files")")" ]
 for file in crates/rados/src/client.rs $zlog_client crates/bench/src/openloop.rs; do
     [ -z "$(grep -n 'parked:\|retry_q\|retry_armed\|blocked_on_epoch\|retry_at\|Deadlines<' "$file")" ]
 done
@@ -185,8 +192,8 @@ echo "==> a seal's last step holds: MdsError::Recovering is built only at the ty
 grep -q 'rec.held.push(request);' crates/mds/src/server.rs
 [ "$(awk '/\(MdsError::Recovering, _\) => \{/,/^            \}$/' <<<"$zlog_text" | grep -c 'self.ops.park(op, Park::Epoch(sent));')" = 1 ]
 
-echo "==> the zlog client fits in a head: no file under crates/zlog/src is over 1,000 lines, one step dispatch serves the starters and the re-drive, and an op names one owner (DESIGN §23)"
-[ -z "$(find crates/zlog/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1000')" ]
+echo "==> the zlog client, the monitor and the OSD fit in a head: no file under crates/zlog/src, crates/consensus/src or crates/rados/src is over 1,000 lines, one step dispatch serves the starters and the re-drive, and an op names one owner (DESIGN §12, §23, §28)"
+[ -z "$(find crates/zlog/src crates/consensus/src crates/rados/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1000')" ]
 [ "$(grep -c 'fn step(' <<<"$zlog_text")" = 1 ]
 [ "$(enclosing_fns 'self.step(ctx, op);' $zlog_client | tr ' ' '\n' | grep -cx 'start\|redrive_op')" = 2 ]
 [ -z "$(grep -n 'fn step_fill(\|fn step_tail(\|fn step_checkpoint(\|fn step_ckpt_read(\|fn spawn_cursor_' <<<"$zlog_text")" ]
@@ -213,9 +220,9 @@ maps_text="$(above_tests crates/consensus/src/maps.rs)"
 policy_users="$(for file in $(find crates/*/src -name '*.rs' ! -path crates/consensus/src/maps.rs | sort); do above_tests "$file"; done | grep -v '^ *//')"
 [ -z "$(grep -n 'fn proposes_at_once(\|PROPOSED_AT_ONCE' <<<"$policy_users")" ]
 [ "$(grep -c 'proposes_at_once(' <<<"$policy_users")" = 1 ]
-[ "$(enclosing_fns 'maps::proposes_at_once(' crates/consensus/src/monitor.rs)" = on_message ]
+[ "$(enclosing_fns 'maps::proposes_at_once(' $monitor_files)" = on_message ]
 # The monitor names the zlog map only where it counts a refused update.
-[ "$(enclosing_fns 'SERVICE_MAP_ZLOG' crates/consensus/src/monitor.rs)" = apply_batch ]
+[ "$(enclosing_fns 'SERVICE_MAP_ZLOG' $monitor_files)" = apply_batch ]
 
 echo "==> a map entry has one codec: outside crates/consensus/src/maps.rs no code builds, parses or names an osdmap, mdsmap or zlog map entry by hand; the monitor and the daemons go through the codec (DESIGN §12, §31)"
 for file in $(find crates/*/src -name '*.rs' ! -path crates/consensus/src/maps.rs); do
@@ -241,8 +248,8 @@ done
 # harness keeps its own `summarize`.
 [ -z "$(for file in $(find crates/mds/src -name '*.rs'); do above_tests "$file"; done | grep -n 'fn replay_journal(')" ]
 [ -z "$(for file in $(find crates/sim/src -name '*.rs'); do above_tests "$file"; done | grep -n 'fn summarize')" ]
-client_reply="$(awk '/^    ClientReply \{/,/^    \},/' crates/rados/src/osd.rs)"
-scrub_divergent="$(awk '/^    ScrubDivergent \{/,/^    \},/' crates/rados/src/osd.rs)"
+client_reply="$(awk '/^    ClientReply \{/,/^    \},/' <<<"$osd_text")"
+scrub_divergent="$(awk '/^    ScrubDivergent \{/,/^    \},/' <<<"$osd_text")"
 [ -n "$client_reply" ] && [ -z "$(grep -n 'map_epoch' <<<"$client_reply")" ]
 [ -n "$scrub_divergent" ] && [ -z "$(grep -n 'pool' <<<"$scrub_divergent")" ]
 
@@ -251,9 +258,6 @@ cargo build --release
 
 echo "==> cargo test (root package and every crate: default-members)"
 cargo test -q
-
-echo "==> mala-bench all --quick (release: every experiment's shape check, nothing written)"
-cargo run --release -q -p mala-bench -- all --quick >/dev/null
 
 echo "==> mala-bench fig9, fig10, backoff at paper scale (release): a fresh run writes the committed results/ files"
 # The balancer figures replay since Mds::balance_tick breaks rate ties by

@@ -59,6 +59,17 @@ fn quick_prints_and_checks_but_never_writes() {
     assert!(!dir.join("results").exists(), "--quick wrote results/");
 }
 
+/// Every experiment at quick scale passes its shape check, so tier-1 runs
+/// each of the paper's claims, and writes nothing.
+#[test]
+fn all_quick_checks_every_experiment_and_never_writes() {
+    let dir = fresh_dir("all_quick");
+    let out = mala_bench(&dir, &["all", "--quick"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert!(!dir.join("results").exists(), "--quick wrote results/");
+}
+
 /// A paper-scale run writes the files its entry owns, and for these cheap,
 /// replayable entries the committed `results/` files are exactly what a
 /// fresh run writes: a behaviour change that forgets to regenerate them
