@@ -7,7 +7,7 @@
 //! object, and a restarted MDS replays that journal (the paper's
 //! Durability interface backing the metadata service).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use mala_sim::{IdMap, NodeId};
@@ -314,9 +314,9 @@ pub struct ReplayState {
     pub namespace: Namespace,
     /// Capabilities outstanding at the time of the crash: ino → holder.
     /// These seed the reconnect window.
-    pub cap_holders: HashMap<Ino, NodeId>,
+    pub cap_holders: BTreeMap<Ino, NodeId>,
     /// Registered sequencer layouts: ino → backing log.
-    pub layouts: HashMap<Ino, SeqLayout>,
+    pub layouts: BTreeMap<Ino, SeqLayout>,
 }
 
 impl Default for Namespace {

@@ -19,7 +19,7 @@
 //!   Mode (Full) approaches 2× client mode in Figure 10(b).
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use mala_consensus::maps::{LogEpoch, MdsMapView};
@@ -519,8 +519,8 @@ impl Mds {
     /// every proxied one. When two or more ranks participate, the
     /// namespace is *split* and the scatter-gather coherence protocol
     /// runs between them.
-    fn participating_ranks(&self) -> HashSet<u32> {
-        let mut ranks = HashSet::new();
+    fn participating_ranks(&self) -> BTreeSet<u32> {
+        let mut ranks = BTreeSet::new();
         for ino in self.namespace.inodes_of_type(&FileType::Sequencer) {
             let route = self.route_of(ino);
             ranks.insert(route.auth);
@@ -1190,10 +1190,7 @@ impl Mds {
         // reasserts its cap (and flushes state); a dead or partitioned one
         // stays silent and the cap timeout evicts it.
         let now = ctx.now();
-        // Recalls are sent per holder: inode order, not the map's.
-        let mut holders: Vec<(Ino, NodeId)> = replay.cap_holders.into_iter().collect();
-        holders.sort_unstable();
-        for (ino, holder) in holders {
+        for (ino, holder) in replay.cap_holders {
             self.caps.insert(
                 ino,
                 CapState::reconnect(CapPolicyConfig::best_effort(), holder, now),

@@ -4,7 +4,7 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use mala_consensus::{
@@ -33,11 +33,11 @@ fn client_node(i: u32) -> NodeId {
 #[derive(Default)]
 struct TestClient {
     target: Option<NodeId>,
-    resolved: HashMap<u64, Result<(u64, u32), mala_mds::types::MdsError>>,
-    created: HashMap<u64, Result<u64, mala_mds::types::MdsError>>,
-    typeops: HashMap<u64, (Result<u64, mala_mds::types::MdsError>, u32)>,
+    resolved: BTreeMap<u64, Result<(u64, u32), mala_mds::types::MdsError>>,
+    created: BTreeMap<u64, Result<u64, mala_mds::types::MdsError>>,
+    typeops: BTreeMap<u64, (Result<u64, mala_mds::types::MdsError>, u32)>,
     /// Seal answers: reqid → (epoch, tail).
-    sealed: HashMap<u64, (u64, u64)>,
+    sealed: BTreeMap<u64, (u64, u64)>,
     grants: Vec<(SimTime, u64, u64)>,
     recalls: Vec<(SimTime, u64)>,
     /// While holding a cap: (ino, local tail).
@@ -923,7 +923,7 @@ fn send_seal(sim: &mut Sim, i: u32, reqid: u64, ino: u64) {
 }
 
 /// Client `i`'s seal answers so far: reqid → (epoch, tail).
-fn seals(sim: &Sim, i: u32) -> &HashMap<u64, (u64, u64)> {
+fn seals(sim: &Sim, i: u32) -> &BTreeMap<u64, (u64, u64)> {
     &sim.actor::<TestClient>(client_node(i)).sealed
 }
 
@@ -992,8 +992,8 @@ fn a_seal_request_answers_when_its_seal_completes() {
         Err(MdsError::Recovering)
     );
     sim.run_for(SimDuration::from_secs(1));
-    assert_eq!(seals(&sim, 0), &HashMap::from([(22, (1, 7))]));
-    assert_eq!(seals(&sim, 1), &HashMap::from([(21, (1, 7))]));
+    assert_eq!(seals(&sim, 0), &BTreeMap::from([(22, (1, 7))]));
+    assert_eq!(seals(&sim, 1), &BTreeMap::from([(21, (1, 7))]));
     assert_eq!(sim.metrics().counter("mds.seq_seals"), 1);
     assert_eq!(type_op(&mut sim, 24, seq, SeqOp::Next).0, Ok(7));
     // With the store behind the sequencer, a seal never moves it back.
@@ -1052,7 +1052,7 @@ fn a_seal_request_joins_a_takeover_seal_and_learns_its_epoch() {
     sim.run_for(SimDuration::from_millis(100));
     assert!(seals(&sim, 0).is_empty(), "answered before the seal");
     install_seal_stub(&mut sim, 6);
-    assert_eq!(seals(&sim, 0), &HashMap::from([(20, (1, 7))]));
+    assert_eq!(seals(&sim, 0), &BTreeMap::from([(20, (1, 7))]));
     assert_eq!(sim.metrics().counter("mds.seq_seals"), 1);
 }
 
@@ -1288,7 +1288,7 @@ fn a_seal_whose_submit_is_lost_sends_the_same_one_again() {
     assert!(seqs.len() >= 2, "the lost Submit went again: {seqs:?}");
     assert!(seqs.iter().all(|seq| *seq == seqs[0]), "{seqs:?}");
     assert_eq!(zlog_map(&sim), (1, Some(&b"1"[..])), "one bump");
-    assert_eq!(seals(&sim, 0), &HashMap::from([(20, (1, 7))]));
+    assert_eq!(seals(&sim, 0), &BTreeMap::from([(20, (1, 7))]));
     assert_eq!(sim.metrics().counter("mds.seq_seals"), 1);
 }
 
@@ -1313,7 +1313,7 @@ fn a_seal_whose_ack_is_lost_is_acked_for_the_same_submit_again() {
     assert!(lost_at.borrow().is_some(), "an ack was lost");
     assert_eq!(zlog_map(&sim), (1, Some(&b"1"[..])), "one bump");
     assert_eq!(sim.metrics().counter("mon.zlog_rejected_updates"), 0);
-    assert_eq!(seals(&sim, 0), &HashMap::from([(20, (1, 7))]));
+    assert_eq!(seals(&sim, 0), &BTreeMap::from([(20, (1, 7))]));
     assert_eq!(sim.metrics().counter("mds.seq_seals"), 1);
 }
 
