@@ -461,11 +461,6 @@ impl Mds {
         &self.namespace
     }
 
-    /// The balancer (harness inspection).
-    pub fn balancer(&self) -> &dyn Balancer {
-        self.balancer.as_ref()
-    }
-
     /// How `ino` is served: its stored route, or rank 0 serving it
     /// directly when it never moved.
     fn route_of(&self, ino: Ino) -> Route {
@@ -474,6 +469,14 @@ impl Mds {
             home: 0,
             style: ServeStyle::Direct,
         })
+    }
+
+    /// The nodes of the other ranks that are up, ascending by rank: where a
+    /// route update, a load share and a replicated create go.
+    fn peers(&self) -> Vec<NodeId> {
+        let ranks = self.mdsmap.view().ranks.iter();
+        let up = ranks.filter(|(rank, entry)| **rank != self.rank && entry.up);
+        up.map(|(_, entry)| entry.node).collect()
     }
 
     /// Authoritative rank for `ino` under current routing.
@@ -883,10 +886,8 @@ impl Mds {
 
     fn broadcast_route(&mut self, ctx: &mut Context<'_>, ino: Ino, route: Route) {
         self.install_route(ino, route);
-        for (rank, entry) in self.mdsmap.view().ranks.clone() {
-            if rank != self.rank && entry.up {
-                ctx.send(entry.node, MdsPeer::RouteUpdate { ino, route });
-            }
+        for node in self.peers() {
+            ctx.send(node, MdsPeer::RouteUpdate { ino, route });
         }
     }
 
@@ -930,15 +931,9 @@ impl Mds {
         ctx.metrics()
             .observe(&format!("mds.load.{me}"), now, sample.total());
         // Heartbeat to peers.
-        for (rank, entry) in self.mdsmap.view().ranks.clone() {
-            if rank != self.rank && entry.up {
-                ctx.send(
-                    entry.node,
-                    MdsPeer::LoadShare {
-                        sample: sample.clone(),
-                    },
-                );
-            }
+        for node in self.peers() {
+            let sample = sample.clone();
+            ctx.send(node, MdsPeer::LoadShare { sample });
         }
         self.peer_loads.insert(self.rank, sample.clone());
         // Build the policy view.
@@ -1642,17 +1637,15 @@ impl Mds {
                         ftype: ftype.clone(),
                     });
                     // Replicate the structure to peer ranks.
-                    for (rank, e) in self.mdsmap.view().ranks.clone() {
-                        if rank != self.rank && e.up {
-                            let (name, ftype) = (name.clone(), ftype.clone());
-                            let create = MdsPeer::NsReplicate {
-                                ino,
-                                parent,
-                                name,
-                                ftype,
-                            };
-                            ctx.send(e.node, create);
-                        }
+                    for node in self.peers() {
+                        let (name, ftype) = (name.clone(), ftype.clone());
+                        let create = MdsPeer::NsReplicate {
+                            ino,
+                            parent,
+                            name,
+                            ftype,
+                        };
+                        ctx.send(node, create);
                     }
                     Ok(ino)
                 });
