@@ -1281,11 +1281,18 @@ impl Mds {
     /// caps and buffered journal entries is safe — the new authority
     /// replays the durable journal and re-establishes caps through the
     /// reconnect window. Store requests still in flight lose their routes
-    /// and are cancelled: a deposed daemon retransmits nothing.
+    /// and are cancelled: a deposed daemon retransmits nothing. Nothing of
+    /// the rank stays for a later promotion, into this rank or another, to
+    /// inherit: no inode frozen for an export whose ack may never come, no
+    /// export deferred for a cap, and no layout — the rank's journal holds
+    /// those.
     fn depose(&mut self, ctx: &mut Context<'_>) {
         self.standby = true;
         self.ready = false;
         self.caps.clear();
+        self.frozen.clear();
+        self.pending_exports.clear();
+        self.seq_layouts.clear();
         self.journal_buf.clear();
         if let Some(flush) = self.journal_inflight.take() {
             ctx.span_tag(flush.span, "error", "deposed");

@@ -1412,3 +1412,76 @@ fn a_seal_opened_as_the_last_one_ends_joins_its_tick() {
     sim.run_for(SimDuration::from_secs(2));
     assert_one_read_per_500_ms(&reads.borrow(), opened, 3);
 }
+
+/// Gives `rank` to `node` with a mdsmap update submitted under `seq`, and
+/// lets it commit.
+fn assign(sim: &mut Sim, seq: u64, rank: u32, node: NodeId) {
+    let updates = vec![MdsMapView::update_rank(rank, node, true)];
+    sim.inject(MON, MonMsg::Submit { seq, updates });
+    sim.run_for(SimDuration::from_secs(1));
+}
+
+/// A daemon deposed mid-export and promoted back into its own rank keeps
+/// none of the export: the sequencer it froze for a rank that never
+/// acked is what the journal replay makes of it, as on a fresh daemon —
+/// with no layout on record, a grant answers `LayoutMissing`, not
+/// `Frozen` for as long as the daemon lives.
+#[test]
+fn a_daemon_promoted_back_into_its_rank_forgets_its_export() {
+    use mala_mds::types::MdsError;
+    let config = MdsConfig {
+        journal: true,
+        ..MdsConfig::default()
+    };
+    let mut sim = build_journalled(&config);
+    let seq = create(&mut sim, client_node(0), 1, "/", "s", FileType::Sequencer);
+    // Rank 1 is a client, which swallows the export: it is never acked.
+    sim.add_node(mds_node(1), TestClient::default());
+    assign(&mut sim, 2, 1, mds_node(1));
+    let style = ServeStyle::Direct;
+    let export = MdsMsg::AdminExport {
+        ino: seq,
+        target: 1,
+        style,
+    };
+    sim.inject(mds_node(0), export);
+    sim.run_for(SimDuration::from_millis(100));
+    assert_eq!(sim.metrics().counter("mds.exports"), 1);
+    for (seq, node) in [(3, NodeId(30)), (4, mds_node(0))] {
+        assign(&mut sim, seq, 0, node);
+    }
+    assert_eq!(sim.metrics().counter("mds.deposed"), 1);
+    assert_eq!(sim.metrics().counter("mds.takeovers"), 1);
+    for reqid in [10, 11] {
+        let (result, _) = type_op(&mut sim, reqid, seq, SeqOp::Next);
+        assert_eq!(result, Err(MdsError::LayoutMissing));
+        sim.run_for(SimDuration::from_secs(2));
+    }
+}
+
+/// A daemon deposed from one rank and promoted into another holds what
+/// the new rank's journal holds: the layout it registered in its old rank
+/// stays with that rank, and the new rank, whose journal is empty, seals
+/// no log.
+#[test]
+fn a_daemon_promoted_into_another_rank_seals_none_of_its_old_logs() {
+    let config = MdsConfig {
+        journal: true,
+        ..MdsConfig::default()
+    };
+    let mut sim = build_journalled(&config);
+    install_seal_stub(&mut sim, 6);
+    let seq = create(&mut sim, client_node(0), 1, "/", "s", FileType::Sequencer);
+    send_from(&mut sim, client_node(0), mds_node(0), layout(seq));
+    sim.run_for(SimDuration::from_secs(1));
+    let replays = sim.metrics().counter("mds.journal_replays");
+    assign(&mut sim, 3, 0, NodeId(30));
+    assert_eq!(sim.metrics().counter("mds.deposed"), 1);
+    assign(&mut sim, 4, 1, mds_node(0));
+    sim.run_for(SimDuration::from_secs(2));
+    assert_eq!(sim.metrics().counter("mds.takeovers"), 1);
+    assert_eq!(sim.metrics().counter("mds.journal_replays"), replays + 1);
+    let zlog = sim.actor::<Monitor>(MON).map(SERVICE_MAP_ZLOG);
+    assert_eq!(zlog.and_then(|map| map.entries.get("epoch.s")), None);
+    assert_eq!(sim.metrics().counter("mds.seq_seals"), 0);
+}
