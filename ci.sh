@@ -6,7 +6,7 @@
 # one-seal-path, request-held-once, short-string-in-place,
 # outcome-held-once, one-request-core,
 # one-route-table-a-subscriber-is-sent-the-map, a-grant-travels-alone,
-# a-seal's-last-step-holds, the-zlog-client-the-monitor-and-the-OSD-fit-in-a-head,
+# a-seal's-last-step-holds, the-zlog-client-the-monitor-the-OSD-and-the-MDS-fit-in-a-head,
 # a-liveness-action-is-proposed-when-it-is-decided, one-proposal-policy,
 # a-map-entry-has-one-codec, a-retry-repeats-its-request-and-the-MDS-has-one-tick
 # and everything-kept-has-a-reader structure checks, the tier-1 build + test
@@ -34,6 +34,9 @@ zlog_text="$(for file in $zlog_client; do above_tests "$file"; done)"
 osd_files="crates/rados/src/osd.rs $(find crates/rados/src/osd -name '*.rs' ! -name tests.rs | sort | xargs)"
 osd_text="$(for file in $osd_files; do above_tests "$file"; done)"
 monitor_files="crates/consensus/src/monitor.rs $(find crates/consensus/src/monitor -name '*.rs' ! -name tests.rs | sort | xargs)"
+# The MDS daemon: server.rs and its concern modules (DESIGN §12).
+mds_files="crates/mds/src/server.rs $(find crates/mds/src/server -name '*.rs' ! -name tests.rs | sort | xargs)"
+mds_text="$(for file in $mds_files; do above_tests "$file"; done)"
 # The functions, in the files after the first argument, whose bodies
 # contain the first argument, one name per occurrence.
 enclosing_fns() {
@@ -125,7 +128,7 @@ echo "==> one read path: a point read and a write probe are a read_batch of one,
 [ -z "$(grep -n '"zlog"' $osd_files crates/rados/src/osd/tests.rs)" ]
 
 echo "==> one type-op path: a sequencer verb from the client and one its home forwards pass one gate into exec_type_op, which has one caller (DESIGN §33)"
-[ "$(grep -c 'exec_type_op(' crates/mds/src/server.rs)" = 2 ]
+[ "$(grep -c 'exec_type_op(' <<<"$mds_text")" = 2 ]
 [ -z "$(grep -rn 'handle_proxy_op' crates)" ]
 
 echo "==> one seal path: a client's recovery is the MDS's seal; the zlog client seals no stripe, submits no epoch and writes back no tail (DESIGN §34)"
@@ -187,13 +190,14 @@ echo "==> a grant travels alone: MdsMsg::SetSeqLayout is built in the zlog clien
 grep -q '(MdsError::LayoutMissing, Some(ino)) => self.register_layout(ctx, ino),' <<<"$zlog_text"
 
 echo "==> a seal's last step holds: MdsError::Recovering is built only at the type-op gate and where a failed stripe call releases the ops a seal held, and the zlog client parks a Recovering op on the epoch its request went out under (DESIGN §12)"
-[ "$(grep -rl --exclude=tests.rs 'MdsError::Recovering' crates/*/src | sort | xargs)" = "crates/mds/src/server.rs crates/mds/src/types.rs crates/zlog/src/log/seq.rs" ]
-[ "$(enclosing_fns 'MdsError::Recovering' crates/mds/src/server.rs)" = "serve_type_op release_held" ]
-grep -q 'rec.held.push(request);' crates/mds/src/server.rs
+[ "$(grep -rl --exclude=tests.rs 'MdsError::Recovering' crates/*/src | sort | xargs)" = "crates/mds/src/server/seal.rs crates/mds/src/server/type_ops.rs crates/mds/src/types.rs crates/zlog/src/log/seq.rs" ]
+# In file order: the seal's module sorts before the type-op gate's.
+[ "$(enclosing_fns 'MdsError::Recovering' $mds_files)" = "release_held serve_type_op" ]
+[ "$(enclosing_fns 'rec.held.push(request);' $mds_files)" = serve_type_op ]
 [ "$(awk '/\(MdsError::Recovering, _\) => \{/,/^            \}$/' <<<"$zlog_text" | grep -c 'self.ops.park(op, Park::Epoch(sent));')" = 1 ]
 
-echo "==> the zlog client, the monitor and the OSD fit in a head: no file under crates/zlog/src, crates/consensus/src or crates/rados/src is over 1,000 lines, one step dispatch serves the starters and the re-drive, and an op names one owner (DESIGN §12, §23, §28)"
-[ -z "$(find crates/zlog/src crates/consensus/src crates/rados/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1000')" ]
+echo "==> the zlog client, the monitor, the OSD and the MDS fit in a head: no file under crates/zlog/src, crates/consensus/src, crates/rados/src or crates/mds/src is over 1,000 lines, one step dispatch serves the starters and the re-drive, and an op names one owner (DESIGN §12, §23, §28)"
+[ -z "$(find crates/zlog/src crates/consensus/src crates/rados/src crates/mds/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1000')" ]
 [ "$(grep -c 'fn step(' <<<"$zlog_text")" = 1 ]
 [ "$(enclosing_fns 'self.step(ctx, op);' $zlog_client | tr ' ' '\n' | grep -cx 'start\|redrive_op')" = 2 ]
 [ -z "$(grep -n 'fn step_fill(\|fn step_tail(\|fn step_checkpoint(\|fn step_ckpt_read(\|fn spawn_cursor_' <<<"$zlog_text")" ]
@@ -231,10 +235,10 @@ for file in $(find crates/*/src -name '*.rs' ! -path crates/consensus/src/maps.r
 done
 
 echo "==> a retry repeats its request, and the MDS has one tick: a seal re-sends its one Submit and repeats its read of the zlog map, the one Get a daemon sends; a map follower re-asks by subscribing; the MDS arms only its balancing tick, its cap tick and the one tick that beacons and repeats what it waits on, with no timer of its own for a seal, the store or a policy read (DESIGN §12, §19, §26)"
-[ "$(for file in $(find crates/*/src -name '*.rs' | sort); do text="$(above_tests "$file")"; grep -q 'follower::get(' <<<"$text" && echo "$file"; done | xargs)" = "crates/mds/src/server.rs" ]
+[ "$(for file in $(find crates/*/src -name '*.rs' | sort); do text="$(above_tests "$file")"; grep -q 'follower::get(' <<<"$text" && echo "$file"; done | xargs)" = "crates/mds/src/server/seal.rs" ]
 [ -z "$(grep -n 'fn fetch' crates/consensus/src/follower.rs)" ]
 [ -z "$(grep -rn 'seal_mon_waiting' crates)" ]
-mds_timers="$(above_tests crates/mds/src/server.rs | grep 'ctx\.set_timer(')"
+mds_timers="$(grep 'ctx\.set_timer(' <<<"$mds_text")"
 [ -z "$(grep -vE 'ctx\.set_timer\([^;]*, (TIMER_BALANCE|TIMER_CAP|TIMER_TICK)\);' <<<"$mds_timers")" ]
 [ "$(grep -oE '(TIMER_BALANCE|TIMER_CAP|TIMER_TICK)\);' <<<"$mds_timers" | sort -u | wc -l)" = 3 ]
 [ -z "$(grep -rnE 'TIMER_SEAL|TIMER_JOURNAL|TIMER_MANTLE_TIMEOUT|seal_tick_armed|mantle_fetch_deadline' crates)" ]
