@@ -8,8 +8,8 @@
 # one-route-table-a-subscriber-is-sent-the-map, a-grant-travels-alone,
 # a-seal's-last-step-holds, the-zlog-client-the-monitor-the-OSD-and-the-MDS-fit-in-a-head,
 # a-liveness-action-is-proposed-when-it-is-decided, one-proposal-policy,
-# a-map-entry-has-one-codec, a-retry-repeats-its-request-and-the-MDS-has-one-tick
-# and everything-kept-has-a-reader structure checks, the tier-1 build + test
+# a-map-entry-has-one-codec, a-retry-repeats-its-request-and-the-MDS-has-one-tick,
+# everything-kept-has-a-reader and a-backfill-ends-with-a-whole-copy structure checks, the tier-1 build + test
 # pass (the whole workspace minus the vendored stand-ins; it runs every
 # experiment's shape check at quick scale), the three balancer figures at
 # paper scale against results/, and the frozen benchmark with its ceilings.
@@ -256,6 +256,16 @@ client_reply="$(awk '/^    ClientReply \{/,/^    \},/' <<<"$osd_text")"
 scrub_divergent="$(awk '/^    ScrubDivergent \{/,/^    \},/' <<<"$osd_text")"
 [ -n "$client_reply" ] && [ -z "$(grep -n 'map_epoch' <<<"$client_reply")" ]
 [ -n "$scrub_divergent" ] && [ -z "$(grep -n 'pool' <<<"$scrub_divergent")" ]
+
+echo "==> a backfill ends with a whole copy: a push from a source that holds the PG whole or a map that takes the PG away ends it; no give-up, no serve-as-is and no retry setting, and a PG with no source up waits (DESIGN §16)"
+[ -z "$(grep -rnE 'backfill_no_source|backfill_aborted|backfill_retry_interval' crates src tests --include='*.rs')" ]
+[ "$(enclosing_fns 'self.finish_backfill(' $osd_files)" = "on_map_change on_backfill_push" ]
+[ -z "$(grep -n 'sources\.retain(' <<<"$osd_text")" ]
+map_change="$(awk '/^    pub\(super\) fn on_map_change\(/,/^    }$/' <<<"$osd_text")"
+[ -n "$map_change" ]
+# From the last candidate search on (a newly acquired PG's), nothing skips
+# the PG: with no source it still opens a backfill.
+[ -z "$(awk '/source_candidates\(/ { after = "" } { after = after $0 "\n" } END { printf "%s", after }' <<<"$map_change" | grep -n 'continue\|is_empty()')" ]
 
 echo "==> cargo build --release"
 cargo build --release

@@ -76,9 +76,7 @@ pub struct Data {
 fn backfills_in_flight(cluster: &Cluster) -> u64 {
     let m = cluster.sim.metrics();
     let started = m.counter("osd.backfills_started");
-    let ended = m.counter("osd.backfills_completed")
-        + m.counter("osd.backfill_aborted")
-        + m.counter("osd.backfill_dropped");
+    let ended = m.counter("osd.backfills_completed") + m.counter("osd.backfill_dropped");
     started.saturating_sub(ended)
 }
 

@@ -20,7 +20,7 @@
 
 use std::any::Any;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use mala_consensus::{
@@ -47,7 +47,7 @@ use backfill::Backfill;
 use client_ops::DupState;
 use repl::{DeferredRepl, PendingRepl};
 
-/// OSD configuration.
+/// OSD configuration. Backfill has no setting (`BACKFILL_RETRY`, DESIGN §16).
 #[derive(Debug, Clone)]
 pub struct OsdConfig {
     /// Local service time applied before replying to a client op (models
@@ -67,11 +67,6 @@ pub struct OsdConfig {
     pub subscribe_to_monitor: bool,
     /// Scrub period; `None` disables background scrubbing.
     pub scrub_interval: Option<SimDuration>,
-    /// How often an OSD with unfinished backfills re-issues pulls (the
-    /// first pull goes out immediately on map change; the timer only
-    /// covers lost pulls, crashed sources, and sources that were not yet
-    /// at our epoch).
-    pub backfill_retry_interval: SimDuration,
 }
 
 impl Default for OsdConfig {
@@ -82,7 +77,6 @@ impl Default for OsdConfig {
             gossip_interval: SimDuration::from_millis(100),
             subscribe_to_monitor: true,
             scrub_interval: None,
-            backfill_retry_interval: SimDuration::from_millis(50),
         }
     }
 }
@@ -198,6 +192,9 @@ pub enum OsdMsg {
 const TIMER_GOSSIP: u64 = 1;
 const TIMER_SCRUB: u64 = 2;
 const TIMER_BACKFILL: u64 = 3;
+/// How often an OSD re-issues unanswered backfill pulls (the first goes out
+/// on the map change).
+const BACKFILL_RETRY: SimDuration = SimDuration::from_millis(50);
 
 /// The OSD daemon actor.
 pub struct Osd {
@@ -231,6 +228,9 @@ pub struct Osd {
     /// entry here is not served (`NotReady`) and its replications are
     /// deferred until the snapshot lands.
     backfills: BTreeMap<(String, u32), Backfill>,
+    /// The osdmap the journal restored, until this OSD is first up in a
+    /// live map: a PG it acted for there is whole as of its crash.
+    restored: Option<OsdMapView>,
 }
 
 impl Osd {
@@ -251,6 +251,7 @@ impl Osd {
             journal: None,
             replies: IdMap::default(),
             backfills: BTreeMap::new(),
+            restored: None,
         }
     }
 
@@ -319,7 +320,7 @@ impl Actor for Osd {
         if let Some(interval) = self.config.scrub_interval {
             ctx.set_timer(interval, TIMER_SCRUB);
         }
-        ctx.set_timer(self.config.backfill_retry_interval, TIMER_BACKFILL);
+        ctx.set_timer(BACKFILL_RETRY, TIMER_BACKFILL);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Box<dyn Any>) {

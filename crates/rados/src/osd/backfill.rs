@@ -1,5 +1,5 @@
-//! Backfill: a PG this OSD acquires on a map change is pulled from a
-//! prior member before it is served.
+//! Backfill: a PG this OSD acquires on a map change is pulled whole from a
+//! prior member before it is served, or waits until the map takes it away.
 
 use super::*;
 
@@ -13,11 +13,12 @@ pub(super) struct Backfill {
     /// The map epoch this backfill was (re-)issued under; pushes stamped
     /// with an older epoch are discarded.
     epoch: u64,
-    /// Candidate source OSDs, prior acting-set members first. Rotated on
-    /// each retry; pruned of departed OSDs as maps change.
+    /// Candidate source OSDs, the next pull's first; each pull skips those
+    /// that are down and rotates. Empty while no holder is up: the PG waits.
     sources: Vec<u32>,
-    /// Index into `sources` of the next pull target.
-    next_source: usize,
+    /// This OSD acted for the PG in the map its journal restored, so its
+    /// copy is whole as of its crash and it answers pulls meanwhile.
+    held: bool,
     /// Replicated writes parked until the snapshot lands.
     pub(super) deferred: Vec<DeferredRepl>,
 }
@@ -31,11 +32,11 @@ fn object_bytes(obj: &Object) -> u64 {
 
 /// Backfill source candidates: prior acting-set members first (they hold
 /// the data), then current peers, deduplicated, excluding `me` and anyone
-/// not up.
-fn source_candidates(me: u32, before_set: &[u32], now_set: &[u32], up: &BTreeSet<u32>) -> Vec<u32> {
+/// not up in `map`.
+fn source_candidates(me: u32, before_set: &[u32], now_set: &[u32], map: &OsdMapView) -> Vec<u32> {
     let mut sources = Vec::new();
     for osd in before_set.iter().chain(now_set.iter()) {
-        if *osd != me && up.contains(osd) && !sources.contains(osd) {
+        if *osd != me && map.is_up(*osd) && !sources.contains(osd) {
             sources.push(*osd);
         }
     }
@@ -57,10 +58,9 @@ impl Osd {
     pub(super) fn on_map_change(&mut self, ctx: &mut Context<'_>, old: &OsdMapView) {
         // Re-evaluate pending replicated writes: replicas that left the up
         // set can never ack.
-        let up: BTreeSet<u32> = self.map.up_osds().into_iter().collect();
         let pending = self.pending.iter_mut();
         let mut completed: Vec<u64> = pending
-            .filter_map(|(repl_id, p)| p.settle(|osd| !up.contains(&osd)).then_some(*repl_id))
+            .filter_map(|(repl_id, p)| p.settle(|osd| !self.map.is_up(osd)).then_some(*repl_id))
             .collect();
         // `pending` iterates in a fixed order, not a sorted one: releases
         // leave in repl_id order.
@@ -111,10 +111,9 @@ impl Osd {
                     // the new epoch (pushes for the old epoch are now
                     // stale) and refresh the source candidates.
                     backfill.epoch = self.map.epoch;
-                    let sources = source_candidates(self.id, &before_set, &now_set, &up);
+                    let sources = source_candidates(self.id, &before_set, &now_set, &self.map);
                     if !sources.is_empty() {
                         backfill.sources = sources;
-                        backfill.next_source = 0;
                     }
                     self.send_backfill_pull(ctx, &key);
                     continue;
@@ -128,19 +127,17 @@ impl Osd {
                 }
                 // Prior members first — they are known to hold the data;
                 // current peers as fallback (for a joiner they are the
-                // only candidates).
-                let sources = source_candidates(self.id, &before_set, &now_set, &up);
-                if sources.is_empty() {
-                    // Nobody holds a copy we could pull; serve as-is.
-                    ctx.metrics().bump(counter!("osd.backfill_no_source"), 1);
-                    continue;
-                }
+                // only candidates). With none up the PG is incomplete: it
+                // answers `NotReady` until a map change brings a holder.
+                let sources = source_candidates(self.id, &before_set, &now_set, &self.map);
+                let restored = self.restored.as_ref();
+                let held = restored.and_then(|map| map.acting_set_for_pg(&pool, pg_index));
                 self.backfills.insert(
                     key.clone(),
                     Backfill {
                         epoch: self.map.epoch,
                         sources,
-                        next_source: 0,
+                        held: held.is_some_and(|set| set.contains(&self.id)),
                         deferred: Vec::new(),
                     },
                 );
@@ -148,19 +145,22 @@ impl Osd {
                 self.send_backfill_pull(ctx, &key);
             }
         }
+        if self.map.is_up(self.id) {
+            self.restored = None;
+        }
     }
 
-    /// Sends the next pull for an in-progress backfill, rotating through
-    /// the source candidates.
-    fn send_backfill_pull(&mut self, ctx: &mut Context<'_>, key: &(String, u32)) {
+    /// Sends an in-progress backfill's next pull to the first of its sources
+    /// that is up, rotating past it. Returns whether a pull went out.
+    fn send_backfill_pull(&mut self, ctx: &mut Context<'_>, key: &(String, u32)) -> bool {
         let Some(backfill) = self.backfills.get_mut(key) else {
-            return;
+            return false;
         };
-        if backfill.sources.is_empty() {
-            return;
-        }
-        let source = backfill.sources[backfill.next_source % backfill.sources.len()];
-        backfill.next_source += 1;
+        let Some(at) = backfill.sources.iter().position(|osd| self.map.is_up(*osd)) else {
+            return false;
+        };
+        let source = backfill.sources[at];
+        backfill.sources.rotate_left(at + 1);
         let epoch = backfill.epoch;
         if let Some(node) = self.map.node_of(source) {
             ctx.send(
@@ -173,6 +173,7 @@ impl Osd {
             );
             ctx.metrics().bump(counter!("osd.recovery_pulls"), 1);
         }
+        true
     }
 
     /// Closes a backfill and replays its parked replications. Entries in
@@ -247,9 +248,10 @@ impl Osd {
         // Serve only when safe: our map must be at least the
         // puller's epoch (otherwise we might still admit writes
         // under the old map after taking the snapshot), and our
-        // own copy must be complete. The puller's backfill timer
-        // retries against rotated sources.
-        if self.map.epoch < epoch || self.backfills.contains_key(&(pool.clone(), pg_index)) {
+        // own copy must be whole: no backfill, or a `held` one. The
+        // puller's backfill timer retries against rotated sources.
+        let backfill = self.backfills.get(&(pool.clone(), pg_index));
+        if self.map.epoch < epoch || backfill.is_some_and(|backfill| !backfill.held) {
             ctx.metrics()
                 .bump(counter!("osd.backfill_pulls_unserved"), 1);
             return;
@@ -322,32 +324,17 @@ impl Osd {
     }
 
     pub(super) fn on_backfill_timer(&mut self, ctx: &mut Context<'_>) {
-        // Liveness: re-issue pulls for backfills whose pull or
-        // push was lost, whose source crashed, or whose source was
-        // not yet at our epoch. Sources that left the up set are
-        // pruned; a backfill with no remaining source finishes
-        // with what it has (the data is unreachable — availability
-        // over completeness, and scrub repairs any divergence), as
-        // does one whose sources ignored several full rotations.
-        let up: BTreeSet<u32> = self.map.up_osds().into_iter().collect();
-        let mut finished: Vec<(String, u32)> = Vec::new();
-        let mut pulls: Vec<(String, u32)> = Vec::new();
-        for (key, backfill) in self.backfills.iter_mut() {
-            backfill.sources.retain(|osd| up.contains(osd));
-            if backfill.sources.is_empty() || backfill.next_source >= backfill.sources.len() * 8 {
-                finished.push(key.clone());
-            } else {
-                pulls.push(key.clone());
+        ctx.set_timer(BACKFILL_RETRY, TIMER_BACKFILL);
+        // Liveness: re-issue pulls for backfills whose pull or push was
+        // lost, whose source crashed, or whose source was not yet at our
+        // epoch or still backfilling itself. A source that is down is
+        // skipped but stays listed; a backfill with no source up waits.
+        // With none running, this allocates nothing.
+        let keys: Vec<(String, u32)> = self.backfills.keys().cloned().collect();
+        for key in keys {
+            if self.send_backfill_pull(ctx, &key) {
+                ctx.metrics().bump(counter!("osd.backfill_retries"), 1);
             }
         }
-        for key in finished {
-            ctx.metrics().bump(counter!("osd.backfill_aborted"), 1);
-            self.finish_backfill(ctx, key, &[]);
-        }
-        for key in pulls {
-            ctx.metrics().bump(counter!("osd.backfill_retries"), 1);
-            self.send_backfill_pull(ctx, &key);
-        }
-        ctx.set_timer(self.config.backfill_retry_interval, TIMER_BACKFILL);
     }
 }

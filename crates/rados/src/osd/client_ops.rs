@@ -98,6 +98,7 @@ impl Osd {
             // decisions belong to the *next* live map this OSD hears about,
             // which install_osdmap will diff against this restored view.
             self.set_map(epoch, entries);
+            self.restored = Some(self.map.clone());
         }
         self.replies = snapshot
             .replies

@@ -103,6 +103,11 @@ impl OsdMapView {
             .collect()
     }
 
+    /// Whether `osd` is up in this map.
+    pub(crate) fn is_up(&self, osd: u32) -> bool {
+        self.osds.get(&osd).is_some_and(|e| e.up)
+    }
+
     /// The node hosting `osd`, if known.
     pub fn node_of(&self, osd: u32) -> Option<NodeId> {
         self.osds.get(&osd).map(|e| e.node)

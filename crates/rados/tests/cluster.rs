@@ -1093,11 +1093,7 @@ fn redriven_effect_is_applied_once() {
 /// the bytes a second time.)
 #[test]
 fn effect_parked_during_backfill_is_applied_once() {
-    let config = OsdConfig {
-        backfill_retry_interval: SimDuration::from_secs(5),
-        ..OsdConfig::default()
-    };
-    let mut sim = build_cluster(3, 3, config.clone());
+    let mut sim = build_cluster(3, 3, OsdConfig::default());
     let names: Vec<String> = (0..16).map(|k| format!("bf-{k}")).collect();
     for name in &names {
         let append = vec![Op::Append {
@@ -1112,12 +1108,17 @@ fn effect_parked_during_backfill_is_applied_once() {
         );
         ev.result.unwrap();
     }
+    // A backfill pulls from the PG's prior members in their old acting-set
+    // order, one pull a tick.
+    let prior: Vec<Vec<u32>> = names.iter().map(|name| acting_set(&sim, name)).collect();
     // OSD 3 joins cut off from its peers: it hears the map from the
     // monitor, opens a backfill for every PG it gained, and its pulls are
-    // lost — the first, to each PG's primary, and two retries, to the other
-    // two prior members; the next retry goes to the primary again.
+    // lost.
     let joiner = 3;
-    sim.add_node(osd_node(joiner), Osd::new(joiner, MON, config));
+    sim.add_node(
+        osd_node(joiner),
+        Osd::new(joiner, MON, OsdConfig::default()),
+    );
     for i in 0..3 {
         sim.network_mut().sever(osd_node(joiner), osd_node(i));
     }
@@ -1129,18 +1130,28 @@ fn effect_parked_during_backfill_is_applied_once() {
         },
     );
     let deadline = sim.now() + SimDuration::from_secs(20);
+    assert!(
+        sim.run_until_pred(deadline, |s| s.metrics().counter("osd.backfills_started")
+            > 0)
+    );
+    let opened = sim.metrics().counter("osd.backfills_started");
+    let (k, name) = names
+        .iter()
+        .enumerate()
+        .find(|(_, name)| acting_set(&sim, name)[1..].contains(&joiner))
+        .unwrap();
+    let primary = acting_set(&sim, name)[0];
+    // Every backfill re-pulls on the same tick. Once this PG's second pull
+    // to its primary is lost, that link heals: the next two pulls go to the
+    // other prior members and are lost too, and the third, three ticks on,
+    // reaches the primary.
+    let turn = 3 + prior[k].iter().position(|osd| *osd == primary).unwrap() as u64;
     assert!(sim.run_until_pred(deadline, |s| {
-        let opened = s.metrics().counter("osd.backfills_started");
-        opened > 0 && s.metrics().counter("osd.backfill_retries") == 2 * opened
+        s.metrics().counter("osd.backfill_retries") == turn * opened
     }));
-    sim.network_mut().heal_all();
+    sim.network_mut().heal(osd_node(joiner), osd_node(primary));
     sim.run_for(SimDuration::from_millis(10));
     assert_eq!(sim.metrics().counter("osd.backfills_completed"), 0);
-
-    let name = names
-        .iter()
-        .find(|name| acting_set(&sim, name)[1..].contains(&joiner))
-        .unwrap();
     assert_eq!(copy_on(&sim, joiner, name), None);
     let append = vec![Op::Append {
         data: b"b".to_vec(),
@@ -1148,6 +1159,7 @@ fn effect_parked_during_backfill_is_applied_once() {
     let reqid = submit(&mut sim, name, append);
     // Held back by the joiner's ack, which waits for the snapshot.
     sim.run_for(SimDuration::from_millis(100));
+    assert_eq!(copy_on(&sim, joiner, name), None);
     assert!(!sim.actor::<RadosClient>(CLIENT).is_completed(reqid));
     let parked = sim.metrics().counter("osd.backfill_deferred_repls");
     assert!(parked >= 1, "nothing was parked");
@@ -1162,6 +1174,121 @@ fn effect_parked_during_backfill_is_applied_once() {
     assert!(parked - deduped <= 1, "{parked} parked, {deduped} deduped");
     let object = assert_replicas_equal(&sim, name).unwrap();
     assert_eq!(object.data, b"ab");
+}
+
+/// Both holders of a PG go down in one epoch, so the third OSD, its new
+/// primary, has no one to pull from: it answers `NotReady` rather than
+/// serve the PG without the acked object. A holder boots on its journal
+/// and hears the map that has it down before the one that marks it up, so
+/// it backfills the PG too; it still answers the third OSD's pull, as its
+/// journal restored the PG whole. (Serving the PG as it was answered the
+/// read `NoEnt`.)
+#[test]
+fn a_pg_with_no_holder_up_waits_for_one() {
+    let journals = JournalSet::new();
+    let mut sim = build_journaled_cluster(3, 2, &journals);
+    let name = "kept";
+    let append = vec![Op::Append {
+        data: b"acked".to_vec(),
+    }];
+    let ev = request(
+        &mut sim,
+        CLIENT,
+        oid(name),
+        append,
+        SimDuration::from_secs(5),
+    );
+    ev.result.unwrap();
+    let holders = acting_set(&sim, name);
+    let third = 3 - holders[0] - holders[1];
+    let mark = |sim: &mut Sim, seq: u64, osds: &[u32], up: bool| {
+        let updates = osds
+            .iter()
+            .map(|osd| OsdMapView::update_osd(*osd, osd_node(*osd), up))
+            .collect();
+        sim.inject(MON, MonMsg::Submit { seq, updates });
+    };
+    for osd in &holders {
+        sim.crash(osd_node(*osd));
+    }
+    mark(&mut sim, 2, &holders, false);
+    let deadline = sim.now() + SimDuration::from_secs(10);
+    assert!(sim.run_until_pred(deadline, |s| acting_set(s, name) == [third]));
+    let read = vec![Op::Read {
+        offset: 0,
+        len: 100,
+    }];
+    let reqid = submit(&mut sim, name, read);
+    sim.run_for(SimDuration::from_secs(2));
+    let early = sim.actor_mut::<RadosClient>(CLIENT).take_completed(reqid);
+    assert!(
+        early.is_none(),
+        "read with no holder up: {:?}",
+        early.map(|ev| ev.result)
+    );
+    assert!(sim.metrics().counter("osd.backfill_rejects") > 0);
+
+    let back = holders[0];
+    sim.restart(osd_node(back), journaled_osd(back, &journals));
+    sim.run_for(SimDuration::from_millis(500));
+    assert_eq!(sim.actor::<Osd>(osd_node(back)).map_epoch(), 2);
+    mark(&mut sim, 3, &[back], true);
+    let answer = Ok(vec![OpResult::Data(b"acked".to_vec())]);
+    assert_eq!(wait_for(&mut sim, reqid), answer);
+    assert!(acting_set(&sim, name).contains(&third));
+    // Every backfill ends with a whole copy or when a map takes its PG away.
+    let deadline = sim.now() + SimDuration::from_secs(1);
+    assert!(sim.run_until_pred(deadline, |s| {
+        let m = s.metrics();
+        let ended = m.counter("osd.backfills_completed") + m.counter("osd.backfill_dropped");
+        m.counter("osd.backfills_started") == ended
+    }));
+    let object = assert_replicas_equal(&sim, name).unwrap();
+    assert_eq!(object.data, b"acked");
+}
+
+/// A replica applied a write and its primary crashed before acking it.
+/// Once the harness marks the primary down, the client's retry, under the
+/// same reqid, reaches that replica as the new primary and is answered
+/// from the outcome it already holds: the write is applied once.
+#[test]
+fn a_retry_to_a_promoted_replica_is_answered_from_its_outcome() {
+    let mut sim = build_cluster(3, 3, OsdConfig::default());
+    let name = "promoted";
+    let acting = acting_set(&sim, name);
+    let primary = acting[0];
+    let append = vec![Op::Append {
+        data: b"once".to_vec(),
+    }];
+    let reqid = submit(&mut sim, name, append);
+    // Both replicas applied the shipped effect; the primary crashes before
+    // their acks reach it.
+    let deadline = sim.now() + SimDuration::from_secs(1);
+    assert!(sim.run_until_pred(deadline, |s| {
+        acting[1..].iter().all(|osd| {
+            let replica = s.actor::<Osd>(osd_node(*osd));
+            replica.cached_reply(CLIENT, reqid).is_some()
+        })
+    }));
+    sim.crash(osd_node(primary));
+    let outcome = held_outcome(&sim, acting[1], reqid);
+    let ops = sim.metrics().counter("osd.ops");
+    sim.run_for(SimDuration::from_millis(100));
+    assert!(!sim.actor::<RadosClient>(CLIENT).is_completed(reqid));
+
+    sim.inject(
+        MON,
+        MonMsg::Submit {
+            seq: 2,
+            updates: vec![OsdMapView::update_osd(primary, osd_node(primary), false)],
+        },
+    );
+    assert_eq!(wait_for(&mut sim, reqid), Ok(vec![OpResult::Done]));
+    assert_eq!(acting_set(&sim, name)[0], acting[1]);
+    assert_eq!(held_outcome(&sim, acting[1], reqid), outcome);
+    assert!(sim.metrics().counter("osd.dup_requests") >= 1);
+    assert_eq!(sim.metrics().counter("osd.ops"), ops, "the write ran again");
+    assert_eq!(assert_replicas_equal(&sim, name).unwrap().data, b"once");
 }
 
 /// A journalled replica that crashes comes back, from the primary's records

@@ -73,12 +73,9 @@ fn osd_node(i: u32) -> NodeId {
 #[test]
 fn a_gossip_round_with_no_news_allocates_only_its_messages() {
     const INTERVALS: u64 = 50;
-    // No backfill is running, so the retry timer would only re-check that;
-    // pushed out of the window, it leaves gossip as the OSDs' only work.
-    let config = OsdConfig {
-        backfill_retry_interval: SimDuration::from_secs(3600),
-        ..OsdConfig::default()
-    };
+    // No backfill is running, so the backfill timer finds nothing to do
+    // and allocates nothing: gossip is the OSDs' only work.
+    let config = OsdConfig::default();
     let interval = config.gossip_interval;
     let mut sim = Sim::new(2017);
     sim.tracer_mut().set_enabled(false);

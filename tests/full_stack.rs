@@ -125,6 +125,98 @@ fn zlog_survives_osd_and_mds_failures() {
     }
 }
 
+/// Two OSDs crash for good, one after the other, and the harness marks
+/// each down: their PGs re-route to the survivors, which backfill them,
+/// and every acked append still reads back. The two are a log object's
+/// holders, so after the second crash that object lives only on the copy
+/// a backfill made, and that copy must be whole.
+#[test]
+fn acked_appends_survive_osds_that_never_restart() {
+    let mut cluster = ClusterBuilder::new()
+        .monitors(1)
+        .osds(4)
+        .mds_ranks(1)
+        .pool("logpool", 16, 2)
+        .build(13);
+    cluster.commit_updates(vec![zlog_interface_update()]);
+    let node = cluster.alloc_node();
+    let config = ZlogConfig {
+        name: "kept".to_string(),
+        pool: "logpool".to_string(),
+        stripe_width: 4,
+        mds_nodes: cluster.mds_nodes(),
+        home_rank: 0,
+        monitor: cluster.mon(),
+    };
+    cluster.sim.add_node(node, ZlogClient::new(config));
+    cluster.sim.run_for(SimDuration::from_secs(1));
+    run_op(
+        &mut cluster.sim,
+        node,
+        SimDuration::from_secs(10),
+        |c, ctx| c.setup(ctx),
+    );
+    let mut acked = Vec::new();
+    let mut append = |cluster: &mut malacology::Cluster, count: u64| {
+        for _ in 0..count {
+            let entry = format!("entry-{}", acked.len()).into_bytes();
+            let res = run_op(
+                &mut cluster.sim,
+                node,
+                SimDuration::from_secs(20),
+                |c, ctx| c.append(ctx, entry.clone()),
+            );
+            let AppendResult::Ok(ZlogOut::Pos(pos)) = res else {
+                panic!("append failed: {res:?}");
+            };
+            acked.push((pos, entry));
+        }
+    };
+    // Every backfill the crash started ends with a whole copy.
+    let settle = |cluster: &mut malacology::Cluster| {
+        let deadline = cluster.sim.now() + SimDuration::from_secs(20);
+        let settled = cluster.sim.run_until_pred(deadline, |s| {
+            let m = s.metrics();
+            let ended = m.counter("osd.backfills_completed") + m.counter("osd.backfill_dropped");
+            m.counter("osd.backfills_started") == ended
+        });
+        assert!(settled, "a backfill never ended");
+    };
+
+    append(&mut cluster, 12);
+    let holders = |cluster: &malacology::Cluster, oid: &ObjectId| -> Vec<u32> {
+        let holds = |i: &u32| {
+            let node = cluster.osd_node(*i);
+            !cluster.sim.is_crashed(node)
+                && cluster.sim.actor::<Osd>(node).store().contains_key(oid)
+        };
+        (0..4).filter(holds).collect()
+    };
+    let stripe = ObjectId::new("logpool", "kept.0");
+    let victims = holders(&cluster, &stripe);
+    assert_eq!(victims.len(), 2, "{stripe:?} is not where the log is");
+    for &victim in &victims {
+        cluster.crash_osd(victim);
+        append(&mut cluster, 6);
+        settle(&mut cluster);
+    }
+    assert!(cluster.sim.metrics().counter("osd.backfills_completed") > 0);
+    assert_eq!(holders(&cluster, &stripe).len(), 2);
+    for (pos, entry) in acked {
+        let res = run_op(
+            &mut cluster.sim,
+            node,
+            SimDuration::from_secs(20),
+            move |c, ctx| c.read(ctx, pos),
+        );
+        assert_eq!(
+            res,
+            AppendResult::Ok(ZlogOut::Read(ReadOutcome::Data(entry))),
+            "acked position {pos}"
+        );
+    }
+}
+
 /// Service Metadata + Durability: a Mantle policy published the paper's
 /// way (object first, pointer second) reaches every MDS, and a policy
 /// with a syntax error is rejected with a central log entry while the old

@@ -570,14 +570,13 @@ mod mds_failover_props {
     /// A cluster whose single MDS rank journals synchronously and has one
     /// standby waiting to be promoted by the monitor's beacon reaper.
     pub(super) fn failover_cluster(seed: u64) -> Cluster {
-        failover_cluster_with(seed, 16, OsdConfig::default())
+        failover_cluster_with(seed, 16)
     }
 
-    pub(super) fn failover_cluster_with(seed: u64, meta_pgs: u32, osds: OsdConfig) -> Cluster {
+    pub(super) fn failover_cluster_with(seed: u64, meta_pgs: u32) -> Cluster {
         let mut cluster = ClusterBuilder::new()
             .monitors(1)
             .osds(4)
-            .osd_config(osds)
             .mds_ranks(1)
             .standby_mds(1)
             .pool("p", 16, 2)
@@ -1036,7 +1035,7 @@ mod mds_failover_props {
 mod journal_read_regressions {
     use mala_mds::Mds;
     use mala_rados::placement::acting_set_weighted;
-    use mala_rados::{pg_of, OsdConfig, OsdMapView, WEIGHT_UNIT};
+    use mala_rados::{pg_of, OsdMapView, WEIGHT_UNIT};
     use mala_sim::{NodeId, SimDuration};
     use mala_zlog::log::{run_op, ZlogOut};
     use mala_zlog::{AppendResult, ZlogClient};
@@ -1103,13 +1102,7 @@ mod journal_read_regressions {
         let placed: Vec<(u32, u32)> = (0..=osds).map(|i| (i, WEIGHT_UNIT)).collect();
         let journal_pg = pg_of("meta", "mds_journal.0", meta_pgs);
         assert_eq!(acting_set_weighted(journal_pg, &placed, 2)[0], osds);
-        // A backfill whose sources stay silent is given up on after 16
-        // pulls; at one pull a second it outlasts the cut below.
-        let osd_config = OsdConfig {
-            backfill_retry_interval: SimDuration::from_secs(1),
-            ..OsdConfig::default()
-        };
-        let mut cluster = failover_cluster_with(2017, meta_pgs, osd_config);
+        let mut cluster = failover_cluster_with(2017, meta_pgs);
         let (node, pre_tail) = log_with_appends(&mut cluster, "backfill");
 
         let joiner = NodeId(10 + osds);
@@ -1861,9 +1854,7 @@ mod elastic_membership {
         let deadline = cluster.sim.now() + SimDuration::from_secs(20);
         let settled = cluster.sim.run_until_pred(deadline, |s| {
             let m = s.metrics();
-            let ended = m.counter("osd.backfills_completed")
-                + m.counter("osd.backfill_aborted")
-                + m.counter("osd.backfill_dropped");
+            let ended = m.counter("osd.backfills_completed") + m.counter("osd.backfill_dropped");
             m.counter("osd.backfills_started") > 0 && m.counter("osd.backfills_started") == ended
         });
         assert!(settled, "backfills never settled after the heal");
