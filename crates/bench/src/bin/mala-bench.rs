@@ -3,8 +3,7 @@
 //!
 //! A paper-scale run (the default) writes the files the experiment owns
 //! under `results/` in the current directory; `--quick` prints and checks
-//! but never writes, so it prints a JSON body too. Either way the exit code
-//! is 1 if a shape check fails.
+//! but never writes. Either way the exit code is 1 if a shape check fails.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
@@ -32,9 +31,6 @@ fn run(entry: &Entry, scale: Scale) -> Result<(), String> {
         .shape
         .map_err(|e| format!("{}: shape check failed: {e}", entry.name))?;
     if scale == Scale::Quick {
-        if let Some(json) = &report.json {
-            println!("{json}");
-        }
         return Ok(());
     }
     if let Some(file) = entry.text_file {

@@ -187,4 +187,47 @@ mod tests {
         let owned: BTreeSet<String> = owned.into_iter().map(String::from).collect();
         assert_eq!(on_disk, owned, "results/ and the table disagree");
     }
+
+    /// Every entry passes its own shape check at quick scale, and a second
+    /// quick run produces the same bytes unless the entry times the host
+    /// (`dsl_vm`, `linearize`: a JSON body that does not say `time_base:
+    /// simulated`). One thread per entry: the runs are independent
+    /// simulations.
+    #[test]
+    fn every_entry_holds_its_shape_and_simulated_ones_replay() {
+        std::thread::scope(|scope| {
+            for e in &EXPERIMENTS {
+                scope.spawn(move || check_entry(e));
+            }
+        });
+    }
+
+    fn check_entry(e: &Entry) {
+        let first = (e.run)(Scale::Quick);
+        first
+            .shape
+            .unwrap_or_else(|err| panic!("{}: {err}\n{}", e.name, first.text));
+        assert!(!first.text.is_empty(), "{} rendered nothing", e.name);
+        assert_eq!(
+            first.json.is_some(),
+            e.json_file.is_some(),
+            "{}: a JSON body needs a file, and the other way round",
+            e.name
+        );
+        let host_timed = first
+            .json
+            .as_ref()
+            .is_some_and(|json| json.get("time_base") != Some(&Json::from("simulated")));
+        if host_timed {
+            assert!(
+                matches!(e.name, "dsl_vm" | "linearize"),
+                "{}: a simulated entry's JSON says `time_base: simulated`",
+                e.name
+            );
+            return;
+        }
+        let again = (e.run)(Scale::Quick);
+        assert_eq!(first.text, again.text, "{}: rendering differs", e.name);
+        assert_eq!(first.json, again.json, "{}: JSON differs", e.name);
+    }
 }

@@ -4,8 +4,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use mala_bench::report::Json;
-use mala_bench::{Entry, Scale, EXPERIMENTS};
+use mala_bench::EXPERIMENTS;
 
 /// A fresh, empty directory named after the test.
 fn fresh_dir(test: &str) -> PathBuf {
@@ -60,68 +59,15 @@ fn quick_prints_and_checks_but_never_writes() {
     assert!(!dir.join("results").exists(), "--quick wrote results/");
 }
 
-/// `all --quick` runs every entry in table order under its `==> name`
-/// header, and exits 0 only if every shape check holds, so tier-1 runs each
-/// of the paper's claims; it writes nothing. Each entry then runs once more
-/// in this process, one thread each: its JSON body is there exactly when it
-/// owns a JSON file, and unless it times the host (`dsl_vm`, `linearize`: a
-/// JSON body that does not say `time_base: simulated`) its rendering and
-/// JSON body are the bytes the binary printed. Two runs of each entry in
-/// all.
+/// Every experiment at quick scale passes its shape check, so tier-1 runs
+/// each of the paper's claims, and writes nothing.
 #[test]
-fn all_quick_holds_every_shape_replays_and_never_writes() {
+fn all_quick_checks_every_experiment_and_never_writes() {
     let dir = fresh_dir("all_quick");
     let out = mala_bench(&dir, &["all", "--quick"]);
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{err}");
     assert!(!dir.join("results").exists(), "--quick wrote results/");
-    let printed = stdout(&out);
-    let headers: Vec<String> = EXPERIMENTS
-        .iter()
-        .map(|e| format!("==> {}\n", e.name))
-        .collect();
-    let mut sections = Vec::new();
-    let mut rest = printed.as_str();
-    for (i, header) in headers.iter().enumerate() {
-        rest = rest
-            .strip_prefix(header.as_str())
-            .unwrap_or_else(|| panic!("{header:?} is not next"));
-        let next = headers.get(i + 1).and_then(|next| rest.find(next.as_str()));
-        let end = next.unwrap_or(rest.len());
-        sections.push(&rest[..end]);
-        rest = &rest[end..];
-    }
-    std::thread::scope(|scope| {
-        for (e, printed) in EXPERIMENTS.iter().zip(sections) {
-            scope.spawn(move || replays(e, printed));
-        }
-    });
-}
-
-fn replays(e: &Entry, printed: &str) {
-    let again = (e.run)(Scale::Quick);
-    assert!(!again.text.is_empty(), "{} rendered nothing", e.name);
-    assert_eq!(
-        again.json.is_some(),
-        e.json_file.is_some(),
-        "{}: a JSON body needs a file, and the other way round",
-        e.name
-    );
-    let host_timed = again
-        .json
-        .as_ref()
-        .is_some_and(|json| json.get("time_base") != Some(&Json::from("simulated")));
-    if host_timed {
-        assert!(
-            matches!(e.name, "dsl_vm" | "linearize"),
-            "{}: a simulated entry's JSON says `time_base: simulated`",
-            e.name
-        );
-        return;
-    }
-    let json = again.json.map(|json| format!("{json}\n"));
-    let replayed = again.text + &json.unwrap_or_default();
-    assert_eq!(replayed, printed, "{}: rendering or JSON differs", e.name);
 }
 
 /// A paper-scale run writes the files its entry owns, and for these cheap,
