@@ -9,7 +9,8 @@
 # a-seal's-last-step-holds, the-zlog-client-the-monitor-the-OSD-and-the-MDS-fit-in-a-head,
 # a-liveness-action-is-proposed-when-it-is-decided, one-proposal-policy,
 # a-map-entry-has-one-codec, a-retry-repeats-its-request-and-the-MDS-has-one-tick,
-# everything-kept-has-a-reader and a-backfill-ends-with-a-whole-copy structure checks, the tier-1 build + test
+# everything-kept-has-a-reader, a-backfill-ends-with-a-whole-copy and
+# one-event-queue structure checks, the tier-1 build + test
 # pass (the whole workspace minus the vendored stand-ins; it runs every
 # experiment's shape check at quick scale), the three balancer figures at
 # paper scale against results/, and the frozen benchmark with its ceilings.
@@ -266,6 +267,16 @@ map_change="$(awk '/^    pub\(super\) fn on_map_change\(/,/^    }$/' <<<"$osd_te
 # From the last candidate search on (a newly acquired PG's), nothing skips
 # the PG: with no source it still opens a backfill.
 [ -z "$(awk '/source_candidates\(/ { after = "" } { after = after $0 "\n" } END { printf "%s", after }' <<<"$map_change" | grep -n 'continue\|is_empty()')" ]
+
+echo "==> one event queue: under crates/sim/src only the event store names BinaryHeap, and its calendar horizon is one literal constant, held by no struct and read from no environment (DESIGN §22)"
+event_store=crates/sim/src/queue.rs
+[ "$(grep -rl 'BinaryHeap' crates/sim/src)" = "$event_store" ]
+[ "$(grep -cE '^(pub(\(crate\))? )?const HORIZON_US: u64 = [0-9_]+;$' "$event_store")" = 1 ]
+# No struct field above the tests of any crate names a horizon: not a
+# config's, not the store's.
+struct_fields="$(for file in $(find crates/*/src -name '*.rs' | sort); do above_tests "$file"; done | awk '/^(pub(\(crate\))? )?struct /,/^}/')"
+[ -z "$(grep -iE '^ +(pub(\([a-z]+\))? )?[a-z_]*horizon[a-z_]*:' <<<"$struct_fields")" ]
+[ -z "$(grep -rnE 'std::env|env::var|option_env!' crates/sim/src)" ]
 
 echo "==> cargo build --release"
 cargo build --release

@@ -53,6 +53,7 @@ pub mod time;
 pub mod trace;
 
 pub mod actor;
+mod queue;
 mod sched;
 
 pub use actor::{Actor, Context, TimerHandle};

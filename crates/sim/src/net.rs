@@ -117,7 +117,8 @@ impl Network {
 
     /// Returns whether `a` and `b` can currently exchange messages.
     pub fn connected(&self, a: NodeId, b: NodeId) -> bool {
-        if a == b {
+        // Most runs cut nothing: no hashing until something is.
+        if a == b || (self.isolated.is_empty() && self.severed.is_empty()) {
             return true;
         }
         !self.isolated.contains(&a)

@@ -1,9 +1,7 @@
 //! The simulator core: event queue, dispatch loop, and failure injection.
 
 use std::any::Any;
-use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -11,6 +9,7 @@ use rand::SeedableRng;
 use crate::actor::{Actor, AnyActor, Context, TimerHandle};
 use crate::idmap::IdMap;
 use crate::net::{Delivery, Network};
+use crate::queue::EventQueue;
 use crate::trace::{SpanContext, Tracer};
 use crate::{counter, Metrics, NodeId, SimDuration, SimTime};
 
@@ -41,19 +40,6 @@ enum EventKind {
     Cancelled,
 }
 
-/// One cell of the event store.
-enum Slot {
-    /// Unused; `next` chains the free list.
-    Free {
-        next: Option<u32>,
-    },
-    Queued(EventKind),
-}
-
-/// What the queue orders: `(at, seq, slot)`, earliest first, ties in
-/// insertion order. `seq` is unique, so `slot` never decides.
-type Key = Reverse<(SimTime, u64, u32)>;
-
 /// The mutable guts of a simulation, split from the node table so a
 /// dispatched actor can borrow both itself and this state.
 pub(crate) struct SimInner {
@@ -64,15 +50,8 @@ pub(crate) struct SimInner {
     /// Span context of the message currently being dispatched, if any.
     pub(crate) incoming_span: Option<SpanContext>,
     pub(crate) net: Network,
-    /// One key per queued event, cancelled timers included.
-    queue: BinaryHeap<Key>,
-    /// Event payloads, found by the `slot` of their key. A slot is freed
-    /// when its key pops and at no other time, so a queued key always
-    /// owns its slot.
-    slots: Vec<Slot>,
-    /// Head of the free list through `slots`.
-    free: Option<u32>,
-    seq: u64,
+    /// Every queued event, cancelled timers included.
+    queue: EventQueue<EventKind>,
     /// Per ordered `(src, dst)` pair: the latest delivery time scheduled so
     /// far. Messages between the same pair deliver FIFO, as over a TCP
     /// session — jitter never reorders a connection.
@@ -83,41 +62,15 @@ impl SimInner {
     /// Queues `kind` at `at` under the next sequence number and returns
     /// the slot that holds it.
     fn push(&mut self, at: SimTime, kind: EventKind) -> u32 {
-        let slot = match self.free {
-            Some(slot) => {
-                let cell = std::mem::replace(&mut self.slots[slot as usize], Slot::Queued(kind));
-                let Slot::Free { next } = cell else {
-                    unreachable!("free list points at a slot in use");
-                };
-                self.free = next;
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len())
-                    .expect("more than u32::MAX events queued at once");
-                self.slots.push(Slot::Queued(kind));
-                slot
-            }
-        };
-        self.queue.push(Reverse((at, self.seq, slot)));
-        self.seq += 1;
-        slot
+        self.queue.push(self.now, at, kind)
     }
 
-    /// Pops the earliest key, advances the clock to it and frees its slot.
-    fn pop(&mut self) -> Option<EventKind> {
-        let Reverse((at, _, slot)) = self.queue.pop()?;
+    /// Pops the earliest event if it is due by `by`, advances the clock
+    /// to it and frees its slot.
+    fn pop(&mut self, by: SimTime) -> Option<EventKind> {
+        let (at, kind) = self.queue.pop(self.now, by)?;
         self.now = at;
-        let next = self.free.replace(slot);
-        match std::mem::replace(&mut self.slots[slot as usize], Slot::Free { next }) {
-            Slot::Queued(kind) => Some(kind),
-            Slot::Free { .. } => unreachable!("queued key points at a free slot"),
-        }
-    }
-
-    /// Time of the earliest queued event.
-    fn next_at(&self) -> Option<SimTime> {
-        self.queue.peek().map(|Reverse((at, ..))| *at)
+        Some(kind)
     }
 
     pub(crate) fn send_from(&mut self, from: NodeId, to: NodeId, msg: Box<dyn Any>) {
@@ -183,7 +136,7 @@ impl SimInner {
         delay: SimDuration,
         token: u64,
     ) -> TimerHandle {
-        let seq = self.seq;
+        let seq = self.queue.next_seq();
         let slot = self.push(
             self.now + delay,
             EventKind::Timer {
@@ -201,9 +154,9 @@ impl SimInner {
     /// later event under another `seq`, and this does nothing: a spent
     /// handle leaves no trace in the scheduler.
     pub(crate) fn cancel_timer(&mut self, handle: TimerHandle) {
-        if let Some(cell) = self.slots.get_mut(handle.slot as usize) {
-            if matches!(cell, Slot::Queued(EventKind::Timer { seq, .. }) if *seq == handle.seq) {
-                *cell = Slot::Queued(EventKind::Cancelled);
+        if let Some(event) = self.queue.get_mut(handle.slot) {
+            if matches!(event, EventKind::Timer { seq, .. } if *seq == handle.seq) {
+                *event = EventKind::Cancelled;
             }
         }
     }
@@ -245,10 +198,7 @@ impl Sim {
                 tracer: Tracer::new(),
                 incoming_span: None,
                 net,
-                queue: BinaryHeap::new(),
-                slots: Vec::new(),
-                free: None,
-                seq: 0,
+                queue: EventQueue::new(),
                 last_delivery: IdMap::default(),
             },
             nodes: IdMap::default(),
@@ -402,7 +352,12 @@ impl Sim {
     /// Processes the next event, returning its timestamp, or `None` if the
     /// queue is empty.
     pub fn step(&mut self) -> Option<SimTime> {
-        match self.inner.pop()? {
+        self.step_by(SimTime(u64::MAX))
+    }
+
+    /// Processes the next event if it is due by `by`.
+    fn step_by(&mut self, by: SimTime) -> Option<SimTime> {
+        match self.inner.pop(by)? {
             EventKind::Cancelled => {}
             EventKind::Start(node) => {
                 self.dispatch(node, None, |actor, ctx| actor.on_start(ctx));
@@ -470,9 +425,7 @@ impl Sim {
     /// Runs until the queue is empty or virtual time would exceed
     /// `deadline`; the clock ends at `deadline` exactly.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while self.inner.next_at().is_some_and(|at| at <= deadline) {
-            self.step();
-        }
+        while self.step_by(deadline).is_some() {}
         if self.inner.now < deadline {
             self.inner.now = deadline;
         }
@@ -503,9 +456,7 @@ impl Sim {
             if pred(self) {
                 return true;
             }
-            if self.inner.next_at().is_some_and(|at| at <= deadline) {
-                self.step();
-            } else {
+            if self.step_by(deadline).is_none() {
                 if self.inner.now < deadline {
                     self.inner.now = deadline;
                 }
@@ -514,7 +465,7 @@ impl Sim {
         }
     }
 
-    /// Keys in the event queue — messages in flight, armed timers and the
+    /// Events in the event queue — messages in flight, armed timers and the
     /// tombstones of cancelled ones: the scheduler's occupancy.
     pub fn queue_len(&self) -> usize {
         self.inner.queue.len()
@@ -525,6 +476,7 @@ impl Sim {
 mod tests {
     use super::*;
     use crate::net::NetConfig;
+    use crate::queue::{Key, Slot};
 
     #[derive(Debug)]
     struct Tick;
@@ -625,9 +577,10 @@ mod tests {
         assert_eq!(sim.actor::<Recorder>(NodeId(0)).log.len(), 1);
     }
 
-    /// Re-arms itself from its own firing and cancels the handle that
-    /// just fired.
+    /// Re-arms itself `every` from its own firing and cancels the handle
+    /// that just fired.
     struct Watchdog {
+        every: SimDuration,
         armed: Option<TimerHandle>,
         fired: u32,
     }
@@ -639,7 +592,7 @@ mod tests {
         fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _msg: Box<dyn Any>) {}
         fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
             self.fired += 1;
-            let next = ctx.set_timer(SimDuration::from_millis(20), 0);
+            let next = ctx.set_timer(self.every, 0);
             if let Some(spent) = self.armed.replace(next) {
                 ctx.cancel_timer(spent);
             }
@@ -648,34 +601,33 @@ mod tests {
 
     #[test]
     fn cancelling_spent_handles_leaves_no_bookkeeping_behind() {
-        let mut sim = Sim::new(0);
-        sim.add_node(
-            NodeId(0),
-            Watchdog {
+        // 20 ms waits in the heap, 20 µs in the calendar.
+        for every in [SimDuration::from_millis(20), SimDuration::from_micros(20)] {
+            let mut sim = Sim::new(0);
+            let watchdog = Watchdog {
+                every,
                 armed: None,
                 fired: 0,
-            },
-        );
-        for _ in 0..100_000 {
-            sim.step();
+            };
+            sim.add_node(NodeId(0), watchdog);
+            for _ in 0..100_000 {
+                sim.step();
+            }
+            assert_eq!(sim.actor::<Watchdog>(NodeId(0)).fired, 100_000);
+            // One event is ever queued at a time; everything the scheduler
+            // keeps per event stays that size.
+            assert_eq!(sim.queue_len(), 1);
+            let (slots, heap) = sim.inner.queue.footprint();
+            assert!(slots <= 2, "{every:?}: {slots} slots");
+            assert!(heap <= 8, "{every:?}: heap capacity {heap}");
         }
-        assert_eq!(sim.actor::<Watchdog>(NodeId(0)).fired, 100_000);
-        // One event is ever queued at a time; everything the scheduler
-        // keeps per event stays that size.
-        assert_eq!(sim.queue_len(), 1);
-        assert!(
-            sim.inner.slots.len() <= 2,
-            "{} slots",
-            sim.inner.slots.len()
-        );
-        assert!(sim.inner.queue.capacity() <= 8);
     }
 
     #[test]
     fn slot_stays_small() {
         // The slab keeps its high-water mark, so its cell is what a burst
         // of queued events costs for the rest of the run.
-        assert!(std::mem::size_of::<Slot>() <= 48);
+        assert!(std::mem::size_of::<Slot<EventKind>>() <= 48);
         assert_eq!(std::mem::size_of::<Key>(), 24);
     }
 

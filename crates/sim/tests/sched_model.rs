@@ -29,6 +29,9 @@ const START_TIMER: (u64, u64) = (50, 999);
 /// A timer whose token is at least this makes its node message its
 /// neighbour when it fires.
 const CHATTY: u64 = 100;
+/// The scheduler keeps events due less than this many µs ahead in its
+/// calendar and the rest in its heap; the draws straddle it.
+const HORIZON: u64 = 1024;
 
 /// `(time, node, what happened)`, in dispatch order.
 type Log = Vec<(u64, u32, String)>;
@@ -68,12 +71,26 @@ enum Cmd {
     },
 }
 
+/// How far ahead an event is due: mostly short, but also one µs either
+/// side of the horizon and far beyond it.
+fn due() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        6 => 0u64..400,
+        3 => (HORIZON - 1)..=(HORIZON + 1),
+        2 => 10_000u64..1_000_000,
+    ]
+}
+
 fn cmd() -> impl Strategy<Value = Cmd> {
     // Index NODES stands for the node that was never created.
     let target = (0..=NODES).prop_map(|n| if n == NODES { GHOST } else { n });
+    // A send's extra delay, less a hop's latency, so that its delivery too
+    // can land on either side of the horizon.
+    let extra =
+        (due(), 0usize..3).prop_map(|(due, hop)| due.saturating_sub([0, LOCAL_US, REMOTE_US][hop]));
     prop_oneof![
-        4 => (0..NODES, target.clone(), 0u64..400).prop_map(|(from, to, extra)| Cmd::Send { from, to, extra }),
-        4 => (0..NODES, 0u64..400, 0u64..200).prop_map(|(node, delay, token)| Cmd::SetTimer { node, delay, token }),
+        4 => (0..NODES, target.clone(), extra).prop_map(|(from, to, extra)| Cmd::Send { from, to, extra }),
+        4 => (0..NODES, due(), 0u64..200).prop_map(|(node, delay, token)| Cmd::SetTimer { node, delay, token }),
         4 => (0usize..256).prop_map(|pick| Cmd::Cancel { pick }),
         1 => (0..NODES).prop_map(|node| Cmd::Crash { node }),
         2 => (0..NODES).prop_map(|node| Cmd::Restart { node }),
@@ -357,4 +374,50 @@ fn rearm_and_cancel_spent_handles_matches_the_model() {
         program.push(Cmd::Cancel { pick: round });
     }
     run(&program);
+}
+
+/// A timer armed one horizon ahead waits in the heap; one armed later for
+/// the same instant waits in the calendar. They meet at that instant, and
+/// the earlier push pops first, whichever of them is cancelled: after the
+/// first pop at that instant, cancelling the other one must still stop it.
+/// (The calendar one cannot be the earlier push: the clock never runs
+/// back, so an event pushed before another for the same instant was due
+/// at least as far ahead.)
+#[test]
+fn a_far_and_a_near_event_at_one_instant_pop_in_push_order() {
+    // Handles 0..3 are the start timers; 3 is the far timer, 4 the near one.
+    const FAR: usize = 3;
+    const NEAR: usize = 4;
+    for (cancel_first, cancel_after) in [(None, NEAR), (Some(FAR), NEAR), (Some(NEAR), FAR)] {
+        let mut program = vec![
+            // The three starts, at 0.
+            Cmd::Step { n: 3 },
+            // Due at 1073, a horizon and 49 µs ahead.
+            Cmd::SetTimer {
+                node: 0,
+                delay: HORIZON + 49,
+                token: 1,
+            },
+            // Node 0's start timer: the clock moves to 50.
+            Cmd::Step { n: 1 },
+            // Due at 1073 too, one µs inside the horizon.
+            Cmd::SetTimer {
+                node: 1,
+                delay: HORIZON - 1,
+                token: 2,
+            },
+            // Due at 1074, on the horizon.
+            Cmd::SetTimer {
+                node: 2,
+                delay: HORIZON,
+                token: 3,
+            },
+        ];
+        program.extend(cancel_first.map(|pick| Cmd::Cancel { pick }));
+        // Two start timers at 50, three chatty messages at 200, then the
+        // first of the two at 1073.
+        program.push(Cmd::Step { n: 6 });
+        program.push(Cmd::Cancel { pick: cancel_after });
+        run(&program);
+    }
 }
