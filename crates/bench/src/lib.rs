@@ -167,10 +167,15 @@ pub fn find(name: &str) -> Option<&'static Entry> {
 }
 
 #[cfg(test)]
+#[path = "../tests/quick_digests/mod.rs"]
+mod quick_digests;
+
+#[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     use super::*;
+    use crate::quick_digests::{self, digest};
 
     #[test]
     fn names_are_unique_and_results_files_have_exactly_one_owner() {
@@ -188,33 +193,67 @@ mod tests {
         assert_eq!(on_disk, owned, "results/ and the table disagree");
     }
 
-    /// Every entry passes its own shape check at quick scale, and a second
-    /// quick run produces the same bytes unless the entry times the host
-    /// (`dsl_vm`, `linearize`: a JSON body that does not say `time_base:
-    /// simulated`). One thread per entry: the runs are independent
-    /// simulations.
+    /// Every entry passes its own shape check at quick scale, and each
+    /// simulated one replays its committed quick run (`tests/quick_digests`):
+    /// an entry that times the host (`dsl_vm`, `linearize`: a JSON body that
+    /// does not say `time_base: simulated`) has no digest. One thread per
+    /// entry: the runs are independent simulations.
     #[test]
     fn every_entry_holds_its_shape_and_simulated_ones_replay() {
-        std::thread::scope(|scope| {
-            for e in &EXPERIMENTS {
-                scope.spawn(move || check_entry(e));
-            }
+        let runs: Vec<Option<(String, String)>> = std::thread::scope(|scope| {
+            let threads: Vec<_> = EXPERIMENTS
+                .iter()
+                .map(|e| scope.spawn(move || check_entry(e)))
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
         });
+        let fresh: BTreeMap<&str, (String, String)> = EXPERIMENTS
+            .iter()
+            .zip(runs)
+            .filter_map(|(e, run)| Some((e.name, run?)))
+            .collect();
+        if std::env::var_os("BLESS_QUICK").is_some() {
+            let mut file = String::from(
+                "# name, FNV-1a of the quick rendering, of the quick JSON body (- for none)\n",
+            );
+            for (name, (text, json)) in &fresh {
+                file.push_str(&format!("{name} {text} {json}\n"));
+            }
+            std::fs::write(quick_digests::PATH, file).unwrap();
+            return;
+        }
+        let committed = quick_digests::committed();
+        assert_eq!(
+            committed.keys().map(String::as_str).collect::<Vec<_>>(),
+            fresh.keys().copied().collect::<Vec<_>>(),
+            "{}: one line per simulated entry (BLESS_QUICK=1 rewrites it)",
+            quick_digests::PATH
+        );
+        for (name, run) in &fresh {
+            assert_eq!(
+                Some(run),
+                committed.get(*name),
+                "{name}: its quick run is not the committed one; if the change means to move it, \
+                 rerun with BLESS_QUICK=1 and read the diff of {}",
+                quick_digests::PATH
+            );
+        }
     }
 
-    fn check_entry(e: &Entry) {
-        let first = (e.run)(Scale::Quick);
-        first
-            .shape
-            .unwrap_or_else(|err| panic!("{}: {err}\n{}", e.name, first.text));
-        assert!(!first.text.is_empty(), "{} rendered nothing", e.name);
+    /// Runs `e` at quick scale and checks its shape; for a simulated entry,
+    /// the digests of its rendering and its JSON body (`-` without one).
+    fn check_entry(e: &Entry) -> Option<(String, String)> {
+        let run = (e.run)(Scale::Quick);
+        run.shape
+            .unwrap_or_else(|err| panic!("{}: {err}\n{}", e.name, run.text));
+        assert!(!run.text.is_empty(), "{} rendered nothing", e.name);
         assert_eq!(
-            first.json.is_some(),
+            run.json.is_some(),
             e.json_file.is_some(),
             "{}: a JSON body needs a file, and the other way round",
             e.name
         );
-        let host_timed = first
+        let host_timed = run
             .json
             .as_ref()
             .is_some_and(|json| json.get("time_base") != Some(&Json::from("simulated")));
@@ -224,10 +263,11 @@ mod tests {
                 "{}: a simulated entry's JSON says `time_base: simulated`",
                 e.name
             );
-            return;
+            return None;
         }
-        let again = (e.run)(Scale::Quick);
-        assert_eq!(first.text, again.text, "{}: rendering differs", e.name);
-        assert_eq!(first.json, again.json, "{}: JSON differs", e.name);
+        let json = run
+            .json
+            .map_or_else(|| "-".to_string(), |json| digest(&json.to_string()));
+        Some((digest(&run.text), json))
     }
 }

@@ -6,6 +6,8 @@ use std::process::{Command, Output};
 
 use mala_bench::EXPERIMENTS;
 
+mod quick_digests;
+
 /// A fresh, empty directory named after the test.
 fn fresh_dir(test: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(test);
@@ -50,17 +52,20 @@ fn bad_usage_is_exit_code_2() {
     }
 }
 
+/// `linearize` times the host, so this is no third run of a simulated
+/// entry: the lib test and `all --quick` run each of those twice.
 #[test]
 fn quick_prints_and_checks_but_never_writes() {
     let dir = fresh_dir("quick");
-    let out = mala_bench(&dir, &["trace", "--quick"]);
+    let out = mala_bench(&dir, &["linearize", "--quick"]);
     assert!(out.status.success());
-    assert!(stdout(&out).starts_with("Traced pipelined appends: 48 appends"));
+    assert!(stdout(&out).starts_with("WGL checker cost vs history length"));
     assert!(!dir.join("results").exists(), "--quick wrote results/");
 }
 
 /// Every experiment at quick scale passes its shape check, so tier-1 runs
-/// each of the paper's claims, and writes nothing.
+/// each of the paper's claims, and writes nothing; each simulated entry's
+/// section is its committed quick run (`quick_digests`).
 #[test]
 fn all_quick_checks_every_experiment_and_never_writes() {
     let dir = fresh_dir("all_quick");
@@ -68,6 +73,30 @@ fn all_quick_checks_every_experiment_and_never_writes() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{err}");
     assert!(!dir.join("results").exists(), "--quick wrote results/");
+    let committed = quick_digests::committed();
+    let printed = stdout(&out);
+    let mut rest = printed.as_str();
+    for (i, e) in EXPERIMENTS.iter().enumerate() {
+        rest = rest
+            .strip_prefix(&format!("==> {}\n", e.name))
+            .unwrap_or_else(|| panic!("no section for {} where it belongs", e.name));
+        let end = EXPERIMENTS.get(i + 1).map_or(rest.len(), |next| {
+            let header = format!("==> {}\n", next.name);
+            rest.find(&header).unwrap_or(rest.len())
+        });
+        let (section, after) = rest.split_at(end);
+        if let Some((text, _)) = committed.get(e.name) {
+            assert_eq!(
+                &quick_digests::digest(section),
+                text,
+                "{}: its quick run is not the committed one ({})",
+                e.name,
+                quick_digests::PATH
+            );
+        }
+        rest = after;
+    }
+    assert!(rest.is_empty(), "output after the last section: {rest}");
 }
 
 /// A paper-scale run writes the files its entry owns, and for these cheap,
