@@ -19,7 +19,8 @@
 
 use std::time::Instant;
 
-use mala_dsl::{Engine, Interp, Script, Table, Value, Vm};
+use mala_dsl::{Engine, Script, Table, Value, Vm};
+use mala_dsl_oracle::Interp;
 
 use crate::report::{self, Json};
 use crate::{ensure, Experiment, Scale};

@@ -3,10 +3,13 @@
 use std::any::Any;
 use std::rc::Rc;
 
-use crate::ast::{BinOp, Block, Expr, Stmt, TableItem, UnOp};
-use crate::runtime::{compare, concat, num_of, to_key, Engine, RtError, Sandbox};
-use crate::value::{Function, HostCtx, Key, Native, NativeFn, Scope, Str, Table, Value};
-use crate::Script;
+use mala_dsl::ast::TableItem;
+use mala_dsl::runtime::{compare, concat, num_of, to_key};
+use mala_dsl::value::{HostCtx, Key, Native, Str, Table};
+use mala_dsl::{BinOp, Block, Engine, Expr, NativeFn, RtError, Sandbox, Script, Stmt, UnOp, Value};
+
+use crate::runtime::{closure, is_script_function, Walk};
+use crate::value::{Function, Scope};
 
 /// Control flow signal threaded through statement execution.
 enum Flow {
@@ -17,15 +20,12 @@ enum Flow {
 
 /// A Cephalo interpreter instance.
 ///
-/// One interpreter corresponds to one embedded VM inside a daemon: it owns a
+/// One interpreter stands for one embedded VM inside a daemon: it owns a
 /// global scope, a set of registered native functions, an output buffer for
 /// `print`/`log`, and the sandbox limits.
 pub struct Interp {
-    globals: Rc<Scope>,
-    sandbox: Sandbox,
+    walk: Rc<Walk>,
     output: Vec<String>,
-    steps_left: u64,
-    depth: u32,
 }
 
 impl Default for Interp {
@@ -37,32 +37,25 @@ impl Default for Interp {
 impl Engine for Interp {
     fn with_sandbox(sandbox: Sandbox) -> Interp {
         let mut interp = Interp {
-            globals: Scope::root(),
-            sandbox,
+            walk: Rc::new(Walk::new(sandbox)),
             output: Vec::new(),
-            steps_left: 0,
-            depth: 0,
         };
-        crate::stdlib::install(&mut interp);
+        mala_dsl::stdlib::install(&mut interp);
         interp
     }
 
     fn register(&mut self, name: &str, f: NativeFn) {
-        self.globals.declare(
-            name,
-            Value::Native(Rc::new(Native {
-                name: name.to_string(),
-                f,
-            })),
-        );
+        let display = format!("<native {name}>");
+        let native = Value::Native(Rc::new(Native { display, f }));
+        self.walk.globals.declare(name, native);
     }
 
     fn set_global(&mut self, name: &str, v: Value) {
-        self.globals.declare(name, v);
+        self.walk.globals.declare(name, v);
     }
 
     fn global(&self, name: &str) -> Value {
-        self.globals.get(name)
+        self.walk.globals.get(name)
     }
 
     fn take_output(&mut self) -> Vec<String> {
@@ -70,27 +63,30 @@ impl Engine for Interp {
     }
 
     fn load_with(&mut self, script: &Script, host: &mut dyn Any) -> Result<(), RtError> {
-        self.steps_left = self.sandbox.max_steps;
-        self.depth = 0;
-        let env = Rc::clone(&self.globals);
-        self.exec_block(&script.block, &env, host)?;
+        self.walk.reset();
+        let env = Rc::clone(&self.walk.globals);
+        let mut ctx = HostCtx {
+            host,
+            output: &mut self.output,
+        };
+        self.walk.exec_block(&script.block, &env, &mut ctx)?;
         Ok(())
     }
 
     fn has_function(&self, name: &str) -> bool {
-        matches!(
-            self.globals.get(name),
-            Value::Func(_) | Value::Closure(_) | Value::Native { .. }
-        )
+        matches!(self.global(name), Value::Closure(_) | Value::Native(_))
+    }
+
+    fn has_script_function(&self, name: &str) -> bool {
+        is_script_function(&self.global(name))
     }
 
     fn call(&mut self, name: &str, args: &[Value], host: &mut dyn Any) -> Result<Value, RtError> {
-        let f = self.globals.get(name);
+        let f = self.global(name);
         if matches!(f, Value::Nil) {
             return Err(RtError::new(format!("no such function `{name}`")));
         }
-        self.steps_left = self.sandbox.max_steps;
-        self.depth = 0;
+        self.walk.reset();
         self.call_value(&f, args.to_vec(), host)
     }
 
@@ -100,30 +96,43 @@ impl Engine for Interp {
         args: Vec<Value>,
         host: &mut dyn Any,
     ) -> Result<Value, RtError> {
+        let mut ctx = HostCtx {
+            host,
+            output: &mut self.output,
+        };
+        self.walk.call_value(f, &args, &mut ctx)
+    }
+}
+
+impl Walk {
+    /// Runs `func`'s body on `args`: what a script function's native does.
+    pub(crate) fn call_function(
+        self: &Rc<Self>,
+        func: &Function,
+        args: &[Value],
+        ctx: &mut HostCtx<'_>,
+    ) -> Result<Value, RtError> {
+        self.enter()?;
+        let env = Scope::child(&func.env);
+        for (i, p) in func.params.iter().enumerate() {
+            env.declare(p, args.get(i).cloned().unwrap_or(Value::Nil));
+        }
+        let flow = self.exec_block(&func.body, &env, ctx)?;
+        self.leave();
+        Ok(match flow {
+            Flow::Return(v) => v,
+            _ => Value::Nil,
+        })
+    }
+
+    fn call_value(
+        self: &Rc<Self>,
+        f: &Value,
+        args: &[Value],
+        ctx: &mut HostCtx<'_>,
+    ) -> Result<Value, RtError> {
         match f {
-            Value::Func(func) => {
-                if self.depth >= self.sandbox.max_depth {
-                    return Err(RtError::new("call depth limit exceeded"));
-                }
-                self.depth += 1;
-                let env = Scope::child(&func.env);
-                for (i, p) in func.params.iter().enumerate() {
-                    env.declare(p, args.get(i).cloned().unwrap_or(Value::Nil));
-                }
-                let flow = self.exec_block(&func.body, &env, host)?;
-                self.depth -= 1;
-                Ok(match flow {
-                    Flow::Return(v) => v,
-                    _ => Value::Nil,
-                })
-            }
-            Value::Native(n) => {
-                let mut ctx = HostCtx {
-                    host,
-                    output: &mut self.output,
-                };
-                (n.f)(&mut ctx, &args)
-            }
+            Value::Native(n) => (n.f)(ctx, args),
             Value::Closure(_) => Err(RtError::new(
                 "attempt to call a bytecode closure from the tree-walking interpreter",
             )),
@@ -133,25 +142,15 @@ impl Engine for Interp {
             ))),
         }
     }
-}
-
-impl Interp {
-    fn tick(&mut self) -> Result<(), RtError> {
-        if self.steps_left == 0 {
-            return Err(RtError::new("instruction budget exceeded"));
-        }
-        self.steps_left -= 1;
-        Ok(())
-    }
 
     fn exec_block(
-        &mut self,
+        self: &Rc<Self>,
         block: &Block,
         env: &Rc<Scope>,
-        host: &mut dyn Any,
+        ctx: &mut HostCtx<'_>,
     ) -> Result<Flow, RtError> {
         for stmt in block {
-            match self.exec_stmt(stmt, env, host)? {
+            match self.exec_stmt(stmt, env, ctx)? {
                 Flow::Normal => {}
                 flow => return Ok(flow),
             }
@@ -160,25 +159,25 @@ impl Interp {
     }
 
     fn exec_stmt(
-        &mut self,
+        self: &Rc<Self>,
         stmt: &Stmt,
         env: &Rc<Scope>,
-        host: &mut dyn Any,
+        ctx: &mut HostCtx<'_>,
     ) -> Result<Flow, RtError> {
         self.tick()?;
         match stmt {
             Stmt::Local(name, e) => {
-                let v = self.eval(e, env, host)?;
+                let v = self.eval(e, env, ctx)?;
                 env.declare(name, v);
                 Ok(Flow::Normal)
             }
             Stmt::Assign(lhs, rhs) => {
-                let v = self.eval(rhs, env, host)?;
+                let v = self.eval(rhs, env, ctx)?;
                 match lhs {
                     Expr::Var(name) => env.set(name, v),
                     Expr::Index(base, idx) => {
-                        let base_v = self.eval(base, env, host)?;
-                        let idx_v = self.eval(idx, env, host)?;
+                        let base_v = self.eval(base, env, ctx)?;
+                        let idx_v = self.eval(idx, env, ctx)?;
                         let key = to_key(&idx_v)?;
                         match base_v {
                             Value::Table(t) => t.borrow_mut().set(key, v),
@@ -195,27 +194,27 @@ impl Interp {
                 Ok(Flow::Normal)
             }
             Stmt::ExprStmt(e) => {
-                self.eval(e, env, host)?;
+                self.eval(e, env, ctx)?;
                 Ok(Flow::Normal)
             }
             Stmt::If(arms, else_blk) => {
                 for (cond, body) in arms {
-                    if self.eval(cond, env, host)?.truthy() {
+                    if self.eval(cond, env, ctx)?.truthy() {
                         let scope = Scope::child(env);
-                        return self.exec_block(body, &scope, host);
+                        return self.exec_block(body, &scope, ctx);
                     }
                 }
                 if let Some(body) = else_blk {
                     let scope = Scope::child(env);
-                    return self.exec_block(body, &scope, host);
+                    return self.exec_block(body, &scope, ctx);
                 }
                 Ok(Flow::Normal)
             }
             Stmt::While(cond, body) => {
-                while self.eval(cond, env, host)?.truthy() {
+                while self.eval(cond, env, ctx)?.truthy() {
                     self.tick()?;
                     let scope = Scope::child(env);
-                    match self.exec_block(body, &scope, host)? {
+                    match self.exec_block(body, &scope, ctx)? {
                         Flow::Normal => {}
                         Flow::Break => break,
                         ret @ Flow::Return(_) => return Ok(ret),
@@ -227,12 +226,12 @@ impl Interp {
                 loop {
                     self.tick()?;
                     let scope = Scope::child(env);
-                    match self.exec_block(body, &scope, host)? {
+                    match self.exec_block(body, &scope, ctx)? {
                         Flow::Normal => {}
                         Flow::Break => break,
                         ret @ Flow::Return(_) => return Ok(ret),
                     }
-                    if self.eval(cond, &scope, host)?.truthy() {
+                    if self.eval(cond, &scope, ctx)?.truthy() {
                         break;
                     }
                 }
@@ -245,10 +244,10 @@ impl Interp {
                 step,
                 body,
             } => {
-                let start = num_of(&self.eval(start, env, host)?)?;
-                let stop = num_of(&self.eval(stop, env, host)?)?;
+                let start = num_of(&self.eval(start, env, ctx)?)?;
+                let stop = num_of(&self.eval(stop, env, ctx)?)?;
                 let step = match step {
-                    Some(e) => num_of(&self.eval(e, env, host)?)?,
+                    Some(e) => num_of(&self.eval(e, env, ctx)?)?,
                     None => 1.0,
                 };
                 if step == 0.0 {
@@ -259,7 +258,7 @@ impl Interp {
                     self.tick()?;
                     let scope = Scope::child(env);
                     scope.declare(var, Value::Num(i));
-                    match self.exec_block(body, &scope, host)? {
+                    match self.exec_block(body, &scope, ctx)? {
                         Flow::Normal => {}
                         Flow::Break => break,
                         ret @ Flow::Return(_) => return Ok(ret),
@@ -274,7 +273,7 @@ impl Interp {
                 iter,
                 body,
             } => {
-                let table = match self.eval(iter, env, host)? {
+                let table = match self.eval(iter, env, ctx)? {
                     Value::Table(t) => t,
                     other => {
                         return Err(RtError::new(format!(
@@ -294,7 +293,7 @@ impl Interp {
                     };
                     scope.declare(key, key_val);
                     scope.declare(value, v);
-                    match self.exec_block(body, &scope, host)? {
+                    match self.exec_block(body, &scope, ctx)? {
                         Flow::Normal => {}
                         Flow::Break => break,
                         ret @ Flow::Return(_) => return Ok(ret),
@@ -303,12 +302,15 @@ impl Interp {
                 Ok(Flow::Normal)
             }
             Stmt::FuncDecl { name, params, body } => {
-                let func = Value::Func(Rc::new(Function {
-                    params: params.clone(),
-                    body: body.clone(),
-                    env: Rc::clone(env),
-                    name: name.clone(),
-                }));
+                let func = closure(
+                    self,
+                    Function {
+                        params: params.clone(),
+                        body: body.clone(),
+                        env: Rc::clone(env),
+                        name: name.clone(),
+                    },
+                );
                 // Function declarations are global, as in the paper's
                 // balancer scripts (callbacks looked up by name).
                 self.globals.declare(name, func);
@@ -316,7 +318,7 @@ impl Interp {
             }
             Stmt::Return(e) => {
                 let v = match e {
-                    Some(e) => self.eval(e, env, host)?,
+                    Some(e) => self.eval(e, env, ctx)?,
                     None => Value::Nil,
                 };
                 Ok(Flow::Return(v))
@@ -325,7 +327,12 @@ impl Interp {
         }
     }
 
-    fn eval(&mut self, e: &Expr, env: &Rc<Scope>, host: &mut dyn Any) -> Result<Value, RtError> {
+    fn eval(
+        self: &Rc<Self>,
+        e: &Expr,
+        env: &Rc<Scope>,
+        ctx: &mut HostCtx<'_>,
+    ) -> Result<Value, RtError> {
         self.tick()?;
         match e {
             Expr::Nil => Ok(Value::Nil),
@@ -338,11 +345,11 @@ impl Interp {
                 for item in items {
                     match item {
                         TableItem::Positional(e) => {
-                            let v = self.eval(e, env, host)?;
+                            let v = self.eval(e, env, ctx)?;
                             t.push(v);
                         }
                         TableItem::Named(k, e) => {
-                            let v = self.eval(e, env, host)?;
+                            let v = self.eval(e, env, ctx)?;
                             t.set_str(k, v);
                         }
                     }
@@ -350,8 +357,8 @@ impl Interp {
                 Ok(Value::from_table(t))
             }
             Expr::Index(base, idx) => {
-                let base_v = self.eval(base, env, host)?;
-                let idx_v = self.eval(idx, env, host)?;
+                let base_v = self.eval(base, env, ctx)?;
+                let idx_v = self.eval(idx, env, ctx)?;
                 match base_v {
                     Value::Table(t) => {
                         let key = to_key(&idx_v)?;
@@ -364,22 +371,25 @@ impl Interp {
                 }
             }
             Expr::Call(callee, args) => {
-                let f = self.eval(callee, env, host)?;
+                let f = self.eval(callee, env, ctx)?;
                 let mut arg_vals = Vec::with_capacity(args.len());
                 for a in args {
-                    arg_vals.push(self.eval(a, env, host)?);
+                    arg_vals.push(self.eval(a, env, ctx)?);
                 }
-                self.call_value(&f, arg_vals, host)
+                self.call_value(&f, &arg_vals, ctx)
             }
-            Expr::Lambda(params, body) => Ok(Value::Func(Rc::new(Function {
-                params: params.clone(),
-                body: body.clone(),
-                env: Rc::clone(env),
-                name: "<anonymous>".to_string(),
-            }))),
-            Expr::Bin(op, a, b) => self.eval_bin(*op, a, b, env, host),
+            Expr::Lambda(params, body) => Ok(closure(
+                self,
+                Function {
+                    params: params.clone(),
+                    body: body.clone(),
+                    env: Rc::clone(env),
+                    name: "<anonymous>".to_string(),
+                },
+            )),
+            Expr::Bin(op, a, b) => self.eval_bin(*op, a, b, env, ctx),
             Expr::Un(op, e) => {
-                let v = self.eval(e, env, host)?;
+                let v = self.eval(e, env, ctx)?;
                 match op {
                     UnOp::Neg => Ok(Value::Num(-num_of(&v)?)),
                     UnOp::Not => Ok(Value::Bool(!v.truthy())),
@@ -397,35 +407,35 @@ impl Interp {
     }
 
     fn eval_bin(
-        &mut self,
+        self: &Rc<Self>,
         op: BinOp,
         a: &Expr,
         b: &Expr,
         env: &Rc<Scope>,
-        host: &mut dyn Any,
+        ctx: &mut HostCtx<'_>,
     ) -> Result<Value, RtError> {
         // Short-circuit forms first.
         match op {
             BinOp::And => {
-                let lhs = self.eval(a, env, host)?;
+                let lhs = self.eval(a, env, ctx)?;
                 return if lhs.truthy() {
-                    self.eval(b, env, host)
+                    self.eval(b, env, ctx)
                 } else {
                     Ok(lhs)
                 };
             }
             BinOp::Or => {
-                let lhs = self.eval(a, env, host)?;
+                let lhs = self.eval(a, env, ctx)?;
                 return if lhs.truthy() {
                     Ok(lhs)
                 } else {
-                    self.eval(b, env, host)
+                    self.eval(b, env, ctx)
                 };
             }
             _ => {}
         }
-        let lhs = self.eval(a, env, host)?;
-        let rhs = self.eval(b, env, host)?;
+        let lhs = self.eval(a, env, ctx)?;
+        let rhs = self.eval(b, env, ctx)?;
         match op {
             BinOp::Add => Ok(Value::Num(num_of(&lhs)? + num_of(&rhs)?)),
             BinOp::Sub => Ok(Value::Num(num_of(&lhs)? - num_of(&rhs)?)),

@@ -1,10 +1,10 @@
 //! Bytecode compiler for Cephalo: lowers the AST to register-addressed
 //! chunks executed by [`crate::vm::Vm`].
 //!
-//! The tree-walking interpreter ([`crate::interp::Interp`]) remains the
-//! reference semantics; the compiler/VM pair exists because per-op policy
-//! evaluation (Mantle ticks, object-class calls) is a hot path. Lowering
-//! decisions that matter for equivalence:
+//! The tree-walking interpreter of the dev-only `mala-dsl-oracle` crate
+//! remains the reference semantics; the compiler/VM pair exists because
+//! per-op policy evaluation (Mantle ticks, object-class calls) is a hot
+//! path. Lowering decisions that matter for equivalence:
 //!
 //! * **Operands name slots.** A frame is a window of slots: parameters,
 //!   locals and loop control, then the temporaries of the expression being
@@ -33,12 +33,12 @@
 //!   level directly in the root (global) scope, so a top-level `local`
 //!   declares a global; the compiler emits [`Op::StoreGlobal`] there.
 //!
-//! One deliberate semantic difference from the tree-walker, documented in
-//! DESIGN §18: the compiler resolves names *lexically*, so a function
-//! literal referencing a local declared **later** in an enclosing block
-//! sees a global, where the interpreter's dynamic scope-chain lookup would
-//! see the local once it is declared. This matches Lua's actual scoping
-//! rules; the differential generator ([`crate::testgen`]) only emits
+//! One deliberate semantic difference from the reference interpreter,
+//! documented in DESIGN §18: the compiler resolves names *lexically*, so a
+//! function literal referencing a local declared **later** in an enclosing
+//! block sees a global, where the interpreter's dynamic scope-chain lookup
+//! would see the local once it is declared. This matches Lua's actual
+//! scoping rules; the differential generator (`tests/testgen`) only emits
 //! references to already-declared names.
 
 use std::collections::HashSet;

@@ -7,11 +7,11 @@
 //! is a small, Lua-flavoured language implemented from scratch: a lexer, a
 //! recursive-descent parser, and a bytecode compiler whose chunks run on a
 //! register VM ([`Vm`]) with deterministic sandboxing (instruction budgets and
-//! call-depth limits). The VM is the one engine daemons embed. A
-//! tree-walking interpreter ([`Interp`]) defines the semantics and stays as
-//! the reference the VM is tested against; both implement [`Engine`], so a
-//! test or the `dsl_vm` experiment names the oracle by type and nothing
-//! selects an engine at run time.
+//! call-depth limits). The VM is the one engine this crate holds, and the
+//! one daemons embed. The reference semantics it is tested against is a
+//! tree-walking interpreter in the dev-only `mala-dsl-oracle` crate, which
+//! implements the same [`Engine`] surface: a test or the `dsl_vm`
+//! experiment names it by type, and nothing selects an engine at run time.
 //!
 //! The feature set is the subset the paper's services actually need:
 //! numbers, strings, booleans, nil, tables (array + map parts), functions
@@ -42,7 +42,6 @@
 
 pub mod ast;
 pub mod compile;
-pub mod interp;
 pub mod lexer;
 pub mod parser;
 pub mod runtime;
@@ -52,7 +51,6 @@ pub mod vm;
 
 pub use ast::{BinOp, Block, Expr, Stmt, UnOp};
 pub use compile::{Chunk, CompileError};
-pub use interp::Interp;
 pub use parser::ParseError;
 pub use runtime::{Engine, RtError, Sandbox};
 pub use value::{NativeFn, Str, Table, Value};

@@ -56,9 +56,10 @@ impl Default for Sandbox {
 
 /// One embedded Cephalo VM inside a daemon: a global scope, registered
 /// native functions, an output buffer for `print`/`log`, and the sandbox
-/// limits. [`crate::Vm`] is the engine of every production path;
-/// [`crate::Interp`] implements the same surface as the reference that
-/// tests hold it to. The engine is chosen by type, never by a value.
+/// limits. [`crate::Vm`] is the engine of every production path; the
+/// tree-walking interpreter of the dev-only `mala-dsl-oracle` crate
+/// implements the same surface as the reference that tests hold it to.
+/// The engine is chosen by type, never by a value.
 pub trait Engine: Sized + 'static {
     /// Creates an engine with explicit sandbox limits and the standard
     /// library.
@@ -83,6 +84,10 @@ pub trait Engine: Sized + 'static {
 
     /// Whether a global function named `name` exists.
     fn has_function(&self, name: &str) -> bool;
+
+    /// Whether the global `name` holds a function a script defined, not a
+    /// host native: what a scripted object class exports as a method.
+    fn has_script_function(&self, name: &str) -> bool;
 
     /// Executes a script's top level (typically declaring functions) without
     /// host state.
@@ -124,14 +129,16 @@ pub trait Engine: Sized + 'static {
 }
 
 /// Numeric view of a value, with the engines' shared error message.
-/// Both the interpreter and the VM call these helpers so type errors are
-/// byte-for-byte identical — a property the differential harness asserts.
-pub(crate) fn num_of(v: &Value) -> Result<f64, RtError> {
+/// Both the reference interpreter and the VM call these helpers so type
+/// errors are byte-for-byte identical — a property the differential
+/// harness asserts.
+pub fn num_of(v: &Value) -> Result<f64, RtError> {
     v.as_num()
         .ok_or_else(|| RtError::new(format!("expected a number, got {}", v.type_name())))
 }
 
-pub(crate) fn to_key(v: &Value) -> Result<Key, RtError> {
+/// The table key a value indexes by: a whole number or a string.
+pub fn to_key(v: &Value) -> Result<Key, RtError> {
     match v {
         Value::Num(n) => {
             if n.fract() == 0.0 {
@@ -196,10 +203,11 @@ pub(crate) fn join(vals: &[Value]) -> Result<Value, RtError> {
 
 /// A whole `a .. b .. … .. z` chain, operands in source order, shared by
 /// both engines so coercion and its error message are identical. `..` is
-/// right-associative and the tree-walker evaluates it pair by pair, so the
+/// right-associative and the reference interpreter evaluates it pair by
+/// pair, so the
 /// operand it rejects first is one of the innermost (last) pair, then the
 /// ones to its left from right to left; a chain reports that same operand.
-pub(crate) fn concat(operands: &[Value]) -> Result<Value, RtError> {
+pub fn concat(operands: &[Value]) -> Result<Value, RtError> {
     join(operands).map_err(|leftmost| {
         let (outer, innermost) = operands.split_at(operands.len().saturating_sub(2));
         innermost
@@ -210,7 +218,9 @@ pub(crate) fn concat(operands: &[Value]) -> Result<Value, RtError> {
     })
 }
 
-pub(crate) fn compare(a: &Value, b: &Value) -> Result<std::cmp::Ordering, RtError> {
+/// How `<`, `<=`, `>` and `>=` order two values: numbers, or strings
+/// bytewise.
+pub fn compare(a: &Value, b: &Value) -> Result<std::cmp::Ordering, RtError> {
     match (a, b) {
         (Value::Num(x), Value::Num(y)) => x
             .partial_cmp(y)
@@ -221,82 +231,5 @@ pub(crate) fn compare(a: &Value, b: &Value) -> Result<std::cmp::Ordering, RtErro
             a.type_name(),
             b.type_name()
         ))),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{Interp, Vm};
-    use std::rc::Rc;
-
-    /// Every method of [`Engine`], driven the way the daemons drive it, with
-    /// a budget trip and a depth trip that leave the engine usable.
-    fn conforms<E: Engine>() {
-        let script = Script::compile(
-            r#"
-            seen = note("load")
-            function pick(a, b) if a < b then return a end return b end
-            function twice(f, x) return f(f(x)) end
-            function spin() while true do spun = true end end
-            function dive(n) return dive(n + 1) end
-            print("loaded", limit)
-            "#,
-        )
-        .unwrap();
-        let mut engine = E::with_sandbox(Sandbox {
-            max_steps: 10_000,
-            max_depth: 16,
-        });
-        engine.register(
-            "note",
-            Rc::new(|ctx, args| {
-                let notes = ctx.host.downcast_mut::<Vec<String>>().expect("host");
-                notes.push(args[0].display());
-                Ok(Value::from(notes.len() as f64))
-            }),
-        );
-        engine.set_global("limit", Value::from(7.0));
-        let mut notes: Vec<String> = Vec::new();
-        engine.load_with(&script, &mut notes).unwrap();
-        assert_eq!(notes, ["load"]);
-        assert_eq!(engine.global("seen"), Value::from(1.0));
-        assert_eq!(engine.global("unset"), Value::Nil);
-        assert_eq!(engine.take_output(), ["loaded\t7"]);
-        assert!(engine.take_output().is_empty());
-        assert!(engine.has_function("pick") && engine.has_function("note"));
-        assert!(!engine.has_function("limit") && !engine.has_function("nope"));
-
-        let args = [Value::from(4.0), Value::from(7.0)];
-        assert_eq!(engine.call("pick", &args, &mut ()), Ok(Value::from(4.0)));
-        let err = engine.call("nope", &[], &mut ()).unwrap_err();
-        assert_eq!(err.message, "no such function `nope`");
-        let note = engine.global("note");
-        let out = engine.call_value(&note, vec![Value::str("direct")], &mut notes);
-        assert_eq!(out, Ok(Value::from(2.0)));
-        assert_eq!(notes, ["load", "direct"]);
-
-        let err = engine.call("spin", &[], &mut ()).unwrap_err();
-        assert_eq!(err.message, "instruction budget exceeded");
-        assert_eq!(engine.global("spun"), Value::from(true));
-        let err = engine
-            .call("dive", &[Value::from(0.0)], &mut ())
-            .unwrap_err();
-        assert_eq!(err.message, "call depth limit exceeded");
-        // Neither trip poisons the engine, and each entry has its own budget.
-        assert_eq!(engine.call("pick", &args, &mut ()), Ok(Value::from(4.0)));
-
-        // `new` has the default sandbox: room for far more than the tiny
-        // budget above.
-        let mut roomy = E::new();
-        let counting = Script::compile("n = 0 for i = 1, 50000 do n = n + 1 end").unwrap();
-        roomy.load(&counting).unwrap();
-        assert_eq!(roomy.global("n"), Value::from(50_000.0));
-    }
-
-    #[test]
-    fn both_engines_conform_to_the_engine_surface() {
-        conforms::<Interp>();
-        conforms::<Vm>();
     }
 }

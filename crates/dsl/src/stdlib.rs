@@ -335,47 +335,47 @@ pub fn install(interp: &mut impl Engine) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Interp, Script};
+    use crate::{Script, Vm};
 
-    fn run(src: &str) -> Interp {
+    fn run(src: &str) -> Vm {
         let script = Script::compile(src).unwrap();
-        let mut interp = Interp::new();
-        interp.load(&script).unwrap();
-        interp
+        let mut vm = Vm::new();
+        vm.load(&script).unwrap();
+        vm
     }
 
     #[test]
     fn print_collects_output() {
-        let mut interp = run("print(\"a\", 1, true)\nprint({1, k = 2})");
-        assert_eq!(interp.take_output(), vec!["a\t1\ttrue", "{1, k = 2}"]);
-        assert!(interp.take_output().is_empty());
+        let mut vm = run("print(\"a\", 1, true)\nprint({1, k = 2})");
+        assert_eq!(vm.take_output(), vec!["a\t1\ttrue", "{1, k = 2}"]);
+        assert!(vm.take_output().is_empty());
     }
 
     #[test]
     fn tostring_tonumber_round_trip() {
-        let interp = run("a = tostring(3.5)\nb = tonumber(\" 42 \")\nc = tonumber(\"nope\")");
-        assert_eq!(interp.global("a"), Value::str("3.5"));
-        assert_eq!(interp.global("b"), Value::from(42.0));
-        assert_eq!(interp.global("c"), Value::Nil);
+        let vm = run("a = tostring(3.5)\nb = tonumber(\" 42 \")\nc = tonumber(\"nope\")");
+        assert_eq!(vm.global("a"), Value::str("3.5"));
+        assert_eq!(vm.global("b"), Value::from(42.0));
+        assert_eq!(vm.global("c"), Value::Nil);
     }
 
     #[test]
     fn type_builtin() {
-        let interp = run("a = type(nil)\nb = type(1)\nc = type({})\nd = type(print)");
-        assert_eq!(interp.global("a"), Value::str("nil"));
-        assert_eq!(interp.global("b"), Value::str("number"));
-        assert_eq!(interp.global("c"), Value::str("table"));
-        assert_eq!(interp.global("d"), Value::str("function"));
+        let vm = run("a = type(nil)\nb = type(1)\nc = type({})\nd = type(print)");
+        assert_eq!(vm.global("a"), Value::str("nil"));
+        assert_eq!(vm.global("b"), Value::str("number"));
+        assert_eq!(vm.global("c"), Value::str("table"));
+        assert_eq!(vm.global("d"), Value::str("function"));
     }
 
     #[test]
     fn error_and_assert() {
         let script = Script::compile("error(\"boom\")").unwrap();
-        let err = Interp::new().load(&script).unwrap_err();
+        let err = Vm::new().load(&script).unwrap_err();
         assert_eq!(err.message, "boom");
 
         let script = Script::compile("assert(false, \"nope\")").unwrap();
-        let err = Interp::new().load(&script).unwrap_err();
+        let err = Vm::new().load(&script).unwrap_err();
         assert_eq!(err.message, "nope");
 
         run("assert(1 == 1)");
@@ -383,52 +383,52 @@ mod tests {
 
     #[test]
     fn math_builtins() {
-        let interp = run(
+        let vm = run(
             "a = floor(2.7)\nb = ceil(2.1)\nc = abs(-3)\nd = sqrt(16)\ne = min(3, 1, 2)\nf = max(3, 1, 2)",
         );
-        assert_eq!(interp.global("a"), Value::from(2.0));
-        assert_eq!(interp.global("b"), Value::from(3.0));
-        assert_eq!(interp.global("c"), Value::from(3.0));
-        assert_eq!(interp.global("d"), Value::from(4.0));
-        assert_eq!(interp.global("e"), Value::from(1.0));
-        assert_eq!(interp.global("f"), Value::from(3.0));
+        assert_eq!(vm.global("a"), Value::from(2.0));
+        assert_eq!(vm.global("b"), Value::from(3.0));
+        assert_eq!(vm.global("c"), Value::from(3.0));
+        assert_eq!(vm.global("d"), Value::from(4.0));
+        assert_eq!(vm.global("e"), Value::from(1.0));
+        assert_eq!(vm.global("f"), Value::from(3.0));
     }
 
     #[test]
     fn table_insert_remove_keys() {
-        let interp = run(
+        let vm = run(
             "t = {}\ninsert(t, 5)\ninsert(t, 6)\nn = #t\nx = remove(t)\nm = #t\nt2 = {a = 1, b = 2}\nks = keys(t2)\nk1 = ks[1]",
         );
-        assert_eq!(interp.global("n"), Value::from(2.0));
-        assert_eq!(interp.global("x"), Value::from(6.0));
-        assert_eq!(interp.global("m"), Value::from(1.0));
-        assert_eq!(interp.global("k1"), Value::str("a"));
+        assert_eq!(vm.global("n"), Value::from(2.0));
+        assert_eq!(vm.global("x"), Value::from(6.0));
+        assert_eq!(vm.global("m"), Value::from(1.0));
+        assert_eq!(vm.global("k1"), Value::str("a"));
     }
 
     #[test]
     fn string_sub() {
-        let interp = run(
+        let vm = run(
             "a = sub(\"hello\", 2)\nb = sub(\"hello\", 2, 3)\nc = sub(\"hello\", -3)\nd = sub(\"hello\", 4, 2)",
         );
-        assert_eq!(interp.global("a"), Value::str("ello"));
-        assert_eq!(interp.global("b"), Value::str("el"));
-        assert_eq!(interp.global("c"), Value::str("llo"));
-        assert_eq!(interp.global("d"), Value::str(""));
+        assert_eq!(vm.global("a"), Value::str("ello"));
+        assert_eq!(vm.global("b"), Value::str("el"));
+        assert_eq!(vm.global("c"), Value::str("llo"));
+        assert_eq!(vm.global("d"), Value::str(""));
     }
 
     #[test]
     fn format_helpers() {
-        let interp =
+        let vm =
             run("a = format_num(3.14159, 2)\nb = fmt(4)\nc = zpad(42, 5)\nd = zpad(123456, 5)");
-        assert_eq!(interp.global("a"), Value::str("3.14"));
-        assert_eq!(interp.global("b"), Value::str("4"));
-        assert_eq!(interp.global("c"), Value::str("00042"));
-        assert_eq!(interp.global("d"), Value::str("123456"));
+        assert_eq!(vm.global("a"), Value::str("3.14"));
+        assert_eq!(vm.global("b"), Value::str("4"));
+        assert_eq!(vm.global("c"), Value::str("00042"));
+        assert_eq!(vm.global("d"), Value::str("123456"));
     }
 
     #[test]
     fn zpad_pads_on_the_left_whatever_the_widths() {
-        let interp = run(
+        let vm = run(
             "a = zpad(7, 1)\nb = zpad(7, 2)\nc = zpad(123, 4)\nd = zpad(123, 9)\ne = zpad(-5, 4)\nf = zpad(0, 0)\ng = zpad(1.5, 6)",
         );
         for (name, want) in [
@@ -440,7 +440,7 @@ mod tests {
             ("f", "0"),
             ("g", "0001.5"),
         ] {
-            assert_eq!(interp.global(name), Value::str(want), "{name}");
+            assert_eq!(vm.global(name), Value::str(want), "{name}");
         }
         let wide = format!("w = zpad(1, {MAX_PAD})");
         assert_eq!(
@@ -467,20 +467,20 @@ mod tests {
 
     #[test]
     fn find_and_split() {
-        let interp = run(
+        let vm = run(
             "a = find(\"hello\", \"ll\")\nb = find(\"hello\", \"zz\")\nt = split(\"1:22:333\", \":\")\nn = #t\nx = t[2]\ne = split(\"abc\", \"\")",
         );
-        assert_eq!(interp.global("a"), Value::from(3.0));
-        assert_eq!(interp.global("b"), Value::Nil);
-        assert_eq!(interp.global("n"), Value::from(3.0));
-        assert_eq!(interp.global("x"), Value::str("22"));
+        assert_eq!(vm.global("a"), Value::from(3.0));
+        assert_eq!(vm.global("b"), Value::Nil);
+        assert_eq!(vm.global("n"), Value::from(3.0));
+        assert_eq!(vm.global("x"), Value::str("22"));
     }
 
     #[test]
     fn wrong_arg_types_error() {
         for src in ["floor(\"x\")", "insert(1, 2)", "sub(1, 2)"] {
             let script = Script::compile(src).unwrap();
-            assert!(Interp::new().load(&script).is_err(), "{src}");
+            assert!(Vm::new().load(&script).is_err(), "{src}");
         }
     }
 }

@@ -8,7 +8,6 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::rc::Rc;
 
-use crate::ast::Block;
 use crate::runtime::RtError;
 
 /// The longest string a [`Str`] holds in place.
@@ -229,24 +228,6 @@ impl FromIterator<Value> for Table {
     }
 }
 
-/// A script-defined function: parameters, body, and captured environment.
-pub struct Function {
-    /// Parameter names.
-    pub params: Vec<String>,
-    /// Function body.
-    pub body: Block,
-    /// Lexical environment captured at definition time.
-    pub env: Rc<Scope>,
-    /// Best-effort name for diagnostics.
-    pub name: String,
-}
-
-impl fmt::Debug for Function {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "<function {}({})>", self.name, self.params.join(", "))
-    }
-}
-
 /// Host context passed to native functions: the embedding-specific state
 /// (`host`, downcast by each binding) and the interpreter's output sink.
 pub struct HostCtx<'a> {
@@ -261,71 +242,19 @@ pub struct HostCtx<'a> {
 /// Signature of a host-registered native function.
 pub type NativeFn = Rc<dyn Fn(&mut HostCtx<'_>, &[Value]) -> Result<Value, RtError>>;
 
-/// A named native function value.
+/// A native function value.
 #[derive(Clone)]
 pub struct Native {
-    /// Diagnostic name.
-    pub name: String,
+    /// What `tostring` and `print` show for it: `<native name>` for a
+    /// function the host registered.
+    pub display: String,
     /// The callable.
     pub f: NativeFn,
 }
 
 impl fmt::Debug for Native {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "<native {}>", self.name)
-    }
-}
-
-/// A lexical scope frame. Scopes form a parent chain; globals are the root.
-#[derive(Debug, Default)]
-pub struct Scope {
-    vars: RefCell<std::collections::HashMap<String, Value>>,
-    parent: Option<Rc<Scope>>,
-}
-
-impl Scope {
-    /// Creates a root (global) scope.
-    pub fn root() -> Rc<Scope> {
-        Rc::new(Scope::default())
-    }
-
-    /// Creates a child scope of `parent`.
-    pub fn child(parent: &Rc<Scope>) -> Rc<Scope> {
-        Rc::new(Scope {
-            vars: RefCell::new(std::collections::HashMap::new()),
-            parent: Some(Rc::clone(parent)),
-        })
-    }
-
-    /// Declares a variable in this frame (shadowing outer frames).
-    pub fn declare(&self, name: &str, v: Value) {
-        self.vars.borrow_mut().insert(name.to_string(), v);
-    }
-
-    /// Reads a variable, walking the parent chain; unknowns read as `nil`.
-    pub fn get(&self, name: &str) -> Value {
-        if let Some(v) = self.vars.borrow().get(name) {
-            return v.clone();
-        }
-        match &self.parent {
-            Some(p) => p.get(name),
-            None => Value::Nil,
-        }
-    }
-
-    /// Assigns to the nearest frame declaring `name`; if none, assigns at
-    /// the root (creating a global), matching Lua semantics.
-    pub fn set(&self, name: &str, v: Value) {
-        if self.vars.borrow().contains_key(name) {
-            self.vars.borrow_mut().insert(name.to_string(), v);
-            return;
-        }
-        match &self.parent {
-            Some(p) => p.set(name, v),
-            None => {
-                self.vars.borrow_mut().insert(name.to_string(), v);
-            }
-        }
+        f.write_str(&self.display)
     }
 }
 
@@ -346,8 +275,6 @@ pub enum Value {
     Str(Str),
     /// Shared mutable table.
     Table(Rc<RefCell<Table>>),
-    /// Script-defined function.
-    Func(Rc<Function>),
     /// Compiled script function (the bytecode VM's closure form).
     Closure(Rc<crate::vm::Closure>),
     /// Host-registered native function. Boxed behind `Rc` so the variant
@@ -391,7 +318,7 @@ impl Value {
             Value::Num(_) => "number",
             Value::Str(_) => "string",
             Value::Table(_) => "table",
-            Value::Func(_) | Value::Closure(_) | Value::Native(_) => "function",
+            Value::Closure(_) | Value::Native(_) => "function",
         }
     }
 
@@ -455,7 +382,6 @@ impl Value {
                 }
                 format!("{{{}}}", parts.join(", "))
             }
-            Value::Func(func) => format!("{func:?}"),
             Value::Closure(c) => format!("{c:?}"),
             Value::Native(n) => format!("{n:?}"),
         }
@@ -489,7 +415,6 @@ impl PartialEq for Value {
             (Value::Num(a), Value::Num(b)) => a == b,
             (Value::Str(a), Value::Str(b)) => a == b,
             (Value::Table(a), Value::Table(b)) => Rc::ptr_eq(a, b),
-            (Value::Func(a), Value::Func(b)) => Rc::ptr_eq(a, b),
             (Value::Closure(a), Value::Closure(b)) => Rc::ptr_eq(a, b),
             (Value::Native(a), Value::Native(b)) => Rc::ptr_eq(&a.f, &b.f),
             _ => false,
@@ -589,23 +514,6 @@ mod tests {
         assert_ne!(t1, t2);
         assert_eq!(t1, t1.clone());
         assert_ne!(Value::from(1.0), Value::str("1"));
-    }
-
-    #[test]
-    fn scope_chain_lookup_and_assignment() {
-        let root = Scope::root();
-        root.declare("g", Value::from(1.0));
-        let child = Scope::child(&root);
-        assert_eq!(child.get("g"), Value::from(1.0));
-        child.set("g", Value::from(2.0));
-        assert_eq!(root.get("g"), Value::from(2.0));
-        child.declare("g", Value::from(3.0));
-        child.set("g", Value::from(4.0));
-        assert_eq!(root.get("g"), Value::from(2.0));
-        assert_eq!(child.get("g"), Value::from(4.0));
-        // Assigning an undeclared name creates a global.
-        child.set("fresh", Value::from(9.0));
-        assert_eq!(root.get("fresh"), Value::from(9.0));
     }
 
     #[test]

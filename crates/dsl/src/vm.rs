@@ -2,9 +2,10 @@
 //!
 //! The engine of every production path (object classes, Mantle policies);
 //! its public surface is [`Engine`]. Semantics are defined by the
-//! tree-walking interpreter, which implements the same trait; the
-//! differential harness (the `differential` integration test and its
-//! `testgen` program generator) holds this implementation to it.
+//! tree-walking interpreter of the dev-only `mala-dsl-oracle` crate, which
+//! implements the same trait; the differential harness (the `differential`
+//! integration test and its `testgen` program generator) holds this
+//! implementation to it.
 //!
 //! Layout at runtime: one shared slot array; a frame is the window
 //! `stack[base .. base + n_slots]` — parameters, locals and loop control,
@@ -52,8 +53,8 @@ pub struct Closure {
 
 impl fmt::Debug for Closure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Matches the tree-walker's `<function name(params)>` rendering so
-        // `tostring(f)` is engine-independent.
+        // Matches the reference interpreter's `<function name(params)>`
+        // rendering so `tostring(f)` is engine-independent.
         write!(
             f,
             "<function {}({})>",
@@ -99,7 +100,8 @@ impl std::hash::Hasher for FxHasher {
 type GlobalNames = HashMap<Rc<str>, u32, std::hash::BuildHasherDefault<FxHasher>>;
 
 /// A Cephalo bytecode VM instance: globals, natives, output buffer, and
-/// sandbox accounting — the compiled counterpart of [`crate::Interp`].
+/// sandbox accounting — the compiled counterpart of the reference
+/// interpreter in `mala-dsl-oracle`.
 ///
 /// Globals are slotted: `global_names` interns each name to an index into
 /// `global_vals` the first time it is seen, and closures carry their
@@ -145,7 +147,7 @@ impl Engine for Vm {
         self.set_global(
             name,
             Value::Native(Rc::new(Native {
-                name: name.to_string(),
+                display: format!("<native {name}>"),
                 f,
             })),
         );
@@ -169,6 +171,10 @@ impl Engine for Vm {
 
     fn has_function(&self, name: &str) -> bool {
         matches!(self.global(name), Value::Closure(_) | Value::Native { .. })
+    }
+
+    fn has_script_function(&self, name: &str) -> bool {
+        matches!(self.global(name), Value::Closure(_))
     }
 
     /// Compiles, then executes the top level: a compile error surfaces as
@@ -215,9 +221,6 @@ impl Engine for Vm {
                 };
                 (n.f)(&mut ctx, &args)
             }
-            Value::Func(_) => Err(RtError::new(
-                "attempt to call a tree-walker function from the bytecode VM",
-            )),
             other => Err(cannot("call", other)),
         }
     }
@@ -555,11 +558,6 @@ impl Vm {
                                     output: &mut self.output,
                                 };
                                 regs[at] = (nat.f)(&mut ctx, &regs[args])?;
-                            }
-                            Value::Func(_) => {
-                                return Err(RtError::new(
-                                    "attempt to call a tree-walker function from the bytecode VM",
-                                ))
                             }
                             other => return Err(cannot("call", other)),
                         }

@@ -11,7 +11,8 @@
 
 mod testgen;
 
-use mala_dsl::{Engine, Interp, Script, Value, Vm};
+use mala_dsl::{Engine, Script, Value, Vm};
+use mala_dsl_oracle::Interp;
 use proptest::prelude::*;
 use testgen::{check_seed, Rng};
 
@@ -60,6 +61,30 @@ proptest! {
         if let Err(d) = check_seed(seed) {
             panic!("engines diverged: {d}");
         }
+    }
+}
+
+/// `tostring` of a script function reads `<function name(params)>` on both
+/// engines, wherever the function was made; a host native reads
+/// `<native name>`.
+#[test]
+fn tostring_of_a_function_reads_the_same_on_both_engines() {
+    for (src, want) in [
+        (
+            "function top(a, b) end x = tostring(top)",
+            "<function top(a, b)>",
+        ),
+        (
+            "function f() local g = function(p) return p end return tostring(g) end x = f()",
+            "<function <anonymous>(p)>",
+        ),
+        (
+            "function outer() function inner(q, r) end return tostring(inner) end x = outer()",
+            "<function inner(q, r)>",
+        ),
+        ("x = tostring(floor)", "<native floor>"),
+    ] {
+        assert_eq!(eval_both(src), Ok(want.to_string()), "{src}");
     }
 }
 

@@ -4,7 +4,8 @@
 //! compile/run pipeline must reject hostile input with a typed error —
 //! never a panic or a stack overflow.
 
-use mala_dsl::{compile, Engine, Interp, RtError, Script, Value, Vm};
+use mala_dsl::{compile, Engine, RtError, Script, Value, Vm};
+use mala_dsl_oracle::Interp;
 use proptest::prelude::*;
 
 fn run(src: &str) -> Result<Interp, RtError> {

@@ -9,7 +9,8 @@ use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use mala_dsl::value::{Key, INLINE_LEN};
-use mala_dsl::{Engine, Interp, Script, Str, Value, Vm};
+use mala_dsl::{Engine, Script, Str, Value, Vm};
+use mala_dsl_oracle::Interp;
 use mala_sim::idmap::IdHasher;
 use proptest::prelude::*;
 

@@ -32,7 +32,8 @@
 use std::collections::HashSet;
 
 use mala_dsl::ast::{print_block, BinOp, Block, Expr, Stmt, TableItem, UnOp};
-use mala_dsl::{Engine, Interp, Script, Table, Value, Vm};
+use mala_dsl::{Engine, Script, Table, Value, Vm};
+use mala_dsl_oracle::Interp;
 
 /// Deterministic splitmix64 generator — no external crates, identical
 /// sequences on every platform.
@@ -756,7 +757,8 @@ impl std::fmt::Display for Divergence {
 
 /// Structural equivalence across engines: numbers compare bitwise-NaN-
 /// aware, tables compare by contents (cycle-guarded), and any function
-/// compares equal to any function (tree-walker `Func` vs VM `Closure`).
+/// compares equal to any function (the oracle's natives vs the VM's
+/// `Closure`s).
 pub fn equivalent(a: &Value, b: &Value) -> bool {
     fn go(a: &Value, b: &Value, seen: &mut HashSet<(usize, usize)>) -> bool {
         match (a, b) {
@@ -764,10 +766,7 @@ pub fn equivalent(a: &Value, b: &Value) -> bool {
             (Value::Bool(x), Value::Bool(y)) => x == y,
             (Value::Num(x), Value::Num(y)) => x == y || (x.is_nan() && y.is_nan()),
             (Value::Str(x), Value::Str(y)) => x == y,
-            (
-                Value::Func(_) | Value::Closure(_) | Value::Native(_),
-                Value::Func(_) | Value::Closure(_) | Value::Native(_),
-            ) => true,
+            (Value::Closure(_) | Value::Native(_), Value::Closure(_) | Value::Native(_)) => true,
             (Value::Table(x), Value::Table(y)) => {
                 let pair = (Rc_addr(x), Rc_addr(y));
                 if !seen.insert(pair) {

@@ -9,7 +9,9 @@
 
 use std::any::type_name;
 
-use mala_dsl::{Engine, Interp, Sandbox, Script, Value, Vm};
+use mala_dsl::value::Key;
+use mala_dsl::{Engine, Sandbox, Script, Str, Value, Vm};
+use mala_dsl_oracle::Interp;
 
 fn tiny(steps: u64) -> Sandbox {
     Sandbox {
@@ -171,6 +173,42 @@ fn depth_trip_then_shallow_call_succeeds() {
     }
     case::<Interp>();
     case::<Vm>();
+}
+
+#[test]
+fn a_callback_from_a_table_trips_budget_and_depth_in_both_engines() {
+    // Mantle's `when()` path: a function stored in a table and called back
+    // through `call_value` runs under the engine's sandbox, whichever form
+    // the engine gives its functions.
+    fn case<E: Engine>() -> [String; 2] {
+        let script = Script::compile(
+            r#"
+            hooks = {}
+            hooks.spin = function() while true do end end
+            hooks.dive = function(n) return hooks.dive(n + 1) end
+            "#,
+        )
+        .unwrap();
+        let hook = |eng: &E, name: &str| {
+            let hooks = eng.global("hooks");
+            let key = Key::Str(Str::new(name.as_bytes()));
+            let f = hooks.as_table().expect("hooks").borrow().get(&key);
+            assert_eq!(f.type_name(), "function", "{name}");
+            f
+        };
+        let mut eng = E::with_sandbox(tiny(10_000));
+        // Each load starts a fresh budget; `call_value` spends what is left.
+        eng.load(&script).unwrap();
+        let spin = hook(&eng, "spin");
+        let budget = eng.call_value(&spin, Vec::new(), &mut ());
+        eng.load(&script).unwrap();
+        let dive = hook(&eng, "dive");
+        let depth = eng.call_value(&dive, vec![Value::from(0.0)], &mut ());
+        [budget, depth].map(|out| out.expect_err(type_name::<E>()).message)
+    }
+    let want = ["instruction budget exceeded", "call depth limit exceeded"];
+    assert_eq!(case::<Interp>(), want);
+    assert_eq!(case::<Vm>(), want);
 }
 
 /// Instructions per iteration of a `read_batch`-shaped loop (the zlog

@@ -495,7 +495,7 @@ mod tests {
             vec![(0, 300.0, 0.0), (1, 0.0, 0.0)],
             vec![(10, 150.0), (11, 150.0)],
         );
-        let mut tree = MantleBalancer::<mala_dsl::Interp>::for_engine();
+        let mut tree = MantleBalancer::<mala_dsl_oracle::Interp>::for_engine();
         let mut vmb = MantleBalancer::<Vm>::for_engine();
         tree.install_policy(policy, 1).unwrap();
         vmb.install_policy(policy, 1).unwrap();

@@ -104,7 +104,7 @@ impl<E: Engine> ScriptedClass<E> {
         assigned_names(&script.block, &mut names);
         let methods = names
             .into_iter()
-            .filter(|name| matches!(engine.global(name), Value::Closure(_) | Value::Func(_)))
+            .filter(|name| engine.has_script_function(name))
             .map(|name| {
                 let kind = if readonly.iter().any(|m| m == name) {
                     MethodKind::ReadOnly

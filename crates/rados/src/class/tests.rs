@@ -1,5 +1,5 @@
 use super::*;
-use mala_dsl::Interp;
+use mala_dsl_oracle::Interp;
 use std::any::type_name;
 
 const COUNTER_CLS: &str = r#"

@@ -3,7 +3,8 @@
 //! errors — `Err` from `decode`, `EINVAL` through a class call — never a
 //! panic and never an allocation the header asked for.
 
-use mala_dsl::{Engine, Interp, Vm};
+use mala_dsl::{Engine, Vm};
+use mala_dsl_oracle::Interp;
 use mala_rados::{frame, ClassRegistry, OsdError};
 use proptest::prelude::*;
 

@@ -1,6 +1,7 @@
 use super::*;
 use crate::log::ReadOutcome;
-use mala_dsl::{Engine, Interp, Vm};
+use mala_dsl::{Engine, Vm};
+use mala_dsl_oracle::Interp;
 use mala_rados::{ClassRegistry, Object, OsdError};
 use std::any::type_name;
 

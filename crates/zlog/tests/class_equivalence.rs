@@ -14,7 +14,8 @@
 //! is compared with a one-position `read_batch`, its `ENOENT` with `U|`;
 //! its per-position `trim` has no counterpart and is never called.
 
-use mala_dsl::{Engine, Interp, Vm};
+use mala_dsl::{Engine, Vm};
+use mala_dsl_oracle::Interp;
 use mala_rados::{frame, ClassRegistry, Object, OsdError};
 use mala_zlog::storage::{decode_checkpoint, decode_read_batch};
 use mala_zlog::{
