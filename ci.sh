@@ -6,7 +6,7 @@
 # one-seal-path, request-held-once, short-string-in-place,
 # outcome-held-once, one-request-core,
 # one-route-table-a-subscriber-is-sent-the-map, a-grant-travels-alone,
-# a-seal's-last-step-holds, the-zlog-client-the-monitor-the-OSD-and-the-MDS-fit-in-a-head,
+# a-seal's-last-step-holds, every-file-fits-in-a-head,
 # a-liveness-action-is-proposed-when-it-is-decided, one-proposal-policy,
 # a-map-entry-has-one-codec, a-retry-repeats-its-request-and-the-MDS-has-one-tick,
 # everything-kept-has-a-reader, a-backfill-ends-with-a-whole-copy and
@@ -94,14 +94,22 @@ echo "==> one append path: an append is a batch of one; the scalar grant-and-wri
 [ -z "$(grep -n 'SeqOp::Next\b\|Stage::Write\b\|Stage::GetPos\|Method::Write\b' <<<"$zlog_text")" ]
 [ -z "$(grep -n 'function write(' crates/zlog/src/storage.rs)" ]
 
-echo "==> one engine on production paths: no value selects an engine, and outside tests only the dsl crate and the dsl_vm experiment name the tree-walker (DESIGN §18)"
+echo "==> one engine: the language crate holds the VM alone; the tree-walking oracle is the dev-only mala-dsl-oracle crate, which only mala-bench (for dsl_vm) links outside tests, and no value selects an engine (DESIGN §18)"
 [ -z "$(grep -rn 'EngineKind\|DslEngine' crates)" ]
-for file in $(find crates -name '*.rs' -not -path 'crates/dsl/src/*' -not -path '*/tests/*' -not -path 'crates/bench/src/exp/dsl_vm.rs'); do
+for file in $(find crates/dsl/src -name '*.rs'); do
+    [ -z "$(above_tests "$file" | grep -nE '\bInterp\b|Value::Func\b|tree-walker')" ]
+done
+for file in $(find crates -name '*.rs' -not -path 'crates/dsl-oracle/*' -not -path '*/tests/*' -not -path 'crates/bench/src/exp/dsl_vm.rs'); do
     [ -z "$(above_tests "$file" | grep -nw 'Interp')" ]
 done
+# Each manifest line that names the oracle, with the table it sits in: only
+# mala-bench's is outside [dev-dependencies].
+oracle_deps="$(for manifest in Cargo.toml crates/*/Cargo.toml; do awk -v file="$manifest" '/^\[/ { table = $0 } /^mala-dsl-oracle *[.=]/ { print file, table }' "$manifest"; done)"
+[ "$(grep -v ' \[dev-dependencies\]$' <<<"$oracle_deps")" = "crates/bench/Cargo.toml [dependencies]" ]
+[ "$(cargo tree --offline -e normal -i mala-dsl-oracle --workspace --prefix none | awk '{ print $1 }' | sort -u | xargs)" = "mala-bench mala-dsl-oracle" ]
 
 echo "==> one encoding: Cephalo bytecode names slots; no operand-stack instruction survives beside the register forms (DESIGN §18)"
-for file in crates/dsl/src/*.rs; do
+for file in $(find crates/dsl/src -name '*.rs'); do
     [ -z "$(above_tests "$file" | grep -n 'LoadLocal\|StoreLocal\|JumpIfFalsePeek')" ]
 done
 
@@ -144,7 +152,7 @@ echo "==> a request is held once: the RADOS client keeps each request's waiter, 
 [ -z "$(grep -n 'blocked_on_epoch\|mds_blocked' $zlog_client crates/rados/src/client.rs)" ]
 
 echo "==> a short string is held in place: outside value.rs the dsl builds no script string behind a refcount of its own; only a literal constant shares one (DESIGN §35)"
-for file in crates/dsl/src/*.rs; do
+for file in $(find crates/dsl/src -name '*.rs'); do
     [ "$file" = crates/dsl/src/value.rs ] && continue
     # A literal's buffer (`Expr::Str`), shared, is the one heap string
     # allowed.
@@ -197,8 +205,8 @@ echo "==> a seal's last step holds: MdsError::Recovering is built only at the ty
 [ "$(enclosing_fns 'rec.held.push(request);' $mds_files)" = serve_type_op ]
 [ "$(awk '/\(MdsError::Recovering, _\) => \{/,/^            \}$/' <<<"$zlog_text" | grep -c 'self.ops.park(op, Park::Epoch(sent));')" = 1 ]
 
-echo "==> the zlog client, the monitor, the OSD and the MDS fit in a head: no file under crates/zlog/src, crates/consensus/src, crates/rados/src or crates/mds/src is over 1,000 lines, one step dispatch serves the starters and the re-drive, and an op names one owner (DESIGN §12, §23, §28)"
-[ -z "$(find crates/zlog/src crates/consensus/src crates/rados/src crates/mds/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1000')" ]
+echo "==> every file fits in a head: no file under crates/*/src is over 1,000 lines; in the zlog client one step dispatch serves the starters and the re-drive, and an op names one owner (DESIGN §12, §23, §28)"
+[ -z "$(find crates/*/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1000')" ]
 [ "$(grep -c 'fn step(' <<<"$zlog_text")" = 1 ]
 [ "$(enclosing_fns 'self.step(ctx, op);' $zlog_client | tr ' ' '\n' | grep -cx 'start\|redrive_op')" = 2 ]
 [ -z "$(grep -n 'fn step_fill(\|fn step_tail(\|fn step_checkpoint(\|fn step_ckpt_read(\|fn spawn_cursor_' <<<"$zlog_text")" ]
