@@ -41,7 +41,7 @@
 //! scoping rules; the differential generator (`tests/testgen`) only emits
 //! references to already-declared names.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use crate::ast::Block;
@@ -307,7 +307,7 @@ struct FuncState {
     /// `proto.n_slots` is its high-water mark.
     free: u16,
     /// Names captured by nested function literals (conservative).
-    captured: HashSet<String>,
+    captured: BTreeSet<String>,
     /// Names of upvalues already added, parallel to `proto.upvals`.
     upval_names: Vec<String>,
     loops: Vec<LoopCtx>,

@@ -1,6 +1,6 @@
 //! The capture pre-pass: which locals nested functions can reach.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use crate::ast::{Block, Expr, Stmt, TableItem};
 
@@ -8,13 +8,13 @@ use crate::ast::{Block, Expr, Stmt, TableItem};
 /// inside a nested function literal of `block`. Locals with these names
 /// are boxed; over-approximation (shadowed names) costs a box, never
 /// correctness.
-pub(super) fn captured_names(block: &Block) -> HashSet<String> {
-    let mut set = HashSet::new();
+pub(super) fn captured_names(block: &Block) -> BTreeSet<String> {
+    let mut set = BTreeSet::new();
     walk_block(block, false, &mut set);
     set
 }
 
-fn walk_block(block: &Block, inside_fn: bool, set: &mut HashSet<String>) {
+fn walk_block(block: &Block, inside_fn: bool, set: &mut BTreeSet<String>) {
     for stmt in block {
         walk_stmt(stmt, inside_fn, set);
     }
@@ -24,7 +24,7 @@ fn walk_block(block: &Block, inside_fn: bool, set: &mut HashSet<String>) {
 fn note<'a>(
     names: impl IntoIterator<Item = &'a String>,
     inside_fn: bool,
-    set: &mut HashSet<String>,
+    set: &mut BTreeSet<String>,
 ) {
     if inside_fn {
         set.extend(names.into_iter().cloned());
@@ -34,14 +34,14 @@ fn note<'a>(
 fn walk_exprs<'a>(
     es: impl IntoIterator<Item = &'a Expr>,
     inside_fn: bool,
-    set: &mut HashSet<String>,
+    set: &mut BTreeSet<String>,
 ) {
     for e in es {
         walk_expr(e, inside_fn, set);
     }
 }
 
-fn walk_stmt(stmt: &Stmt, inside_fn: bool, set: &mut HashSet<String>) {
+fn walk_stmt(stmt: &Stmt, inside_fn: bool, set: &mut BTreeSet<String>) {
     match stmt {
         Stmt::Local(name, e) => {
             note([name], inside_fn, set);
@@ -91,7 +91,7 @@ fn walk_stmt(stmt: &Stmt, inside_fn: bool, set: &mut HashSet<String>) {
     }
 }
 
-fn walk_expr(e: &Expr, inside_fn: bool, set: &mut HashSet<String>) {
+fn walk_expr(e: &Expr, inside_fn: bool, set: &mut BTreeSet<String>) {
     match e {
         Expr::Var(name) => note([name], inside_fn, set),
         Expr::TableLit(items) => {

@@ -29,7 +29,6 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -97,7 +96,10 @@ impl std::hash::Hasher for FxHasher {
     }
 }
 
-type GlobalNames = HashMap<Rc<str>, u32, std::hash::BuildHasherDefault<FxHasher>>;
+// Lookup-only and hashed with a fixed seed: nothing iterates it, so no
+// per-process order can reach a result.
+#[allow(clippy::disallowed_types)]
+type GlobalNames = std::collections::HashMap<Rc<str>, u32, std::hash::BuildHasherDefault<FxHasher>>;
 
 /// A Cephalo bytecode VM instance: globals, natives, output buffer, and
 /// sandbox accounting — the compiled counterpart of the reference

@@ -29,7 +29,7 @@
 //!   their exact messages) are exercised; both engines must fail with the
 //!   same message after the same observable prefix.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use mala_dsl::ast::{print_block, BinOp, Block, Expr, Stmt, TableItem, UnOp};
 use mala_dsl::{Engine, Script, Table, Value, Vm};
@@ -760,7 +760,7 @@ impl std::fmt::Display for Divergence {
 /// compares equal to any function (the oracle's natives vs the VM's
 /// `Closure`s).
 pub fn equivalent(a: &Value, b: &Value) -> bool {
-    fn go(a: &Value, b: &Value, seen: &mut HashSet<(usize, usize)>) -> bool {
+    fn go(a: &Value, b: &Value, seen: &mut BTreeSet<(usize, usize)>) -> bool {
         match (a, b) {
             (Value::Nil, Value::Nil) => true,
             (Value::Bool(x), Value::Bool(y)) => x == y,
@@ -791,7 +791,7 @@ pub fn equivalent(a: &Value, b: &Value) -> bool {
     fn Rc_addr<T>(rc: &std::rc::Rc<std::cell::RefCell<T>>) -> usize {
         std::rc::Rc::as_ptr(rc) as usize
     }
-    go(a, b, &mut HashSet::new())
+    go(a, b, &mut BTreeSet::new())
 }
 
 /// Runs the program for `seed` on both engines and compares every
