@@ -146,13 +146,10 @@ impl Engine for Vm {
     }
 
     fn register(&mut self, name: &str, f: NativeFn) {
-        self.set_global(
-            name,
-            Value::Native(Rc::new(Native {
-                display: format!("<native {name}>"),
-                f,
-            })),
-        );
+        // One allocation of the exact size, as the bare name took.
+        let display = ["<native ", name, ">"].concat();
+        let native = Value::Native(Rc::new(Native { display, f }));
+        self.set_global(name, native);
     }
 
     fn set_global(&mut self, name: &str, v: Value) {
