@@ -126,7 +126,7 @@ impl Walk {
     }
 
     fn call_value(
-        self: &Rc<Self>,
+        &self,
         f: &Value,
         args: &[Value],
         ctx: &mut HostCtx<'_>,
