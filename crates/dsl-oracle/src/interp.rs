@@ -20,7 +20,7 @@ enum Flow {
 
 /// A Cephalo interpreter instance.
 ///
-/// One interpreter stands for one embedded VM inside a daemon: it owns a
+/// One interpreter corresponds to one embedded VM inside a daemon: it owns a
 /// global scope, a set of registered native functions, an output buffer for
 /// `print`/`log`, and the sandbox limits.
 pub struct Interp {
