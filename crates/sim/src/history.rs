@@ -19,6 +19,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::time::SimTime;
+use crate::IdMap;
 
 /// One timestamped event in a history.
 #[derive(Debug, Clone)]
@@ -204,7 +205,7 @@ impl<O: Clone, R: Clone> History<O, R> {
     /// with no partial return: they may have taken effect.
     pub fn operations(&self) -> Vec<Operation<O, R>> {
         let mut out: Vec<Operation<O, R>> = Vec::new();
-        let mut index: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+        let mut index: IdMap<u64, usize> = IdMap::default();
         for event in &self.events {
             match &event.phase {
                 Phase::Invoke(op) => {

@@ -11,7 +11,6 @@
 //! A fixed order is not a sorted order: whoever iterates one of these on
 //! the way to a send, a timer or an RNG draw still sorts first.
 
-use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// One multiply-xor step per word, seeded with nothing. Keys come from
@@ -67,10 +66,12 @@ impl Hasher for IdHasher {
 }
 
 /// A `HashMap` keyed by program-minted ids.
-pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+#[allow(clippy::disallowed_types)] // The one place std's map is named.
+pub type IdMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// A `HashSet` of program-minted ids.
-pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+#[allow(clippy::disallowed_types)] // The one place std's set is named.
+pub type IdSet<K> = std::collections::HashSet<K, BuildHasherDefault<IdHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -16,7 +16,7 @@
 //! linearizable prefix it found plus the residual *stuck window* as an
 //! event timeline — the minimal counterexample to stare at.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::hash::Hash;
 
 use crate::history::{Operation, Outcome};
@@ -142,7 +142,7 @@ where
     let mut search = Search {
         model,
         entries: &entries,
-        memo: HashSet::new(),
+        memo: Memo::default(),
         visited: 0,
         best: vec![false; n],
         best_count: 0,
@@ -174,10 +174,15 @@ where
     }))
 }
 
+// Membership only, so no order reaches a result. It keys whole model
+// states on the host-timed check path, so its hasher stays std's.
+#[allow(clippy::disallowed_types)]
+type Memo<S> = std::collections::HashSet<(Vec<u64>, S)>;
+
 struct Search<'a, M: SequentialModel> {
     model: &'a M,
     entries: &'a [Entry<'a, M::Op, M::Ret>],
-    memo: HashSet<(Vec<u64>, M::State)>,
+    memo: Memo<M::State>,
     visited: usize,
     best: Vec<bool>,
     best_count: usize,

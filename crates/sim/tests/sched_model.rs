@@ -11,11 +11,12 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use mala_sim::{
-    Actor, Context, NetConfig, Network, NodeId, Sim, SimDuration, SimTime, TimerHandle,
+    Actor, Context, IdMap, IdSet, NetConfig, Network, NodeId, Sim, SimDuration, SimTime,
+    TimerHandle,
 };
 use proptest::prelude::*;
 
@@ -122,10 +123,10 @@ struct Model {
     seq: u64,
     queue: BTreeMap<(u64, u64), Ev>,
     next_timer_id: u64,
-    cancelled: HashSet<u64>,
-    alive: HashSet<u32>,
-    incarnations: HashMap<u32, u64>,
-    last_delivery: HashMap<(u32, u32), u64>,
+    cancelled: IdSet<u64>,
+    alive: IdSet<u32>,
+    incarnations: IdMap<u32, u64>,
+    last_delivery: IdMap<(u32, u32), u64>,
     log: Log,
     handles: Vec<u64>,
     sent: u64,
