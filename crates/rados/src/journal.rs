@@ -1,23 +1,17 @@
-//! Durable per-OSD write-ahead journal.
+//! What an OSD makes durable, and how it folds.
 //!
 //! A real OSD persists every mutation before acknowledging it; a restarted
-//! daemon replays its journal and serves exactly the writes it acked. In
-//! the simulation, actor state dies with [`mala_sim::Sim::crash`], so
-//! durability is modelled by a [`Journal`] handle held *outside* the actor
-//! (by the harness, keyed by [`NodeId`] in a [`JournalSet`]) and shared
-//! with the OSD via `Rc`. The OSD appends a record for every applied
-//! mutation, installed interfaces map, and installed osdmap; after a
-//! restart, [`Journal::replay`] rebuilds the exact durable state.
-//!
-//! The journal is append-only with bounded growth: once the record count
-//! passes a threshold it is compacted in place to one record per live key
-//! (the fold of the log), exactly what replay would produce.
+//! daemon replays its journal and serves exactly the writes it acked. The
+//! journal is the OSD's node disk ([`mala_sim::disk`]), held outside the
+//! actor so that it survives a crash. The OSD appends a record for every
+//! applied mutation, installed interfaces map, and installed osdmap; a
+//! restart folds them into a [`JournalSnapshot`], its durable state. This
+//! module holds the record type, its fold and the fold's inverse.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use mala_sim::{IdMap, NodeId};
+use mala_sim::{Disk, Disks, IdMap, NodeId, Record};
 
 use crate::object::{Object, ObjectDelta, ObjectId};
 use crate::ops::Outcome;
@@ -80,167 +74,91 @@ pub struct JournalSnapshot {
     pub replies: IdMap<NodeId, BTreeMap<u64, Outcome>>,
 }
 
-#[derive(Debug, Default)]
-struct JournalInner {
-    /// A transaction's effect is one record shared with the other
-    /// acting-set members' journals (DESIGN §28); the rest are this
-    /// journal's alone.
-    records: Vec<Rc<JournalRecord>>,
-    appends: u64,
-    compactions: u64,
-}
+/// One OSD's durable write-ahead journal.
+pub type Journal = Disk<JournalRecord>;
 
-/// A durable write-ahead journal for one OSD. Cheap to clone (shared
-/// handle); clones see the same log, which is what lets the handle outlive
-/// the actor across crash/restart.
-#[derive(Debug, Clone, Default)]
-pub struct Journal {
-    inner: Rc<RefCell<JournalInner>>,
-}
+/// The harness-side registry of OSD journals, keyed by node.
+pub type JournalSet = Disks<JournalRecord>;
 
-/// Compact once the log holds this many records. Low enough that long
-/// nemesis runs stay bounded, high enough that compaction stays rare
-/// relative to appends.
-const COMPACT_THRESHOLD: usize = 4096;
+impl Record for JournalRecord {
+    type State = JournalSnapshot;
 
-impl Journal {
-    /// An empty journal.
-    pub fn new() -> Journal {
-        Journal::default()
-    }
-
-    /// Appends one record, compacting first if the log is past the
-    /// threshold (write-ahead: the caller appends *before* acking).
-    pub fn append(&self, record: impl Into<Rc<JournalRecord>>) {
-        let mut inner = self.inner.borrow_mut();
-        inner.appends += 1;
-        if inner.records.len() >= COMPACT_THRESHOLD {
-            let records = std::mem::take(&mut inner.records);
-            inner.records = unfold(fold(records)).into_iter().map(Rc::new).collect();
-            inner.compactions += 1;
-        }
-        inner.records.push(record.into());
-    }
-
-    /// Folds the log into the durable state (what a restart loads).
-    pub fn replay(&self) -> JournalSnapshot {
-        fold(self.inner.borrow().records.iter().cloned())
-    }
-
-    /// Current record count (post-compaction).
-    pub fn len(&self) -> usize {
-        self.inner.borrow().records.len()
-    }
-
-    /// Whether the journal holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total records ever appended (survives compaction).
-    pub fn appends(&self) -> u64 {
-        self.inner.borrow().appends
-    }
-
-    /// Number of compactions performed.
-    pub fn compactions(&self) -> u64 {
-        self.inner.borrow().compactions
-    }
-}
-
-fn fold(records: impl IntoIterator<Item = Rc<JournalRecord>>) -> JournalSnapshot {
-    let mut snapshot = JournalSnapshot::default();
-    for record in records {
-        match Rc::unwrap_or_clone(record) {
-            JournalRecord::PutObject(oid, obj) => {
-                snapshot.store.insert(oid, obj);
-            }
-            JournalRecord::Delta(oid, delta) => {
-                snapshot
-                    .store
-                    .entry(oid)
-                    .or_default()
-                    .apply_post_image(&delta);
-            }
-            JournalRecord::DelObject(oid) => {
-                snapshot.store.remove(&oid);
-            }
-            JournalRecord::Interfaces { epoch, entries } => {
-                if snapshot.interfaces.as_ref().is_none_or(|(e, _)| *e < epoch) {
-                    snapshot.interfaces = Some((epoch, entries));
+    fn fold(records: impl IntoIterator<Item = Rc<JournalRecord>>) -> JournalSnapshot {
+        let mut snapshot = JournalSnapshot::default();
+        for record in records {
+            match Rc::unwrap_or_clone(record) {
+                JournalRecord::PutObject(oid, obj) => {
+                    snapshot.store.insert(oid, obj);
                 }
-            }
-            JournalRecord::OsdMap { epoch, entries } => {
-                if snapshot.osdmap.as_ref().is_none_or(|(e, _)| *e < epoch) {
-                    snapshot.osdmap = Some((epoch, entries));
+                JournalRecord::Delta(oid, delta) => {
+                    snapshot
+                        .store
+                        .entry(oid)
+                        .or_default()
+                        .apply_post_image(&delta);
                 }
-            }
-            JournalRecord::Reply {
-                client,
-                reqid,
-                result,
-            } => {
-                let window = snapshot.replies.entry(client).or_default();
-                window.insert(reqid, result);
-                while window.len() > REPLY_CACHE_PER_CLIENT {
-                    window.pop_first();
+                JournalRecord::DelObject(oid) => {
+                    snapshot.store.remove(&oid);
+                }
+                JournalRecord::Interfaces { epoch, entries } => {
+                    if snapshot.interfaces.as_ref().is_none_or(|(e, _)| *e < epoch) {
+                        snapshot.interfaces = Some((epoch, entries));
+                    }
+                }
+                JournalRecord::OsdMap { epoch, entries } => {
+                    if snapshot.osdmap.as_ref().is_none_or(|(e, _)| *e < epoch) {
+                        snapshot.osdmap = Some((epoch, entries));
+                    }
+                }
+                JournalRecord::Reply {
+                    client,
+                    reqid,
+                    result,
+                } => {
+                    let window = snapshot.replies.entry(client).or_default();
+                    window.insert(reqid, result);
+                    while window.len() > REPLY_CACHE_PER_CLIENT {
+                        window.pop_first();
+                    }
                 }
             }
         }
+        snapshot
     }
-    snapshot
-}
 
-fn unfold(snapshot: JournalSnapshot) -> Vec<JournalRecord> {
-    let mut records = Vec::with_capacity(snapshot.store.len() + 2);
-    if let Some((epoch, entries)) = snapshot.osdmap {
-        records.push(JournalRecord::OsdMap { epoch, entries });
-    }
-    if let Some((epoch, entries)) = snapshot.interfaces {
-        records.push(JournalRecord::Interfaces { epoch, entries });
-    }
-    // Deterministic order keeps replay traces stable across runs.
-    let mut objects: Vec<_> = snapshot.store.into_iter().collect();
-    objects.sort_by(|(a, _), (b, _)| a.cmp(b));
-    for (oid, obj) in objects {
-        records.push(JournalRecord::PutObject(oid, obj));
-    }
-    let mut clients: Vec<_> = snapshot.replies.into_iter().collect();
-    clients.sort_by_key(|(c, _)| c.0);
-    for (client, window) in clients {
-        for (reqid, result) in window {
-            records.push(JournalRecord::Reply {
-                client,
-                reqid,
-                result,
-            });
+    fn unfold(snapshot: JournalSnapshot) -> Vec<JournalRecord> {
+        let mut records = Vec::with_capacity(snapshot.store.len() + 2);
+        if let Some((epoch, entries)) = snapshot.osdmap {
+            records.push(JournalRecord::OsdMap { epoch, entries });
         }
-    }
-    records
-}
-
-/// The harness-side registry of journals, keyed by node. Cloning shares
-/// the set, so builders and restart callbacks see the same journals.
-#[derive(Debug, Clone, Default)]
-pub struct JournalSet {
-    inner: Rc<RefCell<BTreeMap<NodeId, Journal>>>,
-}
-
-impl JournalSet {
-    /// An empty set.
-    pub fn new() -> JournalSet {
-        JournalSet::default()
-    }
-
-    /// The journal for `node`, created empty on first use.
-    pub fn journal(&self, node: NodeId) -> Journal {
-        self.inner.borrow_mut().entry(node).or_default().clone()
+        if let Some((epoch, entries)) = snapshot.interfaces {
+            records.push(JournalRecord::Interfaces { epoch, entries });
+        }
+        // Deterministic order keeps replay traces stable across runs.
+        let mut objects: Vec<_> = snapshot.store.into_iter().collect();
+        objects.sort_by(|(a, _), (b, _)| a.cmp(b));
+        for (oid, obj) in objects {
+            records.push(JournalRecord::PutObject(oid, obj));
+        }
+        let mut clients: Vec<_> = snapshot.replies.into_iter().collect();
+        clients.sort_by_key(|(c, _)| c.0);
+        for (client, window) in clients {
+            for (reqid, result) in window {
+                records.push(JournalRecord::Reply {
+                    client,
+                    reqid,
+                    result,
+                });
+            }
+        }
+        records
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mala_sim::disk::COMPACT_THRESHOLD;
 
     fn oid(name: &str) -> ObjectId {
         ObjectId::new("p", name)

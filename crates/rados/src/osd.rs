@@ -264,11 +264,6 @@ impl Osd {
         osd
     }
 
-    /// The journal handle, if this OSD is durable.
-    pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
-    }
-
     /// Read-only access to the object store (tests and scrub checks).
     pub fn store(&self) -> &IdMap<ObjectId, Object> {
         &self.store

@@ -42,6 +42,7 @@
 //! ```
 
 pub mod deadlines;
+pub mod disk;
 pub mod history;
 pub mod idmap;
 pub mod linearize;
@@ -58,6 +59,7 @@ mod sched;
 
 pub use actor::{Actor, Context, TimerHandle};
 pub use deadlines::Deadlines;
+pub use disk::{Disk, Disks, Record};
 pub use idmap::{IdMap, IdSet};
 pub use metrics::{CounterName, Hist, Metrics};
 pub use nemesis::{Fault, FaultSchedule, FaultTargets, Nemesis};
