@@ -19,7 +19,6 @@
 use mala_consensus::{MonConfig, Monitor};
 use mala_mds::server::Mds;
 use mala_mds::{MdsConfig, NoBalancer};
-use mala_rados::{Osd, OsdConfig};
 use mala_sim::{Fault, FaultSchedule, Nemesis, NodeId, SimDuration};
 use mala_zlog::log::{run_op, ZlogOut};
 use mala_zlog::{zlog_interface_update, AppendResult, ZlogClient, ZlogConfig};
@@ -121,14 +120,7 @@ impl Experiment for Config {
         let schedule = FaultSchedule::new()
             .at(t0 + self.crash_at, Fault::Crash(victim))
             .at(t0 + self.restart_at, Fault::Restart(victim));
-        let journals = cluster.journals().clone();
-        let mon = cluster.mon();
-        let mut nemesis = Nemesis::new(schedule).on_restart(move |sim, n| {
-            sim.restart(
-                n,
-                Osd::with_journal(n.0 - 10, mon, OsdConfig::default(), journals.journal(n)),
-            );
-        });
+        let mut nemesis = Nemesis::new(schedule).on_restart(cluster.restart_callback());
 
         let mut appends = ClosedLoop::new(node, t0, "e");
         appends.append_until(&mut cluster.sim, &mut nemesis, t0 + self.failover_at);
@@ -136,7 +128,7 @@ impl Experiment for Config {
         // Sequencer failover: kill the MDS, restart it cold, re-establish
         // the namespace, and run CORFU recovery (seal the old epoch, find
         // the tail) before appends resume.
-        let mds0 = cluster.mds_node(0);
+        let (mds0, mon) = (cluster.mds_node(0), cluster.mon());
         cluster.sim.crash(mds0);
         cluster.sim.restart(
             mds0,

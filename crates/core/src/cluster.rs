@@ -19,10 +19,7 @@ use mala_rados::{
     Transaction,
 };
 use mala_sim::{FaultTargets, NetConfig, Network, NodeId, Sim, SimDuration};
-
-/// Factory producing each rank's balancer (ranks may run different
-/// policies, though in practice they share one).
-pub type BalancerFactory = Box<dyn Fn(u32) -> Box<dyn Balancer>>;
+use std::rc::Rc;
 
 /// Builder for a simulated Malacology cluster.
 pub struct ClusterBuilder {
@@ -32,10 +29,8 @@ pub struct ClusterBuilder {
     standby_mds: u32,
     pools: Vec<(String, PoolInfo)>,
     mon_config: MonConfig,
-    osd_config: OsdConfig,
-    mds_config: MdsConfig,
     net_config: NetConfig,
-    balancer_factory: BalancerFactory,
+    daemons: Daemons,
     rados_clients: u32,
 }
 
@@ -49,10 +44,14 @@ impl ClusterBuilder {
             standby_mds: 0,
             pools: Vec::new(),
             mon_config: MonConfig::default(),
-            osd_config: OsdConfig::default(),
-            mds_config: MdsConfig::default(),
             net_config: NetConfig::default(),
-            balancer_factory: Box::new(|_| Box::new(NoBalancer)),
+            daemons: Daemons {
+                mon: NodeId(0),
+                osd_config: OsdConfig::default(),
+                mds_config: MdsConfig::default(),
+                balancers: Rc::new(|_| Box::new(NoBalancer)),
+                journals: JournalSet::new(),
+            },
             rados_clients: 1,
         }
     }
@@ -97,13 +96,13 @@ impl ClusterBuilder {
 
     /// Overrides the OSD configuration.
     pub fn osd_config(mut self, config: OsdConfig) -> Self {
-        self.osd_config = config;
+        self.daemons.osd_config = config;
         self
     }
 
     /// Overrides the MDS configuration.
     pub fn mds_config(mut self, config: MdsConfig) -> Self {
-        self.mds_config = config;
+        self.daemons.mds_config = config;
         self
     }
 
@@ -115,7 +114,7 @@ impl ClusterBuilder {
 
     /// Sets the per-rank balancer factory.
     pub fn balancers(mut self, factory: impl Fn(u32) -> Box<dyn Balancer> + 'static) -> Self {
-        self.balancer_factory = Box::new(factory);
+        self.daemons.balancers = Rc::new(factory);
         self
     }
 
@@ -135,35 +134,16 @@ impl ClusterBuilder {
                 Monitor::new(rank, mon_nodes.clone(), self.mon_config.clone()),
             );
         }
-        let mon = mon_nodes[0];
-        let journals = JournalSet::new();
+        let (mon, daemons) = (mon_nodes[0], self.daemons);
         for i in 0..self.osds {
             let node = NodeId(10 + i);
-            sim.add_node(
-                node,
-                Osd::with_journal(i, mon, self.osd_config.clone(), journals.journal(node)),
-            );
+            sim.add_node(node, daemons.osd(node));
         }
         for rank in 0..self.mds_ranks {
-            sim.add_node(
-                NodeId(1000 + rank),
-                Mds::new(
-                    rank,
-                    mon,
-                    self.mds_config.clone(),
-                    (self.balancer_factory)(rank),
-                ),
-            );
+            sim.add_node(NodeId(1000 + rank), daemons.mds(rank));
         }
         for i in 0..self.standby_mds {
-            sim.add_node(
-                NodeId(1500 + i),
-                Mds::standby(
-                    mon,
-                    self.mds_config.clone(),
-                    (self.balancer_factory)(STANDBY_RANK),
-                ),
-            );
+            sim.add_node(NodeId(1500 + i), daemons.standby());
         }
         for i in 0..self.rados_clients {
             sim.add_node(NodeId(2000 + i), RadosClient::new(mon));
@@ -191,8 +171,7 @@ impl ClusterBuilder {
             rados_clients: self.rados_clients,
             next_client: 2000 + self.rados_clients,
             next_mon_seq: 2,
-            osd_config: self.osd_config,
-            journals,
+            daemons,
         };
         // Long enough for the bootstrap maps to commit and propagate.
         cluster.sim.run_for(SimDuration::from_secs(3));
@@ -217,8 +196,37 @@ pub struct Cluster {
     rados_clients: u32,
     next_client: u32,
     next_mon_seq: u64,
+    daemons: Daemons,
+}
+
+/// What the cluster builds its daemons from: its primary monitor, configs,
+/// per-rank balancer factory and OSD journals. A clone shares the factory
+/// and the journals, so a callback rebuilds a node as `build` built it.
+#[derive(Clone)]
+struct Daemons {
+    mon: NodeId,
     osd_config: OsdConfig,
+    mds_config: MdsConfig,
+    balancers: Rc<dyn Fn(u32) -> Box<dyn Balancer>>,
     journals: JournalSet,
+}
+
+impl Daemons {
+    /// The OSD on `node` (`10 + i` is OSD `i`), around its journal.
+    fn osd(&self, node: NodeId) -> Osd {
+        let journal = self.journals.journal(node);
+        Osd::with_journal(node.0 - 10, self.mon, self.osd_config.clone(), journal)
+    }
+
+    fn mds(&self, rank: u32) -> Mds {
+        let balancer = (self.balancers)(rank);
+        Mds::new(rank, self.mon, self.mds_config.clone(), balancer)
+    }
+
+    fn standby(&self) -> Mds {
+        let balancer = (self.balancers)(STANDBY_RANK);
+        Mds::standby(self.mon, self.mds_config.clone(), balancer)
+    }
 }
 
 impl Cluster {
@@ -336,9 +344,39 @@ impl Cluster {
         request(&mut self.sim, client, oid, txn, SimDuration::from_secs(30)).result
     }
 
-    /// The per-node write-ahead journals (shared with the OSD actors).
-    pub fn journals(&self) -> &JournalSet {
-        &self.journals
+    /// The [`mala_sim::Nemesis::on_restart`] callback: a crashed OSD
+    /// comes back around its journal, a crashed MDS as a standby (the
+    /// mdsmap decides who serves its rank), both from this cluster's
+    /// configs. It panics on any other node.
+    pub fn restart_callback(&self) -> impl FnMut(&mut Sim, NodeId) + 'static {
+        let daemons = self.daemons.clone();
+        move |sim, node| match Cluster::node_role(node) {
+            "osd" => sim.restart(node, daemons.osd(node)),
+            "mds" => sim.restart(node, daemons.standby()),
+            role => panic!("unexpected restart target {node} ({role})"),
+        }
+    }
+
+    /// The [`mala_sim::Nemesis::on_membership`] callback: a join spawns a
+    /// new OSD on `node` and submits it at full weight, a drain submits
+    /// weight 0 (the daemon stays up as a backfill source).
+    pub fn membership_callback(&self) -> impl FnMut(&mut Sim, NodeId, bool) + 'static {
+        let daemons = self.daemons.clone();
+        // Monitor submissions need distinct seqs; `commit_updates` counts
+        // up from 2, so these start far above it.
+        let mut seq = 50_000u64;
+        move |sim, node, joining| {
+            let id = node.0 - 10;
+            let weight = if joining {
+                sim.add_node(node, daemons.osd(node));
+                mala_rados::WEIGHT_UNIT
+            } else {
+                0
+            };
+            seq += 1;
+            let updates = vec![OsdMapView::update_osd_weighted(id, node, true, weight)];
+            sim.inject(daemons.mon, MonMsg::Submit { seq, updates });
+        }
     }
 
     /// Crashes OSD `i` and commits an osdmap marking it down, so peers
@@ -353,9 +391,7 @@ impl Cluster {
     /// an osdmap marking it up again, triggering recovery pulls.
     pub fn restart_osd(&mut self, i: u32) {
         let node = self.osd_node(i);
-        let mon = self.mon();
-        let osd = Osd::with_journal(i, mon, self.osd_config.clone(), self.journals.journal(node));
-        self.sim.restart(node, osd);
+        self.sim.restart(node, self.daemons.osd(node));
         self.commit_updates(vec![OsdMapView::update_osd(i, node, true)]);
     }
 
@@ -369,9 +405,7 @@ impl Cluster {
     pub fn add_osd_nowait(&mut self) -> u32 {
         let i = self.osds;
         let node = NodeId(10 + i);
-        let mon = self.mon();
-        let osd = Osd::with_journal(i, mon, self.osd_config.clone(), self.journals.journal(node));
-        self.sim.add_node(node, osd);
+        self.sim.add_node(node, self.daemons.osd(node));
         self.osds += 1;
         let update = OsdMapView::update_osd_weighted(i, node, true, mala_rados::WEIGHT_UNIT);
         self.submit_updates(vec![update]);
@@ -508,6 +542,43 @@ mod tests {
         let out = cluster.rados(oid, durability::get_blob()).unwrap();
         assert_eq!(out[0], OpResult::Data(b"acked".to_vec()));
         assert!(cluster.sim.metrics().counter("osd.journal_replays") >= 1);
+    }
+
+    /// The restart callback builds the OSD from the cluster's own config:
+    /// with every other OSD down, only a restarted OSD 0 that kept the
+    /// cluster's scrub interval can scrub (the default config scrubs
+    /// never).
+    #[test]
+    fn a_restarted_osd_keeps_the_cluster_config() {
+        let config = OsdConfig {
+            scrub_interval: Some(SimDuration::from_millis(100)),
+            ..OsdConfig::default()
+        };
+        let mut cluster = ClusterBuilder::new()
+            .osds(2)
+            .pool("data", 8, 2)
+            .osd_config(config)
+            .build(8);
+        for i in 0..8 {
+            let oid = ObjectId::new("data", format!("obj{i}"));
+            cluster
+                .rados(oid, durability::put_blob(vec![i as u8; 8]))
+                .unwrap();
+        }
+        for i in 0..2 {
+            cluster.sim.crash(cluster.osd_node(i));
+        }
+        let scrubs = |c: &Cluster| c.sim.metrics().counter("osd.scrubs");
+        let before = scrubs(&cluster);
+        cluster.sim.run_for(SimDuration::from_secs(1));
+        assert_eq!(scrubs(&cluster), before, "a crashed OSD scrubbed");
+        let (mut restart, osd0) = (cluster.restart_callback(), cluster.osd_node(0));
+        restart(&mut cluster.sim, osd0);
+        cluster.sim.run_for(SimDuration::from_secs(1));
+        assert!(
+            scrubs(&cluster) > before,
+            "the restarted OSD lost its config"
+        );
     }
 
     #[test]

@@ -73,7 +73,6 @@ mod lin {
 
 mod zlog_fault_props {
     use super::*;
-    use mala_rados::{Osd, OsdConfig};
     use mala_sim::{Fault, FaultSchedule, Nemesis, NodeId, SimDuration};
     use mala_zlog::log::{run_op, ZlogOut};
     use mala_zlog::{zlog_interface_update, AppendResult, ReadOutcome, ZlogClient, ZlogConfig};
@@ -122,17 +121,7 @@ mod zlog_fault_props {
                 .iter()
                 .filter(|(_, f)| matches!(f, Fault::Crash(_)))
                 .count() as u64;
-            let journals = cluster.journals().clone();
-            let mon = cluster.mon();
-            let mut nemesis = Nemesis::new(schedule).on_restart(move |sim, n| {
-                let osd = Osd::with_journal(
-                    n.0 - 10,
-                    mon,
-                    OsdConfig::default(),
-                    journals.journal(n),
-                );
-                sim.restart(n, osd);
-            });
+            let mut nemesis = Nemesis::new(schedule).on_restart(cluster.restart_callback());
 
             // Appends interleave with the schedule: the driver advances the
             // sim in slices, applying faults at their timestamps, while we
@@ -560,8 +549,8 @@ mod durability_props {
 mod mds_failover_props {
     use super::*;
     use mala_consensus::{MonMsg, Monitor, SERVICE_MAP_MDS};
-    use mala_mds::{FileType, Mds, MdsConfig, MdsMsg, NoBalancer};
-    use mala_rados::{ObjectId, Osd, OsdConfig, OsdError};
+    use mala_mds::{FileType, Mds, MdsConfig, MdsMsg};
+    use mala_rados::{ObjectId, OsdError};
     use mala_sim::{FaultSchedule, Nemesis, SimDuration};
     use mala_zlog::log::{run_op, ZlogOut};
     use mala_zlog::{zlog_interface_update, AppendResult, ReadOutcome, ZlogClient, ZlogConfig};
@@ -790,33 +779,9 @@ mod mds_failover_props {
             let targets = cluster.fault_targets();
             let schedule =
                 FaultSchedule::random_cluster(seed, &targets, SimDuration::from_secs(10), 5);
-            let journals = cluster.journals().clone();
-            let mon = cluster.mon();
             let mut nemesis = Nemesis::new(schedule)
                 .with_labels(Cluster::node_role)
-                .on_restart(move |sim, n| match Cluster::node_role(n) {
-                    "osd" => {
-                        let osd = Osd::with_journal(
-                            n.0 - 10,
-                            mon,
-                            OsdConfig::default(),
-                            journals.journal(n),
-                        );
-                        sim.restart(n, osd);
-                    }
-                    "mds" => {
-                        // The monitor may already have promoted the
-                        // standby into this rank; rejoin as a standby and
-                        // let the mdsmap decide who serves.
-                        let config = MdsConfig {
-                            journal: true,
-                            journal_sync: true,
-                            ..MdsConfig::default()
-                        };
-                        sim.restart(n, Mds::standby(mon, config, Box::new(NoBalancer)));
-                    }
-                    role => panic!("unexpected restart target {n} ({role})"),
-                });
+                .on_restart(cluster.restart_callback());
 
             let mut acked: Vec<(u64, Vec<u8>)> = Vec::new();
             for k in 0..10u32 {
@@ -1370,7 +1335,6 @@ mod cap_partition {
 
 mod smoke {
     use mala_mds::{Mds, MdsConfig};
-    use mala_rados::{Osd, OsdConfig};
     use mala_sim::{Fault, FaultSchedule, Nemesis, SimDuration, SimTime};
     use mala_zlog::log::{run_op, ZlogOut};
     use mala_zlog::{zlog_interface_update, AppendResult, ZlogClient, ZlogConfig};
@@ -1426,15 +1390,9 @@ mod smoke {
                 SimTime(t0.0 + 4_000_000),
                 Fault::Restart(cluster.osd_node(0)),
             );
-        let journals = cluster.journals().clone();
-        let mon = cluster.mon();
         let mut nemesis = Nemesis::new(schedule)
             .with_labels(Cluster::node_role)
-            .on_restart(move |sim, n| {
-                let osd =
-                    Osd::with_journal(n.0 - 10, mon, OsdConfig::default(), journals.journal(n));
-                sim.restart(n, osd);
-            });
+            .on_restart(cluster.restart_callback());
 
         let mut positions = Vec::new();
         for k in 0..8u32 {
@@ -1490,47 +1448,12 @@ mod smoke {
 
 mod elastic_membership {
     use super::*;
-    use mala_consensus::MonMsg;
-    use mala_rados::{ObjectId, Osd, OsdConfig, OsdMapView, WEIGHT_UNIT};
-    use mala_sim::{Fault, FaultSchedule, Nemesis, NodeId, Sim, SimDuration, SimTime};
+    use mala_rados::{ObjectId, Osd};
+    use mala_sim::{Fault, FaultSchedule, Nemesis, NodeId, SimDuration, SimTime};
     use mala_zlog::log::{run_op, ZlogOut};
     use mala_zlog::{zlog_interface_update, AppendResult, ReadOutcome, ZlogClient, ZlogConfig};
     use malacology::cluster::{Cluster, ClusterBuilder};
     use malacology::interfaces::durability;
-    use std::cell::Cell;
-    use std::rc::Rc;
-
-    /// Builds the [`mala_sim::Nemesis::on_membership`] callback: a join
-    /// spawns the OSD's actor (joiners are always brand-new nodes in
-    /// these schedules) and commits it into the osdmap at full weight; a
-    /// drain commits weight 0 (the daemon stays up as a backfill source).
-    fn membership_callback(cluster: &Cluster) -> impl FnMut(&mut Sim, NodeId, bool) + 'static {
-        let journals = cluster.journals().clone();
-        let mon = cluster.mon();
-        // Monitor submissions need distinct seqs; the harness's own
-        // commit_updates seqs start at 2, so start far above them.
-        let seq = Rc::new(Cell::new(50_000u64));
-        move |sim, node, joining| {
-            let id = node.0 - 10;
-            let update = if joining {
-                sim.add_node(
-                    node,
-                    Osd::with_journal(id, mon, OsdConfig::default(), journals.journal(node)),
-                );
-                OsdMapView::update_osd_weighted(id, node, true, WEIGHT_UNIT)
-            } else {
-                OsdMapView::update_osd_weighted(id, node, true, 0)
-            };
-            seq.set(seq.get() + 1);
-            sim.inject(
-                mon,
-                MonMsg::Submit {
-                    seq: seq.get(),
-                    updates: vec![update],
-                },
-            );
-        }
-    }
 
     /// Fixed-seed CI smoke for the tentpole: a brand-new OSD joins and an
     /// original OSD drains *mid-workload* via nemesis membership faults.
@@ -1579,7 +1502,7 @@ mod elastic_membership {
             );
         let mut nemesis = Nemesis::new(schedule)
             .with_labels(Cluster::node_role)
-            .on_membership(membership_callback(&cluster));
+            .on_membership(cluster.membership_callback());
 
         let mut positions = Vec::new();
         for k in 0..10u32 {
@@ -1704,7 +1627,7 @@ mod elastic_membership {
             );
         let mut nemesis = Nemesis::new(schedule)
             .with_labels(Cluster::node_role)
-            .on_membership(membership_callback(&cluster));
+            .on_membership(cluster.membership_callback());
 
         // Drives one client op to completion while the nemesis keeps
         // injecting the membership schedule underneath it.
@@ -1846,7 +1769,7 @@ mod elastic_membership {
             );
         let mut nemesis = Nemesis::new(schedule)
             .with_labels(Cluster::node_role)
-            .on_membership(membership_callback(&cluster));
+            .on_membership(cluster.membership_callback());
         while !nemesis.finished() {
             nemesis.run_for(&mut cluster.sim, SimDuration::from_millis(200));
         }
@@ -1926,7 +1849,7 @@ mod elastic_membership {
                 .at(SimTime(t0.0 + drain_us), Fault::OsdDrain(drain_target));
             let mut nemesis = Nemesis::new(schedule)
                 .with_labels(Cluster::node_role)
-                .on_membership(membership_callback(&cluster));
+                .on_membership(cluster.membership_callback());
 
             let mut acked: Vec<(u64, Vec<u8>)> = Vec::new();
             for k in 0..10u32 {
@@ -2085,8 +2008,7 @@ mod retry_integration {
 
 mod batched_props {
     use super::*;
-    use mala_mds::{Mds, MdsConfig, NoBalancer};
-    use mala_rados::{Osd, OsdConfig};
+    use mala_mds::MdsConfig;
     use mala_sim::{FaultSchedule, Nemesis, SimDuration};
     use mala_zlog::log::{run_op, ZlogOut};
     use mala_zlog::{
@@ -2175,30 +2097,9 @@ mod batched_props {
             let targets = cluster.fault_targets();
             let schedule =
                 FaultSchedule::random_cluster(seed, &targets, SimDuration::from_secs(10), 5);
-            let journals = cluster.journals().clone();
-            let mon = cluster.mon();
             let mut nemesis = Nemesis::new(schedule)
                 .with_labels(Cluster::node_role)
-                .on_restart(move |sim, n| match Cluster::node_role(n) {
-                    "osd" => {
-                        let osd = Osd::with_journal(
-                            n.0 - 10,
-                            mon,
-                            OsdConfig::default(),
-                            journals.journal(n),
-                        );
-                        sim.restart(n, osd);
-                    }
-                    "mds" => {
-                        let config = MdsConfig {
-                            journal: true,
-                            journal_sync: true,
-                            ..MdsConfig::default()
-                        };
-                        sim.restart(n, Mds::standby(mon, config, Box::new(NoBalancer)));
-                    }
-                    role => panic!("unexpected restart target {n} ({role})"),
-                });
+                .on_restart(cluster.restart_callback());
 
             // Enqueue twelve pipelined appends up front (three full
             // queues at depth 4) and drive them all through the storm.
@@ -2356,7 +2257,7 @@ mod batched_props {
 }
 
 mod batched_smoke {
-    use mala_rados::{ObjectId, Osd, OsdConfig};
+    use mala_rados::{ObjectId, Osd};
     use mala_sim::{Fault, FaultSchedule, Nemesis, NodeId, Sim, SimDuration, SimTime};
     use mala_zlog::log::{run_op, ZlogOut};
     use mala_zlog::{
@@ -2441,15 +2342,9 @@ mod batched_smoke {
         let schedule = FaultSchedule::new()
             .at(stamps[0], Fault::Crash(cluster.osd_node(0)))
             .at(stamps[1], Fault::Restart(cluster.osd_node(0)));
-        let journals = cluster.journals().clone();
-        let mon = cluster.mon();
         let mut nemesis = Nemesis::new(schedule)
             .with_labels(Cluster::node_role)
-            .on_restart(move |sim, n| {
-                let osd =
-                    Osd::with_journal(n.0 - 10, mon, OsdConfig::default(), journals.journal(n));
-                sim.restart(n, osd);
-            });
+            .on_restart(cluster.restart_callback());
 
         let mut ops = Vec::new();
         for k in 0..16u32 {
@@ -2558,7 +2453,6 @@ mod batched_smoke {
 }
 
 mod linearize_smoke {
-    use mala_rados::{Osd, OsdConfig};
     use mala_sim::history::{Outcome, Recorder};
     use mala_sim::linearize::{check_shared_log, LogOp, LogRet};
     use mala_sim::{Fault, FaultSchedule, Nemesis, SimDuration, SimTime};
@@ -2609,15 +2503,9 @@ mod linearize_smoke {
                 SimTime(t0.0 + 2_000_000),
                 Fault::Restart(cluster.osd_node(0)),
             );
-        let journals = cluster.journals().clone();
-        let mon = cluster.mon();
         let mut nemesis = Nemesis::new(schedule)
             .with_labels(Cluster::node_role)
-            .on_restart(move |sim, n| {
-                let osd =
-                    Osd::with_journal(n.0 - 10, mon, OsdConfig::default(), journals.journal(n));
-                sim.restart(n, osd);
-            });
+            .on_restart(cluster.restart_callback());
 
         // Each round launches one append per client *before* polling, so
         // the invocations genuinely overlap in the history.
