@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints (warnings are errors), the one-RADOS-client,
+# Local CI gate: formatting, lints and docs (warnings are errors), the one-RADOS-client,
 # no-timer-per-item, effects-not-calls, payload-is-bytes, name-held-once,
 # one-append-path, one-engine, one-encoding, forget-what-it-holds,
 # map-held-once, counter-is-a-slot, one-read-path, one-type-op-path,
@@ -9,8 +9,9 @@
 # a-seal's-last-step-holds, every-file-fits-in-a-head,
 # a-liveness-action-is-proposed-when-it-is-decided, one-proposal-policy,
 # a-map-entry-has-one-codec, a-retry-repeats-its-request-and-the-MDS-has-one-tick,
-# everything-kept-has-a-reader, a-backfill-ends-with-a-whole-copy and
-# one-event-queue structure checks, the tier-1 build + test
+# everything-kept-has-a-reader, a-backfill-ends-with-a-whole-copy,
+# one-event-queue and one-journal-one-restart-path structure checks, the
+# tier-1 build + test
 # pass (the whole workspace minus the vendored stand-ins; it runs every
 # experiment's shape check at quick scale), the three balancer figures at
 # paper scale against results/, and the frozen benchmark with its ceilings.
@@ -52,6 +53,9 @@ cargo fmt --check
 
 echo "==> cargo clippy --all-targets (-D warnings)"
 cargo clippy --all-targets -- -D warnings
+
+echo "==> cargo doc (-D warnings; every crate but the vendored proptest stand-in, whose own links are left as found)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --exclude proptest --no-deps --quiet
 
 echo "==> one RADOS client: OsdMsg::ClientOp is built in rados/src/client.rs alone (the OSD matches on it once); the MDS places nothing"
 [ "$(grep -rl 'OsdMsg::ClientOp {' crates --include='*.rs' | grep -v '^crates/rados/src/osd[./]' | sort | xargs)" = crates/rados/src/client.rs ]
@@ -285,6 +289,16 @@ event_store=crates/sim/src/queue.rs
 struct_fields="$(for file in $(find crates/*/src -name '*.rs' | sort); do above_tests "$file"; done | awk '/^(pub(\(crate\))? )?struct /,/^}/')"
 [ -z "$(grep -iE '^ +(pub(\([a-z]+\))? )?[a-z_]*horizon[a-z_]*:' <<<"$struct_fields")" ]
 [ -z "$(grep -rnE 'std::env|env::var|option_env!' crates/sim/src)" ]
+
+echo "==> one journal, one restart path: a node's durable log is mala_sim::disk (rados holds the OSD's record type and its fold, no handle, registry or compaction threshold), and core::Cluster alone builds an OSD around its journal and hands the harnesses their restart and membership callbacks (DESIGN §11)"
+rados_text="$(for file in $(find crates/rados/src -name '*.rs' | sort); do above_tests "$file"; done)"
+[ -z "$(grep -nE 'RefCell<.*Journal|struct Journal(Set|Inner)?\b|THRESHOLD' <<<"$rados_text")" ]
+[ "$(grep -cE '^pub type (Journal = Disk|JournalSet = Disks)<JournalRecord>;$' crates/rados/src/journal.rs)" = 2 ]
+# Two zlog fixtures wire a rados-level stack by hand below malacology, as
+# the frozen benchmark does; every harness that has a Cluster uses it.
+[ "$(grep -rlF 'Osd::with_journal(' crates src tests examples --include='*.rs' | grep -v '^crates/rados/' | sort | xargs)" = "crates/core/src/cluster.rs crates/zlog/tests/alloc_budget.rs crates/zlog/tests/byte_payloads.rs" ]
+[ -z "$(grep -rnF '.0 - 10' tests crates/bench/src --include='*.rs')" ]
+[ -z "$(grep -rnE '\.on_(restart|membership)\(' tests crates/bench/src --include='*.rs' | grep -vE '\.on_restart\(cluster\.restart_callback\(\)\)|\.on_membership\(cluster\.membership_callback\(\)\)')" ]
 
 echo "==> cargo build --release"
 cargo build --release

@@ -23,7 +23,7 @@
 //! instruction costs one sandbox step; call depth is charged per
 //! script-function frame (the top-level chunk frame is free, as in the
 //! interpreter). The slot array and the frame stack are reusable buffers
-//! owned by the [`Vm`], but [`Vm::run`] clears them on every exit —
+//! owned by the [`Vm`], but `Vm::run` clears them on every exit —
 //! including error returns — so a budget trip cannot leave poisoned state
 //! behind.
 
@@ -107,7 +107,7 @@ type GlobalNames = std::collections::HashMap<Rc<str>, u32, std::hash::BuildHashe
 ///
 /// Globals are slotted: `global_names` interns each name to an index into
 /// `global_vals` the first time it is seen, and closures carry their
-/// name→slot resolution (see [`Closure::slots`]), so steady-state global
+/// name→slot resolution (see `Closure::slots`), so steady-state global
 /// access never hashes. Slots are never removed; assigning `nil` just
 /// stores `nil`, which reads back the same as an unknown name.
 pub struct Vm {

@@ -9,7 +9,7 @@
 //!
 //! A counter is bumped for every message the scheduler sends, so a counter
 //! is a slot (DESIGN §32). The process numbers each counter name once, in
-//! one registry, and each [`counter!`] call site caches its name's number:
+//! one registry, and each [`counter!`](crate::counter) call site caches its name's number:
 //! after the first bump, a bump indexes a vector. [`Metrics::incr`] takes a
 //! name built at run time and finds its slot with one hash probe. Gauges,
 //! series and histograms are rarer and stay keyed by name ([`IdMap`]).
@@ -45,7 +45,7 @@ macro_rules! counter {
 const UNRESOLVED: u32 = u32::MAX;
 
 /// A counter's name and, once it has been used, its slot. Build one with
-/// [`counter!`].
+/// [`counter!`](crate::counter).
 #[derive(Debug)]
 pub struct CounterName {
     name: &'static str,
@@ -138,7 +138,7 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Adds `delta` to the counter `name`, a [`counter!`]: the way to bump
+    /// Adds `delta` to the counter `name`, a [`counter!`](crate::counter): the way to bump
     /// a counter whose name is a literal.
     #[inline]
     pub fn bump(&mut self, name: &CounterName, delta: u64) {

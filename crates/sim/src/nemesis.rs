@@ -4,7 +4,7 @@
 //! crashes, restarts, partitions, isolation, message-loss bursts, and
 //! latency spikes. A [`Nemesis`] driver interleaves schedule application
 //! with simulation progress: it runs the [`Sim`] up to each fault's
-//! timestamp, applies the fault through the existing [`Network`] and
+//! timestamp, applies the fault through the existing [`Network`](crate::Network) and
 //! scheduler primitives, and records what it did in the metric sink so a
 //! run can be audited and replayed bit-for-bit from its seed.
 //!
